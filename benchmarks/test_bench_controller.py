@@ -44,11 +44,10 @@ from repro.dynamics.controller import RebalanceController, RebalancePolicy
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.migration import MigrationCostModel
 from repro.experiments.config import config_from_label
-from repro.io.serialization import dump_json
 from repro.io.tables import format_table
 from repro.world.scenario import build_scenario
 
-from benchmarks.conftest import bench_runs
+from benchmarks.conftest import bench_runs, record_json
 
 pytestmark = pytest.mark.benchmark
 
@@ -145,7 +144,7 @@ def test_bench_controller(benchmark, record):
         float_format=".2f",
     )
     record("controller", text)
-    dump_json(
+    record_json(
         {
             "label": LABEL,
             "num_epochs": NUM_EPOCHS,

@@ -35,11 +35,10 @@ import repro.baselines  # noqa: F401  (registers the baseline solvers)
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import ChurnSimulator
 from repro.experiments.config import config_from_label
-from repro.io.serialization import dump_json
 from repro.io.tables import format_table
 from repro.world.scenario import build_scenario
 
-from benchmarks.conftest import bench_runs
+from benchmarks.conftest import bench_runs, record_json
 
 pytestmark = pytest.mark.benchmark
 
@@ -137,7 +136,7 @@ def test_bench_dynamics(benchmark, record):
         float_format=".2f",
     )
     record("dynamics", text)
-    dump_json({"configurations": results}, RESULTS_PATH)
+    record_json({"configurations": results}, RESULTS_PATH)
 
     # The incremental pipeline must beat the full-rebuild pipeline everywhere.
     # The 4× threshold used to be 5×, back when the rebuild path's epoch cost

@@ -36,11 +36,10 @@ import repro.baselines  # noqa: F401  (registers the baseline solvers)
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import ChurnSimulator
 from repro.experiments.config import config_from_label
-from repro.io.serialization import dump_json
 from repro.io.tables import format_table
 from repro.world import build_scenario
 
-from benchmarks.conftest import bench_runs
+from benchmarks.conftest import bench_runs, record_json
 
 pytestmark = pytest.mark.benchmark
 
@@ -179,7 +178,7 @@ def test_bench_epoch(benchmark, record):
         by_key[(top, "incremental")]["epoch_seconds_warm"]
         / by_key[(lower, "incremental")]["epoch_seconds_warm"]
     )
-    dump_json(
+    record_json(
         {
             "num_servers": NUM_SERVERS,
             "num_zones": NUM_ZONES,

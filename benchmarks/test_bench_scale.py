@@ -43,11 +43,10 @@ from repro.core.registry import solve as registry_solve
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import ChurnSimulator
 from repro.experiments.config import config_from_label
-from repro.io.serialization import dump_json
 from repro.io.tables import format_table
 from repro.world import build_scenario
 
-from benchmarks.conftest import bench_runs
+from benchmarks.conftest import bench_runs, record_json
 
 pytestmark = pytest.mark.benchmark
 
@@ -202,7 +201,7 @@ def test_bench_scale(benchmark, record):
         float_format=".2f",
     )
     record("scale", text)
-    dump_json(
+    record_json(
         {
             "num_servers": NUM_SERVERS,
             "num_zones": NUM_ZONES,

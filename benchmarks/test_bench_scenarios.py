@@ -32,13 +32,12 @@ from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.federation_engine import AGGREGATE_SHARD_ID, FederatedSimulator
 from repro.dynamics.scenarios import SCENARIO_LIBRARY
 from repro.experiments.config import config_from_label
-from repro.io.serialization import dump_json
 from repro.io.tables import format_table
 from repro.metrics.recovery import recovery_report
 from repro.world import build_scenario
 from repro.world.federation import build_federation
 
-from benchmarks.conftest import bench_runs
+from benchmarks.conftest import bench_runs, record_json
 
 pytestmark = pytest.mark.benchmark
 
@@ -238,7 +237,7 @@ def test_bench_scenarios(benchmark, record):
     )
     record("scenarios", text + "\n\n" + perf_text)
 
-    dump_json(
+    record_json(
         {
             "chaos_label": CHAOS_LABEL,
             "chaos_epochs": CHAOS_EPOCHS,

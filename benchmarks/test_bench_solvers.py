@@ -37,11 +37,10 @@ from repro.core.problem import CAPInstance
 from repro.core.regret import BACKENDS, max_regret_assign
 from repro.core.registry import solve as registry_solve
 from repro.experiments.config import config_from_label
-from repro.io.serialization import dump_json
 from repro.io.tables import format_table
 from repro.world.scenario import build_scenario
 
-from benchmarks.conftest import bench_runs
+from benchmarks.conftest import bench_runs, record_json
 
 pytestmark = pytest.mark.benchmark
 
@@ -179,7 +178,7 @@ def test_bench_solvers(benchmark, record):
         float_format=".2f",
     )
     record("solvers", text)
-    dump_json({"configurations": results}, RESULTS_PATH)
+    record_json({"configurations": results}, RESULTS_PATH)
 
     # At 4× the paper's population the batched engine must clearly win: ≥3×
     # for the static mode and ≥5× for dynamic regret, whose loop spec

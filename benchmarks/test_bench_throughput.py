@@ -37,10 +37,9 @@ from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import ChurnSimulator, EpochRecord
 from repro.experiments.config import config_from_label
 from repro.experiments.loadgen import format_loadgen, run_loadgen
-from repro.io.serialization import dump_json
 from repro.world.scenario import build_scenario
 
-from benchmarks.conftest import bench_runs
+from benchmarks.conftest import bench_runs, record_json
 
 pytestmark = pytest.mark.benchmark
 
@@ -190,7 +189,7 @@ def test_bench_epoch_throughput(record):
             "phase_seconds": result.phase_seconds,
         }
 
-    dump_json(
+    record_json(
         {
             "label": LABEL,
             "algorithm": ALGORITHM,

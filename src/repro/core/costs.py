@@ -121,9 +121,10 @@ def refined_cost_rows(
     # column form (delays first, mesh leg second), so the sums are bitwise
     # equal to refined_cost_columns' transposed.
     total_delay = instance.delay_rows(clients)  # fresh, writable, row-major
-    # Materialise the transposed mesh before the row gather: fancy-indexing
-    # rows of the F-ordered .T view strides through the whole mesh per row.
-    total_delay += np.ascontiguousarray(instance.server_server_delays.T)[targets]
+    # Gather the targets' mesh columns (m x len(clients)) rather than
+    # transposing the whole m x m mesh: the exhaustion fall-through calls this
+    # with a handful of clients, many times per solve.
+    total_delay += instance.server_server_delays[:, targets].T
     total_delay -= instance.delay_bound
     return np.maximum(total_delay, 0.0, out=total_delay)
 

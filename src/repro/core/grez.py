@@ -22,7 +22,7 @@ from repro.core.problem import CAPInstance
 from repro.core.regret import max_regret_assign
 from repro.utils.timing import Timer
 
-__all__ = ["assign_zones_greedy", "zone_fallback_candidates"]
+__all__ = ["assign_zones_greedy", "zone_candidate_table", "zone_fallback_candidates"]
 
 
 def zone_fallback_candidates(instance: CAPInstance) -> Optional[np.ndarray]:
@@ -44,6 +44,30 @@ def zone_fallback_candidates(instance: CAPInstance) -> Optional[np.ndarray]:
         return None
     allowed = mask()  # (num_zones, num_servers), read-only, cached
     return None if allowed is None else allowed.T
+
+
+def zone_candidate_table(instance: CAPInstance) -> Optional[np.ndarray]:
+    """``(num_zones, K)`` candidate servers per zone (ascending ids), or ``None``.
+
+    Only the sparse delay backend restricts zones to candidate sets.  Every
+    client of a zone sees the sentinel delay on each non-candidate server,
+    so that server's ``C^I`` is the whole zone population — the largest
+    count the zone can have.  Every non-candidate is therefore no more
+    desirable than the zone's least desirable candidate, which is the
+    non-strict dominance contract of
+    :func:`~repro.core.regret.max_regret_assign`'s ``candidate_servers``:
+    the placement engine takes the regret order and its re-evaluation table
+    from the candidates instead of partitioning all ``m`` servers per zone.
+    ``None`` for dense and coords instances, and for candidate sets too
+    narrow to define a regret (``K < 2``).
+    """
+    sorted_candidates = getattr(instance.client_server_delays, "sorted_candidates", None)
+    if sorted_candidates is None:
+        return None
+    table = sorted_candidates()
+    if table is None or table.shape[1] < 2:
+        return None
+    return table
 
 
 def assign_zones_greedy(
@@ -83,6 +107,7 @@ def assign_zones_greedy(
             recompute=recompute_regret,
             backend=backend,
             fallback_allowed=zone_fallback_candidates(instance),
+            candidate_servers=zone_candidate_table(instance),
         )
     return ZoneAssignment(
         zone_to_server=result.item_to_server,

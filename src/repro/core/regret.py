@@ -25,19 +25,30 @@ Two interchangeable backends implement both modes:
 * ``backend="loop"`` — the original per-item Python scan, kept as the
   executable specification of the placement semantics.
 * ``backend="vectorized"`` (default) — a batched placement engine.  The
-  static mode places items in rounds and caches every remaining item's best
-  feasible server between rounds: loads only ever grow, so a cached choice
-  stays the masked-argmax winner until the cached server itself can no
-  longer take the item's demand — each round therefore re-evaluates only
-  those *stale* items (one masked argmax over that subset) instead of
-  rebuilding the full (servers × remaining-items) feasibility matrix, and
+  static mode places items in rounds over a *front window* of the regret
+  order: each round validates only the window's choices (an item's best
+  feasible server, cached between rounds — loads only ever grow, so a cached
+  choice stays the masked-argmax winner until its own server can no longer
+  take the item, and an item evaluated for the first time when it reaches
+  the window gets exactly the choice an eager cache would hold), then
   per-server prefix sums admit as many claimants per server as its residual
-  capacity allows; the admitted items always form a prefix of the regret
-  order, so the rounds replay the loop's placements exactly.  The dynamic
-  mode maintains each item's top-two feasible desirabilities incrementally
-  and re-evaluates only the items whose cached best or second-best server
-  just received load, instead of re-partitioning every remaining column
-  after every placement.
+  capacity allows.  The admitted items always form a prefix of the regret
+  order, so the rounds replay the loop's placements exactly, and a round
+  costs O(window), not O(remaining items).  The dynamic mode maintains each
+  item's top-two feasible desirabilities incrementally and re-evaluates only
+  the items whose cached best or second-best server just received load,
+  instead of re-partitioning every remaining column after every placement.
+
+The static engine re-evaluates a choice through an optional per-item table
+of servers (ascending ids) before any full-width scan.  A feasible table hit
+that beats the table's minimum is the fleet-wide winner whenever every
+server outside the table is no more desirable than that minimum; ties at
+the minimum fall through to the full scan.  The table is either each item's
+top-64 servers (wide fleets) or a caller's candidate sets
+(``candidate_servers``, e.g. GreZ's zone candidates on the sparse delay
+backend, whose non-candidates all sit at the zone-population floor).
+:func:`max_regret_assign_candidates` uses a *strictly* dominant candidate
+table, so there a feasible hit is always final.
 
 Both fallback modes accept an optional ``fallback_allowed`` candidate mask
 that makes the ``least_loaded`` emergency placement *delay-aware*: the
@@ -97,6 +108,15 @@ DEFAULT_BACKEND = "vectorized"
 
 #: Capacity slack shared by every feasibility check (matches the heuristics).
 _CAP_EPS = 1e-9
+
+#: Unit roundoff of float64 (half the machine epsilon).
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+
+#: Smallest front window the static rounds validate and scan.
+_MIN_WINDOW = 128
+
+#: Width of the static engine's top-T re-evaluation table on wide fleets.
+_TOP_T = 64
 
 
 @dataclass(frozen=True)
@@ -234,6 +254,23 @@ def _assign_loop(
 # --------------------------------------------------------------------------- #
 # Vectorized backend, static mode — batched rounds over the regret order.
 # --------------------------------------------------------------------------- #
+def _table(table_idx: np.ndarray, table_val: np.ndarray):
+    """Re-evaluation table and static regret order from per-item server sets.
+
+    ``table_idx`` lists, per item, servers in ascending id order whose
+    desirabilities ``table_val`` are the item's largest: every unlisted
+    server is no more desirable than the smallest listed one.  The set's two
+    largest values are then the two largest of the full row — the exact
+    values :func:`regret_order` would partition out of the whole matrix — so
+    the regret order falls out of a cheap in-set partition.
+    """
+    width = table_idx.shape[1]
+    top_two = np.partition(table_val, width - 2, axis=1)[:, -2:]
+    regrets = top_two[:, 1] - top_two[:, 0]
+    order = np.argsort(-regrets, kind="stable").astype(np.int64)
+    return (table_idx.astype(np.int32), table_val, table_val.min(axis=1)), order
+
+
 def _assign_static_vectorized(
     desirability: np.ndarray,
     demands: np.ndarray,
@@ -242,40 +279,22 @@ def _assign_static_vectorized(
     item_to_server: np.ndarray,
     fallback: str,
     fallback_allowed: Optional[np.ndarray] = None,
+    candidate_servers: Optional[np.ndarray] = None,
 ) -> bool:
-    """Round-based placement that replays the loop's regret order in prefix batches.
-
-    Every round admits claimants per server in regret order while the
-    per-server prefix sum of their demands still fits the residual capacity.
-    An item whose claim is rejected (its server filled up earlier in the same
-    round) would fall to a different server in the loop and thereby disturb
-    every later placement, so the round only commits the claims *before* the
-    first rejection — the admitted items always form a prefix of the regret
-    order, which is what makes the rounds bit-identical to the sequential
-    scan.  Loads are accumulated with ``np.add.at`` in placement order so
-    even the floating-point addition order matches the loop.
-
-    The per-item choices are cached between rounds instead of being rebuilt
-    from a full (servers × remaining) feasibility matrix every round — the
-    superlinear term that used to dominate 100k-client solves.  Caching is
-    exact, not approximate: loads only ever grow, so the feasible-server set
-    of an item only shrinks, and the masked argmax (first maximum = stable
-    preference walk) of a shrinking set that still contains the previous
-    winner *is* the previous winner.  A cached choice therefore only needs
-    re-evaluation when its own server can no longer take the item's demand,
-    and "no feasible server" (``-1``) is sticky for the same reason.
+    """Static placement over the full matrix: build the table, run the rounds.
 
     Re-evaluation is a masked argmax over a *row-major* copy of the
     desirability matrix: each stale batch gathers whole per-item rows
     (contiguous in memory) instead of strided columns of the
-    (servers x items) input, which makes the re-evaluation memory-bandwidth
-    bound rather than cache-miss bound.  ``argmax(axis=1)`` returns the first
-    maximum — the lowest server index — exactly the column-argmax tie rule,
-    and the feasibility test keeps the loop backend's arithmetic form
-    (``loads + demand <= capacities + eps``), so placements stay
-    bit-identical.  (A sorted per-item preference walk was tried and
-    rejected: items re-evaluate only a handful of times before the solve
-    ends, which never amortises an O(servers log servers) column sort.)
+    (servers x items) input.  ``argmax(axis=1)`` returns the first maximum —
+    the lowest server index — exactly the column-argmax tie rule.
+
+    The re-evaluation table (see :func:`_static_rounds`) comes from
+    ``candidate_servers`` when given; otherwise, on fleets wider than
+    ``2 * _TOP_T``, from each item's top-``_TOP_T`` servers by desirability
+    (an ``argpartition`` over the fleet — boundary-tied subsets it picks
+    arbitrarily can never change a placement, because ties at the table
+    minimum fall through to the full scan).
     """
     num_servers, num_items = desirability.shape
     if num_items == 0:
@@ -291,31 +310,16 @@ def _assign_static_vectorized(
     ).reshape(num_items, num_servers)
     np.copyto(des_items, desirability.T)
 
-    # Two-tier re-evaluation table: each item's top-T servers by
-    # desirability, stored in ascending server-id order.  A masked argmax
-    # over the row (first maximum = lowest server id, the full scan's tie
-    # rule) finds the best feasible table entry, and it is the fleet-wide
-    # winner whenever its value strictly beats the set's minimum — every
-    # server outside the set is <= that.  Ties at the boundary and items
-    # whose whole set is full fall through to the full scan, so
-    # boundary-tied subsets chosen arbitrarily by argpartition can never
-    # change a placement.
-    _TOP_T = 64
     top = None
-    if num_servers > 2 * _TOP_T:
-        item_rows = np.arange(num_items)[:, None]
+    table_idx = candidate_servers
+    if table_idx is None and num_servers > 2 * _TOP_T:
         part_idx = np.argpartition(des_items, num_servers - _TOP_T, axis=1)[:, -_TOP_T:]
-        part_idx = np.sort(part_idx, axis=1)
-        part_val = des_items[item_rows, part_idx]
-        top = (part_idx.astype(np.int32), part_val, part_val.min(axis=1))
-        # The set's two largest values are the two largest of the full
-        # matrix — the exact values regret_order would partition out of it —
-        # so the regret order falls out of a cheap in-set partition.
-        top_two = np.partition(part_val, _TOP_T - 2, axis=1)[:, -2:]
-        regrets = top_two[:, 1] - top_two[:, 0]
-        remaining = np.argsort(-regrets, kind="stable").astype(np.int64)
+        table_idx = np.sort(part_idx, axis=1)
+    if table_idx is not None:
+        table_val = des_items[np.arange(num_items)[:, None], table_idx]
+        top, order = _table(table_idx, table_val)
     else:
-        remaining = regret_order(desirability)
+        order = regret_order(desirability)
 
     def get_rows(cols: np.ndarray, servers: Optional[np.ndarray]) -> np.ndarray:
         if servers is None:
@@ -324,8 +328,139 @@ def _assign_static_vectorized(
 
     return _static_rounds(
         demands, capacities, loads, item_to_server, fallback, fallback_allowed,
-        remaining, num_servers, top, False, get_rows,
+        order, top, False, get_rows,
     )
+
+
+def _best_feasible(
+    cols: np.ndarray,
+    d_cols: np.ndarray,
+    loads: np.ndarray,
+    cap_eps: np.ndarray,
+    top: Optional[tuple],
+    tier_complete: bool,
+    get_rows,
+) -> np.ndarray:
+    """Each item's most desirable server that can take its demand now (-1: none).
+
+    The masked argmax (first maximum = lowest server id, the loop's stable
+    preference walk) under the loop's feasibility test
+    ``loads + demand <= capacities + eps``.  Items are first looked up in the
+    re-evaluation table ``top``; the rest take a full-width scan.
+    """
+    best = np.full(cols.size, -1, dtype=np.int64)
+    rest = None
+    if top is not None:
+        top_idx, top_val, top_thresh = top
+        # Fast tier: masked argmax over the item's table row (first maximum =
+        # lowest server id, the full scan's tie rule).  Final when it beats
+        # the row minimum (always, for a complete table); the rest of the
+        # batch takes the full scan below.
+        tier_idx = top_idx[cols]
+        tier_ok = loads[tier_idx] + d_cols[:, None] <= cap_eps[tier_idx]
+        masked = np.where(tier_ok, top_val[cols], -np.inf)
+        pos = masked.argmax(axis=1)
+        rows = np.arange(cols.size)
+        vbest = masked[rows, pos]
+        if tier_complete:
+            # Every table value is >= the item's threshold and every outside
+            # server is strictly below it: found == resolved.
+            resolved = np.logical_not(np.isneginf(vbest))
+        else:
+            resolved = vbest > top_thresh[cols]
+        best[resolved] = tier_idx[rows[resolved], pos[resolved]]
+        rest = np.flatnonzero(~resolved)
+        cols, d_cols = cols[rest], d_cols[rest]
+    if cols.size:
+        # Prune servers no item in the batch could use: the feasibility test
+        # is monotone in the demand operand, so a server that cannot take the
+        # batch's smallest demand is infeasible for every item in it.  Late
+        # rounds — where the re-evaluations concentrate — scan only the
+        # servers still open.
+        open_srv = np.flatnonzero(loads + d_cols.min() <= cap_eps)
+        if open_srv.size == 0:
+            return best
+        if open_srv.size == loads.size:
+            feasible = loads[None, :] + d_cols[:, None] <= cap_eps[None, :]
+            masked = np.where(feasible, get_rows(cols, None), -np.inf)
+        else:
+            feasible = (
+                loads[open_srv][None, :] + d_cols[:, None] <= cap_eps[open_srv][None, :]
+            )
+            masked = np.where(feasible, get_rows(cols, open_srv), -np.inf)
+        choice = masked.argmax(axis=1)  # first max == lowest (open) index
+        none_left = np.isneginf(masked[np.arange(cols.size), choice])
+        if open_srv.size != loads.size:
+            choice = open_srv[choice]
+        found = np.where(none_left, -1, choice)
+        if rest is None:
+            best = found
+        else:
+            best[rest] = found
+    return best
+
+
+def _first_rejection(
+    servers: np.ndarray, claim_d: np.ndarray, loads: np.ndarray, cap_eps: np.ndarray
+) -> int:
+    """Index of the first claim the sequential scan would reject, else ``len``.
+
+    The loop places claims one at a time and tests each against its server's
+    running load, ``((loads + d1) + d2) + ... <= capacities + eps``.  Here
+    every claim's running load comes from one stable sort by server and a
+    global cumsum.  A group's first claim is tested exactly as ``loads + d``
+    (the test its validation passed, so the head of the order always makes
+    progress).  A later claim's prefix sum can round differently from the
+    sequential sum; when it lands within a rigorous rounding bound of the
+    capacity, it is re-checked with the sequential sum itself.  Such claims
+    need a server filled to within rounding distance of its capacity, and
+    only those ahead of the first certain rejection are re-checked.
+    """
+    num = servers.size
+    if num == 0:
+        return 0
+    by_server = np.argsort(servers, kind="stable")
+    srv_sorted = servers[by_server]
+    d_sorted = claim_d[by_server]
+    csum = np.cumsum(d_sorted)
+    group_first = np.empty(num, dtype=bool)
+    group_first[0] = True
+    np.not_equal(srv_sorted[1:], srv_sorted[:-1], out=group_first[1:])
+    heads = np.flatnonzero(group_first)
+    # Prefix sum of each group up to and including the claim; csum is
+    # nondecreasing, so a running maximum carries each group's base forward.
+    base = np.zeros(num)
+    base[heads[1:]] = csum[heads[1:] - 1]
+    np.maximum.accumulate(base, out=base)
+    within = csum - base
+    within[heads] = d_sorted[heads]
+    base_load = loads[srv_sorted]
+    load_after = base_load + within
+    slack = cap_eps[srv_sorted] - load_after
+    ok = slack >= 0.0
+    # |load_after - sequential sum| <= (3k + 6) u (csum[k] + load) for the
+    # claim at sorted position k (forward error of the cumsum, the
+    # subtraction, the load addition and the sequential sum); one bound for
+    # the whole window, 4 (num + 1) u (csum[-1] + max load), covers them all.
+    # (A group head is exact, so re-checking one never changes its verdict.)
+    bound = 4.0 * _UNIT_ROUNDOFF * (num + 1) * (float(csum[-1]) + float(base_load.max()))
+    unsure = np.abs(slack) <= bound
+    if not unsure.any():
+        if ok.all():
+            return num
+        return int(by_server[~ok].min())
+    attention = np.flatnonzero(~ok | unsure)
+    attention = attention[np.argsort(by_server[attention])]
+    for k in attention.tolist():
+        if unsure[k]:
+            head = int(heads[np.searchsorted(heads, k, side="right") - 1])
+            seq = float(base_load[k])
+            for d in d_sorted[head:k + 1].tolist():
+                seq += d
+            if seq <= cap_eps[srv_sorted[k]]:
+                continue
+        return int(by_server[k])
+    return num
 
 
 def _static_rounds(
@@ -335,187 +470,125 @@ def _static_rounds(
     item_to_server: np.ndarray,
     fallback: str,
     fallback_allowed: Optional[np.ndarray],
-    remaining: np.ndarray,
-    num_servers: int,
+    order: np.ndarray,
     top: Optional[tuple],
     tier_complete: bool,
     get_rows,
 ) -> bool:
     """The static placement rounds shared by the full-matrix and candidate paths.
 
+    Items are placed in regret order ``order``.  Each item's best feasible
+    server is cached per position (``-2``: not evaluated yet, ``-1``: no
+    feasible server left — final, since loads only grow).  A round works on
+    a front window ``[start, start + W)`` only:
+
+    1. *Validate* the window: evaluate never-evaluated entries and re-evaluate
+       those whose cached server can no longer take the item's demand.  A
+       cached choice whose server still fits is exact: the feasible set only
+       shrinks, and the first maximum of a shrinking set that still holds the
+       previous winner is that winner.  The same argument makes a lazy first
+       evaluation equal to what an eager cache would hold by now.
+    2. *Admit*: claimants of one server are admitted in order while their
+       running demand fits (:func:`_first_rejection`); the first rejected
+       claim ends the round's admitted prefix — a rejected item would fall to
+       another server in the loop and disturb every later placement.  Under
+       ``fallback="least_loaded"`` an item with no feasible server ends the
+       scan too and is placed by the fallback at its exact position; under
+       ``"skip"`` such items pass through (never loaded, not compacted).
+    3. A window that admits fully, with no block and no rejection, grows
+       ×8: only the newly exposed positions are validated (loads have not
+       changed), and the scan reruns.  A claim's within-group prefix only
+       involves earlier claims of its own server, so the window never
+       changes a decision.
+
+    ``W`` starts at ``max(_MIN_WINDOW, 2 * last admitted count)``, so a
+    round costs O(W log W) instead of O(remaining items).  Loads are
+    accumulated with ``np.add.at`` in placement order, so even the
+    floating-point addition order matches the loop.
+
     ``top`` is the optional ``(top_idx, top_val, top_thresh)`` re-evaluation
-    table, rows in ascending server-id order; ``tier_complete`` asserts the
-    table lists *every* server whose desirability can reach the item's
-    threshold (the candidate-table entry point guarantees this), in which
-    case a feasible table hit is always the fleet-wide winner and the tie
+    table, rows in ascending server-id order, every unlisted server no more
+    desirable than ``top_thresh``; ``tier_complete`` asserts every unlisted
+    server is *strictly* below it (the candidate-list entry point guarantees
+    this), in which case a feasible table hit is final and the tie
     fall-through is skipped.  ``get_rows(cols, servers)`` materialises
     full-width desirability rows for the fall-through scan (``servers=None``
     means all of them).
     """
     capacity_exceeded = False
-    num_items = demands.shape[0]
+    num_items = order.size
     cap_eps = capacities + _CAP_EPS
+    skip = fallback == "skip"
+    cached = np.full(num_items, -2, dtype=np.int64)
+    d_ord = demands[order]
 
-    if top is not None:
-        top_idx, top_val, top_thresh = top
-
-    # Cached best feasible server per item: -2 = not evaluated yet,
-    # -1 = no feasible server left (final — loads only grow).  ``cached``
-    # and ``d_rem`` mirror ``best[remaining]`` / ``demands[remaining]`` and
-    # are maintained incrementally — the rounds are many and short, so the
-    # engine slices them alongside ``remaining`` instead of re-gathering
-    # O(remaining) views every round.
-    best = np.full(num_items, -2, dtype=np.int64)
-    cached = best[remaining]
-    d_rem = demands[remaining]
-
-    while remaining.size:
-        # Re-evaluate exactly the stale entries: never-evaluated items plus
-        # items whose cached server just became infeasible for them.
-        srv = np.where(cached >= 0, cached, 0)
-        stale = (cached == -2) | ((cached >= 0) & (loads[srv] + d_rem > cap_eps[srv]))
+    def validate(lo: int, hi: int) -> None:
+        choice = cached[lo:hi]  # a view: refreshed in place
+        d_win = d_ord[lo:hi]
+        srv = np.where(choice >= 0, choice, 0)
+        stale = (choice == -2) | (
+            (choice >= 0) & (loads[srv] + d_win > cap_eps[srv])
+        )
         if stale.any():
-            cols0 = remaining[stale]
-            cols = cols0
-            d_stale = d_rem[stale]
-            if top is not None:
-                # Fast tier: masked argmax over the item's top-T table row
-                # (first maximum = lowest server id, the full scan's tie
-                # rule).  Valid when found strictly above the set minimum
-                # (always, for a complete table); the rest of the batch
-                # takes the full scan below.
-                tier_idx = top_idx[cols]
-                tier_ok = (
-                    loads[tier_idx] + d_stale[:, None] <= cap_eps[tier_idx]
+            choice[stale] = _best_feasible(
+                order[lo:hi][stale], d_win[stale], loads, cap_eps, top,
+                tier_complete, get_rows,
+            )
+
+    start = 0
+    window = _MIN_WINDOW
+    while start < num_items:
+        hi = min(num_items, start + window)
+        validate(start, hi)
+        while True:
+            choice = cached[start:hi]
+            size = hi - start
+            unplaceable = choice < 0
+            if not unplaceable.any():
+                n_admit = _first_rejection(choice, d_ord[start:hi], loads, cap_eps)
+            elif skip:
+                claims = np.flatnonzero(~unplaceable)
+                k = _first_rejection(
+                    choice[claims], d_ord[start:hi][claims], loads, cap_eps
                 )
-                masked = np.where(tier_ok, top_val[cols], -np.inf)
-                pos = masked.argmax(axis=1)
-                batch_rows = np.arange(cols.size)
-                vbest = masked[batch_rows, pos]
-                if tier_complete:
-                    # Every table value is >= the item's threshold and every
-                    # outside server is strictly below it: found == resolved.
-                    resolved = np.logical_not(np.isneginf(vbest))
-                else:
-                    resolved = vbest > top_thresh[cols]
-                if resolved.any():
-                    rcols = cols[resolved]
-                    best[rcols] = tier_idx[batch_rows[resolved], pos[resolved]]
-                    keep = ~resolved
-                    cols = cols[keep]
-                    d_stale = d_stale[keep]
-            if cols.size:
-                d_cols = d_stale
-                # Prune servers no claimant in the batch could use: the
-                # feasibility test is monotone in the demand operand, so a
-                # server that cannot take the batch's smallest demand is
-                # infeasible for every item in it.  Late rounds — where the
-                # stale re-evaluations concentrate — scan only the servers
-                # still open.
-                open_srv = np.flatnonzero(loads + d_cols.min() <= cap_eps)
-                if open_srv.size == 0:
-                    best[cols] = -1
-                elif open_srv.size == num_servers:
-                    feasible = loads[None, :] + d_cols[:, None] <= cap_eps[None, :]
-                    masked = np.where(feasible, get_rows(cols, None), -np.inf)
-                    choice = masked.argmax(axis=1)  # first max == lowest index
-                    none_left = np.isneginf(masked[np.arange(cols.size), choice])
-                    best[cols] = np.where(none_left, -1, choice)
-                else:
-                    sub_des = get_rows(cols, open_srv)
-                    sub_loads, sub_cap = loads[open_srv], cap_eps[open_srv]
-                    feasible = sub_loads[None, :] + d_cols[:, None] <= sub_cap[None, :]
-                    masked = np.where(feasible, sub_des, -np.inf)
-                    choice = masked.argmax(axis=1)  # first max == lowest (open) index
-                    none_left = np.isneginf(masked[np.arange(cols.size), choice])
-                    choice = open_srv[choice]
-                    best[cols] = np.where(none_left, -1, choice)
-            # Refresh only the re-evaluated entries of the mirror.
-            cached[stale] = best[cols0]
-
-        if fallback == "skip":
-            # An item that fits nowhere now can never be placed later;
-            # skipping consumes no capacity and changes no state, so the
-            # whole batch can be dropped at once.
-            placeable = cached >= 0
-            if not placeable.all():
-                remaining = remaining[placeable]
-                if remaining.size == 0:
-                    break
-                cached = cached[placeable]
-                d_rem = d_rem[placeable]
-
-        blocked = cached < 0
-        if blocked.any():
-            # least_loaded: the blocked item consumes capacity at its exact
-            # position in the order, so claims beyond it must wait.
-            first_blocked = int(np.argmax(blocked))
-        else:
-            first_blocked = remaining.size
-
-        n_admit = 0
-        if first_blocked:
-            # Per-server conflict resolution: claimants of one server are
-            # admitted in regret order while their running demand prefix sum
-            # still fits; the first rejected claim (in regret order, across
-            # all servers) ends the round's admitted prefix.  The scan runs
-            # over a doubling window from the front: rejections land early
-            # (the admitted prefix is typically a small fraction of the
-            # remaining items), so most rounds sort a short window instead
-            # of every outstanding claim.  A window that admits fully is
-            # re-scanned at 8x from scratch — a claim's within-group prefix
-            # only involves earlier claims of its own server, so the window
-            # restriction never changes a value and the decisions stay
-            # bitwise those of the whole-prefix scan.
-            window = min(first_blocked, 128)
-            while True:
-                choice = cached[:window]
-                claim_d = d_rem[:window]
-                by_server = np.argsort(choice, kind="stable")
-                srv_sorted = choice[by_server]
-                d_sorted = claim_d[by_server]
-                csum = np.cumsum(d_sorted)
-                group_first = np.r_[True, srv_sorted[1:] != srv_sorted[:-1]]
-                group_base = np.maximum.accumulate(
-                    np.where(group_first, csum - d_sorted, 0.0)
+                n_admit = size if k == claims.size else int(claims[k])
+            else:
+                stop = int(unplaceable.argmax())
+                n_admit = _first_rejection(
+                    choice[:stop], d_ord[start:start + stop], loads, cap_eps
                 )
-                within_group = csum - group_base  # prefix sum incl. the claim itself
-                ok_sorted = (
-                    loads[srv_sorted] + within_group <= capacities[srv_sorted] + _CAP_EPS
-                )
-                if not ok_sorted.all():
-                    n_admit = int(by_server[~ok_sorted].min())
-                    break
-                if window == first_blocked:
-                    n_admit = first_blocked
-                    break
-                window = min(first_blocked, window * 8)
+            if n_admit < size or hi == num_items:
+                break
+            grown = min(num_items, start + 8 * size)
+            validate(hi, grown)
+            hi = grown
 
-            if n_admit:
-                admit_items = remaining[:n_admit]
-                admit_servers = choice[:n_admit]
-                item_to_server[admit_items] = admit_servers
-                # np.add.at applies the additions one index at a time, in the
-                # order given — i.e. in placement order, like the loop.
-                np.add.at(loads, admit_servers, demands[admit_items])
+        if n_admit:
+            servers = cached[start:start + n_admit]
+            items = order[start:start + n_admit]
+            d_admit = d_ord[start:start + n_admit]
+            if skip:
+                placed = servers >= 0
+                if not placed.all():
+                    servers, items, d_admit = servers[placed], items[placed], d_admit[placed]
+            item_to_server[items] = servers
+            # np.add.at applies the additions one index at a time, in the
+            # order given — i.e. in placement order, like the loop.
+            np.add.at(loads, servers, d_admit)
+        start += n_admit
+        window = max(_MIN_WINDOW, 2 * n_admit)
 
-        if n_admit == first_blocked and first_blocked < remaining.size:
+        if not skip and start < num_items and cached[start] == -1:
             # The next item in order fits nowhere (true at round start, hence
             # still true now): apply the least_loaded fallback at its exact
-            # sequential position, then re-evaluate the rest next round.
-            item = int(remaining[first_blocked])
+            # sequential position, then go on with the rest next round.
+            item = int(order[start])
             allowed = None if fallback_allowed is None else fallback_allowed[:, item]
             server = _fallback_server(capacities, loads, allowed)
             item_to_server[item] = server
             loads[server] += demands[item]
             capacity_exceeded = True
-            remaining = remaining[first_blocked + 1:]
-            cached = cached[first_blocked + 1:]
-            d_rem = d_rem[first_blocked + 1:]
-        else:
-            remaining = remaining[n_admit:]
-            cached = cached[n_admit:]
-            d_rem = d_rem[n_admit:]
+            start += 1
 
     return capacity_exceeded
 
@@ -620,6 +693,24 @@ def _assign_dynamic_incremental(
     return capacity_exceeded
 
 
+def _checked_candidates(
+    candidate_servers: np.ndarray, num_items: int, num_servers: int
+) -> np.ndarray:
+    """Validate a ``(num_items, K)`` candidate table; returns it as int64."""
+    cand_idx = np.asarray(candidate_servers, dtype=np.int64)
+    if cand_idx.ndim != 2 or cand_idx.shape[0] != num_items or cand_idx.shape[1] < 2:
+        raise ValueError(
+            f"candidate_servers must be ({num_items}, K) with K >= 2, got {cand_idx.shape}"
+        )
+    if num_servers < cand_idx.shape[1]:
+        raise ValueError("num_servers must be at least the candidate-list width")
+    if num_items and (cand_idx[:, 0].min() < 0 or cand_idx[:, -1].max() >= num_servers):
+        raise ValueError("candidate_servers contains invalid server indices")
+    if num_items and not (cand_idx[:, 1:] > cand_idx[:, :-1]).all():
+        raise ValueError("candidate_servers rows must be strictly increasing")
+    return cand_idx
+
+
 def max_regret_assign(
     desirability: np.ndarray,
     demands: np.ndarray,
@@ -629,6 +720,7 @@ def max_regret_assign(
     recompute: bool = False,
     backend: Optional[str] = None,
     fallback_allowed: Optional[np.ndarray] = None,
+    candidate_servers: Optional[np.ndarray] = None,
 ) -> RegretResult:
     """Assign items to servers with the max-regret greedy heuristic.
 
@@ -670,6 +762,16 @@ def max_regret_assign(
         unrestricted argmax.  Ignored by ``fallback="skip"``; ``None`` keeps
         the classic delay-blind fallback.  Every backend honours the mask
         identically.
+    candidate_servers:
+        Optional ``(num_items, K)`` server ids per item, strictly increasing
+        per row, ``K >= 2``, under a non-strict dominance contract: every
+        unlisted server's desirability is ``<=`` the item's smallest listed
+        one (e.g. GreZ's zone candidates on the sparse delay backend, whose
+        non-candidates all cost the whole zone population).  The static
+        vectorized engine then takes its regret order and re-evaluation
+        table from the list instead of partitioning the full matrix; the
+        result is the same.  Ignored by ``recompute=True`` and the loop
+        backend.
 
     Returns
     -------
@@ -699,6 +801,8 @@ def max_regret_assign(
     backend = DEFAULT_BACKEND if backend is None else backend
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    if candidate_servers is not None:
+        candidate_servers = _checked_candidates(candidate_servers, num_items, num_servers)
 
     loads = np.zeros(num_servers) if initial_loads is None else np.asarray(
         initial_loads, dtype=np.float64
@@ -721,7 +825,7 @@ def max_regret_assign(
     else:
         capacity_exceeded = _assign_static_vectorized(
             desirability, demands, capacities, loads, item_to_server, fallback,
-            fallback_allowed,
+            fallback_allowed, candidate_servers,
         )
 
     return RegretResult(
@@ -784,22 +888,16 @@ def max_regret_assign_candidates(
     -------
     RegretResult
     """
-    cand_idx = np.asarray(candidate_servers, dtype=np.int64)
     cand_val = np.asarray(candidate_desirability, dtype=np.float64)
     demands = np.asarray(demands, dtype=np.float64)
     capacities = np.asarray(capacities, dtype=np.float64)
     num_servers = int(num_servers)
-    if cand_idx.ndim != 2 or cand_idx.shape[1] < 2:
-        raise ValueError("candidate_servers must be (num_items, K) with K >= 2")
-    num_items, top_k = cand_idx.shape
-    if cand_val.shape != (num_items, top_k):
+    if cand_val.ndim != 2:
+        raise ValueError("candidate_desirability must be (num_items, K)")
+    num_items = cand_val.shape[0]
+    cand_idx = _checked_candidates(candidate_servers, num_items, num_servers)
+    if cand_val.shape != cand_idx.shape:
         raise ValueError("candidate_desirability must match candidate_servers in shape")
-    if num_servers < top_k:
-        raise ValueError("num_servers must be at least the candidate-list width")
-    if num_items and (cand_idx[:, 0].min() < 0 or cand_idx[:, -1].max() >= num_servers):
-        raise ValueError("candidate_servers contains invalid server indices")
-    if num_items and not (cand_idx[:, 1:] > cand_idx[:, :-1]).all():
-        raise ValueError("candidate_servers rows must be strictly increasing")
     if demands.shape != (num_items,):
         raise ValueError("demands must have one entry per item")
     if capacities.shape != (num_servers,):
@@ -828,16 +926,10 @@ def max_regret_assign_candidates(
             item_to_server=item_to_server, loads=loads, capacity_exceeded=False
         )
 
-    # The rows already arrive in ascending server-id order — exactly the
-    # engine table's contract (masked argmax: first maximum = lowest server
-    # id, the full scan's tie rule), so no per-row value sort is needed.
-    top = (cand_idx.astype(np.int32), cand_val, cand_val.min(axis=1))
-    # Under the dominance contract the two largest listed desirabilities are
-    # the two largest overall, so the static regret order falls out of a
-    # cheap in-list partition.
-    top_two = np.partition(cand_val, top_k - 2, axis=1)[:, -2:]
-    regrets = top_two[:, 1] - top_two[:, 0]
-    remaining = np.argsort(-regrets, kind="stable").astype(np.int64)
+    # The rows already arrive in ascending server-id order (the table's
+    # contract), and under the dominance contract the list holds each item's
+    # two largest desirabilities.
+    top, order = _table(cand_idx, cand_val)
 
     def get_rows(cols: np.ndarray, servers: Optional[np.ndarray]) -> np.ndarray:
         rows = np.asarray(row_provider(cols), dtype=np.float64)
@@ -852,7 +944,7 @@ def max_regret_assign_candidates(
 
     capacity_exceeded = _static_rounds(
         demands, capacities, loads, item_to_server, fallback, fallback_allowed,
-        remaining, num_servers, top, True, get_rows,
+        order, top, True, get_rows,
     )
     return RegretResult(
         item_to_server=item_to_server,

@@ -295,14 +295,20 @@ class CompactDelayMatrix:
                     object.__setattr__(self, "_allowed_cache", cached)
         return cached
 
-    def _sorted_candidates(self) -> np.ndarray:
-        """Cached ``(num_zones, K)`` candidate sets, server ids ascending.
+    def sorted_candidates(self) -> Optional[np.ndarray]:
+        """The ``(num_zones, K)`` candidate sets, server ids ascending, or ``None``.
 
-        Candidate rows are sets — their stored order (near-first, then the
-        strided tail) carries no meaning — so a once-per-instance row sort
-        gives every consumer index-sorted lists without a per-query sort.
-        Thread-safe via the same double-checked lock as :meth:`_allowed`.
+        ``None`` when the matrix has no candidate restriction (coords
+        backend).  Candidate rows are sets — their stored order (near-first,
+        then the strided tail) carries no meaning — so a once-per-instance
+        row sort gives every consumer index-sorted lists without a per-query
+        sort: :meth:`candidate_rows` gathers from it, and GreZ hands it to
+        the placement engine as each zone's candidate table.  Read-only and
+        cached; thread-safe via the same double-checked lock as
+        :meth:`_allowed`.
         """
+        if self.zone_candidates is None:
+            return None
         cached = self._sorted_candidates_cache
         if cached is None:
             with _CACHE_FILL_LOCK:
@@ -328,7 +334,7 @@ class CompactDelayMatrix:
         if self.zone_candidates is None:
             return None
         clients = np.asarray(clients, dtype=np.int64)
-        servers = self._sorted_candidates()[self.client_zones[clients]]
+        servers = self.sorted_candidates()[self.client_zones[clients]]
         delays = self.node_server[self.client_nodes[clients][:, None], servers]
         return servers, delays
 
