@@ -2,7 +2,9 @@
 
 Runs the Figure 4 experiment (largest paper configuration, delay collection
 on) serially and with four worker processes, asserts the observations are
-bit-identical and records the wall-clock speedup of the pool.
+bit-identical, and — on multi-core machines — that the pool delivers a real
+wall-clock speedup.  On single-core machines only the determinism half runs;
+there is nothing to parallelise onto.
 
 Also measures the zero-copy dispatch payload: with ``share_topology`` and
 parallel workers, the shared all-pairs RTT matrix travels through
@@ -72,9 +74,14 @@ def test_bench_parallel_determinism_and_speedup(record):
         f"  speedup:              {speedup:8.2f}x  ({available_cpus()} CPUs available)",
         "  per-run observations: bit-identical",
     ]
-    # The speedup is recorded, not gated: it depends on the host's free cores
-    # (process-pool replications have measured 0.65x serial on a 2-CPU host).
     record("parallel_speedup", "\n".join(lines))
+
+    if available_cpus() >= 2 and NUM_RUNS >= 2:
+        # Modest bar on purpose: CI machines are noisy, 2 cores are common.
+        assert speedup > 1.1, (
+            f"expected wall-clock speedup with 4 workers on {available_cpus()} CPUs, "
+            f"got {speedup:.2f}x ({serial_seconds:.2f}s -> {parallel_seconds:.2f}s)"
+        )
 
 
 def test_bench_zero_copy_dispatch_payload(record):

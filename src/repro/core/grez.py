@@ -22,7 +22,7 @@ from repro.core.problem import CAPInstance
 from repro.core.regret import max_regret_assign
 from repro.utils.timing import Timer
 
-__all__ = ["assign_zones_greedy", "zone_candidate_table", "zone_fallback_candidates"]
+__all__ = ["assign_zones_greedy", "zone_fallback_candidates"]
 
 
 def zone_fallback_candidates(instance: CAPInstance) -> Optional[np.ndarray]:
@@ -46,7 +46,7 @@ def zone_fallback_candidates(instance: CAPInstance) -> Optional[np.ndarray]:
     return None if allowed is None else allowed.T
 
 
-def zone_candidate_table(instance: CAPInstance) -> Optional[np.ndarray]:
+def _zone_candidate_table(instance: CAPInstance) -> Optional[np.ndarray]:
     """``(num_zones, K)`` candidate servers per zone (ascending ids), or ``None``.
 
     Only the sparse delay backend restricts zones to candidate sets.  Every
@@ -107,7 +107,7 @@ def assign_zones_greedy(
             recompute=recompute_regret,
             backend=backend,
             fallback_allowed=zone_fallback_candidates(instance),
-            candidate_servers=zone_candidate_table(instance),
+            candidate_servers=_zone_candidate_table(instance),
         )
     return ZoneAssignment(
         zone_to_server=result.item_to_server,

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import repro.core.regret as regret
 from repro.core.costs import initial_cost_matrix
-from repro.core.grez import assign_zones_greedy, zone_candidate_table, zone_fallback_candidates
+from repro.core.grez import _zone_candidate_table, assign_zones_greedy, zone_fallback_candidates
 from repro.core.problem import CAPInstance
 from repro.core.regret import BACKENDS, max_regret_assign, max_regret_assign_candidates
 from repro.topology.brite import BriteConfig
@@ -245,7 +245,7 @@ class TestGreZCandidateTable:
         capacities *= demand * tightness / capacities.sum()
         instance = instance.with_server_capacities(capacities)
 
-        table = zone_candidate_table(instance)
+        table = _zone_candidate_table(instance)
         assert table is not None
         cost = initial_cost_matrix(instance)
         pops = instance.zone_populations()
@@ -270,7 +270,7 @@ class TestGreZCandidateTable:
         # zone's candidate costs equal its population.
         for instance in sparse_instances:
             instance = instance.with_delay_bound(20.0)
-            table = zone_candidate_table(instance)
+            table = _zone_candidate_table(instance)
             cost = initial_cost_matrix(instance)
             cand_cost = cost[table.T, np.arange(instance.num_zones)]
             assert (cand_cost == instance.zone_populations()[None, :]).any()
