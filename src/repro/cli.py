@@ -613,46 +613,34 @@ def _resolve_scenario(args: argparse.Namespace):
     return timeline, AdmissionPolicy(patience_epochs=args.patience)
 
 
+def _build_simulator(args: argparse.Namespace, config, rng) -> ChurnSimulator:
+    """Materialise one simulate replication from the CLI arguments."""
+    timeline, admission = _resolve_scenario(args)
+    scenario_rng, sim_rng = spawn_generators(rng, 2)
+    return ChurnSimulator(
+        scenario=build_scenario(config, seed=scenario_rng),
+        algorithms=list(args.algorithms),
+        churn_spec=ChurnSpec(num_joins=args.joins, num_leaves=args.leaves, num_moves=args.moves),
+        server_churn_spec=args.server_churn,
+        migration_cost=MigrationCostModel(cost_per_client=args.migration_cost),
+        seed=sim_rng,
+        policy=args.policy,
+        policy_period=args.period,
+        policy_migration_budget=args.migration_budget,
+        backend=args.backend,
+        solver_backend=args.solver_backend,
+        measurement_backend=args.measurement_backend,
+        scenario_timeline=timeline,
+        admission_policy=admission,
+    )
+
+
 def _execute_simulate_run(task) -> List[EpochRecord]:
     """One replication of the simulate command (worker-side; must be picklable)."""
     import repro.baselines  # noqa: F401 — repopulate the registry under spawn
 
-    (
-        config,
-        algorithms,
-        churn,
-        server_churn,
-        migration_cost,
-        migration_budget,
-        num_epochs,
-        policy,
-        period,
-        backend,
-        solver_backend,
-        measurement_backend,
-        timeline,
-        admission,
-        rng,
-    ) = task
-    scenario_rng, sim_rng = spawn_generators(rng, 2)
-    scenario = build_scenario(config, seed=scenario_rng)
-    simulator = ChurnSimulator(
-        scenario=scenario,
-        algorithms=list(algorithms),
-        churn_spec=churn,
-        server_churn_spec=server_churn,
-        migration_cost=migration_cost,
-        seed=sim_rng,
-        policy=policy,
-        policy_period=period,
-        policy_migration_budget=migration_budget,
-        backend=backend,
-        solver_backend=solver_backend,
-        measurement_backend=measurement_backend,
-        scenario_timeline=timeline,
-        admission_policy=admission,
-    )
-    return simulator.run(num_epochs)
+    args, config, rng = task
+    return _build_simulator(args, config, rng).run(args.epochs)
 
 
 def _simulate_records(
@@ -666,31 +654,10 @@ def _simulate_records(
     When ``profile_sink`` is given and the run is serial, the accumulated
     per-phase wall times land in it under ``"phase_seconds"``.
     """
-    churn = ChurnSpec(num_joins=args.joins, num_leaves=args.leaves, num_moves=args.moves)
-    migration_cost = MigrationCostModel(cost_per_client=args.migration_cost)
-    timeline, admission = _resolve_scenario(args)
     rng = as_generator(args.seed)
     run_rngs = spawn_generators(rng, args.runs)
     if args.runs == 1:
-        scenario_rng, sim_rng = spawn_generators(run_rngs[0], 2)
-        scenario = build_scenario(config, seed=scenario_rng)
-        simulator = ChurnSimulator(
-            scenario=scenario,
-            algorithms=list(args.algorithms),
-            churn_spec=churn,
-            server_churn_spec=args.server_churn,
-            migration_cost=migration_cost,
-            seed=sim_rng,
-            policy=args.policy,
-            policy_period=args.period,
-            policy_migration_budget=args.migration_budget,
-            backend=args.backend,
-            solver_backend=args.solver_backend,
-            measurement_backend=args.measurement_backend,
-            scenario_timeline=timeline,
-            admission_policy=admission,
-        )
-        session = simulator.session(args.epochs)
+        session = _build_simulator(args, config, run_rngs[0]).session(args.epochs)
         started_tracing = False
         if profile_sink is not None:
             # Per-phase allocation probe: tracemalloc peak deltas per phase.
@@ -711,26 +678,7 @@ def _simulate_records(
             profile_sink["phase_seconds"] = dict(session.phase_seconds)
             profile_sink["phase_alloc_bytes"] = dict(session.phase_alloc_bytes)
         return
-    tasks = [
-        (
-            config,
-            tuple(args.algorithms),
-            churn,
-            args.server_churn,
-            migration_cost,
-            args.migration_budget,
-            args.epochs,
-            args.policy,
-            args.period,
-            args.backend,
-            args.solver_backend,
-            args.measurement_backend,
-            timeline,
-            admission,
-            run_rngs[i],
-        )
-        for i in range(args.runs)
-    ]
+    tasks = [(args, config, run_rngs[i]) for i in range(args.runs)]
     for run_index, records in enumerate(
         ordered_map(_execute_simulate_run, tasks, workers=args.workers)
     ):

@@ -16,95 +16,31 @@ how many of each action it took and the pQoS trajectory, so policies can be
 compared on both interactivity and re-assignment cost (full re-executions are
 the expensive, disruptive events an operator wants to minimise).
 
-The controller runs on the :class:`~repro.dynamics.engine.SimulationState`
-engine: the world advances through the delta backend (``backend="rebuild"``
-keeps the full-rebuild executable spec), infrastructure churn
-(:class:`~repro.dynamics.infrastructure.ServerChurnSpec`) is supported, every
-epoch also streams a full :class:`~repro.dynamics.engine.EpochRecord`, and a
-:class:`~repro.dynamics.migration.MigrationCostModel` prices each decision's
-zone moves — :attr:`RebalancePolicy.max_migration_cost_per_epoch` lets the
-policy veto re-executions whose state-transfer bill is too high.  On
-client-only churn with the default (free) migration model the decision
-sequence and pQoS trajectory are bit-identical to the original standalone
-loop, which the test suite keeps as the executable specification.
+The controller is a configuration of the churn engine: its epochs run through
+:class:`~repro.dynamics.engine.EpochSession` with the :class:`RebalancePolicy`
+as the session's schedule, so they share the engine's world advance (delta
+or ``backend="rebuild"``), infrastructure churn, incident timelines, arena,
+O(churn) measurement and per-phase profile.  The engine picks each epoch's
+action once the carried-over pQoS is measured, bills it with the
+:class:`~repro.dynamics.migration.MigrationCostModel`, and labels the
+:class:`~repro.dynamics.engine.EpochRecord` with it; a
+:class:`RebalanceStep` is a view of that record.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
-from repro.core.assignment import Assignment
-from repro.core.problem import CAPInstance
-from repro.core.registry import solve as registry_solve
-from repro.dynamics.churn import ChurnSpec, generate_churn
-from repro.dynamics.engine import BACKENDS, ChurnSimulator, EpochRecord, SimulationState
-from repro.dynamics.events import apply_churn
-from repro.dynamics.infrastructure import (
-    ServerChurnResult,
-    ServerChurnSpec,
-    apply_server_churn,
-    generate_server_churn,
-)
-from repro.dynamics.measurement import measured_pqos, measured_utilization
-from repro.dynamics.migration import MigrationCharge, MigrationCostModel, charge_zone_moves
-from repro.dynamics.policies import (
-    carry_over_assignment,
-    incremental_reassign,
-    remap_assignment_servers,
-)
-from repro.dynamics.scenarios import ScenarioRuntime
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.dynamics.churn import ChurnSpec
+from repro.dynamics.engine import BACKENDS, ChurnSimulator, EpochRecord
+from repro.dynamics.infrastructure import ServerChurnSpec
+from repro.dynamics.migration import MigrationCostModel
+from repro.dynamics.policies import RebalancePolicy
+from repro.utils.rng import SeedLike
 from repro.world.scenario import DVEScenario
 
 __all__ = ["RebalancePolicy", "RebalanceStep", "RebalanceTrace", "RebalanceController"]
-
-_NAN = float("nan")
-
-
-@dataclass(frozen=True)
-class RebalancePolicy:
-    """Thresholds governing the controller's decision after each epoch.
-
-    Attributes
-    ----------
-    target_pqos:
-        The interactivity level the operator wants to maintain.
-    repair_slack:
-        If the stale pQoS is below ``target_pqos`` but within ``repair_slack``
-        of it, the cheap incremental repair is tried first.
-    full_rebalance_every:
-        Optional periodic full re-execution every N epochs regardless of pQoS
-        (0 disables the periodic trigger).
-    accept_repair_if_within:
-        The repair is kept only if it brings pQoS within this distance of the
-        target; otherwise the controller escalates to a full re-execution.
-    max_migration_cost_per_epoch:
-        Migration budget (in the cost model's units).  A full re-execution
-        whose zone moves would bill above this budget is demoted to the
-        incremental repair — the explicit interactivity-vs-disruption
-        trade-off.  Infinite by default (migration-oblivious, the original
-        behaviour); only meaningful together with a non-free
-        :class:`~repro.dynamics.migration.MigrationCostModel`.
-    """
-
-    target_pqos: float = 0.9
-    repair_slack: float = 0.05
-    full_rebalance_every: int = 0
-    accept_repair_if_within: float = 0.02
-    max_migration_cost_per_epoch: float = math.inf
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.target_pqos <= 1.0:
-            raise ValueError("target_pqos must lie in (0, 1]")
-        if self.repair_slack < 0 or self.accept_repair_if_within < 0:
-            raise ValueError("slack values must be non-negative")
-        if self.full_rebalance_every < 0:
-            raise ValueError("full_rebalance_every must be >= 0")
-        if self.max_migration_cost_per_epoch < 0:
-            raise ValueError("max_migration_cost_per_epoch must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -198,8 +134,7 @@ class RebalanceController:
         controller then reacts to outages, flash crowds and delay overlays
         instead of stationary churn, with every epoch's batch passing through
         admission control so infeasible worlds shed to the degraded pool
-        rather than raising.  The scenario stream is spawned only when a
-        timeline is active, so classic traces stay bit-identical.
+        rather than raising.
     admission_policy:
         Shedding/re-admission thresholds for the scenario layer.
     """
@@ -220,173 +155,44 @@ class RebalanceController:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
 
-    # ------------------------------------------------------------------ #
-    def _engine(self) -> ChurnSimulator:
-        """The engine shell whose world-advance backends this controller reuses."""
-        return ChurnSimulator(
+    def stream(self, num_epochs: int = 5) -> Iterator[Tuple[RebalanceStep, EpochRecord]]:
+        """Run controlled churn epochs, yielding ``(step, record)`` pairs.
+
+        Each epoch is one :meth:`EpochSession.run_epoch` of a single-algorithm
+        :class:`~repro.dynamics.engine.ChurnSimulator` whose schedule is the
+        controller's :class:`RebalancePolicy`; the step is read off the
+        epoch's record.
+        """
+        session = ChurnSimulator(
             scenario=self.scenario,
             algorithms=[self.algorithm],
             churn_spec=self.churn_spec,
             server_churn_spec=self.server_churn_spec,
             migration_cost=self.migration_cost,
+            seed=self.seed,
+            policy=self.policy,
             backend=self.backend,
             solver_backend=self.solver_backend,
+            measurement_backend="incremental",
             scenario_timeline=self.scenario_timeline,
             admission_policy=self.admission_policy,
-        )
-
-    def stream(self, num_epochs: int = 5) -> Iterator[Tuple[RebalanceStep, EpochRecord]]:
-        """Run controlled churn epochs, yielding ``(step, record)`` pairs.
-
-        The RNG layout intentionally replays the original standalone loop
-        (one solve stream plus two per-epoch sub-streams; a third per-epoch
-        sub-stream is spawned only when infrastructure churn is active), so
-        on client-only churn the decision trace is bit-identical to the
-        pre-engine controller.  That layout differs from
-        :meth:`ChurnSimulator.stream` (which spawns one sub-stream per
-        tracked algorithm), which is why the per-epoch churn generation is
-        spelled out here rather than shared — only the world *advance*
-        (:meth:`ChurnSimulator._advance_world`) is common.
-        """
-        if num_epochs < 1:
-            raise ValueError("num_epochs must be >= 1")
-        engine = self._engine()
-        server_active = engine._server_churn_active
-        rng = as_generator(self.seed)
-        solve_rng, *epoch_rngs = spawn_generators(rng, num_epochs + 1)
-        # The scenario stream is spawned after the classic streams and only
-        # when a timeline is active, keeping scenario-free traces bit-exact.
-        runtime: Optional[ScenarioRuntime] = None
-        if engine._scenario_active:
-            runtime = ScenarioRuntime(
-                engine.scenario_timeline,
-                self.scenario,
-                num_epochs,
-                spawn_generators(rng, 1)[0],
-                admission=engine.admission_policy,
-            )
-
-        instance = CAPInstance.from_scenario(self.scenario)
-        assignment: Assignment = registry_solve(
-            instance, self.algorithm, seed=solve_rng, backend=self.solver_backend
-        )
-        state = SimulationState(
-            scenario=self.scenario,
-            instance=instance,
-            assignments={self.algorithm: assignment},
-            measures={
-                self.algorithm: (
-                    measured_pqos(assignment, instance),
-                    measured_utilization(assignment, instance),
-                )
-            },
-        )
-
-        for epoch in range(num_epochs):
-            plan = None
-            scenario_stats = None
-            if runtime is not None:
-                plan = runtime.plan_epoch(epoch, self.churn_spec)
-            if server_active:
-                churn_rng, server_rng, reassign_rng = spawn_generators(epoch_rngs[epoch], 3)
-            else:
-                server_rng = None
-                churn_rng, reassign_rng = spawn_generators(epoch_rngs[epoch], 2)
-            churn_spec = self.churn_spec if plan is None else plan.churn_spec
-            batch = generate_churn(state.scenario, churn_spec, seed=churn_rng)
-            if runtime is not None:
-                batch, scenario_stats = runtime.prepare_batch(
-                    plan, batch, state.scenario.population
-                )
-            churn = apply_churn(state.scenario.population, batch)
-            server_churn: Optional[ServerChurnResult] = None
-            if server_active:
-                server_batch = generate_server_churn(
-                    state.scenario.servers,
-                    self.server_churn_spec,
-                    num_nodes=state.scenario.topology.num_nodes,
-                    seed=server_rng,
-                )
-                server_churn = apply_server_churn(state.scenario.servers, server_batch)
-            elif plan is not None:
-                server_churn = plan.server_churn
-            new_scenario, clean_instance = engine._advance_world(state, churn, server_churn)
-            new_instance = clean_instance
-            if runtime is not None:
-                new_instance = runtime.overlay_instance(plan, new_scenario, clean_instance)
-
-            old_assignment = state.assignments[self.algorithm]
-            before_pqos, before_util = state.measures[self.algorithm]
-            if server_churn is not None:
-                base = remap_assignment_servers(
-                    old_assignment, server_churn, new_instance, state.instance.client_zones
-                )
-            else:
-                base = old_assignment
-            stale = carry_over_assignment(base, churn, new_instance)
-            pqos_stale = stale.pqos(new_instance)
-
-            action, final, reexec_pqos, reexec_util, incr_pqos, charge = self._decide(
-                epoch, stale, pqos_stale, new_instance, reassign_rng, old_assignment, server_churn
-            )
-            # The chosen assignment's pQoS was already computed by the branch
-            # that chose it — no need to re-evaluate O(clients) delays.
-            pqos_final = {"none": pqos_stale, "repair": incr_pqos, "rebalance": reexec_pqos}[
-                action
-            ]
-            if charge is None:
-                charge = self._charge(old_assignment, final, server_churn, new_instance)
-            final = final.with_algorithm(self.algorithm)
-            # Stash-aware (bit-identical) read: assignments fresh from a GreC
-            # solve carry their measurement stash, so this is O(servers)
-            # instead of a full O(clients) load recompute.
-            final_util = measured_utilization(final, new_instance)
-
+        ).session(num_epochs)
+        while not session.done:
+            (record,) = session.run_epoch()
+            charge = self.migration_cost.charge(record.zones_migrated, record.clients_migrated)
             step = RebalanceStep(
-                epoch=epoch,
-                action=action,
-                pqos_stale=pqos_stale,
-                pqos_final=pqos_final,
-                num_clients=new_instance.num_clients,
-                num_servers=new_instance.num_servers,
-                zones_migrated=charge.zones_migrated,
-                clients_migrated=charge.clients_migrated,
-                migration_cost=charge.cost,
+                epoch=record.epoch,
+                action=record.action,
+                pqos_stale=record.pqos_after,
+                pqos_final=record.pqos_adopted,
+                num_clients=record.num_clients_after,
+                num_servers=record.num_servers_after,
+                zones_migrated=record.zones_migrated,
+                clients_migrated=record.clients_migrated,
+                migration_cost=record.migration_cost,
                 freeze_ms=charge.freeze_ms,
             )
-            record = EpochRecord(
-                epoch=epoch,
-                algorithm=self.algorithm,
-                pqos_before=before_pqos,
-                pqos_after=pqos_stale,
-                pqos_reexecuted=reexec_pqos,
-                pqos_incremental=incr_pqos,
-                utilization_before=before_util,
-                utilization_reexecuted=reexec_util,
-                num_clients_before=state.instance.num_clients,
-                num_clients_after=new_instance.num_clients,
-                policy="controller",
-                pqos_adopted=pqos_final,
-                utilization_adopted=final_util,
-                num_servers_after=new_instance.num_servers,
-                zones_migrated=charge.zones_migrated,
-                clients_migrated=charge.clients_migrated,
-                migration_cost=charge.cost,
-                clients_degraded=0 if scenario_stats is None else scenario_stats.clients_degraded,
-                capacity_deficit=0.0
-                if scenario_stats is None
-                else scenario_stats.capacity_deficit,
-            )
             yield step, record
-
-            # The *clean* instance advances the delta pipeline; the overlaid
-            # instance (when a delay overlay was active) was only this
-            # epoch's measurement/repair view.
-            state.scenario = new_scenario
-            state.instance = clean_instance
-            state.assignments[self.algorithm] = final
-            state.measures[self.algorithm] = (pqos_final, final_util)
-            state.epoch = epoch + 1
 
     def run(self, num_epochs: int = 5) -> RebalanceTrace:
         """Simulate ``num_epochs`` churn epochs under the controller's policy."""
@@ -398,92 +204,3 @@ class RebalanceController:
         return RebalanceTrace(
             steps=steps, policy=self.policy, algorithm=self.algorithm, records=records
         )
-
-    def run_legacy(self, num_epochs: int = 5) -> RebalanceTrace:
-        """Deprecated shim for the pre-engine standalone loop.
-
-        The standalone rebuild-everything loop was replaced by the
-        engine-backed :meth:`run`, which produces the identical decision
-        trace on client-only churn with the default (free) migration model;
-        this shim only exists so old call sites keep working.
-        """
-        warnings.warn(
-            "RebalanceController.run_legacy() is deprecated: the standalone "
-            "rebuild loop was replaced by the SimulationState engine; call "
-            "run() instead (traces are identical on client-only churn).",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(num_epochs)
-
-    # ------------------------------------------------------------------ #
-    def _charge(
-        self,
-        old_assignment: Assignment,
-        final: Assignment,
-        server_churn: Optional[ServerChurnResult],
-        instance: CAPInstance,
-    ) -> MigrationCharge:
-        """Migration bill of adopting ``final`` after this epoch's churn."""
-        return charge_zone_moves(
-            self.migration_cost,
-            old_assignment.zone_to_server,
-            final.zone_to_server,
-            instance.zone_populations(),
-            server_old_to_new=None if server_churn is None else server_churn.old_to_new,
-        )
-
-    def _decide(
-        self,
-        epoch: int,
-        stale: Assignment,
-        pqos_stale: float,
-        instance: CAPInstance,
-        seed: SeedLike,
-        old_assignment: Assignment,
-        server_churn: Optional[ServerChurnResult],
-    ) -> tuple[str, Assignment, float, float, float, Optional[MigrationCharge]]:
-        """Pick the epoch's action.
-
-        Returns ``(action, assignment, reexec pQoS, reexec utilisation,
-        incremental pQoS, charge)`` — measurement points a branch did not
-        compute are NaN, and ``charge`` is the chosen assignment's migration
-        bill when this decision already computed it (``None`` otherwise).
-        """
-        policy = self.policy
-        reexec_pqos = reexec_util = incr_pqos = _NAN
-        periodic_due = (
-            policy.full_rebalance_every > 0
-            and (epoch + 1) % policy.full_rebalance_every == 0
-        )
-        if pqos_stale >= policy.target_pqos and not periodic_due:
-            return "none", stale, reexec_pqos, reexec_util, incr_pqos, None
-
-        repaired: Optional[Assignment] = None
-        if not periodic_due and pqos_stale >= policy.target_pqos - policy.repair_slack:
-            repaired = incremental_reassign(stale, instance, solver_backend=self.solver_backend)
-            incr_pqos = measured_pqos(repaired, instance)
-            if incr_pqos >= policy.target_pqos - policy.accept_repair_if_within:
-                return "repair", repaired, reexec_pqos, reexec_util, incr_pqos, None
-
-        rebalanced: Assignment = registry_solve(
-            instance, self.algorithm, seed=seed, backend=self.solver_backend
-        )
-        reexec_pqos = measured_pqos(rebalanced, instance)
-        reexec_util = measured_utilization(rebalanced, instance)
-        if math.isfinite(policy.max_migration_cost_per_epoch):
-            charge = self._charge(old_assignment, rebalanced, server_churn, instance)
-            if charge.cost > policy.max_migration_cost_per_epoch:
-                # Over budget: degrade to the repair (zone map kept — only
-                # forced evacuations remain), or keep the stale assignment if
-                # the repair is no better.
-                if repaired is None:
-                    repaired = incremental_reassign(
-                        stale, instance, solver_backend=self.solver_backend
-                    )
-                    incr_pqos = measured_pqos(repaired, instance)
-                if incr_pqos >= pqos_stale:
-                    return "repair", repaired, reexec_pqos, reexec_util, incr_pqos, None
-                return "none", stale, reexec_pqos, reexec_util, incr_pqos, None
-            return "rebalance", rebalanced, reexec_pqos, reexec_util, incr_pqos, charge
-        return "rebalance", rebalanced, reexec_pqos, reexec_util, incr_pqos, None

@@ -19,7 +19,9 @@ The engine is built for long runs:
 * **Policy schedules** — :class:`~repro.dynamics.policies.PolicySchedule`
   decides per epoch whether to re-execute the algorithm from scratch, repair
   incrementally (contact phase only), warm-start the local search from the
-  carried-over assignment, or re-execute only every k-th epoch.
+  carried-over assignment, or re-execute only every k-th epoch.  A
+  :class:`~repro.dynamics.policies.RebalancePolicy` instead picks the action
+  from the carried-over pQoS (the rebalance controller's trigger).
 * **Streaming records** — :meth:`ChurnSimulator.stream` is a generator, so a
   thousand-epoch run can be consumed (CSV row by CSV row, streaming summary
   statistics) without ever holding all records in memory.
@@ -59,6 +61,7 @@ from repro.dynamics.measurement import (
 from repro.dynamics.migration import MigrationCostModel, charge_zone_moves
 from repro.dynamics.policies import (
     PolicySchedule,
+    RebalancePolicy,
     carry_over_assignment,
     incremental_reassign,
     make_policy,
@@ -109,6 +112,13 @@ class EpochRecord:
     pre-shedding demand overshoot in bits/s.  Like ``shard_id`` they are
     additive — absent from :data:`FIELDS` so classic CSV headers stay frozen;
     scenario consumers use :data:`SCENARIO_FIELDS`.
+
+    ``action`` is the action the policy actually took this epoch —
+    ``reexecute`` / ``incremental`` / ``warm_start`` for a schedule (a
+    re-execution demoted by the migration budget reads ``incremental``) and
+    ``none`` / ``repair`` / ``rebalance`` for the rebalance controller.  It is
+    empty on federation aggregates, whose shards may act differently, and
+    like ``shard_id`` it is in none of the column tuples.
     """
 
     epoch: int
@@ -131,6 +141,7 @@ class EpochRecord:
     shard_id: int = -1
     clients_degraded: int = 0
     capacity_deficit: float = 0.0
+    action: str = ""
 
     #: CSV / JSON column order used by the ``simulate`` CLI and benchmarks.
     #: Frozen for backward compatibility: ``shard_id`` is intentionally absent
@@ -254,7 +265,9 @@ class ChurnSimulator:
         Per-epoch repair action schedule — a name accepted by
         :func:`~repro.dynamics.policies.make_policy` (``"reexecute"``,
         ``"incremental"``, ``"warm_start"``, ``"every_k_epochs"`` with
-        ``policy_period``) or a :class:`~repro.dynamics.policies.PolicySchedule`.
+        ``policy_period``), a :class:`~repro.dynamics.policies.PolicySchedule`,
+        or a :class:`~repro.dynamics.policies.RebalancePolicy` (the rebalance
+        controller's pQoS-threshold trigger).
     policy_period:
         Period for the ``every_k_epochs`` policy (ignored otherwise).
     backend:
@@ -309,7 +322,7 @@ class ChurnSimulator:
     server_churn_spec: Optional[ServerChurnSpec] = None
     migration_cost: MigrationCostModel = field(default_factory=MigrationCostModel)
     seed: SeedLike = None
-    policy: Union[str, PolicySchedule] = "reexecute"
+    policy: Union[str, PolicySchedule, RebalancePolicy] = "reexecute"
     policy_period: int = 0
     policy_migration_budget: Optional[float] = None
     backend: str = "delta"
@@ -483,8 +496,8 @@ class ChurnSimulator:
         churn: ChurnResult,
         server_churn: Optional[ServerChurnResult],
         new_instance: CAPInstance,
-        schedule: PolicySchedule,
-        action: str,
+        schedule: Union[PolicySchedule, RebalancePolicy],
+        action: Optional[str],
         reassign_rng: SeedLike,
         timings: Optional[Dict[str, float]] = None,
         overlay_active: bool = False,
@@ -492,6 +505,8 @@ class ChurnSimulator:
     ) -> tuple[EpochRecord, Assignment]:
         """Measure one algorithm around one epoch and apply the policy action.
 
+        ``action`` is ``None`` when the schedule defers its choice to the
+        carried-over pQoS (:meth:`RebalancePolicy.action_after`).
         ``timings`` optionally accumulates wall-time into its ``"solve"`` and
         ``"measure"`` keys (the repair/solve calls vs the measurement-point
         computations), feeding the session's per-phase profile.  ``allocs``
@@ -537,12 +552,16 @@ class ChurnSimulator:
         else:
             base_assignment = old_assignment
 
+        # A deferred (controller) epoch may adopt the carried assignment
+        # itself, so its contacts must not alias the recycled scratch buffer.
+        deferred = action is None
+
         def _carry():
             return carry_over_assignment(
                 base_assignment,
                 churn,
                 new_instance,
-                out=state.contacts_buffer(new_instance.num_clients),
+                out=None if deferred else state.contacts_buffer(new_instance.num_clients),
             )
 
         # The carried-over "after" point.  Incremental measurement delta-updates
@@ -551,8 +570,8 @@ class ChurnSimulator:
         # the previous epoch left a stash and the fleet did not re-index
         # (capacity-only deltas keep every delay; a re-indexed fleet changes
         # delays wholesale, so that epoch falls back to the full path).  The
-        # carried assignment itself is then only built when the warm-start
-        # action needs it as the refiner's starting point.
+        # carried assignment itself is then only built when the action needs
+        # it: as the warm-start refiner's starting point, or adopted as is.
         # A delay overlay (scenario link degradation) changes the *survivors'*
         # delays too, so the O(churn) carried count would be wrong — overlay
         # epochs always take the full carried path, keeping full/incremental
@@ -573,10 +592,29 @@ class ChurnSimulator:
         else:
             carried = _timed("measure", _carry)
             after_pqos = _timed("measure", lambda: _pqos(carried))
+        if deferred:
+            action = schedule.action_after(epoch, after_pqos)
 
         reexec_pqos = reexec_util = incr_pqos = _NAN
         charge = None  # the adopted assignment's bill, when already computed
-        if action == "reexecute":
+        repaired: Optional[Assignment] = None
+
+        def _repair() -> Assignment:
+            nonlocal incr_pqos
+            result = _timed(
+                "solve",
+                lambda: incremental_reassign(
+                    base_assignment, new_instance, solver_backend=self.solver_backend
+                ),
+            )
+            incr_pqos = _timed("measure", lambda: _pqos(result))
+            return result
+
+        if action == "repair":
+            repaired = _repair()
+            if incr_pqos < schedule.repair_floor:
+                action = "rebalance"  # the repair missed the target: escalate
+        if action in ("reexecute", "rebalance"):
             adopted = _timed(
                 "solve",
                 lambda: reassign(
@@ -587,41 +625,30 @@ class ChurnSimulator:
             reexec_util = _timed("measure", lambda: _util(adopted))
             adopted_pqos, adopted_util = reexec_pqos, reexec_util
             if math.isfinite(schedule.migration_budget):
-                # Migration-aware schedule: a re-execution whose zone moves
-                # bill above the budget is demoted to the incremental repair,
-                # which keeps the zone map (only forced evacuations remain).
+                # Migration-aware policy: a re-execution whose zone moves
+                # bill above the budget is demoted — to the incremental
+                # repair, which keeps the zone map (only forced evacuations
+                # remain), or for the controller to the stale assignment when
+                # the repair is no better.
                 charge = self._charge_migration(old_assignment, adopted, server_churn, new_instance)
                 if charge.cost > schedule.migration_budget:
-                    adopted = _timed(
-                        "solve",
-                        lambda: incremental_reassign(
-                            base_assignment, new_instance, solver_backend=self.solver_backend
-                        ),
-                    )
-                    charge = None  # the adopted assignment changed; re-bill below
-                    incr_pqos = _timed("measure", lambda: _pqos(adopted))
-                    adopted_pqos = incr_pqos
-                    adopted_util = _timed("measure", lambda: _util(adopted))
-            if schedule.period == 0 and math.isnan(incr_pqos):
+                    charge = None  # the adopted assignment changes; re-bill below
+                    if repaired is None:
+                        repaired = _repair()
+                    action = schedule.demoted_action(incr_pqos, after_pqos)
+            if action == "reexecute" and schedule.period == 0 and math.isnan(incr_pqos):
                 # The pure re-execute policy also reports the incremental
                 # repair as Table 3's extension column; scheduled policies
-                # skip it to keep the epoch cost proportional to the action.
-                repaired = _timed(
-                    "solve",
-                    lambda: incremental_reassign(
-                        base_assignment, new_instance, solver_backend=self.solver_backend
-                    ),
-                )
-                incr_pqos = _timed("measure", lambda: _pqos(repaired))
-        elif action == "incremental":
-            adopted = _timed(
-                "solve",
-                lambda: incremental_reassign(
-                    base_assignment, new_instance, solver_backend=self.solver_backend
-                ),
-            )
-            incr_pqos = _timed("measure", lambda: _pqos(adopted))
+                # and the controller skip it to keep the epoch cost
+                # proportional to the action.
+                _repair()
+        if action in ("incremental", "repair"):
+            adopted = repaired if repaired is not None else _repair()
             adopted_pqos = incr_pqos
+            adopted_util = _timed("measure", lambda: _util(adopted))
+        elif action == "none":
+            adopted = carried if carried is not None else _timed("measure", _carry)
+            adopted_pqos = after_pqos
             adopted_util = _timed("measure", lambda: _util(adopted))
         elif action == "warm_start":
             # Budget one move per client: heavy churn can push far more than
@@ -652,7 +679,7 @@ class ChurnSimulator:
             )
             adopted_pqos = _timed("measure", lambda: _pqos(adopted))
             adopted_util = _timed("measure", lambda: _util(adopted))
-        else:  # pragma: no cover - make_policy rejects unknown actions
+        elif action not in ("reexecute", "rebalance"):  # pragma: no cover
             raise ValueError(f"unknown policy action {action!r}")
         # Re-label with the base algorithm name: repair suffixes like
         # " (carried over)+ws" would otherwise compound every epoch.
@@ -683,6 +710,7 @@ class ChurnSimulator:
             zones_migrated=charge.zones_migrated,
             clients_migrated=charge.clients_migrated,
             migration_cost=charge.cost,
+            action=action,
         )
         return record, adopted
 

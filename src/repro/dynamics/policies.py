@@ -20,6 +20,8 @@ For longitudinal runs (many churn epochs), :class:`PolicySchedule` decides
 always re-execute (the paper's recommendation), always repair incrementally,
 always warm-start the local search from the carried-over assignment, or
 re-execute every ``k`` epochs with cheap repairs in between.
+:class:`RebalancePolicy` is the pQoS-threshold alternative: the engine asks
+it for the epoch's action only after measuring the carried-over pQoS.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 import re
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -47,6 +49,7 @@ __all__ = [
     "reassign",
     "incremental_reassign",
     "PolicySchedule",
+    "RebalancePolicy",
     "make_policy",
     "POLICY_ACTIONS",
     "POLICY_NAMES",
@@ -281,12 +284,99 @@ class PolicySchedule:
             return "reexecute"
         return self.action
 
+    def demoted_action(self, pqos_repaired: float, pqos_stale: float) -> str:
+        """What replaces a re-execution over the migration budget."""
+        return "incremental"
+
+
+@dataclass(frozen=True)
+class RebalancePolicy:
+    """Thresholds governing the rebalance controller's decision after each epoch.
+
+    Unlike a :class:`PolicySchedule`, the action depends on the live pQoS:
+    :meth:`action_for_epoch` defers (returns ``None``) and the engine calls
+    :meth:`action_after` once the carried-over ("after") pQoS is measured.
+    The actions are ``"none"`` (keep the carried assignment), ``"repair"``
+    (the incremental repair, escalated to a re-execution when it misses
+    ``target_pqos - accept_repair_if_within``) and ``"rebalance"`` (a full
+    re-execution).  Records of controlled epochs carry the policy name
+    ``"controller"``.
+
+    Attributes
+    ----------
+    target_pqos:
+        The interactivity level the operator wants to maintain.
+    repair_slack:
+        If the stale pQoS is below ``target_pqos`` but within ``repair_slack``
+        of it, the cheap incremental repair is tried first.
+    full_rebalance_every:
+        Optional periodic full re-execution every N epochs regardless of pQoS
+        (0 disables the periodic trigger).
+    accept_repair_if_within:
+        The repair is kept only if it brings pQoS within this distance of the
+        target; otherwise the controller escalates to a full re-execution.
+    max_migration_cost_per_epoch:
+        Migration budget (in the cost model's units).  A full re-execution
+        whose zone moves would bill above this budget is demoted to the
+        incremental repair, or to the stale assignment when the repair is no
+        better — the explicit interactivity-vs-disruption trade-off.
+        Infinite by default (migration-oblivious, the original behaviour);
+        only meaningful together with a non-free
+        :class:`~repro.dynamics.migration.MigrationCostModel`.
+    """
+
+    name: ClassVar[str] = "controller"
+
+    target_pqos: float = 0.9
+    repair_slack: float = 0.05
+    full_rebalance_every: int = 0
+    accept_repair_if_within: float = 0.02
+    max_migration_cost_per_epoch: float = math.inf
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.target_pqos <= 1.0:
+            raise ValueError("target_pqos must lie in (0, 1]")
+        if self.repair_slack < 0 or self.accept_repair_if_within < 0:
+            raise ValueError("slack values must be non-negative")
+        if self.full_rebalance_every < 0:
+            raise ValueError("full_rebalance_every must be >= 0")
+        if self.max_migration_cost_per_epoch < 0:
+            raise ValueError("max_migration_cost_per_epoch must be >= 0")
+
+    @property
+    def migration_budget(self) -> float:
+        """The budget under the name the engine reads for every schedule."""
+        return self.max_migration_cost_per_epoch
+
+    @property
+    def repair_floor(self) -> float:
+        """Lowest repaired pQoS kept instead of escalating to a re-execution."""
+        return self.target_pqos - self.accept_repair_if_within
+
+    def action_for_epoch(self, epoch: int) -> None:
+        """Deferred: the action depends on the carried-over pQoS."""
+        return None
+
+    def action_after(self, epoch: int, pqos_stale: float) -> str:
+        """The action at ``epoch`` (0-based) given the carried-over pQoS."""
+        if self.full_rebalance_every > 0 and (epoch + 1) % self.full_rebalance_every == 0:
+            return "rebalance"
+        if pqos_stale >= self.target_pqos:
+            return "none"
+        if pqos_stale >= self.target_pqos - self.repair_slack:
+            return "repair"
+        return "rebalance"
+
+    def demoted_action(self, pqos_repaired: float, pqos_stale: float) -> str:
+        """What replaces a re-execution over the migration budget."""
+        return "repair" if pqos_repaired >= pqos_stale else "none"
+
 
 def make_policy(
-    policy: Union[str, PolicySchedule],
+    policy: Union[str, PolicySchedule, RebalancePolicy],
     period: Optional[int] = None,
     migration_budget: Optional[float] = None,
-) -> PolicySchedule:
+) -> Union[PolicySchedule, RebalancePolicy]:
     """Normalise a policy name (or an existing schedule) into a schedule.
 
     Accepted names: ``"reexecute"``, ``"incremental"``, ``"warm_start"``,
@@ -295,9 +385,10 @@ def make_policy(
     ``every_k_epochs`` re-executes on each k-th epoch and repairs
     incrementally in between.  ``migration_budget`` (cost units per epoch)
     caps the migration bill of any re-execution the schedule triggers; see
-    :class:`PolicySchedule`.
+    :class:`PolicySchedule`.  A :class:`PolicySchedule` or
+    :class:`RebalancePolicy` is returned unchanged.
     """
-    if isinstance(policy, PolicySchedule):
+    if isinstance(policy, (PolicySchedule, RebalancePolicy)):
         return policy
     budget = math.inf if migration_budget is None else float(migration_budget)
     name = str(policy).strip().lower()

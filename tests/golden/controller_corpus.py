@@ -29,7 +29,7 @@ import json
 import math
 import numbers
 from pathlib import Path
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.controller import RebalanceController, RebalancePolicy
@@ -147,15 +147,10 @@ def key_name(setting: str, policy_name: str, seed: int) -> str:
     return f"{setting}/{policy_name}/seed={seed}"
 
 
-def compute_corpus() -> Dict[str, Dict[str, str]]:
-    return {key_name(*key): run_digests(*key) for key in run_keys()}
-
-
-def main(path: Optional[Path] = None) -> None:
-    path = path or GOLDEN_PATH
-    corpus = compute_corpus()
-    path.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(corpus)} controller digests to {path}")
+def main() -> None:
+    corpus = {key_name(*key): run_digests(*key) for key in run_keys()}
+    GOLDEN_PATH.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(corpus)} controller digests to {GOLDEN_PATH}")
 
 
 if __name__ == "__main__":

@@ -270,6 +270,34 @@ class TestSimulateCommand:
 
         assert run_to_csv("vectorized") == run_to_csv("loop")
 
+    def test_simulate_multi_run_matches_single_and_serial(self, tmp_path):
+        def run_to_csv(runs, workers=None):
+            path = tmp_path / f"runs{runs}-w{workers or 0}.csv"
+            args = [
+                "simulate",
+                *self.SMALL,
+                "--algorithms",
+                "grez-grec",
+                "--epochs",
+                "2",
+                "--seed",
+                "3",
+                "--runs",
+                str(runs),
+                "--csv",
+                str(path),
+            ]
+            if workers:
+                args += ["--workers", str(workers)]
+            assert main(args) == 0
+            return path.read_text().splitlines()
+
+        single = run_to_csv(1)
+        multi = run_to_csv(2)
+        assert [line for line in multi if line.startswith("0,")] == single[1:]
+        assert len(multi) == 1 + 2 * 2
+        assert run_to_csv(2, workers=2) == multi
+
     def test_simulate_rejects_unknown_solver_backend(self):
         with pytest.raises(SystemExit):
             main(["simulate", *self.SMALL, "--solver-backend", "gpu"])

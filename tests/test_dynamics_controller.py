@@ -213,15 +213,6 @@ class TestLegacyTraceReproduction:
         ]
         assert ported == legacy
 
-    def test_run_legacy_shim_warns_and_matches(self, small_scenario):
-        controller = RebalanceController(
-            scenario=small_scenario, policy=RebalancePolicy(target_pqos=0.95),
-            churn_spec=CHURN, seed=5,
-        )
-        with pytest.warns(DeprecationWarning, match="run_legacy"):
-            legacy = controller.run_legacy(num_epochs=2)
-        assert legacy.pqos_series() == controller.run(num_epochs=2).pqos_series()
-
 
 class TestControllerOnEngine:
     def test_streams_epoch_records(self, small_scenario):
@@ -233,9 +224,14 @@ class TestControllerOnEngine:
             migration_cost=MigrationCostModel(cost_per_client=1.0),
         ).run(num_epochs=3)
         assert len(trace.records) == 3
+        actions = [r.action for r in trace.records]
+        assert actions.count("repair") == trace.num_repairs
+        assert actions.count("rebalance") == trace.num_rebalances
         for step, record in zip(trace.steps, trace.records):
             assert isinstance(record, EpochRecord)
             assert record.policy == "controller"
+            assert record.action == step.action
+            assert record.action in ("none", "repair", "rebalance")
             assert record.pqos_after == step.pqos_stale
             assert record.pqos_adopted == step.pqos_final
             assert record.migration_cost == step.migration_cost
@@ -271,6 +267,8 @@ class TestControllerOnEngine:
         ).run(num_epochs=3)
         assert eager.num_rebalances == 3
         assert capped.num_rebalances == 0
+        # Demoted re-executions are labelled with the action actually taken.
+        assert {r.action for r in capped.records} <= {"none", "repair"}
         assert capped.total_migration_cost <= eager.total_migration_cost
         # The budget trades interactivity for stability, never below "do nothing".
         for step in capped.steps:

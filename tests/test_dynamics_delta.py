@@ -239,17 +239,33 @@ class TestPolicySchedules:
             ).run(num_epochs=2)
 
         for record in run("reexecute"):
+            assert record.action == "reexecute"
             assert record.pqos_adopted == record.pqos_reexecuted
             assert not math.isnan(record.pqos_incremental)
         for record in run("incremental"):
+            assert record.action == "incremental"
             assert math.isnan(record.pqos_reexecuted)
             assert record.pqos_adopted == record.pqos_incremental
         for record in run("warm_start"):
+            assert record.action == "warm_start"
             assert math.isnan(record.pqos_reexecuted)
             assert not math.isnan(record.pqos_adopted)
             # Warm start repairs from the carried-over assignment, never below it.
             assert record.pqos_adopted >= record.pqos_after - 1e-12
-        periodic = run("every_k_epochs", policy_period=2)
+        periodic = ChurnSimulator(
+            scenario=small_scenario,
+            algorithms=["grez-grec"],
+            churn_spec=ChurnSpec(10, 10, 10),
+            seed=5,
+            policy="every_k_epochs",
+            policy_period=2,
+        ).run(num_epochs=4)
+        assert [r.action for r in periodic] == [
+            "incremental",
+            "reexecute",
+            "incremental",
+            "reexecute",
+        ]
         assert math.isnan(periodic[0].pqos_reexecuted)  # epoch 0: incremental
         assert not math.isnan(periodic[1].pqos_reexecuted)  # epoch 1: scheduled re-execute
 

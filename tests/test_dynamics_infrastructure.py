@@ -552,6 +552,11 @@ class TestMigrationInRecords:
             assert record.pqos_adopted == record.pqos_incremental
         uncapped = run(None)
         assert any(r.zones_migrated > 0 for r in uncapped)
+        # The label is the action taken, not the one scheduled.
+        demoted = [r for r in capped if r.pqos_reexecuted != r.pqos_adopted]
+        assert demoted
+        assert all(r.action == "incremental" for r in demoted)
+        assert all(r.action == "reexecute" for r in uncapped)
 
     def test_migration_fields_in_csv_row(self, small_scenario):
         from repro.dynamics.engine import EpochRecord
