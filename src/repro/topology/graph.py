@@ -7,9 +7,10 @@ and from which every client-server / server-server round-trip delay used by
 the assignment algorithms is derived.
 
 The class wraps a :class:`networkx.Graph` for convenient construction and
-inspection, but all heavy numerical work (all-pairs shortest paths) is done on
-a SciPy sparse matrix so that the 500-node topologies of the paper are handled
-in milliseconds.
+inspection.  The all-pairs shortest paths are computed by a source-vectorised
+label-correcting relaxation on a dense matrix (every step relaxes one edge for
+all sources at once), which handles the 500-node topologies of the paper in a
+few milliseconds and returns exactly the matrix Dijkstra would.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import networkx as nx
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 
 from repro.utils.validation import check_positive
 
@@ -29,6 +30,94 @@ __all__ = ["Topology", "TopologyError"]
 
 class TopologyError(RuntimeError):
     """Raised when a topology is malformed (disconnected, empty, bad weights)."""
+
+
+def _all_pairs_left_fold(num_nodes: int, edges: np.ndarray, latencies: np.ndarray) -> np.ndarray:
+    """All-pairs minimum path lengths of a simple, positively weighted graph.
+
+    ``dist[s, v]`` is the minimum over paths ``s -> v`` of the path length
+    summed left to right from ``s`` (``inf`` when ``v`` is unreachable).  The
+    matrix is Fortran-ordered and filled by relaxations
+    ``dist[:, v] = min(dist[:, v], dist[:, u] + w)``, each one a contiguous
+    column op that relaxes edge ``u -> v`` for every source at once:
+
+    1. peel degree-1 nodes repeatedly, which leaves the 2-core plus the
+       hanging forest, recording each peeled node's parent and edge weight;
+    2. one upward pass over the peeled nodes, leaves first;
+    3. sweeps over the 2-core's edges in BFS order (every component): the
+       "up" edges in reverse BFS order, then the "down" edges.  The first
+       sweep relaxes every edge; each later one relaxes the edges whose tail
+       column changed in the sweep before, until a sweep changes nothing;
+    4. one downward pass over the peeled nodes in reverse peel order.
+
+    The result is a fixed point of every edge's relaxation, which with
+    positive weights is the least one (see
+    :meth:`Topology.shortest_path_latencies`).
+    """
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(num_nodes)]
+    for (u, v), w in zip(edges.tolist(), latencies.tolist()):
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
+
+    degree = [len(neighbours) for neighbours in adjacency]
+    peeled = [False] * num_nodes
+    hanging: list[tuple[int, int, float]] = []  # (node, parent, weight), leaves first
+    stack = [x for x in range(num_nodes) if degree[x] == 1]
+    while stack:
+        x = stack.pop()
+        if degree[x] != 1:
+            continue  # the other end of a two-node tree, peeled first
+        parent, w = next((y, w) for y, w in adjacency[x] if not peeled[y])
+        peeled[x] = True
+        degree[x] = 0
+        degree[parent] -= 1
+        hanging.append((x, parent, w))
+        if degree[parent] == 1:
+            stack.append(parent)
+
+    rank = [-1] * num_nodes
+    order: list[int] = []
+    for root in range(num_nodes):
+        if peeled[root] or rank[root] >= 0:
+            continue
+        head = len(order)
+        rank[root] = head
+        order.append(root)
+        while head < len(order):
+            a = order[head]
+            head += 1
+            for b, _ in adjacency[a]:
+                if not peeled[b] and rank[b] < 0:
+                    rank[b] = len(order)
+                    order.append(b)
+    down = [
+        (a, b, w) for a in order for b, w in adjacency[a] if not peeled[b] and rank[b] > rank[a]
+    ]
+    sweep = [(b, a, w) for a, b, w in reversed(down)] + down
+
+    dist = np.full((num_nodes, num_nodes), np.inf, order="F")
+    np.fill_diagonal(dist, 0.0)
+    col = [dist[:, j] for j in range(num_nodes)]
+    tmp = np.empty(num_nodes)
+
+    for x, parent, w in hanging:
+        np.add(col[x], w, out=tmp)
+        np.minimum(col[parent], tmp, out=col[parent])
+
+    core = np.array(order, dtype=np.int64)
+    pending = sweep
+    while pending:
+        before = dist[:, core]
+        for u, v, w in pending:
+            np.add(col[u], w, out=tmp)
+            np.minimum(col[v], tmp, out=col[v])
+        changed = set(core[(dist[:, core] != before).any(axis=0)].tolist())
+        pending = [edge for edge in sweep if edge[0] in changed]
+
+    for x, parent, w in reversed(hanging):
+        np.add(col[parent], w, out=tmp)
+        np.minimum(col[x], tmp, out=col[x])
+    return dist
 
 
 @dataclass
@@ -41,7 +130,8 @@ class Topology:
         ``(num_nodes, 2)`` array of planar (or lon/lat) coordinates.  Only used
         for distance-derived latencies and plotting; algorithms never read it.
     edges:
-        ``(num_edges, 2)`` integer array of undirected edges.
+        ``(num_edges, 2)`` integer array of undirected edges; the graph must
+        be simple (no self-loops, each node pair at most once).
     latencies:
         ``(num_edges,)`` array of one-way edge latencies in milliseconds.
     node_domain:
@@ -76,6 +166,13 @@ class Topology:
             raise TopologyError("topology must have at least one node")
         if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= self.num_nodes):
             raise TopologyError("edge endpoints out of range")
+        if self.edges.size:
+            lo = self.edges.min(axis=1)
+            hi = self.edges.max(axis=1)
+            if (lo == hi).any():
+                raise TopologyError("self-loop edges are not allowed")
+            if np.unique(lo * self.num_nodes + hi).size != self.num_edges:
+                raise TopologyError("duplicate undirected edges are not allowed")
         if self.latencies.size and (self.latencies <= 0).any():
             raise TopologyError("all edge latencies must be strictly positive")
         if self.node_domain is not None:
@@ -203,15 +300,26 @@ class Topology:
     def shortest_path_latencies(self) -> np.ndarray:
         """All-pairs one-way shortest-path latency matrix (milliseconds).
 
+        ``dist[s, v]`` is the least path length from ``s`` to ``v``, each path
+        summed left to right from ``s``.  The topology is a simple graph with
+        strictly positive latencies (``__post_init__`` enforces both), and
+        under that precondition the matrix is bitwise the one Dijkstra
+        returns: with ``w > 0`` and rounding to nearest, ``fl(a + w) >= a``
+        and ``fl(a + w)`` is monotone in ``a``, so any sequence of edge
+        relaxations that reaches a fixed point reaches the least one, the
+        minimum left-fold path length — which is also what Dijkstra
+        computes.  The relaxation order is therefore free; see
+        :func:`_all_pairs_left_fold` for the one used.
+
         Raises :class:`TopologyError` if the topology is disconnected, since a
         disconnected DVE substrate has no meaningful client-server delays.
         """
-        dist = shortest_path(self.adjacency_matrix(), method="D", directed=False)
+        dist = _all_pairs_left_fold(self.num_nodes, self.edges, self.latencies)
         if not np.isfinite(dist).all():
             raise TopologyError(
                 f"topology '{self.name}' is disconnected; cannot compute all-pairs delays"
             )
-        return dist
+        return np.ascontiguousarray(dist)
 
     def round_trip_delays(self, max_rtt_ms: Optional[float] = None) -> np.ndarray:
         """All-pairs round-trip delay matrix in milliseconds.

@@ -61,10 +61,17 @@ def _connect_components(
 ) -> list[tuple[int, int]]:
     """Add minimum-distance edges between connected components until connected.
 
-    A simple union-find over the current edge set; for the tiny per-AS graphs
-    used here (tens of nodes) the quadratic candidate scan is negligible.
+    Components are labelled by their union-find root over ``edges`` (a union
+    makes the second endpoint's root the root of the merged component).  While
+    more than one component remains, the component with the smallest root
+    label is joined to its nearest node outside it: the first minimum of
+    ``dist[inside, outside]`` in row-major order, so distance ties go to the
+    lowest inside node, then the lowest outside node.  The joined component
+    takes the outside node's label.  Runs once per AS in the hierarchical
+    generator, so the labels live in one array relabelled in a single op per
+    join.
     """
-    parent = np.arange(n)
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -72,30 +79,23 @@ def _connect_components(
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
     for u, v in edges:
-        union(u, v)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
 
+    labels = np.array([find(x) for x in range(n)])
     extra: list[tuple[int, int]] = []
     while True:
-        roots = np.array([find(i) for i in range(n)])
-        unique_roots = np.unique(roots)
-        if unique_roots.size <= 1:
-            break
-        # Connect the first component to its nearest node in any other component.
-        comp_nodes = np.flatnonzero(roots == unique_roots[0])
-        other_nodes = np.flatnonzero(roots != unique_roots[0])
-        sub = dist[np.ix_(comp_nodes, other_nodes)]
-        flat = int(np.argmin(sub))
-        i, j = np.unravel_index(flat, sub.shape)
-        u, v = int(comp_nodes[i]), int(other_nodes[j])
-        extra.append((u, v))
-        union(u, v)
-    return extra
+        inside = labels == labels.min()
+        if inside.all():
+            return extra
+        comp_nodes = np.flatnonzero(inside)
+        sub = dist[comp_nodes]
+        sub[:, inside] = np.inf
+        i, v = divmod(int(np.argmin(sub)), n)
+        extra.append((int(comp_nodes[i]), v))
+        labels[inside] = labels[v]
 
 
 def waxman_topology(

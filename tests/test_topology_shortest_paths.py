@@ -1,0 +1,137 @@
+"""All-pairs delays and the Waxman component connector (hypothesis, derandomized).
+
+* :meth:`Topology.shortest_path_latencies` equals SciPy's undirected Dijkstra
+  bit for bit on generated simple graphs: trees, trees with extra cycle
+  edges, dense graphs and sparse (often disconnected) ones, 1..60 nodes,
+  latencies from 1e-3 to 1e3 including exact ties and equal-length
+  alternative paths.  Disconnected graphs raise :class:`TopologyError`, and
+  the relaxation itself still matches SciPy there (``inf`` between
+  components), so every component is swept.
+* Simple-graph validation: self-loops and duplicate undirected edges are
+  rejected (SciPy's sparse constructor adds the latencies of duplicates).
+* The Waxman generator's component connector returns exactly the edges of
+  the original numpy union-find (``tests/reference/waxman_connect.py``),
+  on point sets with many distance ties.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
+
+from repro.topology.graph import Topology, TopologyError, _all_pairs_left_fold
+from repro.topology.waxman import _connect_components, _pairwise_distances
+
+from tests.reference.waxman_connect import connect_components as reference_connect
+
+GRAPH_KINDS = ("tree", "tree+cycles", "dense", "sparse")
+#: 0.1 + 0.2 != 0.3 in binary floating point; 1 + 2 == 3 exactly.
+TIE_POOLS = ((0.1, 0.2, 0.3), (1.0, 2.0, 3.0), (1e-3, 1e3))
+
+
+def pinned(max_examples: int) -> settings:
+    """Seed-pinned hypothesis settings: the same examples on every run."""
+    return settings(derandomize=True, deadline=None, database=None, max_examples=max_examples)
+
+
+@st.composite
+def simple_graphs(draw) -> Topology:
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(GRAPH_KINDS))
+    pool = draw(st.sampled_from(TIE_POOLS + (None,)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    pairs: set[tuple[int, int]] = set()
+    if kind in ("tree", "tree+cycles"):
+        pairs.update((int(rng.integers(v)), v) for v in range(1, n))
+    if kind == "tree+cycles" and n > 2:
+        for _ in range(int(rng.integers(1, n))):
+            u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+            pairs.add((u, v))
+    if kind in ("dense", "sparse"):
+        p = rng.uniform(0.5, 1.0) if kind == "dense" else rng.uniform(0.0, 2.5 / n)
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rng.random(iu.size) < p
+        pairs.update(zip(iu[keep].tolist(), ju[keep].tolist()))
+
+    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    edges = edges[rng.permutation(len(edges))]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    if pool is None:
+        latencies = 10.0 ** rng.uniform(-3.0, 3.0, size=len(edges))
+    else:
+        latencies = rng.choice(np.array(pool), size=len(edges))
+    return Topology(positions=np.zeros((n, 2)), edges=edges, latencies=latencies)
+
+
+def _dijkstra(topology: Topology) -> np.ndarray:
+    return shortest_path(topology.adjacency_matrix(), method="D", directed=False)
+
+
+@pinned(400)
+@given(topology=simple_graphs())
+def test_relaxation_matches_scipy_dijkstra_bitwise(topology):
+    expected = _dijkstra(topology)
+    dist = _all_pairs_left_fold(topology.num_nodes, topology.edges, topology.latencies)
+    assert np.array_equal(dist, expected)
+    if np.isfinite(expected).all():
+        latencies = topology.shortest_path_latencies()
+        assert np.array_equal(latencies, expected)
+        assert latencies.flags.c_contiguous
+    else:
+        with pytest.raises(TopologyError, match="disconnected"):
+            topology.shortest_path_latencies()
+
+
+def test_disconnected_components_each_swept():
+    # Two triangles (2-cores) and a path, no edges between them.
+    edges = np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3], [6, 7]])
+    latencies = np.array([1.0, 2.0, 4.0, 0.1, 0.2, 0.3, 5.0])
+    topology = Topology(positions=np.zeros((8, 2)), edges=edges, latencies=latencies)
+    dist = _all_pairs_left_fold(8, edges, latencies)
+    assert np.array_equal(dist, _dijkstra(topology))
+    # 0.1 + 0.2 rounds above the direct 0.3 edge.
+    assert dist[0, 2] == 3.0 and dist[3, 5] == 0.3 and dist[6, 7] == 5.0
+    with pytest.raises(TopologyError):
+        topology.shortest_path_latencies()
+
+
+@pytest.mark.parametrize(
+    "edges, match",
+    [
+        # csr_matrix sums duplicates, which would make d(0, 1) == 10 here.
+        ([[0, 1], [1, 0], [1, 2]], "duplicate"),
+        ([[0, 1], [0, 1], [1, 2]], "duplicate"),
+        ([[0, 1], [1, 1], [1, 2]], "self-loop"),
+    ],
+)
+def test_non_simple_graph_rejected(edges, match):
+    with pytest.raises(TopologyError, match=match):
+        Topology(positions=np.zeros((3, 2)), edges=np.array(edges), latencies=[5.0, 5.0, 1.0])
+
+
+@st.composite
+def connector_cases(draw):
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # A small integer grid: many equal distances and coincident points.
+        positions = rng.integers(0, 4, size=(n, 2)).astype(np.float64)
+    else:
+        positions = rng.uniform(0.0, 100.0, size=(n, 2))
+    p = draw(st.sampled_from((0.0, 0.03, 0.1, 0.3)))
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < p
+    edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
+    return edges, _pairwise_distances(positions), n
+
+
+@pinned(500)
+@given(case=connector_cases())
+def test_connect_components_matches_reference(case):
+    edges, dist, n = case
+    assert _connect_components(edges, dist, n) == reference_connect(edges, dist, n)
