@@ -38,10 +38,20 @@ def initial_cost_matrix(instance: CAPInstance) -> np.ndarray:
     ``C^I[i, j]`` is the number of clients in zone ``j`` whose round-trip delay
     to server ``i`` exceeds the delay bound ``D``.
 
-    The per-zone aggregation sorts the client rows by zone and reduces each
-    contiguous segment with ``np.add.reduceat`` — the ``np.add.at``
-    scatter-add it replaces is the notoriously slow ufunc path, and this
-    matrix is rebuilt on every from-scratch solve of a re-execution epoch.
+    The matrix is built zone-major and returned as its transposed *view*:
+    the result is Fortran-ordered, and its ``.T`` is the C-contiguous
+    ``(zones x servers)`` table the placement engine reads row by row, so
+    neither side copies it.
+
+    Dense delays: the per-zone aggregation sorts the client rows by zone and
+    reduces each contiguous segment with ``np.add.reduceat`` — the
+    ``np.add.at`` scatter-add it replaces is the notoriously slow ufunc path,
+    and this matrix is rebuilt on every from-scratch solve of a re-execution
+    epoch.  Compact delays count in node space
+    (:meth:`~repro.topology.delay_backends.CompactDelayMatrix.zone_over_bound_counts`):
+    a float32 (zones x nodes) @ (nodes x servers) product of integer counts
+    and 0/1 indicators, exact because every partial sum is an integer no
+    larger than the zone population, below ``2**24`` (float64 above that).
     """
     if not instance.has_dense_delays:
         # Compact delay sources aggregate in node space: a (zones × nodes)
@@ -50,7 +60,7 @@ def initial_cost_matrix(instance: CAPInstance) -> np.ndarray:
         per_zone = instance.client_server_delays.zone_over_bound_counts(
             instance.delay_bound, instance.client_zones, instance.num_zones
         )
-        return per_zone.T.copy()
+        return per_zone.T
     per_zone = np.zeros((instance.num_zones, instance.num_servers), dtype=np.float64)
     if instance.num_clients:
         over_bound = (instance.client_server_delays > instance.delay_bound).astype(np.float64)
@@ -59,7 +69,7 @@ def initial_cost_matrix(instance: CAPInstance) -> np.ndarray:
         nonempty = counts > 0
         segment_starts = np.concatenate(([0], np.cumsum(counts)))[:-1][nonempty]
         per_zone[nonempty] = np.add.reduceat(over_bound[by_zone], segment_starts, axis=0)
-    return per_zone.T.copy()
+    return per_zone.T
 
 
 def refined_cost_matrix(instance: CAPInstance, zone_to_server: np.ndarray) -> np.ndarray:
@@ -164,11 +174,18 @@ def refined_cost_candidates(
     if clients.size and (clients.min() < 0 or clients.max() >= instance.num_clients):
         raise ValueError("clients contains invalid client indices")
     # A fresh (len(clients), K) gather of the true candidate delays.
-    servers, total_delay = instance.client_server_delays.candidate_rows(clients)
-    targets = zone_to_server[instance.client_zones[clients]]
+    source = instance.client_server_delays
+    servers, total_delay = source.candidate_rows(clients)
+    # The mesh leg d(s, target) depends only on the client's zone (its
+    # candidate row and its target): build it once per zone with a flat
+    # gather, then copy whole rows out per client.
+    mesh = instance.server_server_delays
+    zone_leg = np.take(
+        mesh.ravel(), source.sorted_candidates() * mesh.shape[1] + zone_to_server[:, None]
+    )
     # Same elementwise operation order as refined_cost_rows (delay first,
     # mesh leg second, then the bound), so entries stay bitwise equal.
-    total_delay += instance.server_server_delays[servers, targets[:, None]]
+    total_delay += np.take(zone_leg, instance.client_zones[clients], axis=0)
     total_delay -= instance.delay_bound
     return servers, np.maximum(total_delay, 0.0, out=total_delay)
 

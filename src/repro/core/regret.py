@@ -24,31 +24,30 @@ Two interchangeable backends implement both modes:
 
 * ``backend="loop"`` — the original per-item Python scan, kept as the
   executable specification of the placement semantics.
-* ``backend="vectorized"`` (default) — a batched placement engine.  The
-  static mode places items in rounds over a *front window* of the regret
-  order: each round validates only the window's choices (an item's best
-  feasible server, cached between rounds — loads only ever grow, so a cached
-  choice stays the masked-argmax winner until its own server can no longer
-  take the item, and an item evaluated for the first time when it reaches
-  the window gets exactly the choice an eager cache would hold), then
-  per-server prefix sums admit as many claimants per server as its residual
-  capacity allows.  The admitted items always form a prefix of the regret
-  order, so the rounds replay the loop's placements exactly, and a round
-  costs O(window), not O(remaining items).  The dynamic mode maintains each
-  item's top-two feasible desirabilities incrementally and re-evaluates only
-  the items whose cached best or second-best server just received load,
-  instead of re-partitioning every remaining column after every placement.
+* ``backend="vectorized"`` (default) — the same placements with the work
+  batched.  The static mode is one sequential walk over the regret order:
+  first choices come from vectorised masked-argmax blocks of 64 positions,
+  and each item is then tested and placed one at a time with the loop's own
+  scalar feasibility test and addition order, so the walk equals the loop
+  by construction.  Loads only grow, so a block choice stays exact while
+  its server still fits; an item displaced from it is re-evaluated on the
+  spot by a masked argmax over its table row (a pure-Python scan of its
+  full row on fleets too narrow for a table).  The dynamic mode maintains each item's top-two
+  feasible desirabilities incrementally and re-evaluates only the items
+  whose cached best or second-best server just received load, instead of
+  re-partitioning every remaining column after every placement.
 
-The static engine re-evaluates a choice through an optional per-item table
-of servers (ascending ids) before any full-width scan.  A feasible table hit
-that beats the table's minimum is the fleet-wide winner whenever every
-server outside the table is no more desirable than that minimum; ties at
-the minimum fall through to the full scan.  The table is either each item's
-top-64 servers (wide fleets) or a caller's candidate sets
-(``candidate_servers``, e.g. GreZ's zone candidates on the sparse delay
-backend, whose non-candidates all sit at the zone-population floor).
-:func:`max_regret_assign_candidates` uses a *strictly* dominant candidate
-table, so there a feasible hit is always final.
+The static engine's re-evaluation table is an optional per-item set of
+servers (ascending ids).  A feasible table hit that beats the table's
+minimum is the fleet-wide winner whenever every server outside the table is
+no more desirable than that minimum; a hit tied at the minimum falls through
+to a full-width scan.  The table is either each item's top-64 servers (wide
+fleets) or a caller's candidate sets (``candidate_servers``, e.g. GreZ's
+zone candidates on the sparse delay backend, whose non-candidates all sit
+at the zone-population floor).  :func:`max_regret_assign_candidates` uses a
+*strictly* dominant candidate table, so there a feasible hit is always
+final, and only an item whose whole candidate set is full takes the full
+scan.
 
 Both fallback modes accept an optional ``fallback_allowed`` candidate mask
 that makes the ``least_loaded`` emergency placement *delay-aware*: the
@@ -65,31 +64,10 @@ modes, capacity-tight instances and degenerate shapes).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from repro.utils.arena import EpochArena
-
-_tls = threading.local()
-
-
-def _solver_arena() -> EpochArena:
-    """Per-thread scratch arena for the solver's candidate tables.
-
-    The vectorized backend rebuilds the same row-major desirability table
-    (``items x servers``) on every solve; a churn session re-solves every
-    epoch, so that table is recurring scratch in the sense of
-    :class:`~repro.utils.arena.EpochArena`.  Solvers may run on executor
-    worker threads (the parallel replication runtime), and the arena is not
-    thread-safe, so each thread keeps its own.
-    """
-    arena = getattr(_tls, "arena", None)
-    if arena is None:
-        arena = _tls.arena = EpochArena()
-    return arena
 
 __all__ = [
     "RegretResult",
@@ -109,11 +87,8 @@ DEFAULT_BACKEND = "vectorized"
 #: Capacity slack shared by every feasibility check (matches the heuristics).
 _CAP_EPS = 1e-9
 
-#: Unit roundoff of float64 (half the machine epsilon).
-_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
-
-#: Smallest front window the static rounds validate and scan.
-_MIN_WINDOW = 128
+#: Positions per vectorised first-choice block of the static walk.
+_BLOCK = 64
 
 #: Width of the static engine's top-T re-evaluation table on wide fleets.
 _TOP_T = 64
@@ -252,9 +227,9 @@ def _assign_loop(
 
 
 # --------------------------------------------------------------------------- #
-# Vectorized backend, static mode — batched rounds over the regret order.
+# Vectorized backend, static mode — one sequential walk over the regret order.
 # --------------------------------------------------------------------------- #
-def _table(table_idx: np.ndarray, table_val: np.ndarray):
+def _table(table_idx: np.ndarray, table_val: np.ndarray, tier_complete: bool):
     """Re-evaluation table and static regret order from per-item server sets.
 
     ``table_idx`` lists, per item, servers in ascending id order whose
@@ -263,12 +238,18 @@ def _table(table_idx: np.ndarray, table_val: np.ndarray):
     largest values are then the two largest of the full row — the exact
     values :func:`regret_order` would partition out of the whole matrix — so
     the regret order falls out of a cheap in-set partition.
+
+    The table is ``(top_idx, top_val, top_thresh)``; ``top_thresh`` is each
+    row's minimum, or ``None`` when ``tier_complete`` (every unlisted server
+    *strictly* below the row minimum), where a feasible table hit is final
+    and the threshold is never read.
     """
     width = table_idx.shape[1]
     top_two = np.partition(table_val, width - 2, axis=1)[:, -2:]
     regrets = top_two[:, 1] - top_two[:, 0]
     order = np.argsort(-regrets, kind="stable").astype(np.int64)
-    return (table_idx.astype(np.int32), table_val, table_val.min(axis=1)), order
+    thresh = None if tier_complete else table_val.min(axis=1)
+    return (np.asarray(table_idx, dtype=np.intp), table_val, thresh), order
 
 
 def _assign_static_vectorized(
@@ -281,34 +262,26 @@ def _assign_static_vectorized(
     fallback_allowed: Optional[np.ndarray] = None,
     candidate_servers: Optional[np.ndarray] = None,
 ) -> bool:
-    """Static placement over the full matrix: build the table, run the rounds.
+    """Static placement over the full matrix: build the table, run the walk.
 
-    Re-evaluation is a masked argmax over a *row-major* copy of the
-    desirability matrix: each stale batch gathers whole per-item rows
-    (contiguous in memory) instead of strided columns of the
-    (servers x items) input.  ``argmax(axis=1)`` returns the first maximum —
-    the lowest server index — exactly the column-argmax tie rule.
+    Every per-item read (block scans, re-evaluations) wants one contiguous
+    desirability row per item, i.e. the ``(items x servers)`` layout.
+    ``desirability.T`` is used as it is when it is already C-contiguous —
+    GreZ's cost tables (dense and sparse) and GreC's dense refined-cost rows
+    arrive that way — and copied once otherwise.
 
-    The re-evaluation table (see :func:`_static_rounds`) comes from
+    The re-evaluation table (see :func:`_static_walk`) comes from
     ``candidate_servers`` when given; otherwise, on fleets wider than
     ``2 * _TOP_T``, from each item's top-``_TOP_T`` servers by desirability
     (an ``argpartition`` over the fleet — boundary-tied subsets it picks
     arbitrarily can never change a placement, because ties at the table
-    minimum fall through to the full scan).
+    minimum fall through to the full scan).  Narrower fleets re-evaluate
+    over the whole row.
     """
     num_servers, num_items = desirability.shape
     if num_items == 0:
         return False
-
-    # Row-major per-item view: stale re-evaluations gather contiguous rows.
-    # The transpose copy lands in recycled per-thread scratch instead of a
-    # fresh allocation each solve (single borrower: the table lives only for
-    # this solve, and solves never nest on one thread).
-    arena = _solver_arena()
-    des_items = arena.scratch(
-        "regret_des_items", num_items * num_servers, dtype=desirability.dtype
-    ).reshape(num_items, num_servers)
-    np.copyto(des_items, desirability.T)
+    des_items = np.ascontiguousarray(desirability.T)
 
     top = None
     table_idx = candidate_servers
@@ -316,8 +289,9 @@ def _assign_static_vectorized(
         part_idx = np.argpartition(des_items, num_servers - _TOP_T, axis=1)[:, -_TOP_T:]
         table_idx = np.sort(part_idx, axis=1)
     if table_idx is not None:
-        table_val = des_items[np.arange(num_items)[:, None], table_idx]
-        top, order = _table(table_idx, table_val)
+        top, order = _table(
+            table_idx, np.take_along_axis(des_items, table_idx, axis=1), False
+        )
     else:
         order = regret_order(desirability)
 
@@ -326,9 +300,9 @@ def _assign_static_vectorized(
             return des_items[cols]
         return des_items[np.ix_(cols, servers)]
 
-    return _static_rounds(
+    return _static_walk(
         demands, capacities, loads, item_to_server, fallback, fallback_allowed,
-        order, top, False, get_rows,
+        order, top, get_rows, des_items,
     )
 
 
@@ -338,45 +312,45 @@ def _best_feasible(
     loads: np.ndarray,
     cap_eps: np.ndarray,
     top: Optional[tuple],
-    tier_complete: bool,
     get_rows,
 ) -> np.ndarray:
     """Each item's most desirable server that can take its demand now (-1: none).
 
-    The masked argmax (first maximum = lowest server id, the loop's stable
-    preference walk) under the loop's feasibility test
-    ``loads + demand <= capacities + eps``.  Items are first looked up in the
-    re-evaluation table ``top``; the rest take a full-width scan.
+    The vectorised masked argmax over a block of items (first maximum =
+    lowest server id, the loop's stable preference walk) under the loop's
+    feasibility test ``loads + demand <= capacities + eps``.  Items are first
+    looked up in the re-evaluation table ``top``; a hit is final when the
+    table is complete (``top_thresh`` is ``None``) or when it beats the row
+    minimum.  The rest take a full-width scan over ``get_rows`` rows,
+    restricted to the servers that can still take the block's smallest
+    demand.
     """
-    best = np.full(cols.size, -1, dtype=np.int64)
     rest = None
-    if top is not None:
+    if top is None:
+        best = np.full(cols.size, -1, dtype=np.int64)
+    else:
+        # ``take`` with intp indices is the cheapest gather numpy offers;
+        # the table ids are stored as intp for it.
         top_idx, top_val, top_thresh = top
-        # Fast tier: masked argmax over the item's table row (first maximum =
-        # lowest server id, the full scan's tie rule).  Final when it beats
-        # the row minimum (always, for a complete table); the rest of the
-        # batch takes the full scan below.
-        tier_idx = top_idx[cols]
-        tier_ok = loads[tier_idx] + d_cols[:, None] <= cap_eps[tier_idx]
-        masked = np.where(tier_ok, top_val[cols], -np.inf)
+        tier_idx = top_idx.take(cols, axis=0)
+        tier_ok = loads.take(tier_idx) + d_cols[:, None] <= cap_eps.take(tier_idx)
+        masked = np.where(tier_ok, top_val.take(cols, axis=0), -np.inf)
         pos = masked.argmax(axis=1)
-        rows = np.arange(cols.size)
-        vbest = masked[rows, pos]
-        if tier_complete:
+        vbest = masked.max(axis=1)
+        if top_thresh is None:
             # Every table value is >= the item's threshold and every outside
             # server is strictly below it: found == resolved.
-            resolved = np.logical_not(np.isneginf(vbest))
+            resolved = vbest != -np.inf
         else:
-            resolved = vbest > top_thresh[cols]
-        best[resolved] = tier_idx[rows[resolved], pos[resolved]]
+            resolved = vbest > top_thresh.take(cols)
+        hit = tier_idx.ravel().take(pos + tier_idx.shape[1] * np.arange(cols.size))
+        best = np.where(resolved, hit, -1)
         rest = np.flatnonzero(~resolved)
-        cols, d_cols = cols[rest], d_cols[rest]
+        cols, d_cols = cols.take(rest), d_cols.take(rest)
     if cols.size:
-        # Prune servers no item in the batch could use: the feasibility test
-        # is monotone in the demand operand, so a server that cannot take the
-        # batch's smallest demand is infeasible for every item in it.  Late
-        # rounds — where the re-evaluations concentrate — scan only the
-        # servers still open.
+        # The feasibility test is monotone in the demand operand, so a server
+        # that cannot take the block's smallest demand is infeasible for
+        # every item in it: scan only the servers still open.
         open_srv = np.flatnonzero(loads + d_cols.min() <= cap_eps)
         if open_srv.size == 0:
             return best
@@ -385,13 +359,14 @@ def _best_feasible(
             masked = np.where(feasible, get_rows(cols, None), -np.inf)
         else:
             feasible = (
-                loads[open_srv][None, :] + d_cols[:, None] <= cap_eps[open_srv][None, :]
+                loads.take(open_srv)[None, :] + d_cols[:, None]
+                <= cap_eps.take(open_srv)[None, :]
             )
             masked = np.where(feasible, get_rows(cols, open_srv), -np.inf)
         choice = masked.argmax(axis=1)  # first max == lowest (open) index
-        none_left = np.isneginf(masked[np.arange(cols.size), choice])
+        none_left = masked.max(axis=1) == -np.inf
         if open_srv.size != loads.size:
-            choice = open_srv[choice]
+            choice = open_srv.take(choice)
         found = np.where(none_left, -1, choice)
         if rest is None:
             best = found
@@ -400,70 +375,21 @@ def _best_feasible(
     return best
 
 
-def _first_rejection(
-    servers: np.ndarray, claim_d: np.ndarray, loads: np.ndarray, cap_eps: np.ndarray
+def _full_scan_one(
+    item: int, d: float, loads: np.ndarray, cap_eps: np.ndarray, get_rows
 ) -> int:
-    """Index of the first claim the sequential scan would reject, else ``len``.
+    """One item's masked argmax over its full desirability row (-1: none fits).
 
-    The loop places claims one at a time and tests each against its server's
-    running load, ``((loads + d1) + d2) + ... <= capacities + eps``.  Here
-    every claim's running load comes from one stable sort by server and a
-    global cumsum.  A group's first claim is tested exactly as ``loads + d``
-    (the test its validation passed, so the head of the order always makes
-    progress).  A later claim's prefix sum can round differently from the
-    sequential sum; when it lands within a rigorous rounding bound of the
-    capacity, it is re-checked with the sequential sum itself.  Such claims
-    need a server filled to within rounding distance of its capacity, and
-    only those ahead of the first certain rejection are re-checked.
+    The walk's fall-through for an item its table cannot decide; the same
+    test and tie rule as :func:`_best_feasible`'s full scan, without the
+    block bookkeeping.
     """
-    num = servers.size
-    if num == 0:
-        return 0
-    by_server = np.argsort(servers, kind="stable")
-    srv_sorted = servers[by_server]
-    d_sorted = claim_d[by_server]
-    csum = np.cumsum(d_sorted)
-    group_first = np.empty(num, dtype=bool)
-    group_first[0] = True
-    np.not_equal(srv_sorted[1:], srv_sorted[:-1], out=group_first[1:])
-    heads = np.flatnonzero(group_first)
-    # Prefix sum of each group up to and including the claim; csum is
-    # nondecreasing, so a running maximum carries each group's base forward.
-    base = np.zeros(num)
-    base[heads[1:]] = csum[heads[1:] - 1]
-    np.maximum.accumulate(base, out=base)
-    within = csum - base
-    within[heads] = d_sorted[heads]
-    base_load = loads[srv_sorted]
-    load_after = base_load + within
-    slack = cap_eps[srv_sorted] - load_after
-    ok = slack >= 0.0
-    # |load_after - sequential sum| <= (3k + 6) u (csum[k] + load) for the
-    # claim at sorted position k (forward error of the cumsum, the
-    # subtraction, the load addition and the sequential sum); one bound for
-    # the whole window, 4 (num + 1) u (csum[-1] + max load), covers them all.
-    # (A group head is exact, so re-checking one never changes its verdict.)
-    bound = 4.0 * _UNIT_ROUNDOFF * (num + 1) * (float(csum[-1]) + float(base_load.max()))
-    unsure = np.abs(slack) <= bound
-    if not unsure.any():
-        if ok.all():
-            return num
-        return int(by_server[~ok].min())
-    attention = np.flatnonzero(~ok | unsure)
-    attention = attention[np.argsort(by_server[attention])]
-    for k in attention.tolist():
-        if unsure[k]:
-            head = int(heads[np.searchsorted(heads, k, side="right") - 1])
-            seq = float(base_load[k])
-            for d in d_sorted[head:k + 1].tolist():
-                seq += d
-            if seq <= cap_eps[srv_sorted[k]]:
-                continue
-        return int(by_server[k])
-    return num
+    masked = np.where(loads + d <= cap_eps, get_rows(np.array([item]), None)[0], -np.inf)
+    server = int(masked.argmax())
+    return -1 if masked[server] == -np.inf else server
 
 
-def _static_rounds(
+def _static_walk(
     demands: np.ndarray,
     capacities: np.ndarray,
     loads: np.ndarray,
@@ -472,124 +398,92 @@ def _static_rounds(
     fallback_allowed: Optional[np.ndarray],
     order: np.ndarray,
     top: Optional[tuple],
-    tier_complete: bool,
     get_rows,
+    des_items: Optional[np.ndarray] = None,
 ) -> bool:
-    """The static placement rounds shared by the full-matrix and candidate paths.
+    """The static placement walk shared by the full-matrix and candidate paths.
 
-    Items are placed in regret order ``order``.  Each item's best feasible
-    server is cached per position (``-2``: not evaluated yet, ``-1``: no
-    feasible server left — final, since loads only grow).  A round works on
-    a front window ``[start, start + W)`` only:
+    Items are placed one at a time in regret order ``order``, exactly as the
+    loop specification places them: the feasibility test is the loop's own
+    scalar expression ``load + d <= capacity + eps`` on Python-float mirrors
+    of ``loads`` and ``capacities + _CAP_EPS``, and each placement adds its
+    demand to its server's running load and writes the sum back to
+    ``loads``, so even the floating-point addition order is the loop's.
 
-    1. *Validate* the window: evaluate never-evaluated entries and re-evaluate
-       those whose cached server can no longer take the item's demand.  A
-       cached choice whose server still fits is exact: the feasible set only
-       shrinks, and the first maximum of a shrinking set that still holds the
-       previous winner is that winner.  The same argument makes a lazy first
-       evaluation equal to what an eager cache would hold by now.
-    2. *Admit*: claimants of one server are admitted in order while their
-       running demand fits (:func:`_first_rejection`); the first rejected
-       claim ends the round's admitted prefix — a rejected item would fall to
-       another server in the loop and disturb every later placement.  Under
-       ``fallback="least_loaded"`` an item with no feasible server ends the
-       scan too and is placed by the fallback at its exact position; under
-       ``"skip"`` such items pass through (never loaded, not compacted).
-    3. A window that admits fully, with no block and no rejection, grows
-       ×8: only the newly exposed positions are validated (loads have not
-       changed), and the scan reruns.  A claim's within-group prefix only
-       involves earlier claims of its own server, so the window never
-       changes a decision.
+    First choices come in vectorised blocks of ``_BLOCK`` positions
+    (:func:`_best_feasible` under the loads at the block's start).  Loads
+    only grow, so a block choice stays exact while its server still fits
+    the item: the feasible set only shrinks, and the first maximum of a
+    shrinking set that still holds the previous winner is that winner.  A
+    block choice of ``-1`` (nothing fits) is final for the same reason.  An
+    item whose block choice no longer fits is re-evaluated on the spot by a
+    masked argmax over its table row, or, without a table (fleets of at most
+    ``2 * _TOP_T`` servers), by a pure-Python scan of its full ``des_items``
+    row; both keep the first maximum, the lowest server id.  Only when the
+    table cannot decide — a best hit tied at the row minimum ``top_thresh``,
+    or a complete table (``top_thresh is None``) with every listed server
+    full — does the item take a full-width scan (:func:`_full_scan_one`).
+    An item with no feasible server is left at ``-1`` under
+    ``fallback="skip"`` and placed at its exact position by the
+    ``least_loaded`` fallback otherwise.
 
-    ``W`` starts at ``max(_MIN_WINDOW, 2 * last admitted count)``, so a
-    round costs O(W log W) instead of O(remaining items).  Loads are
-    accumulated with ``np.add.at`` in placement order, so even the
-    floating-point addition order matches the loop.
-
-    ``top`` is the optional ``(top_idx, top_val, top_thresh)`` re-evaluation
-    table, rows in ascending server-id order, every unlisted server no more
-    desirable than ``top_thresh``; ``tier_complete`` asserts every unlisted
-    server is *strictly* below it (the candidate-list entry point guarantees
-    this), in which case a feasible table hit is final and the tie
-    fall-through is skipped.  ``get_rows(cols, servers)`` materialises
-    full-width desirability rows for the fall-through scan (``servers=None``
-    means all of them).
+    ``top`` is the optional ``(top_idx, top_val, top_thresh)`` table from
+    :func:`_table`; ``get_rows(cols, servers)`` materialises full-width
+    desirability rows for the full scan (``servers=None`` means all of them).
     """
-    capacity_exceeded = False
     num_items = order.size
     cap_eps = capacities + _CAP_EPS
-    skip = fallback == "skip"
-    cached = np.full(num_items, -2, dtype=np.int64)
+    cap_list = cap_eps.tolist()
+    load_list = loads.tolist()
     d_ord = demands[order]
+    chosen: list = []
+    skip = fallback == "skip"
+    capacity_exceeded = False
+    if top is not None:
+        top_idx, top_val, top_thresh = top
 
-    def validate(lo: int, hi: int) -> None:
-        choice = cached[lo:hi]  # a view: refreshed in place
-        d_win = d_ord[lo:hi]
-        srv = np.where(choice >= 0, choice, 0)
-        stale = (choice == -2) | (
-            (choice >= 0) & (loads[srv] + d_win > cap_eps[srv])
-        )
-        if stale.any():
-            choice[stale] = _best_feasible(
-                order[lo:hi][stale], d_win[stale], loads, cap_eps, top,
-                tier_complete, get_rows,
-            )
+    def reevaluate(item: int, d: float) -> int:
+        if top is None:
+            # Narrow fleet: a pure-Python masked argmax over the full row
+            # (strictly greater wins, so the first maximum is kept).
+            best_v = -np.inf
+            best_s = -1
+            for s, v in enumerate(des_items[item].tolist()):
+                if v > best_v and load_list[s] + d <= cap_list[s]:
+                    best_v = v
+                    best_s = s
+            return best_s
+        # One table row: a short numpy masked argmax, which allocates a few
+        # arrays where a Python scan would box every entry of the row.
+        idx = top_idx[item]
+        masked = np.where(loads.take(idx) + d <= cap_eps.take(idx), top_val[item], -np.inf)
+        k = int(masked.argmax())
+        best_v = masked[k]
+        if best_v != -np.inf and (top_thresh is None or best_v > top_thresh[item]):
+            return int(idx[k])
+        return _full_scan_one(item, d, loads, cap_eps, get_rows)
 
-    start = 0
-    window = _MIN_WINDOW
-    while start < num_items:
-        hi = min(num_items, start + window)
-        validate(start, hi)
-        while True:
-            choice = cached[start:hi]
-            size = hi - start
-            unplaceable = choice < 0
-            if not unplaceable.any():
-                n_admit = _first_rejection(choice, d_ord[start:hi], loads, cap_eps)
-            elif skip:
-                claims = np.flatnonzero(~unplaceable)
-                k = _first_rejection(
-                    choice[claims], d_ord[start:hi][claims], loads, cap_eps
-                )
-                n_admit = size if k == claims.size else int(claims[k])
-            else:
-                stop = int(unplaceable.argmax())
-                n_admit = _first_rejection(
-                    choice[:stop], d_ord[start:start + stop], loads, cap_eps
-                )
-            if n_admit < size or hi == num_items:
-                break
-            grown = min(num_items, start + 8 * size)
-            validate(hi, grown)
-            hi = grown
-
-        if n_admit:
-            servers = cached[start:start + n_admit]
-            items = order[start:start + n_admit]
-            d_admit = d_ord[start:start + n_admit]
-            if skip:
-                placed = servers >= 0
-                if not placed.all():
-                    servers, items, d_admit = servers[placed], items[placed], d_admit[placed]
-            item_to_server[items] = servers
-            # np.add.at applies the additions one index at a time, in the
-            # order given — i.e. in placement order, like the loop.
-            np.add.at(loads, servers, d_admit)
-        start += n_admit
-        window = max(_MIN_WINDOW, 2 * n_admit)
-
-        if not skip and start < num_items and cached[start] == -1:
-            # The next item in order fits nowhere (true at round start, hence
-            # still true now): apply the least_loaded fallback at its exact
-            # sequential position, then go on with the rest next round.
-            item = int(order[start])
-            allowed = None if fallback_allowed is None else fallback_allowed[:, item]
-            server = _fallback_server(capacities, loads, allowed)
-            item_to_server[item] = server
-            loads[server] += demands[item]
-            capacity_exceeded = True
-            start += 1
-
+    for start in range(0, num_items, _BLOCK):
+        stop = min(start + _BLOCK, num_items)
+        first = _best_feasible(
+            order[start:stop], d_ord[start:stop], loads, cap_eps, top, get_rows
+        ).tolist()
+        for k, (server, d) in enumerate(zip(first, d_ord[start:stop].tolist())):
+            if server >= 0 and not load_list[server] + d <= cap_list[server]:
+                server = reevaluate(int(order[start + k]), d)
+            if server < 0:
+                if skip:
+                    chosen.append(-1)
+                    continue
+                item = int(order[start + k])
+                allowed = None if fallback_allowed is None else fallback_allowed[:, item]
+                server = _fallback_server(capacities, loads, allowed)
+                capacity_exceeded = True
+            load = load_list[server] + d
+            load_list[server] = load
+            loads[server] = load
+            chosen.append(server)
+    item_to_server[order] = chosen
     return capacity_exceeded
 
 
@@ -693,6 +587,16 @@ def _assign_dynamic_incremental(
     return capacity_exceeded
 
 
+def _check_finite(values: np.ndarray, name: str) -> None:
+    """Reject NaN and ±inf (``-inf`` is the engines' infeasibility mask).
+
+    ``min`` and ``max`` propagate NaN, so two reductions cover all three
+    cases without an elementwise temporary.
+    """
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise ValueError(f"{name} must be finite (no NaN or ±inf)")
+
+
 def _checked_candidates(
     candidate_servers: np.ndarray, num_items: int, num_servers: int
 ) -> np.ndarray:
@@ -728,8 +632,9 @@ def max_regret_assign(
     ----------
     desirability:
         ``(num_servers, num_items)`` desirability ``mu[i, j]`` (higher better).
-        Values must be finite: ``-inf`` is reserved as the backends' internal
-        infeasibility mask (the library's cost matrices are always finite).
+        Values must be finite — ``-inf`` is reserved as the backends' internal
+        infeasibility mask (the library's cost matrices are always finite) —
+        and NaN or ±inf raise ``ValueError``.
     demands:
         ``(num_items,)`` resource demand added to the chosen server's load.
     capacities:
@@ -782,6 +687,7 @@ def max_regret_assign(
     capacities = np.asarray(capacities, dtype=np.float64)
     if desirability.ndim != 2:
         raise ValueError("desirability must be (num_servers, num_items)")
+    _check_finite(desirability, "desirability")
     num_servers, num_items = desirability.shape
     if demands.shape != (num_items,):
         raise ValueError("demands must have one entry per item")
@@ -873,8 +779,8 @@ def max_regret_assign_candidates(
         row (which also guarantees distinctness); ``K >= 2`` so the regret
         (best minus second-best desirability) is defined from the list alone.
     candidate_desirability:
-        ``(num_items, K)`` desirability of each listed server, finite,
-        aligned with ``candidate_servers``.
+        ``(num_items, K)`` desirability of each listed server, aligned with
+        ``candidate_servers``; NaN or ±inf raise ``ValueError``.
     num_servers:
         Fleet size ``m`` (the virtual column count).
     demands / capacities / initial_loads / fallback / fallback_allowed:
@@ -894,6 +800,7 @@ def max_regret_assign_candidates(
     num_servers = int(num_servers)
     if cand_val.ndim != 2:
         raise ValueError("candidate_desirability must be (num_items, K)")
+    _check_finite(cand_val, "candidate_desirability")
     num_items = cand_val.shape[0]
     cand_idx = _checked_candidates(candidate_servers, num_items, num_servers)
     if cand_val.shape != cand_idx.shape:
@@ -929,7 +836,7 @@ def max_regret_assign_candidates(
     # The rows already arrive in ascending server-id order (the table's
     # contract), and under the dominance contract the list holds each item's
     # two largest desirabilities.
-    top, order = _table(cand_idx, cand_val)
+    top, order = _table(cand_idx, cand_val, True)
 
     def get_rows(cols: np.ndarray, servers: Optional[np.ndarray]) -> np.ndarray:
         rows = np.asarray(row_provider(cols), dtype=np.float64)
@@ -938,13 +845,14 @@ def max_regret_assign_candidates(
                 f"row_provider must return ({cols.size}, {num_servers}) rows, "
                 f"got {rows.shape}"
             )
+        _check_finite(rows, "row_provider rows")
         if servers is None:
             return rows
         return rows[:, servers]
 
-    capacity_exceeded = _static_rounds(
+    capacity_exceeded = _static_walk(
         demands, capacities, loads, item_to_server, fallback, fallback_allowed,
-        order, top, True, get_rows,
+        order, top, get_rows,
     )
     return RegretResult(
         item_to_server=item_to_server,

@@ -24,9 +24,7 @@ turns those into reusable buffers with two complementary APIs:
 
 The arena is deliberately **not** thread-safe: each
 :class:`~repro.dynamics.engine.EpochSession` owns one arena, and federated
-shards step on distinct sessions.  Code that needs per-thread reuse (the
-solver's candidate tables) keeps one arena per thread via
-``threading.local``.
+shards step on distinct sessions.
 """
 
 from __future__ import annotations

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.regret import BACKENDS, DEFAULT_BACKEND, max_regret_assign, regret_order
+from repro.core.regret import (
+    BACKENDS,
+    DEFAULT_BACKEND,
+    max_regret_assign,
+    max_regret_assign_candidates,
+    regret_order,
+)
 
 
 class TestRegretOrder:
@@ -132,6 +138,36 @@ class TestMaxRegretAssign:
 
     def test_default_backend_is_registered(self):
         assert DEFAULT_BACKEND in BACKENDS
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("recompute", [False, True])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_non_finite_desirability_rejected(self, bad, recompute, backend):
+        # NaN used to place differently on the two backends ([0 1 2] vs
+        # [0 2 1] for this matrix); every non-finite value is now an error.
+        desirability = np.array([[-1.0, -2.0, bad], [-3.0, bad, -1.0], [-2.0, -1.0, -5.0]])
+        with pytest.raises(ValueError, match="finite"):
+            max_regret_assign(
+                desirability, np.ones(3), np.ones(3), recompute=recompute, backend=backend
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_candidate_desirability_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            max_regret_assign_candidates(
+                np.array([[0, 1]]), np.array([[-1.0, bad]]), 2, np.ones(1), np.ones(2),
+                lambda items: np.zeros((items.size, 2)),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_provider_rows_rejected(self, bad):
+        # Both candidates are full, so the item needs the provider's full row.
+        with pytest.raises(ValueError, match="finite"):
+            max_regret_assign_candidates(
+                np.array([[0, 1]]), np.array([[-1.0, -2.0]]), 3, np.ones(1),
+                np.array([0.5, 0.5, 2.0]),
+                lambda items: np.array([[-1.0, -2.0, bad]]),
+            )
 
 
 class TestDynamicRegret:

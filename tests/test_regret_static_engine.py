@@ -3,10 +3,13 @@
 * :func:`max_regret_assign_candidates` equals :func:`max_regret_assign` on the
   implied full matrix, including items whose whole candidate list runs out
   of capacity and fall through to ``row_provider`` rows.
-* The lazy front-window rounds equal the ``loop`` specification on large,
-  capacity-tight instances (so the window grows 128 → 1024 → 8192), under
-  both fallbacks, with demands spanning 1e-3..1e8 and capacities that some
-  claims fill exactly.
+* The sequential walk equals the ``loop`` specification, under both
+  fallbacks: on large capacity-tight instances (demands spanning 1e-3..1e8,
+  capacities that some claims fill exactly), at item counts around the
+  64-position block, with items displaced from their block choice, with
+  table hits tied at the table floor (GreZ), with candidate sets that fill
+  up completely (GreC's row-provider path) and with loads that end within
+  rounding distance of capacity.
 * GreZ with its zone candidate table equals GreZ without it on sparse
   worlds whose candidate costs tie the zone-population floor.
 """
@@ -51,7 +54,8 @@ def _exact_fill_capacities(rng, demands, initial_loads, capacities, share):
 
     The sum is accumulated left to right onto the initial load, as the loop
     accumulates a server's load, so a claim sequence can fill the server to
-    exactly its capacity — the case where prefix-sum rounding decides.
+    exactly its capacity — the case where the rounding of the feasibility
+    test decides.
     """
     capacities = capacities.copy()
     for server in np.flatnonzero(rng.random(capacities.size) < share):
@@ -144,7 +148,7 @@ class TestCandidateEntryPoint:
 
 
 # ---------------------------------------------------------------------- #
-# Lazy front-window rounds vs the loop on large, tight instances.
+# The sequential walk vs the loop.
 # ---------------------------------------------------------------------- #
 def _large_problem(seed: int, num_items: int):
     rng = np.random.default_rng(seed)
@@ -162,18 +166,19 @@ def _large_problem(seed: int, num_items: int):
     return desirability, demands, capacities, initial_loads
 
 
-def _assert_matches_loop(desirability, demands, capacities, initial_loads, fallback):
+def _assert_matches_loop(desirability, demands, capacities, initial_loads, fallback, **kwargs):
     results = {
         backend: max_regret_assign(
             desirability, demands, capacities, initial_loads=initial_loads,
-            fallback=fallback, backend=backend,
+            fallback=fallback, backend=backend, **kwargs,
         )
         for backend in BACKENDS
     }
     _assert_same(results["vectorized"], results["loop"])
+    return results["vectorized"]
 
 
-class TestLazyRounds:
+class TestStaticWalk:
     @pinned(8)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -184,26 +189,171 @@ class TestLazyRounds:
         _assert_matches_loop(*_large_problem(seed, num_items), fallback)
 
     @pytest.mark.parametrize("fallback", FALLBACKS)
-    def test_window_grows_to_8192_and_matches_loop(self, fallback):
+    def test_long_run_of_ample_room_then_exhaustion_matches_loop(self, fallback):
         # Ample room for the first ~9k items in regret order, then the
-        # servers run out: the first round's window must grow 128 -> 1024 ->
-        # 8192 before it meets a rejection.
+        # servers run out, with a few 1e8 demands in between.
         rng = np.random.default_rng(11)
         num_servers, num_items = 4, 12_000
         desirability = -rng.random((num_servers, num_items))
         demands = 10.0 ** rng.uniform(-3.0, 2.0, num_items)
         demands[rng.random(num_items) < 0.001] = 1e8
         capacities = np.full(num_servers, demands.sum() * 0.2)
-        windows = []
-        first_rejection = regret._first_rejection
+        _assert_matches_loop(desirability, demands, capacities, None, fallback)
 
-        def spy(servers, claim_d, loads, cap_eps):
-            windows.append(servers.size)
-            return first_rejection(servers, claim_d, loads, cap_eps)
+    @pinned(40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_items=st.sampled_from([1, 63, 64, 65, 127, 128, 129]),
+        wide=st.booleans(),
+        fallback=st.sampled_from(FALLBACKS),
+    )
+    def test_block_boundaries_match_loop(self, seed, num_items, wide, fallback):
+        # Item counts around the 64-position block, on a narrow fleet (full
+        # rows) and on one wide enough for the top-64 table.
+        rng = np.random.default_rng(seed)
+        num_servers = int(rng.integers(130, 160)) if wide else int(rng.integers(2, 12))
+        desirability = -rng.random((num_servers, num_items))
+        if rng.random() < 0.5:
+            desirability = np.round(desirability, 1)
+        demands = 10.0 ** rng.uniform(-3.0, 3.0, num_items)
+        initial_loads = rng.random(num_servers) * float(rng.choice([0.0, 10.0]))
+        tightness = float(rng.choice([0.3, 0.8, 1.2]))
+        capacities = initial_loads + rng.random(num_servers) * demands.sum() * (
+            2.0 * tightness / num_servers
+        )
+        capacities = _exact_fill_capacities(rng, demands, initial_loads, capacities, 0.3)
+        _assert_matches_loop(desirability, demands, capacities, initial_loads, fallback)
 
-        with mock.patch.object(regret, "_first_rejection", spy):
-            _assert_matches_loop(desirability, demands, capacities, None, fallback)
-        assert {128, 1024, 8192} <= set(windows)
+    @pinned(30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        wide=st.booleans(),
+        fallback=st.sampled_from(FALLBACKS),
+    )
+    def test_displaced_items_match_loop(self, seed, wide, fallback):
+        # Server 0 is every item's favourite and holds only a few of them:
+        # the rest of each block is displaced from its block choice and
+        # re-evaluated on the spot.
+        rng = np.random.default_rng(seed)
+        num_servers = 140 if wide else int(rng.integers(2, 12))
+        num_items = int(rng.integers(65, 300))
+        desirability = -rng.random((num_servers, num_items)) - 1.0
+        desirability[0] = 0.0
+        demands = rng.uniform(0.5, 2.0, num_items)
+        capacities = rng.random(num_servers) * demands.sum() * 2.0 / num_servers
+        capacities[0] = demands[: int(rng.integers(1, 6))].sum()
+        result = _assert_matches_loop(desirability, demands, capacities, None, fallback)
+        assert (result.item_to_server != 0).sum() > num_items // 2
+
+    @pinned(20)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        wide=st.booleans(),
+        fallback=st.sampled_from(FALLBACKS),
+    )
+    def test_displaced_item_fills_server_exactly(self, seed, wide, fallback):
+        # One block of items that all prefer server 0, then server 1, in a
+        # known regret order.  Server 0 takes the first few; the rest are
+        # displaced onto server 1, whose capacity is their exact sequential
+        # sum (large enough that the 1e-9 slack is below one ulp), so the
+        # last one is accepted only by the loop's ``load + d <= capacity +
+        # eps`` test — on a two-server fleet (full-row re-evaluation) and on
+        # one wide enough for the top-64 table.
+        rng = np.random.default_rng(seed)
+        num_items = int(rng.integers(8, 65))
+        num_servers = 140 if wide else 2
+        regrets = np.sort(rng.random(num_items))[::-1] + 1.0
+        desirability = -regrets - 1.0 - rng.random((num_servers, num_items))
+        desirability[0] = 0.0
+        desirability[1] = -regrets
+        demands = 10.0 ** rng.uniform(7.0, 8.0, num_items)
+        head = int(rng.integers(1, num_items // 2))
+        capacities = np.full(num_servers, 1e12)
+        for server, part in ((0, demands[:head]), (1, demands[head:])):
+            load = 0.0
+            for d in part.tolist():
+                load += d
+            capacities[server] = load
+        result = _assert_matches_loop(desirability, demands, capacities, None, fallback)
+        np.testing.assert_array_equal(result.item_to_server, [0] * head + [1] * (num_items - head))
+
+    @pinned(30)
+    @given(seed=st.integers(0, 2**32 - 1), fallback=st.sampled_from(FALLBACKS))
+    def test_tie_at_table_floor_falls_through(self, seed, fallback):
+        # GreZ's shape: a non-strict candidate table whose unlisted servers
+        # all sit exactly at the table minimum.  Every item of one block
+        # lists servers 0 and 1 above the floor and the last server at it;
+        # servers 0 and 1 fit every item at the block's start but hold only
+        # a few, so later items are displaced until their best hit ties the
+        # floor, and only the full scan can pick the lowest-id feasible
+        # server among the tied ones (an unlisted one, below the last).
+        rng = np.random.default_rng(seed)
+        num_servers, num_items = int(rng.integers(4, 30)), int(rng.integers(12, 65))
+        floor = -10.0
+        desirability = np.full((num_servers, num_items), floor)
+        desirability[0] = -rng.integers(0, 3, num_items).astype(float)
+        desirability[1] = -3.0 - rng.integers(0, 3, num_items)
+        cand_idx = np.tile([0, 1, num_servers - 1], (num_items, 1))
+        demands = rng.uniform(0.5, 2.0, num_items)
+        capacities = rng.uniform(0.5, 3.0, num_servers)
+        capacities[:2] = 2.5
+        with mock.patch.object(
+            regret, "_full_scan_one", wraps=regret._full_scan_one
+        ) as full_scan:
+            _assert_matches_loop(
+                desirability, demands, capacities, None, fallback, candidate_servers=cand_idx
+            )
+        assert full_scan.call_count > 0
+
+    @pinned(30)
+    @given(seed=st.integers(0, 2**32 - 1), fallback=st.sampled_from(FALLBACKS))
+    def test_full_candidate_sets_use_row_provider(self, seed, fallback):
+        # GreC's shape: a strictly dominant candidate table whose servers
+        # all fill up, so displaced items fetch full rows one at a time.
+        rng = np.random.default_rng(seed)
+        num_servers, num_items = int(rng.integers(6, 30)), int(rng.integers(64, 200))
+        cand_idx = np.tile([0, 1, 2], (num_items, 1))
+        cand_val = -rng.integers(0, 5, (num_items, 3)).astype(float)
+        desirability = -1e6 - rng.integers(0, 3, (num_servers, num_items)).astype(float)
+        desirability[:3] = cand_val.T
+        demands = rng.uniform(0.5, 2.0, num_items)
+        capacities = rng.uniform(0.5, 1.5, num_servers) * demands.sum() / num_servers
+        capacities[:3] = demands[: int(rng.integers(3, 20))].sum() / 3.0
+        result, calls = _run_candidates(
+            cand_idx, cand_val, desirability, demands, capacities, None, fallback
+        )
+        assert 1 in calls
+        for backend in BACKENDS:
+            full = max_regret_assign(
+                desirability, demands, capacities, fallback=fallback, backend=backend
+            )
+            _assert_same(result, full)
+
+    @pinned(40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ulps=st.integers(-3, 3),
+        fallback=st.sampled_from(FALLBACKS),
+    )
+    def test_loads_within_rounding_of_capacity_match_loop(self, seed, ulps, fallback):
+        # Each capacity is a sequential sum of some demands (the loop's own
+        # accumulation), minus the 1e-9 slack, moved by a few ulps: the
+        # last claims land within rounding distance of capacity + slack.
+        rng = np.random.default_rng(seed)
+        num_servers, num_items = int(rng.integers(2, 8)), int(rng.integers(64, 400))
+        desirability = -np.round(rng.random((num_servers, num_items)), 1)
+        demands = 10.0 ** rng.uniform(-3.0, 8.0, num_items)
+        initial_loads = rng.random(num_servers) * float(rng.choice([0.0, 1e3, 1e7]))
+        capacities = np.empty(num_servers)
+        for server in range(num_servers):
+            load = float(initial_loads[server])
+            for d in demands[rng.random(num_items) < 1.5 / num_servers].tolist():
+                load += d
+            cap = load - regret._CAP_EPS
+            for _ in range(abs(ulps)):
+                cap = np.nextafter(cap, np.inf if ulps > 0 else -np.inf)
+            capacities[server] = max(cap, 1e-3)
+        _assert_matches_loop(desirability, demands, capacities, initial_loads, fallback)
 
 
 # ---------------------------------------------------------------------- #
