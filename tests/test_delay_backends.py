@@ -148,6 +148,17 @@ class TestCompactDelayMatrix:
         )
         np.testing.assert_array_equal(delays.pairs(5, 2), dense[5, 2])
 
+    @pytest.mark.parametrize("bad", [-1, "m"])
+    def test_pairs_rejects_out_of_range_server(self, compact_scenario, bad):
+        # Flat offsets cannot bounds-check each axis, so a stray server id
+        # would silently read another client's cell without this check.
+        delays = compact_scenario.client_server_delays
+        server = delays.num_servers if bad == "m" else bad
+        with pytest.raises(IndexError):
+            delays.pairs(np.array([0, 1]), np.array([0, server]))
+        with pytest.raises(IndexError):
+            delays.pairs(0, server)
+
     def test_rows_are_writable_copies(self, compact_scenario):
         delays = compact_scenario.client_server_delays
         row = delays.rows(0)
