@@ -1,4 +1,4 @@
-"""Solver-engine benchmark: loop vs vectorized max-regret placement backends.
+"""Solver-engine benchmark: the max-regret engine vs its per-item loop oracle.
 
 Times the max-regret placement stages of GreZ (zones → servers) and GreC
 (needy clients → contact servers) — the inner loops that dominate a
@@ -10,15 +10,18 @@ static mode (the paper's pseudocode) and the dynamic-regret mode
 Machine-readable results (per-solve milliseconds, speedups, item counts) are
 written to ``BENCH_solvers.json`` at the repository root so the solver perf
 trajectory is tracked alongside the dynamics pipeline's; CI uploads the file
-as a workflow artifact.  The backends are bit-identical, which the benchmark
-re-asserts on every timed input.
+as a workflow artifact.  The loop is the test-only oracle
+(``tests/reference/regret_loop.py``, reported under ``loop``); the engine is
+reported under ``vectorized``.  The two are bit-identical, which the
+benchmark re-asserts on every timed input.
 
-Expected shape: at the paper's own scale (160 zones, ~100 needy clients) the
-batched engine's fixed per-round overhead makes it a wash or slightly slower
-— the loop is fine there.  At 4× population (~1250 needy clients) the
-vectorized backend is ≥3× faster for static placement and ≥5× for the
-dynamic-regret mode, whose loop spec re-partitions every remaining column
-after every placement.
+Expected shape (static placement, min of 40 runs, 2-vCPU x86-64 host): the
+engine is level with the loop at small scale (0.45 ms vs 0.43 ms on
+20s-80z-1000c), already ahead at the paper's largest scale (0.93 ms vs
+1.24 ms on 30s-160z-2000c, ~100 needy clients) and ~15× ahead at 4×
+population (1.34 ms vs 19.7 ms, ~1250 needy clients).  The gates below ask
+for ≥3× static and ≥5× dynamic-regret at 4× population; the dynamic loop
+re-partitions every remaining column after every placement.
 """
 
 from __future__ import annotations
@@ -30,21 +33,26 @@ import numpy as np
 import pytest
 
 import repro.baselines  # noqa: F401  (registers the baseline solvers)
+import repro.core.grec as grec
+import repro.core.grez as grez
 from repro.core.assignment import zone_server_loads
 from repro.core.costs import initial_cost_matrix, refined_cost_columns
-from repro.core.grez import assign_zones_greedy
 from repro.core.problem import CAPInstance
-from repro.core.regret import BACKENDS, max_regret_assign
+from repro.core.regret import max_regret_assign
 from repro.core.registry import solve as registry_solve
 from repro.experiments.config import config_from_label
 from repro.io.tables import format_table
 from repro.world.scenario import build_scenario
 
 from benchmarks.conftest import bench_runs, record_json
+from tests.reference.regret_loop import max_regret_assign_loop
 
 pytestmark = pytest.mark.benchmark
 
-#: Timed repetitions per (stage, backend, mode); min is reported.
+#: The timed placement implementations, by their ``BENCH_solvers.json`` key.
+PLACEMENTS = {"vectorized": max_regret_assign, "loop": max_regret_assign_loop}
+
+#: Timed repetitions per (stage, implementation, mode); min is reported.
 NUM_REPS = bench_runs(3)
 
 PAPER_LABEL = "30s-160z-2000c-1000cp"
@@ -58,7 +66,7 @@ def _solver_inputs(label: str):
     config = config_from_label(label, correlation=0.0)
     scenario = build_scenario(config, seed=0)
     instance = CAPInstance.from_scenario(scenario)
-    zones = assign_zones_greedy(instance)
+    zones = grez.assign_zones_greedy(instance)
     targets = zones.zone_to_server[instance.client_zones]
     direct = instance.client_server_delays[np.arange(instance.num_clients), targets]
     helped = np.flatnonzero(direct > instance.delay_bound)
@@ -83,27 +91,34 @@ def _solver_inputs(label: str):
 
 
 def _run_stages(inputs, backend: str, recompute: bool):
-    """Both placement stages with one backend; returns (elapsed_s, assignments)."""
+    """Both placement stages with one implementation; returns (elapsed_s, assignments)."""
+    place = PLACEMENTS[backend]
     start = time.perf_counter()
-    zone_result = max_regret_assign(
-        recompute=recompute, backend=backend, **inputs["zone_stage"]
-    )
-    client_result = max_regret_assign(
-        recompute=recompute, backend=backend, **inputs["client_stage"]
-    )
+    zone_result = place(recompute=recompute, **inputs["zone_stage"])
+    client_result = place(recompute=recompute, **inputs["client_stage"])
     elapsed = time.perf_counter() - start
     return elapsed, (zone_result, client_result)
 
 
+def _best_solve_ms(instance) -> float:
+    """Fastest of ``NUM_REPS`` full grez-grec solves, in milliseconds."""
+    best = float("inf")
+    for _ in range(NUM_REPS):
+        start = time.perf_counter()
+        registry_solve(instance, "grez-grec", seed=0)
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
 def _measure_label(label: str) -> dict:
-    """Benchmark both modes and both backends on one configuration."""
+    """Benchmark both modes on both implementations on one configuration."""
     inputs = _solver_inputs(label)
     modes = {}
     for recompute, mode in ((False, "static"), (True, "dynamic")):
         timings = {}
         assignments = {}
-        for backend in BACKENDS:
-            # The dynamic loop spec is O(n² · m log m); one rep is plenty.
+        for backend in PLACEMENTS:
+            # The dynamic loop oracle is O(n² · m log m); one rep is plenty.
             reps = 1 if (recompute and backend == "loop") else NUM_REPS
             best = float("inf")
             for _ in range(reps):
@@ -125,17 +140,16 @@ def _measure_label(label: str) -> dict:
             "speedup": timings["loop"] / timings["vectorized"],
         }
 
-    # End-to-end context: a full grez-grec solve per backend (includes the
-    # cost matrices and the phase plumbing both backends share).
+    # End-to-end context: a full grez-grec solve with each implementation
+    # (includes the cost matrices and the phase plumbing both share).  The
+    # loop runs in place of the engine names GreZ and GreC import; this
+    # dense world never takes GreC's candidate-list path.
     instance = inputs["instance"]
-    solve_ms = {}
-    for backend in BACKENDS:
-        best = float("inf")
-        for _ in range(NUM_REPS):
-            start = time.perf_counter()
-            registry_solve(instance, "grez-grec", seed=0, backend=backend)
-            best = min(best, time.perf_counter() - start)
-        solve_ms[backend] = best * 1e3
+    solve_ms = {"vectorized": _best_solve_ms(instance)}
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (grez, grec):
+            patch.setattr(module, "max_regret_assign", max_regret_assign_loop)
+        solve_ms["loop"] = _best_solve_ms(instance)
 
     return {
         "label": label,
@@ -171,7 +185,7 @@ def test_bench_solvers(benchmark, record):
         ["configuration", "regret mode", "loop (ms)", "vectorized (ms)", "speedup"],
         rows,
         title=(
-            "Max-regret placement backends (GreZ + GreC stages): "
+            "Max-regret placement, engine vs loop oracle (GreZ + GreC stages): "
             f"{scaled['modes']['static']['speedup']:.1f}x static / "
             f"{scaled['modes']['dynamic']['speedup']:.1f}x dynamic at 4x population"
         ),
@@ -180,11 +194,11 @@ def test_bench_solvers(benchmark, record):
     record("solvers", text)
     record_json({"configurations": results}, RESULTS_PATH)
 
-    # At 4× the paper's population the batched engine must clearly win: ≥3×
-    # for the static mode and ≥5× for dynamic regret, whose loop spec
-    # re-partitions the whole remaining matrix after every placement.  (At
-    # the paper's own scale the two are intentionally allowed to be a wash —
-    # the fixed per-round overhead only amortises with enough items.)
+    # At 4× the paper's population the engine must clearly win: ≥3× for the
+    # static mode and ≥5× for dynamic regret, whose loop re-partitions the
+    # whole remaining matrix after every placement.  (The paper's own scale
+    # is not gated: with ~100 needy clients the margin is too small to hold
+    # on every host.)
     assert scaled["modes"]["static"]["speedup"] >= 3.0
     assert scaled["modes"]["dynamic"]["speedup"] >= 5.0
     # The equivalence asserts inside _measure_label already proved both modes

@@ -28,7 +28,6 @@ import repro.baselines  # noqa: F401  (registers the baseline solvers)
 from repro import __version__
 from repro.core import CAPInstance
 from repro.core.arbitration import ARBITER_NAMES, make_arbiter
-from repro.core.regret import BACKENDS as SOLVER_BACKENDS, DEFAULT_BACKEND
 from repro.core.registry import solve as registry_solve, solver_names
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.degradation import AdmissionPolicy
@@ -124,19 +123,6 @@ def _fraction_type(value: str) -> float:
     return parsed
 
 
-def _add_solver_backend_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--solver-backend`` option to a sub-command parser."""
-    parser.add_argument(
-        "--solver-backend",
-        default=None,
-        choices=SOLVER_BACKENDS,
-        help=(
-            f"max-regret placement backend (default: {DEFAULT_BACKEND}; 'loop' is "
-            "the executable specification — assignments are bit-identical)"
-        ),
-    )
-
-
 def _add_delay_backend_flag(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--delay-backend`` option to a sub-command parser."""
     parser.add_argument(
@@ -229,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--detail", action="store_true", help="also print the full QoS / resource reports"
     )
-    _add_solver_backend_flag(solve)
     _add_delay_backend_flag(solve)
 
     # experiment ------------------------------------------------------------
@@ -256,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
             "records are identical for any value)"
         ),
     )
-    _add_solver_backend_flag(exp)
     _add_delay_backend_flag(exp)
 
     # simulate ---------------------------------------------------------------
@@ -347,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="stream every epoch record to this CSV file as it is produced",
     )
-    _add_solver_backend_flag(sim)
     _add_delay_backend_flag(sim)
     _add_measurement_backend_flag(sim)
     _add_scenario_flags(sim)
@@ -420,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="dump the measured results as JSON to this path",
     )
-    _add_solver_backend_flag(load)
     _add_delay_backend_flag(load)
     load.add_argument(
         "--measurement-backend",
@@ -535,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="stream every per-shard and aggregate record to this CSV file",
     )
-    _add_solver_backend_flag(fedp)
     _add_delay_backend_flag(fedp)
     _add_measurement_backend_flag(fedp)
     _add_scenario_flags(fedp)
@@ -574,9 +555,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     rows: List[list] = []
     for name in args.algorithms:
-        assignment = registry_solve(
-            instance, name, seed=args.seed, backend=args.solver_backend
-        )
+        assignment = registry_solve(instance, name, seed=args.seed)
         rows.append(
             [
                 name,
@@ -628,7 +607,6 @@ def _build_simulator(args: argparse.Namespace, config, rng) -> ChurnSimulator:
         policy_period=args.period,
         policy_migration_budget=args.migration_budget,
         backend=args.backend,
-        solver_backend=args.solver_backend,
         measurement_backend=args.measurement_backend,
         scenario_timeline=timeline,
         admission_policy=admission,
@@ -724,7 +702,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "epochs": args.epochs,
         "policy": schedule.name,
         "backend": args.backend,
-        "solver backend": args.solver_backend or f"{DEFAULT_BACKEND} (default)",
         "delay backend": config.delay_backend,
         "measurement backend": args.measurement_backend,
         "churn per epoch": f"{args.joins} joins, {args.leaves} leaves, {args.moves} moves",
@@ -891,7 +868,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 arena=arena,
                 alloc_profile=args.alloc_profile,
-                solver_backend=args.solver_backend,
                 delay_backend=args.delay_backend,
             )
         )
@@ -963,7 +939,6 @@ def _build_federated_simulator(args: argparse.Namespace, config, rng) -> Federat
         arbiter=make_arbiter(
             args.arbiter,
             min_slice_fraction=args.min_slice,
-            solver_backend=args.solver_backend,
         ),
         churn_spec=churn_specs,
         migration_cost=MigrationCostModel(cost_per_client=args.migration_cost),
@@ -972,7 +947,6 @@ def _build_federated_simulator(args: argparse.Namespace, config, rng) -> Federat
         policy_period=args.period,
         policy_migration_budget=args.migration_budget,
         backend=args.backend,
-        solver_backend=args.solver_backend,
         measurement_backend=args.measurement_backend,
         scenario_timeline=timeline,
         admission_policy=admission,
@@ -1219,7 +1193,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         num_runs=args.runs,
         seed=args.seed,
         workers=args.workers,
-        solver_backend=args.solver_backend,
         delay_backend=args.delay_backend,
     )
     extra = {}

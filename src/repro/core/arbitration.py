@@ -14,7 +14,7 @@ Three built-in arbiters form a ladder:
   shard's *total* demand: cheap, fair in aggregate, blind to geography.
 * :class:`RegretArbiter` — places all shards' zones on the *full-capacity*
   fleet with the max-regret greedy engine
-  (:func:`repro.core.regret.max_regret_assign`, vectorised backend) and
+  (:func:`repro.core.regret.max_regret_assign`) and
   slices each server proportionally to the demand each shard's zones put on
   it in that unconstrained placement — capacity follows where the zones
   would actually go if shard boundaries did not exist.
@@ -240,10 +240,10 @@ class RegretArbiter(CapacityArbiter):
     """Max-regret-aware re-slicer: capacity follows the zones' preferred hosts.
 
     Pools every shard's zones and places them on the **full-capacity** fleet
-    with :func:`repro.core.regret.max_regret_assign` (the vectorised batched
-    placement backend) — i.e. computes where the zones would go if shard
-    boundaries did not exist — then gives each shard a slice of each server
-    proportional to the demand its zones put there in that placement.  A
+    with :func:`repro.core.regret.max_regret_assign` — i.e. computes where
+    the zones would go if shard boundaries did not exist — then gives each
+    shard a slice of each server proportional to the demand its zones put
+    there in that placement.  A
     shard whose zones are delay-bound to a specific region of the topology
     attracts capacity exactly on the servers of that region, which the
     demand-proportional split cannot express.
@@ -252,7 +252,6 @@ class RegretArbiter(CapacityArbiter):
     ablation study's E7 variant).
     """
 
-    solver_backend: Optional[str] = None
     recompute: bool = False
 
     name: ClassVar[str] = "regret"
@@ -281,7 +280,6 @@ class RegretArbiter(CapacityArbiter):
             capacities,
             fallback="least_loaded",
             recompute=self.recompute,
-            backend=self.solver_backend,
         )
         weights = np.zeros((len(signals), capacities.shape[0]), dtype=np.float64)
         np.add.at(weights, (zone_owners, placement.item_to_server), zone_demands)
@@ -292,7 +290,6 @@ def make_arbiter(
     arbiter: Union[str, CapacityArbiter],
     min_slice_fraction: Optional[float] = None,
     rebalance_threshold: Optional[float] = None,
-    solver_backend: Optional[str] = None,
 ) -> CapacityArbiter:
     """Normalise an arbiter name (or an existing arbiter) into an instance.
 
@@ -313,5 +310,5 @@ def make_arbiter(
     if name == "proportional":
         return ProportionalArbiter(**kwargs)
     if name == "regret":
-        return RegretArbiter(solver_backend=solver_backend, **kwargs)
+        return RegretArbiter(**kwargs)
     raise ValueError(f"unknown arbiter {arbiter!r}; expected one of {ARBITER_NAMES}")

@@ -78,7 +78,6 @@ def assign_contacts_greedy(
     instance: CAPInstance,
     zone_assignment: ZoneAssignment,
     recompute_regret: bool = False,
-    backend: Optional[str] = None,
 ) -> Assignment:
     """Choose contact servers with the max-regret greedy heuristic (GreC).
 
@@ -90,10 +89,6 @@ def assign_contacts_greedy(
         The zone → server map from the initial phase.
     recompute_regret:
         Dynamic-regret variant (ablation); the paper computes regrets once.
-    backend:
-        Placement backend forwarded to
-        :func:`~repro.core.regret.max_regret_assign` (``"vectorized"`` /
-        ``"loop"``; ``None`` uses the library default).
 
     Returns
     -------
@@ -129,7 +124,7 @@ def assign_contacts_greedy(
         if needs_help.any():
             helped = np.flatnonzero(needs_help)
             result = None
-            if not recompute_regret and backend in (None, "vectorized"):
+            if not recompute_regret:
                 # Sparse-backend fast path: the needy clients' candidate
                 # lists are the whole finite-cost problem — O(|L_E| x K)
                 # instead of O(|L_E| x m).
@@ -153,7 +148,6 @@ def assign_contacts_greedy(
                     initial_loads=loads,
                     fallback="skip",
                     recompute=recompute_regret,
-                    backend=backend,
                 )
             chosen = result.item_to_server
             # Clients that could not be placed anywhere keep their target server

@@ -73,7 +73,6 @@ def _zone_candidate_table(instance: CAPInstance) -> Optional[np.ndarray]:
 def assign_zones_greedy(
     instance: CAPInstance,
     recompute_regret: bool = False,
-    backend: Optional[str] = None,
 ) -> ZoneAssignment:
     """Assign zones to servers with the max-regret greedy heuristic (GreZ).
 
@@ -85,11 +84,6 @@ def assign_zones_greedy(
         When True, regrets are recomputed after every placement (dynamic
         variant, used by the ablation experiment); the paper's pseudocode
         computes them once, which is the default.
-    backend:
-        Placement backend forwarded to
-        :func:`~repro.core.regret.max_regret_assign` (``"vectorized"`` /
-        ``"loop"``; ``None`` uses the library default).  The backends produce
-        bit-identical assignments.
 
     Returns
     -------
@@ -105,7 +99,6 @@ def assign_zones_greedy(
             capacities=instance.server_capacities,
             fallback="least_loaded",
             recompute=recompute_regret,
-            backend=backend,
             fallback_allowed=zone_fallback_candidates(instance),
             candidate_servers=_zone_candidate_table(instance),
         )

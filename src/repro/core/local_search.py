@@ -17,14 +17,14 @@ with QoS, secondarily minimise the total excess delay of the clients without
 QoS (so progress is visible even when a single move cannot flip a client
 across the bound).
 
-Two interchangeable implementations are provided.  The ``"vectorized"``
-backend (default) evaluates the whole zone-move neighbourhood with NumPy
+The search evaluates the whole zone-move neighbourhood with NumPy
 delta-cost matrices — one ``(zones, servers)`` objective matrix and one
 feasibility matrix per sweep — and the contact-move neighbourhood with one
 ``(over-bound clients, servers)`` matrix, so a full improvement sweep is a
-handful of array operations.  The ``"loop"`` backend is the original nested
-Python scan, kept as the executable specification of the move-acceptance
-semantics; the test suite checks the two agree on small instances.
+handful of array operations.  The nested Python scan that specifies the
+move-acceptance semantics is kept as a test-only oracle
+(``tests/reference/local_search_loop.py``); the test suite checks that both
+apply the same moves on small and generated instances.
 """
 
 from __future__ import annotations
@@ -69,105 +69,8 @@ class LocalSearchResult:
     runtime_seconds: float
 
 
-def _objective(instance: CAPInstance, delays: np.ndarray) -> tuple[int, float]:
-    """(number of clients with QoS, negative total excess delay) — larger is better."""
-    within = delays <= instance.delay_bound
-    excess = np.maximum(delays - instance.delay_bound, 0.0).sum()
-    return int(within.sum()), -float(excess)
-
-
 # --------------------------------------------------------------------------- #
-# Loop backend — the executable specification of the move semantics.
-# --------------------------------------------------------------------------- #
-def _refine_loop(
-    instance: CAPInstance,
-    zone_to_server: np.ndarray,
-    contacts: np.ndarray,
-    max_iterations: int,
-    consider_zone_moves: bool,
-    consider_contact_moves: bool,
-) -> int:
-    """Original nested-scan hill climber; mutates the arrays in place."""
-    capacities = instance.server_capacities
-    iterations = 0
-    for _ in range(max_iterations):
-        delays = delays_to_targets(instance, zone_to_server, contacts)
-        current = _objective(instance, delays)
-        loads = server_loads(instance, zone_to_server, contacts)
-        best_gain: tuple[int, float] | None = None
-        best_apply = None
-
-        # ---------------- zone moves ---------------- #
-        if consider_zone_moves:
-            zone_demands = instance.zone_demands()
-            for zone in range(instance.num_zones):
-                members = instance.clients_of_zone(zone)
-                if members.size == 0:
-                    continue
-                old_server = int(zone_to_server[zone])
-                for server in range(instance.num_servers):
-                    if server == old_server:
-                        continue
-                    if loads[server] + zone_demands[zone] > capacities[server] + _CAP_EPS:
-                        continue
-                    trial_zone = zone_to_server.copy()
-                    trial_zone[zone] = server
-                    trial_contacts = contacts.copy()
-                    # Clients of the moved zone reconnect directly to the new
-                    # host (the GreC base case); forwarded clients elsewhere
-                    # are unaffected because their targets did not change.
-                    trial_contacts[members] = server
-                    trial_loads = server_loads(instance, trial_zone, trial_contacts)
-                    if (trial_loads > capacities + _CAP_EPS).any():
-                        continue
-                    trial_delays = delays_to_targets(instance, trial_zone, trial_contacts)
-                    candidate = _objective(instance, trial_delays)
-                    if candidate > current and (best_gain is None or candidate > best_gain):
-                        best_gain = candidate
-                        best_apply = ("zone", zone, server, trial_contacts)
-
-        # ---------------- contact moves ---------------- #
-        if consider_contact_moves:
-            targets = zone_to_server[instance.client_zones]
-            delays_now = delays_to_targets(instance, zone_to_server, contacts)
-            # Only clients currently missing the bound can gain from a move.
-            for client in np.flatnonzero(delays_now > instance.delay_bound):
-                client = int(client)
-                target = int(targets[client])
-                options = (
-                    instance.delay_rows(client)
-                    + instance.server_server_delays[:, target]
-                )
-                for server in np.argsort(options, kind="stable"):
-                    server = int(server)
-                    if server == int(contacts[client]):
-                        continue
-                    extra = 0.0 if server == target else 2.0 * instance.client_demands[client]
-                    new_load = loads[server] + extra
-                    if server != int(contacts[client]) and new_load > capacities[server] + _CAP_EPS:
-                        continue
-                    trial_contacts = contacts.copy()
-                    trial_contacts[client] = server
-                    trial_delays = delays_now.copy()
-                    trial_delays[client] = options[server]
-                    candidate = _objective(instance, trial_delays)
-                    if candidate > current and (best_gain is None or candidate > best_gain):
-                        best_gain = candidate
-                        best_apply = ("contact", client, server, trial_contacts)
-                    break  # only the best option per client needs checking
-
-        if best_apply is None:
-            break
-        kind, index, server, new_contacts = best_apply
-        if kind == "zone":
-            zone_to_server[index] = server
-        contacts[:] = new_contacts
-        iterations += 1
-    return iterations
-
-
-# --------------------------------------------------------------------------- #
-# Vectorized backend — delta-cost matrices instead of nested scans.
+# Best-move search — delta-cost matrices instead of nested scans.
 # --------------------------------------------------------------------------- #
 def _zone_move_aggregates(
     instance: CAPInstance,
@@ -176,7 +79,7 @@ def _zone_move_aggregates(
 
     ``direct[c, s]`` is client ``c``'s delay when connected directly to host
     ``s`` (the self-delay diagonal term is normally zero but kept for exact
-    parity with the loop backend); ``within_matrix`` / ``excess_matrix``
+    parity with the nested-scan oracle); ``within_matrix`` / ``excess_matrix``
     aggregate it per zone, and ``zone_sizes`` counts members.  Shared by
     every zone-move neighbourhood scanner.
 
@@ -218,7 +121,7 @@ def _best_zone_move(
 ) -> Optional[Tuple[int, float, int, int]]:
     """Best improving zone move as ``(qos, excess, zone, server)``, or None.
 
-    Mirrors the loop scan exactly: a move is improving when its objective
+    Mirrors the nested scan exactly: a move is improving when its objective
     strictly beats the current one, and ties between improving moves resolve
     to the first in (zone-major, server-minor) order because later candidates
     must *strictly* beat the incumbent.
@@ -255,12 +158,12 @@ def _best_zone_move(
 
     # Full feasibility: every server must end within capacity.  Servers other
     # than the destination only ever lose load, but a pre-existing overload
-    # elsewhere still vetoes the move (as in the loop's trial check).
+    # elsewhere still vetoes the move (as in the nested scan's trial check).
     over_matrix = trial_base > capacities[None, :] + _CAP_EPS
     over_elsewhere = over_matrix.sum(axis=1)[:, None] - over_matrix
     feasible = over_elsewhere == 0
     feasible &= trial_base + zone_demands[:, None] <= capacities[None, :] + _CAP_EPS
-    # The loop's cheap pre-check uses the *unreduced* loads; keep it so the
+    # The nested scan's cheap pre-check uses the *unreduced* loads; keep it so the
     # accepted move set is identical.
     feasible &= loads[None, :] + zone_demands[:, None] <= capacities[None, :] + _CAP_EPS
     feasible[np.arange(num_zones), old_servers] = False
@@ -293,7 +196,7 @@ def _best_contact_move(
 ) -> Optional[Tuple[int, float, int, int]]:
     """Best improving contact move as ``(qos, excess, client, server)``, or None.
 
-    Per the loop semantics each over-bound client contributes exactly one
+    Per the nested-scan semantics each over-bound client contributes exactly one
     candidate — its delay-wise best feasible server other than its current
     contact — and a candidate must strictly beat both the current objective
     and the incumbent (the best zone move, then earlier clients).
@@ -411,7 +314,7 @@ def _refine_vectorized(
 
 
 # --------------------------------------------------------------------------- #
-# Incremental backend — warm-start refinement with maintained accumulators.
+# Incremental search — warm-start refinement with maintained accumulators.
 # --------------------------------------------------------------------------- #
 def _refine_incremental(
     instance: CAPInstance,
@@ -539,7 +442,7 @@ def _repair_contacts_sweep(
     resolves capacity contention per destination server with a prefix sum in
     client order (later claimants that would overflow wait for the next
     sweep, when the loads they freed elsewhere are also visible).  Sweeps
-    repeat until one applies nothing.  Unlike the best-first backends this
+    repeat until one applies nothing.  Unlike the best-first searches this
     does not pick the globally best move per round — it trades that for
     O(sweeps) vectorised scans instead of O(moves), which is what makes the
     per-epoch repair cost of a longitudinal simulation proportional to the
@@ -852,16 +755,12 @@ def warm_start_refine(
     )
 
 
-_BACKENDS = ("vectorized", "loop")
-
-
 def refine_assignment(
     instance: CAPInstance,
     assignment: Assignment,
     max_iterations: int = 200,
     consider_zone_moves: bool = True,
     consider_contact_moves: bool = True,
-    backend: str = "vectorized",
 ) -> LocalSearchResult:
     """Hill-climb an assignment with zone-move and contact-move neighbourhoods.
 
@@ -880,23 +779,19 @@ def refine_assignment(
     consider_zone_moves / consider_contact_moves:
         Restrict the neighbourhood (used by the ablation study to attribute
         improvements to one move type).
-    backend:
-        ``"vectorized"`` (default) evaluates each sweep with NumPy delta-cost
-        matrices; ``"loop"`` is the original nested Python scan with the same
-        move-acceptance semantics.  Objective deltas are accumulated in a
-        different floating-point order, so the two backends can in principle
-        break an exact tie differently; both always return a move-wise local
-        optimum of the same neighbourhood.
+
+    Each sweep is evaluated with NumPy delta-cost matrices.  Objective deltas
+    are accumulated in a different floating-point order than the nested-scan
+    oracle's full recomputation, so the two can in principle break an exact
+    tie differently; both always return a move-wise local optimum of the same
+    neighbourhood.
     """
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
     zone_to_server = assignment.zone_to_server.copy()
     contacts = assignment.contact_of_client.copy()
     initial_pqos = assignment.pqos(instance)
 
-    refine = _refine_vectorized if backend == "vectorized" else _refine_loop
     with Timer() as timer:
-        iterations = refine(
+        iterations = _refine_vectorized(
             instance,
             zone_to_server,
             contacts,

@@ -9,8 +9,7 @@ register themselves on import (see that package's ``__init__``).
 
 from __future__ import annotations
 
-import inspect
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable
 
 from repro.core.assignment import Assignment
 from repro.core.optimal import OptimalOptions, solve_cap_optimal
@@ -23,21 +22,6 @@ __all__ = ["SolverFn", "register_solver", "get_solver", "solver_names", "solve"]
 SolverFn = Callable[[CAPInstance, SeedLike], Assignment]
 
 _REGISTRY: Dict[str, SolverFn] = {}
-
-#: Solver names whose callable accepts a ``backend=`` keyword — computed at
-#: registration time, so :func:`solve` can forward the placement backend to
-#: the max-regret solvers while leaving e.g. the baselines untouched.
-_ACCEPTS_BACKEND: Dict[str, bool] = {}
-
-
-def _sniff_accepts_backend(solver: SolverFn) -> bool:
-    try:
-        params = inspect.signature(solver).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    return "backend" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
 
 
 def register_solver(name: str, solver: SolverFn, overwrite: bool = False) -> None:
@@ -56,7 +40,6 @@ def register_solver(name: str, solver: SolverFn, overwrite: bool = False) -> Non
     if key in _REGISTRY and not overwrite:
         raise KeyError(f"solver {name!r} is already registered")
     _REGISTRY[key] = solver
-    _ACCEPTS_BACKEND[key] = _sniff_accepts_backend(solver)
 
 
 def get_solver(name: str) -> SolverFn:
@@ -78,31 +61,14 @@ def solve(
     instance: CAPInstance,
     name: str,
     seed: SeedLike = None,
-    backend: Optional[str] = None,
 ) -> Assignment:
-    """Solve an instance with the named solver.
-
-    ``backend`` selects the max-regret placement backend (``"vectorized"`` /
-    ``"loop"``) for solvers built on it; solvers without that machinery (the
-    baselines, the MILP) ignore it — they have no loop/vectorized split.
-    """
-    solver = get_solver(name)
-    if backend is not None and _ACCEPTS_BACKEND.get(name.lower(), False):
-        return solver(instance, seed, backend=backend)
-    return solver(instance, seed)
+    """Solve an instance with the named solver."""
+    return get_solver(name)(instance, seed)
 
 
 def _register_standard() -> None:
     for algo_name, algorithm in STANDARD_ALGORITHMS.items():
-        def _solver(
-            instance: CAPInstance,
-            seed: SeedLike = None,
-            backend: Optional[str] = None,
-            _a=algorithm,
-        ) -> Assignment:
-            return _a.solve(instance, seed=seed, solver_backend=backend)
-
-        register_solver(algo_name, _solver, overwrite=True)
+        register_solver(algo_name, algorithm.solve, overwrite=True)
 
     def _optimal(instance: CAPInstance, seed: SeedLike = None) -> Assignment:  # noqa: ARG001
         return solve_cap_optimal(instance, options=OptimalOptions())

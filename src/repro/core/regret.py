@@ -20,22 +20,17 @@ experiment E7, where an item's regret is re-evaluated over the servers that
 *currently* have room for it: an item whose second-best option just filled up
 becomes urgent and is placed next, before its best option fills up too.
 
-Two interchangeable backends implement both modes:
-
-* ``backend="loop"`` — the original per-item Python scan, kept as the
-  executable specification of the placement semantics.
-* ``backend="vectorized"`` (default) — the same placements with the work
-  batched.  The static mode is one sequential walk over the regret order:
-  first choices come from vectorised masked-argmax blocks of 64 positions,
-  and each item is then tested and placed one at a time with the loop's own
-  scalar feasibility test and addition order, so the walk equals the loop
-  by construction.  Loads only grow, so a block choice stays exact while
-  its server still fits; an item displaced from it is re-evaluated on the
-  spot by a masked argmax over its table row (a pure-Python scan of its
-  full row on fleets too narrow for a table).  The dynamic mode maintains each item's top-two
-  feasible desirabilities incrementally and re-evaluates only the items
-  whose cached best or second-best server just received load, instead of
-  re-partitioning every remaining column after every placement.
+One engine implements both modes.  The static mode is one sequential walk
+over the regret order: first choices come from vectorised masked-argmax
+blocks of 64 positions, and each item is then tested and placed one at a
+time with a scalar feasibility test and addition order, so each placement is
+exactly the per-item scan's.  Loads only grow, so a block choice stays exact
+while its server still fits; an item displaced from it is re-evaluated on
+the spot by a masked argmax over its table row (a pure-Python scan of its
+full row on fleets too narrow for a table).  The dynamic mode maintains each
+item's top-two feasible desirabilities incrementally and re-evaluates only
+the items whose cached best or second-best server just received load,
+instead of re-partitioning every remaining column after every placement.
 
 The static engine's re-evaluation table is an optional per-item set of
 servers (ascending ids).  A feasible table hit that beats the table's
@@ -57,9 +52,9 @@ falling back to the unrestricted argmax only when the item has no allowed
 server at all.  Without a mask the behaviour is exactly the classic
 delay-blind fallback.
 
-The two backends produce bit-identical assignments, loads and overflow flags
-for the same inputs (the equivalence is property-tested across fallback
-modes, capacity-tight instances and degenerate shapes).
+The per-item Python scan that specifies these semantics is kept as a
+test-only oracle (``tests/reference/regret_loop.py``); the engine must match
+it bit for bit on assignments, loads and overflow flags.
 """
 
 from __future__ import annotations
@@ -74,15 +69,7 @@ __all__ = [
     "max_regret_assign",
     "max_regret_assign_candidates",
     "regret_order",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
 ]
-
-#: Placement backends: the batched engine and the per-item executable spec.
-BACKENDS = ("vectorized", "loop")
-
-#: Backend used when callers do not ask for one explicitly.
-DEFAULT_BACKEND = "vectorized"
 
 #: Capacity slack shared by every feasibility check (matches the heuristics).
 _CAP_EPS = 1e-9
@@ -136,25 +123,6 @@ def regret_order(desirability: np.ndarray) -> np.ndarray:
     return np.argsort(-regrets, kind="stable").astype(np.int64)
 
 
-def _feasible_regrets(masked: np.ndarray) -> np.ndarray:
-    """Per-item dynamic regret, given desirability masked to ``-inf`` when infeasible.
-
-    Items with two or more feasible servers get the usual best-minus-second
-    gap; an item whose *only* feasible server could still fill up is urgent
-    (``+inf``); an item with no feasible server left can only be handled by
-    the fallback, so it sorts last (``-inf``).
-    """
-    num_servers = masked.shape[0]
-    if num_servers == 1:
-        return np.where(np.isneginf(masked[0]), -np.inf, np.inf)
-    top_two = np.partition(masked, num_servers - 2, axis=0)[-2:, :]
-    with np.errstate(invalid="ignore"):
-        regrets = top_two[1] - top_two[0]
-    # -inf minus -inf is NaN: no feasible server at all.
-    regrets[np.isneginf(top_two[1])] = -np.inf
-    return regrets
-
-
 def _fallback_server(
     capacities: np.ndarray,
     loads: np.ndarray,
@@ -175,59 +143,7 @@ def _fallback_server(
 
 
 # --------------------------------------------------------------------------- #
-# Loop backend — the executable specification of the placement semantics.
-# --------------------------------------------------------------------------- #
-def _assign_loop(
-    desirability: np.ndarray,
-    demands: np.ndarray,
-    capacities: np.ndarray,
-    loads: np.ndarray,
-    item_to_server: np.ndarray,
-    fallback: str,
-    recompute: bool,
-    fallback_allowed: Optional[np.ndarray] = None,
-) -> bool:
-    """Per-item scan; mutates ``loads`` / ``item_to_server``, returns overflow flag."""
-    num_servers, num_items = desirability.shape
-    capacity_exceeded = False
-
-    # Pre-sorted server preference per item (descending desirability).
-    preference = np.argsort(-desirability, axis=0, kind="stable")
-
-    def place(item: int) -> None:
-        nonlocal capacity_exceeded
-        for server in preference[:, item]:
-            if loads[server] + demands[item] <= capacities[server] + _CAP_EPS:
-                item_to_server[item] = server
-                loads[server] += demands[item]
-                return
-        if fallback == "least_loaded":
-            allowed = None if fallback_allowed is None else fallback_allowed[:, item]
-            server = _fallback_server(capacities, loads, allowed)
-            item_to_server[item] = server
-            loads[server] += demands[item]
-            capacity_exceeded = True
-        # fallback == "skip": leave as -1
-
-    if not recompute:
-        for item in regret_order(desirability):
-            place(int(item))
-    else:
-        remaining = np.ones(num_items, dtype=bool)
-        for _ in range(num_items):
-            idx = np.flatnonzero(remaining)
-            feasible = loads[:, None] + demands[idx][None, :] <= capacities[:, None] + _CAP_EPS
-            masked = np.where(feasible, desirability[:, idx], -np.inf)
-            regrets = _feasible_regrets(masked)
-            # First maximum wins, so regret ties resolve to the lowest index.
-            item = int(idx[int(np.argmax(regrets))])
-            remaining[item] = False
-            place(item)
-    return capacity_exceeded
-
-
-# --------------------------------------------------------------------------- #
-# Vectorized backend, static mode — one sequential walk over the regret order.
+# Static mode — one sequential walk over the regret order.
 # --------------------------------------------------------------------------- #
 def _table(table_idx: np.ndarray, table_val: np.ndarray, tier_complete: bool):
     """Re-evaluation table and static regret order from per-item server sets.
@@ -317,8 +233,8 @@ def _best_feasible(
     """Each item's most desirable server that can take its demand now (-1: none).
 
     The vectorised masked argmax over a block of items (first maximum =
-    lowest server id, the loop's stable preference walk) under the loop's
-    feasibility test ``loads + demand <= capacities + eps``.  Items are first
+    lowest server id, the per-item scan's stable preference walk) under the
+    scan's feasibility test ``loads + demand <= capacities + eps``.  Items are first
     looked up in the re-evaluation table ``top``; a hit is final when the
     table is complete (``top_thresh`` is ``None``) or when it beats the row
     minimum.  The rest take a full-width scan over ``get_rows`` rows,
@@ -404,11 +320,11 @@ def _static_walk(
     """The static placement walk shared by the full-matrix and candidate paths.
 
     Items are placed one at a time in regret order ``order``, exactly as the
-    loop specification places them: the feasibility test is the loop's own
+    per-item scan places them: the feasibility test is the scan's own
     scalar expression ``load + d <= capacity + eps`` on Python-float mirrors
     of ``loads`` and ``capacities + _CAP_EPS``, and each placement adds its
     demand to its server's running load and writes the sum back to
-    ``loads``, so even the floating-point addition order is the loop's.
+    ``loads``, so even the floating-point addition order is the scan's.
 
     First choices come in vectorised blocks of ``_BLOCK`` positions
     (:func:`_best_feasible` under the loads at the block's start).  Loads
@@ -493,15 +409,16 @@ def _static_walk(
 
 
 # --------------------------------------------------------------------------- #
-# Vectorized backend, dynamic mode — incremental top-two maintenance.
+# Dynamic mode — incremental top-two maintenance.
 # --------------------------------------------------------------------------- #
 def _top_two_feasible(masked: np.ndarray):
     """Best / second-best feasible desirability per column of a masked matrix.
 
     Returns ``(best_val, best_srv, second_val, second_srv, regrets)`` where the
     server indices are the *first* index attaining each value (matching the
-    stable preference walk of the loop backend) and ``regrets`` follows
-    :func:`_feasible_regrets` semantics.
+    stable preference walk of the per-item scan) and ``regrets`` is the
+    dynamic regret: best minus second-best, ``+inf`` for an item with one
+    feasible server left and ``-inf`` for an item with none.
     """
     cols = np.arange(masked.shape[1])
     best_srv = masked.argmax(axis=0)
@@ -531,9 +448,9 @@ def _assign_dynamic_incremental(
     regret only changes when a server in its feasible top two does — so after
     each placement only the remaining items whose cached best or second-best
     server just received load are re-evaluated (one masked argmax over that
-    subset), instead of re-partitioning the full remaining matrix like the
-    loop backend.  Selection, placement and fallback semantics are exactly
-    the loop's, so the assignments are bit-identical.
+    subset), instead of re-partitioning the full remaining matrix after every
+    placement.  Selection, placement and fallback semantics are exactly the
+    per-item scan's, so the assignments are bit-identical to it.
     """
     num_items = desirability.shape[1]
     capacity_exceeded = False
@@ -548,14 +465,14 @@ def _assign_dynamic_incremental(
 
     for _ in range(num_items):
         # First maximum among the remaining indices, so regret ties resolve
-        # to the lowest item index — exactly the loop's selection rule.
+        # to the lowest item index — exactly the per-item scan's selection rule.
         idx = np.flatnonzero(remaining)
         item = int(idx[int(np.argmax(regrets[idx]))])
         remaining[item] = False
 
         touched: Optional[int] = None
         if np.isneginf(best_val[item]):
-            # No feasible server left: fallback, exactly like the loop spec.
+            # No feasible server left: fallback, exactly like the per-item scan.
             if fallback == "least_loaded":
                 allowed = None if fallback_allowed is None else fallback_allowed[:, item]
                 server = _fallback_server(capacities, loads, allowed)
@@ -602,6 +519,26 @@ def _check_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be finite (no NaN or ±inf)")
 
 
+def _checked_loads(
+    demands: np.ndarray,
+    capacities: np.ndarray,
+    initial_loads: Optional[np.ndarray],
+    num_servers: int,
+) -> np.ndarray:
+    """Validate demands, capacities and initial loads; returns a fresh loads array."""
+    _check_finite(demands, "demands")
+    _check_finite(capacities, "capacities")
+    if (demands < 0).any():
+        raise ValueError("demands must be non-negative")
+    if initial_loads is None:
+        return np.zeros(num_servers)
+    loads = np.array(initial_loads, dtype=np.float64)
+    if loads.shape != (num_servers,):
+        raise ValueError("initial_loads must have one entry per server")
+    _check_finite(loads, "initial_loads")
+    return loads
+
+
 def _checked_candidates(
     candidate_servers: np.ndarray, num_items: int, num_servers: int
 ) -> np.ndarray:
@@ -627,7 +564,6 @@ def max_regret_assign(
     initial_loads: Optional[np.ndarray] = None,
     fallback: str = "least_loaded",
     recompute: bool = False,
-    backend: Optional[str] = None,
     fallback_allowed: Optional[np.ndarray] = None,
     candidate_servers: Optional[np.ndarray] = None,
 ) -> RegretResult:
@@ -637,16 +573,18 @@ def max_regret_assign(
     ----------
     desirability:
         ``(num_servers, num_items)`` desirability ``mu[i, j]`` (higher better).
-        Values must be finite — ``-inf`` is reserved as the backends' internal
+        Values must be finite — ``-inf`` is reserved as the engine's internal
         infeasibility mask (the library's cost matrices are always finite) —
         and NaN or ±inf raise ``ValueError``.
     demands:
-        ``(num_items,)`` resource demand added to the chosen server's load.
+        ``(num_items,)`` resource demand added to the chosen server's load;
+        finite and non-negative.
     capacities:
-        ``(num_servers,)`` server capacities.
+        ``(num_servers,)`` server capacities; finite.
     initial_loads:
         Optional existing per-server loads (e.g. target-server traffic already
-        committed by the initial phase).
+        committed by the initial phase); finite.  NaN or ±inf in ``demands``,
+        ``capacities`` or ``initial_loads`` raise ``ValueError``.
     fallback:
         What to do when no server has room for an item:
         ``"least_loaded"`` (default) places it on the server with the largest
@@ -659,10 +597,6 @@ def max_regret_assign(
         filling up are placed with priority; an item whose last feasible
         server is at risk becomes maximally urgent.  When False (the paper's
         pseudocode) regrets are computed once from the full matrix.
-    backend:
-        ``"vectorized"`` (default) uses the batched placement engine;
-        ``"loop"`` is the original per-item scan, kept as the executable
-        specification.  Both produce bit-identical results.
     fallback_allowed:
         Optional ``(num_servers, num_items)`` boolean candidate mask for the
         ``least_loaded`` fallback: the emergency placement's residual-capacity
@@ -670,18 +604,16 @@ def max_regret_assign(
         the sparse delay backend's per-zone candidate sets) instead of the
         whole fleet.  An item with no allowed server falls back to the
         unrestricted argmax.  Ignored by ``fallback="skip"``; ``None`` keeps
-        the classic delay-blind fallback.  Every backend honours the mask
-        identically.
+        the classic delay-blind fallback.
     candidate_servers:
         Optional ``(num_items, K)`` server ids per item, strictly increasing
         per row, ``K >= 2``, under a non-strict dominance contract: every
         unlisted server's desirability is ``<=`` the item's smallest listed
         one (e.g. GreZ's zone candidates on the sparse delay backend, whose
         non-candidates all cost the whole zone population).  The static
-        vectorized engine then takes its regret order and re-evaluation
-        table from the list instead of partitioning the full matrix; the
-        result is the same.  Ignored by ``recompute=True`` and the loop
-        backend.
+        engine then takes its regret order and re-evaluation table from the
+        list instead of partitioning the full matrix; the result is the
+        same.  Ignored by ``recompute=True``.
 
     Returns
     -------
@@ -698,8 +630,6 @@ def max_regret_assign(
         raise ValueError("demands must have one entry per item")
     if capacities.shape != (num_servers,):
         raise ValueError("capacities must have one entry per server")
-    if (demands < 0).any():
-        raise ValueError("demands must be non-negative")
     if fallback not in ("least_loaded", "skip"):
         raise ValueError("fallback must be 'least_loaded' or 'skip'")
     if fallback_allowed is not None:
@@ -709,26 +639,13 @@ def max_regret_assign(
                 f"fallback_allowed must have shape ({num_servers}, {num_items}), "
                 f"got {fallback_allowed.shape}"
             )
-    backend = DEFAULT_BACKEND if backend is None else backend
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if candidate_servers is not None:
         candidate_servers = _checked_candidates(candidate_servers, num_items, num_servers)
-
-    loads = np.zeros(num_servers) if initial_loads is None else np.asarray(
-        initial_loads, dtype=np.float64
-    ).copy()
-    if loads.shape != (num_servers,):
-        raise ValueError("initial_loads must have one entry per server")
+    loads = _checked_loads(demands, capacities, initial_loads, num_servers)
 
     item_to_server = np.full(num_items, -1, dtype=np.int64)
 
-    if backend == "loop":
-        capacity_exceeded = _assign_loop(
-            desirability, demands, capacities, loads, item_to_server, fallback,
-            recompute, fallback_allowed,
-        )
-    elif recompute:
+    if recompute:
         capacity_exceeded = _assign_dynamic_incremental(
             desirability, demands, capacities, loads, item_to_server, fallback,
             fallback_allowed,
@@ -759,12 +676,12 @@ def max_regret_assign_candidates(
 ) -> RegretResult:
     """Static max-regret placement driven by per-item candidate lists.
 
-    Bit-identical to :func:`max_regret_assign` (static mode, vectorized
-    backend) on the implied full ``(num_servers, num_items)`` desirability
-    matrix, but it never materialises that matrix: the caller supplies, per
-    item, the candidate servers and their desirabilities, and the engine's
-    re-evaluation table is built straight from them — no per-item
-    ``argpartition`` over the fleet and no O(items × servers) cost rows.
+    Bit-identical to :func:`max_regret_assign` (static mode) on the implied
+    full ``(num_servers, num_items)`` desirability matrix, but it never
+    materialises that matrix: the caller supplies, per item, the candidate
+    servers and their desirabilities, and the engine's re-evaluation table
+    is built straight from them — no per-item ``argpartition`` over the
+    fleet and no O(items × servers) cost rows.
     This is the sparse-delay-backend fast path of GreC: each needy client's
     finite-cost servers are exactly its zone's K candidates.
 
@@ -814,8 +731,6 @@ def max_regret_assign_candidates(
         raise ValueError("demands must have one entry per item")
     if capacities.shape != (num_servers,):
         raise ValueError("capacities must have one entry per server")
-    if (demands < 0).any():
-        raise ValueError("demands must be non-negative")
     if fallback not in ("least_loaded", "skip"):
         raise ValueError("fallback must be 'least_loaded' or 'skip'")
     if fallback_allowed is not None:
@@ -825,12 +740,7 @@ def max_regret_assign_candidates(
                 f"fallback_allowed must have shape ({num_servers}, {num_items}), "
                 f"got {fallback_allowed.shape}"
             )
-
-    loads = np.zeros(num_servers) if initial_loads is None else np.asarray(
-        initial_loads, dtype=np.float64
-    ).copy()
-    if loads.shape != (num_servers,):
-        raise ValueError("initial_loads must have one entry per server")
+    loads = _checked_loads(demands, capacities, initial_loads, num_servers)
 
     item_to_server = np.full(num_items, -1, dtype=np.int64)
     if num_items == 0:

@@ -32,8 +32,8 @@ __all__ = [
     "available_algorithms",
 ]
 
-IAPSolver = Callable[[CAPInstance, SeedLike, Optional[str]], ZoneAssignment]
-RAPSolver = Callable[[CAPInstance, ZoneAssignment, Optional[str]], Assignment]
+IAPSolver = Callable[[CAPInstance, SeedLike], ZoneAssignment]
+RAPSolver = Callable[[CAPInstance, ZoneAssignment], Assignment]
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,9 @@ class TwoPhaseAlgorithm:
     name:
         Canonical lower-case name, e.g. ``"grez-grec"``.
     iap:
-        Callable ``(instance, seed, solver_backend) -> ZoneAssignment``.
+        Callable ``(instance, seed) -> ZoneAssignment``.
     rap:
-        Callable ``(instance, zone_assignment, solver_backend) -> Assignment``.
+        Callable ``(instance, zone_assignment) -> Assignment``.
     description:
         One-line human-readable description.
     """
@@ -57,75 +57,47 @@ class TwoPhaseAlgorithm:
     rap: RAPSolver
     description: str = ""
 
-    def solve(
-        self,
-        instance: CAPInstance,
-        seed: SeedLike = None,
-        solver_backend: Optional[str] = None,
-    ) -> Assignment:
-        """Run both phases and return the complete assignment.
-
-        ``solver_backend`` selects the max-regret placement backend
-        (``"vectorized"`` / ``"loop"``; ``None`` uses the library default) —
-        the backends are bit-identical, so this only affects speed.
-        """
-        zone_assignment = self.iap(instance, seed, solver_backend)
-        assignment = self.rap(instance, zone_assignment, solver_backend)
+    def solve(self, instance: CAPInstance, seed: SeedLike = None) -> Assignment:
+        """Run both phases and return the complete assignment."""
+        zone_assignment = self.iap(instance, seed)
+        assignment = self.rap(instance, zone_assignment)
         return assignment.with_algorithm(self.name)
 
 
 # ---------------------------------------------------------------------- #
-# Phase solver adapters (uniform signatures)
+# Phase solver adapters (the uniform two-argument signatures)
 # ---------------------------------------------------------------------- #
-def _ranz(
-    instance: CAPInstance, seed: SeedLike, backend: Optional[str] = None  # noqa: ARG001
-) -> ZoneAssignment:
-    return assign_zones_random(instance, seed=seed)
+def _grez(instance: CAPInstance, seed: SeedLike) -> ZoneAssignment:  # noqa: ARG001
+    return assign_zones_greedy(instance)
 
 
-def _grez(
-    instance: CAPInstance, seed: SeedLike, backend: Optional[str] = None  # noqa: ARG001
-) -> ZoneAssignment:
-    return assign_zones_greedy(instance, backend=backend)
+def _grez_dynamic(instance: CAPInstance, seed: SeedLike) -> ZoneAssignment:  # noqa: ARG001
+    return assign_zones_greedy(instance, recompute_regret=True)
 
 
-def _grez_dynamic(
-    instance: CAPInstance, seed: SeedLike, backend: Optional[str] = None  # noqa: ARG001
-) -> ZoneAssignment:
-    return assign_zones_greedy(instance, recompute_regret=True, backend=backend)
-
-
-def _virc(
-    instance: CAPInstance, zones: ZoneAssignment, backend: Optional[str] = None  # noqa: ARG001
-) -> Assignment:
-    return assign_contacts_virtual(instance, zones)
-
-
-def _grec(
-    instance: CAPInstance, zones: ZoneAssignment, backend: Optional[str] = None
-) -> Assignment:
-    return assign_contacts_greedy(instance, zones, backend=backend)
-
-
-def _grec_dynamic(
-    instance: CAPInstance, zones: ZoneAssignment, backend: Optional[str] = None
-) -> Assignment:
-    return assign_contacts_greedy(instance, zones, recompute_regret=True, backend=backend)
+def _grec_dynamic(instance: CAPInstance, zones: ZoneAssignment) -> Assignment:
+    return assign_contacts_greedy(instance, zones, recompute_regret=True)
 
 
 #: The four two-phase algorithms evaluated in the paper.
 PAPER_ALGORITHMS: Dict[str, TwoPhaseAlgorithm] = {
     "ranz-virc": TwoPhaseAlgorithm(
-        "ranz-virc", _ranz, _virc, "random zones, contact = target"
+        "ranz-virc",
+        assign_zones_random,
+        assign_contacts_virtual,
+        "random zones, contact = target",
     ),
     "ranz-grec": TwoPhaseAlgorithm(
-        "ranz-grec", _ranz, _grec, "random zones, greedy contact selection"
+        "ranz-grec",
+        assign_zones_random,
+        assign_contacts_greedy,
+        "random zones, greedy contact selection",
     ),
     "grez-virc": TwoPhaseAlgorithm(
-        "grez-virc", _grez, _virc, "greedy zones, contact = target"
+        "grez-virc", _grez, assign_contacts_virtual, "greedy zones, contact = target"
     ),
     "grez-grec": TwoPhaseAlgorithm(
-        "grez-grec", _grez, _grec, "greedy zones, greedy contact selection"
+        "grez-grec", _grez, assign_contacts_greedy, "greedy zones, greedy contact selection"
     ),
 }
 
@@ -151,7 +123,6 @@ def solve_cap(
     algorithm: str = "grez-grec",
     seed: SeedLike = None,
     registry: Optional[Dict[str, TwoPhaseAlgorithm]] = None,
-    solver_backend: Optional[str] = None,
 ) -> Assignment:
     """Solve a CAP instance with one of the registered two-phase heuristics.
 
@@ -166,9 +137,6 @@ def solve_cap(
         RNG seed (only used by the RanZ-based algorithms).
     registry:
         Optional alternative algorithm registry (used by tests).
-    solver_backend:
-        Max-regret placement backend (``"vectorized"`` / ``"loop"``; ``None``
-        uses the library default).  The backends are bit-identical.
 
     Returns
     -------
@@ -180,4 +148,4 @@ def solve_cap(
         raise KeyError(
             f"unknown algorithm {algorithm!r}; available: {', '.join(sorted(registry))}"
         )
-    return registry[key].solve(instance, seed=seed, solver_backend=solver_backend)
+    return registry[key].solve(instance, seed=seed)

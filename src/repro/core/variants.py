@@ -178,23 +178,19 @@ def register_variant_solvers() -> None:
     from repro.core.registry import register_solver, solver_names
     from repro.core.virc import assign_contacts_virtual
 
-    def _ff_grec(instance: CAPInstance, seed=None, backend=None) -> Assignment:  # noqa: ARG001
+    def _ff_grec(instance: CAPInstance, seed=None) -> Assignment:  # noqa: ARG001
         zones = assign_zones_first_fit(instance)
-        return assign_contacts_greedy(instance, zones, backend=backend).with_algorithm(
-            "grez-ff-grec"
-        )
+        return assign_contacts_greedy(instance, zones).with_algorithm("grez-ff-grec")
 
-    def _bf_grec(instance: CAPInstance, seed=None, backend=None) -> Assignment:  # noqa: ARG001
+    def _bf_grec(instance: CAPInstance, seed=None) -> Assignment:  # noqa: ARG001
         zones = assign_zones_best_fit(instance)
-        return assign_contacts_greedy(instance, zones, backend=backend).with_algorithm(
-            "grez-bf-grec"
-        )
+        return assign_contacts_greedy(instance, zones).with_algorithm("grez-bf-grec")
 
-    def _grez_ffc(instance: CAPInstance, seed=None, backend=None) -> Assignment:  # noqa: ARG001
-        zones = assign_zones_greedy(instance, backend=backend)
+    def _grez_ffc(instance: CAPInstance, seed=None) -> Assignment:  # noqa: ARG001
+        zones = assign_zones_greedy(instance)
         return assign_contacts_first_fit(instance, zones).with_algorithm("grez-grec-ff")
 
-    def _ff_virc(instance: CAPInstance, seed=None, backend=None) -> Assignment:  # noqa: ARG001
+    def _ff_virc(instance: CAPInstance, seed=None) -> Assignment:  # noqa: ARG001
         zones = assign_zones_first_fit(instance)
         return assign_contacts_virtual(instance, zones).with_algorithm("grez-ff-virc")
 

@@ -127,8 +127,6 @@ class RebalanceController:
     backend:
         World-advance backend (``"delta"`` default, ``"rebuild"`` is the
         executable spec; traces are bit-identical).
-    solver_backend:
-        Max-regret placement backend forwarded to every solve.
     scenario_timeline:
         Optional incident timeline (:mod:`repro.dynamics.scenarios`): the
         controller then reacts to outages, flash crowds and delay overlays
@@ -147,7 +145,6 @@ class RebalanceController:
     server_churn_spec: Optional[ServerChurnSpec] = None
     migration_cost: MigrationCostModel = field(default_factory=MigrationCostModel)
     backend: str = "delta"
-    solver_backend: Optional[str] = None
     scenario_timeline: object = None
     admission_policy: object = None
 
@@ -172,7 +169,6 @@ class RebalanceController:
             seed=self.seed,
             policy=self.policy,
             backend=self.backend,
-            solver_backend=self.solver_backend,
             measurement_backend="incremental",
             scenario_timeline=self.scenario_timeline,
             admission_policy=self.admission_policy,

@@ -274,11 +274,6 @@ class ChurnSimulator:
         ``"delta"`` (default) advances the world with delta updates;
         ``"rebuild"`` recomputes scenario and instance from scratch each
         epoch.  Records are bit-identical between the two.
-    solver_backend:
-        Max-regret placement backend used by every from-scratch and
-        incremental solve (``"vectorized"`` / ``"loop"``; ``None`` uses the
-        library default).  The backends are bit-identical, so this only
-        affects epoch cost.
     measurement_backend:
         ``"full"`` (default) recomputes every measurement point from the
         assignment arrays — the executable specification.  ``"incremental"``
@@ -326,7 +321,6 @@ class ChurnSimulator:
     policy_period: int = 0
     policy_migration_budget: Optional[float] = None
     backend: str = "delta"
-    solver_backend: Optional[str] = None
     measurement_backend: str = "full"
     scenario_timeline: Union[None, str, Iterable, ScenarioTimeline] = None
     admission_policy: Optional[AdmissionPolicy] = None
@@ -366,9 +360,7 @@ class ChurnSimulator:
         solve_rngs = spawn_generators(seed, len(self.algorithms))
         instance = CAPInstance.from_scenario(self.scenario)
         assignments = {
-            name: registry_solve(
-                instance, name, seed=solve_rngs[i], backend=self.solver_backend
-            )
+            name: registry_solve(instance, name, seed=solve_rngs[i])
             for i, name in enumerate(self.algorithms)
         }
         if self.measurement_backend == "incremental":
@@ -603,9 +595,7 @@ class ChurnSimulator:
             nonlocal incr_pqos
             result = _timed(
                 "solve",
-                lambda: incremental_reassign(
-                    base_assignment, new_instance, solver_backend=self.solver_backend
-                ),
+                lambda: incremental_reassign(base_assignment, new_instance),
             )
             incr_pqos = _timed("measure", lambda: _pqos(result))
             return result
@@ -617,9 +607,7 @@ class ChurnSimulator:
         if action in ("reexecute", "rebalance"):
             adopted = _timed(
                 "solve",
-                lambda: reassign(
-                    new_instance, name, seed=reassign_rng, solver_backend=self.solver_backend
-                ),
+                lambda: reassign(new_instance, name, seed=reassign_rng),
             )
             reexec_pqos = _timed("measure", lambda: _pqos(adopted))
             reexec_util = _timed("measure", lambda: _util(adopted))

@@ -137,8 +137,7 @@ class FederatedSimulator:
         Master seed.  Each shard gets an independent sub-stream; a 1-shard
         federation inherits the seed *unchanged*, which is what makes
         "federation = identity at N=1" an exact, bit-for-bit statement.
-    policy / policy_period / policy_migration_budget / backend / solver_backend /
-    measurement_backend:
+    policy / policy_period / policy_migration_budget / backend / measurement_backend:
         Forwarded verbatim to every shard's
         :class:`~repro.dynamics.engine.ChurnSimulator` (with
         ``measurement_backend="incremental"`` each shard's records are
@@ -177,7 +176,6 @@ class FederatedSimulator:
     policy_period: int = 0
     policy_migration_budget: Optional[float] = None
     backend: str = "delta"
-    solver_backend: Optional[str] = None
     measurement_backend: str = "full"
     scenario_timeline: object = None
     admission_policy: object = None
@@ -254,7 +252,6 @@ class FederatedSimulator:
                 policy_period=self.policy_period,
                 policy_migration_budget=self.policy_migration_budget,
                 backend=self.backend,
-                solver_backend=self.solver_backend,
                 measurement_backend=self.measurement_backend,
                 scenario_timeline=timelines[i],
                 admission_policy=self.admission_policy,
@@ -394,7 +391,7 @@ class FederatedSimulator:
         """
         if num_epochs < 1:
             raise ValueError("num_epochs must be >= 1")
-        arbiter = make_arbiter(self.arbiter, solver_backend=self.solver_backend)
+        arbiter = make_arbiter(self.arbiter)
         sessions = [sim.session(num_epochs) for sim in self._shard_simulators()]
         full_capacities = self.world.servers.capacities
         capacity_weights = [float(s.sum()) for s in self.world.slices]

@@ -20,8 +20,7 @@ property tests).
 ``measurement_backend="full"`` on the engines keeps the full-recompute path
 as the executable specification; ``"incremental"`` switches every point to
 the stash / delta path — the same spec-vs-fast pattern as the engine's
-``delta``/``rebuild`` world backends and the solver's ``loop``/``vectorized``
-placement backends.
+``delta``/``rebuild`` world backends.
 """
 
 from __future__ import annotations

@@ -207,16 +207,14 @@ def reassign(
     new_instance: CAPInstance,
     algorithm: str,
     seed: SeedLike = None,
-    solver_backend: Optional[str] = None,
 ) -> Assignment:
     """Re-execute a registered CAP solver from scratch on the new instance."""
-    return registry_solve(new_instance, algorithm, seed=seed, backend=solver_backend)
+    return registry_solve(new_instance, algorithm, seed=seed)
 
 
 def incremental_reassign(
     old_assignment: Assignment,
     new_instance: CAPInstance,
-    solver_backend: Optional[str] = None,
 ) -> Assignment:
     """Keep the zone→server map, re-run only the refined (contact) phase.
 
@@ -229,7 +227,7 @@ def incremental_reassign(
         algorithm=f"{old_assignment.algorithm}-kept",
         capacity_exceeded=old_assignment.capacity_exceeded,
     )
-    refined = assign_contacts_greedy(new_instance, zones, backend=solver_backend)
+    refined = assign_contacts_greedy(new_instance, zones)
     return refined.with_algorithm(f"{old_assignment.algorithm} (incremental)")
 
 

@@ -83,7 +83,6 @@ def run_ablation(
     correlation: float = 0.5,
     share_topology: bool = True,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> AblationResult:
     """Run the ablation comparison on one configuration."""
@@ -96,7 +95,6 @@ def run_ablation(
         seed=seed,
         share_topology=share_topology,
         workers=workers,
-        solver_backend=solver_backend,
     )
     return AblationResult(label=label, result=result, variants=variants)
 

@@ -83,7 +83,6 @@ def run_baseline_comparison(
     correlation: float = 0.5,
     share_topology: bool = True,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> BaselineComparisonResult:
     """Compare the paper's algorithms against the related-work baselines."""
@@ -100,7 +99,6 @@ def run_baseline_comparison(
             seed=seed,
             share_topology=share_topology,
             workers=workers,
-            solver_backend=solver_backend,
         )
     return BaselineComparisonResult(labels=list(labels), solvers=solvers, results=results)
 
@@ -109,7 +107,7 @@ def _execute_centralization_run(task) -> tuple[float, float]:
     """One distributed-vs-centralised run (worker-side; must be picklable)."""
     import repro.baselines  # noqa: F401 — repopulate the registry under spawn
 
-    config, algorithm, solver_backend, rng = task
+    config, algorithm, rng = task
     scenario_rng, solve_rng = spawn_generators(rng, 2)
     scenario = build_scenario(config, seed=scenario_rng)
     central_scenario = centralize_servers(scenario)
@@ -117,12 +115,8 @@ def _execute_centralization_run(task) -> tuple[float, float]:
     instance = CAPInstance.from_scenario(scenario)
     central_instance = CAPInstance.from_scenario(central_scenario)
     return (
-        registry_solve(instance, algorithm, seed=solve_rng, backend=solver_backend).pqos(
-            instance
-        ),
-        registry_solve(
-            central_instance, algorithm, seed=solve_rng, backend=solver_backend
-        ).pqos(central_instance),
+        registry_solve(instance, algorithm, seed=solve_rng).pqos(instance),
+        registry_solve(central_instance, algorithm, seed=solve_rng).pqos(central_instance),
     )
 
 
@@ -133,7 +127,6 @@ def run_centralization_comparison(
     seed: SeedLike = 0,
     correlation: float = 0.5,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> CentralizationResult:
     """Compare the GDSA against a centralised deployment of the same servers."""
@@ -141,7 +134,7 @@ def run_centralization_comparison(
     rng = as_generator(seed)
     run_rngs = spawn_generators(rng, num_runs)
 
-    tasks = [(config, algorithm, solver_backend, run_rngs[i]) for i in range(num_runs)]
+    tasks = [(config, algorithm, run_rngs[i]) for i in range(num_runs)]
     distributed: List[float] = []
     centralized: List[float] = []
     for dist_pqos, central_pqos in ordered_map(_execute_centralization_run, tasks, workers=workers):

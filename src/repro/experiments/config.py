@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.regret import BACKENDS as _SOLVER_BACKENDS
 from repro.topology.delay_backends import DELAY_BACKENDS as _DELAY_BACKENDS
 from repro.world.scenario import DVEConfig
 
@@ -47,21 +46,16 @@ class ExperimentConfig:
     workers:
         Worker processes for the replication engine: ``None``/``1`` serial,
         ``0`` one per available CPU, ``n`` exactly ``n`` processes.
-    solver_backend:
-        Max-regret placement backend forwarded to every solve
-        (``"vectorized"`` / ``"loop"``; ``None`` uses the library default).
-        The backends are bit-identical, so this only affects runtime.
     delay_backend:
         Delay backend every scenario is built with (``"dense"`` /
         ``"coords"`` / ``"sparse"``; ``None`` keeps each driver's configured
-        default).  Unlike ``solver_backend``, the compact backends trade a
-        bounded accuracy loss for O(clients) memory.
+        default).  The compact backends trade a bounded accuracy loss for
+        O(clients) memory.
     """
 
     num_runs: int = 3
     seed: int = 0
     workers: Optional[int] = None
-    solver_backend: Optional[str] = None
     delay_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -69,10 +63,6 @@ class ExperimentConfig:
             raise ValueError(f"num_runs must be >= 1, got {self.num_runs}")
         if self.workers is not None and self.workers < 0:
             raise ValueError(f"workers must be >= 0 (0 = all CPUs), got {self.workers}")
-        if self.solver_backend is not None and self.solver_backend not in _SOLVER_BACKENDS:
-            raise ValueError(
-                f"solver_backend must be one of {_SOLVER_BACKENDS}, got {self.solver_backend!r}"
-            )
         if self.delay_backend is not None and self.delay_backend not in _DELAY_BACKENDS:
             raise ValueError(
                 f"delay_backend must be one of {_DELAY_BACKENDS}, got {self.delay_backend!r}"
@@ -81,15 +71,13 @@ class ExperimentConfig:
     def run_kwargs(self, supports_workers: bool = True) -> Dict[str, object]:
         """Keyword arguments for an experiment driver's ``run`` callable.
 
-        ``workers``, ``solver_backend`` and ``delay_backend`` are included
-        only when set (and, for ``workers``, supported), so drivers and test
-        doubles without the knobs keep working untouched.
+        ``workers`` and ``delay_backend`` are included only when set (and,
+        for ``workers``, supported), so drivers and test doubles without the
+        knobs keep working untouched.
         """
         kwargs: Dict[str, object] = {"num_runs": self.num_runs, "seed": self.seed}
         if supports_workers and self.workers is not None:
             kwargs["workers"] = self.workers
-        if self.solver_backend is not None:
-            kwargs["solver_backend"] = self.solver_backend
         if self.delay_backend is not None:
             kwargs["delay_backend"] = self.delay_backend
         return kwargs

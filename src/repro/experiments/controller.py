@@ -109,7 +109,6 @@ def _execute_controller_run(task) -> GroupedRunningStats:
         migration_cost,
         num_epochs,
         backend,
-        solver_backend,
         rng,
     ) = task
     scenario_rng, sim_rng = spawn_generators(rng, 2)
@@ -131,7 +130,6 @@ def _execute_controller_run(task) -> GroupedRunningStats:
             server_churn_spec=server_churn,
             migration_cost=migration_cost,
             backend=backend,
-            solver_backend=solver_backend,
         ).run(num_epochs)
         stats.add((name, "mean_pqos"), trace.mean_pqos)
         stats.add((name, "worst_pqos"), min(trace.pqos_series()))
@@ -155,7 +153,6 @@ def run_controller(
     correlation: float = 0.0,
     backend: str = "delta",
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> ControllerResult:
     """Run the controller-policy comparison experiment.
@@ -197,7 +194,6 @@ def run_controller(
             migration_cost,
             num_epochs,
             backend,
-            solver_backend,
             run_rngs[i],
         )
         for i in range(num_runs)

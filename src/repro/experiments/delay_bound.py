@@ -75,7 +75,6 @@ def run_delay_bound(
     correlation: float = 0.5,
     share_topology: bool = True,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> DelayBoundResult:
     """Sweep the interactivity bound D and evaluate every algorithm at each value.
@@ -96,7 +95,6 @@ def run_delay_bound(
             delay_bound_ms=float(bound),
             share_topology=share_topology,
             workers=workers,
-            solver_backend=solver_backend,
         )
     return DelayBoundResult(
         label=label,

@@ -78,7 +78,6 @@ def _execute_dynamics_run(task) -> GroupedRunningStats:
         policy,
         policy_period,
         backend,
-        solver_backend,
         rng,
     ) = task
     scenario_rng, sim_rng = spawn_generators(rng, 2)
@@ -93,7 +92,6 @@ def _execute_dynamics_run(task) -> GroupedRunningStats:
         policy=policy,
         policy_period=policy_period,
         backend=backend,
-        solver_backend=solver_backend,
     )
     # Stream records into per-(algorithm, epoch) accumulators so the worker
     # ships back O(algorithms × epochs) statistics, not O(epochs) records.
@@ -118,7 +116,6 @@ def run_dynamics(
     migration_cost: Optional[MigrationCostModel] = None,
     correlation: float = 0.0,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> DynamicsResult:
     """Run the longitudinal dynamics experiment.
@@ -151,7 +148,6 @@ def run_dynamics(
             policy,
             policy_period,
             backend,
-            solver_backend,
             run_rngs[i],
         )
         for i in range(num_runs)

@@ -108,7 +108,6 @@ def _execute_federation_run(task) -> GroupedRunningStats:
         num_epochs,
         policy,
         backend,
-        solver_backend,
         shard_workers,
         rng,
     ) = task
@@ -131,7 +130,6 @@ def _execute_federation_run(task) -> GroupedRunningStats:
             policy=policy,
             policy_migration_budget=migration_budget,
             backend=backend,
-            solver_backend=solver_backend,
             shard_workers=shard_workers,
         )
         records = simulator.run(num_epochs)
@@ -175,7 +173,6 @@ def run_federation(
     policy: str = "reexecute",
     backend: str = "delta",
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
     shard_workers: Optional[int] = None,
 ) -> FederationResult:
@@ -214,7 +211,7 @@ def run_federation(
         )
     resolved: List[Tuple[str, CapacityArbiter]] = []
     for entry in arbiters if arbiters is not None else ARBITER_NAMES:
-        instance = make_arbiter(entry, solver_backend=solver_backend)
+        instance = make_arbiter(entry)
         resolved.append((instance.name, instance))
 
     rng = as_generator(seed)
@@ -232,7 +229,6 @@ def run_federation(
             num_epochs,
             policy,
             backend,
-            solver_backend,
             shard_workers,
             run_rngs[i],
         )

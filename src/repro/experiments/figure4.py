@@ -59,7 +59,6 @@ def run_figure4(
     grid: Optional[np.ndarray] = None,
     share_topology: bool = True,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> Figure4Result:
     """Run the Figure 4 experiment and return per-algorithm delay CDFs."""
@@ -76,7 +75,6 @@ def run_figure4(
         cdf_grid=grid,
         share_topology=share_topology,
         workers=workers,
-        solver_backend=solver_backend,
     )
     cdfs = {
         name: result.summaries[name].delay_cdf

@@ -71,7 +71,6 @@ def run_figure5(
     delay_bound_ms: float = FIGURE5_DELAY_BOUND_MS,
     share_topology: bool = True,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> Figure5Result:
     """Run the correlation sweep of Figure 5."""
@@ -89,7 +88,6 @@ def run_figure5(
             seed=seed,
             share_topology=share_topology,
             workers=workers,
-            solver_backend=solver_backend,
         )
     return Figure5Result(
         label=label,

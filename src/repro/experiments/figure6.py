@@ -69,7 +69,6 @@ def run_figure6(
     hot_zone_factor: float = 10.0,
     share_topology: bool = True,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> Figure6Result:
     """Run the distribution-type sweep of Figure 6."""
@@ -96,7 +95,6 @@ def run_figure6(
             seed=seed,
             share_topology=share_topology,
             workers=workers,
-            solver_backend=solver_backend,
         )
     return Figure6Result(
         label=label,

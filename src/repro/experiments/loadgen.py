@@ -88,7 +88,6 @@ def _build_session(
     seed: SeedLike,
     arena: bool,
     num_epochs: int,
-    solver_backend: Optional[str],
     delay_backend: Optional[str],
 ):
     config = apply_delay_backend(
@@ -102,7 +101,6 @@ def _build_session(
         seed=seed,
         policy=policy,
         backend=backend,
-        solver_backend=solver_backend,
         measurement_backend=measurement_backend,
         arena=arena,
     )
@@ -123,7 +121,6 @@ def run_loadgen(
     arena: bool = True,
     alloc_profile: bool = False,
     alloc_epochs: int = 40,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> LoadgenResult:
     """Measure sustained epoch throughput of one engine configuration.
@@ -141,7 +138,7 @@ def run_loadgen(
     churn = churn or ChurnSpec()
     build = lambda total: _build_session(  # noqa: E731 - one-config factory
         label, algorithms, churn, policy, backend, measurement_backend,
-        correlation, seed, arena, total, solver_backend, delay_backend,
+        correlation, seed, arena, total, delay_backend,
     )
 
     # Timing pass: no tracemalloc anywhere near it.

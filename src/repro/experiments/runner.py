@@ -95,7 +95,6 @@ def evaluate_algorithms(
     estimator: Optional[DelayEstimator] = None,
     delay_bound_ms: Optional[float] = None,
     collect_delays: bool = False,
-    solver_backend: Optional[str] = None,
 ) -> Dict[str, RunObservation]:
     """Solve one scenario with several algorithms and evaluate them on true delays.
 
@@ -114,10 +113,6 @@ def evaluate_algorithms(
         Override of the scenario's delay bound (Figure 5 uses D = 200 ms).
     collect_delays:
         Also return the per-client delay vector of each solution (Figure 4).
-    solver_backend:
-        Max-regret placement backend forwarded to every solve
-        (``"vectorized"`` / ``"loop"``; ``None`` uses the library default).
-        The backends are bit-identical, so observations do not change.
     """
     ensure_registered(algorithms)
     rng = as_generator(seed)
@@ -132,9 +127,7 @@ def evaluate_algorithms(
     results: Dict[str, RunObservation] = {}
     for i, name in enumerate(algorithms):
         with Timer() as timer:
-            assignment = registry_solve(
-                decision_instance, name, seed=algo_rngs[i], backend=solver_backend
-            )
+            assignment = registry_solve(decision_instance, name, seed=algo_rngs[i])
         delays = assignment.client_delays(true_instance)
         results[name] = RunObservation(
             algorithm=name,
@@ -165,7 +158,6 @@ class _RunTask:
     collect_delays: bool
     topology: Optional[object]
     delay_model: Optional[object]
-    solver_backend: Optional[str] = None
 
 
 def _execute_run(task: _RunTask) -> Dict[str, RunObservation]:
@@ -188,7 +180,6 @@ def _execute_run(task: _RunTask) -> Dict[str, RunObservation]:
         estimator=task.estimator,
         delay_bound_ms=task.delay_bound_ms,
         collect_delays=task.collect_delays,
-        solver_backend=task.solver_backend,
     )
 
 
@@ -204,7 +195,6 @@ def run_replications(
     share_topology: bool = False,
     keep_observations: bool = False,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
 ) -> ReplicatedResult:
     """Run ``num_runs`` independent simulation runs and aggregate the metrics.
 
@@ -238,9 +228,6 @@ def run_replications(
         ``0`` — one per available CPU, ``n`` — exactly ``n`` processes.  The
         per-run observations are bit-identical for every worker count (only
         ``runtime_seconds``, a wall-clock measurement, may differ).
-    solver_backend:
-        Max-regret placement backend forwarded to every solve (the backends
-        are bit-identical, so this only affects runtime).
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
@@ -282,7 +269,6 @@ def run_replications(
             collect_delays=collect_delays,
             topology=shared_topology,
             delay_model=shared_delay_model,
-            solver_backend=solver_backend,
         )
         for run_index in range(num_runs)
     ]

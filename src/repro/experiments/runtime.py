@@ -58,7 +58,6 @@ def run_runtime(
     optimal_labels: Sequence[str] = (),
     optimal_time_limit: float = 60.0,
     correlation: float = 0.5,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> RuntimeResult:
     """Measure solver runtimes per configuration.
@@ -66,8 +65,7 @@ def run_runtime(
     The exact MILP is only run on ``optimal_labels`` (empty by default: the
     large instances would dominate the experiment's own wall-clock time, just
     as ``lp_solve`` did in the paper), with a per-phase time limit so a
-    pathological instance cannot hang the harness.  ``solver_backend``
-    selects the max-regret placement backend under measurement.
+    pathological instance cannot hang the harness.
     """
     solvers = list(solvers or PAPER_ALGORITHM_ORDER)
     rng = as_generator(seed)
@@ -89,7 +87,7 @@ def run_runtime(
             instance = CAPInstance.from_scenario(scenario)
             for solver in solvers:
                 with Timer() as timer:
-                    registry_solve(instance, solver, seed=solve_rng, backend=solver_backend)
+                    registry_solve(instance, solver, seed=solve_rng)
                 per_solver[solver].append(timer.elapsed)
             if label in set(optimal_labels):
                 with Timer() as timer:

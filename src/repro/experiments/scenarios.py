@@ -80,7 +80,6 @@ def _execute_scenario_run(task) -> GroupedRunningStats:
         churn,
         num_epochs,
         backend,
-        solver_backend,
         measurement_backend,
         patience_epochs,
         rng,
@@ -93,7 +92,6 @@ def _execute_scenario_run(task) -> GroupedRunningStats:
         churn_spec=churn,
         seed=sim_rng,
         backend=backend,
-        solver_backend=solver_backend,
         measurement_backend=measurement_backend,
         scenario_timeline=scenario_name,
         admission_policy=AdmissionPolicy(patience_epochs=patience_epochs),
@@ -129,7 +127,6 @@ def run_scenarios(
     patience_epochs: Optional[int] = 6,
     correlation: float = 0.0,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
     measurement_backend: str = "incremental",
 ) -> ScenariosResult:
@@ -166,7 +163,6 @@ def run_scenarios(
             churn,
             num_epochs,
             backend,
-            solver_backend,
             measurement_backend,
             patience_epochs,
             run_rngs[i * num_runs + r],

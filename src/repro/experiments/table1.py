@@ -87,7 +87,6 @@ def run_table1(
     correlation: float = 0.5,
     share_topology: bool = False,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> Table1Result:
     """Run the Table 1 experiment.
@@ -129,7 +128,6 @@ def run_table1(
             seed=seed,
             share_topology=share_topology,
             workers=workers,
-            solver_backend=solver_backend,
         )
     return Table1Result(results=results, algorithms=algorithms, optimal_labels=used_optimal)
 

@@ -69,7 +69,7 @@ def _execute_churn_run(task) -> List[EpochRecord]:
     """One dynamics run (worker-side entry point; must be picklable)."""
     import repro.baselines  # noqa: F401 — repopulate the registry under spawn
 
-    config, algorithms, churn, solver_backend, rng = task
+    config, algorithms, churn, rng = task
     scenario_rng, sim_rng = spawn_generators(rng, 2)
     scenario = build_scenario(config, seed=scenario_rng)
     simulator = ChurnSimulator(
@@ -77,7 +77,6 @@ def _execute_churn_run(task) -> List[EpochRecord]:
         algorithms=list(algorithms),
         churn_spec=churn,
         seed=sim_rng,
-        solver_backend=solver_backend,
     )
     return list(simulator.run(num_epochs=1))
 
@@ -90,7 +89,6 @@ def run_table3(
     churn: ChurnSpec | None = None,
     correlation: float = 0.0,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> Table3Result:
     """Run the dynamics experiment of Table 3.
@@ -108,7 +106,7 @@ def run_table3(
     run_rngs = spawn_generators(rng, num_runs)
 
     tasks = [
-        (config, tuple(algorithms), churn, solver_backend, run_rngs[i]) for i in range(num_runs)
+        (config, tuple(algorithms), churn, run_rngs[i]) for i in range(num_runs)
     ]
     records: Dict[str, List[EpochRecord]] = {name: [] for name in algorithms}
     for run_records in ordered_map(_execute_churn_run, tasks, workers=workers):

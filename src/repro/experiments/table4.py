@@ -77,7 +77,6 @@ def run_table4(
     correlation: float = 0.5,
     share_topology: bool = True,
     workers: Optional[int] = None,
-    solver_backend: Optional[str] = None,
     delay_backend: Optional[str] = None,
 ) -> Table4Result:
     """Run the imperfect-input-data experiment of Table 4."""
@@ -94,7 +93,6 @@ def run_table4(
             estimator=estimator,
             share_topology=share_topology,
             workers=workers,
-            solver_backend=solver_backend,
         )
     return Table4Result(
         label=label,

@@ -7,14 +7,19 @@ objects are immutable dataclasses, so accidental mutation raises).
 
 from __future__ import annotations
 
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
 import repro.baselines  # noqa: F401  (registers baseline solvers for registry tests)
+import repro.core.regret as regret
 from repro.core.problem import CAPInstance
 from repro.topology.brite import BriteConfig
 from repro.topology.waxman import waxman_topology
 from repro.world.scenario import DVEConfig, DVEScenario, build_scenario
+from tests.reference.regret_loop import assert_same_result, max_regret_assign_loop
 
 #: A small hierarchical topology configuration used throughout the tests —
 #: same generative structure as the paper's 500-node substrate, scaled down
@@ -131,3 +136,57 @@ def overloaded_instance() -> CAPInstance:
     flags of the heuristics.
     """
     return make_tiny_instance(capacities=(25.0, 25.0, 25.0))
+
+
+#: Modules that import the max-regret engine by name, and the entry points
+#: each one imports: the placements of GreZ, GreC and the regret arbiter.
+_REGRET_CALL_SITES = {
+    "repro.core.grez": ("max_regret_assign",),
+    "repro.core.grec": ("max_regret_assign", "max_regret_assign_candidates"),
+    "repro.core.arbitration": ("max_regret_assign",),
+}
+
+
+@pytest.fixture()
+def regret_oracle_spy(monkeypatch):
+    """Check every max-regret placement a solve makes against the loop oracle.
+
+    Patches the engine names each solver module imports, so every call also
+    runs ``tests/reference/regret_loop.py`` on the same inputs and must agree
+    on ``item_to_server``, bit-identical loads and the overflow flag.  The
+    candidate-list entry point is checked on the full desirability matrix its
+    ``row_provider`` implies.  Returns the list of checked entry-point names,
+    one per call, so a test can assert the placements it meant to cover ran.
+    """
+    checked: list = []
+
+    def oracle_args(name: str, arguments: dict) -> dict:
+        if name == "max_regret_assign":
+            return arguments
+        num_items = np.asarray(arguments["candidate_desirability"]).shape[0]
+        rows = arguments["row_provider"](np.arange(num_items))
+        shared = ("demands", "capacities", "initial_loads", "fallback", "fallback_allowed")
+        return {
+            "desirability": np.asarray(rows, dtype=np.float64).T,
+            **{key: arguments[key] for key in shared if key in arguments},
+        }
+
+    def spy(name: str):
+        engine = getattr(regret, name)
+        signature = inspect.signature(engine)
+
+        def checked_call(*args, **kwargs):
+            arguments = signature.bind(*args, **kwargs).arguments
+            expected = max_regret_assign_loop(**oracle_args(name, arguments))
+            result = engine(*args, **kwargs)
+            assert_same_result(result, expected)
+            checked.append(name)
+            return result
+
+        return checked_call
+
+    for module_name, names in _REGRET_CALL_SITES.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            monkeypatch.setattr(module, name, spy(name))
+    return checked

@@ -248,28 +248,6 @@ class TestSimulateCommand:
         assert main(["simulate", *self.SMALL, "--policy", "every_k_epochs"]) == 2
         assert "period" in capsys.readouterr().err
 
-    def test_simulate_solver_backends_stream_identical_records(self, tmp_path):
-        def run_to_csv(backend):
-            path = tmp_path / f"solver-{backend}.csv"
-            args = [
-                "simulate",
-                *self.SMALL,
-                "--algorithms",
-                "grez-grec",
-                "--epochs",
-                "2",
-                "--seed",
-                "5",
-                "--solver-backend",
-                backend,
-                "--csv",
-                str(path),
-            ]
-            assert main(args) == 0
-            return path.read_text()
-
-        assert run_to_csv("vectorized") == run_to_csv("loop")
-
     def test_simulate_multi_run_matches_single_and_serial(self, tmp_path):
         def run_to_csv(runs, workers=None):
             path = tmp_path / f"runs{runs}-w{workers or 0}.csv"
@@ -298,9 +276,15 @@ class TestSimulateCommand:
         assert len(multi) == 1 + 2 * 2
         assert run_to_csv(2, workers=2) == multi
 
-    def test_simulate_rejects_unknown_solver_backend(self):
+    @pytest.mark.parametrize(
+        "command", ["solve", "experiment", "simulate", "loadgen", "federate"]
+    )
+    def test_no_solver_backend_flag(self, command, capsys):
+        # The max-regret engine has a single implementation: no command
+        # offers a placement-backend switch.
         with pytest.raises(SystemExit):
-            main(["simulate", *self.SMALL, "--solver-backend", "gpu"])
+            main([command, "--help"])
+        assert "--solver-backend" not in capsys.readouterr().out
 
 
 class TestSimulateCsvHeaderRegression:

@@ -9,6 +9,7 @@ from repro.core.assignment import Assignment
 from repro.core.local_search import LocalSearchResult, refine_assignment
 from repro.core.two_phase import solve_cap
 from repro.core.validation import validate_assignment
+from tests.reference.local_search_loop import refine_loop
 
 
 def _bad_assignment(instance) -> Assignment:
@@ -72,37 +73,27 @@ class TestRefineAssignment:
             result.assignment.contact_of_client, start.contact_of_client
         )
 
-    def test_unknown_backend_rejected(self, tiny_instance):
-        start = _bad_assignment(tiny_instance)
-        with pytest.raises(ValueError):
-            refine_assignment(tiny_instance, start, backend="quantum")
+
+def _assert_matches_oracle(instance, start, **kwargs):
+    zone_to_server, contacts, iterations = refine_loop(instance, start, **kwargs)
+    vector = refine_assignment(instance, start, **kwargs)
+    assert vector.iterations == iterations
+    np.testing.assert_array_equal(vector.assignment.zone_to_server, zone_to_server)
+    np.testing.assert_array_equal(vector.assignment.contact_of_client, contacts)
+    return vector
 
 
-def _assert_backends_agree(instance, start, **kwargs):
-    loop = refine_assignment(instance, start, backend="loop", **kwargs)
-    vector = refine_assignment(instance, start, backend="vectorized", **kwargs)
-    assert loop.iterations == vector.iterations
-    np.testing.assert_array_equal(
-        loop.assignment.zone_to_server, vector.assignment.zone_to_server
-    )
-    np.testing.assert_array_equal(
-        loop.assignment.contact_of_client, vector.assignment.contact_of_client
-    )
-    assert loop.final_pqos == pytest.approx(vector.final_pqos)
-    return loop, vector
-
-
-class TestVectorizedLoopEquivalence:
-    """The vectorized backend replays the loop backend's move decisions."""
+class TestLoopOracleEquivalence:
+    """The search replays the nested-scan oracle's move decisions."""
 
     def test_bad_start_tiny_instance(self, tiny_instance):
-        _assert_backends_agree(tiny_instance, _bad_assignment(tiny_instance))
+        _assert_matches_oracle(tiny_instance, _bad_assignment(tiny_instance))
 
     def test_tight_capacities(self, tight_instance):
-        _assert_backends_agree(tight_instance, _bad_assignment(tight_instance))
+        _assert_matches_oracle(tight_instance, _bad_assignment(tight_instance))
 
     def test_overloaded_instance(self, overloaded_instance):
-        _assert_backends_agree(overloaded_instance, _bad_assignment(overloaded_instance))
+        _assert_matches_oracle(overloaded_instance, _bad_assignment(overloaded_instance))
 
     @pytest.mark.parametrize("kwargs", [
         {"consider_contact_moves": False},
@@ -111,7 +102,7 @@ class TestVectorizedLoopEquivalence:
         {"max_iterations": 3},
     ])
     def test_restricted_neighbourhoods(self, tiny_instance, kwargs):
-        _assert_backends_agree(tiny_instance, _bad_assignment(tiny_instance), **kwargs)
+        _assert_matches_oracle(tiny_instance, _bad_assignment(tiny_instance), **kwargs)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("algorithm", ["ranz-virc", "grez-grec"])
@@ -123,21 +114,13 @@ class TestVectorizedLoopEquivalence:
         config = make_small_config(num_clients=100, num_zones=8)
         instance = CAPInstance.from_scenario(build_scenario(config, seed=seed))
         start = solve_cap(instance, algorithm, seed=seed)
-        _assert_backends_agree(instance, start, max_iterations=30)
-
-    def test_default_backend_is_vectorized(self, tiny_instance):
-        start = _bad_assignment(tiny_instance)
-        default = refine_assignment(tiny_instance, start)
-        vector = refine_assignment(tiny_instance, start, backend="vectorized")
-        np.testing.assert_array_equal(
-            default.assignment.contact_of_client, vector.assignment.contact_of_client
-        )
-        assert default.iterations == vector.iterations
+        _assert_matches_oracle(instance, start, max_iterations=30)
 
 
 class TestWarmStartRefine:
-    """The warm-start (incremental-accumulator) backend replays the vectorized
-    backend's move decisions while maintaining delays/loads across moves."""
+    """The warm-start (incremental-accumulator) search replays
+    ``refine_assignment``'s move decisions while maintaining delays/loads
+    across moves."""
 
     def _assert_matches_vectorized(self, instance, start, **kwargs):
         from repro.core.local_search import warm_start_refine

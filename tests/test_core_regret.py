@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.regret import (
-    BACKENDS,
-    DEFAULT_BACKEND,
     max_regret_assign,
     max_regret_assign_candidates,
     regret_order,
+)
+from tests.reference.regret_loop import assert_same_result, max_regret_assign_loop
+
+#: The engine and its per-item loop oracle, for behaviour both must show.
+SOLVERS = pytest.mark.parametrize(
+    "solve", [max_regret_assign, max_regret_assign_loop], ids=["engine", "oracle"]
 )
 
 
@@ -132,24 +136,30 @@ class TestMaxRegretAssign:
                 np.zeros((2, 1)), np.ones(1), np.ones(2), initial_loads=np.ones(3)
             )
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            max_regret_assign(np.zeros((2, 1)), np.ones(1), np.ones(2), backend="gpu")
-
-    def test_default_backend_is_registered(self):
-        assert DEFAULT_BACKEND in BACKENDS
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("recompute", [False, True])
+    def test_non_finite_desirability_rejected(self, bad, recompute):
+        # NaN used to place differently on the engine and the per-item loop
+        # ([0 1 2] vs [0 2 1] for this matrix); every non-finite value is now
+        # an error.
+        desirability = np.array([[-1.0, -2.0, bad], [-3.0, bad, -1.0], [-2.0, -1.0, -5.0]])
+        with pytest.raises(ValueError, match="finite"):
+            max_regret_assign(desirability, np.ones(3), np.ones(3), recompute=recompute)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("recompute", [False, True])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_non_finite_desirability_rejected(self, bad, recompute, backend):
-        # NaN used to place differently on the two backends ([0 1 2] vs
-        # [0 2 1] for this matrix); every non-finite value is now an error.
-        desirability = np.array([[-1.0, -2.0, bad], [-3.0, bad, -1.0], [-2.0, -1.0, -5.0]])
-        with pytest.raises(ValueError, match="finite"):
-            max_regret_assign(
-                desirability, np.ones(3), np.ones(3), recompute=recompute, backend=backend
-            )
+    @pytest.mark.parametrize("field", ["demands", "capacities", "initial_loads"])
+    def test_non_finite_demands_capacities_loads_rejected(self, field, recompute, bad):
+        # A NaN demand used to place [0 0] on the engine and [0 1] on the
+        # per-item loop; NaN capacities and initial loads placed silently.
+        args = {
+            "demands": np.array([1.0, 1.0]),
+            "capacities": np.array([5.0, 5.0]),
+            "initial_loads": np.zeros(2),
+        }
+        args[field][0] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            max_regret_assign(-np.ones((2, 2)), recompute=recompute, **args)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_candidate_desirability_rejected(self, bad):
@@ -157,6 +167,21 @@ class TestMaxRegretAssign:
             max_regret_assign_candidates(
                 np.array([[0, 1]]), np.array([[-1.0, bad]]), 2, np.ones(1), np.ones(2),
                 lambda items: np.zeros((items.size, 2)),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["demands", "capacities", "initial_loads"])
+    def test_non_finite_candidate_demands_capacities_loads_rejected(self, field, bad):
+        args = {
+            "demands": np.array([1.0]),
+            "capacities": np.array([5.0, 5.0]),
+            "initial_loads": np.zeros(2),
+        }
+        args[field][0] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            max_regret_assign_candidates(
+                np.array([[0, 1]]), np.array([[-1.0, -2.0]]), 2,
+                row_provider=lambda items: np.zeros((items.size, 2)), **args,
             )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -171,10 +196,10 @@ class TestMaxRegretAssign:
 
 
 class TestDynamicRegret:
-    """Behaviour of the feasibility-aware ``recompute=True`` mode (both backends)."""
+    """Behaviour of the feasibility-aware ``recompute=True`` mode (engine and oracle)."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_urgent_item_placed_before_higher_static_regret(self, backend):
+    @SOLVERS
+    def test_urgent_item_placed_before_higher_static_regret(self, solve):
         # Item 0 has the larger static regret, but item 1's only feasible
         # server is server 0 (its demand exceeds server 1's capacity), which
         # makes it urgent under dynamic regret: it claims server 0 first and
@@ -182,27 +207,22 @@ class TestDynamicRegret:
         desirability = np.array([[0.0, 0.0], [-10.0, -1.0]])
         demands = np.array([2.0, 3.0])
         capacities = np.array([3.0, 2.0])
-        static = max_regret_assign(
-            desirability, demands, capacities, recompute=False, backend=backend
-        )
-        dynamic = max_regret_assign(
-            desirability, demands, capacities, recompute=True, backend=backend
-        )
+        static = solve(desirability, demands, capacities, recompute=False)
+        dynamic = solve(desirability, demands, capacities, recompute=True)
         np.testing.assert_array_equal(static.item_to_server, [0, 1])
         assert static.capacity_exceeded  # item 1 fits nowhere after item 0
         np.testing.assert_array_equal(dynamic.item_to_server, [1, 0])
         assert not dynamic.capacity_exceeded
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_items_without_feasible_server_fall_back_last(self, backend):
+    @SOLVERS
+    def test_items_without_feasible_server_fall_back_last(self, solve):
         desirability = np.array([[0.0, -1.0], [-2.0, 0.0]])
-        result = max_regret_assign(
+        result = solve(
             desirability,
             demands=np.array([50.0, 1.0]),
             capacities=np.array([10.0, 10.0]),
             recompute=True,
             fallback="skip",
-            backend=backend,
         )
         assert result.item_to_server[0] == -1
         assert result.item_to_server[1] == 1
@@ -226,8 +246,8 @@ def _random_problem(rng):
     return desirability, demands, capacities, initial_loads
 
 
-class TestBackendEquivalence:
-    """The vectorized backend must be bit-identical to the loop spec."""
+class TestLoopOracleEquivalence:
+    """The engine must be bit-identical to the per-item loop oracle."""
 
     @pytest.mark.parametrize("fallback", ["least_loaded", "skip"])
     @pytest.mark.parametrize("recompute", [False, True])
@@ -235,22 +255,11 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(20260728)
         for _ in range(60):
             desirability, demands, capacities, initial_loads = _random_problem(rng)
-            results = {
-                backend: max_regret_assign(
-                    desirability,
-                    demands,
-                    capacities,
-                    initial_loads=initial_loads,
-                    fallback=fallback,
-                    recompute=recompute,
-                    backend=backend,
-                )
-                for backend in BACKENDS
-            }
-            loop, vec = results["loop"], results["vectorized"]
-            np.testing.assert_array_equal(vec.item_to_server, loop.item_to_server)
-            np.testing.assert_array_equal(vec.loads, loop.loads)  # bit-wise, not approx
-            assert vec.capacity_exceeded == loop.capacity_exceeded
+            kwargs = dict(initial_loads=initial_loads, fallback=fallback, recompute=recompute)
+            assert_same_result(  # loads bit-wise, not approx
+                max_regret_assign(desirability, demands, capacities, **kwargs),
+                max_regret_assign_loop(desirability, demands, capacities, **kwargs),
+            )
 
     @pytest.mark.parametrize("recompute", [False, True])
     @pytest.mark.parametrize("fallback", ["least_loaded", "skip"])
@@ -263,21 +272,11 @@ class TestBackendEquivalence:
         desirability = -rng.random((num_servers, num_items))
         demands = rng.random(num_items) * 4.0
         capacities = rng.random(num_servers) * 3.0 + 0.1
-        results = {
-            backend: max_regret_assign(
-                desirability,
-                demands,
-                capacities,
-                fallback=fallback,
-                recompute=recompute,
-                backend=backend,
-            )
-            for backend in BACKENDS
-        }
-        loop, vec = results["loop"], results["vectorized"]
-        np.testing.assert_array_equal(vec.item_to_server, loop.item_to_server)
-        np.testing.assert_array_equal(vec.loads, loop.loads)
-        assert vec.capacity_exceeded == loop.capacity_exceeded
+        kwargs = dict(fallback=fallback, recompute=recompute)
+        assert_same_result(
+            max_regret_assign(desirability, demands, capacities, **kwargs),
+            max_regret_assign_loop(desirability, demands, capacities, **kwargs),
+        )
 
     def test_single_server_saturation(self):
         # Everything funnels through one server until it overflows.
@@ -285,18 +284,8 @@ class TestBackendEquivalence:
         demands = np.full(12, 2.0)
         for fallback in ("least_loaded", "skip"):
             for recompute in (False, True):
-                results = [
-                    max_regret_assign(
-                        desirability,
-                        demands,
-                        np.array([7.0]),
-                        fallback=fallback,
-                        recompute=recompute,
-                        backend=backend,
-                    )
-                    for backend in BACKENDS
-                ]
-                np.testing.assert_array_equal(
-                    results[0].item_to_server, results[1].item_to_server
+                kwargs = dict(fallback=fallback, recompute=recompute)
+                assert_same_result(
+                    max_regret_assign(desirability, demands, np.array([7.0]), **kwargs),
+                    max_regret_assign_loop(desirability, demands, np.array([7.0]), **kwargs),
                 )
-                np.testing.assert_array_equal(results[0].loads, results[1].loads)

@@ -182,23 +182,8 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(num_runs=5, seed=7, workers=4)
         assert cfg.run_kwargs(supports_workers=False) == {"num_runs": 5, "seed": 7}
 
-    def test_run_kwargs_includes_solver_backend_when_set(self):
-        cfg = ExperimentConfig(num_runs=5, seed=7, solver_backend="loop")
-        assert cfg.run_kwargs() == {"num_runs": 5, "seed": 7, "solver_backend": "loop"}
-        # solver_backend is orthogonal to the workers knob.
-        assert cfg.run_kwargs(supports_workers=False) == {
-            "num_runs": 5,
-            "seed": 7,
-            "solver_backend": "loop",
-        }
-
-    def test_run_kwargs_omits_unset_solver_backend(self):
-        assert "solver_backend" not in ExperimentConfig(num_runs=2).run_kwargs()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(num_runs=0)
         with pytest.raises(ValueError):
             ExperimentConfig(workers=-1)
-        with pytest.raises(ValueError):
-            ExperimentConfig(solver_backend="gpu")

@@ -27,7 +27,6 @@ from repro.core.measures import (
 )
 from repro.core.problem import CAPInstance
 from repro.core.registry import solve as registry_solve
-from repro.core.regret import BACKENDS as SOLVER_BACKENDS
 from repro.core.regret import max_regret_assign
 from repro.dynamics.churn import ChurnSpec, generate_churn
 from repro.dynamics.engine import ChurnSimulator
@@ -41,6 +40,7 @@ from repro.world.federation import build_federation
 from repro.world.scenario import build_scenario
 
 from tests.conftest import make_small_config
+from tests.reference.regret_loop import assert_same_result, max_regret_assign_loop
 
 DELAY_BACKENDS = ("dense", "coords", "sparse")
 
@@ -302,28 +302,18 @@ class TestFallbackMask:
             )
 
     @pytest.mark.parametrize("recompute", [False, True])
-    def test_solver_backends_agree_under_mask(self, recompute):
+    def test_engine_matches_loop_oracle_under_mask(self, recompute):
         rng = np.random.default_rng(9)
         num_servers, num_items = 6, 40
         desirability = rng.random((num_servers, num_items))
         demands = rng.uniform(1.0, 6.0, num_items)
         capacities = rng.uniform(5.0, 15.0, num_servers)  # scarce: fallback fires
         mask = rng.random((num_servers, num_items)) < 0.5
-        results = [
-            max_regret_assign(
-                desirability,
-                demands,
-                capacities,
-                recompute=recompute,
-                backend=backend,
-                fallback_allowed=mask,
-            )
-            for backend in SOLVER_BACKENDS
-        ]
-        for other in results[1:]:
-            np.testing.assert_array_equal(results[0].item_to_server, other.item_to_server)
-            np.testing.assert_array_equal(results[0].loads, other.loads)
-            assert results[0].capacity_exceeded == other.capacity_exceeded
+        kwargs = dict(recompute=recompute, fallback_allowed=mask)
+        assert_same_result(
+            max_regret_assign(desirability, demands, capacities, **kwargs),
+            max_regret_assign_loop(desirability, demands, capacities, **kwargs),
+        )
 
 
 # --------------------------------------------------------------------------- #

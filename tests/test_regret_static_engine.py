@@ -3,7 +3,8 @@
 * :func:`max_regret_assign_candidates` equals :func:`max_regret_assign` on the
   implied full matrix, including items whose whole candidate list runs out
   of capacity and fall through to ``row_provider`` rows.
-* The sequential walk equals the ``loop`` specification, under both
+* The sequential walk equals the per-item loop oracle
+  (``tests/reference/regret_loop.py``), under both
   fallbacks: on large capacity-tight instances (demands spanning 1e-3..1e8,
   capacities that some claims fill exactly), at item counts around the
   64-position block, with items displaced from their block choice, with
@@ -27,11 +28,15 @@ import repro.core.regret as regret
 from repro.core.costs import initial_cost_matrix
 from repro.core.grez import _zone_candidate_table, assign_zones_greedy, zone_fallback_candidates
 from repro.core.problem import CAPInstance
-from repro.core.regret import BACKENDS, max_regret_assign, max_regret_assign_candidates
+from repro.core.regret import max_regret_assign, max_regret_assign_candidates
 from repro.topology.brite import BriteConfig
 from repro.world.scenario import build_scenario
 
 from tests.conftest import make_small_config
+from tests.reference.regret_loop import max_regret_assign_loop
+
+#: The full-matrix engine and its per-item loop oracle.
+FULL_MATRIX_SOLVERS = (max_regret_assign, max_regret_assign_loop)
 
 FALLBACKS = ("least_loaded", "skip")
 
@@ -112,11 +117,8 @@ class TestCandidateEntryPoint:
     def test_matches_full_matrix(self, seed, fallback):
         cand_idx, cand_val, des, demands, capacities, loads = _candidate_problem(seed)
         result, _ = _run_candidates(cand_idx, cand_val, des, demands, capacities, loads, fallback)
-        for backend in BACKENDS:
-            full = max_regret_assign(
-                des, demands, capacities, initial_loads=loads, fallback=fallback,
-                backend=backend,
-            )
+        for solve in FULL_MATRIX_SOLVERS:
+            full = solve(des, demands, capacities, initial_loads=loads, fallback=fallback)
             _assert_same(result, full)
 
     @pytest.mark.parametrize("fallback", FALLBACKS)
@@ -136,7 +138,7 @@ class TestCandidateEntryPoint:
         )
         assert calls, "no item fell through to the row provider"
         assert set(result.item_to_server[result.item_to_server >= 0].tolist()) > {0}
-        full = max_regret_assign(des, demands, capacities, fallback=fallback, backend="loop")
+        full = max_regret_assign_loop(des, demands, capacities, fallback=fallback)
         _assert_same(result, full)
 
     def test_rejects_unsorted_candidates(self):
@@ -167,15 +169,10 @@ def _large_problem(seed: int, num_items: int):
 
 
 def _assert_matches_loop(desirability, demands, capacities, initial_loads, fallback, **kwargs):
-    results = {
-        backend: max_regret_assign(
-            desirability, demands, capacities, initial_loads=initial_loads,
-            fallback=fallback, backend=backend, **kwargs,
-        )
-        for backend in BACKENDS
-    }
-    _assert_same(results["vectorized"], results["loop"])
-    return results["vectorized"]
+    kwargs = dict(initial_loads=initial_loads, fallback=fallback, **kwargs)
+    result = max_regret_assign(desirability, demands, capacities, **kwargs)
+    _assert_same(result, max_regret_assign_loop(desirability, demands, capacities, **kwargs))
+    return result
 
 
 class TestStaticWalk:
@@ -323,10 +320,8 @@ class TestStaticWalk:
             cand_idx, cand_val, desirability, demands, capacities, None, fallback
         )
         assert 1 in calls
-        for backend in BACKENDS:
-            full = max_regret_assign(
-                desirability, demands, capacities, fallback=fallback, backend=backend
-            )
+        for solve in FULL_MATRIX_SOLVERS:
+            full = solve(desirability, demands, capacities, fallback=fallback)
             _assert_same(result, full)
 
     @pinned(40)
@@ -406,10 +401,10 @@ class TestGreZCandidateTable:
         np.testing.assert_array_equal(cost[outside], np.broadcast_to(pops, cost.shape)[outside])
 
         with_table = assign_zones_greedy(instance)
-        for backend in BACKENDS:
-            without = max_regret_assign(
+        for solve in FULL_MATRIX_SOLVERS:
+            without = solve(
                 -cost, instance.zone_demands(), instance.server_capacities,
-                fallback="least_loaded", backend=backend,
+                fallback="least_loaded",
                 fallback_allowed=zone_fallback_candidates(instance),
             )
             np.testing.assert_array_equal(with_table.zone_to_server, without.item_to_server)
