@@ -25,6 +25,7 @@ from repro.core.assignment import Assignment, ZoneAssignment, zone_server_loads
 from repro.core.costs import initial_cost_matrix
 from repro.core.problem import CAPInstance
 from repro.utils.rng import SeedLike
+from repro.utils.scatter import scatter_add_2d
 from repro.utils.timing import Timer
 
 __all__ = ["solve_nearest_server"]
@@ -36,9 +37,11 @@ def _assign_zones_nearest(instance: CAPInstance) -> ZoneAssignment:
     # Mean client delay per (server, zone) used only to break ties.
     populations = np.maximum(instance.zone_populations(), 1)
     if instance.has_dense_delays:
-        sums = np.zeros((instance.num_zones, instance.num_servers))
-        if instance.num_clients:
-            np.add.at(sums, instance.client_zones, instance.client_server_delays)
+        sums = scatter_add_2d(
+            (instance.num_zones, instance.num_servers),
+            instance.client_zones,
+            instance.client_server_delays,
+        )
     else:
         sums = instance.client_server_delays.zone_delay_sums(
             instance.client_zones, instance.num_zones

@@ -34,6 +34,7 @@ from typing import ClassVar, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.regret import max_regret_assign
+from repro.utils.scatter import scatter_add_2d
 
 __all__ = [
     "ShardSignal",
@@ -281,9 +282,12 @@ class RegretArbiter(CapacityArbiter):
             fallback="least_loaded",
             recompute=self.recompute,
         )
-        weights = np.zeros((len(signals), capacities.shape[0]), dtype=np.float64)
-        np.add.at(weights, (zone_owners, placement.item_to_server), zone_demands)
-        return weights
+        return scatter_add_2d(
+            (len(signals), capacities.shape[0]),
+            zone_owners,
+            zone_demands,
+            cols=placement.item_to_server,
+        )
 
 
 def make_arbiter(

@@ -25,6 +25,14 @@ handful of array operations.  The nested Python scan that specifies the
 move-acceptance semantics is kept as a test-only oracle
 (``tests/reference/local_search_loop.py``); the test suite checks that both
 apply the same moves on small and generated instances.
+
+The warm-start zone-move sweep (:func:`_repair_zones_sweep`) scores only the
+zones that have a member over the delay bound.  That is exact: a zone whose
+members all meet the bound cannot gain QoS from a move and has no excess to
+shed, so it is never an improving move.  A sweep's setup is then O(clients)
+plus O(over-bound zones' members × servers) instead of O(clients ×
+servers).  The score-every-zone sweep is kept as a test-only oracle
+(``tests/reference/zone_sweep_full.py``).
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from repro.core.assignment import Assignment, server_loads
 from repro.core.costs import delays_to_targets
 from repro.core.measures import attach_measures, measured_pqos
 from repro.core.problem import CAPInstance
+from repro.utils.scatter import scatter_add_2d
 from repro.utils.timing import Timer
 
 __all__ = ["LocalSearchResult", "refine_assignment", "warm_start_refine"]
@@ -74,36 +83,48 @@ class LocalSearchResult:
 # --------------------------------------------------------------------------- #
 def _zone_move_aggregates(
     instance: CAPInstance,
-) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Loop-invariant per-(zone, server) aggregates of the post-move delays.
+    members: Optional[np.ndarray] = None,
+    member_rows: Optional[np.ndarray] = None,
+    num_rows: int = 0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-(zone, server) within-bound counts and excess sums of zone moves.
 
-    ``direct[c, s]`` is client ``c``'s delay when connected directly to host
-    ``s`` (the self-delay diagonal term is normally zero but kept for exact
-    parity with the nested-scan oracle); ``within_matrix`` / ``excess_matrix``
-    aggregate it per zone, and ``zone_sizes`` counts members.  Shared by
-    every zone-move neighbourhood scanner.
+    A zone moved to host ``s`` reconnects its members directly, so each
+    member's post-move delay is ``delay(c, s) + ssd[s, s]`` (the self-delay
+    diagonal term is normally zero but kept for exact parity with the
+    oracles).  Returns ``(within_matrix, excess_matrix)``: per zone row and
+    server, the count of members whose direct delay meets the bound and the
+    sum of their excess ``max(direct - bound, 0)``.
 
-    Compact delay sources never build the (k, m) ``direct`` matrix: the zone
-    aggregates come from the node-space fast path and ``direct`` is ``None``
-    — the one consumer that indexes it (:func:`_repair_zones_sweep`) falls
-    back to per-move pair gathers then.
+    By default every zone is a row (row = zone id).  Given ``members``
+    (ascending client ids) and ``member_rows`` (each member's row in
+    ``[0, num_rows)``), only those rows are built, from a ``(members,
+    servers)`` gather — the zone-move sweep passes the zones that have a
+    member over the bound, since no other zone can gain from a move.  The
+    sums are flat ``np.bincount`` scatter-adds (:func:`scatter_add_2d`): each
+    cell adds its members in ascending client order from ``0.0``, so a row
+    is bit-identical to the same zone's row of the every-zone build.
+
+    Compact delay sources take the node-space fast path for every zone (a
+    different summation order, so a row subset is sliced from it rather
+    than gathered); they accept no ``members``.
     """
-    num_zones, num_servers = instance.num_zones, instance.num_servers
-    zones_of = instance.client_zones
     bound = instance.delay_bound
-    zone_sizes = np.bincount(zones_of, minlength=num_zones)
-    if not instance.has_dense_delays:
-        within_matrix, excess_matrix = instance.client_server_delays.zone_direct_aggregates(
-            bound, zones_of, num_zones, np.diag(instance.server_server_delays)
-        )
-        return None, within_matrix, excess_matrix, zone_sizes
-    direct = instance.client_server_delays + np.diag(instance.server_server_delays)[None, :]
-    within_matrix = np.zeros((num_zones, num_servers), dtype=np.float64)
-    excess_matrix = np.zeros_like(within_matrix)
-    if instance.num_clients:
-        np.add.at(within_matrix, zones_of, (direct <= bound).astype(float))
-        np.add.at(excess_matrix, zones_of, np.maximum(direct - bound, 0.0))
-    return direct, within_matrix, excess_matrix, zone_sizes
+    self_delays = np.diag(instance.server_server_delays)
+    if members is None:
+        if not instance.has_dense_delays:
+            return instance.client_server_delays.zone_direct_aggregates(
+                bound, instance.client_zones, instance.num_zones, self_delays
+            )
+        member_delays = instance.client_server_delays
+        member_rows, num_rows = instance.client_zones, instance.num_zones
+    else:
+        member_delays = instance.delay_rows(members)
+    direct = member_delays + self_delays[None, :]
+    shape = (num_rows, instance.num_servers)
+    within_matrix = scatter_add_2d(shape, member_rows, direct <= bound)
+    excess_matrix = scatter_add_2d(shape, member_rows, np.maximum(direct - bound, 0.0))
+    return within_matrix, excess_matrix
 
 
 def _best_zone_move(
@@ -117,7 +138,6 @@ def _best_zone_move(
     excess_total: float,
     within_matrix: np.ndarray,
     excess_matrix: np.ndarray,
-    zone_sizes: np.ndarray,
 ) -> Optional[Tuple[int, float, int, int]]:
     """Best improving zone move as ``(qos, excess, zone, server)``, or None.
 
@@ -146,13 +166,12 @@ def _best_zone_move(
     # (they reconnect directly to the new host).
     targets = old_servers[zones_of]
     forwarded = contacts != targets
-    forwarding_released = np.zeros((num_zones, num_servers), dtype=np.float64)
-    if forwarded.any():
-        np.add.at(
-            forwarding_released,
-            (zones_of[forwarded], contacts[forwarded]),
-            2.0 * instance.client_demands[forwarded],
-        )
+    forwarding_released = scatter_add_2d(
+        (num_zones, num_servers),
+        zones_of[forwarded],
+        2.0 * instance.client_demands[forwarded],
+        cols=contacts[forwarded],
+    )
     trial_base = loads[None, :] - forwarding_released
     trial_base[np.arange(num_zones), old_servers] -= zone_demands
 
@@ -167,7 +186,7 @@ def _best_zone_move(
     # accepted move set is identical.
     feasible &= loads[None, :] + zone_demands[:, None] <= capacities[None, :] + _CAP_EPS
     feasible[np.arange(num_zones), old_servers] = False
-    feasible[zone_sizes == 0, :] = False
+    feasible[instance.zone_populations() == 0, :] = False
 
     improving = feasible & (
         (qos_after > qos_count) | ((qos_after == qos_count) & (excess_after < excess_total))
@@ -258,7 +277,7 @@ def _refine_vectorized(
     zones_of = instance.client_zones
     bound = instance.delay_bound
     # Members of a moved zone always connect directly to the new host.
-    _, within_matrix, excess_matrix, zone_sizes = _zone_move_aggregates(instance)
+    within_matrix, excess_matrix = _zone_move_aggregates(instance)
 
     iterations = 0
     for _ in range(max_iterations):
@@ -282,7 +301,6 @@ def _refine_vectorized(
                 excess_total,
                 within_matrix,
                 excess_matrix,
-                zone_sizes,
             )
             if move is not None:
                 best = (move[0], move[1], "zone", move[2], move[3])
@@ -351,9 +369,9 @@ def _refine_incremental(
     loads = server_loads(instance, zone_to_server, contacts)
     targets = zone_to_server[zones_of]
 
-    within_matrix = excess_matrix = zone_sizes = zone_demands = None
+    within_matrix = excess_matrix = zone_demands = None
     if consider_zone_moves:
-        _, within_matrix, excess_matrix, zone_sizes = _zone_move_aggregates(instance)
+        within_matrix, excess_matrix = _zone_move_aggregates(instance)
         zone_demands = instance.zone_demands()
 
     iterations = 0
@@ -376,7 +394,6 @@ def _refine_incremental(
                 excess_total,
                 within_matrix,
                 excess_matrix,
-                zone_sizes,
             )
             if move is not None:
                 best = (move[0], move[1], "zone", move[2], move[3])
@@ -532,23 +549,33 @@ def _repair_zones_sweep(
     max_sweeps: int = 20,
     delays: Optional[np.ndarray] = None,
 ) -> int:
-    """Batched zone-move repair: one ``(zones, servers)`` scan per sweep.
+    """Batched zone-move repair: one ``(over-bound zones, servers)`` scan per sweep.
 
     ``delays`` optionally seeds (and receives, mutated in place) the
     maintained per-client delay vector — see :func:`_refine_incremental` for
     the bit-identity contract.
 
-    Each sweep evaluates, for every zone, the objective delta of re-hosting
-    it on every other server (members reconnect directly — the GreC base
-    case), picks each zone's best strictly-improving destination that fits
-    the sweep-start loads, and then admits the candidate moves greedily in
-    gain order with incrementally updated loads (a move whose headroom was
-    consumed by an earlier admission waits for the next sweep).  Because a
-    zone move only changes its *own* members' delays, the objective deltas of
-    distinct zones are additive, so every admitted move still strictly
-    improves the global objective.  Feasibility checks only the destination
-    fit: a zone move sheds load everywhere else (forwarding of its members is
-    released), so no other server can end worse off.
+    Each sweep evaluates, for every zone with a member over the bound, the
+    objective delta of re-hosting it on every other server (members
+    reconnect directly — the GreC base case), picks each zone's best
+    strictly-improving destination that fits the sweep-start loads, and then
+    admits the candidate moves greedily in gain order with incrementally
+    updated loads (a move whose headroom was consumed by an earlier
+    admission waits for the next sweep).  Because a zone move only changes
+    its *own* members' delays, the objective deltas of distinct zones are
+    additive, so every admitted move still strictly improves the global
+    objective.  Feasibility checks only the destination fit: a zone move
+    sheds load everywhere else (forwarding of its members is released), so
+    no other server can end worse off.
+
+    Scoring only the zones with a member over the bound is exact.  A zone
+    whose members all meet the bound has, on every server, a qos delta
+    ``<= 0`` (all its members already count) and an excess delta ``>= 0``
+    (its current excess is zero), so it is never improving and never a
+    candidate.  The scored rows keep ascending zone order, so the gain
+    order and every tie-break match a sweep over every zone.  A sweep's
+    setup is O(clients) plus O(scored members × servers); no ``(clients,
+    servers)`` matrix is built and no full client array is sorted.
 
     This is the neighbourhood that recovers hotspot *shifts*: after churn
     concentrates population in new zones, contact repairs alone cannot move
@@ -562,15 +589,11 @@ def _repair_zones_sweep(
     bound = instance.delay_bound
     capacities = instance.server_capacities
     zone_demands = instance.zone_demands()
-
-    direct, within_matrix, excess_matrix, zone_sizes = _zone_move_aggregates(instance)
-    # Compact delay sources skip the (k, m) direct matrix; applied moves
-    # regather the handful of affected rows instead.
-    self_delays = None if direct is not None else np.diag(instance.server_server_delays)
-
-    # Per-zone member lists, once (CSR-style layout).
-    member_order = np.argsort(zones_of, kind="stable")
-    member_starts = np.r_[0, np.cumsum(zone_sizes)]
+    self_delays = np.diag(instance.server_server_delays)
+    # Compact delay sources: every zone's node-space aggregates, built on
+    # the first sweep that scores a zone and sliced by row from then on.
+    node_space: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    zone_rows = np.full(num_zones, -1, dtype=np.int64)
 
     if delays is None:
         delays = delays_to_targets(instance, zone_to_server, contacts)
@@ -580,48 +603,68 @@ def _repair_zones_sweep(
     for _ in range(max_sweeps):
         if applied_total >= max_iterations:
             break
-        within = delays <= bound
-        excess_vec = np.maximum(delays - bound, 0.0)
+        over = delays > bound
+        zones = np.unique(zones_of[over])  # the only zones a move can improve
+        if zones.size == 0:
+            break
+        zone_rows[zones] = np.arange(zones.size)
+        member_rows = zone_rows[zones_of]
+        zone_rows[zones] = -1
+        members = np.flatnonzero(member_rows >= 0)
+        member_rows = member_rows[members]
         within_current = np.bincount(
-            zones_of, weights=within.astype(np.float64), minlength=num_zones
+            member_rows, weights=(~over[members]).astype(np.float64), minlength=zones.size
         )
-        excess_current = np.bincount(zones_of, weights=excess_vec, minlength=num_zones)
+        excess_current = np.bincount(
+            member_rows,
+            weights=np.maximum(delays[members] - bound, 0.0),
+            minlength=zones.size,
+        )
+        if instance.has_dense_delays:
+            within_matrix, excess_matrix = _zone_move_aggregates(
+                instance, members, member_rows, zones.size
+            )
+        else:
+            if node_space is None:
+                node_space = _zone_move_aggregates(instance)
+            within_matrix, excess_matrix = node_space[0][zones], node_space[1][zones]
 
+        rows = np.arange(zones.size)
         qos_delta = within_matrix - within_current[:, None]
         excess_delta = excess_matrix - excess_current[:, None]
-        fits = loads[None, :] + zone_demands[:, None] <= capacities[None, :] + _CAP_EPS
-        fits[np.arange(num_zones), zone_to_server] = False
-        fits[zone_sizes == 0, :] = False
+        fits = loads[None, :] + zone_demands[zones, None] <= capacities[None, :] + _CAP_EPS
+        fits[rows, zone_to_server[zones]] = False
         improving = fits & ((qos_delta > 0) | ((qos_delta == 0) & (excess_delta < 0)))
         if not improving.any():
             break
 
         qos_masked = np.where(improving, qos_delta, -np.inf)
         best_qos = qos_masked.max(axis=1)
-        candidate_zones = np.flatnonzero(best_qos > -np.inf)
+        candidates = np.flatnonzero(best_qos > -np.inf)
         excess_masked = np.where(
             improving & (qos_delta == best_qos[:, None]), excess_delta, np.inf
         )
         best_server = excess_masked.argmin(axis=1)
         # Admit the biggest gains first (qos gain desc, excess delta asc).
         gain_order = np.lexsort(
-            (
-                excess_masked[candidate_zones, best_server[candidate_zones]],
-                -best_qos[candidate_zones],
-            )
+            (excess_masked[candidates, best_server[candidates]], -best_qos[candidates])
         )
+        # Per-row member lists (CSR over the scored members, ascending ids).
+        member_order = members[np.argsort(member_rows, kind="stable")]
+        member_starts = np.zeros(zones.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(member_rows, minlength=zones.size), out=member_starts[1:])
 
         applied_this_sweep = 0
-        for zone in candidate_zones[gain_order]:
+        for row in candidates[gain_order]:
             if applied_total >= max_iterations:
                 break
-            zone = int(zone)
-            server = int(best_server[zone])
+            zone = int(zones[row])
+            server = int(best_server[row])
             if loads[server] + zone_demands[zone] > capacities[server] + _CAP_EPS:
                 continue  # an earlier admission consumed the headroom
-            members = member_order[member_starts[zone]: member_starts[zone + 1]]
+            zone_members = member_order[member_starts[row]: member_starts[row + 1]]
             old_server = int(zone_to_server[zone])
-            forwarded = members[contacts[members] != old_server]
+            forwarded = zone_members[contacts[zone_members] != old_server]
             if forwarded.size:
                 np.subtract.at(
                     loads, contacts[forwarded], 2.0 * instance.client_demands[forwarded]
@@ -629,11 +672,10 @@ def _repair_zones_sweep(
             loads[old_server] -= zone_demands[zone]
             loads[server] += zone_demands[zone]
             zone_to_server[zone] = server
-            contacts[members] = server
-            if direct is not None:
-                delays[members] = direct[members, server]
-            else:
-                delays[members] = instance.delay_pairs(members, server) + self_delays[server]
+            contacts[zone_members] = server
+            delays[zone_members] = (
+                instance.delay_pairs(zone_members, server) + self_delays[server]
+            )
             applied_total += 1
             applied_this_sweep += 1
         if applied_this_sweep == 0:

@@ -645,10 +645,10 @@ class ChurnSimulator:
             # repair and skew the policy comparison.  The batched zone-move
             # sweep joins in only on epochs whose *infrastructure* churned:
             # that is when the hosting itself is wrong (evacuated zones,
-            # drifted capacities) and a contact repair cannot recover it,
-            # while on client-only epochs the zone scan's O(clients×servers)
-            # setup would break the repair's cost-proportional-to-churn
-            # property for little gain.
+            # drifted capacities) and a contact repair cannot recover it.
+            # The sweep's setup is O(clients) plus O(over-bound zones'
+            # members × servers), so it would be affordable on client-only
+            # epochs too, but running it there would change the records.
             adopted = _timed(
                 "solve",
                 lambda: warm_start_refine(

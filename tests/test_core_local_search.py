@@ -2,14 +2,29 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.assignment import Assignment
-from repro.core.local_search import LocalSearchResult, refine_assignment
+from repro.core.assignment import Assignment, server_loads
+from repro.core.costs import delays_to_targets
+from repro.core.local_search import (
+    LocalSearchResult,
+    _repair_zones_sweep,
+    _zone_move_aggregates,
+    refine_assignment,
+)
+from repro.core.problem import CAPInstance
 from repro.core.two_phase import solve_cap
 from repro.core.validation import validate_assignment
+from repro.world.scenario import build_scenario
+from tests.conftest import make_small_config, make_tiny_instance
 from tests.reference.local_search_loop import refine_loop
+from tests.reference.zone_sweep_full import _zone_move_aggregates as oracle_zone_move_aggregates
+from tests.reference.zone_sweep_full import repair_zones_sweep_full
 
 
 def _bad_assignment(instance) -> Assignment:
@@ -186,3 +201,168 @@ class TestWarmStartRefine:
         )
         result = warm_start_refine(tiny_instance, start)
         assert not result.assignment.capacity_exceeded
+
+
+# ---------------------------------------------------------------------- #
+# Zone-move sweep vs the frozen score-every-zone oracle.
+# ---------------------------------------------------------------------- #
+def pinned(max_examples: int) -> settings:
+    """Seed-pinned hypothesis settings: the same examples on every run."""
+    return settings(
+        derandomize=True, deadline=None, database=None, max_examples=max_examples
+    )
+
+
+@lru_cache(maxsize=None)
+def _scenario_instance(backend: str) -> CAPInstance:
+    """A small world with empty zones (90 clients over 30 zones, 5 servers)."""
+    config = make_small_config(
+        num_zones=30, num_clients=90, delay_backend=backend, sparse_top_k=2
+    )
+    return CAPInstance.from_scenario(build_scenario(config, seed=5))
+
+
+def _random_dense_instance(rng, coarse: bool = True) -> CAPInstance:
+    """Random dense instance; ``coarse`` delays are multiples of 10 ms, so
+    clients often sit exactly on the bound, otherwise they are fractional."""
+    num_servers = int(rng.integers(2, 7))
+    num_zones = int(rng.integers(1, 12))
+    num_clients = int(rng.integers(1, 50))
+    server_delays = rng.integers(0, 5, size=(num_servers, num_servers)) * 10.0
+    server_delays = server_delays + server_delays.T
+    if rng.random() < 0.7:
+        np.fill_diagonal(server_delays, 0.0)
+    return CAPInstance(
+        client_server_delays=(
+            rng.integers(0, 12, size=(num_clients, num_servers)) * 10.0
+            if coarse
+            else rng.random((num_clients, num_servers)) * 120.0
+        ),
+        server_server_delays=server_delays,
+        client_zones=rng.integers(0, num_zones, size=num_clients),
+        client_demands=rng.choice([0.5, 1.0, 2.0], size=num_clients),
+        server_capacities=np.ones(num_servers),
+        delay_bound=float(rng.integers(2, 12) * 10),
+        num_zones=num_zones,
+    )
+
+
+def _sweep_case(backend: str, seed: int):
+    """``(instance, zone_to_server, contacts, max_iterations, max_sweeps)``."""
+    rng = np.random.default_rng(seed)
+    if backend == "random-dense":
+        instance = _random_dense_instance(rng)
+    else:
+        instance = _scenario_instance(backend)
+        clients = rng.integers(0, instance.num_clients, size=2)
+        servers = rng.integers(0, instance.num_servers, size=2)
+        direct = instance.delay_pairs(clients, servers) + np.diag(
+            instance.server_server_delays
+        )[servers]
+        # Either a bound some client meets exactly, or one from the delay range.
+        bound = direct[0] if rng.random() < 0.5 else float(rng.uniform(20.0, 400.0))
+        instance = instance.with_delay_bound(max(float(bound), 1.0))
+    num_servers, num_zones = instance.num_servers, instance.num_zones
+
+    start = rng.choice(["server-0", "random", "solved"])
+    if start == "server-0":
+        zone_to_server = np.zeros(num_zones, dtype=np.int64)
+    elif start == "random":
+        zone_to_server = rng.integers(0, num_servers, size=num_zones)
+    else:
+        zone_to_server = solve_cap(instance, "grez-grec", seed=0).zone_to_server.copy()
+        shuffled = rng.random(num_zones) < 0.3
+        zone_to_server[shuffled] = rng.integers(0, num_servers, size=int(shuffled.sum()))
+    contacts = zone_to_server[instance.client_zones].copy()
+    forwarded = rng.random(instance.num_clients) < rng.choice([0.0, 0.3])
+    contacts[forwarded] = rng.integers(0, num_servers, size=int(forwarded.sum()))
+
+    # Capacity regimes: loose, tight around the start loads (admissions
+    # compete for the same headroom), or random (some servers overloaded).
+    loads = server_loads(instance, zone_to_server, contacts)
+    zone_demands = instance.zone_demands()
+    regime = rng.choice(["loose", "tight", "random"])
+    if regime == "loose":
+        capacities = np.full(num_servers, 4.0 * instance.total_demand() + 1.0)
+    elif regime == "tight":
+        headroom = rng.random(num_servers) * 1.5 * max(float(zone_demands.max()), 1.0)
+        capacities = loads + headroom
+    else:
+        capacities = rng.random(num_servers) * 2.0 * instance.total_demand() / num_servers
+    instance = instance.with_server_capacities(np.maximum(capacities, 0.25))
+
+    max_iterations = int(rng.choice([1, 2, 3, 1000]))
+    max_sweeps = int(rng.choice([1, 2, 20]))
+    return instance, zone_to_server, contacts, max_iterations, max_sweeps
+
+
+class TestZoneSweepOracle:
+    """``_repair_zones_sweep`` scores only the zones with a member over the
+    bound; the frozen oracle scores every zone.  Both must apply the same
+    moves, leave the same delay bits and report the same move count."""
+
+    @pinned(150)
+    @given(
+        backend=st.sampled_from(["random-dense", "dense", "coords", "sparse"]),
+        seed=st.integers(0, 2**32 - 1),
+        seeded=st.booleans(),
+    )
+    def test_matches_full_sweep(self, backend, seed, seeded):
+        instance, zone_to_server, contacts, max_iterations, max_sweeps = _sweep_case(
+            backend, seed
+        )
+        results = []
+        for sweep in (_repair_zones_sweep, repair_zones_sweep_full):
+            zones, conts = zone_to_server.copy(), contacts.copy()
+            delays = delays_to_targets(instance, zones, conts) if seeded else None
+            applied = sweep(
+                instance, zones, conts, max_iterations, max_sweeps=max_sweeps, delays=delays
+            )
+            if delays is None:
+                delays = delays_to_targets(instance, zones, conts)
+            results.append((applied, zones, conts, delays))
+        (applied, zones, conts, delays), (o_applied, o_zones, o_conts, o_delays) = results
+        assert applied == o_applied
+        np.testing.assert_array_equal(zones, o_zones)
+        np.testing.assert_array_equal(conts, o_conts)
+        assert delays.tobytes() == o_delays.tobytes()
+        if seeded:
+            fresh = delays_to_targets(instance, zones, conts)
+            assert delays.tobytes() == fresh.tobytes()
+
+    def test_skips_a_move_whose_headroom_was_taken(self):
+        """Zones 1 and 3 both want server 1, which has room for one zone."""
+        instance = make_tiny_instance(capacities=(45.0, 25.0, 100.0))
+        start = _bad_assignment(instance)
+        for max_sweeps in (1, 20):
+            results = []
+            for sweep in (_repair_zones_sweep, repair_zones_sweep_full):
+                zones = start.zone_to_server.copy()
+                conts = start.contact_of_client.copy()
+                results.append((sweep(instance, zones, conts, 100, max_sweeps), zones, conts))
+            assert results[0][0] == results[1][0]
+            np.testing.assert_array_equal(results[0][1], results[1][1])
+            np.testing.assert_array_equal(results[0][2], results[1][2])
+        # One sweep: zone 1 takes server 1 first (zone order breaks the gain
+        # tie) and zone 3's claim on it is skipped.
+        assert results[0][1][1] == 1
+        assert results[0][1][3] != 1
+
+    def test_every_client_within_bound_applies_nothing(self, tiny_instance):
+        start = solve_cap(tiny_instance, "grez-grec", seed=0)
+        zones = start.zone_to_server.copy()
+        conts = start.contact_of_client.copy()
+        assert (delays_to_targets(tiny_instance, zones, conts) <= tiny_instance.delay_bound).all()
+        assert _repair_zones_sweep(tiny_instance, zones, conts, 100) == 0
+        np.testing.assert_array_equal(zones, start.zone_to_server)
+
+
+class TestZoneMoveAggregates:
+    @pinned(60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_all_zone_aggregates_match_the_oracle_bitwise(self, seed):
+        instance = _random_dense_instance(np.random.default_rng(seed), coarse=False)
+        within, excess = _zone_move_aggregates(instance)
+        _, o_within, o_excess, _ = oracle_zone_move_aggregates(instance)
+        assert within.tobytes() == o_within.tobytes()
+        assert excess.tobytes() == o_excess.tobytes()
