@@ -593,7 +593,6 @@ def _repair_zones_sweep(
     # Compact delay sources: every zone's node-space aggregates, built on
     # the first sweep that scores a zone and sliced by row from then on.
     node_space: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    zone_rows = np.full(num_zones, -1, dtype=np.int64)
 
     if delays is None:
         delays = delays_to_targets(instance, zone_to_server, contacts)
@@ -607,10 +606,10 @@ def _repair_zones_sweep(
         zones = np.unique(zones_of[over])  # the only zones a move can improve
         if zones.size == 0:
             break
+        zone_rows = np.full(num_zones, -1, dtype=np.int64)
         zone_rows[zones] = np.arange(zones.size)
         member_rows = zone_rows[zones_of]
-        zone_rows[zones] = -1
-        members = np.flatnonzero(member_rows >= 0)
+        members = np.flatnonzero(member_rows >= 0)  # ascending client ids
         member_rows = member_rows[members]
         within_current = np.bincount(
             member_rows, weights=(~over[members]).astype(np.float64), minlength=zones.size
@@ -629,11 +628,10 @@ def _repair_zones_sweep(
                 node_space = _zone_move_aggregates(instance)
             within_matrix, excess_matrix = node_space[0][zones], node_space[1][zones]
 
-        rows = np.arange(zones.size)
         qos_delta = within_matrix - within_current[:, None]
         excess_delta = excess_matrix - excess_current[:, None]
         fits = loads[None, :] + zone_demands[zones, None] <= capacities[None, :] + _CAP_EPS
-        fits[rows, zone_to_server[zones]] = False
+        fits[np.arange(zones.size), zone_to_server[zones]] = False
         improving = fits & ((qos_delta > 0) | ((qos_delta == 0) & (excess_delta < 0)))
         if not improving.any():
             break
@@ -649,10 +647,6 @@ def _repair_zones_sweep(
         gain_order = np.lexsort(
             (excess_masked[candidates, best_server[candidates]], -best_qos[candidates])
         )
-        # Per-row member lists (CSR over the scored members, ascending ids).
-        member_order = members[np.argsort(member_rows, kind="stable")]
-        member_starts = np.zeros(zones.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(member_rows, minlength=zones.size), out=member_starts[1:])
 
         applied_this_sweep = 0
         for row in candidates[gain_order]:
@@ -662,7 +656,7 @@ def _repair_zones_sweep(
             server = int(best_server[row])
             if loads[server] + zone_demands[zone] > capacities[server] + _CAP_EPS:
                 continue  # an earlier admission consumed the headroom
-            zone_members = member_order[member_starts[row]: member_starts[row + 1]]
+            zone_members = members[member_rows == row]
             old_server = int(zone_to_server[zone])
             forwarded = zone_members[contacts[zone_members] != old_server]
             if forwarded.size:
