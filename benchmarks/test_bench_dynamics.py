@@ -18,10 +18,16 @@ pipelines, so the end-to-end advantage now comes from what the delta backend
 still avoids — the world rebuild, re-validation and carried-over state — and
 saturates around 2-3× at paper scale and ~2× at 4× population.
 
+The delta-vs-rebuild speedup is a recorded value, not a gate.  On a shared
+2-vCPU host 30 quiet standalone runs read 1.32x-3.62x at paper scale
+(quartiles 2.17x / 2.23x / 2.28x) and 1.34x-3.06x at 4x scale (2.01x / 2.05x
+/ 2.16x), and 3 of them fell below the old 1.5x gate, so a fixed threshold
+fails on timing noise.  The adopted-pQoS bound below is still asserted.
+
 Machine-readable results (per-epoch milliseconds, speedups, adopted pQoS) are
-written to ``BENCH_dynamics.json`` at the repository root so the perf
-trajectory of the pipeline can be tracked across commits; CI uploads the file
-as a workflow artifact.
+written to ``BENCH_dynamics.json`` at the repository root with
+``REPRO_BENCH_UPDATE=1`` so the perf trajectory of the pipeline can be tracked
+across commits; CI uploads the file as a workflow artifact.
 """
 
 from __future__ import annotations
@@ -137,15 +143,6 @@ def test_bench_dynamics(benchmark, record):
     )
     record("dynamics", text)
     record_json({"configurations": results}, RESULTS_PATH)
-
-    # The incremental pipeline must beat the full-rebuild pipeline everywhere.
-    # The 4× threshold used to be 5×, back when the rebuild path's epoch cost
-    # was dominated by the heuristics' Python placement loops; the vectorized
-    # max-regret engine cut that cost for both pipelines (BENCH_solvers.json
-    # tracks it), so the remaining end-to-end gap — rebuild, re-validation,
-    # state carry-over — saturates near 2× at both scales.
-    assert paper["epoch_speedup_delta_vs_rebuild"] >= 1.5
-    assert scaled["epoch_speedup_delta_vs_rebuild"] >= 1.5
 
     # The repair policies trade a little interactivity for that speed; they
     # must stay within a few points of the re-executed pQoS.

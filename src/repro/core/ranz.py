@@ -73,7 +73,8 @@ def assign_zones_random(instance: CAPInstance, seed: SeedLike = None) -> ZoneAss
                 np.less_equal(loads + demand, slack, out=feasible_mask)
             feasible = np.flatnonzero(feasible_mask)
             if feasible.size:
-                server = int(rng.choice(feasible))
+                # ``choice`` of a 1-D array is ``a[integers(0, a.size)]``: same draw, same state.
+                server = int(feasible[rng.integers(0, feasible.size)])
             else:
                 server = int(np.argmax(capacities - loads))
                 capacity_exceeded = True

@@ -173,6 +173,8 @@ class Topology:
                 raise TopologyError("self-loop edges are not allowed")
             if np.unique(lo * self.num_nodes + hi).size != self.num_edges:
                 raise TopologyError("duplicate undirected edges are not allowed")
+        if not np.isfinite(self.latencies).all():
+            raise TopologyError("all edge latencies must be finite (got NaN or inf)")
         if self.latencies.size and (self.latencies <= 0).any():
             raise TopologyError("all edge latencies must be strictly positive")
         if self.node_domain is not None:
@@ -302,7 +304,7 @@ class Topology:
 
         ``dist[s, v]`` is the least path length from ``s`` to ``v``, each path
         summed left to right from ``s``.  The topology is a simple graph with
-        strictly positive latencies (``__post_init__`` enforces both), and
+        finite, strictly positive latencies (``__post_init__`` enforces both), and
         under that precondition the matrix is bitwise the one Dijkstra
         returns: with ``w > 0`` and rounding to nearest, ``fl(a + w) >= a``
         and ``fl(a + w)`` is monotone in ``a``, so any sequence of edge

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.topology.barabasi_albert import BarabasiAlbertParams, barabasi_albert_topology
 from repro.topology.graph import Topology, merge_topologies
-from repro.topology.waxman import WaxmanParams, waxman_topology
+from repro.topology.waxman import WaxmanParams, _waxman_arrays
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.utils.validation import check_positive
 
@@ -88,21 +88,17 @@ def hierarchical_topology(
     )
     parts: list[Topology] = []
     for as_id in range(params.num_as):
-        part = waxman_topology(
-            params.routers_per_as,
-            params=router_cfg,
-            seed=router_rngs[as_id],
-            name=f"as-{as_id}",
+        positions, edges, latencies = _waxman_arrays(
+            params.routers_per_as, router_cfg, router_rngs[as_id]
         )
         centre = as_level.positions[as_id]
-        shifted = part.positions - params.intra_as_plane_size / 2.0 + centre
         parts.append(
             Topology(
-                positions=shifted,
-                edges=part.edges,
-                latencies=part.latencies,
-                node_domain=np.full(part.num_nodes, as_id, dtype=np.int64),
-                name=part.name,
+                positions=positions - params.intra_as_plane_size / 2.0 + centre,
+                edges=edges,
+                latencies=latencies,
+                node_domain=np.full(params.routers_per_as, as_id, dtype=np.int64),
+                name=f"as-{as_id}",
             )
         )
 
@@ -116,8 +112,9 @@ def hierarchical_topology(
     cross_edges: list[tuple[int, int, float]] = []
     for (a, b), latency in zip(as_level.edges, as_level.latencies):
         a, b = int(a), int(b)
-        u_local = int(rng.choice(borders[a]))
-        v_local = int(rng.choice(borders[b]))
+        # ``choice`` of a 1-D array is ``a[integers(0, a.size)]``: same draw, same state.
+        u_local = int(borders[a][rng.integers(0, borders[a].size)])
+        v_local = int(borders[b][rng.integers(0, borders[b].size)])
         u = int(offsets[a] + u_local)
         v = int(offsets[b] + v_local)
         # AS-level latency already encodes the inter-domain distance; rescale it

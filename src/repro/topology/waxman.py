@@ -67,9 +67,17 @@ def _connect_components(
     label is joined to its nearest node outside it: the first minimum of
     ``dist[inside, outside]`` in row-major order, so distance ties go to the
     lowest inside node, then the lowest outside node.  The joined component
-    takes the outside node's label.  Runs once per AS in the hierarchical
-    generator, so the labels live in one array relabelled in a single op per
-    join.
+    takes the outside node's label.
+
+    The join loop runs in plain Python over one stable row-wise argsort of
+    ``dist`` and a cursor per node into its sorted row.  Each member of the
+    joining component, in ascending order, advances its cursor past entries of
+    its own component; the first entry left is its nearest outside node, ties
+    going to the lowest column because the sort is stable.  A strict ``<``
+    over ``(distance, member)`` then keeps the lowest inside node among equal
+    distances, which together is the row-major first minimum above.  Components
+    only grow, so a skipped entry never leaves the component and no cursor
+    ever moves back: the whole loop walks each sorted row at most once.
     """
     parent = list(range(n))
 
@@ -84,18 +92,67 @@ def _connect_components(
         if ru != rv:
             parent[ru] = rv
 
-    labels = np.array([find(x) for x in range(n)])
+    labels = [find(x) for x in range(n)]
+    members: dict[int, list[int]] = {}
+    for x, label in enumerate(labels):
+        members.setdefault(label, []).append(x)
     extra: list[tuple[int, int]] = []
-    while True:
-        inside = labels == labels.min()
-        if inside.all():
-            return extra
-        comp_nodes = np.flatnonzero(inside)
-        sub = dist[comp_nodes]
-        sub[:, inside] = np.inf
-        i, v = divmod(int(np.argmin(sub)), n)
-        extra.append((int(comp_nodes[i]), v))
-        labels[inside] = labels[v]
+    if len(members) == 1:
+        return extra
+
+    rows = dist.tolist()
+    order = np.argsort(dist, axis=1, kind="stable").tolist()
+    cursor = [0] * n
+    while len(members) > 1:
+        label = min(members)
+        inside = members.pop(label)
+        best_u = best_v = -1
+        best = 0.0
+        for u in inside:
+            row = order[u]
+            c = cursor[u]
+            while labels[row[c]] == label:
+                c += 1
+            cursor[u] = c
+            v = row[c]
+            d = rows[u][v]
+            if best_u < 0 or d < best:
+                best, best_u, best_v = d, u, v
+        extra.append((best_u, best_v))
+        target = labels[best_v]
+        for u in inside:
+            labels[u] = target
+        members[target] = sorted(members[target] + inside)
+    return extra
+
+
+def _waxman_arrays(
+    num_nodes: int,
+    params: WaxmanParams,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one Waxman sample: ``(positions, edges, latencies)``, unvalidated.
+
+    Shared by :func:`waxman_topology` and the hierarchical generator, which
+    shifts the positions into its AS plane before building the one validated
+    :class:`Topology` per domain.
+    """
+    positions = rng.uniform(0.0, params.plane_size, size=(num_nodes, 2))
+    dist = _pairwise_distances(positions)
+    l_max = params.plane_size * np.sqrt(2.0)
+    prob = params.alpha * np.exp(-dist / (params.beta * l_max))
+    iu, ju = np.triu_indices(num_nodes, k=1)
+    draws = rng.random(iu.size)
+    keep = draws < prob[iu, ju]
+    edge_list = list(zip(iu[keep].tolist(), ju[keep].tolist()))
+
+    if params.ensure_connected:
+        edge_list.extend(_connect_components(edge_list, dist, num_nodes))
+
+    edges = np.array(edge_list, dtype=np.int64).reshape(-1, 2)
+    latencies = dist[edges[:, 0], edges[:, 1]] * params.latency_per_unit
+    # Guard against zero-length edges when two nodes land on the same point.
+    return positions, edges, np.maximum(latencies, 1e-3)
 
 
 def waxman_topology(
@@ -126,35 +183,5 @@ def waxman_topology(
     if num_nodes < 1:
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
     params = params or WaxmanParams()
-    rng = as_generator(seed)
-
-    positions = rng.uniform(0.0, params.plane_size, size=(num_nodes, 2))
-    if num_nodes == 1:
-        return Topology(
-            positions=positions,
-            edges=np.zeros((0, 2), dtype=np.int64),
-            latencies=np.zeros(0, dtype=np.float64),
-            name=name,
-        )
-
-    dist = _pairwise_distances(positions)
-    l_max = params.plane_size * np.sqrt(2.0)
-    prob = params.alpha * np.exp(-dist / (params.beta * l_max))
-    iu, ju = np.triu_indices(num_nodes, k=1)
-    draws = rng.random(iu.size)
-    keep = draws < prob[iu, ju]
-    edge_list = list(zip(iu[keep].tolist(), ju[keep].tolist()))
-
-    if params.ensure_connected:
-        edge_list.extend(_connect_components(edge_list, dist, num_nodes))
-
-    if edge_list:
-        edges = np.array(edge_list, dtype=np.int64)
-        latencies = dist[edges[:, 0], edges[:, 1]] * params.latency_per_unit
-        # Guard against zero-length edges when two nodes land on the same point.
-        latencies = np.maximum(latencies, 1e-3)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
-        latencies = np.zeros(0, dtype=np.float64)
-
+    positions, edges, latencies = _waxman_arrays(num_nodes, params, as_generator(seed))
     return Topology(positions=positions, edges=edges, latencies=latencies, name=name)

@@ -59,6 +59,17 @@ class TestConstruction:
                 latencies=np.array([0.0]),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_latency_rejected(self, bad):
+        # NaN and +inf pass a ``<= 0`` check; they must not reach the
+        # shortest-path kernels, which would report a disconnected graph.
+        with pytest.raises(TopologyError, match="finite"):
+            Topology(
+                positions=np.zeros((3, 2)),
+                edges=np.array([[0, 1], [1, 2]]),
+                latencies=np.array([1.0, bad]),
+            )
+
     def test_domain_length_mismatch(self):
         with pytest.raises(TopologyError):
             Topology(

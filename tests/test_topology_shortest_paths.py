@@ -11,7 +11,8 @@
   rejected (SciPy's sparse constructor adds the latencies of duplicates).
 * The Waxman generator's component connector returns exactly the edges of
   the original numpy union-find (``tests/reference/waxman_connect.py``),
-  on point sets with many distance ties.
+  in the same order, on 2..60 points with many distance ties or coincident
+  points, shuffled edge lists and edgeless (all-isolated) samples.
 """
 
 from __future__ import annotations
@@ -114,20 +115,46 @@ def test_non_simple_graph_rejected(edges, match):
         Topology(positions=np.zeros((3, 2)), edges=np.array(edges), latencies=[5.0, 5.0, 1.0])
 
 
+#: Point layouts for the connector cases: uniform points, a small integer
+#: grid (many equal distances) and a 2x2 grid (mostly coincident points, so
+#: whole blocks of zero distances tie).
+CONNECTOR_LAYOUTS = ("uniform", "grid", "coincident")
+
+
+def _connector_positions(layout: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if layout == "grid":
+        return rng.integers(0, 4, size=(n, 2)).astype(np.float64)
+    if layout == "coincident":
+        return rng.integers(0, 2, size=(n, 2)).astype(np.float64)
+    return rng.uniform(0.0, 100.0, size=(n, 2))
+
+
 @st.composite
 def connector_cases(draw):
-    n = draw(st.integers(2, 40))
+    n = draw(st.integers(2, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        # A small integer grid: many equal distances and coincident points.
-        positions = rng.integers(0, 4, size=(n, 2)).astype(np.float64)
-    else:
-        positions = rng.uniform(0.0, 100.0, size=(n, 2))
+    positions = _connector_positions(draw(st.sampled_from(CONNECTOR_LAYOUTS)), n, rng)
     p = draw(st.sampled_from((0.0, 0.03, 0.1, 0.3)))
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < p
     edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
+    if draw(st.booleans()):
+        # Shuffled edge order with flipped endpoints: the union-find roots,
+        # and so the component labels, depend on both.
+        flip = rng.random(len(edges)) < 0.5
+        edges = [(v, u) if f else (u, v) for (u, v), f in zip(edges, flip)]
+        edges = [edges[i] for i in rng.permutation(len(edges))]
     return edges, _pairwise_distances(positions), n
+
+
+@pytest.mark.parametrize("layout", CONNECTOR_LAYOUTS)
+@pytest.mark.parametrize("n", [2, 25, 60])
+def test_connect_components_all_isolated(layout, n):
+    # No sampled edges: the connector alone builds a spanning tree.
+    dist = _pairwise_distances(_connector_positions(layout, n, np.random.default_rng(n)))
+    extra = _connect_components([], dist, n)
+    assert len(extra) == n - 1
+    assert extra == reference_connect([], dist, n)
 
 
 @pinned(500)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.rng import (
     as_generator,
@@ -134,3 +136,22 @@ class TestRandomSubset:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             random_subset(rng, [1, 2, 3], -1)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    values=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=64),
+    draws=st.integers(1, 4),
+)
+def test_scalar_choice_is_a_bounded_integer_draw(seed, values, draws):
+    # RanZ and the hierarchical border-router pick replace ``rng.choice(a)``
+    # on a 1-D array by ``a[rng.integers(0, a.size)]``.  The golden corpora
+    # rely on that being the same value and leaving the generator in the same
+    # state; if a numpy release changes ``choice``, this test names the cause.
+    a = np.array(values, dtype=np.int64)
+    by_choice = np.random.default_rng(seed)
+    by_integers = np.random.default_rng(seed)
+    for _ in range(draws):
+        assert by_choice.choice(a) == a[by_integers.integers(0, a.size)]
+    assert by_choice.random() == by_integers.random()
