@@ -1,28 +1,19 @@
-"""Longitudinal dynamics benchmark: delta pipeline vs full-rebuild pipeline.
+"""Longitudinal dynamics benchmark: re-execution vs the repair policies.
 
-Compares the per-epoch cost of the pre-refactor churn pipeline (``rebuild``
-backend + ``reexecute`` policy: rebuild the world, re-validate the instance,
-re-solve every algorithm from scratch) against the incremental pipeline
-(``delta`` backend + ``warm_start`` policy: delta state updates plus the
-sweep-mode warm-start repair), across epoch counts and two scales:
+Compares the per-epoch cost of re-solving every algorithm from scratch each
+epoch (``reexecute`` policy) against the two repair policies
+(``incremental``: contact phase only; ``warm_start``: the sweep-mode
+warm-start repair), all on the engine's delta world advance, across epoch
+counts and two scales:
 
 * the paper's largest configuration (30s-160z-2000c-1000cp) with a 10 % churn
   batch, and
 * 4× that population (30s-160z-8000c-4000cp, same load factor).
 
-Historically the 4× configuration showed a ≥5× delta-pipeline advantage
-because the rebuild path's per-epoch cost was dominated by the from-scratch
-heuristic solves' Python placement loops.  The vectorized max-regret engine
-(see ``benchmarks/test_bench_solvers.py``) removed that bottleneck for *both*
-pipelines, so the end-to-end advantage now comes from what the delta backend
-still avoids — the world rebuild, re-validation and carried-over state — and
-saturates around 2-3× at paper scale and ~2× at 4× population.
-
-The delta-vs-rebuild speedup is a recorded value, not a gate.  On a shared
-2-vCPU host 30 quiet standalone runs read 1.32x-3.62x at paper scale
-(quartiles 2.17x / 2.23x / 2.28x) and 1.34x-3.06x at 4x scale (2.01x / 2.05x
-/ 2.16x), and 3 of them fell below the old 1.5x gate, so a fixed threshold
-fails on timing noise.  The adopted-pQoS bound below is still asserted.
+The warm-start-vs-re-execute speedup is a recorded value, not a gate: timing
+ratios on a shared host vary by tens of percent between quiet runs.  The
+adopted-pQoS bound below is asserted: the repair policies may trade only a
+few points of interactivity for their speed.
 
 Machine-readable results (per-epoch milliseconds, speedups, adopted pQoS) are
 written to ``BENCH_dynamics.json`` at the repository root with
@@ -45,6 +36,7 @@ from repro.io.tables import format_table
 from repro.world.scenario import build_scenario
 
 from benchmarks.conftest import bench_runs, record_json
+from tests.reference.world_rebuild import checked_advances
 
 pytestmark = pytest.mark.benchmark
 
@@ -57,18 +49,14 @@ CHURN = ChurnSpec(200, 200, 200)  # 10 % of the paper's largest population
 PAPER_LABEL = "30s-160z-2000c-1000cp"
 SCALED_LABEL = "30s-160z-8000c-4000cp"  # 4× population, same load factor
 
-#: Pipelines under comparison: the pre-refactor full-rebuild path vs the
-#: incremental delta path (plus the contact-phase-only repair for context).
-PIPELINES = (
-    ("reexecute", "rebuild"),
-    ("incremental", "delta"),
-    ("warm_start", "delta"),
-)
+#: Policies under comparison: re-execution from scratch vs the warm-start
+#: repair (plus the contact-phase-only repair for context).
+PIPELINES = ("reexecute", "incremental", "warm_start")
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_dynamics.json"
 
 
-def _time_pipeline(scenario, policy: str, backend: str, num_epochs: int):
+def _time_pipeline(scenario, policy: str, num_epochs: int):
     """Per-epoch wall time (seconds) and final adopted pQoS of one pipeline."""
     simulator = ChurnSimulator(
         scenario=scenario,
@@ -76,7 +64,6 @@ def _time_pipeline(scenario, policy: str, backend: str, num_epochs: int):
         churn_spec=CHURN,
         seed=1,
         policy=policy,
-        backend=backend,
     )
     stream = simulator.stream(num_epochs)
     start = time.perf_counter()
@@ -90,21 +77,21 @@ def _measure_label(label: str, num_epochs: int) -> dict:
     config = config_from_label(label, correlation=0.0)
     scenario = build_scenario(config, seed=0)
     pipelines = {}
-    for policy, backend in PIPELINES:
-        per_epoch, final_pqos = _time_pipeline(scenario, policy, backend, num_epochs)
-        pipelines[f"{policy}+{backend}"] = {
+    for policy in PIPELINES:
+        per_epoch, final_pqos = _time_pipeline(scenario, policy, num_epochs)
+        pipelines[policy] = {
             "per_epoch_ms": per_epoch * 1e3,
             "final_adopted_pqos": final_pqos,
         }
-    rebuild_ms = pipelines["reexecute+rebuild"]["per_epoch_ms"]
-    delta_ms = pipelines["warm_start+delta"]["per_epoch_ms"]
+    reexec_ms = pipelines["reexecute"]["per_epoch_ms"]
+    warm_ms = pipelines["warm_start"]["per_epoch_ms"]
     return {
         "label": label,
         "num_epochs": num_epochs,
         "algorithms": ALGORITHMS,
         "churn": {"joins": CHURN.num_joins, "leaves": CHURN.num_leaves, "moves": CHURN.num_moves},
         "pipelines": pipelines,
-        "epoch_speedup_delta_vs_rebuild": rebuild_ms / delta_ms,
+        "epoch_speedup_warm_start_vs_reexecute": reexec_ms / warm_ms,
     }
 
 
@@ -131,13 +118,14 @@ def test_bench_dynamics(benchmark, record):
                 ]
             )
     text = format_table(
-        ["configuration", "pipeline", "ms / epoch", "final adopted pQoS"],
+        ["configuration", "policy", "ms / epoch", "final adopted pQoS"],
         rows,
         title=(
             f"Dynamics pipelines over {NUM_EPOCHS} epochs "
             f"({CHURN.num_joins}j/{CHURN.num_leaves}l/{CHURN.num_moves}m churn): "
-            f"speedup {paper['epoch_speedup_delta_vs_rebuild']:.1f}x at paper scale, "
-            f"{scaled['epoch_speedup_delta_vs_rebuild']:.1f}x at 4x scale"
+            f"warm start {paper['epoch_speedup_warm_start_vs_reexecute']:.1f}x faster "
+            f"than re-execution at paper scale, "
+            f"{scaled['epoch_speedup_warm_start_vs_reexecute']:.1f}x at 4x scale"
         ),
         float_format=".2f",
     )
@@ -147,23 +135,20 @@ def test_bench_dynamics(benchmark, record):
     # The repair policies trade a little interactivity for that speed; they
     # must stay within a few points of the re-executed pQoS.
     for result in results:
-        reexec = result["pipelines"]["reexecute+rebuild"]["final_adopted_pqos"]
-        warm = result["pipelines"]["warm_start+delta"]["final_adopted_pqos"]
+        reexec = result["pipelines"]["reexecute"]["final_adopted_pqos"]
+        warm = result["pipelines"]["warm_start"]["final_adopted_pqos"]
         assert warm >= reexec - 0.08
 
 
-def test_bench_backend_equivalence_at_scale(record):
-    """Delta and rebuild backends stream identical records at paper scale."""
+def test_bench_world_advance_matches_rebuild_oracle_at_scale(record):
+    """Every world advance at paper scale equals a full rebuild, bit for bit."""
     config = config_from_label(PAPER_LABEL, correlation=0.0)
     scenario = build_scenario(config, seed=0)
-    streams = {}
-    for backend in ("delta", "rebuild"):
-        simulator = ChurnSimulator(
+    with checked_advances() as checked:
+        ChurnSimulator(
             scenario=scenario,
             algorithms=["grez-grec"],
             churn_spec=CHURN,
             seed=9,
-            backend=backend,
-        )
-        streams[backend] = simulator.run(num_epochs=2)
-    assert streams["delta"] == streams["rebuild"]
+        ).run(num_epochs=2)
+    assert checked == [True, True]

@@ -1,7 +1,7 @@
 """Sustained epoch throughput: the arena fast path vs the executable spec.
 
-Drives the figure-4 configuration (largest paper world, delta scenario
-backend, incremental measurement, warm-start policy) through
+Drives the figure-4 configuration (largest paper world, incremental
+measurement, warm-start policy) through
 :func:`repro.experiments.loadgen.run_loadgen` twice per repetition — once
 with the epoch arena on, once with it off — interleaved so machine noise
 hits both arms alike.  Reports steady-state epochs/sec and events/sec, the
@@ -18,7 +18,7 @@ p50/p99 epoch wall, the per-phase wall and allocation split.
 
 A short record-stream probe re-asserts that both arms emit bit-identical
 :class:`~repro.dynamics.engine.EpochRecord` streams (the exhaustive
-backend x measurement x churn cross-product lives in
+measurement x churn cross-product lives in
 ``tests/test_throughput_engine.py``).
 
 Results go to ``BENCH_throughput.json`` at the repository root with
@@ -47,7 +47,6 @@ pytestmark = pytest.mark.benchmark
 LABEL = "30s-160z-2000c-1000cp"
 ALGORITHM = "grez-grec"
 POLICY = "warm_start"
-BACKEND = "delta"
 MEASUREMENT = "incremental"
 #: Steady-state churn mix: 1% of the population joins, leaves and moves per
 #: epoch (60 events on the figure-4 world).  This is the sustained-service
@@ -81,7 +80,6 @@ def _loadgen(arena: bool, alloc_profile: bool = False):
         warmup=WARMUP,
         churn=CHURN,
         policy=POLICY,
-        backend=BACKEND,
         measurement_backend=MEASUREMENT,
         correlation=0.0,
         seed=0,
@@ -100,7 +98,6 @@ def _record_stream(arena: bool, epochs: int = 8):
         churn_spec=CHURN,
         seed=11,
         policy=POLICY,
-        backend=BACKEND,
         measurement_backend=MEASUREMENT,
         arena=arena,
     )
@@ -158,7 +155,7 @@ def test_bench_epoch_throughput(record):
     lines = [
         format_loadgen([best_on, best_off]),
         "",
-        f"Throughput gates on {LABEL} ({ALGORITHM}, {POLICY}, {BACKEND} backend, "
+        f"Throughput gates on {LABEL} ({ALGORITHM}, {POLICY}, "
         f"{MEASUREMENT} measurement, {CHURN.num_joins}+{CHURN.num_leaves}+"
         f"{CHURN.num_moves} events/epoch, best of {REPS} interleaved reps):",
         f"  epochs/sec:            {best_on.epochs_per_sec:8.1f}  "
@@ -192,7 +189,6 @@ def test_bench_epoch_throughput(record):
             "label": LABEL,
             "algorithm": ALGORITHM,
             "policy": POLICY,
-            "backend": BACKEND,
             "measurement_backend": MEASUREMENT,
             "events_per_epoch": best_on.events_per_epoch,
             "reps": REPS,

@@ -31,7 +31,7 @@ from repro.core.arbitration import ARBITER_NAMES, make_arbiter
 from repro.core.registry import solve as registry_solve, solver_names
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.degradation import AdmissionPolicy
-from repro.dynamics.engine import BACKENDS, ChurnSimulator, EpochRecord
+from repro.dynamics.engine import ChurnSimulator, EpochRecord
 from repro.dynamics.scenarios import SCENARIO_LIBRARY, build_timeline
 from repro.dynamics.federation_engine import AGGREGATE_SHARD_ID, FederatedSimulator
 from repro.dynamics.measurement import MEASUREMENT_BACKENDS
@@ -272,12 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="re-execution period for --policy every_k_epochs",
     )
-    sim.add_argument(
-        "--backend",
-        default="delta",
-        choices=BACKENDS,
-        help="world-advance backend (delta updates vs full rebuild; identical records)",
-    )
     sim.add_argument("--seed", type=int, default=0, help="master RNG seed")
     sim.add_argument(
         "--runs", type=int, default=1, help="independent replications to aggregate over"
@@ -368,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="warm_start",
         choices=sorted(POLICY_NAMES),
         help="per-epoch repair action schedule",
-    )
-    load.add_argument(
-        "--backend", default="delta", choices=BACKENDS, help="world-advance backend"
     )
     load.add_argument("--seed", type=int, default=0, help="master RNG seed")
     load.add_argument("--joins", type=int, default=200, help="clients joining per epoch")
@@ -463,9 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fedp.add_argument(
         "--period", type=int, default=0, help="re-execution period for every_k_epochs"
-    )
-    fedp.add_argument(
-        "--backend", default="delta", choices=BACKENDS, help="world-advance backend"
     )
     fedp.add_argument("--seed", type=int, default=0, help="master RNG seed")
     fedp.add_argument(
@@ -606,7 +594,6 @@ def _build_simulator(args: argparse.Namespace, config, rng) -> ChurnSimulator:
         policy=args.policy,
         policy_period=args.period,
         policy_migration_budget=args.migration_budget,
-        backend=args.backend,
         measurement_backend=args.measurement_backend,
         scenario_timeline=timeline,
         admission_policy=admission,
@@ -701,7 +688,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "algorithms": ", ".join(args.algorithms),
         "epochs": args.epochs,
         "policy": schedule.name,
-        "backend": args.backend,
         "delay backend": config.delay_backend,
         "measurement backend": args.measurement_backend,
         "churn per epoch": f"{args.joins} joins, {args.leaves} leaves, {args.moves} moves",
@@ -862,7 +848,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 warmup=args.warmup,
                 churn=churn,
                 policy=args.policy,
-                backend=args.backend,
                 measurement_backend=args.measurement_backend,
                 correlation=args.correlation,
                 seed=args.seed,
@@ -890,7 +875,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             {
                 "label": r.label,
                 "policy": r.policy,
-                "backend": r.backend,
                 "measurement_backend": r.measurement_backend,
                 "arena": r.arena,
                 "epochs": r.epochs,
@@ -946,7 +930,6 @@ def _build_federated_simulator(args: argparse.Namespace, config, rng) -> Federat
         policy=args.policy,
         policy_period=args.period,
         policy_migration_budget=args.migration_budget,
-        backend=args.backend,
         measurement_backend=args.measurement_backend,
         scenario_timeline=timeline,
         admission_policy=admission,
@@ -1030,7 +1013,6 @@ def _cmd_federate(args: argparse.Namespace) -> int:
                 "algorithms": ", ".join(args.algorithms),
                 "epochs": args.epochs,
                 "policy": schedule.name,
-                "backend": args.backend,
                 "delay backend": config.delay_backend,
                 "measurement backend": args.measurement_backend,
                 "churn fraction per epoch": args.churn_fraction,

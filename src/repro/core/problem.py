@@ -272,7 +272,7 @@ class CAPInstance:
         :meth:`~repro.world.scenario.DVEScenario.apply_server_delta` contains
         only arrays that were carried over from validated state or validated
         by the scenario delta layer itself — re-validating (or re-gathering)
-        them here would duplicate work the rebuild path pays once.  Callers
+        them here would repeat checks those arrays already passed.  Callers
         that cannot guarantee the invariant must use :meth:`from_scenario`.
         """
         return cls._from_validated_arrays(
@@ -298,9 +298,11 @@ class CAPInstance:
     ) -> "CAPInstance":
         """Construct without re-running ``__post_init__``.
 
-        Internal fast path for :meth:`apply_delta`: the caller guarantees the
-        arrays already have the right dtypes, shapes and value ranges (either
-        carried over from a validated instance or validated as a delta).
+        Internal fast path for :meth:`from_scenario_unchecked`,
+        :meth:`apply_delta` and :meth:`apply_server_delta`: the caller
+        guarantees the arrays already have the right dtypes, shapes and value
+        ranges (either carried over from a validated instance or validated as
+        a delta).
         """
         instance = object.__new__(cls)
         object.__setattr__(instance, "client_server_delays", client_server_delays)

@@ -19,13 +19,7 @@ from repro.dynamics.controller import (
     RebalanceStep,
     RebalanceTrace,
 )
-from repro.dynamics.engine import (
-    BACKENDS,
-    ChurnSimulator,
-    EpochRecord,
-    EpochSession,
-    SimulationState,
-)
+from repro.dynamics.engine import ChurnSimulator, EpochRecord, EpochSession, SimulationState
 from repro.dynamics.federation_engine import AGGREGATE_SHARD_ID, FederatedSimulator
 from repro.dynamics.infrastructure import (
     ServerChurnBatch,
@@ -99,7 +93,6 @@ __all__ = [
     "EpochRecord",
     "EpochSession",
     "SimulationState",
-    "BACKENDS",
     "FederatedSimulator",
     "AGGREGATE_SHARD_ID",
     "RebalanceController",

@@ -18,9 +18,9 @@ the expensive, disruptive events an operator wants to minimise).
 
 The controller is a configuration of the churn engine: its epochs run through
 :class:`~repro.dynamics.engine.EpochSession` with the :class:`RebalancePolicy`
-as the session's schedule, so they share the engine's world advance (delta
-or ``backend="rebuild"``), infrastructure churn, incident timelines, arena,
-O(churn) measurement and per-phase profile.  The engine picks each epoch's
+as the session's schedule, so they share the engine's delta world advance,
+infrastructure churn, incident timelines, arena, O(churn) measurement and
+per-phase profile.  The engine picks each epoch's
 action once the carried-over pQoS is measured, bills it with the
 :class:`~repro.dynamics.migration.MigrationCostModel`, and labels the
 :class:`~repro.dynamics.engine.EpochRecord` with it; a
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from repro.dynamics.churn import ChurnSpec
-from repro.dynamics.engine import BACKENDS, ChurnSimulator, EpochRecord
+from repro.dynamics.engine import ChurnSimulator, EpochRecord
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.migration import MigrationCostModel
 from repro.dynamics.policies import RebalancePolicy
@@ -124,9 +124,6 @@ class RebalanceController:
     migration_cost:
         Price model for zone moves (free by default); feeds both the
         per-step accounting and the policy's migration budget.
-    backend:
-        World-advance backend (``"delta"`` default, ``"rebuild"`` is the
-        executable spec; traces are bit-identical).
     scenario_timeline:
         Optional incident timeline (:mod:`repro.dynamics.scenarios`): the
         controller then reacts to outages, flash crowds and delay overlays
@@ -144,13 +141,8 @@ class RebalanceController:
     seed: SeedLike = None
     server_churn_spec: Optional[ServerChurnSpec] = None
     migration_cost: MigrationCostModel = field(default_factory=MigrationCostModel)
-    backend: str = "delta"
     scenario_timeline: object = None
     admission_policy: object = None
-
-    def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
 
     def stream(self, num_epochs: int = 5) -> Iterator[Tuple[RebalanceStep, EpochRecord]]:
         """Run controlled churn epochs, yielding ``(step, record)`` pairs.
@@ -168,7 +160,6 @@ class RebalanceController:
             migration_cost=self.migration_cost,
             seed=self.seed,
             policy=self.policy,
-            backend=self.backend,
             measurement_backend="incremental",
             scenario_timeline=self.scenario_timeline,
             admission_policy=self.admission_policy,

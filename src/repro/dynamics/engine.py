@@ -9,13 +9,14 @@ assignments age under sustained churn.
 
 The engine is built for long runs:
 
-* **Delta backend** (default) — each epoch advances a mutable
-  :class:`SimulationState` with :meth:`~repro.world.scenario.DVEScenario.apply_churn_delta`
-  and :meth:`~repro.core.problem.CAPInstance.apply_delta`, reusing the
+* **Delta world advance** — each epoch advances a mutable
+  :class:`SimulationState` with :meth:`~repro.world.scenario.DVEScenario.apply_server_delta`
+  and :meth:`~repro.world.scenario.DVEScenario.apply_churn_delta`, reusing the
   surviving clients' delay rows instead of rebuilding the full client×server
-  matrix and re-validating every array.  ``backend="rebuild"`` keeps the
-  original full-rebuild path as the executable specification; the two are
-  bit-identical for any seed and epoch count.
+  matrix, and aliases the new scenario's arrays as the next instance instead
+  of re-validating them.  The result is bit-identical to rebuilding the
+  world with :meth:`~repro.world.scenario.DVEScenario.with_servers` /
+  :meth:`~repro.world.scenario.DVEScenario.with_population`.
 * **Policy schedules** — :class:`~repro.dynamics.policies.PolicySchedule`
   decides per epoch whether to re-execute the algorithm from scratch, repair
   incrementally (contact phase only), warm-start the local search from the
@@ -75,10 +76,7 @@ from repro.world.distributions import ZoneSamplingPlan
 from repro.world.scenario import DVEScenario
 from repro.world.servers import ServerSet
 
-__all__ = ["EpochRecord", "SimulationState", "ChurnSimulator", "EpochSession", "BACKENDS"]
-
-#: World-advance backends: delta updates vs full rebuild (the executable spec).
-BACKENDS = ("delta", "rebuild")
+__all__ = ["EpochRecord", "SimulationState", "ChurnSimulator", "EpochSession"]
 
 _NAN = float("nan")
 
@@ -270,10 +268,6 @@ class ChurnSimulator:
         controller's pQoS-threshold trigger).
     policy_period:
         Period for the ``every_k_epochs`` policy (ignored otherwise).
-    backend:
-        ``"delta"`` (default) advances the world with delta updates;
-        ``"rebuild"`` recomputes scenario and instance from scratch each
-        epoch.  Records are bit-identical between the two.
     measurement_backend:
         ``"full"`` (default) recomputes every measurement point from the
         assignment arrays — the executable specification.  ``"incremental"``
@@ -320,15 +314,12 @@ class ChurnSimulator:
     policy: Union[str, PolicySchedule, RebalancePolicy] = "reexecute"
     policy_period: int = 0
     policy_migration_budget: Optional[float] = None
-    backend: str = "delta"
     measurement_backend: str = "full"
     scenario_timeline: Union[None, str, Iterable, ScenarioTimeline] = None
     admission_policy: Optional[AdmissionPolicy] = None
     arena: bool = True
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
         if self.measurement_backend not in MEASUREMENT_BACKENDS:
             raise ValueError(
                 f"unknown measurement_backend {self.measurement_backend!r}; "
@@ -392,62 +383,31 @@ class ChurnSimulator:
         churn: ChurnResult,
         server_churn: Optional[ServerChurnResult] = None,
     ) -> tuple[DVEScenario, CAPInstance]:
-        """Post-churn scenario and instance via the configured backend.
+        """Post-churn scenario and instance.
 
         With infrastructure churn the server delta is applied first (on the
-        pre-churn population), then the client delta — both backends follow
-        the same order, so their records stay bit-identical.
+        pre-churn population), then the client delta.
         """
-        if self.backend == "rebuild":
-            new_scenario = state.scenario
-            if server_churn is not None:
-                new_scenario = new_scenario.with_servers(server_churn.servers)
-            new_scenario = new_scenario.with_population(churn.population)
-            return new_scenario, CAPInstance.from_scenario(new_scenario)
-        if server_churn is None:
-            mid_scenario = state.scenario
-        elif server_churn.is_identity:
-            # Capacity-only delta (drift, or a federation capacity re-slice):
-            # the server index space is unchanged, so the delay matrices carry
-            # over by identity instead of being re-gathered column by column.
-            mid_scenario = state.scenario.with_server_capacities(
-                server_churn.servers.capacities
-            )
-        else:
-            mid_scenario = state.scenario.apply_server_delta(server_churn)
-        new_scenario = mid_scenario.apply_churn_delta(churn, arena=state.arena)
+        scenario = state.scenario
+        if server_churn is not None:
+            if server_churn.is_identity:
+                # Capacity-only delta (drift, or a federation capacity
+                # re-slice): the server index space is unchanged, so the delay
+                # matrices carry over by identity instead of being re-gathered
+                # column by column.
+                scenario = scenario.with_server_capacities(server_churn.servers.capacities)
+            else:
+                scenario = scenario.apply_server_delta(server_churn)
+        new_scenario = scenario.apply_churn_delta(churn, arena=state.arena)
         if state.instance.mirrors_arrays_of(state.scenario):
             # The state only ever advanced through the delta pipeline, so the
             # freshly delta-gathered scenario arrays ARE the new instance's
             # arrays — alias them instead of re-gathering and re-validating
             # the client×server matrix a second time per epoch.
             return new_scenario, CAPInstance.from_scenario_unchecked(new_scenario)
-        if not new_scenario.has_dense_delays:
-            # Compact delay sources have no row/column gather to delta; the
-            # full rebuild is already O(clients + nodes·servers) and validates
-            # the new snapshot.
-            return new_scenario, CAPInstance.from_scenario(new_scenario)
-        if server_churn is None:
-            new_instance = state.instance.apply_delta(
-                old_to_new=churn.old_to_new,
-                join_delays=new_scenario.client_server_delays[churn.new_client_indices],
-                client_zones=new_scenario.population.zones,
-                client_demands=new_scenario.client_demands,
-            )
-            return new_scenario, new_instance
-        new_instance = state.instance.apply_delta(
-            old_to_new=churn.old_to_new,
-            join_delays=new_scenario.client_server_delays[churn.new_client_indices],
-            client_zones=new_scenario.population.zones,
-            client_demands=new_scenario.client_demands,
-            server_old_to_new=server_churn.old_to_new,
-            server_join_delays=mid_scenario.client_server_delays[
-                :, server_churn.new_server_indices
-            ],
-            server_server_delays=mid_scenario.server_server_delays,
-            server_capacities=mid_scenario.servers.capacities,
-        )
-        return new_scenario, new_instance
+        # An instance that does not mirror its scenario (the caller's initial
+        # snapshot was built with other dtypes) gets one validated build.
+        return new_scenario, CAPInstance.from_scenario(new_scenario)
 
     # ------------------------------------------------------------------ #
     def session(self, num_epochs: int = 1) -> "EpochSession":
@@ -991,7 +951,7 @@ class EpochSession:
             # identity guards keep arrays that carried over by reference
             # (capacity-only fleet deltas share the matrix) live, and
             # ``release_if_owned`` ignores externally owned arrays (the
-            # caller's initial snapshot, rebuild-backend output).
+            # caller's initial snapshot).
             if prev_scenario.client_server_delays is not new_scenario.client_server_delays:
                 arena.release_if_owned(prev_scenario.client_server_delays)
             if prev_scenario.client_demands is not new_scenario.client_demands:

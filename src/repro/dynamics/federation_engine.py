@@ -137,7 +137,7 @@ class FederatedSimulator:
         Master seed.  Each shard gets an independent sub-stream; a 1-shard
         federation inherits the seed *unchanged*, which is what makes
         "federation = identity at N=1" an exact, bit-for-bit statement.
-    policy / policy_period / policy_migration_budget / backend / measurement_backend:
+    policy / policy_period / policy_migration_budget / measurement_backend:
         Forwarded verbatim to every shard's
         :class:`~repro.dynamics.engine.ChurnSimulator` (with
         ``measurement_backend="incremental"`` each shard's records are
@@ -175,7 +175,6 @@ class FederatedSimulator:
     policy: Union[str, PolicySchedule] = "reexecute"
     policy_period: int = 0
     policy_migration_budget: Optional[float] = None
-    backend: str = "delta"
     measurement_backend: str = "full"
     scenario_timeline: object = None
     admission_policy: object = None
@@ -251,7 +250,6 @@ class FederatedSimulator:
                 policy=self.policy,
                 policy_period=self.policy_period,
                 policy_migration_budget=self.policy_migration_budget,
-                backend=self.backend,
                 measurement_backend=self.measurement_backend,
                 scenario_timeline=timelines[i],
                 admission_policy=self.admission_policy,

@@ -19,8 +19,7 @@ property tests).
 
 ``measurement_backend="full"`` on the engines keeps the full-recompute path
 as the executable specification; ``"incremental"`` switches every point to
-the stash / delta path — the same spec-vs-fast pattern as the engine's
-``delta``/``rebuild`` world backends.
+the stash / delta path.
 """
 
 from __future__ import annotations

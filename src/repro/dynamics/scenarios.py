@@ -438,9 +438,8 @@ class ScenarioRuntime:
     :meth:`plan_epoch` / :meth:`prepare_batch` / :meth:`overlay_instance`
     per epoch.  All randomness comes from per-epoch sub-streams of the
     dedicated scenario seed (one stream per event plus one for shedding), so
-    plans are bit-identical across the delta/rebuild world backends and the
-    full/incremental measurement backends — the runtime is consulted exactly
-    once per epoch regardless of backend.
+    plans are bit-identical across the full/incremental measurement backends
+    — the runtime is consulted exactly once per epoch regardless of backend.
     """
 
     def __init__(

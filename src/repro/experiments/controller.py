@@ -108,7 +108,6 @@ def _execute_controller_run(task) -> GroupedRunningStats:
         server_churn,
         migration_cost,
         num_epochs,
-        backend,
         rng,
     ) = task
     scenario_rng, sim_rng = spawn_generators(rng, 2)
@@ -129,7 +128,6 @@ def _execute_controller_run(task) -> GroupedRunningStats:
             seed=sim_seed,
             server_churn_spec=server_churn,
             migration_cost=migration_cost,
-            backend=backend,
         ).run(num_epochs)
         stats.add((name, "mean_pqos"), trace.mean_pqos)
         stats.add((name, "worst_pqos"), min(trace.pqos_series()))
@@ -151,7 +149,6 @@ def run_controller(
     server_churn: Optional[ServerChurnSpec] = None,
     migration_cost: Optional[MigrationCostModel] = None,
     correlation: float = 0.0,
-    backend: str = "delta",
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
 ) -> ControllerResult:
@@ -193,7 +190,6 @@ def run_controller(
             server_churn,
             migration_cost,
             num_epochs,
-            backend,
             run_rngs[i],
         )
         for i in range(num_runs)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.dynamics.churn import ChurnSpec
-from repro.dynamics.engine import BACKENDS, ChurnSimulator
+from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.migration import MigrationCostModel
 from repro.dynamics.policies import make_policy
@@ -41,7 +41,6 @@ class DynamicsResult:
     label: str
     algorithms: List[str]
     policy: str
-    backend: str
     num_epochs: int
     num_runs: int
     churn: ChurnSpec
@@ -77,7 +76,6 @@ def _execute_dynamics_run(task) -> GroupedRunningStats:
         num_epochs,
         policy,
         policy_period,
-        backend,
         rng,
     ) = task
     scenario_rng, sim_rng = spawn_generators(rng, 2)
@@ -91,7 +89,6 @@ def _execute_dynamics_run(task) -> GroupedRunningStats:
         seed=sim_rng,
         policy=policy,
         policy_period=policy_period,
-        backend=backend,
     )
     # Stream records into per-(algorithm, epoch) accumulators so the worker
     # ships back O(algorithms × epochs) statistics, not O(epochs) records.
@@ -110,7 +107,6 @@ def run_dynamics(
     num_epochs: int = 5,
     policy: str = "reexecute",
     policy_period: int = 0,
-    backend: str = "delta",
     churn: ChurnSpec | None = None,
     server_churn: Optional[ServerChurnSpec] = None,
     migration_cost: Optional[MigrationCostModel] = None,
@@ -131,8 +127,6 @@ def run_dynamics(
     algorithms = list(algorithms or PAPER_ALGORITHM_ORDER)
     churn = churn or ChurnSpec()
     migration_cost = migration_cost or MigrationCostModel()
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     config = apply_delay_backend(config_from_label(label, correlation=correlation), delay_backend)
     rng = as_generator(seed)
     run_rngs = spawn_generators(rng, num_runs)
@@ -147,7 +141,6 @@ def run_dynamics(
             num_epochs,
             policy,
             policy_period,
-            backend,
             run_rngs[i],
         )
         for i in range(num_runs)
@@ -172,7 +165,6 @@ def run_dynamics(
         label=label,
         algorithms=algorithms,
         policy=schedule.name,
-        backend=backend,
         num_epochs=num_epochs,
         num_runs=num_runs,
         churn=churn,
@@ -197,7 +189,7 @@ def format_dynamics(result: DynamicsResult, max_rows: int = 12) -> str:
     churn = result.churn
     title = (
         f"Longitudinal dynamics: pQoS per epoch, {result.label}, "
-        f"policy={result.policy}, backend={result.backend}, churn "
+        f"policy={result.policy}, churn "
         f"{churn.num_joins}j/{churn.num_leaves}l/{churn.num_moves}m, "
         f"{result.num_runs} runs"
     )

@@ -107,7 +107,6 @@ def _execute_federation_run(task) -> GroupedRunningStats:
         migration_budget,
         num_epochs,
         policy,
-        backend,
         shard_workers,
         rng,
     ) = task
@@ -129,7 +128,6 @@ def _execute_federation_run(task) -> GroupedRunningStats:
             seed=sim_seed,
             policy=policy,
             policy_migration_budget=migration_budget,
-            backend=backend,
             shard_workers=shard_workers,
         )
         records = simulator.run(num_epochs)
@@ -171,7 +169,6 @@ def run_federation(
     client_weights: Optional[Sequence[float]] = None,
     correlation: float = 0.0,
     policy: str = "reexecute",
-    backend: str = "delta",
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
     shard_workers: Optional[int] = None,
@@ -228,7 +225,6 @@ def run_federation(
             migration_budget,
             num_epochs,
             policy,
-            backend,
             shard_workers,
             run_rngs[i],
         )

@@ -51,7 +51,6 @@ class LoadgenResult:
 
     label: str
     policy: str
-    backend: str
     measurement_backend: str
     arena: bool
     epochs: int
@@ -82,7 +81,6 @@ def _build_session(
     algorithms: Sequence[str],
     churn: ChurnSpec,
     policy: str,
-    backend: str,
     measurement_backend: str,
     correlation: float,
     seed: SeedLike,
@@ -100,7 +98,6 @@ def _build_session(
         churn_spec=churn,
         seed=seed,
         policy=policy,
-        backend=backend,
         measurement_backend=measurement_backend,
         arena=arena,
     )
@@ -114,7 +111,6 @@ def run_loadgen(
     warmup: int = 20,
     churn: Optional[ChurnSpec] = None,
     policy: str = "warm_start",
-    backend: str = "delta",
     measurement_backend: str = "incremental",
     correlation: float = 0.0,
     seed: SeedLike = 0,
@@ -137,7 +133,7 @@ def run_loadgen(
         raise ValueError("warmup must be >= 0")
     churn = churn or ChurnSpec()
     build = lambda total: _build_session(  # noqa: E731 - one-config factory
-        label, algorithms, churn, policy, backend, measurement_backend,
+        label, algorithms, churn, policy, measurement_backend,
         correlation, seed, arena, total, delay_backend,
     )
 
@@ -184,7 +180,6 @@ def run_loadgen(
     return LoadgenResult(
         label=label,
         policy=policy,
-        backend=backend,
         measurement_backend=measurement_backend,
         arena=arena,
         epochs=epochs,
@@ -230,7 +225,7 @@ def format_loadgen(results: Sequence[LoadgenResult]) -> str:
         rows,
         title=(
             f"Epoch throughput: {first.label}, {first.policy} policy, "
-            f"{first.backend} backend, {first.epochs} epochs after {first.warmup} warmup"
+            f"{first.epochs} epochs after {first.warmup} warmup"
         ),
         float_format=".1f",
     )

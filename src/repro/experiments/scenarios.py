@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.degradation import AdmissionPolicy
-from repro.dynamics.engine import BACKENDS, ChurnSimulator
+from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.scenarios import SCENARIO_LIBRARY
 from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
 from repro.io.tables import format_table
@@ -79,7 +79,6 @@ def _execute_scenario_run(task) -> GroupedRunningStats:
         algorithms,
         churn,
         num_epochs,
-        backend,
         measurement_backend,
         patience_epochs,
         rng,
@@ -91,7 +90,6 @@ def _execute_scenario_run(task) -> GroupedRunningStats:
         algorithms=list(algorithms),
         churn_spec=churn,
         seed=sim_rng,
-        backend=backend,
         measurement_backend=measurement_backend,
         scenario_timeline=scenario_name,
         admission_policy=AdmissionPolicy(patience_epochs=patience_epochs),
@@ -122,7 +120,6 @@ def run_scenarios(
     num_runs: int = 3,
     seed: SeedLike = 0,
     num_epochs: int = 16,
-    backend: str = "delta",
     churn: ChurnSpec | None = None,
     patience_epochs: Optional[int] = 6,
     correlation: float = 0.0,
@@ -147,8 +144,6 @@ def run_scenarios(
             )
     algorithms = list(algorithms or ("grez-grec",))
     churn = churn or ChurnSpec()
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     config = apply_delay_backend(config_from_label(label, correlation=correlation), delay_backend)
     rng = as_generator(seed)
     # One independent sub-stream per (scenario, run); scenario order is fixed
@@ -162,7 +157,6 @@ def run_scenarios(
             tuple(algorithms),
             churn,
             num_epochs,
-            backend,
             measurement_backend,
             patience_epochs,
             run_rngs[i * num_runs + r],

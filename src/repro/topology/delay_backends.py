@@ -220,6 +220,12 @@ class CompactDelayMatrix:
             )
         if self.server_nodes.shape != (self.node_server.shape[1],):
             raise ValueError("server_nodes must match node_server's column count")
+        # Rows are gathered with numpy indexing, which would wrap a negative
+        # node onto the table's last rows instead of failing.
+        num_nodes = self.node_server.shape[0]
+        nodes = self.client_nodes
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= num_nodes):
+            raise ValueError(f"client_nodes must lie in [0, {num_nodes})")
         restriction = (self.client_zones is None, self.zone_candidates is None,
                        self.zone_anchors is None)
         if len(set(restriction)) != 1:

@@ -146,7 +146,7 @@ class DelayModel:
             By default the result is a fresh but *read-only* array (the
             advanced-indexing gather already allocates once; the historical
             unconditional ``.copy()`` briefly doubled the largest allocation
-            in the rebuild path for no benefit).  Pass ``copy=True`` to get a
+            in the scenario build path for no benefit).  Pass ``copy=True`` to get a
             writable matrix instead.
 
         Returns

@@ -122,7 +122,8 @@ class EpochArena:
 
         Convenience for hand-off sites where a buffer may equally be
         arena-acquired (steady state) or externally owned (the caller's
-        initial snapshot, a rebuild-backend array): only arena-owned buffers
+        initial snapshot, an array another builder allocated): only
+        arena-owned buffers
         are recycled.  Returns whether a release happened.
         """
         if isinstance(array, np.ndarray) and self.owns(array):

@@ -7,11 +7,11 @@ a :class:`DVEScenario`: topology, delay model, placed servers with capacities,
 the client population, per-client bandwidth demands, and the two delay
 matrices that the assignment algorithms consume.
 
-Scenarios are immutable snapshots; the dynamics substrate produces new
-scenarios from old ones via :meth:`DVEScenario.with_population` (full rebuild
-of the derived arrays) or :meth:`DVEScenario.apply_churn_delta` (delta update
-that reuses the surviving clients' delay rows) when clients join, leave or
-move.
+Scenarios are immutable snapshots; the dynamics engine produces new
+scenarios from old ones via :meth:`DVEScenario.apply_churn_delta` (delta
+update that reuses the surviving clients' delay rows) when clients join, leave
+or move.  :meth:`DVEScenario.with_population` rebuilds the derived arrays from
+scratch and is the reference the delta update is tested against.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from repro.topology.brite import BriteConfig
 from repro.topology.waxman import waxman_topology
 from repro.world.scenario import DVEConfig, DVEScenario, build_scenario
 from tests.reference.regret_loop import assert_same_result, max_regret_assign_loop
+from tests.reference.world_rebuild import checked_advances
 
 #: A small hierarchical topology configuration used throughout the tests —
 #: same generative structure as the paper's 500-node substrate, scaled down
@@ -190,3 +191,18 @@ def regret_oracle_spy(monkeypatch):
         for name in names:
             monkeypatch.setattr(module, name, spy(name))
     return checked
+
+
+@pytest.fixture()
+def advance_oracle_spy():
+    """Check every engine world advance against the rebuild oracle.
+
+    Wraps :meth:`ChurnSimulator._advance_world` for the test's duration, so
+    each call also rebuilds the post-churn world with
+    ``tests/reference/world_rebuild.py`` and must agree on every scenario and
+    instance array, bit for bit.  Yields a list with one entry per checked
+    call: whether the state's instance mirrored its scenario's arrays (the
+    unvalidated fast path) when the call was made.
+    """
+    with checked_advances() as checked:
+        yield checked

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -222,27 +224,23 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit):
             main(["simulate", "--policy", "nonsense"])
 
-    def test_simulate_backend_rebuild_matches_delta(self, tmp_path):
-        def run_to_csv(backend):
-            path = tmp_path / f"{backend}.csv"
-            args = [
-                "simulate",
-                *self.SMALL,
-                "--algorithms",
-                "grez-grec",
-                "--epochs",
-                "2",
-                "--seed",
-                "5",
-                "--backend",
-                backend,
-                "--csv",
-                str(path),
-            ]
-            assert main(args) == 0
-            return path.read_text()
-
-        assert run_to_csv("delta") == run_to_csv("rebuild")
+    def test_simulate_world_advance_matches_rebuild_oracle(self, tmp_path, advance_oracle_spy):
+        args = [
+            "simulate",
+            *self.SMALL,
+            "--algorithms",
+            "grez-grec",
+            "--epochs",
+            "2",
+            "--seed",
+            "5",
+            "--server-churn",
+            "1:1:0.05",
+            "--csv",
+            str(tmp_path / "records.csv"),
+        ]
+        assert main(args) == 0
+        assert advance_oracle_spy == [True, True]
 
     def test_simulate_every_k_without_period_is_clean_error(self, capsys):
         assert main(["simulate", *self.SMALL, "--policy", "every_k_epochs"]) == 2
@@ -277,14 +275,21 @@ class TestSimulateCommand:
         assert run_to_csv(2, workers=2) == multi
 
     @pytest.mark.parametrize(
-        "command", ["solve", "experiment", "simulate", "loadgen", "federate"]
+        ("command", "flag"),
+        [
+            *((command, "--solver-backend")
+              for command in ("solve", "experiment", "simulate", "loadgen", "federate")),
+            *((command, "--backend") for command in ("simulate", "loadgen", "federate")),
+        ],
     )
-    def test_no_solver_backend_flag(self, command, capsys):
-        # The max-regret engine has a single implementation: no command
-        # offers a placement-backend switch.
+    def test_no_backend_switch_flag(self, command, flag, capsys):
+        # The max-regret engine and the world advance each have a single
+        # implementation: no command offers a switch between paths.
         with pytest.raises(SystemExit):
             main([command, "--help"])
-        assert "--solver-backend" not in capsys.readouterr().out
+        assert not re.search(rf"(?<![\w-]){flag}\b", capsys.readouterr().out)
+        with pytest.raises(SystemExit):
+            main([command, flag, "delta"])
 
 
 class TestSimulateCsvHeaderRegression:

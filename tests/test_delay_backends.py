@@ -159,6 +159,17 @@ class TestCompactDelayMatrix:
         with pytest.raises(IndexError):
             delays.pairs(0, server)
 
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_with_clients_rejects_out_of_range_node(self, compact_scenario, bad):
+        # A negative node would wrap onto the table's last row; node n would
+        # fail only at the first row gather.
+        delays = compact_scenario.client_server_delays
+        num_nodes = delays.node_server.shape[0]
+        node = num_nodes if bad == "n" else bad
+        zones = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"\[0, {num_nodes}\)"):
+            delays.with_clients(np.array([node, num_nodes - 1]), zones)
+
     def test_rows_are_writable_copies(self, compact_scenario):
         delays = compact_scenario.client_server_delays
         row = delays.rows(0)
@@ -294,20 +305,17 @@ class TestCompactDeltas:
                 client_demands=instance.client_demands[:5],
             )
 
-    def test_engine_delta_equals_rebuild(self, compact_scenario):
-        records = {}
-        for backend in ("delta", "rebuild"):
-            simulator = ChurnSimulator(
-                scenario=compact_scenario,
-                algorithms=["grez-grec"],
-                churn_spec=ChurnSpec(num_joins=8, num_leaves=8, num_moves=8),
-                seed=5,
-                backend=backend,
-            )
-            records[backend] = [record.row() for record in simulator.run(3)]
-        assert records["delta"] == records["rebuild"]
+    def test_engine_advance_matches_rebuild_oracle(self, compact_scenario, advance_oracle_spy):
+        simulator = ChurnSimulator(
+            scenario=compact_scenario,
+            algorithms=["grez-grec"],
+            churn_spec=ChurnSpec(num_joins=8, num_leaves=8, num_moves=8),
+            seed=5,
+        )
+        assert len(simulator.run(3)) == 3
+        assert advance_oracle_spy == [True, True, True]
 
-    def test_engine_server_churn_stays_compact(self, compact_scenario):
+    def test_engine_server_churn_stays_compact(self, compact_scenario, advance_oracle_spy):
         simulator = ChurnSimulator(
             scenario=compact_scenario,
             algorithms=["grez-grec"],
@@ -320,6 +328,7 @@ class TestCompactDeltas:
             for record in session.run_epoch():
                 assert np.isfinite(record.pqos_after)
         assert not session.state.scenario.has_dense_delays
+        assert advance_oracle_spy == [True, True]
 
     def test_with_servers_matches_fresh_build(self, compact_scenario):
         scenario = compact_scenario

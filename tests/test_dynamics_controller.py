@@ -196,8 +196,7 @@ class TestLegacyTraceReproduction:
         ],
         ids=["default", "repair-happy", "periodic", "eager"],
     )
-    @pytest.mark.parametrize("backend", ["delta", "rebuild"])
-    def test_matches_legacy_loop(self, small_scenario, policy, backend):
+    def test_matches_legacy_loop(self, small_scenario, policy, advance_oracle_spy):
         legacy = legacy_controller_run(small_scenario, "grez-grec", policy, CHURN, 17, 4)
         trace = RebalanceController(
             scenario=small_scenario,
@@ -205,8 +204,8 @@ class TestLegacyTraceReproduction:
             policy=policy,
             churn_spec=CHURN,
             seed=17,
-            backend=backend,
         ).run(num_epochs=4)
+        assert len(advance_oracle_spy) == 4
         ported = [
             (s.epoch, s.action, s.pqos_stale, s.pqos_final, s.num_clients)
             for s in trace.steps
@@ -288,20 +287,19 @@ class TestControllerOnEngine:
             assert step.num_servers == small_scenario.num_servers  # +1 join −1 leave
             assert step.action in ("none", "repair", "rebalance")
 
-    def test_backend_equivalence_with_server_churn(self, small_scenario):
-        def run(backend):
-            return RebalanceController(
-                scenario=small_scenario,
-                policy=RebalancePolicy(target_pqos=0.95),
-                churn_spec=CHURN,
-                seed=8,
-                server_churn_spec=ServerChurnSpec(num_joins=1, capacity_drift=0.05),
-                migration_cost=MigrationCostModel(cost_per_client=1.0),
-                backend=backend,
-            ).run(num_epochs=3)
+    def test_world_advance_matches_rebuild_oracle_with_server_churn(
+        self, small_scenario, advance_oracle_spy
+    ):
+        RebalanceController(
+            scenario=small_scenario,
+            policy=RebalancePolicy(target_pqos=0.95),
+            churn_spec=CHURN,
+            seed=8,
+            server_churn_spec=ServerChurnSpec(num_joins=1, capacity_drift=0.05),
+            migration_cost=MigrationCostModel(cost_per_client=1.0),
+        ).run(num_epochs=3)
+        assert advance_oracle_spy == [True, True, True]
 
-        assert run("delta").steps == run("rebuild").steps
-
-    def test_invalid_backend_rejected(self, small_scenario):
-        with pytest.raises(ValueError, match="backend"):
-            RebalanceController(scenario=small_scenario, backend="magic")
+    def test_backend_keyword_removed(self, small_scenario):
+        with pytest.raises(TypeError, match="backend"):
+            RebalanceController(scenario=small_scenario, backend="delta")

@@ -1,9 +1,11 @@
 """Tests for the incremental churn pipeline: delta world/instance updates,
-backend equivalence of the simulation engine, policy schedules and streaming.
+the engine's world advance against the rebuild oracle, policy schedules and
+streaming.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +14,9 @@ import pytest
 import repro.baselines  # noqa: F401  (registers the baseline solvers)
 from repro.core.problem import CAPInstance
 from repro.dynamics.churn import ChurnSpec, generate_churn
-from repro.dynamics.engine import BACKENDS, ChurnSimulator, EpochRecord, SimulationState
+from repro.dynamics.engine import ChurnSimulator, EpochRecord, SimulationState
 from repro.dynamics.events import ChurnBatch, apply_churn
+from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.policies import POLICY_ACTIONS, PolicySchedule, make_policy
 
 #: The ≥3 churn mixes the acceptance criterion asks the equivalence property
@@ -156,46 +159,79 @@ class TestDerivedQuantityCaches:
         np.testing.assert_array_equal(before, after)
 
 
-class TestBackendEquivalence:
-    """Acceptance criterion: delta and rebuild backends produce bit-identical
-    EpochRecord streams for the same seed, across churn specs and policies.
+class TestWorldAdvanceOracle:
+    """Acceptance criterion: every world advance equals a full rebuild bit for
+    bit, across churn specs and policies (checked inside each call by the
+    ``advance_oracle_spy`` fixture).
     """
 
     @pytest.mark.parametrize("spec", CHURN_SPECS, ids=["balanced", "join", "leave", "move"])
-    def test_records_identical_across_backends(self, small_scenario, spec):
-        runs = {}
-        for backend in BACKENDS:
-            simulator = ChurnSimulator(
-                scenario=small_scenario,
-                algorithms=["grez-grec", "ranz-virc"],
-                churn_spec=spec,
-                seed=123,
-                backend=backend,
-            )
-            runs[backend] = simulator.run(num_epochs=3)
-        assert len(runs["delta"]) == len(runs["rebuild"]) == 3 * 2
-        for a, b in zip(runs["delta"], runs["rebuild"]):
-            assert a == b  # reexecute policy computes every field — exact dataclass eq
+    def test_advance_matches_rebuild_oracle(self, small_scenario, spec, advance_oracle_spy):
+        simulator = ChurnSimulator(
+            scenario=small_scenario,
+            algorithms=["grez-grec", "ranz-virc"],
+            churn_spec=spec,
+            seed=123,
+        )
+        assert len(simulator.run(num_epochs=3)) == 3 * 2
+        assert advance_oracle_spy == [True] * 3
 
     @pytest.mark.parametrize("policy", ["incremental", "warm_start"])
-    def test_records_identical_across_backends_per_policy(self, small_scenario, policy):
-        runs = {}
-        for backend in BACKENDS:
-            simulator = ChurnSimulator(
-                scenario=small_scenario,
-                algorithms=["grez-grec"],
-                churn_spec=ChurnSpec(15, 15, 15),
-                seed=7,
-                policy=policy,
-                backend=backend,
-            )
-            runs[backend] = simulator.run(num_epochs=4)
-        for a, b in zip(runs["delta"], runs["rebuild"]):
-            assert ChurnSimulator.records_equal(a, b)
+    def test_advance_matches_rebuild_oracle_per_policy(
+        self, small_scenario, policy, advance_oracle_spy
+    ):
+        simulator = ChurnSimulator(
+            scenario=small_scenario,
+            algorithms=["grez-grec"],
+            churn_spec=ChurnSpec(15, 15, 15),
+            seed=7,
+            policy=policy,
+        )
+        simulator.run(num_epochs=4)
+        assert advance_oracle_spy == [True] * 4
 
-    def test_unknown_backend_rejected(self, small_scenario):
-        with pytest.raises(ValueError, match="backend"):
-            ChurnSimulator(scenario=small_scenario, algorithms=["grez-grec"], backend="magic")
+    @pytest.mark.parametrize(
+        "server_churn",
+        [None, ServerChurnSpec(num_joins=1, num_leaves=1, capacity_drift=0.05)],
+        ids=["fixed", "elastic"],
+    )
+    def test_non_mirroring_state_takes_validated_build(
+        self, small_scenario, server_churn, advance_oracle_spy, monkeypatch
+    ):
+        # float32 demands make the initial instance convert (copy) them, so
+        # the state does not mirror its scenario and the first advance must
+        # validate a fresh instance instead of aliasing the scenario arrays.
+        scenario = dataclasses.replace(
+            small_scenario, client_demands=small_scenario.client_demands.astype(np.float32)
+        )
+        validated = []
+        from_scenario = CAPInstance.from_scenario.__func__
+
+        def counting_from_scenario(cls, scenario):
+            validated.append(scenario)
+            return from_scenario(cls, scenario)
+
+        monkeypatch.setattr(CAPInstance, "from_scenario", classmethod(counting_from_scenario))
+        session = ChurnSimulator(
+            scenario=scenario,
+            algorithms=["grez-grec"],
+            churn_spec=ChurnSpec(15, 15, 15),
+            server_churn_spec=server_churn,
+            seed=11,
+        ).session(3)
+        assert not session.state.instance.mirrors_arrays_of(scenario)
+        session.run_epoch()
+        assert advance_oracle_spy == [False]
+        # The oracle validates its own rebuilt scenario; the engine validated
+        # the one it advanced to.
+        assert any(built is session.state.scenario for built in validated)
+        while not session.done:
+            session.run_epoch()
+        assert advance_oracle_spy == [False, True, True]
+
+    def test_backend_keyword_removed(self, small_scenario):
+        with pytest.raises(TypeError, match="backend"):
+            ChurnSimulator(scenario=small_scenario, algorithms=["grez-grec"], backend="delta")
 
 
 class TestPolicySchedules:

@@ -115,28 +115,18 @@ class TestEpochSession:
         with pytest.raises(ValueError, match="shape"):
             session.run_epoch(capacity_delta=np.ones(small_scenario.num_servers + 1))
 
-    @pytest.mark.parametrize("backend", ["delta", "rebuild"])
-    def test_capacity_delta_backends_bit_identical(self, small_scenario, backend):
-        """A capacity re-slice takes the cheap path on delta; rebuild must agree."""
-
-        def run(backend):
-            session = ChurnSimulator(
-                scenario=small_scenario,
-                algorithms=["grez-grec"],
-                churn_spec=CHURN,
-                seed=13,
-                backend=backend,
-            ).session(3)
-            caps = small_scenario.servers.capacities
-            records = []
-            for delta in (None, caps * 0.8 + caps.mean() * 0.2, None):
-                records.extend(session.run_epoch(capacity_delta=delta))
-            return records
-
-        ref = run("rebuild")
-        got = run(backend)
-        for a, b in zip(ref, got):
-            assert ChurnSimulator.records_equal(a, b)
+    def test_capacity_delta_matches_rebuild_oracle(self, small_scenario, advance_oracle_spy):
+        """A capacity re-slice takes the identity-capacity path; a rebuild must agree."""
+        session = ChurnSimulator(
+            scenario=small_scenario,
+            algorithms=["grez-grec"],
+            churn_spec=CHURN,
+            seed=13,
+        ).session(3)
+        caps = small_scenario.servers.capacities
+        for delta in (None, caps * 0.8 + caps.mean() * 0.2, None):
+            session.run_epoch(capacity_delta=delta)
+        assert advance_oracle_spy == [True, True, True]
 
 
 class TestEpochRecordFederationFields:
@@ -194,8 +184,9 @@ class TestFederationIdentityAtOneShard:
     """Satellite: federation = identity at N=1 (bit-for-bit)."""
 
     @pytest.mark.parametrize("policy", ["reexecute", "warm_start", "every_2_epochs"])
-    @pytest.mark.parametrize("backend", ["delta", "rebuild"])
-    def test_single_shard_static_arbiter_matches_churn_simulator(self, policy, backend):
+    def test_single_shard_static_arbiter_matches_churn_simulator(
+        self, policy, advance_oracle_spy
+    ):
         fed = build_federation(make_small_config(), num_shards=1, seed=31)
         common = dict(
             algorithms=["grez-grec", "ranz-virc"],
@@ -203,10 +194,10 @@ class TestFederationIdentityAtOneShard:
             migration_cost=MigrationCostModel(cost_per_client=1.0),
             seed=77,
             policy=policy,
-            backend=backend,
         )
         federated = FederatedSimulator(world=fed, arbiter="static", **common).run(4)
         baseline = ChurnSimulator(scenario=fed.shards[0], **common).run(4)
+        assert len(advance_oracle_spy) == 2 * 4
 
         shard_records = [r for r in federated if r.shard_id == 0]
         assert len(shard_records) == len(baseline)

@@ -2,8 +2,8 @@
 
 The headline guarantee (mirroring the replication engine's): for the same
 seed, :meth:`FederatedSimulator.stream` emits a byte-identical record stream
-for every ``shard_workers`` value — across arbiters, world-advance backends
-and measurement backends.  Shards own their state and RNG streams; threads
+for every ``shard_workers`` value — across arbiters and measurement backends,
+with every shard's world advance checked against the rebuild oracle.  Shards own their state and RNG streams; threads
 only change *when* a shard steps, never what it computes, and the engine
 buffers per-shard records to keep the emission order deterministic.
 """
@@ -33,7 +33,6 @@ COMPARE_FIELDS = EpochRecord.SCENARIO_FIELDS
 def _run(
     shard_workers: Optional[int],
     arbiter: str = "proportional",
-    backend: str = "delta",
     measurement_backend: str = "full",
 ) -> List[EpochRecord]:
     world = build_federation(
@@ -45,7 +44,6 @@ def _run(
         arbiter=arbiter,
         churn_spec=CHURN,
         seed=5,
-        backend=backend,
         measurement_backend=measurement_backend,
         shard_workers=shard_workers,
     )
@@ -64,14 +62,14 @@ def _assert_identical(serial: List[EpochRecord], parallel: List[EpochRecord]) ->
 class TestParallelShardDeterminism:
     @pytest.mark.parametrize("shard_workers", [2, 4])
     @pytest.mark.parametrize("arbiter", ["static", "proportional", "regret"])
-    @pytest.mark.parametrize("backend", ["delta", "rebuild"])
     @pytest.mark.parametrize("measurement_backend", ["full", "incremental"])
     def test_bit_identical_to_serial(
-        self, shard_workers, arbiter, backend, measurement_backend
+        self, shard_workers, arbiter, measurement_backend, advance_oracle_spy
     ):
-        serial = _run(None, arbiter, backend, measurement_backend)
-        parallel = _run(shard_workers, arbiter, backend, measurement_backend)
+        serial = _run(None, arbiter, measurement_backend)
+        parallel = _run(shard_workers, arbiter, measurement_backend)
         _assert_identical(serial, parallel)
+        assert advance_oracle_spy == [True] * (2 * 4 * NUM_EPOCHS)
 
     def test_workers_all_cpus_identical(self):
         _assert_identical(_run(None), _run(0))

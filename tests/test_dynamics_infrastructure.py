@@ -1,6 +1,6 @@
 """Tests for elastic infrastructure churn: server join/leave/drift batches,
 scenario and instance server deltas, zone migration costs, and the engine's
-backend equivalence under combined client+server churn.
+world advance against the rebuild oracle under combined client+server churn.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import repro.baselines  # noqa: F401  (registers the baseline solvers)
 from repro.core.problem import CAPInstance
 from repro.core.registry import solve as registry_solve
 from repro.dynamics.churn import ChurnSpec, generate_churn
-from repro.dynamics.engine import BACKENDS, ChurnSimulator
+from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.events import apply_churn
 from repro.dynamics.infrastructure import (
     ServerChurnBatch,
@@ -423,47 +423,41 @@ class TestMigrationAccounting:
 
 
 class TestEngineElasticEquivalence:
-    """Acceptance criterion: delta and rebuild backends produce bit-identical
-    EpochRecord streams under combined client+server churn, across churn
-    mixes × policies.
+    """Acceptance criterion: under combined client+server churn every world
+    advance equals a full rebuild bit for bit, across churn mixes × policies
+    (checked inside each call by the ``advance_oracle_spy`` fixture).
     """
 
     @pytest.mark.parametrize("server_spec", SERVER_CHURN, ids=["join", "leave", "drift", "mixed"])
     @pytest.mark.parametrize("client_spec", CLIENT_CHURN, ids=["balanced", "leave-heavy"])
-    def test_records_identical_across_backends(self, small_scenario, client_spec, server_spec):
-        runs = {}
-        for backend in BACKENDS:
-            simulator = ChurnSimulator(
-                scenario=small_scenario,
-                algorithms=["grez-grec"],
-                churn_spec=client_spec,
-                server_churn_spec=server_spec,
-                migration_cost=MigrationCostModel(cost_per_client=1.0),
-                seed=123,
-                backend=backend,
-            )
-            runs[backend] = simulator.run(num_epochs=3)
-        for a, b in zip(runs["delta"], runs["rebuild"]):
-            assert ChurnSimulator.records_equal(a, b)
+    def test_advance_matches_rebuild_oracle(
+        self, small_scenario, client_spec, server_spec, advance_oracle_spy
+    ):
+        ChurnSimulator(
+            scenario=small_scenario,
+            algorithms=["grez-grec"],
+            churn_spec=client_spec,
+            server_churn_spec=server_spec,
+            migration_cost=MigrationCostModel(cost_per_client=1.0),
+            seed=123,
+        ).run(num_epochs=3)
+        assert advance_oracle_spy == [True] * 3
 
     @pytest.mark.parametrize("policy", ["incremental", "warm_start", "every_k_epochs"])
-    def test_records_identical_across_backends_per_policy(self, small_scenario, policy):
-        runs = {}
-        for backend in BACKENDS:
-            simulator = ChurnSimulator(
-                scenario=small_scenario,
-                algorithms=["grez-grec"],
-                churn_spec=ChurnSpec(15, 15, 15),
-                server_churn_spec=ServerChurnSpec(num_joins=1, num_leaves=1, capacity_drift=0.05),
-                migration_cost=MigrationCostModel(cost_per_client=1.0),
-                seed=7,
-                policy=policy,
-                policy_period=2 if policy == "every_k_epochs" else 0,
-                backend=backend,
-            )
-            runs[backend] = simulator.run(num_epochs=4)
-        for a, b in zip(runs["delta"], runs["rebuild"]):
-            assert ChurnSimulator.records_equal(a, b)
+    def test_advance_matches_rebuild_oracle_per_policy(
+        self, small_scenario, policy, advance_oracle_spy
+    ):
+        ChurnSimulator(
+            scenario=small_scenario,
+            algorithms=["grez-grec"],
+            churn_spec=ChurnSpec(15, 15, 15),
+            server_churn_spec=ServerChurnSpec(num_joins=1, num_leaves=1, capacity_drift=0.05),
+            migration_cost=MigrationCostModel(cost_per_client=1.0),
+            seed=7,
+            policy=policy,
+            policy_period=2 if policy == "every_k_epochs" else 0,
+        ).run(num_epochs=4)
+        assert advance_oracle_spy == [True] * 4
 
     def test_static_server_spec_matches_no_server_spec(self, small_scenario):
         """An all-zero ServerChurnSpec replays the fixed-fleet RNG stream."""

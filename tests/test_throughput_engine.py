@@ -9,7 +9,6 @@ cross-product and exercise the batch/driver plumbing the benchmark relies on.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -35,14 +34,13 @@ def _scenario(seed=5, correlation=0.0):
     return build_scenario(DVEConfig(correlation=correlation, **LABEL_CONFIG), seed=seed)
 
 
-def _records(arena, backend, measurement, churn, epochs=5, seed=9):
+def _records(arena, measurement, churn, epochs=5, seed=9):
     simulator = ChurnSimulator(
         scenario=_scenario(),
         algorithms=["grez-grec"],
         churn_spec=churn,
         seed=seed,
         policy="warm_start",
-        backend=backend,
         measurement_backend=measurement,
         arena=arena,
     )
@@ -65,16 +63,14 @@ def _assert_identical(records_a, records_b):
 
 
 class TestArenaRecordIdentity:
-    @pytest.mark.parametrize(
-        "backend,measurement",
-        list(itertools.product(["delta", "rebuild"], ["full", "incremental"])),
-    )
-    def test_backend_measurement_cross_product(self, backend, measurement):
+    @pytest.mark.parametrize("measurement", ["full", "incremental"])
+    def test_measurement_backends_on_oracle_worlds(self, measurement, advance_oracle_spy):
         churn = ChurnSpec(num_joins=7, num_leaves=5, num_moves=6)
         _assert_identical(
-            _records(True, backend, measurement, churn),
-            _records(False, backend, measurement, churn),
+            _records(True, measurement, churn),
+            _records(False, measurement, churn),
         )
+        assert advance_oracle_spy == [True] * (2 * 5)
 
     @pytest.mark.parametrize(
         "churn",
@@ -89,8 +85,8 @@ class TestArenaRecordIdentity:
     )
     def test_churn_mixes(self, churn):
         _assert_identical(
-            _records(True, "delta", "incremental", churn),
-            _records(False, "delta", "incremental", churn),
+            _records(True, "incremental", churn),
+            _records(False, "incremental", churn),
         )
 
 
@@ -105,7 +101,6 @@ class TestRunBatch:
                 churn_spec=churn,
                 seed=4,
                 policy="warm_start",
-                backend="delta",
                 measurement_backend="incremental",
                 arena=True,
             )
@@ -135,7 +130,6 @@ class TestAllocProfile:
             churn_spec=ChurnSpec(num_joins=5, num_leaves=5, num_moves=5),
             seed=1,
             policy="warm_start",
-            backend="delta",
             measurement_backend="incremental",
             arena=True,
         ).session(2)
@@ -249,8 +243,8 @@ def test_property_arena_stream_identity(joins, leaves, moves, seed):
     """Arena on/off emit identical records for any churn mix (hypothesis)."""
     churn = ChurnSpec(num_joins=joins, num_leaves=leaves, num_moves=moves)
     _assert_identical(
-        _records(True, "delta", "incremental", churn, epochs=3, seed=seed),
-        _records(False, "delta", "incremental", churn, epochs=3, seed=seed),
+        _records(True, "incremental", churn, epochs=3, seed=seed),
+        _records(False, "incremental", churn, epochs=3, seed=seed),
     )
 
 
