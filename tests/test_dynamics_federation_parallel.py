@@ -3,9 +3,10 @@
 The headline guarantee (mirroring the replication engine's): for the same
 seed, :meth:`FederatedSimulator.stream` emits a byte-identical record stream
 for every ``shard_workers`` value — across arbiters and measurement backends,
-with every shard's world advance checked against the rebuild oracle.  Shards own their state and RNG streams; threads
-only change *when* a shard steps, never what it computes, and the engine
-buffers per-shard records to keep the emission order deterministic.
+with every shard's world advance checked against the rebuild oracle.  Shards
+own their state and RNG streams; threads only change *when* a shard steps,
+never what it computes, and the engine buffers per-shard records to keep the
+emission order deterministic.
 """
 
 from __future__ import annotations
