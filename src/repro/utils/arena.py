@@ -122,9 +122,8 @@ class EpochArena:
 
         Convenience for hand-off sites where a buffer may equally be
         arena-acquired (steady state) or externally owned (the caller's
-        initial snapshot, an array another builder allocated): only
-        arena-owned buffers
-        are recycled.  Returns whether a release happened.
+        initial snapshot, an array allocated elsewhere): only arena-owned
+        buffers are recycled.  Returns whether a release happened.
         """
         if isinstance(array, np.ndarray) and self.owns(array):
             self.release(array)
