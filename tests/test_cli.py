@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from tests.golden.cli_corpus import COMMANDS, GOLDEN_PATH, option_table
+
+GOLDEN_OPTIONS = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 class TestParser:
@@ -507,3 +511,11 @@ class TestFederateCommand:
         out = capsys.readouterr().out
         assert "--shard-workers ignored" in out
         assert "stub result" in out
+
+
+class TestEngineCommandOptions:
+    """The engine commands' options match the golden option tables, in order."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_options_match_golden(self, command):
+        assert list(option_table(command).items()) == list(GOLDEN_OPTIONS[command].items())

@@ -19,6 +19,8 @@ def test_corpus_covers_the_grid():
     assert sorted(GOLDEN) == sorted(key_name(*key) for key in run_keys())
 
 
+@pytest.mark.parametrize("measurement_backend", ["full", "incremental"])
 @pytest.mark.parametrize("key", list(run_keys()), ids=lambda key: key_name(*key))
-def test_engine_digests_match_golden(key):
-    assert run_digests(*key) == GOLDEN[key_name(*key)]
+def test_engine_digests_match_golden(key, measurement_backend):
+    digests = run_digests(*key, measurement_backend=measurement_backend)
+    assert digests == GOLDEN[key_name(*key)]
