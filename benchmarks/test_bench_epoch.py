@@ -1,19 +1,20 @@
-"""Churn-proportional epoch ladder: full vs incremental measurement.
+"""Churn-proportional epoch ladder: incremental vs full-recompute measurement.
 
 A churn epoch's cost should track the *churn*, not the population.  The
-engine's ``measurement_backend="incremental"`` serves every measurement point
-from per-assignment aggregates (the measurement stash) and delta-updates the
-carried-over point from the churn batch alone, so the measure phase costs
-O(churn) instead of O(clients).  This ladder runs the sparse delay backend at
-two client-count rungs under 1 % churn and records the per-phase wall times
-(churn generation / world advance / solve / measure) for both measurement
-backends.
+engine serves every measurement point from per-assignment aggregates (the
+measurement stash) and delta-updates the carried-over point from the churn
+batch alone, so the measure phase costs O(churn) instead of O(clients).  This
+ladder runs the sparse delay backend at two client-count rungs under 1 %
+churn and records the per-phase wall times (churn generation / world advance
+/ solve / measure) twice per rung: as the engine runs, and under the
+test-only ``full_measurement()`` context of
+``tests/reference/measurement_full.py``, which makes the engine recompute
+every point from the assignment arrays.
 
 Asserted invariants:
 
-* **Equivalence** — the full and incremental backends emit field-identical
-  ``EpochRecord`` streams (the incremental path is an optimisation, not an
-  approximation).
+* **Equivalence** — both measurements emit field-identical ``EpochRecord``
+  streams (the incremental path is an optimisation, not an approximation).
 * **Measure-phase speedup** — at the top rung the incremental measure phase
   is at least ``MIN_MEASURE_SPEEDUP``x faster than the full recompute.
 
@@ -31,6 +32,7 @@ JSON next to ``BENCH_scale.json``.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from pathlib import Path
 
@@ -44,6 +46,7 @@ from repro.io.tables import format_table
 from repro.world import build_scenario
 
 from benchmarks.conftest import bench_runs, record_json
+from tests.reference.measurement_full import full_measurement
 
 pytestmark = pytest.mark.benchmark
 
@@ -60,8 +63,8 @@ NUM_EPOCHS = 4
 
 #: (lower, top) client-count rungs; the top has twice the lower's population.
 RUNGS = (50_000, 100_000) if FULL else (25_000, 50_000)
-#: Required measure-phase advantage of the incremental backend at the top
-#: rung (the measured advantage is ~20x; the bar leaves room for CI noise).
+#: Required measure-phase advantage of incremental measurement at the top
+#: rung (the measured advantage is ~20-50x; the bar leaves room for CI noise).
 MIN_MEASURE_SPEEDUP = 5.0 if FULL else 3.0
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_epoch.json"
@@ -72,28 +75,29 @@ def _label(num_clients: int) -> str:
     return f"{NUM_SERVERS}s-{NUM_ZONES}z-{num_clients}c-{capacity}cp"
 
 
-def _run_rung(scenario, num_clients: int, measurement_backend: str) -> dict:
-    """Run one rung under one measurement backend; return timings + records."""
+def _run_rung(scenario, num_clients: int, measurement: str) -> dict:
+    """Run one rung with ``"incremental"`` or ``"full"`` measurement."""
     churn = int(CHURN_FRACTION * num_clients)
     simulator = ChurnSimulator(
         scenario=scenario,
         algorithms=["grez-grec"],
         churn_spec=ChurnSpec(num_joins=churn, num_leaves=churn, num_moves=churn),
         seed=1,
-        measurement_backend=measurement_backend,
     )
-    session = simulator.session(NUM_EPOCHS)
     records = []
     epoch_totals = []
     epoch_measures = []
-    start = time.perf_counter()
-    while not session.done:
-        records.extend(session.run_epoch())
-        epoch_totals.append(sum(session.last_phase_seconds.values()))
-        epoch_measures.append(session.last_phase_seconds["measure"])
-    wall = time.perf_counter() - start
+    measuring = full_measurement() if measurement == "full" else contextlib.nullcontext()
+    with measuring:
+        session = simulator.session(NUM_EPOCHS)
+        start = time.perf_counter()
+        while not session.done:
+            records.extend(session.run_epoch())
+            epoch_totals.append(sum(session.last_phase_seconds.values()))
+            epoch_measures.append(session.last_phase_seconds["measure"])
+        wall = time.perf_counter() - start
     return {
-        "backend": measurement_backend,
+        "measurement": measurement,
         "num_clients": num_clients,
         "num_epochs": NUM_EPOCHS,
         "churn_per_kind": churn,
@@ -117,17 +121,17 @@ def _measure() -> dict:
             delay_backend=DELAY_BACKEND, sparse_top_k=SPARSE_TOP_K
         )
         scenario = build_scenario(config, seed=0)
-        for backend in ("full", "incremental"):
-            results.append(_run_rung(scenario, num_clients, backend))
+        for measurement in ("full", "incremental"):
+            results.append(_run_rung(scenario, num_clients, measurement))
     return {"rungs": results}
 
 
 def test_bench_epoch(benchmark, record):
     results = benchmark.pedantic(_measure, rounds=1, iterations=1)
-    by_key = {(r["num_clients"], r["backend"]): r for r in results["rungs"]}
+    by_key = {(r["num_clients"], r["measurement"]): r for r in results["rungs"]}
     lower, top = RUNGS
 
-    # Equivalence: the incremental backend is an optimisation, not an
+    # Equivalence: incremental measurement is an optimisation, not an
     # approximation — record streams must agree field-for-field.
     for num_clients in RUNGS:
         full_records = by_key[(num_clients, "full")]["records"]
@@ -141,7 +145,7 @@ def test_bench_epoch(benchmark, record):
     rows = [
         [
             f"{rung['num_clients']:,}",
-            rung["backend"],
+            rung["measurement"],
             rung["epoch_seconds_mean"],
             rung["epoch_seconds_warm"],
             rung["phase_seconds_per_epoch"]["churn_gen"],

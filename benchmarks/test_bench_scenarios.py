@@ -150,7 +150,6 @@ def _perf_run(scenario, timeline, num_epochs: int) -> dict:
         algorithms=["grez-grec"],
         churn_spec=ChurnSpec(num_joins=churn, num_leaves=churn, num_moves=churn),
         seed=1,
-        measurement_backend="incremental",
         scenario_timeline=timeline,
         admission_policy=None if timeline is None else AdmissionPolicy(patience_epochs=4),
     )

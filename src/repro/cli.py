@@ -1,7 +1,7 @@
 """Command-line interface: run experiments, solve single scenarios, inspect configs.
 
 Installed as the ``repro-dve`` console script (see ``pyproject.toml``) and
-runnable as ``python -m repro``.  Four sub-commands:
+runnable as ``python -m repro``.  Six sub-commands:
 
 * ``repro-dve list`` — list the available experiments and solvers.
 * ``repro-dve solve`` — build one scenario and solve it with one or more
@@ -11,30 +11,36 @@ runnable as ``python -m repro``.  Four sub-commands:
 * ``repro-dve simulate`` — longitudinal churn simulation: stream epoch
   records through a repair-policy schedule (optionally to CSV) and print a
   streaming summary.
+* ``repro-dve loadgen`` — sustained-throughput driver: steady-state epochs
+  and events per second of one engine configuration.
 * ``repro-dve federate`` — federated multi-shard simulation: several DVE
   shards on one topology and fleet, with cross-shard capacity arbitration
   between epochs.
+
+The three engine commands (``simulate``, ``loadgen``, ``federate``) register
+their shared flags from one table and turn them into a world config plus
+engine keywords in one validation step (:func:`_engine_options`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import tracemalloc
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import repro.baselines  # noqa: F401  (registers the baseline solvers)
 from repro import __version__
 from repro.core import CAPInstance
 from repro.core.arbitration import ARBITER_NAMES, make_arbiter
-from repro.core.registry import solve as registry_solve, solver_names
+from repro.core.registry import get_solver, solve as registry_solve, solver_names
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.degradation import AdmissionPolicy
 from repro.dynamics.engine import ChurnSimulator, EpochRecord
 from repro.dynamics.scenarios import SCENARIO_LIBRARY, build_timeline
 from repro.dynamics.federation_engine import AGGREGATE_SHARD_ID, FederatedSimulator
-from repro.dynamics.measurement import MEASUREMENT_BACKENDS
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.migration import MigrationCostModel
 from repro.dynamics.policies import POLICY_NAMES, make_policy
@@ -54,6 +60,7 @@ from repro.utils.pool import ordered_map
 from repro.utils.rng import as_generator, spawn_generators
 from repro.world import build_scenario
 from repro.world.federation import build_federation
+from repro.world.scenario import DVEConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -123,10 +130,62 @@ def _fraction_type(value: str) -> float:
     return parsed
 
 
-def _add_delay_backend_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--delay-backend`` option to a sub-command parser."""
-    parser.add_argument(
-        "--delay-backend",
+#: Options that several commands share, by flag: their ``add_argument``
+#: keyword arguments.  :func:`_add_flags` registers them; a command that
+#: words one differently overrides its keywords there.
+_SHARED_FLAGS = {
+    "--config": dict(
+        default=PAPER_DEFAULT_LABEL,
+        help="DVE configuration label, e.g. 20s-80z-1000c-500cp",
+    ),
+    "--algorithms": dict(
+        nargs="+",
+        default=["grez-grec"],
+        help="solver names to track across epochs (see 'repro-dve list')",
+    ),
+    "--epochs": dict(type=int, default=10, help="number of churn epochs"),
+    "--policy": dict(
+        default="reexecute",
+        choices=sorted(POLICY_NAMES),
+        help="per-epoch repair action schedule",
+    ),
+    "--period": dict(type=int, default=0, help="re-execution period for --policy every_k_epochs"),
+    "--seed": dict(type=int, default=0, help="master RNG seed"),
+    "--runs": dict(type=int, default=1, help="independent replications to aggregate over"),
+    "--workers": dict(
+        type=_workers_type,
+        default=None,
+        help="worker processes when --runs > 1 (default: serial; 0 = one per CPU)",
+    ),
+    "--joins": dict(type=int, default=200, help="clients joining per epoch"),
+    "--leaves": dict(type=int, default=200, help="clients leaving per epoch"),
+    "--moves": dict(type=int, default=200, help="clients moving zones per epoch"),
+    "--migration-cost": dict(
+        type=_non_negative_float,
+        default=0.0,
+        metavar="PER_CLIENT",
+        help=(
+            "state-transfer cost charged per migrated client when a zone changes "
+            "hosting server (default: 0 = free, the paper's semantics)"
+        ),
+    ),
+    "--migration-budget": dict(
+        type=_non_negative_float,
+        default=None,
+        metavar="COST",
+        help=(
+            "per-epoch migration budget for scheduled re-executions: a re-execution "
+            "billing above this is demoted to the incremental repair "
+            "(needs --migration-cost > 0 to have any effect)"
+        ),
+    ),
+    "--correlation": dict(type=float, default=0.0, help="physical-virtual correlation delta"),
+    "--csv": dict(
+        default=None,
+        metavar="PATH",
+        help="stream every epoch record to this CSV file as it is produced",
+    ),
+    "--delay-backend": dict(
         default=None,
         choices=DELAY_BACKENDS,
         help=(
@@ -134,27 +193,8 @@ def _add_delay_backend_flag(parser: argparse.ArgumentParser) -> None:
             "'sparse' hold O(clients) state instead of the dense clients x servers "
             "matrix, trading a bounded pQoS accuracy loss for million-client scale)"
         ),
-    )
-
-
-def _add_measurement_backend_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--measurement-backend`` option to a sub-command parser."""
-    parser.add_argument(
-        "--measurement-backend",
-        default="full",
-        choices=MEASUREMENT_BACKENDS,
-        help=(
-            "per-epoch QoS/load accounting (default: full; 'incremental' "
-            "delta-updates the previous epoch's measurements from the churn "
-            "batch — records are bit-identical, epochs cost O(churn) to measure)"
-        ),
-    )
-
-
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared incident-scenario options to a sub-command parser."""
-    parser.add_argument(
-        "--scenario",
+    ),
+    "--scenario": dict(
         action="append",
         default=None,
         metavar="SPEC",
@@ -164,9 +204,8 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
             "spec such as 'outage:zone=0,radius=4,start=3,duration=3'; repeat "
             "the flag to compose disturbances (composition is order-independent)"
         ),
-    )
-    parser.add_argument(
-        "--patience",
+    ),
+    "--patience": dict(
         type=int,
         default=None,
         metavar="EPOCHS",
@@ -174,7 +213,19 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
             "epochs a shed client waits in the degraded pool before abandoning "
             "(default: wait forever; only meaningful with --scenario)"
         ),
-    )
+    ),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str, **overrides: dict) -> None:
+    """Register shared flags on a sub-command parser, in the order given.
+
+    ``overrides`` maps a flag's destination name (``epochs`` for
+    ``--epochs``) to keyword arguments that replace the shared ones.
+    """
+    for flag in flags:
+        dest = flag.lstrip("-").replace("-", "_")
+        parser.add_argument(flag, **{**_SHARED_FLAGS[flag], **overrides.get(dest, {})})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--detail", action="store_true", help="also print the full QoS / resource reports"
     )
-    _add_delay_backend_flag(solve)
+    _add_flags(solve, "--delay-backend")
 
     # experiment ------------------------------------------------------------
     exp = sub.add_parser("experiment", help="run one of the paper's tables / figures")
@@ -241,50 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
             "records are identical for any value)"
         ),
     )
-    _add_delay_backend_flag(exp)
+    _add_flags(exp, "--delay-backend")
 
     # simulate ---------------------------------------------------------------
     sim = sub.add_parser(
         "simulate",
         help="longitudinal churn simulation: many epochs under a repair policy",
     )
-    sim.add_argument(
-        "--config",
-        default=PAPER_DEFAULT_LABEL,
-        help="DVE configuration label, e.g. 20s-80z-1000c-500cp",
-    )
-    sim.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=["grez-grec"],
-        help="solver names to track across epochs (see 'repro-dve list')",
-    )
-    sim.add_argument("--epochs", type=int, default=10, help="number of churn epochs")
-    sim.add_argument(
-        "--policy",
-        default="reexecute",
-        choices=sorted(POLICY_NAMES),
-        help="per-epoch repair action schedule",
-    )
-    sim.add_argument(
-        "--period",
-        type=int,
-        default=0,
-        help="re-execution period for --policy every_k_epochs",
-    )
-    sim.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    sim.add_argument(
-        "--runs", type=int, default=1, help="independent replications to aggregate over"
-    )
-    sim.add_argument(
-        "--workers",
-        type=_workers_type,
-        default=None,
-        help="worker processes when --runs > 1 (default: serial; 0 = one per CPU)",
-    )
-    sim.add_argument("--joins", type=int, default=200, help="clients joining per epoch")
-    sim.add_argument("--leaves", type=int, default=200, help="clients leaving per epoch")
-    sim.add_argument("--moves", type=int, default=200, help="clients moving zones per epoch")
+    _add_flags(sim, "--config", "--algorithms", "--epochs", "--policy", "--period", "--seed")
+    _add_flags(sim, "--runs", "--workers", "--joins", "--leaves", "--moves")
     sim.add_argument(
         "--server-churn",
         type=_server_churn_type,
@@ -295,39 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
             "optional relative capacity drift (e.g. 1:1:0.05); default: fixed fleet"
         ),
     )
-    sim.add_argument(
-        "--migration-cost",
-        type=_non_negative_float,
-        default=0.0,
-        metavar="PER_CLIENT",
-        help=(
-            "state-transfer cost charged per migrated client when a zone changes "
-            "hosting server (default: 0 = free, the paper's semantics)"
-        ),
-    )
-    sim.add_argument(
-        "--migration-budget",
-        type=_non_negative_float,
-        default=None,
-        metavar="COST",
-        help=(
-            "per-epoch migration budget for scheduled re-executions: a re-execution "
-            "billing above this is demoted to the incremental repair "
-            "(needs --migration-cost > 0 to have any effect)"
-        ),
-    )
-    sim.add_argument(
-        "--correlation", type=float, default=0.0, help="physical-virtual correlation delta"
-    )
-    sim.add_argument(
-        "--csv",
-        default=None,
-        metavar="PATH",
-        help="stream every epoch record to this CSV file as it is produced",
-    )
-    _add_delay_backend_flag(sim)
-    _add_measurement_backend_flag(sim)
-    _add_scenario_flags(sim)
+    _add_flags(sim, "--migration-cost", "--migration-budget", "--correlation", "--csv")
+    _add_flags(sim, "--delay-backend", "--scenario", "--patience")
     sim.add_argument(
         "--profile",
         action="store_true",
@@ -342,44 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen",
         help="sustained-throughput driver: steady-state epochs/sec and events/sec",
     )
-    load.add_argument(
+    _add_flags(
+        load,
         "--config",
-        default=PAPER_DEFAULT_LABEL,
-        help="DVE configuration label, e.g. 20s-80z-1000c-500cp",
-    )
-    load.add_argument(
         "--algorithms",
-        nargs="+",
-        default=["grez-grec"],
-        help="solver names to track across epochs (see 'repro-dve list')",
+        "--epochs",
+        epochs=dict(default=300, help="measured steady-state epochs"),
     )
-    load.add_argument("--epochs", type=int, default=300, help="measured steady-state epochs")
     load.add_argument(
         "--warmup", type=int, default=20, help="unmeasured warmup epochs before the clock starts"
     )
-    load.add_argument(
-        "--policy",
-        default="warm_start",
-        choices=sorted(POLICY_NAMES),
-        help="per-epoch repair action schedule",
-    )
-    load.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    load.add_argument("--joins", type=int, default=200, help="clients joining per epoch")
-    load.add_argument("--leaves", type=int, default=200, help="clients leaving per epoch")
-    load.add_argument("--moves", type=int, default=200, help="clients moving zones per epoch")
-    load.add_argument(
-        "--correlation", type=float, default=0.0, help="physical-virtual correlation delta"
-    )
-    load.add_argument(
-        "--no-arena",
-        action="store_true",
-        help="run the arena-free executable specification instead of the fast path",
-    )
-    load.add_argument(
-        "--compare",
-        action="store_true",
-        help="measure both arena on and off with the same harness and print the ratio",
-    )
+    _add_flags(load, "--policy", policy=dict(default="warm_start"))
+    _add_flags(load, "--seed", "--joins", "--leaves", "--moves", "--correlation")
     load.add_argument(
         "--alloc-profile",
         action="store_true",
@@ -394,26 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="dump the measured results as JSON to this path",
     )
-    _add_delay_backend_flag(load)
-    load.add_argument(
-        "--measurement-backend",
-        default="incremental",
-        choices=MEASUREMENT_BACKENDS,
-        help=(
-            "per-epoch QoS/load accounting (default: incremental — the "
-            "steady-state fast path this driver exists to measure)"
-        ),
-    )
+    _add_flags(load, "--delay-backend")
 
     # federate ---------------------------------------------------------------
     fedp = sub.add_parser(
         "federate",
         help="federated multi-shard simulation with cross-shard capacity arbitration",
     )
-    fedp.add_argument(
+    _add_flags(
+        fedp,
         "--config",
-        default=PAPER_DEFAULT_LABEL,
-        help="base DVE configuration label; its clients are split across the shards",
+        config=dict(help="base DVE configuration label; its clients are split across the shards"),
     )
     fedp.add_argument("--shards", type=int, default=3, help="number of shards (worlds)")
     fedp.add_argument(
@@ -439,31 +389,20 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FRACTION",
         help="minimum slice of every server each shard keeps (fraction of capacity)",
     )
-    fedp.add_argument(
+    _add_flags(
+        fedp,
         "--algorithms",
-        nargs="+",
-        default=["grez-grec"],
-        help="solver names tracked in every shard (first drives arbitration signals)",
-    )
-    fedp.add_argument("--epochs", type=int, default=10, help="number of churn epochs")
-    fedp.add_argument(
+        "--epochs",
         "--policy",
-        default="reexecute",
-        choices=sorted(POLICY_NAMES),
-        help="per-epoch repair action schedule (applied in every shard)",
-    )
-    fedp.add_argument(
-        "--period", type=int, default=0, help="re-execution period for every_k_epochs"
-    )
-    fedp.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    fedp.add_argument(
-        "--runs", type=int, default=1, help="independent replications to aggregate over"
-    )
-    fedp.add_argument(
+        "--period",
+        "--seed",
+        "--runs",
         "--workers",
-        type=_workers_type,
-        default=None,
-        help="worker processes when --runs > 1 (default: serial; 0 = one per CPU)",
+        algorithms=dict(
+            help="solver names tracked in every shard (first drives arbitration signals)"
+        ),
+        policy=dict(help="per-epoch repair action schedule (applied in every shard)"),
+        period=dict(help="re-execution period for every_k_epochs"),
     )
     fedp.add_argument(
         "--shard-workers",
@@ -482,32 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FRACTION",
         help="per-epoch joins/leaves/moves, as a fraction of each shard's clients",
     )
-    fedp.add_argument(
+    _add_flags(
+        fedp,
         "--migration-cost",
-        type=_non_negative_float,
-        default=1.0,
-        metavar="PER_CLIENT",
-        help="state-transfer cost per migrated client (default: 1)",
-    )
-    fedp.add_argument(
         "--migration-budget",
-        type=_non_negative_float,
-        default=None,
-        metavar="COST",
-        help="per-shard per-epoch migration budget (default: unlimited)",
-    )
-    fedp.add_argument(
-        "--correlation", type=float, default=0.0, help="physical-virtual correlation delta"
-    )
-    fedp.add_argument(
+        "--correlation",
         "--csv",
-        default=None,
-        metavar="PATH",
-        help="stream every per-shard and aggregate record to this CSV file",
+        "--delay-backend",
+        "--scenario",
+        "--patience",
+        migration_cost=dict(
+            default=1.0, help="state-transfer cost per migrated client (default: 1)"
+        ),
+        migration_budget=dict(help="per-shard per-epoch migration budget (default: unlimited)"),
+        csv=dict(help="stream every per-shard and aggregate record to this CSV file"),
     )
-    _add_delay_backend_flag(fedp)
-    _add_measurement_backend_flag(fedp)
-    _add_scenario_flags(fedp)
     fedp.add_argument(
         "--profile",
         action="store_true",
@@ -533,6 +461,11 @@ def _cmd_list() -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    try:
+        _check_algorithms(args.algorithms)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = apply_delay_backend(
         config_from_label(args.config, correlation=args.correlation), args.delay_backend
     )
@@ -568,114 +501,176 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_scenario(args: argparse.Namespace):
-    """Build ``(timeline, admission_policy)`` from ``--scenario`` / ``--patience``.
+def _check_algorithms(names: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming the first unregistered solver."""
+    for name in names:
+        try:
+            get_solver(name)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
 
-    Returns ``(None, None)`` when no scenario was requested, so classic
-    invocations construct simulators exactly as before.
+
+#: What an engine command's flags resolve to: its world config and the engine
+#: keyword arguments (see :func:`_engine_options`).
+_EngineOptions = Tuple[DVEConfig, dict]
+
+
+def _engine_options(args: argparse.Namespace) -> _EngineOptions:
+    """Validate an engine command's flags; return its world config and engine keywords.
+
+    The single validation step of ``simulate``, ``loadgen`` and
+    ``federate``: every input error raises ``ValueError``, which
+    :func:`main` prints before exiting with status 2.  The keywords are the
+    ones :class:`ChurnSimulator` and :class:`FederatedSimulator` share —
+    algorithms, migration model, policy, period, budget, incident timeline
+    and admission policy — plus the per-epoch churn spec of the commands
+    with ``--joins`` and the fleet churn of ``--server-churn``.
     """
-    if not getattr(args, "scenario", None):
-        return None, None
-    timeline = build_timeline(args.scenario)
-    return timeline, AdmissionPolicy(patience_epochs=args.patience)
+    for flag, minimum in (("epochs", 1), ("runs", 1), ("warmup", 0), ("shards", 1)):
+        if getattr(args, flag, minimum) < minimum:
+            raise ValueError(f"--{flag} must be >= {minimum}")
+    weights = getattr(args, "shard_weights", None)
+    if weights is not None and len(weights) != args.shards:
+        raise ValueError(f"--shard-weights needs exactly {args.shards} values")
+    _check_algorithms(args.algorithms)
+    period = getattr(args, "period", 0)
+    make_policy(args.policy, period=period or None)
+    config = apply_delay_backend(
+        config_from_label(args.config, correlation=args.correlation), args.delay_backend
+    )
+    engine = dict(
+        algorithms=list(args.algorithms),
+        migration_cost=MigrationCostModel(cost_per_client=getattr(args, "migration_cost", 0.0)),
+        policy=args.policy,
+        policy_period=period,
+        policy_migration_budget=getattr(args, "migration_budget", None),
+    )
+    server_churn = getattr(args, "server_churn", None)
+    if getattr(args, "scenario", None):
+        if server_churn is not None:
+            raise ValueError(
+                "--scenario drives the fleet itself and cannot be combined with --server-churn"
+            )
+        engine["scenario_timeline"] = build_timeline(args.scenario)
+        engine["admission_policy"] = AdmissionPolicy(patience_epochs=args.patience)
+    if hasattr(args, "joins"):
+        engine["churn_spec"] = ChurnSpec(
+            num_joins=args.joins, num_leaves=args.leaves, num_moves=args.moves
+        )
+    if server_churn is not None:
+        engine["server_churn_spec"] = server_churn
+    return config, engine
 
 
-def _build_simulator(args: argparse.Namespace, config, rng) -> ChurnSimulator:
-    """Materialise one simulate replication from the CLI arguments."""
-    timeline, admission = _resolve_scenario(args)
+def _simulate_run(args: argparse.Namespace, options: _EngineOptions, rng) -> ChurnSimulator:
+    """One ``simulate`` replication: a fresh world and churn stream from ``rng``."""
+    config, engine = options
     scenario_rng, sim_rng = spawn_generators(rng, 2)
     return ChurnSimulator(
-        scenario=build_scenario(config, seed=scenario_rng),
-        algorithms=list(args.algorithms),
-        churn_spec=ChurnSpec(num_joins=args.joins, num_leaves=args.leaves, num_moves=args.moves),
-        server_churn_spec=args.server_churn,
-        migration_cost=MigrationCostModel(cost_per_client=args.migration_cost),
-        seed=sim_rng,
-        policy=args.policy,
-        policy_period=args.period,
-        policy_migration_budget=args.migration_budget,
-        measurement_backend=args.measurement_backend,
-        scenario_timeline=timeline,
-        admission_policy=admission,
+        scenario=build_scenario(config, seed=scenario_rng), seed=sim_rng, **engine
     )
 
 
-def _execute_simulate_run(task) -> List[EpochRecord]:
-    """One replication of the simulate command (worker-side; must be picklable)."""
+def _federate_run(args: argparse.Namespace, options: _EngineOptions, rng) -> FederatedSimulator:
+    """One ``federate`` replication: a fresh federated world from ``rng``."""
+    config, engine = options
+    fed_rng, sim_rng = spawn_generators(rng, 2)
+    weights = (
+        list(args.shard_weights)
+        if args.shard_weights is not None
+        else [float(args.shards - i) for i in range(args.shards)]
+    )
+    world = build_federation(config, num_shards=args.shards, seed=fed_rng, client_weights=weights)
+    churn_specs = []
+    for shard in world.shards:
+        events = round(args.churn_fraction * shard.num_clients)
+        churn_specs.append(ChurnSpec(num_joins=events, num_leaves=events, num_moves=events))
+    return FederatedSimulator(
+        world=world,
+        arbiter=make_arbiter(args.arbiter, min_slice_fraction=args.min_slice),
+        churn_spec=churn_specs,
+        seed=sim_rng,
+        shard_workers=args.shard_workers,
+        **engine,
+    )
+
+
+def _execute_run(task) -> List[EpochRecord]:
+    """One replication of an engine command (worker-side; must be picklable)."""
     import repro.baselines  # noqa: F401 — repopulate the registry under spawn
 
-    args, config, rng = task
-    return _build_simulator(args, config, rng).run(args.epochs)
+    build, args, options, rng = task
+    return build(args, options, rng).run(args.epochs)
 
 
-def _simulate_records(
-    args: argparse.Namespace, config, profile_sink: Optional[dict] = None
+def _engine_records(
+    args: argparse.Namespace,
+    options: _EngineOptions,
+    build: Callable,
+    stream: Callable[[object], Iterator[EpochRecord]],
 ) -> Iterator[Tuple[int, EpochRecord]]:
-    """Yield ``(run_index, record)`` pairs, streaming whenever possible.
+    """Yield ``(run_index, record)`` over ``args.runs`` replications of ``build``.
 
-    A single serial run streams straight from the engine's generator (O(1)
-    record memory even for thousands of epochs); multi-run invocations fan
-    the replications out over :func:`ordered_map` and stream run by run.
-    When ``profile_sink`` is given and the run is serial, the accumulated
-    per-phase wall times land in it under ``"phase_seconds"``.
+    A single run streams from ``stream(simulator)``, so it holds O(1)
+    records even for thousands of epochs; more runs fan the replications
+    out over :func:`ordered_map` and stream run by run.
     """
-    rng = as_generator(args.seed)
-    run_rngs = spawn_generators(rng, args.runs)
+    run_rngs = spawn_generators(as_generator(args.seed), args.runs)
     if args.runs == 1:
-        session = _build_simulator(args, config, run_rngs[0]).session(args.epochs)
-        started_tracing = False
-        if profile_sink is not None:
-            # Per-phase allocation probe: tracemalloc peak deltas per phase.
-            # The probe costs wall time, but --profile is an opt-in
-            # diagnostic, not a throughput measurement (loadgen is).
-            session.alloc_profile = True
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                started_tracing = True
-        try:
-            while not session.done:
-                for record in session.run_epoch():
-                    yield 0, record
-        finally:
-            if started_tracing:
-                tracemalloc.stop()
-        if profile_sink is not None:
-            profile_sink["phase_seconds"] = dict(session.phase_seconds)
-            profile_sink["phase_alloc_bytes"] = dict(session.phase_alloc_bytes)
+        for record in stream(build(args, options, run_rngs[0])):
+            yield 0, record
         return
-    tasks = [(args, config, run_rngs[i]) for i in range(args.runs)]
-    for run_index, records in enumerate(
-        ordered_map(_execute_simulate_run, tasks, workers=args.workers)
-    ):
+    tasks = [(build, args, options, rng) for rng in run_rngs]
+    for run_index, records in enumerate(ordered_map(_execute_run, tasks, workers=args.workers)):
         for record in records:
             yield run_index, record
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.epochs < 1:
-        print("error: --epochs must be >= 1", file=sys.stderr)
-        return 2
-    if args.runs < 1:
-        print("error: --runs must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        schedule = make_policy(args.policy, period=args.period or None)
-        _resolve_scenario(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    scenario_active = bool(args.scenario)
-    if scenario_active and args.server_churn is not None:
-        print(
-            "error: --scenario drives the fleet itself and cannot be combined "
-            "with --server-churn",
-            file=sys.stderr,
-        )
-        return 2
-    config = apply_delay_backend(
-        config_from_label(args.config, correlation=args.correlation), args.delay_backend
-    )
+def _profile_sink(args: argparse.Namespace) -> Optional[dict]:
+    """A dict for the run's profile under ``--profile``, or ``None``."""
+    if not args.profile:
+        return None
+    if args.runs > 1:
+        print("note: --profile only applies to single-run invocations; ignoring\n")
+        return None
+    return {}
 
+
+def _profiled_epochs(
+    simulator: ChurnSimulator, epochs: int, sink: Optional[dict]
+) -> Iterator[EpochRecord]:
+    """Stream one run; with a ``sink``, store its per-phase time and allocations."""
+    session = simulator.session(epochs)
+    started_tracing = False
+    if sink is not None:
+        # Per-phase allocation probe: tracemalloc peak deltas per phase.
+        # The probe costs wall time, but --profile is an opt-in diagnostic,
+        # not a throughput measurement (loadgen is).
+        session.alloc_profile = True
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+            started_tracing = True
+    try:
+        while not session.done:
+            yield from session.run_epoch()
+    finally:
+        if started_tracing:
+            tracemalloc.stop()
+    if sink is not None:
+        sink["phase_seconds"] = dict(session.phase_seconds)
+        sink["phase_alloc_bytes"] = dict(session.phase_alloc_bytes)
+
+
+def _csv_writer(path: Optional[str], fields: Sequence[str]):
+    """A record CSV appender for ``--csv``, or a no-op context without it."""
+    if not path:
+        return contextlib.nullcontext()
+    return CsvAppender(path, ["run", *fields], flush_interval=256)
+
+
+def _cmd_simulate(args: argparse.Namespace, options: _EngineOptions) -> int:
+    config, _ = options
+    scenario_active = bool(args.scenario)
     if args.server_churn is not None:
         fleet = (
             f"{args.server_churn.num_joins} joins, {args.server_churn.num_leaves} leaves, "
@@ -687,9 +682,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "config": config.label,
         "algorithms": ", ".join(args.algorithms),
         "epochs": args.epochs,
-        "policy": schedule.name,
+        "policy": make_policy(args.policy, period=args.period or None).name,
         "delay backend": config.delay_backend,
-        "measurement backend": args.measurement_backend,
         "churn per epoch": f"{args.joins} joins, {args.leaves} leaves, {args.moves} moves",
         "server churn per epoch": fleet,
         "migration cost / client": args.migration_cost,
@@ -710,9 +704,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     stats = GroupedRunningStats()
     num_records = 0
     final_clients = 0
-
-    def consume(pairs: Iterator[Tuple[int, EpochRecord]]) -> None:
-        nonlocal num_records, final_clients
+    profile_sink = _profile_sink(args)
+    pairs = _engine_records(
+        args, options, _simulate_run, lambda sim: _profiled_epochs(sim, args.epochs, profile_sink)
+    )
+    csv_fields = EpochRecord.SCENARIO_FIELDS if scenario_active else EpochRecord.FIELDS
+    with _csv_writer(args.csv, csv_fields) as writer:
         for run_index, record in pairs:
             if writer is not None:
                 row = record.scenario_row() if scenario_active else record.row()
@@ -731,21 +728,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     )
                 final_clients = record.num_clients_after
             num_records += 1
-
-    profile_sink: Optional[dict] = None
-    if args.profile:
-        if args.runs == 1:
-            profile_sink = {}
-        else:
-            print("note: --profile only applies to single-run invocations; ignoring\n")
-    pairs = _simulate_records(args, config, profile_sink=profile_sink)
-    writer = None
-    csv_fields = EpochRecord.SCENARIO_FIELDS if scenario_active else EpochRecord.FIELDS
-    if args.csv:
-        with CsvAppender(args.csv, ["run", *csv_fields], flush_interval=256) as writer:
-            consume(pairs)
-    else:
-        consume(pairs)
 
     headers = [
         "algorithm",
@@ -782,9 +764,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             float_format=".3f",
         )
     )
-    if profile_sink is not None and "phase_seconds" in profile_sink:
+    if profile_sink:
         phases = profile_sink["phase_seconds"]
-        allocs = profile_sink.get("phase_alloc_bytes", {})
+        allocs = profile_sink["phase_alloc_bytes"]
         total = sum(phases.values())
         total_alloc = sum(allocs.values())
         labels = {
@@ -826,70 +808,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    if args.epochs < 1:
-        print("error: --epochs must be >= 1", file=sys.stderr)
-        return 2
-    if args.warmup < 0:
-        print("error: --warmup must be >= 0", file=sys.stderr)
-        return 2
-    if args.no_arena and args.compare:
-        print("error: --no-arena and --compare are mutually exclusive", file=sys.stderr)
-        return 2
-    churn = ChurnSpec(num_joins=args.joins, num_leaves=args.leaves, num_moves=args.moves)
-    arenas = [True, False] if args.compare else [not args.no_arena]
-    results = []
-    for arena in arenas:
-        results.append(
-            run_loadgen(
-                label=args.config,
-                algorithms=list(args.algorithms),
-                epochs=args.epochs,
-                warmup=args.warmup,
-                churn=churn,
-                policy=args.policy,
-                measurement_backend=args.measurement_backend,
-                correlation=args.correlation,
-                seed=args.seed,
-                arena=arena,
-                alloc_profile=args.alloc_profile,
-                delay_backend=args.delay_backend,
-            )
-        )
-    print(format_loadgen(results))
-    if args.compare:
-        on, off = results
-        print(
-            f"\narena on / off speedup: x{on.epochs_per_sec / off.epochs_per_sec:.2f} "
-            f"({on.epochs_per_sec:.1f} vs {off.epochs_per_sec:.1f} epochs/s)"
-        )
-        if on.alloc_bytes_per_epoch is not None and on.alloc_bytes_per_epoch > 0:
-            print(
-                "steady-state alloc reduction: "
-                f"x{off.alloc_bytes_per_epoch / on.alloc_bytes_per_epoch:.1f} "
-                f"({off.alloc_bytes_per_epoch:.0f} -> {on.alloc_bytes_per_epoch:.0f} "
-                "bytes/epoch)"
-            )
+def _cmd_loadgen(args: argparse.Namespace, options: _EngineOptions) -> int:
+    config, engine = options
+    simulator = ChurnSimulator(
+        scenario=build_scenario(config, seed=args.seed), seed=args.seed, **engine
+    )
+    result = run_loadgen(
+        simulator, epochs=args.epochs, warmup=args.warmup, alloc_profile=args.alloc_profile
+    )
+    print(format_loadgen(result))
     if args.json:
         payload = [
             {
-                "label": r.label,
-                "policy": r.policy,
-                "measurement_backend": r.measurement_backend,
-                "arena": r.arena,
-                "epochs": r.epochs,
-                "warmup": r.warmup,
-                "events_per_epoch": r.events_per_epoch,
-                "wall_seconds": r.wall_seconds,
-                "epochs_per_sec": r.epochs_per_sec,
-                "events_per_sec": r.events_per_sec,
-                "p50_epoch_ms": r.p50_epoch_ms,
-                "p99_epoch_ms": r.p99_epoch_ms,
-                "phase_seconds": r.phase_seconds,
-                "phase_alloc_bytes_per_epoch": r.phase_alloc_bytes_per_epoch,
-                "arena_stats": r.arena_stats,
+                "label": result.label,
+                "policy": result.policy,
+                "epochs": result.epochs,
+                "warmup": result.warmup,
+                "events_per_epoch": result.events_per_epoch,
+                "wall_seconds": result.wall_seconds,
+                "epochs_per_sec": result.epochs_per_sec,
+                "events_per_sec": result.events_per_sec,
+                "p50_epoch_ms": result.p50_epoch_ms,
+                "p99_epoch_ms": result.p99_epoch_ms,
+                "phase_seconds": result.phase_seconds,
+                "phase_alloc_bytes_per_epoch": result.phase_alloc_bytes_per_epoch,
+                "arena_stats": result.arena_stats,
             }
-            for r in results
         ]
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
@@ -897,106 +841,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_federated_simulator(args: argparse.Namespace, config, rng) -> FederatedSimulator:
-    """Materialise one federation replication from the CLI arguments."""
-    timeline, admission = _resolve_scenario(args)
-    fed_rng, sim_rng = spawn_generators(rng, 2)
-    weights = (
-        list(args.shard_weights)
-        if args.shard_weights is not None
-        else [float(args.shards - i) for i in range(args.shards)]
-    )
-    world = build_federation(
-        config, num_shards=args.shards, seed=fed_rng, client_weights=weights
-    )
-    churn_specs = [
-        ChurnSpec(
-            num_joins=round(args.churn_fraction * shard.num_clients),
-            num_leaves=round(args.churn_fraction * shard.num_clients),
-            num_moves=round(args.churn_fraction * shard.num_clients),
-        )
-        for shard in world.shards
-    ]
-    return FederatedSimulator(
-        world=world,
-        algorithms=list(args.algorithms),
-        arbiter=make_arbiter(
-            args.arbiter,
-            min_slice_fraction=args.min_slice,
-        ),
-        churn_spec=churn_specs,
-        migration_cost=MigrationCostModel(cost_per_client=args.migration_cost),
-        seed=sim_rng,
-        policy=args.policy,
-        policy_period=args.period,
-        policy_migration_budget=args.migration_budget,
-        measurement_backend=args.measurement_backend,
-        scenario_timeline=timeline,
-        admission_policy=admission,
-        shard_workers=args.shard_workers,
-    )
-
-
-def _execute_federate_run(task) -> List[EpochRecord]:
-    """One replication of the federate command (worker-side; must be picklable)."""
-    import repro.baselines  # noqa: F401 — repopulate the registry under spawn
-
-    args, config, rng = task
-    return _build_federated_simulator(args, config, rng).run(args.epochs)
-
-
-def _federate_records(
-    args: argparse.Namespace, config, profile_sink: Optional[dict] = None
-) -> Iterator[Tuple[int, EpochRecord]]:
-    """Yield ``(run_index, record)`` pairs, streaming whenever possible.
-
-    When ``profile_sink`` is given and the run is serial, the simulator's
-    :class:`~repro.dynamics.federation_engine.FederationProfile` is stored
-    under ``"federation_profile"`` after the stream is drained.
-    """
-    rng = as_generator(args.seed)
-    run_rngs = spawn_generators(rng, args.runs)
-    if args.runs == 1:
-        simulator = _build_federated_simulator(args, config, run_rngs[0])
-        for record in simulator.stream(args.epochs):
-            yield 0, record
-        if profile_sink is not None and simulator.last_profile is not None:
-            profile_sink["federation_profile"] = simulator.last_profile
-        return
-    tasks = [(args, config, run_rngs[i]) for i in range(args.runs)]
-    for run_index, records in enumerate(
-        ordered_map(_execute_federate_run, tasks, workers=args.workers)
-    ):
-        for record in records:
-            yield run_index, record
-
-
-def _cmd_federate(args: argparse.Namespace) -> int:
-    if args.epochs < 1:
-        print("error: --epochs must be >= 1", file=sys.stderr)
-        return 2
-    if args.runs < 1:
-        print("error: --runs must be >= 1", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
-    if args.shard_weights is not None and len(args.shard_weights) != args.shards:
-        print(
-            f"error: --shard-weights needs exactly {args.shards} values",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        schedule = make_policy(args.policy, period=args.period or None)
-        _resolve_scenario(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_federate(args: argparse.Namespace, options: _EngineOptions) -> int:
+    config, _ = options
     scenario_active = bool(args.scenario)
-    config = apply_delay_backend(
-        config_from_label(args.config, correlation=args.correlation), args.delay_backend
-    )
 
     print(
         format_kv(
@@ -1012,9 +859,8 @@ def _cmd_federate(args: argparse.Namespace) -> int:
                 "arbiter": args.arbiter,
                 "algorithms": ", ".join(args.algorithms),
                 "epochs": args.epochs,
-                "policy": schedule.name,
+                "policy": make_policy(args.policy, period=args.period or None).name,
                 "delay backend": config.delay_backend,
-                "measurement backend": args.measurement_backend,
                 "churn fraction per epoch": args.churn_fraction,
                 "migration cost / client": args.migration_cost,
                 "migration budget / shard": (
@@ -1035,10 +881,20 @@ def _cmd_federate(args: argparse.Namespace) -> int:
 
     stats = GroupedRunningStats()
     num_records = 0
+    profile_sink = _profile_sink(args)
 
-    def consume(pairs: Iterator[Tuple[int, EpochRecord]]) -> None:
-        nonlocal num_records
-        for run_index, record in pairs:
+    def stream(simulator: FederatedSimulator) -> Iterator[EpochRecord]:
+        yield from simulator.stream(args.epochs)
+        if profile_sink is not None:
+            profile_sink["federation_profile"] = simulator.last_profile
+
+    fed_fields = (
+        ("shard_id", *EpochRecord.SCENARIO_FIELDS)
+        if scenario_active
+        else EpochRecord.FEDERATED_FIELDS
+    )
+    with _csv_writer(args.csv, fed_fields) as writer:
+        for run_index, record in _engine_records(args, options, _federate_run, stream):
             if writer is not None:
                 row = record.federated_row()
                 if scenario_active:
@@ -1053,25 +909,6 @@ def _cmd_federate(args: argparse.Namespace) -> int:
                 stats.add((*key, "final"), record.pqos_adopted)
                 stats.add((*key, "clients"), float(record.num_clients_after))
             num_records += 1
-
-    profile_sink: Optional[dict] = None
-    if args.profile:
-        if args.runs == 1:
-            profile_sink = {}
-        else:
-            print("note: --profile only applies to single-run invocations; ignoring\n")
-    pairs = _federate_records(args, config, profile_sink=profile_sink)
-    writer = None
-    fed_fields = (
-        ("shard_id", *EpochRecord.SCENARIO_FIELDS)
-        if scenario_active
-        else EpochRecord.FEDERATED_FIELDS
-    )
-    if args.csv:
-        with CsvAppender(args.csv, ["run", *fed_fields], flush_interval=256) as writer:
-            consume(pairs)
-    else:
-        consume(pairs)
 
     rows = []
     worst = {}
@@ -1112,7 +949,7 @@ def _cmd_federate(args: argparse.Namespace) -> int:
             float_format=".3f",
         )
     )
-    if profile_sink is not None and "federation_profile" in profile_sink:
+    if profile_sink:
         profile = profile_sink["federation_profile"]
         epochs = max(1, profile.num_epochs)
         rows = [
@@ -1185,6 +1022,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The engine commands: each takes its arguments and the validated
+#: ``(config, engine keywords)`` of :func:`_engine_options`.
+_ENGINE_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "loadgen": _cmd_loadgen,
+    "federate": _cmd_federate,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
@@ -1198,14 +1044,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_solve(args)
     if args.command == "experiment":
         return _cmd_experiment(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
-    if args.command == "federate":
-        return _cmd_federate(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    try:
+        options = _engine_options(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return _ENGINE_COMMANDS[args.command](args, options)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -687,7 +687,6 @@ def warm_start_refine(
     consider_zone_moves: bool = False,
     consider_contact_moves: bool = True,
     mode: str = "best",
-    stash_measures: bool = False,
 ) -> LocalSearchResult:
     """Warm-start refinement: repair a carried-over assignment after churn.
 
@@ -716,31 +715,23 @@ def warm_start_refine(
     rather than inherited, so a repair that ends within capacity clears a
     stale flag.
 
-    With ``stash_measures=True`` the refiner's incrementally maintained
-    per-client delay vector (an exact gather-sum at every update, so
-    bit-identical to a fresh ``client_delays`` recompute) is attached to the
-    result by reference as a measurement stash
-    (:func:`repro.core.measures.attach_measures` — no copy, the array is
-    frozen read-only), together with the freshly reduced server loads.
-    ``initial_pqos`` / ``final_pqos`` are then served as exact
-    count-over-population divisions, bit-identical to the boolean-mean
-    specification.  The returned numbers are identical either way; the flag
-    only removes the redundant O(clients) passes.
+    The refiner's incrementally maintained per-client delay vector (an
+    exact gather-sum at every update, so bit-identical to a fresh
+    ``client_delays`` recompute) is attached to the result by reference as a
+    measurement stash (:func:`repro.core.measures.attach_measures` — no
+    copy, the array is frozen read-only), together with the freshly reduced
+    server loads.  ``initial_pqos`` / ``final_pqos`` are exact
+    count-over-population divisions, bit-identical to ``Assignment.pqos``.
     """
     if mode not in _WARM_START_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_WARM_START_MODES}")
     zone_to_server = assignment.zone_to_server.copy()
     contacts = assignment.contact_of_client.copy()
-    delays: Optional[np.ndarray] = None
-    if stash_measures:
-        delays = delays_to_targets(instance, zone_to_server, contacts)
-        if instance.num_clients:
-            within = int(np.count_nonzero(delays <= instance.delay_bound))
-            initial_pqos = within / instance.num_clients
-        else:
-            initial_pqos = 1.0
+    delays = delays_to_targets(instance, zone_to_server, contacts)
+    if instance.num_clients:
+        initial_pqos = int(np.count_nonzero(delays <= instance.delay_bound)) / instance.num_clients
     else:
-        initial_pqos = assignment.pqos(instance)
+        initial_pqos = 1.0
 
     with Timer() as timer:
         if mode == "sweep":
@@ -777,16 +768,12 @@ def warm_start_refine(
         runtime_seconds=assignment.runtime_seconds + timer.elapsed,
         metadata={**assignment.metadata, "warm_start_iterations": iterations},
     )
-    if stash_measures:
-        attach_measures(refined, instance, delays, final_loads)
-        final_pqos = measured_pqos(refined, instance)
-    else:
-        final_pqos = refined.pqos(instance)
+    attach_measures(refined, instance, delays, final_loads)
     return LocalSearchResult(
         assignment=refined,
         iterations=iterations,
         initial_pqos=initial_pqos,
-        final_pqos=final_pqos,
+        final_pqos=measured_pqos(refined, instance),
         runtime_seconds=timer.elapsed,
     )
 

@@ -160,7 +160,6 @@ class RebalanceController:
             migration_cost=self.migration_cost,
             seed=self.seed,
             policy=self.policy,
-            measurement_backend="incremental",
             scenario_timeline=self.scenario_timeline,
             admission_policy=self.admission_policy,
         ).session(num_epochs)

@@ -11,8 +11,7 @@ The mechanism runs entirely at the churn-batch level, *before*
 :func:`repro.dynamics.events.apply_churn`: :func:`admission_control` rewrites
 the batch (shed joiners are dropped, shed survivors become extra leavers,
 re-admitted pool clients become extra joiners), so every downstream layer —
-world advance, full vs incremental measurement — sees an ordinary churn batch
-and stays bit-identical across measurement backends for free.
+world advance, incremental measurement — sees an ordinary churn batch.
 
 Demand follows the quadratic bandwidth model
 (:class:`repro.world.bandwidth.BandwidthModel`): a zone with population ``p``

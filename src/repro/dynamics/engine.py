@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
@@ -52,8 +52,8 @@ from repro.dynamics.infrastructure import (
     generate_server_churn,
 )
 from repro.dynamics.measurement import (
-    MEASUREMENT_BACKENDS,
     carried_qos_count,
+    check_measurement_backend,
     ensure_measures,
     measured_pqos,
     measured_utilization,
@@ -192,8 +192,9 @@ class SimulationState:
     """Mutable state of a longitudinal churn simulation.
 
     Holds the current scenario / instance snapshot, each algorithm's live
-    assignment, and reusable scratch buffers so per-epoch transients (the
-    carried-over contact array) do not allocate afresh every epoch.
+    assignment, and the session's :class:`~repro.utils.arena.EpochArena`, so
+    per-epoch transients (the carried-over contact array, the delay matrix
+    double-buffer) do not allocate afresh every epoch.
     """
 
     scenario: DVEScenario
@@ -204,28 +205,10 @@ class SimulationState:
     #: forward so it is never recomputed (it is bit-identical by construction).
     measures: Dict[str, tuple] = field(default_factory=dict)
     epoch: int = 0
-    #: Per-session scratch arena generalising the old contacts buffer: all
-    #: recurring per-epoch buffers (delay matrix double-buffer, population
-    #: arrays, demand vectors, repair work arrays) recycle through it when
-    #: the simulator runs with ``arena=True``.
-    arena: Optional[EpochArena] = field(default=None, repr=False)
-    _contacts_scratch: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64), repr=False
-    )
-
-    def contacts_buffer(self, num_clients: int) -> np.ndarray:
-        """A reusable int64 scratch buffer with at least ``num_clients`` slots.
-
-        Grows geometrically and is recycled across epochs; only valid for
-        transient assignments that are dropped before the next request.
-        """
-        if self.arena is not None:
-            return self.arena.scratch("carry_contacts", num_clients, dtype=np.int64)
-        if self._contacts_scratch.shape[0] < num_clients:
-            self._contacts_scratch = np.empty(
-                max(num_clients, 2 * self._contacts_scratch.shape[0]), dtype=np.int64
-            )
-        return self._contacts_scratch
+    #: Per-session scratch arena: all recurring per-epoch buffers (delay
+    #: matrix double-buffer, population arrays, demand vectors, carried
+    #: contacts, repair work arrays) recycle through it.
+    arena: EpochArena = field(default_factory=EpochArena, repr=False)
 
     @property
     def num_clients(self) -> int:
@@ -269,14 +252,15 @@ class ChurnSimulator:
     policy_period:
         Period for the ``every_k_epochs`` policy (ignored otherwise).
     measurement_backend:
-        ``"full"`` (default) recomputes every measurement point from the
-        assignment arrays — the executable specification.  ``"incremental"``
-        serves points from the solvers' measurement stash
-        (:mod:`repro.core.measures`) and produces the carried-over "after"
-        point by delta-updating the previous epoch's within-bound count from
-        the churn batch alone (:mod:`repro.dynamics.measurement`), skipping
-        the O(clients) carried-assignment build on epochs whose action does
-        not need it.  Records are bit-identical between the two.
+        Accepted for existing callers and ignored: ``"incremental"`` (or
+        ``None``) is the only value.  Every measurement point is served from
+        the solvers' measurement stash (:mod:`repro.core.measures`), and the
+        carried-over "after" point is a delta update of the previous epoch's
+        within-bound count from the churn batch alone
+        (:mod:`repro.dynamics.measurement`), which skips the O(clients)
+        carried-assignment build on epochs whose action does not need it.
+        The full-recompute path (``"full"``) was removed; it raises
+        ``ValueError``.
     scenario_timeline:
         Optional incident timeline (:mod:`repro.dynamics.scenarios`) — a
         :class:`~repro.dynamics.scenarios.ScenarioTimeline`, a spec string /
@@ -292,17 +276,13 @@ class ChurnSimulator:
         Shedding/re-admission thresholds for the scenario layer
         (:class:`~repro.dynamics.degradation.AdmissionPolicy`); ``None`` uses
         the defaults.  Ignored without a timeline.
-    arena:
-        ``True`` (default) gives the session an :class:`EpochArena` so the
-        recurring per-epoch buffers (delay matrix, population arrays, demand
-        vector, carried contacts, repair work arrays) are recycled instead of
-        reallocated, and churn generation reuses a precomputed
-        :class:`~repro.world.distributions.ZoneSamplingPlan`.  Records are
-        bit-identical with the arena on or off; ``False`` keeps the
-        allocate-per-epoch executable specification.  With the arena on,
-        external code must not retain references to a state's scenario /
-        instance arrays across epochs (they are recycled once the state has
-        advanced past them) — snapshot with ``.copy()`` or run ``arena=False``.
+
+    Each session recycles its recurring per-epoch buffers (delay matrix,
+    population arrays, demand vector, carried contacts, repair work arrays)
+    through an :class:`EpochArena`, and churn generation reuses a
+    precomputed :class:`~repro.world.distributions.ZoneSamplingPlan`.
+    A state's scenario / instance arrays are recycled once the state has
+    advanced past them: snapshot with ``.copy()``.
     """
 
     scenario: DVEScenario
@@ -314,17 +294,12 @@ class ChurnSimulator:
     policy: Union[str, PolicySchedule, RebalancePolicy] = "reexecute"
     policy_period: int = 0
     policy_migration_budget: Optional[float] = None
-    measurement_backend: str = "full"
+    measurement_backend: InitVar[Optional[str]] = None
     scenario_timeline: Union[None, str, Iterable, ScenarioTimeline] = None
     admission_policy: Optional[AdmissionPolicy] = None
-    arena: bool = True
 
-    def __post_init__(self) -> None:
-        if self.measurement_backend not in MEASUREMENT_BACKENDS:
-            raise ValueError(
-                f"unknown measurement_backend {self.measurement_backend!r}; "
-                f"expected one of {MEASUREMENT_BACKENDS}"
-            )
+    def __post_init__(self, measurement_backend: Optional[str] = None) -> None:
+        check_measurement_backend(measurement_backend)
         if self.scenario_timeline is not None and not isinstance(
             self.scenario_timeline, ScenarioTimeline
         ):
@@ -354,27 +329,16 @@ class ChurnSimulator:
             name: registry_solve(instance, name, seed=solve_rngs[i])
             for i, name in enumerate(self.algorithms)
         }
-        if self.measurement_backend == "incremental":
-            # Seed the stash for solvers that do not produce one (baselines),
-            # so epoch 0 already takes the O(churn) delta path; the measured_*
-            # reads below are bit-identical to the full recompute.
-            for a in assignments.values():
-                ensure_measures(a, instance)
-            measures = {
-                name: (measured_pqos(a, instance), measured_utilization(a, instance))
-                for name, a in assignments.items()
-            }
-        else:
-            measures = {
-                name: (a.pqos(instance), a.resource_utilization(instance))
-                for name, a in assignments.items()
-            }
+        # Seed the stash for solvers that do not produce one (baselines), so
+        # epoch 0 already takes the O(churn) delta path.
+        for a in assignments.values():
+            ensure_measures(a, instance)
+        measures = {
+            name: (measured_pqos(a, instance), measured_utilization(a, instance))
+            for name, a in assignments.items()
+        }
         return SimulationState(
-            scenario=self.scenario,
-            instance=instance,
-            assignments=assignments,
-            measures=measures,
-            arena=EpochArena() if self.arena else None,
+            scenario=self.scenario, instance=instance, assignments=assignments, measures=measures
         )
 
     def _advance_world(
@@ -398,7 +362,7 @@ class ChurnSimulator:
                 scenario = scenario.with_server_capacities(server_churn.servers.capacities)
             else:
                 scenario = scenario.apply_server_delta(server_churn)
-        new_scenario = scenario.apply_churn_delta(churn, arena=state.arena)
+        new_scenario = scenario.apply_churn_delta(churn, state.arena)
         if state.instance.mirrors_arrays_of(state.scenario):
             # The state only ever advanced through the delta pipeline, so the
             # freshly delta-gathered scenario arrays ARE the new instance's
@@ -467,7 +431,6 @@ class ChurnSimulator:
         time, so it is separate from ``timings``-only runs).
         """
         instance = state.instance
-        incremental_meas = self.measurement_backend == "incremental"
 
         def _timed(key, fn):
             if allocs is not None:
@@ -481,14 +444,6 @@ class ChurnSimulator:
                 peak = tracemalloc.get_traced_memory()[1]
                 allocs[key] = allocs.get(key, 0) + max(0, peak - alloc_base)
             return result
-
-        def _pqos(a):
-            return measured_pqos(a, new_instance) if incremental_meas else a.pqos(new_instance)
-
-        def _util(a):
-            if incremental_meas:
-                return measured_utilization(a, new_instance)
-            return a.resource_utilization(new_instance)
 
         # The "before" point is the adopted assignment of the previous epoch
         # evaluated on the unchanged instance — carried forward, not recomputed.
@@ -513,25 +468,24 @@ class ChurnSimulator:
                 base_assignment,
                 churn,
                 new_instance,
-                out=None if deferred else state.contacts_buffer(new_instance.num_clients),
+                out=None
+                if deferred
+                else state.arena.scratch("carry_contacts", new_instance.num_clients),
             )
 
-        # The carried-over "after" point.  Incremental measurement delta-updates
-        # the previous epoch's within-bound count from the churn batch instead
-        # of building and re-reducing the carried assignment — valid whenever
+        # The carried-over "after" point: a delta update of the previous
+        # epoch's within-bound count from the churn batch, instead of
+        # building and re-reducing the carried assignment — valid whenever
         # the previous epoch left a stash and the fleet did not re-index
         # (capacity-only deltas keep every delay; a re-indexed fleet changes
-        # delays wholesale, so that epoch falls back to the full path).  The
-        # carried assignment itself is then only built when the action needs
-        # it: as the warm-start refiner's starting point, or adopted as is.
-        # A delay overlay (scenario link degradation) changes the *survivors'*
-        # delays too, so the O(churn) carried count would be wrong — overlay
-        # epochs always take the full carried path, keeping full/incremental
-        # measurement bit-identical through incidents.
+        # delays wholesale, so that epoch measures the carried assignment).
+        # The carried assignment itself is then only built when the action
+        # needs it: as the warm-start refiner's starting point, or adopted as
+        # is.  A delay overlay (scenario link degradation) changes the
+        # *survivors'* delays too, so the O(churn) carried count would be
+        # wrong — overlay epochs always measure the carried assignment.
         carried = None
-        stash = stash_for(old_assignment, instance) if incremental_meas else None
-        if stash is not None and overlay_active:
-            stash = None
+        stash = None if overlay_active else stash_for(old_assignment, instance)
         if stash is not None and (server_churn is None or server_churn.is_identity):
             count = _timed(
                 "measure",
@@ -543,7 +497,7 @@ class ChurnSimulator:
                 carried = _timed("measure", _carry)
         else:
             carried = _timed("measure", _carry)
-            after_pqos = _timed("measure", lambda: _pqos(carried))
+            after_pqos = _timed("measure", lambda: measured_pqos(carried, new_instance))
         if deferred:
             action = schedule.action_after(epoch, after_pqos)
 
@@ -557,7 +511,7 @@ class ChurnSimulator:
                 "solve",
                 lambda: incremental_reassign(base_assignment, new_instance),
             )
-            incr_pqos = _timed("measure", lambda: _pqos(result))
+            incr_pqos = _timed("measure", lambda: measured_pqos(result, new_instance))
             return result
 
         if action == "repair":
@@ -569,8 +523,8 @@ class ChurnSimulator:
                 "solve",
                 lambda: reassign(new_instance, name, seed=reassign_rng),
             )
-            reexec_pqos = _timed("measure", lambda: _pqos(adopted))
-            reexec_util = _timed("measure", lambda: _util(adopted))
+            reexec_pqos = _timed("measure", lambda: measured_pqos(adopted, new_instance))
+            reexec_util = _timed("measure", lambda: measured_utilization(adopted, new_instance))
             adopted_pqos, adopted_util = reexec_pqos, reexec_util
             if math.isfinite(schedule.migration_budget):
                 # Migration-aware policy: a re-execution whose zone moves
@@ -593,11 +547,11 @@ class ChurnSimulator:
         if action in ("incremental", "repair"):
             adopted = repaired if repaired is not None else _repair()
             adopted_pqos = incr_pqos
-            adopted_util = _timed("measure", lambda: _util(adopted))
+            adopted_util = _timed("measure", lambda: measured_utilization(adopted, new_instance))
         elif action == "none":
             adopted = carried if carried is not None else _timed("measure", _carry)
             adopted_pqos = after_pqos
-            adopted_util = _timed("measure", lambda: _util(adopted))
+            adopted_util = _timed("measure", lambda: measured_utilization(adopted, new_instance))
         elif action == "warm_start":
             # Budget one move per client: heavy churn can push far more than
             # the refiner's default 200 clients over the bound, and sweep
@@ -617,26 +571,19 @@ class ChurnSimulator:
                     mode="sweep",
                     consider_zone_moves=server_churn is not None,
                     max_iterations=max(200, new_instance.num_clients),
-                    # The refiner maintains the exact per-client delay vector
-                    # anyway; stashing it by reference makes the later
-                    # ensure_measures a no-op instead of a full O(clients)
-                    # recompute.  Gated with the arena so ``arena=False``
-                    # stays the executable spec the stash path must match.
-                    stash_measures=incremental_meas and state.arena is not None,
                 ).assignment,
             )
-            adopted_pqos = _timed("measure", lambda: _pqos(adopted))
-            adopted_util = _timed("measure", lambda: _util(adopted))
+            adopted_pqos = _timed("measure", lambda: measured_pqos(adopted, new_instance))
+            adopted_util = _timed("measure", lambda: measured_utilization(adopted, new_instance))
         elif action not in ("reexecute", "rebalance"):  # pragma: no cover
             raise ValueError(f"unknown policy action {action!r}")
         # Re-label with the base algorithm name: repair suffixes like
         # " (carried over)+ws" would otherwise compound every epoch.
         adopted = adopted.with_algorithm(name)
-        if incremental_meas:
-            # Guarantee the adopted assignment carries a stash into the next
-            # epoch (solvers that do not stash — warm start, baselines — pay
-            # one full pass here so the next carried point stays O(churn)).
-            _timed("measure", lambda: ensure_measures(adopted, new_instance))
+        # Guarantee the adopted assignment carries a stash into the next
+        # epoch (solvers that do not stash — the baselines — pay one full
+        # pass here so the next carried point stays O(churn)).
+        _timed("measure", lambda: ensure_measures(adopted, new_instance))
 
         if charge is None:
             charge = self._charge_migration(old_assignment, adopted, server_churn, new_instance)
@@ -769,16 +716,12 @@ class EpochSession:
         self.last_phase_alloc_bytes: Dict[str, int] = dict.fromkeys(self.phase_seconds, 0)
         #: Precomputed zone-sampling state for churn generation — the world's
         #: topology / zone count / distribution spec never change within a
-        #: session, so the per-epoch region bookkeeping is paid once.  Only
-        #: built on the arena fast path, keeping ``arena=False`` the
-        #: untouched executable specification.
-        self._zone_plan: Optional[ZoneSamplingPlan] = None
-        if self.state.arena is not None:
-            self._zone_plan = ZoneSamplingPlan.build(
-                simulator.scenario.topology,
-                simulator.scenario.num_zones,
-                simulator.scenario.config.distribution_spec,
-            )
+        #: session, so the per-epoch region bookkeeping is paid once.
+        self._zone_plan = ZoneSamplingPlan.build(
+            simulator.scenario.topology,
+            simulator.scenario.num_zones,
+            simulator.scenario.config.distribution_spec,
+        )
 
     @property
     def done(self) -> bool:
@@ -862,7 +805,7 @@ class EpochSession:
             batch, scenario_stats = runtime.prepare_batch(
                 plan, batch, state.scenario.population
             )
-        churn = apply_churn(state.scenario.population, batch, arena=state.arena)
+        churn = apply_churn(state.scenario.population, batch, state.arena)
         server_churn: Optional[ServerChurnResult] = None
         if server_active:
             server_batch = generate_server_churn(
@@ -943,26 +886,24 @@ class EpochSession:
         state.measures = next_measures
         state.epoch = epoch + 1
 
+        # Double-buffer hand-off: the previous epoch's derived arrays are now
+        # unreachable from the advancing state, so their arena buffers return
+        # to the pool for the next epoch to reuse.  The identity guards keep
+        # arrays that carried over by reference (capacity-only fleet deltas
+        # share the matrix) live, and ``release_if_owned`` ignores externally
+        # owned arrays (the caller's initial snapshot).
         arena = state.arena
-        if arena is not None:
-            # Double-buffer hand-off: the previous epoch's derived arrays are
-            # now unreachable from the advancing state, so their arena
-            # buffers return to the pool for the next epoch to reuse.  The
-            # identity guards keep arrays that carried over by reference
-            # (capacity-only fleet deltas share the matrix) live, and
-            # ``release_if_owned`` ignores externally owned arrays (the
-            # caller's initial snapshot).
-            if prev_scenario.client_server_delays is not new_scenario.client_server_delays:
-                arena.release_if_owned(prev_scenario.client_server_delays)
-            if prev_scenario.client_demands is not new_scenario.client_demands:
-                arena.release_if_owned(prev_scenario.client_demands)
-            prev_population = prev_scenario.population
-            if prev_population is not new_scenario.population:
-                if prev_population.nodes is not new_scenario.population.nodes:
-                    arena.release_if_owned(prev_population.nodes)
-                if prev_population.zones is not new_scenario.population.zones:
-                    arena.release_if_owned(prev_population.zones)
-            arena.release_if_owned(churn.old_to_new)
+        if prev_scenario.client_server_delays is not new_scenario.client_server_delays:
+            arena.release_if_owned(prev_scenario.client_server_delays)
+        if prev_scenario.client_demands is not new_scenario.client_demands:
+            arena.release_if_owned(prev_scenario.client_demands)
+        prev_population = prev_scenario.population
+        if prev_population is not new_scenario.population:
+            if prev_population.nodes is not new_scenario.population.nodes:
+                arena.release_if_owned(prev_population.nodes)
+            if prev_population.zones is not new_scenario.population.zones:
+                arena.release_if_owned(prev_population.zones)
+        arena.release_if_owned(churn.old_to_new)
         return records
 
     def run_batch(self, k: int) -> List[EpochRecord]:

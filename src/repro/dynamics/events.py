@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.utils.arena import EpochArena
 from repro.world.clients import ClientPopulation
 
 __all__ = ["ChurnBatch", "ChurnResult", "apply_churn"]
@@ -121,9 +122,9 @@ class ChurnResult:
         preserves survivors' relative order, ``old_to_new[survivors_old]``
         is exactly ``arange(survivors_old.size)``, so consumers holding this
         vector can write survivor gathers to a contiguous prefix.  Filled by
-        the arena fast path (the vector lives in a recycled arena buffer and
-        must not be retained across epochs); ``None`` on the spec path,
-        where consumers recompute it.
+        :func:`apply_churn` (the vector lives in an arena scratch buffer and
+        must not be retained across epochs); a hand-built result may leave
+        it ``None``, and consumers then recompute it.
     """
 
     population: ClientPopulation
@@ -132,43 +133,26 @@ class ChurnResult:
     survivors_old: Optional[np.ndarray] = None
 
 
-def apply_churn(population: ClientPopulation, batch: ChurnBatch, arena=None) -> ChurnResult:
+def apply_churn(
+    population: ClientPopulation, batch: ChurnBatch, arena: Optional[EpochArena] = None
+) -> ChurnResult:
     """Apply a churn batch to a population snapshot.
 
     Move events are applied first (on pre-churn indices), then leaving clients
-    are removed, then joining clients are appended at the end.
+    are removed, then joining clients are appended at the end — in one pass
+    over the old population, with no intermediate moved / survivor snapshots.
 
-    With an :class:`~repro.utils.arena.EpochArena` the population arrays and
-    the ``old_to_new`` map come out of recycled arena buffers (released by the
-    engine once the next epoch has advanced past them) and the intermediate
-    copies of the spec path are skipped; the resulting arrays are element-wise
-    identical either way.
+    The population arrays and the ``old_to_new`` map come out of ``arena``'s
+    buffers; the simulation engine passes its session arena and releases them
+    once the next epoch has advanced past them.  A caller that passes no
+    arena gets a private one, so the arrays are simply its own.
     """
+    arena = arena or EpochArena()
     num_old = population.num_clients
     for name, idx in (("leave", batch.leave_indices), ("move", batch.move_indices)):
         if idx.size and (idx.min() < 0 or idx.max() >= num_old):
             raise ValueError(f"{name} indices out of range for population of {num_old}")
 
-    if arena is None:
-        moved = population.with_moved(batch.move_indices, batch.move_zones)
-
-        keep_mask = np.ones(num_old, dtype=bool)
-        keep_mask[batch.leave_indices] = False
-        survivors = moved.subset(np.flatnonzero(keep_mask))
-
-        old_to_new = np.full(num_old, -1, dtype=np.int64)
-        old_to_new[keep_mask] = np.arange(int(keep_mask.sum()))
-
-        final = survivors.with_joined(batch.join_nodes, batch.join_zones)
-        new_client_indices = np.arange(survivors.num_clients, final.num_clients)
-        return ChurnResult(
-            population=final, old_to_new=old_to_new, new_client_indices=new_client_indices
-        )
-
-    # Arena fast path: one pass over the old population, no intermediate
-    # moved/survivor snapshots.  Same values as the spec path above: movers'
-    # zones are rewritten first, survivors are compressed in original order,
-    # joiners are appended at the end.
     keep_mask = arena.scratch("churn_keep_mask", num_old, dtype=bool)
     keep_mask[:] = True
     keep_mask[batch.leave_indices] = False

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,7 +37,7 @@ from repro.core.arbitration import CapacityArbiter, ShardSignal, check_slices, m
 from repro.core.costs import initial_cost_matrix
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import ChurnSimulator, EpochRecord, EpochSession
-from repro.dynamics.measurement import measured_server_loads
+from repro.dynamics.measurement import check_measurement_backend, measured_server_loads
 from repro.dynamics.migration import MigrationCostModel
 from repro.dynamics.policies import PolicySchedule
 from repro.dynamics.scenarios import ScenarioTimeline, build_timeline
@@ -137,13 +137,16 @@ class FederatedSimulator:
         Master seed.  Each shard gets an independent sub-stream; a 1-shard
         federation inherits the seed *unchanged*, which is what makes
         "federation = identity at N=1" an exact, bit-for-bit statement.
-    policy / policy_period / policy_migration_budget / measurement_backend:
+    policy / policy_period / policy_migration_budget:
         Forwarded verbatim to every shard's
-        :class:`~repro.dynamics.engine.ChurnSimulator` (with
-        ``measurement_backend="incremental"`` each shard's records are
-        composed from its running aggregates, and the whole-system records
-        are composed from the shard records — per-client arrays are never
-        re-reduced at the federation layer).
+        :class:`~repro.dynamics.engine.ChurnSimulator`.  Each shard's records
+        are composed from its running measurement aggregates, and the
+        whole-system records from the shard records — per-client arrays are
+        never re-reduced at the federation layer.
+    measurement_backend:
+        Accepted for existing callers and ignored: ``"incremental"`` (or
+        ``None``) is the only value; ``"full"`` was removed and raises
+        ``ValueError``.
     scenario_timeline:
         Optional incident timeline(s) (:mod:`repro.dynamics.scenarios`) — one
         timeline (or spec string / library name) applied to *every* shard, or
@@ -175,7 +178,7 @@ class FederatedSimulator:
     policy: Union[str, PolicySchedule] = "reexecute"
     policy_period: int = 0
     policy_migration_budget: Optional[float] = None
-    measurement_backend: str = "full"
+    measurement_backend: InitVar[Optional[str]] = None
     scenario_timeline: object = None
     admission_policy: object = None
     shard_workers: Optional[int] = None
@@ -184,6 +187,9 @@ class FederatedSimulator:
     last_profile: Optional[FederationProfile] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self, measurement_backend: Optional[str] = None) -> None:
+        check_measurement_backend(measurement_backend)
 
     # ------------------------------------------------------------------ #
     @property
@@ -250,7 +256,6 @@ class FederatedSimulator:
                 policy=self.policy,
                 policy_period=self.policy_period,
                 policy_migration_budget=self.policy_migration_budget,
-                measurement_backend=self.measurement_backend,
                 scenario_timeline=timelines[i],
                 admission_policy=self.admission_policy,
             )

@@ -17,12 +17,15 @@ survivors keep their zone, contact and target, so their delays carry over
 carried assignment and re-reducing its full QoS mask (asserted by the
 property tests).
 
-``measurement_backend="full"`` on the engines keeps the full-recompute path
-as the executable specification; ``"incremental"`` switches every point to
-the stash / delta path.
+This is the engines' only measurement path.  The full recompute it must
+match — ``Assignment.pqos`` / ``resource_utilization`` and the carried
+assignment's QoS mask — is checked against every engine measurement by the
+test suite's measurement oracle.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from repro.dynamics.events import ChurnResult
 
 __all__ = [
     "MEASURE_KEY",
-    "MEASUREMENT_BACKENDS",
     "MeasureStash",
     "attach_measures",
     "stash_for",
@@ -52,12 +54,23 @@ __all__ = [
     "measured_utilization",
     "measured_server_loads",
     "carried_qos_count",
+    "check_measurement_backend",
 ]
 
-#: Engine measurement backends: ``"full"`` recomputes every point from the
-#: assignment arrays (the executable spec); ``"incremental"`` serves points
-#: from the stash and delta-updates the carried point from the churn batch.
-MEASUREMENT_BACKENDS = ("full", "incremental")
+
+def check_measurement_backend(measurement_backend: Optional[str]) -> None:
+    """Reject every ``measurement_backend`` keyword value but ``"incremental"``.
+
+    The engines measure incrementally, always; they still accept the
+    keyword with that one value (or ``None``) for existing callers and store
+    nothing.
+    """
+    if measurement_backend not in (None, "incremental"):
+        raise ValueError(
+            f"measurement_backend={measurement_backend!r}: the full-recompute "
+            "measurement backend was removed; the engine always measures "
+            "incrementally (only 'incremental' is accepted)"
+        )
 
 
 def carried_qos_count(

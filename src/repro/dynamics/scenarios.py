@@ -437,9 +437,8 @@ class ScenarioRuntime:
     maintenance calendar gates) against the *initial* scenario, then answers
     :meth:`plan_epoch` / :meth:`prepare_batch` / :meth:`overlay_instance`
     per epoch.  All randomness comes from per-epoch sub-streams of the
-    dedicated scenario seed (one stream per event plus one for shedding), so
-    plans are bit-identical across the full/incremental measurement backends
-    — the runtime is consulted exactly once per epoch regardless of backend.
+    dedicated scenario seed (one stream per event plus one for shedding), and
+    the runtime is consulted exactly once per epoch.
     """
 
     def __init__(

@@ -16,10 +16,10 @@ and reporting
   separate tracemalloc-instrumented pass (tracemalloc costs wall time, so it
   never taints the throughput numbers).
 
-The harness is deliberately symmetric in the ``arena`` flag: the same driver
-measures the allocation-free fast path and the ``arena=False`` executable
-specification, which is how the benchmark states its speedup as a
-same-harness ratio.
+The harness takes a configured
+:class:`~repro.dynamics.engine.ChurnSimulator` and opens a fresh session from
+it for each pass, so the timing pass and the allocation pass replay the same
+seeds (pass an integer seed) and the same record stream.
 """
 
 from __future__ import annotations
@@ -27,20 +27,12 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import ChurnSimulator
-from repro.experiments.config import (
-    PAPER_DEFAULT_LABEL,
-    apply_delay_backend,
-    config_from_label,
-)
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike
-from repro.world.scenario import build_scenario
 
 __all__ = ["LoadgenResult", "run_loadgen", "format_loadgen"]
 
@@ -51,8 +43,6 @@ class LoadgenResult:
 
     label: str
     policy: str
-    measurement_backend: str
-    arena: bool
     epochs: int
     warmup: int
     events_per_epoch: int
@@ -65,8 +55,8 @@ class LoadgenResult:
     #: Steady-state tracemalloc peak bytes per phase *per epoch*; ``None``
     #: unless the alloc pass ran.
     phase_alloc_bytes_per_epoch: Optional[Dict[str, float]]
-    #: ``EpochArena.stats()`` after the run (``None`` with ``arena=False``).
-    arena_stats: Optional[dict]
+    #: ``EpochArena.stats()`` of the timing pass after the run.
+    arena_stats: dict
 
     @property
     def alloc_bytes_per_epoch(self) -> Optional[float]:
@@ -76,69 +66,28 @@ class LoadgenResult:
         return float(sum(self.phase_alloc_bytes_per_epoch.values()))
 
 
-def _build_session(
-    label: str,
-    algorithms: Sequence[str],
-    churn: ChurnSpec,
-    policy: str,
-    measurement_backend: str,
-    correlation: float,
-    seed: SeedLike,
-    arena: bool,
-    num_epochs: int,
-    delay_backend: Optional[str],
-):
-    config = apply_delay_backend(
-        config_from_label(label, correlation=correlation), delay_backend
-    )
-    scenario = build_scenario(config, seed=seed)
-    simulator = ChurnSimulator(
-        scenario=scenario,
-        algorithms=list(algorithms),
-        churn_spec=churn,
-        seed=seed,
-        policy=policy,
-        measurement_backend=measurement_backend,
-        arena=arena,
-    )
-    return simulator.session(num_epochs)
-
-
 def run_loadgen(
-    label: str = PAPER_DEFAULT_LABEL,
-    algorithms: Sequence[str] = ("grez-grec",),
+    simulator: ChurnSimulator,
     epochs: int = 300,
     warmup: int = 20,
-    churn: Optional[ChurnSpec] = None,
-    policy: str = "warm_start",
-    measurement_backend: str = "incremental",
-    correlation: float = 0.0,
-    seed: SeedLike = 0,
-    arena: bool = True,
     alloc_profile: bool = False,
     alloc_epochs: int = 40,
-    delay_backend: Optional[str] = None,
 ) -> LoadgenResult:
     """Measure sustained epoch throughput of one engine configuration.
 
     Runs ``warmup`` epochs unmeasured, then ``epochs`` measured epochs with a
-    per-epoch timestamp.  When ``alloc_profile`` is set, a second session
-    (same seeds, so the identical record stream) runs ``alloc_epochs``
-    steady-state epochs under tracemalloc to report per-phase allocated
-    bytes per epoch without perturbing the timing pass.
+    per-epoch timestamp.  When ``alloc_profile`` is set, a second session of
+    the same simulator (same seeds, so the identical record stream) runs
+    ``alloc_epochs`` steady-state epochs under tracemalloc to report
+    per-phase allocated bytes per epoch without perturbing the timing pass.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
-    churn = churn or ChurnSpec()
-    build = lambda total: _build_session(  # noqa: E731 - one-config factory
-        label, algorithms, churn, policy, measurement_backend,
-        correlation, seed, arena, total, delay_backend,
-    )
 
     # Timing pass: no tracemalloc anywhere near it.
-    session = build(warmup + epochs)
+    session = simulator.session(warmup + epochs)
     if warmup:
         session.run_batch(warmup)
     for key in session.phase_seconds:
@@ -156,7 +105,7 @@ def run_loadgen(
     phase_alloc: Optional[Dict[str, float]] = None
     if alloc_profile:
         alloc_epochs = min(alloc_epochs, epochs)
-        alloc_session = build(warmup + alloc_epochs)
+        alloc_session = simulator.session(warmup + alloc_epochs)
         started_here = not tracemalloc.is_tracing()
         if started_here:
             tracemalloc.start()
@@ -175,13 +124,12 @@ def run_loadgen(
             if started_here:
                 tracemalloc.stop()
 
+    churn = simulator.churn_spec
     events_per_epoch = churn.num_joins + churn.num_leaves + churn.num_moves
     epochs_per_sec = epochs / wall if wall > 0 else float("inf")
     return LoadgenResult(
-        label=label,
-        policy=policy,
-        measurement_backend=measurement_backend,
-        arena=arena,
+        label=simulator.scenario.config.label,
+        policy=session.schedule.name,
         epochs=epochs,
         warmup=warmup,
         events_per_epoch=events_per_epoch,
@@ -192,40 +140,27 @@ def run_loadgen(
         p99_epoch_ms=float(np.percentile(epoch_walls, 99) * 1e3),
         phase_seconds=dict(session.phase_seconds),
         phase_alloc_bytes_per_epoch=phase_alloc,
-        arena_stats=session.state.arena.stats() if session.state.arena else None,
+        arena_stats=session.state.arena.stats(),
     )
 
 
-def format_loadgen(results: Sequence[LoadgenResult]) -> str:
-    """Render one table row per measured configuration."""
-    headers = [
-        "arena",
-        "epochs/s",
-        "events/s",
-        "p50 ms",
-        "p99 ms",
-        "alloc B/epoch",
-    ]
-    rows: List[list] = []
-    for result in results:
-        alloc = result.alloc_bytes_per_epoch
-        rows.append(
+def format_loadgen(result: LoadgenResult) -> str:
+    """Render the measured run as a one-row table."""
+    alloc = result.alloc_bytes_per_epoch
+    return format_table(
+        ["epochs/s", "events/s", "p50 ms", "p99 ms", "alloc B/epoch"],
+        [
             [
-                "on" if result.arena else "off",
                 result.epochs_per_sec,
                 result.events_per_sec,
                 result.p50_epoch_ms,
                 result.p99_epoch_ms,
                 "-" if alloc is None else f"{alloc:.0f}",
             ]
-        )
-    first = results[0]
-    return format_table(
-        headers,
-        rows,
+        ],
         title=(
-            f"Epoch throughput: {first.label}, {first.policy} policy, "
-            f"{first.epochs} epochs after {first.warmup} warmup"
+            f"Epoch throughput: {result.label}, {result.policy} policy, "
+            f"{result.epochs} epochs after {result.warmup} warmup"
         ),
         float_format=".1f",
     )

@@ -79,7 +79,6 @@ def _execute_scenario_run(task) -> GroupedRunningStats:
         algorithms,
         churn,
         num_epochs,
-        measurement_backend,
         patience_epochs,
         rng,
     ) = task
@@ -90,7 +89,6 @@ def _execute_scenario_run(task) -> GroupedRunningStats:
         algorithms=list(algorithms),
         churn_spec=churn,
         seed=sim_rng,
-        measurement_backend=measurement_backend,
         scenario_timeline=scenario_name,
         admission_policy=AdmissionPolicy(patience_epochs=patience_epochs),
     )
@@ -125,7 +123,6 @@ def run_scenarios(
     correlation: float = 0.0,
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
-    measurement_backend: str = "incremental",
 ) -> ScenariosResult:
     """Run the incident-scenario recovery experiment.
 
@@ -157,7 +154,6 @@ def run_scenarios(
             tuple(algorithms),
             churn,
             num_epochs,
-            measurement_backend,
             patience_epochs,
             run_rngs[i * num_runs + r],
         )

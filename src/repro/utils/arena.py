@@ -16,9 +16,9 @@ turns those into reusable buffers with two complementary APIs:
   epoch produces and the next epoch consumes (double-buffering: the new
   epoch's matrix is acquired while the previous one is still live, and the
   previous one is released once the state has advanced past it).
-* :meth:`scratch` — named persistent buffers with geometric growth, the
-  generalisation of the old ``SimulationState.contacts_buffer``.  A scratch
-  buffer has a *single borrower*: the value is only valid until the next
+* :meth:`scratch` — named persistent buffers with geometric growth (the
+  engine's carried-contacts array is one).  A scratch buffer has a *single
+  borrower*: the value is only valid until the next
   ``scratch`` call with the same key, which is exactly the lifetime of a
   transient work array inside one epoch phase.
 

@@ -37,6 +37,7 @@ from repro.topology.delays import (
 )
 from repro.topology.graph import Topology
 from repro.topology.placement import place_servers
+from repro.utils.arena import EpochArena
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.utils.validation import check_positive, check_probability
 from repro.world.bandwidth import (
@@ -259,7 +260,9 @@ class DVEScenario:
             client_demands=demands,
         )
 
-    def apply_churn_delta(self, churn: "ChurnResult", arena=None) -> "DVEScenario":
+    def apply_churn_delta(
+        self, churn: "ChurnResult", arena: Optional[EpochArena] = None
+    ) -> "DVEScenario":
         """Delta version of :meth:`with_population` for a churn batch.
 
         Instead of recomputing the full client×server delay matrix, the delay
@@ -275,12 +278,13 @@ class DVEScenario:
         ``self.with_population(churn.population)``: both paths gather the same
         float64 entries from the same cached all-pairs RTT matrix.
 
-        With an :class:`~repro.utils.arena.EpochArena` the new delay matrix
-        and demand vector are acquired from recycled arena buffers instead of
-        freshly allocated (the engine double-buffers: the previous epoch's
+        The new delay matrix and demand vector are acquired from ``arena``'s
+        recycled buffers (the engine double-buffers: the previous epoch's
         matrix stays live until the state has advanced past it, then goes
-        back to the pool).  Values are bit-identical either way.
+        back to the pool).  A caller that passes no arena gets a private one,
+        so the arrays are simply its own.
         """
+        arena = arena or EpochArena()
         population = churn.population
         if churn.old_to_new.shape[0] != self.num_clients:
             raise ValueError(
@@ -291,35 +295,25 @@ class DVEScenario:
             raise ValueError("population refers to zones outside this scenario's world")
 
         if self.has_dense_delays:
-            shape = (population.num_clients, self.num_servers)
-            if arena is None:
-                delays = np.empty(shape, dtype=np.float64)
-            else:
-                delays = arena.acquire(shape, dtype=np.float64)
+            delays = arena.acquire((population.num_clients, self.num_servers), dtype=np.float64)
             survivors_old = churn.survivors_old
             if survivors_old is None:
                 survivors_old = np.flatnonzero(churn.old_to_new >= 0)
-            if arena is not None:
-                # apply_churn numbers survivors 0..k-1 in original order, so
-                # old_to_new restricted to survivors IS arange(k) and the
-                # scatter below is really a contiguous row gather — np.take
-                # with ``out=`` writes the same float64 values into the same
-                # rows without materialising the gathered block first.
-                # mode="clip" skips numpy's bounce buffer (mode="raise"
-                # stages the gather in a temporary); indices come from
-                # flatnonzero over old_to_new, so they are in range and
-                # clipping never fires.
-                np.take(
-                    self.client_server_delays,
-                    survivors_old,
-                    axis=0,
-                    out=delays[: survivors_old.size],
-                    mode="clip",
-                )
-            else:
-                delays[churn.old_to_new[survivors_old]] = self.client_server_delays[
-                    survivors_old
-                ]
+            # apply_churn numbers survivors 0..k-1 in original order, so
+            # old_to_new restricted to survivors IS arange(k) and the survivor
+            # scatter is really a contiguous row gather — np.take with
+            # ``out=`` writes the same float64 values into the same rows
+            # without materialising the gathered block first.  mode="clip"
+            # skips numpy's bounce buffer (mode="raise" stages the gather in a
+            # temporary); indices come from flatnonzero over old_to_new, so
+            # they are in range and clipping never fires.
+            np.take(
+                self.client_server_delays,
+                survivors_old,
+                axis=0,
+                out=delays[: survivors_old.size],
+                mode="clip",
+            )
             if churn.new_client_indices.size:
                 join_nodes = population.nodes[churn.new_client_indices]
                 delays[churn.new_client_indices] = self.delay_model.client_server_delays(
@@ -330,11 +324,10 @@ class DVEScenario:
             # indices, so the "delta" is the O(k) index swap itself — churn
             # epochs never densify, whatever the batch size.
             delays = self.client_server_delays.with_clients(population.nodes, population.zones)
-        demands_out = None
-        if arena is not None:
-            demands_out = arena.acquire((population.num_clients,), dtype=np.float64)
         demands = self.config.bandwidth_model.client_target_demands(
-            population.zones, self.num_zones, out=demands_out
+            population.zones,
+            self.num_zones,
+            out=arena.acquire((population.num_clients,), dtype=np.float64),
         )
         return DVEScenario(
             config=self.config,

@@ -19,6 +19,7 @@ from repro.core.problem import CAPInstance
 from repro.topology.brite import BriteConfig
 from repro.topology.waxman import waxman_topology
 from repro.world.scenario import DVEConfig, DVEScenario, build_scenario
+from tests.reference.measurement_full import checked_measures
 from tests.reference.regret_loop import assert_same_result, max_regret_assign_loop
 from tests.reference.world_rebuild import checked_advances
 
@@ -205,4 +206,18 @@ def advance_oracle_spy():
     unvalidated fast path) when the call was made.
     """
     with checked_advances() as checked:
+        yield checked
+
+
+@pytest.fixture()
+def measure_oracle_spy():
+    """Check every engine measurement point against its full recompute.
+
+    Wraps the engine's ``measured_pqos``, ``measured_utilization`` and
+    ``carried_qos_count`` for the test's duration, so each call also runs
+    its full-recompute equivalent from ``tests/reference/measurement_full.py``
+    and must agree bit for bit.  Yields a list with the entry point's name
+    once per checked call, so a test can assert that carried points ran.
+    """
+    with checked_measures() as checked:
         yield checked

@@ -14,10 +14,12 @@ identity-mapped capacity delta) × three delay backends (dense, coords, sparse
 top-3), plus every :data:`~repro.dynamics.scenarios.SCENARIO_LIBRARY` preset on
 the dense world under the warm-start policy, each for two seeds and two
 algorithms (GreZ-GreC and RanZ-VirC).
-``tests/test_golden_engine.py`` asserts the committed digests under both
-measurement backends (``"full"`` and ``"incremental"`` must give the same
-streams); any change to the world advance, a repair, a measurement point or a
-migration bill shows up as a digest mismatch.
+``tests/test_golden_engine.py`` asserts the committed digests with every
+measurement checked against its full recompute (``measure_oracle_spy``); any
+change to the world advance, a repair, a measurement point or a migration
+bill shows up as a digest mismatch.  The digests were taken with full
+measurement and reproduce unchanged under the incremental measurement that
+is now the engine's only path.
 
 Regenerate ``engine.json`` (only when a change of the streams is intended)
 from the repository root with::
@@ -88,7 +90,7 @@ def _digest(rows: Iterable[Iterable]) -> str:
     return h.hexdigest()
 
 
-def _simulator(key: Tuple[str, str, str, int], measurement_backend: str) -> ChurnSimulator:
+def _simulator(key: Tuple[str, str, str, int]) -> ChurnSimulator:
     kind, first, second, seed = key
     if kind == "grid":
         policy, period = POLICIES[first]
@@ -102,7 +104,6 @@ def _simulator(key: Tuple[str, str, str, int], measurement_backend: str) -> Chur
             seed=seed,
             policy=policy,
             policy_period=period,
-            measurement_backend=measurement_backend,
         )
     return ChurnSimulator(
         scenario=build_scenario(make_small_config(), seed=seed),
@@ -111,14 +112,13 @@ def _simulator(key: Tuple[str, str, str, int], measurement_backend: str) -> Chur
         migration_cost=MIGRATION,
         seed=seed,
         policy=first,
-        measurement_backend=measurement_backend,
         scenario_timeline=second,
     )
 
 
-def run_digests(*key, measurement_backend: str = "full") -> Dict[str, str]:
+def run_digests(*key) -> Dict[str, str]:
     """``{"records": sha256, "assignments": sha256}`` of one engine run."""
-    session = _simulator(key, measurement_backend).session(NUM_EPOCHS)
+    session = _simulator(key).session(NUM_EPOCHS)
     records = []
     while not session.done:
         records.extend(session.run_epoch())

@@ -1,9 +1,9 @@
 """Golden digests of federated record streams and final shard assignments.
 
 Each run drives :class:`~repro.dynamics.federation_engine.FederatedSimulator`
-over a small world (``make_small_config``) with the warm-start policy,
-incremental measurement, unit migration cost and the ``maintenance`` +
-``diurnal`` incident timeline, and hashes with sha256:
+over a small world (``make_small_config``) with the warm-start policy, unit
+migration cost and the ``maintenance`` + ``diurnal`` incident timeline, and
+hashes with sha256:
 
 * ``records`` — every shard and aggregate record's
   :data:`~repro.dynamics.engine.EpochRecord.SCENARIO_FIELDS` row, with its
@@ -19,7 +19,8 @@ every epoch, so their shards run the sweep on nearly every epoch.
 The grid is N in {1, 4} shards x arbiter in {static, proportional, regret}
 x seeds {0, 1} on the dense delay backend, plus one 4-shard regret run on
 the sparse backend.  ``tests/test_golden_federation.py`` asserts the
-committed digests.
+committed digests with every shard measurement checked against its full
+recompute (``measure_oracle_spy``).
 
 Regenerate ``federation.json`` (only when a change of the streams is
 intended) from the repository root with::
@@ -63,7 +64,8 @@ BACKENDS: Dict[str, dict] = {
 class _RecordingSimulator(FederatedSimulator):
     """Keeps each shard's session so the final assignments can be read."""
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, measurement_backend=None) -> None:
+        super().__post_init__(measurement_backend)
         self._sessions = {}
 
     def _step_shard(self, item):
@@ -101,7 +103,6 @@ def run_digests(backend: str, num_shards: int, arbiter: str, seed: int) -> Dict[
         migration_cost=MigrationCostModel(cost_per_client=1.0),
         seed=seed,
         policy="warm_start",
-        measurement_backend="incremental",
         scenario_timeline=list(TIMELINE),
     )
     records: List[EpochRecord] = simulator.run(NUM_EPOCHS)

@@ -284,11 +284,16 @@ class TestSimulateCommand:
             *((command, "--solver-backend")
               for command in ("solve", "experiment", "simulate", "loadgen", "federate")),
             *((command, "--backend") for command in ("simulate", "loadgen", "federate")),
+            *((command, "--measurement-backend")
+              for command in ("simulate", "loadgen", "federate")),
+            ("loadgen", "--no-arena"),
+            ("loadgen", "--compare"),
         ],
     )
     def test_no_backend_switch_flag(self, command, flag, capsys):
-        # The max-regret engine and the world advance each have a single
-        # implementation: no command offers a switch between paths.
+        # The max-regret engine, the world advance, the measurement and the
+        # epoch arena each have a single implementation: no command offers a
+        # switch between paths.
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert not re.search(rf"(?<![\w-]){flag}\b", capsys.readouterr().out)
@@ -513,9 +518,62 @@ class TestFederateCommand:
         assert "stub result" in out
 
 
+#: Flags removed from each engine command since the golden option tables.
+REMOVED_FLAGS = {
+    "simulate": {"--measurement-backend"},
+    "loadgen": {"--measurement-backend", "--no-arena", "--compare"},
+    "federate": {"--measurement-backend"},
+}
+
+
 class TestEngineCommandOptions:
-    """The engine commands' options match the golden option tables, in order."""
+    """Against the golden option tables, each command lost only the removed flags."""
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_options_match_golden(self, command):
-        assert list(option_table(command).items()) == list(GOLDEN_OPTIONS[command].items())
+    def test_options_match_golden_minus_removed(self, command):
+        expected = [
+            (flag, option)
+            for flag, option in GOLDEN_OPTIONS[command].items()
+            if flag not in REMOVED_FLAGS[command]
+        ]
+        assert list(option_table(command).items()) == expected
+        assert REMOVED_FLAGS[command] <= set(GOLDEN_OPTIONS[command])
+
+
+class TestInputErrors:
+    """Bad input values exit 2 with one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--joins", "-1"],
+            ["loadgen", "--joins", "-1"],
+            *([command, "--algorithms", "nope"]
+              for command in ("solve", "simulate", "loadgen", "federate")),
+            ["simulate", "--config", "bogus"],
+            ["loadgen", "--config", "bogus"],
+            ["federate", "--config", "bogus"],
+            ["loadgen", "--policy", "every_k_epochs"],
+            ["simulate", "--policy", "every_k_epochs"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exits_2_with_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert captured.out == ""
+
+
+class TestLoadgenCommand:
+    def test_loadgen_prints_throughput_and_writes_json(self, capsys, tmp_path):
+        path = tmp_path / "loadgen.json"
+        args = ["loadgen", "--config", "4s-8z-80c-60cp", "--joins", "4", "--leaves", "4"]
+        args += ["--moves", "4", "--epochs", "3", "--warmup", "1", "--json", str(path)]
+        assert main(args) == 0
+        assert "Epoch throughput: 4s-8z-80c-60cp" in capsys.readouterr().out
+        (result,) = json.loads(path.read_text())
+        assert result["epochs"] == 3 and result["events_per_epoch"] == 12
+        assert "arena" not in result and "measurement_backend" not in result
+        assert result["arena_stats"]["acquires"] > 0

@@ -18,6 +18,7 @@ from repro.dynamics.engine import ChurnSimulator, EpochRecord, SimulationState
 from repro.dynamics.events import ChurnBatch, apply_churn
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.policies import POLICY_ACTIONS, PolicySchedule, make_policy
+from repro.utils.arena import EpochArena
 
 #: The ≥3 churn mixes the acceptance criterion asks the equivalence property
 #: to cover: balanced, join-heavy (population grows) and leave-heavy
@@ -343,15 +344,12 @@ class TestStreaming:
 
 
 class TestSimulationState:
-    def test_contacts_buffer_grows_and_is_reused(self, small_scenario):
+    def test_each_state_owns_an_arena(self, small_scenario):
         instance = CAPInstance.from_scenario(small_scenario)
-        state = SimulationState(scenario=small_scenario, instance=instance, assignments={})
-        buf = state.contacts_buffer(10)
-        assert buf.shape[0] >= 10 and buf.dtype == np.int64
-        again = state.contacts_buffer(8)
-        assert again is buf  # no reallocation for smaller requests
-        bigger = state.contacts_buffer(4 * buf.shape[0])
-        assert bigger.shape[0] >= 4 * buf.shape[0]
+        first = SimulationState(scenario=small_scenario, instance=instance, assignments={})
+        second = SimulationState(scenario=small_scenario, instance=instance, assignments={})
+        assert isinstance(first.arena, EpochArena)
+        assert first.arena is not second.arena
 
 
 class TestChurnEdgeCases:

@@ -2,8 +2,9 @@
 
 The headline guarantee (mirroring the replication engine's): for the same
 seed, :meth:`FederatedSimulator.stream` emits a byte-identical record stream
-for every ``shard_workers`` value — across arbiters and measurement backends,
-with every shard's world advance checked against the rebuild oracle.  Shards
+for every ``shard_workers`` value — across arbiters, with every shard's world
+advance checked against the rebuild oracle and every measurement against its
+full recompute.  Shards
 own their state and RNG streams; threads only change *when* a shard steps,
 never what it computes, and the engine buffers per-shard records to keep the
 emission order deterministic.
@@ -34,7 +35,6 @@ COMPARE_FIELDS = EpochRecord.SCENARIO_FIELDS
 def _run(
     shard_workers: Optional[int],
     arbiter: str = "proportional",
-    measurement_backend: str = "full",
 ) -> List[EpochRecord]:
     world = build_federation(
         make_small_config(), num_shards=4, seed=11, client_weights=[4, 3, 2, 1]
@@ -45,7 +45,6 @@ def _run(
         arbiter=arbiter,
         churn_spec=CHURN,
         seed=5,
-        measurement_backend=measurement_backend,
         shard_workers=shard_workers,
     )
     return simulator.run(NUM_EPOCHS)
@@ -63,14 +62,14 @@ def _assert_identical(serial: List[EpochRecord], parallel: List[EpochRecord]) ->
 class TestParallelShardDeterminism:
     @pytest.mark.parametrize("shard_workers", [2, 4])
     @pytest.mark.parametrize("arbiter", ["static", "proportional", "regret"])
-    @pytest.mark.parametrize("measurement_backend", ["full", "incremental"])
     def test_bit_identical_to_serial(
-        self, shard_workers, arbiter, measurement_backend, advance_oracle_spy
+        self, shard_workers, arbiter, advance_oracle_spy, measure_oracle_spy
     ):
-        serial = _run(None, arbiter, measurement_backend)
-        parallel = _run(shard_workers, arbiter, measurement_backend)
+        serial = _run(None, arbiter)
+        parallel = _run(shard_workers, arbiter)
         _assert_identical(serial, parallel)
         assert advance_oracle_spy == [True] * (2 * 4 * NUM_EPOCHS)
+        assert "carried_qos_count" in measure_oracle_spy
 
     def test_workers_all_cpus_identical(self):
         _assert_identical(_run(None), _run(0))

@@ -20,5 +20,6 @@ def test_corpus_covers_the_grid():
 
 
 @pytest.mark.parametrize("key", list(run_keys()), ids=lambda key: key_name(*key))
-def test_federation_digests_match_golden(key):
+def test_federation_digests_match_golden(key, measure_oracle_spy):
     assert run_digests(*key) == GOLDEN[key_name(*key)]
+    assert "carried_qos_count" in measure_oracle_spy

@@ -1,12 +1,12 @@
 """Property tests for the incremental measurement engine.
 
-The contract under test: every number the ``"incremental"`` measurement
-backend produces is **bit-identical** to the full-recompute executable
-specification — the stash serves the same delays/loads the assignment methods
-would compute, the O(churn) carried-point delta equals building the carried
-assignment and re-reducing it, and entire ``EpochRecord`` streams agree
-field-for-field across churn mixes, repair policies, delay backends and
-server churn.
+The contract under test: every number the engine's incremental measurement
+produces is **bit-identical** to the full recompute — the stash serves the
+same delays/loads the assignment methods would compute, the O(churn)
+carried-point delta equals building the carried assignment and re-reducing
+it, and every measurement an engine run makes matches its full equivalent
+(``measure_oracle_spy``) across churn mixes, repair policies, delay backends
+and server churn.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.events import ChurnBatch, apply_churn
 from repro.dynamics.federation_engine import FederatedSimulator
 from repro.dynamics.infrastructure import ServerChurnSpec
-from repro.dynamics.measurement import MEASUREMENT_BACKENDS, carried_qos_count
+from repro.dynamics.measurement import carried_qos_count
 from repro.dynamics.policies import carry_over_assignment
 from repro.metrics.qos import _selection_stats
 from repro.world.federation import build_federation
@@ -178,11 +178,11 @@ class TestCarriedQosCount:
 
 
 # --------------------------------------------------------------------------- #
-# End-to-end: full vs incremental EpochRecord streams are field-identical.
+# End-to-end: every engine measurement matches its full recompute, bit for bit.
 # --------------------------------------------------------------------------- #
-def _records(scenario, *, policy, measurement_backend, period=0, server_churn=None, epochs=4,
-             churn=ChurnSpec(20, 20, 20), algorithms=("grez-grec",)):
-    simulator = ChurnSimulator(
+def _run(scenario, *, policy, period=0, server_churn=None, epochs=4,
+         churn=ChurnSpec(20, 20, 20), algorithms=("grez-grec",)):
+    records = ChurnSimulator(
         scenario=scenario,
         algorithms=list(algorithms),
         churn_spec=churn,
@@ -190,68 +190,85 @@ def _records(scenario, *, policy, measurement_backend, period=0, server_churn=No
         seed=123,
         policy=policy,
         policy_period=period,
-        measurement_backend=measurement_backend,
-    )
-    return simulator.run(epochs)
+    ).run(epochs)
+    assert len(records) == epochs * len(algorithms)
+    return records
 
 
-def _assert_streams_equal(scenario, **kwargs):
-    full = _records(scenario, measurement_backend="full", **kwargs)
-    incremental = _records(scenario, measurement_backend="incremental", **kwargs)
-    assert len(full) == len(incremental) > 0
-    for a, b in zip(full, incremental):
-        assert ChurnSimulator.records_equal(a, b), (a, b)
+class TestEngineMeasuresMatchFullRecompute:
+    """Each run is checked by ``measure_oracle_spy`` (``tests/reference/measurement_full.py``)."""
 
-
-class TestEngineEquivalence:
     @pytest.mark.parametrize(
         "policy,period",
         [("reexecute", 0), ("incremental", 0), ("warm_start", 0), ("every_k_epochs", 2)],
     )
-    def test_policies_all_delay_backends(self, backend_scenario, policy, period):
-        _assert_streams_equal(backend_scenario, policy=policy, period=period)
+    def test_policies_all_delay_backends(
+        self, backend_scenario, policy, period, measure_oracle_spy
+    ):
+        _run(backend_scenario, policy=policy, period=period)
+        assert measure_oracle_spy.count("carried_qos_count") == 4
 
     @pytest.mark.parametrize("policy", ["reexecute", "incremental"])
-    def test_server_churn(self, backend_scenario, policy):
-        """Fleet re-indexing disables the carried delta; records still agree."""
+    def test_server_churn(self, backend_scenario, policy, measure_oracle_spy):
+        """Fleet re-indexing disables the carried delta; the carried assignment is measured."""
         spec = ServerChurnSpec(num_joins=1, num_leaves=1, capacity_drift=0.05)
-        _assert_streams_equal(backend_scenario, policy=policy, server_churn=spec)
+        _run(backend_scenario, policy=policy, server_churn=spec)
+        assert "carried_qos_count" not in measure_oracle_spy
+        assert measure_oracle_spy.count("measured_pqos") >= 2 * 4
 
     @pytest.mark.parametrize("mix", sorted(CHURN_MIXES))
-    def test_churn_mixes(self, small_scenario, mix):
-        _assert_streams_equal(small_scenario, policy="incremental", churn=CHURN_MIXES[mix])
+    def test_churn_mixes(self, small_scenario, mix, measure_oracle_spy):
+        _run(small_scenario, policy="incremental", churn=CHURN_MIXES[mix])
+        assert measure_oracle_spy.count("carried_qos_count") == 4
 
-    def test_stashless_baseline_algorithm(self, small_scenario):
-        """Solvers that never stash still measure identically (ensure_measures)."""
-        _assert_streams_equal(
-            small_scenario, policy="reexecute", algorithms=("ranz-virc", "grez-grec")
-        )
+    def test_stashless_baseline_algorithm(self, small_scenario, measure_oracle_spy):
+        """Solvers that never stash still measure exactly (ensure_measures)."""
+        _run(small_scenario, policy="reexecute", algorithms=("ranz-virc", "grez-grec"))
+        assert measure_oracle_spy.count("carried_qos_count") == 2 * 4
 
-    def test_invalid_backend_rejected(self, small_scenario):
-        assert MEASUREMENT_BACKENDS == ("full", "incremental")
-        with pytest.raises(ValueError):
+    def test_federated_shards(self, measure_oracle_spy):
+        world = build_federation(make_small_config(), num_shards=2, seed=31)
+        records = FederatedSimulator(
+            world=world,
+            algorithms=["grez-grec"],
+            churn_spec=ChurnSpec(10, 10, 10),
+            seed=5,
+        ).run(3)
+        assert len(records) == 3 * (2 + 1)
+        assert "carried_qos_count" in measure_oracle_spy
+
+
+class TestRemovedEngineKeywords:
+    """Incremental measurement and the arena are the engines' only path."""
+
+    @pytest.mark.parametrize("backend", ["full", "oracle"])
+    def test_measurement_backend_other_than_incremental_rejected(self, small_scenario, backend):
+        with pytest.raises(ValueError, match="removed"):
             ChurnSimulator(
-                scenario=small_scenario,
-                algorithms=["grez-grec"],
-                measurement_backend="oracle",
+                scenario=small_scenario, algorithms=["grez-grec"], measurement_backend=backend
             )
+        world = build_federation(make_small_config(), num_shards=2, seed=31)
+        with pytest.raises(ValueError, match="removed"):
+            FederatedSimulator(world=world, algorithms=["grez-grec"], measurement_backend=backend)
 
-    def test_federated_streams_equal(self):
-        config = make_small_config()
-        records = {}
-        for backend in MEASUREMENT_BACKENDS:
-            world = build_federation(config, num_shards=2, seed=31)
-            records[backend] = FederatedSimulator(
-                world=world,
-                algorithms=["grez-grec"],
-                churn_spec=ChurnSpec(10, 10, 10),
-                seed=5,
-                measurement_backend=backend,
-            ).run(3)
-        assert len(records["full"]) == len(records["incremental"]) > 0
-        for a, b in zip(records["full"], records["incremental"]):
-            assert a.shard_id == b.shard_id
-            assert ChurnSimulator.records_equal(a, b), (a, b)
+    def test_incremental_keyword_accepted_and_not_stored(self, small_scenario):
+        simulator = ChurnSimulator(
+            scenario=small_scenario, algorithms=["grez-grec"], measurement_backend="incremental"
+        )
+        assert "measurement_backend" not in vars(simulator)
+        world = build_federation(make_small_config(), num_shards=2, seed=31)
+        federated = FederatedSimulator(
+            world=world, algorithms=["grez-grec"], measurement_backend="incremental"
+        )
+        assert "measurement_backend" not in vars(federated)
+
+    def test_arena_keyword_removed(self, small_scenario):
+        for arena in (True, False):
+            with pytest.raises(TypeError):
+                ChurnSimulator(scenario=small_scenario, algorithms=["grez-grec"], arena=arena)
+        world = build_federation(make_small_config(), num_shards=2, seed=31)
+        with pytest.raises(TypeError):
+            FederatedSimulator(world=world, algorithms=["grez-grec"], arena=True)
 
 
 # --------------------------------------------------------------------------- #

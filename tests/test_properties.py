@@ -20,6 +20,8 @@ from repro.metrics.summary import aggregate
 from repro.world.bandwidth import BandwidthModel
 from repro.world.clients import ClientPopulation
 
+from tests.reference.churn_snapshots import apply_churn_snapshots, assert_same_churn
+
 # --------------------------------------------------------------------------- #
 # Strategies
 # --------------------------------------------------------------------------- #
@@ -255,6 +257,7 @@ class TestSubstrateInvariants:
             move_zones=rng.integers(0, 5, size=movers.size),
         )
         result = apply_churn(population, batch)
+        assert_same_churn(result, apply_churn_snapshots(population, batch))
         assert result.population.num_clients == num_clients - num_leaves + num_joins
         # old_to_new maps exactly the survivors, injectively.
         survivors = result.old_to_new[result.old_to_new >= 0]

@@ -1,10 +1,12 @@
-"""Throughput engine: arena fast path vs the executable spec, end to end.
+"""Throughput engine: the arena-backed epoch loop, end to end.
 
-The arena-gated optimisations (recycled population/delay buffers, the cached
+The throughput optimisations (recycled population/delay buffers, the cached
 zone-sampling plan, trusted churn batches, the survivor-index cache, batched
-record emission) all promise the same thing: identical *records*, fewer
-*allocations*.  These tests pin the identity half across the configuration
-cross-product and exercise the batch/driver plumbing the benchmark relies on.
+record emission) must not change a record.  These tests run the engine with
+every world advance and every measurement checked against the test oracles
+(``advance_oracle_spy``, ``measure_oracle_spy``), check the one-pass churn
+application against the snapshot oracle, and exercise the batch/driver
+plumbing the benchmark relies on.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from repro.utils.arena import EpochArena
 from repro.world.distributions import ZoneSamplingPlan, sample_client_zones
 from repro.world.scenario import DVEConfig, build_scenario
 
+from tests.reference.churn_snapshots import apply_churn_snapshots, assert_same_churn
+from tests.reference.measurement_full import checked_measures
+from tests.reference.world_rebuild import checked_advances
+
 LABEL_CONFIG = dict(
     num_servers=8, num_zones=24, num_clients=120, total_capacity_mbps=200.0
 )
@@ -34,15 +40,13 @@ def _scenario(seed=5, correlation=0.0):
     return build_scenario(DVEConfig(correlation=correlation, **LABEL_CONFIG), seed=seed)
 
 
-def _records(arena, measurement, churn, epochs=5, seed=9):
+def _records(churn, epochs=5, seed=9):
     simulator = ChurnSimulator(
         scenario=_scenario(),
         algorithms=["grez-grec"],
         churn_spec=churn,
         seed=seed,
         policy="warm_start",
-        measurement_backend=measurement,
-        arena=arena,
     )
     session = simulator.session(epochs)
     records = []
@@ -62,16 +66,7 @@ def _assert_identical(records_a, records_b):
                 assert value_a == value_b, field
 
 
-class TestArenaRecordIdentity:
-    @pytest.mark.parametrize("measurement", ["full", "incremental"])
-    def test_measurement_backends_on_oracle_worlds(self, measurement, advance_oracle_spy):
-        churn = ChurnSpec(num_joins=7, num_leaves=5, num_moves=6)
-        _assert_identical(
-            _records(True, measurement, churn),
-            _records(False, measurement, churn),
-        )
-        assert advance_oracle_spy == [True] * (2 * 5)
-
+class TestArenaEngineOracles:
     @pytest.mark.parametrize(
         "churn",
         [
@@ -83,11 +78,10 @@ class TestArenaRecordIdentity:
         ],
         ids=["quiet", "joins", "leaves", "moves", "mixed"],
     )
-    def test_churn_mixes(self, churn):
-        _assert_identical(
-            _records(True, "incremental", churn),
-            _records(False, "incremental", churn),
-        )
+    def test_churn_mixes(self, churn, advance_oracle_spy, measure_oracle_spy):
+        assert len(_records(churn)) == 5
+        assert advance_oracle_spy == [True] * 5
+        assert measure_oracle_spy.count("carried_qos_count") == 5
 
 
 class TestRunBatch:
@@ -101,8 +95,6 @@ class TestRunBatch:
                 churn_spec=churn,
                 seed=4,
                 policy="warm_start",
-                measurement_backend="incremental",
-                arena=True,
             )
 
         batched = _simulator().session(6).run_batch(6)
@@ -113,9 +105,7 @@ class TestRunBatch:
         _assert_identical(batched, looped)
 
     def test_run_batch_validates_k(self):
-        session = ChurnSimulator(
-            scenario=_scenario(), algorithms=["grez-grec"], arena=True
-        ).session(3)
+        session = ChurnSimulator(scenario=_scenario(), algorithms=["grez-grec"]).session(3)
         with pytest.raises(ValueError):
             session.run_batch(0)
 
@@ -130,8 +120,6 @@ class TestAllocProfile:
             churn_spec=ChurnSpec(num_joins=5, num_leaves=5, num_moves=5),
             seed=1,
             policy="warm_start",
-            measurement_backend="incremental",
-            arena=True,
         ).session(2)
         session.alloc_profile = True
         assert set(session.phase_alloc_bytes) == set(session.phase_seconds)
@@ -197,20 +185,13 @@ class TestTrustedChurnPath:
         )
         assert batch.num_joins == 2 and batch.num_leaves == 1 and batch.num_moves == 1
 
-    def test_apply_churn_caches_survivors_in_arena_mode(self):
+    def test_apply_churn_matches_snapshot_oracle(self):
         scenario = _scenario()
         batch = generate_churn(scenario, ChurnSpec(5, 5, 5), seed=3)
-        arena = EpochArena()
-        fast = apply_churn(scenario.population, batch, arena=arena)
-        spec_result = apply_churn(scenario.population, batch)
-        assert spec_result.survivors_old is None
-        np.testing.assert_array_equal(
-            fast.survivors_old, np.flatnonzero(fast.old_to_new >= 0)
-        )
-        np.testing.assert_array_equal(fast.old_to_new, spec_result.old_to_new)
-        np.testing.assert_array_equal(
-            fast.population.zones, spec_result.population.zones
-        )
+        for arena in (EpochArena(), None):
+            churn = apply_churn(scenario.population, batch, arena)
+            assert churn.survivors_old is not None
+            assert_same_churn(churn, apply_churn_snapshots(scenario.population, batch))
 
     def test_carry_over_fast_path_matches_spec(self):
         from repro.core.two_phase import solve_cap
@@ -221,9 +202,8 @@ class TestTrustedChurnPath:
         instance = CAPInstance.from_scenario(scenario)
         assignment = solve_cap(instance)
         batch = generate_churn(scenario, ChurnSpec(6, 6, 6), seed=8)
-        arena = EpochArena()
-        fast_churn = apply_churn(scenario.population, batch, arena=arena)
-        spec_churn = apply_churn(scenario.population, batch)
+        fast_churn = apply_churn(scenario.population, batch, EpochArena())
+        spec_churn = apply_churn_snapshots(scenario.population, batch)
         new_scenario = scenario.apply_churn_delta(fast_churn)
         new_instance = CAPInstance.from_scenario(new_scenario)
         fast = carry_over_assignment(assignment, fast_churn, new_instance)
@@ -239,38 +219,43 @@ class TestTrustedChurnPath:
     moves=st.integers(min_value=0, max_value=20),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_property_arena_stream_identity(joins, leaves, moves, seed):
-    """Arena on/off emit identical records for any churn mix (hypothesis)."""
+def test_property_engine_matches_oracles(joins, leaves, moves, seed):
+    """Every advance and measurement matches its oracle for any churn mix (hypothesis)."""
     churn = ChurnSpec(num_joins=joins, num_leaves=leaves, num_moves=moves)
-    _assert_identical(
-        _records(True, "incremental", churn, epochs=3, seed=seed),
-        _records(False, "incremental", churn, epochs=3, seed=seed),
-    )
+    with checked_advances() as advances, checked_measures() as measures:
+        assert len(_records(churn, epochs=3, seed=seed)) == 3
+    assert len(advances) == 3
+    assert measures.count("carried_qos_count") == 3
 
 
 class TestLoadgen:
-    def test_run_loadgen_smoke(self):
-        result = run_loadgen(
-            label="10s-40z-500c-250cp",
-            epochs=4,
-            warmup=1,
-            churn=ChurnSpec(3, 3, 3),
-            alloc_profile=True,
-            alloc_epochs=2,
-            arena=True,
+    def _simulator(self):
+        config = DVEConfig(correlation=0.0, **LABEL_CONFIG)
+        return ChurnSimulator(
+            scenario=build_scenario(config, seed=0),
+            algorithms=["grez-grec"],
+            churn_spec=ChurnSpec(3, 3, 3),
+            seed=0,
+            policy="warm_start",
         )
+
+    def test_run_loadgen_smoke(self):
+        simulator = self._simulator()
+        result = run_loadgen(simulator, epochs=4, warmup=1, alloc_profile=True, alloc_epochs=2)
+        assert result.label == simulator.scenario.config.label
+        assert result.policy == "warm_start"
         assert result.epochs == 4
         assert result.events_per_epoch == 9
         assert result.epochs_per_sec > 0
         assert result.p99_epoch_ms >= result.p50_epoch_ms
         assert result.alloc_bytes_per_epoch is not None
         assert result.alloc_bytes_per_epoch > 0
-        assert result.arena_stats is not None
-        table = format_loadgen([result])
+        assert result.arena_stats["acquires"] > 0
+        table = format_loadgen(result)
         assert "epochs/s" in table
 
     def test_run_loadgen_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            run_loadgen(epochs=0)
+            run_loadgen(self._simulator(), epochs=0)
         with pytest.raises(ValueError):
-            run_loadgen(epochs=1, warmup=-1)
+            run_loadgen(self._simulator(), epochs=1, warmup=-1)
