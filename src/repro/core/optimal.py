@@ -5,7 +5,9 @@ branch-and-bound algorithm of the MILP solver ``lp_solve`` "for comparison
 purposes ... only applicable when the system size is small, otherwise the
 running time will become very long".  This module plays the same role using
 :func:`scipy.optimize.milp` (the HiGHS branch-and-bound solver shipped with
-SciPy); the formulations are exactly Definitions 2.2 and 2.3.
+SciPy); the formulations are exactly Definitions 2.2 and 2.3.  SciPy's MILP
+and sparse modules are imported on the first exact solve, not with the
+package, so processes that never call this baseline do not load them.
 
 One deliberate refinement: the paper's RAP formulation charges every client a
 constant forwarding demand ``RC(c) = 2 RT(c)`` regardless of which contact
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.assignment import Assignment, ZoneAssignment, zone_server_loads
 from repro.core.costs import initial_cost_matrix, refined_cost_matrix
@@ -72,6 +72,9 @@ def _solve_assignment_milp(
     ``per_pair_demands`` of the same shape as ``cost`` is given).  Returns the
     per-item chosen server and the objective value.
     """
+    import scipy.sparse as sp
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     num_servers, num_items = cost.shape
     num_vars = num_servers * num_items
     c = cost.reshape(-1)

@@ -6,24 +6,29 @@ milliseconds).  It is the substrate on which servers and clients are placed
 and from which every client-server / server-server round-trip delay used by
 the assignment algorithms is derived.
 
-The class wraps a :class:`networkx.Graph` for convenient construction and
-inspection.  The all-pairs shortest paths are computed by a source-vectorised
-label-correcting relaxation on a dense matrix (every step relaxes one edge for
-all sources at once), which handles the 500-node topologies of the paper in a
-few milliseconds and returns exactly the matrix Dijkstra would.
+The class stores plain numpy arrays.  It converts to and from a
+:class:`networkx.Graph` only on demand (:meth:`Topology.to_networkx`,
+:meth:`Topology.from_networkx`); networkx is the optional ``graph`` extra and
+only ``to_networkx`` imports it.  SciPy is imported only by
+:meth:`Topology.adjacency_matrix`.  The all-pairs shortest paths are computed
+by a source-vectorised label-correcting relaxation on a dense matrix (every
+step relaxes one edge for all sources at once), which handles the 500-node
+topologies of the paper in a few milliseconds and returns exactly the matrix
+Dijkstra would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-import networkx as nx
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:
+    import networkx as nx
+    import scipy.sparse as sp
 
 __all__ = ["Topology", "TopologyError"]
 
@@ -217,7 +222,8 @@ class Topology:
         """Build a :class:`Topology` from a networkx graph.
 
         Nodes are relabelled to ``0..n-1`` in sorted order of their original
-        labels; every edge must carry a positive ``latency_attr``.
+        labels; every edge must carry a positive ``latency_attr``.  Only the
+        graph's own methods are called, so this needs no networkx import.
         """
         nodes = sorted(graph.nodes())
         index: Dict[object, int] = {node: i for i, node in enumerate(nodes)}
@@ -249,6 +255,13 @@ class Topology:
     def to_networkx(self) -> nx.Graph:
         """Return an equivalent :class:`networkx.Graph` (cached)."""
         if self._graph_cache is None:
+            try:
+                import networkx as nx
+            except ImportError as exc:
+                raise ImportError(
+                    "Topology.to_networkx needs networkx; "
+                    "install it with: pip install 'repro-dve[graph]'"
+                ) from exc
             g = nx.Graph(name=self.name)
             for i in range(self.num_nodes):
                 attrs = {"pos": tuple(self.positions[i])}
@@ -265,6 +278,8 @@ class Topology:
     # ------------------------------------------------------------------ #
     def adjacency_matrix(self) -> sp.csr_matrix:
         """Sparse symmetric adjacency matrix with latencies as weights."""
+        import scipy.sparse as sp
+
         n = self.num_nodes
         if self.num_edges == 0:
             return sp.csr_matrix((n, n))
@@ -274,11 +289,20 @@ class Topology:
         return sp.csr_matrix((data, (row, col)), shape=(n, n))
 
     def is_connected(self) -> bool:
-        """True iff every node can reach every other node."""
-        if self.num_nodes == 1:
-            return True
-        n_comp, _ = connected_components(self.adjacency_matrix(), directed=False)
-        return n_comp == 1
+        """True iff every node can reach every other node (union-find over the edges)."""
+        parent = list(range(self.num_nodes))
+        components = self.num_nodes
+        for u, v in self.edges.tolist():
+            while parent[u] != u:  # find with path halving
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u != v:
+                parent[u] = v
+                components -= 1
+        return components == 1
 
     def degree(self) -> np.ndarray:
         """Per-node degree counts."""

@@ -1,0 +1,119 @@
+"""Import-footprint guard: the engine paths run without networkx and SciPy.
+
+networkx backs only ``Topology.to_networkx`` and SciPy only the exact MILP
+baseline and ``Topology.adjacency_matrix``; ``import repro`` and every engine,
+federation, replication and CLI-engine path must neither need them nor load
+them lazily.  Each check runs in a fresh interpreter, so modules imported by
+the rest of the suite cannot mask a regression.  Nor may the engine steps be
+the first to import a numpy submodule: that cost would land inside the first
+epoch or replication.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+IMPORTS = textwrap.dedent(
+    """
+    import contextlib
+    import io
+    import sys
+
+    import repro
+    import repro.cli
+    from repro.dynamics.engine import ChurnSimulator
+    from repro.dynamics.federation_engine import FederatedSimulator
+    from repro.experiments.config import config_from_label
+    from repro.experiments.figure4 import run_figure4
+    from repro.world.federation import build_federation
+    from repro.world.scenario import build_scenario
+    """
+)
+
+#: The engine steps each subprocess runs after the imports: two churn epochs,
+#: one federated epoch, one figure-4 replication, and the engine CLI
+#: commands, all on the small ``4s-8z-80c-60cp`` world.
+ENGINE_STEPS = textwrap.dedent(
+    """
+    LABEL = "4s-8z-80c-60cp"
+    config = config_from_label(LABEL)
+    churn = ChurnSimulator(
+        scenario=build_scenario(config, seed=0), algorithms=["grez-grec"], seed=1
+    )
+    assert len(churn.run(2)) == 2
+    federated = FederatedSimulator(
+        world=build_federation(config, num_shards=2, seed=0), algorithms=["grez-grec"], seed=1
+    )
+    assert len(federated.run(1)) == 3  # two shards and the aggregate
+    assert run_figure4(num_runs=1).pqos
+    for argv in (
+        ["simulate", "--config", LABEL, "--epochs", "2"],
+        ["loadgen", "--config", LABEL, "--epochs", "2", "--warmup", "1"],
+        ["federate", "--config", LABEL, "--shards", "2", "--epochs", "1"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert repro.cli.main(argv) == 0, argv
+    """
+)
+
+BLOCKED = (
+    """
+import sys
+
+sys.modules["networkx"] = sys.modules["scipy"] = None
+"""
+    + IMPORTS
+    + ENGINE_STEPS
+    + """
+try:
+    churn.scenario.topology.to_networkx()
+except ImportError as exc:
+    assert "pip install 'repro-dve[graph]'" in str(exc), exc
+else:
+    raise AssertionError("to_networkx() ran without networkx")
+"""
+)
+
+UNBLOCKED = (
+    IMPORTS
+    + """
+loaded_by_import = set(sys.modules)
+"""
+    + ENGINE_STEPS
+    + """
+heavy = sorted(
+    name for name in sys.modules
+    if name == "networkx" or name.startswith(("networkx.", "scipy"))
+)
+assert not heavy, heavy
+late = sorted(
+    name for name in set(sys.modules) - loaded_by_import if name.split(".")[0] == "numpy"
+)
+assert not late, late
+"""
+)
+
+
+def _run(source: str) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", source], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_engine_paths_run_with_networkx_and_scipy_blocked():
+    _run(BLOCKED)
+
+
+def test_engine_paths_load_neither_networkx_nor_scipy():
+    _run(UNBLOCKED)

@@ -7,6 +7,11 @@
   alternative paths.  Disconnected graphs raise :class:`TopologyError`, and
   the relaxation itself still matches SciPy there (``inf`` between
   components), so every component is swept.
+* :meth:`Topology.is_connected` (a union-find over the edge list) agrees
+  with SciPy's ``connected_components`` on edgeless graphs, forests, unions
+  of 1..4 connected blocks and the graphs above, 1..60 nodes, with shuffled
+  and flipped edge lists; and on the US backbone and hierarchical generators'
+  topologies with random edge subsets removed.
 * Simple-graph validation: self-loops and duplicate undirected edges are
   rejected (SciPy's sparse constructor adds the latencies of duplicates).
 * The Waxman generator's component connector returns exactly the edges of
@@ -21,9 +26,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
+from repro.topology.backbone import us_backbone_topology
 from repro.topology.graph import Topology, TopologyError, _all_pairs_left_fold
+from repro.topology.hierarchical import hierarchical_topology
 from repro.topology.waxman import _connect_components, _pairwise_distances
 
 from tests.reference.waxman_connect import connect_components as reference_connect
@@ -36,6 +43,15 @@ TIE_POOLS = ((0.1, 0.2, 0.3), (1.0, 2.0, 3.0), (1e-3, 1e3))
 def pinned(max_examples: int) -> settings:
     """Seed-pinned hypothesis settings: the same examples on every run."""
     return settings(derandomize=True, deadline=None, database=None, max_examples=max_examples)
+
+
+def _shuffled_edges(pairs: set[tuple[int, int]], rng: np.random.Generator) -> np.ndarray:
+    """The ``(u, v)`` pairs as an edge array in random order, half of them flipped."""
+    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    edges = edges[rng.permutation(len(edges))]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    return edges
 
 
 @st.composite
@@ -58,10 +74,7 @@ def simple_graphs(draw) -> Topology:
         keep = rng.random(iu.size) < p
         pairs.update(zip(iu[keep].tolist(), ju[keep].tolist()))
 
-    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    edges = edges[rng.permutation(len(edges))]
-    flip = rng.random(len(edges)) < 0.5
-    edges[flip] = edges[flip, ::-1]
+    edges = _shuffled_edges(pairs, rng)
     if pool is None:
         latencies = 10.0 ** rng.uniform(-3.0, 3.0, size=len(edges))
     else:
@@ -99,6 +112,68 @@ def test_disconnected_components_each_swept():
     assert dist[0, 2] == 3.0 and dist[3, 5] == 0.3 and dist[6, 7] == 5.0
     with pytest.raises(TopologyError):
         topology.shortest_path_latencies()
+
+
+@st.composite
+def connectivity_graphs(draw) -> Topology:
+    """Edgeless graphs, forests, unions of connected blocks and :func:`simple_graphs`."""
+    kind = draw(st.sampled_from(("blocks", "forest", "simple", "edgeless")))
+    if kind == "simple":
+        return draw(simple_graphs())
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs: set[tuple[int, int]] = set()
+    if kind == "forest":
+        # Every node but 0 joins an earlier node's tree or starts its own.
+        new_tree = rng.uniform(0.0, 0.3)
+        pairs.update((int(rng.integers(v)), v) for v in range(1, n) if rng.random() >= new_tree)
+    elif kind == "blocks":
+        labels = rng.integers(draw(st.integers(1, 4)), size=n)
+        for block in np.unique(labels):
+            members = np.flatnonzero(labels == block).tolist()
+            # A random spanning tree of the block, then up to |block| extra edges.
+            tree = ((members[int(rng.integers(i))], members[i]) for i in range(1, len(members)))
+            pairs.update(tree)
+            if len(members) > 2:
+                for _ in range(int(rng.integers(len(members)))):
+                    u, v = sorted(rng.choice(members, size=2, replace=False).tolist())
+                    pairs.add((u, v))
+    edges = _shuffled_edges(pairs, rng)
+    return Topology(positions=np.zeros((n, 2)), edges=edges, latencies=np.ones(len(edges)))
+
+
+def _scipy_is_connected(topology: Topology) -> bool:
+    num_components, _ = connected_components(topology.adjacency_matrix(), directed=False)
+    return num_components == 1
+
+
+@pinned(600)
+@given(topology=connectivity_graphs())
+def test_is_connected_matches_scipy(topology):
+    assert topology.is_connected() == _scipy_is_connected(topology)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda seed: us_backbone_topology(seed=seed),
+        lambda seed: hierarchical_topology(seed=seed),
+    ],
+    ids=["backbone", "hierarchical"],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_generated_topologies_is_connected_matches_scipy(generate, seed):
+    topology = generate(seed)
+    assert topology.is_connected() and _scipy_is_connected(topology)
+    rng = np.random.default_rng(seed)
+    for keep_share in (0.98, 0.9, 0.7):
+        keep = rng.random(topology.num_edges) < keep_share
+        sub = Topology(
+            positions=topology.positions,
+            edges=topology.edges[keep],
+            latencies=topology.latencies[keep],
+        )
+        assert sub.is_connected() == _scipy_is_connected(sub)
 
 
 @pytest.mark.parametrize(
