@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.problem import CAPInstance
+from repro.utils.chunks import row_chunks
 
 __all__ = [
     "initial_cost_matrix",
@@ -41,7 +42,8 @@ def initial_cost_matrix(instance: CAPInstance) -> np.ndarray:
     The matrix is built zone-major and returned as its transposed *view*:
     the result is Fortran-ordered, and its ``.T`` is the C-contiguous
     ``(zones x servers)`` table the placement engine reads row by row, so
-    neither side copies it.
+    neither side copies it.  The result is a fresh array that the caller
+    owns and may overwrite: GreZ negates it in place into its desirability.
 
     Dense delays: the per-zone aggregation sorts the client rows by zone and
     reduces each contiguous segment with ``np.add.reduceat`` — the
@@ -178,14 +180,16 @@ def refined_cost_candidates(
     servers, total_delay = source.candidate_rows(clients)
     # The mesh leg d(s, target) depends only on the client's zone (its
     # candidate row and its target): build it once per zone with a flat
-    # gather, then copy whole rows out per client.
+    # gather, then add whole rows per client, one row chunk at a time.
     mesh = instance.server_server_delays
-    zone_leg = np.take(
-        mesh.ravel(), source.sorted_candidates() * mesh.shape[1] + zone_to_server[:, None]
-    )
+    offsets = source.sorted_candidates() * mesh.shape[1]
+    offsets += zone_to_server[:, None]
+    zone_leg = np.take(mesh.ravel(), offsets)
+    zones = instance.client_zones[clients]
     # Same elementwise operation order as refined_cost_rows (delay first,
     # mesh leg second, then the bound), so entries stay bitwise equal.
-    total_delay += np.take(zone_leg, instance.client_zones[clients], axis=0)
+    for rows in row_chunks(*total_delay.shape):
+        total_delay[rows] += np.take(zone_leg, zones[rows], axis=0)
     total_delay -= instance.delay_bound
     return servers, np.maximum(total_delay, 0.0, out=total_delay)
 

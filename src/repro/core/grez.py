@@ -92,7 +92,8 @@ def assign_zones_greedy(
         to be placed on a server without sufficient residual capacity.
     """
     with Timer() as timer:
-        desirability = -initial_cost_matrix(instance)  # (m, n)
+        desirability = initial_cost_matrix(instance)  # (m, n), fresh
+        np.negative(desirability, out=desirability)
         result = max_regret_assign(
             desirability=desirability,
             demands=instance.zone_demands(),

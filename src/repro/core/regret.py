@@ -64,6 +64,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.utils.chunks import row_chunks
+
 __all__ = [
     "RegretResult",
     "max_regret_assign",
@@ -159,10 +161,15 @@ def _table(table_idx: np.ndarray, table_val: np.ndarray, tier_complete: bool):
     row's minimum, or ``None`` when ``tier_complete`` (every unlisted server
     *strictly* below the row minimum), where a feasible table hit is final
     and the threshold is never read.
+
+    The partition runs over row chunks of ``table_val``, so its copy never
+    spans the whole ``(items x K)`` table.
     """
     width = table_idx.shape[1]
-    top_two = np.partition(table_val, width - 2, axis=1)[:, -2:]
-    regrets = top_two[:, 1] - top_two[:, 0]
+    regrets = np.empty(table_val.shape[0])
+    for rows in row_chunks(*table_val.shape):
+        top_two = np.partition(table_val[rows], width - 2, axis=1)[:, -2:]
+        np.subtract(top_two[:, 1], top_two[:, 0], out=regrets[rows])
     order = np.argsort(-regrets, kind="stable").astype(np.int64)
     thresh = None if tier_complete else table_val.min(axis=1)
     return (np.asarray(table_idx, dtype=np.intp), table_val, thresh), order

@@ -45,6 +45,7 @@ from repro.topology.coordinates import (
     NetworkCoordinates,
     fit_network_coordinates,
 )
+from repro.utils.chunks import CHUNK_CELLS, row_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.topology.delays import DelayModel
@@ -80,6 +81,10 @@ DEFAULT_SPARSE_TOP_K = 8
 #: any realistic delay bound, so such pairings always count as QoS violations,
 #: yet finite so every arithmetic path stays well-defined.
 SPARSE_FILL_DELAY_MS = 1.0e9
+#: ``(zones × nodes)`` cells per chunk of :meth:`CompactDelayMatrix.zone_over_bound_counts`:
+#: 1 MiB of int64 counts.  Wider than :data:`~repro.utils.chunks.CHUNK_CELLS`
+#: because the chunk is a matmul operand, and BLAS loses throughput on short ones.
+_COUNT_CHUNK_CELLS = 2 * CHUNK_CELLS
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -95,11 +100,16 @@ def _take_cells(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nda
     (``node_server`` is sliced column-wise out of the RTT matrix and comes
     out Fortran-ordered) is gathered without a copy.  Indices must be in
     range: unlike the 2-D index, a flat offset does not check each axis.
+    The offsets are built in place in one array of the broadcast shape; the
+    only other temporary has the shape of ``rows``.
     """
     if not (table.flags.c_contiguous or table.flags.f_contiguous):
         table = np.ascontiguousarray(table)
     row_stride, col_stride = (stride // table.itemsize for stride in table.strides)
-    return np.take(table.ravel(order="K"), rows * row_stride + cols * col_stride)
+    offsets = np.empty(np.broadcast_shapes(np.shape(rows), np.shape(cols)), dtype=np.int64)
+    np.multiply(cols, col_stride, out=offsets)
+    offsets += np.multiply(rows, row_stride)
+    return np.take(table.ravel(order="K"), offsets)
 
 
 def _candidates_from_anchors(
@@ -115,24 +125,28 @@ def _candidates_from_anchors(
     solvers are forced onto non-candidate (sentinel-delay) servers, collapsing
     pQoS.  The rotated strided tails keep per-zone state at O(zones·K) while
     the union of real-delay fallbacks covers the whole fleet.
+
+    Zones that share an anchor node share its delay row, and a stable sort
+    orders identical rows identically, so each distinct anchor's row is
+    sorted once and every zone reads its picks from its anchor's order.
     """
     num_servers = node_server.shape[1]
     top_k = min(int(top_k), num_servers)
-    anchor_delays = node_server[anchor_nodes]
-    order = np.argsort(anchor_delays, axis=1, kind="stable")
+    anchors, zone_anchor = np.unique(anchor_nodes, return_inverse=True)
+    order = np.argsort(node_server[anchors], axis=1, kind="stable")
     near = (top_k + 1) // 2
     if near >= top_k or top_k == num_servers:
-        picks = order[:, :top_k]
+        picks = order[zone_anchor, :top_k]
     else:
         far = top_k - near
         step = (num_servers - near) // far  # >= 1 because far <= num_servers - near
-        num_zones = order.shape[0]
+        num_zones = zone_anchor.shape[0]
         # (zones, far) rank comb: stride `step` keeps picks distinct per zone,
         # the zone-index phase makes consecutive zones cover different ranks.
         phases = (np.arange(num_zones) % step)[:, None]
         tail_ranks = near + np.arange(far)[None, :] * step + phases
         picks = np.concatenate(
-            [order[:, :near], np.take_along_axis(order, tail_ranks, axis=1)], axis=1
+            [order[zone_anchor, :near], order[zone_anchor[:, None], tail_ranks]], axis=1
         )
     return np.ascontiguousarray(picks, dtype=np.int64)
 
@@ -148,20 +162,15 @@ def zone_anchor_nodes(
     """
     client_nodes = np.asarray(client_nodes, dtype=np.int64)
     client_zones = np.asarray(client_zones, dtype=np.int64)
-    counts = np.zeros((num_zones, num_nodes), dtype=np.int64)
-    if client_nodes.size:
-        flat = np.bincount(
-            client_zones * num_nodes + client_nodes, minlength=num_zones * num_nodes
-        )
-        counts = flat.reshape(num_zones, num_nodes)
+    if not client_nodes.size:
+        return np.zeros(num_zones, dtype=np.int64)
+    counts = np.bincount(
+        client_zones * num_nodes + client_nodes, minlength=num_zones * num_nodes
+    ).reshape(num_zones, num_nodes)
     anchors = counts.argmax(axis=1).astype(np.int64)
     empty = counts.sum(axis=1) == 0
     if empty.any():
-        if client_nodes.size:
-            global_mode = int(np.bincount(client_nodes, minlength=num_nodes).argmax())
-        else:
-            global_mode = 0
-        anchors[empty] = global_mode
+        anchors[empty] = int(np.bincount(client_nodes, minlength=num_nodes).argmax())
     return anchors
 
 
@@ -354,13 +363,20 @@ class CompactDelayMatrix:
 
         Both gathers are ``np.take`` calls — whole candidate rows by zone,
         then single delays by flat offset (:func:`_take_cells`) — which
-        numpy runs far faster than the equivalent 2-D fancy index.
+        numpy runs far faster than the equivalent 2-D fancy index.  The
+        delays are gathered in row chunks (:func:`~repro.utils.chunks.row_chunks`)
+        straight into the result, so the flat offsets never exist for all
+        rows at once.
         """
         if self.zone_candidates is None:
             return None
         clients = np.asarray(clients, dtype=np.int64)
         servers = np.take(self.sorted_candidates(), self.client_zones[clients], axis=0)
-        return servers, _take_cells(self.node_server, self.client_nodes[clients][:, None], servers)
+        nodes = self.client_nodes[clients][:, None]
+        delays = np.empty(servers.shape, dtype=self.node_server.dtype)
+        for rows in row_chunks(*servers.shape):
+            delays[rows] = _take_cells(self.node_server, nodes[rows], servers[rows])
+        return servers, delays
 
     # ------------------------------------------------------------------ #
     # Gathers — the dense fancy-indexing idioms the solvers rely on.
@@ -409,18 +425,16 @@ class CompactDelayMatrix:
     # ------------------------------------------------------------------ #
     # Zone-aggregated fast paths — O(zones·nodes + nodes·m) instead of O(k·m).
     # ------------------------------------------------------------------ #
-    def _zone_node_counts(
-        self, client_zones: np.ndarray, num_zones: int, dtype=np.float64
-    ) -> np.ndarray:
-        """``(num_zones, num_nodes)`` count of clients per (zone, node) cell."""
+    def _zone_node_counts(self, client_zones: np.ndarray, num_zones: int) -> np.ndarray:
+        """``(num_zones, num_nodes)`` float64 count of clients per (zone, node) cell."""
         num_nodes = self.node_server.shape[0]
         if client_zones.size == 0:
-            return np.zeros((num_zones, num_nodes), dtype=dtype)
+            return np.zeros((num_zones, num_nodes))
         flat = np.bincount(
             np.asarray(client_zones, dtype=np.int64) * num_nodes + self.client_nodes,
             minlength=num_zones * num_nodes,
         )
-        return flat.reshape(num_zones, num_nodes).astype(dtype)
+        return flat.reshape(num_zones, num_nodes).astype(np.float64)
 
     def zone_over_bound_counts(
         self, bound: float, client_zones: np.ndarray, num_zones: int
@@ -433,22 +447,41 @@ class CompactDelayMatrix:
         is an integer no larger than a zone's population: below ``2**24``
         clients the float32 product is exact in any summation order, and it
         runs at twice the float64 rate.  Larger populations multiply in
-        float64.  Returns a C-contiguous float64 ``(num_zones, m)`` array.
+        float64.  Returns a fresh C-contiguous float64 ``(num_zones, m)``
+        array.
+
+        The counts and their product are built per chunk of zone rows and
+        written into the result chunk by chunk, so no ``(zones × nodes)``
+        count table and no full-size product ever coexist with the result.
         """
-        dtype = np.float32 if client_zones.size < 2**24 else np.float64
-        counts = self._zone_node_counts(client_zones, num_zones, dtype)
-        over = counts @ (self.node_server > bound).astype(dtype)
-        if self.zone_candidates is None:
-            return over.astype(np.float64, copy=False)
-        if self.zone_candidates.shape[0] != num_zones:
+        if self.zone_candidates is not None and self.zone_candidates.shape[0] != num_zones:
             raise ValueError("num_zones must match the candidate sets' zone count")
-        # A non-candidate server reports the sentinel delay to every client
-        # of the zone, so it counts the whole zone: fill the zone populations
-        # in, then copy the true counts of the candidate cells over them.
-        per_zone = np.empty(over.shape)
-        per_zone[...] = counts.sum(axis=1)[:, None]
-        cells = (np.arange(num_zones)[:, None] * over.shape[1] + self.zone_candidates).ravel()
-        per_zone.ravel()[cells] = over.take(cells)
+        dtype = np.float32 if client_zones.size < 2**24 else np.float64
+        num_nodes, num_servers = self.node_server.shape
+        over_bound = (self.node_server > bound).astype(dtype)
+        per_zone = np.empty((num_zones, num_servers))
+        # Sorted (zone, node) cells: each chunk's clients are one slice.
+        cells = np.sort(np.asarray(client_zones, dtype=np.int64) * num_nodes + self.client_nodes)
+        for rows in row_chunks(num_zones, num_nodes, _COUNT_CHUNK_CELLS):
+            first = rows.start * num_nodes
+            start, stop = np.searchsorted(cells, (first, rows.stop * num_nodes))
+            counts = np.bincount(
+                cells[start:stop] - first, minlength=(rows.stop - rows.start) * num_nodes
+            ).reshape(-1, num_nodes).astype(dtype)
+            over = counts @ over_bound
+            if self.zone_candidates is None:
+                per_zone[rows] = over
+                continue
+            # A non-candidate server reports the sentinel delay to every
+            # client of the zone, so it counts the whole zone: fill the zone
+            # populations in, then copy the true counts of the candidate
+            # cells over them.
+            block = per_zone[rows]
+            block[...] = counts.sum(axis=1)[:, None]
+            candidates = self.zone_candidates[rows]
+            np.put_along_axis(
+                block, candidates, np.take_along_axis(over, candidates, axis=1), axis=1
+            )
         return per_zone
 
     def zone_direct_aggregates(

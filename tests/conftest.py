@@ -17,6 +17,11 @@ import repro.baselines  # noqa: F401  (registers baseline solvers for registry t
 import repro.core.regret as regret
 from repro.core.problem import CAPInstance
 from repro.topology.brite import BriteConfig
+from repro.topology.delay_backends import (
+    CompactDelayMatrix,
+    _candidates_from_anchors,
+    zone_anchor_nodes,
+)
 from repro.topology.waxman import waxman_topology
 from repro.world.scenario import DVEConfig, DVEScenario, build_scenario
 from tests.reference.measurement_full import checked_measures
@@ -111,6 +116,53 @@ def make_tiny_instance(
         delay_bound=delay_bound,
         num_zones=4,
     )
+
+
+def make_wide_sparse_instance(order: str = "F") -> CAPInstance:
+    """A synthetic candidate-restricted instance wide enough for row-chunked passes.
+
+    2,500 clients in 50 zones, 96 servers on 30 nodes and 64 candidates per
+    zone.  Every delay is a multiple of 10 ms, so candidate delays, refined
+    costs and regrets tie often, and many clients share a node.  ``order``
+    is the memory order of the node→server table (the sparse backend's own
+    table is Fortran-ordered).
+    """
+    rng = np.random.default_rng(0)
+    num_nodes, num_servers, num_zones, num_clients = 30, 96, 50, 2500
+    node_server = np.asarray(
+        10.0 * rng.integers(1, 11, size=(num_nodes, num_servers)), order=order
+    )
+    mesh = 10.0 * rng.integers(0, 6, size=(num_servers, num_servers))
+    mesh = np.triu(mesh, 1) + np.triu(mesh, 1).T
+    client_nodes = rng.integers(0, num_nodes, num_clients)
+    client_zones = rng.integers(0, num_zones, num_clients)
+    anchors = zone_anchor_nodes(client_nodes, client_zones, num_zones, num_nodes)
+    delays = CompactDelayMatrix(
+        backend=None,
+        server_nodes=np.arange(num_servers),
+        node_server=node_server,
+        client_nodes=client_nodes,
+        client_zones=client_zones,
+        zone_candidates=_candidates_from_anchors(node_server, anchors, 64),
+        zone_anchors=anchors,
+    )
+    return CAPInstance(
+        client_server_delays=delays,
+        server_server_delays=mesh,
+        client_zones=client_zones,
+        client_demands=np.ones(num_clients),
+        server_capacities=np.full(num_servers, 1000.0),
+        delay_bound=60.0,
+        num_zones=num_zones,
+    )
+
+
+@pytest.fixture(scope="session")
+def sparse_100k_instance() -> CAPInstance:
+    """The solver corpus's 100k-client sparse top-64 instance, built once per session."""
+    from tests.golden.solver_corpus import sparse_instance
+
+    return sparse_instance()
 
 
 @pytest.fixture()

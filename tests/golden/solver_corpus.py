@@ -37,7 +37,7 @@ import hashlib
 import json
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, List, Optional, Union
 from unittest import mock
 
 import numpy as np
@@ -169,7 +169,8 @@ def _coords():
     return _assignment_digests(instance, lambda: solve(instance, "grez-grec", seed=0))
 
 
-def _sparse_instance() -> CAPInstance:
+def sparse_instance() -> CAPInstance:
+    """The ``SPARSE_LABEL`` world on the sparse backend with top-64 candidate sets."""
     config = config_from_label(SPARSE_LABEL).with_updates(delay_backend="sparse", sparse_top_k=64)
     return _instance(config)
 
@@ -219,8 +220,11 @@ def _fed_regret_arbiter():
     }
 
 
-def corpus() -> Dict[str, dict]:
-    """Every grid entry's digests, keyed by entry name."""
+def corpus(sparse: Optional[CAPInstance] = None) -> Dict[str, dict]:
+    """Every grid entry's digests, keyed by entry name.
+
+    ``sparse`` is the :func:`sparse_instance` world, built here when not given.
+    """
     entries: Dict[str, dict] = {}
     for seed in FIGURE4_SEEDS:
         for algorithm in PAPER_ALGORITHM_ORDER:
@@ -228,7 +232,7 @@ def corpus() -> Dict[str, dict]:
     for algorithm in ("grez-grec", "grez-virc"):
         entries[f"tight/{algorithm}"] = _tight(algorithm)
     entries["coords/grez-grec"] = _coords()
-    sparse = _sparse_instance()
+    sparse = sparse_instance() if sparse is None else sparse
     entries["sparse-100k/grez-grec"] = _sparse(sparse)
     entries["sparse-100k/grec-perturbed"] = _sparse_perturbed(sparse)
     entries["fed-maintenance/regret-arbiter"] = _fed_regret_arbiter()

@@ -9,9 +9,13 @@ from repro.core.costs import (
     delays_to_targets,
     initial_cost_matrix,
     qos_indicator,
+    refined_cost_candidates,
     refined_cost_columns,
     refined_cost_matrix,
+    refined_cost_rows,
 )
+from repro.utils.chunks import row_chunks
+from tests.conftest import make_wide_sparse_instance
 
 
 class TestInitialCostMatrix:
@@ -98,6 +102,24 @@ class TestRefinedCostColumns:
             refined_cost_columns(tiny_instance, np.array([0, 1, 2, 0]), np.array([99]))
         with pytest.raises(ValueError):
             refined_cost_columns(tiny_instance, np.array([0, 1, 2, 0]), np.array([[0, 1]]))
+
+
+class TestRefinedCostCandidates:
+    def test_match_refined_cost_rows_across_chunks(self):
+        # 2,500 needy clients x 64 candidates spans three row chunks, and
+        # the 10 ms delay grid makes many refined costs tie.
+        instance = make_wide_sparse_instance()
+        rng = np.random.default_rng(4)
+        zone_to_server = rng.integers(0, instance.num_servers, instance.num_zones)
+        clients = rng.permutation(instance.num_clients)
+        servers, costs = refined_cost_candidates(instance, zone_to_server, clients)
+        assert len(list(row_chunks(*costs.shape))) >= 3
+        rows = refined_cost_rows(instance, zone_to_server, clients)
+        np.testing.assert_array_equal(costs, np.take_along_axis(rows, servers, axis=1))
+
+    def test_none_on_dense_instances(self, small_instance):
+        zone_to_server = np.zeros(small_instance.num_zones, dtype=np.int64)
+        assert refined_cost_candidates(small_instance, zone_to_server, np.arange(3)) is None
 
 
 class TestInitialCostAggregation:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.regret as regret
 from repro.core.regret import (
     max_regret_assign,
     max_regret_assign_candidates,
     regret_order,
 )
+from repro.utils.chunks import row_chunks
 from tests.reference.regret_loop import assert_same_result, max_regret_assign_loop
 
 #: The engine and its per-item loop oracle, for behaviour both must show.
@@ -39,6 +41,23 @@ class TestRegretOrder:
     def test_requires_matrix(self):
         with pytest.raises(ValueError):
             regret_order(np.zeros(4))
+
+
+class TestRegretTable:
+    @pytest.mark.parametrize("width", [96, 64])
+    def test_order_matches_regret_order_across_chunks(self, width):
+        # 2,500 items with integer desirabilities (many tied regrets) over
+        # 96 servers; the table lists each item's `width` most desirable
+        # servers in ascending id order, which holds its two largest values.
+        rng = np.random.default_rng(6)
+        desirability = rng.integers(0, 200, size=(96, 2500)).astype(np.float64)
+        items = desirability.T
+        table_idx = np.sort(np.argsort(-items, axis=1, kind="stable")[:, :width], axis=1)
+        table_val = np.take_along_axis(items, table_idx, axis=1)
+        assert len(list(row_chunks(*table_val.shape))) >= 3
+        (_, _, thresh), order = regret._table(table_idx, table_val, False)
+        np.testing.assert_array_equal(order, regret_order(desirability))
+        np.testing.assert_array_equal(thresh, table_val.min(axis=1))
 
 
 class TestMaxRegretAssign:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.baselines  # noqa: F401  (registers the baseline solvers)
 from repro.cli import build_parser
@@ -28,11 +30,16 @@ from repro.topology.delay_backends import (
     DEFAULT_SPARSE_TOP_K,
     SPARSE_FILL_DELAY_MS,
     CompactDelayMatrix,
+    _candidates_from_anchors,
+    _COUNT_CHUNK_CELLS,
     make_delay_backend,
+    zone_anchor_nodes,
 )
+from repro.utils.chunks import row_chunks
 from repro.world.scenario import build_scenario
 
-from tests.conftest import make_small_config
+from tests.conftest import make_small_config, make_wide_sparse_instance
+from tests.reference.anchor_candidates import candidates_per_zone_sort
 
 #: pQoS tolerance of the approximate backends vs dense on the small world.
 PQOS_TOLERANCE = 0.15
@@ -248,6 +255,139 @@ class TestSparseSemantics:
         # Each zone's candidates are distinct.
         for candidates in delays.zone_candidates:
             assert np.unique(candidates).size == candidates.size
+
+
+# ---------------------------------------------------------------------- #
+# Candidate selection vs the frozen one-sort-per-zone oracle.
+# ---------------------------------------------------------------------- #
+@st.composite
+def anchored_tables(draw):
+    """A node→server table with delay ties and zone anchors that repeat."""
+    num_nodes = draw(st.integers(1, 8))
+    num_servers = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # Few distinct delay levels, so rows tie within and across nodes.
+    levels = draw(st.integers(1, 6))
+    node_server = 10.0 * rng.integers(0, levels, size=(num_nodes, num_servers))
+    if draw(st.booleans()):
+        node_server[-1] = node_server[0]  # two nodes with identical rows
+    anchors = rng.integers(0, num_nodes, draw(st.integers(0, 60)))
+    top_k = draw(st.integers(1, num_servers + 2))
+    return node_server, anchors, top_k
+
+
+class TestAnchorCandidates:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(anchored_tables())
+    def test_match_per_zone_sort(self, table):
+        node_server, anchors, top_k = table
+        got = _candidates_from_anchors(node_server, anchors, top_k)
+        expected = candidates_per_zone_sort(node_server, anchors, top_k)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    def test_match_on_sparse_world(self, sparse_scenario):
+        delays = sparse_scenario.client_server_delays
+        top_k = delays.zone_candidates.shape[1]
+        np.testing.assert_array_equal(
+            delays.zone_candidates,
+            candidates_per_zone_sort(delays.node_server, delays.zone_anchors, top_k),
+        )
+
+    def test_empty_population_anchors_at_node_zero(self):
+        empty = np.zeros(0, dtype=np.int64)
+        np.testing.assert_array_equal(zone_anchor_nodes(empty, empty, 4, 9), np.zeros(4))
+
+    def test_empty_zones_anchor_at_global_mode(self):
+        anchors = zone_anchor_nodes(np.array([2, 5, 5, 3]), np.array([0, 0, 2, 2]), 4, 9)
+        np.testing.assert_array_equal(anchors, [2, 5, 3, 5])
+
+
+# ---------------------------------------------------------------------- #
+# Row-chunked passes on tables wider than one chunk.
+# ---------------------------------------------------------------------- #
+@pytest.fixture(scope="module", params=["F", "C"])
+def wide_sparse(request):
+    return make_wide_sparse_instance(order=request.param)
+
+
+class TestRowChunkedGathers:
+    def test_spans_three_chunks(self, wide_sparse):
+        top_k = wide_sparse.client_server_delays.zone_candidates.shape[1]
+        assert len(list(row_chunks(wide_sparse.num_clients, top_k))) >= 3
+
+    def test_candidate_rows_match_fancy_index(self, wide_sparse):
+        delays = wide_sparse.client_server_delays
+        # Shuffled, with repeats: chunk boundaries fall mid-zone.
+        clients = np.random.default_rng(1).integers(0, delays.num_clients, delays.num_clients)
+        servers, got = delays.candidate_rows(clients)
+        np.testing.assert_array_equal(
+            servers, delays.sorted_candidates()[delays.client_zones[clients]]
+        )
+        np.testing.assert_array_equal(
+            got, delays.node_server[delays.client_nodes[clients][:, None], servers]
+        )
+
+    def test_pairs_broadcast_like_fancy_index(self, wide_sparse):
+        delays = wide_sparse.client_server_delays
+        dense = delays.toarray()
+        clients = np.arange(delays.num_clients)
+        servers = np.arange(delays.num_servers)
+        per_client = clients % delays.num_servers
+        # The local-search zone move: a zone's members against one server.
+        np.testing.assert_array_equal(delays.pairs(clients, 7), dense[clients, 7])
+        np.testing.assert_array_equal(
+            delays.pairs(clients, np.int64(7)), dense[clients, 7]
+        )
+        np.testing.assert_array_equal(delays.pairs(3, servers), dense[3, servers])
+        assert delays.pairs(np.int64(3), np.int64(5)) == dense[3, 5]
+        np.testing.assert_array_equal(
+            delays.pairs(clients, per_client), dense[clients, per_client]
+        )
+        np.testing.assert_array_equal(
+            delays.pairs(clients[:40, None], servers[None, :]),
+            dense[clients[:40, None], servers[None, :]],
+        )
+
+    @pytest.mark.parametrize("restricted", [True, False])
+    def test_zone_over_bound_counts_across_chunks(self, restricted):
+        rng = np.random.default_rng(3)
+        num_nodes, num_servers, num_zones, num_clients = 30, 12, 10_000, 20_000
+        assert len(list(row_chunks(num_zones, num_nodes, _COUNT_CHUNK_CELLS))) >= 3
+        node_server = 10.0 * rng.integers(1, 11, size=(num_nodes, num_servers))
+        # Every zone also has a client on the first and on the last node,
+        # the cells at each chunk's edges.
+        zones = np.arange(num_zones)
+        client_nodes = np.concatenate(
+            [
+                rng.integers(0, num_nodes, num_clients),
+                np.zeros_like(zones),
+                np.full_like(zones, num_nodes - 1),
+            ]
+        )
+        client_zones = np.concatenate([rng.integers(0, num_zones, num_clients), zones, zones])
+        restriction = {}
+        if restricted:
+            anchors = zone_anchor_nodes(client_nodes, client_zones, num_zones, num_nodes)
+            restriction = dict(
+                client_zones=client_zones,
+                zone_candidates=_candidates_from_anchors(node_server, anchors, 4),
+                zone_anchors=anchors,
+            )
+        delays = CompactDelayMatrix(
+            backend=None,
+            server_nodes=np.arange(num_servers),
+            node_server=node_server,
+            client_nodes=client_nodes,
+            **restriction,
+        )
+        bound = 55.0
+        expected = np.zeros((num_zones, num_servers))
+        np.add.at(expected, client_zones, delays.toarray() > bound)
+        got = delays.zone_over_bound_counts(bound, client_zones, num_zones)
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        np.testing.assert_array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------- #

@@ -16,8 +16,8 @@ GOLDEN = json.loads(solver_corpus.GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    return solver_corpus.corpus()
+def corpus(sparse_100k_instance):
+    return solver_corpus.corpus(sparse=sparse_100k_instance)
 
 
 def test_corpus_covers_the_grid(corpus):

@@ -1,0 +1,37 @@
+"""Transient memory of one GreZ-GreC solve on the 100k-client sparse world.
+
+GreZ and GreC build a zones x servers initial-cost table and a needy-clients
+x K refined-cost table.  On the solver corpus's
+``500s-2000z-100000c-130000cp`` world with top-64 candidate sets, each is
+built without full-size temporaries: the initial-cost counts and their
+product are made per chunk of zone rows, GreZ negates the cost table in
+place, and the candidate gathers, the mesh leg and the regret partition run
+in row chunks.  This guard keeps it so: the tracemalloc peak above the
+baseline of a warm solve must stay under :data:`PEAK_BOUND_MIB`.  With the
+full-size temporaries it measured 16.8 MiB; without them 12.27 MiB, and the
+bound is that value plus 5 % (tracemalloc counts, Python 3.11, numpy 2.4).
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+from repro.core.two_phase import solve_cap
+
+#: 12.27 MiB measured, plus 5 %.
+PEAK_BOUND_MIB = 12.88
+
+
+def test_sparse_100k_solve_peak_stays_under_bound(sparse_100k_instance):
+    # The first solve fills the instance's lazy caches (candidate mask,
+    # sorted candidate sets, zone demands); only the second one is measured.
+    solve_cap(sparse_100k_instance, "grez-grec")
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        solve_cap(sparse_100k_instance, "grez-grec")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    peak_mib = (peak - baseline) / 2**20
+    assert peak_mib < PEAK_BOUND_MIB, f"GreZ-GreC transient peak {peak_mib:.2f} MiB"
