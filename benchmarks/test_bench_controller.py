@@ -1,6 +1,7 @@
 """Rebalance-controller benchmark: control-plane epochs/sec per policy.
 
-``RebalanceController`` runs its epochs through the churn engine's
+A :class:`~repro.dynamics.policies.RebalancePolicy` runs as the churn
+engine's policy, so the controller's epochs go through
 :class:`~repro.dynamics.engine.EpochSession` and its delta world advance.
 Two operating points are measured:
 
@@ -28,9 +29,10 @@ import pytest
 
 import repro.baselines  # noqa: F401  (registers the baseline solvers)
 from repro.dynamics.churn import ChurnSpec
-from repro.dynamics.controller import RebalanceController, RebalancePolicy
+from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.migration import MigrationCostModel
+from repro.dynamics.policies import RebalancePolicy
 from repro.experiments.config import config_from_label
 from repro.io.tables import format_table
 from repro.world.scenario import build_scenario
@@ -55,14 +57,14 @@ POLICIES = {
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_controller.json"
 
 
-def _controller(scenario, policy: RebalancePolicy) -> RebalanceController:
-    return RebalanceController(
+def _controller(scenario, policy: RebalancePolicy) -> ChurnSimulator:
+    return ChurnSimulator(
         scenario=scenario,
-        algorithm="grez-grec",
-        policy=policy,
+        algorithms=["grez-grec"],
         churn_spec=CHURN,
-        seed=1,
         migration_cost=MigrationCostModel(cost_per_client=1.0),
+        seed=1,
+        policy=policy,
     )
 
 
@@ -70,20 +72,22 @@ def _measure(scenario, num_epochs: int) -> dict:
     results = {}
     for name, policy in POLICIES.items():
         start = time.perf_counter()
-        trace = _controller(scenario, policy).run(num_epochs)
+        records = _controller(scenario, policy).run(num_epochs)
         elapsed = time.perf_counter() - start
         # The untimed replay checks every world advance against the rebuild
         # oracle and must reproduce the timed run's decisions.
         with checked_advances() as checked:
             replay = _controller(scenario, policy).run(num_epochs)
         assert checked == [True] * num_epochs
-        assert replay.steps == trace.steps
+        assert len(replay) == len(records)
+        assert all(map(ChurnSimulator.records_equal, replay, records))
+        actions = [r.action for r in records]
         results[name] = {
             "epochs_per_sec": num_epochs / elapsed,
-            "mean_pqos": trace.mean_pqos,
-            "rebalances": trace.num_rebalances,
-            "repairs": trace.num_repairs,
-            "migration_cost": trace.total_migration_cost,
+            "mean_pqos": sum(r.pqos_adopted for r in records) / len(records),
+            "rebalances": actions.count("rebalance"),
+            "repairs": actions.count("repair"),
+            "migration_cost": sum(r.migration_cost for r in records),
         }
     return results
 
@@ -136,13 +140,13 @@ def test_bench_controller_elastic_matches_rebuild_oracle(record):
     config = config_from_label(LABEL, correlation=0.0)
     scenario = build_scenario(config, seed=0)
     with checked_advances() as checked:
-        RebalanceController(
+        ChurnSimulator(
             scenario=scenario,
-            algorithm="grez-grec",
-            policy=RebalancePolicy(target_pqos=0.95),
+            algorithms=["grez-grec"],
             churn_spec=CHURN,
-            seed=9,
             server_churn_spec=ServerChurnSpec(num_joins=1, num_leaves=1, capacity_drift=0.05),
             migration_cost=MigrationCostModel(cost_per_client=1.0),
+            seed=9,
+            policy=RebalancePolicy(target_pqos=0.95),
         ).run(num_epochs=2)
     assert checked == [True, True]

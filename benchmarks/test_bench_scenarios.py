@@ -3,8 +3,8 @@
 Two guarantees back the scenario library:
 
 * **Chaos smoke** — every registered scenario (``SCENARIO_LIBRARY``) runs end
-  to end through all three engines (``ChurnSimulator``,
-  ``RebalanceController``, ``FederatedSimulator``) without raising, even when
+  to end through ``ChurnSimulator`` (under the default schedule and under a
+  ``RebalancePolicy``) and ``FederatedSimulator`` without raising, even when
   the disturbance makes the world infeasible, and the degraded pool drains
   back to zero by the end of the run (full recovery).
 * **Recovery is cheap** — graceful degradation is bookkeeping, not a solver
@@ -26,10 +26,10 @@ import pytest
 
 import repro.baselines  # noqa: F401  (registers the baseline solvers)
 from repro.dynamics.churn import ChurnSpec
-from repro.dynamics.controller import RebalanceController, RebalancePolicy
 from repro.dynamics.degradation import AdmissionPolicy
 from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.federation_engine import AGGREGATE_SHARD_ID, FederatedSimulator
+from repro.dynamics.policies import RebalancePolicy
 from repro.dynamics.scenarios import SCENARIO_LIBRARY
 from repro.experiments.config import config_from_label
 from repro.io.tables import format_table
@@ -96,18 +96,17 @@ def _chaos_one(scenario, config, name: str) -> dict:
     assert degraded[-1] == 0, (name, degraded)
     report = recovery_report(records, algorithm="grez-grec", tolerance=0.1)
 
-    controller = RebalanceController(
+    controlled = ChurnSimulator(
         scenario=scenario,
-        algorithm="grez-grec",
+        algorithms=["grez-grec"],
         churn_spec=CHAOS_CHURN,
-        policy=RebalancePolicy(),
         seed=7,
+        policy=RebalancePolicy(),
         scenario_timeline=name,
         admission_policy=admission,
-    )
-    trace = controller.run(CHAOS_CONTROLLER_EPOCHS)
-    assert len(trace.records) == CHAOS_CONTROLLER_EPOCHS, name
-    assert trace.records[-1].clients_degraded == 0, name
+    ).run(CHAOS_CONTROLLER_EPOCHS)
+    assert len(controlled) == CHAOS_CONTROLLER_EPOCHS, name
+    assert controlled[-1].clients_degraded == 0, name
 
     federation = build_federation(config, num_shards=CHAOS_SHARDS, seed=5)
     federated = FederatedSimulator(

@@ -36,7 +36,7 @@ import repro.baselines  # noqa: F401  (registers the baseline solvers)
 import repro.core.grec as grec
 import repro.core.grez as grez
 from repro.core.assignment import zone_server_loads
-from repro.core.costs import initial_cost_matrix, refined_cost_columns
+from repro.core.costs import initial_cost_matrix, refined_cost_rows
 from repro.core.problem import CAPInstance
 from repro.core.regret import max_regret_assign
 from repro.core.registry import solve as registry_solve
@@ -80,7 +80,7 @@ def _solver_inputs(label: str):
             "fallback": "least_loaded",
         },
         "client_stage": {
-            "desirability": -refined_cost_columns(instance, zones.zone_to_server, helped),
+            "desirability": -refined_cost_rows(instance, zones.zone_to_server, helped).T,
             "demands": 2.0 * instance.client_demands[helped],
             "capacities": instance.server_capacities,
             "initial_loads": zone_server_loads(instance, zones.zone_to_server),

@@ -3,10 +3,12 @@
 
 Re-executing GreZ-GreC restores interactivity after churn (Table 3), but every
 re-execution migrates zones between servers — an operationally disruptive,
-bandwidth-hungry event.  This example uses :class:`repro.dynamics.RebalanceController`
-to compare trigger policies over a sustained churn workload, and finishes with a
-local-search refinement pass (:func:`repro.core.refine_assignment`) to show how
-much headroom is left beyond the one-pass greedy heuristic.
+bandwidth-hungry event.  This example runs the churn engine
+(:class:`repro.dynamics.ChurnSimulator`) under several
+:class:`repro.dynamics.RebalancePolicy` triggers to compare them over a
+sustained churn workload, and finishes with a local-search refinement pass
+(:func:`repro.core.refine_assignment`) to show how much headroom is left
+beyond the one-pass greedy heuristic.
 
 Run with:  python examples/rebalancing_policies.py
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from repro import CAPInstance, DVEConfig, build_scenario, solve_cap
 from repro.core import refine_assignment
-from repro.dynamics import ChurnSpec, RebalanceController, RebalancePolicy
+from repro.dynamics import ChurnSimulator, ChurnSpec, RebalancePolicy
 from repro.io.ascii_plot import sparkline
 from repro.io.tables import format_table
 
@@ -37,21 +39,23 @@ def compare_policies() -> None:
 
     rows = []
     for name, policy in POLICIES.items():
-        trace = RebalanceController(
+        records = ChurnSimulator(
             scenario=scenario,
-            algorithm="grez-grec",
-            policy=policy,
+            algorithms=["grez-grec"],
             churn_spec=CHURN,
             seed=17,
+            policy=policy,
         ).run(num_epochs=EPOCHS)
+        pqos = [r.pqos_adopted for r in records]
+        actions = [r.action for r in records]
         rows.append(
             [
                 name,
-                trace.mean_pqos,
-                min(trace.pqos_series()),
-                trace.num_repairs,
-                trace.num_rebalances,
-                sparkline(trace.pqos_series(), lo=0.7, hi=1.0),
+                sum(pqos) / len(pqos),
+                min(pqos),
+                actions.count("repair"),
+                actions.count("rebalance"),
+                sparkline(pqos, lo=0.7, hi=1.0),
             ]
         )
     print(

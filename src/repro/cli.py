@@ -19,7 +19,9 @@ runnable as ``python -m repro``.  Six sub-commands:
 
 The three engine commands (``simulate``, ``loadgen``, ``federate``) register
 their shared flags from one table and turn them into a world config plus
-engine keywords in one validation step (:func:`_engine_options`).
+engine keywords in one validation step (:func:`_engine_options`).  Every
+command but ``list`` validates its inputs before any work starts; a bad
+value prints one ``error:`` line and exits with status 2.
 """
 
 from __future__ import annotations
@@ -460,15 +462,15 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        _check_algorithms(args.algorithms)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config = apply_delay_backend(
+def _solve_options(args: argparse.Namespace) -> DVEConfig:
+    """Validate ``solve``'s flags (config label, solver names); return its world config."""
+    _check_algorithms(args.algorithms)
+    return apply_delay_backend(
         config_from_label(args.config, correlation=args.correlation), args.delay_backend
     )
+
+
+def _cmd_solve(args: argparse.Namespace, config: DVEConfig) -> int:
     scenario = build_scenario(config, seed=args.seed)
     instance = CAPInstance.from_scenario(scenario, delay_bound=args.delay_bound_ms)
     print(format_kv(scenario.summary(), title="Scenario"))
@@ -999,7 +1001,17 @@ def _cmd_federate(args: argparse.Namespace, options: _EngineOptions) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _experiment_options(args: argparse.Namespace) -> ExperimentConfig:
+    """Validate ``experiment``'s flags (``--runs >= 1``); return its run config."""
+    return ExperimentConfig(
+        num_runs=args.runs,
+        seed=args.seed,
+        workers=args.workers,
+        delay_backend=args.delay_backend,
+    )
+
+
+def _cmd_experiment(args: argparse.Namespace, config: ExperimentConfig) -> int:
     spec = get_experiment(args.experiment_id)
     if args.workers is not None and not spec.supports_workers:
         print(f"note: experiment {spec.experiment_id!r} always runs serially; --workers ignored")
@@ -1008,12 +1020,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             f"note: experiment {spec.experiment_id!r} has no federated shards; "
             "--shard-workers ignored"
         )
-    config = ExperimentConfig(
-        num_runs=args.runs,
-        seed=args.seed,
-        workers=args.workers,
-        delay_backend=args.delay_backend,
-    )
     extra = {}
     if args.shard_workers is not None and spec.supports_shard_workers:
         extra["shard_workers"] = args.shard_workers
@@ -1022,12 +1028,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The engine commands: each takes its arguments and the validated
-#: ``(config, engine keywords)`` of :func:`_engine_options`.
-_ENGINE_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "loadgen": _cmd_loadgen,
-    "federate": _cmd_federate,
+#: Every command but ``list``: its validation step, which raises
+#: ``ValueError`` on any bad input before work starts, and its runner, which
+#: takes the arguments and what the validation step returned.
+_COMMANDS = {
+    "solve": (_solve_options, _cmd_solve),
+    "experiment": (_experiment_options, _cmd_experiment),
+    "simulate": (_engine_options, _cmd_simulate),
+    "loadgen": (_engine_options, _cmd_loadgen),
+    "federate": (_engine_options, _cmd_federate),
 }
 
 
@@ -1040,16 +1049,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if args.command == "list":
         return _cmd_list()
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
+    check, run = _COMMANDS[args.command]
     try:
-        options = _engine_options(args)
+        options = check(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _ENGINE_COMMANDS[args.command](args, options)
+    return run(args, options)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,7 +25,6 @@ from repro.utils.chunks import row_chunks
 __all__ = [
     "initial_cost_matrix",
     "refined_cost_matrix",
-    "refined_cost_columns",
     "refined_cost_rows",
     "refined_cost_candidates",
     "delays_to_targets",
@@ -74,13 +73,11 @@ def initial_cost_matrix(instance: CAPInstance) -> np.ndarray:
     return per_zone.T
 
 
-def refined_cost_matrix(instance: CAPInstance, zone_to_server: np.ndarray) -> np.ndarray:
-    """Refined-assignment cost matrix ``C^R`` of shape (num_servers, num_clients).
+def _checked_indices(instance: CAPInstance, zone_to_server, clients=None):
+    """``(zone_to_server, clients)`` as int64 arrays, rejecting bad shapes and ids.
 
-    ``C^R[i, j]`` measures how far client ``j``'s communication delay would be
-    above the bound ``D`` if server ``i`` were chosen as its contact server,
-    given the zone→server map ``zone_to_server`` from the initial phase
-    (0 when within the bound).
+    ``clients`` is optional (``None`` passes through); when given it must be
+    a 1-D array of client indices.
     """
     zone_to_server = np.asarray(zone_to_server, dtype=np.int64)
     if zone_to_server.shape != (instance.num_zones,):
@@ -91,6 +88,25 @@ def refined_cost_matrix(instance: CAPInstance, zone_to_server: np.ndarray) -> np
         zone_to_server.min() < 0 or zone_to_server.max() >= instance.num_servers
     ):
         raise ValueError("zone_to_server contains invalid server indices")
+    if clients is None:
+        return zone_to_server, None
+    clients = np.asarray(clients, dtype=np.int64)
+    if clients.ndim != 1:
+        raise ValueError("clients must be a 1-D index array")
+    if clients.size and (clients.min() < 0 or clients.max() >= instance.num_clients):
+        raise ValueError("clients contains invalid client indices")
+    return zone_to_server, clients
+
+
+def refined_cost_matrix(instance: CAPInstance, zone_to_server: np.ndarray) -> np.ndarray:
+    """Refined-assignment cost matrix ``C^R`` of shape (num_servers, num_clients).
+
+    ``C^R[i, j]`` measures how far client ``j``'s communication delay would be
+    above the bound ``D`` if server ``i`` were chosen as its contact server,
+    given the zone→server map ``zone_to_server`` from the initial phase
+    (0 when within the bound).
+    """
+    zone_to_server, _ = _checked_indices(instance, zone_to_server)
     targets = zone_to_server[instance.client_zones]  # (k,)
     # total_delay[i, j] = d(c_j, s_i) + d(s_i, target_j).  This is the one
     # cost that is inherently (m, k)-dense; compact instances materialise
@@ -107,31 +123,22 @@ def refined_cost_rows(
 ) -> np.ndarray:
     """Refined-cost rows ``C^R.T[clients]`` of shape (len(clients), num_servers).
 
-    The transpose of :func:`refined_cost_columns`, built *row-major*: the
-    delay gather (``delay_rows``) already returns one contiguous row per
-    client, so accumulating the mesh legs and the bound in place keeps every
-    pass contiguous — no (num_servers, len(clients)) strided write.  GreC
-    hands the transposed view straight to the vectorized placement engine,
-    whose per-item gathers want exactly this layout.
+    Equal to ``refined_cost_matrix(instance, zone_to_server)[:, clients].T``
+    without materialising the dense (num_servers, num_clients) matrix first —
+    GreC only ever needs the clients that miss the bound directly (the
+    paper's list ``L_E``), which on large populations is a small fraction of
+    the whole matrix.  Built *row-major*: the delay gather (``delay_rows``)
+    already returns one contiguous row per client, so accumulating the mesh
+    legs and the bound in place keeps every pass contiguous — no
+    (num_servers, len(clients)) strided write.  GreC hands the transposed
+    view straight to the vectorized placement engine, whose per-item gathers
+    want exactly this layout.
     """
-    zone_to_server = np.asarray(zone_to_server, dtype=np.int64)
-    if zone_to_server.shape != (instance.num_zones,):
-        raise ValueError(
-            f"zone_to_server must have shape ({instance.num_zones},), got {zone_to_server.shape}"
-        )
-    if zone_to_server.size and (
-        zone_to_server.min() < 0 or zone_to_server.max() >= instance.num_servers
-    ):
-        raise ValueError("zone_to_server contains invalid server indices")
-    clients = np.asarray(clients, dtype=np.int64)
-    if clients.ndim != 1:
-        raise ValueError("clients must be a 1-D index array")
-    if clients.size and (clients.min() < 0 or clients.max() >= instance.num_clients):
-        raise ValueError("clients contains invalid client indices")
+    zone_to_server, clients = _checked_indices(instance, zone_to_server, clients)
     targets = zone_to_server[instance.client_zones[clients]]  # (len(clients),)
-    # total[j, i] = d(c_j, s_i) + d(s_i, target_j); same operand order as the
-    # column form (delays first, mesh leg second), so the sums are bitwise
-    # equal to refined_cost_columns' transposed.
+    # total[j, i] = d(c_j, s_i) + d(s_i, target_j); same operand order as
+    # refined_cost_matrix (delays first, mesh leg second), so the sums are
+    # bitwise equal to its transposed columns.
     total_delay = instance.delay_rows(clients)  # fresh, writable, row-major
     # Gather the targets' mesh columns (m x len(clients)) rather than
     # transposing the whole m x m mesh: the exhaustion fall-through calls this
@@ -161,20 +168,7 @@ def refined_cost_candidates(
         return None
     if instance.client_server_delays.zone_candidates is None:
         return None
-    zone_to_server = np.asarray(zone_to_server, dtype=np.int64)
-    if zone_to_server.shape != (instance.num_zones,):
-        raise ValueError(
-            f"zone_to_server must have shape ({instance.num_zones},), got {zone_to_server.shape}"
-        )
-    if zone_to_server.size and (
-        zone_to_server.min() < 0 or zone_to_server.max() >= instance.num_servers
-    ):
-        raise ValueError("zone_to_server contains invalid server indices")
-    clients = np.asarray(clients, dtype=np.int64)
-    if clients.ndim != 1:
-        raise ValueError("clients must be a 1-D index array")
-    if clients.size and (clients.min() < 0 or clients.max() >= instance.num_clients):
-        raise ValueError("clients contains invalid client indices")
+    zone_to_server, clients = _checked_indices(instance, zone_to_server, clients)
     # A fresh (len(clients), K) gather of the true candidate delays.
     source = instance.client_server_delays
     servers, total_delay = source.candidate_rows(clients)
@@ -192,20 +186,6 @@ def refined_cost_candidates(
         total_delay[rows] += np.take(zone_leg, zones[rows], axis=0)
     total_delay -= instance.delay_bound
     return servers, np.maximum(total_delay, 0.0, out=total_delay)
-
-
-def refined_cost_columns(
-    instance: CAPInstance, zone_to_server: np.ndarray, clients: np.ndarray
-) -> np.ndarray:
-    """Refined-cost columns ``C^R[:, clients]`` of shape (num_servers, len(clients)).
-
-    Equal to ``refined_cost_matrix(instance, zone_to_server)[:, clients]``
-    without materialising the dense (num_servers, num_clients) matrix first —
-    GreC only ever needs the columns of the clients that miss the bound
-    directly (the paper's list ``L_E``), which on large populations is a small
-    fraction of the whole matrix.
-    """
-    return np.ascontiguousarray(refined_cost_rows(instance, zone_to_server, clients).T)
 
 
 def delays_to_targets(

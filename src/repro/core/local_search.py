@@ -331,115 +331,6 @@ def _refine_vectorized(
     return iterations
 
 
-# --------------------------------------------------------------------------- #
-# Incremental search — warm-start refinement with maintained accumulators.
-# --------------------------------------------------------------------------- #
-def _refine_incremental(
-    instance: CAPInstance,
-    zone_to_server: np.ndarray,
-    contacts: np.ndarray,
-    max_iterations: int,
-    consider_zone_moves: bool,
-    consider_contact_moves: bool,
-    delays: Optional[np.ndarray] = None,
-) -> int:
-    """Hill climber that maintains delays and loads across applied moves.
-
-    Same move selection as :func:`_refine_vectorized` (it reuses the same
-    neighbourhood scanners), but the per-client delay vector and the
-    per-server load accumulator are updated in place after each applied move
-    instead of being recomputed from the full assignment every iteration.
-    After a small churn batch only a few clients sit over the bound, so one
-    iteration costs ~O(over-bound clients × servers) instead of O(clients).
-
-    ``delays`` optionally seeds the maintained per-client delay vector (it
-    must equal ``delays_to_targets`` of the input arrays); it is mutated in
-    place, so on return the caller's array holds the refined assignment's
-    exact delay vector — every update writes the same two-term gather sum a
-    fresh recompute would, so the maintained vector stays bit-identical to
-    ``delays_to_targets`` of the final arrays.
-    """
-    zones_of = instance.client_zones
-    bound = instance.delay_bound
-    ssd = instance.server_server_delays
-
-    # Seeded once; maintained incrementally from here on.
-    if delays is None:
-        delays = delays_to_targets(instance, zone_to_server, contacts)
-    loads = server_loads(instance, zone_to_server, contacts)
-    targets = zone_to_server[zones_of]
-
-    within_matrix = excess_matrix = zone_demands = None
-    if consider_zone_moves:
-        within_matrix, excess_matrix = _zone_move_aggregates(instance)
-        zone_demands = instance.zone_demands()
-
-    iterations = 0
-    for _ in range(max_iterations):
-        within = delays <= bound
-        excess_vec = np.maximum(delays - bound, 0.0)
-        qos_count = int(within.sum())
-        excess_total = float(excess_vec.sum())
-
-        best = None  # (qos, excess, kind, index, server)
-        if consider_zone_moves:
-            move = _best_zone_move(
-                instance,
-                zone_to_server,
-                contacts,
-                loads,
-                within,
-                excess_vec,
-                qos_count,
-                excess_total,
-                within_matrix,
-                excess_matrix,
-            )
-            if move is not None:
-                best = (move[0], move[1], "zone", move[2], move[3])
-        if consider_contact_moves:
-            move = _best_contact_move(
-                instance,
-                zone_to_server,
-                contacts,
-                loads,
-                delays,
-                excess_vec,
-                qos_count,
-                excess_total,
-                incumbent=None if best is None else (best[0], best[1]),
-            )
-            if move is not None:
-                best = (move[0], move[1], "contact", move[2], move[3])
-
-        if best is None:
-            break
-        _, _, kind, index, server = best
-        if kind == "zone":
-            members = np.flatnonzero(zones_of == index)
-            old_server = int(zone_to_server[index])
-            forwarded = members[contacts[members] != old_server]
-            if forwarded.size:
-                np.subtract.at(loads, contacts[forwarded], 2.0 * instance.client_demands[forwarded])
-            loads[old_server] -= zone_demands[index]
-            loads[server] += zone_demands[index]
-            zone_to_server[index] = server
-            contacts[members] = server
-            targets[members] = server
-            delays[members] = instance.delay_pairs(members, server) + ssd[server, server]
-        else:
-            target = int(targets[index])
-            demand = 2.0 * instance.client_demands[index]
-            if int(contacts[index]) != target:
-                loads[int(contacts[index])] -= demand
-            if server != target:
-                loads[server] += demand
-            contacts[index] = server
-            delays[index] = instance.delay_pairs(index, server) + ssd[server, target]
-        iterations += 1
-    return iterations
-
-
 def _repair_contacts_sweep(
     instance: CAPInstance,
     zone_to_server: np.ndarray,
@@ -451,7 +342,7 @@ def _repair_contacts_sweep(
     """Batched contact repair: apply a whole sweep of improving moves at once.
 
     ``delays`` optionally seeds (and receives, mutated in place) the
-    maintained per-client delay vector — see :func:`_refine_incremental` for
+    maintained per-client delay vector — see :func:`warm_start_refine` for
     the bit-identity contract.
 
     Each sweep picks, for every over-bound client, its best *strictly
@@ -459,11 +350,12 @@ def _repair_contacts_sweep(
     resolves capacity contention per destination server with a prefix sum in
     client order (later claimants that would overflow wait for the next
     sweep, when the loads they freed elsewhere are also visible).  Sweeps
-    repeat until one applies nothing.  Unlike the best-first searches this
-    does not pick the globally best move per round — it trades that for
-    O(sweeps) vectorised scans instead of O(moves), which is what makes the
-    per-epoch repair cost of a longitudinal simulation proportional to the
-    churn, not to the population.  The objective still never worsens: every
+    repeat until one applies nothing.  Unlike the best-first
+    :func:`refine_assignment` this does not pick the globally best move per
+    round — it trades that for O(sweeps) vectorised scans instead of
+    O(moves), which is what makes the per-epoch repair cost of a
+    longitudinal simulation proportional to the churn, not to the
+    population.  The objective still never worsens: every
     applied move strictly reduces its client's delay.
     """
     zones_of = instance.client_zones
@@ -552,7 +444,7 @@ def _repair_zones_sweep(
     """Batched zone-move repair: one ``(over-bound zones, servers)`` scan per sweep.
 
     ``delays`` optionally seeds (and receives, mutated in place) the
-    maintained per-client delay vector — see :func:`_refine_incremental` for
+    maintained per-client delay vector — see :func:`warm_start_refine` for
     the bit-identity contract.
 
     Each sweep evaluates, for every zone with a member over the bound, the
@@ -677,54 +569,44 @@ def _repair_zones_sweep(
     return applied_total
 
 
-_WARM_START_MODES = ("best", "sweep")
-
-
 def warm_start_refine(
     instance: CAPInstance,
     assignment: Assignment,
     max_iterations: int = 200,
     consider_zone_moves: bool = False,
-    consider_contact_moves: bool = True,
-    mode: str = "best",
 ) -> LocalSearchResult:
     """Warm-start refinement: repair a carried-over assignment after churn.
 
-    Seeds the hill climber with the given assignment (typically the pre-churn
+    Seeds the repair with the given assignment (typically the pre-churn
     assignment carried over to the post-churn instance) and maintains
     per-server load and per-client delay accumulators across moves instead of
-    recomputing them every sweep.  With small churn only the handful of
-    clients pushed over the bound are scanned, so the repair costs roughly
-    O(changed clients × servers) — the cheap alternative to re-executing the
-    two-phase algorithm from scratch.
-
-    ``mode="best"`` applies the globally best improving move per round with
-    exactly the :func:`refine_assignment` move-acceptance semantics (the two
-    produce identical assignments from the same start).  ``mode="sweep"``
-    batches a whole sweep of improving moves between scans — the fast path
-    the simulation engine uses, at the cost of a move order that is greedy
-    per zone / client rather than globally best-first.
+    recomputing them every sweep.  Each sweep applies a whole batch of
+    improving moves between scans (:func:`_repair_contacts_sweep`), so with
+    small churn only the handful of clients pushed over the bound are
+    scanned and the repair costs roughly O(changed clients × servers) — the
+    cheap alternative to re-executing the two-phase algorithm from scratch.
+    The move order is greedy per zone / client rather than the globally
+    best-first order of :func:`refine_assignment`.
 
     Zone moves are off by default (re-hosting a zone is the expensive
     neighbourhood and, without infrastructure churn, rarely pays off for
-    small churn).  With ``consider_zone_moves=True``, ``mode="sweep"`` runs
-    the batched zone-move sweep (:func:`_repair_zones_sweep`) *before* the
-    contact sweep, which is what lets the warm-start policy recover hotspot
-    shifts and evacuated zones without a full re-execution.
-    ``capacity_exceeded`` on the result is recomputed against the instance
-    rather than inherited, so a repair that ends within capacity clears a
-    stale flag.
+    small churn).  With ``consider_zone_moves=True`` the batched zone-move
+    sweep (:func:`_repair_zones_sweep`) runs *before* the contact sweep,
+    which is what lets the warm-start policy recover hotspot shifts and
+    evacuated zones without a full re-execution.  ``max_iterations`` caps
+    the moves of both sweeps together.  ``capacity_exceeded`` on the result
+    is recomputed against the instance rather than inherited, so a repair
+    that ends within capacity clears a stale flag.
 
-    The refiner's incrementally maintained per-client delay vector (an
-    exact gather-sum at every update, so bit-identical to a fresh
-    ``client_delays`` recompute) is attached to the result by reference as a
+    The per-client delay vector is maintained in place across moves.  Every
+    update writes the same two-term gather sum a fresh recompute would, so
+    the maintained vector stays bit-identical to ``delays_to_targets`` of
+    the refined arrays.  It is attached to the result by reference as a
     measurement stash (:func:`repro.core.measures.attach_measures` — no
     copy, the array is frozen read-only), together with the freshly reduced
     server loads.  ``initial_pqos`` / ``final_pqos`` are exact
     count-over-population divisions, bit-identical to ``Assignment.pqos``.
     """
-    if mode not in _WARM_START_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_WARM_START_MODES}")
     zone_to_server = assignment.zone_to_server.copy()
     contacts = assignment.contact_of_client.copy()
     delays = delays_to_targets(instance, zone_to_server, contacts)
@@ -734,29 +616,14 @@ def warm_start_refine(
         initial_pqos = 1.0
 
     with Timer() as timer:
-        if mode == "sweep":
-            iterations = 0
-            if consider_zone_moves:
-                iterations += _repair_zones_sweep(
-                    instance, zone_to_server, contacts, max_iterations, delays=delays
-                )
-            if consider_contact_moves and iterations < max_iterations:
-                iterations += _repair_contacts_sweep(
-                    instance,
-                    zone_to_server,
-                    contacts,
-                    max_iterations - iterations,
-                    delays=delays,
-                )
-        else:
-            iterations = _refine_incremental(
-                instance,
-                zone_to_server,
-                contacts,
-                max_iterations,
-                consider_zone_moves,
-                consider_contact_moves,
-                delays=delays,
+        iterations = 0
+        if consider_zone_moves:
+            iterations += _repair_zones_sweep(
+                instance, zone_to_server, contacts, max_iterations, delays=delays
+            )
+        if iterations < max_iterations:
+            iterations += _repair_contacts_sweep(
+                instance, zone_to_server, contacts, max_iterations - iterations, delays=delays
             )
 
     final_loads = server_loads(instance, zone_to_server, contacts)

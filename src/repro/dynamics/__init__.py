@@ -4,21 +4,20 @@ Reproduces the paper's Table 3 experiment (join / leave / move churn with
 re-execution of the assignment algorithms) and extends it with repair
 policies, a multi-epoch churn simulator, elastic infrastructure churn
 (servers joining / leaving, capacity drift), a zone migration cost model,
-a migration-aware rebalance controller, a federated multi-shard engine
-with cross-shard capacity arbitration, and an incident scenario library
-(outages, flash crowds, diurnal waves, maintenance calendars, link
-degradation) with graceful degradation — admission control that sheds
-excess clients to a FIFO degraded pool instead of crashing on an
-infeasible world.
+a federated multi-shard engine with cross-shard capacity arbitration, and
+an incident scenario library (outages, flash crowds, diurnal waves,
+maintenance calendars, link degradation) with graceful degradation —
+admission control that sheds excess clients to a FIFO degraded pool
+instead of crashing on an infeasible world.
+
+The rebalance controller is a policy of the churn engine: pass a
+:class:`RebalancePolicy` as ``ChurnSimulator(policy=...)`` and every
+:class:`EpochRecord` carries the action it took (``none`` / ``repair`` /
+``rebalance``), the carried-over pQoS (``pqos_after``), the adopted pQoS
+(``pqos_adopted``) and the migration bill.
 """
 
 from repro.dynamics.churn import ChurnSpec, generate_churn
-from repro.dynamics.controller import (
-    RebalanceController,
-    RebalancePolicy,
-    RebalanceStep,
-    RebalanceTrace,
-)
 from repro.dynamics.engine import ChurnSimulator, EpochRecord, EpochSession, SimulationState
 from repro.dynamics.federation_engine import AGGREGATE_SHARD_ID, FederatedSimulator
 from repro.dynamics.infrastructure import (
@@ -38,6 +37,7 @@ from repro.dynamics.policies import (
     POLICY_ACTIONS,
     POLICY_NAMES,
     PolicySchedule,
+    RebalancePolicy,
     carry_over_assignment,
     incremental_reassign,
     make_policy,
@@ -89,16 +89,13 @@ __all__ = [
     "PolicySchedule",
     "POLICY_ACTIONS",
     "POLICY_NAMES",
+    "RebalancePolicy",
     "ChurnSimulator",
     "EpochRecord",
     "EpochSession",
     "SimulationState",
     "FederatedSimulator",
     "AGGREGATE_SHARD_ID",
-    "RebalanceController",
-    "RebalancePolicy",
-    "RebalanceStep",
-    "RebalanceTrace",
     "AdmissionPolicy",
     "AdmissionStats",
     "DegradedPool",

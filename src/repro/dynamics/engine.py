@@ -568,7 +568,6 @@ class ChurnSimulator:
                 lambda: warm_start_refine(
                     new_instance,
                     carried,
-                    mode="sweep",
                     consider_zone_moves=server_churn is not None,
                     max_iterations=max(200, new_instance.num_clients),
                 ).assignment,

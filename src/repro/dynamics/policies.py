@@ -291,6 +291,12 @@ class PolicySchedule:
 class RebalancePolicy:
     """Thresholds governing the rebalance controller's decision after each epoch.
 
+    Section 3.4 of the paper notes that "an obtained client assignment may
+    not be good after some time.  Thus, the proposed two-phase algorithm
+    needs to be executed again to ensure good client assignments" — but
+    leaves the trigger to the operator.  This policy is that trigger, run
+    by the churn engine: ``ChurnSimulator(policy=RebalancePolicy(...))``.
+
     Unlike a :class:`PolicySchedule`, the action depends on the live pQoS:
     :meth:`action_for_epoch` defers (returns ``None``) and the engine calls
     :meth:`action_after` once the carried-over ("after") pQoS is measured.

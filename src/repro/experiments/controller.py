@@ -1,8 +1,8 @@
 """Experiment (extension) — rebalance-controller policies under elastic churn.
 
 The paper leaves the re-execution trigger to the operator (Section 3.4); this
-driver compares concrete trigger policies of the engine-backed
-:class:`~repro.dynamics.controller.RebalanceController` over a sustained churn
+driver compares concrete :class:`~repro.dynamics.policies.RebalancePolicy`
+triggers, each run as the churn engine's policy, over a sustained churn
 workload with optional infrastructure churn, and prices every decision with a
 :class:`~repro.dynamics.migration.MigrationCostModel` — so each policy is
 scored on interactivity (mean / worst pQoS), operational effort (repairs and
@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.dynamics.churn import ChurnSpec
-from repro.dynamics.controller import RebalanceController, RebalancePolicy
+from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.migration import MigrationCostModel
+from repro.dynamics.policies import RebalancePolicy
 from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
 from repro.io.tables import format_table
 from repro.metrics.summary import AggregateStat, GroupedRunningStats
@@ -31,7 +32,6 @@ from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.world.scenario import build_scenario
 
 __all__ = [
-    "DEFAULT_CONTROLLER_POLICIES",
     "default_controller_policies",
     "ControllerResult",
     "run_controller",
@@ -55,9 +55,6 @@ def default_controller_policies(migration_budget: float = math.inf) -> Dict[str,
         ),
     }
 
-
-#: Backwards-compatible alias of the unbudgeted default ladder.
-DEFAULT_CONTROLLER_POLICIES: Dict[str, RebalancePolicy] = default_controller_policies()
 
 #: Per-metric keys aggregated across runs for every policy.
 _METRICS = (
@@ -120,21 +117,23 @@ def _execute_controller_run(task) -> GroupedRunningStats:
     sim_seed = int(sim_rng.integers(2**63))
     stats = GroupedRunningStats()
     for name, policy in policies:
-        trace = RebalanceController(
+        records = ChurnSimulator(
             scenario=scenario,
-            algorithm=algorithm,
-            policy=policy,
+            algorithms=[algorithm],
             churn_spec=churn,
-            seed=sim_seed,
             server_churn_spec=server_churn,
             migration_cost=migration_cost,
+            seed=sim_seed,
+            policy=policy,
         ).run(num_epochs)
-        stats.add((name, "mean_pqos"), trace.mean_pqos)
-        stats.add((name, "worst_pqos"), min(trace.pqos_series()))
-        stats.add((name, "repairs"), float(trace.num_repairs))
-        stats.add((name, "rebalances"), float(trace.num_rebalances))
-        stats.add((name, "clients_migrated"), float(trace.total_clients_migrated))
-        stats.add((name, "migration_cost"), trace.total_migration_cost)
+        adopted = [r.pqos_adopted for r in records]
+        actions = [r.action for r in records]
+        stats.add((name, "mean_pqos"), sum(adopted) / len(adopted))
+        stats.add((name, "worst_pqos"), min(adopted))
+        stats.add((name, "repairs"), float(actions.count("repair")))
+        stats.add((name, "rebalances"), float(actions.count("rebalance")))
+        stats.add((name, "clients_migrated"), float(sum(r.clients_migrated for r in records)))
+        stats.add((name, "migration_cost"), sum(r.migration_cost for r in records))
     return stats
 
 
@@ -157,7 +156,7 @@ def run_controller(
     By default the churn is the paper's Table 3 batch plus mild
     infrastructure churn (one server joining and one leaving per epoch with
     5 % capacity drift) and a unit-cost migration model, so the budgeted
-    policy in :data:`DEFAULT_CONTROLLER_POLICIES` has something to trade
+    policy of :func:`default_controller_policies` has something to trade
     against; pass ``server_churn=ServerChurnSpec()`` /
     ``migration_cost=MigrationCostModel()`` explicitly for the classic
     fixed-fleet, free-migration setting.

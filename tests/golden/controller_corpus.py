@@ -1,12 +1,14 @@
 """Golden digests of the rebalance controller's record and decision streams.
 
-Each run drives :class:`~repro.dynamics.controller.RebalanceController` over a
-small world and hashes two streams with sha256:
+Each run drives a single-algorithm :class:`~repro.dynamics.engine.ChurnSimulator`
+under a :class:`~repro.dynamics.policies.RebalancePolicy` over a small world
+and hashes two streams of its records with sha256:
 
 * ``records`` — every epoch's :data:`~repro.dynamics.engine.EpochRecord.SCENARIO_FIELDS`
   row;
-* ``steps`` — every epoch's ``(action, pqos_stale, pqos_final, zones_migrated,
-  clients_migrated, migration_cost, freeze_ms)``.
+* ``steps`` — every epoch's ``(action, pqos_after, pqos_adopted,
+  zones_migrated, clients_migrated, migration_cost, freeze_ms)``, with
+  ``freeze_ms`` priced by the run's migration model.
 
 The grid is the :func:`~repro.experiments.controller.default_controller_policies`
 ladder plus a periodic, a budget-0 eager and a budget-0 repair-first policy,
@@ -32,10 +34,10 @@ from pathlib import Path
 from typing import Dict, Iterable
 
 from repro.dynamics.churn import ChurnSpec
-from repro.dynamics.controller import RebalanceController, RebalancePolicy
-from repro.dynamics.engine import EpochRecord
+from repro.dynamics.engine import ChurnSimulator, EpochRecord
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.migration import MigrationCostModel
+from repro.dynamics.policies import RebalancePolicy
 from repro.experiments.controller import default_controller_policies
 from repro.world.scenario import build_scenario
 from tests.conftest import make_small_config
@@ -106,31 +108,31 @@ def run_digests(setting: str, policy_name: str, seed: int) -> Dict[str, str]:
     """``{"records": sha256, "steps": sha256}`` of one controller run."""
     server_churn, migration, timeline = SETTINGS[setting]
     scenario = build_scenario(make_small_config(), seed=seed)
-    trace = RebalanceController(
+    records = ChurnSimulator(
         scenario=scenario,
-        algorithm="grez-grec",
-        policy=_policies(migration)[policy_name],
+        algorithms=["grez-grec"],
         churn_spec=CHURN,
-        seed=seed,
         server_churn_spec=server_churn,
         migration_cost=migration,
+        seed=seed,
+        policy=_policies(migration)[policy_name],
         scenario_timeline=timeline,
     ).run(NUM_EPOCHS)
     return {
         "records": _digest(
-            [getattr(r, name) for name in EpochRecord.SCENARIO_FIELDS] for r in trace.records
+            [getattr(r, name) for name in EpochRecord.SCENARIO_FIELDS] for r in records
         ),
         "steps": _digest(
             (
-                s.action,
-                s.pqos_stale,
-                s.pqos_final,
-                s.zones_migrated,
-                s.clients_migrated,
-                s.migration_cost,
-                s.freeze_ms,
+                r.action,
+                r.pqos_after,
+                r.pqos_adopted,
+                r.zones_migrated,
+                r.clients_migrated,
+                r.migration_cost,
+                migration.charge(r.zones_migrated, r.clients_migrated).freeze_ms,
             )
-            for s in trace.steps
+            for r in records
         ),
     }
 

@@ -74,9 +74,9 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "forwarded_fraction" in out
 
-    def test_solve_invalid_config_label(self):
-        with pytest.raises(ValueError):
-            main(["solve", "--config", "not-a-label"])
+    def test_solve_invalid_config_label(self, capsys):
+        assert main(["solve", "--config", "not-a-label"]) == 2
+        assert "cannot parse DVE configuration label" in capsys.readouterr().err
 
 
 class TestExperimentCommand:
@@ -550,6 +550,8 @@ class TestInputErrors:
             ["loadgen", "--joins", "-1"],
             *([command, "--algorithms", "nope"]
               for command in ("solve", "simulate", "loadgen", "federate")),
+            ["solve", "--config", "bogus"],
+            ["experiment", "figure4", "--runs", "0"],
             ["simulate", "--config", "bogus"],
             ["loadgen", "--config", "bogus"],
             ["federate", "--config", "bogus"],

@@ -10,7 +10,6 @@ from repro.core.costs import (
     initial_cost_matrix,
     qos_indicator,
     refined_cost_candidates,
-    refined_cost_columns,
     refined_cost_matrix,
     refined_cost_rows,
 )
@@ -69,13 +68,39 @@ class TestRefinedCostMatrix:
             refined_cost_matrix(tiny_instance, np.array([0, 1, 2, 9]))
 
 
+def bad_indices(instance, case: str):
+    """A ``(zone_to_server, clients)`` pair every refined-cost builder rejects."""
+    zone_to_server = np.arange(instance.num_zones) % instance.num_servers
+    clients = np.array([0])
+    if case == "short zone map":
+        zone_to_server = zone_to_server[:-1]
+    elif case == "server out of range":
+        zone_to_server[-1] = instance.num_servers
+    elif case == "client out of range":
+        clients = np.array([0, instance.num_clients])
+    elif case == "2-D clients":
+        clients = np.array([[0, 1]])
+    return zone_to_server, clients
+
+
+#: Each rejected case and the fragment of its error message.
+BAD_INDEX_CASES = {
+    "short zone map": "must have shape",
+    "server out of range": "invalid server indices",
+    "client out of range": "invalid client indices",
+    "2-D clients": "1-D index array",
+}
+
+
 class TestRefinedCostColumns:
+    """``refined_cost_rows(...).T`` is the column slice of the dense matrix."""
+
     def test_matches_full_matrix_slice(self, tiny_instance):
         zone_to_server = np.array([0, 1, 2, 0])
         full = refined_cost_matrix(tiny_instance, zone_to_server)
         for clients in ([6, 7], [0], [7, 2, 4], list(range(8))):
             clients = np.asarray(clients)
-            columns = refined_cost_columns(tiny_instance, zone_to_server, clients)
+            columns = refined_cost_rows(tiny_instance, zone_to_server, clients).T
             # Bit-wise equality: GreC's desirability must not change when the
             # dense matrix is no longer materialised.
             np.testing.assert_array_equal(columns, full[:, clients])
@@ -85,23 +110,18 @@ class TestRefinedCostColumns:
         zone_to_server = rng.integers(0, small_instance.num_servers, small_instance.num_zones)
         clients = rng.choice(small_instance.num_clients, size=17, replace=False)
         np.testing.assert_array_equal(
-            refined_cost_columns(small_instance, zone_to_server, clients),
+            refined_cost_rows(small_instance, zone_to_server, clients).T,
             refined_cost_matrix(small_instance, zone_to_server)[:, clients],
         )
 
     def test_empty_client_list(self, tiny_instance):
-        columns = refined_cost_columns(tiny_instance, np.array([0, 1, 2, 0]), np.array([], int))
+        columns = refined_cost_rows(tiny_instance, np.array([0, 1, 2, 0]), np.array([], int)).T
         assert columns.shape == (3, 0)
 
     def test_validation(self, tiny_instance):
-        with pytest.raises(ValueError):
-            refined_cost_columns(tiny_instance, np.array([0, 1]), np.array([0]))
-        with pytest.raises(ValueError):
-            refined_cost_columns(tiny_instance, np.array([0, 1, 2, 9]), np.array([0]))
-        with pytest.raises(ValueError):
-            refined_cost_columns(tiny_instance, np.array([0, 1, 2, 0]), np.array([99]))
-        with pytest.raises(ValueError):
-            refined_cost_columns(tiny_instance, np.array([0, 1, 2, 0]), np.array([[0, 1]]))
+        for case, message in BAD_INDEX_CASES.items():
+            with pytest.raises(ValueError, match=message):
+                refined_cost_rows(tiny_instance, *bad_indices(tiny_instance, case))
 
 
 class TestRefinedCostCandidates:
@@ -116,6 +136,12 @@ class TestRefinedCostCandidates:
         assert len(list(row_chunks(*costs.shape))) >= 3
         rows = refined_cost_rows(instance, zone_to_server, clients)
         np.testing.assert_array_equal(costs, np.take_along_axis(rows, servers, axis=1))
+
+    def test_validation(self):
+        instance = make_wide_sparse_instance()
+        for case, message in BAD_INDEX_CASES.items():
+            with pytest.raises(ValueError, match=message):
+                refined_cost_candidates(instance, *bad_indices(instance, case))
 
     def test_none_on_dense_instances(self, small_instance):
         zone_to_server = np.zeros(small_instance.num_zones, dtype=np.int64)

@@ -574,32 +574,27 @@ class TestWarmStartZoneSweep:
         from repro.core.local_search import warm_start_refine
 
         start = registry_solve(small_instance, "ranz-virc", seed=0)
-        result = warm_start_refine(
-            small_instance, start, mode="sweep", consider_zone_moves=True
-        )
+        result = warm_start_refine(small_instance, start, consider_zone_moves=True)
         assert result.final_pqos >= result.initial_pqos
 
     def test_zone_sweep_recovers_evacuated_hotspot(self, tiny_instance):
         """A deliberately bad zone map is repaired by zone moves alone."""
         from repro.core.assignment import Assignment
-        from repro.core.local_search import warm_start_refine
+        from repro.core.local_search import _repair_zones_sweep, warm_start_refine
 
         # Host every zone on server 0 — zones 1 and 2 are 300 ms away.
         zone_to_server = np.zeros(tiny_instance.num_zones, dtype=np.int64)
         contacts = np.zeros(tiny_instance.num_clients, dtype=np.int64)
-        bad = Assignment(zone_to_server=zone_to_server, contact_of_client=contacts)
-        repaired = warm_start_refine(
-            tiny_instance,
-            bad,
-            mode="sweep",
-            consider_zone_moves=True,
-            consider_contact_moves=False,
-        )
+        bad = Assignment(zone_to_server=zone_to_server.copy(), contact_of_client=contacts.copy())
+        assert _repair_zones_sweep(tiny_instance, zone_to_server, contacts, 200) > 0
+        # Zones 1 and 2 must have been re-hosted off server 0.
+        assert zone_to_server[1] == 1
+        assert zone_to_server[2] == 2
+        # The warm-start repair runs that zone sweep before its contact sweep.
+        repaired = warm_start_refine(tiny_instance, bad, consider_zone_moves=True)
         assert repaired.iterations > 0
         assert repaired.final_pqos > repaired.initial_pqos
-        # Zones 1 and 2 must have been re-hosted off server 0.
-        assert repaired.assignment.zone_to_server[1] == 1
-        assert repaired.assignment.zone_to_server[2] == 2
+        np.testing.assert_array_equal(repaired.assignment.zone_to_server, zone_to_server)
 
 
 class TestGrantRevokeGrantCycles:

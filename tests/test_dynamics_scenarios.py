@@ -15,13 +15,13 @@ import pytest
 
 import repro.baselines  # noqa: F401  (registers the baseline solvers)
 from repro.dynamics.churn import ChurnSpec
-from repro.dynamics.controller import RebalanceController, RebalancePolicy
 from repro.dynamics.degradation import AdmissionPolicy
 from repro.dynamics.engine import ChurnSimulator, EpochRecord
 
 records_equal = ChurnSimulator.records_equal
 from repro.dynamics.federation_engine import AGGREGATE_SHARD_ID, FederatedSimulator
 from repro.dynamics.infrastructure import ServerChurnSpec
+from repro.dynamics.policies import RebalancePolicy
 from repro.dynamics.scenarios import (
     MIN_GATED_CAPACITY_BPS,
     SCENARIO_LIBRARY,
@@ -318,18 +318,18 @@ class TestGracefulDegradation:
 
     def test_controller_runs_scenarios_without_raising(self):
         world = _scenario(total_capacity_mbps=40.0)
-        controller = RebalanceController(
+        records = ChurnSimulator(
             scenario=world,
-            algorithm="grez-grec",
+            algorithms=["grez-grec"],
             churn_spec=CHURN,
             policy=RebalancePolicy(),
             seed=7,
             scenario_timeline="regional-outage",
             admission_policy=AdmissionPolicy(patience_epochs=4),
-        )
-        trace = controller.run(10)
-        assert len(trace.records) == 10
-        degraded = [r.clients_degraded for r in trace.records]
+        ).run(10)
+        assert len(records) == 10
+        assert {r.policy for r in records} == {"controller"}
+        degraded = [r.clients_degraded for r in records]
         assert max(degraded) > 0
         assert degraded[-1] == 0
 

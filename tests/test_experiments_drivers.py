@@ -271,7 +271,7 @@ class TestDynamicsDriver:
 
 class TestControllerDriver:
     def test_small_run_structure(self):
-        from repro.dynamics.controller import RebalancePolicy
+        from repro.dynamics.policies import RebalancePolicy
         from repro.dynamics.infrastructure import ServerChurnSpec
         from repro.dynamics.migration import MigrationCostModel
         from repro.experiments.controller import format_controller, run_controller
@@ -337,7 +337,7 @@ class TestControllerDriver:
 
     def test_every_policy_replays_the_same_churn_stream(self):
         """Two identically-configured policies must see identical runs."""
-        from repro.dynamics.controller import RebalancePolicy
+        from repro.dynamics.policies import RebalancePolicy
         from repro.experiments.controller import run_controller
 
         twin = dict(target_pqos=0.9, repair_slack=0.05)
