@@ -31,11 +31,6 @@ Quickstart
 0.93
 """
 
-# On numpy 2.4 ``np.unique`` imports ``numpy.ma`` on its first call (~15 ms),
-# and every engine, federation and replication path calls it; load it with
-# the package so that cost is not paid inside the first epoch or replication.
-import numpy.ma  # noqa: F401
-
 from repro.core import (
     Assignment,
     CAPInstance,

@@ -46,6 +46,7 @@ from repro.core.assignment import Assignment, server_loads
 from repro.core.costs import delays_to_targets
 from repro.core.measures import attach_measures, measured_pqos
 from repro.core.problem import CAPInstance
+from repro.utils.distinct import sorted_distinct
 from repro.utils.scatter import scatter_add_2d
 from repro.utils.timing import Timer
 
@@ -495,7 +496,7 @@ def _repair_zones_sweep(
         if applied_total >= max_iterations:
             break
         over = delays > bound
-        zones = np.unique(zones_of[over])  # the only zones a move can improve
+        zones = sorted_distinct(zones_of[over])  # the only zones a move can improve
         if zones.size == 0:
             break
         zone_rows = np.full(num_zones, -1, dtype=np.int64)

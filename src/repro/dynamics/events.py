@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.utils.arena import EpochArena
+from repro.utils.distinct import sorted_distinct
 from repro.world.clients import ClientPopulation
 
 __all__ = ["ChurnBatch", "ChurnResult", "apply_churn"]
@@ -49,7 +50,11 @@ class ChurnBatch:
             raise ValueError("join_nodes and join_zones must be parallel arrays")
         if self.move_indices.shape != self.move_zones.shape:
             raise ValueError("move_indices and move_zones must be parallel arrays")
-        overlap = np.intersect1d(self.leave_indices, self.move_indices)
+        overlap = np.intersect1d(
+            sorted_distinct(self.leave_indices),
+            sorted_distinct(self.move_indices),
+            assume_unique=True,
+        )
         if overlap.size:
             raise ValueError(
                 f"clients {overlap.tolist()} cannot both move and leave in the same batch"

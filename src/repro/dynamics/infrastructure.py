@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.utils.distinct import sorted_distinct
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.world.servers import MBPS, ServerSet
 
@@ -228,8 +229,8 @@ def generate_server_churn(
     if spec.num_joins > 0:
         if num_nodes is None:
             raise ValueError("num_nodes is required to place joining servers")
-        occupied = np.unique(servers.nodes)
-        free = np.setdiff1d(np.arange(num_nodes, dtype=np.int64), occupied)
+        occupied = sorted_distinct(servers.nodes)
+        free = np.setdiff1d(np.arange(num_nodes, dtype=np.int64), occupied, assume_unique=True)
         pool = free if free.size >= spec.num_joins else np.arange(num_nodes, dtype=np.int64)
         join_nodes = join_rng.choice(pool, size=spec.num_joins, replace=pool.size < spec.num_joins)
         join_capacities = np.full(spec.num_joins, spec.join_capacity_mbps * MBPS)
@@ -266,7 +267,7 @@ def apply_server_churn(servers: ServerSet, batch: ServerChurnBatch) -> ServerChu
         batch.leave_indices.min() < 0 or batch.leave_indices.max() >= num_old
     ):
         raise ValueError(f"leave indices out of range for a fleet of {num_old}")
-    if np.unique(batch.leave_indices).size != batch.leave_indices.size:
+    if sorted_distinct(batch.leave_indices).size != batch.leave_indices.size:
         raise ValueError("leave indices must be distinct")
     if batch.num_leaves >= num_old and batch.num_joins == 0:
         raise ValueError("a server churn batch must leave at least one server in the fleet")

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.distinct import sorted_distinct
 from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:
@@ -176,7 +177,7 @@ class Topology:
             hi = self.edges.max(axis=1)
             if (lo == hi).any():
                 raise TopologyError("self-loop edges are not allowed")
-            if np.unique(lo * self.num_nodes + hi).size != self.num_edges:
+            if sorted_distinct(lo * self.num_nodes + hi).size != self.num_edges:
                 raise TopologyError("duplicate undirected edges are not allowed")
         if not np.isfinite(self.latencies).all():
             raise TopologyError("all edge latencies must be finite (got NaN or inf)")
@@ -205,7 +206,7 @@ class Topology:
         """Number of distinct AS / domain ids (1 when no domain labels exist)."""
         if self.node_domain is None:
             return 1
-        return int(np.unique(self.node_domain).size)
+        return int(sorted_distinct(self.node_domain).size)
 
     # ------------------------------------------------------------------ #
     # Construction helpers

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.topology.graph import Topology
+from repro.utils.distinct import sorted_distinct
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_probability
 
@@ -82,7 +83,7 @@ def place_servers(
         and topology.num_domains >= num_servers
     ):
         domains = rng.choice(
-            np.unique(topology.node_domain), size=num_servers, replace=False
+            sorted_distinct(topology.node_domain), size=num_servers, replace=False
         )
         nodes = np.array(
             [int(rng.choice(topology.domain_nodes(int(d)))) for d in domains],

@@ -24,6 +24,11 @@ is index-wrapped, and a failure re-raises as :class:`WorkerTaskError` carrying
 the failing task index and a serial-repro hint, chained to the original
 exception.
 
+The serial path never imports the parallel runtime: ``concurrent.futures``
+(and the ``multiprocessing`` machinery its process pool pulls in) loads on
+first parallel use, inside :meth:`Executor.ordered_map`, so serial runs do
+not pay for it.
+
 Determinism is the caller's contract: each task must carry its own
 pre-spawned RNG state (see :func:`repro.utils.rng.spawn_generators`), so the
 result of a task never depends on which worker runs it or in which order.
@@ -34,8 +39,6 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
@@ -164,6 +167,8 @@ class Executor:
     def _get_pool(self):
         with self._lock:
             if self._pool is None:
+                from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
                 cls = ThreadPoolExecutor if self.kind == "thread" else ProcessPoolExecutor
                 self._pool = cls(max_workers=self.workers)
             return self._pool
@@ -185,6 +190,8 @@ class Executor:
         if self.kind == "serial" or self.workers <= 1 or len(tasks) <= 1:
             yield from map(fn, tasks)
             return
+        from concurrent.futures.process import BrokenProcessPool
+
         if chunksize is None:
             effective = min(self.workers, len(tasks))
             chunksize = 1 if self.kind == "thread" else default_chunksize(len(tasks), effective)

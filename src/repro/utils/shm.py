@@ -18,15 +18,21 @@ mappings valid after an unlink, so workers that already attached are
 unaffected; attachments are cached per process (keyed by segment name) for
 the life of the process, which both avoids re-mapping per task and keeps the
 mapping alive for any outstanding array views.
+
+``multiprocessing.shared_memory`` is imported on first use — when a segment
+is created or attached — so importing this module (every ``import repro``
+does) costs serial runs nothing.
 """
 
 from __future__ import annotations
 
 import threading
-from multiprocessing import shared_memory
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from multiprocessing.shared_memory import SharedMemory
 
 __all__ = ["SharedArray"]
 
@@ -34,7 +40,7 @@ _ATTACH_LOCK = threading.Lock()
 _ATTACHED: Dict[str, "SharedArray"] = {}
 
 
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
+def _attach_untracked(name: str) -> SharedMemory:
     """Attach to an existing segment without resource-tracker registration.
 
     On 3.10–3.12 ``SharedMemory(name=...)`` registers the segment as if the
@@ -44,6 +50,8 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     suppress ``register`` for shared_memory during the attach (we hold
     ``_ATTACH_LOCK``, so the patch window is serialised).
     """
+    from multiprocessing import shared_memory
+
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13
@@ -73,6 +81,8 @@ class SharedArray:
     """
 
     def __init__(self, array: np.ndarray):
+        from multiprocessing import shared_memory
+
         array = np.ascontiguousarray(array)
         self.shape: Tuple[int, ...] = tuple(array.shape)
         self.dtype: str = np.dtype(array.dtype).str

@@ -30,6 +30,7 @@ from typing import Dict
 
 import numpy as np
 
+from repro.utils.distinct import sorted_distinct
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_probability
 
@@ -72,7 +73,7 @@ class RegionZoneMap:
 
         Every region receives either ``floor(n/r)`` or ``ceil(n/r)`` zones.
         """
-        regions = np.unique(np.asarray(regions, dtype=np.int64))
+        regions = sorted_distinct(np.asarray(regions, dtype=np.int64))
         if regions.size == 0:
             raise ValueError("at least one region is required")
         if num_zones < 1:
@@ -197,7 +198,7 @@ def correlated_zone_choice(
     # region so each group needs a single vectorised draw.
     if correlated.any():
         corr_idx = np.flatnonzero(correlated)
-        for region in np.unique(client_regions[corr_idx]):
+        for region in sorted_distinct(client_regions[corr_idx]):
             members = corr_idx[client_regions[corr_idx] == region]
             pref = region_map.zones_of_region(int(region))
             local = probs[pref]

@@ -37,6 +37,7 @@ from repro.topology.placement import (
     place_clients_clustered,
     place_clients_uniform,
 )
+from repro.utils.distinct import sorted_distinct
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.utils.validation import check_positive, check_probability
 from repro.world.correlation import RegionZoneMap, correlated_zone_choice
@@ -193,10 +194,10 @@ class ZoneSamplingPlan:
     def build(cls, topology: Topology, num_zones: int, spec: DistributionSpec):
         """Precompute the plan for one (topology, num_zones, spec) world."""
         if topology.node_domain is not None:
-            base = np.unique(topology.node_domain)
+            base = sorted_distinct(topology.node_domain)
         else:
             base = np.arange(topology.num_nodes)
-        all_regions = np.unique(np.asarray(base, dtype=np.int64))
+        all_regions = sorted_distinct(np.asarray(base, dtype=np.int64))
         all_regions.setflags(write=False)
         deal = all_regions[np.arange(num_zones) % all_regions.size]
         deal.setflags(write=False)
@@ -271,7 +272,7 @@ def sample_client_zones(
         )
     else:
         if topology.node_domain is not None:
-            all_regions = np.unique(topology.node_domain)
+            all_regions = sorted_distinct(topology.node_domain)
         else:
             all_regions = np.arange(topology.num_nodes)
         region_map = RegionZoneMap.balanced(num_zones, all_regions, seed=map_rng)

@@ -1,12 +1,17 @@
-"""Import-footprint guard: the engine paths run without networkx and SciPy.
+"""Import-footprint guard: the engine paths load only what they use.
 
 networkx backs only ``Topology.to_networkx`` and SciPy only the exact MILP
 baseline and ``Topology.adjacency_matrix``; ``import repro`` and every engine,
 federation, replication and CLI-engine path must neither need them nor load
-them lazily.  Each check runs in a fresh interpreter, so modules imported by
-the rest of the suite cannot mask a regression.  Nor may the engine steps be
-the first to import a numpy submodule: that cost would land inside the first
-epoch or replication.
+them lazily.  The serial paths must not load the parallel runtime either
+(``concurrent.futures``, ``multiprocessing``), nor ``numpy.ma``, which plain
+``np.unique`` pulls in on numpy 2.x.  Each check runs in a fresh interpreter,
+so modules imported by the rest of the suite cannot mask a regression.  Nor
+may the engine steps be the first to import a numpy submodule: that cost
+would land inside the first epoch or replication.
+
+The parallel runtime is imported on first parallel use; a last fresh
+interpreter runs each deferred path and checks it against its serial result.
 """
 
 from __future__ import annotations
@@ -83,7 +88,15 @@ else:
 )
 
 UNBLOCKED = (
-    IMPORTS
+    """
+import sys
+
+import numpy
+
+# numpy 1.x loads numpy.ma with numpy itself; then it is not ours to avoid.
+numpy_loads_ma = "numpy.ma" in sys.modules
+"""
+    + IMPORTS
     + """
 loaded_by_import = set(sys.modules)
 """
@@ -98,6 +111,68 @@ late = sorted(
     name for name in set(sys.modules) - loaded_by_import if name.split(".")[0] == "numpy"
 )
 assert not late, late
+parallel = sorted(
+    name for name in sys.modules if name.split(".")[0] in ("concurrent", "multiprocessing")
+)
+assert not parallel, parallel
+if not numpy_loads_ma:
+    masked = sorted(
+        name for name in sys.modules if name == "numpy.ma" or name.startswith("numpy.ma.")
+    )
+    assert not masked, masked
+"""
+)
+
+#: Each deferred parallel path, compared with its serial result: a 2-process
+#: ``ordered_map``, a 2-shard federated epoch on 2 shard workers, and a
+#: pickle round trip of an RTT matrix published to shared memory.
+PARALLEL = (
+    IMPORTS
+    + """
+import pickle
+
+import numpy as np
+
+from repro.dynamics.engine import ChurnSimulator, EpochRecord
+from repro.utils.pool import run_ordered
+
+def parallel_loaded():
+    return sorted(
+        name for name in sys.modules
+        if name.split(".")[0] in ("concurrent", "multiprocessing")
+    )
+
+assert not parallel_loaded(), parallel_loaded()
+
+tasks = list(range(-8, 8))
+assert run_ordered(abs, tasks, workers=2) == run_ordered(abs, tasks)
+assert "concurrent.futures.process" in sys.modules
+
+config = config_from_label("4s-8z-80c-60cp")
+
+def federated_epoch(shard_workers):
+    return FederatedSimulator(
+        world=build_federation(config, num_shards=2, seed=0),
+        algorithms=["grez-grec"],
+        seed=1,
+        shard_workers=shard_workers,
+    ).run(1)
+
+serial, threaded = federated_epoch(None), federated_epoch(2)
+assert len(serial) == len(threaded) == 3
+for a, b in zip(serial, threaded):
+    assert (a.shard_id, a.epoch, a.algorithm) == (b.shard_id, b.epoch, b.algorithm)
+    assert ChurnSimulator.records_equal(a, b, fields=EpochRecord.SCENARIO_FIELDS)
+
+model = build_scenario(config, seed=0).delay_model
+rtt = model.rtt.copy()
+model.share_rtt()
+try:
+    clone = pickle.loads(pickle.dumps(model))
+    assert np.array_equal(clone.rtt, rtt)
+finally:
+    model.unshare_rtt()
+assert "multiprocessing.shared_memory" in sys.modules
 """
 )
 
@@ -115,5 +190,9 @@ def test_engine_paths_run_with_networkx_and_scipy_blocked():
     _run(BLOCKED)
 
 
-def test_engine_paths_load_neither_networkx_nor_scipy():
+def test_engine_paths_load_no_optional_or_parallel_modules():
     _run(UNBLOCKED)
+
+
+def test_deferred_parallel_paths_match_serial():
+    _run(PARALLEL)

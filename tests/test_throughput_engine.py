@@ -22,7 +22,7 @@ from repro.dynamics.churn import ChurnSpec, generate_churn
 from repro.dynamics.engine import ChurnSimulator, EpochRecord
 from repro.dynamics.events import ChurnBatch, apply_churn
 from repro.dynamics.policies import carry_over_assignment
-from repro.experiments.loadgen import format_loadgen, run_loadgen
+from repro.experiments.loadgen import _percentile, format_loadgen, run_loadgen
 from repro.utils.arena import EpochArena
 from repro.world.distributions import ZoneSamplingPlan, sample_client_zones
 from repro.world.scenario import DVEConfig, build_scenario
@@ -259,3 +259,10 @@ class TestLoadgen:
             run_loadgen(self._simulator(), epochs=0)
         with pytest.raises(ValueError):
             run_loadgen(self._simulator(), epochs=1, warmup=-1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
+    @pytest.mark.parametrize("q", [50, 99])
+    def test_percentile_matches_numpy(self, n, q):
+        walls = np.random.default_rng(n).exponential(1e-3, size=n)
+        expected = np.percentile(walls, q)
+        assert _percentile(walls, q) == pytest.approx(expected, rel=1e-12, abs=0.0)

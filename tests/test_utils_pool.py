@@ -3,6 +3,8 @@ ordered mapping over serial / thread / process backends."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.utils.pool import (
@@ -144,6 +146,20 @@ class TestExecutor:
         finally:
             ex.shutdown()
         assert ex._pool is None
+
+    def test_dead_worker_raises_broken_pool_and_drops_it(self):
+        # The parallel runtime is imported on first use; the except clause
+        # that catches a dead worker must see the name bound.
+        from concurrent.futures.process import BrokenProcessPool
+
+        ex = Executor("process", workers=2)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                ex.run_ordered(os._exit, [3, 3])
+            assert ex._pool is None  # a fresh pool replaces the broken one
+            assert ex.run_ordered(_square, range(4)) == [0, 1, 4, 9]
+        finally:
+            ex.shutdown()
 
     def test_shared_executor_reuse_by_key(self):
         try:
