@@ -40,7 +40,6 @@ from repro.core import (
     assign_contacts_virtual,
     assign_zones_greedy,
     assign_zones_random,
-    available_algorithms,
     solve_cap,
     solve_cap_optimal,
     validate_assignment,
@@ -66,7 +65,6 @@ __all__ = [
     "assign_zones_greedy",
     "assign_contacts_virtual",
     "assign_contacts_greedy",
-    "available_algorithms",
     "solve_cap",
     "solve_cap_optimal",
     "validate_assignment",

@@ -41,7 +41,7 @@ from repro.core.registry import get_solver, solve as registry_solve, solver_name
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.degradation import AdmissionPolicy
 from repro.dynamics.engine import ChurnSimulator, EpochRecord
-from repro.dynamics.scenarios import SCENARIO_LIBRARY, build_timeline
+from repro.dynamics.scenarios import SCENARIO_LIBRARY, build_timeline, check_event_zones
 from repro.dynamics.federation_engine import AGGREGATE_SHARD_ID, FederatedSimulator
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.migration import MigrationCostModel
@@ -60,6 +60,7 @@ from repro.metrics import GroupedRunningStats, qos_report, resource_report
 from repro.topology.delay_backends import DEFAULT_DELAY_BACKEND, DELAY_BACKENDS
 from repro.utils.pool import ordered_map
 from repro.utils.rng import as_generator, spawn_generators
+from repro.utils.validation import check_positive
 from repro.world import build_scenario
 from repro.world.federation import build_federation
 from repro.world.scenario import DVEConfig
@@ -463,8 +464,10 @@ def _cmd_list() -> int:
 
 
 def _solve_options(args: argparse.Namespace) -> DVEConfig:
-    """Validate ``solve``'s flags (config label, solver names); return its world config."""
+    """Validate ``solve``'s flags (config label, solver names, delay bound); return its config."""
     _check_algorithms(args.algorithms)
+    if args.delay_bound_ms is not None:
+        check_positive(args.delay_bound_ms, "--delay-bound-ms")
     return apply_delay_backend(
         config_from_label(args.config, correlation=args.correlation), args.delay_backend
     )
@@ -554,6 +557,7 @@ def _engine_options(args: argparse.Namespace) -> _EngineOptions:
                 "--scenario drives the fleet itself and cannot be combined with --server-churn"
             )
         engine["scenario_timeline"] = build_timeline(args.scenario)
+        check_event_zones(engine["scenario_timeline"], config.num_zones)
         engine["admission_policy"] = AdmissionPolicy(patience_epochs=args.patience)
     if hasattr(args, "joins"):
         engine["churn_spec"] = ChurnSpec(

@@ -33,7 +33,6 @@ from repro.core.assignment import Assignment, ZoneAssignment, server_loads, zone
 from repro.core.costs import (
     delays_to_targets,
     initial_cost_matrix,
-    qos_indicator,
     refined_cost_matrix,
 )
 from repro.core.grec import assign_contacts_greedy
@@ -53,7 +52,6 @@ from repro.core.two_phase import (
     PAPER_ALGORITHMS,
     STANDARD_ALGORITHMS,
     TwoPhaseAlgorithm,
-    available_algorithms,
     solve_cap,
 )
 from repro.core.local_search import LocalSearchResult, refine_assignment, warm_start_refine
@@ -79,7 +77,6 @@ __all__ = [
     "initial_cost_matrix",
     "refined_cost_matrix",
     "delays_to_targets",
-    "qos_indicator",
     "assign_zones_random",
     "assign_zones_greedy",
     "assign_contacts_virtual",
@@ -90,7 +87,6 @@ __all__ = [
     "TwoPhaseAlgorithm",
     "PAPER_ALGORITHMS",
     "STANDARD_ALGORITHMS",
-    "available_algorithms",
     "solve_cap",
     "OptimalOptions",
     "OptimalityError",

@@ -28,7 +28,6 @@ __all__ = [
     "refined_cost_rows",
     "refined_cost_candidates",
     "delays_to_targets",
-    "qos_indicator",
 ]
 
 
@@ -210,11 +209,3 @@ def delays_to_targets(
     return instance.delay_pairs(clients, contacts) + instance.server_server_delays[
         contacts, targets
     ]
-
-
-def qos_indicator(instance: CAPInstance, delays: np.ndarray) -> np.ndarray:
-    """Boolean per-client indicator of meeting the delay bound ``D``."""
-    delays = np.asarray(delays, dtype=np.float64)
-    if delays.shape != (instance.num_clients,):
-        raise ValueError("delays must have one entry per client")
-    return delays <= instance.delay_bound

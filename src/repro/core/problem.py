@@ -152,7 +152,7 @@ class CAPInstance:
         return self.client_server_delays.toarray()
 
     # ------------------------------------------------------------------ #
-    # Derived quantities (cached — see invalidate_caches)
+    # Derived quantities (cached)
     # ------------------------------------------------------------------ #
     def zone_demands(self) -> np.ndarray:
         """Per-zone bandwidth demand ``R(z_j) = sum_{c in z_j} RT(c)`` (bits/s).
@@ -188,20 +188,6 @@ class CAPInstance:
                     cached.flags.writeable = False
                     object.__setattr__(self, "_zone_populations_cache", cached)
         return cached
-
-    def invalidate_caches(self) -> None:
-        """Drop the cached derived quantities.
-
-        Only needed if the instance's arrays were replaced through
-        ``object.__setattr__`` (the frozen dataclass blocks normal mutation);
-        the supported transformations (:meth:`with_delays`,
-        :meth:`with_delay_bound`, :meth:`apply_delta`) produce *new* instances
-        whose caches start empty — except :meth:`apply_server_delta`, which
-        deliberately carries the zone caches over because a server delta
-        cannot change them.
-        """
-        for key in ("_zone_demands_cache", "_zone_populations_cache"):
-            self.__dict__.pop(key, None)
 
     def clients_of_zone(self, zone: int) -> np.ndarray:
         """Indices of clients whose avatar is in ``zone``."""
@@ -299,7 +285,7 @@ class CAPInstance:
         """Construct without re-running ``__post_init__``.
 
         Internal fast path for :meth:`from_scenario_unchecked`,
-        :meth:`apply_delta` and :meth:`apply_server_delta`: the caller
+        :meth:`apply_delta` and :meth:`with_server_capacities`: the caller
         guarantees the arrays already have the right dtypes, shapes and value
         ranges (either carried over from a validated instance or validated as
         a delta).
@@ -314,47 +300,29 @@ class CAPInstance:
         object.__setattr__(instance, "num_zones", num_zones)
         return instance
 
+    # Kept, client-only, because the ledger's span tracer (bench/trace.py)
+    # wraps ``CAPInstance.apply_delta`` by name; the engine itself advances
+    # through the scenario delta layer and from_scenario_unchecked.
     def apply_delta(
         self,
         old_to_new: np.ndarray,
         join_delays: np.ndarray,
         client_zones: np.ndarray,
         client_demands: np.ndarray,
-        *,
-        server_old_to_new: Optional[np.ndarray] = None,
-        server_join_delays: Optional[np.ndarray] = None,
-        server_server_delays: Optional[np.ndarray] = None,
-        server_capacities: Optional[np.ndarray] = None,
     ) -> "CAPInstance":
-        """Post-churn instance from a churn delta, validating only the delta.
+        """Post-churn instance from a client churn delta, validating only the delta.
 
         Surviving clients' delay rows are sliced out of this instance through
         ``old_to_new`` (``-1`` marks leavers; survivors keep their original
         relative order) and the joining clients' rows are appended after them,
         exactly the layout :func:`repro.dynamics.events.apply_churn` produces.
 
-        **Invariant (client-only form):** when no server-delta arguments are
-        given, the server-side arrays, the delay bound and the zone count
-        carry over *by identity* — the new instance shares this instance's
-        ``server_server_delays`` / ``server_capacities`` objects.  That is
-        only sound because a client churn batch cannot touch the fleet: any
-        infrastructure change (servers joining / leaving, capacity drift)
-        MUST flow through :meth:`apply_server_delta` (or the combined form
-        below), which re-validates exactly the changed server-side entries.
-        Callers that mutated server arrays in place (unsupported — the
-        dataclass is frozen for this reason) would silently corrupt every
-        downstream delta; the carried arrays were validated when this
-        instance was built, so the only checks here are O(churn × servers)
-        on the appended rows plus cheap O(clients) scans of the new zone /
-        demand vectors (demands can change for every client because they
-        depend on zone crowding).
-
-        **Combined client+server form:** passing the four ``server_*``
-        keyword arguments applies the server delta *first* (on the pre-churn
-        client set, via :meth:`apply_server_delta`) and the client delta
-        second; ``join_delays`` must then span the post-churn server set.
-        This is the one-call epoch update the simulation engine uses when
-        both populations churn.
+        The server-side arrays, the delay bound and the zone count carry over
+        *by identity*: a client churn batch cannot touch the fleet.  The
+        carried arrays were validated when this instance was built, so the
+        only checks here are O(churn × servers) on the appended rows plus
+        cheap O(clients) scans of the new zone / demand vectors (demands can
+        change for every client because they depend on zone crowding).
 
         Parameters
         ----------
@@ -362,13 +330,9 @@ class CAPInstance:
             ``(self.num_clients,)`` map from pre-churn to post-churn client
             index, ``-1`` for clients that left.
         join_delays:
-            ``(num_joins, num_post_churn_servers)`` delay rows of the joining
-            clients.
+            ``(num_joins, num_servers)`` delay rows of the joining clients.
         client_zones / client_demands:
             Full post-churn zone and demand vectors.
-        server_old_to_new / server_join_delays / server_server_delays / server_capacities:
-            Optional server delta, forwarded to :meth:`apply_server_delta`
-            (all four must be given together).
         """
         if not self.has_dense_delays:
             raise TypeError(
@@ -376,37 +340,19 @@ class CAPInstance:
                 "through the scenario delta layer (CompactDelayMatrix.with_clients) "
                 "and CAPInstance.from_scenario"
             )
-        server_args = (server_old_to_new, server_join_delays, server_server_delays,
-                       server_capacities)
-        if any(a is not None for a in server_args):
-            if any(a is None for a in server_args):
-                raise ValueError(
-                    "the combined delta needs all four server_* arguments "
-                    "(server_old_to_new, server_join_delays, server_server_delays, "
-                    "server_capacities)"
-                )
-            base = self.apply_server_delta(
-                old_to_new=server_old_to_new,
-                join_delays=server_join_delays,
-                server_server_delays=server_server_delays,
-                server_capacities=server_capacities,
-            )
-        else:
-            base = self
-
         old_to_new = np.asarray(old_to_new, dtype=np.int64)
         join_delays = np.atleast_2d(np.asarray(join_delays, dtype=np.float64))
         client_zones = np.asarray(client_zones, dtype=np.int64)
         client_demands = np.asarray(client_demands, dtype=np.float64)
 
-        if old_to_new.shape != (base.num_clients,):
+        if old_to_new.shape != (self.num_clients,):
             raise ValueError(
-                f"old_to_new must have shape ({base.num_clients},), got {old_to_new.shape}"
+                f"old_to_new must have shape ({self.num_clients},), got {old_to_new.shape}"
             )
         num_joins = 0 if join_delays.size == 0 else join_delays.shape[0]
-        if num_joins and join_delays.shape[1] != base.num_servers:
+        if num_joins and join_delays.shape[1] != self.num_servers:
             raise ValueError(
-                f"join_delays must have {base.num_servers} columns, got {join_delays.shape[1]}"
+                f"join_delays must have {self.num_servers} columns, got {join_delays.shape[1]}"
             )
         if num_joins and (join_delays < 0).any():
             raise ValueError("delays must be non-negative")
@@ -419,7 +365,7 @@ class CAPInstance:
             raise ValueError(
                 f"client_demands must have shape ({num_new},), got {client_demands.shape}"
             )
-        if client_zones.size and (client_zones.min() < 0 or client_zones.max() >= base.num_zones):
+        if client_zones.size and (client_zones.min() < 0 or client_zones.max() >= self.num_zones):
             raise ValueError("client_zones contains zone ids outside [0, num_zones)")
         if client_demands.size and (client_demands <= 0).any():
             raise ValueError("client demands must be strictly positive (RT(c) > 0)")
@@ -429,130 +375,20 @@ class CAPInstance:
                 "relative order (the layout apply_churn produces)"
             )
 
-        delays = np.empty((num_new, base.num_servers), dtype=np.float64)
-        delays[: survivors_old.size] = base.client_server_delays[survivors_old]
+        delays = np.empty((num_new, self.num_servers), dtype=np.float64)
+        delays[: survivors_old.size] = self.client_server_delays[survivors_old]
         if num_joins:
             delays[survivors_old.size:] = join_delays
 
         return CAPInstance._from_validated_arrays(
             client_server_delays=delays,
-            server_server_delays=base.server_server_delays,
+            server_server_delays=self.server_server_delays,
             client_zones=client_zones,
             client_demands=client_demands,
-            server_capacities=base.server_capacities,
-            delay_bound=base.delay_bound,
-            num_zones=base.num_zones,
-        )
-
-    def apply_server_delta(
-        self,
-        old_to_new: np.ndarray,
-        join_delays: np.ndarray,
-        server_server_delays: np.ndarray,
-        server_capacities: np.ndarray,
-    ) -> "CAPInstance":
-        """Post-infrastructure-churn instance, validating only the server delta.
-
-        The server-side mirror of :meth:`apply_delta`: surviving servers'
-        delay *columns* are gathered out of this instance through
-        ``old_to_new`` and the joining servers' columns are appended after
-        them, exactly the layout
-        :func:`repro.dynamics.infrastructure.apply_server_churn` produces.
-        Client-side arrays (zones, demands) carry over by identity, so the
-        cached per-zone demand / population aggregates stay valid and are
-        *carried over* to the new instance instead of being recomputed —
-        an infrastructure change cannot alter who is in which zone.
-
-        Validation is delta-only: O(clients × joins) on the appended columns,
-        O(servers²) on the replacement mesh and O(servers) on the new
-        capacities (capacity drift can change every entry, so the full
-        capacity vector is re-checked — it is tiny).
-
-        Parameters
-        ----------
-        old_to_new:
-            ``(self.num_servers,)`` map from pre-churn to post-churn server
-            index, ``-1`` for servers that left; survivors must keep their
-            original relative order.
-        join_delays:
-            ``(num_clients, num_server_joins)`` delay columns of the joining
-            servers.
-        server_server_delays:
-            Full post-churn inter-server mesh (its entries mix carried and
-            fresh values, and the matrix is small, so it is validated whole).
-        server_capacities:
-            Full post-churn capacity vector (drift can touch every entry).
-        """
-        if not self.has_dense_delays:
-            raise TypeError(
-                "apply_server_delta needs dense delay columns; compact instances "
-                "advance through the scenario delta layer "
-                "(CompactDelayMatrix.with_servers) and CAPInstance.from_scenario"
-            )
-        old_to_new = np.asarray(old_to_new, dtype=np.int64)
-        join_delays = np.asarray(join_delays, dtype=np.float64)
-        if join_delays.size == 0:
-            join_delays = join_delays.reshape(self.num_clients, 0)
-        server_server_delays = np.asarray(server_server_delays, dtype=np.float64)
-        server_capacities = np.asarray(server_capacities, dtype=np.float64)
-
-        if old_to_new.shape != (self.num_servers,):
-            raise ValueError(
-                f"old_to_new must have shape ({self.num_servers},), got {old_to_new.shape}"
-            )
-        num_joins = join_delays.shape[1] if join_delays.ndim == 2 else 0
-        if join_delays.ndim != 2 or join_delays.shape[0] != self.num_clients:
-            raise ValueError(
-                f"join_delays must have shape ({self.num_clients}, num_joins), "
-                f"got {join_delays.shape}"
-            )
-        if num_joins and (join_delays < 0).any():
-            raise ValueError("delays must be non-negative")
-
-        survivors_old = np.flatnonzero(old_to_new >= 0)
-        num_new = survivors_old.size + num_joins
-        if num_new < 1:
-            raise ValueError("a server delta must leave at least one server")
-        if not np.array_equal(old_to_new[survivors_old], np.arange(survivors_old.size)):
-            raise ValueError(
-                "old_to_new must map surviving servers to 0..num_survivors-1 in their "
-                "original relative order (the layout apply_server_churn produces)"
-            )
-        if server_server_delays.shape != (num_new, num_new):
-            raise ValueError(
-                f"server_server_delays must be ({num_new}, {num_new}), "
-                f"got {server_server_delays.shape}"
-            )
-        if (server_server_delays < 0).any():
-            raise ValueError("delays must be non-negative")
-        if server_capacities.shape != (num_new,):
-            raise ValueError(
-                f"server_capacities must have shape ({num_new},), got {server_capacities.shape}"
-            )
-        if (server_capacities <= 0).any():
-            raise ValueError("server capacities must be strictly positive")
-
-        delays = np.empty((self.num_clients, num_new), dtype=np.float64)
-        delays[:, : survivors_old.size] = self.client_server_delays[:, survivors_old]
-        if num_joins:
-            delays[:, survivors_old.size:] = join_delays
-
-        instance = CAPInstance._from_validated_arrays(
-            client_server_delays=delays,
-            server_server_delays=server_server_delays,
-            client_zones=self.client_zones,
-            client_demands=self.client_demands,
-            server_capacities=server_capacities,
+            server_capacities=self.server_capacities,
             delay_bound=self.delay_bound,
             num_zones=self.num_zones,
         )
-        # Cache maintenance: the per-zone aggregates depend only on the client
-        # arrays, which are shared with this instance — carry them over.
-        for key in ("_zone_demands_cache", "_zone_populations_cache"):
-            cached = self.__dict__.get(key)
-            if cached is not None:
-                object.__setattr__(instance, key, cached)
-        return instance
 
     def with_server_capacities(self, capacities: np.ndarray) -> "CAPInstance":
         """Capacity-only fleet change: same servers, different capacities.

@@ -29,7 +29,6 @@ __all__ = [
     "STANDARD_ALGORITHMS",
     "PAPER_ALGORITHMS",
     "solve_cap",
-    "available_algorithms",
 ]
 
 IAPSolver = Callable[[CAPInstance, SeedLike], ZoneAssignment]
@@ -113,11 +112,6 @@ STANDARD_ALGORITHMS: Dict[str, TwoPhaseAlgorithm] = {
 }
 
 
-def available_algorithms() -> list[str]:
-    """Names of the registered two-phase heuristics."""
-    return sorted(STANDARD_ALGORITHMS)
-
-
 def solve_cap(
     instance: CAPInstance,
     algorithm: str = "grez-grec",
@@ -131,7 +125,7 @@ def solve_cap(
     instance:
         The problem instance.
     algorithm:
-        Algorithm name (case-insensitive); one of :func:`available_algorithms`,
+        Algorithm name (case-insensitive); a key of :data:`STANDARD_ALGORITHMS`,
         e.g. ``"grez-grec"`` (the paper's best heuristic, the default).
     seed:
         RNG seed (only used by the RanZ-based algorithms).

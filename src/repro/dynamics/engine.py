@@ -910,9 +910,7 @@ class EpochSession:
 
         The batched fast path for throughput drivers: one Python call (and
         one result list) per ``k`` epochs instead of one generator resumption
-        per epoch.  Stops early at the session's last scheduled epoch; pair
-        with :meth:`repro.io.csvout.CsvAppender.append_rows` to flush the
-        returned records in one buffered write.
+        per epoch.  Stops early at the session's last scheduled epoch.
         """
         if k < 1:
             raise ValueError("k must be >= 1")

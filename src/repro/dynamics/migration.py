@@ -91,15 +91,6 @@ class MigrationCostModel:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    @property
-    def is_free(self) -> bool:
-        """True when this model charges nothing for any migration."""
-        return (
-            self.cost_per_client == 0.0
-            and self.freeze_ms_per_client == 0.0
-            and self.freeze_ms_per_zone == 0.0
-        )
-
     def charge(self, zones_migrated: int, clients_migrated: int) -> MigrationCharge:
         """Price a migration of ``zones_migrated`` zones / ``clients_migrated`` clients."""
         if zones_migrated == 0:

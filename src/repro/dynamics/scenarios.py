@@ -70,6 +70,7 @@ __all__ = [
     "ScenarioTimeline",
     "parse_scenario",
     "build_timeline",
+    "check_event_zones",
     "SCENARIO_LIBRARY",
     "EpochPlan",
     "ScenarioRuntime",
@@ -412,6 +413,21 @@ def build_timeline(
     return ScenarioTimeline(events=tuple(events))
 
 
+def check_event_zones(timeline: ScenarioTimeline, num_zones: int) -> None:
+    """Raise ``ValueError`` if an event targets a zone outside ``[0, num_zones)``.
+
+    The parser only knows zones are non-negative; the world's zone count is
+    known once the config is, so the CLI calls this before any work starts
+    and :class:`ScenarioRuntime` calls it on every scenario it is given.
+    """
+    for event in timeline.events:
+        zone = getattr(event, "zone", None)
+        if zone is not None and zone >= num_zones:
+            raise ValueError(
+                f"{event.kind} event targets zone {zone}, scenario has {num_zones} zones"
+            )
+
+
 # --------------------------------------------------------------------------- #
 # Runtime
 # --------------------------------------------------------------------------- #
@@ -482,14 +498,10 @@ class ScenarioRuntime:
                     )
             return anchors
 
+        check_event_zones(timeline, self._num_zones)
         self._event_data: List[Optional[np.ndarray]] = []
         for event in timeline.events:
             if isinstance(event, (OutageEvent, LinkDegradationEvent)):
-                if event.zone >= self._num_zones:
-                    raise ValueError(
-                        f"{event.kind} event targets zone {event.zone}, "
-                        f"scenario has {self._num_zones} zones"
-                    )
                 anchor = int(_anchors()[event.zone])
                 if isinstance(event, OutageEvent):
                     # Nearest servers to the anchor, ties by index; at least

@@ -18,7 +18,6 @@ from repro.experiments.config import (
     PAPER_TABLE1_LABELS,
     config_from_label,
     paper_default_config,
-    paper_table1_configs,
     parse_config_label,
 )
 from repro.experiments.runner import (
@@ -32,7 +31,6 @@ from repro.experiments.runner import (
 __all__ = [
     "parse_config_label",
     "config_from_label",
-    "paper_table1_configs",
     "paper_default_config",
     "PAPER_TABLE1_LABELS",
     "PAPER_SMALL_LABELS",

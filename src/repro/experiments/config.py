@@ -23,7 +23,6 @@ __all__ = [
     "PAPER_TABLE1_LABELS",
     "PAPER_DEFAULT_LABEL",
     "PAPER_SMALL_LABELS",
-    "paper_table1_configs",
     "paper_default_config",
 ]
 
@@ -144,11 +143,6 @@ def config_from_label(label: str, **overrides) -> DVEConfig:
     parsed = parse_config_label(label)
     parsed.update(overrides)
     return DVEConfig(**parsed)
-
-
-def paper_table1_configs(**overrides) -> Dict[str, DVEConfig]:
-    """The four Table 1 configurations, keyed by label."""
-    return {label: config_from_label(label, **overrides) for label in PAPER_TABLE1_LABELS}
 
 
 def paper_default_config(**overrides) -> DVEConfig:

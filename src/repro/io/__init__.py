@@ -1,16 +1,8 @@
 """Input/output helpers: plain-text tables, ASCII charts, CSV dumps and JSON serialisation."""
 
 from repro.io.ascii_plot import cdf_chart, line_chart, sparkline
-from repro.io.csvout import CsvAppender, rows_to_csv_text, write_csv
-from repro.io.serialization import (
-    assignment_from_dict,
-    assignment_to_dict,
-    config_from_dict,
-    config_to_dict,
-    dump_json,
-    load_json,
-    to_jsonable,
-)
+from repro.io.csvout import CsvAppender
+from repro.io.serialization import dump_json, load_json, to_jsonable
 from repro.io.tables import format_kv, format_table
 
 __all__ = [
@@ -19,14 +11,8 @@ __all__ = [
     "line_chart",
     "cdf_chart",
     "sparkline",
-    "write_csv",
-    "rows_to_csv_text",
     "CsvAppender",
     "to_jsonable",
     "dump_json",
     "load_json",
-    "assignment_to_dict",
-    "assignment_from_dict",
-    "config_to_dict",
-    "config_from_dict",
 ]

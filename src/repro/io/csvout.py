@@ -1,42 +1,18 @@
-"""CSV output helpers for experiment results.
+"""Streaming CSV output for the CLI's ``--csv`` record dumps.
 
-Every experiment driver can dump its result rows to CSV so that the series
-behind the paper's figures (delay CDFs, correlation sweeps, distribution-type
-sweeps) can be re-plotted with any external tool.
+The engine commands write one row per epoch record, so the series behind a
+run can be re-plotted with any external tool.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Optional, Sequence, Union
 
-__all__ = ["write_csv", "rows_to_csv_text", "CsvAppender"]
+__all__ = ["CsvAppender"]
 
 PathLike = Union[str, Path]
-
-
-def write_csv(
-    path: PathLike,
-    headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> Path:
-    """Write rows to a CSV file, creating parent directories as needed.
-
-    Returns the resolved path for convenience.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(headers))
-        for row in rows:
-            if len(row) != len(headers):
-                raise ValueError(
-                    f"row {row!r} has {len(row)} cells, expected {len(headers)}"
-                )
-            writer.writerow(list(row))
-    return target
 
 
 class CsvAppender:
@@ -52,9 +28,7 @@ class CsvAppender:
     buffer holds that many rows (and on exit), which keeps the per-row cost
     of a high-throughput epoch stream to one list append.  The file contents
     are byte-identical for any interval; the default of 1 preserves the
-    historical write-through behaviour.  :meth:`append_rows` is the batch
-    twin of :meth:`append`, pairing with
-    :meth:`repro.dynamics.engine.EpochSession.run_batch`.
+    historical write-through behaviour.
 
     >>> with CsvAppender("out.csv", ["epoch", "pqos"]) as out:   # doctest: +SKIP
     ...     for record in simulator.stream(1000):
@@ -90,20 +64,6 @@ class CsvAppender:
         if len(self._buffer) >= self.flush_interval:
             self.flush()
 
-    def append_rows(self, rows: Iterable[Sequence[object]]) -> None:
-        """Buffer many rows at once (each must match the header width)."""
-        if self._writer is None:
-            raise RuntimeError("CsvAppender must be used as a context manager")
-        width = len(self.headers)
-        buffer = self._buffer
-        for row in rows:
-            if len(row) != width:
-                raise ValueError(f"row {row!r} has {len(row)} cells, expected {width}")
-            buffer.append(row if isinstance(row, list) else list(row))
-            self.rows_written += 1
-        if len(buffer) >= self.flush_interval:
-            self.flush()
-
     def flush(self) -> None:
         """Write all buffered rows out to the underlying file."""
         if self._buffer:
@@ -116,13 +76,3 @@ class CsvAppender:
             self._handle.close()
             self._handle = None
             self._writer = None
-
-
-def rows_to_csv_text(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Render rows as CSV text (used by the CLI's ``--format csv``)."""
-    lines = [",".join(str(h) for h in headers)]
-    for row in rows:
-        if len(row) != len(headers):
-            raise ValueError(f"row {row!r} has {len(row)} cells, expected {len(headers)}")
-        lines.append(",".join(str(cell) for cell in row))
-    return "\n".join(lines)

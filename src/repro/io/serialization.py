@@ -1,8 +1,8 @@
-"""JSON serialisation of configurations, assignments and experiment results.
+"""JSON serialisation of experiment results.
 
-Keeps experiment outputs reproducible and auditable: a result file records the
-configuration, the seed, and every per-run metric, so a published number can
-be traced back to the exact inputs that produced it.
+Keeps benchmark artifacts reproducible and auditable: a result file records
+the configuration, the seed, and every per-run metric, so a published number
+can be traced back to the exact inputs that produced it.
 """
 
 from __future__ import annotations
@@ -14,18 +14,7 @@ from typing import Any, Union
 
 import numpy as np
 
-from repro.core.assignment import Assignment
-from repro.world.scenario import DVEConfig
-
-__all__ = [
-    "to_jsonable",
-    "dump_json",
-    "load_json",
-    "assignment_to_dict",
-    "assignment_from_dict",
-    "config_to_dict",
-    "config_from_dict",
-]
+__all__ = ["to_jsonable", "dump_json", "load_json"]
 
 PathLike = Union[str, Path]
 
@@ -60,50 +49,3 @@ def dump_json(obj: Any, path: PathLike, indent: int = 2) -> Path:
 def load_json(path: PathLike) -> Any:
     """Load a JSON file written by :func:`dump_json`."""
     return json.loads(Path(path).read_text())
-
-
-# ---------------------------------------------------------------------- #
-# Assignments
-# ---------------------------------------------------------------------- #
-def assignment_to_dict(assignment: Assignment) -> dict:
-    """Serialise an :class:`~repro.core.assignment.Assignment` to plain data."""
-    return {
-        "zone_to_server": assignment.zone_to_server.tolist(),
-        "contact_of_client": assignment.contact_of_client.tolist(),
-        "algorithm": assignment.algorithm,
-        "capacity_exceeded": bool(assignment.capacity_exceeded),
-        "runtime_seconds": float(assignment.runtime_seconds),
-        "metadata": to_jsonable(assignment.metadata),
-    }
-
-
-def assignment_from_dict(data: dict) -> Assignment:
-    """Inverse of :func:`assignment_to_dict`."""
-    return Assignment(
-        zone_to_server=np.asarray(data["zone_to_server"], dtype=np.int64),
-        contact_of_client=np.asarray(data["contact_of_client"], dtype=np.int64),
-        algorithm=data.get("algorithm", "unknown"),
-        capacity_exceeded=bool(data.get("capacity_exceeded", False)),
-        runtime_seconds=float(data.get("runtime_seconds", 0.0)),
-        metadata=dict(data.get("metadata", {})),
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Configurations
-# ---------------------------------------------------------------------- #
-def config_to_dict(config: DVEConfig) -> dict:
-    """Serialise a :class:`~repro.world.scenario.DVEConfig` (nested dataclasses included)."""
-    return to_jsonable(config)
-
-
-def config_from_dict(data: dict) -> DVEConfig:
-    """Inverse of :func:`config_to_dict`."""
-    from repro.topology.brite import BriteConfig  # local import to avoid cycles
-
-    payload = dict(data)
-    topology = payload.pop("topology", None)
-    config = DVEConfig(**payload) if topology is None else DVEConfig(
-        **payload, topology=BriteConfig(**topology)
-    )
-    return config

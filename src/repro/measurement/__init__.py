@@ -11,12 +11,7 @@ from repro.measurement.error import (
     ErrorModel,
     apply_multiplicative_error,
 )
-from repro.measurement.estimators import (
-    DelayEstimator,
-    idmaps_estimator,
-    king_estimator,
-    perfect_estimator,
-)
+from repro.measurement.estimators import DelayEstimator
 
 __all__ = [
     "ErrorModel",
@@ -25,7 +20,4 @@ __all__ = [
     "IDMAPS",
     "apply_multiplicative_error",
     "DelayEstimator",
-    "perfect_estimator",
-    "king_estimator",
-    "idmaps_estimator",
 ]

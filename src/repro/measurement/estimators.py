@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.problem import CAPInstance
-from repro.measurement.error import IDMAPS, KING, PERFECT, ErrorModel
+from repro.measurement.error import PERFECT, ErrorModel
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 
-__all__ = ["DelayEstimator", "king_estimator", "idmaps_estimator", "perfect_estimator"]
+__all__ = ["DelayEstimator"]
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,3 @@ class DelayEstimator:
             client_server_delays=estimated_cs,
             server_server_delays=estimated_ss,
         )
-
-
-def perfect_estimator() -> DelayEstimator:
-    """Estimator with perfect information (identity)."""
-    return DelayEstimator(PERFECT)
-
-
-def king_estimator() -> DelayEstimator:
-    """King-like estimator (error factor 1.2)."""
-    return DelayEstimator(KING)
-
-
-def idmaps_estimator() -> DelayEstimator:
-    """IDMaps-like estimator (error factor 2.0)."""
-    return DelayEstimator(IDMAPS)

@@ -20,7 +20,7 @@ Provides the Internet-like graphs on which the DVE's servers and clients live:
 
 from repro.topology.backbone import BackboneParams, us_backbone_topology
 from repro.topology.barabasi_albert import BarabasiAlbertParams, barabasi_albert_topology
-from repro.topology.brite import BriteConfig, generate_topology, paper_default_topology
+from repro.topology.brite import BriteConfig, generate_topology
 from repro.topology.coordinates import (
     DEFAULT_COORDS_DIM,
     NetworkCoordinates,
@@ -66,7 +66,6 @@ __all__ = [
     "hierarchical_topology",
     "BriteConfig",
     "generate_topology",
-    "paper_default_topology",
     "BackboneParams",
     "us_backbone_topology",
     "DelayModel",

@@ -21,7 +21,7 @@ from repro.topology.hierarchical import HierarchicalParams, hierarchical_topolog
 from repro.topology.waxman import WaxmanParams, waxman_topology
 from repro.utils.rng import SeedLike
 
-__all__ = ["BriteConfig", "generate_topology", "paper_default_topology"]
+__all__ = ["BriteConfig", "generate_topology"]
 
 _VALID_MODELS = ("hierarchical", "waxman", "barabasi-albert")
 
@@ -102,11 +102,3 @@ def generate_topology(config: BriteConfig | None = None, seed: SeedLike = None) 
         seed=seed,
         name=f"brite-ba-{config.num_nodes}",
     )
-
-
-def paper_default_topology(seed: SeedLike = None) -> Topology:
-    """The exact substrate described in the paper's Section 4.1.
-
-    500 nodes, 20 AS domains (Barabási–Albert) with 25 Waxman routers each.
-    """
-    return generate_topology(BriteConfig(), seed=seed)

@@ -99,19 +99,6 @@ class NetworkCoordinates:
         """Embedding dimension (excluding the height component)."""
         return int(self.positions.shape[1])
 
-    def predict_pairs(self, u_nodes: np.ndarray, v_nodes: np.ndarray) -> np.ndarray:
-        """Predicted RTTs for broadcast pairs of node indices (ms).
-
-        Pairs with ``u == v`` predict exactly zero, matching the RTT matrix's
-        zero diagonal.
-        """
-        u_nodes = np.asarray(u_nodes, dtype=np.int64)
-        v_nodes = np.asarray(v_nodes, dtype=np.int64)
-        diff = self.positions[u_nodes] - self.positions[v_nodes]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        predicted = dist + self.heights[u_nodes] + self.heights[v_nodes]
-        return np.where(u_nodes == v_nodes, 0.0, predicted)
-
     def predict_matrix(self, u_nodes: np.ndarray, v_nodes: np.ndarray) -> np.ndarray:
         """Predicted ``(len(u), len(v))`` RTT matrix between two node sets (ms)."""
         u_nodes = np.asarray(u_nodes, dtype=np.int64)

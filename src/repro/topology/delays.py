@@ -174,13 +174,6 @@ class DelayModel:
         np.fill_diagonal(mesh, 0.0)
         return mesh
 
-    def eccentricity(self, nodes: Optional[np.ndarray] = None) -> np.ndarray:
-        """Maximum RTT from each given node to any other node (diagnostics)."""
-        if nodes is None:
-            return self.rtt.max(axis=1)
-        nodes = self._check_nodes(nodes, "nodes")
-        return self.rtt[nodes].max(axis=1)
-
     # ------------------------------------------------------------------ #
     def _check_nodes(self, nodes: np.ndarray, name: str) -> np.ndarray:
         arr = np.asarray(nodes, dtype=np.int64)

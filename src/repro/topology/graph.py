@@ -368,16 +368,6 @@ class Topology:
     # ------------------------------------------------------------------ #
     # Misc
     # ------------------------------------------------------------------ #
-    def with_name(self, name: str) -> "Topology":
-        """Return a copy of this topology carrying a different name."""
-        return Topology(
-            positions=self.positions.copy(),
-            edges=self.edges.copy(),
-            latencies=self.latencies.copy(),
-            node_domain=None if self.node_domain is None else self.node_domain.copy(),
-            name=name,
-        )
-
     def summary(self) -> Dict[str, float]:
         """Small dict of descriptive statistics (used by the CLI)."""
         deg = self.degree()

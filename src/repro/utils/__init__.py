@@ -16,13 +16,12 @@ from repro.utils.pool import (
     shared_executor,
     shutdown_shared_executors,
 )
-from repro.utils.rng import as_generator, spawn_generators, derive_seed
+from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.shm import SharedArray
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
     check_probability,
-    check_array_shape,
     check_in_range,
 )
 from repro.utils.timing import Timer
@@ -40,11 +39,9 @@ __all__ = [
     "shutdown_shared_executors",
     "as_generator",
     "spawn_generators",
-    "derive_seed",
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "check_array_shape",
     "check_in_range",
     "Timer",
 ]

@@ -11,13 +11,13 @@ the streams are statistically independent and fully reproducible.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 SeedLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
-__all__ = ["SeedLike", "as_generator", "spawn_generators", "derive_seed"]
+__all__ = ["SeedLike", "as_generator", "spawn_generators"]
 
 
 def as_generator(seed: SeedLike = None) -> np.random.Generator:
@@ -69,49 +69,3 @@ def spawn_generators(seed: SeedLike, n: int) -> list[np.random.Generator]:
         return [np.random.default_rng(c) for c in seed.spawn(n)]
     base = np.random.SeedSequence(seed if seed is not None else None)
     return [np.random.default_rng(c) for c in base.spawn(n)]
-
-
-def derive_seed(seed: SeedLike, *labels: Union[int, str]) -> int:
-    """Deterministically derive a child integer seed from a base seed and labels.
-
-    This is used to give each sub-component of a scenario (topology, placement,
-    distribution, churn, ...) its own reproducible stream even when the caller
-    supplied only one top-level seed.
-    """
-    parts: list[int] = []
-    if isinstance(seed, np.random.Generator):
-        parts.append(int(seed.integers(0, 2**31 - 1)))
-    elif isinstance(seed, np.random.SeedSequence):
-        parts.extend(int(x) for x in seed.generate_state(2))
-    elif seed is None:
-        parts.append(0)
-    else:
-        parts.append(int(seed))
-    for label in labels:
-        if isinstance(label, str):
-            parts.append(abs(hash_label(label)))
-        else:
-            parts.append(int(label))
-    ss = np.random.SeedSequence(parts)
-    return int(ss.generate_state(1)[0])
-
-
-def hash_label(label: str) -> int:
-    """Stable (process-independent) 32-bit hash of a string label."""
-    h = 2166136261
-    for ch in label.encode("utf-8"):
-        h ^= ch
-        h = (h * 16777619) & 0xFFFFFFFF
-    return h
-
-
-def random_subset(
-    rng: np.random.Generator, items: Sequence[int], size: int, replace: bool = False
-) -> np.ndarray:
-    """Pick ``size`` items from ``items`` using ``rng`` (thin typed wrapper)."""
-    if size < 0:
-        raise ValueError("size must be non-negative")
-    arr = np.asarray(items)
-    if not replace and size > arr.size:
-        raise ValueError(f"cannot sample {size} items from {arr.size} without replacement")
-    return rng.choice(arr, size=size, replace=replace)

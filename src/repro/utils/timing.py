@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-__all__ = ["Timer", "time_call"]
+__all__ = ["Timer"]
 
 
 @dataclass
@@ -51,16 +51,3 @@ class Timer:
         self.elapsed = time.perf_counter() - self._start
         self._start = None
         return self.elapsed
-
-
-def time_call(func: Callable, *args, repeats: int = 1, **kwargs) -> tuple[float, object]:
-    """Call ``func`` ``repeats`` times, returning (best elapsed seconds, last result)."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = func(*args, **kwargs)
-        best = min(best, time.perf_counter() - start)
-    return best, result

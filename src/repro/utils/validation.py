@@ -7,17 +7,13 @@ as cryptic NumPy broadcasting errors deep inside an algorithm.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
 import numpy as np
 
 __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "check_array_shape",
     "check_in_range",
-    "check_integer_array",
 ]
 
 
@@ -47,28 +43,3 @@ def check_in_range(value: float, low: float, high: float, name: str) -> float:
     if not np.isfinite(value) or value < low or value > high:
         raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
     return float(value)
-
-
-def check_array_shape(array: np.ndarray, shape: Sequence[Any], name: str) -> np.ndarray:
-    """Validate the shape of ``array``.
-
-    ``shape`` entries may be ``None`` to accept any extent along that axis.
-    """
-    arr = np.asarray(array)
-    if arr.ndim != len(shape):
-        raise ValueError(f"{name} must have {len(shape)} dimensions, got shape {arr.shape}")
-    for axis, (actual, expected) in enumerate(zip(arr.shape, shape)):
-        if expected is not None and actual != expected:
-            raise ValueError(
-                f"{name} has shape {arr.shape}, expected extent {expected} along axis {axis}"
-            )
-    return arr
-
-
-def check_integer_array(array: np.ndarray, name: str) -> np.ndarray:
-    """Return ``array`` as an ``int64`` array, raising if it holds non-integers."""
-    arr = np.asarray(array)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        if not np.allclose(arr, np.round(arr)):
-            raise ValueError(f"{name} must contain integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64)

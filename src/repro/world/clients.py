@@ -80,20 +80,6 @@ class ClientPopulation:
             zones=np.concatenate([self.zones, zones]),
         )
 
-    def with_left(self, client_indices: np.ndarray) -> "ClientPopulation":
-        """Return a new population with the given client indices removed.
-
-        The remaining clients keep their relative order; their indices shift
-        down accordingly (callers that track per-client assignments must remap
-        them, which :mod:`repro.dynamics` does).
-        """
-        idx = np.asarray(client_indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_clients):
-            raise ValueError("client indices to remove are out of range")
-        mask = np.ones(self.num_clients, dtype=bool)
-        mask[idx] = False
-        return ClientPopulation(nodes=self.nodes[mask], zones=self.zones[mask])
-
     def with_moved(self, client_indices: np.ndarray, new_zones: np.ndarray) -> "ClientPopulation":
         """Return a new population where the given clients moved to new zones."""
         idx = np.asarray(client_indices, dtype=np.int64)

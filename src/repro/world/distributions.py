@@ -104,14 +104,6 @@ class DistributionSpec:
         if self.physical_hotspots < 1:
             raise ValueError("physical_hotspots must be >= 1")
 
-    @classmethod
-    def from_type(cls, dist_type: int, correlation: float = 0.5, **kwargs) -> "DistributionSpec":
-        """Build a spec from the paper's Table 2 distribution type (0-3)."""
-        if dist_type not in DISTRIBUTION_TYPES:
-            raise ValueError(f"distribution type must be in {sorted(DISTRIBUTION_TYPES)}")
-        physical, virtual = DISTRIBUTION_TYPES[dist_type]
-        return cls(physical=physical, virtual=virtual, correlation=correlation, **kwargs)
-
     @property
     def type_id(self) -> int:
         """The paper's Table 2 type id of this spec."""

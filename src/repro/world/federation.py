@@ -176,26 +176,6 @@ class FederatedWorld:
         """Per-shard total client demand (bits/s)."""
         return np.array([shard.total_demand() for shard in self.shards])
 
-    def with_slices(self, slices: np.ndarray) -> "FederatedWorld":
-        """Return a re-sliced federation (shards updated via the zero-copy path).
-
-        Every shard scenario is rebuilt with
-        :meth:`~repro.world.scenario.DVEScenario.with_server_capacities`, so
-        delay matrices and populations carry over by identity; only the
-        per-shard capacity vectors change.
-        """
-        slices = np.asarray(slices, dtype=np.float64)
-        shards = tuple(
-            shard.with_server_capacities(slices[i]) for i, shard in enumerate(self.shards)
-        )
-        return FederatedWorld(
-            topology=self.topology,
-            delay_model=self.delay_model,
-            servers=self.servers,
-            shards=shards,
-            slices=slices,
-        )
-
     def summary(self) -> dict:
         """Descriptive statistics used by the CLI."""
         demands = self.shard_demands()

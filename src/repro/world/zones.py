@@ -68,14 +68,6 @@ class VirtualWorld:
         self._check_zone(zone)
         return divmod(zone, self.cols)
 
-    def zone_at(self, row: int, col: int) -> int:
-        """Zone id at grid position (row, col); raises if outside the world."""
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ValueError(f"grid position ({row}, {col}) outside {self.rows}x{self.cols}")
-        zone = row * self.cols + col
-        self._check_zone(zone)
-        return zone
-
     def neighbors(self, zone: int) -> List[int]:
         """Zones adjacent (4-neighbourhood) to ``zone`` in the grid layout.
 

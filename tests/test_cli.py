@@ -428,10 +428,19 @@ class TestFederateCommand:
             with pytest.raises(SystemExit):
                 main(["federate", *self.SMALL, "--min-slice", value])
 
-    def test_federate_shard_workers_stream_identical_csv(self, tmp_path):
+    @pytest.mark.parametrize(
+        "world",
+        [
+            SMALL,
+            ["--config", "4s-8z-80c-60cp", "--shards", "3", "--epochs", "4", "--seed", "7",
+             "--arbiter", "proportional"],
+        ],
+        ids=["2-shards", "3-shards-proportional"],
+    )
+    def test_federate_shard_workers_stream_identical_csv(self, tmp_path, world):
         def run_to_csv(shard_workers):
             path = tmp_path / f"fed-sw{shard_workers or 'serial'}.csv"
-            args = ["federate", *self.SMALL, "--csv", str(path)]
+            args = ["federate", *world, "--csv", str(path)]
             if shard_workers:
                 args += ["--shard-workers", str(shard_workers)]
             assert main(args) == 0
@@ -557,6 +566,11 @@ class TestInputErrors:
             ["federate", "--config", "bogus"],
             ["loadgen", "--policy", "every_k_epochs"],
             ["simulate", "--policy", "every_k_epochs"],
+            *(["solve", "--config", "5s-15z-200c-100cp", "--delay-bound-ms", value]
+              for value in ("0", "-5", "nan")),
+            *([command, "--config", "5s-15z-200c-100cp", "--scenario", scenario]
+              for command in ("simulate", "federate")
+              for scenario in ("outage:zone=99", "linkdegrade:zone=15", "flashcrowd:zone=15")),
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -8,7 +8,6 @@ import pytest
 from repro.core.costs import (
     delays_to_targets,
     initial_cost_matrix,
-    qos_indicator,
     refined_cost_candidates,
     refined_cost_matrix,
     refined_cost_rows,
@@ -207,16 +206,3 @@ class TestDelaysToTargets:
     def test_contact_shape_validation(self, tiny_instance):
         with pytest.raises(ValueError):
             delays_to_targets(tiny_instance, np.array([0, 1, 2, 0]), np.array([0, 1]))
-
-
-class TestQosIndicator:
-    def test_threshold_inclusive(self, tiny_instance):
-        delays = np.array([99.0, 100.0, 100.01, 400.0, 0.0, 50.0, 100.0, 250.0])
-        mask = qos_indicator(tiny_instance, delays)
-        np.testing.assert_array_equal(
-            mask, [True, True, False, False, True, True, True, False]
-        )
-
-    def test_shape_validation(self, tiny_instance):
-        with pytest.raises(ValueError):
-            qos_indicator(tiny_instance, np.array([1.0, 2.0]))

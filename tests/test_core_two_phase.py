@@ -9,7 +9,6 @@ from repro.core.two_phase import (
     PAPER_ALGORITHMS,
     STANDARD_ALGORITHMS,
     TwoPhaseAlgorithm,
-    available_algorithms,
     solve_cap,
 )
 from repro.core.validation import validate_assignment
@@ -21,11 +20,6 @@ class TestRegistryContents:
 
     def test_standard_superset_of_paper(self):
         assert set(PAPER_ALGORITHMS) <= set(STANDARD_ALGORITHMS)
-
-    def test_available_algorithms_sorted(self):
-        names = available_algorithms()
-        assert names == sorted(names)
-        assert "grez-grec" in names
 
 
 class TestSolveCap:

@@ -152,13 +152,6 @@ class TestDerivedQuantityCaches:
         assert first is small_instance.zone_populations()
         assert not first.flags.writeable
 
-    def test_invalidate_caches_recomputes(self, tiny_instance):
-        before = tiny_instance.zone_demands()
-        tiny_instance.invalidate_caches()
-        after = tiny_instance.zone_demands()
-        assert before is not after
-        np.testing.assert_array_equal(before, after)
-
 
 class TestWorldAdvanceOracle:
     """Acceptance criterion: every world advance equals a full rebuild bit for

@@ -217,9 +217,10 @@ class TestScenarioRuntime:
         assert runtime.plan_epoch(1, CHURN).node_delay_factors is None
 
     def test_zone_out_of_range_raises(self, world):
-        timeline = build_timeline(f"outage:zone={world.num_zones}")
-        with pytest.raises(ValueError, match="zone"):
-            ScenarioRuntime(timeline, world, num_epochs=2, seed=0)
+        for spec in ("outage:zone={}", "flashcrowd:zone={},clients=10", "linkdegrade:zone={}"):
+            timeline = build_timeline(spec.format(world.num_zones))
+            with pytest.raises(ValueError, match=f"targets zone {world.num_zones}"):
+                ScenarioRuntime(timeline, world, num_epochs=2, seed=0)
 
     def test_plans_are_deterministic_for_a_seed(self, world):
         timeline = build_timeline("outage-flash-crowd")

@@ -10,7 +10,6 @@ from repro.experiments.config import (
     PAPER_TABLE1_LABELS,
     config_from_label,
     paper_default_config,
-    paper_table1_configs,
     parse_config_label,
 )
 
@@ -67,11 +66,6 @@ class TestPaperConstants:
 
     def test_small_labels_are_first_two(self):
         assert PAPER_SMALL_LABELS == PAPER_TABLE1_LABELS[:2]
-
-    def test_table1_configs_keyed_by_label(self):
-        configs = paper_table1_configs()
-        assert set(configs) == set(PAPER_TABLE1_LABELS)
-        assert configs["30s-160z-2000c-1000cp"].num_clients == 2000
 
     def test_default_config_label(self):
         assert paper_default_config().label == PAPER_DEFAULT_LABEL

@@ -17,7 +17,8 @@ import repro.baselines  # noqa: F401
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ReplicatedResult, _RunTask, run_replications
 from repro.experiments.table3 import run_table3
-from repro.measurement.estimators import idmaps_estimator
+from repro.measurement.error import IDMAPS
+from repro.measurement.estimators import DelayEstimator
 from repro.topology.brite import generate_topology
 from repro.topology.delays import DelayModel
 from tests.conftest import make_small_config
@@ -68,7 +69,7 @@ class TestParallelDeterminism:
         kwargs = dict(
             num_runs=3,
             seed=2,
-            estimator=idmaps_estimator(),
+            estimator=DelayEstimator(IDMAPS),
             share_topology=True,
             keep_observations=True,
         )

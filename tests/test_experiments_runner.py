@@ -7,7 +7,8 @@ import pytest
 
 import repro.baselines  # noqa: F401
 from repro.experiments.runner import evaluate_algorithms, run_replications
-from repro.measurement.estimators import idmaps_estimator
+from repro.measurement.error import IDMAPS
+from repro.measurement.estimators import DelayEstimator
 from tests.conftest import make_small_config
 
 ALGORITHMS = ["ranz-virc", "grez-grec"]
@@ -37,7 +38,7 @@ class TestEvaluateAlgorithms:
 
     def test_estimator_decisions_evaluated_on_true_delays(self, small_scenario):
         noisy = evaluate_algorithms(
-            small_scenario, ["grez-grec"], seed=0, estimator=idmaps_estimator()
+            small_scenario, ["grez-grec"], seed=0, estimator=DelayEstimator(IDMAPS)
         )
         perfect = evaluate_algorithms(small_scenario, ["grez-grec"], seed=0)
         # Imperfect knowledge can only hurt (or match) the true-delay pQoS.

@@ -17,7 +17,8 @@ from repro.core.two_phase import solve_cap
 from repro.core.validation import validate_assignment
 from repro.experiments.config import config_from_label
 from repro.experiments.runner import run_replications
-from repro.measurement.estimators import idmaps_estimator, king_estimator
+from repro.measurement.error import IDMAPS, KING
+from repro.measurement.estimators import DelayEstimator
 from repro.world.scenario import build_scenario
 
 #: Mid-size configuration: large enough for stable orderings, small enough for CI.
@@ -108,10 +109,10 @@ class TestImperfectInputShape:
         config = config_from_label(LABEL)
         perfect = run_replications(config, ["grez-grec", "ranz-virc"], num_runs=3, seed=4)
         king = run_replications(
-            config, ["grez-grec"], num_runs=3, seed=4, estimator=king_estimator()
+            config, ["grez-grec"], num_runs=3, seed=4, estimator=DelayEstimator(KING)
         )
         idmaps = run_replications(
-            config, ["grez-grec", "grez-virc"], num_runs=3, seed=4, estimator=idmaps_estimator()
+            config, ["grez-grec", "grez-virc"], num_runs=3, seed=4, estimator=DelayEstimator(IDMAPS)
         )
         assert king.pqos("grez-grec") <= perfect.pqos("grez-grec") + 0.02
         assert idmaps.pqos("grez-grec") <= king.pqos("grez-grec") + 0.02

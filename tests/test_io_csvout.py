@@ -1,52 +1,14 @@
-"""Tests for repro.io.csvout — CSV output helpers."""
+"""Tests for repro.io.csvout — the streaming CSV appender."""
 
 from __future__ import annotations
 
-import csv
-
 import pytest
 
-from repro.io.csvout import rows_to_csv_text, write_csv
-
-
-class TestWriteCsv:
-    def test_round_trip(self, tmp_path):
-        path = write_csv(tmp_path / "out.csv", ["a", "b"], [[1, 2], [3, 4]])
-        with path.open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows == [["a", "b"], ["1", "2"], ["3", "4"]]
-
-    def test_creates_parent_directories(self, tmp_path):
-        path = write_csv(tmp_path / "nested" / "deep" / "out.csv", ["x"], [[1]])
-        assert path.exists()
-
-    def test_row_length_mismatch(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "bad.csv", ["a", "b"], [[1]])
-
-    def test_empty_rows(self, tmp_path):
-        path = write_csv(tmp_path / "empty.csv", ["a"], [])
-        assert path.read_text().strip() == "a"
-
-
-class TestRowsToCsvText:
-    def test_header_and_rows(self):
-        text = rows_to_csv_text(["a", "b"], [[1, 2]])
-        assert text.splitlines() == ["a,b", "1,2"]
-
-    def test_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            rows_to_csv_text(["a"], [[1, 2]])
-
-    def test_stringification(self):
-        text = rows_to_csv_text(["v"], [[0.5], [True]])
-        assert "0.5" in text and "True" in text
+from repro.io.csvout import CsvAppender
 
 
 class TestCsvAppender:
     def test_streams_rows_incrementally(self, tmp_path):
-        from repro.io.csvout import CsvAppender
-
         path = tmp_path / "stream.csv"
         with CsvAppender(path, ["epoch", "pqos"]) as out:
             out.append([0, 0.9])
@@ -57,22 +19,16 @@ class TestCsvAppender:
         assert lines == ["epoch,pqos", "0,0.9", "1,0.8"]
 
     def test_row_width_checked(self, tmp_path):
-        from repro.io.csvout import CsvAppender
-
         with CsvAppender(tmp_path / "bad.csv", ["a", "b"]) as out:
             with pytest.raises(ValueError):
                 out.append([1])
 
     def test_requires_context_manager(self, tmp_path):
-        from repro.io.csvout import CsvAppender
-
         appender = CsvAppender(tmp_path / "x.csv", ["a"])
         with pytest.raises(RuntimeError):
             appender.append([1])
 
     def test_creates_parent_directories(self, tmp_path):
-        from repro.io.csvout import CsvAppender
-
         path = tmp_path / "nested" / "deep" / "out.csv"
         with CsvAppender(path, ["a"]) as out:
             out.append([1])

@@ -1,33 +1,12 @@
-"""Tests for repro.io.serialization — JSON round-trips of assignments and configs."""
+"""Tests for repro.io.serialization — JSON conversion and result files."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.assignment import Assignment
-from repro.io.serialization import (
-    assignment_from_dict,
-    assignment_to_dict,
-    config_from_dict,
-    config_to_dict,
-    dump_json,
-    load_json,
-    to_jsonable,
-)
-from repro.topology.brite import BriteConfig
+from repro.io.serialization import dump_json, load_json, to_jsonable
 from repro.world.scenario import DVEConfig
-
-
-def _sample_assignment() -> Assignment:
-    return Assignment(
-        zone_to_server=np.array([0, 1, 1, 2]),
-        contact_of_client=np.array([0, 1, 2, 2, 0]),
-        algorithm="grez-grec",
-        capacity_exceeded=False,
-        runtime_seconds=0.01,
-        metadata={"note": "test"},
-    )
 
 
 class TestToJsonable:
@@ -52,41 +31,6 @@ class TestToJsonable:
     def test_unserialisable_raises(self):
         with pytest.raises(TypeError):
             to_jsonable(object())
-
-
-class TestAssignmentRoundTrip:
-    def test_round_trip_preserves_arrays(self):
-        original = _sample_assignment()
-        restored = assignment_from_dict(assignment_to_dict(original))
-        np.testing.assert_array_equal(restored.zone_to_server, original.zone_to_server)
-        np.testing.assert_array_equal(restored.contact_of_client, original.contact_of_client)
-        assert restored.algorithm == original.algorithm
-        assert restored.metadata == {"note": "test"}
-
-    def test_missing_optional_fields_default(self):
-        restored = assignment_from_dict(
-            {"zone_to_server": [0, 1], "contact_of_client": [0, 1, 1]}
-        )
-        assert restored.algorithm == "unknown"
-        assert restored.capacity_exceeded is False
-
-
-class TestConfigRoundTrip:
-    def test_round_trip(self):
-        config = DVEConfig(
-            num_servers=4,
-            num_zones=8,
-            num_clients=20,
-            total_capacity_mbps=80,
-            correlation=0.25,
-            topology=BriteConfig(model="waxman", num_nodes=30),
-        )
-        restored = config_from_dict(config_to_dict(config))
-        assert restored == config
-
-    def test_default_config_round_trip(self):
-        config = DVEConfig()
-        assert config_from_dict(config_to_dict(config)) == config
 
 
 class TestJsonFiles:

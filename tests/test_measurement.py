@@ -12,12 +12,7 @@ from repro.measurement.error import (
     ErrorModel,
     apply_multiplicative_error,
 )
-from repro.measurement.estimators import (
-    DelayEstimator,
-    idmaps_estimator,
-    king_estimator,
-    perfect_estimator,
-)
+from repro.measurement.estimators import DelayEstimator
 
 
 class TestErrorModel:
@@ -76,17 +71,13 @@ class TestApplyMultiplicativeError:
 
 
 class TestDelayEstimator:
-    def test_factories(self):
-        assert perfect_estimator().model.is_perfect
-        assert king_estimator().model.factor == 1.2
-        assert idmaps_estimator().model.factor == 2.0
-        assert king_estimator().name == "king"
-
     def test_perfect_estimate_returns_same_instance(self, tiny_instance):
-        assert perfect_estimator().estimate(tiny_instance) is tiny_instance
+        assert DelayEstimator(PERFECT).estimate(tiny_instance) is tiny_instance
 
     def test_estimate_replaces_delays_only(self, tiny_instance):
-        estimated = king_estimator().estimate(tiny_instance, seed=0)
+        estimator = DelayEstimator(KING)
+        assert estimator.name == "king"
+        estimated = estimator.estimate(tiny_instance, seed=0)
         assert estimated is not tiny_instance
         assert not np.array_equal(
             estimated.client_server_delays, tiny_instance.client_server_delays
@@ -103,12 +94,12 @@ class TestDelayEstimator:
         )
 
     def test_estimated_delays_within_error_bounds(self, tiny_instance):
-        estimated = idmaps_estimator().estimate(tiny_instance, seed=3)
+        estimated = DelayEstimator(IDMAPS).estimate(tiny_instance, seed=3)
         true = tiny_instance.client_server_delays
         assert (estimated.client_server_delays >= true / 2.0 - 1e-9).all()
         assert (estimated.client_server_delays <= true * 2.0 + 1e-9).all()
 
     def test_deterministic(self, tiny_instance):
-        a = king_estimator().estimate(tiny_instance, seed=5)
-        b = king_estimator().estimate(tiny_instance, seed=5)
+        a = DelayEstimator(KING).estimate(tiny_instance, seed=5)
+        b = DelayEstimator(KING).estimate(tiny_instance, seed=5)
         np.testing.assert_allclose(a.client_server_delays, b.client_server_delays)

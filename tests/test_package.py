@@ -1,12 +1,66 @@
-"""Package-level tests: top-level exports, version, and the documented quickstart."""
+"""Package-level tests: top-level exports, version, the documented quickstart,
+and that every public function or class has a caller outside the tests."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import repro
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: Public top-level names that no ``src/``, ``bench/`` or ``examples/`` code
+#: references, each with the reason it stays.
+KEEP_UNREFERENCED = {
+    "us_backbone_topology": "the topology golden corpus covers it",
+    "cdf_chart": "benchmarks/test_bench_figure4.py draws its artifact chart with it",
+    "run_centralization_comparison": "benchmarks/test_bench_baselines.py records it",
+    "dump_json": "benchmarks/ artifact writers write their JSON with it",
+    "load_json": "benchmarks/ artifact writers read their JSON with it",
+}
+
+
+def _public_definitions() -> dict[str, str]:
+    """Public top-level functions and classes of ``src/repro``, name -> module path."""
+    found = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found[node.name] = str(path.relative_to(REPO))
+    return found
+
+
+def _referenced_names() -> set[str]:
+    """Names used in ``src/``, ``bench/`` and ``examples/`` code.
+
+    Import statements (``__init__`` re-exports included) and ``__all__`` lists
+    are not uses, and neither is a name inside its own definition.
+    """
+    used: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset) -> None:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name not in enclosing:
+            used.add(name)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for top in ("src", "bench", "examples"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            visit(ast.parse(path.read_text()), frozenset())
+    return used
 
 
 class TestPackage:
@@ -63,3 +117,23 @@ class TestPackage:
         from pathlib import Path
 
         assert (Path(repro.__file__).parent / "py.typed").exists()
+
+
+class TestEveryPublicNameIsReached:
+    def test_public_definitions_have_a_caller(self):
+        used = _referenced_names()
+        unreached = {
+            name: module
+            for name, module in _public_definitions().items()
+            if name not in used and name not in KEEP_UNREFERENCED
+        }
+        assert not unreached, (
+            "public names only tests reach; delete them or add a keep reason: "
+            f"{sorted(unreached.items())}"
+        )
+
+    def test_keep_set_is_not_stale(self):
+        definitions = _public_definitions()
+        used = _referenced_names()
+        stale = [n for n in KEEP_UNREFERENCED if n not in definitions or n in used]
+        assert not stale, f"keep-set entries that are gone or now referenced: {stale}"

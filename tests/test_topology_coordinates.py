@@ -58,32 +58,33 @@ class TestFit:
 
 
 class TestPredict:
-    def test_self_delay_is_zero(self, coords, model):
-        nodes = np.arange(model.num_nodes)
-        np.testing.assert_array_equal(coords.predict_pairs(nodes, nodes), 0.0)
-
     def test_non_negative(self, coords, model):
         rng = np.random.default_rng(0)
         u = rng.integers(0, model.num_nodes, size=64)
         v = rng.integers(0, model.num_nodes, size=64)
-        assert (coords.predict_pairs(u, v) >= 0.0).all()
+        assert (coords.predict_matrix(u, v) >= 0.0).all()
 
     def test_symmetric(self, coords, model):
         rng = np.random.default_rng(1)
         u = rng.integers(0, model.num_nodes, size=64)
         v = rng.integers(0, model.num_nodes, size=64)
         np.testing.assert_allclose(
-            coords.predict_pairs(u, v), coords.predict_pairs(v, u), rtol=1e-12
+            coords.predict_matrix(u, v), coords.predict_matrix(v, u).T, rtol=1e-9, atol=1e-9
         )
 
-    def test_matrix_matches_pairs(self, coords, model):
+    def test_matrix_matches_definition(self, coords, model):
+        # Predicted RTT = Euclidean distance + both nodes' heights (0 on u == v).
         rows = np.arange(0, model.num_nodes, 3)
         cols = np.arange(1, model.num_nodes, 4)
         matrix = coords.predict_matrix(rows, cols)
         assert matrix.shape == (rows.size, cols.size)
-        expected = coords.predict_pairs(
-            np.repeat(rows, cols.size), np.tile(cols, rows.size)
-        ).reshape(rows.size, cols.size)
+        diff = coords.positions[rows][:, None, :] - coords.positions[cols][None, :, :]
+        expected = (
+            np.sqrt(np.sum(diff * diff, axis=-1))
+            + coords.heights[rows][:, None]
+            + coords.heights[cols][None, :]
+        )
+        expected[rows[:, None] == cols[None, :]] = 0.0
         np.testing.assert_allclose(matrix, expected, rtol=1e-9, atol=1e-9)
 
     def test_matrix_zero_where_same_node(self, coords):

@@ -95,14 +95,3 @@ class TestServerMesh:
         mesh = model.server_server_delays(servers)
         direct = model.rtt[np.ix_(servers, servers)]
         assert (mesh <= direct + 1e-9).all()
-
-
-class TestEccentricity:
-    def test_all_nodes(self, model):
-        ecc = model.eccentricity()
-        assert ecc.shape == (model.num_nodes,)
-        assert ecc.max() == pytest.approx(DEFAULT_MAX_RTT_MS)
-
-    def test_subset(self, model):
-        ecc = model.eccentricity(np.array([0, 1]))
-        assert ecc.shape == (2,)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.topology.backbone import BackboneParams, great_circle_km, us_backbone_topology, US_POPS
 from repro.topology.barabasi_albert import BarabasiAlbertParams, barabasi_albert_topology
-from repro.topology.brite import BriteConfig, generate_topology, paper_default_topology
+from repro.topology.brite import BriteConfig, generate_topology
 from repro.topology.hierarchical import HierarchicalParams, hierarchical_topology
 from repro.topology.waxman import WaxmanParams, waxman_topology
 
@@ -146,7 +146,7 @@ class TestBriteConfig:
 
     @pytest.mark.slow
     def test_paper_default_topology(self):
-        topo = paper_default_topology(seed=0)
+        topo = generate_topology(BriteConfig(), seed=0)
         assert topo.num_nodes == 500
         assert topo.num_domains == 20
         assert topo.is_connected()

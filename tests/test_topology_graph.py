@@ -199,10 +199,6 @@ class TestMergeAndMisc:
         with pytest.raises(TopologyError):
             merge_topologies([], [])
 
-    def test_with_name(self):
-        topo = line_topology(3).with_name("renamed")
-        assert topo.name == "renamed"
-
     def test_summary_keys(self):
         summary = line_topology(4).summary()
         assert summary["nodes"] == 4

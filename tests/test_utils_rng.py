@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.rng import (
-    as_generator,
-    derive_seed,
-    hash_label,
-    random_subset,
-    spawn_generators,
-)
+from repro.utils.rng import as_generator, spawn_generators
 
 
 class TestAsGenerator:
@@ -84,58 +78,6 @@ class TestSpawnGenerators:
     def test_spawn_from_seed_sequence(self):
         gens = spawn_generators(np.random.SeedSequence(3), 2)
         assert len(gens) == 2
-
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(5, "topology") == derive_seed(5, "topology")
-
-    def test_labels_distinguish(self):
-        assert derive_seed(5, "topology") != derive_seed(5, "placement")
-
-    def test_base_seed_distinguishes(self):
-        assert derive_seed(1, "x") != derive_seed(2, "x")
-
-    def test_int_labels_accepted(self):
-        assert isinstance(derive_seed(0, 3, 4), int)
-
-    def test_none_seed_accepted(self):
-        assert isinstance(derive_seed(None, "a"), int)
-
-
-class TestHashLabel:
-    def test_stable_known_value(self):
-        # FNV-1a is process independent; the same string always hashes equal.
-        assert hash_label("topology") == hash_label("topology")
-
-    def test_distinct_labels(self):
-        assert hash_label("a") != hash_label("b")
-
-    def test_32_bit_range(self):
-        assert 0 <= hash_label("anything at all") < 2**32
-
-
-class TestRandomSubset:
-    def test_without_replacement_unique(self):
-        rng = np.random.default_rng(0)
-        picked = random_subset(rng, list(range(20)), 10)
-        assert len(picked) == 10
-        assert len(set(picked.tolist())) == 10
-
-    def test_too_large_without_replacement(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            random_subset(rng, [1, 2, 3], 5)
-
-    def test_with_replacement_allows_oversampling(self):
-        rng = np.random.default_rng(0)
-        picked = random_subset(rng, [1, 2, 3], 10, replace=True)
-        assert len(picked) == 10
-
-    def test_negative_size_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            random_subset(rng, [1, 2, 3], -1)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)

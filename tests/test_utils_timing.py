@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.utils.timing import Timer, time_call
+from repro.utils.timing import Timer
 
 
 class TestTimer:
@@ -35,30 +35,3 @@ class TestTimer:
             time.sleep(0.002)
         assert t.elapsed >= 0.0
         assert t.elapsed != first or t.elapsed >= 0.0
-
-
-class TestTimeCall:
-    def test_returns_elapsed_and_result(self):
-        elapsed, result = time_call(lambda x: x * 2, 21)
-        assert result == 42
-        assert elapsed >= 0.0
-
-    def test_repeats_keeps_best(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            return len(calls)
-
-        elapsed, result = time_call(fn, repeats=3)
-        assert len(calls) == 3
-        assert result == 3
-        assert elapsed >= 0.0
-
-    def test_invalid_repeats(self):
-        with pytest.raises(ValueError):
-            time_call(lambda: None, repeats=0)
-
-    def test_kwargs_forwarded(self):
-        _, result = time_call(lambda a, b=1: a + b, 2, b=3)
-        assert result == 5

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.utils.validation import (
-    check_array_shape,
     check_in_range,
-    check_integer_array,
     check_non_negative,
     check_positive,
     check_probability,
@@ -61,36 +58,3 @@ class TestCheckInRange:
     def test_rejects_outside(self):
         with pytest.raises(ValueError):
             check_in_range(1.5, 0.0, 1.0, "x")
-
-
-class TestCheckArrayShape:
-    def test_exact_shape(self):
-        arr = np.zeros((3, 4))
-        out = check_array_shape(arr, (3, 4), "m")
-        assert out.shape == (3, 4)
-
-    def test_wildcard_axis(self):
-        arr = np.zeros((7, 2))
-        assert check_array_shape(arr, (None, 2), "m").shape == (7, 2)
-
-    def test_wrong_ndim(self):
-        with pytest.raises(ValueError):
-            check_array_shape(np.zeros(3), (3, 1), "m")
-
-    def test_wrong_extent(self):
-        with pytest.raises(ValueError):
-            check_array_shape(np.zeros((3, 4)), (3, 5), "m")
-
-
-class TestCheckIntegerArray:
-    def test_int_array_passthrough(self):
-        out = check_integer_array(np.array([1, 2, 3]), "z")
-        assert out.dtype == np.int64
-
-    def test_integral_floats_accepted(self):
-        out = check_integer_array(np.array([1.0, 2.0]), "z")
-        np.testing.assert_array_equal(out, [1, 2])
-
-    def test_fractional_floats_rejected(self):
-        with pytest.raises(ValueError):
-            check_integer_array(np.array([1.5, 2.0]), "z")

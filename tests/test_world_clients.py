@@ -57,15 +57,6 @@ class TestChurnTransforms:
         with pytest.raises(ValueError):
             population.with_joined(np.array([1, 2]), np.array([0]))
 
-    def test_with_left_removes_and_preserves_order(self, population):
-        remaining = population.with_left(np.array([1, 3]))
-        np.testing.assert_array_equal(remaining.nodes, [5, 7, 9])
-        np.testing.assert_array_equal(remaining.zones, [0, 1, 2])
-
-    def test_with_left_out_of_range(self, population):
-        with pytest.raises(ValueError):
-            population.with_left(np.array([99]))
-
     def test_with_moved_changes_zone_only(self, population):
         moved = population.with_moved(np.array([0, 4]), np.array([3, 0]))
         np.testing.assert_array_equal(moved.zones, [3, 0, 1, 2, 0])

@@ -27,15 +27,9 @@ class TestDistributionSpec:
         assert spec.physical == "uniform" and spec.virtual == "uniform"
         assert spec.type_id == 0
 
-    def test_from_type_round_trip(self):
+    def test_type_id_matches_table2(self):
         for type_id, (pw, vw) in DISTRIBUTION_TYPES.items():
-            spec = DistributionSpec.from_type(type_id)
-            assert (spec.physical, spec.virtual) == (pw, vw)
-            assert spec.type_id == type_id
-
-    def test_from_type_invalid(self):
-        with pytest.raises(ValueError):
-            DistributionSpec.from_type(7)
+            assert DistributionSpec(physical=pw, virtual=vw).type_id == type_id
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):

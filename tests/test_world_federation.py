@@ -143,17 +143,6 @@ class TestBuildFederation:
 
 
 class TestFederatedWorld:
-    def test_with_slices_is_zero_copy(self, small_federation):
-        fed = small_federation
-        new_slices = fed.slices[::-1].copy()
-        resliced = fed.with_slices(new_slices)
-        for old, new in zip(fed.shards, resliced.shards):
-            # Delay matrices and populations carry over by identity.
-            assert new.client_server_delays is old.client_server_delays
-            assert new.population is old.population
-            assert new.delay_model is old.delay_model
-        assert np.array_equal(resliced.slices, new_slices)
-
     def test_validation_rejects_non_conserving_slices(self, small_federation):
         fed = small_federation
         bad = fed.slices * 1.5
