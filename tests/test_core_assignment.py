@@ -69,6 +69,22 @@ class TestAssignmentMetrics:
         assert mask.sum() == 6
         assert not mask[6] and not mask[7]
 
+    @pytest.mark.parametrize(
+        ("delay_bound", "expected_qos"), [(119.99, 6), (120.0, 8), (120.01, 8), (50.0, 6)]
+    )
+    def test_qos_threshold_inclusive(self, zone_map, delay_bound, expected_qos):
+        # Zone 3's clients sit exactly 120 ms from their target; the paper's
+        # QoS condition is d <= D, so the bound itself still counts as QoS.
+        from repro.core.measures import ensure_measures
+        from tests.conftest import make_tiny_instance
+
+        instance = make_tiny_instance(delay_bound=delay_bound)
+        contacts = zone_map[instance.client_zones]
+        assignment = Assignment(zone_to_server=zone_map, contact_of_client=contacts)
+        assert int(assignment.qos_mask(instance).sum()) == expected_qos
+        assert ensure_measures(assignment, instance).qos_count == expected_qos
+        assert assignment.pqos(instance) == pytest.approx(expected_qos / 8)
+
     def test_forwarded_mask(self, tiny_instance, direct_assignment, forwarded_assignment):
         assert not direct_assignment.forwarded_mask(tiny_instance).any()
         np.testing.assert_array_equal(

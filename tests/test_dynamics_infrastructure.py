@@ -199,6 +199,32 @@ class TestScenarioServerDelta:
             shrunk.apply_server_delta(churn)  # churn refers to the *old* fleet
 
 
+class TestInstanceServerDelta:
+    """The engine's instance path after server churn: the scenario delta,
+    then a zero-copy :meth:`CAPInstance.from_scenario_unchecked`."""
+
+    @pytest.mark.parametrize("spec", SERVER_CHURN, ids=["join", "leave", "drift", "mixed"])
+    def test_bit_identical_to_rebuild(self, small_scenario, small_instance, spec):
+        batch = generate_server_churn(
+            small_scenario.servers, spec, num_nodes=small_scenario.topology.num_nodes, seed=7
+        )
+        churn = apply_server_churn(small_scenario.servers, batch)
+        new_scenario = small_scenario.apply_server_delta(churn)
+        rebuilt = CAPInstance.from_scenario(small_scenario.with_servers(churn.servers))
+        delta = CAPInstance.from_scenario_unchecked(new_scenario)
+        np.testing.assert_array_equal(rebuilt.client_server_delays, delta.client_server_delays)
+        np.testing.assert_array_equal(rebuilt.server_server_delays, delta.server_server_delays)
+        np.testing.assert_array_equal(rebuilt.server_capacities, delta.server_capacities)
+        np.testing.assert_array_equal(rebuilt.client_zones, delta.client_zones)
+        np.testing.assert_array_equal(rebuilt.client_demands, delta.client_demands)
+        assert delta.delay_bound == rebuilt.delay_bound
+        assert delta.num_zones == rebuilt.num_zones
+        # A server batch cannot touch the clients: their arrays carry over.
+        assert delta.client_zones is small_scenario.population.zones
+        assert delta.client_demands is small_scenario.client_demands
+        np.testing.assert_array_equal(delta.zone_demands(), small_instance.zone_demands())
+
+
 class TestRemapAssignmentServers:
     def test_identity_is_noop(self, small_scenario, small_instance):
         assignment = registry_solve(small_instance, "grez-grec", seed=0)
@@ -498,6 +524,27 @@ class TestGrantRevokeGrantCycles:
     keep the cached zone aggregates valid across arbitrarily many cycles.
     """
 
+    def test_capacity_cycles_round_trip_exactly(self, small_scenario, small_instance):
+        """Scenario-level re-slices, as the federation engine applies them."""
+        base_caps = small_scenario.servers.capacities
+        current = small_scenario
+        for _cycle in range(4):
+            granted = current.with_server_capacities(base_caps * 2.0)
+            np.testing.assert_array_equal(
+                CAPInstance.from_scenario_unchecked(granted).server_capacities, base_caps * 2.0
+            )
+            revoked = granted.with_server_capacities(base_caps)
+            instance = CAPInstance.from_scenario_unchecked(revoked)
+            # Exact round trip: the original capacity vector is restored
+            # bit-for-bit, and the delay matrices are the original objects.
+            np.testing.assert_array_equal(instance.server_capacities, base_caps)
+            assert instance.client_server_delays is small_scenario.client_server_delays
+            assert instance.server_server_delays is small_scenario.server_server_delays
+            np.testing.assert_array_equal(
+                instance.client_server_delays, small_instance.client_server_delays
+            )
+            current = revoked
+
     def test_capacity_cycles_via_with_server_capacities(self, small_instance):
         """The O(m) fast path shares the delay matrix by identity too."""
         inst = small_instance
@@ -550,3 +597,33 @@ class TestGrantRevokeGrantCycles:
                 shrunk.server_server_delays, small_scenario.server_server_delays
             )
             current = shrunk
+
+    def test_instance_join_leave_join_cycles_restore_instance(
+        self, small_scenario, small_instance
+    ):
+        topo_nodes = small_scenario.topology.num_nodes
+        m = small_instance.num_servers
+        scenario = small_scenario
+        for _cycle in range(3):
+            join_batch = ServerChurnBatch(
+                join_nodes=np.array([topo_nodes - 2]),
+                join_capacities=np.array([30.0 * MBPS]),
+            )
+            grant = apply_server_churn(scenario.servers, join_batch)
+            grown = scenario.apply_server_delta(grant)
+            assert CAPInstance.from_scenario_unchecked(grown).num_servers == m + 1
+            revoke = apply_server_churn(
+                grown.servers, ServerChurnBatch(leave_indices=np.array([m]))
+            )
+            scenario = grown.apply_server_delta(revoke)
+            instance = CAPInstance.from_scenario_unchecked(scenario)
+            np.testing.assert_array_equal(
+                instance.server_capacities, small_instance.server_capacities
+            )
+            np.testing.assert_array_equal(
+                instance.client_server_delays, small_instance.client_server_delays
+            )
+            np.testing.assert_array_equal(
+                instance.server_server_delays, small_instance.server_server_delays
+            )
+            np.testing.assert_array_equal(instance.zone_demands(), small_instance.zone_demands())

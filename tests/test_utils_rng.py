@@ -97,3 +97,29 @@ def test_scalar_choice_is_a_bounded_integer_draw(seed, values, draws):
     for _ in range(draws):
         assert by_choice.choice(a) == a[by_integers.integers(0, a.size)]
     assert by_choice.random() == by_integers.random()
+
+
+class TestSpawnDeterminism:
+    def test_from_generator_is_deterministic(self):
+        a = [g.integers(0, 10**9) for g in spawn_generators(np.random.default_rng(5), 3)]
+        b = [g.integers(0, 10**9) for g in spawn_generators(np.random.default_rng(5), 3)]
+        assert a == b
+
+    def test_from_seed_sequence_is_deterministic(self):
+        a = [g.random() for g in spawn_generators(np.random.SeedSequence(8), 3)]
+        b = [g.random() for g in spawn_generators(np.random.SeedSequence(8), 3)]
+        assert a == b
+
+    def test_none_seed_gives_distinct_streams(self):
+        g1, g2 = spawn_generators(None, 2)
+        assert not np.array_equal(g1.integers(0, 10**9, size=20), g2.integers(0, 10**9, size=20))
+
+    def test_seed_sequence_generator_is_deterministic(self):
+        a = as_generator(np.random.SeedSequence(9)).random(4)
+        b = as_generator(np.random.SeedSequence(9)).random(4)
+        np.testing.assert_array_equal(a, b)
+
+    def test_children_do_not_replay_the_parent_stream(self):
+        parent = as_generator(99).integers(0, 10**9, size=20)
+        for child in spawn_generators(99, 3):
+            assert not np.array_equal(child.integers(0, 10**9, size=20), parent)

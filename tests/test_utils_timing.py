@@ -35,3 +35,24 @@ class TestTimer:
             time.sleep(0.002)
         assert t.elapsed >= 0.0
         assert t.elapsed != first or t.elapsed >= 0.0
+
+    def test_default_elapsed_is_zero(self):
+        assert Timer().elapsed == 0.0
+
+    def test_start_returns_self(self):
+        t = Timer()
+        assert t.start() is t
+
+    def test_stop_twice_raises(self):
+        t = Timer().start()
+        t.stop()
+        with pytest.raises(RuntimeError):
+            t.stop()
+
+    def test_elapsed_recorded_when_body_raises(self):
+        t = Timer()
+        with pytest.raises(KeyError):
+            with t:
+                time.sleep(0.002)
+                raise KeyError("boom")
+        assert t.elapsed >= 0.001

@@ -38,6 +38,13 @@ class TestCheckNonNegative:
         with pytest.raises(ValueError):
             check_non_negative(float("nan"), "x")
 
+    def test_rejects_inf(self):
+        with pytest.raises(ValueError, match="depth"):
+            check_non_negative(float("inf"), "depth")
+
+    def test_accepts_positive_unchanged(self):
+        assert check_non_negative(7, "x") == 7
+
 
 class TestCheckProbability:
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
@@ -50,6 +57,11 @@ class TestCheckProbability:
             check_probability(value, "p")
 
 
+    def test_returns_float(self):
+        value = check_probability(1, "p")
+        assert value == 1.0 and isinstance(value, float)
+
+
 class TestCheckInRange:
     def test_accepts_bounds_inclusive(self):
         assert check_in_range(0.0, 0.0, 1.0, "x") == 0.0
@@ -58,3 +70,12 @@ class TestCheckInRange:
     def test_rejects_outside(self):
         with pytest.raises(ValueError):
             check_in_range(1.5, 0.0, 1.0, "x")
+
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_and_outside(self, value):
+        with pytest.raises(ValueError, match=r"\[0.0, 1.0\]"):
+            check_in_range(value, 0.0, 1.0, "x")
+
+    def test_returns_float(self):
+        value = check_in_range(3, 1, 5, "x")
+        assert value == 3.0 and isinstance(value, float)

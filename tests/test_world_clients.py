@@ -70,6 +70,17 @@ class TestChurnTransforms:
         with pytest.raises(ValueError):
             population.with_moved(np.array([7]), np.array([0]))
 
+    def test_subset_of_survivors_preserves_order(self, population):
+        # A leave batch keeps the survivors in their original relative order.
+        survivors = np.setdiff1d(np.arange(population.num_clients), [1, 3])
+        remaining = population.subset(survivors)
+        np.testing.assert_array_equal(remaining.nodes, [5, 7, 9])
+        np.testing.assert_array_equal(remaining.zones, [0, 1, 2])
+
+    def test_subset_out_of_range(self, population):
+        with pytest.raises(IndexError):
+            population.subset(np.array([99]))
+
     def test_subset_reorders(self, population):
         sub = population.subset(np.array([4, 0]))
         np.testing.assert_array_equal(sub.nodes, [9, 5])
