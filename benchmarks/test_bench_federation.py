@@ -17,14 +17,9 @@ topology, one all-pairs delay matrix and one server fleet
   max-regret placement on the vectorised backend — must stay a small
   fraction of one simulation epoch, or the control plane would eat its own
   savings.
-* **Thread-parallel shard stepping stays deterministic.**  With
-  ``shard_workers > 1`` the shards of one epoch step concurrently on a
-  thread pool (the numpy kernels release the GIL); the records must stay
-  bit-identical to the serial schedule on any machine.  The wall-clock
-  speedup over serial is recorded, not asserted.
 
 Machine-readable results (epochs/sec per shard count, scaling ratios, arbiter
-seconds per decision, overhead fractions, thread speedups) are written to
+seconds per decision, overhead fractions) are written to
 ``BENCH_federation.json`` at the repository root when
 ``REPRO_BENCH_UPDATE=1``; CI's benchmark-smoke job sets it and uploads the
 file with the other ``BENCH_*.json`` artifacts.
@@ -40,12 +35,10 @@ import pytest
 import repro.baselines  # noqa: F401  (registers the baseline solvers)
 from repro.core.arbitration import make_arbiter
 from repro.dynamics.churn import ChurnSpec
-from repro.dynamics.engine import ChurnSimulator, EpochRecord
 from repro.dynamics.federation_engine import FederatedSimulator
 from repro.dynamics.migration import MigrationCostModel
 from repro.experiments.config import config_from_label
 from repro.io.tables import format_table
-from repro.utils.pool import available_cpus
 from repro.world.federation import build_federation
 
 from benchmarks.conftest import bench_runs, record_json
@@ -57,8 +50,6 @@ NUM_EPOCHS = 4 * bench_runs(2)
 
 LABEL = "30s-160z-2000c-1000cp"
 SHARD_COUNTS = (1, 2, 4)
-#: Thread-pool rungs for the parallel epoch on the 4-shard world.
-THREAD_WORKERS = (1, 2, 4)
 #: 10 % churn of the whole population per epoch, split over the shards.
 TOTAL_CHURN = 200
 
@@ -94,32 +85,6 @@ def _time_epochs(world, churn, arbiter: str, num_epochs: int) -> dict:
         "seconds_per_epoch": elapsed / num_epochs,
         "records": len(records),
     }
-
-
-def _time_parallel_epochs(config, shard_workers, num_epochs: int):
-    """Fresh 4-shard world stepped end-to-end; returns (records, seconds)."""
-    world, churn = _build(config, SHARD_COUNTS[-1])
-    simulator = FederatedSimulator(
-        world=world,
-        algorithms=["grez-grec"],
-        arbiter="static",
-        churn_spec=churn,
-        migration_cost=MigrationCostModel(cost_per_client=1.0),
-        seed=1,
-        shard_workers=shard_workers,
-    )
-    start = time.perf_counter()
-    records = simulator.run(num_epochs)
-    return records, time.perf_counter() - start
-
-
-def _records_identical(expected, actual) -> bool:
-    return len(expected) == len(actual) and all(
-        a.shard_id == b.shard_id
-        and a.epoch == b.epoch
-        and ChurnSimulator.records_equal(a, b, fields=EpochRecord.SCENARIO_FIELDS)
-        for a, b in zip(expected, actual)
-    )
 
 
 def _time_arbiter(world, churn, name: str, num_epochs: int) -> dict:
@@ -168,21 +133,6 @@ def _measure(num_epochs: int) -> dict:
         timing["fraction_of_epoch"] = timing["seconds_per_decision"] / epoch4
         results["arbiters"][name] = timing
 
-    # Thread-parallel rungs on the 4-shard world: bit-identity asserted,
-    # wall-clock speedup recorded.
-    serial_records, serial_seconds = _time_parallel_epochs(config, None, num_epochs)
-    results["thread_rungs"] = {}
-    for workers in THREAD_WORKERS:
-        if workers == 1:
-            records, elapsed = serial_records, serial_seconds
-        else:
-            records, elapsed = _time_parallel_epochs(config, workers, num_epochs)
-        results["thread_rungs"][str(workers)] = {
-            "shard_workers": workers,
-            "seconds_per_epoch": elapsed / num_epochs,
-            "speedup_vs_serial": serial_seconds / elapsed if elapsed else float("inf"),
-            "records_bit_identical": _records_identical(serial_records, records),
-        }
     return results
 
 
@@ -208,15 +158,6 @@ def test_bench_federation(benchmark, record):
         ]
         for name, timing in results["arbiters"].items()
     ]
-    thread_rows = [
-        [
-            f"{entry['shard_workers']} thread(s)",
-            entry["seconds_per_epoch"] * 1000.0,
-            entry["speedup_vs_serial"],
-            "yes" if entry["records_bit_identical"] else "NO",
-        ]
-        for entry in results["thread_rungs"].values()
-    ]
     cost4 = results["shard_counts"][str(SHARD_COUNTS[-1])]["epoch_cost_vs_monolithic"]
     text = (
         format_table(
@@ -236,16 +177,6 @@ def test_bench_federation(benchmark, record):
             arb_rows,
             title="Arbiter overhead on the 4-shard federation",
             float_format=".3f",
-        )
-        + "\n\n"
-        + format_table(
-            ["shard workers", "ms/epoch", "speedup vs serial", "bit-identical"],
-            thread_rows,
-            title=(
-                f"Thread-parallel shard stepping on the {SHARD_COUNTS[-1]}-shard world "
-                f"({available_cpus()} CPUs available)"
-            ),
-            float_format=".2f",
         )
     )
     record("federation", text)
@@ -267,11 +198,3 @@ def test_bench_federation(benchmark, record):
     # regret arbiter.
     for name, timing in results["arbiters"].items():
         assert timing["fraction_of_epoch"] <= 0.5, name
-    # Determinism is unconditional: the thread schedule must never leak into
-    # the records, whatever the core count.
-    for workers, entry in results["thread_rungs"].items():
-        assert entry["records_bit_identical"], f"shard_workers={workers}"
-    # The thread-parallel speedup is recorded (thread_rungs[*].speedup_vs_serial
-    # in BENCH_federation.json), not gated: it depends on the host's free
-    # cores, and at this scale 2 shard workers ran at 0.53x serial on a
-    # 2-CPU host.

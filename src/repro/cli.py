@@ -285,16 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: serial; 0 = one per CPU; results are identical for any value)"
         ),
     )
-    exp.add_argument(
-        "--shard-workers",
-        type=_workers_type,
-        default=None,
-        help=(
-            "worker threads stepping federated shards within each epoch "
-            "(federation experiment only; default: serial; 0 = one per CPU; "
-            "records are identical for any value)"
-        ),
-    )
     _add_flags(exp, "--delay-backend")
 
     # simulate ---------------------------------------------------------------
@@ -408,16 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         period=dict(help="re-execution period for every_k_epochs"),
     )
     fedp.add_argument(
-        "--shard-workers",
-        type=_workers_type,
-        default=None,
-        help=(
-            "worker threads stepping the shards within each epoch "
-            "(default: serial; 0 = one per CPU; the record stream is "
-            "byte-identical for any value)"
-        ),
-    )
-    fedp.add_argument(
         "--churn-fraction",
         type=_non_negative_float,
         default=0.1,
@@ -443,9 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help=(
-            "print a per-shard runtime breakdown (epoch wall / solve / measure / "
-            "barrier wait) plus arbiter decision time after the summary "
-            "(single-run only)"
+            "print a per-shard runtime breakdown (epoch wall / solve / measure) "
+            "plus arbiter decision time after the summary (single-run only)"
         ),
     )
 
@@ -596,7 +575,6 @@ def _federate_run(args: argparse.Namespace, options: _EngineOptions, rng) -> Fed
         arbiter=make_arbiter(args.arbiter, min_slice_fraction=args.min_slice),
         churn_spec=churn_specs,
         seed=sim_rng,
-        shard_workers=args.shard_workers,
         **engine,
     )
 
@@ -872,11 +850,6 @@ def _cmd_federate(args: argparse.Namespace, options: _EngineOptions) -> int:
                 "migration budget / shard": (
                     "unlimited" if args.migration_budget is None else args.migration_budget
                 ),
-                "shard workers": (
-                    "serial"
-                    if args.shard_workers is None
-                    else ("all CPUs" if args.shard_workers == 0 else args.shard_workers)
-                ),
                 "runs": args.runs,
                 "seed": args.seed,
             },
@@ -965,7 +938,6 @@ def _cmd_federate(args: argparse.Namespace, options: _EngineOptions) -> int:
                 profile.shard_wall_seconds[shard_id] / epochs,
                 profile.shard_solve_seconds[shard_id],
                 profile.shard_measure_seconds[shard_id],
-                profile.shard_barrier_seconds[shard_id],
             ]
             for shard_id in range(profile.num_shards)
         ]
@@ -977,7 +949,6 @@ def _cmd_federate(args: argparse.Namespace, options: _EngineOptions) -> int:
                 total_wall / epochs,
                 sum(profile.shard_solve_seconds),
                 sum(profile.shard_measure_seconds),
-                sum(profile.shard_barrier_seconds),
             ]
         )
         print()
@@ -989,12 +960,10 @@ def _cmd_federate(args: argparse.Namespace, options: _EngineOptions) -> int:
                     "wall / epoch",
                     "solve (s)",
                     "measure (s)",
-                    "barrier wait (s)",
                 ],
                 rows,
                 title=(
-                    f"Shard runtime over {profile.num_epochs} epoch(s), "
-                    f"{profile.shard_workers} shard worker(s); "
+                    f"Shard runtime over {profile.num_epochs} epoch(s); "
                     f"arbiter decisions {profile.arbiter_seconds:.4f}s total"
                 ),
                 float_format=".4f",
@@ -1019,15 +988,7 @@ def _cmd_experiment(args: argparse.Namespace, config: ExperimentConfig) -> int:
     spec = get_experiment(args.experiment_id)
     if args.workers is not None and not spec.supports_workers:
         print(f"note: experiment {spec.experiment_id!r} always runs serially; --workers ignored")
-    if args.shard_workers is not None and not spec.supports_shard_workers:
-        print(
-            f"note: experiment {spec.experiment_id!r} has no federated shards; "
-            "--shard-workers ignored"
-        )
-    extra = {}
-    if args.shard_workers is not None and spec.supports_shard_workers:
-        extra["shard_workers"] = args.shard_workers
-    result = run_experiment(spec, config, **extra)
+    result = run_experiment(spec, config)
     print(spec.format(result))
     return 0
 

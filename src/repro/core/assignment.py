@@ -21,7 +21,7 @@ from repro.core.problem import CAPInstance
 __all__ = ["ZoneAssignment", "Assignment", "server_loads", "zone_server_loads"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZoneAssignment:
     """Result of the initial assignment phase (IAP): zone → target server.
 
@@ -67,7 +67,7 @@ class ZoneAssignment:
         return zone_server_loads(instance, self.zone_to_server)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
     """A complete solution to the CAP: target servers plus contact servers.
 
@@ -85,9 +85,7 @@ class Assignment:
         Total wall-clock time of both phases.
     metadata:
         Free-form side-channel (e.g. the measurement stash of
-        :mod:`repro.core.measures`).  Excluded from equality: it may hold
-        arrays, and it describes how the assignment was measured, not what
-        the assignment *is*.
+        :mod:`repro.core.measures`).
     """
 
     zone_to_server: np.ndarray
@@ -95,7 +93,7 @@ class Assignment:
     algorithm: str = "unknown"
     capacity_exceeded: bool = False
     runtime_seconds: float = 0.0
-    metadata: dict = field(default_factory=dict, compare=False, repr=False)
+    metadata: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         zones = np.asarray(self.zone_to_server, dtype=np.int64)

@@ -20,7 +20,6 @@ error models) while their results are evaluated on the true delays.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -33,10 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.world.scenario import DVEScenario
 
 __all__ = ["CAPInstance"]
-
-# Guards the lazy zone-cache fills so instances shared read-only across
-# shard threads resolve each cache exactly once (double-checked fast path).
-_ZONE_CACHE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -162,31 +157,23 @@ class CAPInstance:
         """
         cached = self.__dict__.get("_zone_demands_cache")
         if cached is None:
-            with _ZONE_CACHE_LOCK:
-                cached = self.__dict__.get("_zone_demands_cache")
-                if cached is None:
-                    cached = np.zeros(self.num_zones, dtype=np.float64)
-                    if self.num_clients:
-                        np.add.at(cached, self.client_zones, self.client_demands)
-                    cached.flags.writeable = False
-                    object.__setattr__(self, "_zone_demands_cache", cached)
+            cached = np.zeros(self.num_zones, dtype=np.float64)
+            if self.num_clients:
+                np.add.at(cached, self.client_zones, self.client_demands)
+            cached.flags.writeable = False
+            object.__setattr__(self, "_zone_demands_cache", cached)
         return cached
 
     def zone_populations(self) -> np.ndarray:
         """Number of clients in each zone (cached, read-only)."""
         cached = self.__dict__.get("_zone_populations_cache")
         if cached is None:
-            with _ZONE_CACHE_LOCK:
-                cached = self.__dict__.get("_zone_populations_cache")
-                if cached is None:
-                    if self.num_clients == 0:
-                        cached = np.zeros(self.num_zones, dtype=np.int64)
-                    else:
-                        cached = np.bincount(
-                            self.client_zones, minlength=self.num_zones
-                        ).astype(np.int64)
-                    cached.flags.writeable = False
-                    object.__setattr__(self, "_zone_populations_cache", cached)
+            if self.num_clients == 0:
+                cached = np.zeros(self.num_zones, dtype=np.int64)
+            else:
+                cached = np.bincount(self.client_zones, minlength=self.num_zones).astype(np.int64)
+            cached.flags.writeable = False
+            object.__setattr__(self, "_zone_populations_cache", cached)
         return cached
 
     def clients_of_zone(self, zone: int) -> np.ndarray:

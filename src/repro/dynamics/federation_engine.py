@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import InitVar, dataclass, field, replace
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from repro.dynamics.measurement import check_measurement_backend, measured_serve
 from repro.dynamics.migration import MigrationCostModel
 from repro.dynamics.policies import PolicySchedule
 from repro.dynamics.scenarios import ScenarioTimeline, build_timeline
-from repro.utils.pool import resolve_workers, shared_executor
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.world.federation import FederatedWorld
 
@@ -83,19 +82,14 @@ class FederationProfile:
     ``shard_id``.
 
     ``shard_wall_seconds`` is each shard's epoch-step wall time;
-    ``shard_barrier_seconds`` is how long each shard sat at the pre-
-    arbitration barrier waiting for the slowest shard of its epoch (always
-    zero for serial stepping, where there is no barrier); ``shard_solve`` /
-    ``shard_measure_seconds`` re-export the per-shard engine phase totals;
-    ``arbiter_seconds`` covers signal collection, the arbitration decision
-    and slice validation between epochs.
+    ``shard_solve`` / ``shard_measure_seconds`` re-export the per-shard
+    engine phase totals; ``arbiter_seconds`` covers signal collection, the
+    arbitration decision and slice validation between epochs.
     """
 
     num_shards: int
-    shard_workers: int = 1
     num_epochs: int = 0
     shard_wall_seconds: List[float] = field(default_factory=list)
-    shard_barrier_seconds: List[float] = field(default_factory=list)
     shard_solve_seconds: List[float] = field(default_factory=list)
     shard_measure_seconds: List[float] = field(default_factory=list)
     arbiter_seconds: float = 0.0
@@ -103,7 +97,6 @@ class FederationProfile:
     def __post_init__(self) -> None:
         for name in (
             "shard_wall_seconds",
-            "shard_barrier_seconds",
             "shard_solve_seconds",
             "shard_measure_seconds",
         ):
@@ -157,16 +150,6 @@ class FederatedSimulator:
         the shard session.
     admission_policy:
         Shedding/re-admission thresholds forwarded to every shard.
-    shard_workers:
-        Worker threads for stepping shards *within* an epoch: ``None``/``1``
-        — serial (the historical path), ``0`` — one per available CPU, ``n``
-        — exactly ``n`` threads (always capped at the shard count).  Shards
-        are independent between arbitration barriers and share the topology /
-        delay model read-only, and NumPy releases the GIL in the hot
-        solve/measure kernels, so threads buy real concurrency without
-        pickling.  Determinism contract: records are buffered per shard and
-        emitted in shard order, so the stream is byte-identical to serial
-        stepping for every worker count.
     """
 
     world: FederatedWorld
@@ -181,7 +164,6 @@ class FederatedSimulator:
     measurement_backend: InitVar[Optional[str]] = None
     scenario_timeline: object = None
     admission_policy: object = None
-    shard_workers: Optional[int] = None
     #: Runtime profile of the most recent :meth:`stream` (set on first epoch,
     #: updated in place after every epoch).
     last_profile: Optional[FederationProfile] = field(
@@ -346,37 +328,6 @@ class FederatedSimulator:
         )
 
     # ------------------------------------------------------------------ #
-    def _prewarm_shared_state(self, sessions: List[EpochSession]) -> None:
-        """Resolve lazily-filled shared caches before shard threads fan out.
-
-        Thread-parallel stepping shares the topology / delay model (and, per
-        shard, the instance caches) read-only by identity.  Every lazy fill
-        involved is individually lock-protected, so this is a performance
-        courtesy, not a correctness requirement: resolving them up front
-        keeps the hot epoch path contention-free.
-        """
-        _ = self.world.delay_model.rtt
-        for session in sessions:
-            instance = session.state.instance
-            instance.zone_demands()
-            instance.zone_populations()
-            delays = instance.client_server_delays
-            if not isinstance(delays, np.ndarray) and delays.candidate_mask() is not None:
-                delays.candidate_rows(np.zeros(0, dtype=np.int64))
-
-    @staticmethod
-    def _step_shard(
-        item: Tuple[int, EpochSession, Optional[np.ndarray]],
-    ) -> Tuple[List[EpochRecord], float]:
-        """Run one shard's epoch; return its stamped records and wall time."""
-        shard_id, session, delta = item
-        start = time.perf_counter()
-        records = [
-            replace(record, shard_id=shard_id)
-            for record in session.run_epoch(capacity_delta=delta)
-        ]
-        return records, time.perf_counter() - start
-
     def stream(self, num_epochs: int = 1) -> Iterator[EpochRecord]:
         """Run ``num_epochs`` epochs across all shards, yielding records.
 
@@ -385,12 +336,6 @@ class FederatedSimulator:
         algorithm (``shard_id == -1``).  After the records are out, the
         arbiter is consulted and any re-slice takes effect at the start of
         the *next* epoch.
-
-        With ``shard_workers > 1`` the shards of an epoch step concurrently
-        on a shared thread pool and barrier before arbitration; records are
-        buffered per shard and emitted in shard order, so the stream is
-        byte-identical to serial stepping (each shard owns its state and RNG
-        stream — only wall-clock profile numbers can differ).
         """
         if num_epochs < 1:
             raise ValueError("num_epochs must be >= 1")
@@ -400,39 +345,21 @@ class FederatedSimulator:
         capacity_weights = [float(s.sum()) for s in self.world.slices]
         pending: Optional[np.ndarray] = None
 
-        workers = resolve_workers(self.shard_workers, num_tasks=self.num_shards)
-        executor = None
-        if workers > 1:
-            self._prewarm_shared_state(sessions)
-            executor = shared_executor("thread", workers)
-        profile = FederationProfile(num_shards=self.num_shards, shard_workers=workers)
+        profile = FederationProfile(num_shards=self.num_shards)
         self.last_profile = profile
 
         for epoch in range(num_epochs):
             per_shard: List[List[EpochRecord]] = []
-            if executor is None:
-                for shard_id, session in enumerate(sessions):
-                    delta = None if pending is None else pending[shard_id]
-                    records, wall = self._step_shard((shard_id, session, delta))
-                    profile.shard_wall_seconds[shard_id] += wall
-                    per_shard.append(records)
-                    yield from records
-            else:
-                items = [
-                    (shard_id, session, None if pending is None else pending[shard_id])
-                    for shard_id, session in enumerate(sessions)
+            for shard_id, session in enumerate(sessions):
+                delta = None if pending is None else pending[shard_id]
+                start = time.perf_counter()
+                records = [
+                    replace(record, shard_id=shard_id)
+                    for record in session.run_epoch(capacity_delta=delta)
                 ]
-                stepped = executor.run_ordered(self._step_shard, items)
-                # Barrier before arbitration: every shard waits out the
-                # slowest one, and that wait is what the profile charges as
-                # barrier time.
-                slowest = max(wall for _, wall in stepped)
-                for shard_id, (records, wall) in enumerate(stepped):
-                    profile.shard_wall_seconds[shard_id] += wall
-                    profile.shard_barrier_seconds[shard_id] += slowest - wall
-                    per_shard.append(records)
-                for records in per_shard:
-                    yield from records
+                profile.shard_wall_seconds[shard_id] += time.perf_counter() - start
+                per_shard.append(records)
+                yield from records
             for shard_id, session in enumerate(sessions):
                 profile.shard_solve_seconds[shard_id] = session.phase_seconds["solve"]
                 profile.shard_measure_seconds[shard_id] = session.phase_seconds["measure"]

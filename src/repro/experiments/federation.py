@@ -107,7 +107,6 @@ def _execute_federation_run(task) -> GroupedRunningStats:
         migration_budget,
         num_epochs,
         policy,
-        shard_workers,
         rng,
     ) = task
     fed_rng, sim_rng = spawn_generators(rng, 2)
@@ -128,7 +127,6 @@ def _execute_federation_run(task) -> GroupedRunningStats:
             seed=sim_seed,
             policy=policy,
             policy_migration_budget=migration_budget,
-            shard_workers=shard_workers,
         )
         records = simulator.run(num_epochs)
         aggregate = [r for r in records if r.shard_id == AGGREGATE_SHARD_ID]
@@ -171,7 +169,6 @@ def run_federation(
     policy: str = "reexecute",
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
-    shard_workers: Optional[int] = None,
 ) -> FederationResult:
     """Run the federated-arbitration experiment.
 
@@ -183,10 +180,8 @@ def run_federation(
     same disruption ceiling).  Pass ``churn`` to force one spec for every
     shard, ``migration_budget=math.inf`` for the unbudgeted setting.
 
-    ``workers`` parallelises *replications* over processes; ``shard_workers``
-    additionally threads the shards *within* each federated epoch (records
-    are bit-identical either way).  The two compose, but on small machines
-    prefer one level of parallelism at a time.
+    ``workers`` parallelises *replications* over processes; the shards of
+    each federated epoch always step serially.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
@@ -225,7 +220,6 @@ def run_federation(
             migration_budget,
             num_epochs,
             policy,
-            shard_workers,
             run_rngs[i],
         )
         for i in range(num_runs)

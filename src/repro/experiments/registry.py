@@ -53,9 +53,6 @@ class ExperimentSpec:
     run: Callable[..., object]
     format: Callable[[object], str]
     supports_workers: bool = True
-    #: Driver accepts ``shard_workers`` (thread-parallel shard stepping
-    #: inside each federated epoch); only the federation driver does.
-    supports_shard_workers: bool = False
 
 
 def _spec(
@@ -65,7 +62,6 @@ def _spec(
     run,
     fmt,
     supports_workers=True,
-    supports_shard_workers=False,
 ):
     return ExperimentSpec(
         experiment_id=experiment_id,
@@ -74,7 +70,6 @@ def _spec(
         run=run,
         format=fmt,
         supports_workers=supports_workers,
-        supports_shard_workers=supports_shard_workers,
     )
 
 
@@ -165,7 +160,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         "Cross-shard capacity arbiters on a federated multi-shard world",
         federation.run_federation,
         federation.format_federation,
-        supports_shard_workers=True,
     ),
     "scenarios": _spec(
         "scenarios",
@@ -202,15 +196,11 @@ def experiment_ids() -> list[str]:
 def run_experiment(
     experiment: Union[str, ExperimentSpec],
     config: ExperimentConfig,
-    **extra,
 ) -> object:
     """Run an experiment under the given execution settings.
 
     ``workers`` is forwarded only to drivers that support parallel execution
-    (all except ``runtime``); any ``extra`` keyword arguments are passed to
-    the driver verbatim.
+    (all except ``runtime``).
     """
     spec = experiment if isinstance(experiment, ExperimentSpec) else get_experiment(experiment)
-    kwargs = config.run_kwargs(supports_workers=spec.supports_workers)
-    kwargs.update(extra)
-    return spec.run(**kwargs)
+    return spec.run(**config.run_kwargs(supports_workers=spec.supports_workers))

@@ -34,7 +34,6 @@ and zone-aggregated fast paths, which is all the solvers' hot loops need.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -49,12 +48,6 @@ from repro.utils.chunks import CHUNK_CELLS, row_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.topology.delays import DelayModel
-
-# One process-wide lock guards every lazily-filled backend cache (candidate
-# masks, sorted candidate sets, coordinate embeddings).  The fills are rare —
-# once per instance / delay model — so a shared lock costs nothing, and the
-# double-checked fast path never takes it after the first resolution.
-_CACHE_FILL_LOCK = threading.Lock()
 
 __all__ = [
     "DELAY_BACKENDS",
@@ -307,22 +300,15 @@ class CompactDelayMatrix:
         return self._allowed()
 
     def _allowed(self) -> np.ndarray:
-        """Cached ``(num_zones, m)`` candidate mask (sparse backend only).
-
-        Double-checked against :data:`_CACHE_FILL_LOCK` so concurrent shard
-        threads sharing an instance fill the cache at most once.
-        """
+        """Cached ``(num_zones, m)`` candidate mask (sparse backend only)."""
         cached = self._allowed_cache
         if cached is None:
-            with _CACHE_FILL_LOCK:
-                cached = self._allowed_cache
-                if cached is None:
-                    num_zones, top_k = self.zone_candidates.shape
-                    cached = np.zeros((num_zones, self.num_servers), dtype=bool)
-                    rows = np.repeat(np.arange(num_zones), top_k)
-                    cached[rows, self.zone_candidates.ravel()] = True
-                    cached = _read_only(cached)
-                    object.__setattr__(self, "_allowed_cache", cached)
+            num_zones, top_k = self.zone_candidates.shape
+            cached = np.zeros((num_zones, self.num_servers), dtype=bool)
+            rows = np.repeat(np.arange(num_zones), top_k)
+            cached[rows, self.zone_candidates.ravel()] = True
+            cached = _read_only(cached)
+            object.__setattr__(self, "_allowed_cache", cached)
         return cached
 
     def sorted_candidates(self) -> Optional[np.ndarray]:
@@ -334,18 +320,14 @@ class CompactDelayMatrix:
         row sort gives every consumer index-sorted lists without a per-query
         sort: :meth:`candidate_rows` gathers from it, and GreZ hands it to
         the placement engine as each zone's candidate table.  Read-only and
-        cached; thread-safe via the same double-checked lock as
-        :meth:`_allowed`.
+        cached.
         """
         if self.zone_candidates is None:
             return None
         cached = self._sorted_candidates_cache
         if cached is None:
-            with _CACHE_FILL_LOCK:
-                cached = self._sorted_candidates_cache
-                if cached is None:
-                    cached = _read_only(np.sort(self.zone_candidates, axis=1))
-                    object.__setattr__(self, "_sorted_candidates_cache", cached)
+            cached = _read_only(np.sort(self.zone_candidates, axis=1))
+            object.__setattr__(self, "_sorted_candidates_cache", cached)
         return cached
 
     def candidate_rows(
@@ -785,19 +767,14 @@ def network_coordinates_for(
     The fit is cached on the delay model keyed by dimension, so every
     scenario, federation shard and experiment replication sharing a delay
     model shares one embedding — and the fit's internal RNG never touches
-    any scenario stream.  Double-checked locking makes concurrent first
-    callers (thread-parallel shard stepping) agree on a single fit.
+    any scenario stream.
     """
     cache = getattr(delay_model, "_coords_cache", None)
-    coords = None if cache is None else cache.get(dim)
+    if cache is None:
+        cache = {}
+        delay_model._coords_cache = cache
+    coords = cache.get(dim)
     if coords is None:
-        with _CACHE_FILL_LOCK:
-            cache = getattr(delay_model, "_coords_cache", None)
-            if cache is None:
-                cache = {}
-                delay_model._coords_cache = cache
-            coords = cache.get(dim)
-            if coords is None:
-                coords = fit_network_coordinates(delay_model.rtt, dim=dim)
-                cache[dim] = coords
+        coords = fit_network_coordinates(delay_model.rtt, dim=dim)
+        cache[dim] = coords
     return coords

@@ -19,7 +19,6 @@ obtained from the topology generator").
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,9 +56,6 @@ class DelayModel:
     server_mesh_factor: float = DEFAULT_SERVER_MESH_FACTOR
     _rtt: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _rtt_shared: Optional[SharedArray] = field(default=None, repr=False, compare=False)
-    _rtt_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         check_positive(self.max_rtt_ms, "max_rtt_ms")
@@ -68,19 +64,11 @@ class DelayModel:
     # ------------------------------------------------------------------ #
     @property
     def rtt(self) -> np.ndarray:
-        """Cached all-pairs node round-trip delay matrix (milliseconds).
-
-        Double-checked locking makes the lazy fill safe under thread
-        fan-out: concurrent first readers compute at most once and every
-        caller sees the same array object.
-        """
+        """Cached all-pairs node round-trip delay matrix (milliseconds)."""
         cached = self._rtt
         if cached is None:
-            with self._rtt_lock:
-                cached = self._rtt
-                if cached is None:
-                    cached = self.topology.round_trip_delays(max_rtt_ms=self.max_rtt_ms)
-                    self._rtt = cached
+            cached = self.topology.round_trip_delays(max_rtt_ms=self.max_rtt_ms)
+            self._rtt = cached
         return cached
 
     # ------------------------------------------------------------------ #
@@ -90,11 +78,9 @@ class DelayModel:
     # rehydrate a read-only view of the same bits on unpickle.
     def share_rtt(self) -> SharedArray:
         """Publish the RTT matrix to shared memory (idempotent); return the handle."""
-        rtt = self.rtt  # materialise outside the lock — the property takes it too
-        with self._rtt_lock:
-            if self._rtt_shared is None:
-                self._rtt_shared = SharedArray(rtt)
-            return self._rtt_shared
+        if self._rtt_shared is None:
+            self._rtt_shared = SharedArray(self.rtt)
+        return self._rtt_shared
 
     def unshare_rtt(self) -> None:
         """Release the shared segment (no-op when not shared).
@@ -102,21 +88,18 @@ class DelayModel:
         Only call once every worker task that might attach has been drained;
         processes that already attached keep valid mappings.
         """
-        with self._rtt_lock:
-            shared, self._rtt_shared = self._rtt_shared, None
+        shared, self._rtt_shared = self._rtt_shared, None
         if shared is not None:
             shared.release()
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state.pop("_rtt_lock", None)
         if state.get("_rtt_shared") is not None:
             state["_rtt"] = None  # ship the O(1) handle, not the matrix
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self.__dict__["_rtt_lock"] = threading.Lock()
         shared = self.__dict__.get("_rtt_shared")
         if shared is not None and self.__dict__.get("_rtt") is None:
             self.__dict__["_rtt"] = shared.as_array()

@@ -6,13 +6,11 @@ import cycles.
 """
 
 from repro.utils.pool import (
-    EXECUTOR_KINDS,
     Executor,
     WorkerTaskError,
     available_cpus,
     ordered_map,
     resolve_workers,
-    run_ordered,
     shared_executor,
     shutdown_shared_executors,
 )
@@ -27,14 +25,12 @@ from repro.utils.validation import (
 from repro.utils.timing import Timer
 
 __all__ = [
-    "EXECUTOR_KINDS",
     "Executor",
     "WorkerTaskError",
     "SharedArray",
     "available_cpus",
     "ordered_map",
     "resolve_workers",
-    "run_ordered",
     "shared_executor",
     "shutdown_shared_executors",
     "as_generator",

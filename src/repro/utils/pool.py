@@ -1,23 +1,21 @@
-"""Unified parallel-execution layer: serial, thread and process executors.
+"""Process-parallel execution layer for independent replications.
 
-The replication engine in :mod:`repro.experiments.runner` fans independent
-simulation runs out over worker processes, and the federation engine in
-:mod:`repro.dynamics.federation_engine` steps independent shards on worker
-threads.  Both go through the same executor abstraction defined here:
+The replication engines in :mod:`repro.experiments` fan independent
+simulation runs out over worker processes through the executor abstraction
+defined here:
 
 * :func:`resolve_workers` turns the user-facing ``workers`` knob (``None``,
   ``0`` = all cores, or an explicit count) into a concrete worker count,
   never exceeding the number of tasks;
 * :func:`default_chunksize` picks a ``chunksize`` for ``Executor.map`` that
   balances scheduling overhead against load-balancing granularity;
-* :class:`Executor` wraps one backend (``serial`` | ``thread`` | ``process``)
-  behind an ordered-map API, creating its pool lazily and keeping it alive
-  across calls;
-* :func:`shared_executor` hands out process-wide executors keyed by
-  ``(kind, workers)`` so an experiment run pays pool start-up once, not once
-  per ``ordered_map`` invocation;
-* :func:`ordered_map` / :func:`run_ordered` keep their original signatures
-  (plus an optional ``kind``) and dispatch through the shared executors.
+* :class:`Executor` wraps one process pool behind an ordered-map API,
+  creating the pool lazily and keeping it alive across calls;
+* :func:`shared_executor` hands out process-wide executors keyed by worker
+  count so an experiment run pays pool start-up once, not once per
+  ``ordered_map`` invocation;
+* :func:`ordered_map` maps serially in-process for one worker and dispatches
+  through the shared executors otherwise.
 
 Worker failures never surface as bare remote tracebacks: every parallel task
 is index-wrapped, and a failure re-raises as :class:`WorkerTaskError` carrying
@@ -40,10 +38,9 @@ import atexit
 import os
 import threading
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, TypeVar
 
 __all__ = [
-    "EXECUTOR_KINDS",
     "available_cpus",
     "resolve_workers",
     "default_chunksize",
@@ -52,13 +49,10 @@ __all__ = [
     "shared_executor",
     "shutdown_shared_executors",
     "ordered_map",
-    "run_ordered",
 ]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-EXECUTOR_KINDS = ("serial", "thread", "process")
 
 
 def available_cpus() -> int:
@@ -145,32 +139,25 @@ def _run_indexed(fn: Callable[[_T], _R], indexed_task: Tuple[int, _T]) -> _R:
 
 
 class Executor:
-    """One ordered-map backend with a lazily created, reusable pool.
+    """An ordered map over a lazily created, reusable process pool.
 
-    ``kind`` selects the backend: ``"serial"`` (plain in-process ``map``),
-    ``"thread"`` (:class:`ThreadPoolExecutor` — the right tool when workers
-    spend their time in GIL-releasing NumPy kernels over shared read-only
-    state), or ``"process"`` (:class:`ProcessPoolExecutor` — full isolation,
-    tasks and results must pickle).  The underlying pool is created on first
-    parallel use and kept alive until :meth:`shutdown`, so repeated
-    ``ordered_map`` calls amortise pool start-up.
+    Tasks, ``fn`` and results must pickle.  The underlying
+    :class:`ProcessPoolExecutor` is created on first parallel use and kept
+    alive until :meth:`shutdown`, so repeated ``ordered_map`` calls amortise
+    pool start-up.
     """
 
-    def __init__(self, kind: str = "process", workers: Optional[int] = None):
-        if kind not in EXECUTOR_KINDS:
-            raise ValueError(f"kind must be one of {EXECUTOR_KINDS}, got {kind!r}")
-        self.kind = kind
-        self.workers = 1 if kind == "serial" else resolve_workers(workers)
+    def __init__(self, workers: Optional[int] = None):
+        self.workers = resolve_workers(workers)
         self._pool: Optional[object] = None
         self._lock = threading.Lock()
 
     def _get_pool(self):
         with self._lock:
             if self._pool is None:
-                from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+                from concurrent.futures import ProcessPoolExecutor
 
-                cls = ThreadPoolExecutor if self.kind == "thread" else ProcessPoolExecutor
-                self._pool = cls(max_workers=self.workers)
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
             return self._pool
 
     def ordered_map(
@@ -181,20 +168,20 @@ class Executor:
     ) -> Iterator[_R]:
         """Apply ``fn`` to every task, yielding results in task order.
 
-        Serial executors (and single-task inputs) use a plain ``map`` with no
-        wrapping, so the serial path is byte-for-byte the code path the
-        parallel path executes inside each worker.  Parallel failures raise
+        One worker (or a single task) uses a plain ``map`` with no wrapping,
+        so the serial path is byte-for-byte the code path the parallel path
+        executes inside each worker.  Parallel failures raise
         :class:`WorkerTaskError` with the failing task index.
         """
         tasks = list(tasks)
-        if self.kind == "serial" or self.workers <= 1 or len(tasks) <= 1:
+        if self.workers <= 1 or len(tasks) <= 1:
             yield from map(fn, tasks)
             return
         from concurrent.futures.process import BrokenProcessPool
 
         if chunksize is None:
             effective = min(self.workers, len(tasks))
-            chunksize = 1 if self.kind == "thread" else default_chunksize(len(tasks), effective)
+            chunksize = default_chunksize(len(tasks), effective)
         pool = self._get_pool()
         results = pool.map(partial(_run_indexed, fn), enumerate(tasks), chunksize=chunksize)
         while True:
@@ -211,15 +198,6 @@ class Executor:
                 raise
             yield result
 
-    def run_ordered(
-        self,
-        fn: Callable[[_T], _R],
-        tasks: Sequence[_T],
-        chunksize: Optional[int] = None,
-    ) -> List[_R]:
-        """Eager list version of :meth:`ordered_map` (drains the pool)."""
-        return list(self.ordered_map(fn, tasks, chunksize=chunksize))
-
     def shutdown(self) -> None:
         """Tear down the underlying pool (a later call recreates it)."""
         with self._lock:
@@ -229,29 +207,24 @@ class Executor:
 
 
 _SHARED_LOCK = threading.Lock()
-_SHARED: Dict[Tuple[str, int], Executor] = {}
+_SHARED: Dict[int, Executor] = {}
 
 
-def shared_executor(kind: str = "process", workers: Optional[int] = None) -> Executor:
-    """Process-wide reusable executor for ``(kind, resolved workers)``.
+def shared_executor(workers: Optional[int] = None) -> Executor:
+    """Process-wide reusable executor for a resolved worker count.
 
-    The first request for a given key creates the :class:`Executor`; later
+    The first request for a given count creates the :class:`Executor`; later
     requests return the same instance, so one experiment run reuses one pool
     across every ``ordered_map`` call instead of paying fork/spawn start-up
     per invocation.  Pools are torn down at interpreter exit (or explicitly
     via :func:`shutdown_shared_executors`).
     """
-    if kind not in EXECUTOR_KINDS:
-        raise ValueError(f"kind must be one of {EXECUTOR_KINDS}, got {kind!r}")
-    if kind == "serial":
-        return Executor("serial")
     resolved = resolve_workers(workers)
-    key = (kind, resolved)
     with _SHARED_LOCK:
-        executor = _SHARED.get(key)
+        executor = _SHARED.get(resolved)
         if executor is None:
-            executor = Executor(kind, resolved)
-            _SHARED[key] = executor
+            executor = Executor(resolved)
+            _SHARED[resolved] = executor
         return executor
 
 
@@ -272,15 +245,13 @@ def ordered_map(
     tasks: Sequence[_T],
     workers: Optional[int] = None,
     chunksize: Optional[int] = None,
-    kind: str = "process",
 ) -> Iterator[_R]:
     """Apply ``fn`` to every task, yielding results in task order.
 
     With one (resolved) worker this is a plain in-process ``map`` — no
     pickling, no subprocesses.  With more workers the tasks are distributed
-    over the shared :class:`Executor` for ``kind`` (``"process"`` by
-    default), whose pool persists across calls; ``fn`` and each task must be
-    picklable for the process backend, and results stream back in order.
+    over the shared :class:`Executor`, whose pool persists across calls;
+    ``fn`` and each task must be picklable, and results stream back in order.
     A task that raises inside a worker re-raises here as
     :class:`WorkerTaskError` with the failing task index.
     """
@@ -289,16 +260,4 @@ def ordered_map(
     if resolved <= 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
-    executor = shared_executor(kind, resolved)
-    yield from executor.ordered_map(fn, tasks, chunksize=chunksize)
-
-
-def run_ordered(
-    fn: Callable[[_T], _R],
-    tasks: Sequence[_T],
-    workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    kind: str = "process",
-) -> List[_R]:
-    """Eager list version of :func:`ordered_map` (drains the pool)."""
-    return list(ordered_map(fn, tasks, workers=workers, chunksize=chunksize, kind=kind))
+    yield from shared_executor(resolved).ordered_map(fn, tasks, chunksize=chunksize)

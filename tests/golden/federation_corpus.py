@@ -62,16 +62,15 @@ BACKENDS: Dict[str, dict] = {
 
 @dataclass
 class _RecordingSimulator(FederatedSimulator):
-    """Keeps each shard's session so the final assignments can be read."""
+    """Keeps each shard's session so the final assignments can be read.
 
-    def __post_init__(self, measurement_backend=None) -> None:
-        super().__post_init__(measurement_backend)
-        self._sessions = {}
+    The arbitration step reads every shard's session between epochs; the
+    same session objects hold each shard's state after the last epoch.
+    """
 
-    def _step_shard(self, item):
-        shard_id, session, _ = item
-        self._sessions[shard_id] = session
-        return FederatedSimulator._step_shard(item)
+    def _signals(self, sessions, needs_zone_costs):
+        self._sessions = sessions
+        return super()._signals(sessions, needs_zone_costs)
 
 
 def _canonical(value) -> str:

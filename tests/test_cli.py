@@ -423,11 +423,6 @@ class TestFederateCommand:
 
         assert run_to_csv(None) == run_to_csv(2)
 
-    def test_federate_rejects_bad_min_slice(self):
-        for value in ("0", "1.5", "-0.1"):
-            with pytest.raises(SystemExit):
-                main(["federate", *self.SMALL, "--min-slice", value])
-
     @pytest.mark.parametrize(
         "world",
         [
@@ -437,48 +432,17 @@ class TestFederateCommand:
         ],
         ids=["2-shards", "3-shards-proportional"],
     )
-    def test_federate_shard_workers_stream_identical_csv(self, tmp_path, world):
-        def run_to_csv(shard_workers):
-            path = tmp_path / f"fed-sw{shard_workers or 'serial'}.csv"
-            args = ["federate", *world, "--csv", str(path)]
-            if shard_workers:
-                args += ["--shard-workers", str(shard_workers)]
-            assert main(args) == 0
+    def test_federate_stream_reproducible_csv(self, tmp_path, world):
+        def run_to_csv(name):
+            path = tmp_path / f"{name}.csv"
+            assert main(["federate", *world, "--csv", str(path)]) == 0
             return path.read_text()
 
-        serial = run_to_csv(None)
-        assert run_to_csv(2) == serial
-        assert run_to_csv(0) == serial  # 0 = all CPUs
+        first = run_to_csv("first")
+        assert first.count("\n") > 1
+        assert run_to_csv("second") == first
 
-    def test_federate_shard_workers_in_summary(self, capsys):
-        assert main(["federate", *self.SMALL, "--shard-workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "shard workers" in out
-
-    def test_federate_profile_prints_shard_runtime(self, capsys):
-        assert main(["federate", *self.SMALL, "--shard-workers", "2", "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "Shard runtime" in out
-        assert "barrier wait" in out
-        assert "arbiter decisions" in out
-        assert "all shards" in out
-
-    def test_federate_profile_serial_also_works(self, capsys):
-        assert main(["federate", *self.SMALL, "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "Shard runtime" in out
-
-    def test_federate_profile_multi_run_is_ignored_with_note(self, capsys):
-        assert main(["federate", *self.SMALL, "--runs", "2", "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "--profile" in out
-        assert "Shard runtime" not in out
-
-    def test_federate_rejects_bad_shard_workers(self):
-        with pytest.raises(SystemExit):
-            main(["federate", *self.SMALL, "--shard-workers", "-3"])
-
-    def test_experiment_federation_forwards_shard_workers(self, capsys, monkeypatch):
+    def test_experiment_federation_forwards_runs_seed_and_workers(self, capsys, monkeypatch):
         import dataclasses
 
         from repro.experiments import registry as reg
@@ -486,8 +450,8 @@ class TestFederateCommand:
         spec = reg.get_experiment("federation")
         received = {}
 
-        def tiny_run(num_runs=1, seed=0, workers=None, shard_workers=None):
-            received["shard_workers"] = shard_workers
+        def tiny_run(num_runs=1, seed=0, workers=None):
+            received.update(num_runs=num_runs, seed=seed, workers=workers)
             return spec.run(
                 label="4s-8z-80c-60cp",
                 num_shards=2,
@@ -495,36 +459,55 @@ class TestFederateCommand:
                 arbiters=["proportional"],
                 num_runs=num_runs,
                 seed=seed,
-                shard_workers=shard_workers,
+                workers=workers,
             )
 
         monkeypatch.setitem(
             reg.EXPERIMENTS, "federation", dataclasses.replace(spec, run=tiny_run)
         )
-        assert main(["experiment", "federation", "--runs", "1", "--shard-workers", "2"]) == 0
-        assert received["shard_workers"] == 2
+        argv = ["experiment", "federation", "--runs", "2", "--seed", "4", "--workers", "2"]
+        assert main(argv) == 0
+        assert received == {"num_runs": 2, "seed": 4, "workers": 2}
         assert "proportional" in capsys.readouterr().out
 
-    def test_experiment_without_shards_notes_ignored_shard_workers(self, capsys, monkeypatch):
-        import dataclasses
+    def test_federate_rejects_bad_min_slice(self):
+        for value in ("0", "1.5", "-0.1"):
+            with pytest.raises(SystemExit):
+                main(["federate", *self.SMALL, "--min-slice", value])
 
-        from repro.experiments import registry as reg
-
-        spec = reg.get_experiment("table1")
-
-        def fake_run(**kwargs):
-            assert "shard_workers" not in kwargs
-            return "stub result"
-
-        monkeypatch.setitem(
-            reg.EXPERIMENTS,
-            "table1",
-            dataclasses.replace(spec, run=fake_run, format=lambda result: result),
-        )
-        assert main(["experiment", "table1", "--runs", "1", "--shard-workers", "2"]) == 0
+    def test_federate_profile_prints_shard_runtime(self, capsys):
+        assert main(["federate", *self.SMALL, "--profile"]) == 0
         out = capsys.readouterr().out
-        assert "--shard-workers ignored" in out
-        assert "stub result" in out
+        assert "Shard runtime" in out
+        assert "arbiter decisions" in out
+        assert "all shards" in out
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_federate_profile_has_one_row_per_shard(self, capsys, shards):
+        argv = ["federate", "--config", "4s-8z-80c-60cp", "--shards", str(shards),
+                "--epochs", "2", "--seed", "1", "--profile"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("Shard runtime over 2 epoch(s)"):].splitlines()
+        rows = [line.split("  ")[0].strip() for line in table[3:] if line.strip()]
+        assert rows == [f"shard {i}" for i in range(shards)] + ["all shards"]
+
+    def test_federate_profile_multi_run_is_ignored_with_note(self, capsys):
+        assert main(["federate", *self.SMALL, "--runs", "2", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "--profile" in out
+        assert "Shard runtime" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["federate", *SMALL], ["experiment", "federation", "--runs", "1"]],
+        ids=["federate", "experiment"],
+    )
+    def test_shard_workers_flag_is_rejected(self, argv):
+        # Shards always step serially: no option selects thread stepping.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--shard-workers", "2"])
+        assert exc.value.code == 2
 
 
 #: Flags removed from each engine command since the golden option tables.

@@ -154,6 +154,18 @@ class TestAssignmentBookkeeping:
         assert direct_assignment.num_zones == 4
         assert direct_assignment.num_clients == 8
 
+    def test_equality_is_identity_and_both_classes_hash(
+        self, zone_map, direct_assignment, forwarded_assignment
+    ):
+        # The ndarray fields would make a generated field-wise __eq__ raise
+        # "truth value of an array is ambiguous"; comparison is by identity.
+        assert (direct_assignment == forwarded_assignment) is False
+        assert (direct_assignment == direct_assignment) is True
+        zones_a, zones_b = ZoneAssignment(zone_map), ZoneAssignment(zone_map)
+        assert (zones_a == zones_b) is False
+        assert (zones_a == zones_a) is True
+        assert len({direct_assignment, forwarded_assignment, zones_a, zones_b}) == 4
+
 
 class TestLoadHelpers:
     def test_zone_server_loads_matches_manual(self, tiny_instance, zone_map):

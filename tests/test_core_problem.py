@@ -96,6 +96,12 @@ class TestDerivedQuantities:
     def test_zone_populations(self, tiny_instance):
         np.testing.assert_array_equal(tiny_instance.zone_populations(), [2, 2, 2, 2])
 
+    @pytest.mark.parametrize("method", ["zone_demands", "zone_populations"])
+    def test_zone_caches_fill_once_read_only(self, tiny_instance, method):
+        first = getattr(tiny_instance, method)()
+        assert getattr(tiny_instance, method)() is first
+        assert not first.flags.writeable
+
     def test_clients_of_zone(self, tiny_instance):
         np.testing.assert_array_equal(tiny_instance.clients_of_zone(3), [6, 7])
         with pytest.raises(ValueError):

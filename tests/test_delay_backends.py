@@ -256,6 +256,13 @@ class TestSparseSemantics:
         for candidates in delays.zone_candidates:
             assert np.unique(candidates).size == candidates.size
 
+    def test_candidate_caches_fill_once_read_only(self, sparse_scenario):
+        delays = sparse_scenario.client_server_delays
+        for method in (delays.candidate_mask, delays.sorted_candidates):
+            first = method()
+            assert method() is first
+            assert not first.flags.writeable
+
 
 # ---------------------------------------------------------------------- #
 # Candidate selection vs the frozen one-sort-per-zone oracle.

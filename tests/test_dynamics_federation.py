@@ -14,6 +14,7 @@ from repro.dynamics.engine import ChurnSimulator, EpochRecord
 from repro.dynamics.federation_engine import (
     AGGREGATE_SHARD_ID,
     FederatedSimulator,
+    FederationProfile,
     _nan_weighted_mean,
 )
 from repro.dynamics.infrastructure import ServerChurnSpec
@@ -352,3 +353,99 @@ class TestFederatedSimulator:
             shard_means.append(sum(vals) / len(vals))
         assert worst == pytest.approx(min(shard_means))
         assert math.isnan(FederatedSimulator.worst_shard_pqos(records, "unknown"))
+
+
+class TestSerialStepping:
+    """Every shard advance matches the rebuild oracle and every measurement its
+    full recompute, under each arbiter; the same seed replays the same stream."""
+
+    NUM_EPOCHS = 3
+
+    def _run(self, arbiter: str):
+        world = build_federation(
+            make_small_config(), num_shards=4, seed=11, client_weights=[4, 3, 2, 1]
+        )
+        return FederatedSimulator(
+            world=world,
+            algorithms=["grez-grec"],
+            arbiter=arbiter,
+            churn_spec=ChurnSpec(num_joins=10, num_leaves=10, num_moves=10),
+            seed=5,
+        ).run(self.NUM_EPOCHS)
+
+    @pytest.mark.parametrize("arbiter", ["static", "proportional", "regret"])
+    def test_oracle_checked_and_reproducible(self, arbiter, advance_oracle_spy, measure_oracle_spy):
+        first, second = self._run(arbiter), self._run(arbiter)
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
+            assert (a.shard_id, a.epoch, a.algorithm) == (b.shard_id, b.epoch, b.algorithm)
+            assert ChurnSimulator.records_equal(a, b, fields=EpochRecord.SCENARIO_FIELDS)
+        assert advance_oracle_spy == [True] * (2 * 4 * self.NUM_EPOCHS)
+        assert "carried_qos_count" in measure_oracle_spy
+
+    def test_profile_populated(self, federation3):
+        simulator = FederatedSimulator(
+            world=federation3,
+            algorithms=["grez-grec"],
+            arbiter="proportional",
+            churn_spec=CHURN,
+            seed=5,
+        )
+        simulator.run(self.NUM_EPOCHS)
+        profile = simulator.last_profile
+        assert profile is not None
+        assert profile.num_epochs == self.NUM_EPOCHS
+        assert len(profile.shard_wall_seconds) == 3
+        assert all(w > 0 for w in profile.shard_wall_seconds)
+        assert all(s > 0 for s in profile.shard_solve_seconds)
+        assert profile.arbiter_seconds > 0
+
+    def _simulator(self, world):
+        return FederatedSimulator(
+            world=world,
+            algorithms=["grez-grec"],
+            arbiter="proportional",
+            churn_spec=CHURN,
+            seed=5,
+        )
+
+    def test_profile_advances_while_streaming(self, federation3):
+        simulator = self._simulator(federation3)
+        stream = simulator.stream(self.NUM_EPOCHS)
+        assert simulator.last_profile is None  # nothing runs until iterated
+        # One epoch: three shard records, then the aggregate.
+        epoch0 = [next(stream) for _ in range(3 + 1)]
+        assert [r.shard_id for r in epoch0] == [0, 1, 2, AGGREGATE_SHARD_ID]
+        profile = simulator.last_profile
+        assert profile.num_epochs == 1
+        assert profile.arbiter_seconds == 0.0  # consulted only after the records
+        rest = list(stream)
+        assert profile.num_epochs == self.NUM_EPOCHS
+        eager = self._simulator(federation3).run(self.NUM_EPOCHS)
+        assert len(epoch0 + rest) == len(eager)
+        for a, b in zip(epoch0 + rest, eager):
+            assert (a.shard_id, a.epoch, a.algorithm) == (b.shard_id, b.epoch, b.algorithm)
+            assert ChurnSimulator.records_equal(a, b, fields=EpochRecord.SCENARIO_FIELDS)
+
+    def test_single_epoch_never_consults_arbiter(self, federation3):
+        simulator = self._simulator(federation3)
+        simulator.run(1)
+        assert simulator.last_profile.num_epochs == 1
+        assert simulator.last_profile.arbiter_seconds == 0.0
+
+    def test_each_stream_gets_a_fresh_profile(self, federation3):
+        simulator = self._simulator(federation3)
+        simulator.run(self.NUM_EPOCHS)
+        first = simulator.last_profile
+        simulator.run(1)
+        assert simulator.last_profile is not first
+        assert simulator.last_profile.num_epochs == 1
+        assert first.num_epochs == self.NUM_EPOCHS
+
+    def test_empty_profile_has_one_slot_per_shard(self):
+        profile = FederationProfile(num_shards=3)
+        assert profile.num_epochs == 0
+        assert profile.shard_wall_seconds == [0.0, 0.0, 0.0]
+        assert profile.shard_solve_seconds == [0.0, 0.0, 0.0]
+        assert profile.shard_measure_seconds == [0.0, 0.0, 0.0]
+        assert profile.arbiter_seconds == 0.0

@@ -124,8 +124,8 @@ if not numpy_loads_ma:
 )
 
 #: Each deferred parallel path, compared with its serial result: a 2-process
-#: ``ordered_map``, a 2-shard federated epoch on 2 shard workers, and a
-#: pickle round trip of an RTT matrix published to shared memory.
+#: ``ordered_map`` and a pickle round trip of an RTT matrix published to
+#: shared memory.
 PARALLEL = (
     IMPORTS
     + """
@@ -133,8 +133,7 @@ import pickle
 
 import numpy as np
 
-from repro.dynamics.engine import ChurnSimulator, EpochRecord
-from repro.utils.pool import run_ordered
+from repro.utils.pool import ordered_map
 
 def parallel_loaded():
     return sorted(
@@ -145,26 +144,10 @@ def parallel_loaded():
 assert not parallel_loaded(), parallel_loaded()
 
 tasks = list(range(-8, 8))
-assert run_ordered(abs, tasks, workers=2) == run_ordered(abs, tasks)
+assert list(ordered_map(abs, tasks, workers=2)) == list(map(abs, tasks))
 assert "concurrent.futures.process" in sys.modules
 
-config = config_from_label("4s-8z-80c-60cp")
-
-def federated_epoch(shard_workers):
-    return FederatedSimulator(
-        world=build_federation(config, num_shards=2, seed=0),
-        algorithms=["grez-grec"],
-        seed=1,
-        shard_workers=shard_workers,
-    ).run(1)
-
-serial, threaded = federated_epoch(None), federated_epoch(2)
-assert len(serial) == len(threaded) == 3
-for a, b in zip(serial, threaded):
-    assert (a.shard_id, a.epoch, a.algorithm) == (b.shard_id, b.epoch, b.algorithm)
-    assert ChurnSimulator.records_equal(a, b, fields=EpochRecord.SCENARIO_FIELDS)
-
-model = build_scenario(config, seed=0).delay_model
+model = build_scenario(config_from_label("4s-8z-80c-60cp"), seed=0).delay_model
 rtt = model.rtt.copy()
 model.share_rtt()
 try:

@@ -94,6 +94,23 @@ class TestPredict:
 
 
 class TestCaching:
+    def test_fit_runs_once_per_dim(self, small_topology, monkeypatch):
+        import repro.topology.delay_backends as delay_backends
+
+        fits = []
+        real_fit = delay_backends.fit_network_coordinates
+
+        def counting_fit(rtt, dim):
+            fits.append(dim)
+            return real_fit(rtt, dim=dim)
+
+        monkeypatch.setattr(delay_backends, "fit_network_coordinates", counting_fit)
+        model = DelayModel(small_topology)
+        for _ in range(3):
+            network_coordinates_for(model)
+            network_coordinates_for(model, dim=3)
+        assert fits == [DEFAULT_COORDS_DIM, 3]
+
     def test_cached_per_model_and_dim(self, model):
         first = network_coordinates_for(model)
         assert network_coordinates_for(model) is first

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,32 @@ class TestServerMesh:
         mesh = model.server_server_delays(servers)
         direct = model.rtt[np.ix_(servers, servers)]
         assert (mesh <= direct + 1e-9).all()
+
+
+class TestPickling:
+    @pytest.mark.parametrize("filled", [False, True], ids=["unfilled", "filled"])
+    def test_round_trip_preserves_rtt(self, small_topology_module, filled):
+        model = DelayModel(small_topology_module)
+        if filled:
+            model.rtt  # fill the lazy cache before pickling
+        clone = pickle.loads(pickle.dumps(model))
+        np.testing.assert_array_equal(clone.rtt, model.rtt)
+        assert clone.rtt is clone.rtt  # the clone caches its own copy
+
+    def test_shared_model_ships_handle_and_rehydrates(self, small_topology_module):
+        model = DelayModel(small_topology_module)
+        plain = pickle.dumps(model)  # fills nothing: the cache is still empty
+        model.rtt  # fill the lazy cache
+        filled = pickle.dumps(model)
+        model.share_rtt()
+        try:
+            shared = pickle.dumps(model)
+            clone = pickle.loads(shared)
+            # The shared pickle carries the segment handle, not the matrix.
+            assert len(filled) - len(plain) > model.rtt.nbytes
+            assert len(shared) - len(plain) < 0.1 * model.rtt.nbytes
+            np.testing.assert_array_equal(clone.rtt, model.rtt)
+            assert not clone.rtt.flags.writeable
+        finally:
+            model.unshare_rtt()
+        assert len(pickle.dumps(model)) == len(filled)

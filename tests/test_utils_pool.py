@@ -1,5 +1,5 @@
-"""Tests for repro.utils.pool — worker resolution, the executor layer and
-ordered mapping over serial / thread / process backends."""
+"""Tests for repro.utils.pool — worker resolution, the process executor layer
+and ordered mapping."""
 
 from __future__ import annotations
 
@@ -8,14 +8,12 @@ import os
 import pytest
 
 from repro.utils.pool import (
-    EXECUTOR_KINDS,
     Executor,
     WorkerTaskError,
     available_cpus,
     default_chunksize,
     ordered_map,
     resolve_workers,
-    run_ordered,
     shared_executor,
     shutdown_shared_executors,
 )
@@ -73,34 +71,47 @@ class TestOrderedMap:
         assert list(ordered_map(_square, range(10), workers=3)) == [x * x for x in range(10)]
 
     def test_parallel_matches_serial(self):
-        serial = run_ordered(_square, range(25))
-        parallel = run_ordered(_square, range(25), workers=4)
+        serial = list(ordered_map(_square, range(25)))
+        parallel = list(ordered_map(_square, range(25), workers=4))
         assert serial == parallel
 
     def test_empty(self):
-        assert run_ordered(_square, [], workers=4) == []
+        assert list(ordered_map(_square, [], workers=4)) == []
 
     def test_single_task_stays_in_process(self):
-        assert run_ordered(_square, [7], workers=4) == [49]
-
-    def test_thread_kind_matches_serial(self):
-        serial = run_ordered(_square, range(25))
-        threaded = run_ordered(_square, range(25), workers=4, kind="thread")
-        assert serial == threaded
+        # A lambda cannot pickle, so this passes only if no worker is used.
+        assert list(ordered_map(lambda x: x * x, [7], workers=4)) == [49]
 
     def test_serial_failure_raises_plain_exception(self):
         # No wrapping on the serial path: the original exception propagates.
         with pytest.raises(ValueError, match="task three exploded"):
-            run_ordered(_fail_on_three, range(6))
+            list(ordered_map(_fail_on_three, range(6)))
+
+    @pytest.mark.parametrize("chunksize", [1, 3, 50])
+    def test_explicit_chunksize_matches_serial(self, chunksize):
+        parallel = ordered_map(_square, range(25), workers=2, chunksize=chunksize)
+        assert list(parallel) == [x * x for x in range(25)]
+
+    def test_accepts_any_iterable(self):
+        tasks = (x for x in range(6))
+        assert list(ordered_map(_square, tasks, workers=2)) == [x * x for x in range(6)]
+
+    def test_workers_capped_by_task_count(self):
+        try:
+            assert list(ordered_map(_square, range(2), workers=8)) == [0, 1]
+            # The two tasks were dispatched to a two-worker shared pool.
+            assert shared_executor(2)._pool is not None
+            assert shared_executor(8)._pool is None
+        finally:
+            shutdown_shared_executors()
 
 
 class TestWorkerTaskError:
     """Satellite bugfix: worker failures carry the task index + repro hint."""
 
-    @pytest.mark.parametrize("kind", ["process", "thread"])
-    def test_failure_reports_task_index_and_hint(self, kind):
+    def test_failure_reports_task_index_and_hint(self):
         with pytest.raises(WorkerTaskError) as excinfo:
-            run_ordered(_fail_on_three, range(6), workers=2, kind=kind)
+            list(ordered_map(_fail_on_three, range(6), workers=2))
         err = excinfo.value
         assert err.task_index == 3
         assert isinstance(err.original, ValueError)
@@ -110,38 +121,66 @@ class TestWorkerTaskError:
 
     def test_failure_message_carries_original_text(self):
         with pytest.raises(WorkerTaskError, match="task three exploded"):
-            run_ordered(_fail_on_three, range(6), workers=2)
+            list(ordered_map(_fail_on_three, range(6), workers=2))
+
+    def test_task_failure_leaves_pool_usable(self):
+        # Unlike a dead worker, a task exception does not poison the pool.
+        ex = Executor(workers=2)
+        try:
+            with pytest.raises(WorkerTaskError):
+                list(ex.ordered_map(_fail_on_three, range(6)))
+            pool = ex._pool
+            assert pool is not None
+            assert list(ex.ordered_map(_square, range(4))) == [0, 1, 4, 9]
+            assert ex._pool is pool
+        finally:
+            ex.shutdown()
 
 
 class TestExecutor:
-    def test_kinds(self):
-        assert set(EXECUTOR_KINDS) == {"serial", "thread", "process"}
-        with pytest.raises(ValueError):
-            Executor("fiber")
-        with pytest.raises(ValueError):
-            shared_executor("fiber")
-
-    def test_serial_executor_maps_in_process(self):
-        ex = Executor("serial")
-        assert ex.run_ordered(_square, range(5)) == [x * x for x in range(5)]
+    def test_one_worker_maps_in_process(self):
+        ex = Executor(workers=1)
+        assert list(ex.ordered_map(lambda x: x * 2, range(5))) == [x * 2 for x in range(5)]
+        assert ex._pool is None
         ex.shutdown()  # no-op
 
-    def test_thread_executor_unpicklable_fn_ok(self):
-        # Thread backend needs no pickling — closures are fine.
-        ex = Executor("thread", workers=3)
+    def test_workers_resolved_at_construction(self):
+        assert Executor().workers == 1
+        assert Executor(workers=0).workers == available_cpus()
+        assert Executor(workers=3).workers == 3
+        with pytest.raises(ValueError):
+            Executor(workers=-1)
+
+    def test_pool_created_on_first_parallel_result(self):
+        ex = Executor(workers=2)
         try:
-            doubled = ex.run_ordered(lambda x: x * 2, range(7))
-            assert doubled == [x * 2 for x in range(7)]
+            results = ex.ordered_map(_square, range(4))
+            assert ex._pool is None  # a generator: nothing runs until iterated
+            assert list(results) == [0, 1, 4, 9]
+            assert ex._pool is not None
+        finally:
+            ex.shutdown()
+
+    def test_shutdown_is_idempotent_and_pool_recreated(self):
+        ex = Executor(workers=2)
+        try:
+            assert list(ex.ordered_map(_square, range(4))) == [0, 1, 4, 9]
+            first = ex._pool
+            ex.shutdown()
+            ex.shutdown()
+            assert ex._pool is None
+            assert list(ex.ordered_map(_square, range(4))) == [0, 1, 4, 9]
+            assert ex._pool is not None and ex._pool is not first
         finally:
             ex.shutdown()
 
     def test_pool_survives_across_calls(self):
-        ex = Executor("thread", workers=2)
+        ex = Executor(workers=2)
         try:
-            assert ex.run_ordered(_square, range(4)) == [0, 1, 4, 9]
+            assert list(ex.ordered_map(_square, range(4))) == [0, 1, 4, 9]
             pool = ex._pool
             assert pool is not None
-            assert ex.run_ordered(_square, range(4)) == [0, 1, 4, 9]
+            assert list(ex.ordered_map(_square, range(4))) == [0, 1, 4, 9]
             assert ex._pool is pool  # reused, not recreated
         finally:
             ex.shutdown()
@@ -152,30 +191,41 @@ class TestExecutor:
         # that catches a dead worker must see the name bound.
         from concurrent.futures.process import BrokenProcessPool
 
-        ex = Executor("process", workers=2)
+        ex = Executor(workers=2)
         try:
             with pytest.raises(BrokenProcessPool):
-                ex.run_ordered(os._exit, [3, 3])
+                list(ex.ordered_map(os._exit, [3, 3]))
             assert ex._pool is None  # a fresh pool replaces the broken one
-            assert ex.run_ordered(_square, range(4)) == [0, 1, 4, 9]
+            assert list(ex.ordered_map(_square, range(4))) == [0, 1, 4, 9]
         finally:
             ex.shutdown()
 
     def test_shared_executor_reuse_by_key(self):
         try:
-            a = shared_executor("thread", 2)
-            b = shared_executor("thread", 2)
-            c = shared_executor("thread", 3)
+            a = shared_executor(2)
+            b = shared_executor(2)
+            c = shared_executor(3)
             assert a is b
             assert a is not c
+            # The pool behind a shared executor is reused across ordered maps.
+            assert list(ordered_map(_square, range(4), workers=2)) == [0, 1, 4, 9]
+            pool = a._pool
+            assert pool is not None
+            assert list(ordered_map(_square, range(4), workers=2)) == [0, 1, 4, 9]
+            assert a._pool is pool
         finally:
             shutdown_shared_executors()
 
-    def test_shared_serial_is_stateless(self):
-        assert shared_executor("serial").kind == "serial"
+    def test_shared_executor_keyed_by_resolved_count(self):
+        try:
+            assert shared_executor(None) is shared_executor(1)
+            assert shared_executor(0) is shared_executor(available_cpus())
+            assert shared_executor(0).workers == available_cpus()
+        finally:
+            shutdown_shared_executors()
 
     def test_shutdown_shared_executors_resets_registry(self):
-        first = shared_executor("thread", 2)
+        first = shared_executor(2)
         shutdown_shared_executors()
-        assert shared_executor("thread", 2) is not first
+        assert shared_executor(2) is not first
         shutdown_shared_executors()
