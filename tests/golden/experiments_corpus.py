@@ -1,0 +1,125 @@
+"""Golden rendered text of the seven replicated-sweep experiments.
+
+Each entry runs one driver on a small input and renders it with the
+driver's own formatter: ``table1``, ``table4``, ``figure5``, ``figure6``,
+``delay-bound``, ``baselines`` (with the centralisation table) and
+``ablation``.  Every sweep has two points on ``5s-15z-200c-100cp``-sized
+worlds, one or two runs and seed 7.  The ablation's ``runtime (ms)`` column
+is wall time, so :func:`render` blanks it.  ``tests/test_golden_experiments.py``
+compares the live text against ``experiments.json``; any change to a sweep
+point, a seed stream, a cell format or a table layout shows up as a
+mismatch.
+
+Regenerate ``experiments.json`` (only when a change of the output is
+intended) from the repository root with::
+
+    PYTHONPATH=src python -m tests.golden.experiments_corpus
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Callable, Dict
+
+import repro.baselines  # noqa: F401 - registers the baseline solvers
+from repro.experiments.ablation import format_ablation, run_ablation
+from repro.experiments.baselines_compare import (
+    format_baseline_comparison,
+    run_baseline_comparison,
+    run_centralization_comparison,
+)
+from repro.experiments.delay_bound import format_delay_bound, run_delay_bound
+from repro.experiments.figure5 import format_figure5, run_figure5
+from repro.experiments.figure6 import format_figure6, run_figure6
+from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.table4 import format_table4, run_table4
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "experiments.json"
+
+LABEL = "5s-15z-200c-100cp"
+#: A second, smaller world for the sweeps whose points are configurations.
+SECOND_LABEL = "4s-12z-150c-80cp"
+SEED = 7
+ALGORITHMS = ("ranz-virc", "grez-grec")
+
+#: Header of the ablation column that holds wall time.
+RUNTIME_HEADER = "runtime (ms)"
+
+
+def _blank_runtime_column(text: str) -> str:
+    """Cut the ``runtime (ms)`` column (the last one) from every table row."""
+    lines = text.splitlines()
+    header_index = next(i for i, line in enumerate(lines) if RUNTIME_HEADER in line)
+    start = lines[header_index].index(RUNTIME_HEADER)
+    rows = [line[:start].rstrip() for line in lines[header_index + 2 :]]
+    return "\n".join(lines[: header_index + 2] + rows)
+
+
+CASES: Dict[str, Callable[[], str]] = {
+    "table1": lambda: format_table1(
+        run_table1(
+            labels=(LABEL, SECOND_LABEL),
+            algorithms=ALGORITHMS,
+            num_runs=2,
+            seed=SEED,
+            optimal_labels=(LABEL,),
+        )
+    ),
+    "table4": lambda: format_table4(
+        run_table4(
+            label=LABEL, error_factors=(1.2, 2.0), algorithms=ALGORITHMS, num_runs=2, seed=SEED
+        )
+    ),
+    "figure5": lambda: format_figure5(
+        run_figure5(
+            label=LABEL, correlations=(0.0, 1.0), algorithms=ALGORITHMS, num_runs=2, seed=SEED
+        )
+    ),
+    "figure6": lambda: format_figure6(
+        run_figure6(label=LABEL, types=(0, 3), algorithms=ALGORITHMS, num_runs=1, seed=SEED)
+    ),
+    "delay-bound": lambda: format_delay_bound(
+        run_delay_bound(
+            label=LABEL,
+            bounds_ms=(150.0, 300.0),
+            algorithms=("ranz-virc", "grez-virc", "grez-grec"),
+            num_runs=2,
+            seed=SEED,
+        )
+    ),
+    "baselines": lambda: format_baseline_comparison(
+        run_baseline_comparison(
+            labels=(LABEL, SECOND_LABEL),
+            solvers=("grez-grec", "nearest-server", "load-balance"),
+            num_runs=1,
+            seed=SEED,
+        ),
+        run_centralization_comparison(label=LABEL, num_runs=2, seed=SEED),
+    ),
+    "ablation": lambda: _blank_runtime_column(
+        format_ablation(
+            run_ablation(
+                label=LABEL,
+                variants=("grez-grec", "grez-grec-dynamic", "load-balance"),
+                num_runs=2,
+                seed=SEED,
+            )
+        )
+    ),
+}
+
+
+def render(name: str) -> str:
+    """The rendered text of one case (wall-time cells blanked)."""
+    return CASES[name]()
+
+
+def main() -> None:
+    corpus = {name: render(name) for name in CASES}
+    GOLDEN_PATH.write_text(json.dumps(corpus, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote the rendered text of {len(corpus)} experiments to {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()
