@@ -27,8 +27,12 @@ def test_bench_ablation(benchmark, record):
     )
     record("ablation", format_ablation(result))
 
-    pqos = {row[0]: row[1] for row in result.rows()}
-    runtime_ms = {row[0]: row[3] for row in result.rows()}
+    (replicated,) = result.results.values()
+    pqos = {name: replicated.pqos(name) for name in result.algorithms}
+    runtime_ms = {
+        name: summary.runtime_seconds.mean * 1000.0
+        for name, summary in replicated.summaries.items()
+    }
 
     # Delay awareness in the initial phase is the single largest contributor.
     assert pqos["grez-virc"] > pqos["ranz-virc"]

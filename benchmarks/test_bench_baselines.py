@@ -32,8 +32,8 @@ def test_bench_baseline_comparison(benchmark, record):
     centralization = run_centralization_comparison(num_runs=NUM_RUNS, seed=0)
     record("baselines", format_baseline_comparison(comparison, centralization))
 
-    solver_index = {name: i + 1 for i, name in enumerate(comparison.solvers)}
-    for row in comparison.rows():
+    solver_index = {name: i + 1 for i, name in enumerate(comparison.algorithms)}
+    for row in comparison.panel("pqos"):
         label = row[0]
         grez_grec = row[solver_index["grez-grec"]]
         # The paper's algorithm beats both related-work baselines on every config.

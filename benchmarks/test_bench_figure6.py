@@ -28,14 +28,14 @@ def test_bench_figure6(benchmark, record):
     record("figure6", format_figure6(result))
 
     # GreZ-GreC is the best algorithm for every distribution type (Fig. 6a).
-    for i, _dist_type in enumerate(result.types):
+    for i, _dist_type in enumerate(result.keys):
         grec = result.pqos_series("grez-grec")[i]
         for other in ("ranz-virc", "ranz-grec", "grez-virc"):
             assert grec >= result.pqos_series(other)[i] - 0.03
 
     # Virtual-world clustering (types 2, 3) raises utilisation well above the
     # uniform / physically-clustered cases (types 0, 1) — Fig. 6b.
-    util = {t: result.utilization_series("grez-grec")[i] for i, t in enumerate(result.types)}
+    util = {t: result.utilization_series("grez-grec")[i] for i, t in enumerate(result.keys)}
     assert min(util[2], util[3]) > max(util[0], util[1])
 
     # Virtual-world clustering is the dominant driver of bandwidth consumption:

@@ -24,16 +24,15 @@ which decomposes GreZ-GreC's advantage into its ingredients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import repro.baselines  # noqa: F401 - registers the baseline solvers
 from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
-from repro.experiments.runner import ReplicatedResult, run_replications
+from repro.experiments.runner import SweepPoint, SweepResult, run_sweep
 from repro.io.tables import format_table
 from repro.utils.rng import SeedLike
 
-__all__ = ["AblationResult", "run_ablation", "format_ablation", "DEFAULT_ABLATION_VARIANTS"]
+__all__ = ["run_ablation", "format_ablation", "DEFAULT_ABLATION_VARIANTS"]
 
 #: Variants compared by the ablation, in report order.
 DEFAULT_ABLATION_VARIANTS = (
@@ -51,58 +50,34 @@ DEFAULT_ABLATION_VARIANTS = (
 )
 
 
-@dataclass(frozen=True)
-class AblationResult:
-    """Aggregated metrics per ablation variant."""
-
-    label: str
-    result: ReplicatedResult
-    variants: List[str]
-
-    def rows(self) -> List[list]:
-        """One row per variant: pQoS, utilisation, mean runtime (ms)."""
-        rows = []
-        for name in self.variants:
-            summary = self.result.summaries[name]
-            rows.append(
-                [
-                    name,
-                    summary.pqos.mean,
-                    summary.utilization.mean,
-                    summary.runtime_seconds.mean * 1000.0,
-                ]
-            )
-        return rows
-
-
 def run_ablation(
     label: str = PAPER_DEFAULT_LABEL,
     variants: Optional[Sequence[str]] = None,
     num_runs: int = 3,
     seed: SeedLike = 0,
-    correlation: float = 0.5,
-    share_topology: bool = True,
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
-) -> AblationResult:
-    """Run the ablation comparison on one configuration."""
-    variants = list(variants or DEFAULT_ABLATION_VARIANTS)
-    config = apply_delay_backend(config_from_label(label, correlation=correlation), delay_backend)
-    result = run_replications(
-        config,
-        variants,
-        num_runs=num_runs,
-        seed=seed,
-        share_topology=share_topology,
-        workers=workers,
-    )
-    return AblationResult(label=label, result=result, variants=variants)
+) -> SweepResult:
+    """Run the ablation comparison on one configuration (a one-point sweep)."""
+    point = SweepPoint(label, apply_delay_backend(config_from_label(label), delay_backend))
+    variants = variants or DEFAULT_ABLATION_VARIANTS
+    return run_sweep([point], variants, num_runs, seed, share_topology=True, workers=workers)
 
 
-def format_ablation(result: AblationResult) -> str:
-    """Render the ablation table."""
+def format_ablation(result: SweepResult) -> str:
+    """Render the ablation table: pQoS, utilisation and mean runtime (ms) per variant."""
+    (replicated,) = result.results.values()
+    rows = [
+        [
+            name,
+            summary.pqos.mean,
+            summary.utilization.mean,
+            summary.runtime_seconds.mean * 1000.0,
+        ]
+        for name, summary in replicated.summaries.items()
+    ]
     return format_table(
         ["variant", "pQoS", "utilisation", "runtime (ms)"],
-        result.rows(),
+        rows,
         title=f"Ablation (E7): design-choice decomposition on {result.label}",
     )

@@ -16,14 +16,14 @@ Two comparisons:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import repro.baselines  # noqa: F401 - registers the baseline solvers
 from repro.baselines.central import centralize_servers
 from repro.core.problem import CAPInstance
 from repro.core.registry import solve as registry_solve
 from repro.experiments.config import PAPER_TABLE1_LABELS, apply_delay_backend, config_from_label
-from repro.experiments.runner import ReplicatedResult, run_replications
+from repro.experiments.runner import SweepPoint, SweepResult, run_sweep
 from repro.io.tables import format_table
 from repro.metrics.summary import AggregateStat, aggregate
 from repro.utils.pool import ordered_map
@@ -31,7 +31,6 @@ from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.world.scenario import build_scenario
 
 __all__ = [
-    "BaselineComparisonResult",
     "CentralizationResult",
     "run_baseline_comparison",
     "run_centralization_comparison",
@@ -39,23 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_SOLVERS = ("grez-grec", "grez-virc", "nearest-server", "load-balance", "ranz-virc")
-
-
-@dataclass(frozen=True)
-class BaselineComparisonResult:
-    """Per-configuration comparison of the paper's algorithms vs baselines."""
-
-    labels: List[str]
-    solvers: List[str]
-    results: Dict[str, ReplicatedResult]
-
-    def rows(self) -> List[list]:
-        """One row per configuration; one pQoS column per solver."""
-        rows = []
-        for label in self.labels:
-            result = self.results[label]
-            rows.append([label] + [result.pqos(s) for s in self.solvers])
-        return rows
 
 
 @dataclass(frozen=True)
@@ -80,27 +62,16 @@ def run_baseline_comparison(
     solvers: Optional[Sequence[str]] = None,
     num_runs: int = 3,
     seed: SeedLike = 0,
-    correlation: float = 0.5,
-    share_topology: bool = True,
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
-) -> BaselineComparisonResult:
-    """Compare the paper's algorithms against the related-work baselines."""
-    solvers = list(solvers or DEFAULT_SOLVERS)
-    results: Dict[str, ReplicatedResult] = {}
-    for label in labels:
-        config = apply_delay_backend(
-            config_from_label(label, correlation=correlation), delay_backend
-        )
-        results[label] = run_replications(
-            config,
-            solvers,
-            num_runs=num_runs,
-            seed=seed,
-            share_topology=share_topology,
-            workers=workers,
-        )
-    return BaselineComparisonResult(labels=list(labels), solvers=solvers, results=results)
+) -> SweepResult:
+    """Compare the paper's algorithms against the related-work baselines per configuration."""
+    points = [
+        SweepPoint(label, apply_delay_backend(config_from_label(label), delay_backend))
+        for label in labels
+    ]
+    solvers = solvers or DEFAULT_SOLVERS
+    return run_sweep(points, solvers, num_runs, seed, share_topology=True, workers=workers)
 
 
 def _execute_centralization_run(task) -> tuple[float, float]:
@@ -150,14 +121,14 @@ def run_centralization_comparison(
 
 
 def format_baseline_comparison(
-    comparison: BaselineComparisonResult,
+    comparison: SweepResult,
     centralization: Optional[CentralizationResult] = None,
 ) -> str:
     """Render the baseline-comparison tables."""
     parts = [
         format_table(
-            ["DVE conf."] + list(comparison.solvers),
-            comparison.rows(),
+            ["DVE conf."] + comparison.algorithms,
+            comparison.panel("pqos"),
             title="Baseline comparison (E8): pQoS per configuration",
         )
     ]

@@ -13,53 +13,20 @@ grows (fewer clients need forwarding when their zone's server is nearby).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
 from repro.experiments.paper_values import PAPER_ALGORITHM_ORDER
-from repro.experiments.runner import ReplicatedResult, run_replications
+from repro.experiments.runner import SweepPoint, SweepResult, run_sweep
 from repro.io.tables import format_table
 from repro.utils.rng import SeedLike
 
-__all__ = ["Figure5Result", "run_figure5", "format_figure5"]
+__all__ = ["run_figure5", "format_figure5"]
 
 #: Correlation values swept by the paper.
 DEFAULT_CORRELATIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 #: The delay bound used for Figure 5 (the paper sets D = 200 ms here).
 FIGURE5_DELAY_BOUND_MS = 200.0
-
-
-@dataclass(frozen=True)
-class Figure5Result:
-    """Per-correlation results for each algorithm."""
-
-    label: str
-    correlations: List[float]
-    results: Dict[float, ReplicatedResult]
-    algorithms: List[str]
-
-    def pqos_series(self, algorithm: str) -> List[float]:
-        """pQoS as a function of correlation for one algorithm."""
-        return [self.results[c].pqos(algorithm) for c in self.correlations]
-
-    def utilization_series(self, algorithm: str) -> List[float]:
-        """Resource utilisation as a function of correlation for one algorithm."""
-        return [self.results[c].utilization(algorithm) for c in self.correlations]
-
-    def rows(self, metric: str = "pqos") -> List[list]:
-        """One row per correlation value; columns are the algorithms."""
-        if metric not in ("pqos", "utilization"):
-            raise ValueError("metric must be 'pqos' or 'utilization'")
-        rows = []
-        for c in self.correlations:
-            result = self.results[c]
-            values = [
-                result.pqos(a) if metric == "pqos" else result.utilization(a)
-                for a in self.algorithms
-            ]
-            rows.append([c] + values)
-        return rows
 
 
 def run_figure5(
@@ -68,41 +35,32 @@ def run_figure5(
     algorithms: Optional[Sequence[str]] = None,
     num_runs: int = 3,
     seed: SeedLike = 0,
-    delay_bound_ms: float = FIGURE5_DELAY_BOUND_MS,
-    share_topology: bool = True,
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
-) -> Figure5Result:
-    """Run the correlation sweep of Figure 5."""
-    algorithms = list(algorithms or PAPER_ALGORITHM_ORDER)
-    results: Dict[float, ReplicatedResult] = {}
-    for delta in correlations:
-        config = apply_delay_backend(
-            config_from_label(label, correlation=float(delta), delay_bound_ms=delay_bound_ms),
-            delay_backend,
+) -> SweepResult:
+    """Run the correlation sweep of Figure 5: one point per correlation δ."""
+    points = [
+        SweepPoint(
+            float(delta),
+            apply_delay_backend(
+                config_from_label(
+                    label, correlation=float(delta), delay_bound_ms=FIGURE5_DELAY_BOUND_MS
+                ),
+                delay_backend,
+            ),
         )
-        results[float(delta)] = run_replications(
-            config,
-            algorithms,
-            num_runs=num_runs,
-            seed=seed,
-            share_topology=share_topology,
-            workers=workers,
-        )
-    return Figure5Result(
-        label=label,
-        correlations=[float(c) for c in correlations],
-        results=results,
-        algorithms=algorithms,
-    )
+        for delta in correlations
+    ]
+    algorithms = algorithms or PAPER_ALGORITHM_ORDER
+    return run_sweep(points, algorithms, num_runs, seed, share_topology=True, workers=workers)
 
 
-def format_figure5(result: Figure5Result) -> str:
+def format_figure5(result: SweepResult) -> str:
     """Render both panels (pQoS and resource utilisation) as text tables."""
     headers = ["correlation"] + result.algorithms
     part_a = format_table(
         headers,
-        result.rows("pqos"),
+        result.panel("pqos"),
         title=(
             f"Figure 5(a): pQoS vs correlation, {result.label}, "
             f"D={FIGURE5_DELAY_BOUND_MS:.0f} ms"
@@ -110,7 +68,7 @@ def format_figure5(result: Figure5Result) -> str:
     )
     part_b = format_table(
         headers,
-        result.rows("utilization"),
+        result.panel("utilization"),
         title="Figure 5(b): resource utilisation vs correlation",
     )
     return part_a + "\n\n" + part_b

@@ -13,50 +13,16 @@ physical-world clustering alone has little effect on either metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
 from repro.experiments.paper_values import PAPER_ALGORITHM_ORDER
-from repro.experiments.runner import ReplicatedResult, run_replications
+from repro.experiments.runner import SweepPoint, SweepResult, run_sweep
 from repro.io.tables import format_table
 from repro.utils.rng import SeedLike
 from repro.world.distributions import DISTRIBUTION_TYPES
 
-__all__ = ["Figure6Result", "run_figure6", "format_figure6"]
-
-
-@dataclass(frozen=True)
-class Figure6Result:
-    """Per-distribution-type results for each algorithm."""
-
-    label: str
-    types: List[int]
-    results: Dict[int, ReplicatedResult]
-    algorithms: List[str]
-
-    def pqos_series(self, algorithm: str) -> List[float]:
-        """pQoS per distribution type for one algorithm."""
-        return [self.results[t].pqos(algorithm) for t in self.types]
-
-    def utilization_series(self, algorithm: str) -> List[float]:
-        """Resource utilisation per distribution type for one algorithm."""
-        return [self.results[t].utilization(algorithm) for t in self.types]
-
-    def rows(self, metric: str = "pqos") -> List[list]:
-        """One row per distribution type; columns are the algorithms."""
-        if metric not in ("pqos", "utilization"):
-            raise ValueError("metric must be 'pqos' or 'utilization'")
-        rows = []
-        for t in self.types:
-            result = self.results[t]
-            pw, vw = DISTRIBUTION_TYPES[t]
-            values = [
-                result.pqos(a) if metric == "pqos" else result.utilization(a)
-                for a in self.algorithms
-            ]
-            rows.append([t, pw, vw] + values)
-        return rows
+__all__ = ["run_figure6", "format_figure6"]
 
 
 def run_figure6(
@@ -65,56 +31,38 @@ def run_figure6(
     algorithms: Optional[Sequence[str]] = None,
     num_runs: int = 3,
     seed: SeedLike = 0,
-    correlation: float = 0.5,
-    hot_zone_factor: float = 10.0,
-    share_topology: bool = True,
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
-) -> Figure6Result:
-    """Run the distribution-type sweep of Figure 6."""
-    algorithms = list(algorithms or PAPER_ALGORITHM_ORDER)
-    results: Dict[int, ReplicatedResult] = {}
+) -> SweepResult:
+    """Run the distribution-type sweep of Figure 6: one point per Table 2 type."""
+    points = []
     for dist_type in types:
         if dist_type not in DISTRIBUTION_TYPES:
             raise ValueError(f"unknown distribution type {dist_type}")
         physical, virtual = DISTRIBUTION_TYPES[dist_type]
-        config = apply_delay_backend(
-            config_from_label(
-                label,
-                correlation=correlation,
-                physical_distribution=physical,
-                virtual_distribution=virtual,
-                hot_zone_factor=hot_zone_factor,
-            ),
-            delay_backend,
+        config = config_from_label(
+            label, physical_distribution=physical, virtual_distribution=virtual
         )
-        results[int(dist_type)] = run_replications(
-            config,
-            algorithms,
-            num_runs=num_runs,
-            seed=seed,
-            share_topology=share_topology,
-            workers=workers,
-        )
-    return Figure6Result(
-        label=label,
-        types=[int(t) for t in types],
-        results=results,
-        algorithms=algorithms,
-    )
+        points.append(SweepPoint(int(dist_type), apply_delay_backend(config, delay_backend)))
+    algorithms = algorithms or PAPER_ALGORITHM_ORDER
+    return run_sweep(points, algorithms, num_runs, seed, share_topology=True, workers=workers)
 
 
-def format_figure6(result: Figure6Result) -> str:
+def format_figure6(result: SweepResult) -> str:
     """Render both panels (pQoS and resource utilisation) as text tables."""
     headers = ["type", "physical", "virtual"] + result.algorithms
+
+    def rows(metric: str) -> list:
+        return [[t, *DISTRIBUTION_TYPES[t], *values] for t, *values in result.panel(metric)]
+
     part_a = format_table(
         headers,
-        result.rows("pqos"),
+        rows("pqos"),
         title=f"Figure 6(a): pQoS vs distribution type, {result.label}",
     )
     part_b = format_table(
         headers,
-        result.rows("utilization"),
+        rows("utilization"),
         title="Figure 6(b): resource utilisation vs distribution type",
     )
     return part_a + "\n\n" + part_b

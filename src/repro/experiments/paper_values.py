@@ -2,10 +2,11 @@
 
 These are transcribed from the paper's Tables 1, 3 and 4 (pQoS with resource
 utilisation in brackets where given) and from the qualitative description of
-Figures 4-6.  The benchmark harness prints measured values next to these so
-EXPERIMENTS.md can record paper-vs-measured for every artefact, and the
-integration tests assert the *shape* relations (orderings, trends) rather than
-the absolute values, which depend on the authors' exact topology instances.
+Figures 4-6.  The Table 1, 3 and 4 formatters print them under the
+measured tables (``repro-dve experiment table1``; the benchmark tests record
+the same text in ``benchmarks/results/*.txt``), and the integration tests
+assert the *shape* relations (orderings, trends) rather than the absolute
+values, which depend on the authors' exact topology instances.
 """
 
 from __future__ import annotations

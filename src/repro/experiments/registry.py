@@ -55,82 +55,64 @@ class ExperimentSpec:
     supports_workers: bool = True
 
 
-def _spec(
-    experiment_id,
-    paper_artifact,
-    description,
-    run,
-    fmt,
-    supports_workers=True,
-):
-    return ExperimentSpec(
-        experiment_id=experiment_id,
-        paper_artifact=paper_artifact,
-        description=description,
-        run=run,
-        format=fmt,
-        supports_workers=supports_workers,
-    )
-
-
 EXPERIMENTS: Dict[str, ExperimentSpec] = {
-    "table1": _spec(
+    "table1": ExperimentSpec(
         "table1",
         "Table 1",
         "pQoS and resource utilisation across the four DVE configurations",
         table1.run_table1,
         table1.format_table1,
     ),
-    "figure4": _spec(
+    "figure4": ExperimentSpec(
         "figure4",
         "Figure 4",
         "CDF of client-to-target-server delays on 30s-160z-2000c-1000cp",
         figure4.run_figure4,
         figure4.format_figure4,
     ),
-    "figure5": _spec(
+    "figure5": ExperimentSpec(
         "figure5",
         "Figure 5",
         "pQoS and utilisation vs physical-virtual correlation (D = 200 ms)",
         figure5.run_figure5,
         figure5.format_figure5,
     ),
-    "figure6": _spec(
+    "figure6": ExperimentSpec(
         "figure6",
         "Figure 6",
         "pQoS and utilisation vs clustered client distributions (types 0-3)",
         figure6.run_figure6,
         figure6.format_figure6,
     ),
-    "table3": _spec(
+    "table3": ExperimentSpec(
         "table3",
         "Table 3",
         "pQoS before / after / re-executed around join-leave-move churn",
         table3.run_table3,
         table3.format_table3,
     ),
-    "table4": _spec(
+    "table4": ExperimentSpec(
         "table4",
         "Table 4",
         "pQoS and utilisation with delay-estimation error (King, IDMaps)",
         table4.run_table4,
         table4.format_table4,
     ),
-    "ablation": _spec(
+    "ablation": ExperimentSpec(
         "ablation",
         "(extension)",
         "Design-choice ablation of the greedy heuristics",
         ablation.run_ablation,
         ablation.format_ablation,
     ),
-    "baselines": _spec(
+    "baselines": ExperimentSpec(
         "baselines",
         "(extension)",
         "Comparison against related-work baselines across configurations",
         baselines_compare.run_baseline_comparison,
         baselines_compare.format_baseline_comparison,
     ),
-    "runtime": _spec(
+    "runtime": ExperimentSpec(
         "runtime",
         "(runtime discussion in Section 4.2)",
         "Solver execution times across configuration sizes",
@@ -140,35 +122,35 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         # so the runtime experiment always executes serially.
         supports_workers=False,
     ),
-    "dynamics": _spec(
+    "dynamics": ExperimentSpec(
         "dynamics",
         "(extension)",
         "Longitudinal churn: per-epoch pQoS under a repair-policy schedule",
         dynamics.run_dynamics,
         dynamics.format_dynamics,
     ),
-    "controller": _spec(
+    "controller": ExperimentSpec(
         "controller",
         "(extension)",
         "Rebalance-controller trigger policies under elastic churn with migration costs",
         controller.run_controller,
         controller.format_controller,
     ),
-    "federation": _spec(
+    "federation": ExperimentSpec(
         "federation",
         "(extension)",
         "Cross-shard capacity arbiters on a federated multi-shard world",
         federation.run_federation,
         federation.format_federation,
     ),
-    "scenarios": _spec(
+    "scenarios": ExperimentSpec(
         "scenarios",
         "(extension)",
         "Incident scenario library: recovery metrics under graceful degradation",
         scenarios.run_scenarios,
         scenarios.format_scenarios,
     ),
-    "delay-bound": _spec(
+    "delay-bound": ExperimentSpec(
         "delay-bound",
         "(extension)",
         "pQoS and utilisation as the interactivity bound D is swept (100-500 ms)",

@@ -14,12 +14,19 @@ a process pool: ``workers=4`` distributes the runs over four processes and
 streams the per-run observations back in run order.  Because every run's
 randomness is fixed in the parent before any work is dispatched, the parallel
 and serial paths produce bit-identical observations for the same seed.
+
+The paper's tables and figures are sweeps of such replications: Table 1 over
+configurations, Table 4 over the estimation error, Figures 5 and 6 over the
+correlation and the client distribution.  :func:`run_sweep` runs one
+:func:`run_replications` per :class:`SweepPoint` and returns a
+:class:`SweepResult`, which serves the per-point series, the two-metric
+panels and the paper's "pQoS (R)" cell every sweep driver renders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,8 +44,12 @@ __all__ = [
     "RunObservation",
     "AlgorithmSummary",
     "ReplicatedResult",
+    "SweepPoint",
+    "SweepResult",
     "evaluate_algorithms",
+    "qos_cell",
     "run_replications",
+    "run_sweep",
 ]
 
 
@@ -308,3 +319,96 @@ def run_replications(
         summaries=summaries,
         observations=per_algorithm if keep_observations else {},
     )
+
+
+def qos_cell(pqos: float, utilization: float) -> str:
+    """The paper's table cell: pQoS with the resource utilisation in brackets."""
+    return f"{pqos:.2f} ({utilization:.2f})"
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One point of a replicated sweep and its :func:`run_replications` keywords.
+
+    ``algorithms`` replaces the sweep's algorithm list at this point only
+    (Table 1 adds the exact MILP where it is tractable).
+    """
+
+    key: Hashable
+    config: DVEConfig
+    delay_bound_ms: Optional[float] = None
+    estimator: Optional[DelayEstimator] = None
+    algorithms: Optional[Tuple[str, ...]] = None
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """Result of :func:`run_sweep`: one :class:`ReplicatedResult` per point, in order."""
+
+    algorithms: List[str]
+    results: Dict[Hashable, ReplicatedResult]
+
+    @property
+    def keys(self) -> List[Hashable]:
+        """The point keys in sweep order."""
+        return list(self.results)
+
+    @property
+    def label(self) -> str:
+        """Configuration label of the first point (the world a one-config sweep varies)."""
+        return next(iter(self.results.values())).config.label
+
+    def pqos_series(self, algorithm: str) -> List[float]:
+        """Mean pQoS of one algorithm at every point."""
+        return [result.pqos(algorithm) for result in self.results.values()]
+
+    def utilization_series(self, algorithm: str) -> List[float]:
+        """Mean resource utilisation of one algorithm at every point."""
+        return [result.utilization(algorithm) for result in self.results.values()]
+
+    def panel(self, metric: str) -> List[list]:
+        """One row per point: the key, then one ``metric`` column per algorithm."""
+        if metric not in ("pqos", "utilization"):
+            raise ValueError("metric must be 'pqos' or 'utilization'")
+        return [
+            [key] + [getattr(result, metric)(name) for name in self.algorithms]
+            for key, result in self.results.items()
+        ]
+
+    def cell(self, key: Hashable, algorithm: str) -> str:
+        """:func:`qos_cell` of one algorithm at one point; ``"-"`` where it did not run."""
+        summary = self.results[key].summaries.get(algorithm)
+        if summary is None:
+            return "-"
+        return qos_cell(summary.pqos.mean, summary.utilization.mean)
+
+
+def run_sweep(
+    points: Sequence[SweepPoint],
+    algorithms: Sequence[str],
+    num_runs: int = 5,
+    seed: SeedLike = 0,
+    share_topology: bool = False,
+    workers: Optional[int] = None,
+) -> SweepResult:
+    """Run :func:`run_replications` at every point of a sweep, in order.
+
+    Every point gets the same ``seed``; with an integer seed the points
+    replay the same run streams, so they differ only in what the point
+    changes (configuration, delay bound, estimator or algorithm list).
+    """
+    algorithms = list(algorithms)
+    results = {
+        point.key: run_replications(
+            point.config,
+            point.algorithms or algorithms,
+            num_runs=num_runs,
+            seed=seed,
+            estimator=point.estimator,
+            delay_bound_ms=point.delay_bound_ms,
+            share_topology=share_topology,
+            workers=workers,
+        )
+        for point in points
+    }
+    return SweepResult(algorithms=algorithms, results=results)

@@ -164,11 +164,10 @@ class Executor:
         self,
         fn: Callable[[_T], _R],
         tasks: Sequence[_T],
-        chunksize: Optional[int] = None,
     ) -> Iterator[_R]:
         """Apply ``fn`` to every task, yielding results in task order.
 
-        One worker (or a single task) uses a plain ``map`` with no wrapping,
+        Tasks go out in :func:`default_chunksize` chunks.  One worker (or a single task) uses a plain ``map`` with no wrapping,
         so the serial path is byte-for-byte the code path the parallel path
         executes inside each worker.  Parallel failures raise
         :class:`WorkerTaskError` with the failing task index.
@@ -179,9 +178,7 @@ class Executor:
             return
         from concurrent.futures.process import BrokenProcessPool
 
-        if chunksize is None:
-            effective = min(self.workers, len(tasks))
-            chunksize = default_chunksize(len(tasks), effective)
+        chunksize = default_chunksize(len(tasks), min(self.workers, len(tasks)))
         pool = self._get_pool()
         results = pool.map(partial(_run_indexed, fn), enumerate(tasks), chunksize=chunksize)
         while True:
@@ -244,7 +241,6 @@ def ordered_map(
     fn: Callable[[_T], _R],
     tasks: Sequence[_T],
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
 ) -> Iterator[_R]:
     """Apply ``fn`` to every task, yielding results in task order.
 
@@ -260,4 +256,4 @@ def ordered_map(
     if resolved <= 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
-    yield from shared_executor(resolved).ordered_map(fn, tasks, chunksize=chunksize)
+    yield from shared_executor(resolved).ordered_map(fn, tasks)

@@ -510,26 +510,28 @@ class TestFederateCommand:
         assert exc.value.code == 2
 
 
-#: Flags removed from each engine command since the golden option tables.
-REMOVED_FLAGS = {
-    "simulate": {"--measurement-backend"},
-    "loadgen": {"--measurement-backend", "--no-arena", "--compare"},
-    "federate": {"--measurement-backend"},
-}
+#: Flags removed from the engine commands, each with an argument it once took.
+REMOVED_FLAGS = [
+    ["simulate", "--measurement-backend", "full"],
+    ["loadgen", "--measurement-backend", "full"],
+    ["loadgen", "--no-arena"],
+    ["loadgen", "--compare"],
+    ["federate", "--measurement-backend", "full"],
+]
 
 
 class TestEngineCommandOptions:
-    """Against the golden option tables, each command lost only the removed flags."""
+    """The live engine-command options match the golden option tables exactly."""
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_options_match_golden_minus_removed(self, command):
-        expected = [
-            (flag, option)
-            for flag, option in GOLDEN_OPTIONS[command].items()
-            if flag not in REMOVED_FLAGS[command]
-        ]
-        assert list(option_table(command).items()) == expected
-        assert REMOVED_FLAGS[command] <= set(GOLDEN_OPTIONS[command])
+    def test_options_match_golden(self, command):
+        assert list(option_table(command).items()) == list(GOLDEN_OPTIONS[command].items())
+
+    @pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
+    def test_removed_flag_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestInputErrors:

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from repro.core.assignment import Assignment, server_loads
 from repro.core.costs import delays_to_targets
+from repro.core import local_search
 from repro.core.local_search import (
     LocalSearchResult,
+    _repair_contacts_sweep,
     _repair_zones_sweep,
     _zone_move_aggregates,
     refine_assignment,
@@ -20,8 +22,12 @@ from repro.core.local_search import (
 from repro.core.problem import CAPInstance
 from repro.core.two_phase import solve_cap
 from repro.core.validation import validate_assignment
+from repro.dynamics.churn import ChurnSpec
+from repro.dynamics.engine import ChurnSimulator
+from repro.experiments.config import config_from_label
 from repro.world.scenario import build_scenario
 from tests.conftest import make_small_config, make_tiny_instance
+from tests.reference.contact_sweep_full import repair_contacts_sweep_full
 from tests.reference.local_search_loop import refine_loop
 from tests.reference.zone_sweep_full import _zone_move_aggregates as oracle_zone_move_aggregates
 from tests.reference.zone_sweep_full import repair_zones_sweep_full
@@ -331,3 +337,122 @@ class TestZoneMoveAggregates:
         _, o_within, o_excess, _ = oracle_zone_move_aggregates(instance)
         assert within.tobytes() == o_within.tobytes()
         assert excess.tobytes() == o_excess.tobytes()
+
+
+# ---------------------------------------------------------------------- #
+# Contact sweep vs the frozen rescan-every-client oracle.
+# ---------------------------------------------------------------------- #
+def _run_both_contact_sweeps(
+    instance, zone_to_server, contacts, max_iterations, max_sweeps=50, delays=None
+) -> int:
+    """Run the engine's contact sweep in place and the oracle on copies; both
+    must leave the same contacts, the same delay bits and the same move count."""
+    o_contacts = contacts.copy()
+    o_delays = None if delays is None else delays.copy()
+    o_applied = repair_contacts_sweep_full(
+        instance, zone_to_server.copy(), o_contacts, max_iterations, max_sweeps, o_delays
+    )
+    applied = _repair_contacts_sweep(
+        instance, zone_to_server, contacts, max_iterations, max_sweeps, delays
+    )
+    assert applied == o_applied
+    np.testing.assert_array_equal(contacts, o_contacts)
+    if delays is not None:
+        assert delays.tobytes() == o_delays.tobytes()
+    return applied
+
+
+def _contention_case(seed: int):
+    """``(instance, zone_to_server, contacts)`` with little headroom per server.
+
+    Each server has room for zero to three more forwarded clients, so
+    over-bound clients that want the same server compete for it, and the
+    ones refused in one sweep retry in the next.
+    """
+    rng = np.random.default_rng(seed)
+    instance = _random_dense_instance(rng, coarse=bool(rng.random() < 0.5))
+    num_servers = instance.num_servers
+    zone_to_server = rng.integers(0, num_servers, size=instance.num_zones)
+    contacts = zone_to_server[instance.client_zones].copy()
+    forwarded = rng.random(instance.num_clients) < 0.3
+    contacts[forwarded] = rng.integers(0, num_servers, size=int(forwarded.sum()))
+    loads = server_loads(instance, zone_to_server, contacts)
+    headroom = rng.integers(0, 4, size=num_servers) * 2.0 * instance.client_demands.max()
+    capacities = np.maximum(loads + headroom, 0.25)
+    return instance.with_server_capacities(capacities), zone_to_server, contacts
+
+
+def _first_sweep_claimants(instance, zone_to_server, contacts) -> int:
+    """Over-bound clients with a strictly improving contact that has room at the start."""
+    delays = delays_to_targets(instance, zone_to_server, contacts)
+    loads = server_loads(instance, zone_to_server, contacts)
+    over = np.flatnonzero(delays > instance.delay_bound)
+    targets = zone_to_server[instance.client_zones[over]]
+    options = instance.delay_rows(over) + instance.server_server_delays.T[targets]
+    demand2 = 2.0 * instance.client_demands[over]
+    fits = (np.arange(instance.num_servers) == targets[:, None]) | (
+        loads + demand2[:, None] <= instance.server_capacities + 1e-9
+    )
+    return int((fits & (options < delays[over, None])).any(axis=1).sum())
+
+
+class TestContactSweepOracle:
+    """``_repair_contacts_sweep`` against its frozen rescan-every-client copy."""
+
+    def test_figure4_world_warm_start_epochs(self, monkeypatch):
+        """Every contact sweep of 60 warm-start epochs on the figure-4 world."""
+        applied = []
+
+        def checked_sweep(instance, zone_to_server, contacts, max_iterations, *args, **kwargs):
+            applied.append(
+                _run_both_contact_sweeps(
+                    instance, zone_to_server, contacts, max_iterations, *args, **kwargs
+                )
+            )
+            return applied[-1]
+
+        monkeypatch.setattr(local_search, "_repair_contacts_sweep", checked_sweep)
+        config = config_from_label("30s-160z-2000c-1000cp", correlation=0.0)
+        simulator = ChurnSimulator(
+            scenario=build_scenario(config, seed=0),
+            algorithms=["grez-grec"],
+            churn_spec=ChurnSpec(num_joins=20, num_leaves=20, num_moves=20),
+            seed=3,
+            policy="warm_start",
+        )
+        assert len(simulator.run(60)) == 60
+        assert len(applied) == 60
+        assert sum(applied) > 0
+
+    @pinned(150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        seeded=st.booleans(),
+        max_iterations=st.sampled_from([1, 2, 5, 1000]),
+        max_sweeps=st.sampled_from([1, 2, 50]),
+    )
+    def test_tight_capacity_instances(self, seed, seeded, max_iterations, max_sweeps):
+        instance, zone_to_server, contacts = _contention_case(seed)
+        delays = delays_to_targets(instance, zone_to_server, contacts) if seeded else None
+        _run_both_contact_sweeps(
+            instance, zone_to_server, contacts, max_iterations, max_sweeps, delays
+        )
+        if seeded:
+            fresh = delays_to_targets(instance, zone_to_server, contacts)
+            assert delays.tobytes() == fresh.tobytes()
+
+    def test_drawn_instances_force_contention_and_more_sweeps(self):
+        """The drawn cases reach what a partial rescan can get wrong: claimants
+        refused in the first sweep, and moves applied after it."""
+        contended = multi_sweep = 0
+        for seed in range(60):
+            instance, zone_to_server, contacts = _contention_case(seed)
+            one_sweep = repair_contacts_sweep_full(
+                instance, zone_to_server.copy(), contacts.copy(), 1000, max_sweeps=1
+            )
+            all_sweeps = repair_contacts_sweep_full(
+                instance, zone_to_server.copy(), contacts.copy(), 1000
+            )
+            contended += one_sweep < _first_sweep_claimants(instance, zone_to_server, contacts)
+            multi_sweep += all_sweeps > one_sweep
+        assert contended >= 20 and multi_sweep >= 20

@@ -26,9 +26,8 @@ class TestRunDelayBound:
         )
 
     def test_structure(self, result):
-        assert result.bounds_ms == [100.0, 250.0, 500.0]
-        assert set(result.results) == {100.0, 250.0, 500.0}
-        rows = result.rows("pqos")
+        assert result.keys == [100.0, 250.0, 500.0]
+        rows = result.panel("pqos")
         assert len(rows) == 3 and len(rows[0]) == 4
 
     def test_pqos_monotone_in_delay_bound(self, result):
@@ -42,18 +41,18 @@ class TestRunDelayBound:
         assert result.results[500.0].pqos("grez-grec") == pytest.approx(1.0, abs=1e-6)
 
     def test_grez_dominates_ranz_at_every_bound(self, result):
-        for i in range(len(result.bounds_ms)):
+        for i in range(len(result.keys)):
             assert result.pqos_series("grez-grec")[i] >= result.pqos_series("ranz-virc")[i]
 
     def test_refinement_gain_non_negative(self, result):
-        gains = result.refinement_gain_series()
-        assert all(g >= -1e-9 for g in gains)
+        gains = zip(result.pqos_series("grez-grec"), result.pqos_series("grez-virc"))
+        assert all(grec - virc >= -1e-9 for grec, virc in gains)
 
-    def test_rows_validation(self, result):
+    def test_panel_validation(self, result):
         with pytest.raises(ValueError):
-            result.rows("latency")
+            result.panel("latency")
 
-    def test_refinement_gain_requires_both_algorithms(self):
+    def test_gain_table_needs_both_algorithms(self):
         partial = run_delay_bound(
             label=SMALL_LABEL,
             bounds_ms=[250.0],
@@ -61,8 +60,7 @@ class TestRunDelayBound:
             num_runs=1,
             seed=0,
         )
-        with pytest.raises(ValueError):
-            partial.refinement_gain_series()
+        assert "Where the refined phase pays off" not in format_delay_bound(partial)
 
 
 class TestFormatting:

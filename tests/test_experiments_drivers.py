@@ -32,11 +32,10 @@ class TestTable1Driver:
             algorithms=ALGOS,
             num_runs=2,
             seed=0,
-            include_optimal=True,
             optimal_labels=[SMALL_LABEL],
         )
-        assert list(result.results) == [SMALL_LABEL]
-        assert result.optimal_labels == [SMALL_LABEL]
+        assert result.keys == [SMALL_LABEL]
+        assert result.algorithms == ALGOS
         summaries = result.results[SMALL_LABEL].summaries
         assert set(summaries) == {"ranz-virc", "grez-grec", "optimal"}
         # Headline ordering of the paper on this configuration.
@@ -45,10 +44,9 @@ class TestTable1Driver:
 
     def test_rows_and_formatting(self):
         result = run_table1(
-            labels=[SMALL_LABEL], algorithms=ALGOS, num_runs=1, seed=0, include_optimal=False
+            labels=[SMALL_LABEL], algorithms=ALGOS, num_runs=1, seed=0, optimal_labels=()
         )
-        rows = result.rows()
-        assert len(rows) == 1 and rows[0][0] == SMALL_LABEL
+        assert result.cell(SMALL_LABEL, "optimal") == "-"
         text = format_table1(result)
         assert "Table 1 (measured)" in text
         assert "Table 1 (paper)" in text
@@ -89,15 +87,15 @@ class TestFigure5Driver:
         result = run_figure5(
             label=SMALL_LABEL, correlations=[0.0, 1.0], algorithms=ALGOS, num_runs=2, seed=0
         )
-        assert result.correlations == [0.0, 1.0]
+        assert result.keys == [0.0, 1.0]
         series = result.pqos_series("grez-grec")
         assert len(series) == 2
         # Delay-aware initial assignment benefits from correlation (Fig. 5a shape).
         assert series[1] >= series[0] - 0.05
-        rows = result.rows("pqos")
+        rows = result.panel("pqos")
         assert len(rows) == 2 and len(rows[0]) == 1 + len(ALGOS)
         with pytest.raises(ValueError):
-            result.rows("latency")
+            result.panel("latency")
         assert "Figure 5(a)" in format_figure5(result)
 
 
@@ -106,8 +104,8 @@ class TestFigure6Driver:
         result = run_figure6(
             label=SMALL_LABEL, types=[0, 3], algorithms=ALGOS, num_runs=1, seed=0
         )
-        assert result.types == [0, 3]
-        rows = result.rows("utilization")
+        assert result.keys == [0, 3]
+        rows = result.panel("utilization")
         assert len(rows) == 2
         # Virtual-world clustering (type 3) raises utilisation vs type 0 (Fig. 6b shape).
         util_type0 = result.utilization_series("grez-grec")[0]
@@ -147,7 +145,7 @@ class TestTable4Driver:
         result = run_table4(
             label=SMALL_LABEL, error_factors=[1.2, 2.0], algorithms=ALGOS, num_runs=2, seed=0
         )
-        assert result.error_factors == [1.2, 2.0]
+        assert result.keys == [1.2, 2.0]
         for factor in (1.2, 2.0):
             summaries = result.results[factor].summaries
             assert set(summaries) == set(ALGOS)
@@ -156,8 +154,6 @@ class TestTable4Driver:
             result.results[2.0].pqos("grez-grec")
             <= result.results[1.2].pqos("grez-grec") + 0.05
         )
-        rows = result.rows()
-        assert len(rows) == len(ALGOS) and len(rows[0]) == 3
         text = format_table4(result)
         assert "Table 4 (measured)" in text and "e=1.2" in text
 
@@ -167,15 +163,15 @@ class TestExtensionDrivers:
         result = run_ablation(
             label=SMALL_LABEL, variants=["grez-grec", "grez-grec-dynamic"], num_runs=1, seed=0
         )
-        rows = result.rows()
-        assert len(rows) == 2
+        assert result.keys == [SMALL_LABEL]
+        assert list(result.results[SMALL_LABEL].summaries) == ["grez-grec", "grez-grec-dynamic"]
         assert "Ablation" in format_ablation(result)
 
     def test_baseline_comparison(self):
         result = run_baseline_comparison(
             labels=[SMALL_LABEL], solvers=["grez-grec", "load-balance"], num_runs=1, seed=0
         )
-        rows = result.rows()
+        rows = result.panel("pqos")
         assert len(rows) == 1
         # grez-grec column >= load-balance column.
         assert rows[0][1] >= rows[0][2] - 0.05

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import repro.baselines  # noqa: F401
-from repro.experiments.runner import evaluate_algorithms, run_replications
+from repro.experiments.runner import (
+    SweepPoint,
+    evaluate_algorithms,
+    qos_cell,
+    run_replications,
+    run_sweep,
+)
 from repro.measurement.error import IDMAPS
 from repro.measurement.estimators import DelayEstimator
 from tests.conftest import make_small_config
@@ -106,3 +112,44 @@ class TestRunReplications:
         for name in ALGORITHMS:
             assert a.pqos(name) == pytest.approx(b.pqos(name))
             assert a.utilization(name) == pytest.approx(b.utilization(name))
+
+
+class TestRunSweep:
+    def test_each_point_is_run_replications_with_its_keywords(self):
+        config = make_small_config(num_clients=60, num_zones=6)
+        points = [
+            SweepPoint("plain", config),
+            SweepPoint(
+                "tight", config, delay_bound_ms=150.0, algorithms=("grez-grec", "ranz-virc")
+            ),
+        ]
+        sweep = run_sweep(points, ["grez-grec"], num_runs=2, seed=3)
+        assert sweep.keys == ["plain", "tight"]
+        assert sweep.algorithms == ["grez-grec"]
+        assert sweep.label == config.label
+        direct = run_replications(
+            config, ["grez-grec", "ranz-virc"], num_runs=2, seed=3, delay_bound_ms=150.0
+        )
+        assert list(sweep.results["tight"].summaries) == ["grez-grec", "ranz-virc"]
+        assert sweep.results["tight"].pqos("ranz-virc") == direct.pqos("ranz-virc")
+        assert sweep.cell("tight", "ranz-virc") == qos_cell(
+            direct.pqos("ranz-virc"), direct.utilization("ranz-virc")
+        )
+        # The per-point list adds an algorithm at that point only.
+        assert sweep.cell("plain", "ranz-virc") == "-"
+        assert sweep.panel("utilization") == [
+            [key, sweep.results[key].utilization("grez-grec")] for key in sweep.keys
+        ]
+        assert sweep.pqos_series("grez-grec") == [
+            result.pqos("grez-grec") for result in sweep.results.values()
+        ]
+
+    def test_estimator_reaches_the_point(self):
+        config = make_small_config(num_clients=60, num_zones=6)
+        estimator = DelayEstimator(IDMAPS)
+        sweep = run_sweep([SweepPoint(2.0, config, estimator=estimator)], ["grez-grec"], num_runs=1)
+        direct = run_replications(config, ["grez-grec"], num_runs=1, estimator=estimator)
+        assert sweep.pqos_series("grez-grec") == [direct.pqos("grez-grec")]
+
+    def test_qos_cell_format(self):
+        assert qos_cell(0.8249, 0.6) == "0.82 (0.60)"

@@ -87,10 +87,10 @@ class TestOrderedMap:
         with pytest.raises(ValueError, match="task three exploded"):
             list(ordered_map(_fail_on_three, range(6)))
 
-    @pytest.mark.parametrize("chunksize", [1, 3, 50])
-    def test_explicit_chunksize_matches_serial(self, chunksize):
-        parallel = ordered_map(_square, range(25), workers=2, chunksize=chunksize)
-        assert list(parallel) == [x * x for x in range(25)]
+    def test_multi_task_default_chunks_keep_order(self):
+        # 64 tasks over 2 workers go out in default chunks of 8 tasks each.
+        assert default_chunksize(64, 2) == 8
+        assert list(ordered_map(_square, range(64), workers=2)) == [x * x for x in range(64)]
 
     def test_accepts_any_iterable(self):
         tasks = (x for x in range(6))
