@@ -1,11 +1,14 @@
-"""Golden rendered text of the seven replicated-sweep experiments.
+"""Golden rendered text of the replicated experiments.
 
 Each entry runs one driver on a small input and renders it with the
-driver's own formatter: ``table1``, ``table4``, ``figure5``, ``figure6``,
-``delay-bound``, ``baselines`` (with the centralisation table) and
-``ablation``.  Every sweep has two points on ``5s-15z-200c-100cp``-sized
-worlds, one or two runs and seed 7.  The ablation's ``runtime (ms)`` column
-is wall time, so :func:`render` blanks it.  ``tests/test_golden_experiments.py``
+driver's own formatter.  The seven replicated sweeps are ``table1``,
+``table4``, ``figure5``, ``figure6``, ``delay-bound``, ``baselines`` (with
+the centralisation table) and ``ablation``; every sweep has two points on
+``5s-15z-200c-100cp``-sized worlds, one or two runs and seed 7.  The five
+engine studies are ``table3``, ``dynamics``, ``scenarios``, ``controller``
+and ``federation``; each runs on ``5s-15z-200c-100cp`` with seed 7, one or
+two runs and two to six epochs.  The ablation's ``runtime (ms)`` column is
+wall time, so :func:`render` blanks it.  ``tests/test_golden_experiments.py``
 compares the live text against ``experiments.json``; any change to a sweep
 point, a seed stream, a cell format or a table layout shows up as a
 mismatch.
@@ -23,16 +26,22 @@ from pathlib import Path
 from typing import Callable, Dict
 
 import repro.baselines  # noqa: F401 - registers the baseline solvers
+from repro.dynamics.churn import ChurnSpec
 from repro.experiments.ablation import format_ablation, run_ablation
 from repro.experiments.baselines_compare import (
     format_baseline_comparison,
     run_baseline_comparison,
     run_centralization_comparison,
 )
+from repro.experiments.controller import format_controller, run_controller
 from repro.experiments.delay_bound import format_delay_bound, run_delay_bound
+from repro.experiments.dynamics import format_dynamics, run_dynamics
+from repro.experiments.federation import format_federation, run_federation
 from repro.experiments.figure5 import format_figure5, run_figure5
 from repro.experiments.figure6 import format_figure6, run_figure6
+from repro.experiments.scenarios import format_scenarios, run_scenarios
 from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.table3 import format_table3, run_table3
 from repro.experiments.table4 import format_table4, run_table4
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "experiments.json"
@@ -42,6 +51,8 @@ LABEL = "5s-15z-200c-100cp"
 SECOND_LABEL = "4s-12z-150c-80cp"
 SEED = 7
 ALGORITHMS = ("ranz-virc", "grez-grec")
+#: Per-epoch churn of the engine studies, sized for a 200-client world.
+CHURN = ChurnSpec(num_joins=20, num_leaves=20, num_moves=20)
 
 #: Header of the ablation column that holds wall time.
 RUNTIME_HEADER = "runtime (ms)"
@@ -105,6 +116,42 @@ CASES: Dict[str, Callable[[], str]] = {
                 num_runs=2,
                 seed=SEED,
             )
+        )
+    ),
+    "table3": lambda: format_table3(
+        run_table3(label=LABEL, algorithms=ALGORITHMS, num_runs=2, seed=SEED, churn=CHURN)
+    ),
+    "dynamics": lambda: format_dynamics(
+        run_dynamics(
+            label=LABEL,
+            algorithms=ALGORITHMS,
+            num_runs=2,
+            seed=SEED,
+            num_epochs=3,
+            policy="incremental",
+            churn=CHURN,
+        )
+    ),
+    "scenarios": lambda: format_scenarios(
+        run_scenarios(
+            label=LABEL,
+            scenarios=("flash-crowd", "regional-outage"),
+            num_runs=1,
+            seed=SEED,
+            num_epochs=6,
+        )
+    ),
+    "controller": lambda: format_controller(
+        run_controller(label=LABEL, num_runs=2, seed=SEED, num_epochs=3, churn=CHURN)
+    ),
+    "federation": lambda: format_federation(
+        run_federation(
+            label=LABEL,
+            num_shards=2,
+            arbiters=("static", "proportional"),
+            num_runs=2,
+            seed=SEED,
+            num_epochs=2,
         )
     ),
 }
