@@ -26,7 +26,7 @@ import pytest
 import numpy as np
 
 from repro.experiments.config import config_from_label
-from repro.experiments.runner import _RunTask, run_replications
+from repro.experiments.runner import run_replications
 from repro.io.serialization import load_json
 from repro.topology.brite import generate_topology
 from repro.topology.delays import DelayModel
@@ -106,17 +106,16 @@ def test_bench_zero_copy_dispatch_payload(record):
     rtt_bytes = model.rtt.nbytes  # materialise before measuring
 
     def task_bytes() -> int:
-        task = _RunTask(
+        point = dict(
             config=config,
             algorithms=tuple(ALGORITHMS),
-            rng=np.random.default_rng(0),
             estimator=None,
             delay_bound_ms=None,
             collect_delays=True,
             topology=model.topology,
             delay_model=model,
         )
-        return len(pickle.dumps(task))
+        return len(pickle.dumps(point))
 
     plain_bytes = task_bytes()
     model.share_rtt()

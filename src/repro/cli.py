@@ -54,12 +54,11 @@ from repro.experiments.config import (
 )
 from repro.experiments.loadgen import format_loadgen, run_loadgen
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, get_experiment, run_experiment
+from repro.experiments.runner import replicate
 from repro.io.csvout import CsvAppender
 from repro.io.tables import format_kv, format_table
 from repro.metrics import GroupedRunningStats, qos_report, resource_report
 from repro.topology.delay_backends import DEFAULT_DELAY_BACKEND, DELAY_BACKENDS
-from repro.utils.pool import ordered_map
-from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.validation import check_positive
 from repro.world import build_scenario
 from repro.world.federation import build_federation
@@ -547,25 +546,27 @@ def _engine_options(args: argparse.Namespace) -> _EngineOptions:
     return config, engine
 
 
-def _simulate_run(args: argparse.Namespace, options: _EngineOptions, rng) -> ChurnSimulator:
-    """One ``simulate`` replication: a fresh world and churn stream from ``rng``."""
+def _simulate_run(
+    world_rng, engine_rng, args: argparse.Namespace, options: _EngineOptions
+) -> ChurnSimulator:
+    """One ``simulate`` replication: a fresh world and churn stream."""
     config, engine = options
-    scenario_rng, sim_rng = spawn_generators(rng, 2)
     return ChurnSimulator(
-        scenario=build_scenario(config, seed=scenario_rng), seed=sim_rng, **engine
+        scenario=build_scenario(config, seed=world_rng), seed=engine_rng, **engine
     )
 
 
-def _federate_run(args: argparse.Namespace, options: _EngineOptions, rng) -> FederatedSimulator:
-    """One ``federate`` replication: a fresh federated world from ``rng``."""
+def _federate_run(
+    world_rng, engine_rng, args: argparse.Namespace, options: _EngineOptions
+) -> FederatedSimulator:
+    """One ``federate`` replication: a fresh federated world."""
     config, engine = options
-    fed_rng, sim_rng = spawn_generators(rng, 2)
     weights = (
         list(args.shard_weights)
         if args.shard_weights is not None
         else [float(args.shards - i) for i in range(args.shards)]
     )
-    world = build_federation(config, num_shards=args.shards, seed=fed_rng, client_weights=weights)
+    world = build_federation(config, num_shards=args.shards, seed=world_rng, client_weights=weights)
     churn_specs = []
     for shard in world.shards:
         events = round(args.churn_fraction * shard.num_clients)
@@ -574,17 +575,14 @@ def _federate_run(args: argparse.Namespace, options: _EngineOptions, rng) -> Fed
         world=world,
         arbiter=make_arbiter(args.arbiter, min_slice_fraction=args.min_slice),
         churn_spec=churn_specs,
-        seed=sim_rng,
+        seed=engine_rng,
         **engine,
     )
 
 
-def _execute_run(task) -> List[EpochRecord]:
-    """One replication of an engine command (worker-side; must be picklable)."""
-    import repro.baselines  # noqa: F401 — repopulate the registry under spawn
-
-    build, args, options, rng = task
-    return build(args, options, rng).run(args.epochs)
+def _run_records(world_rng, engine_rng, build: Callable, **point) -> List[EpochRecord]:
+    """Every record of one replication of ``build`` (worker-side; must be picklable)."""
+    return build(world_rng, engine_rng, **point).run(point["args"].epochs)
 
 
 def _engine_records(
@@ -596,16 +594,17 @@ def _engine_records(
     """Yield ``(run_index, record)`` over ``args.runs`` replications of ``build``.
 
     A single run streams from ``stream(simulator)``, so it holds O(1)
-    records even for thousands of epochs; more runs fan the replications
-    out over :func:`ordered_map` and stream run by run.
+    records even for thousands of epochs; more runs go out over
+    :func:`replicate` and stream run by run.
     """
-    run_rngs = spawn_generators(as_generator(args.seed), args.runs)
+    point = dict(args=args, options=options)
     if args.runs == 1:
-        for record in stream(build(args, options, run_rngs[0])):
+        (simulator,) = replicate(build, [point], 1, args.seed)
+        for record in stream(simulator):
             yield 0, record
         return
-    tasks = [(build, args, options, rng) for rng in run_rngs]
-    for run_index, records in enumerate(ordered_map(_execute_run, tasks, workers=args.workers)):
+    runs = replicate(_run_records, [dict(point, build=build)], args.runs, args.seed, args.workers)
+    for run_index, records in enumerate(runs):
         for record in records:
             yield run_index, record
 

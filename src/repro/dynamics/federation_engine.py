@@ -26,7 +26,6 @@ produces a delta, and the session step API replays the classic RNG layout.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Iterator, List, Optional, Sequence, Union
@@ -393,22 +392,3 @@ class FederatedSimulator:
     def run(self, num_epochs: int = 1) -> List[EpochRecord]:
         """Eager list version of :meth:`stream`."""
         return list(self.stream(num_epochs))
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def shard_records(records: Sequence[EpochRecord], shard_id: int) -> List[EpochRecord]:
-        """Filter a record stream down to one shard (or the aggregate)."""
-        return [r for r in records if r.shard_id == shard_id]
-
-    @staticmethod
-    def worst_shard_pqos(records: Sequence[EpochRecord], algorithm: str) -> float:
-        """Minimum over shards of the mean adopted pQoS (the fairness floor)."""
-        by_shard: dict = {}
-        for r in records:
-            if r.algorithm != algorithm or r.shard_id == AGGREGATE_SHARD_ID:
-                continue
-            if not math.isnan(r.pqos_adopted):
-                by_shard.setdefault(r.shard_id, []).append(r.pqos_adopted)
-        if not by_shard:
-            return _NAN
-        return min(sum(v) / len(v) for v in by_shard.values())

@@ -6,10 +6,18 @@
 * ``figure6`` — Figure 6 (clustered distributions).
 * ``table3``  — Table 3 (DVE dynamics / churn).
 * ``table4``  — Table 4 (imperfect delay estimates).
-* ``ablation``, ``baselines``, ``runtime`` — extensions documented in DESIGN.md.
+* ``ablation``, ``baselines``, ``delay-bound``, ``runtime`` — static extensions.
+* ``dynamics``, ``scenarios``, ``controller``, ``federation`` — engine studies:
+  longitudinal churn, incident recovery, rebalance triggers and cross-shard
+  capacity arbiters.
 
-Use :func:`repro.experiments.registry.get_experiment` (or the CLI) to run any
-of them by id.
+Every replicated experiment fans its runs out through
+:func:`repro.experiments.runner.replicate`.  The static sweeps aggregate them
+with :func:`~repro.experiments.runner.run_sweep`.  Table 3, the engine studies
+and the centralisation comparison aggregate them into a
+:class:`~repro.experiments.runner.StudyResult`.  Use
+:func:`repro.experiments.registry.get_experiment` (or the CLI) to run any of
+them by id.
 """
 
 from repro.experiments.config import (

@@ -15,23 +15,26 @@ Two comparisons:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Optional, Sequence
+
+import numpy as np
 
 import repro.baselines  # noqa: F401 - registers the baseline solvers
 from repro.baselines.central import centralize_servers
 from repro.core.problem import CAPInstance
 from repro.core.registry import solve as registry_solve
-from repro.experiments.config import PAPER_TABLE1_LABELS, apply_delay_backend, config_from_label
-from repro.experiments.runner import SweepPoint, SweepResult, run_sweep
+from repro.experiments.config import (
+    PAPER_DEFAULT_LABEL,
+    PAPER_TABLE1_LABELS,
+    apply_delay_backend,
+    config_from_label,
+)
+from repro.experiments.runner import StudyResult, SweepPoint, SweepResult, replicate, run_sweep
 from repro.io.tables import format_table
-from repro.metrics.summary import AggregateStat, aggregate
-from repro.utils.pool import ordered_map
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
-from repro.world.scenario import build_scenario
+from repro.utils.rng import SeedLike
+from repro.world.scenario import DVEConfig, build_scenario
 
 __all__ = [
-    "CentralizationResult",
     "run_baseline_comparison",
     "run_centralization_comparison",
     "format_baseline_comparison",
@@ -39,22 +42,12 @@ __all__ = [
 
 DEFAULT_SOLVERS = ("grez-grec", "grez-virc", "nearest-server", "load-balance", "ranz-virc")
 
+#: The algorithm both deployments of the centralisation comparison run.
+CENTRALIZATION_ALGORITHM = "grez-grec"
 
-@dataclass(frozen=True)
-class CentralizationResult:
-    """GDSA vs centralised deployment, same algorithm, same workload."""
-
-    label: str
-    algorithm: str
-    distributed_pqos: AggregateStat
-    centralized_pqos: AggregateStat
-
-    def rows(self) -> List[list]:
-        """Two rows: distributed and centralised."""
-        return [
-            ["distributed (GDSA)", self.distributed_pqos.mean, self.distributed_pqos.std],
-            ["centralised (one site)", self.centralized_pqos.mean, self.centralized_pqos.std],
-        ]
+#: The two rows of the centralisation comparison.
+DISTRIBUTED = "distributed (GDSA)"
+CENTRALIZED = "centralised (one site)"
 
 
 def run_baseline_comparison(
@@ -74,55 +67,38 @@ def run_baseline_comparison(
     return run_sweep(points, solvers, num_runs, seed, share_topology=True, workers=workers)
 
 
-def _execute_centralization_run(task) -> tuple[float, float]:
-    """One distributed-vs-centralised run (worker-side; must be picklable)."""
-    import repro.baselines  # noqa: F401 — repopulate the registry under spawn
-
-    config, algorithm, rng = task
-    scenario_rng, solve_rng = spawn_generators(rng, 2)
-    scenario = build_scenario(config, seed=scenario_rng)
-    central_scenario = centralize_servers(scenario)
-
+def _centralization_run(
+    world_rng: np.random.Generator, engine_rng: np.random.Generator, config: DVEConfig
+) -> Dict[tuple, float]:
+    """One distributed-vs-centralised run: the pQoS of both deployments."""
+    scenario = build_scenario(config, seed=world_rng)
     instance = CAPInstance.from_scenario(scenario)
-    central_instance = CAPInstance.from_scenario(central_scenario)
-    return (
-        registry_solve(instance, algorithm, seed=solve_rng).pqos(instance),
-        registry_solve(central_instance, algorithm, seed=solve_rng).pqos(central_instance),
-    )
+    central_instance = CAPInstance.from_scenario(centralize_servers(scenario))
+    return {
+        (row, "pqos"): registry_solve(inst, CENTRALIZATION_ALGORITHM, seed=engine_rng).pqos(inst)
+        for row, inst in ((DISTRIBUTED, instance), (CENTRALIZED, central_instance))
+    }
 
 
 def run_centralization_comparison(
-    label: str = "20s-80z-1000c-500cp",
-    algorithm: str = "grez-grec",
+    label: str = PAPER_DEFAULT_LABEL,
     num_runs: int = 3,
     seed: SeedLike = 0,
-    correlation: float = 0.5,
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
-) -> CentralizationResult:
-    """Compare the GDSA against a centralised deployment of the same servers."""
-    config = apply_delay_backend(config_from_label(label, correlation=correlation), delay_backend)
-    rng = as_generator(seed)
-    run_rngs = spawn_generators(rng, num_runs)
+) -> StudyResult:
+    """Compare the GDSA against a centralised deployment of the same servers.
 
-    tasks = [(config, algorithm, run_rngs[i]) for i in range(num_runs)]
-    distributed: List[float] = []
-    centralized: List[float] = []
-    for dist_pqos, central_pqos in ordered_map(_execute_centralization_run, tasks, workers=workers):
-        distributed.append(dist_pqos)
-        centralized.append(central_pqos)
-
-    return CentralizationResult(
-        label=label,
-        algorithm=algorithm,
-        distributed_pqos=aggregate(distributed),
-        centralized_pqos=aggregate(centralized),
-    )
+    One row per deployment, one ``pqos`` column.
+    """
+    point = dict(config=apply_delay_backend(config_from_label(label), delay_backend))
+    runs = replicate(_centralization_run, [point], num_runs, seed, workers)
+    return StudyResult.collect(runs, label, num_runs, [DISTRIBUTED, CENTRALIZED], ["pqos"])
 
 
 def format_baseline_comparison(
     comparison: SweepResult,
-    centralization: Optional[CentralizationResult] = None,
+    centralization: Optional[StudyResult] = None,
 ) -> str:
     """Render the baseline-comparison tables."""
     parts = [
@@ -133,13 +109,17 @@ def format_baseline_comparison(
         )
     ]
     if centralization is not None:
+        rows = []
+        for row in centralization.rows:
+            stat = centralization.stats[(row, "pqos")]
+            rows.append([row, stat.mean, stat.std])
         parts.append("")
         parts.append(
             format_table(
                 ["architecture", "pQoS (mean)", "pQoS (std)"],
-                centralization.rows(),
+                rows,
                 title=(
-                    f"GDSA vs centralised deployment ({centralization.algorithm}, "
+                    f"GDSA vs centralised deployment ({CENTRALIZATION_ALGORITHM}, "
                     f"{centralization.label})"
                 ),
             )

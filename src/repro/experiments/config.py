@@ -24,6 +24,7 @@ __all__ = [
     "PAPER_DEFAULT_LABEL",
     "PAPER_SMALL_LABELS",
     "paper_default_config",
+    "engine_study_config",
 ]
 
 
@@ -148,3 +149,8 @@ def config_from_label(label: str, **overrides) -> DVEConfig:
 def paper_default_config(**overrides) -> DVEConfig:
     """The paper's default configuration (20s-80z-1000c-500cp)."""
     return config_from_label(PAPER_DEFAULT_LABEL, **overrides)
+
+
+def engine_study_config(label: str, delay_backend: Optional[str]) -> DVEConfig:
+    """The world of the engine studies: Table 3's correlation δ = 0 on ``label``."""
+    return apply_delay_backend(config_from_label(label, correlation=0.0), delay_backend)

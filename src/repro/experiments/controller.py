@@ -16,24 +16,23 @@ the shared ``workers`` knob.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
+
+import numpy as np
 
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.migration import MigrationCostModel
 from repro.dynamics.policies import RebalancePolicy
-from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
+from repro.experiments.config import PAPER_DEFAULT_LABEL, engine_study_config
+from repro.experiments.runner import StudyResult, replicate
 from repro.io.tables import format_table
-from repro.metrics.summary import AggregateStat, GroupedRunningStats
-from repro.utils.pool import ordered_map
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
-from repro.world.scenario import build_scenario
+from repro.utils.rng import SeedLike
+from repro.world.scenario import DVEConfig, build_scenario
 
 __all__ = [
     "default_controller_policies",
-    "ControllerResult",
     "run_controller",
     "format_controller",
 ]
@@ -67,55 +66,26 @@ _METRICS = (
 )
 
 
-@dataclass(frozen=True)
-class ControllerResult:
-    """Aggregated controller-policy comparison.
-
-    ``stats`` maps ``(policy_name, metric)`` to the cross-run aggregate for
-    the metrics in :data:`_METRICS`.
-    """
-
-    label: str
-    algorithm: str
-    policy_names: List[str]
-    num_epochs: int
-    num_runs: int
-    churn: ChurnSpec
-    server_churn: Optional[ServerChurnSpec]
-    migration_cost: MigrationCostModel
-    stats: Dict[Tuple[str, str], AggregateStat]
-
-    def rows(self) -> List[list]:
-        """One row per policy with every aggregated metric's mean."""
-        return [
-            [name, *(self.stats[(name, metric)].mean for metric in _METRICS)]
-            for name in self.policy_names
-        ]
-
-
-def _execute_controller_run(task) -> GroupedRunningStats:
-    """One replication across all policies (worker-side; must be picklable)."""
-    import repro.baselines  # noqa: F401 — repopulate the registry under spawn
-
-    (
-        config,
-        algorithm,
-        policies,
-        churn,
-        server_churn,
-        migration_cost,
-        num_epochs,
-        rng,
-    ) = task
-    scenario_rng, sim_rng = spawn_generators(rng, 2)
-    scenario = build_scenario(config, seed=scenario_rng)
+def _controller_run(
+    world_rng: np.random.Generator,
+    engine_rng: np.random.Generator,
+    config: DVEConfig,
+    algorithm: str,
+    policies: tuple,
+    churn: ChurnSpec,
+    server_churn: ServerChurnSpec,
+    migration_cost: MigrationCostModel,
+    num_epochs: int,
+) -> Dict[tuple, float]:
+    """One replication across all policies: every metric of every policy."""
+    scenario = build_scenario(config, seed=world_rng)
     # Every policy replays the same scenario and the same churn stream, so
     # differences come from the trigger policy alone.  A shared *integer*
     # seed (not a shared Generator — spawning from a Generator mutates it,
     # which would hand each policy a different stream) re-seeds identically
     # per policy.
-    sim_seed = int(sim_rng.integers(2**63))
-    stats = GroupedRunningStats()
+    sim_seed = int(engine_rng.integers(2**63))
+    observations = {}
     for name, policy in policies:
         records = ChurnSimulator(
             scenario=scenario,
@@ -128,13 +98,16 @@ def _execute_controller_run(task) -> GroupedRunningStats:
         ).run(num_epochs)
         adopted = [r.pqos_adopted for r in records]
         actions = [r.action for r in records]
-        stats.add((name, "mean_pqos"), sum(adopted) / len(adopted))
-        stats.add((name, "worst_pqos"), min(adopted))
-        stats.add((name, "repairs"), float(actions.count("repair")))
-        stats.add((name, "rebalances"), float(actions.count("rebalance")))
-        stats.add((name, "clients_migrated"), float(sum(r.clients_migrated for r in records)))
-        stats.add((name, "migration_cost"), sum(r.migration_cost for r in records))
-    return stats
+        values = (
+            sum(adopted) / len(adopted),
+            min(adopted),
+            float(actions.count("repair")),
+            float(actions.count("rebalance")),
+            float(sum(r.clients_migrated for r in records)),
+            sum(r.migration_cost for r in records),
+        )
+        observations.update({(name, m): v for m, v in zip(_METRICS, values)})
+    return observations
 
 
 def run_controller(
@@ -147,10 +120,9 @@ def run_controller(
     churn: ChurnSpec | None = None,
     server_churn: Optional[ServerChurnSpec] = None,
     migration_cost: Optional[MigrationCostModel] = None,
-    correlation: float = 0.0,
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
-) -> ControllerResult:
+) -> StudyResult:
     """Run the controller-policy comparison experiment.
 
     By default the churn is the paper's Table 3 batch plus mild
@@ -159,14 +131,15 @@ def run_controller(
     policy of :func:`default_controller_policies` has something to trade
     against; pass ``server_churn=ServerChurnSpec()`` /
     ``migration_cost=MigrationCostModel()`` explicitly for the classic
-    fixed-fleet, free-migration setting.
+    fixed-fleet, free-migration setting.  The result has one row per policy
+    and one column per metric.
     """
     churn = churn or ChurnSpec()
     if server_churn is None:
         server_churn = ServerChurnSpec(num_joins=1, num_leaves=1, capacity_drift=0.05)
     if migration_cost is None:
         migration_cost = MigrationCostModel(cost_per_client=1.0)
-    config = apply_delay_backend(config_from_label(label, correlation=correlation), delay_backend)
+    config = engine_study_config(label, delay_backend)
     if policies is None:
         # Budget the default ladder's capped policy at 25 % of the configured
         # population migrating per epoch (infinite when migrations are free).
@@ -176,58 +149,46 @@ def run_controller(
             else math.inf
         )
         policies = default_controller_policies(budget)
-    resolved: List[Tuple[str, RebalancePolicy]] = list(policies.items())
 
-    rng = as_generator(seed)
-    run_rngs = spawn_generators(rng, num_runs)
-    tasks = [
-        (
-            config,
-            algorithm,
-            tuple(resolved),
-            churn,
-            server_churn,
-            migration_cost,
-            num_epochs,
-            run_rngs[i],
-        )
-        for i in range(num_runs)
-    ]
-    merged = GroupedRunningStats()
-    for run_stats in ordered_map(_execute_controller_run, tasks, workers=workers):
-        merged.merge(run_stats)
-
-    names = [name for name, _ in resolved]
-    stats = {
-        (name, metric): merged.stat((name, metric)) for name in names for metric in _METRICS
-    }
-    return ControllerResult(
-        label=label,
+    point = dict(
+        config=config,
         algorithm=algorithm,
-        policy_names=names,
-        num_epochs=num_epochs,
-        num_runs=num_runs,
+        policies=tuple(policies.items()),
         churn=churn,
         server_churn=server_churn,
         migration_cost=migration_cost,
-        stats=stats,
+        num_epochs=num_epochs,
+    )
+    runs = replicate(_controller_run, [point], num_runs, seed, workers)
+    return StudyResult.collect(
+        runs,
+        label,
+        num_runs,
+        list(policies),
+        _METRICS,
+        algorithm=algorithm,
+        num_epochs=num_epochs,
+        churn=churn,
+        server_churn=server_churn,
+        migration_cost=migration_cost,
     )
 
 
-def format_controller(result: ControllerResult) -> str:
+def format_controller(result: StudyResult) -> str:
     """Render the policy comparison table."""
-    churn = result.churn
-    sc = result.server_churn
+    setting = result.setting
+    churn = setting["churn"]
+    sc = setting["server_churn"]
     elastic = (
         f", fleet {sc.num_joins}+/{sc.num_leaves}- drift {sc.capacity_drift:g}"
-        if sc is not None and not sc.is_static
+        if not sc.is_static
         else ""
     )
     title = (
-        f"Rebalance controller on {result.algorithm}, {result.label}, "
-        f"{result.num_epochs} epochs × {result.num_runs} runs, churn "
+        f"Rebalance controller on {setting['algorithm']}, {result.label}, "
+        f"{setting['num_epochs']} epochs × {result.num_runs} runs, churn "
         f"{churn.num_joins}j/{churn.num_leaves}l/{churn.num_moves}m{elastic}, "
-        f"migration cost {result.migration_cost.cost_per_client:g}/client"
+        f"migration cost {setting['migration_cost'].cost_per_client:g}/client"
     )
     headers = [
         "policy",
@@ -238,4 +199,4 @@ def format_controller(result: ControllerResult) -> str:
         "clients migrated",
         "migration cost",
     ]
-    return format_table(headers, result.rows(), title=title, float_format=".3f")
+    return format_table(headers, result.table(), title=title, float_format=".3f")

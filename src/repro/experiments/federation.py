@@ -23,21 +23,23 @@ churn), parallelised over the shared ``workers`` knob.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.core.arbitration import ARBITER_NAMES, CapacityArbiter, make_arbiter
 from repro.dynamics.churn import ChurnSpec
+from repro.dynamics.engine import EpochRecord
 from repro.dynamics.federation_engine import AGGREGATE_SHARD_ID, FederatedSimulator
 from repro.dynamics.migration import MigrationCostModel
-from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
+from repro.experiments.config import PAPER_DEFAULT_LABEL, engine_study_config
+from repro.experiments.runner import StudyResult, replicate
 from repro.io.tables import format_table
-from repro.metrics.summary import AggregateStat, GroupedRunningStats
-from repro.utils.pool import ordered_map
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.utils.rng import SeedLike
 from repro.world.federation import build_federation, split_client_counts
+from repro.world.scenario import DVEConfig
 
-__all__ = ["FederationResult", "run_federation", "format_federation"]
+__all__ = ["run_federation", "format_federation"]
 
 #: Per-arbiter metrics aggregated across runs.
 _METRICS = (
@@ -49,211 +51,132 @@ _METRICS = (
     "max_epoch_migration_cost",
 )
 
-#: Default per-epoch churn, as a fraction of each shard's client count.
-_DEFAULT_CHURN_FRACTION = 0.1
+#: The algorithm every shard runs.
+ALGORITHM = "grez-grec"
+
+#: Per-epoch churn, as a fraction of each shard's client count.
+_CHURN_FRACTION = 0.1
+
+#: Every zone move costs one unit per client.
+_MIGRATION_COST = MigrationCostModel(cost_per_client=1.0)
 
 
-@dataclass(frozen=True)
-class FederationResult:
-    """Aggregated arbiter comparison on a federated world.
-
-    ``stats`` maps ``(arbiter_name, metric)`` to the cross-run aggregate for
-    the metrics in :data:`_METRICS`.
-    """
-
-    label: str
-    algorithm: str
-    num_shards: int
-    arbiter_names: List[str]
-    num_epochs: int
-    num_runs: int
-    client_weights: Tuple[float, ...]
-    migration_budget: Optional[float]
-    stats: Dict[Tuple[str, str], AggregateStat]
-
-    def rows(self) -> List[list]:
-        """One row per arbiter with every aggregated metric's mean."""
-        return [
-            [name, *(self.stats[(name, metric)].mean for metric in _METRICS)]
-            for name in self.arbiter_names
-        ]
+def _shard_means(records: Sequence[EpochRecord]) -> List[float]:
+    """Mean adopted pQoS of every shard over the epochs that measured it."""
+    by_shard: Dict[int, List[float]] = {}
+    for r in records:
+        if r.shard_id != AGGREGATE_SHARD_ID and not math.isnan(r.pqos_adopted):
+            by_shard.setdefault(r.shard_id, []).append(r.pqos_adopted)
+    return [sum(v) / len(v) for v in by_shard.values()]
 
 
-def _shard_churn_specs(config, num_shards, client_weights) -> List[ChurnSpec]:
-    """Per-shard churn at the default fraction of each shard's population."""
-    counts = split_client_counts(config.num_clients, num_shards, weights=client_weights)
-    return [
-        ChurnSpec(
-            num_joins=max(1, round(_DEFAULT_CHURN_FRACTION * c)),
-            num_leaves=max(1, round(_DEFAULT_CHURN_FRACTION * c)),
-            num_moves=max(1, round(_DEFAULT_CHURN_FRACTION * c)),
-        )
-        for c in counts
-    ]
-
-
-def _execute_federation_run(task) -> GroupedRunningStats:
-    """One replication across all arbiters (worker-side; must be picklable)."""
-    import repro.baselines  # noqa: F401 — repopulate the registry under spawn
-
-    (
-        config,
-        algorithm,
-        arbiters,
-        num_shards,
-        client_weights,
-        churn_specs,
-        migration_cost,
-        migration_budget,
-        num_epochs,
-        policy,
-        rng,
-    ) = task
-    fed_rng, sim_rng = spawn_generators(rng, 2)
+def _federation_run(
+    world_rng: np.random.Generator,
+    engine_rng: np.random.Generator,
+    config: DVEConfig,
+    arbiters: tuple,
+    client_weights: tuple,
+    churn_specs: tuple,
+    migration_budget: float,
+    num_epochs: int,
+) -> Dict[tuple, float]:
+    """One replication across all arbiters: every metric of every arbiter."""
     world = build_federation(
-        config, num_shards=num_shards, seed=fed_rng, client_weights=list(client_weights)
+        config,
+        num_shards=len(client_weights),
+        seed=world_rng,
+        client_weights=list(client_weights),
     )
     # Every arbiter replays the same world and churn streams — a shared
     # *integer* seed (not a shared Generator) re-seeds identically per arbiter.
-    sim_seed = int(sim_rng.integers(2**63))
-    stats = GroupedRunningStats()
-    for name, arbiter in arbiters:
-        simulator = FederatedSimulator(
+    sim_seed = int(engine_rng.integers(2**63))
+    observations = {}
+    for arbiter in arbiters:
+        records = FederatedSimulator(
             world=world,
-            algorithms=[algorithm],
+            algorithms=[ALGORITHM],
             arbiter=arbiter,
             churn_spec=list(churn_specs),
-            migration_cost=migration_cost,
+            migration_cost=_MIGRATION_COST,
             seed=sim_seed,
-            policy=policy,
             policy_migration_budget=migration_budget,
-        )
-        records = simulator.run(num_epochs)
+        ).run(num_epochs)
         aggregate = [r for r in records if r.shard_id == AGGREGATE_SHARD_ID]
-        shard_means: Dict[int, List[float]] = {}
-        for r in records:
-            if r.shard_id != AGGREGATE_SHARD_ID and not math.isnan(r.pqos_adopted):
-                shard_means.setdefault(r.shard_id, []).append(r.pqos_adopted)
-        means = [sum(v) / len(v) for v in shard_means.values()]
-        stats.add((name, "mean_pqos"), sum(r.pqos_adopted for r in aggregate) / len(aggregate))
-        stats.add((name, "worst_shard_pqos"), min(means))
-        stats.add((name, "pqos_spread"), max(means) - min(means))
-        stats.add(
-            (name, "clients_migrated"),
+        means = _shard_means(records)
+        values = (
+            sum(r.pqos_adopted for r in aggregate) / len(aggregate),
+            min(means),
+            max(means) - min(means),
             sum(r.clients_migrated for r in aggregate) / len(aggregate),
-        )
-        stats.add(
-            (name, "migration_cost"),
             sum(r.migration_cost for r in aggregate) / len(aggregate),
-        )
-        stats.add(
-            (name, "max_epoch_migration_cost"),
             max(r.migration_cost for r in aggregate),
         )
-    return stats
+        observations.update({(arbiter.name, m): v for m, v in zip(_METRICS, values)})
+    return observations
 
 
 def run_federation(
     label: str = PAPER_DEFAULT_LABEL,
     num_shards: int = 3,
     arbiters: Optional[Sequence[Union[str, CapacityArbiter]]] = None,
-    algorithm: str = "grez-grec",
     num_runs: int = 3,
     seed: SeedLike = 0,
     num_epochs: int = 5,
-    churn: Optional[ChurnSpec] = None,
-    migration_cost: Optional[MigrationCostModel] = None,
-    migration_budget: Optional[float] = None,
-    client_weights: Optional[Sequence[float]] = None,
-    correlation: float = 0.0,
-    policy: str = "reexecute",
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
-) -> FederationResult:
+) -> StudyResult:
     """Run the federated-arbitration experiment.
 
     The label's client population is split across ``num_shards`` shards with
-    descending weights (``N, N-1, …, 1`` by default), per-shard churn runs at
-    10 % of each shard's population, migrations cost one unit per client, and
-    every scheduled re-execution is capped by a per-shard migration budget of
-    25 % of the shard-average population (so arbiters are compared under the
-    same disruption ceiling).  Pass ``churn`` to force one spec for every
-    shard, ``migration_budget=math.inf`` for the unbudgeted setting.
+    descending weights ``N, N-1, …, 1``, per-shard churn runs at 10 % of each
+    shard's population, migrations cost one unit per client, and every
+    scheduled re-execution is capped by a per-shard migration budget of 25 %
+    of the shard-average population (so arbiters are compared under the same
+    disruption ceiling).  The result has one row per arbiter and one column
+    per metric.
 
     ``workers`` parallelises *replications* over processes; the shards of
     each federated epoch always step serially.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
-    config = apply_delay_backend(config_from_label(label, correlation=correlation), delay_backend)
-    if client_weights is None:
-        client_weights = tuple(float(num_shards - i) for i in range(num_shards))
-    client_weights = tuple(float(w) for w in client_weights)
-    if churn is None:
-        churn_specs = _shard_churn_specs(config, num_shards, client_weights)
-    else:
-        churn_specs = [churn] * num_shards
-    if migration_cost is None:
-        migration_cost = MigrationCostModel(cost_per_client=1.0)
-    if migration_budget is None:
-        migration_budget = (
-            0.25 * config.num_clients / num_shards * migration_cost.cost_per_client
-            if migration_cost.cost_per_client > 0
-            else math.inf
-        )
-    resolved: List[Tuple[str, CapacityArbiter]] = []
-    for entry in arbiters if arbiters is not None else ARBITER_NAMES:
-        instance = make_arbiter(entry)
-        resolved.append((instance.name, instance))
-
-    rng = as_generator(seed)
-    run_rngs = spawn_generators(rng, num_runs)
-    tasks = [
-        (
-            config,
-            algorithm,
-            tuple(resolved),
-            num_shards,
-            client_weights,
-            tuple(churn_specs),
-            migration_cost,
-            migration_budget,
-            num_epochs,
-            policy,
-            run_rngs[i],
-        )
-        for i in range(num_runs)
-    ]
-    merged = GroupedRunningStats()
-    for run_stats in ordered_map(_execute_federation_run, tasks, workers=workers):
-        merged.merge(run_stats)
-
-    names = [name for name, _ in resolved]
-    stats = {
-        (name, metric): merged.stat((name, metric)) for name in names for metric in _METRICS
-    }
-    return FederationResult(
-        label=label,
-        algorithm=algorithm,
-        num_shards=num_shards,
-        arbiter_names=names,
-        num_epochs=num_epochs,
-        num_runs=num_runs,
+    config = engine_study_config(label, delay_backend)
+    client_weights = tuple(float(num_shards - i) for i in range(num_shards))
+    counts = split_client_counts(config.num_clients, num_shards, weights=client_weights)
+    events = [max(1, round(_CHURN_FRACTION * count)) for count in counts]
+    churn_specs = tuple(ChurnSpec(num_joins=n, num_leaves=n, num_moves=n) for n in events)
+    migration_budget = 0.25 * config.num_clients / num_shards
+    resolved = [make_arbiter(entry) for entry in (ARBITER_NAMES if arbiters is None else arbiters)]
+    point = dict(
+        config=config,
+        arbiters=tuple(resolved),
         client_weights=client_weights,
-        migration_budget=None if math.isinf(migration_budget) else migration_budget,
-        stats=stats,
+        churn_specs=churn_specs,
+        migration_budget=migration_budget,
+        num_epochs=num_epochs,
+    )
+    runs = replicate(_federation_run, [point], num_runs, seed, workers)
+    return StudyResult.collect(
+        runs,
+        label,
+        num_runs,
+        [arbiter.name for arbiter in resolved],
+        _METRICS,
+        num_epochs=num_epochs,
+        client_weights=client_weights,
+        migration_budget=migration_budget,
     )
 
 
-def format_federation(result: FederationResult) -> str:
+def format_federation(result: StudyResult) -> str:
     """Render the arbiter comparison table."""
-    budget = "unlimited" if result.migration_budget is None else f"{result.migration_budget:g}"
-    weights = ", ".join(f"{w:g}" for w in result.client_weights)
+    setting = result.setting
+    weights = setting["client_weights"]
     title = (
-        f"Federated arbitration on {result.algorithm}, {result.label} split over "
-        f"{result.num_shards} shards (weights {weights}), "
-        f"{result.num_epochs} epochs × {result.num_runs} runs, "
-        f"per-shard migration budget {budget}"
+        f"Federated arbitration on {ALGORITHM}, {result.label} split over "
+        f"{len(weights)} shards (weights {', '.join(f'{w:g}' for w in weights)}), "
+        f"{setting['num_epochs']} epochs × {result.num_runs} runs, "
+        f"per-shard migration budget {setting['migration_budget']:g}"
     )
     headers = [
         "arbiter",
@@ -264,4 +187,4 @@ def format_federation(result: FederationResult) -> str:
         "migration cost / epoch",
         "max epoch cost",
     ]
-    return format_table(headers, result.rows(), title=title, float_format=".3f")
+    return format_table(headers, result.table(), title=title, float_format=".3f")

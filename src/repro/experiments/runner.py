@@ -8,25 +8,29 @@ optionally pass the instance through a delay-estimation error model, solve it
 with every requested algorithm, and evaluate pQoS / resource utilisation of
 each solution against the *true* instance.
 
-Runs are independent by construction (each gets its own child RNG from
-:func:`~repro.utils.rng.spawn_generators`), so the engine can execute them on
-a process pool: ``workers=4`` distributes the runs over four processes and
-streams the per-run observations back in run order.  Because every run's
+Runs are independent by construction, and :func:`replicate` is the one
+fan-out every replicated experiment goes through: it gives each run its own
+child RNG from :func:`~repro.utils.rng.spawn_generators` and can execute the
+runs on a process pool (``workers=4`` distributes them over four processes
+and streams the per-run results back in run order).  Because every run's
 randomness is fixed in the parent before any work is dispatched, the parallel
-and serial paths produce bit-identical observations for the same seed.
+and serial paths produce bit-identical results for the same seed.
 
 The paper's tables and figures are sweeps of such replications: Table 1 over
 configurations, Table 4 over the estimation error, Figures 5 and 6 over the
 correlation and the client distribution.  :func:`run_sweep` runs one
 :func:`run_replications` per :class:`SweepPoint` and returns a
 :class:`SweepResult`, which serves the per-point series, the two-metric
-panels and the paper's "pQoS (R)" cell every sweep driver renders.
+panels and the paper's "pQoS (R)" cell every sweep driver renders.  The
+engine studies (Table 3, dynamics, scenarios, controller, federation and the
+centralisation comparison) call :func:`replicate` directly and aggregate
+their per-run observations into a :class:`StudyResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from repro.core.problem import CAPInstance
 from repro.core.registry import ensure_registered, solve as registry_solve
 from repro.measurement.estimators import DelayEstimator
 from repro.metrics.cdf import EmpiricalCDF, delay_cdf, merge_cdfs
-from repro.metrics.summary import AggregateStat, aggregate
+from repro.metrics.summary import AggregateStat, GroupedRunningStats, aggregate
 from repro.utils.pool import ordered_map, resolve_workers
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.utils.timing import Timer
@@ -46,8 +50,10 @@ __all__ = [
     "ReplicatedResult",
     "SweepPoint",
     "SweepResult",
+    "StudyResult",
     "evaluate_algorithms",
     "qos_cell",
+    "replicate",
     "run_replications",
     "run_sweep",
 ]
@@ -151,46 +157,62 @@ def evaluate_algorithms(
     return results
 
 
-@dataclass(frozen=True)
-class _RunTask:
-    """Everything one simulation run needs, fixed in the parent process.
-
-    The task (including its :class:`numpy.random.Generator`, whose seed
-    sequence survives pickling) is the unit shipped to worker processes, so a
-    run's result is a pure function of the task — independent of which worker
-    executes it and in which order.
-    """
-
-    config: DVEConfig
-    algorithms: Tuple[str, ...]
-    rng: np.random.Generator
-    estimator: Optional[DelayEstimator]
-    delay_bound_ms: Optional[float]
-    collect_delays: bool
-    topology: Optional[object]
-    delay_model: Optional[object]
-
-
-def _execute_run(task: _RunTask) -> Dict[str, RunObservation]:
-    """Execute one simulation run (worker-side entry point; must be picklable)."""
+def _run_replica(task) -> object:
+    """One replica of :func:`replicate` (worker-side entry point; must be picklable)."""
     # Re-populate the solver registry when the pool uses a ``spawn`` /
     # ``forkserver`` start method (under ``fork`` this is a cached no-op).
     import repro.baselines  # noqa: F401
 
-    scenario_rng, eval_rng = spawn_generators(task.rng, 2)
-    scenario = build_scenario(
-        task.config,
-        seed=scenario_rng,
-        topology=task.topology,
-        delay_model=task.delay_model,
-    )
+    run, point, stream = task
+    world_rng, engine_rng = spawn_generators(stream, 2)
+    return run(world_rng, engine_rng, **point)
+
+
+def replicate(
+    run: Callable[..., object],
+    points: Sequence[Dict[str, object]],
+    num_runs: int,
+    seed: SeedLike = 0,
+    workers: Optional[int] = None,
+) -> Iterator[object]:
+    """Run ``num_runs`` independent replicas of every point; yield their results in order.
+
+    ``seed`` spawns one child stream per replica, point-major: replica ``r``
+    of point ``p`` gets child ``p * num_runs + r``.  Each child splits into a
+    (world, engine) pair, and the replica calls the module-level
+    ``run(world_rng, engine_rng, **point)``.  Every stream is fixed here,
+    before any replica runs, so ``workers`` (see
+    :func:`~repro.utils.pool.ordered_map`) changes where the replicas run but
+    never what they return.
+    """
+    if num_runs < 1:
+        raise ValueError("num_runs must be >= 1")
+    points = list(points)
+    streams = spawn_generators(as_generator(seed), len(points) * num_runs)
+    tasks = [(run, points[i // num_runs], stream) for i, stream in enumerate(streams)]
+    return ordered_map(_run_replica, tasks, workers=workers)
+
+
+def _replication_run(
+    world_rng: np.random.Generator,
+    engine_rng: np.random.Generator,
+    config: DVEConfig,
+    algorithms: Tuple[str, ...],
+    estimator: Optional[DelayEstimator],
+    delay_bound_ms: Optional[float],
+    collect_delays: bool,
+    topology: Optional[object],
+    delay_model: Optional[object],
+) -> Dict[str, RunObservation]:
+    """One :func:`run_replications` run: a fresh scenario, every algorithm evaluated."""
+    scenario = build_scenario(config, seed=world_rng, topology=topology, delay_model=delay_model)
     return evaluate_algorithms(
         scenario,
-        task.algorithms,
-        seed=eval_rng,
-        estimator=task.estimator,
-        delay_bound_ms=task.delay_bound_ms,
-        collect_delays=task.collect_delays,
+        algorithms,
+        seed=engine_rng,
+        estimator=estimator,
+        delay_bound_ms=delay_bound_ms,
+        collect_delays=collect_delays,
     )
 
 
@@ -240,20 +262,23 @@ def run_replications(
         per-run observations are bit-identical for every worker count (only
         ``runtime_seconds``, a wall-clock measurement, may differ).
     """
-    if num_runs < 1:
-        raise ValueError("num_runs must be >= 1")
     ensure_registered(algorithms)
-    rng = as_generator(seed)
-    run_rngs = spawn_generators(rng, num_runs)
-
+    run_seed = seed
     shared_topology = None
     shared_delay_model = None
     if share_topology:
+        import copy
+
         from repro.topology.brite import generate_topology
         from repro.topology.delays import DelayModel
 
-        topo_rng = as_generator(seed if not isinstance(seed, np.random.Generator) else rng)
-        shared_topology = generate_topology(config.topology, seed=topo_rng)
+        # The shared topology has always drawn from the seed after the run
+        # streams were spawned from it, so replicate() gets a copy of the seed
+        # taken before that spawn.
+        rng = as_generator(seed)
+        run_seed = copy.deepcopy(rng)
+        spawn_generators(rng, num_runs)
+        shared_topology = generate_topology(config.topology, seed=as_generator(seed))
         shared_delay_model = DelayModel(
             shared_topology,
             max_rtt_ms=config.max_rtt_ms,
@@ -270,23 +295,18 @@ def run_replications(
     if use_shared_memory:
         shared_delay_model.share_rtt()
 
-    tasks = [
-        _RunTask(
-            config=config,
-            algorithms=tuple(algorithms),
-            rng=run_rngs[run_index],
-            estimator=estimator,
-            delay_bound_ms=delay_bound_ms,
-            collect_delays=collect_delays,
-            topology=shared_topology,
-            delay_model=shared_delay_model,
-        )
-        for run_index in range(num_runs)
-    ]
-
+    point = dict(
+        config=config,
+        algorithms=tuple(algorithms),
+        estimator=estimator,
+        delay_bound_ms=delay_bound_ms,
+        collect_delays=collect_delays,
+        topology=shared_topology,
+        delay_model=shared_delay_model,
+    )
     per_algorithm: Dict[str, List[RunObservation]] = {name: [] for name in algorithms}
     try:
-        for observations in ordered_map(_execute_run, tasks, workers=workers):
+        for observations in replicate(_replication_run, [point], num_runs, run_seed, workers):
             for name in algorithms:
                 per_algorithm[name].append(observations[name])
     finally:
@@ -412,3 +432,51 @@ def run_sweep(
         for point in points
     }
     return SweepResult(algorithms=algorithms, results=results)
+
+
+@dataclass(frozen=True)
+class StudyResult:
+    """Cross-run aggregates of a replicated study, laid out as one table.
+
+    ``stats`` maps ``(row, column)`` to the aggregate over runs; ``rows`` and
+    ``columns`` fix the table order, and a tuple row key fills several
+    leading cells.  ``setting`` holds what the study's title reports beyond
+    the label and the run count.
+    """
+
+    label: str
+    num_runs: int
+    rows: List[Hashable]
+    columns: List[Hashable]
+    stats: Dict[Tuple[Hashable, Hashable], AggregateStat]
+    setting: Dict[str, object] = field(default_factory=dict)
+
+    @classmethod
+    def collect(
+        cls,
+        runs: Iterable[Dict[Tuple[Hashable, Hashable], float]],
+        label: str,
+        num_runs: int,
+        rows: Sequence[Hashable],
+        columns: Sequence[Hashable],
+        **setting: object,
+    ) -> "StudyResult":
+        """Aggregate per-run ``{(row, column): value}`` observations; NaN values are skipped."""
+        merged = GroupedRunningStats()
+        for observations in runs:
+            for key, value in observations.items():
+                merged.add(key, value)
+        stats = {(row, column): merged.stat((row, column)) for row in rows for column in columns}
+        return cls(label, num_runs, list(rows), list(columns), stats, setting)
+
+    def mean(self, row: Hashable, column: Hashable) -> float:
+        """Mean over runs of one cell."""
+        return self.stats[(row, column)].mean
+
+    def table(self) -> List[list]:
+        """One row per row key: its cells, then the mean of every column."""
+        return [
+            [*(row if isinstance(row, tuple) else (row,))]
+            + [self.mean(row, column) for column in self.columns]
+            for row in self.rows
+        ]

@@ -11,74 +11,49 @@ fourth column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
+
+import numpy as np
 
 from repro.dynamics.churn import ChurnSpec
-from repro.dynamics.engine import ChurnSimulator, EpochRecord
-from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
+from repro.dynamics.engine import ChurnSimulator
+from repro.experiments.config import PAPER_DEFAULT_LABEL, engine_study_config
 from repro.experiments.paper_values import PAPER_ALGORITHM_ORDER, PAPER_TABLE3_PQOS
+from repro.experiments.runner import StudyResult, replicate
 from repro.io.tables import format_table
-from repro.metrics.summary import AggregateStat, aggregate
-from repro.utils.pool import ordered_map
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
-from repro.world.scenario import build_scenario
+from repro.utils.rng import SeedLike
+from repro.world.scenario import DVEConfig, build_scenario
 
-__all__ = ["Table3Result", "run_table3", "format_table3"]
+__all__ = ["run_table3", "format_table3"]
 
-
-@dataclass(frozen=True)
-class Table3Result:
-    """Aggregated before/after/re-executed pQoS per algorithm."""
-
-    label: str
-    algorithms: List[str]
-    before: Dict[str, AggregateStat]
-    after: Dict[str, AggregateStat]
-    executed: Dict[str, AggregateStat]
-    incremental: Dict[str, AggregateStat]
-
-    def rows(self) -> List[list]:
-        """One row per algorithm: before / after / re-executed / incremental."""
-        rows = []
-        for name in self.algorithms:
-            rows.append(
-                [
-                    name,
-                    self.before[name].mean,
-                    self.after[name].mean,
-                    self.executed[name].mean,
-                    self.incremental[name].mean,
-                ]
-            )
-        return rows
-
-    def paper_rows(self) -> List[list]:
-        """The paper's Table 3 values (no incremental column)."""
-        rows = []
-        for name in self.algorithms:
-            paper = PAPER_TABLE3_PQOS.get(name)
-            if paper is None:
-                rows.append([name, "-", "-", "-"])
-            else:
-                rows.append([name, paper["before"], paper["after"], paper["executed"]])
-        return rows
+#: The measured columns: the record field behind each, in table order.
+_COLUMNS = {
+    "before": "pqos_before",
+    "after": "pqos_after",
+    "re-executed": "pqos_reexecuted",
+    "incremental": "pqos_incremental",
+}
 
 
-def _execute_churn_run(task) -> List[EpochRecord]:
-    """One dynamics run (worker-side entry point; must be picklable)."""
-    import repro.baselines  # noqa: F401 — repopulate the registry under spawn
-
-    config, algorithms, churn, rng = task
-    scenario_rng, sim_rng = spawn_generators(rng, 2)
-    scenario = build_scenario(config, seed=scenario_rng)
+def _table3_run(
+    world_rng: np.random.Generator,
+    engine_rng: np.random.Generator,
+    config: DVEConfig,
+    algorithms: tuple,
+    churn: ChurnSpec,
+) -> Dict[tuple, float]:
+    """One churn batch on a fresh scenario: every column of every algorithm."""
     simulator = ChurnSimulator(
-        scenario=scenario,
+        scenario=build_scenario(config, seed=world_rng),
         algorithms=list(algorithms),
         churn_spec=churn,
-        seed=sim_rng,
+        seed=engine_rng,
     )
-    return list(simulator.run(num_epochs=1))
+    return {
+        (record.algorithm, column): getattr(record, field)
+        for record in simulator.run(num_epochs=1)
+        for column, field in _COLUMNS.items()
+    }
 
 
 def run_table3(
@@ -87,55 +62,45 @@ def run_table3(
     num_runs: int = 3,
     seed: SeedLike = 0,
     churn: ChurnSpec | None = None,
-    correlation: float = 0.0,
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
-) -> Table3Result:
+) -> StudyResult:
     """Run the dynamics experiment of Table 3.
 
     Every run builds a fresh scenario (new topology / placements), runs one
     churn epoch for every algorithm, and records the three measurement points;
-    results are averaged over runs.  Runs are independent, so ``workers``
-    distributes them over a process pool exactly as in
-    :func:`~repro.experiments.runner.run_replications`.
+    results are averaged over runs, one row per algorithm.
     """
     algorithms = list(algorithms or PAPER_ALGORITHM_ORDER)
-    churn = churn or ChurnSpec()
-    config = apply_delay_backend(config_from_label(label, correlation=correlation), delay_backend)
-    rng = as_generator(seed)
-    run_rngs = spawn_generators(rng, num_runs)
-
-    tasks = [
-        (config, tuple(algorithms), churn, run_rngs[i]) for i in range(num_runs)
-    ]
-    records: Dict[str, List[EpochRecord]] = {name: [] for name in algorithms}
-    for run_records in ordered_map(_execute_churn_run, tasks, workers=workers):
-        for record in run_records:
-            records[record.algorithm].append(record)
-
-    return Table3Result(
-        label=label,
-        algorithms=algorithms,
-        before={n: aggregate([r.pqos_before for r in records[n]]) for n in algorithms},
-        after={n: aggregate([r.pqos_after for r in records[n]]) for n in algorithms},
-        executed={n: aggregate([r.pqos_reexecuted for r in records[n]]) for n in algorithms},
-        incremental={n: aggregate([r.pqos_incremental for r in records[n]]) for n in algorithms},
+    point = dict(
+        config=engine_study_config(label, delay_backend),
+        algorithms=tuple(algorithms),
+        churn=churn or ChurnSpec(),
     )
+    runs = replicate(_table3_run, [point], num_runs, seed, workers)
+    return StudyResult.collect(runs, label, num_runs, algorithms, list(_COLUMNS))
 
 
-def format_table3(result: Table3Result, include_paper: bool = True) -> str:
+def format_table3(result: StudyResult, include_paper: bool = True) -> str:
     """Render the measured (and optionally the paper's) Table 3."""
     measured = format_table(
         ["algorithm", "before", "after", "re-executed", "incremental (ours)"],
-        result.rows(),
+        result.table(),
         title=f"Table 3 (measured): pQoS with DVE dynamics, {result.label}, δ=0",
         float_format=".2f",
     )
     if not include_paper:
         return measured
+    paper_rows = []
+    for name in result.rows:
+        paper = PAPER_TABLE3_PQOS.get(name)
+        if paper is None:
+            paper_rows.append([name, "-", "-", "-"])
+        else:
+            paper_rows.append([name, paper["before"], paper["after"], paper["executed"]])
     paper = format_table(
         ["algorithm", "before", "after", "executed"],
-        result.paper_rows(),
+        paper_rows,
         title="Table 3 (paper): pQoS with DVE dynamics",
         float_format=".2f",
     )

@@ -338,22 +338,6 @@ class TestFederatedSimulator:
         with pytest.raises(ValueError):
             sim.run(0)
 
-    def test_worst_shard_pqos_helper(self, federation3):
-        records = FederatedSimulator(
-            world=federation3, algorithms=["grez-grec"], churn_spec=CHURN, seed=1
-        ).run(2)
-        worst = FederatedSimulator.worst_shard_pqos(records, "grez-grec")
-        shard_means = []
-        for shard in range(3):
-            vals = [
-                r.pqos_adopted
-                for r in records
-                if r.shard_id == shard and r.algorithm == "grez-grec"
-            ]
-            shard_means.append(sum(vals) / len(vals))
-        assert worst == pytest.approx(min(shard_means))
-        assert math.isnan(FederatedSimulator.worst_shard_pqos(records, "unknown"))
-
 
 class TestSerialStepping:
     """Every shard advance matches the rebuild oracle and every measurement its

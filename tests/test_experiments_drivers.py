@@ -9,14 +9,20 @@ import repro.baselines  # noqa: F401
 from repro.dynamics.churn import ChurnSpec
 from repro.experiments.ablation import format_ablation, run_ablation
 from repro.experiments.baselines_compare import (
+    CENTRALIZED,
+    DISTRIBUTED,
     format_baseline_comparison,
     run_baseline_comparison,
     run_centralization_comparison,
 )
+from repro.experiments.controller import run_controller
+from repro.experiments.dynamics import run_dynamics
+from repro.experiments.federation import run_federation
 from repro.experiments.figure4 import format_figure4, run_figure4
 from repro.experiments.figure5 import format_figure5, run_figure5
 from repro.experiments.figure6 import format_figure6, run_figure6
 from repro.experiments.runtime import format_runtime, run_runtime
+from repro.experiments.scenarios import run_scenarios
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table3 import format_table3, run_table3
 from repro.experiments.table4 import format_table4, run_table4
@@ -127,14 +133,14 @@ class TestTable3Driver:
             seed=0,
             churn=ChurnSpec(num_joins=40, num_leaves=40, num_moves=40),
         )
-        assert result.algorithms == ALGOS
+        assert result.rows == ALGOS
         for name in ALGOS:
-            assert 0.0 <= result.before[name].mean <= 1.0
-            assert 0.0 <= result.after[name].mean <= 1.0
-            assert 0.0 <= result.executed[name].mean <= 1.0
+            assert 0.0 <= result.mean(name, "before") <= 1.0
+            assert 0.0 <= result.mean(name, "after") <= 1.0
+            assert 0.0 <= result.mean(name, "re-executed") <= 1.0
         # Re-execution should not be worse than the stale assignment (Table 3 shape).
-        assert result.executed["grez-grec"].mean >= result.after["grez-grec"].mean - 0.02
-        rows = result.rows()
+        assert result.mean("grez-grec", "re-executed") >= result.mean("grez-grec", "after") - 0.02
+        rows = result.table()
         assert len(rows) == len(ALGOS)
         text = format_table3(result)
         assert "Table 3 (measured)" in text and "Table 3 (paper)" in text
@@ -179,8 +185,8 @@ class TestExtensionDrivers:
 
     def test_centralization_comparison(self):
         result = run_centralization_comparison(label=SMALL_LABEL, num_runs=2, seed=0)
-        assert 0.0 <= result.centralized_pqos.mean <= 1.0
-        assert result.distributed_pqos.mean >= result.centralized_pqos.mean - 0.1
+        assert 0.0 <= result.mean(CENTRALIZED, "pqos") <= 1.0
+        assert result.mean(DISTRIBUTED, "pqos") >= result.mean(CENTRALIZED, "pqos") - 0.1
         text = format_baseline_comparison(
             run_baseline_comparison(labels=[SMALL_LABEL], solvers=["grez-grec"], num_runs=1),
             result,
@@ -218,15 +224,15 @@ class TestDynamicsDriver:
             policy="incremental",
             churn=ChurnSpec(10, 10, 10),
         )
-        assert result.algorithms == ALGOS
-        assert result.num_epochs == 3 and result.num_runs == 2
-        assert result.policy == "incremental"
+        assert [name for name, _ in result.columns[::2]] == ALGOS
+        assert result.rows == [0, 1, 2] and result.num_runs == 2
+        assert result.setting["policy"] == "incremental"
         for name in ALGOS:
-            trajectory = result.trajectory(name)
+            trajectory = [result.mean(epoch, (name, "adopted")) for epoch in result.rows]
             assert len(trajectory) == 3
             assert all(0.0 <= v <= 1.0 for v in trajectory)
             for epoch in range(3):
-                assert result.adopted[(name, epoch)].count == 2
+                assert result.stats[(epoch, (name, "adopted"))].count == 2
         text = format_dynamics(result)
         assert "Longitudinal dynamics" in text and SMALL_LABEL in text
 
@@ -245,9 +251,9 @@ class TestDynamicsDriver:
         serial = run_dynamics(**kwargs, workers=None)
         parallel = run_dynamics(**kwargs, workers=2)
         for epoch in range(2):
-            key = ("grez-grec", epoch)
-            assert serial.adopted[key].mean == parallel.adopted[key].mean
-            assert serial.after[key].mean == parallel.after[key].mean
+            for kind in ("adopted", "stale"):
+                key = (epoch, ("grez-grec", kind))
+                assert serial.stats[key].mean == parallel.stats[key].mean
 
     def test_every_k_policy_resolved_name(self):
         from repro.experiments.dynamics import run_dynamics
@@ -262,7 +268,7 @@ class TestDynamicsDriver:
             policy_period=2,
             churn=ChurnSpec(5, 5, 5),
         )
-        assert result.policy == "every_2_epochs"
+        assert result.setting["policy"] == "every_2_epochs"
 
 
 class TestControllerDriver:
@@ -287,9 +293,9 @@ class TestControllerDriver:
             server_churn=ServerChurnSpec(num_joins=1, num_leaves=1),
             migration_cost=MigrationCostModel(cost_per_client=1.0),
         )
-        assert result.policy_names == ["lazy", "eager"]
-        assert result.num_runs == 2 and result.num_epochs == 2
-        for name in result.policy_names:
+        assert result.rows == ["lazy", "eager"]
+        assert result.num_runs == 2 and result.setting["num_epochs"] == 2
+        for name in result.rows:
             assert result.stats[(name, "mean_pqos")].count == 2
             assert 0.0 <= result.stats[(name, "mean_pqos")].mean <= 1.0
             assert result.stats[(name, "migration_cost")].mean >= 0.0
@@ -312,9 +318,9 @@ class TestControllerDriver:
             num_epochs=2,
             churn=ChurnSpec(10, 10, 10),
         )
-        assert any("budgeted" in name for name in result.policy_names)
-        assert result.migration_cost.cost_per_client == 1.0
-        assert result.server_churn is not None
+        assert any("budgeted" in name for name in result.rows)
+        assert result.setting["migration_cost"].cost_per_client == 1.0
+        assert not result.setting["server_churn"].is_static
 
     def test_workers_do_not_change_results(self):
         from repro.experiments.controller import run_controller
@@ -361,10 +367,11 @@ class TestFederationDriver:
             seed=0,
             num_epochs=2,
         )
-        assert result.arbiter_names == ["static", "proportional"]
-        assert result.num_shards == 2 and result.num_runs == 2
-        assert result.client_weights == (2.0, 1.0)
-        for name in result.arbiter_names:
+        assert result.rows == ["static", "proportional"]
+        assert result.num_runs == 2
+        assert result.setting["client_weights"] == (2.0, 1.0)
+        budget = result.setting["migration_budget"]
+        for name in result.rows:
             assert result.stats[(name, "mean_pqos")].count == 2
             assert 0.0 <= result.stats[(name, "worst_shard_pqos")].mean <= 1.0
             assert result.stats[(name, "pqos_spread")].mean >= 0.0
@@ -372,7 +379,7 @@ class TestFederationDriver:
             # num_shards x budget.
             assert (
                 result.stats[(name, "max_epoch_migration_cost")].mean
-                <= result.num_shards * result.migration_budget + 1e-9
+                <= 2 * budget + 1e-9
             )
         text = format_federation(result)
         assert "Federated arbitration" in text and SMALL_LABEL in text
@@ -394,9 +401,48 @@ class TestFederationDriver:
         for key, stat in serial.stats.items():
             assert stat.mean == parallel.stats[key].mean
 
+    def test_shard_means_feed_worst_shard_and_spread(self):
+        from repro.dynamics.federation_engine import FederatedSimulator
+        from repro.experiments.federation import _shard_means
+        from repro.world.federation import build_federation
+        from tests.conftest import make_small_config
+
+        world = build_federation(
+            make_small_config(), num_shards=3, seed=11, client_weights=[3, 2, 1]
+        )
+        records = FederatedSimulator(
+            world=world, algorithms=["grez-grec"], churn_spec=ChurnSpec(5, 5, 5), seed=1
+        ).run(2)
+        expected = []
+        for shard in range(3):
+            values = [r.pqos_adopted for r in records if r.shard_id == shard]
+            expected.append(sum(values) / len(values))
+        assert _shard_means(records) == pytest.approx(expected)
+        # The aggregate records never count as a shard.
+        aggregate = [r for r in records if r.shard_id not in range(3)]
+        assert aggregate and _shard_means(aggregate) == []
+
     def test_registry_exposes_federation(self):
         from repro.experiments.registry import get_experiment
 
         spec = get_experiment("federation")
         assert spec.supports_workers
         assert "shard" in spec.description.lower() or "arbiter" in spec.description.lower()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        run_table3,
+        run_dynamics,
+        run_scenarios,
+        run_controller,
+        run_federation,
+        run_centralization_comparison,
+    ],
+    ids=lambda run: run.__name__,
+)
+def test_zero_runs_rejected(run):
+    """No run means no measurement: every engine study refuses it up front."""
+    with pytest.raises(ValueError, match="num_runs"):
+        run(label=SMALL_LABEL, num_runs=0)

@@ -15,7 +15,7 @@ import pickle
 
 import repro.baselines  # noqa: F401
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ReplicatedResult, _RunTask, run_replications
+from repro.experiments.runner import ReplicatedResult, run_replications
 from repro.experiments.table3 import run_table3
 from repro.measurement.error import IDMAPS
 from repro.measurement.estimators import DelayEstimator
@@ -105,11 +105,9 @@ class TestParallelDeterminism:
     def test_table3_parallel_matches_serial(self):
         serial = run_table3(label="5s-15z-200c-100cp", num_runs=2, seed=3)
         parallel = run_table3(label="5s-15z-200c-100cp", num_runs=2, seed=3, workers=2)
-        for name in serial.algorithms:
-            assert serial.before[name].mean == parallel.before[name].mean
-            assert serial.after[name].mean == parallel.after[name].mean
-            assert serial.executed[name].mean == parallel.executed[name].mean
-            assert serial.incremental[name].mean == parallel.incremental[name].mean
+        for name in serial.rows:
+            for column in ("before", "after", "re-executed", "incremental"):
+                assert serial.mean(name, column) == parallel.mean(name, column)
 
 
 class TestZeroCopyDispatch:
@@ -143,17 +141,16 @@ class TestZeroCopyDispatch:
         rtt_bytes = model.rtt.nbytes  # materialise before measuring
 
         def task_bytes():
-            task = _RunTask(
+            point = dict(
                 config=config,
                 algorithms=("grez-grec",),
-                rng=np.random.default_rng(0),
                 estimator=None,
                 delay_bound_ms=None,
                 collect_delays=False,
                 topology=model.topology,
                 delay_model=model,
             )
-            return len(pickle.dumps(task))
+            return len(pickle.dumps(point))
 
         plain = task_bytes()
         model.share_rtt()

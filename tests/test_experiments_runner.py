@@ -10,14 +10,29 @@ from repro.experiments.runner import (
     SweepPoint,
     evaluate_algorithms,
     qos_cell,
+    replicate,
     run_replications,
     run_sweep,
 )
 from repro.measurement.error import IDMAPS
 from repro.measurement.estimators import DelayEstimator
+from repro.utils.pool import WorkerTaskError
+from repro.utils.rng import spawn_generators
 from tests.conftest import make_small_config
 
 ALGORITHMS = ["ranz-virc", "grez-grec"]
+
+
+def _draws(world_rng, engine_rng, name):
+    """Module-level replica (picklable): the point's name and one draw per stream."""
+    return name, int(world_rng.integers(2**62)), int(engine_rng.integers(2**62))
+
+
+def _fail_on_b(world_rng, engine_rng, name):
+    """Module-level replica that fails for point ``b``."""
+    if name == "b":
+        raise RuntimeError("point b exploded")
+    return name
 
 
 class TestEvaluateAlgorithms:
@@ -112,6 +127,34 @@ class TestRunReplications:
         for name in ALGORITHMS:
             assert a.pqos(name) == pytest.approx(b.pqos(name))
             assert a.utilization(name) == pytest.approx(b.utilization(name))
+
+
+class TestReplicate:
+    POINTS = [dict(name="a"), dict(name="b"), dict(name="c")]
+
+    def test_streams_are_point_major(self):
+        results = list(replicate(_draws, self.POINTS, num_runs=2, seed=5))
+        children = spawn_generators(5, 6)
+        for p, point in enumerate(self.POINTS):
+            for r in range(2):
+                world, engine = spawn_generators(children[p * 2 + r], 2)
+                expected = (point["name"], int(world.integers(2**62)), int(engine.integers(2**62)))
+                assert results[p * 2 + r] == expected
+
+    def test_workers_match_serial(self):
+        serial = list(replicate(_draws, self.POINTS, num_runs=2, seed=9))
+        parallel = list(replicate(_draws, self.POINTS, num_runs=2, seed=9, workers=2))
+        assert parallel == serial
+
+    def test_failing_run_reports_its_task_index(self):
+        with pytest.raises(WorkerTaskError, match="point b exploded") as excinfo:
+            list(replicate(_fail_on_b, self.POINTS, num_runs=2, seed=0, workers=2))
+        # Point b's replicas are tasks 2 and 3; the first to fail is reported.
+        assert excinfo.value.task_index == 2
+
+    def test_zero_runs_rejected_before_any_run(self):
+        with pytest.raises(ValueError, match="num_runs"):
+            replicate(_fail_on_b, self.POINTS, num_runs=0)
 
 
 class TestRunSweep:
