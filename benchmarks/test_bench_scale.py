@@ -1,8 +1,8 @@
-"""Scale-and-memory ladder: dense vs compact delay backends up to 10^5..10^6 clients.
+"""Scale-and-memory ladder: dense vs sparse delay backend up to 10^5..10^6 clients.
 
 The dense delay matrix is O(clients x servers) and caps worlds at a few
-thousand clients; the ``coords`` and ``sparse`` backends
-(:mod:`repro.topology.delay_backends`) hold O(clients + zones*K + nodes*m)
+thousand clients; the ``sparse`` backend
+(:mod:`repro.topology.delay_backends`) holds O(clients + zones*K + nodes*m)
 state instead.  This ladder measures, per backend and client count:
 
 * build + solve latency and per-epoch churn latency (2 epochs, 1 % churn,
@@ -12,8 +12,8 @@ state instead.  This ladder measures, per backend and client count:
 
 Dense is *measured* on the small rungs and linearly extrapolated to the
 compact rungs (its per-client footprint is affine in ``clients`` for fixed
-``servers``); the ladder asserts the compact backends stay an order of
-magnitude below that extrapolation and that their resident delay state is
+``servers``); the ladder asserts the sparse backend stays an order of
+magnitude below that extrapolation and that its resident delay state is
 O(clients + zones*K + nodes*m) with a small constant.
 
 Results go to ``BENCH_scale.json`` at the repository root.  CI's scale-guard
@@ -144,21 +144,15 @@ def _dense_extrapolation(dense_rungs: list) -> dict:
 
 
 def _measure() -> dict:
-    results: dict = {"dense": [], "coords": [], "sparse": []}
-    for num_clients in DENSE_RUNGS:
-        results["dense"].append(_measure_rung("dense", num_clients))
-    for backend in ("coords", "sparse"):
-        for num_clients in COMPACT_RUNGS:
-            results[backend].append(_measure_rung(backend, num_clients))
-
+    results: dict = {
+        "dense": [_measure_rung("dense", num_clients) for num_clients in DENSE_RUNGS],
+        "sparse": [_measure_rung("sparse", num_clients) for num_clients in COMPACT_RUNGS],
+    }
     model = _dense_extrapolation(results["dense"])
-    for backend in ("coords", "sparse"):
-        for rung in results[backend]:
-            extrapolated = (
-                model["intercept_mb"] + model["slope_mb_per_client"] * rung["num_clients"]
-            )
-            rung["dense_extrapolated_mb"] = extrapolated
-            rung["memory_ratio"] = extrapolated / rung["peak_mb"]
+    for rung in results["sparse"]:
+        extrapolated = model["intercept_mb"] + model["slope_mb_per_client"] * rung["num_clients"]
+        rung["dense_extrapolated_mb"] = extrapolated
+        rung["memory_ratio"] = extrapolated / rung["peak_mb"]
     results["dense_peak_model"] = model
     return results
 
@@ -167,7 +161,7 @@ def test_bench_scale(benchmark, record):
     results = benchmark.pedantic(_measure, rounds=1, iterations=1)
 
     rows = []
-    for backend in ("dense", "coords", "sparse"):
+    for backend in ("dense", "sparse"):
         for rung in results[backend]:
             rows.append(
                 [
@@ -217,25 +211,23 @@ def test_bench_scale(benchmark, record):
     )
 
     top = COMPACT_RUNGS[-1]
-    for backend in ("coords", "sparse"):
-        rungs = {rung["num_clients"]: rung for rung in results[backend]}
-        # The scale-and-memory guard: at the ladder top the compact backends
-        # must undercut the extrapolated dense footprint by MIN_MEMORY_RATIO.
-        assert rungs[top]["memory_ratio"] >= MIN_MEMORY_RATIO, (backend, rungs[top])
-        # O(clients + zones*K + nodes*m) resident delay state, small constant:
-        # 8-byte words per unit with room for every index/candidate array.
-        budget_words = 4 * top + 2 * NUM_ZONES * SPARSE_TOP_K + 2 * 500 * NUM_SERVERS
-        assert rungs[top]["delay_state_mb"] * 1e6 <= 8 * budget_words, (backend, rungs[top])
-        # The approximation must stay usable: within 0.15 pQoS of dense on the
-        # shared small rung, and non-degenerate at the top.
-        dense_small = results["dense"][0]
-        assert abs(rungs[10_000]["pqos"] - dense_small["pqos"]) <= 0.15, backend
-        assert rungs[top]["pqos"] >= 0.80, (backend, rungs[top])
+    sparse = {rung["num_clients"]: rung for rung in results["sparse"]}
+    # The scale-and-memory guard: at the ladder top the sparse backend must
+    # undercut the extrapolated dense footprint by MIN_MEMORY_RATIO.
+    assert sparse[top]["memory_ratio"] >= MIN_MEMORY_RATIO, sparse[top]
+    # O(clients + zones*K + nodes*m) resident delay state, small constant:
+    # 8-byte words per unit with room for every index/candidate array.
+    budget_words = 4 * top + 2 * NUM_ZONES * SPARSE_TOP_K + 2 * 500 * NUM_SERVERS
+    assert sparse[top]["delay_state_mb"] * 1e6 <= 8 * budget_words, sparse[top]
+    # The candidate restriction must stay usable: within 0.15 pQoS of dense
+    # on the shared small rung, and non-degenerate at the top.
+    dense_small = results["dense"][0]
+    assert abs(sparse[10_000]["pqos"] - dense_small["pqos"]) <= 0.15
+    assert sparse[top]["pqos"] >= 0.80, sparse[top]
 
     # Churn-proportional solves: doubling the population from 50k to 100k must
     # not super-linearise the sparse from-scratch solve (the 100k rung used to
     # pay a superlinear stale-re-evaluation term inside the placement engine).
     if FULL and 100_000 in COMPACT_RUNGS:
-        sparse = {rung["num_clients"]: rung for rung in results["sparse"]}
         ratio = sparse[100_000]["solve_seconds"] / sparse[50_000]["solve_seconds"]
         assert ratio <= 3.0, (ratio, sparse[100_000], sparse[50_000])

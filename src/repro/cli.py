@@ -86,9 +86,7 @@ def _server_churn_type(value: str) -> ServerChurnSpec:
     """
     parts = value.split(":")
     if len(parts) not in (2, 3):
-        raise argparse.ArgumentTypeError(
-            f"expected JOINS:LEAVES[:DRIFT], got {value!r}"
-        )
+        raise argparse.ArgumentTypeError(f"expected JOINS:LEAVES[:DRIFT], got {value!r}")
     try:
         joins, leaves = int(parts[0]), int(parts[1])
         drift = float(parts[2]) if len(parts) == 3 else 0.0
@@ -191,9 +189,10 @@ _SHARED_FLAGS = {
         default=None,
         choices=DELAY_BACKENDS,
         help=(
-            f"delay representation (default: {DEFAULT_DELAY_BACKEND}; 'coords' and "
-            "'sparse' hold O(clients) state instead of the dense clients x servers "
-            "matrix, trading a bounded pQoS accuracy loss for million-client scale)"
+            f"delay representation (default: {DEFAULT_DELAY_BACKEND}; 'sparse' holds "
+            "O(clients) state instead of the dense clients x servers matrix: each zone "
+            "keeps exact delays to its top-K nearby candidate servers and sees every "
+            "other server as out of reach)"
         ),
     ),
     "--scenario": dict(
@@ -706,9 +705,7 @@ def _cmd_simulate(args: argparse.Namespace, options: _EngineOptions) -> int:
             if record.epoch == args.epochs - 1:
                 stats.add((record.algorithm, "final"), record.pqos_adopted)
                 if scenario_active:
-                    stats.add(
-                        (record.algorithm, "final_degraded"), float(record.clients_degraded)
-                    )
+                    stats.add((record.algorithm, "final_degraded"), float(record.clients_degraded))
                 final_clients = record.num_clients_after
             num_records += 1
 

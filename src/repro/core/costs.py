@@ -152,7 +152,7 @@ def refined_cost_candidates(
 ):
     """Refined costs restricted to each client's candidate servers, or ``None``.
 
-    For instances whose delay backend restricts zones to per-zone candidate
+    For compact instances, whose zones are restricted to per-zone candidate
     sets (the sparse backend), returns ``(servers, costs)`` of shape
     ``(len(clients), K)``: the client zone's candidate server ids (ascending
     per row) and the refined cost ``C^R`` of forwarding through each.  The
@@ -161,11 +161,9 @@ def refined_cost_candidates(
     every *non*-candidate server carries the sentinel delay, so its refined
     cost is at least ``fill_value - delay_bound`` — callers can treat the
     candidate lists as a complete view of the servers worth forwarding
-    through.  ``None`` for dense or unrestricted (coords) instances.
+    through.  ``None`` for dense instances.
     """
     if instance.has_dense_delays:
-        return None
-    if instance.client_server_delays.zone_candidates is None:
         return None
     zone_to_server, clients = _checked_indices(instance, zone_to_server, clients)
     # A fresh (len(clients), K) gather of the true candidate delays.

@@ -29,8 +29,8 @@ def zone_fallback_candidates(instance: CAPInstance) -> Optional[np.ndarray]:
     """``(num_servers, num_zones)`` candidate mask for the fallback, or ``None``.
 
     Only the sparse delay backend restricts each zone to a per-zone candidate
-    server set; everywhere else (dense, coords) every server is a candidate
-    and the mask is ``None`` — GreZ then places exactly as it always has.
+    server set; on dense instances every server is a candidate and the mask
+    is ``None`` — GreZ then places exactly as it always has.
     With the mask, the ``least_loaded`` emergency placement becomes
     *delay-aware*: a zone that fits nowhere is placed on the least-loaded
     server **its clients can actually reach** instead of on whichever server
@@ -38,12 +38,10 @@ def zone_fallback_candidates(instance: CAPInstance) -> Optional[np.ndarray]:
     backend, is frequently a sentinel-delay (1e9 ms) server that zeroes the
     zone's pQoS contribution.
     """
-    source = instance.client_server_delays
-    mask = getattr(source, "candidate_mask", None)
-    if mask is None:
+    if instance.has_dense_delays:
         return None
-    allowed = mask()  # (num_zones, num_servers), read-only, cached
-    return None if allowed is None else allowed.T
+    # (num_zones, num_servers), read-only, cached
+    return instance.client_server_delays.candidate_mask().T
 
 
 def _zone_candidate_table(instance: CAPInstance) -> Optional[np.ndarray]:
@@ -58,16 +56,13 @@ def _zone_candidate_table(instance: CAPInstance) -> Optional[np.ndarray]:
     :func:`~repro.core.regret.max_regret_assign`'s ``candidate_servers``:
     the placement engine takes the regret order and its re-evaluation table
     from the candidates instead of partitioning all ``m`` servers per zone.
-    ``None`` for dense and coords instances, and for candidate sets too
-    narrow to define a regret (``K < 2``).
+    ``None`` for dense instances, and for candidate sets too narrow to
+    define a regret (``K < 2``).
     """
-    sorted_candidates = getattr(instance.client_server_delays, "sorted_candidates", None)
-    if sorted_candidates is None:
+    if instance.has_dense_delays:
         return None
-    table = sorted_candidates()
-    if table is None or table.shape[1] < 2:
-        return None
-    return table
+    table = instance.client_server_delays.sorted_candidates()
+    return None if table.shape[1] < 2 else table
 
 
 def assign_zones_greedy(

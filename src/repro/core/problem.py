@@ -93,7 +93,7 @@ class CAPInstance:
             raise ValueError("client demands must be strictly positive (RT(c) > 0)")
         if (capacities <= 0).any():
             raise ValueError("server capacities must be strictly positive")
-        if compact and self.client_server_delays.num_zones not in (0, self.num_zones):
+        if compact and self.client_server_delays.num_zones != self.num_zones:
             raise ValueError(
                 "the compact delay matrix was built for "
                 f"{self.client_server_delays.num_zones} zones, instance has {self.num_zones}"
@@ -119,7 +119,7 @@ class CAPInstance:
     def has_dense_delays(self) -> bool:
         """True when ``client_server_delays`` is a real ndarray.
 
-        Compact instances (``"coords"`` / ``"sparse"`` delay backends) carry a
+        Compact instances (the ``"sparse"`` delay backend) carry a
         :class:`~repro.topology.delay_backends.CompactDelayMatrix` instead;
         algorithms that genuinely need the dense matrix must go through
         :meth:`dense_client_server_delays` (and accept the O(k·m) cost).

@@ -244,9 +244,7 @@ class FederatedSimulator:
         ]
 
     # ------------------------------------------------------------------ #
-    def _signals(
-        self, sessions: List[EpochSession], needs_zone_costs: bool
-    ) -> List[ShardSignal]:
+    def _signals(self, sessions: List[EpochSession], needs_zone_costs: bool) -> List[ShardSignal]:
         """Post-epoch arbitration signals, one per shard (primary algorithm)."""
         primary = self.algorithms[0]
         signals = []
@@ -297,9 +295,7 @@ class FederatedSimulator:
             algorithm=shard_records[0].algorithm,
             pqos_before=_nan_weighted_mean([r.pqos_before for r in shard_records], before_w),
             pqos_after=_nan_weighted_mean([r.pqos_after for r in shard_records], after_w),
-            pqos_reexecuted=_nan_weighted_mean(
-                [r.pqos_reexecuted for r in shard_records], after_w
-            ),
+            pqos_reexecuted=_nan_weighted_mean([r.pqos_reexecuted for r in shard_records], after_w),
             pqos_incremental=_nan_weighted_mean(
                 [r.pqos_incremental for r in shard_records], after_w
             ),

@@ -48,9 +48,9 @@ class ExperimentConfig:
         ``0`` one per available CPU, ``n`` exactly ``n`` processes.
     delay_backend:
         Delay backend every scenario is built with (``"dense"`` /
-        ``"coords"`` / ``"sparse"``; ``None`` keeps each driver's configured
-        default).  The compact backends trade a bounded accuracy loss for
-        O(clients) memory.
+        ``"sparse"``; ``None`` keeps each driver's configured default).
+        ``"sparse"`` holds O(clients) state by restricting each zone to its
+        top-K candidate servers.
     """
 
     num_runs: int = 3

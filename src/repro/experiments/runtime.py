@@ -15,15 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.optimal import OptimalOptions, solve_cap_optimal
 from repro.core.problem import CAPInstance
 from repro.core.registry import solve as registry_solve
 from repro.experiments.config import PAPER_TABLE1_LABELS, apply_delay_backend, config_from_label
 from repro.experiments.paper_values import PAPER_ALGORITHM_ORDER
+from repro.experiments.runner import replicate
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
-from repro.world.scenario import build_scenario
+from repro.world.scenario import DVEConfig, build_scenario
 
 __all__ = ["RuntimeResult", "run_runtime", "format_runtime"]
 
@@ -50,6 +53,27 @@ class RuntimeResult:
         return rows
 
 
+def _runtime_run(
+    world_rng: np.random.Generator,
+    engine_rng: np.random.Generator,
+    config: DVEConfig,
+    solvers: List[str],
+    optimal_time_limit: Optional[float],
+) -> Dict[str, float]:
+    """One run: a fresh scenario, each solver's wall time on it (and the MILP's if limited)."""
+    instance = CAPInstance.from_scenario(build_scenario(config, seed=world_rng))
+    elapsed: Dict[str, float] = {}
+    for solver in solvers:
+        with Timer() as timer:
+            registry_solve(instance, solver, seed=engine_rng)
+        elapsed[solver] = timer.elapsed
+    if optimal_time_limit is not None:
+        with Timer() as timer:
+            solve_cap_optimal(instance, options=OptimalOptions(time_limit=optimal_time_limit))
+        elapsed["optimal"] = timer.elapsed
+    return elapsed
+
+
 def run_runtime(
     labels: Sequence[str] = PAPER_TABLE1_LABELS,
     solvers: Optional[Sequence[str]] = None,
@@ -65,39 +89,30 @@ def run_runtime(
     The exact MILP is only run on ``optimal_labels`` (empty by default: the
     large instances would dominate the experiment's own wall-clock time, just
     as ``lp_solve`` did in the paper), with a per-phase time limit so a
-    pathological instance cannot hang the harness.
+    pathological instance cannot hang the harness.  Runs always execute
+    serially: timings taken on a contended process pool would be meaningless.
     """
     solvers = list(solvers or PAPER_ALGORITHM_ORDER)
-    rng = as_generator(seed)
-    label_rngs = spawn_generators(rng, len(labels))
+    all_solvers = list(solvers) + (["optimal"] if optimal_labels else [])
+    configs = [
+        apply_delay_backend(config_from_label(label, correlation=correlation), delay_backend)
+        for label in labels
+    ]
+    points = [
+        dict(
+            config=config,
+            solvers=solvers,
+            optimal_time_limit=optimal_time_limit if label in optimal_labels else None,
+        )
+        for label, config in zip(labels, configs)
+    ]
+    runs = replicate(_runtime_run, points, num_runs, seed)
 
     runtimes: Dict[str, Dict[str, float]] = {}
     sizes: Dict[str, Dict[str, int]] = {}
-    all_solvers = list(solvers) + (["optimal"] if optimal_labels else [])
-
-    for label, label_rng in zip(labels, label_rngs):
-        config = apply_delay_backend(
-            config_from_label(label, correlation=correlation), delay_backend
-        )
-        run_rngs = spawn_generators(label_rng, num_runs)
-        per_solver: Dict[str, List[float]] = {s: [] for s in all_solvers}
-        for run_index in range(num_runs):
-            scenario_rng, solve_rng = spawn_generators(run_rngs[run_index], 2)
-            scenario = build_scenario(config, seed=scenario_rng)
-            instance = CAPInstance.from_scenario(scenario)
-            for solver in solvers:
-                with Timer() as timer:
-                    registry_solve(instance, solver, seed=solve_rng)
-                per_solver[solver].append(timer.elapsed)
-            if label in set(optimal_labels):
-                with Timer() as timer:
-                    solve_cap_optimal(
-                        instance, options=OptimalOptions(time_limit=optimal_time_limit)
-                    )
-                per_solver["optimal"].append(timer.elapsed)
-        runtimes[label] = {
-            s: (sum(v) / len(v)) for s, v in per_solver.items() if v
-        }
+    for label, config in zip(labels, configs):
+        per_run = [next(runs) for _ in range(num_runs)]
+        runtimes[label] = {s: sum(run[s] for run in per_run) / num_runs for s in per_run[0]}
         sizes[label] = {
             "servers": config.num_servers,
             "zones": config.num_zones,

@@ -11,33 +11,20 @@ Provides the Internet-like graphs on which the DVE's servers and clients live:
   place of the proprietary AT&T dataset.
 * :mod:`repro.topology.delays` — the round-trip delay model (500 ms max RTT,
   50 % discounted inter-server mesh).
-* :mod:`repro.topology.coordinates` — Vivaldi-style network coordinates
-  (O(n) synthetic-coordinate state predicting pairwise RTTs).
-* :mod:`repro.topology.delay_backends` — pluggable dense / coords / sparse
-  delay backends and the compact client×server delay representation.
+* :mod:`repro.topology.delay_backends` — the dense / sparse delay backends
+  and the sparse backend's compact client×server delay representation.
 * :mod:`repro.topology.placement` — server / client placement onto nodes.
 """
 
 from repro.topology.backbone import BackboneParams, us_backbone_topology
 from repro.topology.barabasi_albert import BarabasiAlbertParams, barabasi_albert_topology
 from repro.topology.brite import BriteConfig, generate_topology
-from repro.topology.coordinates import (
-    DEFAULT_COORDS_DIM,
-    NetworkCoordinates,
-    fit_network_coordinates,
-)
 from repro.topology.delay_backends import (
     DEFAULT_DELAY_BACKEND,
     DEFAULT_SPARSE_TOP_K,
     DELAY_BACKENDS,
     SPARSE_FILL_DELAY_MS,
     CompactDelayMatrix,
-    CoordsDelayBackend,
-    DelayBackend,
-    DenseDelayBackend,
-    SparseDelayBackend,
-    make_delay_backend,
-    network_coordinates_for,
 )
 from repro.topology.delays import (
     DEFAULT_MAX_RTT_MS,
@@ -71,20 +58,11 @@ __all__ = [
     "DelayModel",
     "DEFAULT_MAX_RTT_MS",
     "DEFAULT_SERVER_MESH_FACTOR",
-    "NetworkCoordinates",
-    "fit_network_coordinates",
-    "DEFAULT_COORDS_DIM",
     "DELAY_BACKENDS",
     "DEFAULT_DELAY_BACKEND",
     "DEFAULT_SPARSE_TOP_K",
     "SPARSE_FILL_DELAY_MS",
     "CompactDelayMatrix",
-    "DelayBackend",
-    "DenseDelayBackend",
-    "CoordsDelayBackend",
-    "SparseDelayBackend",
-    "make_delay_backend",
-    "network_coordinates_for",
     "ClusteredPlacementParams",
     "place_servers",
     "place_clients_uniform",

@@ -1,4 +1,4 @@
-"""Pluggable delay backends: dense, coordinate-predicted and sparse delays.
+"""Delay backends: the dense delay matrix and its sparse, candidate-restricted form.
 
 Every scenario used to materialise a dense ``num_clients × num_servers``
 delay matrix, so memory grew O(k·m) and capped worlds at a few thousand
@@ -8,17 +8,11 @@ clients.  The key structural fact this module exploits is that clients live
 node index of every client determines every client→server delay exactly —
 O(nodes·m + clients) state instead of O(k·m).
 
-Three backends share that representation:
+Two backends exist:
 
 ``"dense"``
-    The executable specification: the existing :class:`DelayModel` slices,
-    bit-identical to the historical behaviour.  Scenarios built with this
-    backend carry a real ndarray, exactly as before.
-``"coords"``
-    The node→server table is *predicted* from Vivaldi-style network
-    coordinates (:mod:`repro.topology.coordinates`) fitted once per delay
-    model: O(n·dim) floats replace the O(n²) RTT matrix for delay queries,
-    at a bounded relative prediction error.
+    The executable specification: :func:`~repro.world.scenario.build_scenario`
+    gathers the real ``(k, m)`` ndarray from the :class:`DelayModel`.
 ``"sparse"``
     Exact per-node delays, but each zone is restricted to its top-K nearby
     candidate servers (selected from the topology around the zone's anchor
@@ -27,23 +21,18 @@ Three backends share that representation:
     purely through delay values and every solver works unchanged — the
     per-instance candidate state is O(zones·K).
 
-Compact scenarios carry a :class:`CompactDelayMatrix` in place of the dense
+Sparse scenarios carry a :class:`CompactDelayMatrix` in place of the dense
 ndarray: a virtual ``(k, m)`` matrix exposing vectorised row / pair gathers
 and zone-aggregated fast paths, which is all the solvers' hot loops need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from repro.topology.coordinates import (
-    DEFAULT_COORDS_DIM,
-    NetworkCoordinates,
-    fit_network_coordinates,
-)
 from repro.utils.chunks import CHUNK_CELLS, row_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -52,20 +41,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 __all__ = [
     "DELAY_BACKENDS",
     "DEFAULT_DELAY_BACKEND",
-    "DEFAULT_COORDS_DIM",
     "DEFAULT_SPARSE_TOP_K",
     "SPARSE_FILL_DELAY_MS",
     "CompactDelayMatrix",
-    "DelayBackend",
-    "DenseDelayBackend",
-    "CoordsDelayBackend",
-    "SparseDelayBackend",
-    "make_delay_backend",
-    "network_coordinates_for",
+    "node_server_table",
+    "sparse_delay_matrix",
 ]
 
 #: Names accepted by configs and the ``--delay-backend`` CLI flag.
-DELAY_BACKENDS = ("dense", "coords", "sparse")
+DELAY_BACKENDS = ("dense", "sparse")
 #: The executable-spec default.
 DEFAULT_DELAY_BACKEND = "dense"
 #: Default per-zone candidate-set size of the sparse backend.
@@ -78,6 +62,8 @@ SPARSE_FILL_DELAY_MS = 1.0e9
 #: 1 MiB of int64 counts.  Wider than :data:`~repro.utils.chunks.CHUNK_CELLS`
 #: because the chunk is a matmul operand, and BLAS loses throughput on short ones.
 _COUNT_CHUNK_CELLS = 2 * CHUNK_CELLS
+#: The int64 index arrays of a :class:`CompactDelayMatrix`.
+_INDEX_FIELDS = ("server_nodes", "client_nodes", "client_zones", "zone_candidates", "zone_anchors")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -167,59 +153,46 @@ def zone_anchor_nodes(
     return anchors
 
 
+
+
 @dataclass(frozen=True)
 class CompactDelayMatrix:
     """A virtual ``(num_clients, num_servers)`` delay matrix in O(n·m + k) state.
 
-    Entries are ``node_server[client_nodes[c], s]``; with candidate
-    restriction (sparse backend) entries for servers outside the client
-    zone's candidate set are :attr:`fill_value` instead.  The matrix carries
-    the generating :class:`DelayBackend` so scenario deltas can rebuild the
-    node→server table on server churn without densifying.
+    Entries are ``node_server[client_nodes[c], s]`` for the servers in the
+    client zone's candidate set and :attr:`fill_value` for every other
+    server.
 
     Attributes
     ----------
-    backend:
-        The generating backend (rebuilds ``node_server`` on server churn).
     server_nodes:
         ``(m,)`` topology node of each server.
     node_server:
         ``(num_nodes, m)`` node→server delay table (ms, read-only).
     client_nodes:
         ``(k,)`` topology node of each client.
-    client_zones / zone_candidates / zone_anchors / fill_value:
-        Candidate restriction of the sparse backend (`None` for coords):
-        zone of each client, ``(num_zones, K)`` candidate server ids per
-        zone, the zone anchor nodes the candidates were selected from, and
-        the sentinel delay reported for non-candidate servers.
+    client_zones / zone_candidates / zone_anchors:
+        Zone of each client, ``(num_zones, K)`` candidate server ids per
+        zone, and the zone anchor nodes the candidates were selected from.
+    fill_value:
+        The sentinel delay reported for non-candidate servers.
     """
 
-    backend: "DelayBackend"
     server_nodes: np.ndarray
     node_server: np.ndarray
     client_nodes: np.ndarray
-    client_zones: Optional[np.ndarray] = None
-    zone_candidates: Optional[np.ndarray] = None
-    zone_anchors: Optional[np.ndarray] = None
+    client_zones: np.ndarray
+    zone_candidates: np.ndarray
+    zone_anchors: np.ndarray
     fill_value: float = SPARSE_FILL_DELAY_MS
-    _allowed_cache: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
-    _sorted_candidates_cache: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
+    _allowed_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _sorted_candidates_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "server_nodes", np.asarray(self.server_nodes, dtype=np.int64)
-        )
-        object.__setattr__(
-            self, "client_nodes", np.asarray(self.client_nodes, dtype=np.int64)
-        )
+        for name in _INDEX_FIELDS:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         if self.node_server.ndim != 2:
-            raise ValueError(
-                f"node_server must be 2-D, got shape {self.node_server.shape}"
-            )
+            raise ValueError(f"node_server must be 2-D, got shape {self.node_server.shape}")
         if self.server_nodes.shape != (self.node_server.shape[1],):
             raise ValueError("server_nodes must match node_server's column count")
         # Rows are gathered with numpy indexing, which would wrap a negative
@@ -228,28 +201,12 @@ class CompactDelayMatrix:
         nodes = self.client_nodes
         if nodes.size and (nodes.min() < 0 or nodes.max() >= num_nodes):
             raise ValueError(f"client_nodes must lie in [0, {num_nodes})")
-        restriction = (self.client_zones is None, self.zone_candidates is None,
-                       self.zone_anchors is None)
-        if len(set(restriction)) != 1:
-            raise ValueError(
-                "client_zones, zone_candidates and zone_anchors must be given together"
-            )
-        if self.zone_candidates is not None:
-            object.__setattr__(
-                self, "client_zones", np.asarray(self.client_zones, dtype=np.int64)
-            )
-            object.__setattr__(
-                self, "zone_candidates", np.asarray(self.zone_candidates, dtype=np.int64)
-            )
-            object.__setattr__(
-                self, "zone_anchors", np.asarray(self.zone_anchors, dtype=np.int64)
-            )
-            if self.client_zones.shape != self.client_nodes.shape:
-                raise ValueError("client_zones must match client_nodes in shape")
-            if self.zone_candidates.ndim != 2:
-                raise ValueError("zone_candidates must be (num_zones, K)")
-            if self.zone_anchors.shape != (self.zone_candidates.shape[0],):
-                raise ValueError("zone_anchors must have one entry per zone")
+        if self.client_zones.shape != self.client_nodes.shape:
+            raise ValueError("client_zones must match client_nodes in shape")
+        if self.zone_candidates.ndim != 2:
+            raise ValueError("zone_candidates must be (num_zones, K)")
+        if self.zone_anchors.shape != (self.zone_candidates.shape[0],):
+            raise ValueError("zone_anchors must have one entry per zone")
 
     # ------------------------------------------------------------------ #
     @property
@@ -269,8 +226,8 @@ class CompactDelayMatrix:
 
     @property
     def num_zones(self) -> int:
-        """Zone count of the candidate restriction (0 when unrestricted)."""
-        return 0 if self.zone_candidates is None else int(self.zone_candidates.shape[0])
+        """Zone count of the candidate restriction."""
+        return int(self.zone_candidates.shape[0])
 
     @property
     def nbytes(self) -> int:
@@ -280,27 +237,17 @@ class CompactDelayMatrix:
         snapshot, not per scenario), so it is counted once here but does not
         grow with the client count — the per-client cost is the index arrays.
         """
-        total = self.server_nodes.nbytes + self.node_server.nbytes + self.client_nodes.nbytes
-        if self.zone_candidates is not None:
-            total += self.client_zones.nbytes + self.zone_candidates.nbytes
-            total += self.zone_anchors.nbytes
-        return total
+        return self.node_server.nbytes + sum(getattr(self, name).nbytes for name in _INDEX_FIELDS)
 
-    def candidate_mask(self) -> Optional[np.ndarray]:
-        """The ``(num_zones, m)`` candidate mask, or ``None`` when unrestricted.
+    def candidate_mask(self) -> np.ndarray:
+        """The ``(num_zones, m)`` candidate mask.
 
-        Read-only and cached; the sparse backend's per-zone candidate sets as
-        a boolean matrix.  The solvers use it to keep *fallback* placements
+        Read-only and cached; the per-zone candidate sets as a boolean
+        matrix.  The solvers use it to keep *fallback* placements
         delay-aware: a zone that cannot be placed within capacity should
         still land on a server its clients can actually reach, not on a
         sentinel-delay one.
         """
-        if self.zone_candidates is None:
-            return None
-        return self._allowed()
-
-    def _allowed(self) -> np.ndarray:
-        """Cached ``(num_zones, m)`` candidate mask (sparse backend only)."""
         cached = self._allowed_cache
         if cached is None:
             num_zones, top_k = self.zone_candidates.shape
@@ -311,37 +258,31 @@ class CompactDelayMatrix:
             object.__setattr__(self, "_allowed_cache", cached)
         return cached
 
-    def sorted_candidates(self) -> Optional[np.ndarray]:
-        """The ``(num_zones, K)`` candidate sets, server ids ascending, or ``None``.
+    def sorted_candidates(self) -> np.ndarray:
+        """The ``(num_zones, K)`` candidate sets, server ids ascending.
 
-        ``None`` when the matrix has no candidate restriction (coords
-        backend).  Candidate rows are sets — their stored order (near-first,
-        then the strided tail) carries no meaning — so a once-per-instance
-        row sort gives every consumer index-sorted lists without a per-query
-        sort: :meth:`candidate_rows` gathers from it, and GreZ hands it to
-        the placement engine as each zone's candidate table.  Read-only and
+        Candidate rows are sets — their stored order (near-first, then the
+        strided tail) carries no meaning — so a once-per-instance row sort
+        gives every consumer index-sorted lists without a per-query sort:
+        :meth:`candidate_rows` gathers from it, and GreZ hands it to the
+        placement engine as each zone's candidate table.  Read-only and
         cached.
         """
-        if self.zone_candidates is None:
-            return None
         cached = self._sorted_candidates_cache
         if cached is None:
             cached = _read_only(np.sort(self.zone_candidates, axis=1))
             object.__setattr__(self, "_sorted_candidates_cache", cached)
         return cached
 
-    def candidate_rows(
-        self, clients: np.ndarray
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Per-client candidate servers and exact delays to them, or ``None``.
+    def candidate_rows(self, clients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-client candidate servers and exact delays to them.
 
         ``clients`` is a 1-D index array.  Returns ``(servers, delays)`` of
         shape ``(len(clients), K)`` — the
         client zone's candidate set with server ids ascending per row, and
         the true (non-sentinel) delays ``delay(c, s)`` to each.  The delay
         values are bitwise the entries :meth:`rows` reports for those
-        servers.  ``None`` when the matrix has no candidate restriction
-        (coords backend): every server is then a genuine candidate.
+        servers.
 
         Both gathers are ``np.take`` calls — whole candidate rows by zone,
         then single delays by flat offset (:func:`_take_cells`) — which
@@ -350,8 +291,6 @@ class CompactDelayMatrix:
         straight into the result, so the flat offsets never exist for all
         rows at once.
         """
-        if self.zone_candidates is None:
-            return None
         clients = np.asarray(clients, dtype=np.int64)
         servers = np.take(self.sorted_candidates(), self.client_zones[clients], axis=0)
         nodes = self.client_nodes[clients][:, None]
@@ -367,23 +306,18 @@ class CompactDelayMatrix:
         """Delay rows, mirroring ``dense[clients]`` (fresh, writable array)."""
         clients = np.asarray(clients, dtype=np.int64)
         out = self.node_server[self.client_nodes[clients]]
-        if self.zone_candidates is not None:
-            if out.base is not None or not out.flags.writeable:
-                out = out.copy()
-            # In-place masked fill: one pass over the gathered rows instead
-            # of np.where's extra full-size output allocation.
-            np.copyto(
-                out,
-                self.fill_value,
-                where=np.logical_not(self._allowed()[self.client_zones[clients]]),
-            )
-        elif out.base is not None or not out.flags.writeable:
+        if out.base is not None or not out.flags.writeable:
             out = out.copy()
+        # In-place masked fill: one pass over the gathered rows instead
+        # of np.where's extra full-size output allocation.
+        np.copyto(
+            out,
+            self.fill_value,
+            where=np.logical_not(self.candidate_mask()[self.client_zones[clients]]),
+        )
         return out
 
-    def pairs(
-        self, clients: Union[int, np.ndarray], servers: Union[int, np.ndarray]
-    ) -> np.ndarray:
+    def pairs(self, clients: Union[int, np.ndarray], servers: Union[int, np.ndarray]) -> np.ndarray:
         """Elementwise delays, mirroring ``dense[clients, servers]`` broadcasting.
 
         Server ids must lie in ``[0, m)``.  The gathers run on flat offsets
@@ -395,10 +329,8 @@ class CompactDelayMatrix:
         if servers.size and (servers.min() < 0 or servers.max() >= self.num_servers):
             raise IndexError(f"server index out of range for {self.num_servers} servers")
         out = _take_cells(self.node_server, self.client_nodes[clients], servers)
-        if self.zone_candidates is not None:
-            allowed = _take_cells(self._allowed(), self.client_zones[clients], servers)
-            out = np.where(allowed, out, self.fill_value)
-        return out
+        allowed = _take_cells(self.candidate_mask(), self.client_zones[clients], servers)
+        return np.where(allowed, out, self.fill_value)
 
     def toarray(self) -> np.ndarray:
         """Materialise the full dense ``(k, m)`` matrix (small worlds only)."""
@@ -436,7 +368,7 @@ class CompactDelayMatrix:
         written into the result chunk by chunk, so no ``(zones × nodes)``
         count table and no full-size product ever coexist with the result.
         """
-        if self.zone_candidates is not None and self.zone_candidates.shape[0] != num_zones:
+        if self.num_zones != num_zones:
             raise ValueError("num_zones must match the candidate sets' zone count")
         dtype = np.float32 if client_zones.size < 2**24 else np.float64
         num_nodes, num_servers = self.node_server.shape
@@ -451,9 +383,6 @@ class CompactDelayMatrix:
                 cells[start:stop] - first, minlength=(rows.stop - rows.start) * num_nodes
             ).reshape(-1, num_nodes).astype(dtype)
             over = counts @ over_bound
-            if self.zone_candidates is None:
-                per_zone[rows] = over
-                continue
             # A non-candidate server reports the sentinel delay to every
             # client of the zone, so it counts the whole zone: fill the zone
             # populations in, then copy the true counts of the candidate
@@ -486,29 +415,26 @@ class CompactDelayMatrix:
         direct = self.node_server + np.asarray(server_self_delays, dtype=np.float64)[None, :]
         within = counts @ (direct <= bound).astype(np.float64)
         excess = counts @ np.maximum(direct - bound, 0.0)
-        if self.zone_candidates is not None:
-            allowed = self._allowed()
-            zone_pop = counts.sum(axis=1)
-            fill_direct = self.fill_value + np.asarray(server_self_delays, dtype=np.float64)
-            fill_excess = np.maximum(fill_direct - bound, 0.0)
-            within = np.where(allowed, within, 0.0)
-            excess = np.where(allowed, excess, zone_pop[:, None] * fill_excess[None, :])
+        allowed = self.candidate_mask()
+        zone_pop = counts.sum(axis=1)
+        fill_direct = self.fill_value + np.asarray(server_self_delays, dtype=np.float64)
+        fill_excess = np.maximum(fill_direct - bound, 0.0)
+        within = np.where(allowed, within, 0.0)
+        excess = np.where(allowed, excess, zone_pop[:, None] * fill_excess[None, :])
         return within, excess
 
     def zone_delay_sums(self, client_zones: np.ndarray, num_zones: int) -> np.ndarray:
         """Per-zone sum of client delays to each server (``(num_zones, m)``)."""
         counts = self._zone_node_counts(client_zones, num_zones)
         sums = counts @ self.node_server
-        if self.zone_candidates is not None:
-            zone_pop = counts.sum(axis=1)
-            sums = np.where(self._allowed(), sums, zone_pop[:, None] * self.fill_value)
-        return sums
+        zone_pop = counts.sum(axis=1)
+        return np.where(self.candidate_mask(), sums, zone_pop[:, None] * self.fill_value)
 
     # ------------------------------------------------------------------ #
     # Scenario-delta transformations.
     # ------------------------------------------------------------------ #
     def with_clients(
-        self, client_nodes: np.ndarray, client_zones: Optional[np.ndarray] = None
+        self, client_nodes: np.ndarray, client_zones: np.ndarray
     ) -> "CompactDelayMatrix":
         """New matrix for a different client population (O(k), no regather).
 
@@ -517,55 +443,40 @@ class CompactDelayMatrix:
         at build time (they depend on zone anchors, not individual clients),
         which keeps churn epochs O(churn) and assignments stable.
         """
-        if self.zone_candidates is not None and client_zones is None:
-            raise ValueError("a candidate-restricted matrix needs the new client zones")
-        return CompactDelayMatrix(
-            backend=self.backend,
-            server_nodes=self.server_nodes,
-            node_server=self.node_server,
-            client_nodes=client_nodes,
-            client_zones=client_zones if self.zone_candidates is not None else None,
-            zone_candidates=self.zone_candidates,
-            zone_anchors=self.zone_anchors,
-            fill_value=self.fill_value,
-            _allowed_cache=self._allowed_cache,
-            _sorted_candidates_cache=self._sorted_candidates_cache,
-        )
+        return replace(self, client_nodes=client_nodes, client_zones=client_zones)
 
-    def with_servers(self, server_nodes: np.ndarray) -> "CompactDelayMatrix":
-        """New matrix for a different fleet: rebuild the node→server table.
+    def with_servers(
+        self, server_nodes: np.ndarray, node_server: np.ndarray
+    ) -> "CompactDelayMatrix":
+        """New matrix for a different fleet and its node→server table.
 
+        ``node_server`` is the new fleet's table (:func:`node_server_table`),
         O(nodes·m) — independent of the client count.  Candidate sets are
         re-selected from the stored zone anchors against the new fleet.
         """
-        server_nodes = np.asarray(server_nodes, dtype=np.int64)
-        node_server = self.backend.node_server_table(server_nodes)
-        candidates = None
-        if self.zone_candidates is not None:
-            candidates = _candidates_from_anchors(
-                node_server, self.zone_anchors, self.zone_candidates.shape[1]
-            )
-            # Re-cover guard: a server churn batch may have removed *every*
-            # server a zone's old candidate set pointed at.  Re-selection from
-            # the anchors must leave each zone at least one real-delay
-            # (non-sentinel) candidate in the surviving fleet — otherwise the
-            # 1e9 ms sentinel would silently win every assignment for that
-            # zone.  This is structural (re-selection picks from the new
-            # fleet), so a violation means the rebuild itself is broken.
-            if candidates.size:
-                if candidates.min() < 0 or candidates.max() >= node_server.shape[1]:
-                    raise ValueError(
-                        "candidate re-cover produced out-of-range server ids; "
-                        "a zone would see only sentinel delays"
-                    )
-                anchor_delays = node_server[self.zone_anchors[:, None], candidates]
-                if not (anchor_delays < self.fill_value).any(axis=1).all():
-                    raise ValueError(
-                        "candidate re-cover left a zone with sentinel-only "
-                        "candidates after server churn"
-                    )
+        candidates = _candidates_from_anchors(
+            node_server, self.zone_anchors, self.zone_candidates.shape[1]
+        )
+        # Re-cover guard: a server churn batch may have removed *every*
+        # server a zone's old candidate set pointed at.  Re-selection from
+        # the anchors must leave each zone at least one real-delay
+        # (non-sentinel) candidate in the surviving fleet — otherwise the
+        # 1e9 ms sentinel would silently win every assignment for that
+        # zone.  This is structural (re-selection picks from the new
+        # fleet), so a violation means the rebuild itself is broken.
+        if candidates.size:
+            if candidates.min() < 0 or candidates.max() >= node_server.shape[1]:
+                raise ValueError(
+                    "candidate re-cover produced out-of-range server ids; "
+                    "a zone would see only sentinel delays"
+                )
+            anchor_delays = node_server[self.zone_anchors[:, None], candidates]
+            if not (anchor_delays < self.fill_value).any(axis=1).all():
+                raise ValueError(
+                    "candidate re-cover left a zone with sentinel-only "
+                    "candidates after server churn"
+                )
         return CompactDelayMatrix(
-            backend=self.backend,
             server_nodes=server_nodes,
             node_server=node_server,
             client_nodes=self.client_nodes,
@@ -590,191 +501,32 @@ class CompactDelayMatrix:
                 f"node_server must keep shape {self.node_server.shape}, "
                 f"got {node_server.shape}"
             )
-        return CompactDelayMatrix(
-            backend=self.backend,
-            server_nodes=self.server_nodes,
-            node_server=_read_only(node_server),
-            client_nodes=self.client_nodes,
-            client_zones=self.client_zones,
-            zone_candidates=self.zone_candidates,
-            zone_anchors=self.zone_anchors,
-            fill_value=self.fill_value,
-            _allowed_cache=self._allowed_cache,
-            _sorted_candidates_cache=self._sorted_candidates_cache,
-        )
+        return replace(self, node_server=_read_only(node_server))
 
 
-# ---------------------------------------------------------------------- #
-# Backends
-# ---------------------------------------------------------------------- #
-class DelayBackend:
-    """Strategy for producing a scenario's delay arrays from a delay model."""
-
-    name: str = "abstract"
-
-    def __init__(self, delay_model: "DelayModel") -> None:
-        self.delay_model = delay_model
-
-    def node_server_table(self, server_nodes: np.ndarray) -> np.ndarray:
-        """``(num_nodes, m)`` node→server delay table (read-only)."""
-        raise NotImplementedError
-
-    def server_server_delays(self, server_nodes: np.ndarray) -> np.ndarray:
-        """Inter-server mesh delays (zero diagonal)."""
-        raise NotImplementedError
-
-    def client_matrix(
-        self,
-        client_nodes: np.ndarray,
-        client_zones: np.ndarray,
-        num_zones: int,
-        server_nodes: np.ndarray,
-    ) -> Union[np.ndarray, CompactDelayMatrix]:
-        """The scenario's client→server delay matrix (dense or compact)."""
-        raise NotImplementedError
+def node_server_table(delay_model: "DelayModel", server_nodes: np.ndarray) -> np.ndarray:
+    """``(num_nodes, m)`` exact node→server delay table (ms, read-only)."""
+    server_nodes = delay_model._check_nodes(server_nodes, "server_nodes")
+    # Advanced indexing already yields a fresh array; just seal it.
+    return _read_only(delay_model.rtt[:, server_nodes])
 
 
-class DenseDelayBackend(DelayBackend):
-    """The executable spec: historical dense matrices, bit-identical."""
-
-    name = "dense"
-
-    def node_server_table(self, server_nodes: np.ndarray) -> np.ndarray:
-        return self.delay_model.client_server_delays(
-            np.arange(self.delay_model.num_nodes), server_nodes
-        )
-
-    def server_server_delays(self, server_nodes: np.ndarray) -> np.ndarray:
-        return self.delay_model.server_server_delays(server_nodes)
-
-    def client_matrix(
-        self,
-        client_nodes: np.ndarray,
-        client_zones: np.ndarray,
-        num_zones: int,
-        server_nodes: np.ndarray,
-    ) -> np.ndarray:
-        return self.delay_model.client_server_delays(client_nodes, server_nodes)
-
-
-class CoordsDelayBackend(DelayBackend):
-    """Vivaldi-coordinate predictions: O(n·dim) state, approximate delays."""
-
-    name = "coords"
-
-    def __init__(self, delay_model: "DelayModel", dim: int = DEFAULT_COORDS_DIM) -> None:
-        super().__init__(delay_model)
-        self.dim = int(dim)
-
-    @property
-    def coordinates(self) -> NetworkCoordinates:
-        """The fitted embedding (cached on the delay model, shared per dim)."""
-        return network_coordinates_for(self.delay_model, dim=self.dim)
-
-    def node_server_table(self, server_nodes: np.ndarray) -> np.ndarray:
-        coords = self.coordinates
-        all_nodes = np.arange(coords.num_nodes)
-        return _read_only(coords.predict_matrix(all_nodes, server_nodes))
-
-    def server_server_delays(self, server_nodes: np.ndarray) -> np.ndarray:
-        mesh = self.coordinates.predict_matrix(server_nodes, server_nodes)
-        mesh *= self.delay_model.server_mesh_factor
-        np.fill_diagonal(mesh, 0.0)
-        return mesh
-
-    def client_matrix(
-        self,
-        client_nodes: np.ndarray,
-        client_zones: np.ndarray,
-        num_zones: int,
-        server_nodes: np.ndarray,
-    ) -> CompactDelayMatrix:
-        server_nodes = np.asarray(server_nodes, dtype=np.int64)
-        return CompactDelayMatrix(
-            backend=self,
-            server_nodes=server_nodes,
-            node_server=self.node_server_table(server_nodes),
-            client_nodes=client_nodes,
-        )
-
-
-class SparseDelayBackend(DelayBackend):
-    """Exact delays on per-zone top-K candidate servers, sentinel elsewhere."""
-
-    name = "sparse"
-
-    def __init__(
-        self, delay_model: "DelayModel", top_k: int = DEFAULT_SPARSE_TOP_K
-    ) -> None:
-        super().__init__(delay_model)
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        self.top_k = int(top_k)
-
-    def node_server_table(self, server_nodes: np.ndarray) -> np.ndarray:
-        server_nodes = self.delay_model._check_nodes(server_nodes, "server_nodes")
-        # Advanced indexing already yields a fresh array; just seal it.
-        return _read_only(self.delay_model.rtt[:, server_nodes])
-
-    def server_server_delays(self, server_nodes: np.ndarray) -> np.ndarray:
-        return self.delay_model.server_server_delays(server_nodes)
-
-    def client_matrix(
-        self,
-        client_nodes: np.ndarray,
-        client_zones: np.ndarray,
-        num_zones: int,
-        server_nodes: np.ndarray,
-    ) -> CompactDelayMatrix:
-        server_nodes = np.asarray(server_nodes, dtype=np.int64)
-        node_server = self.node_server_table(server_nodes)
-        anchors = zone_anchor_nodes(
-            client_nodes, client_zones, num_zones, self.delay_model.num_nodes
-        )
-        candidates = _candidates_from_anchors(node_server, anchors, self.top_k)
-        return CompactDelayMatrix(
-            backend=self,
-            server_nodes=server_nodes,
-            node_server=node_server,
-            client_nodes=client_nodes,
-            client_zones=client_zones,
-            zone_candidates=candidates,
-            zone_anchors=anchors,
-        )
-
-
-def make_delay_backend(
-    name: str,
+def sparse_delay_matrix(
     delay_model: "DelayModel",
-    coords_dim: int = DEFAULT_COORDS_DIM,
-    sparse_top_k: int = DEFAULT_SPARSE_TOP_K,
-) -> DelayBackend:
-    """Instantiate a delay backend by name."""
-    if name == "dense":
-        return DenseDelayBackend(delay_model)
-    if name == "coords":
-        return CoordsDelayBackend(delay_model, dim=coords_dim)
-    if name == "sparse":
-        return SparseDelayBackend(delay_model, top_k=sparse_top_k)
-    raise ValueError(f"unknown delay backend {name!r}; expected one of {DELAY_BACKENDS}")
-
-
-def network_coordinates_for(
-    delay_model: "DelayModel", dim: int = DEFAULT_COORDS_DIM
-) -> NetworkCoordinates:
-    """Fit (or reuse) the delay model's network-coordinate embedding.
-
-    The fit is cached on the delay model keyed by dimension, so every
-    scenario, federation shard and experiment replication sharing a delay
-    model shares one embedding — and the fit's internal RNG never touches
-    any scenario stream.
-    """
-    cache = getattr(delay_model, "_coords_cache", None)
-    if cache is None:
-        cache = {}
-        delay_model._coords_cache = cache
-    coords = cache.get(dim)
-    if coords is None:
-        coords = fit_network_coordinates(delay_model.rtt, dim=dim)
-        cache[dim] = coords
-    return coords
+    client_nodes: np.ndarray,
+    client_zones: np.ndarray,
+    num_zones: int,
+    server_nodes: np.ndarray,
+    top_k: int = DEFAULT_SPARSE_TOP_K,
+) -> CompactDelayMatrix:
+    """The sparse backend's client→server delays: exact on top-K candidates per zone."""
+    node_server = node_server_table(delay_model, server_nodes)
+    anchors = zone_anchor_nodes(client_nodes, client_zones, num_zones, delay_model.num_nodes)
+    return CompactDelayMatrix(
+        server_nodes=server_nodes,
+        node_server=node_server,
+        client_nodes=client_nodes,
+        client_zones=client_zones,
+        zone_candidates=_candidates_from_anchors(node_server, anchors, top_k),
+        zone_anchors=anchors,
+    )

@@ -23,12 +23,12 @@ import numpy as np
 
 from repro.topology.brite import BriteConfig, generate_topology
 from repro.topology.delay_backends import (
-    DEFAULT_COORDS_DIM,
     DEFAULT_DELAY_BACKEND,
     DEFAULT_SPARSE_TOP_K,
     DELAY_BACKENDS,
     CompactDelayMatrix,
-    make_delay_backend,
+    node_server_table,
+    sparse_delay_matrix,
 )
 from repro.topology.delays import (
     DEFAULT_MAX_RTT_MS,
@@ -89,7 +89,6 @@ class DVEConfig:
     server_mesh_factor: float = DEFAULT_SERVER_MESH_FACTOR
     topology: BriteConfig = field(default_factory=BriteConfig)
     delay_backend: str = DEFAULT_DELAY_BACKEND
-    coords_dim: int = DEFAULT_COORDS_DIM
     sparse_top_k: int = DEFAULT_SPARSE_TOP_K
 
     def __post_init__(self) -> None:
@@ -107,8 +106,6 @@ class DVEConfig:
                 f"unknown delay backend {self.delay_backend!r}; "
                 f"expected one of {DELAY_BACKENDS}"
             )
-        if self.coords_dim < 1:
-            raise ValueError("coords_dim must be >= 1")
         if self.sparse_top_k < 1:
             raise ValueError("sparse_top_k must be >= 1")
 
@@ -163,8 +160,7 @@ class DVEScenario:
         ``(num_clients, num_servers)`` RTT matrix (ms) — a dense ndarray for
         the ``"dense"`` delay backend, a
         :class:`~repro.topology.delay_backends.CompactDelayMatrix` (same
-        virtual shape, O(nodes·servers + clients) state) for ``"coords"`` /
-        ``"sparse"``.
+        virtual shape, O(nodes·servers + clients) state) for ``"sparse"``.
     server_server_delays:
         ``(num_servers, num_servers)`` inter-server mesh RTT matrix (ms).
     client_demands:
@@ -186,9 +182,9 @@ class DVEScenario:
     def has_dense_delays(self) -> bool:
         """True when ``client_server_delays`` is a real dense ndarray.
 
-        Scenarios built with the ``"coords"`` / ``"sparse"`` delay backends
-        carry a :class:`~repro.topology.delay_backends.CompactDelayMatrix`
-        instead — O(nodes·servers + clients) state rather than O(k·m).
+        Scenarios built with the ``"sparse"`` delay backend carry a
+        :class:`~repro.topology.delay_backends.CompactDelayMatrix` instead —
+        O(nodes·servers + clients) state rather than O(k·m).
         """
         return not isinstance(self.client_server_delays, CompactDelayMatrix)
 
@@ -353,12 +349,12 @@ class DVEScenario:
             raise ValueError("servers refer to nodes outside this scenario's topology")
         if self.has_dense_delays:
             delays = self.delay_model.client_server_delays(self.population.nodes, servers.nodes)
-            mesh = self.delay_model.server_server_delays(servers.nodes)
         else:
             # Compact path: rebuild the O(nodes·m) node→server table (and the
             # per-zone candidate sets) — independent of the client count.
-            delays = self.client_server_delays.with_servers(servers.nodes)
-            mesh = delays.backend.server_server_delays(servers.nodes)
+            delays = self.client_server_delays.with_servers(
+                servers.nodes, node_server_table(self.delay_model, servers.nodes)
+            )
         return DVEScenario(
             config=self.config,
             topology=self.topology,
@@ -367,7 +363,7 @@ class DVEScenario:
             world=self.world,
             population=self.population,
             client_server_delays=delays,
-            server_server_delays=mesh,
+            server_server_delays=self.delay_model.server_server_delays(servers.nodes),
             client_demands=self.client_demands,
         )
 
@@ -419,20 +415,8 @@ class DVEScenario:
         if not self.has_dense_delays:
             # Compact path: the full node→server rebuild already costs only
             # O(nodes·m), so the column-delta optimisation has nothing to
-            # save — reuse the with_servers machinery.
-            delays = self.client_server_delays.with_servers(servers.nodes)
-            mesh = delays.backend.server_server_delays(servers.nodes)
-            return DVEScenario(
-                config=self.config,
-                topology=self.topology,
-                delay_model=self.delay_model,
-                servers=servers,
-                world=self.world,
-                population=self.population,
-                client_server_delays=delays,
-                server_server_delays=mesh,
-                client_demands=self.client_demands,
-            )
+            # save.
+            return self.with_servers(servers)
 
         delays = np.empty((self.num_clients, servers.num_servers), dtype=np.float64)
         survivors_old = np.flatnonzero(server_churn.old_to_new >= 0)
@@ -548,18 +532,16 @@ def build_scenario(
     world = VirtualWorld(num_zones=config.num_zones)
     if config.delay_backend == "dense":
         client_server_delays = delay_model.client_server_delays(client_nodes, servers.nodes)
-        server_server_delays = delay_model.server_server_delays(servers.nodes)
     else:
-        backend = make_delay_backend(
-            config.delay_backend,
+        client_server_delays = sparse_delay_matrix(
             delay_model,
-            coords_dim=config.coords_dim,
-            sparse_top_k=config.sparse_top_k,
+            client_nodes,
+            client_zones,
+            config.num_zones,
+            servers.nodes,
+            top_k=config.sparse_top_k,
         )
-        client_server_delays = backend.client_matrix(
-            client_nodes, client_zones, config.num_zones, servers.nodes
-        )
-        server_server_delays = backend.server_server_delays(servers.nodes)
+    server_server_delays = delay_model.server_server_delays(servers.nodes)
     client_demands = config.bandwidth_model.client_target_demands(
         client_zones, config.num_zones
     )

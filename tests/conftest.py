@@ -138,7 +138,6 @@ def make_wide_sparse_instance(order: str = "F") -> CAPInstance:
     client_zones = rng.integers(0, num_zones, num_clients)
     anchors = zone_anchor_nodes(client_nodes, client_zones, num_zones, num_nodes)
     delays = CompactDelayMatrix(
-        backend=None,
         server_nodes=np.arange(num_servers),
         node_server=node_server,
         client_nodes=client_nodes,

@@ -10,8 +10,8 @@ world (``make_small_config``) and hashes two streams with sha256:
 The grid is every repair policy (re-execute, incremental, warm start, and a
 re-execution every 3rd epoch) × three fleets (fixed, 1 join / 1 leave / 0.05
 drift per epoch, which re-indexes the servers, and 0.05 drift alone, an
-identity-mapped capacity delta) × three delay backends (dense, coords, sparse
-top-3), plus every :data:`~repro.dynamics.scenarios.SCENARIO_LIBRARY` preset on
+identity-mapped capacity delta) × two delay backends (dense, sparse top-3),
+plus every :data:`~repro.dynamics.scenarios.SCENARIO_LIBRARY` preset on
 the dense world under the warm-start policy, each for two seeds and two
 algorithms (GreZ-GreC and RanZ-VirC).
 ``tests/test_golden_engine.py`` asserts the committed digests with every
@@ -69,7 +69,6 @@ FLEETS: Dict[str, object] = {
 #: name -> config overrides of ``make_small_config``
 DELAYS: Dict[str, dict] = {
     "dense": {},
-    "coords": {"delay_backend": "coords"},
     "sparse": {"delay_backend": "sparse", "sparse_top_k": 3},
 }
 

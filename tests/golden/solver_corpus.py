@@ -15,8 +15,9 @@ The grid is
 * the four paper algorithms on the figure-4 world (dense delays), seeds 0–2;
 * a capacity-tight small world whose GreZ pass needs the ``least_loaded``
   fallback;
-* a 150-server world on the coords delay backend, wide enough for the
-  engine's top-64 re-evaluation table;
+* a 150-server world on the dense delay backend, wider than the engine's
+  top-64 re-evaluation table, whose GreZ pass also needs the ``least_loaded``
+  fallback;
 * the ``500s-2000z-100000c-130000cp`` world on the sparse backend with top-64
   candidate sets: GreZ + GreC, and GreC alone on a perturbed zone map;
 * the regret arbiter's pooled placement on the 4-shard
@@ -149,7 +150,7 @@ def _tight(algorithm: str):
     return _assignment_digests(instance, lambda: solve(instance, algorithm, seed=0))
 
 
-def _coords():
+def _wide():
     # 150 servers (over twice the top-64 table width), ~209 Mb/s of demand
     # on 240 Mb/s, and a 150 ms bound that leaves most clients needing a
     # contact server.
@@ -161,7 +162,6 @@ def _coords():
             total_capacity_mbps=240.0,
             min_server_capacity_mbps=0.5,
             delay_bound_ms=150.0,
-            delay_backend="coords",
             topology=BriteConfig(model="hierarchical", num_nodes=150, num_as=6, routers_per_as=25),
         ),
         seed=2,
@@ -231,7 +231,7 @@ def corpus(sparse: Optional[CAPInstance] = None) -> Dict[str, dict]:
             entries[f"figure4/seed={seed}/{algorithm}"] = _figure4(algorithm, seed)
     for algorithm in ("grez-grec", "grez-virc"):
         entries[f"tight/{algorithm}"] = _tight(algorithm)
-    entries["coords/grez-grec"] = _coords()
+    entries["wide/grez-grec"] = _wide()
     sparse = sparse_instance() if sparse is None else sparse
     entries["sparse-100k/grez-grec"] = _sparse(sparse)
     entries["sparse-100k/grec-perturbed"] = _sparse_perturbed(sparse)

@@ -510,13 +510,17 @@ class TestFederateCommand:
         assert exc.value.code == 2
 
 
-#: Flags removed from the engine commands, each with an argument it once took.
+#: Flags removed from the engine commands, each with an argument it once took,
+#: and the removed ``coords`` choice of ``--delay-backend`` on every command.
 REMOVED_FLAGS = [
     ["simulate", "--measurement-backend", "full"],
     ["loadgen", "--measurement-backend", "full"],
     ["loadgen", "--no-arena"],
     ["loadgen", "--compare"],
     ["federate", "--measurement-backend", "full"],
+    *([command, "--delay-backend", "coords"] for command in ("solve", "simulate", "loadgen")),
+    ["federate", "--delay-backend", "coords"],
+    ["experiment", "table1", "--delay-backend", "coords"],
 ]
 
 
@@ -528,10 +532,14 @@ class TestEngineCommandOptions:
         assert list(option_table(command).items()) == list(GOLDEN_OPTIONS[command].items())
 
     @pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
-    def test_removed_flag_exits_2(self, argv):
+    def test_removed_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1, captured.err
+        assert captured.out == ""
 
 
 class TestInputErrors:

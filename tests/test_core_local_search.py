@@ -274,7 +274,7 @@ class TestZoneSweepOracle:
 
     @pinned(150)
     @given(
-        backend=st.sampled_from(["random-dense", "dense", "coords", "sparse"]),
+        backend=st.sampled_from(["random-dense", "dense", "sparse"]),
         seed=st.integers(0, 2**32 - 1),
         seeded=st.booleans(),
     )

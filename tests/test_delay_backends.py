@@ -1,14 +1,14 @@
 """Tests for repro.topology.delay_backends and the compact-instance plumbing.
 
-Covers the three contracts of the pluggable delay backends:
+Covers the three contracts of the two delay backends:
 
-* ``dense`` through the new abstraction is bit-identical to the historical
-  construction (including the zero mesh diagonal and the delta fast paths);
+* ``dense`` is bit-identical to the historical construction (including the
+  zero mesh diagonal and the delta fast paths);
 * :class:`CompactDelayMatrix` gathers and zone fast paths agree with the
   densified matrix they virtualise; and
-* ``coords`` / ``sparse`` scenarios flow through the solvers, the churn
-  engine and the CLI, producing capacity-feasible assignments whose pQoS is
-  within a stated tolerance of dense on small worlds.
+* ``sparse`` scenarios flow through the solvers, the churn engine and the
+  CLI, producing capacity-feasible assignments whose pQoS is within a stated
+  tolerance of dense on small worlds.
 """
 
 from __future__ import annotations
@@ -28,20 +28,21 @@ from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.experiments.config import ExperimentConfig, apply_delay_backend
 from repro.topology.delay_backends import (
     DEFAULT_SPARSE_TOP_K,
+    DELAY_BACKENDS,
     SPARSE_FILL_DELAY_MS,
     CompactDelayMatrix,
     _candidates_from_anchors,
     _COUNT_CHUNK_CELLS,
-    make_delay_backend,
     zone_anchor_nodes,
 )
 from repro.utils.chunks import row_chunks
-from repro.world.scenario import build_scenario
+from repro.world.scenario import DVEConfig, build_scenario
 
 from tests.conftest import make_small_config, make_wide_sparse_instance
 from tests.reference.anchor_candidates import candidates_per_zone_sort
 
-#: pQoS tolerance of the approximate backends vs dense on the small world.
+#: pQoS tolerance of the sparse backend's candidate restriction vs dense on
+#: the small world.
 PQOS_TOLERANCE = 0.15
 
 
@@ -56,17 +57,12 @@ def dense_scenario():
 
 
 @pytest.fixture(scope="module")
-def coords_scenario():
-    return _scenario("coords")
-
-
-@pytest.fixture(scope="module")
 def sparse_scenario():
     return _scenario("sparse")
 
 
 # ---------------------------------------------------------------------- #
-# Dense through the abstraction: the executable spec stays bit-identical.
+# Dense: the executable spec stays bit-identical.
 # ---------------------------------------------------------------------- #
 class TestDenseBitIdentity:
     def test_matches_direct_construction(self, dense_scenario, small_scenario):
@@ -128,23 +124,18 @@ class TestDenseBitIdentity:
 # ---------------------------------------------------------------------- #
 # CompactDelayMatrix semantics vs its densified self.
 # ---------------------------------------------------------------------- #
-@pytest.fixture(scope="module", params=["coords", "sparse"])
-def compact_scenario(request, coords_scenario, sparse_scenario):
-    return coords_scenario if request.param == "coords" else sparse_scenario
-
-
 class TestCompactDelayMatrix:
-    def test_type_and_shape(self, compact_scenario):
-        delays = compact_scenario.client_server_delays
+    def test_type_and_shape(self, sparse_scenario):
+        delays = sparse_scenario.client_server_delays
         assert isinstance(delays, CompactDelayMatrix)
         assert delays.shape == (
-            compact_scenario.num_clients,
-            compact_scenario.num_servers,
+            sparse_scenario.num_clients,
+            sparse_scenario.num_servers,
         )
-        assert not compact_scenario.has_dense_delays
+        assert not sparse_scenario.has_dense_delays
 
-    def test_rows_and_pairs_match_toarray(self, compact_scenario):
-        delays = compact_scenario.client_server_delays
+    def test_rows_and_pairs_match_toarray(self, sparse_scenario):
+        delays = sparse_scenario.client_server_delays
         dense = delays.toarray()
         clients = np.array([0, 2, 9, 2])
         servers = np.array([1, 0, 3, 3])
@@ -156,10 +147,10 @@ class TestCompactDelayMatrix:
         np.testing.assert_array_equal(delays.pairs(5, 2), dense[5, 2])
 
     @pytest.mark.parametrize("bad", [-1, "m"])
-    def test_pairs_rejects_out_of_range_server(self, compact_scenario, bad):
+    def test_pairs_rejects_out_of_range_server(self, sparse_scenario, bad):
         # Flat offsets cannot bounds-check each axis, so a stray server id
         # would silently read another client's cell without this check.
-        delays = compact_scenario.client_server_delays
+        delays = sparse_scenario.client_server_delays
         server = delays.num_servers if bad == "m" else bad
         with pytest.raises(IndexError):
             delays.pairs(np.array([0, 1]), np.array([0, server]))
@@ -167,24 +158,24 @@ class TestCompactDelayMatrix:
             delays.pairs(0, server)
 
     @pytest.mark.parametrize("bad", [-1, "n"])
-    def test_with_clients_rejects_out_of_range_node(self, compact_scenario, bad):
+    def test_with_clients_rejects_out_of_range_node(self, sparse_scenario, bad):
         # A negative node would wrap onto the table's last row; node n would
         # fail only at the first row gather.
-        delays = compact_scenario.client_server_delays
+        delays = sparse_scenario.client_server_delays
         num_nodes = delays.node_server.shape[0]
         node = num_nodes if bad == "n" else bad
         zones = np.zeros(2, dtype=np.int64)
         with pytest.raises(ValueError, match=rf"\[0, {num_nodes}\)"):
             delays.with_clients(np.array([node, num_nodes - 1]), zones)
 
-    def test_rows_are_writable_copies(self, compact_scenario):
-        delays = compact_scenario.client_server_delays
+    def test_rows_are_writable_copies(self, sparse_scenario):
+        delays = sparse_scenario.client_server_delays
         row = delays.rows(0)
         row[0] = -1.0  # must not corrupt the shared node->server table
         assert delays.rows(0)[0] != -1.0
 
-    def test_zone_over_bound_counts_match_scatter(self, compact_scenario):
-        instance = CAPInstance.from_scenario(compact_scenario)
+    def test_zone_over_bound_counts_match_scatter(self, sparse_scenario):
+        instance = CAPInstance.from_scenario(sparse_scenario)
         delays = instance.client_server_delays
         dense = delays.toarray()
         expected = np.zeros((instance.num_zones, instance.num_servers))
@@ -194,8 +185,8 @@ class TestCompactDelayMatrix:
         )
         np.testing.assert_array_equal(got, expected)
 
-    def test_zone_direct_aggregates_match_scatter(self, compact_scenario):
-        instance = CAPInstance.from_scenario(compact_scenario)
+    def test_zone_direct_aggregates_match_scatter(self, sparse_scenario):
+        instance = CAPInstance.from_scenario(sparse_scenario)
         delays = instance.client_server_delays
         dense = delays.toarray()
         self_delays = np.diag(instance.server_server_delays)
@@ -211,8 +202,8 @@ class TestCompactDelayMatrix:
         np.testing.assert_array_equal(within, within_expected)
         np.testing.assert_allclose(excess, excess_expected, rtol=1e-9, atol=1e-6)
 
-    def test_zone_delay_sums_match_scatter(self, compact_scenario):
-        instance = CAPInstance.from_scenario(compact_scenario)
+    def test_zone_delay_sums_match_scatter(self, sparse_scenario):
+        instance = CAPInstance.from_scenario(sparse_scenario)
         delays = instance.client_server_delays
         dense = delays.toarray()
         expected = np.zeros((instance.num_zones, instance.num_servers))
@@ -220,18 +211,15 @@ class TestCompactDelayMatrix:
         got = delays.zone_delay_sums(instance.client_zones, instance.num_zones)
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-6)
 
-    def test_with_clients_shares_table(self, compact_scenario):
-        delays = compact_scenario.client_server_delays
+    def test_with_clients_shares_table(self, sparse_scenario):
+        delays = sparse_scenario.client_server_delays
         perm = np.random.default_rng(2).permutation(delays.num_clients)
-        zones = None
-        if delays.zone_candidates is not None:
-            zones = delays.client_zones[perm]
-        moved = delays.with_clients(delays.client_nodes[perm], zones)
+        moved = delays.with_clients(delays.client_nodes[perm], delays.client_zones[perm])
         assert moved.node_server is delays.node_server
         np.testing.assert_array_equal(moved.toarray(), delays.toarray()[perm])
 
-    def test_nbytes_compact(self, compact_scenario):
-        delays = compact_scenario.client_server_delays
+    def test_nbytes_compact(self, sparse_scenario):
+        delays = sparse_scenario.client_server_delays
         dense_bytes = delays.num_clients * delays.num_servers * 8
         assert delays.nbytes < dense_bytes + delays.node_server.nbytes
 
@@ -357,8 +345,7 @@ class TestRowChunkedGathers:
             dense[clients[:40, None], servers[None, :]],
         )
 
-    @pytest.mark.parametrize("restricted", [True, False])
-    def test_zone_over_bound_counts_across_chunks(self, restricted):
+    def test_zone_over_bound_counts_across_chunks(self):
         rng = np.random.default_rng(3)
         num_nodes, num_servers, num_zones, num_clients = 30, 12, 10_000, 20_000
         assert len(list(row_chunks(num_zones, num_nodes, _COUNT_CHUNK_CELLS))) >= 3
@@ -374,20 +361,14 @@ class TestRowChunkedGathers:
             ]
         )
         client_zones = np.concatenate([rng.integers(0, num_zones, num_clients), zones, zones])
-        restriction = {}
-        if restricted:
-            anchors = zone_anchor_nodes(client_nodes, client_zones, num_zones, num_nodes)
-            restriction = dict(
-                client_zones=client_zones,
-                zone_candidates=_candidates_from_anchors(node_server, anchors, 4),
-                zone_anchors=anchors,
-            )
+        anchors = zone_anchor_nodes(client_nodes, client_zones, num_zones, num_nodes)
         delays = CompactDelayMatrix(
-            backend=None,
             server_nodes=np.arange(num_servers),
             node_server=node_server,
             client_nodes=client_nodes,
-            **restriction,
+            client_zones=client_zones,
+            zone_candidates=_candidates_from_anchors(node_server, anchors, 4),
+            zone_anchors=anchors,
         )
         bound = 55.0
         expected = np.zeros((num_zones, num_servers))
@@ -398,11 +379,11 @@ class TestRowChunkedGathers:
 
 
 # ---------------------------------------------------------------------- #
-# Solver equivalence and approximation quality.
+# Solver equivalence and the candidate restriction's pQoS cost.
 # ---------------------------------------------------------------------- #
 class TestSolvers:
-    def test_compact_solve_matches_densified(self, compact_scenario):
-        instance = CAPInstance.from_scenario(compact_scenario)
+    def test_compact_solve_matches_densified(self, sparse_scenario):
+        instance = CAPInstance.from_scenario(sparse_scenario)
         densified = instance.with_delays(
             client_server_delays=instance.client_server_delays.toarray()
         )
@@ -411,27 +392,23 @@ class TestSolvers:
         np.testing.assert_array_equal(compact.zone_to_server, dense.zone_to_server)
         np.testing.assert_array_equal(compact.contact_of_client, dense.contact_of_client)
 
-    @pytest.mark.parametrize("backend", ["coords", "sparse"])
     @pytest.mark.parametrize("algorithm", ["grez-grec", "grez-virc", "nearest-server"])
-    def test_feasible_and_close_to_dense(
-        self, backend, algorithm, dense_scenario, coords_scenario, sparse_scenario
-    ):
-        scenario = coords_scenario if backend == "coords" else sparse_scenario
-        instance = CAPInstance.from_scenario(scenario)
+    def test_feasible_and_close_to_dense(self, algorithm, dense_scenario, sparse_scenario):
+        instance = CAPInstance.from_scenario(sparse_scenario)
         dense_instance = CAPInstance.from_scenario(dense_scenario)
         assignment = registry_solve(instance, algorithm, seed=3)
         baseline = registry_solve(dense_instance, algorithm, seed=3)
         if not baseline.capacity_exceeded:
             assert assignment.is_capacity_feasible(instance)
-        # Evaluated on the true (dense) delays, the approximate backends must
-        # stay within the stated tolerance of the dense solve.
+        # Evaluated on the true (dense) delays, the candidate-restricted
+        # solve must stay within the stated tolerance of the dense solve.
         pqos_true = assignment.pqos(dense_instance)
         assert pqos_true >= baseline.pqos(dense_instance) - PQOS_TOLERANCE
 
-    def test_warm_start_refine_runs_compact(self, compact_scenario):
+    def test_warm_start_refine_runs_compact(self, sparse_scenario):
         from repro.core.local_search import warm_start_refine
 
-        instance = CAPInstance.from_scenario(compact_scenario)
+        instance = CAPInstance.from_scenario(sparse_scenario)
         seeded = registry_solve(instance, "grez-grec", seed=3)
         result = warm_start_refine(instance, seeded)
         assert result.final_pqos >= result.initial_pqos - 1e-12
@@ -442,8 +419,8 @@ class TestSolvers:
 # Deltas, churn engine and server churn on compact scenarios.
 # ---------------------------------------------------------------------- #
 class TestCompactDeltas:
-    def test_apply_delta_raises_on_compact(self, compact_scenario):
-        instance = CAPInstance.from_scenario(compact_scenario)
+    def test_apply_delta_raises_on_compact(self, sparse_scenario):
+        instance = CAPInstance.from_scenario(sparse_scenario)
         with pytest.raises(TypeError):
             instance.apply_delta(
                 survivor_indices=np.arange(5),
@@ -452,9 +429,9 @@ class TestCompactDeltas:
                 client_demands=instance.client_demands[:5],
             )
 
-    def test_engine_advance_matches_rebuild_oracle(self, compact_scenario, advance_oracle_spy):
+    def test_engine_advance_matches_rebuild_oracle(self, sparse_scenario, advance_oracle_spy):
         simulator = ChurnSimulator(
-            scenario=compact_scenario,
+            scenario=sparse_scenario,
             algorithms=["grez-grec"],
             churn_spec=ChurnSpec(num_joins=8, num_leaves=8, num_moves=8),
             seed=5,
@@ -462,9 +439,9 @@ class TestCompactDeltas:
         assert len(simulator.run(3)) == 3
         assert advance_oracle_spy == [True, True, True]
 
-    def test_engine_server_churn_stays_compact(self, compact_scenario, advance_oracle_spy):
+    def test_engine_server_churn_stays_compact(self, sparse_scenario, advance_oracle_spy):
         simulator = ChurnSimulator(
-            scenario=compact_scenario,
+            scenario=sparse_scenario,
             algorithms=["grez-grec"],
             churn_spec=ChurnSpec(num_joins=5, num_leaves=5, num_moves=5),
             server_churn_spec=ServerChurnSpec(num_joins=1, num_leaves=1),
@@ -477,8 +454,8 @@ class TestCompactDeltas:
         assert not session.state.scenario.has_dense_delays
         assert advance_oracle_spy == [True, True]
 
-    def test_with_servers_matches_fresh_build(self, compact_scenario):
-        scenario = compact_scenario
+    def test_with_servers_matches_fresh_build(self, sparse_scenario):
+        scenario = sparse_scenario
         moved = scenario.with_servers(scenario.servers)
         old = scenario.client_server_delays
         new = moved.client_server_delays
@@ -521,9 +498,7 @@ class TestConfigPlumbing:
 
     def test_run_kwargs_include_backend_only_when_set(self):
         assert "delay_backend" not in ExperimentConfig().run_kwargs()
-        assert ExperimentConfig(delay_backend="coords").run_kwargs()[
-            "delay_backend"
-        ] == "coords"
+        assert ExperimentConfig(delay_backend="sparse").run_kwargs()["delay_backend"] == "sparse"
 
     def test_apply_delay_backend(self, small_config):
         assert apply_delay_backend(small_config, None) is small_config
@@ -536,19 +511,24 @@ class TestConfigPlumbing:
             make_small_config(delay_backend="nope")
         with pytest.raises(ValueError):
             make_small_config(delay_backend="sparse", sparse_top_k=0)
-        with pytest.raises(ValueError):
-            make_small_config(delay_backend="coords", coords_dim=0)
 
-    def test_make_delay_backend_rejects_unknown(self, small_scenario):
+    def test_coords_backend_is_gone(self):
+        # The approximate Vivaldi-coordinate backend was deleted: its name is
+        # rejected like any unknown backend, and no config knob is left for it.
+        assert DELAY_BACKENDS == ("dense", "sparse")
         with pytest.raises(ValueError):
-            make_delay_backend("nope", small_scenario.delay_model)
+            DVEConfig(delay_backend="coords")
+        with pytest.raises(ValueError):
+            ExperimentConfig(delay_backend="coords")
+        with pytest.raises(TypeError):
+            DVEConfig(coords_dim=6)
 
     @pytest.mark.parametrize("command", ["solve", "simulate", "federate", "experiment"])
     def test_cli_flag_parses(self, command):
         parser = build_parser()
         tail = ["table1"] if command == "experiment" else []
-        args = parser.parse_args([command, *tail, "--delay-backend", "coords"])
-        assert args.delay_backend == "coords"
+        args = parser.parse_args([command, *tail, "--delay-backend", "sparse"])
+        assert args.delay_backend == "sparse"
         defaults = parser.parse_args([command, *tail])
         assert defaults.delay_backend is None
 

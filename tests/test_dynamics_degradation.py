@@ -291,7 +291,12 @@ class TestSparseRecoverGuard:
         # shape of churn that used to risk a sentinel-only candidate set.
         victims = set(int(s) for s in np.asarray(matrix.zone_candidates)[0])
         keep = [i for i in range(matrix.server_nodes.size) if i not in victims]
-        rebuilt = matrix.with_servers(matrix.server_nodes[keep])
+        rebuilt = sparse_scenario.with_servers(
+            ServerSet(
+                nodes=sparse_scenario.servers.nodes[keep],
+                capacities=sparse_scenario.servers.capacities[keep],
+            )
+        ).client_server_delays
         from repro.topology.delay_backends import SPARSE_FILL_DELAY_MS
 
         anchor_delays = rebuilt.node_server[
@@ -309,21 +314,15 @@ class TestSparseRecoverGuard:
 
         monkeypatch.setattr(db, "_candidates_from_anchors", out_of_range)
         with pytest.raises(ValueError, match="re-cover"):
-            matrix.with_servers(matrix.server_nodes[:-1])
+            matrix.with_servers(matrix.server_nodes[:-1], matrix.node_server[:, :-1])
 
-    def test_sentinel_only_recover_raises(self, sparse_scenario, monkeypatch):
-        import repro.topology.delay_backends as db
+    def test_sentinel_only_recover_raises(self, sparse_scenario):
+        from repro.topology.delay_backends import SPARSE_FILL_DELAY_MS
 
         matrix = sparse_scenario.client_server_delays
-
         # Simulate a broken rebuild: the node->server table degenerates to
         # all-sentinel rows, so even in-range candidates cover nothing.
-        def sentinel_table(self, server_nodes):
-            return np.full(
-                (matrix.node_server.shape[0], np.asarray(server_nodes).size),
-                db.SPARSE_FILL_DELAY_MS,
-            )
-
-        monkeypatch.setattr(type(matrix.backend), "node_server_table", sentinel_table)
+        nodes = matrix.server_nodes[:-1]
+        sentinel_table = np.full((matrix.node_server.shape[0], nodes.size), SPARSE_FILL_DELAY_MS)
         with pytest.raises(ValueError, match="sentinel-only"):
-            matrix.with_servers(matrix.server_nodes[:-1])
+            matrix.with_servers(nodes, sentinel_table)

@@ -26,7 +26,7 @@ def test_corpus_covers_the_grid(corpus):
 
 def test_grid_reaches_the_least_loaded_fallback():
     assert GOLDEN["tight/grez-grec"]["capacity_exceeded"]
-    assert GOLDEN["coords/grez-grec"]["capacity_exceeded"]
+    assert GOLDEN["wide/grez-grec"]["capacity_exceeded"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -42,7 +42,7 @@ from repro.world.scenario import build_scenario
 from tests.conftest import make_small_config
 from tests.reference.regret_loop import assert_same_result, max_regret_assign_loop
 
-DELAY_BACKENDS = ("dense", "coords", "sparse")
+DELAY_BACKENDS = ("dense", "sparse")
 
 
 @pytest.fixture(scope="module", params=DELAY_BACKENDS)
