@@ -12,8 +12,8 @@ re-execution every 3rd epoch) × three fleets (fixed, 1 join / 1 leave / 0.05
 drift per epoch, which re-indexes the servers, and 0.05 drift alone, an
 identity-mapped capacity delta) × two delay backends (dense, sparse top-3),
 plus every :data:`~repro.dynamics.scenarios.SCENARIO_LIBRARY` preset on
-the dense world under the warm-start policy, each for two seeds and two
-algorithms (GreZ-GreC and RanZ-VirC).
+the dense and the sparse top-3 world under the warm-start policy, each for two
+seeds and two algorithms (GreZ-GreC and RanZ-VirC).
 ``tests/test_golden_engine.py`` asserts the committed digests with every
 measurement checked against its full recompute (``measure_oracle_spy``); any
 change to the world advance, a repair, a measurement point or a migration
@@ -104,14 +104,15 @@ def _simulator(key: Tuple[str, str, str, int]) -> ChurnSimulator:
             policy=policy,
             policy_period=period,
         )
+    delays, _, preset = second.rpartition("+")
     return ChurnSimulator(
-        scenario=build_scenario(make_small_config(), seed=seed),
+        scenario=build_scenario(make_small_config(**DELAYS[delays or "dense"]), seed=seed),
         algorithms=list(ALGORITHMS),
         churn_spec=CHURN,
         migration_cost=MIGRATION,
         seed=seed,
         policy=first,
-        scenario_timeline=second,
+        scenario_timeline=preset,
     )
 
 
@@ -138,7 +139,9 @@ def run_keys() -> Iterator[Tuple[str, str, str, int]]:
     """Every run of the grid, in a fixed order.
 
     Grid keys are ``("grid", policy, "<delays>+<fleet>", seed)``; preset keys
-    are ``("preset", policy, preset, seed)`` with the warm-start policy.
+    are ``("preset", policy, preset, seed)`` on the dense world and
+    ``("preset", policy, "sparse+<preset>", seed)`` on the sparse one, with
+    the warm-start policy.
     """
     for policy in POLICIES:
         for delays in DELAYS:
@@ -148,6 +151,9 @@ def run_keys() -> Iterator[Tuple[str, str, str, int]]:
     for preset in SCENARIO_LIBRARY:
         for seed in SEEDS:
             yield "preset", "warm_start", preset, seed
+    for preset in SCENARIO_LIBRARY:
+        for seed in SEEDS:
+            yield "preset", "warm_start", f"sparse+{preset}", seed
 
 
 def key_name(kind: str, first: str, second: str, seed: int) -> str:

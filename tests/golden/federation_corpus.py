@@ -17,8 +17,8 @@ proportional and regret arbiters re-slice the shared fleet after almost
 every epoch, so their shards run the sweep on nearly every epoch.
 
 The grid is N in {1, 4} shards x arbiter in {static, proportional, regret}
-x seeds {0, 1} on the dense delay backend, plus one 4-shard regret run on
-the sparse backend.  ``tests/test_golden_federation.py`` asserts the
+x seeds {0, 1} on the dense delay backend, plus every shard count x arbiter
+for seed 0 on the sparse top-3 backend.  ``tests/test_golden_federation.py`` asserts the
 committed digests with every shard measurement checked against its full
 recompute (``measure_oracle_spy``).
 
@@ -125,7 +125,9 @@ def run_keys():
         for arbiter in ARBITERS:
             for seed in SEEDS:
                 yield "dense", num_shards, arbiter, seed
-    yield "sparse", 4, "regret", 0
+    for num_shards in SHARD_COUNTS:
+        for arbiter in ARBITERS:
+            yield "sparse", num_shards, arbiter, 0
 
 
 def key_name(backend: str, num_shards: int, arbiter: str, seed: int) -> str:

@@ -15,9 +15,10 @@ The grid is
 * the four paper algorithms on the figure-4 world (dense delays), seeds 0–2;
 * a capacity-tight small world whose GreZ pass needs the ``least_loaded``
   fallback;
-* a 150-server world on the dense delay backend, wider than the engine's
-  top-64 re-evaluation table, whose GreZ pass also needs the ``least_loaded``
-  fallback;
+* a 150-server world, wider than the engine's top-64 re-evaluation table,
+  on the dense delay backend, whose GreZ pass also needs the
+  ``least_loaded`` fallback, and on the sparse backend with top-8 candidate
+  sets;
 * the ``500s-2000z-100000c-130000cp`` world on the sparse backend with top-64
   candidate sets: GreZ + GreC, and GreC alone on a perturbed zone map;
 * the regret arbiter's pooled placement on the 4-shard
@@ -150,10 +151,10 @@ def _tight(algorithm: str):
     return _assignment_digests(instance, lambda: solve(instance, algorithm, seed=0))
 
 
-def _wide():
+def _wide(**delays):
     # 150 servers (over twice the top-64 table width), ~209 Mb/s of demand
     # on 240 Mb/s, and a 150 ms bound that leaves most clients needing a
-    # contact server.
+    # contact server.  ``delays`` selects the delay backend.
     instance = _instance(
         make_small_config(
             num_servers=150,
@@ -163,6 +164,7 @@ def _wide():
             min_server_capacity_mbps=0.5,
             delay_bound_ms=150.0,
             topology=BriteConfig(model="hierarchical", num_nodes=150, num_as=6, routers_per_as=25),
+            **delays,
         ),
         seed=2,
     )
@@ -232,6 +234,7 @@ def corpus(sparse: Optional[CAPInstance] = None) -> Dict[str, dict]:
     for algorithm in ("grez-grec", "grez-virc"):
         entries[f"tight/{algorithm}"] = _tight(algorithm)
     entries["wide/grez-grec"] = _wide()
+    entries["wide-sparse/grez-grec"] = _wide(delay_backend="sparse", sparse_top_k=8)
     sparse = sparse_instance() if sparse is None else sparse
     entries["sparse-100k/grez-grec"] = _sparse(sparse)
     entries["sparse-100k/grec-perturbed"] = _sparse_perturbed(sparse)

@@ -542,6 +542,46 @@ class TestEngineCommandOptions:
         assert captured.out == ""
 
 
+#: A small run of every command that takes ``--delay-backend``.
+DELAY_BACKEND_RUNS = {
+    "solve": ["solve", "--config", "4s-8z-80c-60cp", "--algorithms", "grez-grec", "--seed", "1"],
+    "simulate": ["simulate", *TestSimulateCommand.SMALL, "--epochs", "2", "--seed", "1"],
+    "federate": ["federate", *TestFederateCommand.SMALL],
+    "loadgen": [
+        *["loadgen", "--config", "4s-8z-80c-60cp", "--joins", "4", "--leaves", "4"],
+        *["--moves", "4", "--epochs", "2", "--warmup", "1"],
+    ],
+    "experiment": ["experiment", "table1", "--runs", "1"],
+}
+
+
+def _deterministic_lines(out: str):
+    """``out`` without the backend's name and the solve table's runtime column."""
+    out = re.sub(r"(delay backend\s*:) \w+", r"\1", out)
+    return [re.sub(r"^(grez-grec(\s+\S+){2}\s+)\S+", r"\1", line) for line in out.splitlines()]
+
+
+class TestDelayBackendFlag:
+    """``--delay-backend sparse`` end to end on a 4-server world."""
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "federate"])
+    def test_sparse_matches_dense_when_candidates_cover_fleet(self, command, capsys):
+        # The default top-8 candidate sets hold all 4 servers, so the sparse
+        # run sees the exact delays and must print the dense run's results.
+        outputs = {}
+        for backend in ("dense", "sparse"):
+            assert main([*DELAY_BACKEND_RUNS[command], "--delay-backend", backend]) == 0
+            outputs[backend] = capsys.readouterr().out
+        assert _deterministic_lines(outputs["dense"]) == _deterministic_lines(outputs["sparse"])
+
+    @pytest.mark.parametrize("command", ["loadgen", "experiment"])
+    def test_sparse_runs(self, command, capsys):
+        assert main([*DELAY_BACKEND_RUNS[command], "--delay-backend", "sparse"]) == 0
+        out = capsys.readouterr().out
+        heading = "Epoch throughput" if command == "loadgen" else "Table 1 (measured)"
+        assert heading in out
+
+
 class TestInputErrors:
     """Bad input values exit 2 with one ``error:`` line, never a traceback."""
 

@@ -56,9 +56,15 @@ def dense_scenario():
     return _scenario("dense")
 
 
-@pytest.fixture(scope="module")
-def sparse_scenario():
-    return _scenario("sparse")
+#: name -> top-k of the sparse scenarios.  The default covers all 5 servers
+#: of the small world, so every pair keeps its exact delay; top-2 leaves 3
+#: of each zone's 5 servers at the fill delay.
+SPARSE_TOP_K = {"sparse": DEFAULT_SPARSE_TOP_K, "sparse-top2": 2}
+
+
+@pytest.fixture(scope="module", params=sorted(SPARSE_TOP_K))
+def sparse_scenario(request):
+    return _scenario("sparse", sparse_top_k=SPARSE_TOP_K[request.param])
 
 
 # ---------------------------------------------------------------------- #
@@ -239,10 +245,21 @@ class TestSparseSemantics:
     def test_candidate_sets_cover_fleet(self, sparse_scenario):
         delays = sparse_scenario.client_server_delays
         top_k = delays.zone_candidates.shape[1]
-        assert top_k == min(DEFAULT_SPARSE_TOP_K, delays.num_servers)
+        assert top_k == min(sparse_scenario.config.sparse_top_k, delays.num_servers)
         # Each zone's candidates are distinct.
         for candidates in delays.zone_candidates:
             assert np.unique(candidates).size == candidates.size
+
+    def test_covering_top_k_is_exact(self, dense_scenario):
+        # Top-k >= servers: every zone holds the whole fleet, so no pair
+        # takes the fill delay and the matrix is the dense one.
+        covering = _scenario("sparse", sparse_top_k=dense_scenario.num_servers)
+        np.testing.assert_array_equal(
+            covering.client_server_delays.toarray(), dense_scenario.client_server_delays
+        )
+        np.testing.assert_array_equal(
+            covering.server_server_delays, dense_scenario.server_server_delays
+        )
 
     def test_candidate_caches_fill_once_read_only(self, sparse_scenario):
         delays = sparse_scenario.client_server_delays
@@ -523,7 +540,7 @@ class TestConfigPlumbing:
         with pytest.raises(TypeError):
             DVEConfig(coords_dim=6)
 
-    @pytest.mark.parametrize("command", ["solve", "simulate", "federate", "experiment"])
+    @pytest.mark.parametrize("command", ["solve", "simulate", "federate", "loadgen", "experiment"])
     def test_cli_flag_parses(self, command):
         parser = build_parser()
         tail = ["table1"] if command == "experiment" else []

@@ -256,6 +256,19 @@ class TestScenarioBackendIdentity:
         assert len(records) == 5
         assert advance_oracle_spy == [True] * 5
 
+    @pytest.mark.parametrize("name", sorted(SCENARIO_LIBRARY))
+    def test_restricted_sparse_matches_oracles(
+        self, name, advance_oracle_spy, measure_oracle_spy
+    ):
+        # Top-2 of 6 servers: most pairs sit at the fill delay, so outages,
+        # flash crowds and link changes re-cover real candidate sets.
+        world = _scenario(delay_backend="sparse", sparse_top_k=2)
+        assert world.client_server_delays.zone_candidates.shape[1] == 2
+        records = _simulate(world, name, self.EPOCHS)
+        assert len(records) == self.EPOCHS
+        assert advance_oracle_spy == [True] * self.EPOCHS
+        assert "carried_qos_count" in measure_oracle_spy
+
     def test_composition_order_is_immaterial_end_to_end(self):
         world = _scenario()
         forward = build_timeline(["diurnal:amplitude=0.6,period=4", "regional-outage"])

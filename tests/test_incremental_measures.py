@@ -42,13 +42,21 @@ from repro.world.scenario import build_scenario
 from tests.conftest import make_small_config
 from tests.reference.regret_loop import assert_same_result, max_regret_assign_loop
 
-DELAY_BACKENDS = ("dense", "sparse")
+#: name -> config overrides of ``make_small_config``.  The default top-k (8)
+#: covers all 5 servers of the small world, so ``sparse`` holds the exact
+#: delays in compact form; ``sparse-top2`` restricts each zone to 2 candidate
+#: servers and sends every other pair to the fill delay.
+DELAY_BACKENDS = {
+    "dense": {},
+    "sparse": {"delay_backend": "sparse"},
+    "sparse-top2": {"delay_backend": "sparse", "sparse_top_k": 2},
+}
 
 
-@pytest.fixture(scope="module", params=DELAY_BACKENDS)
+@pytest.fixture(scope="module", params=sorted(DELAY_BACKENDS))
 def backend_scenario(request):
     """One small scenario per delay backend (module-scoped: built once each)."""
-    config = make_small_config(delay_backend=request.param)
+    config = make_small_config(**DELAY_BACKENDS[request.param])
     return build_scenario(config, seed=7)
 
 
