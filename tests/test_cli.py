@@ -8,9 +8,17 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
-from tests.golden.cli_corpus import COMMANDS, GOLDEN_PATH, option_table
+from tests.golden.cli_corpus import (
+    COMMANDS,
+    GOLDEN_PATH,
+    OUTPUT_CASES,
+    OUTPUT_PATH,
+    option_table,
+    render,
+)
 
 GOLDEN_OPTIONS = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+GOLDEN_OUTPUT = json.loads(OUTPUT_PATH.read_text(encoding="utf-8"))
 
 
 class TestParser:
@@ -525,7 +533,7 @@ REMOVED_FLAGS = [
 
 
 class TestEngineCommandOptions:
-    """The live engine-command options match the golden option tables exactly."""
+    """The live command options match the golden option tables exactly."""
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_options_match_golden(self, command):
@@ -540,6 +548,17 @@ class TestEngineCommandOptions:
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1, captured.err
         assert captured.out == ""
+
+
+class TestRenderedOutput:
+    """The engine commands print and stream exactly the golden output."""
+
+    def test_corpus_covers_the_cases(self):
+        assert sorted(GOLDEN_OUTPUT) == sorted(OUTPUT_CASES)
+
+    @pytest.mark.parametrize("case", list(OUTPUT_CASES))
+    def test_output_matches_golden(self, case, tmp_path):
+        assert render(case, tmp_path) == GOLDEN_OUTPUT[case]
 
 
 #: A small run of every command that takes ``--delay-backend``.
