@@ -22,12 +22,21 @@ their shared flags from one table and turn them into a world config plus
 engine keywords in one validation step (:func:`_engine_options`).  Every
 command but ``list`` validates its inputs before any work starts; a bad
 value prints one ``error:`` line and exits with status 2.
+
+``simulate`` and ``federate`` summarise the way the engine studies do: runs
+come from :func:`~repro.experiments.runner.replicate_records`, each
+record's cells (:func:`~repro.experiments.dynamics.record_cells`) stream
+into :meth:`~repro.experiments.runner.StudyResult.collect`, and the
+summary and ``--profile`` tables are rendered in ``experiments/dynamics.py``
+and ``experiments/federation.py``.  This module keeps the argument tables,
+the validation and the per-command setting headers.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 import tracemalloc
@@ -52,16 +61,28 @@ from repro.experiments.config import (
     apply_delay_backend,
     config_from_label,
 )
+from repro.experiments.dynamics import (
+    DEGRADED_COLUMNS,
+    SUMMARY_COLUMNS,
+    build_simulator,
+    format_simulate,
+    format_simulate_profile,
+    record_cells,
+)
+from repro.experiments.federation import (
+    build_federated_simulator,
+    format_federate,
+    format_federate_profile,
+)
 from repro.experiments.loadgen import format_loadgen, run_loadgen
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, get_experiment, run_experiment
-from repro.experiments.runner import replicate
+from repro.experiments.runner import StudyResult, replicate_records
 from repro.io.csvout import CsvAppender
 from repro.io.tables import format_kv, format_table
-from repro.metrics import GroupedRunningStats, qos_report, resource_report
+from repro.metrics import qos_report, resource_report
 from repro.topology.delay_backends import DEFAULT_DELAY_BACKEND, DELAY_BACKENDS
 from repro.utils.validation import check_positive
 from repro.world import build_scenario
-from repro.world.federation import build_federation
 from repro.world.scenario import DVEConfig
 
 __all__ = ["main", "build_parser"]
@@ -545,69 +566,6 @@ def _engine_options(args: argparse.Namespace) -> _EngineOptions:
     return config, engine
 
 
-def _simulate_run(
-    world_rng, engine_rng, args: argparse.Namespace, options: _EngineOptions
-) -> ChurnSimulator:
-    """One ``simulate`` replication: a fresh world and churn stream."""
-    config, engine = options
-    return ChurnSimulator(
-        scenario=build_scenario(config, seed=world_rng), seed=engine_rng, **engine
-    )
-
-
-def _federate_run(
-    world_rng, engine_rng, args: argparse.Namespace, options: _EngineOptions
-) -> FederatedSimulator:
-    """One ``federate`` replication: a fresh federated world."""
-    config, engine = options
-    weights = (
-        list(args.shard_weights)
-        if args.shard_weights is not None
-        else [float(args.shards - i) for i in range(args.shards)]
-    )
-    world = build_federation(config, num_shards=args.shards, seed=world_rng, client_weights=weights)
-    churn_specs = []
-    for shard in world.shards:
-        events = round(args.churn_fraction * shard.num_clients)
-        churn_specs.append(ChurnSpec(num_joins=events, num_leaves=events, num_moves=events))
-    return FederatedSimulator(
-        world=world,
-        arbiter=make_arbiter(args.arbiter, min_slice_fraction=args.min_slice),
-        churn_spec=churn_specs,
-        seed=engine_rng,
-        **engine,
-    )
-
-
-def _run_records(world_rng, engine_rng, build: Callable, **point) -> List[EpochRecord]:
-    """Every record of one replication of ``build`` (worker-side; must be picklable)."""
-    return build(world_rng, engine_rng, **point).run(point["args"].epochs)
-
-
-def _engine_records(
-    args: argparse.Namespace,
-    options: _EngineOptions,
-    build: Callable,
-    stream: Callable[[object], Iterator[EpochRecord]],
-) -> Iterator[Tuple[int, EpochRecord]]:
-    """Yield ``(run_index, record)`` over ``args.runs`` replications of ``build``.
-
-    A single run streams from ``stream(simulator)``, so it holds O(1)
-    records even for thousands of epochs; more runs go out over
-    :func:`replicate` and stream run by run.
-    """
-    point = dict(args=args, options=options)
-    if args.runs == 1:
-        (simulator,) = replicate(build, [point], 1, args.seed)
-        for record in stream(simulator):
-            yield 0, record
-        return
-    runs = replicate(_run_records, [dict(point, build=build)], args.runs, args.seed, args.workers)
-    for run_index, records in enumerate(runs):
-        for record in records:
-            yield run_index, record
-
-
 def _profile_sink(args: argparse.Namespace) -> Optional[dict]:
     """A dict for the run's profile under ``--profile``, or ``None``."""
     if not args.profile:
@@ -618,29 +576,22 @@ def _profile_sink(args: argparse.Namespace) -> Optional[dict]:
     return {}
 
 
-def _profiled_epochs(
-    simulator: ChurnSimulator, epochs: int, sink: Optional[dict]
-) -> Iterator[EpochRecord]:
-    """Stream one run; with a ``sink``, store its per-phase time and allocations."""
-    session = simulator.session(epochs)
-    started_tracing = False
-    if sink is not None:
-        # Per-phase allocation probe: tracemalloc peak deltas per phase.
-        # The probe costs wall time, but --profile is an opt-in diagnostic,
-        # not a throughput measurement (loadgen is).
-        session.alloc_profile = True
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            started_tracing = True
+def _profiled_epochs(simulator: ChurnSimulator, epochs: int, sink: dict) -> Iterator[EpochRecord]:
+    """Stream one run with the per-phase allocation probe on; its session goes to ``sink``."""
+    session = sink["session"] = simulator.session(epochs)
+    # Per-phase allocation probe: tracemalloc peak deltas per phase.
+    # The probe costs wall time, but --profile is an opt-in diagnostic,
+    # not a throughput measurement (loadgen is).
+    session.alloc_profile = True
+    started_tracing = not tracemalloc.is_tracing()
+    if started_tracing:
+        tracemalloc.start()
     try:
         while not session.done:
             yield from session.run_epoch()
     finally:
         if started_tracing:
             tracemalloc.stop()
-    if sink is not None:
-        sink["phase_seconds"] = dict(session.phase_seconds)
-        sink["phase_alloc_bytes"] = dict(session.phase_alloc_bytes)
 
 
 def _csv_writer(path: Optional[str], fields: Sequence[str]):
@@ -650,8 +601,45 @@ def _csv_writer(path: Optional[str], fields: Sequence[str]):
     return CsvAppender(path, ["run", *fields], flush_interval=256)
 
 
+def _observed(records, writer: Optional[CsvAppender], fields: Sequence[str], final_epoch: int):
+    """Each record's summary cells; with a ``writer``, its CSV row goes out first."""
+    for run_index, record in records:
+        if writer is not None:
+            writer.append([run_index, *(getattr(record, name) for name in fields)])
+        yield record_cells(record, final_epoch)
+
+
+def _summarise(
+    args: argparse.Namespace,
+    label: str,
+    build: Callable,
+    point: dict,
+    stream: Optional[Callable],
+    fields: Sequence[str],
+    rows: List[tuple],
+    columns: Sequence[str],
+) -> Tuple[StudyResult, str]:
+    """Replicate an engine command's runs and collect their summary.
+
+    Every record goes out to ``--csv`` on its way into the summary, so a
+    single run holds O(1) records.  Also returns the closing line that
+    reports the CSV stream (empty without ``--csv``).
+    """
+    records = replicate_records(
+        build, point, args.epochs, args.runs, args.seed, args.workers, stream
+    )
+    with _csv_writer(args.csv, fields) as writer:
+        observations = _observed(records, writer, fields, args.epochs - 1)
+        result = StudyResult.collect(
+            observations, label, args.runs, rows, columns, num_epochs=args.epochs
+        )
+    if writer is None:
+        return result, ""
+    return result, f"\n[{writer.rows_written} records streamed to {args.csv}]"
+
+
 def _cmd_simulate(args: argparse.Namespace, options: _EngineOptions) -> int:
-    config, _ = options
+    config, engine = options
     scenario_active = bool(args.scenario)
     if args.server_churn is not None:
         fleet = (
@@ -683,108 +671,23 @@ def _cmd_simulate(args: argparse.Namespace, options: _EngineOptions) -> int:
     print(format_kv(summary, title="Longitudinal simulation"))
     print()
 
-    stats = GroupedRunningStats()
-    num_records = 0
-    final_clients = 0
-    profile_sink = _profile_sink(args)
-    pairs = _engine_records(
-        args, options, _simulate_run, lambda sim: _profiled_epochs(sim, args.epochs, profile_sink)
+    profile = _profile_sink(args)
+    result, csv_note = _summarise(
+        args,
+        config.label,
+        build_simulator,
+        dict(config=config, engine=engine),
+        None if profile is None else lambda sim: _profiled_epochs(sim, args.epochs, profile),
+        EpochRecord.SCENARIO_FIELDS if scenario_active else EpochRecord.FIELDS,
+        [(name, AGGREGATE_SHARD_ID) for name in args.algorithms],
+        SUMMARY_COLUMNS + (DEGRADED_COLUMNS if scenario_active else ()),
     )
-    csv_fields = EpochRecord.SCENARIO_FIELDS if scenario_active else EpochRecord.FIELDS
-    with _csv_writer(args.csv, csv_fields) as writer:
-        for run_index, record in pairs:
-            if writer is not None:
-                row = record.scenario_row() if scenario_active else record.row()
-                writer.append([run_index, *row])
-            stats.add((record.algorithm, "after"), record.pqos_after)
-            stats.add((record.algorithm, "adopted"), record.pqos_adopted)
-            stats.add((record.algorithm, "migrated"), float(record.clients_migrated))
-            stats.add((record.algorithm, "migration_cost"), record.migration_cost)
-            if scenario_active:
-                stats.add((record.algorithm, "degraded"), float(record.clients_degraded))
-            if record.epoch == args.epochs - 1:
-                stats.add((record.algorithm, "final"), record.pqos_adopted)
-                if scenario_active:
-                    stats.add((record.algorithm, "final_degraded"), float(record.clients_degraded))
-                final_clients = record.num_clients_after
-            num_records += 1
-
-    headers = [
-        "algorithm",
-        "stale pQoS (mean)",
-        "adopted pQoS (mean)",
-        "adopted pQoS (final)",
-        "clients migrated / epoch",
-        "migration cost / epoch",
-    ]
-    if scenario_active:
-        headers.extend(["degraded / epoch", "degraded (final)"])
-    rows = []
-    for name in args.algorithms:
-        row = [
-            name,
-            stats.stat((name, "after")).mean,
-            stats.stat((name, "adopted")).mean,
-            stats.stat((name, "final")).mean,
-            stats.stat((name, "migrated")).mean,
-            stats.stat((name, "migration_cost")).mean,
-        ]
-        if scenario_active:
-            row.append(stats.stat((name, "degraded")).mean)
-            row.append(stats.stat((name, "final_degraded")).mean)
-        rows.append(row)
-    print(
-        format_table(
-            headers,
-            rows,
-            title=(
-                f"Summary over {args.epochs} epochs × {args.runs} run(s); "
-                f"{final_clients} clients at the end"
-            ),
-            float_format=".3f",
-        )
-    )
-    if profile_sink:
-        phases = profile_sink["phase_seconds"]
-        allocs = profile_sink["phase_alloc_bytes"]
-        total = sum(phases.values())
-        total_alloc = sum(allocs.values())
-        labels = {
-            "churn_gen": "churn generation",
-            "advance": "world advance",
-            "solve": "solve",
-            "measure": "measure",
-        }
-        rows = [
-            [
-                labels.get(key, key),
-                seconds,
-                seconds / args.epochs,
-                (100.0 * seconds / total) if total else 0.0,
-                f"{allocs.get(key, 0) / args.epochs:.0f}",
-            ]
-            for key, seconds in phases.items()
-        ]
-        rows.append(
-            [
-                "total",
-                total,
-                total / args.epochs,
-                100.0 if total else 0.0,
-                f"{total_alloc / args.epochs:.0f}",
-            ]
-        )
+    print(format_simulate(result))
+    if profile:
         print()
-        print(
-            format_table(
-                ["phase", "seconds", "seconds / epoch", "% of total", "bytes / epoch"],
-                rows,
-                title=f"Phase breakdown over {args.epochs} epoch(s)",
-                float_format=".4f",
-            )
-        )
-    if args.csv:
-        print(f"\n[{num_records} records streamed to {args.csv}]")
+        print(format_simulate_profile(profile["session"]))
+    if csv_note:
+        print(csv_note)
     return 0
 
 
@@ -798,31 +701,14 @@ def _cmd_loadgen(args: argparse.Namespace, options: _EngineOptions) -> int:
     )
     print(format_loadgen(result))
     if args.json:
-        payload = [
-            {
-                "label": result.label,
-                "policy": result.policy,
-                "epochs": result.epochs,
-                "warmup": result.warmup,
-                "events_per_epoch": result.events_per_epoch,
-                "wall_seconds": result.wall_seconds,
-                "epochs_per_sec": result.epochs_per_sec,
-                "events_per_sec": result.events_per_sec,
-                "p50_epoch_ms": result.p50_epoch_ms,
-                "p99_epoch_ms": result.p99_epoch_ms,
-                "phase_seconds": result.phase_seconds,
-                "phase_alloc_bytes_per_epoch": result.phase_alloc_bytes_per_epoch,
-                "arena_stats": result.arena_stats,
-            }
-        ]
         with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            json.dump([dataclasses.asdict(result)], handle, indent=2, sort_keys=True)
         print(f"\n[results written to {args.json}]")
     return 0
 
 
 def _cmd_federate(args: argparse.Namespace, options: _EngineOptions) -> int:
-    config, _ = options
+    config, engine = options
     scenario_active = bool(args.scenario)
 
     print(
@@ -854,119 +740,39 @@ def _cmd_federate(args: argparse.Namespace, options: _EngineOptions) -> int:
     )
     print()
 
-    stats = GroupedRunningStats()
-    num_records = 0
-    profile_sink = _profile_sink(args)
+    profile = _profile_sink(args)
 
-    def stream(simulator: FederatedSimulator) -> Iterator[EpochRecord]:
+    def profiled(simulator: FederatedSimulator) -> Iterator[EpochRecord]:
         yield from simulator.stream(args.epochs)
-        if profile_sink is not None:
-            profile_sink["federation_profile"] = simulator.last_profile
+        profile["federation"] = simulator.last_profile
 
-    fed_fields = (
-        ("shard_id", *EpochRecord.SCENARIO_FIELDS)
-        if scenario_active
-        else EpochRecord.FEDERATED_FIELDS
+    point = dict(
+        config=config,
+        engine=engine,
+        client_weights=args.shard_weights or [float(args.shards - i) for i in range(args.shards)],
+        churn_fraction=args.churn_fraction,
+        arbiter=make_arbiter(args.arbiter, min_slice_fraction=args.min_slice),
     )
-    with _csv_writer(args.csv, fed_fields) as writer:
-        for run_index, record in _engine_records(args, options, _federate_run, stream):
-            if writer is not None:
-                row = record.federated_row()
-                if scenario_active:
-                    row = [record.shard_id, *record.scenario_row()]
-                writer.append([run_index, *row])
-            key = (record.algorithm, record.shard_id)
-            stats.add((*key, "after"), record.pqos_after)
-            stats.add((*key, "adopted"), record.pqos_adopted)
-            stats.add((*key, "migrated"), float(record.clients_migrated))
-            stats.add((*key, "migration_cost"), record.migration_cost)
-            if record.epoch == args.epochs - 1:
-                stats.add((*key, "final"), record.pqos_adopted)
-                stats.add((*key, "clients"), float(record.num_clients_after))
-            num_records += 1
-
-    rows = []
-    worst = {}
-    for name in args.algorithms:
-        for shard in [*range(args.shards), AGGREGATE_SHARD_ID]:
-            adopted = stats.stat((name, shard, "adopted")).mean
-            if shard != AGGREGATE_SHARD_ID:
-                worst[name] = min(worst.get(name, 1.0), adopted)
-            rows.append(
-                [
-                    name,
-                    "aggregate" if shard == AGGREGATE_SHARD_ID else f"shard {shard}",
-                    stats.stat((name, shard, "clients")).mean,
-                    stats.stat((name, shard, "after")).mean,
-                    adopted,
-                    stats.stat((name, shard, "final")).mean,
-                    stats.stat((name, shard, "migrated")).mean,
-                    stats.stat((name, shard, "migration_cost")).mean,
-                ]
-            )
-    print(
-        format_table(
-            [
-                "algorithm",
-                "shard",
-                "clients",
-                "stale pQoS",
-                "adopted pQoS",
-                "final pQoS",
-                "migrated / epoch",
-                "migration cost / epoch",
-            ],
-            rows,
-            title=(
-                f"Summary over {args.epochs} epochs × {args.runs} run(s); worst shard "
-                + ", ".join(f"{name}: {value:.3f}" for name, value in worst.items())
-            ),
-            float_format=".3f",
-        )
+    result, csv_note = _summarise(
+        args,
+        config.label,
+        build_federated_simulator,
+        point,
+        None if profile is None else profiled,
+        ("shard_id", *(EpochRecord.SCENARIO_FIELDS if scenario_active else EpochRecord.FIELDS)),
+        [
+            (name, shard)
+            for name in args.algorithms
+            for shard in [*range(args.shards), AGGREGATE_SHARD_ID]
+        ],
+        SUMMARY_COLUMNS,
     )
-    if profile_sink:
-        profile = profile_sink["federation_profile"]
-        epochs = max(1, profile.num_epochs)
-        rows = [
-            [
-                f"shard {shard_id}",
-                profile.shard_wall_seconds[shard_id],
-                profile.shard_wall_seconds[shard_id] / epochs,
-                profile.shard_solve_seconds[shard_id],
-                profile.shard_measure_seconds[shard_id],
-            ]
-            for shard_id in range(profile.num_shards)
-        ]
-        total_wall = sum(profile.shard_wall_seconds)
-        rows.append(
-            [
-                "all shards",
-                total_wall,
-                total_wall / epochs,
-                sum(profile.shard_solve_seconds),
-                sum(profile.shard_measure_seconds),
-            ]
-        )
+    print(format_federate(result))
+    if profile:
         print()
-        print(
-            format_table(
-                [
-                    "shard",
-                    "epoch wall (s)",
-                    "wall / epoch",
-                    "solve (s)",
-                    "measure (s)",
-                ],
-                rows,
-                title=(
-                    f"Shard runtime over {profile.num_epochs} epoch(s); "
-                    f"arbiter decisions {profile.arbiter_seconds:.4f}s total"
-                ),
-                float_format=".4f",
-            )
-        )
-    if args.csv:
-        print(f"\n[{num_records} records streamed to {args.csv}]")
+        print(format_federate_profile(profile["federation"]))
+    if csv_note:
+        print(csv_note)
     return 0
 
 

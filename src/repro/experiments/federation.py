@@ -18,6 +18,10 @@ Scores per arbiter:
 
 Replications are independent federations (fresh topology, placements and
 churn), parallelised over the shared ``workers`` knob.
+
+The module also holds the ``repro-dve federate`` command's per-run simulator
+(:func:`build_federated_simulator`) and the renderers of its summary and
+``--profile`` tables.
 """
 
 from __future__ import annotations
@@ -30,7 +34,11 @@ import numpy as np
 from repro.core.arbitration import ARBITER_NAMES, CapacityArbiter, make_arbiter
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import EpochRecord
-from repro.dynamics.federation_engine import AGGREGATE_SHARD_ID, FederatedSimulator
+from repro.dynamics.federation_engine import (
+    AGGREGATE_SHARD_ID,
+    FederatedSimulator,
+    FederationProfile,
+)
 from repro.dynamics.migration import MigrationCostModel
 from repro.experiments.config import PAPER_DEFAULT_LABEL, engine_study_config
 from repro.experiments.runner import StudyResult, replicate
@@ -39,7 +47,13 @@ from repro.utils.rng import SeedLike
 from repro.world.federation import build_federation, split_client_counts
 from repro.world.scenario import DVEConfig
 
-__all__ = ["run_federation", "format_federation"]
+__all__ = [
+    "run_federation",
+    "format_federation",
+    "build_federated_simulator",
+    "format_federate",
+    "format_federate_profile",
+]
 
 #: Per-arbiter metrics aggregated across runs.
 _METRICS = (
@@ -68,6 +82,31 @@ def _shard_means(records: Sequence[EpochRecord]) -> List[float]:
         if r.shard_id != AGGREGATE_SHARD_ID and not math.isnan(r.pqos_adopted):
             by_shard.setdefault(r.shard_id, []).append(r.pqos_adopted)
     return [sum(v) / len(v) for v in by_shard.values()]
+
+
+def build_federated_simulator(
+    world_rng: np.random.Generator,
+    engine_rng: np.random.Generator,
+    config: DVEConfig,
+    engine: dict,
+    client_weights: tuple,
+    churn_fraction: float,
+    arbiter: CapacityArbiter,
+) -> FederatedSimulator:
+    """One replication's federated simulator: a fresh federation and churn streams.
+
+    Each shard's per-epoch joins, leaves and moves are ``churn_fraction``
+    of its clients; ``engine`` holds the remaining
+    :class:`FederatedSimulator` keywords.
+    """
+    world = build_federation(
+        config, num_shards=len(client_weights), seed=world_rng, client_weights=list(client_weights)
+    )
+    events = [round(churn_fraction * shard.num_clients) for shard in world.shards]
+    churn_specs = [ChurnSpec(num_joins=n, num_leaves=n, num_moves=n) for n in events]
+    return FederatedSimulator(
+        world=world, arbiter=arbiter, churn_spec=churn_specs, seed=engine_rng, **engine
+    )
 
 
 def _federation_run(
@@ -188,3 +227,57 @@ def format_federation(result: StudyResult) -> str:
         "max epoch cost",
     ]
     return format_table(headers, result.table(), title=title, float_format=".3f")
+
+
+def format_federate(result: StudyResult) -> str:
+    """Render the ``federate`` summary: one row per (algorithm, shard), aggregate last.
+
+    ``result`` has one ``(algorithm, shard_id)`` row per shard and algorithm
+    and the :data:`~repro.experiments.dynamics.SUMMARY_COLUMNS`; the title
+    names each algorithm's worst shard by mean adopted pQoS.
+    """
+    rows = []
+    worst = {}
+    for name, shard, *values in result.table():
+        if shard != AGGREGATE_SHARD_ID:
+            worst[name] = min(worst.get(name, 1.0), result.mean((name, shard), "adopted"))
+        label = "aggregate" if shard == AGGREGATE_SHARD_ID else f"shard {shard}"
+        rows.append([name, label, *values])
+    headers = [
+        "algorithm",
+        "shard",
+        "clients",
+        "stale pQoS",
+        "adopted pQoS",
+        "final pQoS",
+        "migrated / epoch",
+        "migration cost / epoch",
+    ]
+    title = (
+        f"Summary over {result.setting['num_epochs']} epochs × {result.num_runs} run(s); "
+        "worst shard " + ", ".join(f"{name}: {value:.3f}" for name, value in worst.items())
+    )
+    return format_table(headers, rows, title=title, float_format=".3f")
+
+
+def format_federate_profile(profile: FederationProfile) -> str:
+    """Render ``federate --profile``: each shard's epoch wall, solve and measure time."""
+    epochs = max(1, profile.num_epochs)
+    columns = (
+        profile.shard_wall_seconds, profile.shard_solve_seconds, profile.shard_measure_seconds
+    )
+    rows = [
+        [f"shard {shard_id}", wall, wall / epochs, solve, measure]
+        for shard_id, (wall, solve, measure) in enumerate(zip(*columns))
+    ]
+    wall, solve, measure = (sum(column) for column in columns)
+    rows.append(["all shards", wall, wall / epochs, solve, measure])
+    return format_table(
+        ["shard", "epoch wall (s)", "wall / epoch", "solve (s)", "measure (s)"],
+        rows,
+        title=(
+            f"Shard runtime over {profile.num_epochs} epoch(s); "
+            f"arbiter decisions {profile.arbiter_seconds:.4f}s total"
+        ),
+        float_format=".4f",
+    )

@@ -24,11 +24,15 @@ correlation and the client distribution.  :func:`run_sweep` runs one
 panels and the paper's "pQoS (R)" cell every sweep driver renders.  The
 engine studies (Table 3, dynamics, scenarios, controller, federation and the
 centralisation comparison) call :func:`replicate` directly and aggregate
-their per-run observations into a :class:`StudyResult`.
+their per-run observations into a :class:`StudyResult`.  The ``simulate``
+and ``federate`` commands replicate whole record streams with
+:func:`replicate_records` and summarise them into a :class:`StudyResult`
+one record at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -38,7 +42,7 @@ from repro.core.problem import CAPInstance
 from repro.core.registry import ensure_registered, solve as registry_solve
 from repro.measurement.estimators import DelayEstimator
 from repro.metrics.cdf import EmpiricalCDF, delay_cdf, merge_cdfs
-from repro.metrics.summary import AggregateStat, GroupedRunningStats, aggregate
+from repro.metrics.summary import AggregateStat, RunningStats, aggregate
 from repro.utils.pool import ordered_map, resolve_workers
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.utils.timing import Timer
@@ -54,6 +58,7 @@ __all__ = [
     "evaluate_algorithms",
     "qos_cell",
     "replicate",
+    "replicate_records",
     "run_replications",
     "run_sweep",
 ]
@@ -191,6 +196,48 @@ def replicate(
     streams = spawn_generators(as_generator(seed), len(points) * num_runs)
     tasks = [(run, points[i // num_runs], stream) for i, stream in enumerate(streams)]
     return ordered_map(_run_replica, tasks, workers=workers)
+
+
+def _replica_records(
+    world_rng: np.random.Generator,
+    engine_rng: np.random.Generator,
+    build: Callable[..., object],
+    num_epochs: int,
+    **point: object,
+) -> list:
+    """Every record of one replica of :func:`replicate_records` (worker-side; picklable)."""
+    return build(world_rng, engine_rng, **point).run(num_epochs)
+
+
+def replicate_records(
+    build: Callable[..., object],
+    point: Dict[str, object],
+    num_epochs: int,
+    num_runs: int,
+    seed: SeedLike = 0,
+    workers: Optional[int] = None,
+    stream: Optional[Callable[[object], Iterable[object]]] = None,
+) -> Iterator[Tuple[int, object]]:
+    """Yield ``(run_index, record)`` over ``num_runs`` replicas of a simulator.
+
+    ``build(world_rng, engine_rng, **point)`` is a module-level function
+    returning a simulator with ``stream(num_epochs)`` and ``run(num_epochs)``.
+    A single run streams its records from ``stream(simulator)`` (default:
+    ``simulator.stream(num_epochs)``), so it holds O(1) records even for
+    thousands of epochs; more runs go out over :func:`replicate` and come
+    back run by run.
+    """
+    if num_runs == 1:
+        (simulator,) = replicate(build, [point], 1, seed)
+        records = simulator.stream(num_epochs) if stream is None else stream(simulator)
+        for record in records:
+            yield 0, record
+        return
+    task = dict(point, build=build, num_epochs=num_epochs)
+    runs = replicate(_replica_records, [task], num_runs, seed, workers)
+    for run_index, records in enumerate(runs):
+        for record in records:
+            yield run_index, record
 
 
 def _replication_run(
@@ -461,12 +508,28 @@ class StudyResult:
         columns: Sequence[Hashable],
         **setting: object,
     ) -> "StudyResult":
-        """Aggregate per-run ``{(row, column): value}`` observations; NaN values are skipped."""
-        merged = GroupedRunningStats()
+        """Aggregate ``{(row, column): value}`` observations, streamed one group at a time.
+
+        ``runs`` may be a generator: each group is folded in as it arrives.
+        NaN values are skipped, and a cell with no observation gets a NaN
+        mean with count 0.
+        """
+        merged: Dict[Tuple[Hashable, Hashable], RunningStats] = {}
         for observations in runs:
             for key, value in observations.items():
-                merged.add(key, value)
-        stats = {(row, column): merged.stat((row, column)) for row in rows for column in columns}
+                value = float(value)
+                if math.isnan(value):
+                    continue
+                running = merged.get(key)
+                if running is None:
+                    running = merged[key] = RunningStats()
+                running.add(value)
+        empty = AggregateStat(mean=float("nan"), std=0.0, stderr=0.0, count=0)
+        stats = {
+            (row, column): merged[(row, column)].finalize() if (row, column) in merged else empty
+            for row in rows
+            for column in columns
+        }
         return cls(label, num_runs, list(rows), list(columns), stats, setting)
 
     def mean(self, row: Hashable, column: Hashable) -> float:

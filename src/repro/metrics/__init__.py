@@ -10,7 +10,7 @@ from repro.metrics.cdf import EmpiricalCDF, delay_cdf, merge_cdfs
 from repro.metrics.qos import QoSReport, client_delays, pqos, qos_report
 from repro.metrics.recovery import RecoveryReport, recovery_report
 from repro.metrics.resources import ResourceReport, resource_report, resource_utilization
-from repro.metrics.summary import AggregateStat, GroupedRunningStats, RunningStats, aggregate
+from repro.metrics.summary import AggregateStat, RunningStats, aggregate
 
 __all__ = [
     "EmpiricalCDF",
@@ -26,7 +26,6 @@ __all__ = [
     "resource_report",
     "resource_utilization",
     "AggregateStat",
-    "GroupedRunningStats",
     "RunningStats",
     "aggregate",
 ]

@@ -8,12 +8,12 @@ values into means with dispersion estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["RunningStats", "AggregateStat", "aggregate", "GroupedRunningStats"]
+__all__ = ["RunningStats", "AggregateStat", "aggregate"]
 
 
 @dataclass
@@ -55,23 +55,6 @@ class RunningStats:
             return 0.0
         return self.std / np.sqrt(self.count)
 
-    def merge(self, other: "RunningStats") -> None:
-        """Fold another accumulator into this one (Chan et al. parallel combine).
-
-        Lets per-worker / per-run partial statistics be combined without ever
-        materialising the underlying observations.
-        """
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self._m2 = other.count, other.mean, other._m2
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
-
     def finalize(self) -> "AggregateStat":
         """Freeze into an :class:`AggregateStat`."""
         return AggregateStat(mean=self.mean, std=self.std, stderr=self.stderr, count=self.count)
@@ -86,11 +69,6 @@ class AggregateStat:
     stderr: float
     count: int
 
-    @property
-    def ci95_halfwidth(self) -> float:
-        """Half-width of an approximate 95 % confidence interval (normal)."""
-        return 1.96 * self.stderr
-
     def __format__(self, spec: str) -> str:
         spec = spec or ".3f"
         return f"{self.mean:{spec}} ± {self.std:{spec}}"
@@ -101,55 +79,3 @@ def aggregate(values: Sequence[float]) -> AggregateStat:
     stats = RunningStats()
     stats.extend(values)
     return stats.finalize()
-
-
-@dataclass
-class GroupedRunningStats:
-    """Streaming per-key statistics for record streams.
-
-    The longitudinal ``simulate`` pipeline yields one
-    :class:`~repro.dynamics.engine.EpochRecord` at a time; this accumulator
-    aggregates any metric keyed by e.g. ``(algorithm, epoch)`` without ever
-    holding the records.  NaN observations (measurement points a policy did
-    not compute) are skipped.
-    """
-
-    _stats: Dict[Hashable, RunningStats] = field(default_factory=dict)
-
-    def add(self, key: Hashable, value: float) -> None:
-        """Add one observation under ``key`` (NaN is ignored)."""
-        value = float(value)
-        if np.isnan(value):
-            return
-        stats = self._stats.get(key)
-        if stats is None:
-            stats = self._stats[key] = RunningStats()
-        stats.add(value)
-
-    def keys(self) -> List[Hashable]:
-        """Keys in first-seen order."""
-        return list(self._stats)
-
-    def count(self, key: Hashable) -> int:
-        """Number of (non-NaN) observations recorded under ``key``."""
-        stats = self._stats.get(key)
-        return 0 if stats is None else stats.count
-
-    def stat(self, key: Hashable) -> AggregateStat:
-        """Frozen statistics for one key (zero-count stat for unseen keys)."""
-        stats = self._stats.get(key)
-        if stats is None:
-            return AggregateStat(mean=float("nan"), std=0.0, stderr=0.0, count=0)
-        return stats.finalize()
-
-    def merge(self, other: "GroupedRunningStats") -> None:
-        """Fold another grouped accumulator into this one, key by key."""
-        for key, stats in other._stats.items():
-            mine = self._stats.get(key)
-            if mine is None:
-                mine = self._stats[key] = RunningStats()
-            mine.merge(stats)
-
-    def finalize(self) -> Dict[Hashable, AggregateStat]:
-        """Freeze every key into an :class:`AggregateStat`."""
-        return {key: stats.finalize() for key, stats in self._stats.items()}

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import repro.baselines  # noqa: F401
 from repro.experiments.runner import (
+    StudyResult,
     SweepPoint,
     evaluate_algorithms,
     qos_cell,
@@ -196,3 +199,31 @@ class TestRunSweep:
 
     def test_qos_cell_format(self):
         assert qos_cell(0.8249, 0.6) == "0.82 (0.60)"
+
+
+class TestStudyResult:
+    def test_collect_averages_streamed_observations(self):
+        def observations():
+            for value in (0.9, 0.8, 0.7):
+                yield {("a", "x"): value, ("a", "y"): value + 0.05}
+
+        result = StudyResult.collect(observations(), "label", 3, ["a"], ["x", "y"], k=1)
+        assert result.mean("a", "x") == pytest.approx(0.8)
+        assert result.stats[("a", "y")].count == 3
+        assert result.setting == {"k": 1}
+
+    def test_nan_values_are_skipped(self):
+        runs = [{("a", "x"): float("nan")}, {("a", "x"): 0.5}]
+        stat = StudyResult.collect(runs, "label", 2, ["a"], ["x"]).stats[("a", "x")]
+        assert stat.count == 1 and stat.mean == 0.5
+
+    def test_unseen_cell_has_nan_mean_and_zero_count(self):
+        result = StudyResult.collect([{("a", "x"): 1.0}], "label", 1, ["a", "b"], ["x", "y"])
+        for cell in (("a", "y"), ("b", "x"), ("b", "y")):
+            assert result.stats[cell].count == 0
+            assert math.isnan(result.stats[cell].mean)
+
+    def test_tuple_row_key_fills_leading_cells(self):
+        runs = [{(("a", 0), "x"): 1.0, ("b", "x"): 2.0}]
+        result = StudyResult.collect(runs, "label", 1, [("a", 0), "b"], ["x"])
+        assert result.table() == [["a", 0, 1.0], ["b", 2.0]]

@@ -153,82 +153,8 @@ class TestSummaryStats:
         assert isinstance(agg, AggregateStat)
         assert agg.mean == pytest.approx(0.7)
         assert agg.count == 3
-        assert agg.ci95_halfwidth == pytest.approx(1.96 * agg.stderr)
 
     def test_format(self):
         agg = aggregate([1.0, 2.0])
         text = f"{agg:.2f}"
         assert "1.50" in text and "±" in text
-
-
-class TestRunningStatsMerge:
-    def test_merge_matches_pooled(self):
-        import numpy as np
-
-        from repro.metrics.summary import RunningStats
-
-        left_values = [0.2, 0.5, 0.9]
-        right_values = [0.1, 0.4, 0.6, 0.8]
-        left, right, pooled = RunningStats(), RunningStats(), RunningStats()
-        left.extend(left_values)
-        right.extend(right_values)
-        pooled.extend(left_values + right_values)
-        left.merge(right)
-        assert left.count == pooled.count
-        assert left.mean == pytest.approx(pooled.mean)
-        assert left.std == pytest.approx(pooled.std)
-        assert np.isfinite(left.stderr)
-
-    def test_merge_with_empty_sides(self):
-        from repro.metrics.summary import RunningStats
-
-        stats = RunningStats()
-        stats.merge(RunningStats())  # empty into empty
-        assert stats.count == 0
-        filled = RunningStats()
-        filled.extend([1.0, 3.0])
-        stats.merge(filled)  # into empty
-        assert stats.count == 2 and stats.mean == pytest.approx(2.0)
-
-
-class TestGroupedRunningStats:
-    def test_streaming_grouped_aggregation(self):
-        from repro.metrics.summary import GroupedRunningStats
-
-        grouped = GroupedRunningStats()
-        for epoch, value in enumerate([0.9, 0.8, 0.7]):
-            grouped.add(("algo", epoch), value)
-            grouped.add(("algo", epoch), value + 0.05)
-        assert grouped.count(("algo", 1)) == 2
-        assert grouped.stat(("algo", 1)).mean == pytest.approx(0.825)
-        assert grouped.keys() == [("algo", 0), ("algo", 1), ("algo", 2)]
-
-    def test_nan_values_skipped(self):
-        from repro.metrics.summary import GroupedRunningStats
-
-        grouped = GroupedRunningStats()
-        grouped.add("key", float("nan"))
-        grouped.add("key", 0.5)
-        assert grouped.count("key") == 1
-        assert grouped.stat("key").mean == pytest.approx(0.5)
-
-    def test_unseen_key_yields_empty_stat(self):
-        import math
-
-        from repro.metrics.summary import GroupedRunningStats
-
-        stat = GroupedRunningStats().stat("missing")
-        assert stat.count == 0 and math.isnan(stat.mean)
-
-    def test_merge_combines_per_key(self):
-        from repro.metrics.summary import GroupedRunningStats
-
-        a, b = GroupedRunningStats(), GroupedRunningStats()
-        a.add("x", 1.0)
-        b.add("x", 3.0)
-        b.add("y", 5.0)
-        a.merge(b)
-        assert a.stat("x").mean == pytest.approx(2.0)
-        assert a.stat("y").count == 1
-        final = a.finalize()
-        assert set(final) == {"x", "y"}
