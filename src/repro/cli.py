@@ -23,13 +23,11 @@ engine keywords in one validation step (:func:`_engine_options`).  Every
 command but ``list`` validates its inputs before any work starts; a bad
 value prints one ``error:`` line and exits with status 2.
 
-``simulate`` and ``federate`` summarise the way the engine studies do: runs
-come from :func:`~repro.experiments.runner.replicate_records`, each
-record's cells (:func:`~repro.experiments.dynamics.record_cells`) stream
-into :meth:`~repro.experiments.runner.StudyResult.collect`, and the
-summary and ``--profile`` tables are rendered in ``experiments/dynamics.py``
-and ``experiments/federation.py``.  This module keeps the argument tables,
-the validation and the per-command setting headers.
+``simulate`` and ``federate`` summarise like the engine studies:
+:func:`~repro.experiments.runner.replicate_records` streams each record's
+cells into a :class:`~repro.experiments.runner.StudyResult`, and the summary
+and ``--profile`` tables render in ``experiments/dynamics.py`` and
+``experiments/federation.py``.
 """
 
 from __future__ import annotations
@@ -594,18 +592,11 @@ def _profiled_epochs(simulator: ChurnSimulator, epochs: int, sink: dict) -> Iter
             tracemalloc.stop()
 
 
-def _csv_writer(path: Optional[str], fields: Sequence[str]):
-    """A record CSV appender for ``--csv``, or a no-op context without it."""
-    if not path:
-        return contextlib.nullcontext()
-    return CsvAppender(path, ["run", *fields], flush_interval=256)
-
-
 def _observed(records, writer: Optional[CsvAppender], fields: Sequence[str], final_epoch: int):
     """Each record's summary cells; with a ``writer``, its CSV row goes out first."""
     for run_index, record in records:
         if writer is not None:
-            writer.append([run_index, *(getattr(record, name) for name in fields)])
+            writer.append([run_index, *record.row(fields)])
         yield record_cells(record, final_epoch)
 
 
@@ -628,7 +619,8 @@ def _summarise(
     records = replicate_records(
         build, point, args.epochs, args.runs, args.seed, args.workers, stream
     )
-    with _csv_writer(args.csv, fields) as writer:
+    writer = CsvAppender(args.csv, ["run", *fields], flush_interval=256) if args.csv else None
+    with contextlib.nullcontext() if writer is None else writer:
         observations = _observed(records, writer, fields, args.epochs - 1)
         result = StudyResult.collect(
             observations, label, args.runs, rows, columns, num_epochs=args.epochs

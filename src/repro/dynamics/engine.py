@@ -34,7 +34,7 @@ import math
 import time
 import tracemalloc
 from dataclasses import InitVar, dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -174,17 +174,9 @@ class EpochRecord:
     #: with two extra columns on the right).
     SCENARIO_FIELDS = (*FIELDS, "clients_degraded", "capacity_deficit")
 
-    def row(self) -> list:
-        """The record as a flat list in :data:`FIELDS` order."""
-        return [getattr(self, name) for name in self.FIELDS]
-
-    def federated_row(self) -> list:
-        """The record as a flat list in :data:`FEDERATED_FIELDS` order."""
-        return [getattr(self, name) for name in self.FEDERATED_FIELDS]
-
-    def scenario_row(self) -> list:
-        """The record as a flat list in :data:`SCENARIO_FIELDS` order."""
-        return [getattr(self, name) for name in self.SCENARIO_FIELDS]
+    def row(self, fields: Sequence[str] = FIELDS) -> list:
+        """The record as a flat list in ``fields`` order (default :data:`FIELDS`)."""
+        return [getattr(self, name) for name in fields]
 
 
 @dataclass

@@ -8,10 +8,8 @@ k epochs).  Replications are independent simulation runs — fresh topology,
 placements and churn streams — so the driver inherits the parallel
 replication engine via the shared ``workers`` knob.
 
-The module also holds the ``repro-dve simulate`` command's pieces: its
-per-run simulator (:func:`build_simulator`), the per-record summary cells it
-shares with ``federate`` (:func:`record_cells`) and the renderers of its
-summary and ``--profile`` tables.
+It also holds ``repro-dve simulate``'s per-run simulator, the per-record
+summary cells it shares with ``federate`` and its table renderers.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ __all__ = [
     "format_dynamics",
     "build_simulator",
     "record_cells",
-    "SUMMARY_COLUMNS",
-    "DEGRADED_COLUMNS",
     "format_simulate",
     "format_simulate_profile",
 ]

@@ -19,9 +19,8 @@ Scores per arbiter:
 Replications are independent federations (fresh topology, placements and
 churn), parallelised over the shared ``workers`` knob.
 
-The module also holds the ``repro-dve federate`` command's per-run simulator
-(:func:`build_federated_simulator`) and the renderers of its summary and
-``--profile`` tables.
+It also holds ``repro-dve federate``'s per-run simulator and its table
+renderers.
 """
 
 from __future__ import annotations

@@ -147,7 +147,7 @@ class TestEpochRecordFederationFields:
         assert record.shard_id == AGGREGATE_SHARD_ID
         assert "shard_id" not in EpochRecord.FIELDS
         assert EpochRecord.FEDERATED_FIELDS == ("shard_id", *EpochRecord.FIELDS)
-        assert record.federated_row() == [record.shard_id, *record.row()]
+        assert record.row(EpochRecord.FEDERATED_FIELDS) == [record.shard_id, *record.row()]
 
     def test_records_equal_ignores_shard_id(self):
         kwargs = dict(
