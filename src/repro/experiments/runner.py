@@ -33,6 +33,7 @@ one record at a time.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -514,16 +515,12 @@ class StudyResult:
         NaN values are skipped, and a cell with no observation gets a NaN
         mean with count 0.
         """
-        merged: Dict[Tuple[Hashable, Hashable], RunningStats] = {}
+        merged: Dict[Tuple[Hashable, Hashable], RunningStats] = defaultdict(RunningStats)
         for observations in runs:
             for key, value in observations.items():
                 value = float(value)
-                if math.isnan(value):
-                    continue
-                running = merged.get(key)
-                if running is None:
-                    running = merged[key] = RunningStats()
-                running.add(value)
+                if not math.isnan(value):
+                    merged[key].add(value)
         empty = AggregateStat(mean=float("nan"), std=0.0, stderr=0.0, count=0)
         stats = {
             (row, column): merged[(row, column)].finalize() if (row, column) in merged else empty
