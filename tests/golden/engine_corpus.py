@@ -12,8 +12,10 @@ re-execution every 3rd epoch) × three fleets (fixed, 1 join / 1 leave / 0.05
 drift per epoch, which re-indexes the servers, and 0.05 drift alone, an
 identity-mapped capacity delta) × two delay backends (dense, sparse top-3),
 plus every :data:`~repro.dynamics.scenarios.SCENARIO_LIBRARY` preset on
-the dense and the sparse top-3 world under the warm-start policy, each for two
-seeds and two algorithms (GreZ-GreC and RanZ-VirC).
+the dense and the sparse top-3 world under the warm-start policy and on the
+sparse world under re-execution (a from-scratch GreZ every epoch, through
+every delay overlay and fleet change a preset makes), each for two seeds and
+two algorithms (GreZ-GreC and RanZ-VirC).
 ``tests/test_golden_engine.py`` asserts the committed digests with every
 measurement checked against its full recompute (``measure_oracle_spy``); any
 change to the world advance, a repair, a measurement point or a migration
@@ -141,7 +143,7 @@ def run_keys() -> Iterator[Tuple[str, str, str, int]]:
     Grid keys are ``("grid", policy, "<delays>+<fleet>", seed)``; preset keys
     are ``("preset", policy, preset, seed)`` on the dense world and
     ``("preset", policy, "sparse+<preset>", seed)`` on the sparse one, with
-    the warm-start policy.
+    the warm-start policy, then the sparse ones again with re-execution.
     """
     for policy in POLICIES:
         for delays in DELAYS:
@@ -154,6 +156,9 @@ def run_keys() -> Iterator[Tuple[str, str, str, int]]:
     for preset in SCENARIO_LIBRARY:
         for seed in SEEDS:
             yield "preset", "warm_start", f"sparse+{preset}", seed
+    for preset in SCENARIO_LIBRARY:
+        for seed in SEEDS:
+            yield "preset", "reexecute", f"sparse+{preset}", seed
 
 
 def key_name(kind: str, first: str, second: str, seed: int) -> str:
