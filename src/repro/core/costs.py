@@ -47,19 +47,15 @@ def initial_cost_matrix(instance: CAPInstance) -> np.ndarray:
     reduces each contiguous segment with ``np.add.reduceat`` — the
     ``np.add.at`` scatter-add it replaces is the notoriously slow ufunc path,
     and this matrix is rebuilt on every from-scratch solve of a re-execution
-    epoch.  Compact delays count in node space
+    epoch.  Compact delays expand the matrix's cost table to full width
     (:meth:`~repro.topology.delay_backends.CompactDelayMatrix.zone_over_bound_counts`):
-    a float32 (zones x nodes) @ (nodes x servers) product of integer counts
-    and 0/1 indicators, exact because every partial sum is an integer no
-    larger than the zone population, below ``2**24`` (float64 above that).
+    the zone population on every cell but the zone's K candidates, whose
+    counts the table holds.  The table is built once per matrix from a
+    (zones x nodes) @ (nodes x servers) count product and carried through
+    churn in O(churn x K); GreZ reads it without expanding it.
     """
     if not instance.has_dense_delays:
-        # Compact delay sources aggregate in node space: a (zones × nodes)
-        # count matrix against the node→server over-bound indicator gives the
-        # same integer counts without ever touching a (k, m) matrix.
-        per_zone = instance.client_server_delays.zone_over_bound_counts(
-            instance.delay_bound, instance.client_zones, instance.num_zones
-        )
+        per_zone = instance.client_server_delays.zone_over_bound_counts(instance.delay_bound)
         return per_zone.T
     per_zone = np.zeros((instance.num_zones, instance.num_servers), dtype=np.float64)
     if instance.num_clients:
@@ -147,9 +143,7 @@ def refined_cost_rows(
     return np.maximum(total_delay, 0.0, out=total_delay)
 
 
-def refined_cost_candidates(
-    instance: CAPInstance, zone_to_server: np.ndarray, clients: np.ndarray
-):
+def refined_cost_candidates(instance: CAPInstance, zone_to_server: np.ndarray, clients: np.ndarray):
     """Refined costs restricted to each client's candidate servers, or ``None``.
 
     For compact instances, whose zones are restricted to per-zone candidate

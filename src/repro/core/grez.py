@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.assignment import ZoneAssignment
 from repro.core.costs import initial_cost_matrix
 from repro.core.problem import CAPInstance
-from repro.core.regret import max_regret_assign
+from repro.core.regret import RegretResult, max_regret_assign, max_regret_assign_candidates
 from repro.utils.timing import Timer
 
 __all__ = ["assign_zones_greedy", "zone_fallback_candidates"]
@@ -44,25 +44,48 @@ def zone_fallback_candidates(instance: CAPInstance) -> Optional[np.ndarray]:
     return instance.client_server_delays.candidate_mask().T
 
 
-def _zone_candidate_table(instance: CAPInstance) -> Optional[np.ndarray]:
-    """``(num_zones, K)`` candidate servers per zone (ascending ids), or ``None``.
+def _place_on_candidates(instance: CAPInstance) -> Optional[RegretResult]:
+    """GreZ's static placement from the sparse cost table, or ``None``.
 
-    Only the sparse delay backend restricts zones to candidate sets.  Every
-    client of a zone sees the sentinel delay on each non-candidate server,
-    so that server's ``C^I`` is the whole zone population — the largest
-    count the zone can have.  Every non-candidate is therefore no more
-    desirable than the zone's least desirable candidate, which is the
-    non-strict dominance contract of
-    :func:`~repro.core.regret.max_regret_assign`'s ``candidate_servers``:
-    the placement engine takes the regret order and its re-evaluation table
-    from the candidates instead of partitioning all ``m`` servers per zone.
-    ``None`` for dense instances, and for candidate sets too narrow to
-    define a regret (``K < 2``).
+    Only the sparse delay backend restricts zones to candidate sets, and
+    there the matrix holds ``C^I`` on each zone's K candidates
+    (:meth:`~repro.topology.delay_backends.CompactDelayMatrix.over_bound_table`,
+    carried through churn).  Every client of a zone sees the sentinel delay
+    on each non-candidate server, so that server's ``C^I`` is the whole zone
+    population — the largest count the zone can have.  Every non-candidate
+    is therefore no more desirable than any candidate, the non-strict
+    contract of :func:`~repro.core.regret.max_regret_assign_candidates` with
+    the negated populations as its floor: a candidate hit tied at the floor
+    falls through to a full row, built from the table and the population.
+    No ``(zones × servers)`` cost table is made.  ``None`` for dense
+    instances, and for candidate sets too narrow to define a regret
+    (``K < 2``).
     """
     if instance.has_dense_delays:
         return None
-    table = instance.client_server_delays.sorted_candidates()
-    return None if table.shape[1] < 2 else table
+    delays = instance.client_server_delays
+    servers = delays.sorted_candidates()
+    if servers.shape[1] < 2:
+        return None
+    counts = delays.over_bound_table(instance.delay_bound)
+    floor = -instance.zone_populations().astype(np.float64)
+
+    def full_rows(items: np.ndarray) -> np.ndarray:
+        rows = np.empty((items.size, instance.num_servers))
+        rows[...] = floor[items, None]
+        np.put_along_axis(rows, servers[items], -counts[items], axis=1)
+        return rows
+
+    return max_regret_assign_candidates(
+        candidate_servers=servers,
+        candidate_desirability=np.negative(counts, dtype=np.float64),
+        num_servers=instance.num_servers,
+        demands=instance.zone_demands(),
+        capacities=instance.server_capacities,
+        row_provider=full_rows,
+        fallback_allowed=zone_fallback_candidates(instance),
+        floor=floor,
+    )
 
 
 def assign_zones_greedy(
@@ -87,17 +110,18 @@ def assign_zones_greedy(
         to be placed on a server without sufficient residual capacity.
     """
     with Timer() as timer:
-        desirability = initial_cost_matrix(instance)  # (m, n), fresh
-        np.negative(desirability, out=desirability)
-        result = max_regret_assign(
-            desirability=desirability,
-            demands=instance.zone_demands(),
-            capacities=instance.server_capacities,
-            fallback="least_loaded",
-            recompute=recompute_regret,
-            fallback_allowed=zone_fallback_candidates(instance),
-            candidate_servers=_zone_candidate_table(instance),
-        )
+        result = None if recompute_regret else _place_on_candidates(instance)
+        if result is None:
+            desirability = initial_cost_matrix(instance)  # (m, n), fresh
+            np.negative(desirability, out=desirability)
+            result = max_regret_assign(
+                desirability=desirability,
+                demands=instance.zone_demands(),
+                capacities=instance.server_capacities,
+                fallback="least_loaded",
+                recompute=recompute_regret,
+                fallback_allowed=zone_fallback_candidates(instance),
+            )
     return ZoneAssignment(
         zone_to_server=result.item_to_server,
         algorithm="grez" if not recompute_regret else "grez-dynamic",

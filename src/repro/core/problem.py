@@ -98,6 +98,13 @@ class CAPInstance:
                 "the compact delay matrix was built for "
                 f"{self.client_server_delays.num_zones} zones, instance has {self.num_zones}"
             )
+        # The compact matrix's own zones decide which servers each client
+        # reaches and feed its cost table, so they must be the instance's.
+        if compact and not (
+            zones is self.client_server_delays.client_zones
+            or np.array_equal(zones, self.client_server_delays.client_zones)
+        ):
+            raise ValueError("client_zones must match the compact delay matrix's client zones")
 
     # ------------------------------------------------------------------ #
     # Dimensions

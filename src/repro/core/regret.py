@@ -33,16 +33,16 @@ the items whose cached best or second-best server just received load,
 instead of re-partitioning every remaining column after every placement.
 
 The static engine's re-evaluation table is an optional per-item set of
-servers (ascending ids).  A feasible table hit that beats the table's
-minimum is the fleet-wide winner whenever every server outside the table is
-no more desirable than that minimum; a hit tied at the minimum falls through
-to a full-width scan.  The table is either each item's top-64 servers (wide
-fleets) or a caller's candidate sets (``candidate_servers``, e.g. GreZ's
-zone candidates on the sparse delay backend, whose non-candidates all sit
-at the zone-population floor).  :func:`max_regret_assign_candidates` uses a
-*strictly* dominant candidate table, so there a feasible hit is always
-final, and only an item whose whole candidate set is full takes the full
-scan.
+servers (ascending ids) with a per-item threshold that no server outside
+the set exceeds.  A feasible table hit above the threshold is the
+fleet-wide winner; a hit tied at it falls through to a full-width scan.
+The table is either each item's top-64 servers (wide fleets), thresholded
+at the set's minimum, or a caller's candidate lists
+(:func:`max_regret_assign_candidates`), thresholded at the caller's bound on
+the unlisted servers: GreZ's zone candidates on the sparse delay backend,
+whose non-candidates all cost the whole zone, and GreC's, whose
+non-candidates all sit strictly below every candidate, so there a feasible
+hit is always final.
 
 Both fallback modes accept an optional ``fallback_allowed`` candidate mask
 that makes the ``least_loaded`` emergency placement *delay-aware*: the
@@ -147,20 +147,19 @@ def _fallback_server(
 # --------------------------------------------------------------------------- #
 # Static mode — one sequential walk over the regret order.
 # --------------------------------------------------------------------------- #
-def _table(table_idx: np.ndarray, table_val: np.ndarray, tier_complete: bool):
+def _table(table_idx: np.ndarray, table_val: np.ndarray, thresh: np.ndarray):
     """Re-evaluation table and static regret order from per-item server sets.
 
     ``table_idx`` lists, per item, servers in ascending id order whose
     desirabilities ``table_val`` are the item's largest: every unlisted
-    server is no more desirable than the smallest listed one.  The set's two
-    largest values are then the two largest of the full row — the exact
-    values :func:`regret_order` would partition out of the whole matrix — so
-    the regret order falls out of a cheap in-set partition.
+    server is no more desirable than ``thresh``, which is at most the
+    smallest listed value.  The set's two largest values are then the two
+    largest of the full row — the exact values :func:`regret_order` would
+    partition out of the whole matrix — so the regret order falls out of a
+    cheap in-set partition.
 
-    The table is ``(top_idx, top_val, top_thresh)``; ``top_thresh`` is each
-    row's minimum, or ``None`` when ``tier_complete`` (every unlisted server
-    *strictly* below the row minimum), where a feasible table hit is final
-    and the threshold is never read.
+    The table is ``(top_idx, top_val, top_thresh)``: a feasible hit above
+    ``top_thresh`` is final, one at it falls through to the full row.
 
     The partition runs over row chunks of ``table_val``, so its copy never
     spans the whole ``(items x K)`` table.
@@ -171,7 +170,6 @@ def _table(table_idx: np.ndarray, table_val: np.ndarray, tier_complete: bool):
         top_two = np.partition(table_val[rows], width - 2, axis=1)[:, -2:]
         np.subtract(top_two[:, 1], top_two[:, 0], out=regrets[rows])
     order = np.argsort(-regrets, kind="stable").astype(np.int64)
-    thresh = None if tier_complete else table_val.min(axis=1)
     return (np.asarray(table_idx, dtype=np.intp), table_val, thresh), order
 
 
@@ -183,7 +181,6 @@ def _assign_static_vectorized(
     item_to_server: np.ndarray,
     fallback: str,
     fallback_allowed: Optional[np.ndarray] = None,
-    candidate_servers: Optional[np.ndarray] = None,
 ) -> bool:
     """Static placement over the full matrix: build the table, run the walk.
 
@@ -193,13 +190,12 @@ def _assign_static_vectorized(
     GreZ's cost tables (dense and sparse) and GreC's dense refined-cost rows
     arrive that way — and copied once otherwise.
 
-    The re-evaluation table (see :func:`_static_walk`) comes from
-    ``candidate_servers`` when given; otherwise, on fleets wider than
-    ``2 * _TOP_T``, from each item's top-``_TOP_T`` servers by desirability
-    (an ``argpartition`` over the fleet — boundary-tied subsets it picks
-    arbitrarily can never change a placement, because ties at the table
-    minimum fall through to the full scan).  Narrower fleets re-evaluate
-    over the whole row.
+    On fleets wider than ``2 * _TOP_T`` the re-evaluation table (see
+    :func:`_static_walk`) holds each item's top-``_TOP_T`` servers by
+    desirability, thresholded at its minimum (an ``argpartition`` over the
+    fleet — boundary-tied subsets it picks arbitrarily can never change a
+    placement, because ties at the table minimum fall through to the full
+    scan).  Narrower fleets re-evaluate over the whole row.
     """
     num_servers, num_items = desirability.shape
     if num_items == 0:
@@ -207,14 +203,11 @@ def _assign_static_vectorized(
     des_items = np.ascontiguousarray(desirability.T)
 
     top = None
-    table_idx = candidate_servers
-    if table_idx is None and num_servers > 2 * _TOP_T:
+    if num_servers > 2 * _TOP_T:
         part_idx = np.argpartition(des_items, num_servers - _TOP_T, axis=1)[:, -_TOP_T:]
         table_idx = np.sort(part_idx, axis=1)
-    if table_idx is not None:
-        top, order = _table(
-            table_idx, np.take_along_axis(des_items, table_idx, axis=1), False
-        )
+        table_val = np.take_along_axis(des_items, table_idx, axis=1)
+        top, order = _table(table_idx, table_val, table_val.min(axis=1))
     else:
         order = regret_order(desirability)
 
@@ -242,9 +235,9 @@ def _best_feasible(
     The vectorised masked argmax over a block of items (first maximum =
     lowest server id, the per-item scan's stable preference walk) under the
     scan's feasibility test ``loads + demand <= capacities + eps``.  Items are first
-    looked up in the re-evaluation table ``top``; a hit is final when the
-    table is complete (``top_thresh`` is ``None``) or when it beats the row
-    minimum.  The rest take a full-width scan over ``get_rows`` rows,
+    looked up in the re-evaluation table ``top``; a hit is final when it
+    beats the item's threshold.  The rest take a full-width scan over
+    ``get_rows`` rows,
     restricted to the servers that can still take the block's smallest
     demand.
     """
@@ -259,13 +252,9 @@ def _best_feasible(
         tier_ok = loads.take(tier_idx) + d_cols[:, None] <= cap_eps.take(tier_idx)
         masked = np.where(tier_ok, top_val.take(cols, axis=0), -np.inf)
         pos = masked.argmax(axis=1)
-        vbest = masked.max(axis=1)
-        if top_thresh is None:
-            # Every table value is >= the item's threshold and every outside
-            # server is strictly below it: found == resolved.
-            resolved = vbest != -np.inf
-        else:
-            resolved = vbest > top_thresh.take(cols)
+        # Every outside server is at most the item's threshold, so a hit
+        # above it is the row's first maximum (-inf, nothing fits, is not).
+        resolved = masked.max(axis=1) > top_thresh.take(cols)
         hit = tier_idx.ravel().take(pos + tier_idx.shape[1] * np.arange(cols.size))
         best = np.where(resolved, hit, -1)
         rest = np.flatnonzero(~resolved)
@@ -343,9 +332,9 @@ def _static_walk(
     masked argmax over its table row, or, without a table (fleets of at most
     ``2 * _TOP_T`` servers), by a pure-Python scan of its full ``des_items``
     row; both keep the first maximum, the lowest server id.  Only when the
-    table cannot decide — a best hit tied at the row minimum ``top_thresh``,
-    or a complete table (``top_thresh is None``) with every listed server
-    full — does the item take a full-width scan (:func:`_full_scan_one`).
+    table cannot decide — a best hit tied at the item's threshold
+    ``top_thresh``, or every listed server full — does the item take a
+    full-width scan (:func:`_full_scan_one`).
     An item with no feasible server is left at ``-1`` under
     ``fallback="skip"`` and placed at its exact position by the
     ``least_loaded`` fallback otherwise.
@@ -386,8 +375,7 @@ def _static_walk(
         idx = top_idx[item]
         masked = np.where(loads.take(idx) + d <= cap_eps.take(idx), top_val[item], -np.inf)
         k = int(masked.argmax())
-        best_v = masked[k]
-        if best_v != -np.inf and (top_thresh is None or best_v > top_thresh[item]):
+        if masked[k] > top_thresh[item]:
             return int(idx[k])
         return _full_scan_one(item, d, loads, cap_eps, get_rows)
 
@@ -572,7 +560,6 @@ def max_regret_assign(
     fallback: str = "least_loaded",
     recompute: bool = False,
     fallback_allowed: Optional[np.ndarray] = None,
-    candidate_servers: Optional[np.ndarray] = None,
 ) -> RegretResult:
     """Assign items to servers with the max-regret greedy heuristic.
 
@@ -612,15 +599,6 @@ def max_regret_assign(
         whole fleet.  An item with no allowed server falls back to the
         unrestricted argmax.  Ignored by ``fallback="skip"``; ``None`` keeps
         the classic delay-blind fallback.
-    candidate_servers:
-        Optional ``(num_items, K)`` server ids per item, strictly increasing
-        per row, ``K >= 2``, under a non-strict dominance contract: every
-        unlisted server's desirability is ``<=`` the item's smallest listed
-        one (e.g. GreZ's zone candidates on the sparse delay backend, whose
-        non-candidates all cost the whole zone population).  The static
-        engine then takes its regret order and re-evaluation table from the
-        list instead of partitioning the full matrix; the result is the
-        same.  Ignored by ``recompute=True``.
 
     Returns
     -------
@@ -646,8 +624,6 @@ def max_regret_assign(
                 f"fallback_allowed must have shape ({num_servers}, {num_items}), "
                 f"got {fallback_allowed.shape}"
             )
-    if candidate_servers is not None:
-        candidate_servers = _checked_candidates(candidate_servers, num_items, num_servers)
     loads = _checked_loads(demands, capacities, initial_loads, num_servers)
 
     item_to_server = np.full(num_items, -1, dtype=np.int64)
@@ -660,7 +636,7 @@ def max_regret_assign(
     else:
         capacity_exceeded = _assign_static_vectorized(
             desirability, demands, capacities, loads, item_to_server, fallback,
-            fallback_allowed, candidate_servers,
+            fallback_allowed,
         )
 
     return RegretResult(
@@ -680,6 +656,7 @@ def max_regret_assign_candidates(
     initial_loads: Optional[np.ndarray] = None,
     fallback: str = "least_loaded",
     fallback_allowed: Optional[np.ndarray] = None,
+    floor=-np.inf,
 ) -> RegretResult:
     """Static max-regret placement driven by per-item candidate lists.
 
@@ -689,17 +666,28 @@ def max_regret_assign_candidates(
     servers and their desirabilities, and the engine's re-evaluation table
     is built straight from them — no per-item ``argpartition`` over the
     fleet and no O(items × servers) cost rows.
-    This is the sparse-delay-backend fast path of GreC: each needy client's
-    finite-cost servers are exactly its zone's K candidates.
+    This is the sparse-delay-backend path of GreZ and GreC: a zone's, and a
+    needy client's, informative servers are exactly the zone's K candidates.
 
     The caller must guarantee the *dominance contract*: for every item, the
-    desirability of every server **not** listed is strictly below the item's
-    minimum listed desirability (for GreC, candidate costs strictly below the
-    sentinel-cost floor).  Under the contract a feasible candidate hit is
-    always the fleet-wide masked-argmax winner; only an item whose whole
-    candidate list is out of capacity falls back to a full-width scan over
-    rows fetched from ``row_provider`` — those placements (typically none)
-    land on non-candidate servers exactly as the full-matrix engine's would.
+    desirability of every server **not** listed is at most the item's
+    smallest listed desirability, and strictly below every listed one above
+    the item's ``floor``.  Under the contract a feasible candidate hit above
+    the floor is always the fleet-wide masked-argmax winner.  Everything
+    else falls through to a full-width scan over rows fetched from
+    ``row_provider``, which lands exactly where the full-matrix engine's
+    would: an item whose whole candidate list is out of capacity, and a hit
+    tied at the floor, where a lower-id unlisted server may tie it.
+
+    GreC's contract is strict (the default ``floor=-inf``): its candidate
+    costs sit strictly below the sentinel-cost floor of every other server.
+    The fall-throughs are not rare: on the ``reexec-100k`` ledger workload
+    (500 servers, 2,000 zones, 100k clients, top-64) GreC's two calls per
+    epoch make 59 to 62 ``row_provider`` calls between them (traced ledger
+    rounds, ``python3 -m bench run --trace 1``), for clients whose
+    candidates have all filled.  GreZ's contract is
+    non-strict: every non-candidate costs the whole zone, which a candidate
+    can tie, so GreZ passes the negated zone populations as ``floor``.
 
     Parameters
     ----------
@@ -718,6 +706,11 @@ def max_regret_assign_candidates(
         ``row_provider(items) -> (len(items), num_servers)`` full-width
         desirability rows, consistent with ``candidate_desirability`` on the
         listed entries; called only for fall-through items.
+    floor:
+        Per item (or one for all), the desirability at or below which a
+        feasible listed hit falls through to the full row; see the contract
+        above.  ``-inf`` (the default) makes every feasible hit final.  NaN
+        raises ``ValueError``.
 
     Returns
     -------
@@ -747,6 +740,9 @@ def max_regret_assign_candidates(
                 f"fallback_allowed must have shape ({num_servers}, {num_items}), "
                 f"got {fallback_allowed.shape}"
             )
+    floor = np.broadcast_to(np.asarray(floor, dtype=np.float64), (num_items,))
+    if np.isnan(floor).any():
+        raise ValueError("floor must not be NaN")
     loads = _checked_loads(demands, capacities, initial_loads, num_servers)
 
     item_to_server = np.full(num_items, -1, dtype=np.int64)
@@ -758,7 +754,7 @@ def max_regret_assign_candidates(
     # The rows already arrive in ascending server-id order (the table's
     # contract), and under the dominance contract the list holds each item's
     # two largest desirabilities.
-    top, order = _table(cand_idx, cand_val, True)
+    top, order = _table(cand_idx, cand_val, floor)
 
     def get_rows(cols: np.ndarray, servers: Optional[np.ndarray]) -> np.ndarray:
         rows = np.asarray(row_provider(cols), dtype=np.float64)

@@ -58,9 +58,10 @@ DEFAULT_SPARSE_TOP_K = 8
 #: any realistic delay bound, so such pairings always count as QoS violations,
 #: yet finite so every arithmetic path stays well-defined.
 SPARSE_FILL_DELAY_MS = 1.0e9
-#: ``(zones × nodes)`` cells per chunk of :meth:`CompactDelayMatrix.zone_over_bound_counts`:
-#: 1 MiB of int64 counts.  Wider than :data:`~repro.utils.chunks.CHUNK_CELLS`
-#: because the chunk is a matmul operand, and BLAS loses throughput on short ones.
+#: ``(zones × nodes)`` cells per chunk of the cost-table build
+#: (:meth:`CompactDelayMatrix.over_bound_table`): 1 MiB of int64 counts.  Wider
+#: than :data:`~repro.utils.chunks.CHUNK_CELLS` because the chunk is a matmul
+#: operand, and BLAS loses throughput on short ones.
 _COUNT_CHUNK_CELLS = 2 * CHUNK_CELLS
 #: The int64 index arrays of a :class:`CompactDelayMatrix`.
 _INDEX_FIELDS = ("server_nodes", "client_nodes", "client_zones", "zone_candidates", "zone_anchors")
@@ -153,6 +154,19 @@ def zone_anchor_nodes(
     return anchors
 
 
+@dataclass
+class _CostTable:
+    """A :class:`CompactDelayMatrix`'s over-bound counts for one delay bound.
+
+    ``counts[z, j]`` is the number of zone ``z``'s clients whose delay to
+    ``sorted_candidates()[z, j]`` exceeds ``bound``.  ``read`` records
+    whether anything read the table on the matrix that holds it: only a
+    read table is worth carrying through the next client delta.
+    """
+
+    bound: float
+    counts: np.ndarray
+    read: bool = False
 
 
 @dataclass(frozen=True)
@@ -176,6 +190,10 @@ class CompactDelayMatrix:
         zone, and the zone anchor nodes the candidates were selected from.
     fill_value:
         The sentinel delay reported for non-candidate servers.
+
+    The matrix also owns GreZ's sparse cost table (:meth:`over_bound_table`),
+    built on first read and carried from one client population to the next
+    by :meth:`with_clients` when it is given the churn map.
     """
 
     server_nodes: np.ndarray
@@ -187,6 +205,10 @@ class CompactDelayMatrix:
     fill_value: float = SPARSE_FILL_DELAY_MS
     _allowed_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _sorted_candidates_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # Not an init field, so ``dataclasses.replace`` (with_clients,
+    # with_node_server) starts the new matrix without a table: only the
+    # churn-map path of with_clients moves one across.
+    _cost_table: Optional[_CostTable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in _INDEX_FIELDS:
@@ -350,50 +372,96 @@ class CompactDelayMatrix:
         )
         return flat.reshape(num_zones, num_nodes).astype(np.float64)
 
-    def zone_over_bound_counts(
-        self, bound: float, client_zones: np.ndarray, num_zones: int
-    ) -> np.ndarray:
+    def over_bound_table(self, bound: float) -> np.ndarray:
+        """GreZ's sparse cost table: ``(num_zones, K)`` int32 over-bound counts.
+
+        Entry ``[z, j]`` counts zone ``z``'s clients whose delay to its
+        candidate ``sorted_candidates()[z, j]`` exceeds ``bound``: the
+        paper's initial cost ``C^I`` on the only cells that carry
+        information, since every other server reports the sentinel delay to
+        the whole zone and so counts the zone population.
+
+        Built on first read for a bound (:meth:`_count_over_bound`) and
+        cached; a churn delta moves it onto the next matrix and updates it in
+        O(churn × K) (:meth:`with_clients`).  Read-only, and valid until this
+        matrix's clients advance.
+        """
+        table = self._cost_table
+        if table is None or table.bound != bound:
+            table = _CostTable(bound, self._count_over_bound(bound))
+            object.__setattr__(self, "_cost_table", table)
+        table.read = True
+        return _read_only(table.counts.view())
+
+    def zone_over_bound_counts(self, bound: float) -> np.ndarray:
         """Per-zone count of clients whose delay to each server exceeds ``bound``.
 
-        Equivalent to scattering ``(delays > bound)`` per client into zones,
-        but computed as a (zones × nodes) @ (nodes × servers) product.  The
-        operands are integer counts and 0/1 indicators, so every partial sum
-        is an integer no larger than a zone's population: below ``2**24``
-        clients the float32 product is exact in any summation order, and it
-        runs at twice the float64 rate.  Larger populations multiply in
-        float64.  Returns a fresh C-contiguous float64 ``(num_zones, m)``
-        array.
-
-        The counts and their product are built per chunk of zone rows and
-        written into the result chunk by chunk, so no ``(zones × nodes)``
-        count table and no full-size product ever coexist with the result.
+        The full-width form of :meth:`over_bound_table`: a fresh C-contiguous
+        float64 ``(num_zones, m)`` array holding each zone's population,
+        with the table's counts written over its candidate cells.  Equal to
+        scattering ``(delays > bound)`` per client into its zone.
         """
-        if self.num_zones != num_zones:
-            raise ValueError("num_zones must match the candidate sets' zone count")
-        dtype = np.float32 if client_zones.size < 2**24 else np.float64
-        num_nodes, num_servers = self.node_server.shape
+        per_zone = np.empty((self.num_zones, self.num_servers))
+        per_zone[...] = np.bincount(self.client_zones, minlength=self.num_zones)[:, None]
+        np.put_along_axis(
+            per_zone, self.sorted_candidates(), self.over_bound_table(bound), axis=1
+        )
+        return per_zone
+
+    def _count_over_bound(self, bound: float) -> np.ndarray:
+        """A fresh :meth:`over_bound_table` from every client.
+
+        A (zones × nodes) @ (nodes × servers) product of client counts and
+        0/1 over-bound indicators, whose candidate cells are kept.  Every
+        partial sum is an integer no larger than a zone's population: below
+        ``2**24`` clients the float32 product is exact in any summation
+        order, and it runs at twice the float64 rate; larger populations
+        multiply in float64.  The counts and their product are built per
+        chunk of zone rows, so no ``(zones × nodes)`` or ``(zones ×
+        servers)`` array is ever made.
+        """
+        dtype = np.float32 if self.num_clients < 2**24 else np.float64
+        num_nodes = self.node_server.shape[0]
         over_bound = (self.node_server > bound).astype(dtype)
-        per_zone = np.empty((num_zones, num_servers))
+        candidates = self.sorted_candidates()
+        table = np.empty(candidates.shape, dtype=np.int32)
         # Sorted (zone, node) cells: each chunk's clients are one slice.
-        cells = np.sort(np.asarray(client_zones, dtype=np.int64) * num_nodes + self.client_nodes)
-        for rows in row_chunks(num_zones, num_nodes, _COUNT_CHUNK_CELLS):
+        cells = np.sort(self.client_zones * num_nodes + self.client_nodes)
+        for rows in row_chunks(self.num_zones, num_nodes, _COUNT_CHUNK_CELLS):
             first = rows.start * num_nodes
             start, stop = np.searchsorted(cells, (first, rows.stop * num_nodes))
             counts = np.bincount(
                 cells[start:stop] - first, minlength=(rows.stop - rows.start) * num_nodes
             ).reshape(-1, num_nodes).astype(dtype)
-            over = counts @ over_bound
-            # A non-candidate server reports the sentinel delay to every
-            # client of the zone, so it counts the whole zone: fill the zone
-            # populations in, then copy the true counts of the candidate
-            # cells over them.
-            block = per_zone[rows]
-            block[...] = counts.sum(axis=1)[:, None]
-            candidates = self.zone_candidates[rows]
-            np.put_along_axis(
-                block, candidates, np.take_along_axis(over, candidates, axis=1), axis=1
-            )
-        return per_zone
+            table[rows] = np.take_along_axis(counts @ over_bound, candidates[rows], axis=1)
+        return table
+
+    def _over_bound_cells(self, over_bound: np.ndarray, clients: np.ndarray) -> np.ndarray:
+        """Flat cost-table cells ``zone * K + j`` where a client is over the bound.
+
+        ``over_bound`` is the ``node_server > bound`` indicator.  Each
+        client's K indicators are gathered by flat offset (as in
+        :func:`_take_cells`) one row chunk at a time, so the temporaries
+        stay at :data:`~repro.utils.chunks.CHUNK_CELLS` cells; only the set
+        ones are kept.  A cell appears once per client it counts.
+        """
+        candidates = self.sorted_candidates()
+        top_k = candidates.shape[1]
+        row_stride, col_stride = (stride // over_bound.itemsize for stride in over_bound.strides)
+        indicators = over_bound.ravel(order="K")
+        cells = []
+        for rows in row_chunks(clients.size, top_k):
+            chunk = clients[rows]
+            zones = self.client_zones[chunk]
+            offsets = np.take(candidates, zones, axis=0)
+            offsets *= col_stride
+            offsets += (self.client_nodes[chunk] * row_stride)[:, None]
+            hits = np.flatnonzero(np.take(indicators, offsets))
+            # Position i * K + j of the chunk is table cell zone_i * K + j.
+            row = hits // top_k
+            hits += (zones[row] - row) * top_k
+            cells.append(hits)
+        return np.concatenate(cells) if cells else np.zeros(0, dtype=np.int64)
 
     def zone_direct_aggregates(
         self,
@@ -434,7 +502,10 @@ class CompactDelayMatrix:
     # Scenario-delta transformations.
     # ------------------------------------------------------------------ #
     def with_clients(
-        self, client_nodes: np.ndarray, client_zones: np.ndarray
+        self,
+        client_nodes: np.ndarray,
+        client_zones: np.ndarray,
+        old_to_new: Optional[np.ndarray] = None,
     ) -> "CompactDelayMatrix":
         """New matrix for a different client population (O(k), no regather).
 
@@ -442,8 +513,42 @@ class CompactDelayMatrix:
         only the per-client index arrays change.  Candidate sets are pinned
         at build time (they depend on zone anchors, not individual clients),
         which keeps churn epochs O(churn) and assignments stable.
+
+        ``old_to_new`` maps each of this matrix's clients to its index in the
+        new population (``-1``: left), one-to-one as churn produces it.
+        Given it, a cost table that was read on this matrix
+        (:meth:`over_bound_table`) moves to the new matrix, not copied, and
+        is updated in O(churn × K): the leavers and every survivor whose
+        zone or node changed are subtracted, and those survivors' new cells
+        and the joiners (the new clients no survivor maps to) are added.
+        The counts are integers, so the result equals a fresh build
+        whatever order the additions run in.  Without ``old_to_new``, or
+        when nothing read the table here, the new matrix starts without one.
         """
-        return replace(self, client_nodes=client_nodes, client_zones=client_zones)
+        matrix = replace(self, client_nodes=client_nodes, client_zones=client_zones)
+        table = self._cost_table
+        if old_to_new is None or table is None or not table.read:
+            return matrix
+        old_to_new = np.asarray(old_to_new, dtype=np.int64)
+        if old_to_new.shape != (self.num_clients,):
+            raise ValueError(f"old_to_new must have shape ({self.num_clients},)")
+        # Clients that kept their index's zone and node; the clipped gathers
+        # read a leaver's entry from client 0, which the last mask discards.
+        kept = old_to_new >= 0
+        if matrix.num_clients:
+            kept &= np.take(matrix.client_zones, old_to_new, mode="clip") == self.client_zones
+            kept &= np.take(matrix.client_nodes, old_to_new, mode="clip") == self.client_nodes
+        arrived = np.ones(matrix.num_clients, dtype=bool)
+        arrived[old_to_new[kept]] = False
+        object.__setattr__(self, "_cost_table", None)
+        over_bound = self.node_server > table.bound
+        flat = table.counts.reshape(-1)
+        gone_cells = self._over_bound_cells(over_bound, np.flatnonzero(~kept))
+        flat -= np.bincount(gone_cells, minlength=flat.size)
+        arrived_cells = matrix._over_bound_cells(over_bound, np.flatnonzero(arrived))
+        flat += np.bincount(arrived_cells, minlength=flat.size)
+        object.__setattr__(matrix, "_cost_table", _CostTable(table.bound, table.counts))
+        return matrix
 
     def with_servers(
         self, server_nodes: np.ndarray, node_server: np.ndarray
@@ -492,8 +597,9 @@ class CompactDelayMatrix:
         Same fleet, clients and candidate sets — only the delay values
         change.  Scenario link-degradation overlays use this to scale the
         affected nodes' rows without touching the delay model or the
-        candidate geometry; caches are carried since the candidate sets are
-        unchanged.
+        candidate geometry; the candidate caches are carried since the
+        candidate sets are unchanged, but not the cost table, whose counts
+        the new delays change.
         """
         node_server = np.asarray(node_server, dtype=np.float64)
         if node_server.shape != self.node_server.shape:

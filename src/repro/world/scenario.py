@@ -318,8 +318,11 @@ class DVEScenario:
         else:
             # Compact path: delays are derived from the per-client node
             # indices, so the "delta" is the O(k) index swap itself — churn
-            # epochs never densify, whatever the batch size.
-            delays = self.client_server_delays.with_clients(population.nodes, population.zones)
+            # epochs never densify, whatever the batch size.  The churn map
+            # moves GreZ's cost table along, updated in O(churn × K).
+            delays = self.client_server_delays.with_clients(
+                population.nodes, population.zones, churn.old_to_new
+            )
         demands = self.config.bandwidth_model.client_target_demands(
             population.zones,
             self.num_zones,
@@ -542,9 +545,7 @@ def build_scenario(
             top_k=config.sparse_top_k,
         )
     server_server_delays = delay_model.server_server_delays(servers.nodes)
-    client_demands = config.bandwidth_model.client_target_demands(
-        client_zones, config.num_zones
-    )
+    client_demands = config.bandwidth_model.client_target_demands(client_zones, config.num_zones)
 
     return DVEScenario(
         config=config,

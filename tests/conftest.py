@@ -194,7 +194,7 @@ def overloaded_instance() -> CAPInstance:
 #: Modules that import the max-regret engine by name, and the entry points
 #: each one imports: the placements of GreZ, GreC and the regret arbiter.
 _REGRET_CALL_SITES = {
-    "repro.core.grez": ("max_regret_assign",),
+    "repro.core.grez": ("max_regret_assign", "max_regret_assign_candidates"),
     "repro.core.grec": ("max_regret_assign", "max_regret_assign_candidates"),
     "repro.core.arbitration": ("max_regret_assign",),
 }

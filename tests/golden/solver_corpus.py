@@ -72,6 +72,7 @@ FED_SHARDS = 4
 #: The consumers of the placement engine, and the entry points they import.
 _ENGINE_CALLS = (
     (grez, "max_regret_assign"),
+    (grez, "max_regret_assign_candidates"),
     (grec, "max_regret_assign"),
     (grec, "max_regret_assign_candidates"),
     (arbitration, "max_regret_assign"),

@@ -11,8 +11,7 @@ same overflow flag.  The oracle tests in ``tests/test_core_regret.py`` and
 engine call a full solve makes.
 
 The oracle does no input validation: it expects the arguments the engine
-accepts.  ``candidate_servers`` is accepted and ignored — the candidate
-table is only a shortcut of the engine, never a change of result.
+accepts.
 """
 
 from __future__ import annotations
@@ -125,7 +124,6 @@ def max_regret_assign_loop(
     fallback: str = "least_loaded",
     recompute: bool = False,
     fallback_allowed: Optional[np.ndarray] = None,
-    candidate_servers: Optional[np.ndarray] = None,  # noqa: ARG001
 ) -> RegretResult:
     """Oracle for :func:`repro.core.regret.max_regret_assign` (same arguments)."""
     desirability = np.asarray(desirability, dtype=np.float64)

@@ -228,8 +228,10 @@ class TestLoopOracleEquivalence:
         assert regret_oracle_spy == ["max_regret_assign", "max_regret_assign"]
 
     def test_sparse_candidate_paths_match_oracle(self, regret_oracle_spy):
-        # GreZ's zone candidate table and GreC's candidate-list entry point,
-        # under a bound tight enough that clients need forwarding.
+        # GreZ's placement from the sparse cost table and GreC's from the
+        # needy clients' candidate costs, both through the candidate-list
+        # entry point, under a bound tight enough that clients need
+        # forwarding.
         from repro.core.registry import solve as registry_solve
         from repro.core.problem import CAPInstance
         from repro.world.scenario import build_scenario
@@ -241,7 +243,9 @@ class TestLoopOracleEquivalence:
         )
         instance = CAPInstance.from_scenario(build_scenario(config, seed=3))
         registry_solve(instance.with_delay_bound(60.0), "grez-grec", seed=0)
-        assert regret_oracle_spy == ["max_regret_assign", "max_regret_assign_candidates"]
+        assert regret_oracle_spy == [
+            "max_regret_assign_candidates", "max_regret_assign_candidates"
+        ]
 
     @pytest.mark.slow
     @pytest.mark.parametrize("algorithm", ["grez-grec", "grez-grec-dynamic", "ranz-grec"])

@@ -186,9 +186,7 @@ class TestCompactDelayMatrix:
         dense = delays.toarray()
         expected = np.zeros((instance.num_zones, instance.num_servers))
         np.add.at(expected, instance.client_zones, (dense > instance.delay_bound))
-        got = delays.zone_over_bound_counts(
-            instance.delay_bound, instance.client_zones, instance.num_zones
-        )
+        got = delays.zone_over_bound_counts(instance.delay_bound)
         np.testing.assert_array_equal(got, expected)
 
     def test_zone_direct_aggregates_match_scatter(self, sparse_scenario):
@@ -390,7 +388,7 @@ class TestRowChunkedGathers:
         bound = 55.0
         expected = np.zeros((num_zones, num_servers))
         np.add.at(expected, client_zones, delays.toarray() > bound)
-        got = delays.zone_over_bound_counts(bound, client_zones, num_zones)
+        got = delays.zone_over_bound_counts(bound)
         assert got.flags.c_contiguous and got.dtype == np.float64
         np.testing.assert_array_equal(got, expected)
 

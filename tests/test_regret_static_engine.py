@@ -8,11 +8,12 @@
   fallbacks: on large capacity-tight instances (demands spanning 1e-3..1e8,
   capacities that some claims fill exactly), at item counts around the
   64-position block, with items displaced from their block choice, with
-  table hits tied at the table floor (GreZ), with candidate sets that fill
-  up completely (GreC's row-provider path) and with loads that end within
-  rounding distance of capacity.
-* GreZ with its zone candidate table equals GreZ without it on sparse
-  worlds whose candidate costs tie the zone-population floor.
+  candidate hits tied at the caller's floor (GreZ), with candidate sets that
+  fill up completely (GreC's row-provider path) and with loads that end
+  within rounding distance of capacity.
+* GreZ's placement from the sparse cost table equals the full-matrix
+  engine's on sparse worlds whose candidate costs tie the zone-population
+  floor.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 import repro.core.regret as regret
 from repro.core.costs import initial_cost_matrix
-from repro.core.grez import _zone_candidate_table, assign_zones_greedy, zone_fallback_candidates
+from repro.core.grez import assign_zones_greedy, zone_fallback_candidates
 from repro.core.problem import CAPInstance
 from repro.core.regret import max_regret_assign, max_regret_assign_candidates
 from repro.topology.brite import BriteConfig
@@ -97,7 +98,9 @@ def _candidate_problem(seed: int):
     return cand_idx, cand_val, desirability, demands, capacities, initial_loads
 
 
-def _run_candidates(cand_idx, cand_val, desirability, demands, capacities, loads, fallback):
+def _run_candidates(
+    cand_idx, cand_val, desirability, demands, capacities, loads, fallback, **kwargs
+):
     calls = []
 
     def rows(items):
@@ -106,7 +109,7 @@ def _run_candidates(cand_idx, cand_val, desirability, demands, capacities, loads
 
     result = max_regret_assign_candidates(
         cand_idx, cand_val, desirability.shape[0], demands, capacities, rows,
-        initial_loads=loads, fallback=fallback,
+        initial_loads=loads, fallback=fallback, **kwargs,
     )
     return result, calls
 
@@ -278,7 +281,7 @@ class TestStaticWalk:
     @given(seed=st.integers(0, 2**32 - 1), fallback=st.sampled_from(FALLBACKS))
     def test_tie_at_table_floor_falls_through(self, seed, fallback):
         # GreZ's shape: a non-strict candidate table whose unlisted servers
-        # all sit exactly at the table minimum.  Every item of one block
+        # all sit exactly at the floor, the table minimum.  Every item of one block
         # lists servers 0 and 1 above the floor and the last server at it;
         # servers 0 and 1 fit every item at the block's start but hold only
         # a few, so later items are displaced until their best hit ties the
@@ -294,12 +297,16 @@ class TestStaticWalk:
         demands = rng.uniform(0.5, 2.0, num_items)
         capacities = rng.uniform(0.5, 3.0, num_servers)
         capacities[:2] = 2.5
+        cand_val = np.take_along_axis(desirability.T, cand_idx, axis=1)
         with mock.patch.object(
             regret, "_full_scan_one", wraps=regret._full_scan_one
         ) as full_scan:
-            _assert_matches_loop(
-                desirability, demands, capacities, None, fallback, candidate_servers=cand_idx
+            result, _ = _run_candidates(
+                cand_idx, cand_val, desirability, demands, capacities, None, fallback,
+                floor=floor,
             )
+        expected = max_regret_assign_loop(desirability, demands, capacities, fallback=fallback)
+        _assert_same(result, expected)
         assert full_scan.call_count > 0
 
     @pinned(30)
@@ -390,8 +397,7 @@ class TestGreZCandidateTable:
         capacities *= demand * tightness / capacities.sum()
         instance = instance.with_server_capacities(capacities)
 
-        table = _zone_candidate_table(instance)
-        assert table is not None
+        table = instance.client_server_delays.sorted_candidates()
         cost = initial_cost_matrix(instance)
         pops = instance.zone_populations()
         # Non-candidates cost the whole zone: the floor every candidate
@@ -415,7 +421,7 @@ class TestGreZCandidateTable:
         # zone's candidate costs equal its population.
         for instance in sparse_instances:
             instance = instance.with_delay_bound(20.0)
-            table = _zone_candidate_table(instance)
+            table = instance.client_server_delays.sorted_candidates()
             cost = initial_cost_matrix(instance)
             cand_cost = cost[table.T, np.arange(instance.num_zones)]
             assert (cand_cost == instance.zone_populations()[None, :]).any()
