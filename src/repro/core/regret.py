@@ -33,16 +33,17 @@ the items whose cached best or second-best server just received load,
 instead of re-partitioning every remaining column after every placement.
 
 The static engine's re-evaluation table is an optional per-item set of
-servers (ascending ids) with a per-item threshold that no server outside
-the set exceeds.  A feasible table hit above the threshold is the
-fleet-wide winner; a hit tied at it falls through to a full-width scan.
-The table is either each item's top-64 servers (wide fleets), thresholded
-at the set's minimum, or a caller's candidate lists
-(:func:`max_regret_assign_candidates`), thresholded at the caller's bound on
-the unlisted servers: GreZ's zone candidates on the sparse delay backend,
-whose non-candidates all cost the whole zone, and GreC's, whose
-non-candidates all sit strictly below every candidate, so there a feasible
-hit is always final.
+servers (ascending ids) and a per-item threshold: no server outside the set
+is more desirable than the set's minimum, and each is strictly less
+desirable than any listed value above the threshold.  A feasible table hit
+above the threshold is then the fleet-wide winner; any other falls through
+to a full-width scan.  The table is either each item's top-64 servers (wide
+fleets), thresholded at the set's minimum, or a caller's candidate lists
+(:func:`max_regret_assign_candidates`) with the caller's floor: GreZ's zone
+candidates on the sparse delay backend, floored at the zone population that
+every non-candidate costs, and GreC's, whose non-candidates all sit
+strictly below every candidate, so there (floor ``-inf``) a feasible hit is
+always final.
 
 Both fallback modes accept an optional ``fallback_allowed`` candidate mask
 that makes the ``least_loaded`` emergency placement *delay-aware*: the
@@ -152,8 +153,9 @@ def _table(table_idx: np.ndarray, table_val: np.ndarray, thresh: np.ndarray):
 
     ``table_idx`` lists, per item, servers in ascending id order whose
     desirabilities ``table_val`` are the item's largest: every unlisted
-    server is no more desirable than ``thresh``, which is at most the
-    smallest listed value.  The set's two largest values are then the two
+    server is no more desirable than the smallest listed one, and strictly
+    less desirable than any listed value above the item's ``thresh``.  The
+    set's two largest values are then the two
     largest of the full row — the exact values :func:`regret_order` would
     partition out of the whole matrix — so the regret order falls out of a
     cheap in-set partition.
@@ -252,8 +254,9 @@ def _best_feasible(
         tier_ok = loads.take(tier_idx) + d_cols[:, None] <= cap_eps.take(tier_idx)
         masked = np.where(tier_ok, top_val.take(cols, axis=0), -np.inf)
         pos = masked.argmax(axis=1)
-        # Every outside server is at most the item's threshold, so a hit
-        # above it is the row's first maximum (-inf, nothing fits, is not).
+        # Every outside server is strictly below a listed value above the
+        # item's threshold, so such a hit is the row's first maximum (-inf,
+        # nothing fits, never is).
         resolved = masked.max(axis=1) > top_thresh.take(cols)
         hit = tier_idx.ravel().take(pos + tier_idx.shape[1] * np.arange(cols.size))
         best = np.where(resolved, hit, -1)
@@ -656,7 +659,7 @@ def max_regret_assign_candidates(
     initial_loads: Optional[np.ndarray] = None,
     fallback: str = "least_loaded",
     fallback_allowed: Optional[np.ndarray] = None,
-    floor=-np.inf,
+    floor: float | np.ndarray = -np.inf,
 ) -> RegretResult:
     """Static max-regret placement driven by per-item candidate lists.
 
@@ -685,9 +688,9 @@ def max_regret_assign_candidates(
     (500 servers, 2,000 zones, 100k clients, top-64) GreC's two calls per
     epoch make 59 to 62 ``row_provider`` calls between them (traced ledger
     rounds, ``python3 -m bench run --trace 1``), for clients whose
-    candidates have all filled.  GreZ's contract is
-    non-strict: every non-candidate costs the whole zone, which a candidate
-    can tie, so GreZ passes the negated zone populations as ``floor``.
+    candidates have all filled.  GreZ's contract is non-strict: every
+    non-candidate costs the whole zone, which a candidate can tie, so GreZ
+    passes the negated zone populations as ``floor``.
 
     Parameters
     ----------

@@ -403,9 +403,7 @@ class CompactDelayMatrix:
         """
         per_zone = np.empty((self.num_zones, self.num_servers))
         per_zone[...] = np.bincount(self.client_zones, minlength=self.num_zones)[:, None]
-        np.put_along_axis(
-            per_zone, self.sorted_candidates(), self.over_bound_table(bound), axis=1
-        )
+        np.put_along_axis(per_zone, self.sorted_candidates(), self.over_bound_table(bound), axis=1)
         return per_zone
 
     def _count_over_bound(self, bound: float) -> np.ndarray:

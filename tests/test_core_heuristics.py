@@ -243,9 +243,7 @@ class TestLoopOracleEquivalence:
         )
         instance = CAPInstance.from_scenario(build_scenario(config, seed=3))
         registry_solve(instance.with_delay_bound(60.0), "grez-grec", seed=0)
-        assert regret_oracle_spy == [
-            "max_regret_assign_candidates", "max_regret_assign_candidates"
-        ]
+        assert regret_oracle_spy == ["max_regret_assign_candidates", "max_regret_assign_candidates"]
 
     @pytest.mark.slow
     @pytest.mark.parametrize("algorithm", ["grez-grec", "grez-grec-dynamic", "ranz-grec"])

@@ -202,6 +202,13 @@ class TestMaxRegretAssign:
                 row_provider=lambda items: np.zeros((items.size, 2)), **args,
             )
 
+    def test_nan_floor_rejected(self):
+        with pytest.raises(ValueError, match="floor"):
+            max_regret_assign_candidates(
+                np.array([[0, 1]]), np.array([[-1.0, -2.0]]), 2, np.ones(1), np.ones(2),
+                lambda items: np.zeros((items.size, 2)), floor=np.nan,
+            )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_provider_rows_rejected(self, bad):
         # Both candidates are full, so the item needs the provider's full row.

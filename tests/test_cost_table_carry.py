@@ -23,9 +23,10 @@ from repro.core.costs import initial_cost_matrix
 from repro.core.problem import CAPInstance
 from repro.dynamics.events import ChurnBatch, apply_churn
 from repro.world.scenario import build_scenario
+from repro.utils.chunks import row_chunks
 from repro.world.servers import ServerSet
 
-from tests.conftest import make_small_config
+from tests.conftest import make_small_config, make_wide_sparse_instance
 
 
 def pinned(max_examples: int) -> settings:
@@ -156,6 +157,23 @@ class TestCarriedTable:
         nodes[hop] = rng.integers(0, world.topology.num_nodes, int(hop.sum()))
         old_to_new = np.arange(matrix.num_clients)
         moved = matrix.with_clients(nodes, matrix.client_zones, old_to_new)
+        got = moved.over_bound_table(bound)
+        np.testing.assert_array_equal(got, _scatter_reference(moved, bound))
+
+    def test_permuted_map_across_row_chunks(self):
+        # 2,500 clients with K = 64 span several update chunks; the map
+        # shuffles every index and most clients change zone.
+        instance = make_wide_sparse_instance()
+        matrix = instance.client_server_delays
+        assert len(list(row_chunks(matrix.num_clients, 64))) >= 3
+        bound = instance.delay_bound
+        matrix.over_bound_table(bound)
+        rng = np.random.default_rng(2)
+        old_to_new = rng.permutation(matrix.num_clients)
+        nodes = np.empty_like(matrix.client_nodes)
+        nodes[old_to_new] = matrix.client_nodes
+        zones = rng.integers(0, matrix.num_zones, matrix.num_clients)
+        moved = matrix.with_clients(nodes, zones, old_to_new)
         got = moved.over_bound_table(bound)
         np.testing.assert_array_equal(got, _scatter_reference(moved, bound))
 

@@ -13,6 +13,8 @@ Covers the three contracts of the two delay backends:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -443,6 +445,15 @@ class TestCompactDeltas:
                 client_zones=instance.client_zones[:5],
                 client_demands=instance.client_demands[:5],
             )
+
+    def test_instance_zones_must_be_the_matrix_zones(self, sparse_scenario):
+        # The matrix's zones pick each client's candidates and feed GreZ's
+        # cost table; an instance that disagrees would mix two populations.
+        instance = CAPInstance.from_scenario(sparse_scenario)
+        zones = instance.client_zones.copy()
+        zones[0] = (zones[0] + 1) % instance.num_zones
+        with pytest.raises(ValueError, match="client zones"):
+            dataclasses.replace(instance, client_zones=zones)
 
     def test_engine_advance_matches_rebuild_oracle(self, sparse_scenario, advance_oracle_spy):
         simulator = ChurnSimulator(

@@ -302,8 +302,7 @@ class TestStaticWalk:
             regret, "_full_scan_one", wraps=regret._full_scan_one
         ) as full_scan:
             result, _ = _run_candidates(
-                cand_idx, cand_val, desirability, demands, capacities, None, fallback,
-                floor=floor,
+                cand_idx, cand_val, desirability, demands, capacities, None, fallback, floor=floor
             )
         expected = max_regret_assign_loop(desirability, demands, capacities, fallback=fallback)
         _assert_same(result, expected)
