@@ -147,36 +147,43 @@ def refined_cost_candidates(instance: CAPInstance, zone_to_server: np.ndarray, c
     """Refined costs restricted to each client's candidate servers, or ``None``.
 
     For compact instances, whose zones are restricted to per-zone candidate
-    sets (the sparse backend), returns ``(servers, costs)`` of shape
-    ``(len(clients), K)``: the client zone's candidate server ids (ascending
-    per row) and the refined cost ``C^R`` of forwarding through each.  The
-    cost values are bitwise the corresponding entries of
-    :func:`refined_cost_rows` (same gather source, same operation order);
-    every *non*-candidate server carries the sentinel delay, so its refined
-    cost is at least ``fill_value - delay_bound`` — callers can treat the
-    candidate lists as a complete view of the servers worth forwarding
-    through.  ``None`` for dense instances.
+    sets (the sparse backend), returns a fresh ``(len(clients), K)`` float64
+    array: row ``i`` holds the refined cost ``C^R`` of forwarding
+    ``clients[i]`` through each server of its zone's row of
+    ``sorted_candidates()``, in that row's ascending server order.  The
+    server ids themselves are not copied per client; callers read them from
+    the shared table through the clients' zones.  The cost values are
+    bitwise the corresponding entries of :func:`refined_cost_rows` (same
+    gather source, same operation order); every *non*-candidate server
+    carries the sentinel delay, so its refined cost is at least
+    ``fill_value - delay_bound`` — callers can treat the candidate lists as
+    a complete view of the servers worth forwarding through.  ``None`` for
+    dense instances.
     """
     if instance.has_dense_delays:
         return None
     zone_to_server, clients = _checked_indices(instance, zone_to_server, clients)
     # A fresh (len(clients), K) gather of the true candidate delays.
     source = instance.client_server_delays
-    servers, total_delay = source.candidate_rows(clients)
+    total_delay = source.candidate_rows(clients)
     # The mesh leg d(s, target) depends only on the client's zone (its
-    # candidate row and its target): build it once per zone with a flat
-    # gather, then add whole rows per client, one row chunk at a time.
-    mesh = instance.server_server_delays
-    offsets = source.sorted_candidates() * mesh.shape[1]
-    offsets += zone_to_server[:, None]
-    zone_leg = np.take(mesh.ravel(), offsets)
+    # candidate row and its target): build it once per zone with flat
+    # gathers in row chunks, then add whole rows per client, one row chunk
+    # at a time.
+    mesh = instance.server_server_delays.ravel()
+    candidates = source.sorted_candidates()
+    zone_leg = np.empty(candidates.shape)
+    for rows in row_chunks(*candidates.shape):
+        offsets = candidates[rows] * instance.num_servers
+        offsets += zone_to_server[rows, None]
+        np.take(mesh, offsets, out=zone_leg[rows])
     zones = instance.client_zones[clients]
     # Same elementwise operation order as refined_cost_rows (delay first,
     # mesh leg second, then the bound), so entries stay bitwise equal.
     for rows in row_chunks(*total_delay.shape):
         total_delay[rows] += np.take(zone_leg, zones[rows], axis=0)
     total_delay -= instance.delay_bound
-    return servers, np.maximum(total_delay, 0.0, out=total_delay)
+    return np.maximum(total_delay, 0.0, out=total_delay)
 
 
 def delays_to_targets(
@@ -192,12 +199,9 @@ def delays_to_targets(
     """
     zone_to_server = np.asarray(zone_to_server, dtype=np.int64)
     targets = zone_to_server[instance.client_zones]
-    clients = np.arange(instance.num_clients)
     if contact_of_client is None:
-        return instance.delay_pairs(clients, targets)
+        return instance.delays_to(targets)
     contacts = np.asarray(contact_of_client, dtype=np.int64)
     if contacts.shape != (instance.num_clients,):
         raise ValueError("contact_of_client must have one entry per client")
-    return instance.delay_pairs(clients, contacts) + instance.server_server_delays[
-        contacts, targets
-    ]
+    return instance.delays_to(contacts) + instance.server_server_delays[contacts, targets]

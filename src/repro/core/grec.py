@@ -42,18 +42,20 @@ def _place_on_candidates(
     least ``fill_value - delay_bound`` — the K candidate columns are the whole
     finite-cost problem.  When every candidate cost sits strictly below that
     sentinel floor (checked, not assumed), the placement runs through
-    :func:`~repro.core.regret.max_regret_assign_candidates` on the
-    ``(|L_E|, K)`` candidate costs — bit-identical to the full-matrix pass,
-    minus the O(|L_E| x m) cost rows and the per-item fleet partition.  The
-    full rows are still materialised on demand for the rare clients whose
-    whole candidate set runs out of capacity.
+    :func:`~repro.core.regret.max_regret_assign_candidates` — bit-identical
+    to the full-matrix pass, minus the O(|L_E| x m) cost rows and the
+    per-item fleet partition.  The pass keeps one per-client table, the
+    ``(|L_E|, K)`` float64 candidate costs: the server ids stay in the
+    matrix's shared ``(zones, K)`` table, which each needy client reads
+    through its zone.  The full rows are still materialised on demand for
+    the rare clients whose whole candidate set runs out of capacity.
     """
-    pair = refined_cost_candidates(instance, zone_to_server, helped)
-    if pair is None:
+    if instance.has_dense_delays:
         return None
-    servers, costs = pair
+    servers = instance.client_server_delays.sorted_candidates()
     if servers.shape[1] < 2:
         return None
+    costs = refined_cost_candidates(instance, zone_to_server, helped)
     fill = instance.client_server_delays.fill_value
     if not costs.max() < fill - instance.delay_bound:
         return None
@@ -64,6 +66,7 @@ def _place_on_candidates(
 
     return max_regret_assign_candidates(
         candidate_servers=servers,
+        item_rows=instance.client_zones[helped],
         candidate_desirability=np.negative(costs, out=costs),
         num_servers=instance.num_servers,
         demands=2.0 * instance.client_demands[helped],
@@ -100,29 +103,26 @@ def assign_contacts_greedy(
         falls back to its target server (which consumes no extra bandwidth).
     """
     if zone_assignment.num_zones != instance.num_zones:
-        raise ValueError(
-            "zone_assignment covers a different number of zones than the instance"
-        )
+        raise ValueError("zone_assignment covers a different number of zones than the instance")
     with Timer() as timer:
         targets = zone_assignment.targets_of_clients(instance)  # (k,)
-        clients = np.arange(instance.num_clients)
-        direct_delay = instance.delay_pairs(clients, targets)
-        needs_help = direct_delay > instance.delay_bound  # the list L_E of the paper
+        delays = instance.delays_to(targets)
+        helped = np.flatnonzero(delays > instance.delay_bound)  # the list L_E of the paper
 
         contacts = targets.copy()
         capacity_exceeded = zone_assignment.capacity_exceeded
 
         # Measurement-stash byproducts: the per-client delays under the final
-        # contact map, built from the direct delays already gathered above
+        # contact map, built in place from the direct delays gathered above
         # (the mesh diagonal is zero, so "contact == target" adds 0.0 — the
-        # exact expression Assignment.client_delays evaluates), and the
+        # exact expression Assignment.client_delays evaluates; the diagonal
+        # read gives bitwise the entries of mesh[targets, targets]), and the
         # per-server loads.  Only the clients the greedy pass actually
         # forwards are re-evaluated below.
-        delays = direct_delay + instance.server_server_delays[targets, targets]
+        delays += np.diagonal(instance.server_server_delays).take(targets)
         loads = zone_server_loads(instance, zone_assignment.zone_to_server)
 
-        if needs_help.any():
-            helped = np.flatnonzero(needs_help)
+        if helped.size:
             result = None
             if not recompute_regret:
                 # Sparse-backend fast path: the needy clients' candidate
@@ -136,9 +136,7 @@ def assign_contacts_greedy(
                 # rows are computed — the dense (m, k) matrix would mostly be
                 # sliced away — and the transposed view feeds the placement
                 # engine's row-major per-item gathers without a relayout copy.
-                cost_rows = refined_cost_rows(
-                    instance, zone_assignment.zone_to_server, helped
-                )
+                cost_rows = refined_cost_rows(instance, zone_assignment.zone_to_server, helped)
                 np.negative(cost_rows, out=cost_rows)
                 desirability = cost_rows.T
                 result = max_regret_assign(
@@ -167,9 +165,7 @@ def assign_contacts_greedy(
                 ) + instance.server_server_delays[chosen[placed], targets[moved]]
                 forwarded = moved[chosen[placed] != targets[moved]]
                 if forwarded.size:
-                    np.add.at(
-                        loads, contacts[forwarded], 2.0 * instance.client_demands[forwarded]
-                    )
+                    np.add.at(loads, contacts[forwarded], 2.0 * instance.client_demands[forwarded])
 
     suffix = "grec" if not recompute_regret else "grec-dynamic"
     assignment = Assignment(

@@ -78,6 +78,7 @@ def _place_on_candidates(instance: CAPInstance) -> Optional[RegretResult]:
 
     return max_regret_assign_candidates(
         candidate_servers=servers,
+        item_rows=np.arange(instance.num_zones),
         candidate_desirability=np.negative(counts, dtype=np.float64),
         num_servers=instance.num_servers,
         demands=instance.zone_demands(),

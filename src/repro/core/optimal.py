@@ -158,8 +158,7 @@ def solve_rap_optimal(
     options = options or OptimalOptions()
     with Timer() as timer:
         targets = zone_assignment.targets_of_clients(instance)
-        clients = np.arange(instance.num_clients)
-        direct = instance.delay_pairs(clients, targets)
+        direct = instance.delays_to(targets)
         needs_help = direct > instance.delay_bound
         contacts = targets.copy()
 

@@ -147,6 +147,16 @@ class CAPInstance:
             return self.client_server_delays[clients, servers]
         return self.client_server_delays.pairs(clients, servers)
 
+    def delays_to(self, servers: np.ndarray) -> np.ndarray:
+        """Each client's delay to its own server ``servers[c]``, shape ``(k,)``.
+
+        ``delay_pairs(np.arange(k), servers)`` as a fresh array; a compact
+        matrix gathers it without copying its per-client index arrays.
+        """
+        if self.has_dense_delays:
+            return self.client_server_delays[np.arange(self.num_clients), servers]
+        return self.client_server_delays.delays_to(servers)
+
     def dense_client_server_delays(self) -> np.ndarray:
         """The full dense delay matrix, materialising a compact one (O(k·m))."""
         if self.has_dense_delays:

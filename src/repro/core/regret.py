@@ -32,18 +32,22 @@ item's top-two feasible desirabilities incrementally and re-evaluates only
 the items whose cached best or second-best server just received load,
 instead of re-partitioning every remaining column after every placement.
 
-The static engine's re-evaluation table is an optional per-item set of
-servers (ascending ids) and a per-item threshold: no server outside the set
-is more desirable than the set's minimum, and each is strictly less
-desirable than any listed value above the threshold.  A feasible table hit
-above the threshold is then the fleet-wide winner; any other falls through
-to a full-width scan.  The table is either each item's top-64 servers (wide
-fleets), thresholded at the set's minimum, or a caller's candidate lists
+The static engine's re-evaluation table is an optional set of servers per
+item (ascending ids), with the item's desirabilities of them and a per-item
+threshold: no server outside the set is more desirable than the set's
+minimum, and each is strictly less desirable than any listed value above the
+threshold.  A feasible table hit above the threshold is then the fleet-wide
+winner; any other falls through to a full-width scan.  The server sets are
+rows of a shared ``(rows x K)`` id table that each item reaches through its
+row index, so items with the same set share one row.  The table is either
+each item's top-64 servers (wide fleets; one row per item), thresholded at
+the set's minimum, or a caller's candidate lists
 (:func:`max_regret_assign_candidates`) with the caller's floor: GreZ's zone
-candidates on the sparse delay backend, floored at the zone population that
-every non-candidate costs, and GreC's, whose non-candidates all sit
-strictly below every candidate, so there (floor ``-inf``) a feasible hit is
-always final.
+candidates on the sparse delay backend (one row per zone, and each item is
+a zone), floored at the zone population that every non-candidate costs, and
+GreC's, where every needy client reads its zone's row of the same table and
+whose non-candidates all sit strictly below every candidate, so there
+(floor ``-inf``) a feasible hit is always final.
 
 Both fallback modes accept an optional ``fallback_allowed`` candidate mask
 that makes the ``least_loaded`` emergency placement *delay-aware*: the
@@ -148,20 +152,23 @@ def _fallback_server(
 # --------------------------------------------------------------------------- #
 # Static mode — one sequential walk over the regret order.
 # --------------------------------------------------------------------------- #
-def _table(table_idx: np.ndarray, table_val: np.ndarray, thresh: np.ndarray):
+def _table(
+    table_idx: np.ndarray, item_rows: np.ndarray, table_val: np.ndarray, thresh: np.ndarray
+):
     """Re-evaluation table and static regret order from per-item server sets.
 
-    ``table_idx`` lists, per item, servers in ascending id order whose
-    desirabilities ``table_val`` are the item's largest: every unlisted
-    server is no more desirable than the smallest listed one, and strictly
-    less desirable than any listed value above the item's ``thresh``.  The
-    set's two largest values are then the two
-    largest of the full row — the exact values :func:`regret_order` would
-    partition out of the whole matrix — so the regret order falls out of a
-    cheap in-set partition.
+    Item ``j``'s set is row ``item_rows[j]`` of ``table_idx``, servers in
+    ascending id order, and ``table_val[j]`` holds its desirabilities of
+    them, the item's largest: every unlisted server is no more desirable
+    than the smallest listed one, and strictly less desirable than any
+    listed value above the item's ``thresh``.  The set's two largest values
+    are then the two largest of the full row — the exact values
+    :func:`regret_order` would partition out of the whole matrix — so the
+    regret order falls out of a cheap in-set partition.
 
-    The table is ``(top_idx, top_val, top_thresh)``: a feasible hit above
-    ``top_thresh`` is final, one at it falls through to the full row.
+    The table is ``(top_idx, item_rows, top_val, top_thresh)``: a feasible
+    hit above ``top_thresh`` is final, one at it falls through to the full
+    row.
 
     The partition runs over row chunks of ``table_val``, so its copy never
     spans the whole ``(items x K)`` table.
@@ -172,7 +179,8 @@ def _table(table_idx: np.ndarray, table_val: np.ndarray, thresh: np.ndarray):
         top_two = np.partition(table_val[rows], width - 2, axis=1)[:, -2:]
         np.subtract(top_two[:, 1], top_two[:, 0], out=regrets[rows])
     order = np.argsort(-regrets, kind="stable").astype(np.int64)
-    return (np.asarray(table_idx, dtype=np.intp), table_val, thresh), order
+    top_idx = np.asarray(table_idx, dtype=np.intp)
+    return (top_idx, np.asarray(item_rows, dtype=np.intp), table_val, thresh), order
 
 
 def _assign_static_vectorized(
@@ -209,7 +217,7 @@ def _assign_static_vectorized(
         part_idx = np.argpartition(des_items, num_servers - _TOP_T, axis=1)[:, -_TOP_T:]
         table_idx = np.sort(part_idx, axis=1)
         table_val = np.take_along_axis(des_items, table_idx, axis=1)
-        top, order = _table(table_idx, table_val, table_val.min(axis=1))
+        top, order = _table(table_idx, np.arange(num_items), table_val, table_val.min(axis=1))
     else:
         order = regret_order(desirability)
 
@@ -249,8 +257,8 @@ def _best_feasible(
     else:
         # ``take`` with intp indices is the cheapest gather numpy offers;
         # the table ids are stored as intp for it.
-        top_idx, top_val, top_thresh = top
-        tier_idx = top_idx.take(cols, axis=0)
+        top_idx, item_rows, top_val, top_thresh = top
+        tier_idx = top_idx.take(item_rows.take(cols), axis=0)
         tier_ok = loads.take(tier_idx) + d_cols[:, None] <= cap_eps.take(tier_idx)
         masked = np.where(tier_ok, top_val.take(cols, axis=0), -np.inf)
         pos = masked.argmax(axis=1)
@@ -290,9 +298,7 @@ def _best_feasible(
     return best
 
 
-def _full_scan_one(
-    item: int, d: float, loads: np.ndarray, cap_eps: np.ndarray, get_rows
-) -> int:
+def _full_scan_one(item: int, d: float, loads: np.ndarray, cap_eps: np.ndarray, get_rows) -> int:
     """One item's masked argmax over its full desirability row (-1: none fits).
 
     The walk's fall-through for an item its table cannot decide; the same
@@ -342,7 +348,7 @@ def _static_walk(
     ``fallback="skip"`` and placed at its exact position by the
     ``least_loaded`` fallback otherwise.
 
-    ``top`` is the optional ``(top_idx, top_val, top_thresh)`` table from
+    ``top`` is the optional ``(top_idx, item_rows, top_val, top_thresh)`` table from
     :func:`_table`; ``get_rows(cols, servers)`` materialises full-width
     desirability rows for the full scan (``servers=None`` means all of them).
     """
@@ -355,7 +361,7 @@ def _static_walk(
     skip = fallback == "skip"
     capacity_exceeded = False
     if top is not None:
-        top_idx, top_val, top_thresh = top
+        top_idx, item_rows, top_val, top_thresh = top
 
     def reevaluate(item: int, d: float) -> int:
         if top is None:
@@ -375,7 +381,7 @@ def _static_walk(
             return best_s
         # One table row: a short numpy masked argmax, which allocates a few
         # arrays where a Python scan would box every entry of the row.
-        idx = top_idx[item]
+        idx = top_idx[item_rows[item]]
         masked = np.where(loads.take(idx) + d <= cap_eps.take(idx), top_val[item], -np.inf)
         k = int(masked.argmax())
         if masked[k] > top_thresh[item]:
@@ -538,21 +544,28 @@ def _checked_loads(
 
 
 def _checked_candidates(
-    candidate_servers: np.ndarray, num_items: int, num_servers: int
-) -> np.ndarray:
-    """Validate a ``(num_items, K)`` candidate table; returns it as int64."""
+    candidate_servers: np.ndarray, item_rows: np.ndarray, num_items: int, num_servers: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a ``(rows, K)`` candidate table and its per-item row index.
+
+    Returns the table as int64 and the index as intp.  The checks read the
+    table, not the items, so their temporaries have the table's size.
+    """
     cand_idx = np.asarray(candidate_servers, dtype=np.int64)
-    if cand_idx.ndim != 2 or cand_idx.shape[0] != num_items or cand_idx.shape[1] < 2:
-        raise ValueError(
-            f"candidate_servers must be ({num_items}, K) with K >= 2, got {cand_idx.shape}"
-        )
+    if cand_idx.ndim != 2 or cand_idx.shape[1] < 2:
+        raise ValueError(f"candidate_servers must be (rows, K) with K >= 2, got {cand_idx.shape}")
     if num_servers < cand_idx.shape[1]:
         raise ValueError("num_servers must be at least the candidate-list width")
-    if num_items and (cand_idx[:, 0].min() < 0 or cand_idx[:, -1].max() >= num_servers):
+    if cand_idx.size and (cand_idx[:, 0].min() < 0 or cand_idx[:, -1].max() >= num_servers):
         raise ValueError("candidate_servers contains invalid server indices")
-    if num_items and not (cand_idx[:, 1:] > cand_idx[:, :-1]).all():
+    if cand_idx.size and not (cand_idx[:, 1:] > cand_idx[:, :-1]).all():
         raise ValueError("candidate_servers rows must be strictly increasing")
-    return cand_idx
+    rows = np.asarray(item_rows)
+    if rows.shape != (num_items,) or not (rows.size == 0 or rows.dtype.kind in "iu"):
+        raise ValueError(f"item_rows must be ({num_items},) integer row indices")
+    if rows.size and (rows.min() < 0 or rows.max() >= cand_idx.shape[0]):
+        raise ValueError("item_rows contains invalid candidate_servers rows")
+    return cand_idx, rows.astype(np.intp, copy=False)
 
 
 def max_regret_assign(
@@ -651,6 +664,7 @@ def max_regret_assign(
 
 def max_regret_assign_candidates(
     candidate_servers: np.ndarray,
+    item_rows: np.ndarray,
     candidate_desirability: np.ndarray,
     num_servers: int,
     demands: np.ndarray,
@@ -671,6 +685,10 @@ def max_regret_assign_candidates(
     fleet and no O(items × servers) cost rows.
     This is the sparse-delay-backend path of GreZ and GreC: a zone's, and a
     needy client's, informative servers are exactly the zone's K candidates.
+    The candidate ids are one shared table that each item reaches through
+    its row index, so GreC's needy clients read their zones' rows of the
+    matrix's ``(zones, K)`` table instead of a per-client copy; only the
+    desirabilities are per item.
 
     The caller must guarantee the *dominance contract*: for every item, the
     desirability of every server **not** listed is at most the item's
@@ -695,12 +713,17 @@ def max_regret_assign_candidates(
     Parameters
     ----------
     candidate_servers:
-        ``(num_items, K)`` candidate server indices, strictly increasing per
-        row (which also guarantees distinctness); ``K >= 2`` so the regret
-        (best minus second-best desirability) is defined from the list alone.
+        ``(rows, K)`` candidate server indices, strictly increasing per row
+        (which also guarantees distinctness); ``K >= 2`` so the regret (best
+        minus second-best desirability) is defined from the list alone.
+    item_rows:
+        ``(num_items,)`` integer index: item ``j``'s candidates are row
+        ``item_rows[j]`` of ``candidate_servers``.  Items may share a row;
+        a table with one row per item passes ``np.arange(num_items)``.
     candidate_desirability:
-        ``(num_items, K)`` desirability of each listed server, aligned with
-        ``candidate_servers``; NaN or ±inf raise ``ValueError``.
+        ``(num_items, K)`` desirability of each of the item's listed
+        servers, aligned with its row of ``candidate_servers``; NaN or ±inf
+        raise ``ValueError``.
     num_servers:
         Fleet size ``m`` (the virtual column count).
     demands / capacities / initial_loads / fallback / fallback_allowed:
@@ -727,9 +750,9 @@ def max_regret_assign_candidates(
         raise ValueError("candidate_desirability must be (num_items, K)")
     _check_finite(cand_val, "candidate_desirability")
     num_items = cand_val.shape[0]
-    cand_idx = _checked_candidates(candidate_servers, num_items, num_servers)
-    if cand_val.shape != cand_idx.shape:
-        raise ValueError("candidate_desirability must match candidate_servers in shape")
+    cand_idx, item_rows = _checked_candidates(candidate_servers, item_rows, num_items, num_servers)
+    if cand_val.shape[1] != cand_idx.shape[1]:
+        raise ValueError("candidate_desirability must be as wide as candidate_servers")
     if demands.shape != (num_items,):
         raise ValueError("demands must have one entry per item")
     if capacities.shape != (num_servers,):
@@ -750,14 +773,12 @@ def max_regret_assign_candidates(
 
     item_to_server = np.full(num_items, -1, dtype=np.int64)
     if num_items == 0:
-        return RegretResult(
-            item_to_server=item_to_server, loads=loads, capacity_exceeded=False
-        )
+        return RegretResult(item_to_server=item_to_server, loads=loads, capacity_exceeded=False)
 
     # The rows already arrive in ascending server-id order (the table's
     # contract), and under the dominance contract the list holds each item's
     # two largest desirabilities.
-    top, order = _table(cand_idx, cand_val, floor)
+    top, order = _table(cand_idx, item_rows, cand_val, floor)
 
     def get_rows(cols: np.ndarray, servers: Optional[np.ndarray]) -> np.ndarray:
         rows = np.asarray(row_provider(cols), dtype=np.float64)

@@ -131,8 +131,7 @@ def assign_contacts_first_fit(
         )
     with Timer() as timer:
         targets = zone_assignment.targets_of_clients(instance)
-        clients = np.arange(instance.num_clients)
-        direct = instance.delay_pairs(clients, targets)
+        direct = instance.delays_to(targets)
         contacts = targets.copy()
         needy = np.flatnonzero(direct > instance.delay_bound)
         if needy.size:

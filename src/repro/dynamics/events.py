@@ -130,12 +130,19 @@ class ChurnResult:
         :func:`apply_churn` (the vector lives in an arena scratch buffer and
         must not be retained across epochs); a hand-built result may leave
         it ``None``, and consumers then recompute it.
+    movers_old:
+        Pre-churn indices of the batch's zone movers: every survivor whose
+        zone changed is among them (churn keeps each client's node).
+        Filled by :func:`apply_churn` from the batch; a hand-built result
+        may leave it ``None``, and a compact delay matrix then does not
+        carry GreZ's cost table through the delta.
     """
 
     population: ClientPopulation
     old_to_new: np.ndarray
     new_client_indices: np.ndarray
     survivors_old: Optional[np.ndarray] = None
+    movers_old: Optional[np.ndarray] = None
 
 
 def apply_churn(
@@ -188,4 +195,5 @@ def apply_churn(
         old_to_new=old_to_new,
         new_client_indices=new_client_indices,
         survivors_old=survivors_old,
+        movers_old=batch.move_indices,
     )

@@ -296,30 +296,33 @@ class CompactDelayMatrix:
             object.__setattr__(self, "_sorted_candidates_cache", cached)
         return cached
 
-    def candidate_rows(self, clients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-client candidate servers and exact delays to them.
+    def candidate_rows(self, clients: np.ndarray) -> np.ndarray:
+        """Per-client exact delays to the client zone's candidate servers.
 
-        ``clients`` is a 1-D index array.  Returns ``(servers, delays)`` of
-        shape ``(len(clients), K)`` — the
-        client zone's candidate set with server ids ascending per row, and
-        the true (non-sentinel) delays ``delay(c, s)`` to each.  The delay
+        ``clients`` is a 1-D index array.  Returns a fresh
+        ``(len(clients), K)`` array: row ``i`` holds the true (non-sentinel)
+        delays from ``clients[i]`` to ``sorted_candidates()[z]``, where ``z``
+        is the client's zone, in that row's ascending server order.  The
         values are bitwise the entries :meth:`rows` reports for those
-        servers.
+        servers.  The server ids are not returned: a caller reads them from
+        :meth:`sorted_candidates` through the clients' zones.
 
-        Both gathers are ``np.take`` calls — whole candidate rows by zone,
-        then single delays by flat offset (:func:`_take_cells`) — which
-        numpy runs far faster than the equivalent 2-D fancy index.  The
-        delays are gathered in row chunks (:func:`~repro.utils.chunks.row_chunks`)
-        straight into the result, so the flat offsets never exist for all
+        The delays are gathered in row chunks
+        (:func:`~repro.utils.chunks.row_chunks`) straight into the result:
+        each chunk takes its clients' candidate rows by zone, then single
+        delays by flat offset (:func:`_take_cells`) — ``np.take`` calls,
+        which numpy runs far faster than the equivalent 2-D fancy index —
+        so neither the server ids nor the flat offsets ever exist for all
         rows at once.
         """
         clients = np.asarray(clients, dtype=np.int64)
-        servers = np.take(self.sorted_candidates(), self.client_zones[clients], axis=0)
-        nodes = self.client_nodes[clients][:, None]
-        delays = np.empty(servers.shape, dtype=self.node_server.dtype)
-        for rows in row_chunks(*servers.shape):
-            delays[rows] = _take_cells(self.node_server, nodes[rows], servers[rows])
-        return servers, delays
+        candidates = self.sorted_candidates()
+        delays = np.empty((clients.size, candidates.shape[1]), dtype=self.node_server.dtype)
+        for rows in row_chunks(*delays.shape):
+            chunk = clients[rows]
+            servers = np.take(candidates, self.client_zones[chunk], axis=0)
+            delays[rows] = _take_cells(self.node_server, self.client_nodes[chunk][:, None], servers)
+        return delays
 
     # ------------------------------------------------------------------ #
     # Gathers — the dense fancy-indexing idioms the solvers rely on.
@@ -347,11 +350,26 @@ class CompactDelayMatrix:
         read.
         """
         clients = np.asarray(clients, dtype=np.int64)
+        return self._pairs(self.client_nodes[clients], self.client_zones[clients], servers)
+
+    def delays_to(self, servers: np.ndarray) -> np.ndarray:
+        """Each client's delay to its own server: ``pairs(arange(k), servers)``.
+
+        ``servers`` has one id in ``[0, m)`` per client.  The gathers read
+        the client index arrays as they are, with no ``(k,)`` copies of them.
+        """
+        servers = np.asarray(servers, dtype=np.int64)
+        if servers.shape != (self.num_clients,):
+            raise ValueError(f"servers must have shape ({self.num_clients},), got {servers.shape}")
+        return self._pairs(self.client_nodes, self.client_zones, servers)
+
+    def _pairs(self, nodes: np.ndarray, zones: np.ndarray, servers) -> np.ndarray:
+        """Delays from clients at ``nodes`` in ``zones`` to ``servers`` (broadcast)."""
         servers = np.asarray(servers, dtype=np.int64)
         if servers.size and (servers.min() < 0 or servers.max() >= self.num_servers):
             raise IndexError(f"server index out of range for {self.num_servers} servers")
-        out = _take_cells(self.node_server, self.client_nodes[clients], servers)
-        allowed = _take_cells(self.candidate_mask(), self.client_zones[clients], servers)
+        out = _take_cells(self.node_server, nodes, servers)
+        allowed = _take_cells(self.candidate_mask(), zones, servers)
         return np.where(allowed, out, self.fill_value)
 
     def toarray(self) -> np.ndarray:
@@ -504,6 +522,7 @@ class CompactDelayMatrix:
         client_nodes: np.ndarray,
         client_zones: np.ndarray,
         old_to_new: Optional[np.ndarray] = None,
+        changed: Optional[np.ndarray] = None,
     ) -> "CompactDelayMatrix":
         """New matrix for a different client population (O(k), no regather).
 
@@ -513,29 +532,33 @@ class CompactDelayMatrix:
         which keeps churn epochs O(churn) and assignments stable.
 
         ``old_to_new`` maps each of this matrix's clients to its index in the
-        new population (``-1``: left), one-to-one as churn produces it.
-        Given it, a cost table that was read on this matrix
-        (:meth:`over_bound_table`) moves to the new matrix, not copied, and
-        is updated in O(churn × K): the leavers and every survivor whose
-        zone or node changed are subtracted, and those survivors' new cells
+        new population (``-1``: left), one-to-one as churn produces it, and
+        ``changed`` comes with it: the old indices of every survivor whose
+        zone or node differs in the new population (a superset is fine;
+        churn passes its zone movers).  Given them, a cost table that was
+        read on this matrix (:meth:`over_bound_table`) moves to the new
+        matrix, not copied, and is updated in O(churn × K): the leavers and
+        the changed survivors are subtracted, and those survivors' new cells
         and the joiners (the new clients no survivor maps to) are added.
         The counts are integers, so the result equals a fresh build
-        whatever order the additions run in.  Without ``old_to_new``, or
-        when nothing read the table here, the new matrix starts without one.
+        whatever order the additions run in.  Without both ``old_to_new``
+        and ``changed``, or when nothing read the table here, the new
+        matrix starts without one.
         """
         matrix = replace(self, client_nodes=client_nodes, client_zones=client_zones)
         table = self._cost_table
-        if old_to_new is None or table is None or not table.read:
+        if old_to_new is None or changed is None or table is None or not table.read:
             return matrix
         old_to_new = np.asarray(old_to_new, dtype=np.int64)
         if old_to_new.shape != (self.num_clients,):
             raise ValueError(f"old_to_new must have shape ({self.num_clients},)")
-        # Clients that kept their index's zone and node; the clipped gathers
-        # read a leaver's entry from client 0, which the last mask discards.
+        changed = np.asarray(changed, dtype=np.int64)
+        if changed.size and (changed.min() < 0 or changed.max() >= self.num_clients):
+            raise ValueError(f"changed must lie in [0, {self.num_clients})")
+        # Survivors that kept their zone and node: a mask, so a changed
+        # client listed twice, or one that also left, is still counted once.
         kept = old_to_new >= 0
-        if matrix.num_clients:
-            kept &= np.take(matrix.client_zones, old_to_new, mode="clip") == self.client_zones
-            kept &= np.take(matrix.client_nodes, old_to_new, mode="clip") == self.client_nodes
+        kept[changed] = False
         arrived = np.ones(matrix.num_clients, dtype=bool)
         arrived[old_to_new[kept]] = False
         object.__setattr__(self, "_cost_table", None)

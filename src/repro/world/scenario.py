@@ -319,9 +319,10 @@ class DVEScenario:
             # Compact path: delays are derived from the per-client node
             # indices, so the "delta" is the O(k) index swap itself — churn
             # epochs never densify, whatever the batch size.  The churn map
-            # moves GreZ's cost table along, updated in O(churn × K).
+            # and its movers move GreZ's cost table along, updated in
+            # O(churn × K); a result without movers starts a fresh table.
             delays = self.client_server_delays.with_clients(
-                population.nodes, population.zones, churn.old_to_new
+                population.nodes, population.zones, churn.old_to_new, churn.movers_old
             )
         demands = self.config.bandwidth_model.client_target_demands(
             population.zones,

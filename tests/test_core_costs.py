@@ -131,8 +131,11 @@ class TestRefinedCostCandidates:
         rng = np.random.default_rng(4)
         zone_to_server = rng.integers(0, instance.num_servers, instance.num_zones)
         clients = rng.permutation(instance.num_clients)
-        servers, costs = refined_cost_candidates(instance, zone_to_server, clients)
+        costs = refined_cost_candidates(instance, zone_to_server, clients)
         assert len(list(row_chunks(*costs.shape))) >= 3
+        # Each client's costs follow its zone's row of the shared table.
+        matrix = instance.client_server_delays
+        servers = matrix.sorted_candidates()[instance.client_zones[clients]]
         rows = refined_cost_rows(instance, zone_to_server, clients)
         np.testing.assert_array_equal(costs, np.take_along_axis(rows, servers, axis=1))
 
@@ -152,9 +155,7 @@ class TestInitialCostAggregation:
         # The sort + reduceat segment reduction must agree exactly with the
         # np.add.at scatter-add it replaced.
         reference = np.zeros((small_instance.num_zones, small_instance.num_servers))
-        over = (
-            small_instance.client_server_delays > small_instance.delay_bound
-        ).astype(np.float64)
+        over = (small_instance.client_server_delays > small_instance.delay_bound).astype(np.float64)
         np.add.at(reference, small_instance.client_zones, over)
         np.testing.assert_array_equal(initial_cost_matrix(small_instance), reference.T)
 

@@ -55,16 +55,15 @@ class TestRegretTable:
         table_idx = np.sort(np.argsort(-items, axis=1, kind="stable")[:, :width], axis=1)
         table_val = np.take_along_axis(items, table_idx, axis=1)
         assert len(list(row_chunks(*table_val.shape))) >= 3
-        _, order = regret._table(table_idx, table_val, table_val.min(axis=1))
+        rows = np.arange(table_idx.shape[0])
+        _, order = regret._table(table_idx, rows, table_val, table_val.min(axis=1))
         np.testing.assert_array_equal(order, regret_order(desirability))
 
 
 class TestMaxRegretAssign:
     def test_prefers_most_desirable_server(self):
         desirability = np.array([[0.0, -5.0], [-3.0, 0.0]])
-        result = max_regret_assign(
-            desirability, demands=np.ones(2), capacities=np.full(2, 10.0)
-        )
+        result = max_regret_assign(desirability, demands=np.ones(2), capacities=np.full(2, 10.0))
         np.testing.assert_array_equal(result.item_to_server, [0, 1])
         assert not result.capacity_exceeded
 
@@ -127,9 +126,7 @@ class TestMaxRegretAssign:
     def test_all_items_assigned_with_ample_capacity(self):
         rng = np.random.default_rng(1)
         desirability = -rng.random((4, 20))
-        result = max_regret_assign(
-            desirability, demands=np.ones(20), capacities=np.full(4, 100.0)
-        )
+        result = max_regret_assign(desirability, demands=np.ones(20), capacities=np.full(4, 100.0))
         assert (result.item_to_server >= 0).all()
 
     def test_shape_validation(self):
@@ -150,9 +147,7 @@ class TestMaxRegretAssign:
 
     def test_bad_initial_loads_shape(self):
         with pytest.raises(ValueError):
-            max_regret_assign(
-                np.zeros((2, 1)), np.ones(1), np.ones(2), initial_loads=np.ones(3)
-            )
+            max_regret_assign(np.zeros((2, 1)), np.ones(1), np.ones(2), initial_loads=np.ones(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("recompute", [False, True])
@@ -183,7 +178,8 @@ class TestMaxRegretAssign:
     def test_non_finite_candidate_desirability_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             max_regret_assign_candidates(
-                np.array([[0, 1]]), np.array([[-1.0, bad]]), 2, np.ones(1), np.ones(2),
+                np.array([[0, 1]]), np.zeros(1, dtype=int), np.array([[-1.0, bad]]), 2,
+                np.ones(1), np.ones(2),
                 lambda items: np.zeros((items.size, 2)),
             )
 
@@ -198,14 +194,15 @@ class TestMaxRegretAssign:
         args[field][0] = bad
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             max_regret_assign_candidates(
-                np.array([[0, 1]]), np.array([[-1.0, -2.0]]), 2,
+                np.array([[0, 1]]), np.zeros(1, dtype=int), np.array([[-1.0, -2.0]]), 2,
                 row_provider=lambda items: np.zeros((items.size, 2)), **args,
             )
 
     def test_nan_floor_rejected(self):
         with pytest.raises(ValueError, match="floor"):
             max_regret_assign_candidates(
-                np.array([[0, 1]]), np.array([[-1.0, -2.0]]), 2, np.ones(1), np.ones(2),
+                np.array([[0, 1]]), np.zeros(1, dtype=int), np.array([[-1.0, -2.0]]), 2,
+                np.ones(1), np.ones(2),
                 lambda items: np.zeros((items.size, 2)), floor=np.nan,
             )
 
@@ -214,7 +211,7 @@ class TestMaxRegretAssign:
         # Both candidates are full, so the item needs the provider's full row.
         with pytest.raises(ValueError, match="finite"):
             max_regret_assign_candidates(
-                np.array([[0, 1]]), np.array([[-1.0, -2.0]]), 3, np.ones(1),
+                np.array([[0, 1]]), np.zeros(1, dtype=int), np.array([[-1.0, -2.0]]), 3, np.ones(1),
                 np.array([0.5, 0.5, 2.0]),
                 lambda items: np.array([[-1.0, -2.0, bad]]),
             )
@@ -288,9 +285,7 @@ class TestLoopOracleEquivalence:
 
     @pytest.mark.parametrize("recompute", [False, True])
     @pytest.mark.parametrize("fallback", ["least_loaded", "skip"])
-    @pytest.mark.parametrize(
-        "shape", [(1, 0), (3, 0), (1, 5), (1, 1), (4, 1)], ids=str
-    )
+    @pytest.mark.parametrize("shape", [(1, 0), (3, 0), (1, 5), (1, 1), (4, 1)], ids=str)
     def test_degenerate_shapes(self, shape, fallback, recompute):
         num_servers, num_items = shape
         rng = np.random.default_rng(7)

@@ -14,6 +14,8 @@ bound count afresh.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,8 +60,8 @@ def _fresh(matrix, bound: float) -> np.ndarray:
 def _tied_bound(matrix, rng) -> float:
     """A bound equal to some client's delay to one of its zone's candidates."""
     client = int(rng.integers(matrix.num_clients))
-    servers, delays = matrix.candidate_rows(np.array([client]))
-    return float(delays[0, int(rng.integers(servers.shape[1]))])
+    delays = matrix.candidate_rows(np.array([client]))
+    return float(delays[0, int(rng.integers(delays.shape[1]))])
 
 
 def _random_batch(population, num_zones, num_nodes, rng, leave_all, empty_zone) -> ChurnBatch:
@@ -156,7 +158,7 @@ class TestCarriedTable:
         hop = rng.random(nodes.size) < 0.3
         nodes[hop] = rng.integers(0, world.topology.num_nodes, int(hop.sum()))
         old_to_new = np.arange(matrix.num_clients)
-        moved = matrix.with_clients(nodes, matrix.client_zones, old_to_new)
+        moved = matrix.with_clients(nodes, matrix.client_zones, old_to_new, np.flatnonzero(hop))
         got = moved.over_bound_table(bound)
         np.testing.assert_array_equal(got, _scatter_reference(moved, bound))
 
@@ -173,9 +175,54 @@ class TestCarriedTable:
         nodes = np.empty_like(matrix.client_nodes)
         nodes[old_to_new] = matrix.client_nodes
         zones = rng.integers(0, matrix.num_zones, matrix.num_clients)
-        moved = matrix.with_clients(nodes, zones, old_to_new)
+        changed = np.flatnonzero(zones[old_to_new] != matrix.client_zones)
+        moved = matrix.with_clients(nodes, zones, old_to_new, changed)
         got = moved.over_bound_table(bound)
         np.testing.assert_array_equal(got, _scatter_reference(moved, bound))
+
+    def test_changed_list_with_repeats_and_leavers(self, world):
+        # Each changed client counts once, however often it is listed, and
+        # a listed client that left counts as a leaver.
+        rng = np.random.default_rng(7)
+        matrix = world.client_server_delays
+        bound = _tied_bound(matrix, rng)
+        matrix.over_bound_table(bound)
+        old_to_new = np.arange(matrix.num_clients)
+        old_to_new[::5] = -1
+        survivors = np.flatnonzero(old_to_new >= 0)
+        old_to_new[survivors] = np.arange(survivors.size)
+        zones = matrix.client_zones[survivors].copy()
+        movers = survivors[::3]
+        zones[::3] = (zones[::3] + 1) % matrix.num_zones
+        changed = np.concatenate([movers, movers, np.arange(0, matrix.num_clients, 5)])
+        moved = matrix.with_clients(matrix.client_nodes[survivors], zones, old_to_new, changed)
+        got = moved.over_bound_table(bound)
+        np.testing.assert_array_equal(got, _scatter_reference(moved, bound))
+
+    def test_result_without_movers_counts_afresh(self, world):
+        # A hand-built churn result need not list its movers; the delta then
+        # starts the new matrix without a table instead of carrying a stale one.
+        bound = world.delay_bound_ms
+        world.client_server_delays.over_bound_table(bound)
+        rng = np.random.default_rng(3)
+        num_nodes = world.topology.num_nodes
+        batch = _random_batch(world.population, world.num_zones, num_nodes, rng, False, False)
+        assert batch.move_indices.size
+        churn = dataclasses.replace(apply_churn(world.population, batch), movers_old=None)
+        matrix = world.apply_churn_delta(churn).client_server_delays
+        assert matrix._cost_table is None
+        np.testing.assert_array_equal(
+            matrix.over_bound_table(bound), _scatter_reference(matrix, bound)
+        )
+
+    def test_map_without_changers_counts_afresh(self, world):
+        matrix = world.client_server_delays
+        matrix.over_bound_table(world.delay_bound_ms)
+        old_to_new = np.arange(matrix.num_clients)
+        moved = matrix.with_clients(matrix.client_nodes, matrix.client_zones, old_to_new)
+        assert moved._cost_table is None
+        with pytest.raises(ValueError, match="changed must lie"):
+            matrix.with_clients(matrix.client_nodes, matrix.client_zones, old_to_new, [-1])
 
     def test_unread_table_is_not_carried(self, world):
         matrix = world.client_server_delays

@@ -112,9 +112,7 @@ class TestDenseBitIdentity:
         churn = apply_churn(dense_scenario.population, batch)
         delta = dense_scenario.apply_churn_delta(churn)
         rebuilt = dense_scenario.with_population(churn.population)
-        np.testing.assert_array_equal(
-            delta.client_server_delays, rebuilt.client_server_delays
-        )
+        np.testing.assert_array_equal(delta.client_server_delays, rebuilt.client_server_delays)
 
     def test_dense_accessors_mirror_fancy_indexing(self, small_instance):
         delays = small_instance.client_server_delays
@@ -124,8 +122,10 @@ class TestDenseBitIdentity:
         np.testing.assert_array_equal(
             small_instance.delay_pairs(clients, servers), delays[clients, servers]
         )
+        np.testing.assert_array_equal(small_instance.dense_client_server_delays(), delays)
+        every = np.arange(small_instance.num_clients) % small_instance.num_servers
         np.testing.assert_array_equal(
-            small_instance.dense_client_server_delays(), delays
+            small_instance.delays_to(every), delays[np.arange(delays.shape[0]), every]
         )
 
 
@@ -149,9 +149,7 @@ class TestCompactDelayMatrix:
         servers = np.array([1, 0, 3, 3])
         np.testing.assert_array_equal(delays.rows(clients), dense[clients])
         np.testing.assert_array_equal(delays.rows(3), dense[3])
-        np.testing.assert_array_equal(
-            delays.pairs(clients, servers), dense[clients, servers]
-        )
+        np.testing.assert_array_equal(delays.pairs(clients, servers), dense[clients, servers])
         np.testing.assert_array_equal(delays.pairs(5, 2), dense[5, 2])
 
     @pytest.mark.parametrize("bad", [-1, "m"])
@@ -333,10 +331,8 @@ class TestRowChunkedGathers:
         delays = wide_sparse.client_server_delays
         # Shuffled, with repeats: chunk boundaries fall mid-zone.
         clients = np.random.default_rng(1).integers(0, delays.num_clients, delays.num_clients)
-        servers, got = delays.candidate_rows(clients)
-        np.testing.assert_array_equal(
-            servers, delays.sorted_candidates()[delays.client_zones[clients]]
-        )
+        got = delays.candidate_rows(clients)
+        servers = delays.sorted_candidates()[delays.client_zones[clients]]
         np.testing.assert_array_equal(
             got, delays.node_server[delays.client_nodes[clients][:, None], servers]
         )
@@ -349,18 +345,21 @@ class TestRowChunkedGathers:
         per_client = clients % delays.num_servers
         # The local-search zone move: a zone's members against one server.
         np.testing.assert_array_equal(delays.pairs(clients, 7), dense[clients, 7])
-        np.testing.assert_array_equal(
-            delays.pairs(clients, np.int64(7)), dense[clients, 7]
-        )
+        np.testing.assert_array_equal(delays.pairs(clients, np.int64(7)), dense[clients, 7])
         np.testing.assert_array_equal(delays.pairs(3, servers), dense[3, servers])
         assert delays.pairs(np.int64(3), np.int64(5)) == dense[3, 5]
-        np.testing.assert_array_equal(
-            delays.pairs(clients, per_client), dense[clients, per_client]
-        )
+        np.testing.assert_array_equal(delays.pairs(clients, per_client), dense[clients, per_client])
         np.testing.assert_array_equal(
             delays.pairs(clients[:40, None], servers[None, :]),
             dense[clients[:40, None], servers[None, :]],
         )
+        # The whole population, one server per client (GreC's direct delays).
+        np.testing.assert_array_equal(delays.delays_to(per_client), dense[clients, per_client])
+        np.testing.assert_array_equal(wide_sparse.delays_to(per_client), dense[clients, per_client])
+        with pytest.raises(ValueError, match="shape"):
+            delays.delays_to(per_client[:-1])
+        with pytest.raises(IndexError, match="out of range"):
+            delays.delays_to(per_client - 1)
 
     def test_zone_over_bound_counts_across_chunks(self):
         rng = np.random.default_rng(3)
@@ -438,9 +437,12 @@ class TestSolvers:
 class TestCompactDeltas:
     def test_apply_delta_raises_on_compact(self, sparse_scenario):
         instance = CAPInstance.from_scenario(sparse_scenario)
-        with pytest.raises(TypeError):
+        # A well-formed delta: only the compact guard can raise.
+        old_to_new = np.full(instance.num_clients, -1)
+        old_to_new[:5] = np.arange(5)
+        with pytest.raises(TypeError, match="dense delay rows"):
             instance.apply_delta(
-                survivor_indices=np.arange(5),
+                old_to_new=old_to_new,
                 join_delays=np.zeros((0, instance.num_servers)),
                 client_zones=instance.client_zones[:5],
                 client_demands=instance.client_demands[:5],
@@ -486,9 +488,7 @@ class TestCompactDeltas:
         old = scenario.client_server_delays
         new = moved.client_server_delays
         np.testing.assert_array_equal(new.toarray(), old.toarray())
-        np.testing.assert_array_equal(
-            moved.server_server_delays, scenario.server_server_delays
-        )
+        np.testing.assert_array_equal(moved.server_server_delays, scenario.server_server_delays)
 
 
 # ---------------------------------------------------------------------- #

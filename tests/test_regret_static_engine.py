@@ -3,6 +3,10 @@
 * :func:`max_regret_assign_candidates` equals :func:`max_regret_assign` on the
   implied full matrix, including items whose whole candidate list runs out
   of capacity and fall through to ``row_provider`` rows.
+* Items that share one candidate row (GreC's needy clients reading their
+  zone's row) place as the loop oracle and the per-item form do, under both
+  dominance contracts; bad row indices and unsorted rows (also rows no item
+  reads) are rejected.
 * The sequential walk equals the per-item loop oracle
   (``tests/reference/regret_loop.py``), under both
   fallbacks: on large capacity-tight instances (demands spanning 1e-3..1e8,
@@ -44,9 +48,7 @@ FALLBACKS = ("least_loaded", "skip")
 
 def pinned(max_examples: int) -> settings:
     """Seed-pinned hypothesis settings: the same examples on every run."""
-    return settings(
-        derandomize=True, deadline=None, database=None, max_examples=max_examples
-    )
+    return settings(derandomize=True, deadline=None, database=None, max_examples=max_examples)
 
 
 def _assert_same(result, expected):
@@ -81,9 +83,7 @@ def _candidate_problem(seed: int):
     num_servers = int(rng.integers(3, 40))
     num_items = int(rng.integers(1, 300))
     width = int(rng.integers(2, num_servers))
-    cand_idx = np.sort(
-        np.argsort(rng.random((num_items, num_servers)), axis=1)[:, :width], axis=1
-    )
+    cand_idx = np.sort(np.argsort(rng.random((num_items, num_servers)), axis=1)[:, :width], axis=1)
     cand_val = -np.round(rng.random((num_items, width)) * 10.0, int(rng.integers(0, 3)))
     # Unlisted servers sit strictly below every listed value (GreC's
     # sentinel-cost floor), with ties among themselves.
@@ -99,16 +99,19 @@ def _candidate_problem(seed: int):
 
 
 def _run_candidates(
-    cand_idx, cand_val, desirability, demands, capacities, loads, fallback, **kwargs
+    cand_idx, cand_val, desirability, demands, capacities, loads, fallback, item_rows=None, **kwargs
 ):
+    """The candidate entry point; ``item_rows`` defaults to one table row per item."""
     calls = []
 
     def rows(items):
         calls.append(items.size)
         return desirability[:, items].T.copy()
 
+    if item_rows is None:
+        item_rows = np.arange(cand_val.shape[0])
     result = max_regret_assign_candidates(
-        cand_idx, cand_val, desirability.shape[0], demands, capacities, rows,
+        cand_idx, item_rows, cand_val, desirability.shape[0], demands, capacities, rows,
         initial_loads=loads, fallback=fallback, **kwargs,
     )
     return result, calls
@@ -144,11 +147,109 @@ class TestCandidateEntryPoint:
         full = max_regret_assign_loop(des, demands, capacities, fallback=fallback)
         _assert_same(result, full)
 
-    def test_rejects_unsorted_candidates(self):
+    @pytest.mark.parametrize(
+        "table",
+        [np.array([[1, 0], [0, 1]]), np.array([[0, 1], [2, 2]])],
+        ids=["read-row", "unread-row"],
+    )
+    def test_rejects_unsorted_candidates(self, table):
+        # Every row is checked, also one that no item reads.
         with pytest.raises(ValueError, match="strictly increasing"):
             max_regret_assign_candidates(
-                np.array([[1, 0]]), np.zeros((1, 2)), 2, np.ones(1), np.ones(2),
-                lambda items: np.zeros((items.size, 2)),
+                table, np.zeros(2, dtype=int), np.zeros((2, 2)), 3, np.ones(2), np.ones(3),
+                lambda items: np.zeros((items.size, 3)),
+            )
+
+
+# ---------------------------------------------------------------------- #
+# Shared candidate rows: many items reach one row of the table (GreC's shape).
+# ---------------------------------------------------------------------- #
+def _shared_table_problem(seed: int, strict: bool):
+    """Items that share a few candidate rows, under either dominance contract.
+
+    Strict (GreC): every unlisted server sits strictly below every listed
+    one, floor ``-inf``.  Non-strict (GreZ): every unlisted server sits
+    exactly at the item's floor, which some listed values tie.  Capacities
+    are tight enough that whole rows fill up and items fall through to the
+    row provider.
+    """
+    rng = np.random.default_rng(seed)
+    num_servers = int(rng.integers(3, 40))
+    num_rows = int(rng.integers(1, 6))
+    num_items = int(rng.integers(1, 300))
+    width = int(rng.integers(2, num_servers))
+    table = np.sort(np.argsort(rng.random((num_rows, num_servers)), axis=1)[:, :width], axis=1)
+    item_rows = rng.integers(0, num_rows, num_items)
+    if strict:
+        floor = np.full(num_items, -np.inf)
+        cand_val = -rng.integers(0, 5, (num_items, width)).astype(float)
+        desirability = -1e6 - rng.integers(0, 3, (num_servers, num_items)).astype(float)
+    else:
+        floor = -rng.integers(5, 9, num_items).astype(float)
+        cand_val = floor[:, None] + rng.integers(0, 4, (num_items, width))
+        desirability = np.broadcast_to(floor, (num_servers, num_items)).copy()
+    desirability[table[item_rows], np.arange(num_items)[:, None]] = cand_val
+    demands = rng.uniform(0.5, 2.0, num_items)
+    capacities = rng.random(num_servers) * demands.sum() * 1.5 / num_servers + 0.1
+    initial_loads = rng.random(num_servers) * capacities * float(rng.choice([0.0, 0.5]))
+    return table, item_rows, cand_val, floor, desirability, demands, capacities, initial_loads
+
+
+class TestSharedCandidateRows:
+    @pinned(60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        strict=st.booleans(),
+        fallback=st.sampled_from(FALLBACKS),
+    )
+    def test_matches_loop_and_per_item_rows(self, seed, strict, fallback):
+        table, item_rows, cand_val, floor, des, demands, capacities, loads = (
+            _shared_table_problem(seed, strict)
+        )
+        args = (des, demands, capacities, loads, fallback)
+        shared, _ = _run_candidates(table, cand_val, *args, item_rows=item_rows, floor=floor)
+        expected = max_regret_assign_loop(
+            des, demands, capacities, initial_loads=loads, fallback=fallback
+        )
+        _assert_same(shared, expected)
+        # The per-item form: each item's row copied out of the shared table.
+        per_item, _ = _run_candidates(table[item_rows], cand_val, *args, floor=floor)
+        _assert_same(shared, per_item)
+
+    def test_many_items_share_one_row(self):
+        # 200 items on one 3-server row that holds a few of them: the rest
+        # fall through to the row provider.
+        rng = np.random.default_rng(0)
+        num_servers, num_items = 8, 200
+        table = np.array([[1, 4, 6]])
+        cand_val = -rng.integers(0, 5, (num_items, 3)).astype(float)
+        des = -1e6 - rng.integers(0, 3, (num_servers, num_items)).astype(float)
+        des[table[0]] = cand_val.T
+        demands = rng.uniform(0.5, 2.0, num_items)
+        capacities = np.full(num_servers, demands.sum() / num_servers)
+        result, calls = _run_candidates(
+            table, cand_val, des, demands, capacities, None, "skip",
+            item_rows=np.zeros(num_items, dtype=np.int64),
+        )
+        assert calls
+        _assert_same(result, max_regret_assign_loop(des, demands, capacities, fallback="skip"))
+
+    @pytest.mark.parametrize(
+        "item_rows",
+        [
+            np.array([0, 2]),
+            np.array([0, -1]),
+            np.array([0]),
+            np.array([[0, 1]]),
+            np.array([0.0, 1.0]),
+        ],
+        ids=["past-end", "negative", "too-short", "two-d", "float"],
+    )
+    def test_bad_row_index_rejected(self, item_rows):
+        with pytest.raises(ValueError, match="item_rows"):
+            max_regret_assign_candidates(
+                np.array([[0, 1], [1, 2]]), item_rows, np.zeros((2, 2)), 3, np.ones(2),
+                np.ones(3), lambda items: np.zeros((items.size, 3)),
             )
 
 
@@ -298,9 +399,7 @@ class TestStaticWalk:
         capacities = rng.uniform(0.5, 3.0, num_servers)
         capacities[:2] = 2.5
         cand_val = np.take_along_axis(desirability.T, cand_idx, axis=1)
-        with mock.patch.object(
-            regret, "_full_scan_one", wraps=regret._full_scan_one
-        ) as full_scan:
+        with mock.patch.object(regret, "_full_scan_one", wraps=regret._full_scan_one) as full_scan:
             result, _ = _run_candidates(
                 cand_idx, cand_val, desirability, demands, capacities, None, fallback, floor=floor
             )

@@ -7,11 +7,15 @@ makes full-size temporaries: the cost table's counts and their product are
 made once per chunk of zone rows, and the candidate gathers, the mesh leg
 and the regret partition run in row chunks.  This guard keeps it so: the
 tracemalloc peak above the baseline of a warm solve must stay under
-:data:`PEAK_BOUND_MIB`.  With the full-size temporaries it measured
-16.8 MiB; without them 12.27 MiB, and the bound is that value plus 5 %
-(tracemalloc counts, Python 3.11, numpy 2.4).  The peak is GreC's: since
-GreZ stopped building its zones x servers table, a warm GreZ alone peaks at
-2.01 MiB (11.85 MiB before), and the solve's peak stayed 12.27 MiB.
+:data:`PEAK_BOUND_MIB`, the measured peak plus 5 % (tracemalloc counts,
+Python 3.11, numpy 2.4).  With the full-size temporaries it measured
+16.8 MiB, and without them 12.27 MiB.  Since GreZ stopped building its
+zones x servers table, a warm GreZ alone peaks at 2.01 MiB (11.85 MiB
+before), so the peak is GreC's.  GreC's pass now keeps one per-needy-client
+table, the float64 candidate costs: it reads the candidate server ids from
+the matrix's shared zones x K table instead of copying them per client, and
+gathers the whole population's direct delays without index copies.  That
+took the peak from 12.27 to 7.25 MiB.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import tracemalloc
 
 from repro.core.two_phase import solve_cap
 
-#: 12.27 MiB measured, plus 5 %.
-PEAK_BOUND_MIB = 12.88
+#: 7.25 MiB measured, plus 5 %.
+PEAK_BOUND_MIB = 7.61
 
 
 def test_sparse_100k_solve_peak_stays_under_bound(sparse_100k_instance):
