@@ -6,9 +6,9 @@ re-execution migrates zones between servers — an operationally disruptive,
 bandwidth-hungry event.  This example runs the churn engine
 (:class:`repro.dynamics.ChurnSimulator`) under several
 :class:`repro.dynamics.RebalancePolicy` triggers to compare them over a
-sustained churn workload, and finishes with a local-search refinement pass
-(:func:`repro.core.refine_assignment`) to show how much headroom is left
-beyond the one-pass greedy heuristic.
+sustained churn workload, and finishes with the sweep refiner
+(:func:`repro.core.warm_start_refine`, zone and contact moves) to show how
+much headroom is left beyond the one-pass greedy heuristic.
 
 Run with:  python examples/rebalancing_policies.py
 """
@@ -16,7 +16,7 @@ Run with:  python examples/rebalancing_policies.py
 from __future__ import annotations
 
 from repro import CAPInstance, DVEConfig, build_scenario, solve_cap
-from repro.core import refine_assignment
+from repro.core import warm_start_refine
 from repro.dynamics import ChurnSimulator, ChurnSpec, RebalancePolicy
 from repro.io.ascii_plot import sparkline
 from repro.io.tables import format_table
@@ -86,7 +86,7 @@ def local_search_headroom() -> None:
     rows = []
     for algorithm in ("ranz-virc", "grez-virc", "grez-grec"):
         start = solve_cap(instance, algorithm, seed=0)
-        refined = refine_assignment(instance, start, max_iterations=60)
+        refined = warm_start_refine(instance, start, max_iterations=60, consider_zone_moves=True)
         rows.append(
             [
                 algorithm,

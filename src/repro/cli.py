@@ -122,7 +122,7 @@ def _weights_type(value: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {value!r}"
         ) from None
-    if not weights or any(w <= 0 for w in weights):
+    if not weights or any(not w > 0 for w in weights):
         raise argparse.ArgumentTypeError("every shard weight must be positive")
     return weights
 
@@ -133,7 +133,7 @@ def _non_negative_float(value: str) -> float:
         parsed = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from None
-    if parsed < 0:
+    if not parsed >= 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return parsed
 

@@ -54,7 +54,7 @@ from repro.core.two_phase import (
     TwoPhaseAlgorithm,
     solve_cap,
 )
-from repro.core.local_search import LocalSearchResult, refine_assignment, warm_start_refine
+from repro.core.local_search import LocalSearchResult, warm_start_refine
 from repro.core.validation import ValidationReport, Violation, validate_assignment
 from repro.core.variants import (
     assign_contacts_first_fit,
@@ -101,7 +101,6 @@ __all__ = [
     "assign_contacts_first_fit",
     "register_variant_solvers",
     "LocalSearchResult",
-    "refine_assignment",
     "warm_start_refine",
     "get_solver",
     "register_solver",

@@ -2,14 +2,13 @@
 
 The paper stops at the one-pass greedy heuristics and notes that better
 solutions are possible when time allows.  This module implements the natural
-next step: a capacity-respecting hill-climbing pass over a complete
-:class:`~repro.core.assignment.Assignment` that repeatedly applies the best
-improving move until no move improves the objective (or an iteration budget is
+next step: :func:`warm_start_refine`, a capacity-respecting sweep refiner over
+a complete :class:`~repro.core.assignment.Assignment` that applies batches of
+improving moves until a sweep applies nothing (or an iteration budget is
 exhausted).  Two move types are considered:
 
-* **zone move** — re-host one zone on a different server (changing the target
-  server of all its clients, whose contact servers are then re-derived with
-  the GreC rule for the affected clients);
+* **zone move** — re-host one zone on a different server (all its clients
+  then connect directly to the new host, the GreC base case);
 * **contact move** — switch one client's contact server.
 
 The objective mirrors the paper's: primarily maximise the number of clients
@@ -17,22 +16,17 @@ with QoS, secondarily minimise the total excess delay of the clients without
 QoS (so progress is visible even when a single move cannot flip a client
 across the bound).
 
-The search evaluates the whole zone-move neighbourhood with NumPy
-delta-cost matrices — one ``(zones, servers)`` objective matrix and one
-feasibility matrix per sweep — and the contact-move neighbourhood with one
-``(over-bound clients, servers)`` matrix, so a full improvement sweep is a
-handful of array operations.  The nested Python scan that specifies the
-move-acceptance semantics is kept as a test-only oracle
-(``tests/reference/local_search_loop.py``); the test suite checks that both
-apply the same moves on small and generated instances.
-
-The warm-start zone-move sweep (:func:`_repair_zones_sweep`) scores only the
-zones that have a member over the delay bound.  That is exact: a zone whose
-members all meet the bound cannot gain QoS from a move and has no excess to
-shed, so it is never an improving move.  A sweep's setup is then O(clients)
-plus O(over-bound zones' members × servers) instead of O(clients ×
-servers).  The score-every-zone sweep is kept as a test-only oracle
-(``tests/reference/zone_sweep_full.py``).
+Each sweep scores its neighbourhood with NumPy delta-cost matrices — one
+``(over-bound zones, servers)`` objective matrix for zone moves and one
+``(over-bound clients, servers)`` matrix for contact moves — so a sweep is a
+handful of array operations.  The zone-move sweep
+(:func:`_repair_zones_sweep`) scores only the zones that have a member over
+the delay bound.  That is exact: a zone whose members all meet the bound
+cannot gain QoS from a move and has no excess to shed, so it is never an
+improving move.  A sweep's setup is then O(clients) plus O(over-bound zones'
+members × servers) instead of O(clients × servers).  Both sweeps have a
+frozen test-only oracle: ``tests/reference/zone_sweep_full.py`` scores every
+zone and ``tests/reference/contact_sweep_full.py`` rescans every client.
 """
 
 from __future__ import annotations
@@ -50,7 +44,7 @@ from repro.utils.distinct import sorted_distinct
 from repro.utils.scatter import scatter_add_2d
 from repro.utils.timing import Timer
 
-__all__ = ["LocalSearchResult", "refine_assignment", "warm_start_refine"]
+__all__ = ["LocalSearchResult", "warm_start_refine"]
 
 #: Capacity slack used by every feasibility check (matches the heuristics).
 _CAP_EPS = 1e-9
@@ -63,7 +57,7 @@ class LocalSearchResult:
     Attributes
     ----------
     assignment:
-        The refined assignment (algorithm name suffixed with ``+ls``).
+        The refined assignment (algorithm name suffixed with ``+ws``).
     iterations:
         Number of improving moves applied.
     initial_pqos / final_pqos:
@@ -79,9 +73,6 @@ class LocalSearchResult:
     runtime_seconds: float
 
 
-# --------------------------------------------------------------------------- #
-# Best-move search — delta-cost matrices instead of nested scans.
-# --------------------------------------------------------------------------- #
 def _zone_move_aggregates(
     instance: CAPInstance,
     members: Optional[np.ndarray] = None,
@@ -97,239 +88,30 @@ def _zone_move_aggregates(
     server, the count of members whose direct delay meets the bound and the
     sum of their excess ``max(direct - bound, 0)``.
 
-    By default every zone is a row (row = zone id).  Given ``members``
-    (ascending client ids) and ``member_rows`` (each member's row in
-    ``[0, num_rows)``), only those rows are built, from a ``(members,
-    servers)`` gather — the zone-move sweep passes the zones that have a
-    member over the bound, since no other zone can gain from a move.  The
-    sums are flat ``np.bincount`` scatter-adds (:func:`scatter_add_2d`): each
-    cell adds its members in ascending client order from ``0.0``, so a row
-    is bit-identical to the same zone's row of the every-zone build.
+    Dense delay sources pass ``members`` (ascending client ids) and
+    ``member_rows`` (each member's row in ``[0, num_rows)``); only those rows
+    are built, from a ``(members, servers)`` gather — the zone-move sweep
+    passes the zones that have a member over the bound, since no other zone
+    can gain from a move.  The sums are flat ``np.bincount`` scatter-adds
+    (:func:`scatter_add_2d`): each cell adds its members in ascending client
+    order from ``0.0``, so a row is bit-identical to the same zone's row of
+    an every-zone build.
 
-    Compact delay sources take the node-space fast path for every zone (a
-    different summation order, so a row subset is sliced from it rather
-    than gathered); they accept no ``members``.
+    Compact delay sources pass no ``members`` and take the node-space fast
+    path for every zone (row = zone id; a different summation order, so a
+    row subset is sliced from it rather than gathered).
     """
     bound = instance.delay_bound
     self_delays = np.diag(instance.server_server_delays)
     if members is None:
-        if not instance.has_dense_delays:
-            return instance.client_server_delays.zone_direct_aggregates(
-                bound, instance.client_zones, instance.num_zones, self_delays
-            )
-        member_delays = instance.client_server_delays
-        member_rows, num_rows = instance.client_zones, instance.num_zones
-    else:
-        member_delays = instance.delay_rows(members)
-    direct = member_delays + self_delays[None, :]
+        return instance.client_server_delays.zone_direct_aggregates(
+            bound, instance.client_zones, instance.num_zones, self_delays
+        )
+    direct = instance.delay_rows(members) + self_delays[None, :]
     shape = (num_rows, instance.num_servers)
     within_matrix = scatter_add_2d(shape, member_rows, direct <= bound)
     excess_matrix = scatter_add_2d(shape, member_rows, np.maximum(direct - bound, 0.0))
     return within_matrix, excess_matrix
-
-
-def _best_zone_move(
-    instance: CAPInstance,
-    zone_to_server: np.ndarray,
-    contacts: np.ndarray,
-    loads: np.ndarray,
-    within: np.ndarray,
-    excess_vec: np.ndarray,
-    qos_count: int,
-    excess_total: float,
-    within_matrix: np.ndarray,
-    excess_matrix: np.ndarray,
-) -> Optional[Tuple[int, float, int, int]]:
-    """Best improving zone move as ``(qos, excess, zone, server)``, or None.
-
-    Mirrors the nested scan exactly: a move is improving when its objective
-    strictly beats the current one, and ties between improving moves resolve
-    to the first in (zone-major, server-minor) order because later candidates
-    must *strictly* beat the incumbent.
-    """
-    num_zones, num_servers = instance.num_zones, instance.num_servers
-    if num_zones == 0 or num_servers == 0:
-        return None
-    zones_of = instance.client_zones
-    capacities = instance.server_capacities
-    zone_demands = instance.zone_demands()
-    old_servers = zone_to_server
-
-    # Objective after moving zone j to server s, via per-zone deltas:
-    # members reconnect directly, everyone else's delay is unchanged.
-    within_current = np.bincount(zones_of, weights=within.astype(np.float64), minlength=num_zones)
-    excess_current = np.bincount(zones_of, weights=excess_vec, minlength=num_zones)
-    qos_after = qos_count - within_current[:, None] + within_matrix
-    excess_after = excess_total - excess_current[:, None] + excess_matrix
-
-    # Load after the move: the zone's demand migrates from its old host to s
-    # and the forwarding overhead of its currently-forwarded members vanishes
-    # (they reconnect directly to the new host).
-    targets = old_servers[zones_of]
-    forwarded = contacts != targets
-    forwarding_released = scatter_add_2d(
-        (num_zones, num_servers),
-        zones_of[forwarded],
-        2.0 * instance.client_demands[forwarded],
-        cols=contacts[forwarded],
-    )
-    trial_base = loads[None, :] - forwarding_released
-    trial_base[np.arange(num_zones), old_servers] -= zone_demands
-
-    # Full feasibility: every server must end within capacity.  Servers other
-    # than the destination only ever lose load, but a pre-existing overload
-    # elsewhere still vetoes the move (as in the nested scan's trial check).
-    over_matrix = trial_base > capacities[None, :] + _CAP_EPS
-    over_elsewhere = over_matrix.sum(axis=1)[:, None] - over_matrix
-    feasible = over_elsewhere == 0
-    feasible &= trial_base + zone_demands[:, None] <= capacities[None, :] + _CAP_EPS
-    # The nested scan's cheap pre-check uses the *unreduced* loads; keep it so the
-    # accepted move set is identical.
-    feasible &= loads[None, :] + zone_demands[:, None] <= capacities[None, :] + _CAP_EPS
-    feasible[np.arange(num_zones), old_servers] = False
-    feasible[instance.zone_populations() == 0, :] = False
-
-    improving = feasible & (
-        (qos_after > qos_count) | ((qos_after == qos_count) & (excess_after < excess_total))
-    )
-    if not improving.any():
-        return None
-    qos_masked = np.where(improving, qos_after, -np.inf)
-    best_qos = qos_masked.max()
-    excess_masked = np.where(improving & (qos_after == best_qos), excess_after, np.inf)
-    best_excess = excess_masked.min()
-    flat = int(np.flatnonzero((qos_masked == best_qos) & (excess_masked == best_excess))[0])
-    zone, server = divmod(flat, num_servers)
-    return int(best_qos), float(best_excess), int(zone), int(server)
-
-
-def _best_contact_move(
-    instance: CAPInstance,
-    zone_to_server: np.ndarray,
-    contacts: np.ndarray,
-    loads: np.ndarray,
-    delays: np.ndarray,
-    excess_vec: np.ndarray,
-    qos_count: int,
-    excess_total: float,
-    incumbent: Optional[Tuple[int, float]],
-) -> Optional[Tuple[int, float, int, int]]:
-    """Best improving contact move as ``(qos, excess, client, server)``, or None.
-
-    Per the nested-scan semantics each over-bound client contributes exactly one
-    candidate — its delay-wise best feasible server other than its current
-    contact — and a candidate must strictly beat both the current objective
-    and the incumbent (the best zone move, then earlier clients).
-    """
-    over_clients = np.flatnonzero(delays > instance.delay_bound)
-    if over_clients.size == 0:
-        return None
-    num_servers = instance.num_servers
-    capacities = instance.server_capacities
-    targets = zone_to_server[instance.client_zones][over_clients]
-    demands = instance.client_demands[over_clients]
-    rows = np.arange(over_clients.size)
-
-    # options[c, s] = d(c, s) + d(s, target_c); forwarding costs 2·RT(c) at s
-    # unless s already is the target.
-    options = instance.delay_rows(over_clients) + instance.server_server_delays.T[targets]
-    extra = 2.0 * demands[:, None] * (np.arange(num_servers)[None, :] != targets[:, None])
-    feasible = loads[None, :] + extra <= capacities[None, :] + _CAP_EPS
-    feasible[rows, contacts[over_clients]] = False  # staying put is not a move
-
-    order = np.argsort(options, axis=1, kind="stable")
-    feasible_sorted = np.take_along_axis(feasible, order, axis=1)
-    has_candidate = feasible_sorted.any(axis=1)
-    first = feasible_sorted.argmax(axis=1)
-    chosen = order[rows, first]
-    new_delay = options[rows, chosen]
-
-    qos_after = qos_count + (new_delay <= instance.delay_bound)
-    excess_after = (
-        excess_total
-        - excess_vec[over_clients]
-        + np.maximum(new_delay - instance.delay_bound, 0.0)
-    )
-    valid = has_candidate & (
-        (qos_after > qos_count) | ((qos_after == qos_count) & (excess_after < excess_total))
-    )
-    if incumbent is not None:
-        inc_qos, inc_excess = incumbent
-        valid &= (qos_after > inc_qos) | ((qos_after == inc_qos) & (excess_after < inc_excess))
-    if not valid.any():
-        return None
-    qos_masked = np.where(valid, qos_after, -np.inf)
-    best_qos = qos_masked.max()
-    excess_masked = np.where(valid & (qos_after == best_qos), excess_after, np.inf)
-    best_excess = excess_masked.min()
-    row = int(np.flatnonzero((qos_masked == best_qos) & (excess_masked == best_excess))[0])
-    return int(best_qos), float(best_excess), int(over_clients[row]), int(chosen[row])
-
-
-def _refine_vectorized(
-    instance: CAPInstance,
-    zone_to_server: np.ndarray,
-    contacts: np.ndarray,
-    max_iterations: int,
-    consider_zone_moves: bool,
-    consider_contact_moves: bool,
-) -> int:
-    """Delta-cost-matrix hill climber; mutates the arrays in place."""
-    zones_of = instance.client_zones
-    bound = instance.delay_bound
-    # Members of a moved zone always connect directly to the new host.
-    within_matrix, excess_matrix = _zone_move_aggregates(instance)
-
-    iterations = 0
-    for _ in range(max_iterations):
-        delays = delays_to_targets(instance, zone_to_server, contacts)
-        within = delays <= bound
-        excess_vec = np.maximum(delays - bound, 0.0)
-        qos_count = int(within.sum())
-        excess_total = float(excess_vec.sum())
-        loads = server_loads(instance, zone_to_server, contacts)
-
-        best = None  # (qos, excess, kind, index, server)
-        if consider_zone_moves:
-            move = _best_zone_move(
-                instance,
-                zone_to_server,
-                contacts,
-                loads,
-                within,
-                excess_vec,
-                qos_count,
-                excess_total,
-                within_matrix,
-                excess_matrix,
-            )
-            if move is not None:
-                best = (move[0], move[1], "zone", move[2], move[3])
-        if consider_contact_moves:
-            move = _best_contact_move(
-                instance,
-                zone_to_server,
-                contacts,
-                loads,
-                delays,
-                excess_vec,
-                qos_count,
-                excess_total,
-                incumbent=None if best is None else (best[0], best[1]),
-            )
-            if move is not None:
-                best = (move[0], move[1], "contact", move[2], move[3])
-
-        if best is None:
-            break
-        _, _, kind, index, server = best
-        if kind == "zone":
-            zone_to_server[index] = server
-            contacts[zones_of == index] = server
-        else:
-            contacts[index] = server
-        iterations += 1
-    return iterations
 
 
 def _repair_contacts_sweep(
@@ -351,13 +133,12 @@ def _repair_contacts_sweep(
     resolves capacity contention per destination server with a prefix sum in
     client order (later claimants that would overflow wait for the next
     sweep, when the loads they freed elsewhere are also visible).  Sweeps
-    repeat until one applies nothing.  Unlike the best-first
-    :func:`refine_assignment` this does not pick the globally best move per
-    round — it trades that for O(sweeps) vectorised scans instead of
+    repeat until one applies nothing.  The sweep does not pick the globally
+    best move per round: it runs O(sweeps) vectorised scans instead of
     O(moves), which is what makes the per-epoch repair cost of a
     longitudinal simulation proportional to the churn, not to the
-    population.  The objective still never worsens: every
-    applied move strictly reduces its client's delay.
+    population.  The objective never worsens: every applied move strictly
+    reduces its client's delay.
     """
     zones_of = instance.client_zones
     bound = instance.delay_bound
@@ -586,8 +367,7 @@ def warm_start_refine(
     small churn only the handful of clients pushed over the bound are
     scanned and the repair costs roughly O(changed clients × servers) — the
     cheap alternative to re-executing the two-phase algorithm from scratch.
-    The move order is greedy per zone / client rather than the globally
-    best-first order of :func:`refine_assignment`.
+    The move order is greedy per zone / client, not globally best-first.
 
     Zone moves are off by default (re-hosting a zone is the expensive
     neighbourhood and, without infrastructure churn, rarely pays off for
@@ -642,67 +422,5 @@ def warm_start_refine(
         iterations=iterations,
         initial_pqos=initial_pqos,
         final_pqos=measured_pqos(refined, instance),
-        runtime_seconds=timer.elapsed,
-    )
-
-
-def refine_assignment(
-    instance: CAPInstance,
-    assignment: Assignment,
-    max_iterations: int = 200,
-    consider_zone_moves: bool = True,
-    consider_contact_moves: bool = True,
-) -> LocalSearchResult:
-    """Hill-climb an assignment with zone-move and contact-move neighbourhoods.
-
-    The search is greedy (best improving move each round), respects server
-    capacities at every step and never worsens the objective; the returned
-    assignment is therefore at least as good as the input.
-
-    Parameters
-    ----------
-    instance:
-        The problem instance (true delays).
-    assignment:
-        A complete, capacity-feasible starting solution.
-    max_iterations:
-        Upper bound on the number of applied moves.
-    consider_zone_moves / consider_contact_moves:
-        Restrict the neighbourhood (used by the ablation study to attribute
-        improvements to one move type).
-
-    Each sweep is evaluated with NumPy delta-cost matrices.  Objective deltas
-    are accumulated in a different floating-point order than the nested-scan
-    oracle's full recomputation, so the two can in principle break an exact
-    tie differently; both always return a move-wise local optimum of the same
-    neighbourhood.
-    """
-    zone_to_server = assignment.zone_to_server.copy()
-    contacts = assignment.contact_of_client.copy()
-    initial_pqos = assignment.pqos(instance)
-
-    with Timer() as timer:
-        iterations = _refine_vectorized(
-            instance,
-            zone_to_server,
-            contacts,
-            max_iterations,
-            consider_zone_moves,
-            consider_contact_moves,
-        )
-
-    refined = Assignment(
-        zone_to_server=zone_to_server,
-        contact_of_client=contacts,
-        algorithm=f"{assignment.algorithm}+ls",
-        capacity_exceeded=assignment.capacity_exceeded,
-        runtime_seconds=assignment.runtime_seconds + timer.elapsed,
-        metadata={**assignment.metadata, "local_search_iterations": iterations},
-    )
-    return LocalSearchResult(
-        assignment=refined,
-        iterations=iterations,
-        initial_pqos=initial_pqos,
-        final_pqos=refined.pqos(instance),
         runtime_seconds=timer.elapsed,
     )

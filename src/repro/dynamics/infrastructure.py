@@ -76,7 +76,7 @@ class ServerChurnSpec:
     def __post_init__(self) -> None:
         if self.num_joins < 0 or self.num_leaves < 0:
             raise ValueError("num_joins and num_leaves must be non-negative")
-        if self.capacity_drift < 0:
+        if not self.capacity_drift >= 0:
             raise ValueError("capacity_drift must be non-negative")
         if self.join_capacity_mbps <= 0:
             raise ValueError("join_capacity_mbps must be positive")

@@ -88,7 +88,7 @@ class MigrationCostModel:
 
     def __post_init__(self) -> None:
         for name in ("cost_per_client", "freeze_ms_per_client", "freeze_ms_per_zone"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
 
     def charge(self, zones_migrated: int, clients_migrated: int) -> MigrationCharge:

@@ -273,7 +273,7 @@ class PolicySchedule:
             raise ValueError(f"unknown action {self.action!r}; expected one of {POLICY_ACTIONS}")
         if self.period < 0:
             raise ValueError("period must be >= 0")
-        if self.migration_budget < 0:
+        if not self.migration_budget >= 0:
             raise ValueError("migration_budget must be >= 0")
 
     def action_for_epoch(self, epoch: int) -> str:
@@ -340,11 +340,11 @@ class RebalancePolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.target_pqos <= 1.0:
             raise ValueError("target_pqos must lie in (0, 1]")
-        if self.repair_slack < 0 or self.accept_repair_if_within < 0:
+        if not (self.repair_slack >= 0 and self.accept_repair_if_within >= 0):
             raise ValueError("slack values must be non-negative")
         if self.full_rebalance_every < 0:
             raise ValueError("full_rebalance_every must be >= 0")
-        if self.max_migration_cost_per_epoch < 0:
+        if not self.max_migration_cost_per_epoch >= 0:
             raise ValueError("max_migration_cost_per_epoch must be >= 0")
 
     @property

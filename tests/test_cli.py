@@ -227,6 +227,14 @@ class TestSimulateCommand:
             main(["simulate", "--server-churn", "1:2:3:4"])
         with pytest.raises(SystemExit):
             main(["simulate", "--migration-cost", "-1"])
+        for flag, value in (
+            ("--migration-cost", "nan"),
+            ("--migration-budget", "nan"),
+            ("--server-churn", "1:1:nan"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", *self.SMALL, flag, value])
+            assert exc.value.code == 2
 
     def test_simulate_rejects_bad_epochs(self, capsys):
         assert main(["simulate", *self.SMALL, "--epochs", "0"]) == 2
@@ -412,6 +420,10 @@ class TestFederateCommand:
             main(["federate", *self.SMALL, "--arbiter", "nonsense"])
         with pytest.raises(SystemExit):
             main(["federate", *self.SMALL, "--shard-weights", "1,-2"])
+        for flags in (["--churn-fraction", "nan"], ["--shards", "2", "--shard-weights", "nan,1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["federate", *self.SMALL, *flags])
+            assert exc.value.code == 2
 
     def test_federate_multi_run_matches_serial(self, tmp_path):
         def run_to_csv(workers):

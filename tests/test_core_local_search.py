@@ -1,4 +1,4 @@
-"""Tests for repro.core.local_search — hill-climbing refinement of assignments."""
+"""Tests for repro.core.local_search — the sweep refiner of assignments."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from repro.core.local_search import (
     _repair_contacts_sweep,
     _repair_zones_sweep,
     _zone_move_aggregates,
-    refine_assignment,
+    warm_start_refine,
 )
 from repro.core.problem import CAPInstance
 from repro.core.two_phase import solve_cap
@@ -28,7 +28,6 @@ from repro.experiments.config import config_from_label
 from repro.world.scenario import build_scenario
 from tests.conftest import make_small_config, make_tiny_instance
 from tests.reference.contact_sweep_full import repair_contacts_sweep_full
-from tests.reference.local_search_loop import refine_loop
 from tests.reference.zone_sweep_full import _zone_move_aggregates as oracle_zone_move_aggregates
 from tests.reference.zone_sweep_full import repair_zones_sweep_full
 
@@ -40,130 +39,88 @@ def _bad_assignment(instance) -> Assignment:
     return Assignment(zone_to_server=zone_to_server, contact_of_client=contacts, algorithm="bad")
 
 
-class TestRefineAssignment:
-    def test_improves_bad_starting_point(self, tiny_instance):
-        start = _bad_assignment(tiny_instance)
-        result = refine_assignment(tiny_instance, start)
-        assert isinstance(result, LocalSearchResult)
-        assert result.final_pqos > result.initial_pqos
-        assert result.iterations > 0
-        assert result.assignment.pqos(tiny_instance) == pytest.approx(result.final_pqos)
-        assert validate_assignment(tiny_instance, result.assignment).ok
-
-    def test_never_worsens(self, small_instance):
-        start = solve_cap(small_instance, "grez-grec", seed=0)
-        result = refine_assignment(small_instance, start, max_iterations=20)
-        assert result.final_pqos >= result.initial_pqos - 1e-12
-        assert validate_assignment(small_instance, result.assignment).ok
-
-    def test_respects_capacities_throughout(self, tight_instance):
-        start = solve_cap(tight_instance, "ranz-virc", seed=1)
-        result = refine_assignment(tight_instance, start)
-        assert result.assignment.is_capacity_feasible(tight_instance)
-
-    def test_iteration_budget_honoured(self, tiny_instance):
-        start = _bad_assignment(tiny_instance)
-        result = refine_assignment(tiny_instance, start, max_iterations=1)
-        assert result.iterations <= 1
-
-    def test_neighbourhood_restriction(self, tiny_instance):
-        start = _bad_assignment(tiny_instance)
-        zone_only = refine_assignment(
-            tiny_instance, start, consider_contact_moves=False
-        )
-        contact_only = refine_assignment(
-            tiny_instance, start, consider_zone_moves=False
-        )
-        both = refine_assignment(tiny_instance, start)
-        assert both.final_pqos >= max(zone_only.final_pqos, contact_only.final_pqos) - 1e-12
-        # Zone moves alone can already fix the bad placement of zones 0-2.
-        assert zone_only.final_pqos > start.pqos(tiny_instance)
-
-    def test_algorithm_name_and_metadata(self, tiny_instance):
-        start = _bad_assignment(tiny_instance)
-        result = refine_assignment(tiny_instance, start)
-        assert result.assignment.algorithm == "bad+ls"
-        assert result.assignment.metadata["local_search_iterations"] == result.iterations
-
-    def test_fixed_point_on_already_optimal_tiny_instance(self, tiny_instance):
-        start = solve_cap(tiny_instance, "grez-grec", seed=0)
-        assert start.pqos(tiny_instance) == pytest.approx(1.0)
-        result = refine_assignment(tiny_instance, start)
-        assert result.iterations == 0
-        np.testing.assert_array_equal(
-            result.assignment.contact_of_client, start.contact_of_client
-        )
-
-
-def _assert_matches_oracle(instance, start, **kwargs):
-    zone_to_server, contacts, iterations = refine_loop(instance, start, **kwargs)
-    vector = refine_assignment(instance, start, **kwargs)
-    assert vector.iterations == iterations
-    np.testing.assert_array_equal(vector.assignment.zone_to_server, zone_to_server)
-    np.testing.assert_array_equal(vector.assignment.contact_of_client, contacts)
-    return vector
-
-
-class TestLoopOracleEquivalence:
-    """The search replays the nested-scan oracle's move decisions."""
-
-    def test_bad_start_tiny_instance(self, tiny_instance):
-        _assert_matches_oracle(tiny_instance, _bad_assignment(tiny_instance))
-
-    def test_tight_capacities(self, tight_instance):
-        _assert_matches_oracle(tight_instance, _bad_assignment(tight_instance))
-
-    def test_overloaded_instance(self, overloaded_instance):
-        _assert_matches_oracle(overloaded_instance, _bad_assignment(overloaded_instance))
-
-    @pytest.mark.parametrize("kwargs", [
-        {"consider_contact_moves": False},
-        {"consider_zone_moves": False},
-        {"max_iterations": 1},
-        {"max_iterations": 3},
-    ])
-    def test_restricted_neighbourhoods(self, tiny_instance, kwargs):
-        _assert_matches_oracle(tiny_instance, _bad_assignment(tiny_instance), **kwargs)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("algorithm", ["ranz-virc", "grez-grec"])
-    def test_generated_scenarios(self, seed, algorithm):
-        from repro.core.problem import CAPInstance
-        from repro.world.scenario import build_scenario
-        from tests.conftest import make_small_config
-
-        config = make_small_config(num_clients=100, num_zones=8)
-        instance = CAPInstance.from_scenario(build_scenario(config, seed=seed))
-        start = solve_cap(instance, algorithm, seed=seed)
-        _assert_matches_oracle(instance, start, max_iterations=30)
+#: Runs a test with and without the zone-move sweep.
+zone_moves = pytest.mark.parametrize("consider_zone_moves", [False, True])
 
 
 class TestWarmStartRefine:
     """The warm-start sweep repair of a carried-over assignment."""
 
-    @pytest.mark.parametrize("consider_zone_moves", [False, True])
+    @zone_moves
     def test_improves_bad_start(self, tiny_instance, consider_zone_moves):
-        from repro.core.local_search import warm_start_refine
-
         start = _bad_assignment(tiny_instance)
         result = warm_start_refine(tiny_instance, start, consider_zone_moves=consider_zone_moves)
+        assert isinstance(result, LocalSearchResult)
         assert result.final_pqos > result.initial_pqos
+        assert result.iterations > 0
         assert result.assignment.pqos(tiny_instance) == result.final_pqos
         assert validate_assignment(tiny_instance, result.assignment).ok
 
     def test_never_worsens_and_records_metadata(self, tiny_instance):
-        from repro.core.local_search import warm_start_refine
-
         start = _bad_assignment(tiny_instance)
         result = warm_start_refine(tiny_instance, start)
         assert result.final_pqos >= result.initial_pqos
-        assert result.assignment.algorithm.endswith("+ws")
+        assert result.assignment.algorithm == "bad+ws"
         assert result.assignment.metadata["warm_start_iterations"] == result.iterations
+
+    @pytest.mark.parametrize("algorithm", ["grez-grec", "ranz-virc"])
+    @zone_moves
+    def test_never_worsens_a_solved_start(self, small_instance, consider_zone_moves, algorithm):
+        start = solve_cap(small_instance, algorithm, seed=0)
+        result = warm_start_refine(
+            small_instance, start, max_iterations=20, consider_zone_moves=consider_zone_moves
+        )
+        assert result.initial_pqos == start.pqos(small_instance)
+        assert result.final_pqos >= result.initial_pqos
+        assert validate_assignment(small_instance, result.assignment).ok
+
+    @zone_moves
+    def test_stays_feasible_on_tight_capacities(self, tight_instance, consider_zone_moves):
+        start = solve_cap(tight_instance, "ranz-virc", seed=1)
+        assert start.is_capacity_feasible(tight_instance)
+        result = warm_start_refine(tight_instance, start, consider_zone_moves=consider_zone_moves)
+        assert result.iterations > 0
+        assert result.assignment.is_capacity_feasible(tight_instance)
+        assert not result.assignment.capacity_exceeded
+
+    @pytest.mark.parametrize("fixture", ["tight_instance", "overloaded_instance"])
+    @zone_moves
+    def test_pushes_no_server_over_capacity(self, request, fixture, consider_zone_moves):
+        """From an overloaded start no move adds load to a server beyond its
+        capacity; the overloaded server only sheds load."""
+        instance = request.getfixturevalue(fixture)
+        start = _bad_assignment(instance)
+        result = warm_start_refine(instance, start, consider_zone_moves=consider_zone_moves)
+        assert result.iterations > 0
+        before = server_loads(instance, start.zone_to_server, start.contact_of_client)
+        after = server_loads(
+            instance, result.assignment.zone_to_server, result.assignment.contact_of_client
+        )
+        assert (after <= np.maximum(instance.server_capacities + 1e-9, before)).all()
+
+    @zone_moves
+    def test_iteration_budget_honoured(self, tiny_instance, consider_zone_moves):
+        start = _bad_assignment(tiny_instance)
+        result = warm_start_refine(
+            tiny_instance, start, max_iterations=1, consider_zone_moves=consider_zone_moves
+        )
+        assert result.iterations == 1
+
+    @zone_moves
+    def test_fixed_point_on_already_optimal_tiny_instance(
+        self, tiny_instance, consider_zone_moves
+    ):
+        start = solve_cap(tiny_instance, "grez-grec", seed=0)
+        assert start.pqos(tiny_instance) == 1.0
+        result = warm_start_refine(tiny_instance, start, consider_zone_moves=consider_zone_moves)
+        assert result.iterations == 0
+        np.testing.assert_array_equal(result.assignment.zone_to_server, start.zone_to_server)
+        np.testing.assert_array_equal(
+            result.assignment.contact_of_client, start.contact_of_client
+        )
 
     def test_capacity_flag_recomputed(self, tiny_instance):
         """A stale capacity_exceeded flag is cleared when loads actually fit."""
-        from repro.core.local_search import warm_start_refine
-
         start = Assignment(
             zone_to_server=_bad_assignment(tiny_instance).zone_to_server,
             contact_of_client=_bad_assignment(tiny_instance).contact_of_client,
@@ -332,8 +289,15 @@ class TestZoneMoveAggregates:
     @pinned(60)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_all_zone_aggregates_match_the_oracle_bitwise(self, seed):
+        """Every client as a member: the dense member-gather path builds every
+        zone's row, bit for bit as the oracle's ``np.add.at`` scatter."""
         instance = _random_dense_instance(np.random.default_rng(seed), coarse=False)
-        within, excess = _zone_move_aggregates(instance)
+        within, excess = _zone_move_aggregates(
+            instance,
+            np.arange(instance.num_clients),
+            instance.client_zones,
+            instance.num_zones,
+        )
         _, o_within, o_excess, _ = oracle_zone_move_aggregates(instance)
         assert within.tobytes() == o_within.tobytes()
         assert excess.tobytes() == o_excess.tobytes()

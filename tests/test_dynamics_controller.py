@@ -106,6 +106,9 @@ class TestRebalancePolicy:
             RebalancePolicy(repair_slack=-0.1)
         with pytest.raises(ValueError):
             RebalancePolicy(full_rebalance_every=-1)
+        for field in ("repair_slack", "accept_repair_if_within", "max_migration_cost_per_epoch"):
+            with pytest.raises(ValueError):
+                RebalancePolicy(**{field: float("nan")})
 
 
 class TestControllerPolicies:

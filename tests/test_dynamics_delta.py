@@ -256,6 +256,9 @@ class TestPolicySchedules:
             make_policy("nonsense")
         with pytest.raises(ValueError):
             PolicySchedule(name="bad", action="nonsense")
+        for budget in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="migration_budget"):
+                PolicySchedule(name="bad", action="warm_start", migration_budget=budget)
 
     def test_policy_controls_computed_fields(self, small_scenario):
         def run(policy, **kw):

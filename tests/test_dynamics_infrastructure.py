@@ -50,6 +50,8 @@ class TestServerChurnSpec:
         with pytest.raises(ValueError):
             ServerChurnSpec(capacity_drift=-0.1)
         with pytest.raises(ValueError):
+            ServerChurnSpec(capacity_drift=float("nan"))
+        with pytest.raises(ValueError):
             ServerChurnSpec(join_capacity_mbps=0.0)
         with pytest.raises(ValueError):
             ServerChurnSpec(min_capacity_mbps=0.0)
@@ -315,6 +317,9 @@ class TestMigrationAccounting:
         assert free.cost == 0.0 and free.freeze_ms == 0.0
         with pytest.raises(ValueError):
             MigrationCostModel(cost_per_client=-1.0)
+        for name in ("cost_per_client", "freeze_ms_per_client", "freeze_ms_per_zone"):
+            with pytest.raises(ValueError, match=name):
+                MigrationCostModel(**{name: float("nan")})
 
     def test_zero_charge_is_class_constant_not_field(self):
         import dataclasses

@@ -1,5 +1,6 @@
 """Package-level tests: top-level exports, version, the documented quickstart,
-and that every public function or class has a caller outside the tests."""
+that every public function or class has a caller outside the tests, and that
+every test-only oracle under ``tests/reference/`` is still imported by a test."""
 
 from __future__ import annotations
 
@@ -61,6 +62,27 @@ def _referenced_names() -> set[str]:
         for path in sorted((REPO / top).rglob("*.py")):
             visit(ast.parse(path.read_text()), frozenset())
     return used
+
+
+def _imported_oracles() -> set[str]:
+    """``tests/reference`` module names imported by ``tests/`` or ``benchmarks/`` code
+    outside ``tests/reference`` itself (an oracle importing another is no use)."""
+    imported: set[str] = set()
+    for top in ("tests", "benchmarks"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            if (REPO / "tests" / "reference") in path.parents:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                imported.update(
+                    m.split(".")[2] for m in modules if m.startswith("tests.reference.")
+                )
+    return imported
 
 
 class TestPackage:
@@ -137,3 +159,15 @@ class TestEveryPublicNameIsReached:
         used = _referenced_names()
         stale = [n for n in KEEP_UNREFERENCED if n not in definitions or n in used]
         assert not stale, f"keep-set entries that are gone or now referenced: {stale}"
+
+
+class TestEveryOracleIsImported:
+    def test_reference_oracles_have_a_test(self):
+        """An oracle no test imports specifies nothing; delete it with its code."""
+        oracles = {
+            path.stem
+            for path in (REPO / "tests" / "reference").glob("*.py")
+            if path.stem != "__init__"
+        }
+        orphans = sorted(oracles - _imported_oracles())
+        assert not orphans, f"tests/reference oracles no test module imports: {orphans}"
