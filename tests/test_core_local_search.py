@@ -131,6 +131,68 @@ class TestWarmStartRefine:
         assert not result.assignment.capacity_exceeded
 
 
+def _assert_matches_sweep_oracles(instance, start, max_iterations=200, consider_zone_moves=True):
+    """``warm_start_refine`` replays the two frozen sweep oracles run in its
+    order: the zone sweep (if enabled), then the contact sweep on the rest of
+    the move budget.  Same moves, same move count, same delay bits."""
+    zones = start.zone_to_server.copy()
+    contacts = start.contact_of_client.copy()
+    delays = delays_to_targets(instance, zones, contacts)
+    applied = 0
+    if consider_zone_moves:
+        applied += repair_zones_sweep_full(instance, zones, contacts, max_iterations, delays=delays)
+    if applied < max_iterations:
+        applied += repair_contacts_sweep_full(
+            instance, zones, contacts, max_iterations - applied, delays=delays
+        )
+    result = warm_start_refine(
+        instance, start, max_iterations=max_iterations, consider_zone_moves=consider_zone_moves
+    )
+    assert result.iterations == applied
+    np.testing.assert_array_equal(result.assignment.zone_to_server, zones)
+    np.testing.assert_array_equal(result.assignment.contact_of_client, contacts)
+    assert result.final_pqos == np.count_nonzero(delays <= instance.delay_bound) / len(delays)
+    return result
+
+
+class TestWarmStartOracleEquivalence:
+    """The whole refiner against the zone- and contact-sweep oracles composed."""
+
+    @zone_moves
+    @pytest.mark.parametrize("fixture", ["tiny_instance", "tight_instance", "overloaded_instance"])
+    def test_bad_start(self, request, fixture, consider_zone_moves):
+        instance = request.getfixturevalue(fixture)
+        result = _assert_matches_sweep_oracles(
+            instance, _bad_assignment(instance), consider_zone_moves=consider_zone_moves
+        )
+        assert result.iterations > 0
+
+    @pytest.mark.parametrize("max_iterations", [1, 3])
+    def test_move_budget_shared_by_both_sweeps(self, tiny_instance, max_iterations):
+        result = _assert_matches_sweep_oracles(
+            tiny_instance, _bad_assignment(tiny_instance), max_iterations=max_iterations
+        )
+        assert result.iterations <= max_iterations
+
+    @pytest.mark.parametrize("max_iterations", [6, 8])
+    def test_contact_sweep_gets_the_remaining_budget(self, max_iterations):
+        """On this world the zone sweep makes 5 moves and the contact sweep 8
+        more, so the budget binds after the zone sweep is done."""
+        config = make_small_config(num_clients=100, num_zones=8)
+        instance = CAPInstance.from_scenario(build_scenario(config, seed=2))
+        start = solve_cap(instance, "ranz-virc", seed=2)
+        result = _assert_matches_sweep_oracles(instance, start, max_iterations=max_iterations)
+        assert result.iterations == max_iterations
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("algorithm", ["ranz-virc", "grez-grec"])
+    def test_generated_scenarios(self, seed, algorithm):
+        config = make_small_config(num_clients=100, num_zones=8)
+        instance = CAPInstance.from_scenario(build_scenario(config, seed=seed))
+        start = solve_cap(instance, algorithm, seed=seed)
+        _assert_matches_sweep_oracles(instance, start, max_iterations=30)
+
+
 # ---------------------------------------------------------------------- #
 # Zone-move sweep vs the frozen score-every-zone oracle.
 # ---------------------------------------------------------------------- #
