@@ -39,14 +39,13 @@ from repro.topology.placement import (
     place_clients_uniform,
     place_servers,
 )
-from repro.topology.waxman import WaxmanParams, waxman_topology
+from repro.topology.waxman import WaxmanParams
 
 __all__ = [
     "Topology",
     "TopologyError",
     "merge_topologies",
     "WaxmanParams",
-    "waxman_topology",
     "BarabasiAlbertParams",
     "barabasi_albert_topology",
     "HierarchicalParams",

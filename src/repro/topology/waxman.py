@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.topology.graph import Topology
-from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_probability
 
-__all__ = ["WaxmanParams", "waxman_topology"]
+__all__ = ["WaxmanParams"]
 
 
 @dataclass(frozen=True)
@@ -133,8 +131,8 @@ def _waxman_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw one Waxman sample: ``(positions, edges, latencies)``, unvalidated.
 
-    Shared by :func:`waxman_topology` and the hierarchical generator, which
-    shifts the positions into its AS plane before building the one validated
+    The hierarchical generator draws each AS's routers with it and shifts the
+    positions into its AS plane before building the one validated
     :class:`Topology` per domain.
     """
     positions = rng.uniform(0.0, params.plane_size, size=(num_nodes, 2))
@@ -153,35 +151,3 @@ def _waxman_arrays(
     latencies = dist[edges[:, 0], edges[:, 1]] * params.latency_per_unit
     # Guard against zero-length edges when two nodes land on the same point.
     return positions, edges, np.maximum(latencies, 1e-3)
-
-
-def waxman_topology(
-    num_nodes: int,
-    params: WaxmanParams | None = None,
-    seed: SeedLike = None,
-    name: str = "waxman",
-) -> Topology:
-    """Generate a Waxman random topology.
-
-    Parameters
-    ----------
-    num_nodes:
-        Number of router nodes.
-    params:
-        :class:`WaxmanParams`; defaults to BRITE-like defaults.
-    seed:
-        RNG seed / generator.
-    name:
-        Name attached to the resulting :class:`Topology`.
-
-    Returns
-    -------
-    Topology
-        A connected topology (when ``params.ensure_connected``), with edge
-        latencies proportional to Euclidean distance.
-    """
-    if num_nodes < 1:
-        raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-    params = params or WaxmanParams()
-    positions, edges, latencies = _waxman_arrays(num_nodes, params, as_generator(seed))
-    return Topology(positions=positions, edges=edges, latencies=latencies, name=name)

@@ -22,7 +22,9 @@ from repro.topology.delay_backends import (
     _candidates_from_anchors,
     zone_anchor_nodes,
 )
-from repro.topology.waxman import waxman_topology
+from repro.topology.graph import Topology
+from repro.topology.waxman import WaxmanParams, _waxman_arrays
+from repro.utils.rng import as_generator
 from repro.world.scenario import DVEConfig, DVEScenario, build_scenario
 from tests.reference.measurement_full import checked_measures
 from tests.reference.regret_loop import assert_same_result, max_regret_assign_loop
@@ -31,7 +33,7 @@ from tests.reference.world_rebuild import checked_advances
 #: A small hierarchical topology configuration used throughout the tests —
 #: same generative structure as the paper's 500-node substrate, scaled down
 #: so the suite stays fast.
-SMALL_BRITE = BriteConfig(model="hierarchical", num_nodes=60, num_as=6, routers_per_as=10)
+SMALL_BRITE = BriteConfig(num_as=6, routers_per_as=10)
 
 
 def make_small_config(**overrides) -> DVEConfig:
@@ -66,10 +68,12 @@ def small_instance(small_scenario: DVEScenario) -> CAPInstance:
     return CAPInstance.from_scenario(small_scenario)
 
 
-@pytest.fixture(scope="session")
-def small_topology():
-    """A small flat Waxman topology (40 nodes) for topology-level tests."""
-    return waxman_topology(40, seed=3, name="test-waxman-40")
+def flat_waxman(num_nodes: int, seed: int, params: WaxmanParams | None = None) -> Topology:
+    """A flat Waxman topology: one AS's router-level draw on its own."""
+    positions, edges, latencies = _waxman_arrays(
+        num_nodes, params or WaxmanParams(), as_generator(seed)
+    )
+    return Topology(positions=positions, edges=edges, latencies=latencies)
 
 
 def make_tiny_instance(

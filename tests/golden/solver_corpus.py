@@ -164,7 +164,7 @@ def _wide(**delays):
             total_capacity_mbps=240.0,
             min_server_capacity_mbps=0.5,
             delay_bound_ms=150.0,
-            topology=BriteConfig(model="hierarchical", num_nodes=150, num_as=6, routers_per_as=25),
+            topology=BriteConfig(num_as=6, routers_per_as=25),
             **delays,
         ),
         seed=2,

@@ -10,9 +10,8 @@ Each entry builds one topology and hashes, with sha256, the exact bytes of
 Each digest also covers the array's dtype and shape, and the bytes are taken
 in C order, so a change of memory layout alone does not move a digest.
 
-The grid is :func:`~repro.topology.brite.generate_topology` over the three
-BRITE models (``hierarchical``, ``waxman``, ``barabasi-albert``, at their
-500-node defaults) and :func:`~repro.topology.backbone.us_backbone_topology`,
+The grid is :func:`~repro.topology.brite.generate_topology` (the paper's
+500-node hierarchy) and :func:`~repro.topology.backbone.us_backbone_topology`,
 each over three seeds. ``tests/test_golden_topology.py`` asserts the
 committed digests; any change to a generator's output or to an all-pairs
 delay shows up as a digest mismatch.
@@ -40,7 +39,7 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "topology.json"
 
 SEEDS = (0, 1, 2)
 MAX_RTT_MS = 500.0
-MODELS = ("hierarchical", "waxman", "barabasi-albert", "us-backbone")
+MODELS = ("hierarchical", "us-backbone")
 
 
 def _array_digest(arr: Optional[np.ndarray]) -> Optional[str]:
@@ -55,7 +54,7 @@ def build(model: str, seed: int) -> Topology:
     """The topology of one grid entry."""
     if model == "us-backbone":
         return us_backbone_topology(seed=seed)
-    return generate_topology(BriteConfig(model=model), seed=seed)
+    return generate_topology(BriteConfig(), seed=seed)
 
 
 def topology_digests(model: str, seed: int) -> Dict[str, Optional[str]]:

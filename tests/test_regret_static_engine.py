@@ -472,7 +472,7 @@ def sparse_instances():
     wide = make_small_config(
         num_servers=160, num_zones=30, num_clients=900, delay_backend="sparse",
         sparse_top_k=8, total_capacity_mbps=400.0, min_server_capacity_mbps=0.5,
-        topology=BriteConfig(model="hierarchical", num_nodes=300, num_as=10, routers_per_as=30),
+        topology=BriteConfig(num_as=10, routers_per_as=30),
     )
     return [CAPInstance.from_scenario(build_scenario(c, seed=3)) for c in (narrow, wide)]
 

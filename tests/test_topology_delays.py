@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.topology.delays import DEFAULT_MAX_RTT_MS, DEFAULT_SERVER_MESH_FACTOR, DelayModel
-from repro.topology.waxman import waxman_topology
+from tests.conftest import flat_waxman
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def model(small_topology_module):
 
 @pytest.fixture(scope="module")
 def small_topology_module():
-    return waxman_topology(30, seed=2)
+    return flat_waxman(30, seed=2)
 
 
 class TestDefaults:

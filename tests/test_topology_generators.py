@@ -9,43 +9,40 @@ from repro.topology.backbone import BackboneParams, great_circle_km, us_backbone
 from repro.topology.barabasi_albert import BarabasiAlbertParams, barabasi_albert_topology
 from repro.topology.brite import BriteConfig, generate_topology
 from repro.topology.hierarchical import HierarchicalParams, hierarchical_topology
-from repro.topology.waxman import WaxmanParams, waxman_topology
+from repro.topology.waxman import WaxmanParams
+from tests.conftest import flat_waxman
 
 
 class TestWaxman:
     def test_connected_and_sized(self):
-        topo = waxman_topology(30, seed=0)
+        topo = flat_waxman(30, seed=0)
         assert topo.num_nodes == 30
         assert topo.is_connected()
 
     def test_deterministic_for_seed(self):
-        a = waxman_topology(25, seed=5)
-        b = waxman_topology(25, seed=5)
+        a = flat_waxman(25, seed=5)
+        b = flat_waxman(25, seed=5)
         np.testing.assert_array_equal(a.edges, b.edges)
         np.testing.assert_allclose(a.latencies, b.latencies)
 
     def test_different_seeds_differ(self):
-        a = waxman_topology(25, seed=1)
-        b = waxman_topology(25, seed=2)
+        a = flat_waxman(25, seed=1)
+        b = flat_waxman(25, seed=2)
         assert a.num_edges != b.num_edges or not np.array_equal(a.edges, b.edges)
 
     def test_single_node(self):
-        topo = waxman_topology(1, seed=0)
+        topo = flat_waxman(1, seed=0)
         assert topo.num_nodes == 1
         assert topo.num_edges == 0
 
     def test_positive_latencies(self):
-        topo = waxman_topology(20, seed=0)
+        topo = flat_waxman(20, seed=0)
         assert (topo.latencies > 0).all()
 
     def test_higher_alpha_gives_more_edges(self):
-        sparse = waxman_topology(40, params=WaxmanParams(alpha=0.05), seed=3)
-        dense = waxman_topology(40, params=WaxmanParams(alpha=0.6), seed=3)
+        sparse = flat_waxman(40, params=WaxmanParams(alpha=0.05), seed=3)
+        dense = flat_waxman(40, params=WaxmanParams(alpha=0.6), seed=3)
         assert dense.num_edges > sparse.num_edges
-
-    def test_invalid_num_nodes(self):
-        with pytest.raises(ValueError):
-            waxman_topology(0)
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
@@ -120,29 +117,17 @@ class TestBriteConfig:
         assert config.num_as == 20
         assert config.routers_per_as == 25
 
-    def test_node_count_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            BriteConfig(num_nodes=100, num_as=20, routers_per_as=25)
-
-    def test_invalid_model(self):
-        with pytest.raises(ValueError):
-            BriteConfig(model="gnutella")
-
-    def test_describe_mentions_model(self):
-        assert "hierarchical" in BriteConfig().describe()
-        assert "waxman" in BriteConfig(model="waxman", num_nodes=50).describe()
+    def test_num_nodes_is_the_hierarchy_size(self):
+        assert BriteConfig(num_as=5, routers_per_as=6).num_nodes == 30
 
     def test_generate_hierarchical(self):
-        config = BriteConfig(model="hierarchical", num_nodes=30, num_as=5, routers_per_as=6)
-        topo = generate_topology(config, seed=0)
+        topo = generate_topology(BriteConfig(num_as=5, routers_per_as=6), seed=0)
         assert topo.num_nodes == 30
         assert topo.num_domains == 5
 
-    def test_generate_flat_models(self):
-        for model in ("waxman", "barabasi-albert"):
-            topo = generate_topology(BriteConfig(model=model, num_nodes=20), seed=0)
-            assert topo.num_nodes == 20
-            assert topo.is_connected()
+    def test_invalid_shape_rejected_at_generation(self):
+        with pytest.raises(ValueError):
+            generate_topology(BriteConfig(num_as=0))
 
     @pytest.mark.slow
     def test_paper_default_topology(self):

@@ -12,12 +12,12 @@ from repro.topology.placement import (
     place_clients_uniform,
     place_servers,
 )
-from repro.topology.waxman import waxman_topology
+from tests.conftest import flat_waxman
 
 
 @pytest.fixture(scope="module")
 def flat_topology():
-    return waxman_topology(30, seed=1)
+    return flat_waxman(30, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ class TestPlaceClientsUniform:
         assert not np.isin(nodes, excluded).any()
 
     def test_exclude_everything_raises(self):
-        topo = waxman_topology(3, seed=0)
+        topo = flat_waxman(3, seed=0)
         with pytest.raises(ValueError):
             place_clients_uniform(topo, 5, exclude_nodes=np.arange(3))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tests.conftest import SMALL_BRITE, make_small_config
+from tests.conftest import make_small_config
 from repro.world.clients import ClientPopulation
 from repro.world.scenario import DVEConfig, build_scenario
 
@@ -146,9 +146,3 @@ class TestWithPopulation:
         )
         with pytest.raises(ValueError):
             small_scenario.with_population(population)
-
-
-class TestSmallBriteFixture:
-    def test_small_brite_is_hierarchical(self):
-        assert SMALL_BRITE.model == "hierarchical"
-        assert SMALL_BRITE.num_nodes == SMALL_BRITE.num_as * SMALL_BRITE.routers_per_as
