@@ -7,8 +7,6 @@ Provides the Internet-like graphs on which the DVE's servers and clients live:
 * :mod:`repro.topology.waxman`, :mod:`repro.topology.barabasi_albert`,
   :mod:`repro.topology.hierarchical`, :mod:`repro.topology.brite` — BRITE-like
   synthetic topology generators (the paper's simulation substrate).
-* :mod:`repro.topology.backbone` — a synthetic US continental backbone used in
-  place of the proprietary AT&T dataset.
 * :mod:`repro.topology.delays` — the round-trip delay model (500 ms max RTT,
   50 % discounted inter-server mesh).
 * :mod:`repro.topology.delay_backends` — the dense / sparse delay backends
@@ -16,7 +14,6 @@ Provides the Internet-like graphs on which the DVE's servers and clients live:
 * :mod:`repro.topology.placement` — server / client placement onto nodes.
 """
 
-from repro.topology.backbone import BackboneParams, us_backbone_topology
 from repro.topology.barabasi_albert import BarabasiAlbertParams, barabasi_albert_topology
 from repro.topology.brite import BriteConfig, generate_topology
 from repro.topology.delay_backends import (
@@ -52,8 +49,6 @@ __all__ = [
     "hierarchical_topology",
     "BriteConfig",
     "generate_topology",
-    "BackboneParams",
-    "us_backbone_topology",
     "DelayModel",
     "DEFAULT_MAX_RTT_MS",
     "DEFAULT_SERVER_MESH_FACTOR",

@@ -11,8 +11,7 @@ Each digest also covers the array's dtype and shape, and the bytes are taken
 in C order, so a change of memory layout alone does not move a digest.
 
 The grid is :func:`~repro.topology.brite.generate_topology` (the paper's
-500-node hierarchy) and :func:`~repro.topology.backbone.us_backbone_topology`,
-each over three seeds. ``tests/test_golden_topology.py`` asserts the
+500-node hierarchy) over three seeds. ``tests/test_golden_topology.py`` asserts the
 committed digests; any change to a generator's output or to an all-pairs
 delay shows up as a digest mismatch.
 
@@ -31,15 +30,12 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.topology.backbone import us_backbone_topology
 from repro.topology.brite import BriteConfig, generate_topology
-from repro.topology.graph import Topology
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "topology.json"
 
 SEEDS = (0, 1, 2)
 MAX_RTT_MS = 500.0
-MODELS = ("hierarchical", "us-backbone")
 
 
 def _array_digest(arr: Optional[np.ndarray]) -> Optional[str]:
@@ -50,16 +46,9 @@ def _array_digest(arr: Optional[np.ndarray]) -> Optional[str]:
     return h.hexdigest()
 
 
-def build(model: str, seed: int) -> Topology:
-    """The topology of one grid entry."""
-    if model == "us-backbone":
-        return us_backbone_topology(seed=seed)
-    return generate_topology(BriteConfig(), seed=seed)
-
-
-def topology_digests(model: str, seed: int) -> Dict[str, Optional[str]]:
+def topology_digests(seed: int) -> Dict[str, Optional[str]]:
     """Digests of one topology's arrays and its scaled RTT matrix."""
-    topology = build(model, seed)
+    topology = generate_topology(BriteConfig(), seed=seed)
     return {
         "edges": _array_digest(topology.edges),
         "latencies": _array_digest(topology.latencies),
@@ -69,19 +58,12 @@ def topology_digests(model: str, seed: int) -> Dict[str, Optional[str]]:
     }
 
 
-def run_keys():
-    """Every ``(model, seed)`` of the grid, in a fixed order."""
-    for model in MODELS:
-        for seed in SEEDS:
-            yield model, seed
-
-
-def key_name(model: str, seed: int) -> str:
-    return f"{model}/seed={seed}"
+def key_name(seed: int) -> str:
+    return f"hierarchical/seed={seed}"
 
 
 def main() -> None:
-    corpus = {key_name(*key): topology_digests(*key) for key in run_keys()}
+    corpus = {key_name(seed): topology_digests(seed) for seed in SEEDS}
     GOLDEN_PATH.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(corpus)} topology digests to {GOLDEN_PATH}")
 

@@ -10,15 +10,15 @@ import json
 
 import pytest
 
-from tests.golden.topology_corpus import GOLDEN_PATH, key_name, run_keys, topology_digests
+from tests.golden.topology_corpus import GOLDEN_PATH, SEEDS, key_name, topology_digests
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 def test_corpus_covers_the_grid():
-    assert sorted(GOLDEN) == sorted(key_name(*key) for key in run_keys())
+    assert sorted(GOLDEN) == sorted(key_name(seed) for seed in SEEDS)
 
 
-@pytest.mark.parametrize("key", list(run_keys()), ids=lambda key: key_name(*key))
-def test_topology_digests_match_golden(key):
-    assert topology_digests(*key) == GOLDEN[key_name(*key)]
+@pytest.mark.parametrize("seed", SEEDS, ids=key_name)
+def test_topology_digests_match_golden(seed):
+    assert topology_digests(seed) == GOLDEN[key_name(seed)]

@@ -17,7 +17,6 @@ REPO = Path(__file__).resolve().parent.parent
 #: Public top-level names that no ``src/``, ``bench/`` or ``examples/`` code
 #: references, each with the reason it stays.
 KEEP_UNREFERENCED = {
-    "us_backbone_topology": "the topology golden corpus covers it",
     "cdf_chart": "benchmarks/test_bench_figure4.py draws its artifact chart with it",
     "run_centralization_comparison": "benchmarks/test_bench_baselines.py records it",
     "dump_json": "benchmarks/ artifact writers write their JSON with it",

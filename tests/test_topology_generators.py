@@ -1,11 +1,10 @@
-"""Tests for the synthetic topology generators (Waxman, BA, hierarchical, BRITE, backbone)."""
+"""Tests for the synthetic topology generators (Waxman, BA, hierarchical, BRITE)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.topology.backbone import BackboneParams, great_circle_km, us_backbone_topology, US_POPS
 from repro.topology.barabasi_albert import BarabasiAlbertParams, barabasi_albert_topology
 from repro.topology.brite import BriteConfig, generate_topology
 from repro.topology.hierarchical import HierarchicalParams, hierarchical_topology
@@ -136,31 +135,3 @@ class TestBriteConfig:
         assert topo.num_domains == 20
         assert topo.is_connected()
 
-
-class TestBackbone:
-    def test_pops_plus_access_routers(self):
-        params = BackboneParams(access_routers_per_pop=2)
-        topo = us_backbone_topology(params, seed=0)
-        assert topo.num_nodes == len(US_POPS) * (1 + 2)
-        assert topo.is_connected()
-
-    def test_no_access_routers(self):
-        topo = us_backbone_topology(BackboneParams(access_routers_per_pop=0), seed=0)
-        assert topo.num_nodes == len(US_POPS)
-
-    def test_deterministic(self):
-        a = us_backbone_topology(seed=4)
-        b = us_backbone_topology(seed=4)
-        np.testing.assert_allclose(a.latencies, b.latencies)
-
-    def test_great_circle_known_distance(self):
-        # New York (40.7, -74.0) to Los Angeles (34.05, -118.25) ≈ 3940 km.
-        d = great_circle_km(40.7128, -74.006, 34.0522, -118.2437)
-        assert 3800 < d < 4050
-
-    def test_great_circle_zero(self):
-        assert great_circle_km(10.0, 20.0, 10.0, 20.0) == pytest.approx(0.0)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            BackboneParams(neighbour_links=0)

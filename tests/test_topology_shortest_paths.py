@@ -10,8 +10,8 @@
 * :meth:`Topology.is_connected` (a union-find over the edge list) agrees
   with SciPy's ``connected_components`` on edgeless graphs, forests, unions
   of 1..4 connected blocks and the graphs above, 1..60 nodes, with shuffled
-  and flipped edge lists; and on the US backbone and hierarchical generators'
-  topologies with random edge subsets removed.
+  and flipped edge lists; and on the hierarchical generator's topologies
+  with random edge subsets removed.
 * Simple-graph validation: self-loops and duplicate undirected edges are
   rejected (SciPy's sparse constructor adds the latencies of duplicates).
 * The Waxman generator's component connector returns exactly the edges of
@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from repro.topology.backbone import us_backbone_topology
 from repro.topology.graph import Topology, TopologyError, _all_pairs_left_fold
 from repro.topology.hierarchical import hierarchical_topology
 from repro.topology.waxman import _connect_components, _pairwise_distances
@@ -153,17 +152,9 @@ def test_is_connected_matches_scipy(topology):
     assert topology.is_connected() == _scipy_is_connected(topology)
 
 
-@pytest.mark.parametrize(
-    "generate",
-    [
-        lambda seed: us_backbone_topology(seed=seed),
-        lambda seed: hierarchical_topology(seed=seed),
-    ],
-    ids=["backbone", "hierarchical"],
-)
 @pytest.mark.parametrize("seed", range(4))
-def test_generated_topologies_is_connected_matches_scipy(generate, seed):
-    topology = generate(seed)
+def test_generated_topologies_is_connected_matches_scipy(seed):
+    topology = hierarchical_topology(seed=seed)
     assert topology.is_connected() and _scipy_is_connected(topology)
     rng = np.random.default_rng(seed)
     for keep_share in (0.98, 0.9, 0.7):
