@@ -6,9 +6,7 @@ join, 200 existing clients randomly leave the virtual world and 200 clients
 randomly move to another zone".  :func:`generate_churn` produces exactly such
 a batch: joins follow the scenario's configured client distributions (so new
 clients look like the original population), leaves are uniform over the
-existing clients, and moves send uniformly chosen clients to a different zone
-(optionally restricted to grid-adjacent zones for a more avatar-like motion
-model).
+existing clients, and moves send uniformly chosen clients to a different zone.
 """
 
 from __future__ import annotations
@@ -34,15 +32,11 @@ class ChurnSpec:
     """How much churn to generate in one batch.
 
     Defaults reproduce the paper's Table 3 experiment (200 / 200 / 200).
-    ``adjacent_moves`` restricts zone moves to grid-neighbouring zones
-    (avatar-style movement); the paper's description ("randomly move to
-    another zone") corresponds to the default ``False``.
     """
 
     num_joins: int = 200
     num_leaves: int = 200
     num_moves: int = 200
-    adjacent_moves: bool = False
 
     def __post_init__(self) -> None:
         for name in ("num_joins", "num_leaves", "num_moves"):
@@ -95,7 +89,7 @@ def generate_churn(
     move_indices = picked[num_leaves:]
 
     # Destination zones for the movers.
-    move_zones = _sample_move_zones(scenario, spec, move_indices, move_rng)
+    move_zones = _sample_move_zones(scenario, move_indices, move_rng)
 
     if zone_plan is not None:
         # Hot-loop (arena) mode: the batch is valid by construction, so skip
@@ -114,31 +108,17 @@ def generate_churn(
 
 def _sample_move_zones(
     scenario: DVEScenario,
-    spec: ChurnSpec,
     move_indices: np.ndarray,
     move_rng: np.random.Generator,
 ) -> np.ndarray:
-    """Destination zone of each mover (uniform over the zones it can reach).
+    """Destination zone of each mover, uniform over the other zones.
 
-    The default "move to any other zone" model is fully vectorised: one draw
-    from ``[0, num_zones - 1)`` per mover, shifted past the origin so the
-    origin is excluded — drawing destinations for hundreds of movers per
-    epoch used to be the slowest step of churn generation.  The avatar-style
-    ``adjacent_moves`` model keeps the per-mover scan because each origin has
-    its own neighbour list.
+    One draw from ``[0, num_zones - 1)`` per mover, shifted past the origin
+    so the origin is excluded.
     """
     num_zones = scenario.num_zones
     origins = scenario.population.zones[move_indices]
     if move_indices.size == 0 or num_zones <= 1:
         return origins.copy()  # single-zone world: the avatar has nowhere else to go
-    if not spec.adjacent_moves:
-        draws = move_rng.integers(0, num_zones - 1, size=move_indices.size)
-        return np.where(draws >= origins, draws + 1, draws)
-    move_zones = np.zeros(move_indices.size, dtype=np.int64)
-    for pos, origin in enumerate(origins):
-        origin = int(origin)
-        candidates = scenario.world.neighbors(origin)
-        if not candidates:
-            candidates = [z for z in range(num_zones) if z != origin]
-        move_zones[pos] = int(move_rng.choice(candidates))
-    return move_zones
+    draws = move_rng.integers(0, num_zones - 1, size=move_indices.size)
+    return np.where(draws >= origins, draws + 1, draws)

@@ -13,7 +13,6 @@ class TestChurnSpec:
     def test_paper_defaults(self):
         spec = ChurnSpec()
         assert (spec.num_joins, spec.num_leaves, spec.num_moves) == (200, 200, 200)
-        assert spec.adjacent_moves is False
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -36,15 +35,6 @@ class TestGenerateChurn:
         batch = generate_churn(small_scenario, ChurnSpec(0, 0, 40), seed=2)
         current = small_scenario.population.zones[batch.move_indices]
         assert (batch.move_zones != current).all()
-
-    def test_adjacent_moves_stay_in_neighbourhood(self, small_scenario):
-        batch = generate_churn(
-            small_scenario, ChurnSpec(0, 0, 30, adjacent_moves=True), seed=3
-        )
-        world = small_scenario.world
-        for client, new_zone in zip(batch.move_indices, batch.move_zones):
-            origin = int(small_scenario.population.zones[client])
-            assert int(new_zone) in world.neighbors(origin)
 
     def test_joins_within_world_bounds(self, small_scenario):
         batch = generate_churn(small_scenario, ChurnSpec(100, 0, 0), seed=4)
