@@ -1,22 +1,15 @@
 """E8 — Baseline comparison (extension): two-phase algorithms vs related work.
 
 Runs the paper's four configurations against the delay-oblivious load-balancing
-partitioner (locally distributed cluster, refs [17, 25] of the paper), the
-nearest-server selection baseline (mirrored-architecture style, ref [16]) and a
-centralised single-site deployment of the same servers.
+partitioner (locally distributed cluster, refs [17, 25] of the paper) and the
+nearest-server selection baseline (mirrored-architecture style, ref [16]).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.baselines_compare import (
-    CENTRALIZED,
-    DISTRIBUTED,
-    format_baseline_comparison,
-    run_baseline_comparison,
-    run_centralization_comparison,
-)
+from repro.experiments.baselines_compare import format_baseline_comparison, run_baseline_comparison
 
 from benchmarks.conftest import bench_runs
 
@@ -31,8 +24,7 @@ def test_bench_baseline_comparison(benchmark, record):
         rounds=1,
         iterations=1,
     )
-    centralization = run_centralization_comparison(num_runs=NUM_RUNS, seed=0)
-    record("baselines", format_baseline_comparison(comparison, centralization))
+    record("baselines", format_baseline_comparison(comparison))
 
     solver_index = {name: i + 1 for i, name in enumerate(comparison.algorithms)}
     for row in comparison.panel("pqos"):
@@ -42,9 +34,3 @@ def test_bench_baseline_comparison(benchmark, record):
         assert grez_grec >= row[solver_index["nearest-server"]] - 0.03, label
         assert grez_grec > row[solver_index["load-balance"]], label
         assert grez_grec > row[solver_index["ranz-virc"]], label
-
-    # The geographically distributed architecture is the reason the CAP matters:
-    # the same algorithm on a centralised deployment serves fewer clients within
-    # the bound (or at best matches it when the topology is compact).
-    distributed = centralization.mean(DISTRIBUTED, "pqos")
-    assert distributed >= centralization.mean(CENTRALIZED, "pqos") - 0.05

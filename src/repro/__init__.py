@@ -13,7 +13,7 @@ substrate the evaluation depends on:
   metrics, the RanZ / GreZ / VirC / GreC heuristics, the four two-phase
   compositions and the exact MILP baseline.
 * :mod:`repro.baselines` — related-work baselines (delay-oblivious load
-  balancing, nearest-server selection, centralised deployment).
+  balancing, nearest-server selection).
 * :mod:`repro.dynamics` — join/leave/move churn and reassignment policies.
 * :mod:`repro.measurement` — King / IDMaps delay-estimation error models.
 * :mod:`repro.metrics` — pQoS, resource utilisation, delay CDFs.

@@ -4,16 +4,12 @@
   cluster partitioning, the paper's refs [17, 25]).
 * ``nearest-server`` — per-client / per-zone nearest-server selection (mirrored
   architecture style, the paper's ref [16], adapted to the zoned GDSA).
-* :func:`~repro.baselines.central.centralize_servers` — the centralised
-  single-site deployment the introduction argues against, as a scenario
-  transform.
 
 Importing this package registers the two solver baselines in
 :mod:`repro.core.registry` so the experiment harness can refer to them by
 name.
 """
 
-from repro.baselines.central import best_central_node, centralize_servers
 from repro.baselines.load_balance import assign_zones_load_balanced, solve_load_balance
 from repro.baselines.nearest_server import solve_nearest_server
 from repro.core.registry import register_solver, solver_names
@@ -22,8 +18,6 @@ __all__ = [
     "assign_zones_load_balanced",
     "solve_load_balance",
     "solve_nearest_server",
-    "best_central_node",
-    "centralize_servers",
 ]
 
 

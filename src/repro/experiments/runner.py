@@ -22,8 +22,8 @@ correlation and the client distribution.  :func:`run_sweep` runs one
 :func:`run_replications` per :class:`SweepPoint` and returns a
 :class:`SweepResult`, which serves the per-point series, the two-metric
 panels and the paper's "pQoS (R)" cell every sweep driver renders.  The
-engine studies (Table 3, dynamics, scenarios, controller, federation and the
-centralisation comparison) call :func:`replicate` directly and aggregate
+engine studies (Table 3, dynamics, scenarios, controller and federation)
+call :func:`replicate` directly and aggregate
 their per-run observations into a :class:`StudyResult`.  The ``simulate``
 and ``federate`` commands replicate whole record streams with
 :func:`replicate_records` and summarise them into a :class:`StudyResult`

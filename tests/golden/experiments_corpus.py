@@ -2,8 +2,8 @@
 
 Each entry runs one driver on a small input and renders it with the
 driver's own formatter.  The seven replicated sweeps are ``table1``,
-``table4``, ``figure5``, ``figure6``, ``delay-bound``, ``baselines`` (with
-the centralisation table) and ``ablation``; every sweep has two points on
+``table4``, ``figure5``, ``figure6``, ``delay-bound``, ``baselines`` and
+``ablation``; every sweep has two points on
 ``5s-15z-200c-100cp``-sized worlds, one or two runs and seed 7.  The five
 engine studies are ``table3``, ``dynamics``, ``scenarios``, ``controller``
 and ``federation``; each runs on ``5s-15z-200c-100cp`` with seed 7, one or
@@ -31,7 +31,6 @@ from repro.experiments.ablation import format_ablation, run_ablation
 from repro.experiments.baselines_compare import (
     format_baseline_comparison,
     run_baseline_comparison,
-    run_centralization_comparison,
 )
 from repro.experiments.controller import format_controller, run_controller
 from repro.experiments.delay_bound import format_delay_bound, run_delay_bound
@@ -106,7 +105,6 @@ CASES: Dict[str, Callable[[], str]] = {
             num_runs=1,
             seed=SEED,
         ),
-        run_centralization_comparison(label=LABEL, num_runs=2, seed=SEED),
     ),
     "ablation": lambda: _blank_runtime_column(
         format_ablation(

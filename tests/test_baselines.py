@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.baselines.central import best_central_node, centralize_servers
 from repro.baselines.load_balance import assign_zones_load_balanced, solve_load_balance
 from repro.baselines.nearest_server import solve_nearest_server
-from repro.core.problem import CAPInstance
 from repro.core.two_phase import solve_cap
 from repro.core.validation import validate_assignment
 
@@ -63,45 +60,3 @@ class TestNearestServer:
         nearest = solve_nearest_server(small_instance)
         balanced = solve_load_balance(small_instance)
         assert nearest.pqos(small_instance) >= balanced.pqos(small_instance)
-
-
-class TestCentralized:
-    def test_best_central_node_in_range(self, small_scenario):
-        node = best_central_node(small_scenario)
-        assert 0 <= node < small_scenario.topology.num_nodes
-
-    def test_criterion_validation(self, small_scenario):
-        with pytest.raises(ValueError):
-            best_central_node(small_scenario, criterion="median")
-
-    def test_centralize_colocates_all_servers(self, small_scenario):
-        central = centralize_servers(small_scenario)
-        assert np.unique(central.servers.nodes).size == 1
-        np.testing.assert_allclose(central.server_server_delays, 0.0)
-        # Client sees the same delay to every server.
-        spread = central.client_server_delays.max(axis=1) - central.client_server_delays.min(
-            axis=1
-        )
-        np.testing.assert_allclose(spread, 0.0)
-
-    def test_centralize_preserves_capacities_and_population(self, small_scenario):
-        central = centralize_servers(small_scenario)
-        np.testing.assert_allclose(
-            central.servers.capacities, small_scenario.servers.capacities
-        )
-        assert central.population is small_scenario.population
-
-    def test_explicit_node(self, small_scenario):
-        central = centralize_servers(small_scenario, node=3)
-        assert (central.servers.nodes == 3).all()
-        with pytest.raises(ValueError):
-            centralize_servers(small_scenario, node=10**6)
-
-    def test_distributed_beats_centralized_interactivity(self, small_scenario):
-        # The paper's motivation: a single-site deployment hurts far-away clients.
-        central = centralize_servers(small_scenario)
-        instance = CAPInstance.from_scenario(small_scenario)
-        central_instance = CAPInstance.from_scenario(central)
-        distributed = solve_cap(instance, "grez-grec", seed=0)
-        centralized = solve_cap(central_instance, "grez-grec", seed=0)
-        assert distributed.pqos(instance) >= centralized.pqos(central_instance) - 0.05

@@ -9,11 +9,8 @@ import repro.baselines  # noqa: F401
 from repro.dynamics.churn import ChurnSpec
 from repro.experiments.ablation import format_ablation, run_ablation
 from repro.experiments.baselines_compare import (
-    CENTRALIZED,
-    DISTRIBUTED,
     format_baseline_comparison,
     run_baseline_comparison,
-    run_centralization_comparison,
 )
 from repro.experiments.controller import run_controller
 from repro.experiments.dynamics import run_dynamics
@@ -182,16 +179,6 @@ class TestExtensionDrivers:
         # grez-grec column >= load-balance column.
         assert rows[0][1] >= rows[0][2] - 0.05
         assert "Baseline comparison" in format_baseline_comparison(result)
-
-    def test_centralization_comparison(self):
-        result = run_centralization_comparison(label=SMALL_LABEL, num_runs=2, seed=0)
-        assert 0.0 <= result.mean(CENTRALIZED, "pqos") <= 1.0
-        assert result.mean(DISTRIBUTED, "pqos") >= result.mean(CENTRALIZED, "pqos") - 0.1
-        text = format_baseline_comparison(
-            run_baseline_comparison(labels=[SMALL_LABEL], solvers=["grez-grec"], num_runs=1),
-            result,
-        )
-        assert "centralised" in text
 
     def test_runtime(self):
         result = run_runtime(
@@ -438,7 +425,6 @@ class TestFederationDriver:
         run_scenarios,
         run_controller,
         run_federation,
-        run_centralization_comparison,
     ],
     ids=lambda run: run.__name__,
 )

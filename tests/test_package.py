@@ -18,7 +18,6 @@ REPO = Path(__file__).resolve().parent.parent
 #: references, each with the reason it stays.
 KEEP_UNREFERENCED = {
     "cdf_chart": "benchmarks/test_bench_figure4.py draws its artifact chart with it",
-    "run_centralization_comparison": "benchmarks/test_bench_baselines.py records it",
     "dump_json": "benchmarks/ artifact writers write their JSON with it",
     "load_json": "benchmarks/ artifact writers read their JSON with it",
 }
