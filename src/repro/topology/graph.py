@@ -6,10 +6,7 @@ milliseconds).  It is the substrate on which servers and clients are placed
 and from which every client-server / server-server round-trip delay used by
 the assignment algorithms is derived.
 
-The class stores plain numpy arrays.  It converts to and from a
-:class:`networkx.Graph` only on demand (:meth:`Topology.to_networkx`,
-:meth:`Topology.from_networkx`); networkx is the optional ``graph`` extra and
-only ``to_networkx`` imports it.  SciPy is imported only by
+The class stores plain numpy arrays.  SciPy is imported only by
 :meth:`Topology.adjacency_matrix`.  The all-pairs shortest paths are computed
 by a source-vectorised label-correcting relaxation on a dense matrix (every
 step relaxes one edge for all sources at once), which handles the 500-node
@@ -19,7 +16,7 @@ Dijkstra would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -28,7 +25,6 @@ from repro.utils.distinct import sorted_distinct
 from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:
-    import networkx as nx
     import scipy.sparse as sp
 
 __all__ = ["Topology", "TopologyError"]
@@ -153,7 +149,6 @@ class Topology:
     latencies: np.ndarray
     node_domain: Optional[np.ndarray] = None
     name: str = "topology"
-    _graph_cache: Optional[nx.Graph] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=np.float64)
@@ -207,72 +202,6 @@ class Topology:
         if self.node_domain is None:
             return 1
         return int(sorted_distinct(self.node_domain).size)
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_networkx(
-        cls,
-        graph: nx.Graph,
-        latency_attr: str = "latency",
-        position_attr: str = "pos",
-        domain_attr: str = "domain",
-        name: str = "topology",
-    ) -> "Topology":
-        """Build a :class:`Topology` from a networkx graph.
-
-        Nodes are relabelled to ``0..n-1`` in sorted order of their original
-        labels; every edge must carry a positive ``latency_attr``.  Only the
-        graph's own methods are called, so this needs no networkx import.
-        """
-        nodes = sorted(graph.nodes())
-        index: Dict[object, int] = {node: i for i, node in enumerate(nodes)}
-        positions = np.zeros((len(nodes), 2), dtype=np.float64)
-        domains = np.zeros(len(nodes), dtype=np.int64)
-        has_domain = False
-        for node, i in index.items():
-            data = graph.nodes[node]
-            pos = data.get(position_attr, (0.0, 0.0))
-            positions[i] = (float(pos[0]), float(pos[1]))
-            if domain_attr in data:
-                has_domain = True
-                domains[i] = int(data[domain_attr])
-        edges = np.zeros((graph.number_of_edges(), 2), dtype=np.int64)
-        latencies = np.zeros(graph.number_of_edges(), dtype=np.float64)
-        for k, (u, v, data) in enumerate(graph.edges(data=True)):
-            edges[k] = (index[u], index[v])
-            if latency_attr not in data:
-                raise TopologyError(f"edge ({u}, {v}) missing '{latency_attr}' attribute")
-            latencies[k] = float(data[latency_attr])
-        return cls(
-            positions=positions,
-            edges=edges,
-            latencies=latencies,
-            node_domain=domains if has_domain else None,
-            name=name,
-        )
-
-    def to_networkx(self) -> nx.Graph:
-        """Return an equivalent :class:`networkx.Graph` (cached)."""
-        if self._graph_cache is None:
-            try:
-                import networkx as nx
-            except ImportError as exc:
-                raise ImportError(
-                    "Topology.to_networkx needs networkx; "
-                    "install it with: pip install 'repro-dve[graph]'"
-                ) from exc
-            g = nx.Graph(name=self.name)
-            for i in range(self.num_nodes):
-                attrs = {"pos": tuple(self.positions[i])}
-                if self.node_domain is not None:
-                    attrs["domain"] = int(self.node_domain[i])
-                g.add_node(i, **attrs)
-            for (u, v), lat in zip(self.edges, self.latencies):
-                g.add_edge(int(u), int(v), latency=float(lat))
-            self._graph_cache = g
-        return self._graph_cache
 
     # ------------------------------------------------------------------ #
     # Structure queries

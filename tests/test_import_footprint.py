@@ -1,9 +1,8 @@
 """Import-footprint guard: the engine paths load only what they use.
 
-networkx backs only ``Topology.to_networkx`` and SciPy only the exact MILP
-baseline and ``Topology.adjacency_matrix``; ``import repro`` and every engine,
-federation, replication and CLI-engine path must neither need them nor load
-them lazily.  The serial paths must not load the parallel runtime either
+SciPy backs only the exact MILP baseline and ``Topology.adjacency_matrix``;
+``import repro`` and every engine, federation, replication and CLI-engine
+path must neither need it nor load it lazily.  The serial paths must not load the parallel runtime either
 (``concurrent.futures``, ``multiprocessing``), nor ``numpy.ma``, which plain
 ``np.unique`` pulls in on numpy 2.x.  Each check runs in a fresh interpreter,
 so modules imported by the rest of the suite cannot mask a regression.  Nor
@@ -73,18 +72,10 @@ BLOCKED = (
     """
 import sys
 
-sys.modules["networkx"] = sys.modules["scipy"] = None
+sys.modules["scipy"] = None
 """
     + IMPORTS
     + ENGINE_STEPS
-    + """
-try:
-    churn.scenario.topology.to_networkx()
-except ImportError as exc:
-    assert "pip install 'repro-dve[graph]'" in str(exc), exc
-else:
-    raise AssertionError("to_networkx() ran without networkx")
-"""
 )
 
 UNBLOCKED = (
@@ -102,10 +93,7 @@ loaded_by_import = set(sys.modules)
 """
     + ENGINE_STEPS
     + """
-heavy = sorted(
-    name for name in sys.modules
-    if name == "networkx" or name.startswith(("networkx.", "scipy"))
-)
+heavy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not heavy, heavy
 late = sorted(
     name for name in set(sys.modules) - loaded_by_import if name.split(".")[0] == "numpy"
@@ -169,7 +157,7 @@ def _run(source: str) -> None:
     assert result.returncode == 0, result.stderr
 
 
-def test_engine_paths_run_with_networkx_and_scipy_blocked():
+def test_engine_paths_run_with_scipy_blocked():
     _run(BLOCKED)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -152,38 +151,6 @@ class TestDelays:
         topo = line_topology(6)
         rtt = topo.round_trip_delays(max_rtt_ms=100.0)
         np.testing.assert_allclose(rtt, rtt.T)
-
-
-class TestNetworkxInterop:
-    def test_to_networkx_and_back(self):
-        topo = line_topology(4)
-        graph = topo.to_networkx()
-        assert isinstance(graph, nx.Graph)
-        assert graph.number_of_nodes() == 4
-        restored = Topology.from_networkx(graph, name="round")
-        assert restored.num_nodes == 4
-        assert restored.num_edges == 4 - 1
-        np.testing.assert_allclose(
-            restored.round_trip_delays(), topo.round_trip_delays()
-        )
-
-    def test_from_networkx_missing_latency(self):
-        graph = nx.Graph()
-        graph.add_edge(0, 1)
-        with pytest.raises(TopologyError):
-            Topology.from_networkx(graph)
-
-    def test_from_networkx_domains(self):
-        graph = nx.Graph()
-        graph.add_node(0, domain=2, pos=(0, 0))
-        graph.add_node(1, domain=3, pos=(1, 0))
-        graph.add_edge(0, 1, latency=4.0)
-        topo = Topology.from_networkx(graph)
-        assert topo.num_domains == 2
-
-    def test_to_networkx_cached(self):
-        topo = line_topology(3)
-        assert topo.to_networkx() is topo.to_networkx()
 
 
 class TestMergeAndMisc:
