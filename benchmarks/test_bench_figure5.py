@@ -43,5 +43,5 @@ def test_bench_figure5(benchmark, record):
         assert grez_grec[i] >= ranz_virc[i]
 
     # Figure 5(b) shape: GreZ-GreC's utilisation decreases as correlation rises.
-    util_grec = result.utilization_series("grez-grec")
+    util_grec = [r.utilization("grez-grec") for r in result.results.values()]
     assert util_grec[-1] <= util_grec[0] + 1e-9

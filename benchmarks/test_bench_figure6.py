@@ -35,7 +35,7 @@ def test_bench_figure6(benchmark, record):
 
     # Virtual-world clustering (types 2, 3) raises utilisation well above the
     # uniform / physically-clustered cases (types 0, 1) — Fig. 6b.
-    util = {t: result.utilization_series("grez-grec")[i] for i, t in enumerate(result.keys)}
+    util = {t: r.utilization("grez-grec") for t, r in result.results.items()}
     assert min(util[2], util[3]) > max(util[0], util[1])
 
     # Virtual-world clustering is the dominant driver of bandwidth consumption:

@@ -193,16 +193,6 @@ class CAPInstance:
             object.__setattr__(self, "_zone_populations_cache", cached)
         return cached
 
-    def clients_of_zone(self, zone: int) -> np.ndarray:
-        """Indices of clients whose avatar is in ``zone``."""
-        if not 0 <= zone < self.num_zones:
-            raise ValueError(f"zone {zone} outside [0, {self.num_zones - 1}]")
-        return np.flatnonzero(self.client_zones == zone)
-
-    def forwarding_demands(self) -> np.ndarray:
-        """Per-client contact-server demand ``RC(c) = 2 * RT(c)`` (bits/s)."""
-        return 2.0 * self.client_demands
-
     def total_demand(self) -> float:
         """Total target-server demand (bits/s)."""
         return float(self.client_demands.sum())
@@ -449,7 +439,3 @@ class CAPInstance:
                 else np.asarray(server_server_delays, dtype=np.float64)
             ),
         )
-
-    def with_delay_bound(self, delay_bound: float) -> "CAPInstance":
-        """Return a copy of this instance with a different delay bound ``D``."""
-        return replace(self, delay_bound=float(delay_bound))

@@ -430,10 +430,6 @@ class SweepResult:
         """Mean pQoS of one algorithm at every point."""
         return [result.pqos(algorithm) for result in self.results.values()]
 
-    def utilization_series(self, algorithm: str) -> List[float]:
-        """Mean resource utilisation of one algorithm at every point."""
-        return [result.utilization(algorithm) for result in self.results.values()]
-
     def panel(self, metric: str) -> List[list]:
         """One row per point: the key, then one ``metric`` column per algorithm."""
         if metric not in ("pqos", "utilization"):

@@ -52,10 +52,6 @@ class EmpiricalCDF:
             return 0.0
         return float(self.values[min(idx, self.values.size - 1)])
 
-    def as_rows(self) -> list[tuple[float, float]]:
-        """(threshold, value) rows for CSV / table output."""
-        return [(float(g), float(v)) for g, v in zip(self.grid, self.values)]
-
 
 def delay_cdf(
     delays: np.ndarray,

@@ -110,10 +110,6 @@ class DelayModel:
         return self.topology.num_nodes
 
     # ------------------------------------------------------------------ #
-    def node_rtt(self, u: int, v: int) -> float:
-        """RTT between two topology nodes in milliseconds."""
-        return float(self.rtt[u, v])
-
     def client_server_delays(
         self, client_nodes: np.ndarray, server_nodes: np.ndarray, copy: bool = False
     ) -> np.ndarray:

@@ -111,17 +111,6 @@ class BandwidthModel:
         populations = np.bincount(client_zones, minlength=num_zones).astype(np.float64)
         return self.stream_bps * populations * (populations + 1.0)
 
-    def forwarding_demands(self, client_target_demands: np.ndarray) -> np.ndarray:
-        """Per-client demand ``RC(c)`` on a *distinct* contact server (bits/s).
-
-        ``RC(c) = 2 * RT(c)`` because the contact server relays both the
-        client's inputs and the target server's updates.
-        """
-        demands = np.asarray(client_target_demands, dtype=np.float64)
-        if (demands < 0).any():
-            raise ValueError("client demands must be non-negative")
-        return 2.0 * demands
-
     def total_demand(self, client_zones: np.ndarray, num_zones: int) -> float:
         """System-wide target-server bandwidth demand in bits/s."""
         return float(self.zone_demands(client_zones, num_zones).sum())

@@ -62,10 +62,6 @@ class ClientPopulation:
             raise ValueError("population contains zone ids >= num_zones")
         return np.bincount(self.zones, minlength=num_zones).astype(np.int64)
 
-    def clients_in_zone(self, zone: int) -> np.ndarray:
-        """Indices of the clients whose avatar is in ``zone``."""
-        return np.flatnonzero(self.zones == zone)
-
     # ------------------------------------------------------------------ #
     # Churn transformations
     # ------------------------------------------------------------------ #

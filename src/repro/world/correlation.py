@@ -26,7 +26,6 @@ GreZ assignment shine in Figure 5 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -121,10 +120,6 @@ class RegionZoneMap:
             # so that sampling never fails.
             zones = np.array([int(region) % self.num_zones])
         return zones
-
-    def preference_matrix(self) -> Dict[int, np.ndarray]:
-        """Mapping region id → preferred zone array (for inspection / tests)."""
-        return {int(r): self.zones_of_region(int(r)) for r in self.regions}
 
 
 def correlated_zone_choice(

@@ -76,34 +76,6 @@ class ServerSet:
         """Total system capacity in Mbps."""
         return self.total_capacity / MBPS
 
-    def capacities_mbps(self) -> np.ndarray:
-        """Per-server capacities in Mbps."""
-        return self.capacities / MBPS
-
-    def with_capacities(self, capacities: np.ndarray) -> "ServerSet":
-        """Return a copy of this server set with different capacities."""
-        return ServerSet(nodes=self.nodes.copy(), capacities=np.asarray(capacities, dtype=float))
-
-    # ------------------------------------------------------------------ #
-    # Infrastructure churn transformations
-    # ------------------------------------------------------------------ #
-    def subset(self, server_indices: np.ndarray) -> "ServerSet":
-        """Server set restricted to the given server indices (in that order)."""
-        idx = np.asarray(server_indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_servers):
-            raise ValueError("server indices are out of range")
-        return ServerSet(nodes=self.nodes[idx], capacities=self.capacities[idx])
-
-    def with_joined(self, nodes: np.ndarray, capacities: np.ndarray) -> "ServerSet":
-        """Return a new server set with extra servers appended."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        capacities = np.asarray(capacities, dtype=np.float64)
-        if nodes.shape != capacities.shape:
-            raise ValueError("joined nodes and capacities must be parallel arrays")
-        return ServerSet(
-            nodes=np.concatenate([self.nodes, nodes]),
-            capacities=np.concatenate([self.capacities, capacities]),
-        )
 
 
 def allocate_capacities(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,7 +112,7 @@ class TestAssignmentMetrics:
 
     def test_capacity_feasibility(self, tiny_instance, forwarded_assignment):
         assert forwarded_assignment.is_capacity_feasible(tiny_instance)
-        tight = tiny_instance.with_delay_bound(100.0)
+        tight = dataclasses.replace(tiny_instance, delay_bound=100.0)
         # Shrink capacities below the loads to make it infeasible.
         from tests.conftest import make_tiny_instance
 

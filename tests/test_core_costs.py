@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,14 +34,14 @@ class TestInitialCostMatrix:
         assert (cost >= 0).all()
 
     def test_cost_depends_on_delay_bound(self, tiny_instance):
-        generous = initial_cost_matrix(tiny_instance.with_delay_bound(1000.0))
+        generous = initial_cost_matrix(dataclasses.replace(tiny_instance, delay_bound=1000.0))
         np.testing.assert_allclose(generous, 0.0)
-        strict = initial_cost_matrix(tiny_instance.with_delay_bound(10.0))
+        strict = initial_cost_matrix(dataclasses.replace(tiny_instance, delay_bound=10.0))
         np.testing.assert_allclose(strict.sum(axis=0), 3 * tiny_instance.zone_populations())
 
     def test_boundary_is_inclusive(self, tiny_instance):
         # A delay exactly equal to D satisfies QoS ("> D" counts as a miss).
-        cost = initial_cost_matrix(tiny_instance.with_delay_bound(50.0))
+        cost = initial_cost_matrix(dataclasses.replace(tiny_instance, delay_bound=50.0))
         np.testing.assert_allclose(cost[0, 0], 0.0)
 
 

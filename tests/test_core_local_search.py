@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -251,7 +252,7 @@ def _sweep_case(backend: str, seed: int):
         )[servers]
         # Either a bound some client meets exactly, or one from the delay range.
         bound = direct[0] if rng.random() < 0.5 else float(rng.uniform(20.0, 400.0))
-        instance = instance.with_delay_bound(max(float(bound), 1.0))
+        instance = dataclasses.replace(instance, delay_bound=max(float(bound), 1.0))
     num_servers, num_zones = instance.num_servers, instance.num_zones
 
     start = rng.choice(["server-0", "random", "solved"])

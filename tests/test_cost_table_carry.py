@@ -275,7 +275,7 @@ class TestNoStaleTable:
         instance = CAPInstance.from_scenario(world)
         dense = instance.dense_client_server_delays()
         for bound in (first, second, first):
-            cost = initial_cost_matrix(instance.with_delay_bound(bound))
+            cost = initial_cost_matrix(dataclasses.replace(instance, delay_bound=bound))
             expected = np.zeros((instance.num_zones, instance.num_servers))
             np.add.at(expected, instance.client_zones, dense > bound)
             np.testing.assert_array_equal(cost.T, expected)

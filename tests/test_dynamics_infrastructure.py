@@ -157,19 +157,6 @@ class TestApplyServerChurn:
             )
 
 
-class TestServerSetTransforms:
-    def test_subset_and_with_joined(self, small_scenario):
-        servers = small_scenario.servers
-        sub = servers.subset([2, 0])
-        np.testing.assert_array_equal(sub.nodes, servers.nodes[[2, 0]])
-        grown = servers.with_joined([5], [10.0 * MBPS])
-        assert grown.num_servers == servers.num_servers + 1
-        with pytest.raises(ValueError):
-            servers.subset([servers.num_servers])
-        with pytest.raises(ValueError):
-            servers.with_joined([1, 2], [1.0 * MBPS])
-
-
 class TestScenarioServerDelta:
     @pytest.mark.parametrize("spec", SERVER_CHURN, ids=["join", "leave", "drift", "mixed"])
     def test_bit_identical_to_with_servers(self, small_scenario, spec):

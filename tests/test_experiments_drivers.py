@@ -111,8 +111,7 @@ class TestFigure6Driver:
         rows = result.panel("utilization")
         assert len(rows) == 2
         # Virtual-world clustering (type 3) raises utilisation vs type 0 (Fig. 6b shape).
-        util_type0 = result.utilization_series("grez-grec")[0]
-        util_type3 = result.utilization_series("grez-grec")[1]
+        util_type0, util_type3 = (r.utilization("grez-grec") for r in result.results.values())
         assert util_type3 >= util_type0 - 0.05
         assert "Figure 6" in format_figure6(result)
 

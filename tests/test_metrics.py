@@ -95,10 +95,6 @@ class TestEmpiricalCDF:
         assert cdf.at(15.0) == pytest.approx(0.3)
         assert cdf.at(100.0) == pytest.approx(0.8)
 
-    def test_as_rows(self):
-        cdf = EmpiricalCDF(grid=np.array([1.0]), values=np.array([1.0]), num_samples=2)
-        assert cdf.as_rows() == [(1.0, 1.0)]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             EmpiricalCDF(grid=np.array([1.0, 2.0]), values=np.array([0.5]), num_samples=1)

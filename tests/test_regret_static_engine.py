@@ -22,6 +22,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -488,7 +489,7 @@ class TestGreZCandidateTable:
     def test_matches_placement_without_table(
         self, sparse_instances, which, bound_ms, tightness, seed
     ):
-        instance = sparse_instances[which].with_delay_bound(bound_ms)
+        instance = dataclasses.replace(sparse_instances[which], delay_bound=bound_ms)
         rng = np.random.default_rng(seed)
         demand = instance.zone_demands().sum()
         capacities = rng.random(instance.num_servers) + 0.05
@@ -518,7 +519,7 @@ class TestGreZCandidateTable:
         # The worlds above do exercise the tie case: at a tight bound some
         # zone's candidate costs equal its population.
         for instance in sparse_instances:
-            instance = instance.with_delay_bound(20.0)
+            instance = dataclasses.replace(instance, delay_bound=20.0)
             table = instance.client_server_delays.sorted_candidates()
             cost = initial_cost_matrix(instance)
             cand_cost = cost[table.T, np.arange(instance.num_zones)]

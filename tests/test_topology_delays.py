@@ -48,9 +48,6 @@ class TestRttMatrix:
     def test_cached(self, model):
         assert model.rtt is model.rtt
 
-    def test_node_rtt_scalar(self, model):
-        assert model.node_rtt(0, 1) == pytest.approx(model.rtt[0, 1])
-
 
 class TestClientServerDelays:
     def test_shape_and_values(self, model):

@@ -73,15 +73,6 @@ class TestZoneDemands:
 
 
 class TestForwardingAndTotals:
-    def test_forwarding_is_double(self):
-        model = BandwidthModel()
-        target = np.array([100.0, 250.0])
-        np.testing.assert_allclose(model.forwarding_demands(target), [200.0, 500.0])
-
-    def test_forwarding_rejects_negative(self):
-        with pytest.raises(ValueError):
-            BandwidthModel().forwarding_demands(np.array([-1.0]))
-
     def test_total_demand(self):
         model = BandwidthModel()
         zones = np.array([0, 0, 1])

@@ -40,10 +40,6 @@ class TestQueries:
         with pytest.raises(ValueError):
             population.zone_populations(2)
 
-    def test_clients_in_zone(self, population):
-        np.testing.assert_array_equal(population.clients_in_zone(2), [3, 4])
-        assert population.clients_in_zone(3).size == 0
-
 
 class TestChurnTransforms:
     def test_with_joined_appends(self, population):

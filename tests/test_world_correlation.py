@@ -36,11 +36,6 @@ class TestRegionZoneMap:
         with pytest.raises(ValueError):
             RegionZoneMap(num_zones=2, region_of_zone=np.array([0, 7]), regions=np.array([0, 1]))
 
-    def test_preference_matrix_keys(self):
-        mapping = RegionZoneMap.balanced(6, np.array([3, 5]), seed=0)
-        prefs = mapping.preference_matrix()
-        assert set(prefs) == {3, 5}
-
 
 class TestCorrelatedZoneChoice:
     def setup_method(self):

@@ -14,7 +14,6 @@ class TestServerSet:
         assert servers.num_servers == 3
         assert servers.total_capacity == pytest.approx(6e7)
         assert servers.total_capacity_mbps == pytest.approx(60.0)
-        np.testing.assert_allclose(servers.capacities_mbps(), [10, 20, 30])
 
     def test_mismatched_shapes(self):
         with pytest.raises(ValueError):
@@ -27,14 +26,6 @@ class TestServerSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ServerSet(nodes=np.array([], dtype=int), capacities=np.array([]))
-
-    def test_with_capacities(self):
-        servers = ServerSet(nodes=np.array([0, 1]), capacities=np.array([1e6, 1e6]))
-        updated = servers.with_capacities(np.array([2e6, 3e6]))
-        assert updated.total_capacity == pytest.approx(5e6)
-        np.testing.assert_array_equal(updated.nodes, servers.nodes)
-        # original untouched
-        assert servers.total_capacity == pytest.approx(2e6)
 
 
 class TestAllocateCapacities:
