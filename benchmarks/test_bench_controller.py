@@ -38,6 +38,7 @@ from repro.io.tables import format_table
 from repro.world.scenario import build_scenario
 
 from benchmarks.conftest import bench_runs, record_json
+from tests.reference.records import records_equal
 from tests.reference.world_rebuild import checked_advances
 
 pytestmark = pytest.mark.benchmark
@@ -80,7 +81,7 @@ def _measure(scenario, num_epochs: int) -> dict:
             replay = _controller(scenario, policy).run(num_epochs)
         assert checked == [True] * num_epochs
         assert len(replay) == len(records)
-        assert all(map(ChurnSimulator.records_equal, replay, records))
+        assert all(map(records_equal, replay, records))
         actions = [r.action for r in records]
         results[name] = {
             "epochs_per_sec": num_epochs / elapsed,

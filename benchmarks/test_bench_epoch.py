@@ -47,6 +47,7 @@ from repro.world import build_scenario
 
 from benchmarks.conftest import bench_runs, record_json
 from tests.reference.measurement_full import full_measurement
+from tests.reference.records import records_equal
 
 pytestmark = pytest.mark.benchmark
 
@@ -138,7 +139,7 @@ def test_bench_epoch(benchmark, record):
         incr_records = by_key[(num_clients, "incremental")]["records"]
         assert len(full_records) == len(incr_records) == NUM_EPOCHS
         for a, b in zip(full_records, incr_records):
-            assert ChurnSimulator.records_equal(a, b), (num_clients, a, b)
+            assert records_equal(a, b), (num_clients, a, b)
     for rung in results["rungs"]:
         del rung["records"]  # not serialisable, and no longer needed
 

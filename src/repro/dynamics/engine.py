@@ -616,30 +616,6 @@ class ChurnSimulator:
             server_old_to_new=None if server_churn is None else server_churn.old_to_new,
         )
 
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def records_equal(
-        a: EpochRecord, b: EpochRecord, fields: Optional[tuple] = None
-    ) -> bool:
-        """Field-wise equality that treats NaN == NaN (for equivalence tests).
-
-        Compares the measurement columns (:data:`EpochRecord.FIELDS`) by
-        default; ``shard_id`` is an addressing label, not a measurement, so a
-        federated shard's record can equal the stand-alone simulator's record.
-        Pass ``fields=EpochRecord.SCENARIO_FIELDS`` to also compare the
-        degradation columns.
-        """
-        for name in fields or EpochRecord.FIELDS:
-            va, vb = getattr(a, name), getattr(b, name)
-            if isinstance(va, float) and isinstance(vb, float):
-                if math.isnan(va) and math.isnan(vb):
-                    continue
-                if va != vb:
-                    return False
-            elif va != vb:
-                return False
-        return True
-
 
 class EpochSession:
     """Step-wise execution of a :class:`ChurnSimulator`, one epoch per call.

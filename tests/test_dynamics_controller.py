@@ -20,6 +20,7 @@ from repro.dynamics.policies import RebalancePolicy, carry_over_assignment, incr
 from repro.utils.rng import as_generator, spawn_generators
 from repro.world.scenario import build_scenario
 from tests.conftest import make_small_config
+from tests.reference.records import records_equal
 
 CHURN = ChurnSpec(num_joins=30, num_leaves=30, num_moves=30)
 
@@ -160,7 +161,7 @@ class TestControllerPolicies:
             return controlled(small_scenario, RebalancePolicy(target_pqos=0.95), 2, seed=9)
 
         a, b = run_once(), run_once()
-        assert all(ChurnSimulator.records_equal(x, y) for x, y in zip(a, b))
+        assert all(records_equal(x, y) for x, y in zip(a, b))
 
 
 class TestLegacyTraceReproduction:

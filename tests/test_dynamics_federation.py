@@ -22,6 +22,7 @@ from repro.dynamics.migration import MigrationCostModel
 from repro.world.federation import build_federation
 
 from tests.conftest import make_small_config
+from tests.reference.records import records_equal
 
 CHURN = ChurnSpec(num_joins=15, num_leaves=15, num_moves=15)
 
@@ -47,7 +48,7 @@ class TestEpochSession:
             stepped.extend(session.run_epoch())
         assert len(streamed) == len(stepped)
         for a, b in zip(streamed, stepped):
-            assert ChurnSimulator.records_equal(a, b)
+            assert records_equal(a, b)
 
     def test_run_epoch_past_end_rejected(self, small_scenario):
         session = ChurnSimulator(
@@ -92,7 +93,7 @@ class TestEpochSession:
         shifted, state_shifted = run([None, caps * 1.0])
         # Epoch 0 is untouched; epoch 1's churn stream is identical (the
         # capacity delta is deterministic), so populations agree exactly.
-        assert ChurnSimulator.records_equal(plain[0], shifted[0])
+        assert records_equal(plain[0], shifted[0])
         assert np.array_equal(
             state_plain.scenario.population.zones, state_shifted.scenario.population.zones
         )
@@ -164,7 +165,7 @@ class TestEpochRecordFederationFields:
         )
         a = EpochRecord(shard_id=0, **kwargs)
         b = EpochRecord(shard_id=7, **kwargs)
-        assert ChurnSimulator.records_equal(a, b)
+        assert records_equal(a, b)
 
 
 class TestNanWeightedMean:
@@ -203,7 +204,7 @@ class TestFederationIdentityAtOneShard:
         shard_records = [r for r in federated if r.shard_id == 0]
         assert len(shard_records) == len(baseline)
         for a, b in zip(shard_records, baseline):
-            assert ChurnSimulator.records_equal(a, b)
+            assert records_equal(a, b)
 
     def test_single_shard_aggregate_equals_shard(self):
         fed = build_federation(make_small_config(), num_shards=1, seed=31)
@@ -214,7 +215,7 @@ class TestFederationIdentityAtOneShard:
         aggregate = [r for r in records if r.shard_id == AGGREGATE_SHARD_ID]
         assert len(shard) == len(aggregate) == 2
         for a, b in zip(shard, aggregate):
-            assert ChurnSimulator.records_equal(a, b)
+            assert records_equal(a, b)
 
 
 class TestFederatedSimulator:
@@ -291,7 +292,7 @@ class TestFederatedSimulator:
             ]
         for arbiter in ("proportional", "regret"):
             for a, b in zip(runs["static"], runs[arbiter]):
-                assert ChurnSimulator.records_equal(a, b)
+                assert records_equal(a, b)
 
     def test_per_shard_churn_specs(self, federation3):
         specs = [
@@ -363,7 +364,7 @@ class TestSerialStepping:
         assert len(first) == len(second)
         for a, b in zip(first, second):
             assert (a.shard_id, a.epoch, a.algorithm) == (b.shard_id, b.epoch, b.algorithm)
-            assert ChurnSimulator.records_equal(a, b, fields=EpochRecord.SCENARIO_FIELDS)
+            assert records_equal(a, b, fields=EpochRecord.SCENARIO_FIELDS)
         assert advance_oracle_spy == [True] * (2 * 4 * self.NUM_EPOCHS)
         assert "carried_qos_count" in measure_oracle_spy
 
@@ -409,7 +410,7 @@ class TestSerialStepping:
         assert len(epoch0 + rest) == len(eager)
         for a, b in zip(epoch0 + rest, eager):
             assert (a.shard_id, a.epoch, a.algorithm) == (b.shard_id, b.epoch, b.algorithm)
-            assert ChurnSimulator.records_equal(a, b, fields=EpochRecord.SCENARIO_FIELDS)
+            assert records_equal(a, b, fields=EpochRecord.SCENARIO_FIELDS)
 
     def test_single_epoch_never_consults_arbiter(self, federation3):
         simulator = self._simulator(federation3)

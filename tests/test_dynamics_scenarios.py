@@ -17,8 +17,6 @@ import repro.baselines  # noqa: F401  (registers the baseline solvers)
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.degradation import AdmissionPolicy
 from repro.dynamics.engine import ChurnSimulator, EpochRecord
-
-records_equal = ChurnSimulator.records_equal
 from repro.dynamics.federation_engine import AGGREGATE_SHARD_ID, FederatedSimulator
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.policies import RebalancePolicy
@@ -40,6 +38,7 @@ from repro.world.federation import build_federation
 from repro.world.scenario import build_scenario
 
 from tests.conftest import make_small_config
+from tests.reference.records import records_equal
 
 #: Small-world churn used by every engine-level scenario test.
 CHURN = ChurnSpec(num_joins=10, num_leaves=10, num_moves=5)
