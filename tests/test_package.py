@@ -1,6 +1,7 @@
 """Package-level tests: top-level exports, version, the documented quickstart,
-that every public function or class has a caller outside the tests, and that
-every test-only oracle under ``tests/reference/`` is still imported by a test."""
+that every public function, class, method and property has a caller outside
+the tests, and that every test-only oracle under ``tests/reference/`` is still
+imported by a test."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from bench.trace import SPAN_TARGETS
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -22,6 +24,17 @@ KEEP_UNREFERENCED = {
     "load_json": "benchmarks/ artifact writers read their JSON with it",
 }
 
+#: Public methods and properties (``Class.name``) that no ``src/``, ``bench/``
+#: or ``examples/`` code references, each with the reason it stays.
+KEEP_UNREACHED_METHODS = {
+    "ClientPopulation.with_moved": "tests/reference/churn_snapshots.py moves the movers with it",
+    "ClientPopulation.with_joined": "tests/reference/churn_snapshots.py appends the joiners with it",
+    "ClientPopulation.subset": "tests/reference/churn_snapshots.py keeps the survivors with it",
+    "Topology.adjacency_matrix": "the shortest-path reference tests hand it to SciPy",
+    "ZoneAssignment.server_zone_loads": "the capacity-invariant tests check zone loads with it",
+    "Assignment.is_capacity_feasible": "the README quickstart checks the assignment with it",
+}
+
 
 def _public_definitions() -> dict[str, str]:
     """Public top-level functions and classes of ``src/repro``, name -> module path."""
@@ -31,6 +44,40 @@ def _public_definitions() -> dict[str, str]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 found[node.name] = str(path.relative_to(REPO))
     return found
+
+
+def _public_methods() -> dict[str, str]:
+    """Public methods and properties of public ``src/repro`` classes,
+    ``Class.name`` -> module path."""
+    found = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    found[f"{node.name}.{item.name}"] = str(path.relative_to(REPO))
+    return found
+
+
+def _pinned_methods() -> set[str]:
+    """``Class.name`` span targets that ``bench/trace.py`` wraps by name."""
+    return {attr for _module, attr in SPAN_TARGETS if "." in attr}
+
+
+def _unreached_methods(used: set[str]) -> set[str]:
+    """Public methods whose name ``used`` lacks and that no trace pin names.
+
+    A method counts as reached when its bare name is used anywhere, whatever
+    the receiver: a false keep (``subset`` on another class) is cheaper than
+    a false deletion.
+    """
+    pinned = _pinned_methods()
+    return {
+        qualname
+        for qualname in _public_methods()
+        if qualname.split(".", 1)[1] not in used and qualname not in pinned
+    }
 
 
 def _referenced_names() -> set[str]:
@@ -157,6 +204,27 @@ class TestEveryPublicNameIsReached:
         used = _referenced_names()
         stale = [n for n in KEEP_UNREFERENCED if n not in definitions or n in used]
         assert not stale, f"keep-set entries that are gone or now referenced: {stale}"
+
+
+class TestEveryPublicMethodIsReached:
+    def test_public_methods_have_a_caller(self):
+        unreached = _unreached_methods(_referenced_names()) - set(KEEP_UNREACHED_METHODS)
+        assert not unreached, (
+            "public methods only tests reach; delete them or add a keep reason: "
+            f"{sorted(unreached)}"
+        )
+
+    def test_keep_set_is_not_stale(self):
+        methods = _public_methods()
+        unreached = _unreached_methods(_referenced_names())
+        stale = [q for q in KEEP_UNREACHED_METHODS if q not in methods or q not in unreached]
+        assert not stale, f"method keep-set entries that are gone or now referenced: {stale}"
+
+    def test_trace_pins_count_as_uses(self):
+        """A ``bench/trace.py`` pin names a real method, and reaches it with no other use."""
+        pinned = _pinned_methods()
+        assert pinned and pinned <= set(_public_methods()), pinned - set(_public_methods())
+        assert not pinned & _unreached_methods(used=set())
 
 
 class TestEveryOracleIsImported:
