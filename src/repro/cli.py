@@ -36,6 +36,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 import tracemalloc
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -86,15 +87,20 @@ from repro.world.scenario import DVEConfig
 __all__ = ["main", "build_parser"]
 
 
-def _workers_type(value: str) -> int:
-    """argparse type for ``--workers``: a non-negative integer (0 = all CPUs)."""
+def _non_negative_int(value: str, hint: str = "") -> int:
+    """argparse type for non-negative integer options (e.g. ``--seed``)."""
     try:
-        workers = int(value)
+        parsed = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
-    if workers < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = one per CPU), got {workers}")
-    return workers
+    if parsed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0{hint}, got {parsed}")
+    return parsed
+
+
+def _workers_type(value: str) -> int:
+    """argparse type for ``--workers``: a non-negative integer (0 = all CPUs)."""
+    return _non_negative_int(value, " (0 = one per CPU)")
 
 
 def _server_churn_type(value: str) -> ServerChurnSpec:
@@ -138,6 +144,14 @@ def _non_negative_float(value: str) -> float:
     return parsed
 
 
+def _finite_non_negative_float(value: str) -> float:
+    """argparse type for non-negative float options with no "unlimited" value."""
+    parsed = _non_negative_float(value)
+    if math.isinf(parsed):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return parsed
+
+
 def _fraction_type(value: str) -> float:
     """argparse type for fractions in (0, 1] (e.g. ``--min-slice``)."""
     try:
@@ -169,7 +183,7 @@ _SHARED_FLAGS = {
         help="per-epoch repair action schedule",
     ),
     "--period": dict(type=int, default=0, help="re-execution period for --policy every_k_epochs"),
-    "--seed": dict(type=int, default=0, help="master RNG seed"),
+    "--seed": dict(type=_non_negative_int, default=0, help="master RNG seed"),
     "--runs": dict(type=int, default=1, help="independent replications to aggregate over"),
     "--workers": dict(
         type=_workers_type,
@@ -265,18 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     # solve -----------------------------------------------------------------
     solve = sub.add_parser("solve", help="solve one DVE scenario with one or more algorithms")
-    solve.add_argument(
-        "--config",
-        default=PAPER_DEFAULT_LABEL,
-        help="DVE configuration label, e.g. 20s-80z-1000c-500cp",
-    )
+    _add_flags(solve, "--config")
     solve.add_argument(
         "--algorithms",
         nargs="+",
         default=["ranz-virc", "ranz-grec", "grez-virc", "grez-grec"],
         help="solver names (see 'repro-dve list')",
     )
-    solve.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    _add_flags(solve, "--seed")
     solve.add_argument(
         "--correlation", type=float, default=0.5, help="physical-virtual correlation delta"
     )
@@ -292,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run one of the paper's tables / figures")
     exp.add_argument("experiment_id", choices=sorted(EXPERIMENTS), help="experiment id")
     exp.add_argument("--runs", type=int, default=3, help="simulation runs to average over")
-    exp.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    _add_flags(exp, "--seed")
     exp.add_argument(
         "--workers",
         type=_workers_type,
@@ -416,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fedp.add_argument(
         "--churn-fraction",
-        type=_non_negative_float,
+        type=_finite_non_negative_float,
         default=0.1,
         metavar="FRACTION",
         help="per-epoch joins/leaves/moves, as a fraction of each shard's clients",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import pytest
@@ -560,6 +561,32 @@ class TestEngineCommandOptions:
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1, captured.err
         assert captured.out == ""
+
+
+class TestUsageErrors:
+    """Out-of-range values that argparse rejects: exit 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([command, "--seed", "-1"] for command in ("simulate", "federate", "loadgen", "solve")),
+            ["experiment", "figure4", "--seed", "-1"],
+            ["federate", "--churn-fraction", "inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1, captured.err
+        assert captured.out == ""
+
+    def test_migration_budget_inf_means_no_budget(self):
+        args = build_parser().parse_args(["federate", "--migration-budget", "inf"])
+        assert args.migration_budget == math.inf
 
 
 class TestRenderedOutput:
