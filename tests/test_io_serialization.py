@@ -27,7 +27,7 @@ class TestToJsonable:
         config = DVEConfig(num_servers=3, num_zones=6, num_clients=10, total_capacity_mbps=50)
         data = to_jsonable(config)
         assert data["num_servers"] == 3
-        assert data["topology"]["model"] == "hierarchical"
+        assert data["topology"]["num_as"] == 20
 
     def test_containers_become_lists(self):
         assert to_jsonable((1, np.int32(2))) == [1, 2]
