@@ -14,9 +14,9 @@
 Every replicated experiment fans its runs out through
 :func:`repro.experiments.runner.replicate`.  The static sweeps aggregate them
 with :func:`~repro.experiments.runner.run_sweep`.  Table 3 and the engine
-studies aggregate them into a :class:`~repro.experiments.runner.StudyResult`.  Use
-:func:`repro.experiments.registry.get_experiment` (or the CLI) to run any of
-them by id.
+studies aggregate them into a :class:`~repro.experiments.runner.StudyResult`.
+Use :func:`repro.experiments.registry.get_experiment` (or the CLI) to run any
+of them by id.
 """
 
 from repro.experiments.config import (

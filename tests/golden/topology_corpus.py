@@ -11,9 +11,9 @@ Each digest also covers the array's dtype and shape, and the bytes are taken
 in C order, so a change of memory layout alone does not move a digest.
 
 The grid is :func:`~repro.topology.brite.generate_topology` (the paper's
-500-node hierarchy) over three seeds. ``tests/test_golden_topology.py`` asserts the
-committed digests; any change to a generator's output or to an all-pairs
-delay shows up as a digest mismatch.
+500-node hierarchy) over three seeds.  ``tests/test_golden_topology.py``
+asserts the committed digests; any change to a generator's output or to an
+all-pairs delay shows up as a digest mismatch.
 
 Regenerate ``topology.json`` (only when a change of the topologies is
 intended) from the repository root with::

@@ -569,7 +569,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            *([command, "--seed", "-1"] for command in ("simulate", "federate", "loadgen", "solve")),
+            *([command, "--seed", "-1"] for command in ("simulate", "federate", "loadgen")),
+            ["solve", "--seed", "-1"],
             ["experiment", "figure4", "--seed", "-1"],
             ["federate", "--churn-fraction", "inf"],
         ],

@@ -2,9 +2,10 @@
 
 SciPy backs only the exact MILP baseline and ``Topology.adjacency_matrix``;
 ``import repro`` and every engine, federation, replication and CLI-engine
-path must neither need it nor load it lazily.  The serial paths must not load the parallel runtime either
-(``concurrent.futures``, ``multiprocessing``), nor ``numpy.ma``, which plain
-``np.unique`` pulls in on numpy 2.x.  Each check runs in a fresh interpreter,
+path must neither need it nor load it lazily.  The serial paths must not
+load the parallel runtime either (``concurrent.futures``,
+``multiprocessing``), nor ``numpy.ma``, which plain ``np.unique`` pulls in
+on numpy 2.x.  Each check runs in a fresh interpreter,
 so modules imported by the rest of the suite cannot mask a regression.  Nor
 may the engine steps be the first to import a numpy submodule: that cost
 would land inside the first epoch or replication.

@@ -27,9 +27,9 @@ KEEP_UNREFERENCED = {
 #: Public methods and properties (``Class.name``) that no ``src/``, ``bench/``
 #: or ``examples/`` code references, each with the reason it stays.
 KEEP_UNREACHED_METHODS = {
-    "ClientPopulation.with_moved": "tests/reference/churn_snapshots.py moves the movers with it",
-    "ClientPopulation.with_joined": "tests/reference/churn_snapshots.py appends the joiners with it",
-    "ClientPopulation.subset": "tests/reference/churn_snapshots.py keeps the survivors with it",
+    "ClientPopulation.with_moved": "the churn snapshot oracle moves the movers with it",
+    "ClientPopulation.with_joined": "the churn snapshot oracle appends the joiners with it",
+    "ClientPopulation.subset": "the churn snapshot oracle keeps the survivors with it",
     "Topology.adjacency_matrix": "the shortest-path reference tests hand it to SciPy",
     "ZoneAssignment.server_zone_loads": "the capacity-invariant tests check zone loads with it",
     "Assignment.is_capacity_feasible": "the README quickstart checks the assignment with it",
