@@ -589,6 +589,54 @@ class TestUsageErrors:
         args = build_parser().parse_args(["federate", "--migration-budget", "inf"])
         assert args.migration_budget == math.inf
 
+    #: The argument prefix of every command that takes ``--seed``.
+    SEED_COMMANDS = {
+        "simulate": ["simulate"],
+        "federate": ["federate"],
+        "loadgen": ["loadgen"],
+        "solve": ["solve"],
+        "experiment": ["experiment", "figure4"],
+    }
+
+    @pytest.mark.parametrize("value", ["1.5", "seven"])
+    @pytest.mark.parametrize("command", list(SEED_COMMANDS))
+    def test_seed_rejects_a_non_integer(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.SEED_COMMANDS[command], "--seed", value])
+        assert exc.value.code == 2
+        assert f"expected an integer, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", str(2**32)])
+    @pytest.mark.parametrize("command", list(SEED_COMMANDS))
+    def test_seed_accepts_a_non_negative_integer(self, command, value):
+        args = build_parser().parse_args([*self.SEED_COMMANDS[command], "--seed", value])
+        assert args.seed == int(value)
+
+    def test_seed_error_names_the_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--seed", "-3"])
+        err = capsys.readouterr().err
+        assert "must be >= 0, got -3" in err
+        assert "one per CPU" not in err
+
+    def test_workers_error_keeps_its_hint(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--workers", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0 (0 = one per CPU), got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-inf", "1e400", "nan", "-0.5", "half"])
+    def test_churn_fraction_rejects(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["federate", "--churn-fraction", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["0", "0.25", "1", "3"])
+    def test_churn_fraction_accepts_a_finite_non_negative_number(self, value):
+        args = build_parser().parse_args(["federate", "--churn-fraction", value])
+        assert args.churn_fraction == float(value)
+
 
 class TestRenderedOutput:
     """The engine commands print and stream exactly the golden output."""

@@ -7,6 +7,8 @@ import pytest
 
 from repro.dynamics.churn import ChurnSpec, generate_churn
 from repro.dynamics.events import apply_churn
+from repro.world import build_scenario
+from tests.conftest import make_small_config
 
 
 class TestChurnSpec:
@@ -59,3 +61,35 @@ class TestGenerateChurn:
         batch = generate_churn(small_scenario, spec, seed=6)
         result = apply_churn(small_scenario.population, batch)
         assert result.population.num_clients == small_scenario.num_clients + 30 - 20
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3, 12], ids=lambda z: f"{z}z")
+def zoned_scenario(request):
+    """The small scenario's world cut into 1, 2, 3 or 12 zones."""
+    return build_scenario(make_small_config(num_zones=request.param), seed=3)
+
+
+class TestMoveDestinations:
+    """Movers go to a zone drawn uniformly from the zones other than their own."""
+
+    def test_movers_leave_their_zone(self, zoned_scenario):
+        batch = generate_churn(zoned_scenario, ChurnSpec(0, 0, 100), seed=0)
+        origins = zoned_scenario.population.zones[batch.move_indices]
+        assert ((batch.move_zones >= 0) & (batch.move_zones < zoned_scenario.num_zones)).all()
+        if zoned_scenario.num_zones == 1:
+            np.testing.assert_array_equal(batch.move_zones, origins)  # nowhere else to go
+        else:
+            assert (batch.move_zones != origins).all()
+
+    def test_every_other_zone_is_reached(self, zoned_scenario):
+        num_zones = zoned_scenario.num_zones
+        reached = np.zeros((num_zones, num_zones), dtype=bool)
+        for seed in range(20):
+            batch = generate_churn(zoned_scenario, ChurnSpec(0, 0, 100), seed=seed)
+            origins = zoned_scenario.population.zones[batch.move_indices]
+            reached[origins, batch.move_zones] = True
+        occupied = np.flatnonzero(np.bincount(zoned_scenario.population.zones, minlength=num_zones))
+        expected = np.ones((num_zones, num_zones), dtype=bool)
+        if num_zones > 1:
+            np.fill_diagonal(expected, False)
+        np.testing.assert_array_equal(reached[occupied], expected[occupied])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,45 @@ class TestEpochRecordFederationFields:
         a = EpochRecord(shard_id=0, **kwargs)
         b = EpochRecord(shard_id=7, **kwargs)
         assert records_equal(a, b)
+
+
+class TestRecordsEqual:
+    """The NaN-aware record comparison the equivalence tests rely on."""
+
+    BASE = EpochRecord(
+        epoch=0,
+        algorithm="x",
+        pqos_before=1.0,
+        pqos_after=0.9,
+        pqos_reexecuted=float("nan"),
+        pqos_incremental=0.9,
+        utilization_before=0.5,
+        utilization_reexecuted=0.5,
+        num_clients_before=10,
+        num_clients_after=12,
+    )
+
+    def test_nan_cells_compare_equal(self):
+        assert records_equal(self.BASE, dataclasses.replace(self.BASE))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"pqos_after": 0.8},
+            {"pqos_reexecuted": 0.9},
+            {"utilization_adopted": 0.5},
+            {"num_clients_after": 11},
+            {"algorithm": "y"},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_a_changed_measurement_differs(self, change):
+        assert not records_equal(self.BASE, dataclasses.replace(self.BASE, **change))
+
+    def test_degradation_columns_compare_only_when_asked(self):
+        degraded = dataclasses.replace(self.BASE, clients_degraded=3)
+        assert records_equal(self.BASE, degraded)
+        assert not records_equal(self.BASE, degraded, fields=EpochRecord.SCENARIO_FIELDS)
 
 
 class TestNanWeightedMean:

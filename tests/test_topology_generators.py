@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.topology.barabasi_albert import BarabasiAlbertParams, barabasi_albert_topology
 from repro.topology.brite import BriteConfig, generate_topology
+from repro.topology.graph import Topology
 from repro.topology.hierarchical import HierarchicalParams, hierarchical_topology
 from repro.topology.waxman import WaxmanParams
 from tests.conftest import flat_waxman
@@ -109,6 +112,76 @@ class TestHierarchical:
             HierarchicalParams(routers_per_as=0)
 
 
+#: Hierarchy shapes ``(num_as, routers_per_as)``, down to one AS and one router.
+SHAPES = [(1, 1), (1, 6), (2, 1), (3, 5), (6, 4), (10, 3)]
+
+
+def _shape_id(shape) -> str:
+    return "{}x{}".format(*shape)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=_shape_id)
+class TestHierarchicalStructure:
+    """The two-level construction, checked on the generated graph itself."""
+
+    @staticmethod
+    def _generate(shape, seed=3):
+        num_as, routers_per_as = shape
+        params = HierarchicalParams(num_as=num_as, routers_per_as=routers_per_as)
+        return params, hierarchical_topology(params, seed=seed)
+
+    @staticmethod
+    def _inter_domain_edges(topo):
+        domains = topo.node_domain[topo.edges]
+        return topo.edges[domains[:, 0] != domains[:, 1]]
+
+    def test_domains_are_contiguous_blocks(self, shape):
+        params, topo = self._generate(shape)
+        expected = np.repeat(np.arange(params.num_as), params.routers_per_as)
+        np.testing.assert_array_equal(topo.node_domain, expected)
+
+    def test_each_domain_is_connected_on_its_own(self, shape):
+        params, topo = self._generate(shape)
+        for as_id in range(params.num_as):
+            nodes = topo.domain_nodes(as_id)
+            inside = np.isin(topo.edges, nodes).all(axis=1)
+            local = Topology(
+                positions=topo.positions[nodes],
+                edges=topo.edges[inside] - nodes[0],
+                latencies=topo.latencies[inside],
+            )
+            assert local.is_connected(), as_id
+
+    def test_inter_domain_links_realise_the_as_graph(self, shape):
+        params, topo = self._generate(shape)
+        links = self._inter_domain_edges(topo)
+        as_level = barabasi_albert_topology(params.num_as, params=params.as_params, seed=0)
+        assert links.shape[0] == as_level.num_edges
+        pairs = np.sort(topo.node_domain[links], axis=1)
+        assert np.unique(pairs, axis=0).shape[0] == pairs.shape[0]
+        quotient = Topology(
+            positions=np.zeros((params.num_as, 2)),
+            edges=pairs,
+            latencies=np.ones(pairs.shape[0]),
+        )
+        assert quotient.is_connected()
+
+    def test_inter_domain_links_leave_from_border_routers(self, shape):
+        params, topo = self._generate(shape)
+        endpoints = np.unique(self._inter_domain_edges(topo))
+        per_domain = np.bincount(topo.node_domain[endpoints], minlength=params.num_as)
+        assert per_domain.max(initial=0) <= params.border_routers_per_as
+
+    def test_brite_front_end_builds_the_same_graph(self, shape):
+        num_as, routers_per_as = shape
+        _, expected = self._generate(shape, seed=5)
+        topo = generate_topology(BriteConfig(num_as=num_as, routers_per_as=routers_per_as), seed=5)
+        assert topo.name == f"brite-hier-{num_as * routers_per_as}"
+        np.testing.assert_array_equal(topo.edges, expected.edges)
+        np.testing.assert_array_equal(topo.latencies, expected.latencies)
+        np.testing.assert_array_equal(topo.positions, expected.positions)
+
+
 class TestBriteConfig:
     def test_default_matches_paper(self):
         config = BriteConfig()
@@ -127,6 +200,19 @@ class TestBriteConfig:
     def test_invalid_shape_rejected_at_generation(self):
         with pytest.raises(ValueError):
             generate_topology(BriteConfig(num_as=0))
+
+    @pytest.mark.parametrize("routers_per_as", [0, -1])
+    def test_invalid_router_count_rejected_at_generation(self, routers_per_as):
+        with pytest.raises(ValueError, match="routers_per_as"):
+            generate_topology(BriteConfig(routers_per_as=routers_per_as))
+
+    def test_fields_are_the_hierarchy_parameters(self):
+        names = [f.name for f in dataclasses.fields(BriteConfig)]
+        assert names == ["num_as", "routers_per_as", "waxman_alpha", "waxman_beta", "ba_m"]
+
+    def test_num_nodes_is_derived_not_set(self):
+        with pytest.raises(TypeError):
+            BriteConfig(num_nodes=500)  # type: ignore[call-arg]
 
     @pytest.mark.slow
     def test_paper_default_topology(self):
