@@ -121,12 +121,15 @@ def _repair_contacts_sweep(
     max_iterations: int,
     max_sweeps: int = 50,
     delays: Optional[np.ndarray] = None,
+    loads: Optional[np.ndarray] = None,
 ) -> int:
     """Batched contact repair: apply a whole sweep of improving moves at once.
 
     ``delays`` optionally seeds (and receives, mutated in place) the
     maintained per-client delay vector — see :func:`warm_start_refine` for
-    the bit-identity contract.
+    the bit-identity contract.  ``loads`` likewise optionally seeds the
+    per-server loads; it must equal ``server_loads`` of the given arrays
+    bit for bit, and is mutated in place.
 
     Each sweep picks, for every over-bound client, its best *strictly
     improving* contact server that had room at the start of the sweep, then
@@ -148,7 +151,8 @@ def _repair_contacts_sweep(
 
     if delays is None:
         delays = delays_to_targets(instance, zone_to_server, contacts)
-    loads = server_loads(instance, zone_to_server, contacts)
+    if loads is None:
+        loads = server_loads(instance, zone_to_server, contacts)
     targets = zone_to_server[zones_of]
 
     applied_total = 0
@@ -222,12 +226,13 @@ def _repair_zones_sweep(
     max_iterations: int,
     max_sweeps: int = 20,
     delays: Optional[np.ndarray] = None,
+    loads: Optional[np.ndarray] = None,
 ) -> int:
     """Batched zone-move repair: one ``(over-bound zones, servers)`` scan per sweep.
 
-    ``delays`` optionally seeds (and receives, mutated in place) the
-    maintained per-client delay vector — see :func:`warm_start_refine` for
-    the bit-identity contract.
+    ``delays`` and ``loads`` optionally seed (and receive, mutated in place)
+    the maintained per-client delay and per-server load vectors, as in
+    :func:`_repair_contacts_sweep`.
 
     Each sweep evaluates, for every zone with a member over the bound, the
     objective delta of re-hosting it on every other server (members
@@ -270,7 +275,8 @@ def _repair_zones_sweep(
 
     if delays is None:
         delays = delays_to_targets(instance, zone_to_server, contacts)
-    loads = server_loads(instance, zone_to_server, contacts)
+    if loads is None:
+        loads = server_loads(instance, zone_to_server, contacts)
 
     applied_total = 0
     for _ in range(max_sweeps):
@@ -356,6 +362,7 @@ def warm_start_refine(
     assignment: Assignment,
     max_iterations: int = 200,
     consider_zone_moves: bool = False,
+    loads: Optional[np.ndarray] = None,
 ) -> LocalSearchResult:
     """Warm-start refinement: repair a carried-over assignment after churn.
 
@@ -387,6 +394,15 @@ def warm_start_refine(
     copy, the array is frozen read-only), together with the freshly reduced
     server loads.  ``initial_pqos`` / ``final_pqos`` are exact
     count-over-population divisions, bit-identical to ``Assignment.pqos``.
+
+    ``loads`` optionally supplies the assignment's per-server loads on
+    ``instance`` when the caller already reduced them (the engine's
+    carry-over does, for its capacity flag); it must equal
+    ``assignment.server_loads(instance)`` bit for bit, and the refiner takes
+    it over and updates it in place.  Maintained loads are not
+    bit-identical to a fresh reduction, so one is taken for the sweeps
+    (unless supplied), one after a zone sweep that moved something, and one
+    for the stash unless the contact sweep moved nothing.
     """
     zone_to_server = assignment.zone_to_server.copy()
     contacts = assignment.contact_of_client.copy()
@@ -395,19 +411,32 @@ def warm_start_refine(
         initial_pqos = int(np.count_nonzero(delays <= instance.delay_bound)) / instance.num_clients
     else:
         initial_pqos = 1.0
+    if loads is None:
+        loads = server_loads(instance, zone_to_server, contacts)
 
     with Timer() as timer:
         iterations = 0
         if consider_zone_moves:
             iterations += _repair_zones_sweep(
-                instance, zone_to_server, contacts, max_iterations, delays=delays
+                instance, zone_to_server, contacts, max_iterations, delays=delays, loads=loads
             )
+            if iterations:
+                loads = server_loads(instance, zone_to_server, contacts)
+        contact_moves = 0
         if iterations < max_iterations:
-            iterations += _repair_contacts_sweep(
-                instance, zone_to_server, contacts, max_iterations - iterations, delays=delays
+            contact_moves = _repair_contacts_sweep(
+                instance,
+                zone_to_server,
+                contacts,
+                max_iterations - iterations,
+                delays=delays,
+                loads=loads,
             )
+            iterations += contact_moves
 
-    final_loads = server_loads(instance, zone_to_server, contacts)
+    # Maintained loads drift from a fresh reduction by rounding, so the
+    # stash gets a fresh one; ``loads`` still is one when no contact moved.
+    final_loads = loads if contact_moves == 0 else server_loads(instance, zone_to_server, contacts)
     refined = Assignment(
         zone_to_server=zone_to_server,
         contact_of_client=contacts,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dynamics.events import ChurnBatch
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.utils.rng import SeedLike, as_generator, spawn_seeds
 from repro.world.distributions import (
     ZoneSamplingPlan,
     sample_client_nodes,
@@ -61,20 +61,21 @@ def generate_churn(
     epochs of a session; batches are bit-identical with or without it.
     """
     spec = spec or ChurnSpec()
-    rng = as_generator(seed)
-    join_node_rng, join_zone_rng, pick_rng, move_rng = spawn_generators(rng, 4)
+    # Four streams; the join-zone stream is only split further, so it stays
+    # a seed sequence, and each of the others is built when it draws.
+    join_node_seed, join_zone_seed, pick_seed, move_seed = spawn_seeds(seed, 4)
 
     # Joining clients follow the original distribution spec.
     dist_spec = scenario.config.distribution_spec
     join_nodes = sample_client_nodes(
-        scenario.topology, spec.num_joins, dist_spec, seed=join_node_rng
+        scenario.topology, spec.num_joins, dist_spec, seed=join_node_seed
     )
     join_zones = sample_client_zones(
         scenario.topology,
         join_nodes,
         scenario.num_zones,
         dist_spec,
-        seed=join_zone_rng,
+        seed=join_zone_seed,
         plan=zone_plan,
     )
 
@@ -82,14 +83,16 @@ def generate_churn(
     num_leaves = min(spec.num_leaves, num_clients)
     num_moves = min(spec.num_moves, max(num_clients - num_leaves, 0))
     if num_leaves + num_moves > 0 and num_clients > 0:
-        picked = pick_rng.choice(num_clients, size=num_leaves + num_moves, replace=False)
+        picked = as_generator(pick_seed).choice(
+            num_clients, size=num_leaves + num_moves, replace=False
+        )
     else:
         picked = np.zeros(0, dtype=np.int64)
     leave_indices = picked[:num_leaves]
     move_indices = picked[num_leaves:]
 
     # Destination zones for the movers.
-    move_zones = _sample_move_zones(scenario, move_indices, move_rng)
+    move_zones = _sample_move_zones(scenario, move_indices, move_seed)
 
     if zone_plan is not None:
         # Hot-loop (arena) mode: the batch is valid by construction, so skip
@@ -109,7 +112,7 @@ def generate_churn(
 def _sample_move_zones(
     scenario: DVEScenario,
     move_indices: np.ndarray,
-    move_rng: np.random.Generator,
+    move_seed: SeedLike,
 ) -> np.ndarray:
     """Destination zone of each mover, uniform over the other zones.
 
@@ -120,5 +123,5 @@ def _sample_move_zones(
     origins = scenario.population.zones[move_indices]
     if move_indices.size == 0 or num_zones <= 1:
         return origins.copy()  # single-zone world: the avatar has nowhere else to go
-    draws = move_rng.integers(0, num_zones - 1, size=move_indices.size)
+    draws = as_generator(move_seed).integers(0, num_zones - 1, size=move_indices.size)
     return np.where(draws >= origins, draws + 1, draws)

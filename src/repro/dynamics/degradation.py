@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from repro.dynamics.events import ChurnBatch
+from repro.utils.rng import SeedLike, as_generator
 from repro.world.clients import ClientPopulation
 
 __all__ = [
@@ -188,12 +189,12 @@ def admission_control(
     total_capacity: float,
     pool: DegradedPool,
     policy: AdmissionPolicy,
-    rng: np.random.Generator,
+    rng: SeedLike,
     epoch: int = 0,
 ) -> tuple[ChurnBatch, AdmissionStats]:
     """Rewrite a churn batch so the post-batch demand fits the fleet.
 
-    Shedding order is deterministic for a fixed ``rng`` state: joiners are
+    Shedding order is deterministic for a fixed ``rng`` seed: joiners are
     evicted first (they never entered the world, so evicting them is free),
     then — only if still over the threshold — existing clients, both in a
     seeded random permutation.  Shed survivors become extra leavers (movers
@@ -204,8 +205,8 @@ def admission_control(
     stays under the hysteresis threshold, stopping at the first client that
     does not fit.
 
-    The ``rng`` is drawn from only when shedding actually happens, so
-    feasible worlds consume no randomness here.  ``epoch`` stamps shed
+    ``rng`` is any seed; its Generator is built, and drawn from, only when
+    shedding actually happens, so feasible worlds consume no randomness here.  ``epoch`` stamps shed
     clients and drives the policy's abandonment clock.
     """
     num_abandoned = pool.expire(epoch, policy.patience_epochs)
@@ -244,6 +245,7 @@ def admission_control(
         return batch, stats
 
     # Infeasible epoch: shed until demand fits.  Joiners first.
+    rng = as_generator(rng)
     join_keep = np.ones(batch.num_joins, dtype=bool)
     shed_join_order: list[int] = []
     if batch.num_joins:

@@ -34,7 +34,7 @@ import math
 import time
 import tracemalloc
 from dataclasses import InitVar, dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,7 +71,7 @@ from repro.dynamics.policies import (
 )
 from repro.dynamics.scenarios import ScenarioRuntime, ScenarioTimeline, build_timeline
 from repro.utils.arena import EpochArena
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.utils.rng import SeedLike, as_seed_sequence, reserve_seeds, spawn_seeds
 from repro.world.distributions import ZoneSamplingPlan
 from repro.world.scenario import DVEScenario
 from repro.world.servers import ServerSet
@@ -315,10 +315,10 @@ class ChurnSimulator:
     # ------------------------------------------------------------------ #
     def initial_state(self, seed: SeedLike) -> SimulationState:
         """Solve every algorithm on the initial scenario."""
-        solve_rngs = spawn_generators(seed, len(self.algorithms))
+        solve_seeds = spawn_seeds(seed, len(self.algorithms))
         instance = CAPInstance.from_scenario(self.scenario)
         assignments = {
-            name: registry_solve(instance, name, seed=solve_rngs[i])
+            name: registry_solve(instance, name, seed=solve_seeds[i])
             for i, name in enumerate(self.algorithms)
         }
         # Seed the stash for solvers that do not produce one (baselines), so
@@ -406,7 +406,7 @@ class ChurnSimulator:
         new_instance: CAPInstance,
         schedule: Union[PolicySchedule, RebalancePolicy],
         action: Optional[str],
-        reassign_rng: SeedLike,
+        reassign_seed: Callable[[], SeedLike],
         timings: Optional[Dict[str, float]] = None,
         overlay_active: bool = False,
         allocs: Optional[Dict[str, int]] = None,
@@ -415,6 +415,8 @@ class ChurnSimulator:
 
         ``action`` is ``None`` when the schedule defers its choice to the
         carried-over pQoS (:meth:`RebalancePolicy.action_after`).
+        ``reassign_seed`` returns the algorithm's re-execution stream; it is
+        called only when the action re-executes.
         ``timings`` optionally accumulates wall-time into its ``"solve"`` and
         ``"measure"`` keys (the repair/solve calls vs the measurement-point
         computations), feeding the session's per-phase profile.  ``allocs``
@@ -454,6 +456,9 @@ class ChurnSimulator:
         # A deferred (controller) epoch may adopt the carried assignment
         # itself, so its contacts must not alias the recycled scratch buffer.
         deferred = action is None
+        # The warm-start repair starts from the loads the carry-over reduces
+        # for its capacity flag instead of reducing the same arrays again.
+        carried_loads = np.empty(new_instance.num_servers) if action == "warm_start" else None
 
         def _carry():
             return carry_over_assignment(
@@ -463,6 +468,7 @@ class ChurnSimulator:
                 out=None
                 if deferred
                 else state.arena.scratch("carry_contacts", new_instance.num_clients),
+                loads_out=carried_loads,
             )
 
         # The carried-over "after" point: a delta update of the previous
@@ -513,7 +519,7 @@ class ChurnSimulator:
         if action in ("reexecute", "rebalance"):
             adopted = _timed(
                 "solve",
-                lambda: reassign(new_instance, name, seed=reassign_rng),
+                lambda: reassign(new_instance, name, seed=reassign_seed()),
             )
             reexec_pqos = _timed("measure", lambda: measured_pqos(adopted, new_instance))
             reexec_util = _timed("measure", lambda: measured_utilization(adopted, new_instance))
@@ -562,6 +568,7 @@ class ChurnSimulator:
                     carried,
                     consider_zone_moves=server_churn is not None,
                     max_iterations=max(200, new_instance.num_clients),
+                    loads=carried_loads,
                 ).assignment,
             )
             adopted_pqos = _timed("measure", lambda: measured_pqos(adopted, new_instance))
@@ -620,21 +627,25 @@ class ChurnSimulator:
 class EpochSession:
     """Step-wise execution of a :class:`ChurnSimulator`, one epoch per call.
 
-    Holds exactly the per-run state the old monolithic ``stream`` loop held —
-    the mutable :class:`SimulationState`, the resolved policy schedule and the
-    per-epoch RNG streams — but exposes the epoch as a unit of work, so a
-    higher-level driver can do things *between* epochs.  The federation
-    engine uses this to apply cross-shard capacity arbitration: a capacity
-    re-slice enters the next epoch as an identity-mapped
-    :class:`~repro.dynamics.infrastructure.ServerChurnResult`, flowing through
-    the exact world-advance / remap / repair / billing path that generated
-    infrastructure churn takes.
+    Holds the per-run state — the mutable :class:`SimulationState`, the
+    resolved policy schedule and the session's seed — and exposes the epoch
+    as a unit of work, so a higher-level driver can do things *between*
+    epochs.  The federation engine uses this to apply cross-shard capacity
+    arbitration: a capacity re-slice enters the next epoch as an
+    identity-mapped :class:`~repro.dynamics.infrastructure.ServerChurnResult`,
+    flowing through the exact world-advance / remap / repair / billing path
+    that generated infrastructure churn takes.
 
-    The RNG layout is identical to the pre-session engine for any seed and
-    epoch count (the constructor replays the exact draw order of the old
-    loop), so ``ChurnSimulator.stream`` records are bit-for-bit unchanged —
-    and an externally supplied capacity delta consumes no randomness, so
-    supplying one never perturbs the churn streams.
+    RNG layout: the seed's first children solve the initial assignments (one
+    per algorithm), the next ``num_epochs`` are the epoch streams and, with
+    an active timeline, one more seeds the scenario runtime.  The epoch
+    streams are reserved, not built: epoch ``e``'s stream is derived by its
+    spawn key when epoch ``e`` runs (:func:`~repro.utils.rng.reserve_seeds`),
+    and within it the churn, server-churn and per-algorithm re-execution
+    streams become Generators only if they are drawn from.  A caller's seed
+    sequence or Generator still advances by exactly the children above.  An
+    externally supplied capacity delta consumes no randomness, so supplying
+    one never perturbs the churn streams.
     """
 
     def __init__(self, simulator: ChurnSimulator, num_epochs: int):
@@ -646,11 +657,11 @@ class EpochSession:
             period=simulator.policy_period or None,
             migration_budget=simulator.policy_migration_budget,
         )
-        rng = as_generator(simulator.seed)
-        self.state = simulator.initial_state(rng)
-        self.epoch_rngs = spawn_generators(rng, num_epochs)
+        root = as_seed_sequence(simulator.seed)
+        self.state = simulator.initial_state(root)
+        self._epoch_seeds = reserve_seeds(root, num_epochs)
         self.num_epochs = num_epochs
-        #: Scenario timeline executor; spawned *after* the epoch streams and
+        #: Scenario timeline executor; seeded *after* the epoch streams and
         #: only when a timeline is active, so classic runs replay the exact
         #: RNG layout (and records) of the scenario-free engine.
         self.scenario_runtime: Optional[ScenarioRuntime] = None
@@ -659,7 +670,7 @@ class EpochSession:
                 simulator.scenario_timeline,
                 simulator.scenario,
                 num_epochs,
-                spawn_generators(rng, 1)[0],
+                spawn_seeds(root, 1)[0],
                 admission=simulator.admission_policy,
             )
         #: Cumulative per-phase wall time (seconds) across all epochs run so
@@ -737,9 +748,6 @@ class EpochSession:
                 "simulator's own server_churn_spec"
             )
 
-        # The extra server-churn sub-stream is spawned only when the fleet
-        # actually churns, so static-fleet runs replay the exact RNG layout
-        # (and records) of the pre-elastic engine.
         allocs: Optional[Dict[str, int]] = None
         if self.alloc_profile and tracemalloc.is_tracing():
             allocs = {}
@@ -755,18 +763,15 @@ class EpochSession:
             # re-slice and a mid-outage epoch compose in one delta.
             plan = runtime.plan_epoch(epoch, sim.churn_spec, capacity_delta=capacity_delta)
             capacity_delta = None
-        if server_active:
-            churn_rng, server_rng, *reassign_rngs = spawn_generators(
-                self.epoch_rngs[epoch], 2 + len(sim.algorithms)
-            )
-        else:
-            server_rng = None
-            churn_rng, *reassign_rngs = spawn_generators(
-                self.epoch_rngs[epoch], 1 + len(sim.algorithms)
-            )
+        # Epoch streams: churn, then server churn (only when the fleet
+        # churns, so static-fleet runs replay the RNG layout, and records, of
+        # the pre-elastic engine), then one re-execution stream per
+        # algorithm, each derived only if its action runs.
+        streams = reserve_seeds(self._epoch_seeds[epoch], 1 + server_active + len(sim.algorithms))
+        reassign_seeds = streams[1 + server_active :]
         churn_spec = sim.churn_spec if plan is None else plan.churn_spec
         batch = generate_churn(
-            state.scenario, churn_spec, seed=churn_rng, zone_plan=self._zone_plan
+            state.scenario, churn_spec, seed=streams[0], zone_plan=self._zone_plan
         )
         if runtime is not None:
             batch, scenario_stats = runtime.prepare_batch(
@@ -779,7 +784,7 @@ class EpochSession:
                 state.scenario.servers,
                 sim.server_churn_spec,
                 num_nodes=state.scenario.topology.num_nodes,
-                seed=server_rng,
+                seed=streams[1],
             )
             server_churn = apply_server_churn(state.scenario.servers, server_batch)
         elif plan is not None:
@@ -821,7 +826,7 @@ class EpochSession:
                 eff_instance,
                 self.schedule,
                 action,
-                reassign_rngs[i],
+                lambda i=i: reassign_seeds[i],
                 timings=timings,
                 overlay_active=eff_instance is not new_instance,
                 allocs=allocs,

@@ -40,7 +40,7 @@ from repro.dynamics.measurement import check_measurement_backend, measured_serve
 from repro.dynamics.migration import MigrationCostModel
 from repro.dynamics.policies import PolicySchedule
 from repro.dynamics.scenarios import ScenarioTimeline, build_timeline
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.utils.rng import SeedLike, spawn_seeds
 from repro.world.federation import FederatedWorld
 
 __all__ = ["FederatedSimulator", "FederationProfile", "AGGREGATE_SHARD_ID"]
@@ -221,7 +221,7 @@ class FederatedSimulator:
             # Degenerate federation: pass the seed straight through so the
             # single shard replays the stand-alone simulator bit-for-bit.
             return [self.seed]
-        return list(spawn_generators(as_generator(self.seed), self.num_shards))
+        return spawn_seeds(self.seed, self.num_shards)
 
     def _shard_simulators(self) -> List[ChurnSimulator]:
         specs = self._shard_churn_specs()

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.utils.distinct import sorted_distinct
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.utils.rng import SeedLike, as_generator, spawn_seeds
 from repro.world.servers import MBPS, ServerSet
 
 __all__ = [
@@ -216,12 +216,12 @@ def generate_server_churn(
         which servers leave).
     """
     spec = spec or ServerChurnSpec()
-    rng = as_generator(seed)
-    leave_rng, join_rng, drift_rng = spawn_generators(rng, 3)
+    leave_seed, join_seed, drift_seed = spawn_seeds(seed, 3)
 
     num_servers = servers.num_servers
     num_leaves = min(spec.num_leaves, max(num_servers - 1, 0))
     if num_leaves > 0:
+        leave_rng = as_generator(leave_seed)
         leave_indices = np.sort(leave_rng.choice(num_servers, size=num_leaves, replace=False))
     else:
         leave_indices = np.zeros(0, dtype=np.int64)
@@ -232,6 +232,7 @@ def generate_server_churn(
         occupied = sorted_distinct(servers.nodes)
         free = np.setdiff1d(np.arange(num_nodes, dtype=np.int64), occupied, assume_unique=True)
         pool = free if free.size >= spec.num_joins else np.arange(num_nodes, dtype=np.int64)
+        join_rng = as_generator(join_seed)
         join_nodes = join_rng.choice(pool, size=spec.num_joins, replace=pool.size < spec.num_joins)
         join_capacities = np.full(spec.num_joins, spec.join_capacity_mbps * MBPS)
     else:
@@ -241,6 +242,7 @@ def generate_server_churn(
     if spec.capacity_drift > 0 and num_servers > 0:
         # Log-normal multiplicative drift with unit median: symmetric in log
         # space, never non-positive.
+        drift_rng = as_generator(drift_seed)
         factors = np.exp(drift_rng.normal(0.0, spec.capacity_drift, size=num_servers))
     else:
         factors = np.zeros(0, dtype=np.float64)

@@ -65,6 +65,7 @@ def carry_over_assignment(
     churn: ChurnResult,
     new_instance: CAPInstance,
     out: Optional[np.ndarray] = None,
+    loads_out: Optional[np.ndarray] = None,
 ) -> Assignment:
     """Evaluate-ready version of an old assignment on the post-churn population.
 
@@ -80,7 +81,10 @@ def carry_over_assignment(
     ``new_instance.num_clients`` entries for the contact array; the returned
     assignment then aliases that buffer, so it must not be reused while the
     assignment is still needed (the simulation engine recycles one scratch
-    buffer across transient carry-overs).
+    buffer across transient carry-overs).  ``loads_out`` optionally receives
+    the ``(num_servers,)`` post-churn loads reduced for the capacity flag,
+    so a warm-start repair can start from them
+    (:func:`~repro.core.local_search.warm_start_refine`'s ``loads``).
     """
     new_num_clients = churn.population.num_clients
     if out is not None and out.dtype == np.int64 and out.shape[0] >= new_num_clients:
@@ -118,6 +122,8 @@ def carry_over_assignment(
         contacts[churn.new_client_indices] = targets_new[churn.new_client_indices]
 
     loads = server_loads(new_instance, old_assignment.zone_to_server, contacts)
+    if loads_out is not None:
+        loads_out[...] = loads
     capacity_exceeded = bool(
         (loads > new_instance.server_capacities * (1.0 + _CAP_TOLERANCE)).any()
     )

@@ -51,7 +51,7 @@ from repro.dynamics.degradation import (
 from repro.dynamics.events import ChurnBatch
 from repro.dynamics.infrastructure import ServerChurnResult
 from repro.topology.delay_backends import zone_anchor_nodes
-from repro.utils.rng import SeedLike, spawn_generators
+from repro.utils.rng import SeedLike, reserve_seeds
 from repro.world.clients import ClientPopulation
 from repro.world.distributions import sample_client_nodes
 from repro.world.servers import ServerSet
@@ -442,7 +442,7 @@ class EpochPlan:
     server_churn: Optional[ServerChurnResult]
     node_delay_factors: Optional[np.ndarray]
     total_capacity: float
-    shed_rng: np.random.Generator = field(repr=False, default=None)
+    shed_seed: SeedLike = field(repr=False, default=None)
 
 
 class ScenarioRuntime:
@@ -468,7 +468,7 @@ class ScenarioRuntime:
         self.timeline = timeline
         self.admission = admission or AdmissionPolicy()
         self.pool = DegradedPool()
-        self._epoch_rngs = spawn_generators(seed, num_epochs)
+        self._epoch_seeds = reserve_seeds(seed, num_epochs)
         self._topology = scenario.topology
         self._dist_spec = scenario.config.distribution_spec
         self._stream_bps = float(scenario.config.bandwidth_model.stream_bps)
@@ -538,7 +538,9 @@ class ScenarioRuntime:
         a re-slice downs the re-sliced fleet.
         """
         events = self.timeline.events
-        *event_rngs, shed_rng = spawn_generators(self._epoch_rngs[epoch], len(events) + 1)
+        # One stream per event, then the shedding stream; only a flash crowd
+        # (and shedding, when it happens) draws, so the rest stay underived.
+        streams = reserve_seeds(self._epoch_seeds[epoch], len(events) + 1)
 
         join_scale = 1.0
         leave_scale = 1.0
@@ -547,7 +549,7 @@ class ScenarioRuntime:
         extra_nodes: List[np.ndarray] = []
         extra_zones: List[np.ndarray] = []
 
-        for event, data, rng in zip(events, self._event_data, event_rngs):
+        for index, (event, data) in enumerate(zip(events, self._event_data)):
             if isinstance(event, MaintenanceEvent):
                 if event.in_window(epoch):
                     gate_factors[data] *= event.factor
@@ -559,7 +561,9 @@ class ScenarioRuntime:
             elif isinstance(event, FlashCrowdEvent):
                 count = int(round(event.clients * math.exp(-(epoch - event.start) / event.tau)))
                 if count > 0:
-                    nodes = sample_client_nodes(self._topology, count, self._dist_spec, seed=rng)
+                    nodes = sample_client_nodes(
+                        self._topology, count, self._dist_spec, seed=streams[index]
+                    )
                     extra_nodes.append(nodes)
                     extra_zones.append(np.full(count, event.zone, dtype=np.int64))
             elif isinstance(event, DiurnalEvent):
@@ -619,7 +623,7 @@ class ScenarioRuntime:
             server_churn=server_churn,
             node_delay_factors=node_factors,
             total_capacity=float(effective.sum()),
-            shed_rng=shed_rng,
+            shed_seed=streams[len(events)],
         )
 
     def prepare_batch(
@@ -642,7 +646,7 @@ class ScenarioRuntime:
             plan.total_capacity,
             self.pool,
             self.admission,
-            plan.shed_rng,
+            plan.shed_seed,
             epoch=plan.epoch,
         )
 

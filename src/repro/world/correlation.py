@@ -26,6 +26,7 @@ GreZ assignment shine in Figure 5 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -126,7 +127,7 @@ def correlated_zone_choice(
     client_regions: np.ndarray,
     zone_weights: np.ndarray,
     delta: float,
-    region_map: RegionZoneMap,
+    region_map: Optional[RegionZoneMap],
     seed: SeedLike = None,
     plan_probs: np.ndarray | None = None,
     plan_cdf: np.ndarray | None = None,
@@ -145,7 +146,8 @@ def correlated_zone_choice(
     delta:
         Correlation parameter in [0, 1].
     region_map:
-        The zone→region preference partition.
+        The zone→region preference partition.  Only correlated clients read
+        it, so it may be ``None`` when ``delta`` is 0.
     seed:
         RNG.
     plan_probs / plan_cdf:
@@ -163,6 +165,9 @@ def correlated_zone_choice(
         ``(num_clients,)`` zone index per client.
     """
     check_probability(delta, "delta")
+    if region_map is None and delta > 0.0:
+        raise ValueError("a region_map is required when delta > 0")
+    num_zones = len(zone_weights) if region_map is None else region_map.num_zones
     rng = as_generator(seed)
     client_regions = np.asarray(client_regions, dtype=np.int64)
     if plan_probs is not None:
@@ -170,7 +175,7 @@ def correlated_zone_choice(
         probs = plan_probs
     else:
         weights = np.asarray(zone_weights, dtype=np.float64)
-        if weights.shape != (region_map.num_zones,):
+        if weights.shape != (num_zones,):
             raise ValueError("zone_weights must have one entry per zone")
         if (weights < 0).any() or weights.sum() <= 0:
             raise ValueError("zone_weights must be non-negative and not all zero")
@@ -187,7 +192,7 @@ def correlated_zone_choice(
         if plan_cdf is not None:
             zones[uncorrelated] = plan_cdf.searchsorted(rng.random(n_global), side="right")
         else:
-            zones[uncorrelated] = rng.choice(region_map.num_zones, size=n_global, p=probs)
+            zones[uncorrelated] = rng.choice(num_zones, size=n_global, p=probs)
 
     # Correlated clients: draw from their region's preference group, grouped by
     # region so each group needs a single vectorised draw.

@@ -38,7 +38,7 @@ from repro.topology.placement import (
     place_clients_uniform,
 )
 from repro.utils.distinct import sorted_distinct
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.utils.rng import SeedLike, as_generator, spawn_seeds
 from repro.utils.validation import check_positive, check_probability
 from repro.world.correlation import RegionZoneMap, correlated_zone_choice
 
@@ -233,17 +233,20 @@ def sample_client_zones(
     (:class:`ZoneSamplingPlan`) so hot churn loops skip the per-call region
     bookkeeping; the RNG draw order is unchanged, so results are bit-identical
     with or without a plan.
+
+    The seed splits into a weights, a region-map and a choice stream.  With a
+    plan, the uniform weights draw nothing, and at correlation 0 the region
+    map is never read (no client is correlated), so neither stream is built
+    and the map is not drawn; the other streams are the same either way.
     """
     if plan is not None and (
         plan.topology is not topology or plan.num_zones != num_zones or plan.spec != spec
     ):
         raise ValueError("ZoneSamplingPlan was built for a different world or spec")
-    rng = as_generator(seed)
-    weights_rng, map_rng, choice_rng = spawn_generators(rng, 3)
+    weights_seed, map_seed, choice_seed = spawn_seeds(seed, 3)
     if plan is not None and plan.uniform_weights is not None:
         # Uniform virtual weights are a constant all-ones vector and consume
-        # no randomness (weights_rng is spawned either way, preserving the
-        # draw layout).
+        # no randomness.
         weights = plan.uniform_weights
     else:
         weights = zone_weights(
@@ -251,7 +254,7 @@ def sample_client_zones(
             virtual=spec.virtual,
             hot_zone_factor=spec.hot_zone_factor,
             hot_zone_fraction=spec.hot_zone_fraction,
-            seed=weights_rng,
+            seed=weights_seed,
         )
     client_nodes = np.asarray(client_nodes, dtype=np.int64)
     if topology.node_domain is not None:
@@ -259,15 +262,17 @@ def sample_client_zones(
     else:
         regions = client_nodes
     if plan is not None:
-        region_map = RegionZoneMap.balanced_prepared(
-            num_zones, plan.all_regions, plan.deal, seed=map_rng
-        )
+        region_map = None
+        if spec.correlation > 0.0:
+            region_map = RegionZoneMap.balanced_prepared(
+                num_zones, plan.all_regions, plan.deal, seed=map_seed
+            )
     else:
         if topology.node_domain is not None:
             all_regions = sorted_distinct(topology.node_domain)
         else:
             all_regions = np.arange(topology.num_nodes)
-        region_map = RegionZoneMap.balanced(num_zones, all_regions, seed=map_rng)
+        region_map = RegionZoneMap.balanced(num_zones, all_regions, seed=map_seed)
     plan_probs = plan_cdf = None
     if plan is not None and plan.uniform_probs is not None:
         plan_probs, plan_cdf = plan.uniform_probs, plan.uniform_cdf
@@ -276,7 +281,7 @@ def sample_client_zones(
         weights,
         spec.correlation,
         region_map,
-        seed=choice_rng,
+        seed=choice_seed,
         plan_probs=plan_probs,
         plan_cdf=plan_cdf,
     )

@@ -370,17 +370,20 @@ class TestZoneMoveAggregates:
 # Contact sweep vs the frozen rescan-every-client oracle.
 # ---------------------------------------------------------------------- #
 def _run_both_contact_sweeps(
-    instance, zone_to_server, contacts, max_iterations, max_sweeps=50, delays=None
+    instance, zone_to_server, contacts, max_iterations, max_sweeps=50, delays=None, loads=None
 ) -> int:
     """Run the engine's contact sweep in place and the oracle on copies; both
-    must leave the same contacts, the same delay bits and the same move count."""
+    must leave the same contacts, the same delay bits and the same move count.
+    Loads handed to the engine's sweep must be the oracle's own reduction."""
+    if loads is not None:
+        assert loads.tobytes() == server_loads(instance, zone_to_server, contacts).tobytes()
     o_contacts = contacts.copy()
     o_delays = None if delays is None else delays.copy()
     o_applied = repair_contacts_sweep_full(
         instance, zone_to_server.copy(), o_contacts, max_iterations, max_sweeps, o_delays
     )
     applied = _repair_contacts_sweep(
-        instance, zone_to_server, contacts, max_iterations, max_sweeps, delays
+        instance, zone_to_server, contacts, max_iterations, max_sweeps, delays, loads
     )
     assert applied == o_applied
     np.testing.assert_array_equal(contacts, o_contacts)

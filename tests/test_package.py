@@ -33,6 +33,7 @@ KEEP_UNREACHED_METHODS = {
     "Topology.adjacency_matrix": "the shortest-path reference tests hand it to SciPy",
     "ZoneAssignment.server_zone_loads": "the capacity-invariant tests check zone loads with it",
     "Assignment.is_capacity_feasible": "the README quickstart checks the assignment with it",
+    "SpawnKeySeed.generate_state": "numpy's PCG64 seeds itself through it (ISeedSequence)",
 }
 
 
