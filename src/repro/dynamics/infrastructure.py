@@ -142,16 +142,6 @@ class ServerChurnBatch:
         """Number of leaving servers."""
         return int(self.leave_indices.size)
 
-    @property
-    def is_empty(self) -> bool:
-        """True when applying this batch cannot change the fleet."""
-        return self.num_joins == 0 and self.num_leaves == 0 and self.capacity_factors.size == 0
-
-    def summary(self) -> str:
-        """Short human-readable description."""
-        drift = "drift" if self.capacity_factors.size else "no drift"
-        return f"{self.num_joins} server joins, {self.num_leaves} server leaves, {drift}"
-
 
 @dataclass(frozen=True)
 class ServerChurnResult:

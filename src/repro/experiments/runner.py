@@ -106,10 +106,6 @@ class ReplicatedResult:
         """Mean resource utilisation of an algorithm."""
         return self.summaries[algorithm].utilization.mean
 
-    def algorithms(self) -> List[str]:
-        """Algorithm names in the order they were requested."""
-        return list(self.summaries)
-
 
 def evaluate_algorithms(
     scenario: DVEScenario,

@@ -40,11 +40,6 @@ class DelayEstimator:
     model: ErrorModel = PERFECT
     perturb_server_mesh: bool = True
 
-    @property
-    def name(self) -> str:
-        """Name of the emulated service."""
-        return self.model.name
-
     def estimate(self, instance: CAPInstance, seed: SeedLike = None) -> CAPInstance:
         """Return the instance as *seen* through this measurement service.
 

@@ -17,7 +17,7 @@ Dijkstra would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -293,22 +293,6 @@ class Topology:
                 rtt = rtt * (max_rtt_ms / current_max)
         np.fill_diagonal(rtt, 0.0)
         return rtt
-
-    # ------------------------------------------------------------------ #
-    # Misc
-    # ------------------------------------------------------------------ #
-    def summary(self) -> Dict[str, float]:
-        """Small dict of descriptive statistics (used by the CLI)."""
-        deg = self.degree()
-        return {
-            "name": self.name,
-            "nodes": self.num_nodes,
-            "edges": self.num_edges,
-            "domains": self.num_domains,
-            "mean_degree": float(deg.mean()) if deg.size else 0.0,
-            "max_degree": int(deg.max()) if deg.size else 0,
-            "mean_latency_ms": float(self.latencies.mean()) if self.latencies.size else 0.0,
-        }
 
 
 def merge_topologies(

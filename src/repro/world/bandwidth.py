@@ -110,7 +110,3 @@ class BandwidthModel:
             raise ValueError("client_zones contains zone ids outside [0, num_zones)")
         populations = np.bincount(client_zones, minlength=num_zones).astype(np.float64)
         return self.stream_bps * populations * (populations + 1.0)
-
-    def total_demand(self, client_zones: np.ndarray, num_zones: int) -> float:
-        """System-wide target-server bandwidth demand in bits/s."""
-        return float(self.zone_demands(client_zones, num_zones).sum())

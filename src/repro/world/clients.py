@@ -56,12 +56,6 @@ class ClientPopulation:
         """Number of clients in this snapshot."""
         return int(self.nodes.shape[0])
 
-    def zone_populations(self, num_zones: int) -> np.ndarray:
-        """Number of clients per zone (length ``num_zones``)."""
-        if self.zones.size and self.zones.max() >= num_zones:
-            raise ValueError("population contains zone ids >= num_zones")
-        return np.bincount(self.zones, minlength=num_zones).astype(np.int64)
-
     # ------------------------------------------------------------------ #
     # Churn transformations
     # ------------------------------------------------------------------ #

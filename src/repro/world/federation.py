@@ -167,28 +167,6 @@ class FederatedWorld:
         """Number of servers in the shared fleet."""
         return self.servers.num_servers
 
-    @property
-    def total_capacity(self) -> float:
-        """Total fleet capacity in bits/s."""
-        return self.servers.total_capacity
-
-    def shard_demands(self) -> np.ndarray:
-        """Per-shard total client demand (bits/s)."""
-        return np.array([shard.total_demand() for shard in self.shards])
-
-    def summary(self) -> dict:
-        """Descriptive statistics used by the CLI."""
-        demands = self.shard_demands()
-        return {
-            "shards": self.num_shards,
-            "servers": self.num_servers,
-            "clients": sum(s.num_clients for s in self.shards),
-            "zones": sum(s.num_zones for s in self.shards),
-            "total_capacity_mbps": self.servers.total_capacity_mbps,
-            "demand_to_capacity": float(demands.sum()) / self.total_capacity,
-            "topology": self.topology.name,
-        }
-
 
 def build_federation(
     config: Union[DVEConfig, Sequence[DVEConfig], None] = None,

@@ -208,16 +208,6 @@ class DVEScenario:
         """DVE interactivity delay bound D in milliseconds."""
         return self.config.delay_bound_ms
 
-    def zone_demands(self) -> np.ndarray:
-        """Per-zone bandwidth demand (bits/s), summing per-client demands."""
-        demands = np.zeros(self.num_zones, dtype=np.float64)
-        np.add.at(demands, self.population.zones, self.client_demands)
-        return demands
-
-    def zone_populations(self) -> np.ndarray:
-        """Number of clients in each zone."""
-        return self.population.zone_populations(self.num_zones)
-
     def total_demand(self) -> float:
         """Total target-server bandwidth demand of the system (bits/s)."""
         return float(self.client_demands.sum())

@@ -27,8 +27,8 @@ ALGORITHMS = ["ranz-virc", "grez-grec"]
 
 
 def _assert_identical_observations(a: ReplicatedResult, b: ReplicatedResult) -> None:
-    assert a.algorithms() == b.algorithms()
-    for name in a.algorithms():
+    assert list(a.summaries) == list(b.summaries)
+    for name in a.summaries:
         obs_a, obs_b = a.observations[name], b.observations[name]
         assert len(obs_a) == len(obs_b) == a.num_runs
         for run_a, run_b in zip(obs_a, obs_b):

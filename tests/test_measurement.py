@@ -76,7 +76,6 @@ class TestDelayEstimator:
 
     def test_estimate_replaces_delays_only(self, tiny_instance):
         estimator = DelayEstimator(KING)
-        assert estimator.name == "king"
         estimated = estimator.estimate(tiny_instance, seed=0)
         assert estimated is not tiny_instance
         assert not np.array_equal(

@@ -165,9 +165,3 @@ class TestMergeAndMisc:
     def test_merge_requires_parts(self):
         with pytest.raises(TopologyError):
             merge_topologies([], [])
-
-    def test_summary_keys(self):
-        summary = line_topology(4).summary()
-        assert summary["nodes"] == 4
-        assert summary["edges"] == 3
-        assert summary["mean_degree"] == pytest.approx(1.5)

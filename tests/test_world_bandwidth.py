@@ -73,13 +73,8 @@ class TestZoneDemands:
 
 
 class TestForwardingAndTotals:
-    def test_total_demand(self):
-        model = BandwidthModel()
-        zones = np.array([0, 0, 1])
-        assert model.total_demand(zones, 2) == pytest.approx(model.zone_demands(zones, 2).sum())
-
     def test_double_frame_rate_doubles_demand(self):
         zones = np.array([0, 0, 1])
-        base = BandwidthModel().total_demand(zones, 2)
-        double = BandwidthModel(frame_rate=50.0).total_demand(zones, 2)
+        base = BandwidthModel().zone_demands(zones, 2).sum()
+        double = BandwidthModel(frame_rate=50.0).zone_demands(zones, 2).sum()
         assert double == pytest.approx(2 * base)

@@ -32,15 +32,6 @@ class TestConstruction:
         assert empty.num_clients == 0
 
 
-class TestQueries:
-    def test_zone_populations(self, population):
-        np.testing.assert_array_equal(population.zone_populations(4), [2, 1, 2, 0])
-
-    def test_zone_populations_rejects_small_world(self, population):
-        with pytest.raises(ValueError):
-            population.zone_populations(2)
-
-
 class TestChurnTransforms:
     def test_with_joined_appends(self, population):
         joined = population.with_joined(np.array([10, 11]), np.array([3, 3]))

@@ -179,12 +179,6 @@ class TestFederatedWorld:
                 slices=fed.slices,
             )
 
-    def test_summary_reports_fleet_and_shards(self, small_federation):
-        summary = small_federation.summary()
-        assert summary["shards"] == 3
-        assert summary["servers"] == small_federation.num_servers
-        assert summary["clients"] == sum(s.num_clients for s in small_federation.shards)
-
 
 class TestBuildScenarioSharedFleet:
     def test_servers_require_topology(self):

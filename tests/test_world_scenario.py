@@ -115,11 +115,6 @@ class TestBuildScenario:
                 delay_model=small_scenario.delay_model,
             )
 
-    def test_zone_demands_consistency(self, small_scenario):
-        zone_demands = small_scenario.zone_demands()
-        assert zone_demands.sum() == pytest.approx(small_scenario.total_demand())
-        assert zone_demands.shape == (small_scenario.num_zones,)
-
     def test_summary_keys(self, small_scenario):
         summary = small_scenario.summary()
         assert summary["servers"] == small_scenario.num_servers

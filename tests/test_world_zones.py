@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.world.zones import VirtualWorld
@@ -27,19 +26,3 @@ class TestConstruction:
         world = VirtualWorld(num_zones=3)
         with pytest.raises(dataclasses.FrozenInstanceError):
             world.num_zones = 4  # type: ignore[misc]
-
-
-class TestPopulations:
-    def test_counts(self):
-        world = VirtualWorld(num_zones=4)
-        pops = world.zone_populations(np.array([0, 0, 1, 3, 3, 3]))
-        np.testing.assert_array_equal(pops, [2, 1, 0, 3])
-
-    def test_empty_population(self):
-        world = VirtualWorld(num_zones=3)
-        np.testing.assert_array_equal(world.zone_populations(np.array([], dtype=int)), [0, 0, 0])
-
-    def test_out_of_range_rejected(self):
-        world = VirtualWorld(num_zones=3)
-        with pytest.raises(ValueError):
-            world.zone_populations(np.array([0, 3]))
