@@ -263,8 +263,6 @@ def as_seed_sequence(seed: SeedLike = None):
         if seed is not None and seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         return SpawnKeySeed(seed)
-    if isinstance(seed, ISpawnableSeedSequence):
-        return seed
     raise TypeError(
         "seed must be None, an int, a seed sequence or a numpy Generator, "
         f"got {type(seed)!r}"
@@ -273,7 +271,7 @@ def as_seed_sequence(seed: SeedLike = None):
 
 def _check_count(n: int) -> None:
     if n < 0:
-        raise ValueError(f"number of generators must be non-negative, got {n}")
+        raise ValueError(f"number of streams must be non-negative, got {n}")
 
 
 def spawn_seeds(seed: SeedLike, n: int) -> list:

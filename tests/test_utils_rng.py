@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import pickle
+import tracemalloc
+from datetime import timedelta
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.utils.rng import as_generator, spawn_generators
+from repro.dynamics.churn import ChurnSpec
+from repro.dynamics.engine import ChurnSimulator
+from repro.experiments.config import config_from_label
+from repro.utils.rng import (
+    SpawnKeySeed,
+    as_generator,
+    reserve_seeds,
+    spawn_generators,
+    spawn_seeds,
+)
+from repro.world.scenario import build_scenario
 
 
 class TestAsGenerator:
@@ -123,3 +137,175 @@ class TestSpawnDeterminism:
         parent = as_generator(99).integers(0, 10**9, size=20)
         for child in spawn_generators(99, 3):
             assert not np.array_equal(child.integers(0, 10**9, size=20), parent)
+
+
+# ---------------------------------------------------------------------- #
+# Derived streams against NumPy's own spawn + default_rng.
+# ---------------------------------------------------------------------- #
+def _trees(depth: int):
+    """Spawn trees: each node is ``(how, children)``, at most five children."""
+    how = st.sampled_from(["spawn_seeds", "reserve_seeds", "spawn_generators"])
+    if depth == 0:
+        return st.tuples(how, st.just([]))
+    return st.tuples(how, st.lists(_trees(depth - 1), max_size=5))
+
+
+def _draws(rng: np.random.Generator) -> tuple:
+    return rng.integers(0, 2**63, size=3).tolist(), rng.random(2).tolist()
+
+
+def _check_tree(tree, lib_parent, ref_parent: np.random.SeedSequence) -> None:
+    """Derive ``tree`` below both parents; every stream must draw the same."""
+    how, children = tree
+    ref_kids = ref_parent.spawn(len(children))
+    if how == "spawn_seeds":
+        lib_kids = spawn_seeds(lib_parent, len(children))
+    elif how == "reserve_seeds":
+        block = reserve_seeds(lib_parent, len(children))
+        # Derive out of order: a block's member does not depend on the others.
+        lib_kids = [None] * len(children)
+        for i in reversed(range(len(children))):
+            lib_kids[i] = block[i]
+    else:
+        lib_kids = spawn_generators(lib_parent, len(children))
+    assert len(lib_kids) == len(ref_kids)
+    for sub, lib_kid, ref_kid in zip(children, lib_kids, ref_kids):
+        # A seed-sequence child draws through the Generator built for it; a
+        # Generator child's subtree spawns from the Generator's own sequence.
+        drawn = lib_kid if how == "spawn_generators" else as_generator(lib_kid)
+        assert _draws(drawn) == _draws(np.random.default_rng(ref_kid))
+        _check_tree(sub, lib_kid, ref_kid)
+
+
+_ENTROPY = st.one_of(
+    st.integers(0, 2**130),
+    st.lists(st.integers(0, 2**70), min_size=1, max_size=6),
+)
+
+
+class TestDerivedStreamsMatchNumpy:
+    @settings(
+        derandomize=True,
+        deadline=timedelta(seconds=2),
+        database=None,
+        max_examples=60,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        root=st.sampled_from(["int", "SeedSequence", "Generator"]),
+        entropy=_ENTROPY,
+        tree=_trees(3),
+    )
+    def test_spawn_trees(self, root, entropy, tree):
+        if root == "int":
+            entropy = entropy if isinstance(entropy, int) else entropy[0]
+            lib_root = entropy
+        elif root == "SeedSequence":
+            lib_root = np.random.SeedSequence(entropy)
+        else:
+            lib_root = np.random.default_rng(np.random.SeedSequence(entropy))
+        ref_root = np.random.SeedSequence(entropy)
+        _check_tree(tree, lib_root, ref_root)
+        if root == "SeedSequence":
+            assert lib_root.n_children_spawned == ref_root.n_children_spawned
+        elif root == "Generator":
+            counter = lib_root.bit_generator.seed_seq.n_children_spawned
+            assert counter == ref_root.n_children_spawned
+
+    @settings(derandomize=True, deadline=timedelta(seconds=1), database=None, max_examples=100)
+    @given(
+        entropy=_ENTROPY,
+        spawn_key=st.lists(st.integers(0, 2**40), max_size=3),
+        pool_size=st.integers(4, 8),
+        n_words=st.integers(1, 9),
+        index=st.one_of(st.integers(0, 9), st.integers(0, 2**70)),
+    )
+    def test_pool_and_state(self, entropy, spawn_key, pool_size, n_words, index):
+        ref = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
+        lib = SpawnKeySeed(entropy, spawn_key, pool_size)
+        np.testing.assert_array_equal(lib.pool, ref.pool)
+        for dtype in (np.uint32, np.uint64):
+            np.testing.assert_array_equal(
+                lib.generate_state(n_words, dtype), ref.generate_state(n_words, dtype)
+            )
+        # Child ``index`` of a spawn, however large the index.
+        ref_child = np.random.SeedSequence(
+            entropy, spawn_key=[*spawn_key, index], pool_size=pool_size
+        )
+        np.testing.assert_array_equal(lib.child(index).pool, ref_child.pool)
+
+    def test_twin_of_a_numpy_sequence(self):
+        ref = np.random.SeedSequence([3, 2**70], spawn_key=(4, 2**33))
+        twin = SpawnKeySeed.from_seed_sequence(ref)
+        assert _draws(as_generator(twin)) == _draws(np.random.default_rng(ref))
+
+    def test_reserve_block_holds_no_streams(self):
+        parent = SpawnKeySeed(5)
+        block = reserve_seeds(parent, 10**9)
+        assert len(block) == 10**9 and parent.n_children_spawned == 10**9
+        assert block[-1].spawn_key == (10**9 - 1,)
+        tail = block[10**9 - 3 :]
+        assert [s.spawn_key for s in tail] == [(k,) for k in range(10**9 - 3, 10**9)]
+        with pytest.raises(IndexError):
+            block[10**9]
+
+    def test_derived_generator_survives_worker_pickling(self):
+        # repro.utils.pool hands tasks to a process pool, which pickles them
+        # with multiprocessing's ForkingPickler.
+        from multiprocessing.reduction import ForkingPickler
+
+        seq = spawn_seeds(11, 3)[2]
+        rng = as_generator(seq)
+        rng.random(5)
+        clone = pickle.loads(ForkingPickler.dumps(rng))
+        assert _draws(clone) == _draws(rng)
+        seq_clone = pickle.loads(ForkingPickler.dumps(seq))
+        assert _draws(as_generator(seq_clone)) == _draws(as_generator(seq))
+        assert seq_clone.spawn(2)[1].spawn_key == (2, 1)
+
+
+class TestSessionSeedCounter:
+    """A caller's seed advances by what the session spawns: one child per
+    algorithm, one per epoch and, with a timeline, one for the scenario."""
+
+    @pytest.mark.parametrize("timeline", [None, "diurnal"])
+    @pytest.mark.parametrize("wrap", ["SeedSequence", "Generator"])
+    def test_caller_counter(self, small_scenario, timeline, wrap):
+        seq = np.random.SeedSequence(21)
+        seed = seq if wrap == "SeedSequence" else np.random.default_rng(seq)
+        simulator = ChurnSimulator(
+            scenario=small_scenario,
+            algorithms=["grez-grec", "ranz-virc"],
+            churn_spec=ChurnSpec(num_joins=5, num_leaves=5, num_moves=5),
+            seed=seed,
+            policy="reexecute",
+            scenario_timeline=timeline,
+        )
+        session = simulator.session(1500)
+        assert seq.n_children_spawned == 2 + 1500 + (timeline is not None)
+        # Its streams are the ones an int seed's library-built root derives.
+        records = session.run_batch(2)
+        ref = ChurnSimulator(
+            scenario=small_scenario,
+            algorithms=["grez-grec", "ranz-virc"],
+            churn_spec=ChurnSpec(num_joins=5, num_leaves=5, num_moves=5),
+            seed=21,
+            policy="reexecute",
+            scenario_timeline=timeline,
+        ).session(1500)
+        assert [r.row() for r in records] == [r.row() for r in ref.run_batch(2)]
+
+
+def test_long_session_starts_in_bounded_memory():
+    """``stream`` promises arbitrarily long runs: starting a session of a
+    million epochs must not hold per-epoch state."""
+    scenario = build_scenario(config_from_label("5s-15z-200c-100cp"), seed=0)
+    simulator = ChurnSimulator(scenario=scenario, algorithms=["grez-grec"], seed=3)
+    tracemalloc.start()
+    try:
+        session = simulator.session(1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    assert len(session.run_epoch()) == 1
