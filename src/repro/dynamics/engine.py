@@ -202,11 +202,6 @@ class SimulationState:
     #: contacts, repair work arrays) recycle through it.
     arena: EpochArena = field(default_factory=EpochArena, repr=False)
 
-    @property
-    def num_clients(self) -> int:
-        """Clients in the current snapshot."""
-        return self.instance.num_clients
-
 
 @dataclass
 class ChurnSimulator:
@@ -380,10 +375,12 @@ class ChurnSimulator:
         """Run ``num_epochs`` churn epochs, yielding records as they complete.
 
         Records stream out epoch by epoch, so arbitrarily long runs can be
-        consumed with O(algorithms) record memory.  Each algorithm evolves
-        its own assignment: after every epoch the assignment the policy
-        adopted becomes the algorithm's current assignment for the next
-        epoch.
+        consumed with O(algorithms) record memory; the session holds one
+        seed and derives each epoch's RNG stream when the epoch runs, so
+        starting a long run holds no per-epoch state either.  Each algorithm
+        evolves its own assignment: after every epoch the assignment the
+        policy adopted becomes the algorithm's current assignment for the
+        next epoch.
         """
         session = self.session(num_epochs)
         while not session.done:
