@@ -764,8 +764,9 @@ class EpochSession:
         # churns, so static-fleet runs replay the RNG layout, and records, of
         # the pre-elastic engine), then one re-execution stream per
         # algorithm, each derived only if its action runs.
-        streams = reserve_seeds(self._epoch_seeds[epoch], 1 + server_active + len(sim.algorithms))
-        reassign_seeds = streams[1 + server_active :]
+        num_fixed = 2 if server_active else 1
+        streams = reserve_seeds(self._epoch_seeds[epoch], num_fixed + len(sim.algorithms))
+        reassign_seeds = streams[num_fixed:]
         churn_spec = sim.churn_spec if plan is None else plan.churn_spec
         batch = generate_churn(
             state.scenario, churn_spec, seed=streams[0], zone_plan=self._zone_plan

@@ -32,7 +32,7 @@ words of ``i`` instead of re-mixing the whole entropy and key.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence, ISpawnableSeedSequence
@@ -303,17 +303,15 @@ def spawn_generators(seed: SeedLike, n: int) -> list[np.random.Generator]:
 class SeedBlock(Sequence):
     """``n`` reserved child streams of one parent, each derived when indexed.
 
-    A slice with step 1 is again a block; no stream is derived until an
-    element is read.
+    A slice is again a block; no stream is derived until an element is read.
     """
 
-    __slots__ = ("_parent", "_first", "_n", "_ints")
+    __slots__ = ("_parent", "_first", "_n")
 
-    def __init__(self, parent: Optional[SpawnKeySeed], first: int, n: int, ints=None):
+    def __init__(self, parent: SpawnKeySeed, first: int, n: int):
         self._parent = parent
         self._first = first
         self._n = n
-        self._ints = ints
 
     def __len__(self) -> int:
         return self._n
@@ -322,21 +320,16 @@ class SeedBlock(Sequence):
         if isinstance(index, slice):
             start, stop, step = index.indices(self._n)
             if step != 1:
-                return [self[i] for i in range(start, stop, step)]
-            return SeedBlock(self._parent, self._first + start, max(stop - start, 0), self._ints)
+                raise ValueError("a seed block slice takes no step")
+            return SeedBlock(self._parent, self._first + start, max(stop - start, 0))
         if index < 0:
             index += self._n
         if not 0 <= index < self._n:
             raise IndexError("seed block index out of range")
-        if self._ints is not None:
-            return int(self._ints[self._first + index])
         return self._parent.child(self._first + index)
 
-    def __iter__(self) -> Iterator:
-        return (self[i] for i in range(self._n))
 
-
-def reserve_seeds(seed: SeedLike, n: int) -> SeedBlock:
+def reserve_seeds(seed: SeedLike, n: int) -> Sequence:
     """Reserve the next ``n`` child streams of ``seed``; derive each when indexed.
 
     ``reserve_seeds(seed, n)[i]`` is the stream ``spawn_seeds(seed, n)[i]``
@@ -351,7 +344,7 @@ def reserve_seeds(seed: SeedLike, n: int) -> SeedBlock:
     if isinstance(parent, SpawnKeySeed):
         return SeedBlock(parent, parent.reserve(n), n)
     if isinstance(parent, np.random.Generator):
-        return SeedBlock(None, 0, n, ints=parent.integers(0, 2**63 - 1, size=n))
+        return spawn_seeds(parent, n)  # integer-seeded children, drawn now
     first = parent.n_children_spawned
     remaining = n
     while remaining:
