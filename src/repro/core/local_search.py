@@ -143,40 +143,48 @@ def _repair_contacts_sweep(
     population.  The objective never worsens: every applied move strictly
     reduces its client's delay.
     """
-    zones_of = instance.client_zones
     bound = instance.delay_bound
     ssd = instance.server_server_delays
-    capacities = instance.server_capacities
-    num_servers = instance.num_servers
+    room = instance.server_capacities + _CAP_EPS
+    server_ids = np.arange(instance.num_servers)
 
     if delays is None:
         delays = delays_to_targets(instance, zone_to_server, contacts)
     if loads is None:
         loads = server_loads(instance, zone_to_server, contacts)
-    targets = zone_to_server[zones_of]
+
+    # A move only lowers its client's delay, so each sweep's over-bound
+    # clients are a subset of the previous sweep's, in the same order, and
+    # their rows of the first sweep's arrays are sliced instead of rebuilt.
+    over = np.flatnonzero(delays > bound)
+    over_targets = zone_to_server[instance.client_zones[over]]
+    demand2 = 2.0 * instance.client_demands[over]
+    options = instance.delay_rows(over) + ssd.T[over_targets]  # (over, m); col == server
+    is_target = server_ids == over_targets[:, None]
 
     applied_total = 0
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps):
         if applied_total >= max_iterations:
             break
-        over = np.flatnonzero(delays > bound)
+        if sweep:
+            still = delays[over] > bound
+            over = over[still]
+            over_targets = over_targets[still]
+            demand2 = demand2[still]
+            options = options[still]
+            is_target = is_target[still]
         if over.size == 0:
             break
-        over_targets = targets[over]
-        demand2 = 2.0 * instance.client_demands[over]
-        options = instance.delay_rows(over) + ssd.T[over_targets]  # (over, m); col == server
         # A candidate must strictly improve the client's delay and (unless it
         # is the target itself, which adds no load) fit the forwarding
         # overhead into the load as of the start of the sweep.
-        is_target = np.arange(num_servers)[None, :] == over_targets[:, None]
-        fits = is_target | (
-            loads[None, :] + demand2[:, None] <= capacities[None, :] + _CAP_EPS
+        candidate = (is_target | (loads + demand2[:, None] <= room)) & (
+            options < delays[over, None]
         )
-        candidate = fits & (options < delays[over, None])
         has_move = candidate.any(axis=1)
-        if not has_move.any():
-            break
         rows = np.flatnonzero(has_move)
+        if rows.size == 0:
+            break
         masked = np.where(candidate[rows], options[rows], np.inf)
         chosen = masked.argmin(axis=1)
         new_delay = masked[np.arange(rows.size), chosen]
@@ -189,11 +197,13 @@ def _repair_contacts_sweep(
         sorted_srv = chosen[order]
         sorted_claim = claim[order]
         csum = np.cumsum(sorted_claim)
-        group_first = np.r_[True, sorted_srv[1:] != sorted_srv[:-1]]
+        group_first = np.empty(sorted_srv.size, dtype=bool)
+        group_first[0] = True
+        np.not_equal(sorted_srv[1:], sorted_srv[:-1], out=group_first[1:])
         group_base = np.maximum.accumulate(np.where(group_first, csum - sorted_claim, 0.0))
         within_group = csum - group_base
         admitted_sorted = (sorted_claim == 0.0) | (
-            loads[sorted_srv] + within_group <= capacities[sorted_srv] + _CAP_EPS
+            loads[sorted_srv] + within_group <= room[sorted_srv]
         )
         admitted = order[admitted_sorted]
         if admitted.size == 0:
@@ -204,15 +214,15 @@ def _repair_contacts_sweep(
         moved_rows = rows[admitted]
         moved_clients = over[moved_rows]
         moved_to = chosen[admitted]
+        moved_targets = over_targets[moved_rows]
+        moved_demand2 = demand2[moved_rows]
         old_contacts = contacts[moved_clients]
-        was_forwarded = old_contacts != over_targets[moved_rows]
+        was_forwarded = old_contacts != moved_targets
         if was_forwarded.any():
-            np.subtract.at(
-                loads, old_contacts[was_forwarded], demand2[moved_rows][was_forwarded]
-            )
-        now_forwarded = moved_to != over_targets[moved_rows]
+            np.subtract.at(loads, old_contacts[was_forwarded], moved_demand2[was_forwarded])
+        now_forwarded = moved_to != moved_targets
         if now_forwarded.any():
-            np.add.at(loads, moved_to[now_forwarded], demand2[moved_rows][now_forwarded])
+            np.add.at(loads, moved_to[now_forwarded], moved_demand2[now_forwarded])
         contacts[moved_clients] = moved_to
         delays[moved_clients] = new_delay[admitted]
         applied_total += int(admitted.size)

@@ -38,7 +38,7 @@ from repro.topology.placement import (
     place_clients_uniform,
 )
 from repro.utils.distinct import sorted_distinct
-from repro.utils.rng import SeedLike, as_generator, spawn_seeds
+from repro.utils.rng import SeedLike, as_generator, reserve_seeds
 from repro.utils.validation import check_positive, check_probability
 from repro.world.correlation import RegionZoneMap, correlated_zone_choice
 
@@ -243,7 +243,8 @@ def sample_client_zones(
         plan.topology is not topology or plan.num_zones != num_zones or plan.spec != spec
     ):
         raise ValueError("ZoneSamplingPlan was built for a different world or spec")
-    weights_seed, map_seed, choice_seed = spawn_seeds(seed, 3)
+    # Weights, region-map and choice streams, each derived only when used.
+    streams = reserve_seeds(seed, 3)
     if plan is not None and plan.uniform_weights is not None:
         # Uniform virtual weights are a constant all-ones vector and consume
         # no randomness.
@@ -254,7 +255,7 @@ def sample_client_zones(
             virtual=spec.virtual,
             hot_zone_factor=spec.hot_zone_factor,
             hot_zone_fraction=spec.hot_zone_fraction,
-            seed=weights_seed,
+            seed=streams[0],
         )
     client_nodes = np.asarray(client_nodes, dtype=np.int64)
     if topology.node_domain is not None:
@@ -265,14 +266,14 @@ def sample_client_zones(
         region_map = None
         if spec.correlation > 0.0:
             region_map = RegionZoneMap.balanced_prepared(
-                num_zones, plan.all_regions, plan.deal, seed=map_seed
+                num_zones, plan.all_regions, plan.deal, seed=streams[1]
             )
     else:
         if topology.node_domain is not None:
             all_regions = sorted_distinct(topology.node_domain)
         else:
             all_regions = np.arange(topology.num_nodes)
-        region_map = RegionZoneMap.balanced(num_zones, all_regions, seed=map_seed)
+        region_map = RegionZoneMap.balanced(num_zones, all_regions, seed=streams[1])
     plan_probs = plan_cdf = None
     if plan is not None and plan.uniform_probs is not None:
         plan_probs, plan_cdf = plan.uniform_probs, plan.uniform_cdf
@@ -281,7 +282,7 @@ def sample_client_zones(
         weights,
         spec.correlation,
         region_map,
-        seed=choice_seed,
+        seed=streams[2],
         plan_probs=plan_probs,
         plan_cdf=plan_cdf,
     )
