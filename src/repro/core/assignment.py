@@ -108,16 +108,6 @@ class Assignment:
             raise ValueError("every client must have a contact server")
 
     # ------------------------------------------------------------------ #
-    @property
-    def num_zones(self) -> int:
-        """Number of zones."""
-        return int(self.zone_to_server.shape[0])
-
-    @property
-    def num_clients(self) -> int:
-        """Number of clients."""
-        return int(self.contact_of_client.shape[0])
-
     def targets_of_clients(self, instance: CAPInstance) -> np.ndarray:
         """Target server of each client."""
         return self.zone_to_server[instance.client_zones]

@@ -278,11 +278,10 @@ class CAPInstance:
     ) -> "CAPInstance":
         """Construct without re-running ``__post_init__``.
 
-        Internal fast path for :meth:`from_scenario_unchecked`,
-        :meth:`apply_delta` and :meth:`with_server_capacities`: the caller
-        guarantees the arrays already have the right dtypes, shapes and value
-        ranges (either carried over from a validated instance or validated as
-        a delta).
+        Internal fast path for :meth:`from_scenario_unchecked` and
+        :meth:`apply_delta`: the caller guarantees the arrays already have the
+        right dtypes, shapes and value ranges (either carried over from a
+        validated instance or validated as a delta).
         """
         instance = object.__new__(cls)
         object.__setattr__(instance, "client_server_delays", client_server_delays)
@@ -383,38 +382,6 @@ class CAPInstance:
             delay_bound=self.delay_bound,
             num_zones=self.num_zones,
         )
-
-    def with_server_capacities(self, capacities: np.ndarray) -> "CAPInstance":
-        """Capacity-only fleet change: same servers, different capacities.
-
-        The O(num_servers) mirror of
-        :meth:`~repro.world.scenario.DVEScenario.with_server_capacities`:
-        every other array — crucially the client×server delay matrix — and
-        the cached per-zone aggregates carry over *by identity* (a capacity
-        change cannot move clients between zones).  Only the new capacity
-        vector is validated.
-        """
-        capacities = np.asarray(capacities, dtype=np.float64)
-        if capacities.shape != (self.num_servers,):
-            raise ValueError(
-                f"capacities must have shape ({self.num_servers},), got {capacities.shape}"
-            )
-        if (capacities <= 0).any():
-            raise ValueError("server capacities must be strictly positive")
-        instance = CAPInstance._from_validated_arrays(
-            client_server_delays=self.client_server_delays,
-            server_server_delays=self.server_server_delays,
-            client_zones=self.client_zones,
-            client_demands=self.client_demands,
-            server_capacities=capacities,
-            delay_bound=self.delay_bound,
-            num_zones=self.num_zones,
-        )
-        for key in ("_zone_demands_cache", "_zone_populations_cache"):
-            cached = self.__dict__.get(key)
-            if cached is not None:
-                object.__setattr__(instance, key, cached)
-        return instance
 
     def with_delays(
         self,

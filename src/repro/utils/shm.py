@@ -95,10 +95,6 @@ class SharedArray:
     def name(self) -> str:
         return self._shm.name
 
-    @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
-
     def as_array(self) -> np.ndarray:
         """Read-only ndarray view over the shared segment (no copy)."""
         out = np.ndarray(self.shape, dtype=self.dtype, buffer=self._shm.buf)

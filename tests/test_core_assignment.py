@@ -152,10 +152,6 @@ class TestAssignmentBookkeeping:
         with pytest.raises(ValueError):
             Assignment(zone_to_server=zone_map, contact_of_client=np.array([-1, 0]))
 
-    def test_dimension_properties(self, direct_assignment):
-        assert direct_assignment.num_zones == 4
-        assert direct_assignment.num_clients == 8
-
     def test_equality_is_identity_and_both_classes_hash(
         self, zone_map, direct_assignment, forwarded_assignment
     ):

@@ -280,7 +280,7 @@ def _sweep_case(backend: str, seed: int):
         capacities = loads + headroom
     else:
         capacities = rng.random(num_servers) * 2.0 * instance.total_demand() / num_servers
-    instance = instance.with_server_capacities(np.maximum(capacities, 0.25))
+    instance = dataclasses.replace(instance, server_capacities=np.maximum(capacities, 0.25))
 
     max_iterations = int(rng.choice([1, 2, 3, 1000]))
     max_sweeps = int(rng.choice([1, 2, 20]))
@@ -409,7 +409,7 @@ def _contention_case(seed: int):
     loads = server_loads(instance, zone_to_server, contacts)
     headroom = rng.integers(0, 4, size=num_servers) * 2.0 * instance.client_demands.max()
     capacities = np.maximum(loads + headroom, 0.25)
-    return instance.with_server_capacities(capacities), zone_to_server, contacts
+    return dataclasses.replace(instance, server_capacities=capacities), zone_to_server, contacts
 
 
 def _first_sweep_claimants(instance, zone_to_server, contacts) -> int:

@@ -27,8 +27,8 @@ class TestSolveCap:
     def test_produces_valid_assignment(self, small_instance, algorithm):
         assignment = solve_cap(small_instance, algorithm, seed=0)
         assert assignment.algorithm == algorithm
-        assert assignment.num_clients == small_instance.num_clients
-        assert assignment.num_zones == small_instance.num_zones
+        assert assignment.contact_of_client.shape == (small_instance.num_clients,)
+        assert assignment.zone_to_server.shape == (small_instance.num_zones,)
         report = validate_assignment(small_instance, assignment)
         assert report.ok, str(report.violations)
 

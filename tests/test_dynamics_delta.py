@@ -377,11 +377,11 @@ class TestChurnEdgeCases:
         churn, _, new_instance = self._advance(small_scenario, batch)
         assert new_instance.num_clients == 0
         carried = carry_over_assignment(old, churn, new_instance)
-        assert carried.num_clients == 0
+        assert carried.contact_of_client.size == 0
         assert carried.pqos(new_instance) == 1.0  # vacuously all clients have QoS
         assert not carried.capacity_exceeded  # no clients, no load
         repaired = incremental_reassign(old, new_instance)
-        assert repaired.num_clients == 0
+        assert repaired.contact_of_client.size == 0
         assert repaired.pqos(new_instance) == 1.0
 
     def test_join_only_batch(self, small_scenario, small_instance):
@@ -396,7 +396,7 @@ class TestChurnEdgeCases:
         churn, _, new_instance = self._advance(small_scenario, batch)
         assert new_instance.num_clients == small_instance.num_clients + 25
         repaired = incremental_reassign(old, new_instance)
-        assert repaired.num_clients == new_instance.num_clients
+        assert repaired.contact_of_client.size == new_instance.num_clients
         np.testing.assert_array_equal(repaired.zone_to_server, old.zone_to_server)
         assert repaired.contact_of_client.min() >= 0
 
@@ -412,7 +412,7 @@ class TestChurnEdgeCases:
         assert new_instance.zone_demands()[zone] == 0.0
         old = registry_solve(small_instance, "grez-grec", seed=0)
         repaired = incremental_reassign(old, new_instance)
-        assert repaired.num_clients == new_instance.num_clients
+        assert repaired.contact_of_client.size == new_instance.num_clients
         # The emptied zone stays hosted (zones never churn), just demandless.
         assert 0 <= repaired.zone_to_server[zone] < new_instance.num_servers
 

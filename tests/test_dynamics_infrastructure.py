@@ -537,28 +537,6 @@ class TestGrantRevokeGrantCycles:
             )
             current = revoked
 
-    def test_capacity_cycles_via_with_server_capacities(self, small_instance):
-        """The O(m) fast path shares the delay matrix by identity too."""
-        inst = small_instance
-        base_caps = inst.server_capacities
-        demands_cache = inst.zone_demands()
-        current = inst
-        for factor in (2.0, 0.5, 3.0):
-            granted = current.with_server_capacities(base_caps * factor)
-            assert granted.client_server_delays is inst.client_server_delays
-            assert granted.server_server_delays is inst.server_server_delays
-            assert granted.zone_demands() is demands_cache
-            current = granted.with_server_capacities(base_caps)
-            np.testing.assert_array_equal(current.server_capacities, base_caps)
-
-    def test_with_server_capacities_validates(self, small_instance):
-        with pytest.raises(ValueError, match="shape"):
-            small_instance.with_server_capacities(np.ones(small_instance.num_servers + 1))
-        with pytest.raises(ValueError, match="positive"):
-            small_instance.with_server_capacities(
-                np.zeros(small_instance.num_servers)
-            )
-
     def test_join_leave_join_restores_fleet_exactly(self, small_scenario):
         """Granting a server, revoking it, granting again: scenario round trip."""
         topo_nodes = small_scenario.topology.num_nodes

@@ -30,7 +30,7 @@ class TestCarryOver:
         old = registry_solve(small_instance, "grez-grec", seed=0)
         new_instance = CAPInstance.from_scenario(new_scenario)
         carried = carry_over_assignment(old, churn, new_instance)
-        assert carried.num_clients == new_instance.num_clients
+        assert carried.contact_of_client.size == new_instance.num_clients
         np.testing.assert_array_equal(carried.zone_to_server, old.zone_to_server)
         assert "carried over" in carried.algorithm
 
@@ -72,7 +72,7 @@ class TestReassignPolicies:
         repaired = incremental_reassign(old, new_instance)
         np.testing.assert_array_equal(repaired.zone_to_server, old.zone_to_server)
         assert "incremental" in repaired.algorithm
-        assert repaired.num_clients == new_instance.num_clients
+        assert repaired.contact_of_client.size == new_instance.num_clients
 
     def test_reexecution_restores_interactivity(self, small_instance, churned):
         """The paper's Table 3 claim: re-execution recovers the pQoS lost to churn."""

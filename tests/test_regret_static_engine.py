@@ -494,7 +494,7 @@ class TestGreZCandidateTable:
         demand = instance.zone_demands().sum()
         capacities = rng.random(instance.num_servers) + 0.05
         capacities *= demand * tightness / capacities.sum()
-        instance = instance.with_server_capacities(capacities)
+        instance = dataclasses.replace(instance, server_capacities=capacities)
 
         table = instance.client_server_delays.sorted_candidates()
         cost = initial_cost_matrix(instance)

@@ -309,3 +309,48 @@ def test_long_session_starts_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 1024 * 1024
     assert len(session.run_epoch()) == 1
+
+
+class TestGeneratorsBuiltWhenDrawn:
+    """A Generator is built only for a stream that draws; every PCG64 seeded
+    from a derived stream reads its state once through ``generate_state``."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counter = {"generators": 0}
+        generate_state = SpawnKeySeed.generate_state
+
+        def counting(self, *args, **kwargs):
+            counter["generators"] += 1
+            return generate_state(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpawnKeySeed, "generate_state", counting)
+        return counter
+
+    @staticmethod
+    def _simulator(correlation: float) -> ChurnSimulator:
+        config = config_from_label("5s-15z-200c-100cp", correlation=correlation)
+        return ChurnSimulator(
+            scenario=build_scenario(config, seed=0),
+            algorithms=["grez-grec"],
+            churn_spec=ChurnSpec(num_joins=5, num_leaves=5, num_moves=5),
+            seed=3,
+            policy="warm_start",
+        )
+
+    def test_session_start_builds_none(self, built):
+        simulator = self._simulator(0.0)
+        built["generators"] = 0
+        simulator.session(1_000_000)
+        assert built["generators"] == 0
+
+    # Join nodes, leave/move picks, move destinations and zone choices draw;
+    # the region map draws only under correlation, and a warm start, the
+    # uniform zone weights and the churn streams themselves draw nothing.
+    @pytest.mark.parametrize("correlation, expected", [(0.0, 4), (0.5, 5)])
+    def test_warm_start_epoch(self, built, correlation, expected):
+        session = self._simulator(correlation).session(3)
+        for _ in range(3):
+            built["generators"] = 0
+            session.run_epoch()
+            assert built["generators"] == expected

@@ -29,7 +29,7 @@ class TestSharedArray:
             big_blob = len(pickle.dumps(big))
             # 2500x more data, same-sized pickle (name + shape + dtype only).
             assert big_blob < small_blob + 32
-            assert big_blob < big.nbytes / 100
+            assert big_blob < 200 * 200 * 8 / 100
         finally:
             small.release()
             big.release()
