@@ -206,8 +206,9 @@ def admission_control(
     does not fit.
 
     ``rng`` is any seed; its Generator is built, and drawn from, only when
-    shedding actually happens, so feasible worlds consume no randomness here.  ``epoch`` stamps shed
-    clients and drives the policy's abandonment clock.
+    shedding actually happens, so feasible worlds consume no randomness
+    here.  ``epoch`` stamps shed clients and drives the policy's
+    abandonment clock.
     """
     num_abandoned = pool.expire(epoch, policy.patience_epochs)
     pops = _post_batch_populations(batch, population, num_zones)

@@ -159,11 +159,6 @@ class SpawnKeySeed(ISpawnableSeedSequence):
             raise ValueError("SeedSequence mixer mismatch; cannot derive its children")
         return twin
 
-    @property
-    def pool(self) -> np.ndarray:
-        """The mixed entropy pool (uint32), as ``SeedSequence.pool``."""
-        return np.array(self._pool, dtype=np.uint32)
-
     def child(self, index: int) -> "SpawnKeySeed":
         """Child ``index`` (spawn key ``spawn_key + (index,)``); the counter is untouched."""
         child = object.__new__(SpawnKeySeed)

@@ -223,7 +223,7 @@ class TestDerivedStreamsMatchNumpy:
     def test_pool_and_state(self, entropy, spawn_key, pool_size, n_words, index):
         ref = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
         lib = SpawnKeySeed(entropy, spawn_key, pool_size)
-        np.testing.assert_array_equal(lib.pool, ref.pool)
+        assert lib._pool == ref.pool.tolist()
         for dtype in (np.uint32, np.uint64):
             np.testing.assert_array_equal(
                 lib.generate_state(n_words, dtype), ref.generate_state(n_words, dtype)
@@ -232,7 +232,7 @@ class TestDerivedStreamsMatchNumpy:
         ref_child = np.random.SeedSequence(
             entropy, spawn_key=[*spawn_key, index], pool_size=pool_size
         )
-        np.testing.assert_array_equal(lib.child(index).pool, ref_child.pool)
+        assert lib.child(index)._pool == ref_child.pool.tolist()
 
     def test_twin_of_a_numpy_sequence(self):
         ref = np.random.SeedSequence([3, 2**70], spawn_key=(4, 2**33))
