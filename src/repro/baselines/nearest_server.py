@@ -25,7 +25,6 @@ from repro.core.assignment import Assignment, ZoneAssignment, zone_server_loads
 from repro.core.costs import initial_cost_matrix
 from repro.core.problem import CAPInstance
 from repro.utils.rng import SeedLike
-from repro.utils.scatter import scatter_add_2d
 from repro.utils.timing import Timer
 
 __all__ = ["solve_nearest_server"]
@@ -36,16 +35,7 @@ def _assign_zones_nearest(instance: CAPInstance) -> ZoneAssignment:
     cost = initial_cost_matrix(instance)  # (m, n) clients-without-QoS counts
     # Mean client delay per (server, zone) used only to break ties.
     populations = np.maximum(instance.zone_populations(), 1)
-    if instance.has_dense_delays:
-        sums = scatter_add_2d(
-            (instance.num_zones, instance.num_servers),
-            instance.client_zones,
-            instance.client_server_delays,
-        )
-    else:
-        sums = instance.client_server_delays.zone_delay_sums(
-            instance.client_zones, instance.num_zones
-        )
+    sums = instance.client_server_delays.zone_delay_sums(instance.client_zones, instance.num_zones)
     mean_delay = (sums / populations[:, None]).T
 
     zone_demands = instance.zone_demands()
@@ -94,11 +84,10 @@ def solve_nearest_server(
         capacities = instance.server_capacities
         contacts = targets.copy()
         # total_delay[c, s] = d(c, s) + d(s, target_c).  The per-client greedy
-        # scan below is inherently dense; compact instances materialise here
+        # scan below is inherently dense, so the delays materialise here
         # (this baseline only runs on paper-scale worlds).
         total_delay = (
-            instance.dense_client_server_delays()
-            + instance.server_server_delays[:, targets].T
+            instance.client_server_delays.toarray() + instance.server_server_delays[:, targets].T
         )
         direct = instance.delay_pairs(clients, targets)
         for client in clients:

@@ -8,11 +8,10 @@
   delay bound client ``j`` would land if it used server ``i`` as its contact
   server.
 
-Both matrices are computed with vectorised NumPy: the client×server delay
-matrix is thresholded / combined in one shot and aggregated per zone with a
-sort + ``np.add.reduceat`` segment reduction, so even the largest
-configuration in the paper (30 servers × 160 zones × 2000 clients) is handled
-in a few milliseconds.
+``C^I`` is the delay matrix's cost table
+(:meth:`~repro.topology.delay_backends.CompactDelayMatrix.over_bound_table`),
+built from per-(zone, node) client counts, so no ``(clients × servers)``
+array is made; ``C^R`` rows are gathered for the clients that need them.
 """
 
 from __future__ import annotations
@@ -43,28 +42,15 @@ def initial_cost_matrix(instance: CAPInstance) -> np.ndarray:
     neither side copies it.  The result is a fresh array that the caller
     owns and may overwrite: GreZ negates it in place into its desirability.
 
-    Dense delays: the per-zone aggregation sorts the client rows by zone and
-    reduces each contiguous segment with ``np.add.reduceat`` — the
-    ``np.add.at`` scatter-add it replaces is the notoriously slow ufunc path,
-    and this matrix is rebuilt on every from-scratch solve of a re-execution
-    epoch.  Compact delays expand the matrix's cost table to full width
+    It is the delay matrix's cost table at full width
     (:meth:`~repro.topology.delay_backends.CompactDelayMatrix.zone_over_bound_counts`):
-    the zone population on every cell but the zone's K candidates, whose
-    counts the table holds.  The table is built once per matrix from a
-    (zones x nodes) @ (nodes x servers) count product and carried through
-    churn in O(churn x K); GreZ reads it without expanding it.
+    on a candidate-restricted matrix, the zone population on every cell but
+    the zone's K candidates, whose counts the table holds.  The table is
+    built once per matrix from a (zones x nodes) @ (nodes x servers) count
+    product and carried through churn in O(churn x K); GreZ reads it
+    without expanding it.
     """
-    if not instance.has_dense_delays:
-        per_zone = instance.client_server_delays.zone_over_bound_counts(instance.delay_bound)
-        return per_zone.T
-    per_zone = np.zeros((instance.num_zones, instance.num_servers), dtype=np.float64)
-    if instance.num_clients:
-        over_bound = (instance.client_server_delays > instance.delay_bound).astype(np.float64)
-        by_zone = np.argsort(instance.client_zones, kind="stable")
-        counts = np.bincount(instance.client_zones, minlength=instance.num_zones)
-        nonempty = counts > 0
-        segment_starts = np.concatenate(([0], np.cumsum(counts)))[:-1][nonempty]
-        per_zone[nonempty] = np.add.reduceat(over_bound[by_zone], segment_starts, axis=0)
+    per_zone = instance.client_server_delays.zone_over_bound_counts(instance.delay_bound)
     return per_zone.T
 
 
@@ -104,11 +90,11 @@ def refined_cost_matrix(instance: CAPInstance, zone_to_server: np.ndarray) -> np
     zone_to_server, _ = _checked_indices(instance, zone_to_server)
     targets = zone_to_server[instance.client_zones]  # (k,)
     # total_delay[i, j] = d(c_j, s_i) + d(s_i, target_j).  This is the one
-    # cost that is inherently (m, k)-dense; compact instances materialise
-    # here, which the all-pairs callers (optimal RAP, first-fit variant)
-    # accept on the small worlds they run on.
+    # cost that is inherently (m, k)-dense; it materialises the delays,
+    # which the all-pairs callers (optimal RAP, first-fit variant) accept on
+    # the small worlds they run on.
     total_delay = (
-        instance.dense_client_server_delays().T + instance.server_server_delays[:, targets]
+        instance.client_server_delays.toarray().T + instance.server_server_delays[:, targets]
     )
     return np.maximum(total_delay - instance.delay_bound, 0.0)
 
@@ -143,25 +129,24 @@ def refined_cost_rows(
     return np.maximum(total_delay, 0.0, out=total_delay)
 
 
-def refined_cost_candidates(instance: CAPInstance, zone_to_server: np.ndarray, clients: np.ndarray):
-    """Refined costs restricted to each client's candidate servers, or ``None``.
+def refined_cost_candidates(
+    instance: CAPInstance, zone_to_server: np.ndarray, clients: np.ndarray
+) -> np.ndarray:
+    """Refined costs restricted to each client's candidate servers.
 
-    For compact instances, whose zones are restricted to per-zone candidate
-    sets (the sparse backend), returns a fresh ``(len(clients), K)`` float64
-    array: row ``i`` holds the refined cost ``C^R`` of forwarding
-    ``clients[i]`` through each server of its zone's row of
-    ``sorted_candidates()``, in that row's ascending server order.  The
+    Returns a fresh ``(len(clients), K)`` float64 array: row ``i`` holds
+    the refined cost ``C^R`` of forwarding ``clients[i]`` through each
+    server of its zone's row of ``sorted_candidates()``, in that row's
+    ascending server order.  The
     server ids themselves are not copied per client; callers read them from
     the shared table through the clients' zones.  The cost values are
     bitwise the corresponding entries of :func:`refined_cost_rows` (same
     gather source, same operation order); every *non*-candidate server
     carries the sentinel delay, so its refined cost is at least
     ``fill_value - delay_bound`` — callers can treat the candidate lists as
-    a complete view of the servers worth forwarding through.  ``None`` for
-    dense instances.
+    a complete view of the servers worth forwarding through.  On an
+    unrestricted matrix the lists are every server, in id order.
     """
-    if instance.has_dense_delays:
-        return None
     zone_to_server, clients = _checked_indices(instance, zone_to_server, clients)
     # A fresh (len(clients), K) gather of the true candidate delays.
     source = instance.client_server_delays

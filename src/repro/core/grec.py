@@ -35,10 +35,10 @@ def _place_on_candidates(
     helped: np.ndarray,
     loads: np.ndarray,
 ) -> Optional[RegretResult]:
-    """Candidate-list placement fast path (sparse delay backend), or ``None``.
+    """Candidate-list placement, or ``None``.
 
-    On candidate-restricted instances every server outside a needy client's
-    zone candidates carries the sentinel delay, so its refined cost is at
+    Every server outside a needy client's zone candidates (none, on an
+    unrestricted matrix) carries the sentinel delay, so its refined cost is at
     least ``fill_value - delay_bound`` — the K candidate columns are the whole
     finite-cost problem.  When every candidate cost sits strictly below that
     sentinel floor (checked, not assumed), the placement runs through
@@ -50,8 +50,6 @@ def _place_on_candidates(
     through its zone.  The full rows are still materialised on demand for
     the rare clients whose whole candidate set runs out of capacity.
     """
-    if instance.has_dense_delays:
-        return None
     servers = instance.client_server_delays.sorted_candidates()
     if servers.shape[1] < 2:
         return None
@@ -125,9 +123,9 @@ def assign_contacts_greedy(
         if helped.size:
             result = None
             if not recompute_regret:
-                # Sparse-backend fast path: the needy clients' candidate
-                # lists are the whole finite-cost problem — O(|L_E| x K)
-                # instead of O(|L_E| x m).
+                # The needy clients' candidate lists are the whole
+                # finite-cost problem — O(|L_E| x K) instead of O(|L_E| x m)
+                # on a candidate-restricted matrix.
                 result = _place_on_candidates(
                     instance, zone_assignment.zone_to_server, helped, loads
                 )

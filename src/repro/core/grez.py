@@ -25,12 +25,12 @@ from repro.utils.timing import Timer
 __all__ = ["assign_zones_greedy", "zone_fallback_candidates"]
 
 
-def zone_fallback_candidates(instance: CAPInstance) -> Optional[np.ndarray]:
-    """``(num_servers, num_zones)`` candidate mask for the fallback, or ``None``.
+def zone_fallback_candidates(instance: CAPInstance) -> np.ndarray:
+    """``(num_servers, num_zones)`` candidate mask for the fallback.
 
-    Only the sparse delay backend restricts each zone to a per-zone candidate
-    server set; on dense instances every server is a candidate and the mask
-    is ``None`` — GreZ then places exactly as it always has.
+    The sparse delay backend restricts each zone to a per-zone candidate
+    server set; on an unrestricted matrix every server is a candidate and
+    the mask is all ``True``, which leaves the fallback fleet-wide.
     With the mask, the ``least_loaded`` emergency placement becomes
     *delay-aware*: a zone that fits nowhere is placed on the least-loaded
     server **its clients can actually reach** instead of on whichever server
@@ -38,17 +38,15 @@ def zone_fallback_candidates(instance: CAPInstance) -> Optional[np.ndarray]:
     backend, is frequently a sentinel-delay (1e9 ms) server that zeroes the
     zone's pQoS contribution.
     """
-    if instance.has_dense_delays:
-        return None
     # (num_zones, num_servers), read-only, cached
     return instance.client_server_delays.candidate_mask().T
 
 
 def _place_on_candidates(instance: CAPInstance) -> Optional[RegretResult]:
-    """GreZ's static placement from the sparse cost table, or ``None``.
+    """GreZ's static placement from the matrix's cost table, or ``None``.
 
-    Only the sparse delay backend restricts zones to candidate sets, and
-    there the matrix holds ``C^I`` on each zone's K candidates
+    The matrix holds ``C^I`` on each zone's K candidates (every server on
+    an unrestricted matrix)
     (:meth:`~repro.topology.delay_backends.CompactDelayMatrix.over_bound_table`,
     carried through churn).  Every client of a zone sees the sentinel delay
     on each non-candidate server, so that server's ``C^I`` is the whole zone
@@ -57,12 +55,9 @@ def _place_on_candidates(instance: CAPInstance) -> Optional[RegretResult]:
     contract of :func:`~repro.core.regret.max_regret_assign_candidates` with
     the negated populations as its floor: a candidate hit tied at the floor
     falls through to a full row, built from the table and the population.
-    No ``(zones × servers)`` cost table is made.  ``None`` for dense
-    instances, and for candidate sets too narrow to define a regret
-    (``K < 2``).
+    On a restricted matrix no ``(zones × servers)`` cost table is made.
+    ``None`` for candidate sets too narrow to define a regret (``K < 2``).
     """
-    if instance.has_dense_delays:
-        return None
     delays = instance.client_server_delays
     servers = delays.sorted_candidates()
     if servers.shape[1] < 2:

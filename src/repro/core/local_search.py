@@ -32,7 +32,7 @@ zone and ``tests/reference/contact_sweep_full.py`` rescans every client.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from repro.core.costs import delays_to_targets
 from repro.core.measures import attach_measures, measured_pqos
 from repro.core.problem import CAPInstance
 from repro.utils.distinct import sorted_distinct
-from repro.utils.scatter import scatter_add_2d
 from repro.utils.timing import Timer
 
 __all__ = ["LocalSearchResult", "warm_start_refine"]
@@ -71,47 +70,6 @@ class LocalSearchResult:
     initial_pqos: float
     final_pqos: float
     runtime_seconds: float
-
-
-def _zone_move_aggregates(
-    instance: CAPInstance,
-    members: Optional[np.ndarray] = None,
-    member_rows: Optional[np.ndarray] = None,
-    num_rows: int = 0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-(zone, server) within-bound counts and excess sums of zone moves.
-
-    A zone moved to host ``s`` reconnects its members directly, so each
-    member's post-move delay is ``delay(c, s) + ssd[s, s]`` (the self-delay
-    diagonal term is normally zero but kept for exact parity with the
-    oracles).  Returns ``(within_matrix, excess_matrix)``: per zone row and
-    server, the count of members whose direct delay meets the bound and the
-    sum of their excess ``max(direct - bound, 0)``.
-
-    Dense delay sources pass ``members`` (ascending client ids) and
-    ``member_rows`` (each member's row in ``[0, num_rows)``); only those rows
-    are built, from a ``(members, servers)`` gather — the zone-move sweep
-    passes the zones that have a member over the bound, since no other zone
-    can gain from a move.  The sums are flat ``np.bincount`` scatter-adds
-    (:func:`scatter_add_2d`): each cell adds its members in ascending client
-    order from ``0.0``, so a row is bit-identical to the same zone's row of
-    an every-zone build.
-
-    Compact delay sources pass no ``members`` and take the node-space fast
-    path for every zone (row = zone id; a different summation order, so a
-    row subset is sliced from it rather than gathered).
-    """
-    bound = instance.delay_bound
-    self_delays = np.diag(instance.server_server_delays)
-    if members is None:
-        return instance.client_server_delays.zone_direct_aggregates(
-            bound, instance.client_zones, instance.num_zones, self_delays
-        )
-    direct = instance.delay_rows(members) + self_delays[None, :]
-    shape = (num_rows, instance.num_servers)
-    within_matrix = scatter_add_2d(shape, member_rows, direct <= bound)
-    excess_matrix = scatter_add_2d(shape, member_rows, np.maximum(direct - bound, 0.0))
-    return within_matrix, excess_matrix
 
 
 def _repair_contacts_sweep(
@@ -279,9 +237,9 @@ def _repair_zones_sweep(
     capacities = instance.server_capacities
     zone_demands = instance.zone_demands()
     self_delays = np.diag(instance.server_server_delays)
-    # Compact delay sources: every zone's node-space aggregates, built on
-    # the first sweep that scores a zone and sliced by row from then on.
-    node_space: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    # Each sweep's (within, excess) rows of a zone move to every server:
+    # the matrix decides how they are summed.
+    aggregates = instance.client_server_delays.zone_move_aggregates(bound, self_delays)
 
     if delays is None:
         delays = delays_to_targets(instance, zone_to_server, contacts)
@@ -309,14 +267,7 @@ def _repair_zones_sweep(
             weights=np.maximum(delays[members] - bound, 0.0),
             minlength=zones.size,
         )
-        if instance.has_dense_delays:
-            within_matrix, excess_matrix = _zone_move_aggregates(
-                instance, members, member_rows, zones.size
-            )
-        else:
-            if node_space is None:
-                node_space = _zone_move_aggregates(instance)
-            within_matrix, excess_matrix = node_space[0][zones], node_space[1][zones]
+        within_matrix, excess_matrix = aggregates(zones, members, member_rows)
 
         qos_delta = within_matrix - within_current[:, None]
         excess_delta = excess_matrix - excess_current[:, None]

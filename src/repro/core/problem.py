@@ -4,7 +4,8 @@ A :class:`CAPInstance` is the numerical view of a DVE scenario that the
 assignment algorithms consume (Definitions 2.1-2.3 of the paper):
 
 * ``client_server_delays`` — round-trip delay ``d(c_j, s_i)`` between every
-  client and every server (ms),
+  client and every server (ms), a
+  :class:`~repro.topology.delay_backends.CompactDelayMatrix`,
 * ``server_server_delays`` — round-trip delay ``d(s_l, s_k)`` over the
   well-provisioned inter-server mesh (ms, zero diagonal),
 * ``client_zones`` — the zone each client's avatar occupies,
@@ -39,10 +40,15 @@ class CAPInstance:
     """An instance of the client assignment problem.
 
     All arrays are validated and cast on construction; the instance is
-    immutable (algorithms never modify it).
+    immutable (algorithms never modify it).  ``client_server_delays`` is a
+    :class:`~repro.topology.delay_backends.CompactDelayMatrix`: a scenario's
+    own matrix, or a plain ``(k, m)`` array (hand-built instances, Table 4's
+    estimated delays), which is checked to be 2-D and non-negative and then
+    wrapped as an unrestricted matrix with one node per client.  Read it
+    through :meth:`delay_rows`, :meth:`delay_pairs` and :meth:`delays_to`.
     """
 
-    client_server_delays: np.ndarray
+    client_server_delays: CompactDelayMatrix
     server_server_delays: np.ndarray
     client_zones: np.ndarray
     client_demands: np.ndarray
@@ -51,14 +57,12 @@ class CAPInstance:
     num_zones: int
 
     def __post_init__(self) -> None:
-        compact = isinstance(self.client_server_delays, CompactDelayMatrix)
-        if not compact:
-            d_cs = np.asarray(self.client_server_delays, dtype=np.float64)
-            object.__setattr__(self, "client_server_delays", d_cs)
+        d_cs = self.client_server_delays
+        plain = not isinstance(d_cs, CompactDelayMatrix)
+        if plain:
+            d_cs = np.asarray(d_cs, dtype=np.float64)
             if d_cs.ndim != 2:
-                raise ValueError(
-                    f"client_server_delays must be 2-D, got shape {d_cs.shape}"
-                )
+                raise ValueError(f"client_server_delays must be 2-D, got shape {d_cs.shape}")
         d_ss = np.asarray(self.server_server_delays, dtype=np.float64)
         zones = np.asarray(self.client_zones, dtype=np.int64)
         demands = np.asarray(self.client_demands, dtype=np.float64)
@@ -68,7 +72,7 @@ class CAPInstance:
         object.__setattr__(self, "client_demands", demands)
         object.__setattr__(self, "server_capacities", capacities)
 
-        k, m = self.client_server_delays.shape
+        k, m = d_cs.shape
         if d_ss.shape != (m, m):
             raise ValueError(
                 f"server_server_delays must be ({m}, {m}), got {d_ss.shape}"
@@ -84,26 +88,29 @@ class CAPInstance:
             raise ValueError("num_zones must be >= 1")
         if zones.size and (zones.min() < 0 or zones.max() >= self.num_zones):
             raise ValueError("client_zones contains zone ids outside [0, num_zones)")
-        # Compact matrices guarantee non-negativity by construction (they
-        # gather from a validated node→server table); only dense inputs need
-        # the O(k·m) scan.
-        if (not compact and (d_cs < 0).any()) or (d_ss < 0).any():
+        # A scenario's matrix gathers from the non-negative RTT table; only
+        # a plain array needs the O(k·m) scan.
+        if (plain and (d_cs < 0).any()) or (d_ss < 0).any():
             raise ValueError("delays must be non-negative")
         if demands.size and (demands <= 0).any():
             raise ValueError("client demands must be strictly positive (RT(c) > 0)")
         if (capacities <= 0).any():
             raise ValueError("server capacities must be strictly positive")
-        if compact and self.client_server_delays.num_zones != self.num_zones:
+        if plain:
+            object.__setattr__(
+                self,
+                "client_server_delays",
+                CompactDelayMatrix.unrestricted(d_cs, np.arange(k), zones, self.num_zones),
+            )
+            return
+        if d_cs.num_zones != self.num_zones:
             raise ValueError(
                 "the compact delay matrix was built for "
-                f"{self.client_server_delays.num_zones} zones, instance has {self.num_zones}"
+                f"{d_cs.num_zones} zones, instance has {self.num_zones}"
             )
-        # The compact matrix's own zones decide which servers each client
-        # reaches and feed its cost table, so they must be the instance's.
-        if compact and not (
-            zones is self.client_server_delays.client_zones
-            or np.array_equal(zones, self.client_server_delays.client_zones)
-        ):
+        # The matrix's own zones decide which servers each client reaches
+        # and feed its cost table, so they must be the instance's.
+        if not (zones is d_cs.client_zones or np.array_equal(zones, d_cs.client_zones)):
             raise ValueError("client_zones must match the compact delay matrix's client zones")
 
     # ------------------------------------------------------------------ #
@@ -112,56 +119,33 @@ class CAPInstance:
     @property
     def num_clients(self) -> int:
         """Number of clients ``k``."""
-        return int(self.client_server_delays.shape[0])
+        return self.client_server_delays.num_clients
 
     @property
     def num_servers(self) -> int:
         """Number of servers ``m``."""
-        return int(self.client_server_delays.shape[1])
+        return self.client_server_delays.num_servers
 
     # ------------------------------------------------------------------ #
-    # Delay access — works for dense ndarrays and compact delay matrices
+    # Delay access
     # ------------------------------------------------------------------ #
-    @property
-    def has_dense_delays(self) -> bool:
-        """True when ``client_server_delays`` is a real ndarray.
-
-        Compact instances (the ``"sparse"`` delay backend) carry a
-        :class:`~repro.topology.delay_backends.CompactDelayMatrix` instead;
-        algorithms that genuinely need the dense matrix must go through
-        :meth:`dense_client_server_delays` (and accept the O(k·m) cost).
-        """
-        return not isinstance(self.client_server_delays, CompactDelayMatrix)
-
     def delay_rows(self, clients: Union[int, np.ndarray]) -> np.ndarray:
-        """Delay rows — ``client_server_delays[clients]`` for either storage."""
-        if self.has_dense_delays:
-            return self.client_server_delays[clients]
+        """Delay rows ``d(clients, ·)`` as a fresh, writable array."""
         return self.client_server_delays.rows(clients)
 
     def delay_pairs(
         self, clients: Union[int, np.ndarray], servers: Union[int, np.ndarray]
     ) -> np.ndarray:
-        """Elementwise delays — ``client_server_delays[clients, servers]``."""
-        if self.has_dense_delays:
-            return self.client_server_delays[clients, servers]
+        """Elementwise delays ``d(clients, servers)`` (numpy broadcasting)."""
         return self.client_server_delays.pairs(clients, servers)
 
     def delays_to(self, servers: np.ndarray) -> np.ndarray:
         """Each client's delay to its own server ``servers[c]``, shape ``(k,)``.
 
-        ``delay_pairs(np.arange(k), servers)`` as a fresh array; a compact
-        matrix gathers it without copying its per-client index arrays.
+        ``delay_pairs(np.arange(k), servers)`` as a fresh array, gathered
+        without copying the matrix's per-client index arrays.
         """
-        if self.has_dense_delays:
-            return self.client_server_delays[np.arange(self.num_clients), servers]
         return self.client_server_delays.delays_to(servers)
-
-    def dense_client_server_delays(self) -> np.ndarray:
-        """The full dense delay matrix, materialising a compact one (O(k·m))."""
-        if self.has_dense_delays:
-            return self.client_server_delays
-        return self.client_server_delays.toarray()
 
     # ------------------------------------------------------------------ #
     # Derived quantities (cached)
@@ -309,6 +293,9 @@ class CAPInstance:
         ``old_to_new`` (``-1`` marks leavers; survivors keep their original
         relative order) and the joining clients' rows are appended after them,
         exactly the layout :func:`repro.dynamics.events.apply_churn` produces.
+        The result's delays are an unrestricted matrix with one node per
+        client, so only an unrestricted instance can take the delta: a
+        candidate-restricted one raises ``TypeError``.
 
         The server-side arrays, the delay bound and the zone count carry over
         *by identity*: a client churn batch cannot touch the fleet.  The
@@ -327,11 +314,11 @@ class CAPInstance:
         client_zones / client_demands:
             Full post-churn zone and demand vectors.
         """
-        if not self.has_dense_delays:
+        if not self.client_server_delays.is_unrestricted:
             raise TypeError(
-                "apply_delta needs dense delay rows; compact instances advance "
-                "through the scenario delta layer (CompactDelayMatrix.with_clients) "
-                "and CAPInstance.from_scenario"
+                "apply_delta needs exact delay rows; candidate-restricted instances "
+                "advance through the scenario delta layer "
+                "(CompactDelayMatrix.with_clients) and CAPInstance.from_scenario"
             )
         old_to_new = np.asarray(old_to_new, dtype=np.int64)
         join_delays = np.atleast_2d(np.asarray(join_delays, dtype=np.float64))
@@ -369,12 +356,14 @@ class CAPInstance:
             )
 
         delays = np.empty((num_new, self.num_servers), dtype=np.float64)
-        delays[: survivors_old.size] = self.client_server_delays[survivors_old]
+        delays[: survivors_old.size] = self.delay_rows(survivors_old)
         if num_joins:
             delays[survivors_old.size:] = join_delays
 
         return CAPInstance._from_validated_arrays(
-            client_server_delays=delays,
+            client_server_delays=CompactDelayMatrix.unrestricted(
+                delays, np.arange(num_new), client_zones, self.num_zones
+            ),
             server_server_delays=self.server_server_delays,
             client_zones=client_zones,
             client_demands=client_demands,
@@ -385,24 +374,21 @@ class CAPInstance:
 
     def with_delays(
         self,
-        client_server_delays: Optional[np.ndarray] = None,
+        client_server_delays: Union[CompactDelayMatrix, np.ndarray, None] = None,
         server_server_delays: Optional[np.ndarray] = None,
     ) -> "CAPInstance":
         """Return a copy of this instance with substituted delay matrices.
 
         Used by the measurement-error experiments: the algorithms see the
-        *estimated* delays, evaluation uses the original instance.
+        *estimated* delays, evaluation uses the original instance.  A plain
+        ``(k, m)`` array is validated and wrapped as on construction.
         """
         return replace(
             self,
             client_server_delays=(
-                self.client_server_delays
-                if client_server_delays is None
-                else np.asarray(client_server_delays, dtype=np.float64)
+                self.client_server_delays if client_server_delays is None else client_server_delays
             ),
             server_server_delays=(
-                self.server_server_delays
-                if server_server_delays is None
-                else np.asarray(server_server_delays, dtype=np.float64)
+                self.server_server_delays if server_server_delays is None else server_server_delays
             ),
         )

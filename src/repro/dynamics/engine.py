@@ -860,11 +860,9 @@ class EpochSession:
         # unreachable from the advancing state, so their arena buffers return
         # to the pool for the next epoch to reuse.  The identity guards keep
         # arrays that carried over by reference (capacity-only fleet deltas
-        # share the matrix) live, and ``release_if_owned`` ignores externally
+        # share the demands) live, and ``release_if_owned`` ignores externally
         # owned arrays (the caller's initial snapshot).
         arena = state.arena
-        if prev_scenario.client_server_delays is not new_scenario.client_server_delays:
-            arena.release_if_owned(prev_scenario.client_server_delays)
         if prev_scenario.client_demands is not new_scenario.client_demands:
             arena.release_if_owned(prev_scenario.client_demands)
         prev_population = prev_scenario.population

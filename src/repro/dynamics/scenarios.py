@@ -485,8 +485,7 @@ class ScenarioRuntime:
         def _anchors() -> np.ndarray:
             nonlocal anchors
             if anchors is None:
-                matrix = scenario.client_server_delays
-                stored = getattr(matrix, "zone_anchors", None)
+                stored = scenario.client_server_delays.zone_anchors
                 if stored is not None:
                     anchors = stored
                 else:
@@ -661,24 +660,15 @@ class ScenarioRuntime:
         pipeline, so overlay epochs never corrupt the `mirrors_arrays_of`
         aliasing invariant, and measurement stashes keyed to the clean
         instance simply miss (falling back to the full recompute, which keeps
-        full/incremental measurement bit-identical through incidents).
+        full/incremental measurement bit-identical through incidents).  An
+        overlay that scales no client's node leaves the instance as it is.
         """
         factors = plan.node_delay_factors
-        if factors is None:
+        matrix = instance.client_server_delays
+        if factors is None or (factors[matrix.client_nodes] == 1.0).all():
             return instance
-        if instance.has_dense_delays:
-            per_client = factors[scenario.population.nodes]
-            affected = per_client != 1.0
-            if not affected.any():
-                return instance
-            delays = np.array(instance.client_server_delays)
-            delays[affected] *= per_client[affected, None]
-            new_delays: object = delays
-        else:
-            matrix = instance.client_server_delays
-            new_delays = matrix.with_node_server(matrix.node_server * factors[:, None])
         return CAPInstance._from_validated_arrays(
-            client_server_delays=new_delays,
+            client_server_delays=matrix.with_node_server(matrix.node_server * factors[:, None]),
             server_server_delays=instance.server_server_delays,
             client_zones=instance.client_zones,
             client_demands=instance.client_demands,

@@ -51,10 +51,11 @@ class DelayEstimator:
             return instance
         rng = as_generator(seed)
         cs_rng, ss_rng = spawn_generators(rng, 2)
-        # Perturbation is a per-entry multiplicative noise, so the estimated
-        # instance is inherently dense; compact instances materialise here
-        # (the measurement experiments run on paper-scale worlds).
-        estimated_cs = self.model.perturb(instance.dense_client_server_delays(), seed=cs_rng)
+        # Perturbation is a per-entry multiplicative noise, so the delays
+        # materialise here and the estimate is an unrestricted matrix with
+        # one node per client (the measurement experiments run on
+        # paper-scale worlds).
+        estimated_cs = self.model.perturb(instance.client_server_delays.toarray(), seed=cs_rng)
         estimated_ss = (
             self.model.perturb(instance.server_server_delays, seed=ss_rng)
             if self.perturb_server_mesh

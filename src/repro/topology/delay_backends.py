@@ -1,39 +1,43 @@
-"""Delay backends: the dense delay matrix and its sparse, candidate-restricted form.
+"""Client→server delays as one compact matrix, unrestricted or candidate-restricted.
 
-Every scenario used to materialise a dense ``num_clients × num_servers``
-delay matrix, so memory grew O(k·m) and capped worlds at a few thousand
-clients.  The key structural fact this module exploits is that clients live
-*at topology nodes*: ``delay(c, s) = rtt[node(c), node(s)]``, so a
-``(num_nodes, num_servers)`` node→server table plus the ``(num_clients,)``
-node index of every client determines every client→server delay exactly —
-O(nodes·m + clients) state instead of O(k·m).
+Clients live *at topology nodes*: ``delay(c, s) = rtt[node(c), node(s)]``,
+so a ``(num_nodes, num_servers)`` node→server table plus the
+``(num_clients,)`` node index of every client determines every
+client→server delay exactly — O(nodes·m + clients) state instead of the
+O(k·m) of a ``(clients × servers)`` array.  :class:`CompactDelayMatrix` is
+that virtual ``(k, m)`` matrix, and the only client→server delay type the
+solvers see: it exposes vectorised row / pair gathers and zone-aggregated
+fast paths, which is all their hot loops need.
 
-Two backends exist:
+A matrix either lets every zone reach every server or restricts each zone to
+K candidate servers; which one is a stored fact of the matrix
+(:attr:`CompactDelayMatrix.top_k`), so it survives fleet changes:
 
-``"dense"``
-    The executable specification: :func:`~repro.world.scenario.build_scenario`
-    gathers the real ``(k, m)`` ndarray from the :class:`DelayModel`.
-``"sparse"``
+``"dense"`` (unrestricted, ``top_k=None``)
+    Every delay is exact and every server is every zone's candidate.  The
+    matrix builds no zone anchors and no candidate sort; its cost table is
+    the full ``(zones, m)`` table, and the zone-move sweep aggregates the
+    scored zones' members in client order.  A
+    :class:`~repro.core.problem.CAPInstance` built from a plain ``(k, m)``
+    array wraps it as such a matrix with one node per client.
+``"sparse"`` (``top_k=K``)
     Exact per-node delays, but each zone is restricted to its top-K nearby
     candidate servers (selected from the topology around the zone's anchor
-    node).  Delays to non-candidate servers report a large finite sentinel
-    (:data:`SPARSE_FILL_DELAY_MS`), so the restriction expresses itself
-    purely through delay values and every solver works unchanged — the
-    per-instance candidate state is O(zones·K).
-
-Sparse scenarios carry a :class:`CompactDelayMatrix` in place of the dense
-ndarray: a virtual ``(k, m)`` matrix exposing vectorised row / pair gathers
-and zone-aggregated fast paths, which is all the solvers' hot loops need.
+    node; min(K, m) of them).  Delays to non-candidate servers report a
+    large finite sentinel (:data:`SPARSE_FILL_DELAY_MS`), so the restriction
+    expresses itself purely through delay values and every solver works
+    unchanged — the per-instance candidate state is O(zones·K).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.utils.chunks import CHUNK_CELLS, row_chunks
+from repro.utils.scatter import scatter_add_2d
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.topology.delays import DelayModel
@@ -44,13 +48,13 @@ __all__ = [
     "DEFAULT_SPARSE_TOP_K",
     "SPARSE_FILL_DELAY_MS",
     "CompactDelayMatrix",
+    "compact_delay_matrix",
     "node_server_table",
-    "sparse_delay_matrix",
 ]
 
 #: Names accepted by configs and the ``--delay-backend`` CLI flag.
 DELAY_BACKENDS = ("dense", "sparse")
-#: The executable-spec default.
+#: The default: every server is every zone's candidate.
 DEFAULT_DELAY_BACKEND = "dense"
 #: Default per-zone candidate-set size of the sparse backend.
 DEFAULT_SPARSE_TOP_K = 8
@@ -63,8 +67,14 @@ SPARSE_FILL_DELAY_MS = 1.0e9
 #: than :data:`~repro.utils.chunks.CHUNK_CELLS` because the chunk is a matmul
 #: operand, and BLAS loses throughput on short ones.
 _COUNT_CHUNK_CELLS = 2 * CHUNK_CELLS
-#: The int64 index arrays of a :class:`CompactDelayMatrix`.
-_INDEX_FIELDS = ("server_nodes", "client_nodes", "client_zones", "zone_candidates", "zone_anchors")
+#: The int64 index arrays every :class:`CompactDelayMatrix` holds.
+_INDEX_FIELDS = ("server_nodes", "client_nodes", "client_zones", "zone_candidates")
+#: A zone-move sweep's aggregate source: ``(zones, members, member_rows)``
+#: to the scored zones' ``(within, excess)`` rows
+#: (:meth:`CompactDelayMatrix.zone_move_aggregates`).
+ZoneMoveAggregates = Callable[
+    [np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]
+]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -131,6 +141,14 @@ def _candidates_from_anchors(
     return np.ascontiguousarray(picks, dtype=np.int64)
 
 
+def _all_servers(num_zones: int, num_servers: int) -> np.ndarray:
+    """An unrestricted matrix's ``(num_zones, m)`` candidate table: every server, by id.
+
+    A read-only broadcast view of one ``arange(m)`` row, so it costs O(m).
+    """
+    return np.broadcast_to(np.arange(num_servers, dtype=np.int64), (num_zones, num_servers))
+
+
 def zone_anchor_nodes(
     client_nodes: np.ndarray, client_zones: np.ndarray, num_zones: int, num_nodes: int
 ) -> np.ndarray:
@@ -175,23 +193,31 @@ class CompactDelayMatrix:
 
     Entries are ``node_server[client_nodes[c], s]`` for the servers in the
     client zone's candidate set and :attr:`fill_value` for every other
-    server.
+    server.  An unrestricted matrix (``top_k=None``) has every server in
+    every candidate set, so every entry is exact.
 
     Attributes
     ----------
     server_nodes:
         ``(m,)`` topology node of each server.
     node_server:
-        ``(num_nodes, m)`` node→server delay table (ms, read-only).
+        ``(num_nodes, m)`` node→server delay table (ms).
     client_nodes:
         ``(k,)`` topology node of each client.
     client_zones / zone_candidates / zone_anchors:
         Zone of each client, ``(num_zones, K)`` candidate server ids per
         zone, and the zone anchor nodes the candidates were selected from.
+        An unrestricted matrix's candidates are every server in id order
+        (:meth:`unrestricted`) and it has no anchors (``None``).
+    top_k:
+        The requested candidate-set size, or ``None`` for every server.  A
+        restricted matrix holds ``min(top_k, m)`` candidates per zone and
+        re-selects that many when its fleet changes (:meth:`with_servers`),
+        so a fleet that grows back gets its candidates back.
     fill_value:
         The sentinel delay reported for non-candidate servers.
 
-    The matrix also owns GreZ's sparse cost table (:meth:`over_bound_table`),
+    The matrix also owns GreZ's cost table (:meth:`over_bound_table`),
     built on first read and carried from one client population to the next
     by :meth:`with_clients` when it is given the churn map.
     """
@@ -201,13 +227,14 @@ class CompactDelayMatrix:
     client_nodes: np.ndarray
     client_zones: np.ndarray
     zone_candidates: np.ndarray
-    zone_anchors: np.ndarray
+    zone_anchors: Optional[np.ndarray]
+    top_k: Optional[int]
     fill_value: float = SPARSE_FILL_DELAY_MS
     _allowed_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _sorted_candidates_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    # Not an init field, so ``dataclasses.replace`` (with_clients,
-    # with_node_server) starts the new matrix without a table: only the
-    # churn-map path of with_clients moves one across.
+    # Not an init field, so ``dataclasses.replace`` (with_node_server)
+    # starts the new matrix without a table, and with_clients clears it:
+    # only the churn-map path of with_clients moves one across.
     _cost_table: Optional[_CostTable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -215,22 +242,67 @@ class CompactDelayMatrix:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         if self.node_server.ndim != 2:
             raise ValueError(f"node_server must be 2-D, got shape {self.node_server.shape}")
-        if self.server_nodes.shape != (self.node_server.shape[1],):
+        num_servers = self.node_server.shape[1]
+        if self.server_nodes.shape != (num_servers,):
             raise ValueError("server_nodes must match node_server's column count")
+        self._check_clients(self.client_nodes, self.client_zones)
+        if self.zone_candidates.ndim != 2:
+            raise ValueError("zone_candidates must be (num_zones, K)")
+        if self.top_k is None:
+            if self.zone_anchors is not None:
+                raise ValueError("an unrestricted matrix has no zone anchors")
+            if self.zone_candidates.shape[1] != num_servers:
+                raise ValueError("an unrestricted matrix lists every server per zone")
+            return
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
+        if self.zone_candidates.shape[1] != min(self.top_k, num_servers):
+            raise ValueError("zone_candidates must list min(top_k, num_servers) servers per zone")
+        anchors = np.asarray(self.zone_anchors, dtype=np.int64)
+        object.__setattr__(self, "zone_anchors", anchors)
+        if anchors.shape != (self.zone_candidates.shape[0],):
+            raise ValueError("zone_anchors must have one entry per zone")
+
+    def _check_clients(self, nodes: np.ndarray, zones: np.ndarray) -> None:
         # Rows are gathered with numpy indexing, which would wrap a negative
         # node onto the table's last rows instead of failing.
         num_nodes = self.node_server.shape[0]
-        nodes = self.client_nodes
         if nodes.size and (nodes.min() < 0 or nodes.max() >= num_nodes):
             raise ValueError(f"client_nodes must lie in [0, {num_nodes})")
-        if self.client_zones.shape != self.client_nodes.shape:
+        if zones.shape != nodes.shape:
             raise ValueError("client_zones must match client_nodes in shape")
-        if self.zone_candidates.ndim != 2:
-            raise ValueError("zone_candidates must be (num_zones, K)")
-        if self.zone_anchors.shape != (self.zone_candidates.shape[0],):
-            raise ValueError("zone_anchors must have one entry per zone")
+
+    @classmethod
+    def unrestricted(
+        cls,
+        node_server: np.ndarray,
+        client_nodes: np.ndarray,
+        client_zones: np.ndarray,
+        num_zones: int,
+        server_nodes: Optional[np.ndarray] = None,
+    ) -> "CompactDelayMatrix":
+        """A matrix whose every zone reaches every server (``top_k=None``).
+
+        ``server_nodes`` defaults to ``arange(m)``: a plain ``(k, m)`` delay
+        array is the node→server table of ``k`` nodes, one per client.
+        """
+        num_servers = node_server.shape[1]
+        return cls(
+            server_nodes=np.arange(num_servers) if server_nodes is None else server_nodes,
+            node_server=node_server,
+            client_nodes=client_nodes,
+            client_zones=client_zones,
+            zone_candidates=_all_servers(num_zones, num_servers),
+            zone_anchors=None,
+            top_k=None,
+        )
 
     # ------------------------------------------------------------------ #
+    @property
+    def is_unrestricted(self) -> bool:
+        """True when every server is every zone's candidate (``top_k is None``)."""
+        return self.top_k is None
+
     @property
     def shape(self) -> tuple[int, int]:
         """Virtual (num_clients, num_servers) shape."""
@@ -239,16 +311,16 @@ class CompactDelayMatrix:
     @property
     def num_clients(self) -> int:
         """Number of clients (virtual rows)."""
-        return self.shape[0]
+        return int(self.client_nodes.shape[0])
 
     @property
     def num_servers(self) -> int:
         """Number of servers (virtual columns)."""
-        return self.shape[1]
+        return int(self.node_server.shape[1])
 
     @property
     def num_zones(self) -> int:
-        """Zone count of the candidate restriction."""
+        """Zone count of the candidate sets."""
         return int(self.zone_candidates.shape[0])
 
     @property
@@ -258,8 +330,15 @@ class CompactDelayMatrix:
         ``node_server`` is shared, backend-level state (one table per fleet
         snapshot, not per scenario), so it is counted once here but does not
         grow with the client count — the per-client cost is the index arrays.
+        An unrestricted matrix's candidate table is a broadcast view of one
+        row, so it counts one row.
         """
-        return self.node_server.nbytes + sum(getattr(self, name).nbytes for name in _INDEX_FIELDS)
+        fields = [self.node_server, self.server_nodes, self.client_nodes, self.client_zones]
+        if self.is_unrestricted:
+            fields.append(self.zone_candidates[0])
+        else:
+            fields += [self.zone_candidates, self.zone_anchors]
+        return sum(array.nbytes for array in fields)
 
     def candidate_mask(self) -> np.ndarray:
         """The ``(num_zones, m)`` candidate mask.
@@ -268,10 +347,14 @@ class CompactDelayMatrix:
         matrix.  The solvers use it to keep *fallback* placements
         delay-aware: a zone that cannot be placed within capacity should
         still land on a server its clients can actually reach, not on a
-        sentinel-delay one.
+        sentinel-delay one.  An unrestricted matrix's mask is a broadcast
+        all-``True`` view.
         """
         cached = self._allowed_cache
-        if cached is None:
+        if cached is None and self.is_unrestricted:
+            cached = np.broadcast_to(True, self.zone_candidates.shape)
+            object.__setattr__(self, "_allowed_cache", cached)
+        elif cached is None:
             num_zones, top_k = self.zone_candidates.shape
             cached = np.zeros((num_zones, self.num_servers), dtype=bool)
             rows = np.repeat(np.arange(num_zones), top_k)
@@ -288,8 +371,10 @@ class CompactDelayMatrix:
         gives every consumer index-sorted lists without a per-query sort:
         :meth:`candidate_rows` gathers from it, and GreZ hands it to the
         placement engine as each zone's candidate table.  Read-only and
-        cached.
+        cached; an unrestricted matrix's table is already sorted.
         """
+        if self.is_unrestricted:
+            return self.zone_candidates
         cached = self._sorted_candidates_cache
         if cached is None:
             cached = _read_only(np.sort(self.zone_candidates, axis=1))
@@ -313,8 +398,11 @@ class CompactDelayMatrix:
         delays by flat offset (:func:`_take_cells`) — ``np.take`` calls,
         which numpy runs far faster than the equivalent 2-D fancy index —
         so neither the server ids nor the flat offsets ever exist for all
-        rows at once.
+        rows at once.  An unrestricted matrix's candidate rows are its
+        :meth:`rows`.
         """
+        if self.is_unrestricted:
+            return self.rows(clients)
         clients = np.asarray(clients, dtype=np.int64)
         candidates = self.sorted_candidates()
         delays = np.empty((clients.size, candidates.shape[1]), dtype=self.node_server.dtype)
@@ -333,6 +421,8 @@ class CompactDelayMatrix:
         out = self.node_server[self.client_nodes[clients]]
         if out.base is not None or not out.flags.writeable:
             out = out.copy()
+        if self.is_unrestricted:
+            return out
         # In-place masked fill: one pass over the gathered rows instead
         # of np.where's extra full-size output allocation.
         np.copyto(
@@ -368,6 +458,8 @@ class CompactDelayMatrix:
         servers = np.asarray(servers, dtype=np.int64)
         if servers.size and (servers.min() < 0 or servers.max() >= self.num_servers):
             raise IndexError(f"server index out of range for {self.num_servers} servers")
+        if self.is_unrestricted:
+            return self.node_server[nodes, servers]
         out = _take_cells(self.node_server, nodes, servers)
         allowed = _take_cells(self.candidate_mask(), zones, servers)
         return np.where(allowed, out, self.fill_value)
@@ -391,13 +483,15 @@ class CompactDelayMatrix:
         return flat.reshape(num_zones, num_nodes).astype(np.float64)
 
     def over_bound_table(self, bound: float) -> np.ndarray:
-        """GreZ's sparse cost table: ``(num_zones, K)`` int32 over-bound counts.
+        """GreZ's cost table: ``(num_zones, K)`` int32 over-bound counts.
 
         Entry ``[z, j]`` counts zone ``z``'s clients whose delay to its
         candidate ``sorted_candidates()[z, j]`` exceeds ``bound``: the
         paper's initial cost ``C^I`` on the only cells that carry
         information, since every other server reports the sentinel delay to
-        the whole zone and so counts the zone population.
+        the whole zone and so counts the zone population.  An unrestricted
+        matrix's table is the full ``(num_zones, m)`` ``C^I``, column ``j``
+        being server ``j``.
 
         Built on first read for a bound (:meth:`_count_over_bound`) and
         cached; a churn delta moves it onto the next matrix and updates it in
@@ -417,8 +511,11 @@ class CompactDelayMatrix:
         The full-width form of :meth:`over_bound_table`: a fresh C-contiguous
         float64 ``(num_zones, m)`` array holding each zone's population,
         with the table's counts written over its candidate cells.  Equal to
-        scattering ``(delays > bound)`` per client into its zone.
+        scattering ``(delays > bound)`` per client into its zone.  An
+        unrestricted matrix's table already is full width.
         """
+        if self.is_unrestricted:
+            return self.over_bound_table(bound).astype(np.float64)
         per_zone = np.empty((self.num_zones, self.num_servers))
         per_zone[...] = np.bincount(self.client_zones, minlength=self.num_zones)[:, None]
         np.put_along_axis(per_zone, self.sorted_candidates(), self.over_bound_table(bound), axis=1)
@@ -439,8 +536,8 @@ class CompactDelayMatrix:
         dtype = np.float32 if self.num_clients < 2**24 else np.float64
         num_nodes = self.node_server.shape[0]
         over_bound = (self.node_server > bound).astype(dtype)
-        candidates = self.sorted_candidates()
-        table = np.empty(candidates.shape, dtype=np.int32)
+        candidates = None if self.is_unrestricted else self.sorted_candidates()
+        table = np.empty(self.zone_candidates.shape, dtype=np.int32)
         # Sorted (zone, node) cells: each chunk's clients are one slice.
         cells = np.sort(self.client_zones * num_nodes + self.client_nodes)
         for rows in row_chunks(self.num_zones, num_nodes, _COUNT_CHUNK_CELLS):
@@ -449,7 +546,10 @@ class CompactDelayMatrix:
             counts = np.bincount(
                 cells[start:stop] - first, minlength=(rows.stop - rows.start) * num_nodes
             ).reshape(-1, num_nodes).astype(dtype)
-            table[rows] = np.take_along_axis(counts @ over_bound, candidates[rows], axis=1)
+            product = counts @ over_bound
+            if candidates is not None:
+                product = np.take_along_axis(product, candidates[rows], axis=1)
+            table[rows] = product
         return table
 
     def _over_bound_cells(self, over_bound: np.ndarray, clients: np.ndarray) -> np.ndarray:
@@ -459,7 +559,8 @@ class CompactDelayMatrix:
         client's K indicators are gathered by flat offset (as in
         :func:`_take_cells`) one row chunk at a time, so the temporaries
         stay at :data:`~repro.utils.chunks.CHUNK_CELLS` cells; only the set
-        ones are kept.  A cell appears once per client it counts.
+        ones are kept.  A cell appears once per client it counts.  An
+        unrestricted matrix's K indicators are its clients' whole rows.
         """
         candidates = self.sorted_candidates()
         top_k = candidates.shape[1]
@@ -469,10 +570,13 @@ class CompactDelayMatrix:
         for rows in row_chunks(clients.size, top_k):
             chunk = clients[rows]
             zones = self.client_zones[chunk]
-            offsets = np.take(candidates, zones, axis=0)
-            offsets *= col_stride
-            offsets += (self.client_nodes[chunk] * row_stride)[:, None]
-            hits = np.flatnonzero(np.take(indicators, offsets))
+            if self.is_unrestricted:
+                hits = np.flatnonzero(over_bound[self.client_nodes[chunk]])
+            else:
+                offsets = np.take(candidates, zones, axis=0)
+                offsets *= col_stride
+                offsets += (self.client_nodes[chunk] * row_stride)[:, None]
+                hits = np.flatnonzero(np.take(indicators, offsets))
             # Position i * K + j of the chunk is table cell zone_i * K + j.
             row = hits // top_k
             hits += (zones[row] - row) * top_k
@@ -493,7 +597,9 @@ class CompactDelayMatrix:
         the count of clients within ``bound`` and the summed excess
         ``max(direct - bound, 0)`` — the two matrices
         :func:`repro.core.local_search` needs to score wholesale zone moves
-        without a dense ``(k, m)`` matrix.
+        without a ``(k, m)`` array.  Node-space sums: a zone's clients at
+        one node are counted once and multiplied, so the summation order is
+        not the clients' (:meth:`zone_move_aggregates` picks per matrix).
         """
         counts = self._zone_node_counts(client_zones, num_zones)
         direct = self.node_server + np.asarray(server_self_delays, dtype=np.float64)[None, :]
@@ -507,8 +613,53 @@ class CompactDelayMatrix:
         excess = np.where(allowed, excess, zone_pop[:, None] * fill_excess[None, :])
         return within, excess
 
+    def zone_move_aggregates(
+        self, bound: float, server_self_delays: np.ndarray
+    ) -> ZoneMoveAggregates:
+        """The zone-move sweep's aggregate source for this matrix's clients.
+
+        Returns a function of one sweep's scored ``zones`` (ascending ids),
+        their ``members`` (ascending client ids) and each member's row in
+        ``[0, len(zones))``, giving the rows of :meth:`zone_direct_aggregates`
+        for those zones.  An unrestricted matrix gathers the members' delay
+        rows and scatter-adds them (:func:`~repro.utils.scatter.scatter_add_2d`):
+        each cell adds its members in ascending client order from ``0.0``,
+        so a row does not depend on which other zones are scored.  A
+        restricted matrix builds the node-space aggregates of every zone on
+        the first call and slices them from then on.
+        """
+        self_delays = np.asarray(server_self_delays, dtype=np.float64)
+        if self.is_unrestricted:
+
+            def member_gather(zones, members, member_rows):
+                direct = self.rows(members) + self_delays[None, :]
+                shape = (zones.size, self.num_servers)
+                within = scatter_add_2d(shape, member_rows, direct <= bound)
+                excess = scatter_add_2d(shape, member_rows, np.maximum(direct - bound, 0.0))
+                return within, excess
+
+            return member_gather
+        node_space: list = []
+
+        def node_space_rows(zones, members, member_rows):
+            if not node_space:
+                node_space.extend(
+                    self.zone_direct_aggregates(
+                        bound, self.client_zones, self.num_zones, self_delays
+                    )
+                )
+            return node_space[0][zones], node_space[1][zones]
+
+        return node_space_rows
+
     def zone_delay_sums(self, client_zones: np.ndarray, num_zones: int) -> np.ndarray:
-        """Per-zone sum of client delays to each server (``(num_zones, m)``)."""
+        """Per-zone sum of client delays to each server (``(num_zones, m)``).
+
+        An unrestricted matrix adds each zone's delay rows in client order;
+        a restricted one sums in node space.
+        """
+        if self.is_unrestricted:
+            return scatter_add_2d((num_zones, self.num_servers), client_zones, self.toarray())
         counts = self._zone_node_counts(client_zones, num_zones)
         sums = counts @ self.node_server
         zone_pop = counts.sum(axis=1)
@@ -545,7 +696,14 @@ class CompactDelayMatrix:
         and ``changed``, or when nothing read the table here, the new
         matrix starts without one.
         """
-        matrix = replace(self, client_nodes=client_nodes, client_zones=client_zones)
+        client_nodes = np.asarray(client_nodes, dtype=np.int64)
+        client_zones = np.asarray(client_zones, dtype=np.int64)
+        self._check_clients(client_nodes, client_zones)
+        # Every other field is this matrix's, already checked: copy them
+        # over rather than re-run the whole construction.
+        matrix = object.__new__(CompactDelayMatrix)
+        matrix.__dict__.update(self.__dict__, client_nodes=client_nodes, client_zones=client_zones)
+        object.__setattr__(matrix, "_cost_table", None)
         table = self._cost_table
         if old_to_new is None or changed is None or table is None or not table.read:
             return matrix
@@ -577,12 +735,16 @@ class CompactDelayMatrix:
         """New matrix for a different fleet and its node→server table.
 
         ``node_server`` is the new fleet's table (:func:`node_server_table`),
-        O(nodes·m) — independent of the client count.  Candidate sets are
-        re-selected from the stored zone anchors against the new fleet.
+        O(nodes·m) — independent of the client count.  An unrestricted
+        matrix stays unrestricted; a restricted one re-selects ``min(top_k,
+        m)`` candidates per zone from its stored zone anchors against the
+        new fleet.
         """
-        candidates = _candidates_from_anchors(
-            node_server, self.zone_anchors, self.zone_candidates.shape[1]
-        )
+        if self.is_unrestricted:
+            return CompactDelayMatrix.unrestricted(
+                node_server, self.client_nodes, self.client_zones, self.num_zones, server_nodes
+            )
+        candidates = _candidates_from_anchors(node_server, self.zone_anchors, self.top_k)
         # Re-cover guard: a server churn batch may have removed *every*
         # server a zone's old candidate set pointed at.  Re-selection from
         # the anchors must leave each zone at least one real-delay
@@ -609,6 +771,7 @@ class CompactDelayMatrix:
             client_zones=self.client_zones,
             zone_candidates=candidates,
             zone_anchors=self.zone_anchors,
+            top_k=self.top_k,
             fill_value=self.fill_value,
         )
 
@@ -638,16 +801,25 @@ def node_server_table(delay_model: "DelayModel", server_nodes: np.ndarray) -> np
     return _read_only(delay_model.rtt[:, server_nodes])
 
 
-def sparse_delay_matrix(
+def compact_delay_matrix(
     delay_model: "DelayModel",
     client_nodes: np.ndarray,
     client_zones: np.ndarray,
     num_zones: int,
     server_nodes: np.ndarray,
-    top_k: int = DEFAULT_SPARSE_TOP_K,
+    top_k: Optional[int] = None,
 ) -> CompactDelayMatrix:
-    """The sparse backend's client→server delays: exact on top-K candidates per zone."""
+    """A world's client→server delays: every server a candidate, or top-K per zone.
+
+    ``top_k=None`` (the ``"dense"`` backend) builds the unrestricted
+    matrix; an integer (``"sparse"``) selects ``min(top_k, m)`` candidates
+    per zone around the zone anchors.
+    """
     node_server = node_server_table(delay_model, server_nodes)
+    if top_k is None:
+        return CompactDelayMatrix.unrestricted(
+            node_server, client_nodes, client_zones, num_zones, server_nodes
+        )
     anchors = zone_anchor_nodes(client_nodes, client_zones, num_zones, delay_model.num_nodes)
     return CompactDelayMatrix(
         server_nodes=server_nodes,
@@ -656,4 +828,5 @@ def sparse_delay_matrix(
         client_zones=client_zones,
         zone_candidates=_candidates_from_anchors(node_server, anchors, top_k),
         zone_anchors=anchors,
+        top_k=top_k,
     )

@@ -4,7 +4,9 @@ The assignment algorithms never look at the graph itself; they only consume
 three arrays:
 
 * ``client_server`` — the round-trip delay between every client and every
-  server (``num_clients × num_servers``),
+  server (``num_clients × num_servers``), read from the node→server columns
+  of the RTT matrix
+  (:func:`~repro.topology.delay_backends.node_server_table`),
 * ``server_server`` — the round-trip delay over the well-provisioned
   inter-server mesh (``num_servers × num_servers``), and
 * the delay bound ``D``.
@@ -110,37 +112,6 @@ class DelayModel:
         return self.topology.num_nodes
 
     # ------------------------------------------------------------------ #
-    def client_server_delays(
-        self, client_nodes: np.ndarray, server_nodes: np.ndarray, copy: bool = False
-    ) -> np.ndarray:
-        """Round-trip delays between clients and servers.
-
-        Parameters
-        ----------
-        client_nodes:
-            ``(num_clients,)`` topology node index of each client.
-        server_nodes:
-            ``(num_servers,)`` topology node index of each server.
-        copy:
-            By default the result is a fresh but *read-only* array (the
-            advanced-indexing gather already allocates once; the historical
-            unconditional ``.copy()`` briefly doubled the largest allocation
-            in the scenario build path for no benefit).  Pass ``copy=True`` to get a
-            writable matrix instead.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(num_clients, num_servers)`` matrix of RTTs in milliseconds.
-        """
-        client_nodes = self._check_nodes(client_nodes, "client_nodes")
-        server_nodes = self._check_nodes(server_nodes, "server_nodes")
-        delays = self.rtt[np.ix_(client_nodes, server_nodes)]
-        if copy:
-            return delays
-        delays.flags.writeable = False
-        return delays
-
     def server_server_delays(self, server_nodes: np.ndarray) -> np.ndarray:
         """Round-trip delays over the inter-server mesh (discounted).
 

@@ -8,10 +8,11 @@ the client population, per-client bandwidth demands, and the two delay
 matrices that the assignment algorithms consume.
 
 Scenarios are immutable snapshots; the dynamics engine produces new
-scenarios from old ones via :meth:`DVEScenario.apply_churn_delta` (delta
-update that reuses the surviving clients' delay rows) when clients join, leave
-or move.  :meth:`DVEScenario.with_population` rebuilds the derived arrays from
-scratch and is the reference the delta update is tested against.
+scenarios from old ones via :meth:`DVEScenario.apply_churn_delta` (a delta
+update that swaps the delay matrix's per-client index arrays and carries its
+cost table) when clients join, leave or move.
+:meth:`DVEScenario.with_population` rebuilds the derived arrays from scratch
+and is the reference the delta update is tested against.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from repro.topology.delay_backends import (
     DEFAULT_SPARSE_TOP_K,
     DELAY_BACKENDS,
     CompactDelayMatrix,
+    compact_delay_matrix,
     node_server_table,
-    sparse_delay_matrix,
 )
 from repro.topology.delays import (
     DEFAULT_MAX_RTT_MS,
@@ -157,10 +158,11 @@ class DVEScenario:
     population:
         Client physical nodes and avatar zones.
     client_server_delays:
-        ``(num_clients, num_servers)`` RTT matrix (ms) — a dense ndarray for
-        the ``"dense"`` delay backend, a
-        :class:`~repro.topology.delay_backends.CompactDelayMatrix` (same
-        virtual shape, O(nodes·servers + clients) state) for ``"sparse"``.
+        Virtual ``(num_clients, num_servers)`` RTT matrix (ms), a
+        :class:`~repro.topology.delay_backends.CompactDelayMatrix` in
+        O(nodes·servers + clients) state: every server a candidate of every
+        zone for the ``"dense"`` delay backend, the top-K candidates per
+        zone for ``"sparse"``.
     server_server_delays:
         ``(num_servers, num_servers)`` inter-server mesh RTT matrix (ms).
     client_demands:
@@ -173,21 +175,11 @@ class DVEScenario:
     servers: ServerSet
     world: VirtualWorld
     population: ClientPopulation
-    client_server_delays: np.ndarray
+    client_server_delays: CompactDelayMatrix
     server_server_delays: np.ndarray
     client_demands: np.ndarray
 
     # ------------------------------------------------------------------ #
-    @property
-    def has_dense_delays(self) -> bool:
-        """True when ``client_server_delays`` is a real dense ndarray.
-
-        Scenarios built with the ``"sparse"`` delay backend carry a
-        :class:`~repro.topology.delay_backends.CompactDelayMatrix` instead —
-        O(nodes·servers + clients) state rather than O(k·m).
-        """
-        return not isinstance(self.client_server_delays, CompactDelayMatrix)
-
     @property
     def num_servers(self) -> int:
         """Number of servers."""
@@ -220,17 +212,14 @@ class DVEScenario:
     def with_population(self, population: ClientPopulation) -> "DVEScenario":
         """Return a new scenario for a different client population snapshot.
 
-        Client-server delays and per-client demands are recomputed; topology,
-        servers and configuration are shared (they are immutable).
+        Per-client demands are recomputed; the delay matrix's node→server
+        table and candidate sets carry over by reference and only its O(k)
+        index arrays change.  Topology, servers and configuration are shared
+        (they are immutable).
         """
         if population.zones.size and population.zones.max() >= self.num_zones:
             raise ValueError("population refers to zones outside this scenario's world")
-        if self.has_dense_delays:
-            delays = self.delay_model.client_server_delays(population.nodes, self.servers.nodes)
-        else:
-            # Compact path: the node→server table and candidate sets carry
-            # over by reference; only the O(k) index arrays change.
-            delays = self.client_server_delays.with_clients(population.nodes, population.zones)
+        delays = self.client_server_delays.with_clients(population.nodes, population.zones)
         demands = self.config.bandwidth_model.client_target_demands(
             population.zones, self.num_zones
         )
@@ -251,24 +240,22 @@ class DVEScenario:
     ) -> "DVEScenario":
         """Delta version of :meth:`with_population` for a churn batch.
 
-        Instead of recomputing the full client×server delay matrix, the delay
-        rows of surviving clients are carried over through the churn's
-        ``old_to_new`` index map and only the *joining* clients' rows are
-        gathered from the delay model.  Movers keep their rows untouched (a
-        zone move changes the virtual location, not the physical node), and
-        per-client demands are recomputed from the new zone populations —
-        demands depend on how crowded each zone is, so they can change for
-        every client, but that is one :func:`numpy.bincount` away.
+        Delays derive from the per-client node indices, so the delta is the
+        O(k) index swap itself — churn epochs never regather delays,
+        whatever the batch size.  The churn map and its movers (a zone move
+        changes the virtual location, not the physical node) carry GreZ's
+        cost table to the new matrix, updated in O(churn × K); a result
+        without movers starts a fresh table.  Per-client demands are
+        recomputed from the new zone populations — demands depend on how
+        crowded each zone is, so they can change for every client, but that
+        is one :func:`numpy.bincount` away.
 
-        The result is bit-identical to
-        ``self.with_population(churn.population)``: both paths gather the same
-        float64 entries from the same cached all-pairs RTT matrix.
-
-        The new delay matrix and demand vector are acquired from ``arena``'s
-        recycled buffers (the engine double-buffers: the previous epoch's
-        matrix stays live until the state has advanced past it, then goes
-        back to the pool).  A caller that passes no arena gets a private one,
-        so the arrays are simply its own.
+        The result is bit-identical to ``self.with_population(churn.population)``.
+        The new demand vector is acquired from ``arena``'s recycled buffers
+        (the engine double-buffers: the previous epoch's vector stays live
+        until the state has advanced past it, then goes back to the pool).
+        A caller that passes no arena gets a private one, so the array is
+        simply its own.
         """
         arena = arena or EpochArena()
         population = churn.population
@@ -280,40 +267,9 @@ class DVEScenario:
         if population.zones.size and population.zones.max() >= self.num_zones:
             raise ValueError("population refers to zones outside this scenario's world")
 
-        if self.has_dense_delays:
-            delays = arena.acquire((population.num_clients, self.num_servers), dtype=np.float64)
-            survivors_old = churn.survivors_old
-            if survivors_old is None:
-                survivors_old = np.flatnonzero(churn.old_to_new >= 0)
-            # apply_churn numbers survivors 0..k-1 in original order, so
-            # old_to_new restricted to survivors IS arange(k) and the survivor
-            # scatter is really a contiguous row gather — np.take with
-            # ``out=`` writes the same float64 values into the same rows
-            # without materialising the gathered block first.  mode="clip"
-            # skips numpy's bounce buffer (mode="raise" stages the gather in a
-            # temporary); indices come from flatnonzero over old_to_new, so
-            # they are in range and clipping never fires.
-            np.take(
-                self.client_server_delays,
-                survivors_old,
-                axis=0,
-                out=delays[: survivors_old.size],
-                mode="clip",
-            )
-            if churn.new_client_indices.size:
-                join_nodes = population.nodes[churn.new_client_indices]
-                delays[churn.new_client_indices] = self.delay_model.client_server_delays(
-                    join_nodes, self.servers.nodes
-                )
-        else:
-            # Compact path: delays are derived from the per-client node
-            # indices, so the "delta" is the O(k) index swap itself — churn
-            # epochs never densify, whatever the batch size.  The churn map
-            # and its movers move GreZ's cost table along, updated in
-            # O(churn × K); a result without movers starts a fresh table.
-            delays = self.client_server_delays.with_clients(
-                population.nodes, population.zones, churn.old_to_new, churn.movers_old
-            )
+        delays = self.client_server_delays.with_clients(
+            population.nodes, population.zones, churn.old_to_new, churn.movers_old
+        )
         demands = self.config.bandwidth_model.client_target_demands(
             population.zones,
             self.num_zones,
@@ -334,21 +290,16 @@ class DVEScenario:
     def with_servers(self, servers: ServerSet) -> "DVEScenario":
         """Return a new scenario for a different server fleet snapshot.
 
-        The full client×server delay matrix and the inter-server mesh are
-        recomputed from the delay model; population, topology and
-        configuration are shared.  This is the executable specification that
-        :meth:`apply_server_delta` must match bit-for-bit.
+        The O(nodes·m) node→server table (and a restricted matrix's per-zone
+        candidate sets) and the inter-server mesh are rebuilt from the delay
+        model — independent of the client count; population, topology and
+        configuration are shared.
         """
         if servers.nodes.size and servers.nodes.max() >= self.topology.num_nodes:
             raise ValueError("servers refer to nodes outside this scenario's topology")
-        if self.has_dense_delays:
-            delays = self.delay_model.client_server_delays(self.population.nodes, servers.nodes)
-        else:
-            # Compact path: rebuild the O(nodes·m) node→server table (and the
-            # per-zone candidate sets) — independent of the client count.
-            delays = self.client_server_delays.with_servers(
-                servers.nodes, node_server_table(self.delay_model, servers.nodes)
-            )
+        delays = self.client_server_delays.with_servers(
+            servers.nodes, node_server_table(self.delay_model, servers.nodes)
+        )
         return DVEScenario(
             config=self.config,
             topology=self.topology,
@@ -368,8 +319,8 @@ class DVEScenario:
         every delay matrix, the population and the demands carry over by
         identity (no gather, no copy): this is the O(num_servers) path for
         capacity-only fleet changes (drift batches, federation capacity
-        re-slices), where :meth:`apply_server_delta` would re-gather the full
-        client×server matrix just to reproduce it.
+        re-slices), where :meth:`apply_server_delta` would rebuild the
+        node→server table just to reproduce it.
         """
         return DVEScenario(
             config=self.config,
@@ -384,55 +335,19 @@ class DVEScenario:
         )
 
     def apply_server_delta(self, server_churn: "ServerChurnResult") -> "DVEScenario":
-        """Delta version of :meth:`with_servers` for an infrastructure churn batch.
+        """:meth:`with_servers` for an infrastructure churn batch.
 
-        Surviving servers' client-delay *columns* are carried over through the
-        churn's ``old_to_new`` map and only the joining servers' columns are
-        gathered from the delay model; the inter-server mesh is regathered in
-        full (it is ``m × m`` — negligible next to the client matrix).
+        Checks the batch against this fleet, then rebuilds: the node→server
+        table costs O(nodes·m), so a per-server delta would save nothing.
         Capacity drift lives entirely in the new :class:`ServerSet`, so
         demands and population carry over untouched.
-
-        The result is bit-identical to ``self.with_servers(server_churn.servers)``:
-        both paths gather the same float64 entries from the same cached
-        all-pairs RTT matrix.
         """
-        servers = server_churn.servers
         if server_churn.old_to_new.shape[0] != self.num_servers:
             raise ValueError(
                 f"server churn was generated against a fleet of "
                 f"{server_churn.old_to_new.shape[0]} servers, scenario has {self.num_servers}"
             )
-        if servers.nodes.size and servers.nodes.max() >= self.topology.num_nodes:
-            raise ValueError("servers refer to nodes outside this scenario's topology")
-
-        if not self.has_dense_delays:
-            # Compact path: the full node→server rebuild already costs only
-            # O(nodes·m), so the column-delta optimisation has nothing to
-            # save.
-            return self.with_servers(servers)
-
-        delays = np.empty((self.num_clients, servers.num_servers), dtype=np.float64)
-        survivors_old = np.flatnonzero(server_churn.old_to_new >= 0)
-        delays[:, server_churn.old_to_new[survivors_old]] = self.client_server_delays[
-            :, survivors_old
-        ]
-        if server_churn.new_server_indices.size:
-            join_nodes = servers.nodes[server_churn.new_server_indices]
-            delays[:, server_churn.new_server_indices] = self.delay_model.client_server_delays(
-                self.population.nodes, join_nodes
-            )
-        return DVEScenario(
-            config=self.config,
-            topology=self.topology,
-            delay_model=self.delay_model,
-            servers=servers,
-            world=self.world,
-            population=self.population,
-            client_server_delays=delays,
-            server_server_delays=self.delay_model.server_server_delays(servers.nodes),
-            client_demands=self.client_demands,
-        )
+        return self.with_servers(server_churn.servers)
 
     def summary(self) -> dict:
         """Descriptive statistics used by the CLI and reports."""
@@ -524,17 +439,14 @@ def build_scenario(
     population = ClientPopulation(nodes=client_nodes, zones=client_zones)
 
     world = VirtualWorld(num_zones=config.num_zones)
-    if config.delay_backend == "dense":
-        client_server_delays = delay_model.client_server_delays(client_nodes, servers.nodes)
-    else:
-        client_server_delays = sparse_delay_matrix(
-            delay_model,
-            client_nodes,
-            client_zones,
-            config.num_zones,
-            servers.nodes,
-            top_k=config.sparse_top_k,
-        )
+    client_server_delays = compact_delay_matrix(
+        delay_model,
+        client_nodes,
+        client_zones,
+        config.num_zones,
+        servers.nodes,
+        top_k=None if config.delay_backend == "dense" else config.sparse_top_k,
+    )
     server_server_delays = delay_model.server_server_delays(servers.nodes)
     client_demands = config.bandwidth_model.client_target_demands(client_zones, config.num_zones)
 

@@ -148,6 +148,7 @@ def make_wide_sparse_instance(order: str = "F") -> CAPInstance:
         client_zones=client_zones,
         zone_candidates=_candidates_from_anchors(node_server, anchors, 64),
         zone_anchors=anchors,
+        top_k=64,
     )
     return CAPInstance(
         client_server_delays=delays,

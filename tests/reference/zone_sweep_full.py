@@ -4,7 +4,8 @@ A frozen copy of the warm-start zone-move sweep as it stood before the
 sweep learned to score only the zones with a member over the delay bound.
 Every sweep builds the full ``(zones, servers)`` delta matrices from
 per-(zone, server) aggregates that are scattered with ``np.add.at`` over a
-``(clients, servers)`` direct-delay matrix (compact delay matrices use their
+``(clients, servers)`` direct-delay matrix read through ``toarray()`` on an
+unrestricted delay matrix (candidate-restricted matrices use their
 node-space aggregates), admits each zone's best strictly improving move in
 gain order, and repeats until a sweep applies nothing.  It keeps its own
 capacity slack, so it shares no move-selection code with the engine it
@@ -33,19 +34,20 @@ def _zone_move_aggregates(
 ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """``(direct, within_matrix, excess_matrix, zone_sizes)`` over every zone.
 
-    ``direct`` is ``None`` for compact delay matrices, whose aggregates come
-    from the node-space fast path.
+    ``direct`` is ``None`` for candidate-restricted delay matrices, whose
+    aggregates come from the node-space fast path.
     """
     num_zones, num_servers = instance.num_zones, instance.num_servers
     zones_of = instance.client_zones
     bound = instance.delay_bound
     zone_sizes = np.bincount(zones_of, minlength=num_zones)
-    if not instance.has_dense_delays:
-        within_matrix, excess_matrix = instance.client_server_delays.zone_direct_aggregates(
+    matrix = instance.client_server_delays
+    if not matrix.is_unrestricted:
+        within_matrix, excess_matrix = matrix.zone_direct_aggregates(
             bound, zones_of, num_zones, np.diag(instance.server_server_delays)
         )
         return None, within_matrix, excess_matrix, zone_sizes
-    direct = instance.client_server_delays + np.diag(instance.server_server_delays)[None, :]
+    direct = matrix.toarray() + np.diag(instance.server_server_delays)[None, :]
     within_matrix = np.zeros((num_zones, num_servers), dtype=np.float64)
     excess_matrix = np.zeros_like(within_matrix)
     if instance.num_clients:

@@ -29,7 +29,7 @@ class TestLoadBalance:
 
     def test_delay_oblivious(self, tiny_instance):
         doubled = tiny_instance.with_delays(
-            client_server_delays=2 * tiny_instance.client_server_delays
+            client_server_delays=2 * tiny_instance.client_server_delays.toarray()
         )
         a = assign_zones_load_balanced(tiny_instance)
         b = assign_zones_load_balanced(doubled)

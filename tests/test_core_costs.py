@@ -147,17 +147,24 @@ class TestRefinedCostCandidates:
             with pytest.raises(ValueError, match=message):
                 refined_cost_candidates(instance, *bad_indices(instance, case))
 
-    def test_none_on_dense_instances(self, small_instance):
+    def test_every_server_on_unrestricted_instances(self, small_instance):
+        # An unrestricted matrix lists every server, so the candidate costs
+        # are the refined-cost rows themselves.
         zone_to_server = np.zeros(small_instance.num_zones, dtype=np.int64)
-        assert refined_cost_candidates(small_instance, zone_to_server, np.arange(3)) is None
+        clients = np.arange(3)
+        np.testing.assert_array_equal(
+            refined_cost_candidates(small_instance, zone_to_server, clients),
+            refined_cost_rows(small_instance, zone_to_server, clients),
+        )
 
 
 class TestInitialCostAggregation:
     def test_matches_scatter_add_reference(self, small_instance):
-        # The sort + reduceat segment reduction must agree exactly with the
-        # np.add.at scatter-add it replaced.
+        # The matrix's cost table must agree exactly with an np.add.at
+        # scatter-add of the over-bound indicators.
         reference = np.zeros((small_instance.num_zones, small_instance.num_servers))
-        over = (small_instance.client_server_delays > small_instance.delay_bound).astype(np.float64)
+        delays = small_instance.client_server_delays.toarray()
+        over = (delays > small_instance.delay_bound).astype(np.float64)
         np.add.at(reference, small_instance.client_zones, over)
         np.testing.assert_array_equal(initial_cost_matrix(small_instance), reference.T)
 
@@ -169,7 +176,7 @@ class TestInitialCostAggregation:
         from repro.core.problem import CAPInstance
 
         padded = CAPInstance(
-            client_server_delays=instance.client_server_delays,
+            client_server_delays=instance.client_server_delays.toarray(),
             server_server_delays=instance.server_server_delays,
             client_zones=instance.client_zones,
             client_demands=instance.client_demands,

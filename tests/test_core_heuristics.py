@@ -7,14 +7,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.assignment import ZoneAssignment
-from repro.core.costs import initial_cost_matrix
+from repro.core.assignment import ZoneAssignment, zone_server_loads
+from repro.core.costs import initial_cost_matrix, refined_cost_rows
 from repro.core.grec import assign_contacts_greedy
 from repro.core.grez import assign_zones_greedy
 from repro.core.problem import CAPInstance
 from repro.core.ranz import assign_zones_random
 from repro.core.virc import assign_contacts_virtual
 from tests.conftest import make_tiny_instance
+from tests.reference.regret_loop import max_regret_assign_loop
 
 
 class TestRanZ:
@@ -51,7 +52,7 @@ class TestRanZ:
         # RanZ is delay-oblivious: doubling all delays cannot change the result
         # for the same seed because delays never enter its decisions.
         doubled = tiny_instance.with_delays(
-            client_server_delays=2 * tiny_instance.client_server_delays
+            client_server_delays=2 * tiny_instance.client_server_delays.toarray()
         )
         a = assign_zones_random(tiny_instance, seed=3)
         b = assign_zones_random(doubled, seed=3)
@@ -215,19 +216,47 @@ class TestLoopOracleEquivalence:
     """Every GreZ / GreC placement equals the per-item loop oracle's.
 
     The ``regret_oracle_spy`` fixture runs the oracle beside each engine call
-    the solve makes and compares placements, loads and overflow flags.
+    the solve makes and compares placements, loads and overflow flags.  The
+    small-world tests also run the oracle once on the paper's full cost
+    matrices and compare the solvers' results with it, whichever engine
+    entry point placed them.
     """
 
     @pytest.mark.parametrize("recompute", [False, True])
     def test_grez_matches_oracle(self, small_instance, regret_oracle_spy, recompute):
-        assign_zones_greedy(small_instance, recompute_regret=recompute)
-        assert regret_oracle_spy == ["max_regret_assign"]
+        result = assign_zones_greedy(small_instance, recompute_regret=recompute)
+        assert len(regret_oracle_spy) == 1
+        expected = max_regret_assign_loop(
+            desirability=-initial_cost_matrix(small_instance),
+            demands=small_instance.zone_demands(),
+            capacities=small_instance.server_capacities,
+            recompute=recompute,
+        )
+        np.testing.assert_array_equal(result.zone_to_server, expected.item_to_server)
+        assert result.capacity_exceeded == expected.capacity_exceeded
 
     @pytest.mark.parametrize("recompute", [False, True])
     def test_grec_matches_oracle(self, small_instance, regret_oracle_spy, recompute):
         zones = assign_zones_greedy(small_instance)
-        assign_contacts_greedy(small_instance, zones, recompute_regret=recompute)
-        assert regret_oracle_spy == ["max_regret_assign", "max_regret_assign"]
+        result = assign_contacts_greedy(small_instance, zones, recompute_regret=recompute)
+        assert len(regret_oracle_spy) == 2
+        # GreC from the paper: the clients over the bound (L_E) are placed
+        # on their refined costs; the unplaced keep their target server.
+        targets = zones.targets_of_clients(small_instance)
+        helped = np.flatnonzero(small_instance.delays_to(targets) > small_instance.delay_bound)
+        expected = max_regret_assign_loop(
+            desirability=-refined_cost_rows(small_instance, zones.zone_to_server, helped).T,
+            demands=2.0 * small_instance.client_demands[helped],
+            capacities=small_instance.server_capacities,
+            initial_loads=zone_server_loads(small_instance, zones.zone_to_server),
+            fallback="skip",
+            recompute=recompute,
+        )
+        contacts = targets.copy()
+        placed = expected.item_to_server >= 0
+        contacts[helped[placed]] = expected.item_to_server[placed]
+        assert helped.size
+        np.testing.assert_array_equal(result.contact_of_client, contacts)
 
     def test_sparse_candidate_paths_match_oracle(self, regret_oracle_spy):
         # GreZ's placement from the sparse cost table and GreC's from the

@@ -17,7 +17,6 @@ from repro.core.local_search import (
     LocalSearchResult,
     _repair_contacts_sweep,
     _repair_zones_sweep,
-    _zone_move_aggregates,
     warm_start_refine,
 )
 from repro.core.problem import CAPInstance
@@ -352,14 +351,17 @@ class TestZoneMoveAggregates:
     @pinned(60)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_all_zone_aggregates_match_the_oracle_bitwise(self, seed):
-        """Every client as a member: the dense member-gather path builds every
-        zone's row, bit for bit as the oracle's ``np.add.at`` scatter."""
+        """Every client as a member: an unrestricted matrix's member-gather
+        path builds every zone's row, bit for bit as the oracle's
+        ``np.add.at`` scatter."""
         instance = _random_dense_instance(np.random.default_rng(seed), coarse=False)
-        within, excess = _zone_move_aggregates(
-            instance,
+        aggregates = instance.client_server_delays.zone_move_aggregates(
+            instance.delay_bound, np.diag(instance.server_server_delays)
+        )
+        within, excess = aggregates(
+            np.arange(instance.num_zones),
             np.arange(instance.num_clients),
             instance.client_zones,
-            instance.num_zones,
         )
         _, o_within, o_excess, _ = oracle_zone_move_aggregates(instance)
         assert within.tobytes() == o_within.tobytes()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.problem import CAPInstance
+from repro.topology.delay_backends import CompactDelayMatrix
 from tests.conftest import make_tiny_instance
 
 
@@ -18,7 +19,13 @@ class TestConstruction:
         assert tiny_instance.num_zones == 4
 
     def test_arrays_cast_to_float_and_int(self, tiny_instance):
-        assert tiny_instance.client_server_delays.dtype == np.float64
+        # A plain delay array is cast and wrapped as an unrestricted matrix
+        # with one node per client.
+        delays = tiny_instance.client_server_delays
+        assert isinstance(delays, CompactDelayMatrix) and delays.is_unrestricted
+        assert delays.node_server.dtype == np.float64
+        np.testing.assert_array_equal(delays.client_nodes, np.arange(8))
+        assert delays.client_zones is tiny_instance.client_zones
         assert tiny_instance.client_zones.dtype == np.int64
 
     def test_bad_delay_matrix_shape(self):
@@ -115,23 +122,21 @@ class TestTransformations:
         assert instance.num_clients == small_scenario.num_clients
         assert instance.num_servers == small_scenario.num_servers
         assert instance.delay_bound == small_scenario.delay_bound_ms
-        np.testing.assert_allclose(
-            instance.client_server_delays, small_scenario.client_server_delays
-        )
+        assert instance.client_server_delays is small_scenario.client_server_delays
 
     def test_from_scenario_delay_bound_override(self, small_scenario):
         instance = CAPInstance.from_scenario(small_scenario, delay_bound=123.0)
         assert instance.delay_bound == 123.0
 
     def test_with_delays_substitutes_only_given_matrices(self, tiny_instance):
-        new_cs = tiny_instance.client_server_delays + 5.0
+        new_cs = tiny_instance.client_server_delays.toarray() + 5.0
         swapped = tiny_instance.with_delays(client_server_delays=new_cs)
-        np.testing.assert_allclose(swapped.client_server_delays, new_cs)
+        np.testing.assert_allclose(swapped.client_server_delays.toarray(), new_cs)
         np.testing.assert_allclose(
             swapped.server_server_delays, tiny_instance.server_server_delays
         )
         # The original is untouched (immutability).
-        assert tiny_instance.client_server_delays[0, 0] == 50.0
+        assert tiny_instance.delay_pairs(0, 0) == 50.0
 
     def test_replaced_delay_bound(self, tiny_instance):
         assert dataclasses.replace(tiny_instance, delay_bound=200.0).delay_bound == 200.0

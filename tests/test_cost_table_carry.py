@@ -273,7 +273,7 @@ class TestNoStaleTable:
     @given(first=st.floats(10.0, 400.0), second=st.floats(10.0, 400.0))
     def test_other_bound_counts_afresh(self, world, first, second):
         instance = CAPInstance.from_scenario(world)
-        dense = instance.dense_client_server_delays()
+        dense = instance.client_server_delays.toarray()
         for bound in (first, second, first):
             cost = initial_cost_matrix(dataclasses.replace(instance, delay_bound=bound))
             expected = np.zeros((instance.num_zones, instance.num_servers))

@@ -2,8 +2,9 @@
 
 Covers the three contracts of the two delay backends:
 
-* ``dense`` is bit-identical to the historical construction (including the
-  zero mesh diagonal and the delta fast paths);
+* ``dense`` is the unrestricted matrix: every delay exact, equal to the RTT
+  table's (clients × servers) gather (including the zero mesh diagonal and
+  the delta paths);
 * :class:`CompactDelayMatrix` gathers and zone fast paths agree with the
   densified matrix they virtualise; and
 * ``sparse`` scenarios flow through the solvers, the churn engine and the
@@ -70,14 +71,15 @@ def sparse_scenario(request):
 
 
 # ---------------------------------------------------------------------- #
-# Dense: the executable spec stays bit-identical.
+# Dense: the unrestricted matrix holds every exact delay.
 # ---------------------------------------------------------------------- #
 class TestDenseBitIdentity:
     def test_matches_direct_construction(self, dense_scenario, small_scenario):
         # small_scenario is built with the default config (no backend field
         # set) and the same seed: every array must be bit-identical.
         np.testing.assert_array_equal(
-            dense_scenario.client_server_delays, small_scenario.client_server_delays
+            dense_scenario.client_server_delays.toarray(),
+            small_scenario.client_server_delays.toarray(),
         )
         np.testing.assert_array_equal(
             dense_scenario.server_server_delays, small_scenario.server_server_delays
@@ -93,14 +95,22 @@ class TestDenseBitIdentity:
         np.testing.assert_array_equal(np.diag(dense_scenario.server_server_delays), 0.0)
 
     def test_matches_delay_model_gather(self, dense_scenario):
-        expected = dense_scenario.delay_model.client_server_delays(
-            dense_scenario.population.nodes, dense_scenario.servers.nodes
-        )
-        np.testing.assert_array_equal(dense_scenario.client_server_delays, expected)
+        expected = dense_scenario.delay_model.rtt[
+            np.ix_(dense_scenario.population.nodes, dense_scenario.servers.nodes)
+        ]
+        np.testing.assert_array_equal(dense_scenario.client_server_delays.toarray(), expected)
 
-    def test_has_dense_delays(self, dense_scenario):
-        assert dense_scenario.has_dense_delays
-        assert CAPInstance.from_scenario(dense_scenario).has_dense_delays
+    def test_dense_matrix_is_unrestricted(self, dense_scenario):
+        delays = dense_scenario.client_server_delays
+        assert isinstance(delays, CompactDelayMatrix)
+        assert delays.is_unrestricted and delays.top_k is None
+        assert delays.zone_anchors is None
+        np.testing.assert_array_equal(
+            delays.sorted_candidates(),
+            np.tile(np.arange(delays.num_servers), (delays.num_zones, 1)),
+        )
+        assert delays.candidate_mask().all()
+        assert CAPInstance.from_scenario(dense_scenario).client_server_delays is delays
 
     def test_delta_fast_path_identity(self, dense_scenario):
         from repro.dynamics.churn import generate_churn
@@ -112,17 +122,18 @@ class TestDenseBitIdentity:
         churn = apply_churn(dense_scenario.population, batch)
         delta = dense_scenario.apply_churn_delta(churn)
         rebuilt = dense_scenario.with_population(churn.population)
-        np.testing.assert_array_equal(delta.client_server_delays, rebuilt.client_server_delays)
+        np.testing.assert_array_equal(
+            delta.client_server_delays.toarray(), rebuilt.client_server_delays.toarray()
+        )
 
     def test_dense_accessors_mirror_fancy_indexing(self, small_instance):
-        delays = small_instance.client_server_delays
+        delays = small_instance.client_server_delays.toarray()
         clients = np.array([0, 3, 5])
         servers = np.array([1, 0, 2])
         np.testing.assert_array_equal(small_instance.delay_rows(clients), delays[clients])
         np.testing.assert_array_equal(
             small_instance.delay_pairs(clients, servers), delays[clients, servers]
         )
-        np.testing.assert_array_equal(small_instance.dense_client_server_delays(), delays)
         every = np.arange(small_instance.num_clients) % small_instance.num_servers
         np.testing.assert_array_equal(
             small_instance.delays_to(every), delays[np.arange(delays.shape[0]), every]
@@ -140,7 +151,8 @@ class TestCompactDelayMatrix:
             sparse_scenario.num_clients,
             sparse_scenario.num_servers,
         )
-        assert not sparse_scenario.has_dense_delays
+        assert not delays.is_unrestricted
+        assert delays.top_k == sparse_scenario.config.sparse_top_k
 
     def test_rows_and_pairs_match_toarray(self, sparse_scenario):
         delays = sparse_scenario.client_server_delays
@@ -253,7 +265,8 @@ class TestSparseSemantics:
         # takes the fill delay and the matrix is the dense one.
         covering = _scenario("sparse", sparse_top_k=dense_scenario.num_servers)
         np.testing.assert_array_equal(
-            covering.client_server_delays.toarray(), dense_scenario.client_server_delays
+            covering.client_server_delays.toarray(),
+            dense_scenario.client_server_delays.toarray(),
         )
         np.testing.assert_array_equal(
             covering.server_server_delays, dense_scenario.server_server_delays
@@ -385,6 +398,7 @@ class TestRowChunkedGathers:
             client_zones=client_zones,
             zone_candidates=_candidates_from_anchors(node_server, anchors, 4),
             zone_anchors=anchors,
+            top_k=4,
         )
         bound = 55.0
         expected = np.zeros((num_zones, num_servers))
@@ -440,7 +454,7 @@ class TestCompactDeltas:
         # A well-formed delta: only the compact guard can raise.
         old_to_new = np.full(instance.num_clients, -1)
         old_to_new[:5] = np.arange(5)
-        with pytest.raises(TypeError, match="dense delay rows"):
+        with pytest.raises(TypeError, match="exact delay rows"):
             instance.apply_delta(
                 old_to_new=old_to_new,
                 join_delays=np.zeros((0, instance.num_servers)),
@@ -479,7 +493,10 @@ class TestCompactDeltas:
         while not session.done:
             for record in session.run_epoch():
                 assert np.isfinite(record.pqos_after)
-        assert not session.state.scenario.has_dense_delays
+        delays = session.state.scenario.client_server_delays
+        assert isinstance(delays, CompactDelayMatrix)
+        assert delays.top_k == sparse_scenario.client_server_delays.top_k
+        assert delays.zone_candidates.shape[1] == min(delays.top_k, delays.num_servers)
         assert advance_oracle_spy == [True, True]
 
     def test_with_servers_matches_fresh_build(self, sparse_scenario):
@@ -489,29 +506,6 @@ class TestCompactDeltas:
         new = moved.client_server_delays
         np.testing.assert_array_equal(new.toarray(), old.toarray())
         np.testing.assert_array_equal(moved.server_server_delays, scenario.server_server_delays)
-
-
-# ---------------------------------------------------------------------- #
-# DelayModel.copy semantics (the double-allocation fix).
-# ---------------------------------------------------------------------- #
-class TestDelayModelCopy:
-    def test_default_is_read_only(self, small_scenario):
-        model = small_scenario.delay_model
-        delays = model.client_server_delays(np.array([0, 1]), np.array([2, 3]))
-        assert not delays.flags.writeable
-        with pytest.raises(ValueError):
-            delays[0, 0] = 1.0
-
-    def test_copy_opt_in_is_writable(self, small_scenario):
-        model = small_scenario.delay_model
-        nodes = np.array([0, 1])
-        servers = np.array([2, 3])
-        frozen = model.client_server_delays(nodes, servers)
-        writable = model.client_server_delays(nodes, servers, copy=True)
-        assert writable.flags.writeable
-        np.testing.assert_array_equal(writable, frozen)
-        writable[0, 0] = -5.0  # private copy: the model's view is untouched
-        assert frozen[0, 0] != -5.0
 
 
 # ---------------------------------------------------------------------- #

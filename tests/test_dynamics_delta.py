@@ -35,7 +35,7 @@ def _delta_instance(old_instance, churn, new_scenario):
     """Build the post-churn instance through the delta path."""
     return old_instance.apply_delta(
         old_to_new=churn.old_to_new,
-        join_delays=new_scenario.client_server_delays[churn.new_client_indices],
+        join_delays=new_scenario.client_server_delays.rows(churn.new_client_indices),
         client_zones=new_scenario.population.zones,
         client_demands=new_scenario.client_demands,
     )
@@ -48,7 +48,10 @@ class TestScenarioChurnDelta:
         churn = apply_churn(small_scenario.population, batch)
         rebuilt = small_scenario.with_population(churn.population)
         delta = small_scenario.apply_churn_delta(churn)
-        np.testing.assert_array_equal(rebuilt.client_server_delays, delta.client_server_delays)
+        np.testing.assert_array_equal(
+            rebuilt.client_server_delays.toarray(),
+            delta.client_server_delays.toarray(),
+        )
         np.testing.assert_array_equal(rebuilt.client_demands, delta.client_demands)
         np.testing.assert_array_equal(rebuilt.population.nodes, delta.population.nodes)
         np.testing.assert_array_equal(rebuilt.population.zones, delta.population.zones)
@@ -72,7 +75,8 @@ class TestScenarioChurnDelta:
             rebuild_scenario = rebuild_scenario.with_population(churn.population)
             delta_scenario = delta_scenario.apply_churn_delta(churn)
             np.testing.assert_array_equal(
-                rebuild_scenario.client_server_delays, delta_scenario.client_server_delays
+                rebuild_scenario.client_server_delays.toarray(),
+                delta_scenario.client_server_delays.toarray()
             )
             np.testing.assert_array_equal(
                 rebuild_scenario.client_demands, delta_scenario.client_demands
@@ -87,7 +91,10 @@ class TestInstanceApplyDelta:
         new_scenario = small_scenario.apply_churn_delta(churn)
         rebuilt = CAPInstance.from_scenario(new_scenario)
         delta = _delta_instance(small_instance, churn, new_scenario)
-        np.testing.assert_array_equal(rebuilt.client_server_delays, delta.client_server_delays)
+        np.testing.assert_array_equal(
+            rebuilt.client_server_delays.toarray(),
+            delta.client_server_delays.toarray(),
+        )
         np.testing.assert_array_equal(rebuilt.client_zones, delta.client_zones)
         np.testing.assert_array_equal(rebuilt.client_demands, delta.client_demands)
         np.testing.assert_array_equal(rebuilt.zone_demands(), delta.zone_demands())

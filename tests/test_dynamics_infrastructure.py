@@ -167,7 +167,7 @@ class TestScenarioServerDelta:
         rebuilt = small_scenario.with_servers(churn.servers)
         delta = small_scenario.apply_server_delta(churn)
         np.testing.assert_array_equal(
-            rebuilt.client_server_delays, delta.client_server_delays
+            rebuilt.client_server_delays.toarray(), delta.client_server_delays.toarray()
         )
         np.testing.assert_array_equal(
             rebuilt.server_server_delays, delta.server_server_delays
@@ -201,7 +201,10 @@ class TestInstanceServerDelta:
         new_scenario = small_scenario.apply_server_delta(churn)
         rebuilt = CAPInstance.from_scenario(small_scenario.with_servers(churn.servers))
         delta = CAPInstance.from_scenario_unchecked(new_scenario)
-        np.testing.assert_array_equal(rebuilt.client_server_delays, delta.client_server_delays)
+        np.testing.assert_array_equal(
+            rebuilt.client_server_delays.toarray(),
+            delta.client_server_delays.toarray(),
+        )
         np.testing.assert_array_equal(rebuilt.server_server_delays, delta.server_server_delays)
         np.testing.assert_array_equal(rebuilt.server_capacities, delta.server_capacities)
         np.testing.assert_array_equal(rebuilt.client_zones, delta.client_zones)
@@ -533,7 +536,8 @@ class TestGrantRevokeGrantCycles:
             assert instance.client_server_delays is small_scenario.client_server_delays
             assert instance.server_server_delays is small_scenario.server_server_delays
             np.testing.assert_array_equal(
-                instance.client_server_delays, small_instance.client_server_delays
+                instance.client_server_delays.toarray(),
+                small_instance.client_server_delays.toarray()
             )
             current = revoked
 
@@ -561,7 +565,7 @@ class TestGrantRevokeGrantCycles:
                 shrunk.servers.capacities, small_scenario.servers.capacities
             )
             np.testing.assert_array_equal(
-                shrunk.client_server_delays, small_scenario.client_server_delays
+                shrunk.client_server_delays.toarray(), small_scenario.client_server_delays.toarray()
             )
             np.testing.assert_array_equal(
                 shrunk.server_server_delays, small_scenario.server_server_delays
@@ -591,7 +595,8 @@ class TestGrantRevokeGrantCycles:
                 instance.server_capacities, small_instance.server_capacities
             )
             np.testing.assert_array_equal(
-                instance.client_server_delays, small_instance.client_server_delays
+                instance.client_server_delays.toarray(),
+                small_instance.client_server_delays.toarray()
             )
             np.testing.assert_array_equal(
                 instance.server_server_delays, small_instance.server_server_delays

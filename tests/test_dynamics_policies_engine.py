@@ -188,7 +188,7 @@ class TestCarryOverCapacityFlag:
         new_zones = np.concatenate([old_instance.client_zones, [0, 0, 0]])
         new_instance = CAPInstance(
             client_server_delays=np.vstack(
-                [old_instance.client_server_delays, np.full((3, 3), 60.0)]
+                [old_instance.client_server_delays.toarray(), np.full((3, 3), 60.0)]
             ),
             server_server_delays=old_instance.server_server_delays,
             client_zones=new_zones,

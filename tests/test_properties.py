@@ -78,7 +78,7 @@ class TestCostInvariants:
         cost = refined_cost_matrix(instance, zone_to_server)
         assert (cost >= 0).all()
         delays = (
-            instance.client_server_delays.T
+            instance.client_server_delays.toarray().T
             + instance.server_server_delays[:, zone_to_server[instance.client_zones]]
         )
         within = delays <= instance.delay_bound

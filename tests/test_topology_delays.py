@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.topology.delay_backends import compact_delay_matrix
 from repro.topology.delays import DEFAULT_MAX_RTT_MS, DEFAULT_SERVER_MESH_FACTOR, DelayModel
 from tests.conftest import flat_waxman
 
@@ -49,25 +50,32 @@ class TestRttMatrix:
         assert model.rtt is model.rtt
 
 
+def _client_server(model, clients, servers):
+    """Unrestricted client→server delays of ``clients`` in one zone."""
+    clients = np.asarray(clients)
+    return compact_delay_matrix(model, clients, np.zeros(clients.shape, dtype=int), 1, servers)
+
+
 class TestClientServerDelays:
     def test_shape_and_values(self, model):
-        clients = np.array([0, 1, 2, 3])
-        servers = np.array([10, 20])
-        matrix = model.client_server_delays(clients, servers)
+        matrix = _client_server(model, np.array([0, 1, 2, 3]), np.array([10, 20]))
         assert matrix.shape == (4, 2)
-        assert matrix[1, 1] == pytest.approx(model.rtt[1, 20])
+        assert matrix.toarray()[1, 1] == model.rtt[1, 20]
 
     def test_empty_clients(self, model):
-        matrix = model.client_server_delays(np.array([], dtype=int), np.array([0, 1]))
+        matrix = _client_server(model, np.array([], dtype=int), np.array([0, 1]))
         assert matrix.shape == (0, 2)
+        assert matrix.toarray().shape == (0, 2)
 
     def test_out_of_range_rejected(self, model):
         with pytest.raises(ValueError):
-            model.client_server_delays(np.array([0]), np.array([1000]))
+            _client_server(model, np.array([0]), np.array([1000]))
+        with pytest.raises(ValueError):
+            _client_server(model, np.array([1000]), np.array([0]))
 
     def test_non_1d_rejected(self, model):
         with pytest.raises(ValueError):
-            model.client_server_delays(np.array([[0]]), np.array([1]))
+            _client_server(model, np.array([0]), np.array([[1]]))
 
 
 class TestServerMesh:

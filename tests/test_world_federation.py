@@ -132,7 +132,10 @@ class TestBuildFederation:
         for sa, sb in zip(a.shards, b.shards):
             assert np.array_equal(sa.population.nodes, sb.population.nodes)
             assert np.array_equal(sa.population.zones, sb.population.zones)
-            assert np.array_equal(sa.client_server_delays, sb.client_server_delays)
+            assert np.array_equal(
+                sa.client_server_delays.toarray(),
+                sb.client_server_delays.toarray(),
+            )
 
     def test_shard_streams_independent_of_shard_count(self):
         """Adding a shard must not reshuffle the substrate RNG streams."""

@@ -72,8 +72,9 @@ class TestBuildScenario:
         )
 
     def test_delays_non_negative_and_bounded(self, small_scenario, small_config):
-        assert (small_scenario.client_server_delays >= 0).all()
-        assert small_scenario.client_server_delays.max() <= small_config.max_rtt_ms + 1e-9
+        delays = small_scenario.client_server_delays.toarray()
+        assert (delays >= 0).all()
+        assert delays.max() <= small_config.max_rtt_ms + 1e-9
 
     def test_server_mesh_is_discounted(self, small_scenario):
         mesh = small_scenario.server_server_delays
@@ -88,7 +89,10 @@ class TestBuildScenario:
         b = build_scenario(small_config, seed=123)
         np.testing.assert_array_equal(a.population.zones, b.population.zones)
         np.testing.assert_array_equal(a.servers.nodes, b.servers.nodes)
-        np.testing.assert_allclose(a.client_server_delays, b.client_server_delays)
+        np.testing.assert_allclose(
+            a.client_server_delays.toarray(),
+            b.client_server_delays.toarray(),
+        )
 
     def test_different_seeds_differ(self, small_config):
         a = build_scenario(small_config, seed=1)
