@@ -1,9 +1,11 @@
 """Scale-and-memory ladder: dense vs sparse delay backend up to 10^5..10^6 clients.
 
-The dense delay matrix is O(clients x servers) and caps worlds at a few
-thousand clients; the ``sparse`` backend
-(:mod:`repro.topology.delay_backends`) holds O(clients + zones*K + nodes*m)
-state instead.  This ladder measures, per backend and client count:
+A (clients x servers) float64 delay matrix is O(k·m) and caps worlds at a
+few thousand clients; both delay backends
+(:mod:`repro.topology.delay_backends`) hold a compact matrix of
+O(clients + zones*K + nodes*m) state instead — ``dense`` with every server a
+candidate, ``sparse`` with the top K per zone.  This ladder measures, per
+backend and client count:
 
 * build + solve latency and per-epoch churn latency (2 epochs, 1 % churn,
   re-execute policy — the most expensive repair schedule), and
@@ -18,11 +20,13 @@ do: on a loaded two-CPU host a multi-threaded BLAS slowed the same solve about
 sixfold, and the 50k and 100k rungs did not slow alike, so the 100k/50k ratio
 check read the host's load rather than the solver's scaling.
 
-Dense is *measured* on the small rungs and linearly extrapolated to the
-compact rungs (its per-client footprint is affine in ``clients`` for fixed
-``servers``); the ladder asserts the sparse backend stays an order of
-magnitude below that extrapolation and that its resident delay state is
-O(clients + zones*K + nodes*m) with a small constant.
+The memory gate compares each sparse rung's peak with ``8·k·m`` bytes, the
+(clients x servers) float64 matrix that the compact form avoids: the ladder
+asserts the sparse backend stays an order of magnitude below it and that
+its resident delay state is O(clients + zones*K + nodes*m) with a small
+constant.  The dense rungs are measured on the small rungs as the pQoS
+reference of the candidate restriction; their peak no longer grows with
+the client count like a (k x m) array, so it is no memory reference.
 
 Results go to ``BENCH_scale.json`` at the repository root.  CI's scale-guard
 job runs the smoke rung (``REPRO_BENCH_RUNS=1``: 50k clients) as a blocking
@@ -56,6 +60,7 @@ from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import ChurnSimulator
 from repro.experiments.config import config_from_label
 from repro.io.tables import format_table
+from repro.topology.delay_backends import CompactDelayMatrix
 from repro.world import build_scenario
 
 from benchmarks.conftest import bench_runs, record_json
@@ -78,7 +83,8 @@ _max_compact = int(os.environ.get("REPRO_BENCH_SCALE_MAX", "0") or 0)
 if not _max_compact:
     _max_compact = 100_000 if FULL else 50_000
 COMPACT_RUNGS = tuple(k for k in (10_000, 50_000, 100_000, 1_000_000) if k <= _max_compact)
-#: Minimum measured-vs-extrapolated memory advantage at the ladder top.
+#: Minimum advantage at the ladder top of the (clients x servers) float64
+#: matrix's bytes over the measured sparse peak.
 MIN_MEMORY_RATIO = 10.0 if FULL else 5.0
 #: Per-zone candidate budget of the sparse backend at ladder scale.
 SPARSE_TOP_K = 64
@@ -140,8 +146,10 @@ def _measure_rung(backend: str, num_clients: int) -> dict:
     while not session.done:
         session.run_epoch()
     epoch_seconds = (time.perf_counter() - start) / NUM_EPOCHS
-    # Churn must advance compact worlds without densifying them.
-    assert session.state.scenario.has_dense_delays == (backend == "dense")
+    # Churn must advance the compact matrix without widening its candidates.
+    delays = session.state.scenario.client_server_delays
+    assert isinstance(delays, CompactDelayMatrix)
+    assert delays.zone_candidates.shape == instance.client_server_delays.zone_candidates.shape
 
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -162,33 +170,15 @@ def _measure_rung(backend: str, num_clients: int) -> dict:
     }
 
 
-def _dense_extrapolation(dense_rungs: list) -> dict:
-    """Affine peak-memory model ``peak(clients)`` fitted to the dense rungs."""
-    if len(dense_rungs) >= 2:
-        first, last = dense_rungs[0], dense_rungs[-1]
-        slope = (last["peak_mb"] - first["peak_mb"]) / (
-            last["num_clients"] - first["num_clients"]
-        )
-        intercept = first["peak_mb"] - slope * first["num_clients"]
-    else:
-        # Proportional through the single smoke rung — conservative for the
-        # ratio check (it scales the fixed overhead up with the client count).
-        slope = dense_rungs[0]["peak_mb"] / dense_rungs[0]["num_clients"]
-        intercept = 0.0
-    return {"slope_mb_per_client": slope, "intercept_mb": intercept}
-
-
 def _measure() -> dict:
     results: dict = {
         "dense": [_measure_rung("dense", num_clients) for num_clients in DENSE_RUNGS],
         "sparse": [_measure_rung("sparse", num_clients) for num_clients in COMPACT_RUNGS],
     }
-    model = _dense_extrapolation(results["dense"])
     for rung in results["sparse"]:
-        extrapolated = model["intercept_mb"] + model["slope_mb_per_client"] * rung["num_clients"]
-        rung["dense_extrapolated_mb"] = extrapolated
-        rung["memory_ratio"] = extrapolated / rung["peak_mb"]
-    results["dense_peak_model"] = model
+        # The (clients x servers) float64 matrix the compact form avoids.
+        rung["dense_matrix_mb"] = 8 * rung["num_clients"] * NUM_SERVERS / 1e6
+        rung["memory_ratio"] = rung["dense_matrix_mb"] / rung["peak_mb"]
     return results
 
 
@@ -241,8 +231,8 @@ def test_bench_scale(benchmark, record):
         rows,
         title=(
             f"Delay-backend scale ladder ({NUM_SERVERS} servers, {NUM_ZONES} zones, "
-            f"{NUM_EPOCHS} churn epochs/rung; 'vs dense' = extrapolated dense peak / "
-            "measured peak)"
+            f"{NUM_EPOCHS} churn epochs/rung; 'vs dense' = (clients x servers) float64 "
+            "matrix / measured peak)"
         ),
         float_format=".2f",
     )
@@ -265,14 +255,15 @@ def test_bench_scale(benchmark, record):
     top = COMPACT_RUNGS[-1]
     sparse = {rung["num_clients"]: rung for rung in results["sparse"]}
     # The scale-and-memory guard: at the ladder top the sparse backend must
-    # undercut the extrapolated dense footprint by MIN_MEMORY_RATIO.
+    # undercut a (clients x servers) float64 matrix by MIN_MEMORY_RATIO.
     assert sparse[top]["memory_ratio"] >= MIN_MEMORY_RATIO, sparse[top]
     # O(clients + zones*K + nodes*m) resident delay state, small constant:
     # 8-byte words per unit with room for every index/candidate array.
     budget_words = 4 * top + 2 * NUM_ZONES * SPARSE_TOP_K + 2 * 500 * NUM_SERVERS
     assert sparse[top]["delay_state_mb"] * 1e6 <= 8 * budget_words, sparse[top]
     # The candidate restriction must stay usable: within 0.15 pQoS of dense
-    # on the shared small rung, and non-degenerate at the top.
+    # (every server a candidate) on the shared small rung, and
+    # non-degenerate at the top.
     dense_small = results["dense"][0]
     assert abs(sparse[10_000]["pqos"] - dense_small["pqos"]) <= 0.15
     assert sparse[top]["pqos"] >= 0.80, sparse[top]

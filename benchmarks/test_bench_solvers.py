@@ -68,7 +68,7 @@ def _solver_inputs(label: str):
     instance = CAPInstance.from_scenario(scenario)
     zones = grez.assign_zones_greedy(instance)
     targets = zones.zone_to_server[instance.client_zones]
-    direct = instance.client_server_delays[np.arange(instance.num_clients), targets]
+    direct = instance.delays_to(targets)
     helped = np.flatnonzero(direct > instance.delay_bound)
     return {
         "instance": instance,
