@@ -37,10 +37,10 @@ def _place_on_candidates(
 ) -> Optional[RegretResult]:
     """Candidate-list placement, or ``None``.
 
-    Every server outside a needy client's zone candidates (none, on an
-    unrestricted matrix) carries the sentinel delay, so its refined cost is at
-    least ``fill_value - delay_bound`` — the K candidate columns are the whole
-    finite-cost problem.  When every candidate cost sits strictly below that
+    Every server outside a needy client's zone candidates carries the
+    sentinel delay, so its refined cost is at least ``fill_value -
+    delay_bound`` — the K candidate columns are the whole finite-cost
+    problem.  When every candidate cost sits strictly below that
     sentinel floor (checked, not assumed), the placement runs through
     :func:`~repro.core.regret.max_regret_assign_candidates` — bit-identical
     to the full-matrix pass, minus the O(|L_E| x m) cost rows and the
@@ -49,9 +49,11 @@ def _place_on_candidates(
     matrix's shared ``(zones, K)`` table, which each needy client reads
     through its zone.  The full rows are still materialised on demand for
     the rare clients whose whole candidate set runs out of capacity.
+    ``None`` when the lists are too narrow to define a regret (``K < 2``)
+    or list every server: then the cost rows are the candidate costs.
     """
     servers = instance.client_server_delays.sorted_candidates()
-    if servers.shape[1] < 2:
+    if not 2 <= servers.shape[1] < instance.num_servers:
         return None
     costs = refined_cost_candidates(instance, zone_to_server, helped)
     fill = instance.client_server_delays.fill_value
@@ -124,8 +126,7 @@ def assign_contacts_greedy(
             result = None
             if not recompute_regret:
                 # The needy clients' candidate lists are the whole
-                # finite-cost problem — O(|L_E| x K) instead of O(|L_E| x m)
-                # on a candidate-restricted matrix.
+                # finite-cost problem — O(|L_E| x K) instead of O(|L_E| x m).
                 result = _place_on_candidates(
                     instance, zone_assignment.zone_to_server, helped, loads
                 )

@@ -45,8 +45,7 @@ def zone_fallback_candidates(instance: CAPInstance) -> np.ndarray:
 def _place_on_candidates(instance: CAPInstance) -> Optional[RegretResult]:
     """GreZ's static placement from the matrix's cost table, or ``None``.
 
-    The matrix holds ``C^I`` on each zone's K candidates (every server on
-    an unrestricted matrix)
+    The matrix holds ``C^I`` on each zone's K candidates
     (:meth:`~repro.topology.delay_backends.CompactDelayMatrix.over_bound_table`,
     carried through churn).  Every client of a zone sees the sentinel delay
     on each non-candidate server, so that server's ``C^I`` is the whole zone
@@ -55,12 +54,13 @@ def _place_on_candidates(instance: CAPInstance) -> Optional[RegretResult]:
     contract of :func:`~repro.core.regret.max_regret_assign_candidates` with
     the negated populations as its floor: a candidate hit tied at the floor
     falls through to a full row, built from the table and the population.
-    On a restricted matrix no ``(zones × servers)`` cost table is made.
-    ``None`` for candidate sets too narrow to define a regret (``K < 2``).
+    No ``(zones × servers)`` cost table is made.  ``None`` for candidate
+    sets too narrow to define a regret (``K < 2``) and for sets of every
+    server, whose table is the full ``C^I`` the full-matrix pass reads.
     """
     delays = instance.client_server_delays
     servers = delays.sorted_candidates()
-    if servers.shape[1] < 2:
+    if not 2 <= servers.shape[1] < instance.num_servers:
         return None
     counts = delays.over_bound_table(instance.delay_bound)
     floor = -instance.zone_populations().astype(np.float64)

@@ -766,7 +766,7 @@ def max_regret_assign_candidates(
                 f"fallback_allowed must have shape ({num_servers}, {num_items}), "
                 f"got {fallback_allowed.shape}"
             )
-    floor = np.asarray(floor, dtype=np.float64)
+    floor = np.broadcast_to(np.asarray(floor, dtype=np.float64), (num_items,))
     if np.isnan(floor).any():
         raise ValueError("floor must not be NaN")
     loads = _checked_loads(demands, capacities, initial_loads, num_servers)
@@ -774,21 +774,11 @@ def max_regret_assign_candidates(
     item_to_server = np.full(num_items, -1, dtype=np.int64)
     if num_items == 0:
         return RegretResult(item_to_server=item_to_server, loads=loads, capacity_exceeded=False)
-    if cand_idx.shape[1] == num_servers:
-        # Strictly increasing rows of every server are ``arange(m)``: the
-        # candidate values are the full matrix, one row per item, and the
-        # full-matrix engine places them without a fall-through.
-        capacity_exceeded = _assign_static_vectorized(
-            cand_val.T, demands, capacities, loads, item_to_server, fallback, fallback_allowed
-        )
-        return RegretResult(
-            item_to_server=item_to_server, loads=loads, capacity_exceeded=capacity_exceeded
-        )
 
     # The rows already arrive in ascending server-id order (the table's
     # contract), and under the dominance contract the list holds each item's
     # two largest desirabilities.
-    top, order = _table(cand_idx, item_rows, cand_val, np.broadcast_to(floor, (num_items,)))
+    top, order = _table(cand_idx, item_rows, cand_val, floor)
 
     def get_rows(cols: np.ndarray, servers: Optional[np.ndarray]) -> np.ndarray:
         rows = np.asarray(row_provider(cols), dtype=np.float64)

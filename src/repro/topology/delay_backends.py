@@ -177,13 +177,16 @@ class _CostTable:
     """A :class:`CompactDelayMatrix`'s over-bound counts for one delay bound.
 
     ``counts[z, j]`` is the number of zone ``z``'s clients whose delay to
-    ``sorted_candidates()[z, j]`` exceeds ``bound``.  ``read`` records
-    whether anything read the table on the matrix that holds it: only a
-    read table is worth carrying through the next client delta.
+    ``sorted_candidates()[z, j]`` exceeds ``bound``, and ``over_bound`` is
+    the ``node_server > bound`` indicator the counts were taken from.
+    ``read`` records whether anything read the table on the matrix that
+    holds it: only a read table is worth carrying through the next client
+    delta.
     """
 
     bound: float
     counts: np.ndarray
+    over_bound: np.ndarray
     read: bool = False
 
 
@@ -435,11 +438,13 @@ class CompactDelayMatrix:
     def pairs(self, clients: Union[int, np.ndarray], servers: Union[int, np.ndarray]) -> np.ndarray:
         """Elementwise delays, mirroring ``dense[clients, servers]`` broadcasting.
 
-        Server ids must lie in ``[0, m)``.  The gathers run on flat offsets
-        (:func:`_take_cells`); the values are the ones the 2-D index would
-        read.
+        Server ids must lie in ``[0, m)``.  A restricted matrix gathers on
+        flat offsets (:func:`_take_cells`); the values are the ones the 2-D
+        index would read.
         """
         clients = np.asarray(clients, dtype=np.int64)
+        if self.is_unrestricted:
+            return self._pairs(self.client_nodes[clients], None, servers)
         return self._pairs(self.client_nodes[clients], self.client_zones[clients], servers)
 
     def delays_to(self, servers: np.ndarray) -> np.ndarray:
@@ -453,11 +458,18 @@ class CompactDelayMatrix:
             raise ValueError(f"servers must have shape ({self.num_clients},), got {servers.shape}")
         return self._pairs(self.client_nodes, self.client_zones, servers)
 
-    def _pairs(self, nodes: np.ndarray, zones: np.ndarray, servers) -> np.ndarray:
-        """Delays from clients at ``nodes`` in ``zones`` to ``servers`` (broadcast)."""
+    def _pairs(self, nodes: np.ndarray, zones: Optional[np.ndarray], servers) -> np.ndarray:
+        """Delays from clients at ``nodes`` in ``zones`` to ``servers`` (broadcast).
+
+        An unrestricted matrix reads no zones.
+        """
         servers = np.asarray(servers, dtype=np.int64)
-        if servers.size and (servers.min() < 0 or servers.max() >= self.num_servers):
-            raise IndexError(f"server index out of range for {self.num_servers} servers")
+        num_servers = self.node_server.shape[1]
+        if servers.ndim == 0:
+            if not 0 <= servers < num_servers:
+                raise IndexError(f"server index out of range for {num_servers} servers")
+        elif servers.size and (servers.min() < 0 or servers.max() >= num_servers):
+            raise IndexError(f"server index out of range for {num_servers} servers")
         if self.is_unrestricted:
             return self.node_server[nodes, servers]
         out = _take_cells(self.node_server, nodes, servers)
@@ -500,7 +512,8 @@ class CompactDelayMatrix:
         """
         table = self._cost_table
         if table is None or table.bound != bound:
-            table = _CostTable(bound, self._count_over_bound(bound))
+            over_bound = self.node_server > bound
+            table = _CostTable(bound, self._count_over_bound(over_bound), over_bound)
             object.__setattr__(self, "_cost_table", table)
         table.read = True
         return _read_only(table.counts.view())
@@ -521,9 +534,10 @@ class CompactDelayMatrix:
         np.put_along_axis(per_zone, self.sorted_candidates(), self.over_bound_table(bound), axis=1)
         return per_zone
 
-    def _count_over_bound(self, bound: float) -> np.ndarray:
+    def _count_over_bound(self, over_bound: np.ndarray) -> np.ndarray:
         """A fresh :meth:`over_bound_table` from every client.
 
+        ``over_bound`` is the ``node_server > bound`` indicator.
         A (zones × nodes) @ (nodes × servers) product of client counts and
         0/1 over-bound indicators, whose candidate cells are kept.  Every
         partial sum is an integer no larger than a zone's population: below
@@ -535,7 +549,7 @@ class CompactDelayMatrix:
         """
         dtype = np.float32 if self.num_clients < 2**24 else np.float64
         num_nodes = self.node_server.shape[0]
-        over_bound = (self.node_server > bound).astype(dtype)
+        over_bound = over_bound.astype(dtype)
         candidates = None if self.is_unrestricted else self.sorted_candidates()
         table = np.empty(self.zone_candidates.shape, dtype=np.int32)
         # Sorted (zone, node) cells: each chunk's clients are one slice.
@@ -720,13 +734,15 @@ class CompactDelayMatrix:
         arrived = np.ones(matrix.num_clients, dtype=bool)
         arrived[old_to_new[kept]] = False
         object.__setattr__(self, "_cost_table", None)
-        over_bound = self.node_server > table.bound
+        over_bound = table.over_bound
         flat = table.counts.reshape(-1)
         gone_cells = self._over_bound_cells(over_bound, np.flatnonzero(~kept))
         flat -= np.bincount(gone_cells, minlength=flat.size)
         arrived_cells = matrix._over_bound_cells(over_bound, np.flatnonzero(arrived))
         flat += np.bincount(arrived_cells, minlength=flat.size)
-        object.__setattr__(matrix, "_cost_table", _CostTable(table.bound, table.counts))
+        object.__setattr__(
+            matrix, "_cost_table", _CostTable(table.bound, table.counts, over_bound)
+        )
         return matrix
 
     def with_servers(
