@@ -69,12 +69,6 @@ SPARSE_FILL_DELAY_MS = 1.0e9
 _COUNT_CHUNK_CELLS = 2 * CHUNK_CELLS
 #: The int64 index arrays every :class:`CompactDelayMatrix` holds.
 _INDEX_FIELDS = ("server_nodes", "client_nodes", "client_zones", "zone_candidates")
-#: A zone-move sweep's aggregate source: ``(zones, members, member_rows)``
-#: to the scored zones' ``(within, excess)`` rows
-#: (:meth:`CompactDelayMatrix.zone_move_aggregates`).
-ZoneMoveAggregates = Callable[
-    [np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]
-]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -139,14 +133,6 @@ def _candidates_from_anchors(
             [order[zone_anchor, :near], order[zone_anchor[:, None], tail_ranks]], axis=1
         )
     return np.ascontiguousarray(picks, dtype=np.int64)
-
-
-def _all_servers(num_zones: int, num_servers: int) -> np.ndarray:
-    """An unrestricted matrix's ``(num_zones, m)`` candidate table: every server, by id.
-
-    A read-only broadcast view of one ``arange(m)`` row, so it costs O(m).
-    """
-    return np.broadcast_to(np.arange(num_servers, dtype=np.int64), (num_zones, num_servers))
 
 
 def zone_anchor_nodes(
@@ -287,15 +273,17 @@ class CompactDelayMatrix:
         """A matrix whose every zone reaches every server (``top_k=None``).
 
         ``server_nodes`` defaults to ``arange(m)``: a plain ``(k, m)`` delay
-        array is the node→server table of ``k`` nodes, one per client.
+        array is the node→server table of ``k`` nodes, one per client.  The
+        candidate table is a read-only broadcast view of one ``arange(m)``
+        row, so it costs O(m).
         """
-        num_servers = node_server.shape[1]
+        every_server = np.arange(node_server.shape[1])
         return cls(
-            server_nodes=np.arange(num_servers) if server_nodes is None else server_nodes,
+            server_nodes=every_server if server_nodes is None else server_nodes,
             node_server=node_server,
             client_nodes=client_nodes,
             client_zones=client_zones,
-            zone_candidates=_all_servers(num_zones, num_servers),
+            zone_candidates=np.broadcast_to(every_server, (num_zones, every_server.size)),
             zone_anchors=None,
             top_k=None,
         )
@@ -464,12 +452,8 @@ class CompactDelayMatrix:
         An unrestricted matrix reads no zones.
         """
         servers = np.asarray(servers, dtype=np.int64)
-        num_servers = self.node_server.shape[1]
-        if servers.ndim == 0:
-            if not 0 <= servers < num_servers:
-                raise IndexError(f"server index out of range for {num_servers} servers")
-        elif servers.size and (servers.min() < 0 or servers.max() >= num_servers):
-            raise IndexError(f"server index out of range for {num_servers} servers")
+        if servers.size and (servers.min() < 0 or servers.max() >= self.num_servers):
+            raise IndexError(f"server index out of range for {self.num_servers} servers")
         if self.is_unrestricted:
             return self.node_server[nodes, servers]
         out = _take_cells(self.node_server, nodes, servers)
@@ -629,7 +613,7 @@ class CompactDelayMatrix:
 
     def zone_move_aggregates(
         self, bound: float, server_self_delays: np.ndarray
-    ) -> ZoneMoveAggregates:
+    ) -> Callable[[np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
         """The zone-move sweep's aggregate source for this matrix's clients.
 
         Returns a function of one sweep's scored ``zones`` (ascending ids),

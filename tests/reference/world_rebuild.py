@@ -50,15 +50,12 @@ def _assert_same_array(name: str, actual, expected) -> None:
 
 
 def _assert_same_delays(name: str, actual, expected) -> None:
-    """Dense matrices by bytes; compact ones by their table and index arrays."""
-    if not isinstance(expected, CompactDelayMatrix):
-        assert not isinstance(actual, CompactDelayMatrix), f"{name}: expected a dense matrix"
-        _assert_same_array(name, actual, expected)
-        return
+    """Delay matrices by their table, index arrays and candidate restriction."""
     assert isinstance(actual, CompactDelayMatrix), f"{name}: expected a compact matrix"
     for part in ("node_server", "server_nodes", "client_nodes", "client_zones",
                  "zone_candidates", "zone_anchors"):
         _assert_same_array(f"{name}.{part}", getattr(actual, part), getattr(expected, part))
+    assert actual.top_k == expected.top_k, f"{name}.top_k differs"
     assert actual.fill_value == expected.fill_value, f"{name}.fill_value differs"
 
 
