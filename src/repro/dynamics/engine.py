@@ -802,7 +802,7 @@ class EpochSession:
         # never disturb the `mirrors_arrays_of` aliasing invariant.
         eff_instance = new_instance
         if runtime is not None:
-            eff_instance = runtime.overlay_instance(plan, new_scenario, new_instance)
+            eff_instance = runtime.overlay_instance(plan, new_instance)
         timings["advance"] = time.perf_counter() - phase_start
         if allocs is not None:
             allocs["advance"] = max(0, tracemalloc.get_traced_memory()[1] - alloc_base)

@@ -649,9 +649,7 @@ class ScenarioRuntime:
             epoch=plan.epoch,
         )
 
-    def overlay_instance(
-        self, plan: EpochPlan, scenario: "DVEScenario", instance: CAPInstance
-    ) -> CAPInstance:
+    def overlay_instance(self, plan: EpochPlan, instance: CAPInstance) -> CAPInstance:
         """The instance the algorithms see: delay overlays applied, if any.
 
         Link degradation scales the affected nodes' client→server delay rows.
