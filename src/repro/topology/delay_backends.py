@@ -552,42 +552,36 @@ class CompactDelayMatrix:
             table[rows] = product
         return table
 
-    def _count_delta(
-        self, over_bound: np.ndarray, nodes: np.ndarray, zones: np.ndarray, signs: np.ndarray
-    ) -> np.ndarray:
-        """Flat change of :meth:`over_bound_table` from adding or removing clients.
+    def _over_bound_cells(self, over_bound: np.ndarray, clients: np.ndarray) -> np.ndarray:
+        """Flat cost-table cells ``zone * K + j`` where a client is over the bound.
 
-        Client ``i`` sits at node ``nodes[i]`` in zone ``zones[i]`` and is
-        added (``signs[i] = 1``) or removed (``-1``); ``over_bound`` is the
-        ``node_server > bound`` indicator.  Returns the float64 change of
-        each cell ``zone * K + j``, an exact integer.  Each client's K
-        indicators are gathered one row chunk at a time — by flat offset
-        (as in :func:`_take_cells`) on a restricted matrix, as whole rows on
-        an unrestricted one — so the temporaries stay at
-        :data:`~repro.utils.chunks.CHUNK_CELLS` cells.
+        ``over_bound`` is the ``node_server > bound`` indicator.  Each
+        client's K indicators are gathered by flat offset (as in
+        :func:`_take_cells`) one row chunk at a time, so the temporaries
+        stay at :data:`~repro.utils.chunks.CHUNK_CELLS` cells; only the set
+        ones are kept.  A cell appears once per client it counts.  An
+        unrestricted matrix's K indicators are its clients' whole rows.
         """
         candidates = self.sorted_candidates()
         top_k = candidates.shape[1]
         row_stride, col_stride = (stride // over_bound.itemsize for stride in over_bound.strides)
         indicators = over_bound.ravel(order="K")
-        delta = np.zeros(self.num_zones * top_k)
-        for rows in row_chunks(nodes.size, top_k):
-            chunk_zones = zones[rows]
+        cells = []
+        for rows in row_chunks(clients.size, top_k):
+            chunk = clients[rows]
+            zones = self.client_zones[chunk]
             if self.is_unrestricted:
-                # Row i of the chunk adds its sign on cells zone_i * K + j.
-                hits = over_bound[nodes[rows]] * signs[rows, None]
-                cells = (chunk_zones * top_k)[:, None] + np.arange(top_k)
-                delta += np.bincount(cells.ravel(), hits.ravel(), minlength=delta.size)
-                continue
-            offsets = np.take(candidates, chunk_zones, axis=0)
-            offsets *= col_stride
-            offsets += (nodes[rows] * row_stride)[:, None]
-            hits = np.flatnonzero(np.take(indicators, offsets))
+                hits = np.flatnonzero(over_bound[self.client_nodes[chunk]])
+            else:
+                offsets = np.take(candidates, zones, axis=0)
+                offsets *= col_stride
+                offsets += (self.client_nodes[chunk] * row_stride)[:, None]
+                hits = np.flatnonzero(np.take(indicators, offsets))
             # Position i * K + j of the chunk is table cell zone_i * K + j.
             row = hits // top_k
-            hits += (chunk_zones[row] - row) * top_k
-            delta += np.bincount(hits, signs[rows][row], minlength=delta.size)
-        return delta
+            hits += (zones[row] - row) * top_k
+            cells.append(hits)
+        return np.concatenate(cells) if cells else np.zeros(0, dtype=np.int64)
 
     def zone_direct_aggregates(
         self,
@@ -727,16 +721,11 @@ class CompactDelayMatrix:
         arrived[old_to_new[kept]] = False
         object.__setattr__(self, "_cost_table", None)
         over_bound = table.over_bound
-        gone = np.flatnonzero(~kept)
-        came = np.flatnonzero(arrived)
-        delta = self._count_delta(
-            over_bound,
-            np.concatenate((self.client_nodes[gone], client_nodes[came])),
-            np.concatenate((self.client_zones[gone], client_zones[came])),
-            np.repeat(np.array([-1, 1]), (gone.size, came.size)),
-        )
         flat = table.counts.reshape(-1)
-        np.add(flat, delta, out=flat, casting="unsafe")
+        gone_cells = self._over_bound_cells(over_bound, np.flatnonzero(~kept))
+        flat -= np.bincount(gone_cells, minlength=flat.size)
+        arrived_cells = matrix._over_bound_cells(over_bound, np.flatnonzero(arrived))
+        flat += np.bincount(arrived_cells, minlength=flat.size)
         object.__setattr__(
             matrix, "_cost_table", _CostTable(table.bound, table.counts, over_bound)
         )
