@@ -523,9 +523,12 @@ class CompactDelayMatrix:
     def _count_over_bound(self, over_bound: np.ndarray) -> np.ndarray:
         """A fresh :meth:`over_bound_table` from every client.
 
-        ``over_bound`` is the ``node_server > bound`` indicator.
-        A (zones × nodes) @ (nodes × servers) product of client counts and
-        0/1 over-bound indicators, whose candidate cells are kept.  Every
+        ``over_bound`` is the ``node_server > bound`` indicator.  When the
+        clients' K indicators are no more cells than the (zones × nodes)
+        count matrix, they are added up directly (:meth:`_over_bound_cells`).
+        Otherwise the table is a (zones × nodes) @ (nodes × servers) product
+        of client counts and 0/1 over-bound indicators, whose candidate
+        cells are kept.  Every
         partial sum is an integer no larger than a zone's population: below
         ``2**24`` clients the float32 product is exact in any summation
         order, and it runs at twice the float64 rate; larger populations
@@ -533,8 +536,13 @@ class CompactDelayMatrix:
         chunk of zone rows, so no ``(zones × nodes)`` or ``(zones ×
         servers)`` array is ever made.
         """
-        dtype = np.float32 if self.num_clients < 2**24 else np.float64
         num_nodes = self.node_server.shape[0]
+        num_zones, top_k = self.zone_candidates.shape
+        if self.num_clients * top_k <= num_zones * num_nodes:
+            cells = self._over_bound_cells(over_bound, np.arange(self.num_clients))
+            counts = np.bincount(cells, minlength=num_zones * top_k)
+            return counts.astype(np.int32).reshape(num_zones, top_k)
+        dtype = np.float32 if self.num_clients < 2**24 else np.float64
         over_bound = over_bound.astype(dtype)
         candidates = None if self.is_unrestricted else self.sorted_candidates()
         table = np.empty(self.zone_candidates.shape, dtype=np.int32)
@@ -694,7 +702,9 @@ class CompactDelayMatrix:
         The counts are integers, so the result equals a fresh build
         whatever order the additions run in.  Without both ``old_to_new``
         and ``changed``, or when nothing read the table here, the new
-        matrix starts without one.
+        matrix starts without one.  So does every unrestricted matrix: its
+        clients' whole rows are the table's cells, and adding them up afresh
+        (:meth:`_count_over_bound`) costs about what the update would.
         """
         client_nodes = np.asarray(client_nodes, dtype=np.int64)
         client_zones = np.asarray(client_zones, dtype=np.int64)
@@ -705,7 +715,9 @@ class CompactDelayMatrix:
         matrix.__dict__.update(self.__dict__, client_nodes=client_nodes, client_zones=client_zones)
         object.__setattr__(matrix, "_cost_table", None)
         table = self._cost_table
-        if old_to_new is None or changed is None or table is None or not table.read:
+        if self.is_unrestricted or old_to_new is None or changed is None:
+            return matrix
+        if table is None or not table.read:
             return matrix
         old_to_new = np.asarray(old_to_new, dtype=np.int64)
         if old_to_new.shape != (self.num_clients,):
