@@ -16,8 +16,9 @@ K candidate servers; which one is a stored fact of the matrix
 ``"dense"`` (unrestricted, ``top_k=None``)
     Every delay is exact and every server is every zone's candidate.  The
     matrix builds no zone anchors and no candidate sort; its cost table is
-    the full ``(zones, m)`` table, and the zone-move sweep aggregates the
-    scored zones' members in client order.  A
+    the full ``(zones, m)`` table, built afresh for each population, and
+    the zone-move sweep aggregates the scored zones' members in client
+    order.  A
     :class:`~repro.core.problem.CAPInstance` built from a plain ``(k, m)``
     array wraps it as such a matrix with one node per client.
 ``"sparse"`` (``top_k=K``)
@@ -207,8 +208,9 @@ class CompactDelayMatrix:
         The sentinel delay reported for non-candidate servers.
 
     The matrix also owns GreZ's cost table (:meth:`over_bound_table`),
-    built on first read and carried from one client population to the next
-    by :meth:`with_clients` when it is given the churn map.
+    built on first read and, on a restricted matrix, carried from one client
+    population to the next by :meth:`with_clients` when it is given the
+    churn map.
     """
 
     server_nodes: np.ndarray

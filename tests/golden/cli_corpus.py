@@ -13,8 +13,9 @@ in :data:`OUTPUT_CASES`, run on ``5s-15z-200c-100cp``, the stdout and the
 sha256 of the ``--csv`` stream (``loadgen`` has no ``--csv``).  Wall-time
 and tracemalloc numbers are cut (see :func:`_cut_timed_cells`): the cells of the two
 ``--profile`` tables, the arbiter seconds in the shard-profile title and
-``loadgen``'s measured row.  Tracemalloc byte counts differ between Python
-versions.
+``loadgen``'s measured row, and past a table's kept columns the widths its
+header and rule take from those cells.  Tracemalloc byte counts differ
+between Python versions.
 
 ``tests/test_cli.py`` compares the live parser and output against both
 files, so a change to a flag's name, default or help text, to a summary
@@ -35,6 +36,7 @@ import io
 import json
 import re
 import tempfile
+from itertools import accumulate
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -117,9 +119,17 @@ def _cut_timed_cells(text: str) -> str:
             out.append(line)
             index += 1
             continue
-        rule = lines[index + 2]
-        width = sum(len(dashes) + 2 for dashes in rule.split("  ")[:keep])
-        out.extend(lines[index : index + 3])
+        header, rule = lines[index + 1], lines[index + 2]
+        widths = [len(dashes) for dashes in rule.split("  ")]
+        width = sum(w + 2 for w in widths[:keep])
+        # A timed column is as wide as its widest value, so past the kept
+        # columns the header and rule take each header cell's own width.
+        starts = accumulate((w + 2 for w in widths[:-1]), initial=0)
+        cells = [header[start : start + w].rstrip() for start, w in zip(starts, widths)]
+        widths = widths[:keep] + [len(cell) for cell in cells[keep:]]
+        out.append(line)
+        out.append("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip())
+        out.append("  ".join("-" * w for w in widths))
         index += 3
         while index < len(lines) and lines[index].strip():
             if keep:
