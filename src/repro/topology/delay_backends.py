@@ -494,9 +494,9 @@ class CompactDelayMatrix:
         being server ``j``.
 
         Built on first read for a bound (:meth:`_count_over_bound`) and
-        cached; a churn delta moves it onto the next matrix and updates it in
-        O(churn × K) (:meth:`with_clients`).  Read-only, and valid until this
-        matrix's clients advance.
+        cached; on a restricted matrix a churn delta moves it onto the next
+        matrix and updates it in O(churn × K) (:meth:`with_clients`).
+        Read-only, and valid until this matrix's clients advance.
         """
         table = self._cost_table
         if table is None or table.bound != bound:
