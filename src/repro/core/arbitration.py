@@ -149,7 +149,8 @@ class CapacityArbiter:
 
     Subclasses implement :meth:`weigh`, returning per-(shard, server) demand
     weights (or ``None`` for "no opinion"); the base class turns weights into
-    a floored, conserving slice matrix and applies hysteresis.
+    a floored, conserving slice matrix and drops a proposal that moves no
+    slice.
 
     Attributes
     ----------
@@ -158,14 +159,9 @@ class CapacityArbiter:
         server's full capacity (capped at ``1/num_shards``).  Keeps every
         shard scenario valid (capacities must stay positive) and prevents a
         temporarily idle shard from being starved out entirely.
-    rebalance_threshold:
-        Hysteresis: a proposed re-slice is dropped (``None`` returned) unless
-        some slice moves by at least this fraction of its server's full
-        capacity.  0 applies every non-identical proposal.
     """
 
     min_slice_fraction: float = 0.02
-    rebalance_threshold: float = 0.0
 
     #: Name used by :func:`make_arbiter` and the CLI.
     name: ClassVar[str] = "base"
@@ -176,8 +172,6 @@ class CapacityArbiter:
     def __post_init__(self) -> None:
         if not 0.0 < self.min_slice_fraction <= 1.0:
             raise ValueError("min_slice_fraction must be in (0, 1]")
-        if self.rebalance_threshold < 0:
-            raise ValueError("rebalance_threshold must be >= 0")
 
     # ------------------------------------------------------------------ #
     def weigh(
@@ -205,7 +199,7 @@ class CapacityArbiter:
         )
         current = np.stack([np.asarray(s.capacities, dtype=np.float64) for s in signals])
         shift = np.abs(slices - current) / capacities[None, :]
-        if float(shift.max()) <= self.rebalance_threshold:
+        if float(shift.max()) <= 0.0:
             return None
         return slices
 
@@ -248,12 +242,7 @@ class RegretArbiter(CapacityArbiter):
     shard whose zones are delay-bound to a specific region of the topology
     attracts capacity exactly on the servers of that region, which the
     demand-proportional split cannot express.
-
-    ``recompute=True`` switches the pooled placement to dynamic regrets (the
-    ablation study's E7 variant).
     """
-
-    recompute: bool = False
 
     name: ClassVar[str] = "regret"
     needs_zone_costs: ClassVar[bool] = True
@@ -280,7 +269,6 @@ class RegretArbiter(CapacityArbiter):
             zone_demands,
             capacities,
             fallback="least_loaded",
-            recompute=self.recompute,
         )
         return scatter_add_2d(
             (len(signals), capacities.shape[0]),
@@ -293,13 +281,13 @@ class RegretArbiter(CapacityArbiter):
 def make_arbiter(
     arbiter: Union[str, CapacityArbiter],
     min_slice_fraction: Optional[float] = None,
-    rebalance_threshold: Optional[float] = None,
 ) -> CapacityArbiter:
     """Normalise an arbiter name (or an existing arbiter) into an instance.
 
     Accepted names: ``"static"``, ``"proportional"``, ``"regret"``.  The
-    keyword overrides only apply when constructing from a name — an existing
-    arbiter instance is returned as-is (it already carries its knobs).
+    ``min_slice_fraction`` override only applies when constructing from a
+    name — an existing arbiter instance is returned as-is (it already carries
+    its floor).
     """
     if isinstance(arbiter, CapacityArbiter):
         return arbiter
@@ -307,8 +295,6 @@ def make_arbiter(
     kwargs = {}
     if min_slice_fraction is not None:
         kwargs["min_slice_fraction"] = min_slice_fraction
-    if rebalance_threshold is not None:
-        kwargs["rebalance_threshold"] = rebalance_threshold
     if name == "static":
         return StaticArbiter(**kwargs)
     if name == "proportional":

@@ -139,21 +139,21 @@ class Assignment:
         total_capacity = instance.total_capacity()
         return float(self.server_loads(instance).sum() / total_capacity)
 
-    def is_capacity_feasible(self, instance: CAPInstance, tolerance: float = 1e-6) -> bool:
-        """True when no server's load exceeds its capacity (within tolerance)."""
+    def is_capacity_feasible(self, instance: CAPInstance) -> bool:
+        """True when no server's load exceeds its capacity by more than 1e-6 of it."""
         loads = self.server_loads(instance)
-        return bool(np.all(loads <= instance.server_capacities * (1.0 + tolerance)))
+        return bool(np.all(loads <= instance.server_capacities * (1.0 + 1e-6)))
 
     def with_algorithm(self, name: str) -> "Assignment":
-        """Copy of this assignment labelled with a different algorithm name."""
-        return Assignment(
-            zone_to_server=self.zone_to_server,
-            contact_of_client=self.contact_of_client,
-            algorithm=name,
-            capacity_exceeded=self.capacity_exceeded,
-            runtime_seconds=self.runtime_seconds,
-            metadata=dict(self.metadata),
-        )
+        """Copy of this assignment labelled with a different algorithm name.
+
+        A pure relabel: the copy shares the arrays this assignment validated
+        when it was built, so it skips ``__post_init__``; only ``metadata`` is
+        a fresh dict.
+        """
+        twin = object.__new__(Assignment)
+        twin.__dict__.update(self.__dict__, algorithm=name, metadata=dict(self.metadata))
+        return twin
 
 
 # ---------------------------------------------------------------------- #

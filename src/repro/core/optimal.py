@@ -47,16 +47,15 @@ class OptimalityError(RuntimeError):
 class OptimalOptions:
     """Options forwarded to the HiGHS branch-and-bound solver.
 
-    ``time_limit`` is in seconds per phase; ``mip_rel_gap`` is the relative
-    optimality gap at which the solver may stop early (0 = prove optimality).
+    ``time_limit`` is in seconds per phase.  The relative optimality gap is
+    0: the solver proves optimality.
     """
 
     time_limit: float = 120.0
-    mip_rel_gap: float = 0.0
 
     def as_milp_options(self) -> dict:
         """The ``options`` dict accepted by :func:`scipy.optimize.milp`."""
-        return {"time_limit": float(self.time_limit), "mip_rel_gap": float(self.mip_rel_gap)}
+        return {"time_limit": float(self.time_limit), "mip_rel_gap": 0.0}
 
 
 def _solve_assignment_milp(

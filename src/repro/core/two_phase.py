@@ -14,7 +14,7 @@ entry point used by the experiment harness, the examples and the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.core.assignment import Assignment, ZoneAssignment
 from repro.core.grec import assign_contacts_greedy
@@ -116,7 +116,6 @@ def solve_cap(
     instance: CAPInstance,
     algorithm: str = "grez-grec",
     seed: SeedLike = None,
-    registry: Optional[Dict[str, TwoPhaseAlgorithm]] = None,
 ) -> Assignment:
     """Solve a CAP instance with one of the registered two-phase heuristics.
 
@@ -129,17 +128,14 @@ def solve_cap(
         e.g. ``"grez-grec"`` (the paper's best heuristic, the default).
     seed:
         RNG seed (only used by the RanZ-based algorithms).
-    registry:
-        Optional alternative algorithm registry (used by tests).
 
     Returns
     -------
     Assignment
     """
-    registry = STANDARD_ALGORITHMS if registry is None else registry
     key = algorithm.lower()
-    if key not in registry:
+    if key not in STANDARD_ALGORITHMS:
         raise KeyError(
-            f"unknown algorithm {algorithm!r}; available: {', '.join(sorted(registry))}"
+            f"unknown algorithm {algorithm!r}; available: {', '.join(sorted(STANDARD_ALGORITHMS))}"
         )
-    return registry[key].solve(instance, seed=seed)
+    return STANDARD_ALGORITHMS[key].solve(instance, seed=seed)

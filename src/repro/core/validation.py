@@ -55,7 +55,6 @@ class ValidationReport:
 def validate_assignment(
     instance: CAPInstance,
     assignment: Assignment,
-    capacity_tolerance: float = 1e-6,
 ) -> ValidationReport:
     """Check structural and capacity feasibility of an assignment.
 
@@ -65,7 +64,7 @@ def validate_assignment(
     * all server indices are within range,
     * every zone is hosted by exactly one server (implicit in the array form),
     * per-server load (zone demand + forwarding demand) does not exceed its
-      capacity beyond ``capacity_tolerance`` (relative).
+      capacity by more than 1e-6 of it.
 
     Returns a :class:`ValidationReport`; capacity violations are reported per
     server with the absolute overshoot in Mbps.
@@ -105,7 +104,7 @@ def validate_assignment(
         return ValidationReport(violations)
 
     loads = assignment.server_loads(instance)
-    limits = instance.server_capacities * (1.0 + capacity_tolerance)
+    limits = instance.server_capacities * (1.0 + 1e-6)
     overloaded = np.flatnonzero(loads > limits)
     for server in overloaded:
         over_mbps = (loads[server] - instance.server_capacities[server]) / 1e6

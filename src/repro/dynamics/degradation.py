@@ -40,6 +40,16 @@ __all__ = [
     "pick_evacuation_host",
 ]
 
+#: Shedding threshold: clients are evicted until total demand is at most
+#: this fraction of the fleet's total capacity.
+MAX_LOAD_FACTOR = 1.0
+#: Re-admission threshold, strictly below :data:`MAX_LOAD_FACTOR` for
+#: hysteresis: pool clients are only re-admitted while demand (including each
+#: re-admission's own contribution) stays at most this fraction of total
+#: capacity, so a borderline world does not oscillate between shedding and
+#: re-admitting every epoch.
+READMIT_LOAD_FACTOR = 0.9
+
 
 @dataclass
 class DegradedPool:
@@ -51,16 +61,11 @@ class DegradedPool:
     clients that waited too long.  Oldest entries re-admit first.
     """
 
-    nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    zones: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    shed_epochs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    def __post_init__(self) -> None:
-        self.nodes = np.asarray(self.nodes, dtype=np.int64)
-        self.zones = np.asarray(self.zones, dtype=np.int64)
-        self.shed_epochs = np.asarray(self.shed_epochs, dtype=np.int64)
-        if not (self.nodes.shape == self.zones.shape == self.shed_epochs.shape):
-            raise ValueError("nodes, zones and shed_epochs must be parallel arrays")
+    nodes: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0, dtype=np.int64))
+    zones: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0, dtype=np.int64))
+    shed_epochs: np.ndarray = field(
+        init=False, default_factory=lambda: np.zeros(0, dtype=np.int64)
+    )
 
     @property
     def size(self) -> int:
@@ -110,19 +115,13 @@ class DegradedPool:
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """When to shed and when to re-admit, as fractions of fleet capacity.
+    """How long a shed client waits to be re-admitted.
+
+    Shedding and re-admission follow :data:`MAX_LOAD_FACTOR` and
+    :data:`READMIT_LOAD_FACTOR`.
 
     Attributes
     ----------
-    max_load_factor:
-        Shedding threshold: clients are evicted until total demand is at most
-        ``max_load_factor * total_capacity``.
-    readmit_load_factor:
-        Re-admission threshold, strictly below ``max_load_factor`` for
-        hysteresis: pool clients are only re-admitted while demand (including
-        each re-admission's own contribution) stays at most
-        ``readmit_load_factor * total_capacity``, so a borderline world does
-        not oscillate between shedding and re-admitting every epoch.
     patience_epochs:
         Abandonment: a pooled client that has waited this many epochs without
         being re-admitted gives up and is dropped from the pool (``None``
@@ -132,17 +131,9 @@ class AdmissionPolicy:
         abandonment the pool would sit non-empty forever.
     """
 
-    max_load_factor: float = 1.0
-    readmit_load_factor: float = 0.9
     patience_epochs: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_load_factor <= 0:
-            raise ValueError("max_load_factor must be positive")
-        if not 0 < self.readmit_load_factor <= self.max_load_factor:
-            raise ValueError(
-                "readmit_load_factor must lie in (0, max_load_factor] for hysteresis"
-            )
         if self.patience_epochs is not None and self.patience_epochs < 1:
             raise ValueError("patience_epochs must be >= 1 (or None to wait forever)")
 
@@ -214,11 +205,11 @@ def admission_control(
     pops = _post_batch_populations(batch, population, num_zones)
     demand = float(stream_bps * (pops * (pops + 1.0)).sum())
     deficit = max(0.0, demand - total_capacity)
-    shed_threshold = policy.max_load_factor * total_capacity
+    shed_threshold = MAX_LOAD_FACTOR * total_capacity
 
     if demand <= shed_threshold:
         # Feasible epoch: try to re-admit the oldest degraded clients.
-        readmit_threshold = policy.readmit_load_factor * total_capacity
+        readmit_threshold = READMIT_LOAD_FACTOR * total_capacity
         admitted = 0
         while admitted < pool.size:
             zone = int(pool.zones[admitted])

@@ -196,11 +196,11 @@ class SimulationState:
     #: current instance — the next epoch's "before" measurement, carried
     #: forward so it is never recomputed (it is bit-identical by construction).
     measures: Dict[str, tuple] = field(default_factory=dict)
-    epoch: int = 0
+    epoch: int = field(init=False, default=0)
     #: Per-session scratch arena: all recurring per-epoch buffers (delay
     #: matrix double-buffer, population arrays, demand vectors, carried
     #: contacts, repair work arrays) recycle through it.
-    arena: EpochArena = field(default_factory=EpochArena, repr=False)
+    arena: EpochArena = field(init=False, default_factory=EpochArena, repr=False)
 
 
 @dataclass

@@ -87,20 +87,16 @@ class FederationProfile:
     """
 
     num_shards: int
-    num_epochs: int = 0
-    shard_wall_seconds: List[float] = field(default_factory=list)
-    shard_solve_seconds: List[float] = field(default_factory=list)
-    shard_measure_seconds: List[float] = field(default_factory=list)
-    arbiter_seconds: float = 0.0
+    num_epochs: int = field(init=False, default=0)
+    shard_wall_seconds: List[float] = field(init=False)
+    shard_solve_seconds: List[float] = field(init=False)
+    shard_measure_seconds: List[float] = field(init=False)
+    arbiter_seconds: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
-        for name in (
-            "shard_wall_seconds",
-            "shard_solve_seconds",
-            "shard_measure_seconds",
-        ):
-            if not getattr(self, name):
-                setattr(self, name, [0.0] * self.num_shards)
+        self.shard_wall_seconds = [0.0] * self.num_shards
+        self.shard_solve_seconds = [0.0] * self.num_shards
+        self.shard_measure_seconds = [0.0] * self.num_shards
 
 
 @dataclass

@@ -40,6 +40,13 @@ __all__ = [
     "apply_server_churn",
 ]
 
+#: Capacity of each joining server in Mbps (a fixed provisioned size, as when
+#: renting one more machine of a known shape).
+JOIN_CAPACITY_MBPS = 25.0
+#: Floor applied after drift so a capacity can never collapse to zero or go
+#: negative.
+MIN_CAPACITY_MBPS = 1.0
+
 
 @dataclass(frozen=True)
 class ServerChurnSpec:
@@ -59,29 +66,20 @@ class ServerChurnSpec:
         Relative standard deviation of a multiplicative log-normal drift
         applied to every *surviving* server's capacity each epoch (0 disables
         drift).  Models effective-bandwidth wobble from co-located tenants.
-    join_capacity_mbps:
-        Capacity of each joining server in Mbps (a fixed provisioned size, as
-        when renting one more machine of a known shape).
-    min_capacity_mbps:
-        Floor applied after drift so a capacity can never collapse to zero or
-        go negative.
+
+    A joining server has :data:`JOIN_CAPACITY_MBPS`; drift never takes a
+    capacity below :data:`MIN_CAPACITY_MBPS`.
     """
 
     num_joins: int = 0
     num_leaves: int = 0
     capacity_drift: float = 0.0
-    join_capacity_mbps: float = 25.0
-    min_capacity_mbps: float = 1.0
 
     def __post_init__(self) -> None:
         if self.num_joins < 0 or self.num_leaves < 0:
             raise ValueError("num_joins and num_leaves must be non-negative")
         if not self.capacity_drift >= 0:
             raise ValueError("capacity_drift must be non-negative")
-        if self.join_capacity_mbps <= 0:
-            raise ValueError("join_capacity_mbps must be positive")
-        if self.min_capacity_mbps <= 0:
-            raise ValueError("min_capacity_mbps must be positive")
 
     @property
     def is_static(self) -> bool:
@@ -224,7 +222,7 @@ def generate_server_churn(
         pool = free if free.size >= spec.num_joins else np.arange(num_nodes, dtype=np.int64)
         join_rng = as_generator(join_seed)
         join_nodes = join_rng.choice(pool, size=spec.num_joins, replace=pool.size < spec.num_joins)
-        join_capacities = np.full(spec.num_joins, spec.join_capacity_mbps * MBPS)
+        join_capacities = np.full(spec.num_joins, JOIN_CAPACITY_MBPS * MBPS)
     else:
         join_nodes = np.zeros(0, dtype=np.int64)
         join_capacities = np.zeros(0, dtype=np.float64)
@@ -242,7 +240,7 @@ def generate_server_churn(
         join_capacities=join_capacities,
         leave_indices=leave_indices,
         capacity_factors=factors,
-        min_capacity=spec.min_capacity_mbps * MBPS,
+        min_capacity=MIN_CAPACITY_MBPS * MBPS,
     )
 
 

@@ -293,6 +293,11 @@ class PolicySchedule:
         return "incremental"
 
 
+#: The controller keeps a repair only if it brings pQoS within this distance
+#: of ``target_pqos``; otherwise it escalates to a full re-execution.
+ACCEPT_REPAIR_IF_WITHIN = 0.02
+
+
 @dataclass(frozen=True)
 class RebalancePolicy:
     """Thresholds governing the rebalance controller's decision after each epoch.
@@ -308,7 +313,7 @@ class RebalancePolicy:
     :meth:`action_after` once the carried-over ("after") pQoS is measured.
     The actions are ``"none"`` (keep the carried assignment), ``"repair"``
     (the incremental repair, escalated to a re-execution when it misses
-    ``target_pqos - accept_repair_if_within``) and ``"rebalance"`` (a full
+    ``target_pqos -`` :data:`ACCEPT_REPAIR_IF_WITHIN`) and ``"rebalance"`` (a full
     re-execution).  Records of controlled epochs carry the policy name
     ``"controller"``.
 
@@ -322,9 +327,6 @@ class RebalancePolicy:
     full_rebalance_every:
         Optional periodic full re-execution every N epochs regardless of pQoS
         (0 disables the periodic trigger).
-    accept_repair_if_within:
-        The repair is kept only if it brings pQoS within this distance of the
-        target; otherwise the controller escalates to a full re-execution.
     max_migration_cost_per_epoch:
         Migration budget (in the cost model's units).  A full re-execution
         whose zone moves would bill above this budget is demoted to the
@@ -340,14 +342,13 @@ class RebalancePolicy:
     target_pqos: float = 0.9
     repair_slack: float = 0.05
     full_rebalance_every: int = 0
-    accept_repair_if_within: float = 0.02
     max_migration_cost_per_epoch: float = math.inf
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_pqos <= 1.0:
             raise ValueError("target_pqos must lie in (0, 1]")
-        if not (self.repair_slack >= 0 and self.accept_repair_if_within >= 0):
-            raise ValueError("slack values must be non-negative")
+        if not self.repair_slack >= 0:
+            raise ValueError("repair_slack must be non-negative")
         if self.full_rebalance_every < 0:
             raise ValueError("full_rebalance_every must be >= 0")
         if not self.max_migration_cost_per_epoch >= 0:
@@ -361,7 +362,7 @@ class RebalancePolicy:
     @property
     def repair_floor(self) -> float:
         """Lowest repaired pQoS kept instead of escalating to a re-execution."""
-        return self.target_pqos - self.accept_repair_if_within
+        return self.target_pqos - ACCEPT_REPAIR_IF_WITHIN
 
     def action_for_epoch(self, epoch: int) -> None:
         """Deferred: the action depends on the carried-over pQoS."""

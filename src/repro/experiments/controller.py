@@ -37,6 +37,15 @@ __all__ = [
     "format_controller",
 ]
 
+#: The solver every controller run re-executes and repairs with.
+ALGORITHM = "grez-grec"
+#: Infrastructure churn of every controller run: one server joining and one
+#: leaving per epoch, with 5 % capacity drift.
+SERVER_CHURN = ServerChurnSpec(num_joins=1, num_leaves=1, capacity_drift=0.05)
+#: Migration cost of every controller run: one unit per migrated client.
+MIGRATION_COST = MigrationCostModel(cost_per_client=1.0)
+
+
 def default_controller_policies(migration_budget: float = math.inf) -> Dict[str, RebalancePolicy]:
     """The policy ladder the experiment compares by default.
 
@@ -70,11 +79,8 @@ def _controller_run(
     world_rng: np.random.Generator,
     engine_rng: np.random.Generator,
     config: DVEConfig,
-    algorithm: str,
     policies: tuple,
     churn: ChurnSpec,
-    server_churn: ServerChurnSpec,
-    migration_cost: MigrationCostModel,
     num_epochs: int,
 ) -> Dict[tuple, float]:
     """One replication across all policies: every metric of every policy."""
@@ -89,10 +95,10 @@ def _controller_run(
     for name, policy in policies:
         records = ChurnSimulator(
             scenario=scenario,
-            algorithms=[algorithm],
+            algorithms=[ALGORITHM],
             churn_spec=churn,
-            server_churn_spec=server_churn,
-            migration_cost=migration_cost,
+            server_churn_spec=SERVER_CHURN,
+            migration_cost=MIGRATION_COST,
             seed=sim_seed,
             policy=policy,
         ).run(num_epochs)
@@ -112,52 +118,32 @@ def _controller_run(
 
 def run_controller(
     label: str = PAPER_DEFAULT_LABEL,
-    algorithm: str = "grez-grec",
     policies: Optional[Dict[str, RebalancePolicy]] = None,
     num_runs: int = 3,
     seed: SeedLike = 0,
     num_epochs: int = 6,
     churn: ChurnSpec | None = None,
-    server_churn: Optional[ServerChurnSpec] = None,
-    migration_cost: Optional[MigrationCostModel] = None,
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
 ) -> StudyResult:
-    """Run the controller-policy comparison experiment.
+    """Run the controller-policy comparison experiment with :data:`ALGORITHM`.
 
-    By default the churn is the paper's Table 3 batch plus mild
-    infrastructure churn (one server joining and one leaving per epoch with
-    5 % capacity drift) and a unit-cost migration model, so the budgeted
+    By default the churn is the paper's Table 3 batch.  On top of it come
+    :data:`SERVER_CHURN` (mild infrastructure churn) and
+    :data:`MIGRATION_COST` (a unit-cost migration model), so the budgeted
     policy of :func:`default_controller_policies` has something to trade
-    against; pass ``server_churn=ServerChurnSpec()`` /
-    ``migration_cost=MigrationCostModel()`` explicitly for the classic
-    fixed-fleet, free-migration setting.  The result has one row per policy
-    and one column per metric.
+    against.  The result has one row per policy and one column per metric.
     """
     churn = churn or ChurnSpec()
-    if server_churn is None:
-        server_churn = ServerChurnSpec(num_joins=1, num_leaves=1, capacity_drift=0.05)
-    if migration_cost is None:
-        migration_cost = MigrationCostModel(cost_per_client=1.0)
     config = engine_study_config(label, delay_backend)
     if policies is None:
         # Budget the default ladder's capped policy at 25 % of the configured
-        # population migrating per epoch (infinite when migrations are free).
-        budget = (
-            0.25 * config.num_clients * migration_cost.cost_per_client
-            if migration_cost.cost_per_client > 0
-            else math.inf
-        )
+        # population migrating per epoch.
+        budget = 0.25 * config.num_clients * MIGRATION_COST.cost_per_client
         policies = default_controller_policies(budget)
 
     point = dict(
-        config=config,
-        algorithm=algorithm,
-        policies=tuple(policies.items()),
-        churn=churn,
-        server_churn=server_churn,
-        migration_cost=migration_cost,
-        num_epochs=num_epochs,
+        config=config, policies=tuple(policies.items()), churn=churn, num_epochs=num_epochs
     )
     runs = replicate(_controller_run, [point], num_runs, seed, workers)
     return StudyResult.collect(
@@ -166,11 +152,11 @@ def run_controller(
         num_runs,
         list(policies),
         _METRICS,
-        algorithm=algorithm,
+        algorithm=ALGORITHM,
         num_epochs=num_epochs,
         churn=churn,
-        server_churn=server_churn,
-        migration_cost=migration_cost,
+        server_churn=SERVER_CHURN,
+        migration_cost=MIGRATION_COST,
     )
 
 

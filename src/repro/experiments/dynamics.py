@@ -144,12 +144,16 @@ def run_dynamics(
     )
 
 
-def format_dynamics(result: StudyResult, max_rows: int = 12) -> str:
+#: Trajectory rows :func:`format_dynamics` prints before it subsamples.
+MAX_ROWS = 12
+
+
+def format_dynamics(result: StudyResult) -> str:
     """Render the trajectory table (subsampled for very long runs)."""
     headers = ["epoch"] + [f"{name} {kind}" for name, kind in result.columns]
     rows = result.table()
-    if len(rows) > max_rows:
-        step = max(1, len(rows) // max_rows)
+    if len(rows) > MAX_ROWS:
+        step = max(1, len(rows) // MAX_ROWS)
         sampled = rows[::step]
         if sampled[-1][0] != rows[-1][0]:
             sampled.append(rows[-1])

@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.experiments.config import apply_delay_backend, config_from_label
 from repro.experiments.paper_values import PAPER_ALGORITHM_ORDER
 from repro.experiments.runner import run_replications
 from repro.io.tables import format_table
-from repro.metrics.cdf import EmpiricalCDF
+from repro.metrics.cdf import FIGURE4_GRID_MS, EmpiricalCDF
 from repro.utils.rng import SeedLike
 
 __all__ = ["Figure4Result", "run_figure4", "format_figure4"]
@@ -55,25 +53,22 @@ def run_figure4(
     algorithms: Optional[Sequence[str]] = None,
     num_runs: int = 3,
     seed: SeedLike = 0,
-    correlation: float = 0.5,
-    grid: Optional[np.ndarray] = None,
-    share_topology: bool = True,
     workers: Optional[int] = None,
     delay_backend: Optional[str] = None,
 ) -> Figure4Result:
-    """Run the Figure 4 experiment and return per-algorithm delay CDFs."""
+    """Run the Figure 4 experiment and return per-algorithm delay CDFs on
+    :data:`~repro.metrics.cdf.FIGURE4_GRID_MS`, every replication on one
+    shared topology."""
     algorithms = list(algorithms or PAPER_ALGORITHM_ORDER)
-    config = apply_delay_backend(config_from_label(label, correlation=correlation), delay_backend)
-    if grid is None:
-        grid = np.linspace(250.0, 500.0, 26)
+    config = apply_delay_backend(config_from_label(label), delay_backend)
     result = run_replications(
         config,
         algorithms,
         num_runs=num_runs,
         seed=seed,
         collect_delays=True,
-        cdf_grid=grid,
-        share_topology=share_topology,
+        cdf_grid=FIGURE4_GRID_MS,
+        share_topology=True,
         workers=workers,
     )
     cdfs = {

@@ -81,7 +81,6 @@ def run_runtime(
     seed: SeedLike = 0,
     optimal_labels: Sequence[str] = (),
     optimal_time_limit: float = 60.0,
-    correlation: float = 0.5,
     delay_backend: Optional[str] = None,
 ) -> RuntimeResult:
     """Measure solver runtimes per configuration.
@@ -95,7 +94,7 @@ def run_runtime(
     solvers = list(solvers or PAPER_ALGORITHM_ORDER)
     all_solvers = list(solvers) + (["optimal"] if optimal_labels else [])
     configs = [
-        apply_delay_backend(config_from_label(label, correlation=correlation), delay_backend)
+        apply_delay_backend(config_from_label(label), delay_backend)
         for label in labels
     ]
     points = [

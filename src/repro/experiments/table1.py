@@ -70,8 +70,8 @@ def run_table1(
     return run_sweep(points, algorithms, num_runs, seed, share_topology, workers)
 
 
-def format_table1(result: SweepResult, include_paper: bool = True) -> str:
-    """Render the measured (and optionally the paper's) Table 1."""
+def format_table1(result: SweepResult) -> str:
+    """Render the measured and the paper's Table 1."""
     columns = [*result.algorithms, "optimal"]
     headers = ["DVE conf.", *result.algorithms, "optimal (MILP)"]
     measured = [[label] + [result.cell(label, name) for name in columns] for label in result.keys]
@@ -82,24 +82,23 @@ def format_table1(result: SweepResult, include_paper: bool = True) -> str:
             title="Table 1 (measured): pQoS (resource utilisation) per configuration",
         )
     ]
-    if include_paper:
-        paper = []
-        for label in result.keys:
-            pqos = PAPER_TABLE1_PQOS.get(label, {})
-            util = PAPER_TABLE1_UTILIZATION.get(label, {})
-            paper.append(
-                [label]
-                + [
-                    qos_cell(pqos[name], util.get(name, float("nan"))) if name in pqos else "-"
-                    for name in columns
-                ]
-            )
-        parts.append("")
-        parts.append(
-            format_table(
-                headers[:-1] + ["lp_solve"],
-                paper,
-                title="Table 1 (paper): pQoS (resource utilisation) per configuration",
-            )
+    paper = []
+    for label in result.keys:
+        pqos = PAPER_TABLE1_PQOS.get(label, {})
+        util = PAPER_TABLE1_UTILIZATION.get(label, {})
+        paper.append(
+            [label]
+            + [
+                qos_cell(pqos[name], util.get(name, float("nan"))) if name in pqos else "-"
+                for name in columns
+            ]
         )
+    parts.append("")
+    parts.append(
+        format_table(
+            headers[:-1] + ["lp_solve"],
+            paper,
+            title="Table 1 (paper): pQoS (resource utilisation) per configuration",
+        )
+    )
     return "\n".join(parts)

@@ -81,16 +81,14 @@ def run_table3(
     return StudyResult.collect(runs, label, num_runs, algorithms, list(_COLUMNS))
 
 
-def format_table3(result: StudyResult, include_paper: bool = True) -> str:
-    """Render the measured (and optionally the paper's) Table 3."""
+def format_table3(result: StudyResult) -> str:
+    """Render the measured and the paper's Table 3."""
     measured = format_table(
         ["algorithm", "before", "after", "re-executed", "incremental (ours)"],
         result.table(),
         title=f"Table 3 (measured): pQoS with DVE dynamics, {result.label}, δ=0",
         float_format=".2f",
     )
-    if not include_paper:
-        return measured
     paper_rows = []
     for name in result.rows:
         paper = PAPER_TABLE3_PQOS.get(name)

@@ -57,8 +57,8 @@ def run_table4(
     return run_sweep(points, algorithms, num_runs, seed, share_topology=True, workers=workers)
 
 
-def format_table4(result: SweepResult, include_paper: bool = True) -> str:
-    """Render the measured (and optionally the paper's) Table 4.
+def format_table4(result: SweepResult) -> str:
+    """Render the measured and the paper's Table 4.
 
     One row per algorithm; one "pQoS (R)" column per error factor.
     """
@@ -68,8 +68,6 @@ def format_table4(result: SweepResult, include_paper: bool = True) -> str:
         [[name] + [result.cell(e, name) for e in result.keys] for name in result.algorithms],
         title=f"Table 4 (measured): pQoS (R) with imperfect delay estimates, {result.label}",
     )
-    if not include_paper:
-        return measured
     paper_rows = []
     for name in result.algorithms:
         row: list = [name]

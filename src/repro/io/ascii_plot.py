@@ -20,6 +20,10 @@ import numpy as np
 __all__ = ["line_chart", "cdf_chart", "sparkline"]
 
 _MARKERS = "*+ox#@%&"
+#: Plot-area size of :func:`line_chart` in characters (axes and labels are
+#: added around it).
+WIDTH = 60
+HEIGHT = 16
 _SPARK_LEVELS = " .:-=+*#%@"
 
 
@@ -41,8 +45,6 @@ def sparkline(values: Sequence[float], lo: float | None = None, hi: float | None
 def line_chart(
     x: Sequence[float],
     series: Dict[str, Sequence[float]],
-    width: int = 60,
-    height: int = 16,
     title: str | None = None,
     y_label: str = "",
     x_label: str = "",
@@ -57,8 +59,6 @@ def line_chart(
         Shared x values (must be non-empty and the same length as every series).
     series:
         Mapping series name → y values.  Each series gets its own marker.
-    width / height:
-        Plot-area size in characters (axes and labels are added around it).
     title, y_label, x_label:
         Optional labels.
     y_min / y_max:
@@ -72,8 +72,6 @@ def line_chart(
     for name, ys in series.items():
         if len(ys) != x_arr.size:
             raise ValueError(f"series {name!r} has {len(ys)} points, expected {x_arr.size}")
-    if width < 10 or height < 4:
-        raise ValueError("width must be >= 10 and height >= 4")
 
     all_y = np.concatenate([np.asarray(list(v), dtype=float) for v in series.values()])
     lo = float(all_y.min() if y_min is None else y_min)
@@ -86,13 +84,13 @@ def line_chart(
     x_lo, x_hi = float(x_arr.min()), float(x_arr.max())
     x_span = x_hi - x_lo if x_hi > x_lo else 1.0
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * WIDTH for _ in range(HEIGHT)]
     for series_index, (name, ys) in enumerate(series.items()):
         marker = _MARKERS[series_index % len(_MARKERS)]
         y_arr = np.asarray(list(ys), dtype=float)
-        cols = np.clip(((x_arr - x_lo) / x_span * (width - 1)).round().astype(int), 0, width - 1)
+        cols = np.clip(((x_arr - x_lo) / x_span * (WIDTH - 1)).round().astype(int), 0, WIDTH - 1)
         rows = np.clip(
-            ((hi - y_arr) / (hi - lo) * (height - 1)).round().astype(int), 0, height - 1
+            ((hi - y_arr) / (hi - lo) * (HEIGHT - 1)).round().astype(int), 0, HEIGHT - 1
         )
         # Draw line segments by linear interpolation between consecutive points.
         for i in range(x_arr.size - 1):
@@ -116,19 +114,19 @@ def line_chart(
     for row_index, row in enumerate(grid):
         if row_index == 0:
             prefix = top_label.rjust(label_width)
-        elif row_index == height - 1:
+        elif row_index == HEIGHT - 1:
             prefix = bottom_label.rjust(label_width)
-        elif row_index == height // 2 and y_label:
+        elif row_index == HEIGHT // 2 and y_label:
             prefix = y_label.rjust(label_width)
         else:
             prefix = " " * label_width
         lines.append(f"{prefix} |{''.join(row)}")
-    axis = " " * label_width + " +" + "-" * width
+    axis = " " * label_width + " +" + "-" * WIDTH
     lines.append(axis)
-    x_line = f"{x_lo:.3g}".ljust(width // 2) + f"{x_hi:.3g}".rjust(width - width // 2)
+    x_line = f"{x_lo:.3g}".ljust(WIDTH // 2) + f"{x_hi:.3g}".rjust(WIDTH - WIDTH // 2)
     lines.append(" " * (label_width + 2) + x_line)
     if x_label:
-        lines.append(" " * (label_width + 2) + x_label.center(width))
+        lines.append(" " * (label_width + 2) + x_label.center(WIDTH))
     legend = "  ".join(
         f"{_MARKERS[i % len(_MARKERS)]} {name}" for i, name in enumerate(series)
     )

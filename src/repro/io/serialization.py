@@ -38,11 +38,11 @@ def to_jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot serialise object of type {type(obj)!r} to JSON")
 
 
-def dump_json(obj: Any, path: PathLike, indent: int = 2) -> Path:
-    """Serialise ``obj`` (via :func:`to_jsonable`) to a JSON file."""
+def dump_json(obj: Any, path: PathLike) -> Path:
+    """Serialise ``obj`` (via :func:`to_jsonable`) to a JSON file, indented by 2."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(to_jsonable(obj), indent=indent) + "\n")
+    target.write_text(json.dumps(to_jsonable(obj), indent=2) + "\n")
     return target
 
 

@@ -70,10 +70,10 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_kv(pairs: dict, float_format: str = ".3f", title: str | None = None) -> str:
-    """Render a dict of scalar values as aligned ``key: value`` lines."""
+def format_kv(pairs: dict, title: str | None = None) -> str:
+    """Render a dict of scalar values as aligned ``key: value`` lines (floats ``.3f``)."""
     width = max((len(str(k)) for k in pairs), default=0)
     lines = [] if title is None else [title]
     for key, value in pairs.items():
-        lines.append(f"{str(key).ljust(width)} : {_stringify(value, float_format)}")
+        lines.append(f"{str(key).ljust(width)} : {_stringify(value, '.3f')}")
     return "\n".join(lines)

@@ -30,15 +30,12 @@ class DelayEstimator:
     Attributes
     ----------
     model:
-        The multiplicative error model of the service.
-    perturb_server_mesh:
-        Whether the inter-server delays are also estimated (True, the default,
-        mirrors the paper's "apply an error factor to the perfect input data");
-        set to False to model an operator that measures its own mesh exactly.
+        The multiplicative error model of the service.  The inter-server
+        delays are estimated too, as the paper "appl[ies] an error factor to
+        the perfect input data".
     """
 
     model: ErrorModel = PERFECT
-    perturb_server_mesh: bool = True
 
     def estimate(self, instance: CAPInstance, seed: SeedLike = None) -> CAPInstance:
         """Return the instance as *seen* through this measurement service.
@@ -56,11 +53,7 @@ class DelayEstimator:
         # one node per client (the measurement experiments run on
         # paper-scale worlds).
         estimated_cs = self.model.perturb(instance.client_server_delays.toarray(), seed=cs_rng)
-        estimated_ss = (
-            self.model.perturb(instance.server_server_delays, seed=ss_rng)
-            if self.perturb_server_mesh
-            else instance.server_server_delays
-        )
+        estimated_ss = self.model.perturb(instance.server_server_delays, seed=ss_rng)
         return instance.with_delays(
             client_server_delays=estimated_cs,
             server_server_delays=estimated_ss,

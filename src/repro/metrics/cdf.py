@@ -12,7 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EmpiricalCDF", "delay_cdf", "merge_cdfs"]
+__all__ = ["EmpiricalCDF", "delay_cdf", "merge_cdfs", "FIGURE4_GRID_MS"]
+
+#: The x-axis of the paper's Figure 4: 26 delay thresholds from 250 to 500 ms.
+FIGURE4_GRID_MS = np.linspace(250.0, 500.0, 26)
+FIGURE4_GRID_MS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -56,24 +60,15 @@ class EmpiricalCDF:
 def delay_cdf(
     delays: np.ndarray,
     grid: np.ndarray | None = None,
-    lo: float = 250.0,
-    hi: float = 500.0,
-    num_points: int = 26,
 ) -> EmpiricalCDF:
-    """Empirical CDF of per-client delays on a regular grid.
+    """Empirical CDF of per-client delays on a grid of thresholds.
 
-    With ``grid`` omitted, a regular grid of ``num_points`` thresholds between
-    ``lo`` and ``hi`` (the x-axis of the paper's Figure 4) is used.
+    With ``grid`` omitted, :data:`FIGURE4_GRID_MS` is used.
     """
     delays = np.asarray(delays, dtype=np.float64)
     if delays.ndim != 1:
         raise ValueError("delays must be a 1-D array")
-    if grid is None:
-        if hi <= lo:
-            raise ValueError("hi must exceed lo")
-        grid = np.linspace(lo, hi, num_points)
-    else:
-        grid = np.asarray(grid, dtype=np.float64)
+    grid = FIGURE4_GRID_MS if grid is None else np.asarray(grid, dtype=np.float64)
     if delays.size == 0:
         return EmpiricalCDF(grid=grid, values=np.ones_like(grid), num_samples=0)
     sorted_delays = np.sort(delays)

@@ -23,7 +23,7 @@ class RecoveryReport:
     Attributes
     ----------
     baseline_pqos:
-        Mean adopted pQoS over the pre-incident baseline window.
+        Adopted pQoS of the first (pre-incident) epoch.
     time_to_recover:
         Epochs from first impact until the world is healthy again (adopted
         pQoS back within tolerance of baseline AND the degraded pool empty).
@@ -60,7 +60,6 @@ class RecoveryReport:
 def recovery_report(
     records: Sequence[object],
     algorithm: Optional[str] = None,
-    baseline_epochs: int = 1,
     tolerance: float = 0.01,
 ) -> RecoveryReport:
     """Compute a :class:`RecoveryReport` from per-epoch records.
@@ -69,12 +68,10 @@ def recovery_report(
     ``epoch``, ``algorithm``, ``pqos_adopted``, ``clients_degraded`` and
     ``capacity_deficit``.  When ``algorithm`` is given, only that algorithm's
     records are considered (a simulator run interleaves one record per
-    algorithm per epoch).  ``baseline_epochs`` earliest epochs define the
-    healthy reference level and ``tolerance`` is the pQoS slack allowed while
-    still counting as recovered.
+    algorithm per epoch).  The earliest epoch defines the healthy reference
+    level and ``tolerance`` is the pQoS slack allowed while still counting as
+    recovered.
     """
-    if baseline_epochs < 1:
-        raise ValueError("baseline_epochs must be >= 1")
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
     rows = [r for r in records if algorithm is None or r.algorithm == algorithm]
@@ -83,8 +80,7 @@ def recovery_report(
         suffix = f" for algorithm {algorithm!r}" if algorithm else ""
         raise ValueError("no records to analyse" + suffix)
 
-    baseline_rows = rows[: min(baseline_epochs, len(rows))]
-    baseline = sum(r.pqos_adopted for r in baseline_rows) / len(baseline_rows)
+    baseline = rows[0].pqos_adopted
     floor = baseline - tolerance
 
     first_impact: Optional[int] = None

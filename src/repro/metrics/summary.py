@@ -8,7 +8,7 @@ values into means with dispersion estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,9 +20,9 @@ __all__ = ["RunningStats", "AggregateStat", "aggregate"]
 class RunningStats:
     """Numerically stable streaming mean / variance (Welford's algorithm)."""
 
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
+    count: int = field(init=False, default=0)
+    mean: float = field(init=False, default=0.0)
+    _m2: float = field(init=False, default=0.0)
 
     def add(self, value: float) -> None:
         """Add one observation."""

@@ -14,7 +14,7 @@ Provides the Internet-like graphs on which the DVE's servers and clients live:
 * :mod:`repro.topology.placement` — server / client placement onto nodes.
 """
 
-from repro.topology.barabasi_albert import BarabasiAlbertParams, barabasi_albert_topology
+from repro.topology.barabasi_albert import barabasi_albert_topology
 from repro.topology.brite import BriteConfig, generate_topology
 from repro.topology.delay_backends import (
     DEFAULT_DELAY_BACKEND,
@@ -36,14 +36,11 @@ from repro.topology.placement import (
     place_clients_uniform,
     place_servers,
 )
-from repro.topology.waxman import WaxmanParams
 
 __all__ = [
     "Topology",
     "TopologyError",
     "merge_topologies",
-    "WaxmanParams",
-    "BarabasiAlbertParams",
     "barabasi_albert_topology",
     "HierarchicalParams",
     "hierarchical_topology",

@@ -13,41 +13,24 @@ reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.topology.graph import Topology
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_positive
 
-__all__ = ["BarabasiAlbertParams", "barabasi_albert_topology"]
+__all__ = ["barabasi_albert_topology"]
 
 
-@dataclass(frozen=True)
-class BarabasiAlbertParams:
-    """Parameters of the Barabási–Albert model.
-
-    ``m`` is the number of edges each new node creates.  ``plane_size`` and
-    ``latency_per_unit`` control the geometric embedding used to derive edge
-    latencies (BRITE assigns AS-level links latencies proportional to the
-    Euclidean distance between AS centres).
-    """
-
-    m: int = 2
-    plane_size: float = 1000.0
-    latency_per_unit: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        check_positive(self.plane_size, "plane_size")
-        check_positive(self.latency_per_unit, "latency_per_unit")
+#: Edges each new node creates (BRITE's default ``m``).
+M = 2
+#: Side of the square plane the AS centres are scattered in.
+PLANE_SIZE = 1000.0
+#: AS-link latency per unit of distance between AS centres.
+LATENCY_PER_UNIT = 0.05
 
 
 def barabasi_albert_topology(
     num_nodes: int,
-    params: BarabasiAlbertParams | None = None,
     seed: SeedLike = None,
     name: str = "barabasi-albert",
 ) -> Topology:
@@ -58,12 +41,11 @@ def barabasi_albert_topology(
     attaches to ``m`` distinct existing nodes chosen with probability
     proportional to degree.
     """
-    params = params or BarabasiAlbertParams()
     if num_nodes < 1:
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
     rng = as_generator(seed)
 
-    positions = rng.uniform(0.0, params.plane_size, size=(num_nodes, 2))
+    positions = rng.uniform(0.0, PLANE_SIZE, size=(num_nodes, 2))
     if num_nodes == 1:
         return Topology(
             positions=positions,
@@ -72,7 +54,7 @@ def barabasi_albert_topology(
             name=name,
         )
 
-    m = min(params.m, num_nodes - 1)
+    m = min(M, num_nodes - 1)
     seed_size = m + 1
     edges: list[tuple[int, int]] = []
     # Seed clique over the first m+1 nodes.
@@ -99,5 +81,5 @@ def barabasi_albert_topology(
     edge_arr = np.array(edges, dtype=np.int64)
     diff = positions[edge_arr[:, 0]] - positions[edge_arr[:, 1]]
     dist = np.sqrt((diff**2).sum(axis=1))
-    latencies = np.maximum(dist * params.latency_per_unit, 1e-3)
+    latencies = np.maximum(dist * LATENCY_PER_UNIT, 1e-3)
     return Topology(positions=positions, edges=edge_arr, latencies=latencies, name=name)

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.topology.barabasi_albert import BarabasiAlbertParams
 from repro.topology.graph import Topology
 from repro.topology.hierarchical import HierarchicalParams, hierarchical_topology
-from repro.topology.waxman import WaxmanParams
 from repro.utils.rng import SeedLike
 
 __all__ = ["BriteConfig", "generate_topology"]
@@ -32,17 +30,10 @@ class BriteConfig:
     ----------
     num_as / routers_per_as:
         Hierarchy shape: ``num_as`` AS domains of ``routers_per_as`` routers.
-    waxman_alpha / waxman_beta:
-        Waxman parameters for the router level.
-    ba_m:
-        Barabási–Albert attachment parameter for the AS level.
     """
 
     num_as: int = 20
     routers_per_as: int = 25
-    waxman_alpha: float = 0.15
-    waxman_beta: float = 0.2
-    ba_m: int = 2
 
     @property
     def num_nodes(self) -> int:
@@ -53,10 +44,5 @@ class BriteConfig:
 def generate_topology(config: BriteConfig | None = None, seed: SeedLike = None) -> Topology:
     """Generate the hierarchical :class:`Topology` a :class:`BriteConfig` describes."""
     config = config or BriteConfig()
-    params = HierarchicalParams(
-        num_as=config.num_as,
-        routers_per_as=config.routers_per_as,
-        as_params=BarabasiAlbertParams(m=config.ba_m),
-        router_params=WaxmanParams(alpha=config.waxman_alpha, beta=config.waxman_beta),
-    )
+    params = HierarchicalParams(num_as=config.num_as, routers_per_as=config.routers_per_as)
     return hierarchical_topology(params, seed=seed, name=f"brite-hier-{config.num_nodes}")

@@ -20,17 +20,22 @@ id in ``node_domain`` (used later by the physical↔virtual correlation model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.topology.barabasi_albert import BarabasiAlbertParams, barabasi_albert_topology
+from repro.topology.barabasi_albert import LATENCY_PER_UNIT as AS_LATENCY_PER_UNIT
+from repro.topology.barabasi_albert import barabasi_albert_topology
 from repro.topology.graph import Topology, merge_topologies
-from repro.topology.waxman import WaxmanParams, _waxman_arrays
+from repro.topology.waxman import PLANE_SIZE as ROUTER_PLANE_SIZE
+from repro.topology.waxman import _waxman_arrays
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.utils.validation import check_positive
 
 __all__ = ["HierarchicalParams", "hierarchical_topology"]
+
+#: Border routers per AS that carry its inter-domain links.
+BORDER_ROUTERS_PER_AS = 3
 
 
 @dataclass(frozen=True)
@@ -42,20 +47,13 @@ class HierarchicalParams:
 
     num_as: int = 20
     routers_per_as: int = 25
-    as_params: BarabasiAlbertParams = field(default_factory=BarabasiAlbertParams)
-    router_params: WaxmanParams = field(default_factory=WaxmanParams)
-    intra_as_plane_size: float = 100.0
     inter_as_latency_per_unit: float = 0.05
-    border_routers_per_as: int = 3
 
     def __post_init__(self) -> None:
         if self.num_as < 1:
             raise ValueError(f"num_as must be >= 1, got {self.num_as}")
         if self.routers_per_as < 1:
             raise ValueError(f"routers_per_as must be >= 1, got {self.routers_per_as}")
-        if self.border_routers_per_as < 1:
-            raise ValueError("border_routers_per_as must be >= 1")
-        check_positive(self.intra_as_plane_size, "intra_as_plane_size")
         check_positive(self.inter_as_latency_per_unit, "inter_as_latency_per_unit")
 
 
@@ -74,27 +72,16 @@ def hierarchical_topology(
     as_rng, *router_rngs = spawn_generators(rng, params.num_as + 1)
 
     # 1. AS-level backbone.
-    as_level = barabasi_albert_topology(
-        params.num_as, params=params.as_params, seed=as_rng, name="as-level"
-    )
+    as_level = barabasi_albert_topology(params.num_as, seed=as_rng, name="as-level")
 
     # 2. Per-AS router graphs, positioned around the AS centre.
-    router_cfg = WaxmanParams(
-        alpha=params.router_params.alpha,
-        beta=params.router_params.beta,
-        plane_size=params.intra_as_plane_size,
-        latency_per_unit=params.router_params.latency_per_unit,
-        ensure_connected=True,
-    )
     parts: list[Topology] = []
     for as_id in range(params.num_as):
-        positions, edges, latencies = _waxman_arrays(
-            params.routers_per_as, router_cfg, router_rngs[as_id]
-        )
+        positions, edges, latencies = _waxman_arrays(params.routers_per_as, router_rngs[as_id])
         centre = as_level.positions[as_id]
         parts.append(
             Topology(
-                positions=positions - params.intra_as_plane_size / 2.0 + centre,
+                positions=positions - ROUTER_PLANE_SIZE / 2.0 + centre,
                 edges=edges,
                 latencies=latencies,
                 node_domain=np.full(params.routers_per_as, as_id, dtype=np.int64),
@@ -106,7 +93,7 @@ def hierarchical_topology(
     offsets = np.cumsum([0] + [p.num_nodes for p in parts[:-1]])
     borders: dict[int, np.ndarray] = {}
     for as_id in range(params.num_as):
-        n_border = min(params.border_routers_per_as, params.routers_per_as)
+        n_border = min(BORDER_ROUTERS_PER_AS, params.routers_per_as)
         borders[as_id] = rng.choice(params.routers_per_as, size=n_border, replace=False)
 
     cross_edges: list[tuple[int, int, float]] = []
@@ -120,7 +107,7 @@ def hierarchical_topology(
         # AS-level latency already encodes the inter-domain distance; rescale it
         # by the configured factor relative to the BA generator's default.
         lat = float(latency) * (
-            params.inter_as_latency_per_unit / params.as_params.latency_per_unit
+            params.inter_as_latency_per_unit / AS_LATENCY_PER_UNIT
         )
         cross_edges.append((u, v, max(lat, 1e-3)))
 

@@ -59,16 +59,15 @@ def place_servers(
     topology: Topology,
     num_servers: int,
     seed: SeedLike = None,
-    spread_across_domains: bool = True,
 ) -> np.ndarray:
     """Choose distinct topology nodes for the servers.
 
-    When ``spread_across_domains`` is set and the topology has at least as
-    many domains as servers, one server is placed in each of ``num_servers``
-    distinct domains (at a random node of that domain); otherwise nodes are
-    drawn uniformly without replacement.  The paper places servers at random
-    nodes; spreading them across AS domains is the realistic interpretation of
-    a *geographically distributed* server architecture and is the default.
+    When the topology has at least as many domains as servers, one server is
+    placed in each of ``num_servers`` distinct domains (at a random node of
+    that domain); otherwise nodes are drawn uniformly without replacement.
+    The paper places servers at random nodes; spreading them across AS domains
+    is the realistic interpretation of a *geographically distributed* server
+    architecture.
     """
     if num_servers < 1:
         raise ValueError("num_servers must be >= 1")
@@ -77,11 +76,7 @@ def place_servers(
             f"cannot place {num_servers} servers on {topology.num_nodes} nodes"
         )
     rng = as_generator(seed)
-    if (
-        spread_across_domains
-        and topology.node_domain is not None
-        and topology.num_domains >= num_servers
-    ):
+    if topology.node_domain is not None and topology.num_domains >= num_servers:
         domains = rng.choice(
             sorted_distinct(topology.node_domain), size=num_servers, replace=False
         )
@@ -97,24 +92,15 @@ def place_clients_uniform(
     topology: Topology,
     num_clients: int,
     seed: SeedLike = None,
-    exclude_nodes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Place clients uniformly at random over topology nodes (with replacement).
 
-    ``exclude_nodes`` (e.g. server nodes) can be removed from the candidate
-    set; by default clients may share nodes with servers, as in the paper.
+    Clients may share nodes with servers, as in the paper.
     """
     if num_clients < 0:
         raise ValueError("num_clients must be >= 0")
     rng = as_generator(seed)
-    candidates = np.arange(topology.num_nodes)
-    if exclude_nodes is not None and len(exclude_nodes):
-        mask = np.ones(topology.num_nodes, dtype=bool)
-        mask[np.asarray(exclude_nodes, dtype=np.int64)] = False
-        candidates = candidates[mask]
-        if candidates.size == 0:
-            raise ValueError("exclude_nodes removes every candidate node")
-    return rng.choice(candidates, size=num_clients, replace=True).astype(np.int64)
+    return rng.choice(topology.num_nodes, size=num_clients, replace=True).astype(np.int64)
 
 
 def place_clients_clustered(

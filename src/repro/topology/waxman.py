@@ -8,42 +8,26 @@ plane and each pair ``(u, v)`` is connected with probability
 
 where ``d`` is the Euclidean distance and ``L`` the maximum possible distance
 in the plane.  Because a raw Waxman sample may be disconnected (which would
-make client-server delays undefined), the generator optionally augments the
+make client-server delays undefined), the generator augments the
 sample with a minimum-latency spanning set of edges so the result is always
 connected — the standard practice in topology generators, including BRITE.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.utils.validation import check_positive, check_probability
-
-__all__ = ["WaxmanParams"]
+__all__ = ["ALPHA", "BETA", "PLANE_SIZE", "LATENCY_PER_UNIT"]
 
 
-@dataclass(frozen=True)
-class WaxmanParams:
-    """Parameters of the Waxman model.
-
-    ``alpha`` controls overall edge density, ``beta`` controls the relative
-    preference for long edges (larger beta → more long-distance edges).  The
-    defaults match BRITE's defaults (alpha=0.15, beta=0.2).
-    """
-
-    alpha: float = 0.15
-    beta: float = 0.2
-    plane_size: float = 100.0
-    latency_per_unit: float = 1.0
-    ensure_connected: bool = True
-
-    def __post_init__(self) -> None:
-        check_probability(self.alpha, "alpha")
-        check_positive(self.beta, "beta")
-        check_positive(self.plane_size, "plane_size")
-        check_positive(self.latency_per_unit, "latency_per_unit")
+#: Waxman ``alpha`` (overall edge density), BRITE's default.
+ALPHA = 0.15
+#: Waxman ``beta`` (preference for long edges; larger means more), BRITE's default.
+BETA = 0.2
+#: Side of the square plane an AS's routers are scattered in.
+PLANE_SIZE = 100.0
+#: Link latency per unit of planar distance.
+LATENCY_PER_UNIT = 1.0
 
 
 def _pairwise_distances(positions: np.ndarray) -> np.ndarray:
@@ -126,7 +110,6 @@ def _connect_components(
 
 def _waxman_arrays(
     num_nodes: int,
-    params: WaxmanParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw one Waxman sample: ``(positions, edges, latencies)``, unvalidated.
@@ -135,19 +118,18 @@ def _waxman_arrays(
     positions into its AS plane before building the one validated
     :class:`Topology` per domain.
     """
-    positions = rng.uniform(0.0, params.plane_size, size=(num_nodes, 2))
+    positions = rng.uniform(0.0, PLANE_SIZE, size=(num_nodes, 2))
     dist = _pairwise_distances(positions)
-    l_max = params.plane_size * np.sqrt(2.0)
-    prob = params.alpha * np.exp(-dist / (params.beta * l_max))
+    l_max = PLANE_SIZE * np.sqrt(2.0)
+    prob = ALPHA * np.exp(-dist / (BETA * l_max))
     iu, ju = np.triu_indices(num_nodes, k=1)
     draws = rng.random(iu.size)
     keep = draws < prob[iu, ju]
     edge_list = list(zip(iu[keep].tolist(), ju[keep].tolist()))
 
-    if params.ensure_connected:
-        edge_list.extend(_connect_components(edge_list, dist, num_nodes))
+    edge_list.extend(_connect_components(edge_list, dist, num_nodes))
 
     edges = np.array(edge_list, dtype=np.int64).reshape(-1, 2)
-    latencies = dist[edges[:, 0], edges[:, 1]] * params.latency_per_unit
+    latencies = dist[edges[:, 0], edges[:, 1]] * LATENCY_PER_UNIT
     # Guard against zero-length edges when two nodes land on the same point.
     return positions, edges, np.maximum(latencies, 1e-3)

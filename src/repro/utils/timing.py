@@ -27,8 +27,8 @@ class Timer:
     True
     """
 
-    elapsed: float = 0.0
-    _start: Optional[float] = field(default=None, repr=False)
+    elapsed: float = field(init=False, default=0.0)
+    _start: Optional[float] = field(init=False, default=None, repr=False)
 
     def __enter__(self) -> "Timer":
         self._start = time.perf_counter()

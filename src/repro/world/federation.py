@@ -172,10 +172,7 @@ def build_federation(
     config: Union[DVEConfig, Sequence[DVEConfig], None] = None,
     num_shards: Optional[int] = None,
     seed: SeedLike = None,
-    topology: Optional[Topology] = None,
-    delay_model: Optional[DelayModel] = None,
     client_weights: Optional[Sequence[float]] = None,
-    capacity_weights: Optional[Sequence[float]] = None,
 ) -> FederatedWorld:
     """Materialise a :class:`FederatedWorld` from one or more configurations.
 
@@ -195,16 +192,12 @@ def build_federation(
         Master seed; sub-streams for the topology, server placement, capacity
         allocation and each shard's client sampling are derived from it
         deterministically.
-    topology / delay_model:
-        Optionally reuse an existing substrate across federations (the
-        experiment drivers do this across replications).
     client_weights:
         Optional per-shard weights for splitting the base config's client
         population (ignored when explicit configs are given) — a skewed
         federation is the interesting case for demand-aware arbitration.
-    capacity_weights:
-        Optional per-shard weights for the *initial* capacity slices
-        (default: equal split per server).
+
+    Every shard starts with an equal slice of every server.
     """
     if isinstance(config, DVEConfig) or config is None:
         base = config or DVEConfig()
@@ -229,16 +222,12 @@ def build_federation(
     rng = as_generator(seed)
     topo_rng, server_rng, capacity_rng, *shard_rngs = spawn_generators(rng, 3 + num_shards)
 
-    if topology is None:
-        topology = generate_topology(base.topology, seed=topo_rng)
-    if delay_model is None:
-        delay_model = DelayModel(
-            topology,
-            max_rtt_ms=base.max_rtt_ms,
-            server_mesh_factor=base.server_mesh_factor,
-        )
-    elif delay_model.topology is not topology:
-        raise ValueError("delay_model must be built from the supplied topology")
+    topology = generate_topology(base.topology, seed=topo_rng)
+    delay_model = DelayModel(
+        topology,
+        max_rtt_ms=base.max_rtt_ms,
+        server_mesh_factor=base.server_mesh_factor,
+    )
 
     server_nodes = place_servers(topology, base.num_servers, seed=server_rng)
     capacities = allocate_capacities(
@@ -250,15 +239,7 @@ def build_federation(
     )
     fleet = ServerSet(nodes=server_nodes, capacities=capacities)
 
-    if capacity_weights is None:
-        slices = equal_slices(fleet.capacities, num_shards)
-    else:
-        weights = np.asarray(capacity_weights, dtype=np.float64)
-        if weights.shape != (num_shards,):
-            raise ValueError(
-                f"capacity_weights must have shape ({num_shards},), got {weights.shape}"
-            )
-        slices = weighted_slices(fleet.capacities, weights)
+    slices = equal_slices(fleet.capacities, num_shards)
 
     shards = tuple(
         build_scenario(

@@ -23,7 +23,7 @@ from repro.topology.delay_backends import (
     zone_anchor_nodes,
 )
 from repro.topology.graph import Topology
-from repro.topology.waxman import WaxmanParams, _waxman_arrays
+from repro.topology.waxman import _waxman_arrays
 from repro.utils.rng import as_generator
 from repro.world.scenario import DVEConfig, DVEScenario, build_scenario
 from tests.reference.measurement_full import checked_measures
@@ -68,11 +68,9 @@ def small_instance(small_scenario: DVEScenario) -> CAPInstance:
     return CAPInstance.from_scenario(small_scenario)
 
 
-def flat_waxman(num_nodes: int, seed: int, params: WaxmanParams | None = None) -> Topology:
+def flat_waxman(num_nodes: int, seed: int) -> Topology:
     """A flat Waxman topology: one AS's router-level draw on its own."""
-    positions, edges, latencies = _waxman_arrays(
-        num_nodes, params or WaxmanParams(), as_generator(seed)
-    )
+    positions, edges, latencies = _waxman_arrays(num_nodes, as_generator(seed))
     return Topology(positions=positions, edges=edges, latencies=latencies)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import time
 
 import pytest
 
@@ -561,6 +562,59 @@ class TestEngineCommandOptions:
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1, captured.err
         assert captured.out == ""
+
+
+class TestNumericBoundary:
+    """Every numeric option of every command in ``tests/golden/cli_options.json``,
+    fed ``nan``, ``inf``, ``-inf``, ``-1``, ``0`` and a non-number on the
+    smallest run of its command, exits 0 or 2 and raises nothing (an escaped
+    exception is the traceback a shell would print).  The cases are a fixed
+    enumeration, so every run tries the same ones.
+
+    Left out: huge counts such as ``simulate --joins 100000000000000``.  They
+    are valid integers that size a world, and the test never starts a world
+    sized by a fuzzed value.
+    """
+
+    VALUES = ("nan", "inf", "-inf", "-1", "0", "seven")
+    #: Wall-clock deadline of one CLI run, in seconds.
+    DEADLINE_SECONDS = 2.0
+    TINY = "4s-8z-80c-60cp"
+    CHURN = ["--joins", "8", "--leaves", "8", "--moves", "8"]
+    #: The smallest run of each command; the fuzzed option comes last and wins.
+    BASE = {
+        "simulate": ["simulate", "--config", TINY, "--epochs", "1", *CHURN],
+        "loadgen": ["loadgen", "--config", TINY, "--epochs", "1", "--warmup", "0", *CHURN],
+        "federate": ["federate", "--config", TINY, "--epochs", "1"],
+        "solve": ["solve", "--config", TINY],
+        "experiment": ["experiment", "dynamics", "--runs", "1"],
+    }
+
+    def test_bad_numbers_exit_0_or_2(self, capsys):
+        cases = [
+            [*self.BASE[command], flag, value]
+            for command, options in GOLDEN_OPTIONS.items()
+            for flag, option in options.items()
+            if option["type"] is not None
+            for value in self.VALUES
+        ]
+        assert len(cases) >= 30 * len(self.VALUES)
+        failures = []
+        for argv in cases:
+            start = time.perf_counter()
+            try:
+                outcome = main(argv)
+            except SystemExit as exc:
+                outcome = exc.code
+            except Exception as exc:  # noqa: BLE001 - an escaped exception is the defect
+                outcome = f"{type(exc).__name__}: {exc}"
+            elapsed = time.perf_counter() - start
+            err = capsys.readouterr().err
+            if outcome not in (0, 2) or "Traceback" in err:
+                failures.append((" ".join(argv), outcome))
+            elif elapsed > self.DEADLINE_SECONDS:
+                failures.append((" ".join(argv), f"took {elapsed:.2f} s"))
+        assert not failures, failures
 
 
 class TestUsageErrors:

@@ -144,9 +144,22 @@ class TestAssignmentMetrics:
 class TestAssignmentBookkeeping:
     def test_with_algorithm_renames_only(self, direct_assignment):
         renamed = direct_assignment.with_algorithm("grez-grec")
+        assert type(renamed) is Assignment
         assert renamed.algorithm == "grez-grec"
-        np.testing.assert_array_equal(renamed.zone_to_server, direct_assignment.zone_to_server)
+        assert renamed.zone_to_server is direct_assignment.zone_to_server
+        assert renamed.contact_of_client is direct_assignment.contact_of_client
+        assert renamed.capacity_exceeded == direct_assignment.capacity_exceeded
+        assert renamed.runtime_seconds == direct_assignment.runtime_seconds
+        assert renamed.metadata == direct_assignment.metadata
+        assert renamed.metadata is not direct_assignment.metadata
         assert direct_assignment.algorithm == "test"
+
+    def test_with_algorithm_does_not_revalidate(self, direct_assignment, monkeypatch):
+        def fail(self):
+            raise AssertionError("with_algorithm re-ran __post_init__")
+
+        monkeypatch.setattr(Assignment, "__post_init__", fail)
+        assert direct_assignment.with_algorithm("grez-grec").algorithm == "grez-grec"
 
     def test_negative_contact_rejected(self, zone_map):
         with pytest.raises(ValueError):

@@ -21,8 +21,8 @@ from tests.conftest import make_tiny_instance
 
 class TestOptimalOptions:
     def test_as_milp_options(self):
-        opts = OptimalOptions(time_limit=30.0, mip_rel_gap=0.01)
-        assert opts.as_milp_options() == {"time_limit": 30.0, "mip_rel_gap": 0.01}
+        opts = OptimalOptions(time_limit=30.0)
+        assert opts.as_milp_options() == {"time_limit": 30.0, "mip_rel_gap": 0.0}
 
 
 class TestSolveIapOptimal:

@@ -51,14 +51,6 @@ class TestSolveCap:
         d = solve_cap(small_instance, "ranz-virc", seed=2)
         assert not np.array_equal(c.zone_to_server, d.zone_to_server)
 
-    def test_custom_registry(self, tiny_instance):
-        custom = {"only": STANDARD_ALGORITHMS["grez-virc"]}
-        # The algorithm keeps its own name even when registered under another key.
-        result = solve_cap(tiny_instance, "only", registry=custom)
-        assert result.algorithm == "grez-virc"
-        with pytest.raises(KeyError):
-            solve_cap(tiny_instance, "grez-grec", registry=custom)
-
 
 class TestPaperOrdering:
     def test_grez_beats_ranz_on_tiny_instance(self, tiny_instance):

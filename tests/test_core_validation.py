@@ -67,10 +67,6 @@ class TestValidateAssignment:
         with pytest.raises(ValueError, match="not feasible"):
             validate_assignment(tiny_instance, bad).raise_if_invalid()
 
-    def test_tolerance_allows_marginal_overshoot(self, tiny_instance, good_assignment):
-        report = validate_assignment(tiny_instance, good_assignment, capacity_tolerance=0.5)
-        assert report.ok
-
 
 class TestReportObjects:
     def test_violation_str(self):

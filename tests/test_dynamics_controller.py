@@ -16,7 +16,12 @@ from repro.dynamics.engine import ChurnSimulator, EpochRecord
 from repro.dynamics.events import apply_churn
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.migration import MigrationCostModel
-from repro.dynamics.policies import RebalancePolicy, carry_over_assignment, incremental_reassign
+from repro.dynamics.policies import (
+    ACCEPT_REPAIR_IF_WITHIN,
+    RebalancePolicy,
+    carry_over_assignment,
+    incremental_reassign,
+)
 from repro.utils.rng import as_generator, spawn_generators
 from repro.world.scenario import build_scenario
 from tests.conftest import make_small_config
@@ -78,7 +83,7 @@ def legacy_controller_run(scenario, algorithm, policy, churn_spec, seed, num_epo
                 repaired = incremental_reassign(stale, new_instance)
                 if (
                     repaired.pqos(new_instance)
-                    >= policy.target_pqos - policy.accept_repair_if_within
+                    >= policy.target_pqos - ACCEPT_REPAIR_IF_WITHIN
                 ):
                     action, final = "repair", repaired
             if final is None:
@@ -107,7 +112,7 @@ class TestRebalancePolicy:
             RebalancePolicy(repair_slack=-0.1)
         with pytest.raises(ValueError):
             RebalancePolicy(full_rebalance_every=-1)
-        for field in ("repair_slack", "accept_repair_if_within", "max_migration_cost_per_epoch"):
+        for field in ("repair_slack", "max_migration_cost_per_epoch"):
             with pytest.raises(ValueError):
                 RebalancePolicy(**{field: float("nan")})
 
@@ -276,13 +281,10 @@ STILL_WORLD = dict(churn=NO_CHURN, elastic=False, world_seed=0, seed=0)
 TIE = 140 / NUM_CLIENTS
 
 
-def on_grid(target: int, slack: int, accept: int) -> RebalancePolicy:
-    """A policy whose thresholds are counts on the 1/150 grid."""
-    return RebalancePolicy(
-        target_pqos=target / NUM_CLIENTS,
-        repair_slack=slack / NUM_CLIENTS,
-        accept_repair_if_within=accept / NUM_CLIENTS,
-    )
+def on_grid(target: int, slack: int) -> RebalancePolicy:
+    """A policy whose thresholds are counts on the 1/150 grid (the repair
+    floor, ``ACCEPT_REPAIR_IF_WITHIN`` = 3/150 under the target, is too)."""
+    return RebalancePolicy(target_pqos=target / NUM_CLIENTS, repair_slack=slack / NUM_CLIENTS)
 
 UNIT_COST = MigrationCostModel(cost_per_client=1.0)
 ELASTIC = ServerChurnSpec(num_joins=1, num_leaves=1, capacity_drift=0.05)
@@ -306,11 +308,10 @@ def grid(lo: int, hi: int):
 
 @st.composite
 def policies(draw) -> RebalancePolicy:
-    """Target, slack, accept-within, period and a finite or infinite budget."""
+    """Target, slack, period and a finite or infinite budget."""
     return RebalancePolicy(
         target_pqos=draw(grid(NUM_CLIENTS * 3 // 4, NUM_CLIENTS)),
         repair_slack=draw(grid(0, NUM_CLIENTS // 8)),
-        accept_repair_if_within=draw(grid(0, NUM_CLIENTS // 20)),
         full_rebalance_every=draw(st.integers(0, 3)),
         max_migration_cost_per_epoch=draw(
             st.one_of(st.just(math.inf), st.floats(0.0, 60.0, allow_nan=False))
@@ -347,7 +348,7 @@ def prescribed(policy: RebalancePolicy, record: EpochRecord) -> str:
     elif record.pqos_after >= policy.target_pqos:
         return "none"
     elif record.pqos_after >= policy.target_pqos - policy.repair_slack:
-        floor = policy.target_pqos - policy.accept_repair_if_within
+        floor = policy.target_pqos - ACCEPT_REPAIR_IF_WITHIN
         action = "repair" if repaired() >= floor else "rebalance"
     else:
         action = "rebalance"
@@ -371,11 +372,12 @@ class TestControllerDecisionProperties:
 
     @pinned(24)
     # Carried-over pQoS exactly on the target, then exactly on the repair
-    # threshold with the repair landing exactly on the floor, then just
-    # under it (k/150 - (k - 140)/150 == 140/150 in floating point).
-    @example(policy=on_grid(target=140, slack=5, accept=3), **STILL_WORLD)
-    @example(policy=on_grid(target=145, slack=5, accept=5), **STILL_WORLD)
-    @example(policy=on_grid(target=142, slack=2, accept=0), **STILL_WORLD)
+    # threshold with the repair landing exactly on the floor, then one count
+    # under it (k/150 - (k - 140)/150 == 140/150 and 143/150 - 0.02 == 140/150
+    # in floating point).
+    @example(policy=on_grid(target=140, slack=5), **STILL_WORLD)
+    @example(policy=on_grid(target=143, slack=3), **STILL_WORLD)
+    @example(policy=on_grid(target=144, slack=4), **STILL_WORLD)
     @given(
         policy=policies(),
         churn=churn_mixes(),

@@ -15,6 +15,7 @@ from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.events import apply_churn
 from repro.dynamics.infrastructure import (
+    JOIN_CAPACITY_MBPS,
     ServerChurnBatch,
     ServerChurnSpec,
     apply_server_churn,
@@ -51,10 +52,6 @@ class TestServerChurnSpec:
             ServerChurnSpec(capacity_drift=-0.1)
         with pytest.raises(ValueError):
             ServerChurnSpec(capacity_drift=float("nan"))
-        with pytest.raises(ValueError):
-            ServerChurnSpec(join_capacity_mbps=0.0)
-        with pytest.raises(ValueError):
-            ServerChurnSpec(min_capacity_mbps=0.0)
 
 
 class TestGenerateServerChurn:
@@ -89,7 +86,7 @@ class TestGenerateServerChurn:
         assert batch.num_joins == 3
         assert not np.isin(batch.join_nodes, small_scenario.servers.nodes).any()
         np.testing.assert_array_equal(
-            batch.join_capacities, np.full(3, spec.join_capacity_mbps * MBPS)
+            batch.join_capacities, np.full(3, JOIN_CAPACITY_MBPS * MBPS)
         )
 
     def test_drift_factors_positive(self, small_scenario):

@@ -431,8 +431,6 @@ class TestRecoveryReport:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            recovery_report([], baseline_epochs=1)
-        with pytest.raises(ValueError):
-            recovery_report([self._record(0, 0.9)], baseline_epochs=0)
+            recovery_report([])
         with pytest.raises(ValueError):
             recovery_report([self._record(0, 0.9)], tolerance=-0.1)

@@ -63,17 +63,14 @@ class TestTable1Driver:
 
 
 class TestFigure4Driver:
-    def test_cdfs_on_custom_grid(self):
-        grid = np.linspace(250, 500, 6)
-        result = run_figure4(
-            label=SMALL_LABEL, algorithms=ALGOS, num_runs=1, seed=0, grid=grid
-        )
+    def test_cdfs_on_the_paper_grid(self):
+        result = run_figure4(label=SMALL_LABEL, algorithms=ALGOS, num_runs=1, seed=0)
         assert set(result.cdfs) == set(ALGOS)
         for cdf in result.cdfs.values():
-            np.testing.assert_allclose(cdf.grid, grid)
+            np.testing.assert_allclose(cdf.grid, np.linspace(250, 500, 26))
             assert (np.diff(cdf.values) >= -1e-12).all()
         rows = result.rows()
-        assert len(rows) == 6
+        assert len(rows) == 26
         text = format_figure4(result)
         assert "Figure 4" in text and "pQoS" in text
 
@@ -260,8 +257,6 @@ class TestDynamicsDriver:
 class TestControllerDriver:
     def test_small_run_structure(self):
         from repro.dynamics.policies import RebalancePolicy
-        from repro.dynamics.infrastructure import ServerChurnSpec
-        from repro.dynamics.migration import MigrationCostModel
         from repro.experiments.controller import format_controller, run_controller
 
         policies = {
@@ -270,14 +265,11 @@ class TestControllerDriver:
         }
         result = run_controller(
             label=SMALL_LABEL,
-            algorithm="grez-grec",
             policies=policies,
             num_runs=2,
             seed=0,
             num_epochs=2,
             churn=ChurnSpec(15, 15, 15),
-            server_churn=ServerChurnSpec(num_joins=1, num_leaves=1),
-            migration_cost=MigrationCostModel(cost_per_client=1.0),
         )
         assert result.rows == ["lazy", "eager"]
         assert result.num_runs == 2 and result.setting["num_epochs"] == 2

@@ -56,8 +56,8 @@ class TestJsonFiles:
         assert path.exists()
 
     def test_dump_indent_and_trailing_newline(self, tmp_path):
-        text = dump_json({"a": [1]}, tmp_path / "x.json", indent=4).read_text()
-        assert text == '{\n    "a": [\n        1\n    ]\n}\n'
+        text = dump_json({"a": [1]}, tmp_path / "x.json").read_text()
+        assert text == '{\n  "a": [\n    1\n  ]\n}\n'
 
 
 class TestAssignmentRoundTrip:

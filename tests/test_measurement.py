@@ -85,13 +85,6 @@ class TestDelayEstimator:
         np.testing.assert_allclose(estimated.client_demands, tiny_instance.client_demands)
         assert estimated.delay_bound == tiny_instance.delay_bound
 
-    def test_server_mesh_optionally_exact(self, tiny_instance):
-        estimator = DelayEstimator(KING, perturb_server_mesh=False)
-        estimated = estimator.estimate(tiny_instance, seed=0)
-        np.testing.assert_allclose(
-            estimated.server_server_delays, tiny_instance.server_server_delays
-        )
-
     def test_estimated_delays_within_error_bounds(self, tiny_instance):
         estimated = DelayEstimator(IDMAPS).estimate(tiny_instance, seed=3)
         true = tiny_instance.client_server_delays.toarray()

@@ -80,7 +80,9 @@ class TestResourceMetrics:
 
 class TestEmpiricalCDF:
     def test_monotone_values(self):
-        cdf = delay_cdf(np.array([100.0, 200.0, 300.0, 400.0]), lo=0, hi=500, num_points=11)
+        cdf = delay_cdf(
+            np.array([100.0, 200.0, 300.0, 400.0]), grid=np.linspace(0, 500, 11)
+        )
         assert (np.diff(cdf.values) >= -1e-12).all()
         assert cdf.num_samples == 4
 
@@ -107,9 +109,10 @@ class TestEmpiricalCDF:
         cdf = delay_cdf(np.array([300.0]))
         assert cdf.grid[0] == pytest.approx(250.0)
         assert cdf.grid[-1] == pytest.approx(500.0)
+        assert cdf.grid.size == 26
 
     def test_empty_delays(self):
-        cdf = delay_cdf(np.array([]), lo=0, hi=10, num_points=3)
+        cdf = delay_cdf(np.array([]), grid=np.linspace(0, 10, 3))
         np.testing.assert_allclose(cdf.values, 1.0)
         assert cdf.num_samples == 0
 

@@ -213,7 +213,7 @@ class TestSubstrateInvariants:
     )
     @settings(max_examples=40, deadline=None)
     def test_delay_cdf_monotone_and_bounded(self, delays):
-        cdf = delay_cdf(delays, lo=0.0, hi=600.0, num_points=13)
+        cdf = delay_cdf(delays, grid=np.linspace(0.0, 600.0, 13))
         assert (np.diff(cdf.values) >= -1e-12).all()
         assert (cdf.values >= 0).all() and (cdf.values <= 1).all()
         if delays.size:

@@ -7,11 +7,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.topology.barabasi_albert import BarabasiAlbertParams, barabasi_albert_topology
+from repro.topology.barabasi_albert import M, barabasi_albert_topology
 from repro.topology.brite import BriteConfig, generate_topology
 from repro.topology.graph import Topology
-from repro.topology.hierarchical import HierarchicalParams, hierarchical_topology
-from repro.topology.waxman import WaxmanParams
+from repro.topology.hierarchical import (
+    BORDER_ROUTERS_PER_AS,
+    HierarchicalParams,
+    hierarchical_topology,
+)
 from tests.conftest import flat_waxman
 
 
@@ -41,14 +44,6 @@ class TestWaxman:
         topo = flat_waxman(20, seed=0)
         assert (topo.latencies > 0).all()
 
-    def test_higher_alpha_gives_more_edges(self):
-        sparse = flat_waxman(40, params=WaxmanParams(alpha=0.05), seed=3)
-        dense = flat_waxman(40, params=WaxmanParams(alpha=0.6), seed=3)
-        assert dense.num_edges > sparse.num_edges
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            WaxmanParams(alpha=1.5)
 
 
 class TestBarabasiAlbert:
@@ -59,9 +54,9 @@ class TestBarabasiAlbert:
 
     def test_edge_count_formula(self):
         # Seed clique of m+1 nodes plus m edges per additional node.
-        m = 2
+        m = M
         n = 25
-        topo = barabasi_albert_topology(n, params=BarabasiAlbertParams(m=m), seed=1)
+        topo = barabasi_albert_topology(n, seed=1)
         expected = m * (m + 1) // 2 + (n - m - 1) * m
         assert topo.num_edges == expected
 
@@ -78,10 +73,6 @@ class TestBarabasiAlbert:
     def test_single_node(self):
         topo = barabasi_albert_topology(1, seed=0)
         assert topo.num_edges == 0
-
-    def test_invalid_m(self):
-        with pytest.raises(ValueError):
-            BarabasiAlbertParams(m=0)
 
 
 class TestHierarchical:
@@ -155,7 +146,7 @@ class TestHierarchicalStructure:
     def test_inter_domain_links_realise_the_as_graph(self, shape):
         params, topo = self._generate(shape)
         links = self._inter_domain_edges(topo)
-        as_level = barabasi_albert_topology(params.num_as, params=params.as_params, seed=0)
+        as_level = barabasi_albert_topology(params.num_as, seed=0)
         assert links.shape[0] == as_level.num_edges
         pairs = np.sort(topo.node_domain[links], axis=1)
         assert np.unique(pairs, axis=0).shape[0] == pairs.shape[0]
@@ -170,7 +161,7 @@ class TestHierarchicalStructure:
         params, topo = self._generate(shape)
         endpoints = np.unique(self._inter_domain_edges(topo))
         per_domain = np.bincount(topo.node_domain[endpoints], minlength=params.num_as)
-        assert per_domain.max(initial=0) <= params.border_routers_per_as
+        assert per_domain.max(initial=0) <= BORDER_ROUTERS_PER_AS
 
     def test_brite_front_end_builds_the_same_graph(self, shape):
         num_as, routers_per_as = shape
@@ -208,7 +199,7 @@ class TestBriteConfig:
 
     def test_fields_are_the_hierarchy_parameters(self):
         names = [f.name for f in dataclasses.fields(BriteConfig)]
-        assert names == ["num_as", "routers_per_as", "waxman_alpha", "waxman_beta", "ba_m"]
+        assert names == ["num_as", "routers_per_as"]
 
     def test_num_nodes_is_derived_not_set(self):
         with pytest.raises(TypeError):

@@ -41,10 +41,6 @@ class TestPlaceServers:
         nodes = place_servers(domain_topology, 10, seed=0)
         assert np.unique(nodes).size == 10
 
-    def test_no_spreading_when_disabled(self, domain_topology):
-        nodes = place_servers(domain_topology, 6, seed=0, spread_across_domains=False)
-        assert np.unique(nodes).size == 6
-
     def test_too_many_servers(self, flat_topology):
         with pytest.raises(ValueError):
             place_servers(flat_topology, flat_topology.num_nodes + 1)
@@ -67,16 +63,6 @@ class TestPlaceClientsUniform:
 
     def test_zero_clients(self, flat_topology):
         assert place_clients_uniform(flat_topology, 0, seed=0).size == 0
-
-    def test_exclude_nodes_honoured(self, flat_topology):
-        excluded = np.array([0, 1, 2])
-        nodes = place_clients_uniform(flat_topology, 200, seed=0, exclude_nodes=excluded)
-        assert not np.isin(nodes, excluded).any()
-
-    def test_exclude_everything_raises(self):
-        topo = flat_waxman(3, seed=0)
-        with pytest.raises(ValueError):
-            place_clients_uniform(topo, 5, exclude_nodes=np.arange(3))
 
     def test_negative_count(self, flat_topology):
         with pytest.raises(ValueError):

@@ -95,12 +95,6 @@ class TestBuildFederation:
         counts = [s.num_clients for s in fed.shards]
         assert counts[0] > counts[1] > counts[2]
 
-    def test_capacity_weights_skew_slices(self):
-        fed = build_federation(
-            make_small_config(), num_shards=2, seed=11, capacity_weights=[3, 1]
-        )
-        assert np.allclose(fed.slices[0] / fed.slices[1], 3.0)
-
     def test_explicit_config_sequence(self):
         base = make_small_config()
         configs = [
