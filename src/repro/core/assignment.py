@@ -18,7 +18,19 @@ import numpy as np
 from repro.core.costs import delays_to_targets
 from repro.core.problem import CAPInstance
 
-__all__ = ["ZoneAssignment", "Assignment", "server_loads", "zone_server_loads"]
+__all__ = [
+    "CAPACITY_TOLERANCE",
+    "ZoneAssignment",
+    "Assignment",
+    "server_loads",
+    "zone_server_loads",
+]
+
+#: Relative overshoot of a server's capacity that every capacity audit
+#: forgives (:meth:`Assignment.is_capacity_feasible`, validation and the
+#: carry-over and local-search flags), so rounding in a summed load never
+#: reads as an overload.
+CAPACITY_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +152,10 @@ class Assignment:
         return float(self.server_loads(instance).sum() / total_capacity)
 
     def is_capacity_feasible(self, instance: CAPInstance) -> bool:
-        """True when no server's load exceeds its capacity by more than 1e-6 of it."""
+        """True when no server's load exceeds its capacity by more than
+        :data:`CAPACITY_TOLERANCE` of it."""
         loads = self.server_loads(instance)
-        return bool(np.all(loads <= instance.server_capacities * (1.0 + 1e-6)))
+        return bool(np.all(loads <= instance.server_capacities * (1.0 + CAPACITY_TOLERANCE)))
 
     def with_algorithm(self, name: str) -> "Assignment":
         """Copy of this assignment labelled with a different algorithm name.

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.assignment import Assignment, server_loads
+from repro.core.assignment import CAPACITY_TOLERANCE, Assignment, server_loads
 from repro.core.costs import delays_to_targets
 from repro.core.measures import attach_measures, measured_pqos
 from repro.core.problem import CAPInstance
@@ -402,7 +402,9 @@ def warm_start_refine(
         zone_to_server=zone_to_server,
         contact_of_client=contacts,
         algorithm=f"{assignment.algorithm}+ws",
-        capacity_exceeded=bool((final_loads > instance.server_capacities * (1.0 + 1e-6)).any()),
+        capacity_exceeded=bool(
+            (final_loads > instance.server_capacities * (1.0 + CAPACITY_TOLERANCE)).any()
+        ),
         runtime_seconds=assignment.runtime_seconds + timer.elapsed,
         metadata={**assignment.metadata, "warm_start_iterations": iterations},
     )

@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.assignment import Assignment
+from repro.core.assignment import CAPACITY_TOLERANCE, Assignment
 from repro.core.problem import CAPInstance
 
 __all__ = ["Violation", "ValidationReport", "validate_assignment"]
@@ -64,7 +64,7 @@ def validate_assignment(
     * all server indices are within range,
     * every zone is hosted by exactly one server (implicit in the array form),
     * per-server load (zone demand + forwarding demand) does not exceed its
-      capacity by more than 1e-6 of it.
+      capacity by more than :data:`~repro.core.assignment.CAPACITY_TOLERANCE` of it.
 
     Returns a :class:`ValidationReport`; capacity violations are reported per
     server with the absolute overshoot in Mbps.
@@ -104,7 +104,7 @@ def validate_assignment(
         return ValidationReport(violations)
 
     loads = assignment.server_loads(instance)
-    limits = instance.server_capacities * (1.0 + 1e-6)
+    limits = instance.server_capacities * (1.0 + CAPACITY_TOLERANCE)
     overloaded = np.flatnonzero(loads > limits)
     for server in overloaded:
         over_mbps = (loads[server] - instance.server_capacities[server]) / 1e6

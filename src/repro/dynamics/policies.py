@@ -33,7 +33,7 @@ from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from repro.core.assignment import Assignment, server_loads
+from repro.core.assignment import CAPACITY_TOLERANCE, Assignment, server_loads
 from repro.core.grec import assign_contacts_greedy
 from repro.core.problem import CAPInstance
 from repro.core.registry import solve as registry_solve
@@ -54,11 +54,6 @@ __all__ = [
     "POLICY_ACTIONS",
     "POLICY_NAMES",
 ]
-
-#: Capacity tolerance used when auditing a carried-over assignment (matches
-#: :meth:`repro.core.assignment.Assignment.is_capacity_feasible`).
-_CAP_TOLERANCE = 1e-6
-
 
 def carry_over_assignment(
     old_assignment: Assignment,
@@ -125,7 +120,7 @@ def carry_over_assignment(
     if loads_out is not None:
         loads_out[...] = loads
     capacity_exceeded = bool(
-        (loads > new_instance.server_capacities * (1.0 + _CAP_TOLERANCE)).any()
+        (loads > new_instance.server_capacities * (1.0 + CAPACITY_TOLERANCE)).any()
     )
     return Assignment(
         zone_to_server=old_assignment.zone_to_server,

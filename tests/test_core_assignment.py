@@ -7,7 +7,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.assignment import Assignment, ZoneAssignment, server_loads, zone_server_loads
+from repro.core.assignment import (
+    CAPACITY_TOLERANCE,
+    Assignment,
+    ZoneAssignment,
+    server_loads,
+    zone_server_loads,
+)
+from repro.core.validation import validate_assignment
 
 
 @pytest.fixture()
@@ -119,6 +126,22 @@ class TestAssignmentMetrics:
         tiny_overloaded = make_tiny_instance(capacities=(30.0, 30.0, 30.0))
         assert not forwarded_assignment.is_capacity_feasible(tiny_overloaded)
         del tight
+
+    @pytest.mark.parametrize(
+        "overshoot, feasible",
+        [(CAPACITY_TOLERANCE / 2, True), (2 * CAPACITY_TOLERANCE, False)],
+        ids=["within", "beyond"],
+    )
+    def test_feasibility_and_validation_share_the_tolerance(
+        self, direct_assignment, overshoot, feasible
+    ):
+        from tests.conftest import make_tiny_instance
+
+        # Direct contacts load the servers [40, 20, 20]; server 0's capacity
+        # sits ``overshoot`` (relative) below its load.
+        instance = make_tiny_instance(capacities=(40.0 / (1.0 + overshoot), 1000.0, 1000.0))
+        assert direct_assignment.is_capacity_feasible(instance) is feasible
+        assert validate_assignment(instance, direct_assignment).ok is feasible
 
     def test_empty_instance_pqos_is_one(self):
         from tests.conftest import make_tiny_instance  # noqa: F401 (documentation import)

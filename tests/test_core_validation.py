@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.assignment import Assignment
+from repro.core.assignment import CAPACITY_TOLERANCE, Assignment
 from repro.core.validation import ValidationReport, Violation, validate_assignment
 
 
@@ -66,6 +66,24 @@ class TestValidateAssignment:
         bad = Assignment(zone_to_server=np.array([0, 1]), contact_of_client=np.zeros(8, dtype=int))
         with pytest.raises(ValueError, match="not feasible"):
             validate_assignment(tiny_instance, bad).raise_if_invalid()
+
+    def test_tolerance_allows_marginal_overshoot(self, good_assignment):
+        from tests.conftest import make_tiny_instance
+
+        # Loads are [20, 40, 20]; each capacity sits half a tolerance below.
+        loads = np.array([20.0, 40.0, 20.0])
+        marginal = make_tiny_instance(capacities=loads / (1.0 + CAPACITY_TOLERANCE / 2))
+        assert validate_assignment(marginal, good_assignment).ok
+
+    def test_overshoot_beyond_tolerance_reported(self, good_assignment):
+        from tests.conftest import make_tiny_instance
+
+        loads = np.array([20.0, 40.0, 20.0])
+        capacities = loads.copy()
+        capacities[1] = loads[1] / (1.0 + 2 * CAPACITY_TOLERANCE)
+        report = validate_assignment(make_tiny_instance(capacities=capacities), good_assignment)
+        assert [v.kind for v in report.violations] == ["capacity"]
+        assert "server 1" in report.violations[0].message
 
 
 class TestReportObjects:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.assignment import Assignment
+from repro.core.assignment import CAPACITY_TOLERANCE, Assignment
 from repro.core.problem import CAPInstance
 from repro.core.registry import solve as registry_solve
 from repro.core.validation import validate_assignment
@@ -166,6 +166,28 @@ class TestCarryOverCapacityFlag:
         churn = self._identity_churn(tiny_instance.num_clients)
         carried = carry_over_assignment(stale, churn, tiny_instance)
         assert not carried.capacity_exceeded
+
+    @pytest.mark.parametrize(
+        "overshoot, exceeded",
+        [(CAPACITY_TOLERANCE / 2, False), (2 * CAPACITY_TOLERANCE, True)],
+        ids=["within", "beyond"],
+    )
+    def test_flag_forgives_the_shared_tolerance(self, overshoot, exceeded):
+        from tests.conftest import make_tiny_instance
+
+        # Zone map [0, 1, 2, 1] with direct contacts loads the servers
+        # [20, 40, 20]; server 1's capacity sits ``overshoot`` below its load.
+        instance = make_tiny_instance(capacities=(1000.0, 40.0 / (1.0 + overshoot), 1000.0))
+        zone_map = np.array([0, 1, 2, 1])
+        old = Assignment(
+            zone_to_server=zone_map,
+            contact_of_client=zone_map[instance.client_zones],
+            algorithm="manual",
+        )
+        churn = self._identity_churn(instance.num_clients)
+        carried = carry_over_assignment(old, churn, instance)
+        assert carried.capacity_exceeded is exceeded
+        assert old.is_capacity_feasible(instance) is not exceeded
 
     def test_overload_after_join_heavy_churn_sets_flag(self):
         from repro.core.problem import CAPInstance

@@ -85,6 +85,15 @@ class TestDelayEstimator:
         np.testing.assert_allclose(estimated.client_demands, tiny_instance.client_demands)
         assert estimated.delay_bound == tiny_instance.delay_bound
 
+    def test_server_mesh_perturbed_within_error_bounds(self, tiny_instance):
+        true = tiny_instance.server_server_delays
+        seen = DelayEstimator(KING).estimate(tiny_instance, seed=0).server_server_delays
+        off_diagonal = ~np.eye(true.shape[0], dtype=bool)
+        assert not np.array_equal(seen[off_diagonal], true[off_diagonal])
+        assert (seen >= true / KING.factor - 1e-9).all()
+        assert (seen <= true * KING.factor + 1e-9).all()
+        np.testing.assert_array_equal(np.diag(seen), 0.0)
+
     def test_estimated_delays_within_error_bounds(self, tiny_instance):
         estimated = DelayEstimator(IDMAPS).estimate(tiny_instance, seed=3)
         true = tiny_instance.client_server_delays.toarray()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.assignment import Assignment
 from repro.core.two_phase import solve_cap
-from repro.metrics.cdf import EmpiricalCDF, delay_cdf, merge_cdfs
+from repro.metrics.cdf import FIGURE4_GRID_MS, EmpiricalCDF, delay_cdf, merge_cdfs
 from repro.metrics.qos import client_delays, pqos, qos_report
 from repro.metrics.resources import resource_report, resource_utilization
 from repro.metrics.summary import AggregateStat, RunningStats, aggregate
@@ -110,6 +110,12 @@ class TestEmpiricalCDF:
         assert cdf.grid[0] == pytest.approx(250.0)
         assert cdf.grid[-1] == pytest.approx(500.0)
         assert cdf.grid.size == 26
+
+    def test_figure4_grid_is_read_only(self):
+        # delay_cdf hands the shared grid to every default CDF it builds.
+        assert delay_cdf(np.array([300.0])).grid is FIGURE4_GRID_MS
+        with pytest.raises(ValueError):
+            FIGURE4_GRID_MS[0] = 0.0
 
     def test_empty_delays(self):
         cdf = delay_cdf(np.array([]), grid=np.linspace(0, 10, 3))

@@ -88,6 +88,12 @@ class TestBuildFederation:
         for i, shard in enumerate(fed.shards):
             assert np.array_equal(shard.servers.capacities, fed.slices[i])
 
+    def test_every_shard_starts_with_an_equal_slice(self, small_federation):
+        fed = small_federation
+        np.testing.assert_allclose(
+            fed.slices, np.broadcast_to(fed.servers.capacities / fed.num_shards, fed.slices.shape)
+        )
+
     def test_client_weights_skew_population(self):
         fed = build_federation(
             make_small_config(), num_shards=3, seed=11, client_weights=[3, 2, 1]
