@@ -98,11 +98,7 @@ def test_bench_parallel_determinism_and_speedup(record):
 
 def test_bench_zero_copy_dispatch_payload(record):
     config = config_from_label(LABEL, correlation=0.5)
-    model = DelayModel(
-        generate_topology(config.topology, seed=0),
-        max_rtt_ms=config.max_rtt_ms,
-        server_mesh_factor=config.server_mesh_factor,
-    )
+    model = DelayModel(generate_topology(config.topology, seed=0))
     rtt_bytes = model.rtt.nbytes  # materialise before measuring
 
     def task_bytes() -> int:

@@ -39,7 +39,6 @@ def main() -> None:
         correlation=0.7,
         physical_distribution="clustered",
         virtual_distribution="clustered",
-        hot_zone_factor=10.0,
     )
     scenario = build_scenario(config, seed=2024)
     instance = CAPInstance.from_scenario(scenario)

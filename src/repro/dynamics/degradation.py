@@ -14,7 +14,7 @@ re-admitted pool clients become extra joiners), so every downstream layer —
 world advance, incremental measurement — sees an ordinary churn batch.
 
 Demand follows the quadratic bandwidth model
-(:class:`repro.world.bandwidth.BandwidthModel`): a zone with population ``p``
+(:func:`repro.world.bandwidth.client_target_demands`): a zone with population ``p``
 demands ``stream_bps * p * (p + 1)`` bits/s, so removing one client from a
 zone with ``p`` clients lowers total demand by ``2 * stream_bps * p`` and
 adding one to a zone with ``p`` raises it by ``2 * stream_bps * (p + 1)`` —

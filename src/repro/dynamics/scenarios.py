@@ -52,6 +52,7 @@ from repro.dynamics.events import ChurnBatch
 from repro.dynamics.infrastructure import ServerChurnResult
 from repro.topology.delay_backends import zone_anchor_nodes
 from repro.utils.rng import SeedLike, reserve_seeds
+from repro.world.bandwidth import STREAM_BPS
 from repro.world.clients import ClientPopulation
 from repro.world.distributions import sample_client_nodes
 from repro.world.servers import ServerSet
@@ -471,7 +472,6 @@ class ScenarioRuntime:
         self._epoch_seeds = reserve_seeds(seed, num_epochs)
         self._topology = scenario.topology
         self._dist_spec = scenario.config.distribution_spec
-        self._stream_bps = float(scenario.config.bandwidth_model.stream_bps)
         self._num_zones = scenario.num_zones
         self._server_nodes = scenario.servers.nodes
         self._base_caps = np.array(scenario.servers.capacities, dtype=np.float64)
@@ -641,7 +641,7 @@ class ScenarioRuntime:
             batch,
             population,
             self._num_zones,
-            self._stream_bps,
+            STREAM_BPS,
             plan.total_capacity,
             self.pool,
             self.admission,

@@ -323,11 +323,7 @@ def run_replications(
         run_seed = copy.deepcopy(rng)
         spawn_generators(rng, num_runs)
         shared_topology = generate_topology(config.topology, seed=as_generator(seed))
-        shared_delay_model = DelayModel(
-            shared_topology,
-            max_rtt_ms=config.max_rtt_ms,
-            server_mesh_factor=config.server_mesh_factor,
-        )
+        shared_delay_model = DelayModel(shared_topology)
 
     # Zero-copy dispatch: with parallel workers, materialise the shared RTT
     # matrix once and publish it to shared memory so every task pickles an

@@ -23,15 +23,10 @@ from repro.topology.delay_backends import (
     SPARSE_FILL_DELAY_MS,
     CompactDelayMatrix,
 )
-from repro.topology.delays import (
-    DEFAULT_MAX_RTT_MS,
-    DEFAULT_SERVER_MESH_FACTOR,
-    DelayModel,
-)
+from repro.topology.delays import MAX_RTT_MS, SERVER_MESH_FACTOR, DelayModel
 from repro.topology.graph import Topology, TopologyError, merge_topologies
 from repro.topology.hierarchical import HierarchicalParams, hierarchical_topology
 from repro.topology.placement import (
-    ClusteredPlacementParams,
     place_clients_clustered,
     place_clients_uniform,
     place_servers,
@@ -47,14 +42,13 @@ __all__ = [
     "BriteConfig",
     "generate_topology",
     "DelayModel",
-    "DEFAULT_MAX_RTT_MS",
-    "DEFAULT_SERVER_MESH_FACTOR",
+    "MAX_RTT_MS",
+    "SERVER_MESH_FACTOR",
     "DELAY_BACKENDS",
     "DEFAULT_DELAY_BACKEND",
     "DEFAULT_SPARSE_TOP_K",
     "SPARSE_FILL_DELAY_MS",
     "CompactDelayMatrix",
-    "ClusteredPlacementParams",
     "place_servers",
     "place_clients_uniform",
     "place_clients_clustered",

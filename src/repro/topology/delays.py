@@ -12,11 +12,12 @@ three arrays:
 * the delay bound ``D``.
 
 :class:`DelayModel` computes the all-pairs node RTT matrix once (scaled so the
-maximum RTT equals the paper's 500 ms), then slices it per placement.  The
-inter-server mesh uses latencies discounted to 50 % of the underlying path
-RTTs, exactly as in the paper ("we set the network latency between any two
-geographically distributed servers to 50 % of the actual latency values
-obtained from the topology generator").
+maximum RTT equals the paper's :data:`MAX_RTT_MS`), then slices it per
+placement.  The inter-server mesh uses latencies discounted to
+:data:`SERVER_MESH_FACTOR` of the underlying path RTTs, exactly as in the paper
+("we set the network latency between any two geographically distributed
+servers to 50 % of the actual latency values obtained from the topology
+generator").
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ import numpy as np
 
 from repro.topology.graph import Topology
 from repro.utils.shm import SharedArray
-from repro.utils.validation import check_in_range, check_positive
 
-__all__ = ["DelayModel", "DEFAULT_MAX_RTT_MS", "DEFAULT_SERVER_MESH_FACTOR"]
+__all__ = ["DelayModel", "MAX_RTT_MS", "SERVER_MESH_FACTOR"]
 
-#: Paper default: maximum RTT between any two topology nodes (ms).
-DEFAULT_MAX_RTT_MS = 500.0
-#: Paper default: inter-server latencies are 50 % of the topology latencies.
-DEFAULT_SERVER_MESH_FACTOR = 0.5
+#: Paper Section 4.1: the largest RTT between two topology nodes is rescaled to 500 ms.
+MAX_RTT_MS = 500.0
+#: Paper Section 4.1: inter-server latencies are 50 % of the topology latencies.
+SERVER_MESH_FACTOR = 0.5
 
 
 @dataclass
@@ -46,22 +46,11 @@ class DelayModel:
     ----------
     topology:
         The underlying network topology.
-    max_rtt_ms:
-        The all-pairs RTT matrix is rescaled so its maximum equals this value.
-    server_mesh_factor:
-        Multiplier applied to RTTs between *servers* to model the
-        well-provisioned inter-server connections (0.5 in the paper).
     """
 
     topology: Topology
-    max_rtt_ms: float = DEFAULT_MAX_RTT_MS
-    server_mesh_factor: float = DEFAULT_SERVER_MESH_FACTOR
     _rtt: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _rtt_shared: Optional[SharedArray] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        check_positive(self.max_rtt_ms, "max_rtt_ms")
-        check_in_range(self.server_mesh_factor, 0.0, 1.0, "server_mesh_factor")
 
     # ------------------------------------------------------------------ #
     @property
@@ -69,7 +58,7 @@ class DelayModel:
         """Cached all-pairs node round-trip delay matrix (milliseconds)."""
         cached = self._rtt
         if cached is None:
-            cached = self.topology.round_trip_delays(max_rtt_ms=self.max_rtt_ms)
+            cached = self.topology.round_trip_delays(max_rtt_ms=MAX_RTT_MS)
             self._rtt = cached
         return cached
 
@@ -120,7 +109,7 @@ class DelayModel:
         when the contact and target server coincide.
         """
         server_nodes = self._check_nodes(server_nodes, "server_nodes")
-        mesh = self.rtt[np.ix_(server_nodes, server_nodes)] * self.server_mesh_factor
+        mesh = self.rtt[np.ix_(server_nodes, server_nodes)] * SERVER_MESH_FACTOR
         np.fill_diagonal(mesh, 0.0)
         return mesh
 

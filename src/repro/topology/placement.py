@@ -11,48 +11,30 @@ Two placement flavours are provided:
   spread across distinct AS domains so the geographic distribution is
   realistic).
 * :func:`place_clients_uniform` / :func:`place_clients_clustered` — node
-  choices for each client, uniform or with a configurable fraction of clients
+  choices for each client, uniform or with a fixed fraction of clients
   concentrated on a few hotspot nodes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.topology.graph import Topology
 from repro.utils.distinct import sorted_distinct
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_probability
 
 __all__ = [
-    "ClusteredPlacementParams",
+    "HOTSPOT_NODES",
+    "HOTSPOT_FRACTION",
     "place_servers",
     "place_clients_uniform",
     "place_clients_clustered",
 ]
 
-
-@dataclass(frozen=True)
-class ClusteredPlacementParams:
-    """Parameters of the clustered physical-world client distribution.
-
-    ``num_hotspots`` nodes are selected uniformly at random; a fraction
-    ``hotspot_fraction`` of all clients is placed on those nodes (spread
-    uniformly among them, i.e. each hotspot node receives roughly
-    ``hotspot_fraction / num_hotspots`` of the population, about 10× the mass
-    of a non-hotspot node for the defaults), the remaining clients are placed
-    uniformly over all other nodes.
-    """
-
-    num_hotspots: int = 10
-    hotspot_fraction: float = 0.7
-
-    def __post_init__(self) -> None:
-        if self.num_hotspots < 1:
-            raise ValueError("num_hotspots must be >= 1")
-        check_probability(self.hotspot_fraction, "hotspot_fraction")
+#: Clustered physical world: the number of hotspot nodes, drawn uniformly at random.
+HOTSPOT_NODES = 10
+#: Clustered physical world: the fraction of all clients placed on the hotspot nodes.
+HOTSPOT_FRACTION = 0.7
 
 
 def place_servers(
@@ -106,23 +88,21 @@ def place_clients_uniform(
 def place_clients_clustered(
     topology: Topology,
     num_clients: int,
-    params: ClusteredPlacementParams | None = None,
     seed: SeedLike = None,
 ) -> np.ndarray:
     """Place clients with a clustered physical-world distribution.
 
-    A set of hotspot nodes receives ``hotspot_fraction`` of the population;
-    the remainder is uniform over all nodes.  Returns the node index of each
-    client.
+    :data:`HOTSPOT_NODES` random nodes receive :data:`HOTSPOT_FRACTION` of the
+    population, spread uniformly among them; the remainder is uniform over all
+    nodes.  Returns the node index of each client.
     """
     if num_clients < 0:
         raise ValueError("num_clients must be >= 0")
-    params = params or ClusteredPlacementParams()
     rng = as_generator(seed)
-    num_hot = min(params.num_hotspots, topology.num_nodes)
+    num_hot = min(HOTSPOT_NODES, topology.num_nodes)
     hotspots = rng.choice(topology.num_nodes, size=num_hot, replace=False)
     nodes = np.empty(num_clients, dtype=np.int64)
-    in_hotspot = rng.random(num_clients) < params.hotspot_fraction
+    in_hotspot = rng.random(num_clients) < HOTSPOT_FRACTION
     n_hot_clients = int(in_hotspot.sum())
     nodes[in_hotspot] = rng.choice(hotspots, size=n_hot_clients, replace=True)
     nodes[~in_hotspot] = rng.choice(

@@ -20,7 +20,6 @@ from repro.utils.validation import (
     check_positive,
     check_non_negative,
     check_probability,
-    check_in_range,
 )
 from repro.utils.timing import Timer
 
@@ -38,6 +37,5 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "check_in_range",
     "Timer",
 ]

@@ -13,7 +13,6 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "check_in_range",
 ]
 
 
@@ -35,11 +34,4 @@ def check_probability(value: float, name: str) -> float:
     """Raise ``ValueError`` unless ``value`` lies in the closed interval [0, 1]."""
     if not np.isfinite(value) or value < 0.0 or value > 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
-
-
-def check_in_range(value: float, low: float, high: float, name: str) -> float:
-    """Raise ``ValueError`` unless ``low <= value <= high``."""
-    if not np.isfinite(value) or value < low or value > high:
-        raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
     return float(value)

@@ -8,19 +8,15 @@ immutable objects:
 * :class:`~repro.world.zones.VirtualWorld` — the zone-partitioned world.
 * :class:`~repro.world.clients.ClientPopulation` — clients' physical nodes and
   avatar zones.
-* :class:`~repro.world.bandwidth.BandwidthModel` — the quadratic client-server
-  bandwidth model.
+* :func:`~repro.world.bandwidth.client_target_demands` — the quadratic
+  client-server bandwidth model.
 * :mod:`repro.world.distributions` / :mod:`repro.world.correlation` — uniform /
   clustered client distributions and the physical↔virtual correlation delta.
 * :class:`~repro.world.scenario.DVEScenario` — everything assembled, ready for
   the assignment algorithms in :mod:`repro.core`.
 """
 
-from repro.world.bandwidth import (
-    DEFAULT_FRAME_RATE,
-    DEFAULT_MESSAGE_BYTES,
-    BandwidthModel,
-)
+from repro.world.bandwidth import STREAM_BPS, client_target_demands
 from repro.world.clients import ClientPopulation
 from repro.world.correlation import RegionZoneMap, correlated_zone_choice
 from repro.world.distributions import (
@@ -36,16 +32,14 @@ from repro.world.federation import (
     build_federation,
     equal_slices,
     split_client_counts,
-    weighted_slices,
 )
 from repro.world.scenario import DVEConfig, DVEScenario, build_scenario
 from repro.world.servers import MBPS, ServerSet, allocate_capacities
 from repro.world.zones import VirtualWorld
 
 __all__ = [
-    "BandwidthModel",
-    "DEFAULT_FRAME_RATE",
-    "DEFAULT_MESSAGE_BYTES",
+    "STREAM_BPS",
+    "client_target_demands",
     "ClientPopulation",
     "RegionZoneMap",
     "correlated_zone_choice",
@@ -65,6 +59,5 @@ __all__ = [
     "FederatedWorld",
     "build_federation",
     "equal_slices",
-    "weighted_slices",
     "split_client_counts",
 ]

@@ -20,93 +20,51 @@ Contact-server forwarding doubles a client's footprint: when the contact
 server differs from the target server, all traffic traverses the contact
 server in both directions, i.e. ``RC(c) = 2 * RT(c)`` (and ``RC(c) = 0`` when
 the servers coincide), matching Section 2.1.
-
-Paper defaults: frame rate 25 messages/s, message size 100 bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.utils.validation import check_positive
+__all__ = ["FRAME_RATE", "MESSAGE_BYTES", "STREAM_BPS", "client_target_demands"]
 
-__all__ = ["BandwidthModel", "DEFAULT_FRAME_RATE", "DEFAULT_MESSAGE_BYTES"]
+#: Paper Section 4.1: each client sends 25 input messages per second.
+FRAME_RATE = 25.0
+#: Paper Section 4.1: each input / update message is 100 bytes.
+MESSAGE_BYTES = 100.0
+#: Bandwidth of one client→server or server→client update stream: 20,000 b/s.
+STREAM_BPS = FRAME_RATE * MESSAGE_BYTES * 8.0
 
-#: Paper default: each client sends 25 input messages per second.
-DEFAULT_FRAME_RATE = 25.0
-#: Paper default: each input / update message is 100 bytes.
-DEFAULT_MESSAGE_BYTES = 100.0
 
+def client_target_demands(
+    client_zones: np.ndarray, num_zones: int, out: np.ndarray = None
+) -> np.ndarray:
+    """Per-client bandwidth demand ``RT(c)`` on its target server, in bits/s.
 
-@dataclass(frozen=True)
-class BandwidthModel:
-    """Quadratic client-server bandwidth model.
-
-    Attributes
+    Parameters
     ----------
-    frame_rate:
-        Input / update sending frequency per client (messages per second).
-    message_bytes:
-        Size of one input or update message in bytes.
+    client_zones:
+        ``(num_clients,)`` zone index of each client.
+    num_zones:
+        Total number of zones in the virtual world.
+    out:
+        Optional ``(num_clients,)`` float64 buffer to write into (the epoch
+        arena's recycled demand vector).  The ``out=`` path performs the same
+        two float operations in the same order as the allocating path, so
+        results are bit-identical.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(num_clients,)`` strictly positive per-client demand, where a client
+        in a zone with ``p`` avatars requires ``STREAM_BPS * (p + 1)`` bits/s.
     """
-
-    frame_rate: float = DEFAULT_FRAME_RATE
-    message_bytes: float = DEFAULT_MESSAGE_BYTES
-
-    def __post_init__(self) -> None:
-        check_positive(self.frame_rate, "frame_rate")
-        check_positive(self.message_bytes, "message_bytes")
-
-    # ------------------------------------------------------------------ #
-    @property
-    def stream_bps(self) -> float:
-        """Bandwidth of a single client→server or server→client update stream."""
-        return self.frame_rate * self.message_bytes * 8.0
-
-    def client_target_demands(
-        self, client_zones: np.ndarray, num_zones: int, out: np.ndarray = None
-    ) -> np.ndarray:
-        """Per-client bandwidth demand ``RT(c)`` on its target server, in bits/s.
-
-        Parameters
-        ----------
-        client_zones:
-            ``(num_clients,)`` zone index of each client.
-        num_zones:
-            Total number of zones in the virtual world.
-        out:
-            Optional ``(num_clients,)`` float64 buffer to write into (the
-            epoch arena's recycled demand vector).  The ``out=`` path performs
-            the same two float operations in the same order as the
-            allocating path, so results are bit-identical.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(num_clients,)`` strictly positive per-client demand, where a
-            client in a zone with ``p`` avatars requires
-            ``stream_bps * (p + 1)`` bits/s.
-        """
-        client_zones = np.asarray(client_zones, dtype=np.int64)
-        if client_zones.size and (client_zones.min() < 0 or client_zones.max() >= num_zones):
-            raise ValueError("client_zones contains zone ids outside [0, num_zones)")
-        populations = np.bincount(client_zones, minlength=num_zones)
-        if out is None:
-            return self.stream_bps * (populations[client_zones] + 1.0)
-        np.add(populations[client_zones], 1.0, out=out)
-        np.multiply(out, self.stream_bps, out=out)
-        return out
-
-    def zone_demands(self, client_zones: np.ndarray, num_zones: int) -> np.ndarray:
-        """Total bandwidth demand of each zone on its target server, in bits/s.
-
-        ``R(z) = sum over clients in z of RT(c) = stream_bps * p_z * (p_z + 1)``
-        — the quadratic growth the zone-based architecture has to absorb.
-        """
-        client_zones = np.asarray(client_zones, dtype=np.int64)
-        if client_zones.size and (client_zones.min() < 0 or client_zones.max() >= num_zones):
-            raise ValueError("client_zones contains zone ids outside [0, num_zones)")
-        populations = np.bincount(client_zones, minlength=num_zones).astype(np.float64)
-        return self.stream_bps * populations * (populations + 1.0)
+    client_zones = np.asarray(client_zones, dtype=np.int64)
+    if client_zones.size and (client_zones.min() < 0 or client_zones.max() >= num_zones):
+        raise ValueError("client_zones contains zone ids outside [0, num_zones)")
+    populations = np.bincount(client_zones, minlength=num_zones)
+    if out is None:
+        return STREAM_BPS * (populations[client_zones] + 1.0)
+    np.add(populations[client_zones], 1.0, out=out)
+    np.multiply(out, STREAM_BPS, out=out)
+    return out

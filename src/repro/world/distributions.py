@@ -17,7 +17,8 @@ type  clusters in PW       clusters in VW
 * *Virtual world (VW)*: which zone a client's avatar occupies.  Uniform over
   zones, or clustered on a few "hot" zones holding roughly ten times as many
   clients as a normal zone ("the number of clients in a clustered zone is 10
-  times larger than that in a non-clustered zone").
+  times larger than that in a non-clustered zone"): :data:`HOT_ZONE_FRACTION`
+  of the zones carry :data:`HOT_ZONE_FACTOR` times the weight of the others.
 
 On top of either VW distribution, the physical↔virtual correlation parameter
 ``delta`` (see :mod:`repro.world.correlation`) biases clients towards zones
@@ -32,19 +33,17 @@ from typing import Optional
 import numpy as np
 
 from repro.topology.graph import Topology
-from repro.topology.placement import (
-    ClusteredPlacementParams,
-    place_clients_clustered,
-    place_clients_uniform,
-)
+from repro.topology.placement import place_clients_clustered, place_clients_uniform
 from repro.utils.distinct import sorted_distinct
 from repro.utils.rng import SeedLike, as_generator, reserve_seeds
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_probability
 from repro.world.correlation import RegionZoneMap, correlated_zone_choice
 
 __all__ = [
     "DistributionSpec",
     "DISTRIBUTION_TYPES",
+    "HOT_ZONE_FACTOR",
+    "HOT_ZONE_FRACTION",
     "distribution_type",
     "zone_weights",
     "sample_client_nodes",
@@ -54,6 +53,11 @@ __all__ = [
 
 _PW_KINDS = ("uniform", "clustered")
 _VW_KINDS = ("uniform", "clustered")
+
+#: Paper Section 4.1: a clustered zone holds 10 times the clients of a normal one.
+HOT_ZONE_FACTOR = 10.0
+#: Fraction of the zones that are hot under the clustered VW distribution.
+HOT_ZONE_FRACTION = 0.1
 
 #: Paper Table 2 distribution types, as (physical_world, virtual_world) pairs.
 DISTRIBUTION_TYPES: dict[int, tuple[str, str]] = {
@@ -76,21 +80,11 @@ class DistributionSpec:
         ``"uniform"`` or ``"clustered"`` — avatar locations in the world.
     correlation:
         Physical↔virtual correlation delta in [0, 1] (paper default 0.5).
-    hot_zone_factor:
-        Weight multiplier of a hot zone relative to a normal zone (paper: 10).
-    hot_zone_fraction:
-        Fraction of zones that are "hot" under the clustered VW distribution.
-    physical_hotspots / physical_hotspot_fraction:
-        Parameters of the clustered PW distribution.
     """
 
     physical: str = "uniform"
     virtual: str = "uniform"
     correlation: float = 0.5
-    hot_zone_factor: float = 10.0
-    hot_zone_fraction: float = 0.1
-    physical_hotspots: int = 10
-    physical_hotspot_fraction: float = 0.7
 
     def __post_init__(self) -> None:
         if self.physical not in _PW_KINDS:
@@ -98,11 +92,6 @@ class DistributionSpec:
         if self.virtual not in _VW_KINDS:
             raise ValueError(f"virtual must be one of {_VW_KINDS}, got {self.virtual!r}")
         check_probability(self.correlation, "correlation")
-        check_positive(self.hot_zone_factor, "hot_zone_factor")
-        check_probability(self.hot_zone_fraction, "hot_zone_fraction")
-        check_probability(self.physical_hotspot_fraction, "physical_hotspot_fraction")
-        if self.physical_hotspots < 1:
-            raise ValueError("physical_hotspots must be >= 1")
 
     @property
     def type_id(self) -> int:
@@ -118,26 +107,21 @@ def distribution_type(physical: str, virtual: str) -> int:
     raise ValueError(f"unknown distribution combination ({physical!r}, {virtual!r})")
 
 
-def zone_weights(
-    num_zones: int,
-    virtual: str = "uniform",
-    hot_zone_factor: float = 10.0,
-    hot_zone_fraction: float = 0.1,
-    seed: SeedLike = None,
-) -> np.ndarray:
+def zone_weights(num_zones: int, virtual: str = "uniform", seed: SeedLike = None) -> np.ndarray:
     """Global zone popularity weights.
 
-    Uniform distribution → all-ones.  Clustered → a random ``hot_zone_fraction``
-    of zones carries ``hot_zone_factor`` times the weight of the others.
+    Uniform distribution → all-ones.  Clustered → a random
+    :data:`HOT_ZONE_FRACTION` of the zones (at least one) carries
+    :data:`HOT_ZONE_FACTOR` times the weight of the others.
     """
     if num_zones < 1:
         raise ValueError("num_zones must be >= 1")
     weights = np.ones(num_zones, dtype=np.float64)
     if virtual == "clustered":
         rng = as_generator(seed)
-        n_hot = max(1, int(round(hot_zone_fraction * num_zones)))
+        n_hot = max(1, int(round(HOT_ZONE_FRACTION * num_zones)))
         hot = rng.choice(num_zones, size=min(n_hot, num_zones), replace=False)
-        weights[hot] = hot_zone_factor
+        weights[hot] = HOT_ZONE_FACTOR
     elif virtual != "uniform":
         raise ValueError(f"virtual must be one of {_VW_KINDS}, got {virtual!r}")
     return weights
@@ -152,11 +136,7 @@ def sample_client_nodes(
     """Sample each client's physical node according to the PW distribution."""
     if spec.physical == "uniform":
         return place_clients_uniform(topology, num_clients, seed=seed)
-    params = ClusteredPlacementParams(
-        num_hotspots=spec.physical_hotspots,
-        hotspot_fraction=spec.physical_hotspot_fraction,
-    )
-    return place_clients_clustered(topology, num_clients, params=params, seed=seed)
+    return place_clients_clustered(topology, num_clients, seed=seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,13 +230,7 @@ def sample_client_zones(
         # no randomness.
         weights = plan.uniform_weights
     else:
-        weights = zone_weights(
-            num_zones,
-            virtual=spec.virtual,
-            hot_zone_factor=spec.hot_zone_factor,
-            hot_zone_fraction=spec.hot_zone_fraction,
-            seed=streams[0],
-        )
+        weights = zone_weights(num_zones, virtual=spec.virtual, seed=streams[0])
     client_nodes = np.asarray(client_nodes, dtype=np.int64)
     if topology.node_domain is not None:
         regions = topology.node_domain[client_nodes]

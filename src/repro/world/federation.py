@@ -21,23 +21,20 @@ to that multi-tenant shape without copying the expensive substrate:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.topology.brite import generate_topology
 from repro.topology.delays import DelayModel
 from repro.topology.graph import Topology
-from repro.topology.placement import place_servers
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
-from repro.world.scenario import DVEConfig, DVEScenario, build_scenario
-from repro.world.servers import ServerSet, allocate_capacities
+from repro.world.scenario import DVEConfig, DVEScenario, _build_substrate, build_scenario
+from repro.world.servers import ServerSet
 
 __all__ = [
     "FederatedWorld",
     "build_federation",
     "equal_slices",
-    "weighted_slices",
     "split_client_counts",
 ]
 
@@ -46,26 +43,16 @@ _CONSERVATION_RTOL = 1e-9
 
 
 def equal_slices(capacities: np.ndarray, num_shards: int) -> np.ndarray:
-    """Split every server's capacity evenly across ``num_shards`` shards."""
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    return weighted_slices(capacities, np.ones(num_shards))
-
-
-def weighted_slices(capacities: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Split every server's capacity across shards proportionally to ``weights``.
+    """Split every server's capacity evenly across ``num_shards`` shards.
 
     Columns sum back to the full capacities up to round-off; the first shard
     absorbs the residual so the sum is as close to exact as one float add
     allows.
     """
+    if num_shards < 1:
+        raise ValueError("num_shards must be >= 1")
     capacities = np.asarray(capacities, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 1 or weights.size < 1:
-        raise ValueError("weights must be a non-empty 1-D array")
-    if (weights <= 0).any():
-        raise ValueError("every shard weight must be positive")
-    fractions = weights / weights.sum()
+    fractions = np.full(num_shards, 1.0 / num_shards)
     slices = fractions[:, None] * capacities[None, :]
     slices[0] += capacities - slices.sum(axis=0)
     return slices
@@ -169,81 +156,47 @@ class FederatedWorld:
 
 
 def build_federation(
-    config: Union[DVEConfig, Sequence[DVEConfig], None] = None,
-    num_shards: Optional[int] = None,
+    config: Optional[DVEConfig] = None,
+    num_shards: int = 1,
     seed: SeedLike = None,
     client_weights: Optional[Sequence[float]] = None,
 ) -> FederatedWorld:
-    """Materialise a :class:`FederatedWorld` from one or more configurations.
+    """Materialise a :class:`FederatedWorld` from one base configuration.
 
     Parameters
     ----------
     config:
-        Either one base :class:`~repro.world.scenario.DVEConfig` (combined
-        with ``num_shards``: the base population is split across shards, each
-        shard keeping the base zone count — shards are independent worlds) or
-        an explicit sequence of per-shard configs.  The *first* config
-        supplies the shared substrate: topology parameters, fleet size and
-        total capacity.
+        The base :class:`~repro.world.scenario.DVEConfig` (paper defaults when
+        omitted).  It supplies the shared substrate — topology parameters,
+        fleet size and total capacity — and every shard's world: the base
+        population is split across the shards, each shard keeping the base
+        zone count (shards are independent worlds).
     num_shards:
-        Number of shards when a single base config is given (default 1);
-        must be omitted (or match) when explicit configs are given.
+        Number of shards.
     seed:
         Master seed; sub-streams for the topology, server placement, capacity
         allocation and each shard's client sampling are derived from it
         deterministically.
     client_weights:
-        Optional per-shard weights for splitting the base config's client
-        population (ignored when explicit configs are given) — a skewed
-        federation is the interesting case for demand-aware arbitration.
+        Optional per-shard weights for splitting the base population — a
+        skewed federation is the interesting case for demand-aware
+        arbitration.
 
     Every shard starts with an equal slice of every server.
     """
-    if isinstance(config, DVEConfig) or config is None:
-        base = config or DVEConfig()
-        num_shards = 1 if num_shards is None else int(num_shards)
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        counts = split_client_counts(base.num_clients, num_shards, weights=client_weights)
-        configs = [base.with_updates(num_clients=counts[i]) for i in range(num_shards)]
-    else:
-        configs = list(config)
-        if not configs:
-            raise ValueError("at least one shard config is required")
-        if num_shards is not None and num_shards != len(configs):
-            raise ValueError(
-                f"num_shards={num_shards} does not match {len(configs)} explicit configs"
-            )
-        if client_weights is not None:
-            raise ValueError("client_weights only apply when a single base config is given")
-        num_shards = len(configs)
-    base = configs[0]
+    base = config or DVEConfig()
+    if num_shards < 1:
+        raise ValueError("num_shards must be >= 1")
+    counts = split_client_counts(base.num_clients, num_shards, weights=client_weights)
 
     rng = as_generator(seed)
     topo_rng, server_rng, capacity_rng, *shard_rngs = spawn_generators(rng, 3 + num_shards)
-
-    topology = generate_topology(base.topology, seed=topo_rng)
-    delay_model = DelayModel(
-        topology,
-        max_rtt_ms=base.max_rtt_ms,
-        server_mesh_factor=base.server_mesh_factor,
-    )
-
-    server_nodes = place_servers(topology, base.num_servers, seed=server_rng)
-    capacities = allocate_capacities(
-        base.num_servers,
-        base.total_capacity_mbps,
-        min_capacity_mbps=base.min_server_capacity_mbps,
-        scheme=base.capacity_scheme,
-        seed=capacity_rng,
-    )
-    fleet = ServerSet(nodes=server_nodes, capacities=capacities)
-
+    topology, delay_model, fleet = _build_substrate(base, topo_rng, server_rng, capacity_rng)
     slices = equal_slices(fleet.capacities, num_shards)
 
     shards = tuple(
         build_scenario(
-            configs[i],
+            base.with_updates(num_clients=counts[i]),
             seed=shard_rngs[i],
             topology=topology,
             delay_model=delay_model,

@@ -1,11 +1,14 @@
 """DVE scenario assembly: configuration → fully materialised simulation state.
 
-A :class:`DVEConfig` captures every knob of the paper's Section 4.1 setup (the
-``<m>s-<n>z-<k>c-<P>cp`` notation plus delay bound, correlation, distributions
-and bandwidth-model parameters).  :func:`build_scenario` expands a config into
-a :class:`DVEScenario`: topology, delay model, placed servers with capacities,
-the client population, per-client bandwidth demands, and the two delay
-matrices that the assignment algorithms consume.
+A :class:`DVEConfig` holds what the paper's experiments vary in its
+Section 4.1 setup: the ``<m>s-<n>z-<k>c-<P>cp`` notation plus delay bound,
+correlation, client distributions, topology and delay backend.  The values no
+experiment varies (bandwidth stream, RTT rescale, server mesh, hotspots, hot
+zones, capacity split) are module constants of the model that reads them.
+:func:`build_scenario` expands a config into a :class:`DVEScenario`: topology,
+delay model, placed servers with capacities, the client population, per-client
+bandwidth demands, and the two delay matrices that the assignment algorithms
+consume.
 
 Scenarios are immutable snapshots; the dynamics engine produces new
 scenarios from old ones via :meth:`DVEScenario.apply_churn_delta` (a delta
@@ -31,21 +34,13 @@ from repro.topology.delay_backends import (
     compact_delay_matrix,
     node_server_table,
 )
-from repro.topology.delays import (
-    DEFAULT_MAX_RTT_MS,
-    DEFAULT_SERVER_MESH_FACTOR,
-    DelayModel,
-)
+from repro.topology.delays import DelayModel
 from repro.topology.graph import Topology
 from repro.topology.placement import place_servers
 from repro.utils.arena import EpochArena
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.utils.validation import check_positive, check_probability
-from repro.world.bandwidth import (
-    DEFAULT_FRAME_RATE,
-    DEFAULT_MESSAGE_BYTES,
-    BandwidthModel,
-)
+from repro.world.bandwidth import client_target_demands
 from repro.world.clients import ClientPopulation
 from repro.world.distributions import DistributionSpec, sample_client_nodes, sample_client_zones
 from repro.world.servers import MBPS, ServerSet, allocate_capacities
@@ -65,9 +60,11 @@ class DVEConfig:
     The defaults reproduce the paper's default configuration:
     20 servers, 80 zones, 1000 clients, 500 Mbps total capacity, minimum server
     capacity 10 Mbps, delay bound 250 ms, correlation 0.5, uniform client
-    distributions, 25 msg/s × 100 B bandwidth model, 500-node BRITE-like
-    hierarchical topology with 500 ms maximum RTT and a 50 %-latency
-    inter-server mesh.
+    distributions and a 500-node BRITE-like hierarchical topology.  The fixed
+    Section 4.1 parameters (25 msg/s × 100 B streams, 500 ms maximum RTT, a
+    50 %-latency inter-server mesh, hotspot and hot-zone shares, the random
+    capacity split) are constants of the models that read them; the README
+    lists them.
     """
 
     num_servers: int = 20
@@ -79,15 +76,6 @@ class DVEConfig:
     correlation: float = 0.5
     physical_distribution: str = "uniform"
     virtual_distribution: str = "uniform"
-    hot_zone_factor: float = 10.0
-    hot_zone_fraction: float = 0.1
-    physical_hotspots: int = 10
-    physical_hotspot_fraction: float = 0.7
-    frame_rate: float = DEFAULT_FRAME_RATE
-    message_bytes: float = DEFAULT_MESSAGE_BYTES
-    capacity_scheme: str = "random"
-    max_rtt_ms: float = DEFAULT_MAX_RTT_MS
-    server_mesh_factor: float = DEFAULT_SERVER_MESH_FACTOR
     topology: BriteConfig = field(default_factory=BriteConfig)
     delay_backend: str = DEFAULT_DELAY_BACKEND
     sparse_top_k: int = DEFAULT_SPARSE_TOP_K
@@ -125,16 +113,7 @@ class DVEConfig:
             physical=self.physical_distribution,
             virtual=self.virtual_distribution,
             correlation=self.correlation,
-            hot_zone_factor=self.hot_zone_factor,
-            hot_zone_fraction=self.hot_zone_fraction,
-            physical_hotspots=self.physical_hotspots,
-            physical_hotspot_fraction=self.physical_hotspot_fraction,
         )
-
-    @property
-    def bandwidth_model(self) -> BandwidthModel:
-        """The bandwidth model implied by this config."""
-        return BandwidthModel(frame_rate=self.frame_rate, message_bytes=self.message_bytes)
 
     def with_updates(self, **kwargs) -> "DVEConfig":
         """Return a copy of this config with some fields replaced."""
@@ -220,9 +199,7 @@ class DVEScenario:
         if population.zones.size and population.zones.max() >= self.num_zones:
             raise ValueError("population refers to zones outside this scenario's world")
         delays = self.client_server_delays.with_clients(population.nodes, population.zones)
-        demands = self.config.bandwidth_model.client_target_demands(
-            population.zones, self.num_zones
-        )
+        demands = client_target_demands(population.zones, self.num_zones)
         return DVEScenario(
             config=self.config,
             topology=self.topology,
@@ -270,7 +247,7 @@ class DVEScenario:
         delays = self.client_server_delays.with_clients(
             population.nodes, population.zones, churn.old_to_new, churn.movers_old
         )
-        demands = self.config.bandwidth_model.client_target_demands(
+        demands = client_target_demands(
             population.zones,
             self.num_zones,
             out=arena.acquire((population.num_clients,), dtype=np.float64),
@@ -404,32 +381,9 @@ def build_scenario(
         client_node_rng,
         client_zone_rng,
     ) = spawn_generators(rng, 5)
-
-    if topology is None:
-        if servers is not None:
-            raise ValueError("supplying servers requires supplying their topology too")
-        topology = generate_topology(config.topology, seed=topo_rng)
-    if delay_model is None:
-        delay_model = DelayModel(
-            topology,
-            max_rtt_ms=config.max_rtt_ms,
-            server_mesh_factor=config.server_mesh_factor,
-        )
-    elif delay_model.topology is not topology:
-        raise ValueError("delay_model must be built from the supplied topology")
-
-    if servers is None:
-        server_nodes = place_servers(topology, config.num_servers, seed=server_rng)
-        capacities = allocate_capacities(
-            config.num_servers,
-            config.total_capacity_mbps,
-            min_capacity_mbps=config.min_server_capacity_mbps,
-            scheme=config.capacity_scheme,
-            seed=capacity_rng,
-        )
-        servers = ServerSet(nodes=server_nodes, capacities=capacities)
-    elif servers.nodes.size and servers.nodes.max() >= topology.num_nodes:
-        raise ValueError("servers refer to nodes outside the supplied topology")
+    topology, delay_model, servers = _build_substrate(
+        config, topo_rng, server_rng, capacity_rng, topology, delay_model, servers
+    )
 
     spec = config.distribution_spec
     client_nodes = sample_client_nodes(topology, config.num_clients, spec, seed=client_node_rng)
@@ -448,7 +402,7 @@ def build_scenario(
         top_k=None if config.delay_backend == "dense" else config.sparse_top_k,
     )
     server_server_delays = delay_model.server_server_delays(servers.nodes)
-    client_demands = config.bandwidth_model.client_target_demands(client_zones, config.num_zones)
+    client_demands = client_target_demands(client_zones, config.num_zones)
 
     return DVEScenario(
         config=config,
@@ -461,3 +415,42 @@ def build_scenario(
         server_server_delays=server_server_delays,
         client_demands=client_demands,
     )
+
+
+def _build_substrate(
+    config: DVEConfig,
+    topo_rng: np.random.Generator,
+    server_rng: np.random.Generator,
+    capacity_rng: np.random.Generator,
+    topology: Optional[Topology] = None,
+    delay_model: Optional[DelayModel] = None,
+    servers: Optional[ServerSet] = None,
+) -> tuple[Topology, DelayModel, ServerSet]:
+    """The topology, delay model and server fleet of ``config``.
+
+    Each part not supplied is built from its own stream: the topology from
+    ``topo_rng``, the fleet's nodes from ``server_rng`` and its capacities
+    from ``capacity_rng``.  :func:`build_scenario` and
+    :func:`~repro.world.federation.build_federation` share this recipe.
+    """
+    if topology is None:
+        if servers is not None:
+            raise ValueError("supplying servers requires supplying their topology too")
+        topology = generate_topology(config.topology, seed=topo_rng)
+    if delay_model is None:
+        delay_model = DelayModel(topology)
+    elif delay_model.topology is not topology:
+        raise ValueError("delay_model must be built from the supplied topology")
+
+    if servers is None:
+        server_nodes = place_servers(topology, config.num_servers, seed=server_rng)
+        capacities = allocate_capacities(
+            config.num_servers,
+            config.total_capacity_mbps,
+            min_capacity_mbps=config.min_server_capacity_mbps,
+            seed=capacity_rng,
+        )
+        servers = ServerSet(nodes=server_nodes, capacities=capacities)
+    elif servers.nodes.size and servers.nodes.max() >= topology.num_nodes:
+        raise ValueError("servers refer to nodes outside the supplied topology")
+    return topology, delay_model, servers

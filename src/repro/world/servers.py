@@ -7,9 +7,9 @@ capacity plus a minimum per-server capacity ("the minimum bandwidth capacity
 of server is 10 Mbps, and the total capacity of the system is 500 Mbps").
 
 :class:`ServerSet` stores, per server, the topology node it sits on and its
-bandwidth capacity in bits per second.  Capacities can be allocated evenly or
-heterogeneously (every server gets the minimum, the remainder is split with
-random proportions), mirroring a rented, heterogeneous server fleet.
+bandwidth capacity in bits per second.  Capacities are heterogeneous: every
+server gets the minimum and the remainder is split with random proportions,
+mirroring a rented, heterogeneous server fleet.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = ["ServerSet", "allocate_capacities", "MBPS"]
 
 #: Bits per second in one Mbps.
 MBPS = 1_000_000.0
-
-_CAPACITY_SCHEMES = ("uniform", "random", "proportional")
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,6 @@ def allocate_capacities(
     num_servers: int,
     total_capacity_mbps: float,
     min_capacity_mbps: float = 10.0,
-    scheme: str = "random",
     seed: SeedLike = None,
 ) -> np.ndarray:
     """Allocate per-server capacities (bits/s) summing to the total capacity.
@@ -94,15 +91,11 @@ def allocate_capacities(
     total_capacity_mbps:
         Total system bandwidth capacity in Mbps (paper default 500).
     min_capacity_mbps:
-        Minimum per-server capacity in Mbps (paper default 10).
-    scheme:
-        ``"uniform"`` — even split of the total.
-        ``"random"`` — each server gets the minimum plus a random (Dirichlet)
-        share of the remainder; models heterogeneous rented servers.
-        ``"proportional"`` — like random but with mild heterogeneity (Dirichlet
-        concentration 5), so capacities stay within a factor of ~2 of the mean.
+        Minimum per-server capacity in Mbps (paper default 10).  Each server
+        gets the minimum plus a random share of the remainder, the shares
+        drawn from a flat Dirichlet distribution.
     seed:
-        RNG for the random schemes.
+        RNG for the shares.
 
     Returns
     -------
@@ -113,20 +106,12 @@ def allocate_capacities(
         raise ValueError("num_servers must be >= 1")
     check_positive(total_capacity_mbps, "total_capacity_mbps")
     check_non_negative(min_capacity_mbps, "min_capacity_mbps")
-    if scheme not in _CAPACITY_SCHEMES:
-        raise ValueError(f"scheme must be one of {_CAPACITY_SCHEMES}, got {scheme!r}")
     if min_capacity_mbps * num_servers > total_capacity_mbps + 1e-9:
         raise ValueError(
             f"total capacity {total_capacity_mbps} Mbps cannot cover the minimum "
             f"{min_capacity_mbps} Mbps for each of {num_servers} servers"
         )
 
-    if scheme == "uniform":
-        caps = np.full(num_servers, total_capacity_mbps / num_servers)
-    else:
-        rng = as_generator(seed)
-        remainder = total_capacity_mbps - min_capacity_mbps * num_servers
-        concentration = 1.0 if scheme == "random" else 5.0
-        shares = rng.dirichlet(np.full(num_servers, concentration))
-        caps = min_capacity_mbps + shares * remainder
-    return caps * MBPS
+    remainder = total_capacity_mbps - min_capacity_mbps * num_servers
+    shares = as_generator(seed).dirichlet(np.ones(num_servers))
+    return (min_capacity_mbps + shares * remainder) * MBPS

@@ -12,6 +12,7 @@ from repro.experiments.config import (
     paper_default_config,
     parse_config_label,
 )
+from repro.world.bandwidth import FRAME_RATE, MESSAGE_BYTES
 
 
 class TestParseLabel:
@@ -51,8 +52,8 @@ class TestConfigFromLabel:
         assert config.delay_bound_ms == 250.0
         assert config.correlation == 0.5
         assert config.min_server_capacity_mbps == 10.0
-        assert config.frame_rate == 25.0
-        assert config.message_bytes == 100.0
+        assert FRAME_RATE == 25.0
+        assert MESSAGE_BYTES == 100.0
 
 
 class TestPaperConstants:

@@ -133,11 +133,7 @@ class TestZeroCopyDispatch:
 
     def test_task_payload_o1_in_delay_matrix(self):
         config = make_small_config()
-        model = DelayModel(
-            generate_topology(config.topology, seed=0),
-            max_rtt_ms=config.max_rtt_ms,
-            server_mesh_factor=config.server_mesh_factor,
-        )
+        model = DelayModel(generate_topology(config.topology, seed=0))
         rtt_bytes = model.rtt.nbytes  # materialise before measuring
 
         def task_bytes():

@@ -42,10 +42,6 @@ KEEP_UNREACHED_METHODS = {
 _SHRINK = "tests shrink the experiment's runs through it"
 _GOLDEN = "the experiments golden corpus (tests/golden/experiments_corpus.py) sets it"
 _SMALL_WORLDS = "the solver golden corpus and tests/conftest.py's small worlds set it"
-_WORLD = (
-    "a Section 4.1 world parameter that DVEConfig passes on to the delay, bandwidth, "
-    "capacity or client-distribution model, setting that model's own field"
-)
 
 #: Defaulted parameters and dataclass init fields (``function.param``,
 #: ``Class.method.param``, ``Class.field``) that no ``src/``, ``bench/`` or
@@ -55,14 +51,6 @@ KEEP_UNSET_OPTIONS = {
     "BriteConfig.routers_per_as": _SMALL_WORLDS,
     "DVEConfig.topology": "tests/conftest.py builds the small worlds through it",
     "DVEConfig.min_server_capacity_mbps": "tests/conftest.py builds the small worlds through it",
-    "DVEConfig.capacity_scheme": _WORLD,
-    "DVEConfig.frame_rate": _WORLD,
-    "DVEConfig.message_bytes": _WORLD,
-    "DVEConfig.hot_zone_fraction": _WORLD,
-    "DVEConfig.physical_hotspots": _WORLD,
-    "DVEConfig.physical_hotspot_fraction": _WORLD,
-    "DVEConfig.max_rtt_ms": _WORLD,
-    "DVEConfig.server_mesh_factor": _WORLD,
     "HierarchicalParams.inter_as_latency_per_unit": "goes when inter-AS links are priced by span",
     "MigrationCostModel.freeze_ms_per_client": "the controller golden corpus digests freeze_ms",
     "MigrationCostModel.freeze_ms_per_zone": "the controller golden corpus digests freeze_ms",

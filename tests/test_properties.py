@@ -17,7 +17,7 @@ from repro.dynamics.events import ChurnBatch, apply_churn
 from repro.measurement.error import apply_multiplicative_error
 from repro.metrics.cdf import delay_cdf
 from repro.metrics.summary import aggregate
-from repro.world.bandwidth import BandwidthModel
+from repro.world.bandwidth import STREAM_BPS, client_target_demands
 from repro.world.clients import ClientPopulation
 
 from tests.reference.churn_snapshots import apply_churn_snapshots, assert_same_churn
@@ -182,11 +182,11 @@ class TestSubstrateInvariants:
     def test_bandwidth_demands_positive_and_consistent(self, num_clients, num_zones, seed):
         rng = np.random.default_rng(seed)
         zones = rng.integers(0, num_zones, size=num_clients)
-        model = BandwidthModel()
-        per_client = model.client_target_demands(zones, num_zones)
-        per_zone = model.zone_demands(zones, num_zones)
+        per_client = client_target_demands(zones, num_zones)
+        populations = np.bincount(zones, minlength=num_zones)
+        per_zone = np.bincount(zones, weights=per_client, minlength=num_zones)
         assert (per_client > 0).all()
-        assert per_zone.sum() == pytest.approx(per_client.sum())
+        np.testing.assert_allclose(per_zone, STREAM_BPS * populations * (populations + 1.0))
 
     @given(
         hnp.arrays(

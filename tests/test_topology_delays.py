@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.topology.delay_backends import compact_delay_matrix
-from repro.topology.delays import DEFAULT_MAX_RTT_MS, DEFAULT_SERVER_MESH_FACTOR, DelayModel
+from repro.topology.delays import MAX_RTT_MS, SERVER_MESH_FACTOR, DelayModel
 from tests.conftest import flat_waxman
 
 
@@ -22,23 +22,15 @@ def small_topology_module():
     return flat_waxman(30, seed=2)
 
 
-class TestDefaults:
-    def test_paper_defaults(self):
-        assert DEFAULT_MAX_RTT_MS == 500.0
-        assert DEFAULT_SERVER_MESH_FACTOR == 0.5
-
-    def test_invalid_mesh_factor(self, small_topology_module):
-        with pytest.raises(ValueError):
-            DelayModel(small_topology_module, server_mesh_factor=1.5)
-
-    def test_invalid_max_rtt(self, small_topology_module):
-        with pytest.raises(ValueError):
-            DelayModel(small_topology_module, max_rtt_ms=-1.0)
+class TestConstants:
+    def test_paper_values(self):
+        assert MAX_RTT_MS == 500.0
+        assert SERVER_MESH_FACTOR == 0.5
 
 
 class TestRttMatrix:
     def test_max_rtt_matches_setting(self, model):
-        assert model.rtt.max() == pytest.approx(DEFAULT_MAX_RTT_MS)
+        assert model.rtt.max() == pytest.approx(MAX_RTT_MS)
 
     def test_zero_diagonal(self, model):
         np.testing.assert_allclose(np.diag(model.rtt), 0.0)
@@ -84,18 +76,13 @@ class TestServerMesh:
         mesh = model.server_server_delays(servers)
         full = model.rtt[np.ix_(servers, servers)]
         off_diag = ~np.eye(3, dtype=bool)
-        np.testing.assert_allclose(mesh[off_diag], 0.5 * full[off_diag])
+        np.testing.assert_allclose(mesh[off_diag], SERVER_MESH_FACTOR * full[off_diag])
 
     def test_zero_diagonal_even_for_repeated_nodes(self, small_topology_module):
         model = DelayModel(small_topology_module)
         mesh = model.server_server_delays(np.array([3, 3]))
         # RTT between a node and itself is zero, and the diagonal is forced to 0.
         assert mesh[0, 0] == 0.0 and mesh[1, 1] == 0.0
-
-    def test_mesh_factor_zero_means_free_mesh(self, small_topology_module):
-        model = DelayModel(small_topology_module, server_mesh_factor=0.0)
-        mesh = model.server_server_delays(np.array([0, 1, 2]))
-        np.testing.assert_allclose(mesh, 0.0)
 
     def test_mesh_never_slower_than_direct(self, model):
         servers = np.arange(10)

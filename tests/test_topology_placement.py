@@ -7,7 +7,8 @@ import pytest
 
 from repro.topology.hierarchical import HierarchicalParams, hierarchical_topology
 from repro.topology.placement import (
-    ClusteredPlacementParams,
+    HOTSPOT_FRACTION,
+    HOTSPOT_NODES,
     place_clients_clustered,
     place_clients_uniform,
     place_servers,
@@ -77,26 +78,19 @@ class TestPlaceClientsUniform:
 
 
 class TestPlaceClientsClustered:
-    def test_hotspots_receive_most_clients(self, flat_topology):
-        params = ClusteredPlacementParams(num_hotspots=3, hotspot_fraction=0.8)
-        nodes = place_clients_clustered(flat_topology, 2000, params=params, seed=0)
-        counts = np.bincount(nodes, minlength=flat_topology.num_nodes)
-        top3 = np.sort(counts)[-3:].sum()
-        assert top3 / 2000 > 0.6
+    def test_paper_values(self):
+        assert HOTSPOT_NODES == 10
+        assert HOTSPOT_FRACTION == 0.7
 
-    def test_fraction_zero_is_uniform_like(self, flat_topology):
-        params = ClusteredPlacementParams(num_hotspots=3, hotspot_fraction=0.0)
-        nodes = place_clients_clustered(flat_topology, 500, params=params, seed=0)
+    def test_hotspots_receive_most_clients(self, flat_topology):
+        nodes = place_clients_clustered(flat_topology, 2000, seed=0)
         counts = np.bincount(nodes, minlength=flat_topology.num_nodes)
-        assert counts.max() < 500 * 0.2
+        # 70 % on the 10 hotspots plus their share of the uniform rest: ~80 %.
+        top = np.sort(counts)[-HOTSPOT_NODES:].sum()
+        assert top / 2000 > 0.7
 
     def test_deterministic(self, flat_topology):
         a = place_clients_clustered(flat_topology, 50, seed=9)
         b = place_clients_clustered(flat_topology, 50, seed=9)
         np.testing.assert_array_equal(a, b)
 
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            ClusteredPlacementParams(num_hotspots=0)
-        with pytest.raises(ValueError):
-            ClusteredPlacementParams(hotspot_fraction=1.5)

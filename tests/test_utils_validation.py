@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.validation import (
-    check_in_range,
-    check_non_negative,
-    check_positive,
-    check_probability,
-)
+from repro.utils.validation import check_non_negative, check_positive, check_probability
 
 
 class TestCheckPositive:
@@ -60,22 +55,3 @@ class TestCheckProbability:
     def test_returns_float(self):
         value = check_probability(1, "p")
         assert value == 1.0 and isinstance(value, float)
-
-
-class TestCheckInRange:
-    def test_accepts_bounds_inclusive(self):
-        assert check_in_range(0.0, 0.0, 1.0, "x") == 0.0
-        assert check_in_range(1.0, 0.0, 1.0, "x") == 1.0
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError):
-            check_in_range(1.5, 0.0, 1.0, "x")
-
-    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf"), float("-inf")])
-    def test_rejects_non_finite_and_outside(self, value):
-        with pytest.raises(ValueError, match=r"\[0.0, 1.0\]"):
-            check_in_range(value, 0.0, 1.0, "x")
-
-    def test_returns_float(self):
-        value = check_in_range(3, 1, 5, "x")
-        assert value == 3.0 and isinstance(value, float)

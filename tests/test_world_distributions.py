@@ -8,6 +8,8 @@ import pytest
 from repro.topology.hierarchical import HierarchicalParams, hierarchical_topology
 from repro.world.distributions import (
     DISTRIBUTION_TYPES,
+    HOT_ZONE_FACTOR,
+    HOT_ZONE_FRACTION,
     DistributionSpec,
     distribution_type,
     sample_client_nodes,
@@ -51,16 +53,19 @@ class TestZoneWeights:
     def test_uniform_all_ones(self):
         np.testing.assert_allclose(zone_weights(8, virtual="uniform"), 1.0)
 
+    def test_paper_values(self):
+        assert HOT_ZONE_FACTOR == 10.0
+        assert HOT_ZONE_FRACTION == 0.1
+
     def test_clustered_has_hot_zones(self):
-        weights = zone_weights(
-            20, virtual="clustered", hot_zone_factor=10.0, hot_zone_fraction=0.1, seed=0
-        )
-        assert (weights == 10.0).sum() == 2
+        weights = zone_weights(20, virtual="clustered", seed=0)
+        assert (weights == HOT_ZONE_FACTOR).sum() == 2
         assert (weights == 1.0).sum() == 18
 
     def test_at_least_one_hot_zone(self):
-        weights = zone_weights(5, virtual="clustered", hot_zone_fraction=0.01, seed=0)
-        assert (weights > 1.0).sum() >= 1
+        # 10 % of 4 zones rounds to none; the floor still makes one zone hot.
+        weights = zone_weights(4, virtual="clustered", seed=0)
+        assert (weights == HOT_ZONE_FACTOR).sum() == 1
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
@@ -79,12 +84,11 @@ class TestSampleClientNodes:
         assert nodes.max() < topology.num_nodes
 
     def test_clustered_concentrates(self, topology):
-        spec = DistributionSpec(
-            physical="clustered", physical_hotspots=2, physical_hotspot_fraction=0.9
-        )
+        spec = DistributionSpec(physical="clustered")
         nodes = sample_client_nodes(topology, 1000, spec, seed=1)
         counts = np.bincount(nodes, minlength=topology.num_nodes)
-        assert np.sort(counts)[-2:].sum() > 700
+        # 70 % on the 10 hotspots plus their share of the uniform rest: ~80 %.
+        assert np.sort(counts)[-10:].sum() > 700
 
     def test_deterministic(self, topology):
         spec = DistributionSpec()
@@ -102,7 +106,7 @@ class TestSampleClientZones:
         assert zones.min() >= 0 and zones.max() < 10
 
     def test_clustered_virtual_world_has_hot_zones(self, topology):
-        spec = DistributionSpec(virtual="clustered", hot_zone_factor=10.0, correlation=0.0)
+        spec = DistributionSpec(virtual="clustered", correlation=0.0)
         nodes = sample_client_nodes(topology, 2000, spec, seed=0)
         zones = sample_client_zones(topology, nodes, 20, spec, seed=0)
         counts = np.bincount(zones, minlength=20)

@@ -10,7 +10,6 @@ from repro.world.federation import (
     build_federation,
     equal_slices,
     split_client_counts,
-    weighted_slices,
 )
 from repro.world.scenario import build_scenario
 from repro.world.servers import ServerSet
@@ -25,19 +24,6 @@ class TestSliceHelpers:
         assert slices.shape == (3, 3)
         assert np.allclose(slices.sum(axis=0), caps, rtol=1e-12)
         assert (slices > 0).all()
-
-    def test_weighted_slices_proportional_and_conserving(self):
-        caps = np.array([12.0, 6.0])
-        slices = weighted_slices(caps, np.array([3.0, 1.0]))
-        assert np.allclose(slices.sum(axis=0), caps, rtol=1e-12)
-        # Shard 0 gets ~3x shard 1 on every server (up to the round-off fixup).
-        assert np.allclose(slices[0] / slices[1], 3.0)
-
-    def test_weighted_slices_reject_bad_weights(self):
-        with pytest.raises(ValueError):
-            weighted_slices(np.ones(2), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            weighted_slices(np.ones(2), np.zeros(0))
 
     def test_split_client_counts_sums_exactly(self):
         for total in (0, 1, 7, 100, 1001):
@@ -100,27 +86,6 @@ class TestBuildFederation:
         )
         counts = [s.num_clients for s in fed.shards]
         assert counts[0] > counts[1] > counts[2]
-
-    def test_explicit_config_sequence(self):
-        base = make_small_config()
-        configs = [
-            base.with_updates(num_clients=60),
-            base.with_updates(num_clients=30, num_zones=6),
-        ]
-        fed = build_federation(configs, seed=5)
-        assert fed.num_shards == 2
-        assert fed.shards[0].num_clients == 60
-        assert fed.shards[1].num_clients == 30
-        assert fed.shards[1].num_zones == 6
-
-    def test_explicit_configs_reject_client_weights(self):
-        base = make_small_config()
-        with pytest.raises(ValueError):
-            build_federation([base, base], seed=5, client_weights=[1, 2])
-        with pytest.raises(ValueError):
-            build_federation([base, base], num_shards=3, seed=5)
-        with pytest.raises(ValueError):
-            build_federation([], seed=5)
 
     def test_single_shard_gets_full_fleet(self):
         fed = build_federation(make_small_config(), num_shards=1, seed=3)

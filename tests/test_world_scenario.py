@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_small_config
+from repro.topology.delays import MAX_RTT_MS
 from repro.world.clients import ClientPopulation
 from repro.world.scenario import DVEConfig, build_scenario
 
@@ -42,14 +43,10 @@ class TestDVEConfig:
         assert config.correlation == 0.5  # original unchanged
 
     def test_distribution_spec_propagation(self):
-        config = make_small_config(virtual_distribution="clustered", hot_zone_factor=5.0)
+        config = make_small_config(virtual_distribution="clustered", correlation=0.3)
         spec = config.distribution_spec
         assert spec.virtual == "clustered"
-        assert spec.hot_zone_factor == 5.0
-
-    def test_bandwidth_model_propagation(self):
-        config = make_small_config(frame_rate=50.0, message_bytes=200.0)
-        assert config.bandwidth_model.stream_bps == pytest.approx(50 * 200 * 8)
+        assert spec.correlation == 0.3
 
 
 class TestBuildScenario:
@@ -74,7 +71,7 @@ class TestBuildScenario:
     def test_delays_non_negative_and_bounded(self, small_scenario, small_config):
         delays = small_scenario.client_server_delays.toarray()
         assert (delays >= 0).all()
-        assert delays.max() <= small_config.max_rtt_ms + 1e-9
+        assert delays.max() <= MAX_RTT_MS + 1e-9
 
     def test_server_mesh_is_discounted(self, small_scenario):
         mesh = small_scenario.server_server_delays

@@ -29,38 +29,23 @@ class TestServerSet:
 
 
 class TestAllocateCapacities:
-    @pytest.mark.parametrize("scheme", ["uniform", "random", "proportional"])
-    def test_sums_to_total(self, scheme):
-        caps = allocate_capacities(20, 500.0, scheme=scheme, seed=0)
+    def test_sums_to_total(self):
+        caps = allocate_capacities(20, 500.0, seed=0)
         assert caps.sum() == pytest.approx(500.0 * MBPS)
         assert caps.shape == (20,)
 
-    @pytest.mark.parametrize("scheme", ["random", "proportional"])
-    def test_respects_minimum(self, scheme):
-        caps = allocate_capacities(20, 500.0, min_capacity_mbps=10.0, scheme=scheme, seed=1)
+    def test_respects_minimum(self):
+        caps = allocate_capacities(20, 500.0, min_capacity_mbps=10.0, seed=1)
         assert (caps >= 10.0 * MBPS - 1e-6).all()
 
-    def test_uniform_split_is_even(self):
-        caps = allocate_capacities(5, 100.0, scheme="uniform")
-        np.testing.assert_allclose(caps, 20.0 * MBPS)
-
-    def test_proportional_less_skewed_than_random(self):
-        random_caps = allocate_capacities(50, 1000.0, scheme="random", seed=0)
-        prop_caps = allocate_capacities(50, 1000.0, scheme="proportional", seed=0)
-        assert np.std(prop_caps) < np.std(random_caps)
-
     def test_deterministic(self):
-        a = allocate_capacities(10, 200.0, scheme="random", seed=7)
-        b = allocate_capacities(10, 200.0, scheme="random", seed=7)
+        a = allocate_capacities(10, 200.0, seed=7)
+        b = allocate_capacities(10, 200.0, seed=7)
         np.testing.assert_allclose(a, b)
 
     def test_infeasible_minimum(self):
         with pytest.raises(ValueError):
             allocate_capacities(10, 50.0, min_capacity_mbps=10.0)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            allocate_capacities(5, 100.0, scheme="exponential")
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
