@@ -54,7 +54,7 @@ __all__ = [
 _PW_KINDS = ("uniform", "clustered")
 _VW_KINDS = ("uniform", "clustered")
 
-#: Paper Section 4.1: a clustered zone holds 10 times the clients of a normal one.
+#: The paper's clustered virtual world: a hot zone holds 10 times the clients of a normal one.
 HOT_ZONE_FACTOR = 10.0
 #: Fraction of the zones that are hot under the clustered VW distribution.
 HOT_ZONE_FRACTION = 0.1

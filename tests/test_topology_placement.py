@@ -89,6 +89,13 @@ class TestPlaceClientsClustered:
         top = np.sort(counts)[-HOTSPOT_NODES:].sum()
         assert top / 2000 > 0.7
 
+    def test_zero_clients(self, flat_topology):
+        assert place_clients_clustered(flat_topology, 0, seed=0).size == 0
+
+    def test_negative_count(self, flat_topology):
+        with pytest.raises(ValueError):
+            place_clients_clustered(flat_topology, -1)
+
     def test_deterministic(self, flat_topology):
         a = place_clients_clustered(flat_topology, 50, seed=9)
         b = place_clients_clustered(flat_topology, 50, seed=9)

@@ -57,15 +57,16 @@ class TestZoneWeights:
         assert HOT_ZONE_FACTOR == 10.0
         assert HOT_ZONE_FRACTION == 0.1
 
-    def test_clustered_has_hot_zones(self):
-        weights = zone_weights(20, virtual="clustered", seed=0)
-        assert (weights == HOT_ZONE_FACTOR).sum() == 2
-        assert (weights == 1.0).sum() == 18
-
     def test_at_least_one_hot_zone(self):
         # 10 % of 4 zones rounds to none; the floor still makes one zone hot.
         weights = zone_weights(4, virtual="clustered", seed=0)
         assert (weights == HOT_ZONE_FACTOR).sum() == 1
+
+    @pytest.mark.parametrize("num_zones, hot", [(1, 1), (6, 1), (15, 2), (20, 2), (80, 8)])
+    def test_clustered_has_hot_zones(self, num_zones, hot):
+        weights = zone_weights(num_zones, virtual="clustered", seed=0)
+        assert (weights == HOT_ZONE_FACTOR).sum() == hot
+        assert (weights == 1.0).sum() == num_zones - hot
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):

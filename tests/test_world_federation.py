@@ -25,6 +25,16 @@ class TestSliceHelpers:
         assert np.allclose(slices.sum(axis=0), caps, rtol=1e-12)
         assert (slices > 0).all()
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 5, 7, 16])
+    def test_equal_slices_keep_the_weighted_formula_bits(self, num_shards):
+        """The direct split is bit-identical to proportional slicing with
+        all-ones weights, the formula every federation corpus was recorded on."""
+        caps = np.random.default_rng(num_shards).uniform(1e6, 5e7, size=9)
+        weights = np.ones(num_shards)
+        expected = (weights / weights.sum())[:, None] * caps[None, :]
+        expected[0] += caps - expected.sum(axis=0)
+        np.testing.assert_array_equal(equal_slices(caps, num_shards), expected)
+
     def test_split_client_counts_sums_exactly(self):
         for total in (0, 1, 7, 100, 1001):
             for shards in (1, 2, 3, 7):
@@ -86,6 +96,16 @@ class TestBuildFederation:
         )
         counts = [s.num_clients for s in fed.shards]
         assert counts[0] > counts[1] > counts[2]
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_substrate_matches_build_scenario(self, num_shards):
+        """The federation's topology, delays and fleet come from the same
+        streams as those of a scenario built from the same seed."""
+        scenario = build_scenario(make_small_config(), seed=4)
+        fed = build_federation(make_small_config(), num_shards=num_shards, seed=4)
+        np.testing.assert_array_equal(fed.delay_model.rtt, scenario.delay_model.rtt)
+        np.testing.assert_array_equal(fed.servers.nodes, scenario.servers.nodes)
+        np.testing.assert_array_equal(fed.servers.capacities, scenario.servers.capacities)
 
     def test_single_shard_gets_full_fleet(self):
         fed = build_federation(make_small_config(), num_shards=1, seed=3)

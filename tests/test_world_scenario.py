@@ -34,6 +34,25 @@ class TestDVEConfig:
         with pytest.raises(ValueError):
             DVEConfig(total_capacity_mbps=0)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "capacity_scheme",
+            "frame_rate",
+            "message_bytes",
+            "hot_zone_factor",
+            "hot_zone_fraction",
+            "physical_hotspots",
+            "physical_hotspot_fraction",
+            "max_rtt_ms",
+            "server_mesh_factor",
+        ],
+    )
+    def test_fixed_world_parameters_are_not_options(self, name):
+        # Section 4.1 values nothing varies are module constants (README table).
+        with pytest.raises(TypeError):
+            DVEConfig(**{name: 1.0})
+
     def test_with_updates(self):
         config = make_small_config()
         updated = config.with_updates(correlation=0.9, delay_bound_ms=200.0)
@@ -90,6 +109,19 @@ class TestBuildScenario:
             a.client_server_delays.toarray(),
             b.client_server_delays.toarray(),
         )
+
+    def test_supplied_substrate_matches_built_one(self, small_config, small_scenario):
+        """Reusing a topology and delay model leaves the fleet and clients as
+        if the scenario had built them itself."""
+        reused = build_scenario(
+            small_config,
+            seed=7,
+            topology=small_scenario.topology,
+            delay_model=small_scenario.delay_model,
+        )
+        np.testing.assert_array_equal(reused.servers.capacities, small_scenario.servers.capacities)
+        np.testing.assert_array_equal(reused.population.nodes, small_scenario.population.nodes)
+        np.testing.assert_array_equal(reused.population.zones, small_scenario.population.zones)
 
     def test_different_seeds_differ(self, small_config):
         a = build_scenario(small_config, seed=1)

@@ -38,6 +38,10 @@ class TestAllocateCapacities:
         caps = allocate_capacities(20, 500.0, min_capacity_mbps=10.0, seed=1)
         assert (caps >= 10.0 * MBPS - 1e-6).all()
 
+    def test_minimum_covering_the_total_splits_evenly(self):
+        caps = allocate_capacities(4, 40.0, min_capacity_mbps=10.0, seed=2)
+        np.testing.assert_array_equal(caps, np.full(4, 10.0 * MBPS))
+
     def test_deterministic(self):
         a = allocate_capacities(10, 200.0, seed=7)
         b = allocate_capacities(10, 200.0, seed=7)
