@@ -10,8 +10,10 @@ Each entry builds one topology and hashes, with sha256, the exact bytes of
 Each digest also covers the array's dtype and shape, and the bytes are taken
 in C order, so a change of memory layout alone does not move a digest.
 
-The grid is :func:`~repro.topology.brite.generate_topology` (the paper's
-500-node hierarchy) over three seeds.  ``tests/test_golden_topology.py``
+The grid is :func:`~repro.topology.brite.generate_topology` over three
+seeds for the paper's 500-node hierarchy (20 ASes of 25 routers) and for
+three other shapes: a single router (1 x 1), a small hierarchy (6 x 5) and
+a few large ASes (3 x 40).  ``tests/test_golden_topology.py``
 asserts the committed digests; any change to a generator's output or to an
 all-pairs delay shows up as a digest mismatch.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +37,8 @@ from repro.topology.brite import BriteConfig, generate_topology
 GOLDEN_PATH = Path(__file__).resolve().parent / "topology.json"
 
 SEEDS = (0, 1, 2)
+#: ``(num_as, routers_per_as)`` shapes besides the paper's 20 x 25.
+SHAPES = ((1, 1), (6, 5), (3, 40))
 MAX_RTT_MS = 500.0
 
 
@@ -46,9 +50,15 @@ def _array_digest(arr: Optional[np.ndarray]) -> Optional[str]:
     return h.hexdigest()
 
 
-def topology_digests(seed: int) -> Dict[str, Optional[str]]:
-    """Digests of one topology's arrays and its scaled RTT matrix."""
-    topology = generate_topology(BriteConfig(), seed=seed)
+def topology_digests(
+    seed: int, shape: Optional[Tuple[int, int]] = None
+) -> Dict[str, Optional[str]]:
+    """Digests of one topology's arrays and its scaled RTT matrix.
+
+    ``shape`` is ``(num_as, routers_per_as)``; ``None`` is the paper's.
+    """
+    config = BriteConfig() if shape is None else BriteConfig(*shape)
+    topology = generate_topology(config, seed=seed)
     return {
         "edges": _array_digest(topology.edges),
         "latencies": _array_digest(topology.latencies),
@@ -58,12 +68,19 @@ def topology_digests(seed: int) -> Dict[str, Optional[str]]:
     }
 
 
-def key_name(seed: int) -> str:
-    return f"hierarchical/seed={seed}"
+def key_name(seed: int, shape: Optional[Tuple[int, int]] = None) -> str:
+    if shape is None:
+        return f"hierarchical/seed={seed}"
+    return f"hierarchical/{shape[0]}x{shape[1]}/seed={seed}"
+
+
+def grid() -> List[Tuple[int, Optional[Tuple[int, int]]]]:
+    """Every ``(seed, shape)`` entry of the corpus."""
+    return [(seed, shape) for shape in (None, *SHAPES) for seed in SEEDS]
 
 
 def main() -> None:
-    corpus = {key_name(seed): topology_digests(seed) for seed in SEEDS}
+    corpus = {key_name(seed, shape): topology_digests(seed, shape) for seed, shape in grid()}
     GOLDEN_PATH.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(corpus)} topology digests to {GOLDEN_PATH}")
 

@@ -10,15 +10,15 @@ import json
 
 import pytest
 
-from tests.golden.topology_corpus import GOLDEN_PATH, SEEDS, key_name, topology_digests
+from tests.golden.topology_corpus import GOLDEN_PATH, grid, key_name, topology_digests
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 def test_corpus_covers_the_grid():
-    assert sorted(GOLDEN) == sorted(key_name(seed) for seed in SEEDS)
+    assert sorted(GOLDEN) == sorted(key_name(seed, shape) for seed, shape in grid())
 
 
-@pytest.mark.parametrize("seed", SEEDS, ids=key_name)
-def test_topology_digests_match_golden(seed):
-    assert topology_digests(seed) == GOLDEN[key_name(seed)]
+@pytest.mark.parametrize(("seed", "shape"), grid(), ids=[key_name(*entry) for entry in grid()])
+def test_topology_digests_match_golden(seed, shape):
+    assert topology_digests(seed, shape) == GOLDEN[key_name(seed, shape)]
