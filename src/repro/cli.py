@@ -521,6 +521,10 @@ def _check_algorithms(names: Sequence[str]) -> None:
             raise ValueError(exc.args[0]) from None
 
 
+#: The most clients a world may reach (GreZ's sparse cost table counts them
+#: in int32); ``--joins`` past it is refused before any array is sized by it.
+_MAX_CLIENTS = 2**31 - 1
+
 #: What an engine command's flags resolve to: its world config and the engine
 #: keyword arguments (see :func:`_engine_options`).
 _EngineOptions = Tuple[DVEConfig, dict]
@@ -566,6 +570,12 @@ def _engine_options(args: argparse.Namespace) -> _EngineOptions:
         check_event_zones(engine["scenario_timeline"], config.num_zones)
         engine["admission_policy"] = AdmissionPolicy(patience_epochs=args.patience)
     if hasattr(args, "joins"):
+        epochs = args.epochs + getattr(args, "warmup", 0)
+        if config.num_clients + args.joins * epochs > _MAX_CLIENTS:
+            raise ValueError(
+                f"--joins {args.joins} over {epochs} epoch(s) grows the world past "
+                f"{_MAX_CLIENTS} clients"
+            )
         engine["churn_spec"] = ChurnSpec(
             num_joins=args.joins, num_leaves=args.leaves, num_moves=args.moves
         )

@@ -45,38 +45,37 @@ def assign_zones_random(instance: CAPInstance, seed: SeedLike = None) -> ZoneAss
     """
     rng = as_generator(seed)
     with Timer() as timer:
-        zone_demands = instance.zone_demands()
+        zone_demands = instance.zone_demands().tolist()
         populations = instance.zone_populations()
-        capacities = instance.server_capacities
-        loads = np.zeros(instance.num_servers, dtype=np.float64)
+        capacities = instance.server_capacities.tolist()
+        servers = range(instance.num_servers)
+        loads = [0.0] * instance.num_servers
         zone_to_server = np.full(instance.num_zones, -1, dtype=np.int64)
         capacity_exceeded = False
 
-        order = np.argsort(-populations, kind="stable")
-        # The feasibility mask is maintained incrementally: placing a zone
-        # changes one server's load, so while consecutive zones have equal
-        # demand (common — zone demand is a function of the population, and
-        # the multinomial population draw produces many ties) only that one
-        # entry needs re-checking.  The predicate keeps the exact spelling of
-        # the original per-zone scan (``loads + demand <= capacities + eps``),
-        # so the feasible sets — and therefore the RNG draw sequence — are
-        # bit-identical to it.
-        slack = capacities + 1e-9
-        feasible_mask = np.zeros(instance.num_servers, dtype=bool)
+        order = np.argsort(-populations, kind="stable").tolist()
+        # The per-zone scan's test ``load + demand <= capacity + eps`` on
+        # Python floats, so the feasible sets (ascending server ids), and
+        # with them the RNG draws, are bit-identical to it.  While
+        # consecutive zones have equal demand (common: population ties)
+        # only the last zone's server can drop out of the set.
+        slack = [capacity + 1e-9 for capacity in capacities]
+        feasible: list[int] = []
         prev_demand: float | None = None
         prev_server = -1
         for zone in order:
             demand = zone_demands[zone]
-            if demand == prev_demand:
-                feasible_mask[prev_server] = loads[prev_server] + demand <= slack[prev_server]
-            else:
-                np.less_equal(loads + demand, slack, out=feasible_mask)
-            feasible = np.flatnonzero(feasible_mask)
-            if feasible.size:
+            if demand != prev_demand:
+                feasible = [s for s in servers if loads[s] + demand <= slack[s]]
+            elif prev_server in feasible and not loads[prev_server] + demand <= slack[prev_server]:
+                feasible.remove(prev_server)
+            if feasible:
                 # ``choice`` of a 1-D array is ``a[integers(0, a.size)]``: same draw, same state.
-                server = int(feasible[rng.integers(0, feasible.size)])
+                server = feasible[int(rng.integers(0, len(feasible)))]
             else:
-                server = int(np.argmax(capacities - loads))
+                # The first largest residual capacity, as ``np.argmax`` picks it.
+                residual = [capacity - load for capacity, load in zip(capacities, loads)]
+                server = residual.index(max(residual))
                 capacity_exceeded = True
             zone_to_server[zone] = server
             loads[server] += demand

@@ -21,13 +21,14 @@ experiment E7, where an item's regret is re-evaluated over the servers that
 becomes urgent and is placed next, before its best option fills up too.
 
 One engine implements both modes.  The static mode is one sequential walk
-over the regret order: first choices come from vectorised masked-argmax
-blocks of 64 positions, and each item is then tested and placed one at a
-time with a scalar feasibility test and addition order, so each placement is
-exactly the per-item scan's.  Loads only grow, so a block choice stays exact
-while its server still fits; an item displaced from it is re-evaluated on
-the spot by a masked argmax over its table row (a pure-Python scan of its
-full row on fleets too narrow for a table).  The dynamic mode maintains each
+over the regret order, each item tested and placed one at a time with a
+scalar feasibility test and addition order, so each placement is exactly
+the per-item scan's.  On narrow fleets each item walks its preference list
+(its servers by descending desirability) to the first one that fits.  On
+wide fleets first choices come from vectorised masked-argmax blocks of 64
+positions; loads only grow, so a block choice stays exact while its server
+still fits, and an item displaced from it is re-evaluated on the spot by a
+masked argmax over its table row.  The dynamic mode maintains each
 item's top-two feasible desirabilities incrementally and re-evaluates only
 the items whose cached best or second-best server just received load,
 instead of re-partitioning every remaining column after every placement.
@@ -205,7 +206,7 @@ def _assign_static_vectorized(
     desirability, thresholded at its minimum (an ``argpartition`` over the
     fleet — boundary-tied subsets it picks arbitrarily can never change a
     placement, because ties at the table minimum fall through to the full
-    scan).  Narrower fleets re-evaluate over the whole row.
+    scan).  Narrower fleets walk each item's preference list instead.
     """
     num_servers, num_items = desirability.shape
     if num_items == 0:
@@ -237,7 +238,7 @@ def _best_feasible(
     d_cols: np.ndarray,
     loads: np.ndarray,
     cap_eps: np.ndarray,
-    top: Optional[tuple],
+    top: tuple,
     get_rows,
 ) -> np.ndarray:
     """Each item's most desirable server that can take its demand now (-1: none).
@@ -247,29 +248,24 @@ def _best_feasible(
     scan's feasibility test ``loads + demand <= capacities + eps``.  Items are first
     looked up in the re-evaluation table ``top``; a hit is final when it
     beats the item's threshold.  The rest take a full-width scan over
-    ``get_rows`` rows,
-    restricted to the servers that can still take the block's smallest
-    demand.
+    ``get_rows`` rows, restricted to the servers that can still take the
+    block's smallest demand.
     """
-    rest = None
-    if top is None:
-        best = np.full(cols.size, -1, dtype=np.int64)
-    else:
-        # ``take`` with intp indices is the cheapest gather numpy offers;
-        # the table ids are stored as intp for it.
-        top_idx, item_rows, top_val, top_thresh = top
-        tier_idx = top_idx.take(item_rows.take(cols), axis=0)
-        tier_ok = loads.take(tier_idx) + d_cols[:, None] <= cap_eps.take(tier_idx)
-        masked = np.where(tier_ok, top_val.take(cols, axis=0), -np.inf)
-        pos = masked.argmax(axis=1)
-        # Every outside server is strictly below a listed value above the
-        # item's threshold, so such a hit is the row's first maximum (-inf,
-        # nothing fits, never is).
-        resolved = masked.max(axis=1) > top_thresh.take(cols)
-        hit = tier_idx.ravel().take(pos + tier_idx.shape[1] * np.arange(cols.size))
-        best = np.where(resolved, hit, -1)
-        rest = np.flatnonzero(~resolved)
-        cols, d_cols = cols.take(rest), d_cols.take(rest)
+    # ``take`` with intp indices is the cheapest gather numpy offers; the
+    # table ids are stored as intp for it.
+    top_idx, item_rows, top_val, top_thresh = top
+    tier_idx = top_idx.take(item_rows.take(cols), axis=0)
+    tier_ok = loads.take(tier_idx) + d_cols[:, None] <= cap_eps.take(tier_idx)
+    masked = np.where(tier_ok, top_val.take(cols, axis=0), -np.inf)
+    pos = masked.argmax(axis=1)
+    # Every outside server is strictly below a listed value above the item's
+    # threshold, so such a hit is the row's first maximum (-inf, nothing
+    # fits, never is).
+    resolved = masked.max(axis=1) > top_thresh.take(cols)
+    hit = tier_idx.ravel().take(pos + tier_idx.shape[1] * np.arange(cols.size))
+    best = np.where(resolved, hit, -1)
+    rest = np.flatnonzero(~resolved)
+    cols, d_cols = cols.take(rest), d_cols.take(rest)
     if cols.size:
         # The feasibility test is monotone in the demand operand, so a server
         # that cannot take the block's smallest demand is infeasible for
@@ -290,11 +286,7 @@ def _best_feasible(
         none_left = masked.max(axis=1) == -np.inf
         if open_srv.size != loads.size:
             choice = open_srv.take(choice)
-        found = np.where(none_left, -1, choice)
-        if rest is None:
-            best = found
-        else:
-            best[rest] = found
+        best[rest] = np.where(none_left, -1, choice)
     return best
 
 
@@ -331,19 +323,27 @@ def _static_walk(
     demand to its server's running load and writes the sum back to
     ``loads``, so even the floating-point addition order is the scan's.
 
-    First choices come in vectorised blocks of ``_BLOCK`` positions
-    (:func:`_best_feasible` under the loads at the block's start).  Loads
-    only grow, so a block choice stays exact while its server still fits
-    the item: the feasible set only shrinks, and the first maximum of a
+    Without a table (fleets of at most ``2 * _TOP_T`` servers, where
+    ``des_items`` holds the full rows) each item walks its preference list:
+    its servers by descending desirability, the lowest id first among ties
+    (a stable argsort of its negated row).  It takes the first server that
+    passes the scalar test, which is the masked first maximum, the lowest
+    server id among the best feasible ones.  The lists are built in row
+    chunks of :data:`~repro.utils.chunks.CHUNK_CELLS` cells, in walk order,
+    so their memory stays bounded on large dense worlds.
+
+    With a table, first choices come in vectorised blocks of ``_BLOCK``
+    positions (:func:`_best_feasible` under the loads at the block's start).
+    Loads only grow, so a block choice stays exact while its server still
+    fits the item: the feasible set only shrinks, and the first maximum of a
     shrinking set that still holds the previous winner is that winner.  A
     block choice of ``-1`` (nothing fits) is final for the same reason.  An
     item whose block choice no longer fits is re-evaluated on the spot by a
-    masked argmax over its table row, or, without a table (fleets of at most
-    ``2 * _TOP_T`` servers), by a pure-Python scan of its full ``des_items``
-    row; both keep the first maximum, the lowest server id.  Only when the
-    table cannot decide — a best hit tied at the item's threshold
-    ``top_thresh``, or every listed server full — does the item take a
-    full-width scan (:func:`_full_scan_one`).
+    masked argmax over its table row, which keeps the first maximum too.
+    Only when the table cannot decide — a best hit tied at the item's
+    threshold ``top_thresh``, or every listed server full — does the item
+    take a full-width scan (:func:`_full_scan_one`).
+
     An item with no feasible server is left at ``-1`` under
     ``fallback="skip"`` and placed at its exact position by the
     ``least_loaded`` fallback otherwise.
@@ -360,25 +360,13 @@ def _static_walk(
     chosen: list = []
     skip = fallback == "skip"
     capacity_exceeded = False
-    if top is not None:
+    if top is None:
+        chunks = row_chunks(num_items, des_items.shape[1])
+    else:
+        chunks = row_chunks(num_items, 1, _BLOCK)
         top_idx, item_rows, top_val, top_thresh = top
 
     def reevaluate(item: int, d: float) -> int:
-        if top is None:
-            # Narrow fleet: a pure-Python masked argmax over the full row
-            # (strictly greater wins, so the first maximum is kept).  It
-            # decides exactly what _full_scan_one would, but on 30-server
-            # rows it skips five numpy calls per displaced item: with
-            # _full_scan_one here, fed-maintenance lost 5.5 % of its ops/s
-            # and paper-replications 3.5 % (medians of 10 alternating
-            # ledger pairs, 2-vCPU x86-64 host).
-            best_v = -np.inf
-            best_s = -1
-            for s, v in enumerate(des_items[item].tolist()):
-                if v > best_v and load_list[s] + d <= cap_list[s]:
-                    best_v = v
-                    best_s = s
-            return best_s
         # One table row: a short numpy masked argmax, which allocates a few
         # arrays where a Python scan would box every entry of the row.
         idx = top_idx[item_rows[item]]
@@ -388,19 +376,28 @@ def _static_walk(
             return int(idx[k])
         return _full_scan_one(item, d, loads, cap_eps, get_rows)
 
-    for start in range(0, num_items, _BLOCK):
-        stop = min(start + _BLOCK, num_items)
-        first = _best_feasible(
-            order[start:stop], d_ord[start:stop], loads, cap_eps, top, get_rows
-        ).tolist()
-        for k, (server, d) in enumerate(zip(first, d_ord[start:stop].tolist())):
-            if server >= 0 and not load_list[server] + d <= cap_list[server]:
-                server = reevaluate(int(order[start + k]), d)
+    for rows in chunks:
+        cols = order[rows]
+        if top is None:
+            prefs = np.argsort(-des_items.take(cols, axis=0), axis=1, kind="stable").tolist()
+        else:
+            first = _best_feasible(cols, d_ord[rows], loads, cap_eps, top, get_rows).tolist()
+        for k, d in enumerate(d_ord[rows].tolist()):
+            if top is None:
+                server = -1
+                for s in prefs[k]:
+                    if load_list[s] + d <= cap_list[s]:
+                        server = s
+                        break
+            else:
+                server = first[k]
+                if server >= 0 and not load_list[server] + d <= cap_list[server]:
+                    server = reevaluate(int(cols[k]), d)
             if server < 0:
                 if skip:
                     chosen.append(-1)
                     continue
-                item = int(order[start + k])
+                item = int(cols[k])
                 allowed = None if fallback_allowed is None else fallback_allowed[:, item]
                 server = _fallback_server(capacities, loads, allowed)
                 capacity_exceeded = True

@@ -24,7 +24,7 @@ from repro.topology.delay_backends import (
     CompactDelayMatrix,
 )
 from repro.topology.delays import MAX_RTT_MS, SERVER_MESH_FACTOR, DelayModel
-from repro.topology.graph import Topology, TopologyError, merge_topologies
+from repro.topology.graph import Topology, TopologyError
 from repro.topology.hierarchical import HierarchicalParams, hierarchical_topology
 from repro.topology.placement import (
     place_clients_clustered,
@@ -35,7 +35,6 @@ from repro.topology.placement import (
 __all__ = [
     "Topology",
     "TopologyError",
-    "merge_topologies",
     "barabasi_albert_topology",
     "HierarchicalParams",
     "hierarchical_topology",

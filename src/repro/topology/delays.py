@@ -27,13 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.topology.graph import Topology
+from repro.topology.graph import MAX_RTT_MS, Topology
 from repro.utils.shm import SharedArray
 
 __all__ = ["DelayModel", "MAX_RTT_MS", "SERVER_MESH_FACTOR"]
 
-#: Paper Section 4.1: the largest RTT between two topology nodes is rescaled to 500 ms.
-MAX_RTT_MS = 500.0
 #: Paper Section 4.1: inter-server latencies are 50 % of the topology latencies.
 SERVER_MESH_FACTOR = 0.5
 
@@ -58,7 +56,7 @@ class DelayModel:
         """Cached all-pairs node round-trip delay matrix (milliseconds)."""
         cached = self._rtt
         if cached is None:
-            cached = self.topology.round_trip_delays(max_rtt_ms=MAX_RTT_MS)
+            cached = self.topology.round_trip_delays()
             self._rtt = cached
         return cached
 

@@ -17,17 +17,19 @@ Dijkstra would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.utils.distinct import sorted_distinct
-from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-__all__ = ["Topology", "TopologyError"]
+__all__ = ["MAX_RTT_MS", "Topology", "TopologyError"]
+
+#: Paper Section 4.1: the largest RTT between two topology nodes is rescaled to 500 ms.
+MAX_RTT_MS = 500.0
 
 
 class TopologyError(RuntimeError):
@@ -45,7 +47,8 @@ def _all_pairs_left_fold(num_nodes: int, edges: np.ndarray, latencies: np.ndarra
 
     1. peel degree-1 nodes repeatedly, which leaves the 2-core plus the
        hanging forest, recording each peeled node's parent and edge weight;
-    2. one upward pass over the peeled nodes, leaves first;
+    2. one upward pass over the peeled nodes, leaves first (a degree-1
+       node's relaxations reduce to a store and an add);
     3. sweeps over the 2-core's edges in BFS order (every component): the
        "up" edges in reverse BFS order, then the "down" edges.  The first
        sweep relaxes every edge; each later one relaxes the edges whose tail
@@ -102,9 +105,17 @@ def _all_pairs_left_fold(num_nodes: int, edges: np.ndarray, latencies: np.ndarra
     col = [dist[:, j] for j in range(num_nodes)]
     tmp = np.empty(num_nodes)
 
+    # A leaf's column is finite only on its own row (0 there): nothing
+    # relaxes into it before its own downward step.  Its upward relaxation
+    # is then the one store ``0 + w`` (the parent's entry on that row is
+    # still inf), and its downward one is the parent's column plus ``w``,
+    # with the leaf's own 0 kept on the diagonal.
     for x, parent, w in hanging:
-        np.add(col[x], w, out=tmp)
-        np.minimum(col[parent], tmp, out=col[parent])
+        if len(adjacency[x]) == 1:
+            dist[x, parent] = w
+        else:
+            np.add(col[x], w, out=tmp)
+            np.minimum(col[parent], tmp, out=col[parent])
 
     core = np.array(order, dtype=np.int64)
     pending = sweep
@@ -117,8 +128,12 @@ def _all_pairs_left_fold(num_nodes: int, edges: np.ndarray, latencies: np.ndarra
         pending = [edge for edge in sweep if edge[0] in changed]
 
     for x, parent, w in reversed(hanging):
-        np.add(col[parent], w, out=tmp)
-        np.minimum(col[x], tmp, out=col[x])
+        if len(adjacency[x]) == 1:
+            np.add(col[parent], w, out=col[x])
+            dist[x, x] = 0.0
+        else:
+            np.add(col[parent], w, out=tmp)
+            np.minimum(col[x], tmp, out=col[x])
     return dist
 
 
@@ -253,6 +268,20 @@ class Topology:
     # ------------------------------------------------------------------ #
     # Delay computation
     # ------------------------------------------------------------------ #
+    def _all_pairs(self) -> Tuple[np.ndarray, float]:
+        """The C-ordered all-pairs matrix and its largest entry.
+
+        Entries are sums of positive weights or ``+inf``, never NaN, so the
+        maximum alone detects a pair with no path.
+        """
+        dist = _all_pairs_left_fold(self.num_nodes, self.edges, self.latencies)
+        dmax = float(dist.max())
+        if dmax == np.inf:
+            raise TopologyError(
+                f"topology '{self.name}' is disconnected; cannot compute all-pairs delays"
+            )
+        return np.ascontiguousarray(dist), dmax
+
     def shortest_path_latencies(self) -> np.ndarray:
         """All-pairs one-way shortest-path latency matrix (milliseconds).
 
@@ -270,70 +299,22 @@ class Topology:
         Raises :class:`TopologyError` if the topology is disconnected, since a
         disconnected DVE substrate has no meaningful client-server delays.
         """
-        dist = _all_pairs_left_fold(self.num_nodes, self.edges, self.latencies)
-        if not np.isfinite(dist).all():
-            raise TopologyError(
-                f"topology '{self.name}' is disconnected; cannot compute all-pairs delays"
-            )
-        return np.ascontiguousarray(dist)
+        return self._all_pairs()[0]
 
-    def round_trip_delays(self, max_rtt_ms: Optional[float] = None) -> np.ndarray:
-        """All-pairs round-trip delay matrix in milliseconds.
+    def round_trip_delays(self) -> np.ndarray:
+        """All-pairs round-trip delay matrix in milliseconds, scaled to :data:`MAX_RTT_MS`.
 
-        RTT is twice the one-way shortest path latency.  If ``max_rtt_ms`` is
-        given the whole matrix is linearly rescaled so the largest off-diagonal
-        RTT equals ``max_rtt_ms`` — this mirrors the paper's setup where "the
-        maximum round-trip delay between any two nodes is set to 500 ms".
+        RTT is twice the one-way shortest path latency, linearly rescaled so
+        the largest RTT equals :data:`MAX_RTT_MS` — the paper's setup, where
+        "the maximum round-trip delay between any two nodes is set to
+        500 ms".  Doubling is exact, so the largest RTT is ``2 * dmax`` for
+        the largest one-way latency ``dmax``.  A one-node topology stays 0.
         """
-        rtt = 2.0 * self.shortest_path_latencies()
-        if max_rtt_ms is not None:
-            check_positive(max_rtt_ms, "max_rtt_ms")
-            current_max = float(rtt.max())
-            if current_max > 0:
-                rtt = rtt * (max_rtt_ms / current_max)
+        # Rebinding ``rtt`` frees each buffer once the next one is made, so
+        # at most two matrices are alive at a time.
+        rtt, dmax = self._all_pairs()
+        rtt = 2.0 * rtt
+        if dmax > 0:
+            rtt = rtt * (MAX_RTT_MS / (2.0 * dmax))
         np.fill_diagonal(rtt, 0.0)
         return rtt
-
-
-def merge_topologies(
-    parts: Iterable[Topology],
-    cross_edges: Iterable[Tuple[int, int, float]],
-    name: str = "merged",
-) -> Topology:
-    """Merge disjoint topologies into one, adding cross edges between them.
-
-    ``cross_edges`` are given in *global* node indices of the concatenated
-    topology (parts are concatenated in iteration order).  Used by the
-    hierarchical generator to stitch per-AS router graphs together.
-    """
-    parts = list(parts)
-    if not parts:
-        raise TopologyError("merge_topologies needs at least one part")
-    offsets = np.cumsum([0] + [p.num_nodes for p in parts[:-1]])
-    positions = np.vstack([p.positions for p in parts])
-    edges = []
-    latencies = []
-    domains = []
-    for offset, part in zip(offsets, parts):
-        if part.num_edges:
-            edges.append(part.edges + offset)
-            latencies.append(part.latencies)
-        if part.node_domain is not None:
-            domains.append(part.node_domain)
-        else:
-            domains.append(np.zeros(part.num_nodes, dtype=np.int64))
-    cross = list(cross_edges)
-    if cross:
-        cross_arr = np.array([(u, v) for u, v, _ in cross], dtype=np.int64)
-        cross_lat = np.array([lat for _, _, lat in cross], dtype=np.float64)
-        edges.append(cross_arr)
-        latencies.append(cross_lat)
-    all_edges = np.vstack(edges) if edges else np.zeros((0, 2), dtype=np.int64)
-    all_lat = np.concatenate(latencies) if latencies else np.zeros(0, dtype=np.float64)
-    return Topology(
-        positions=positions,
-        edges=all_edges,
-        latencies=all_lat,
-        node_domain=np.concatenate(domains),
-        name=name,
-    )

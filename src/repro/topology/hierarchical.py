@@ -26,9 +26,9 @@ import numpy as np
 
 from repro.topology.barabasi_albert import LATENCY_PER_UNIT as AS_LATENCY_PER_UNIT
 from repro.topology.barabasi_albert import barabasi_albert_topology
-from repro.topology.graph import Topology, merge_topologies
+from repro.topology.graph import Topology
 from repro.topology.waxman import PLANE_SIZE as ROUTER_PLANE_SIZE
-from repro.topology.waxman import _waxman_arrays
+from repro.topology.waxman import _waxman_stack
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.utils.validation import check_positive
 
@@ -74,44 +74,36 @@ def hierarchical_topology(
     # 1. AS-level backbone.
     as_level = barabasi_albert_topology(params.num_as, seed=as_rng, name="as-level")
 
-    # 2. Per-AS router graphs, positioned around the AS centre.
-    parts: list[Topology] = []
-    for as_id in range(params.num_as):
-        positions, edges, latencies = _waxman_arrays(params.routers_per_as, router_rngs[as_id])
-        centre = as_level.positions[as_id]
-        parts.append(
-            Topology(
-                positions=positions - ROUTER_PLANE_SIZE / 2.0 + centre,
-                edges=edges,
-                latencies=latencies,
-                node_domain=np.full(params.routers_per_as, as_id, dtype=np.int64),
-                name=f"as-{as_id}",
-            )
-        )
+    # 2. Per-AS router graphs, drawn as one stack and positioned around the
+    # AS centres.
+    routers = params.routers_per_as
+    positions, edges, latencies = _waxman_stack(routers, router_rngs)
+    positions = positions - ROUTER_PLANE_SIZE / 2.0 + as_level.positions[:, None, :]
 
     # 3. Stitch domains together along AS-level edges via border routers.
-    offsets = np.cumsum([0] + [p.num_nodes for p in parts[:-1]])
-    borders: dict[int, np.ndarray] = {}
-    for as_id in range(params.num_as):
-        n_border = min(BORDER_ROUTERS_PER_AS, params.routers_per_as)
-        borders[as_id] = rng.choice(params.routers_per_as, size=n_border, replace=False)
+    n_border = min(BORDER_ROUTERS_PER_AS, routers)
+    borders = [rng.choice(routers, size=n_border, replace=False) for _ in range(params.num_as)]
 
-    cross_edges: list[tuple[int, int, float]] = []
-    for (a, b), latency in zip(as_level.edges, as_level.latencies):
-        a, b = int(a), int(b)
+    cross_edges: list[tuple[int, int]] = []
+    for a, b in as_level.edges.tolist():
         # ``choice`` of a 1-D array is ``a[integers(0, a.size)]``: same draw, same state.
-        u_local = int(borders[a][rng.integers(0, borders[a].size)])
-        v_local = int(borders[b][rng.integers(0, borders[b].size)])
-        u = int(offsets[a] + u_local)
-        v = int(offsets[b] + v_local)
-        # AS-level latency already encodes the inter-domain distance; rescale it
-        # by the configured factor relative to the BA generator's default.
-        lat = float(latency) * (
-            params.inter_as_latency_per_unit / AS_LATENCY_PER_UNIT
-        )
-        cross_edges.append((u, v, max(lat, 1e-3)))
+        u_local = int(borders[a][rng.integers(0, n_border)])
+        v_local = int(borders[b][rng.integers(0, n_border)])
+        cross_edges.append((a * routers + u_local, b * routers + v_local))
+    # AS-level latency already encodes the inter-domain distance; rescale it
+    # by the configured factor relative to the BA generator's default.
+    cross_latencies = [
+        max(latency * (params.inter_as_latency_per_unit / AS_LATENCY_PER_UNIT), 1e-3)
+        for latency in as_level.latencies.tolist()
+    ]
 
-    topology = merge_topologies(parts, cross_edges, name=name)
+    topology = Topology(
+        positions=positions.reshape(-1, 2),
+        edges=np.concatenate([edges, np.array(cross_edges, dtype=np.int64).reshape(-1, 2)]),
+        latencies=np.concatenate([latencies, np.array(cross_latencies, dtype=np.float64)]),
+        node_domain=np.repeat(np.arange(params.num_as, dtype=np.int64), routers),
+        name=name,
+    )
     if not topology.is_connected():
         # The AS-level BA graph is always connected and every AS-level edge is
         # realised, so this should never trigger; keep it as a hard guarantee.

@@ -15,6 +15,8 @@ connected — the standard practice in topology generators, including BRITE.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 __all__ = ["ALPHA", "BETA", "PLANE_SIZE", "LATENCY_PER_UNIT"]
@@ -31,13 +33,13 @@ LATENCY_PER_UNIT = 1.0
 
 
 def _pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    """Dense Euclidean distance matrix for a small set of planar points."""
-    diff = positions[:, None, :] - positions[None, :, :]
+    """Dense Euclidean distance matrices of ``(..., n, 2)`` planar points."""
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
     return np.sqrt((diff**2).sum(axis=-1))
 
 
 def _connect_components(
-    edges: list[tuple[int, int]],
+    edges: Sequence[Sequence[int]],
     dist: np.ndarray,
     n: int,
 ) -> list[tuple[int, int]]:
@@ -108,28 +110,43 @@ def _connect_components(
     return extra
 
 
-def _waxman_arrays(
+def _waxman_stack(
     num_nodes: int,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one Waxman sample: ``(positions, edges, latencies)``, unvalidated.
+    """Draw one Waxman sample per generator: ``(positions, edges, latencies)``, unvalidated.
 
-    The hierarchical generator draws each AS's routers with it and shifts the
-    positions into its AS plane before building the one validated
-    :class:`Topology` per domain.
+    Sample ``k`` draws its positions, then its edge coins, from ``rngs[k]``
+    alone.  Distances, probabilities and keep masks for every sample come
+    from one stacked ``(count, n, n)`` pass, elementwise the operations of a
+    lone sample, so each sample is bitwise what it would be on its own; only
+    the component connector runs per sample.  ``positions`` is
+    ``(count, n, 2)``; ``edges`` index the samples' nodes concatenated in
+    order (sample ``k``'s node ``u`` is ``k * n + u``), each sample's kept
+    pairs in ``triu`` order, then its connector edges.
     """
-    positions = rng.uniform(0.0, PLANE_SIZE, size=(num_nodes, 2))
+    count = len(rngs)
+    iu, ju = np.triu_indices(num_nodes, k=1)
+    positions = np.empty((count, num_nodes, 2))
+    draws = np.empty((count, iu.size))
+    for k, rng in enumerate(rngs):
+        positions[k] = rng.uniform(0.0, PLANE_SIZE, size=(num_nodes, 2))
+        rng.random(out=draws[k])
     dist = _pairwise_distances(positions)
     l_max = PLANE_SIZE * np.sqrt(2.0)
-    prob = ALPHA * np.exp(-dist / (BETA * l_max))
-    iu, ju = np.triu_indices(num_nodes, k=1)
-    draws = rng.random(iu.size)
-    keep = draws < prob[iu, ju]
-    edge_list = list(zip(iu[keep].tolist(), ju[keep].tolist()))
-
-    edge_list.extend(_connect_components(edge_list, dist, num_nodes))
-
-    edges = np.array(edge_list, dtype=np.int64).reshape(-1, 2)
-    latencies = dist[edges[:, 0], edges[:, 1]] * LATENCY_PER_UNIT
+    sample, pair = np.nonzero(draws < ALPHA * np.exp(-dist[:, iu, ju] / (BETA * l_max)))
+    kept = np.stack([sample, iu[pair], ju[pair]], axis=1)
+    bounds = np.searchsorted(sample, np.arange(count + 1)).tolist()
+    pairs = kept[:, 1:].tolist()
+    extra = [
+        (k, u, v)
+        for k in range(count)
+        for u, v in _connect_components(pairs[bounds[k]:bounds[k + 1]], dist[k], num_nodes)
+    ]
+    # A stable sort by sample puts each sample's connector edges after its kept pairs.
+    triples = np.concatenate([kept, np.array(extra, dtype=np.int64).reshape(-1, 3)])
+    sample, us, vs = triples[np.argsort(triples[:, 0], kind="stable")].T
+    latencies = dist[sample, us, vs] * LATENCY_PER_UNIT
+    edges = np.stack([us, vs], axis=1) + (sample * num_nodes)[:, None]
     # Guard against zero-length edges when two nodes land on the same point.
     return positions, edges, np.maximum(latencies, 1e-3)

@@ -78,13 +78,8 @@ class RegionZoneMap:
             raise ValueError("at least one region is required")
         if num_zones < 1:
             raise ValueError("num_zones must be >= 1")
-        rng = as_generator(seed)
-        zone_order = rng.permutation(num_zones)
-        region_of_zone = np.empty(num_zones, dtype=np.int64)
-        # Deal zones to regions round-robin over a shuffled zone order.
-        for i, zone in enumerate(zone_order):
-            region_of_zone[zone] = regions[i % regions.size]
-        return cls(num_zones=num_zones, region_of_zone=region_of_zone, regions=regions)
+        deal = regions[np.arange(num_zones) % regions.size]
+        return cls.balanced_prepared(num_zones, regions, deal, seed=seed)
 
     @classmethod
     def balanced_prepared(
@@ -95,13 +90,11 @@ class RegionZoneMap:
         ``regions`` must already be sorted, duplicate-free int64 and ``deal``
         must equal ``regions[np.arange(num_zones) % regions.size]`` — exactly
         what :class:`~repro.world.distributions.ZoneSamplingPlan` caches
-        across churn epochs.  Consumes the same single ``permutation`` draw as
-        :meth:`balanced` and produces a bit-identical map: scattering ``deal``
-        through the shuffled zone order is the vectorised form of the
-        round-robin dealing loop (permutation indices are distinct, so the
-        scatter has no conflicts), and the construction is valid by
-        construction, so the ``__post_init__`` membership re-validation is
-        skipped.
+        across churn epochs.  One ``permutation`` draw shuffles the zones,
+        and scattering ``deal`` through it deals them to the regions
+        round-robin (permutation indices are distinct, so the scatter has no
+        conflicts).  The map is valid by construction, so the
+        ``__post_init__`` membership re-validation is skipped.
         """
         rng = as_generator(seed)
         zone_order = rng.permutation(num_zones)
@@ -194,18 +187,26 @@ def correlated_zone_choice(
         else:
             zones[uncorrelated] = rng.choice(num_zones, size=n_global, p=probs)
 
-    # Correlated clients: draw from their region's preference group, grouped by
-    # region so each group needs a single vectorised draw.
+    # Correlated clients: draw from their region's preference group.  One
+    # stable argsort groups them by region, members in ascending client
+    # order, and each region takes one cdf search: what
+    # ``Generator.choice(pref, p=local)`` does after validating ``local``,
+    # with the same cdf and the same ``random(k)`` draw.
     if correlated.any():
         corr_idx = np.flatnonzero(correlated)
-        for region in sorted_distinct(client_regions[corr_idx]):
-            members = corr_idx[client_regions[corr_idx] == region]
-            pref = region_map.zones_of_region(int(region))
+        members = corr_idx[np.argsort(client_regions[corr_idx], kind="stable")]
+        member_regions = client_regions[members]
+        bounds = (np.flatnonzero(np.diff(member_regions)) + 1).tolist()
+        for start, stop in zip([0, *bounds], [*bounds, members.size]):
+            pref = region_map.zones_of_region(int(member_regions[start]))
             local = probs[pref]
             total = local.sum()
             if total <= 0:
                 local = np.full(pref.size, 1.0 / pref.size)
             else:
                 local = local / total
-            zones[members] = rng.choice(pref, size=members.size, p=local)
+            cdf = local.cumsum()
+            cdf /= cdf[-1]
+            picks = cdf.searchsorted(rng.random(stop - start), side="right")
+            zones[members[start:stop]] = pref[picks]
     return zones

@@ -23,7 +23,7 @@ from repro.topology.delay_backends import (
     zone_anchor_nodes,
 )
 from repro.topology.graph import Topology
-from repro.topology.waxman import _waxman_arrays
+from repro.topology.waxman import _waxman_stack
 from repro.utils.rng import as_generator
 from repro.world.scenario import DVEConfig, DVEScenario, build_scenario
 from tests.reference.measurement_full import checked_measures
@@ -70,8 +70,8 @@ def small_instance(small_scenario: DVEScenario) -> CAPInstance:
 
 def flat_waxman(num_nodes: int, seed: int) -> Topology:
     """A flat Waxman topology: one AS's router-level draw on its own."""
-    positions, edges, latencies = _waxman_arrays(num_nodes, as_generator(seed))
-    return Topology(positions=positions, edges=edges, latencies=latencies)
+    positions, edges, latencies = _waxman_stack(num_nodes, [as_generator(seed)])
+    return Topology(positions=positions[0], edges=edges, latencies=latencies)
 
 
 def make_tiny_instance(

@@ -4,7 +4,7 @@ Each entry builds one topology and hashes, with sha256, the exact bytes of
 
 * ``edges``, ``latencies``, ``positions`` and ``node_domain`` (``None`` when
   the topology carries no domain labels);
-* ``rtt`` — ``round_trip_delays(max_rtt_ms=500)``, the matrix every delay
+* ``rtt`` — ``round_trip_delays()`` (largest RTT 500 ms), the matrix every delay
   model, scenario and replication is sliced from.
 
 Each digest also covers the array's dtype and shape, and the bytes are taken
@@ -39,7 +39,6 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "topology.json"
 SEEDS = (0, 1, 2)
 #: ``(num_as, routers_per_as)`` shapes besides the paper's 20 x 25.
 SHAPES = ((1, 1), (6, 5), (3, 40))
-MAX_RTT_MS = 500.0
 
 
 def _array_digest(arr: Optional[np.ndarray]) -> Optional[str]:
@@ -64,7 +63,7 @@ def topology_digests(
         "latencies": _array_digest(topology.latencies),
         "positions": _array_digest(topology.positions),
         "node_domain": _array_digest(topology.node_domain),
-        "rtt": _array_digest(topology.round_trip_delays(max_rtt_ms=MAX_RTT_MS)),
+        "rtt": _array_digest(topology.round_trip_delays()),
     }
 
 

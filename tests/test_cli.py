@@ -571,9 +571,11 @@ class TestNumericBoundary:
     exception is the traceback a shell would print).  The cases are a fixed
     enumeration, so every run tries the same ones.
 
-    Left out: huge counts such as ``simulate --joins 100000000000000``.  They
-    are valid integers that size a world, and the test never starts a world
-    sized by a fuzzed value.
+    Huge churn counts (``--joins``, ``--leaves``, ``--moves`` at 1e14 on
+    ``simulate`` and ``loadgen``) exit 0 or 2 within the same deadline:
+    leaves and moves are capped by the population, and joins that would grow
+    the world past the clients it can hold are a usage error, refused before
+    any array is sized by the count.
     """
 
     VALUES = ("nan", "inf", "-inf", "-1", "0", "seven")
@@ -614,6 +616,25 @@ class TestNumericBoundary:
                 failures.append((" ".join(argv), outcome))
             elif elapsed > self.DEADLINE_SECONDS:
                 failures.append((" ".join(argv), f"took {elapsed:.2f} s"))
+        assert not failures, failures
+
+    HUGE = "100000000000000"
+
+    def test_huge_churn_counts_exit_0_or_2(self, capsys):
+        failures = []
+        for command in ("simulate", "loadgen"):
+            for flag in ("--joins", "--leaves", "--moves"):
+                argv = [*self.BASE[command], flag, self.HUGE]
+                start = time.perf_counter()
+                outcome = main(argv)
+                elapsed = time.perf_counter() - start
+                err = capsys.readouterr().err
+                expected = 2 if flag == "--joins" else 0
+                errors = [line for line in err.splitlines() if "error:" in line]
+                if outcome != expected or "Traceback" in err or len(errors) != outcome // 2:
+                    failures.append((" ".join(argv), outcome, err))
+                elif elapsed > self.DEADLINE_SECONDS:
+                    failures.append((" ".join(argv), f"took {elapsed:.2f} s"))
         assert not failures, failures
 
 

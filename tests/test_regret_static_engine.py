@@ -15,6 +15,10 @@
   candidate hits tied at the caller's floor (GreZ), with candidate sets that
   fill up completely (GreC's row-provider path) and with loads that end
   within rounding distance of capacity.
+* On narrow fleets (full rows, no table) each item's preference-list walk
+  equals the loop oracle with ties at the maximum (zero and negative-zero
+  costs), on capacity-tight worlds through the ``least_loaded`` fallback
+  (with and without a candidate mask) and across preference-list chunks.
 * GreZ's placement from the sparse cost table equals the full-matrix
   engine's on sparse worlds whose candidate costs tie the zone-population
   floor.
@@ -278,6 +282,65 @@ def _assert_matches_loop(desirability, demands, capacities, initial_loads, fallb
     result = max_regret_assign(desirability, demands, capacities, **kwargs)
     _assert_same(result, max_regret_assign_loop(desirability, demands, capacities, **kwargs))
     return result
+
+
+class TestNarrowPreferenceWalk:
+    """Fleets of at most ``2 * _TOP_T`` servers: each item walks its preference list."""
+
+    @pinned(60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_servers=st.sampled_from([1, 2, 3, 30, 127, 128]),
+        zero_share=st.sampled_from([0.0, 0.5, 1.0]),
+        fallback=st.sampled_from(FALLBACKS),
+    )
+    def test_ties_at_the_maximum_match_loop(self, seed, num_servers, zero_share, fallback):
+        # Zero costs tie at the maximum (with -0.0 among them): the lowest
+        # feasible server id must win, as the loop's first maximum does.
+        rng = np.random.default_rng(seed)
+        num_items = int(rng.integers(1, 400))
+        desirability = -np.round(rng.random((num_servers, num_items)) * 3.0)
+        desirability[rng.random((num_servers, num_items)) < zero_share] = 0.0
+        desirability[rng.random((num_servers, num_items)) < 0.1] = -0.0
+        demands = rng.uniform(0.5, 2.0, num_items)
+        capacities = rng.random(num_servers) * demands.sum() * 1.5 / num_servers
+        _assert_matches_loop(desirability, demands, capacities, None, fallback)
+
+    @pinned(40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tightness=st.sampled_from([0.2, 0.6, 1.0]),
+        masked=st.booleans(),
+    )
+    def test_capacity_tight_least_loaded_fallback_matches_loop(self, seed, tightness, masked):
+        # Too little room for everyone: many items walk their whole list and
+        # take the least-loaded fallback, over a candidate mask or the fleet.
+        rng = np.random.default_rng(seed)
+        num_servers = int(rng.integers(2, 129))
+        num_items = int(rng.integers(1, 600))
+        desirability = -rng.random((num_servers, num_items))
+        demands = 10.0 ** rng.uniform(-1.0, 1.0, num_items)
+        initial_loads = rng.random(num_servers) * float(rng.choice([0.0, 1.0]))
+        capacities = initial_loads + rng.random(num_servers) * demands.sum() * (
+            tightness / num_servers
+        )
+        capacities = _exact_fill_capacities(rng, demands, initial_loads, capacities, 0.3)
+        allowed = rng.random((num_servers, num_items)) < 0.2 if masked else None
+        result = _assert_matches_loop(
+            desirability, demands, capacities, initial_loads, "least_loaded",
+            fallback_allowed=allowed,
+        )
+        assert (result.item_to_server >= 0).all()
+
+    @pytest.mark.parametrize("fallback", FALLBACKS)
+    def test_lists_span_row_chunks(self, fallback):
+        # 128 servers make 512-row chunks of preference lists; 1,500 items
+        # cross two chunk boundaries in walk order.
+        rng = np.random.default_rng(5)
+        desirability = -np.round(rng.random((128, 1_500)) * 4.0)
+        demands = rng.uniform(0.5, 2.0, 1_500)
+        capacities = np.full(128, demands.sum() / 150.0)
+        _assert_matches_loop(desirability, demands, capacities, None, fallback)
 
 
 class TestStaticWalk:

@@ -6,6 +6,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.topology.barabasi_albert import M, barabasi_albert_topology
 from repro.topology.brite import BriteConfig, generate_topology
@@ -15,7 +17,9 @@ from repro.topology.hierarchical import (
     HierarchicalParams,
     hierarchical_topology,
 )
+from repro.utils.rng import as_generator
 from tests.conftest import flat_waxman
+from tests.reference.hierarchical_build import hierarchical_topology as per_as_build
 
 
 class TestWaxman:
@@ -171,6 +175,28 @@ class TestHierarchicalStructure:
         np.testing.assert_array_equal(topo.edges, expected.edges)
         np.testing.assert_array_equal(topo.latencies, expected.latencies)
         np.testing.assert_array_equal(topo.positions, expected.positions)
+
+
+class TestStackedBuildMatchesPerAsBuild:
+    """The stacked AS build is byte for byte the per-AS build it replaced."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=120)
+    @given(
+        num_as=st.integers(1, 20),
+        routers_per_as=st.integers(1, 40),
+        latency_per_unit=st.sampled_from((0.05, 0.01, 0.2)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_arrays_and_generator_state(self, num_as, routers_per_as, latency_per_unit, seed):
+        params = HierarchicalParams(num_as, routers_per_as, latency_per_unit)
+        rng, reference_rng = as_generator(seed), as_generator(seed)
+        topo = hierarchical_topology(params, seed=rng)
+        expected = per_as_build(params, reference_rng)
+        for field in ("positions", "edges", "latencies", "node_domain"):
+            got, want = getattr(topo, field), getattr(expected, field)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), field
+            assert got.tobytes() == want.tobytes(), field
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestBriteConfig:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.topology.graph import Topology, TopologyError, merge_topologies
+from repro.topology.graph import MAX_RTT_MS, Topology, TopologyError
 
 
 def line_topology(n: int = 4, latency: float = 10.0) -> Topology:
@@ -134,34 +134,40 @@ class TestDelays:
         with pytest.raises(TopologyError):
             topo.shortest_path_latencies()
 
-    def test_round_trip_is_twice_one_way(self):
+    def test_one_way_distances_are_path_sums(self):
+        topo = line_topology(3, latency=5.0)
+        dist = topo.shortest_path_latencies()
+        assert dist[0, 2] == 10.0
+        np.testing.assert_array_equal(dist, dist.T)
+
+    def test_round_trip_is_twice_one_way_rescaled(self):
         topo = line_topology(3, latency=5.0)
         rtt = topo.round_trip_delays()
-        assert rtt[0, 2] == pytest.approx(20.0)
+        dist = topo.shortest_path_latencies()
+        np.testing.assert_array_equal(rtt, 2.0 * dist * (MAX_RTT_MS / (2.0 * dist.max())))
 
     def test_round_trip_rescaled_to_max(self):
         topo = line_topology(5, latency=7.0)
-        rtt = topo.round_trip_delays(max_rtt_ms=500.0)
-        assert rtt.max() == pytest.approx(500.0)
+        rtt = topo.round_trip_delays()
+        assert rtt.max() == pytest.approx(MAX_RTT_MS)
         np.testing.assert_allclose(np.diag(rtt), 0.0)
         # Rescaling preserves delay ratios.
         assert rtt[0, 2] / rtt[0, 1] == pytest.approx(2.0)
 
     def test_round_trip_symmetry(self):
         topo = line_topology(6)
-        rtt = topo.round_trip_delays(max_rtt_ms=100.0)
+        rtt = topo.round_trip_delays()
         np.testing.assert_allclose(rtt, rtt.T)
 
+    def test_single_node_round_trip_is_zero(self):
+        topo = Topology(positions=np.zeros((1, 2)), edges=np.zeros((0, 2)), latencies=np.zeros(0))
+        np.testing.assert_array_equal(topo.round_trip_delays(), [[0.0]])
 
-class TestMergeAndMisc:
-    def test_merge_two_parts_with_cross_edge(self):
-        a = line_topology(3)
-        b = line_topology(2)
-        merged = merge_topologies([a, b], [(0, 3, 2.0)], name="merged")
-        assert merged.num_nodes == 5
-        assert merged.num_edges == (2 + 1 + 1)
-        assert merged.is_connected()
-
-    def test_merge_requires_parts(self):
+    def test_disconnected_round_trip_raises(self):
+        topo = Topology(
+            positions=np.zeros((3, 2)),
+            edges=np.array([[0, 1]]),
+            latencies=np.array([1.0]),
+        )
         with pytest.raises(TopologyError):
-            merge_topologies([], [])
+            topo.round_trip_delays()

@@ -6,7 +6,9 @@
   latencies from 1e-3 to 1e3 including exact ties and equal-length
   alternative paths.  Disconnected graphs raise :class:`TopologyError`, and
   the relaxation itself still matches SciPy there (``inf`` between
-  components), so every component is swept.
+  components), so every component is swept.  Leaf-heavy shapes (paths,
+  stars, caterpillars, a cycle with hanging leaves, forests of them) check
+  the leaves' shortcut relaxations in the hanging-forest passes.
 * :meth:`Topology.is_connected` (a union-find over the edge list) agrees
   with SciPy's ``connected_components`` on edgeless graphs, forests, unions
   of 1..4 connected blocks and the graphs above, 1..60 nodes, with shuffled
@@ -111,6 +113,62 @@ def test_disconnected_components_each_swept():
     assert dist[0, 2] == 3.0 and dist[3, 5] == 0.3 and dist[6, 7] == 5.0
     with pytest.raises(TopologyError):
         topology.shortest_path_latencies()
+
+
+#: Leaf-heavy shapes: most relaxations of the hanging forest are leaves'.
+LEAF_KINDS = ("path", "star", "caterpillar", "cycle+leaves", "forest")
+
+
+@st.composite
+def leaf_heavy_graphs(draw) -> Topology:
+    """Paths, stars, caterpillars, a cycle with hanging leaves, and forests of them."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(LEAF_KINDS))
+    pool = draw(st.sampled_from(TIE_POOLS + (None,)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = rng.permutation(n).tolist()  # shape over relabelled nodes
+    pairs: set[tuple[int, int]] = set()
+
+    def link(a: int, b: int) -> None:
+        pairs.add((min(a, b), max(a, b)))
+
+    if kind == "path":
+        for a, b in zip(nodes, nodes[1:]):
+            link(a, b)
+    elif kind == "star":
+        for leaf in nodes[1:]:
+            link(nodes[0], leaf)
+    elif kind in ("caterpillar", "cycle+leaves"):
+        spine = nodes[: max(1, int(rng.integers(1, n + 1)) // 3)]
+        for a, b in zip(spine, spine[1:]):
+            link(a, b)
+        if kind == "cycle+leaves" and len(spine) > 2:
+            link(spine[0], spine[-1])
+        for leaf in nodes[len(spine):]:
+            link(spine[int(rng.integers(len(spine)))], leaf)
+    else:  # a forest of stars and paths: disconnected unless one tree
+        for v in range(1, n):
+            if rng.random() < 0.85:
+                link(nodes[int(rng.integers(v))] if rng.random() < 0.5 else nodes[0], nodes[v])
+    edges = _shuffled_edges(pairs, rng)
+    if pool is None:
+        latencies = 10.0 ** rng.uniform(-3.0, 3.0, size=len(edges))
+    else:
+        latencies = rng.choice(np.array(pool), size=len(edges))
+    return Topology(positions=np.zeros((n, 2)), edges=edges, latencies=latencies)
+
+
+@pinned(300)
+@given(topology=leaf_heavy_graphs())
+def test_leaf_heavy_graphs_match_scipy_dijkstra_bitwise(topology):
+    expected = _dijkstra(topology)
+    dist = _all_pairs_left_fold(topology.num_nodes, topology.edges, topology.latencies)
+    assert np.array_equal(dist, expected)
+    if np.isfinite(expected).all():
+        assert np.array_equal(topology.shortest_path_latencies(), expected)
+    else:
+        with pytest.raises(TopologyError, match="disconnected"):
+            topology.round_trip_delays()
 
 
 @st.composite

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.world.correlation import RegionZoneMap, correlated_zone_choice
+from tests.reference.zone_draw import balanced_region_of_zone
+from tests.reference.zone_draw import correlated_zone_choice as per_region_choice
 
 
 class TestRegionZoneMap:
@@ -87,3 +91,47 @@ class TestCorrelatedZoneChoice:
         a = correlated_zone_choice(regions, self.weights, 0.7, self.region_map, seed=9)
         b = correlated_zone_choice(regions, self.weights, 0.7, self.region_map, seed=9)
         np.testing.assert_array_equal(a, b)
+
+
+#: Zone weight shapes: uniform, hot zones at 10x (the paper's clustered
+#: virtual world) and sparse weights, where a region's whole preference
+#: group can weigh 0 and its draw falls back to uniform.
+WEIGHT_KINDS = ("uniform", "hot", "sparse")
+
+
+@st.composite
+def draw_cases(draw):
+    num_zones = draw(st.integers(1, 40))
+    # Up to 60 region ids with gaps and repeats, so often more regions than
+    # zones (the zones_of_region fallback).
+    num_ids = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    region_ids = rng.integers(0, 2 * num_ids, size=num_ids)
+    kind = draw(st.sampled_from(WEIGHT_KINDS))
+    if kind == "uniform":
+        weights = np.ones(num_zones)
+    elif kind == "hot":
+        weights = np.where(rng.random(num_zones) < 0.1, 10.0, 1.0)
+    else:
+        weights = rng.random(num_zones) * (rng.random(num_zones) < 0.3)
+        weights[rng.integers(num_zones)] = 1.0
+    clients = rng.choice(region_ids, size=draw(st.integers(0, 300)))
+    delta = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    return num_zones, region_ids, weights, clients, delta, draw(st.integers(0, 2**32 - 1))
+
+
+class TestGroupedDrawMatchesPerRegionLoop:
+    """The grouped draw is byte for byte the per-region loop it replaced."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(case=draw_cases())
+    def test_zones_and_generator_state(self, case):
+        num_zones, region_ids, weights, clients, delta, seed = case
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        region_map = RegionZoneMap.balanced(num_zones, region_ids, seed=rng)
+        region_of_zone = balanced_region_of_zone(num_zones, region_ids, reference_rng)
+        assert region_map.region_of_zone.tobytes() == region_of_zone.tobytes()
+        zones = correlated_zone_choice(clients, weights, delta, region_map, seed=rng)
+        expected = per_region_choice(clients, weights, delta, region_of_zone, reference_rng)
+        assert zones.dtype == expected.dtype and zones.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
