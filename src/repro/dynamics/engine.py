@@ -33,8 +33,9 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
-from dataclasses import InitVar, dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from dataclasses import InitVar, dataclass, field
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from repro.dynamics.measurement import (
     measured_utilization,
     stash_for,
 )
-from repro.dynamics.migration import MigrationCostModel, charge_zone_moves
+from repro.dynamics.migration import MigrationCharge, MigrationCostModel, charge_zone_moves
 from repro.dynamics.policies import (
     PolicySchedule,
     RebalancePolicy,
@@ -69,12 +70,16 @@ from repro.dynamics.policies import (
     reassign,
     remap_assignment_servers,
 )
-from repro.dynamics.scenarios import ScenarioRuntime, ScenarioTimeline, build_timeline
+from repro.dynamics.scenarios import (
+    EpochPlan,
+    ScenarioRuntime,
+    ScenarioTimeline,
+    build_timeline,
+)
 from repro.utils.arena import EpochArena
 from repro.utils.rng import SeedLike, as_seed_sequence, reserve_seeds, spawn_seeds
 from repro.world.distributions import ZoneSamplingPlan
 from repro.world.scenario import DVEScenario
-from repro.world.servers import ServerSet
 
 __all__ = ["EpochRecord", "SimulationState", "ChurnSimulator", "EpochSession"]
 
@@ -240,14 +245,9 @@ class ChurnSimulator:
         Period for the ``every_k_epochs`` policy (ignored otherwise).
     measurement_backend:
         Accepted for existing callers and ignored: ``"incremental"`` (or
-        ``None``) is the only value.  Every measurement point is served from
-        the solvers' measurement stash (:mod:`repro.core.measures`), and the
-        carried-over "after" point is a delta update of the previous epoch's
-        within-bound count from the churn batch alone
-        (:mod:`repro.dynamics.measurement`), which skips the O(clients)
-        carried-assignment build on epochs whose action does not need it.
-        The full-recompute path (``"full"``) was removed; it raises
-        ``ValueError``.
+        ``None``) is the only value, and the removed full-recompute path
+        (``"full"``) raises ``ValueError``.  Every measurement point is
+        served from the solvers' measurement stash (:mod:`repro.core.measures`).
     scenario_timeline:
         Optional incident timeline (:mod:`repro.dynamics.scenarios`) — a
         :class:`~repro.dynamics.scenarios.ScenarioTimeline`, a spec string /
@@ -390,235 +390,307 @@ class ChurnSimulator:
         """Eager list version of :meth:`stream` (one record per epoch × algorithm)."""
         return list(self.stream(num_epochs))
 
-    # ------------------------------------------------------------------ #
-    def _process_algorithm(
-        self,
-        state: SimulationState,
-        epoch: int,
-        name: str,
-        old_assignment: Assignment,
-        batch: ChurnBatch,
-        churn: ChurnResult,
-        server_churn: Optional[ServerChurnResult],
-        new_instance: CAPInstance,
-        schedule: Union[PolicySchedule, RebalancePolicy],
-        action: Optional[str],
-        reassign_seed: Callable[[], SeedLike],
-        timings: Optional[Dict[str, float]] = None,
-        overlay_active: bool = False,
-        allocs: Optional[Dict[str, int]] = None,
-    ) -> tuple[EpochRecord, Assignment]:
-        """Measure one algorithm around one epoch and apply the policy action.
 
-        ``action`` is ``None`` when the schedule defers its choice to the
-        carried-over pQoS (:meth:`RebalancePolicy.action_after`).
-        ``reassign_seed`` returns the algorithm's re-execution stream; it is
-        called only when the action re-executes.
-        ``timings`` optionally accumulates wall-time into its ``"solve"`` and
-        ``"measure"`` keys (the repair/solve calls vs the measurement-point
-        computations), feeding the session's per-phase profile.  ``allocs``
-        likewise accumulates tracemalloc peak bytes allocated per phase
-        (requires ``tracemalloc`` to be tracing; the alloc probe costs wall
-        time, so it is separate from ``timings``-only runs).
-        """
-        instance = state.instance
+# ---------------------------------------------------------------------- #
+# The epoch's phases, in the order EpochSession.run_epoch calls them.  They
+# call the engine's collaborators through this module's names, so the test
+# oracles and the benchmark tracer, which rebind those names, see each call.
 
-        def _timed(key, fn):
-            if allocs is not None:
-                tracemalloc.reset_peak()
-                alloc_base = tracemalloc.get_traced_memory()[0]
-            start = time.perf_counter()
-            result = fn()
-            if timings is not None:
-                timings[key] = timings.get(key, 0.0) + (time.perf_counter() - start)
-            if allocs is not None:
-                peak = tracemalloc.get_traced_memory()[1]
-                allocs[key] = allocs.get(key, 0) + max(0, peak - alloc_base)
-            return result
+#: Keys of the session's per-phase wall time and allocation profiles.
+_PHASES = ("churn_gen", "advance", "solve", "measure")
 
-        # The "before" point is the adopted assignment of the previous epoch
-        # evaluated on the unchanged instance — carried forward, not recomputed.
-        before_pqos, before_util = state.measures[name]
 
-        # With infrastructure churn the old assignment first crosses to the
-        # new server index space (departed hosts force zone evacuations);
-        # repairs then start from the remapped assignment.
-        if server_churn is not None:
-            base_assignment = remap_assignment_servers(
-                old_assignment, server_churn, new_instance, instance.client_zones
-            )
-        else:
-            base_assignment = old_assignment
+class _EpochChurn(NamedTuple):
+    """The epoch's client and fleet deltas (phase 1)."""
 
-        # A deferred (controller) epoch may adopt the carried assignment
-        # itself, so its contacts must not alias the recycled scratch buffer.
-        deferred = action is None
-        # The warm-start repair starts from the loads the carry-over reduces
-        # for its capacity flag instead of reducing the same arrays again.
-        carried_loads = np.empty(new_instance.num_servers) if action == "warm_start" else None
+    plan: Optional[EpochPlan]
+    batch: ChurnBatch
+    churn: ChurnResult
+    server_churn: Optional[ServerChurnResult]
+    admission: Optional[AdmissionStats]
+    reassign_seeds: Sequence[SeedLike]
 
-        def _carry():
-            return carry_over_assignment(
-                base_assignment,
-                churn,
-                new_instance,
-                out=None
-                if deferred
-                else state.arena.scratch("carry_contacts", new_instance.num_clients),
-                loads_out=carried_loads,
-            )
 
-        # The carried-over "after" point: a delta update of the previous
-        # epoch's within-bound count from the churn batch, instead of
-        # building and re-reducing the carried assignment — valid whenever
-        # the previous epoch left a stash and the fleet did not re-index
-        # (capacity-only deltas keep every delay; a re-indexed fleet changes
-        # delays wholesale, so that epoch measures the carried assignment).
-        # The carried assignment itself is then only built when the action
-        # needs it: as the warm-start refiner's starting point, or adopted as
-        # is.  A delay overlay (scenario link degradation) changes the
-        # *survivors'* delays too, so the O(churn) carried count would be
-        # wrong — overlay epochs always measure the carried assignment.
-        carried = None
-        stash = None if overlay_active else stash_for(old_assignment, instance)
-        if stash is not None and (server_churn is None or server_churn.is_identity):
-            count = _timed(
-                "measure",
-                lambda: carried_qos_count(stash, base_assignment, batch, churn, new_instance),
-            )
-            k_new = new_instance.num_clients
-            after_pqos = count / k_new if k_new else 1.0
-            if action == "warm_start":
-                carried = _timed("measure", _carry)
-        else:
-            carried = _timed("measure", _carry)
-            after_pqos = _timed("measure", lambda: measured_pqos(carried, new_instance))
-        if deferred:
-            action = schedule.action_after(epoch, after_pqos)
+class _EpochContext(NamedTuple):
+    """What the per-algorithm phases of one epoch read."""
 
-        reexec_pqos = reexec_util = incr_pqos = _NAN
-        charge = None  # the adopted assignment's bill, when already computed
-        repaired: Optional[Assignment] = None
+    epoch: int
+    drawn: _EpochChurn
+    instance: CAPInstance  # pre-churn
+    new_instance: CAPInstance  # post-churn, delay overlay applied
+    overlay_active: bool
+    schedule: Union[PolicySchedule, RebalancePolicy]
+    migration_cost: MigrationCostModel
+    arena: EpochArena
+    clock: Callable  # EpochSession._clocked
 
-        def _repair() -> Assignment:
-            nonlocal incr_pqos
-            result = _timed(
-                "solve",
-                lambda: incremental_reassign(base_assignment, new_instance),
-            )
-            incr_pqos = _timed("measure", lambda: measured_pqos(result, new_instance))
-            return result
 
-        if action == "repair":
-            repaired = _repair()
-            if incr_pqos < schedule.repair_floor:
-                action = "rebalance"  # the repair missed the target: escalate
-        if action in ("reexecute", "rebalance"):
-            adopted = _timed(
-                "solve",
-                lambda: reassign(new_instance, name, seed=reassign_seed()),
-            )
-            reexec_pqos = _timed("measure", lambda: measured_pqos(adopted, new_instance))
-            reexec_util = _timed("measure", lambda: measured_utilization(adopted, new_instance))
-            adopted_pqos, adopted_util = reexec_pqos, reexec_util
-            if math.isfinite(schedule.migration_budget):
-                # Migration-aware policy: a re-execution whose zone moves
-                # bill above the budget is demoted — to the incremental
-                # repair, which keeps the zone map (only forced evacuations
-                # remain), or for the controller to the stale assignment when
-                # the repair is no better.
-                charge = self._charge_migration(old_assignment, adopted, server_churn, new_instance)
-                if charge.cost > schedule.migration_budget:
-                    charge = None  # the adopted assignment changes; re-bill below
-                    if repaired is None:
-                        repaired = _repair()
-                    action = schedule.demoted_action(incr_pqos, after_pqos)
-            if action == "reexecute" and schedule.period == 0 and math.isnan(incr_pqos):
-                # The pure re-execute policy also reports the incremental
-                # repair as Table 3's extension column; scheduled policies
-                # and the controller skip it to keep the epoch cost
-                # proportional to the action.
-                _repair()
-        if action in ("incremental", "repair"):
-            adopted = repaired if repaired is not None else _repair()
-            adopted_pqos = incr_pqos
-            adopted_util = _timed("measure", lambda: measured_utilization(adopted, new_instance))
-        elif action == "none":
-            adopted = carried if carried is not None else _timed("measure", _carry)
-            adopted_pqos = after_pqos
-            adopted_util = _timed("measure", lambda: measured_utilization(adopted, new_instance))
-        elif action == "warm_start":
-            # Budget one move per client: heavy churn can push far more than
-            # the refiner's default 200 clients over the bound, and sweep
-            # moves are cheap — a tight cap would silently truncate the
-            # repair and skew the policy comparison.  The batched zone-move
-            # sweep joins in only on epochs whose *infrastructure* churned:
-            # that is when the hosting itself is wrong (evacuated zones,
-            # drifted capacities) and a contact repair cannot recover it.
-            # The sweep's setup is O(clients) plus O(over-bound zones'
-            # members × servers), so it would be affordable on client-only
-            # epochs too, but running it there would change the records.
-            adopted = _timed(
-                "solve",
-                lambda: warm_start_refine(
-                    new_instance,
-                    carried,
-                    consider_zone_moves=server_churn is not None,
-                    max_iterations=max(200, new_instance.num_clients),
-                    loads=carried_loads,
-                ).assignment,
-            )
-            adopted_pqos = _timed("measure", lambda: measured_pqos(adopted, new_instance))
-            adopted_util = _timed("measure", lambda: measured_utilization(adopted, new_instance))
-        elif action not in ("reexecute", "rebalance"):  # pragma: no cover
-            raise ValueError(f"unknown policy action {action!r}")
-        # Re-label with the base algorithm name: repair suffixes like
-        # " (carried over)+ws" would otherwise compound every epoch.
-        adopted = adopted.with_algorithm(name)
-        # Guarantee the adopted assignment carries a stash into the next
-        # epoch (solvers that do not stash — the baselines — pay one full
-        # pass here so the next carried point stays O(churn)).
-        _timed("measure", lambda: ensure_measures(adopted, new_instance))
+class _Carried(NamedTuple):
+    """One algorithm's assignment carried across the churn (phase 3)."""
 
-        if charge is None:
-            charge = self._charge_migration(old_assignment, adopted, server_churn, new_instance)
-        record = EpochRecord(
-            epoch=epoch,
-            algorithm=name,
-            pqos_before=before_pqos,
-            pqos_after=after_pqos,
-            pqos_reexecuted=reexec_pqos,
-            pqos_incremental=incr_pqos,
-            utilization_before=before_util,
-            utilization_reexecuted=reexec_util,
-            num_clients_before=instance.num_clients,
-            num_clients_after=new_instance.num_clients,
-            policy=schedule.name,
-            pqos_adopted=adopted_pqos,
-            utilization_adopted=adopted_util,
-            num_servers_after=new_instance.num_servers,
-            zones_migrated=charge.zones_migrated,
-            clients_migrated=charge.clients_migrated,
-            migration_cost=charge.cost,
-            action=action,
+    old: Assignment  # the previous epoch's adopted assignment
+    base: Assignment  # the pre-churn assignment on the post-churn fleet
+    after_pqos: float
+    assignment: Optional[Assignment]  # built only when the action needs it
+    loads: Optional[np.ndarray]  # the carried loads the warm start refines from
+
+
+class _Action(NamedTuple):
+    """The policy action one algorithm took (phase 4)."""
+
+    action: str
+    assignment: Assignment
+    reexec_pqos: float
+    reexec_util: float
+    incr_pqos: float
+    charge: Optional[MigrationCharge]  # the adopted bill, when the budget check made it
+
+
+def _generate_epoch_churn(session: EpochSession, capacities: Optional[np.ndarray]) -> _EpochChurn:
+    """Phase 1: plan the epoch, then draw and apply its client churn and fleet delta."""
+    sim, state, runtime = session.simulator, session.state, session.scenario_runtime
+    scenario = state.scenario
+    plan = admission = None
+    if runtime is not None:
+        # The timeline consumes any external capacity delta: the plan's
+        # fleet snapshot re-bases on it before gating, so a federation
+        # re-slice and a mid-outage epoch compose in one delta.
+        plan = runtime.plan_epoch(state.epoch, sim.churn_spec, capacity_delta=capacities)
+        capacities = None
+    # Epoch streams: churn, then server churn (only when the fleet churns, so
+    # static-fleet runs replay the RNG layout, and records, of the
+    # pre-elastic engine), then one re-execution stream per algorithm, each
+    # derived only if its action runs.
+    num_fixed = 2 if sim._server_churn_active else 1
+    streams = reserve_seeds(session._epoch_seeds[state.epoch], num_fixed + len(sim.algorithms))
+    churn_spec = sim.churn_spec if plan is None else plan.churn_spec
+    batch = generate_churn(scenario, churn_spec, seed=streams[0], zone_plan=session._zone_plan)
+    if runtime is not None:
+        batch, admission = runtime.prepare_batch(plan, batch, scenario.population)
+    churn = apply_churn(scenario.population, batch, state.arena)
+    server_churn: Optional[ServerChurnResult] = None
+    if sim._server_churn_active:
+        num_nodes = scenario.topology.num_nodes
+        server_batch = generate_server_churn(
+            scenario.servers, sim.server_churn_spec, num_nodes=num_nodes, seed=streams[1]
         )
-        return record, adopted
+        server_churn = apply_server_churn(scenario.servers, server_batch)
+    elif plan is not None:
+        server_churn = plan.server_churn
+    elif capacities is not None:
+        server_churn = ServerChurnResult.capacity_only(scenario.servers.nodes, capacities)
+    return _EpochChurn(plan, batch, churn, server_churn, admission, streams[num_fixed:])
 
-    def _charge_migration(
-        self,
-        old_assignment: Assignment,
-        adopted: Assignment,
-        server_churn: Optional[ServerChurnResult],
-        new_instance: CAPInstance,
-    ):
-        """Bill the adopted assignment's zone moves against the pre-churn map."""
-        return charge_zone_moves(
-            self.migration_cost,
-            old_assignment.zone_to_server,
-            adopted.zone_to_server,
-            new_instance.zone_populations(),
-            server_old_to_new=None if server_churn is None else server_churn.old_to_new,
+
+def _advance_epoch_world(
+    session: EpochSession, drawn: _EpochChurn
+) -> tuple[DVEScenario, CAPInstance, CAPInstance]:
+    """Phase 2: the post-churn world, and the instance the epoch measures on.
+
+    Delay overlays (link degradation) produce a *separate* effective
+    instance for this epoch's measurements and repairs; the clean instance
+    keeps advancing through the delta pipeline, so overlays never disturb
+    the ``mirrors_arrays_of`` aliasing invariant.
+    """
+    sim, state, runtime = session.simulator, session.state, session.scenario_runtime
+    new_scenario, new_instance = sim._advance_world(state, drawn.churn, drawn.server_churn)
+    if runtime is None:
+        return new_scenario, new_instance, new_instance
+    return new_scenario, new_instance, runtime.overlay_instance(drawn.plan, new_instance)
+
+
+def _carry(
+    ctx: _EpochContext, base: Assignment, deferred: bool, loads: Optional[np.ndarray]
+) -> Assignment:
+    """The carried assignment, its contacts in the scratch buffer unless ``deferred``."""
+    out = None if deferred else ctx.arena.scratch("carry_contacts", ctx.new_instance.num_clients)
+    return carry_over_assignment(base, ctx.drawn.churn, ctx.new_instance, out=out, loads_out=loads)
+
+
+def _carry_over(ctx: _EpochContext, old: Assignment, action: Optional[str]) -> _Carried:
+    """Phase 3: carry one algorithm's assignment across the churn and measure it.
+
+    With infrastructure churn the old assignment first crosses to the new
+    server index space (departed hosts force zone evacuations); repairs
+    start from the remapped assignment.  The "after" point is a delta update
+    of the previous epoch's within-bound count from the churn batch
+    (:mod:`repro.dynamics.measurement`) whenever the previous epoch left a
+    stash and the fleet kept its indices; the carried assignment is then
+    built only when the action needs it (the warm start refines it, the
+    controller may adopt it).  A re-indexed fleet or a delay overlay changes
+    the survivors' delays too, so those epochs measure the carried
+    assignment.
+    """
+    drawn, instance, clock = ctx.drawn, ctx.new_instance, ctx.clock
+    server_churn = drawn.server_churn
+    base = old
+    if server_churn is not None:
+        base = remap_assignment_servers(old, server_churn, instance, ctx.instance.client_zones)
+    # The warm-start repair starts from the loads the carry-over reduces for
+    # its capacity flag instead of reducing the same arrays again.
+    loads = np.empty(instance.num_servers) if action == "warm_start" else None
+    carried = None
+    stash = None if ctx.overlay_active else stash_for(old, ctx.instance)
+    if stash is not None and (server_churn is None or server_churn.is_identity):
+        count = clock("measure", carried_qos_count, stash, base, drawn.batch, drawn.churn, instance)
+        after_pqos = count / instance.num_clients if instance.num_clients else 1.0
+        if action == "warm_start":
+            carried = clock("measure", _carry, ctx, base, False, loads)
+    else:
+        carried = clock("measure", _carry, ctx, base, action is None, loads)
+        after_pqos = clock("measure", measured_pqos, carried, instance)
+    return _Carried(old, base, after_pqos, carried, loads)
+
+
+def _repair(ctx: _EpochContext, base: Assignment) -> tuple[Assignment, float]:
+    """The incremental (contact-only) repair and its pQoS."""
+    repaired = ctx.clock("solve", incremental_reassign, base, ctx.new_instance)
+    return repaired, ctx.clock("measure", measured_pqos, repaired, ctx.new_instance)
+
+
+def _apply_policy(
+    ctx: _EpochContext, name: str, carried: _Carried, action: Optional[str], seed_index: int
+) -> _Action:
+    """Phase 4: repair, re-execute or warm start, as the policy decides.
+
+    ``action`` is ``None`` when the schedule defers its choice to the
+    carried-over pQoS (:meth:`RebalancePolicy.action_after`).  The
+    algorithm's re-execution stream ``ctx.drawn.reassign_seeds[seed_index]``
+    is derived only when the action re-executes.
+    """
+    schedule, instance, clock = ctx.schedule, ctx.new_instance, ctx.clock
+    if action is None:
+        action = schedule.action_after(ctx.epoch, carried.after_pqos)
+    reexec_pqos = reexec_util = incr_pqos = _NAN
+    charge, repaired = None, None
+    if action == "repair":
+        repaired, incr_pqos = _repair(ctx, carried.base)
+        if incr_pqos < schedule.repair_floor:
+            action = "rebalance"  # the repair missed the target: escalate
+    if action in ("reexecute", "rebalance"):
+        seed = ctx.drawn.reassign_seeds[seed_index]
+        adopted = clock("solve", partial(reassign, instance, name, seed=seed))
+        reexec_pqos = clock("measure", measured_pqos, adopted, instance)
+        reexec_util = clock("measure", measured_utilization, adopted, instance)
+        if math.isfinite(schedule.migration_budget):
+            # Migration-aware policy: a re-execution whose zone moves bill
+            # above the budget is demoted — to the incremental repair, which
+            # keeps the zone map (only forced evacuations remain), or for the
+            # controller to the stale assignment when the repair is no better.
+            charge = _charge_migration(ctx, carried.old, adopted)
+            if charge.cost > schedule.migration_budget:
+                charge = None  # the adopted assignment changes; re-bill later
+                if repaired is None:
+                    repaired, incr_pqos = _repair(ctx, carried.base)
+                action = schedule.demoted_action(incr_pqos, carried.after_pqos)
+        if action == "reexecute" and schedule.period == 0 and math.isnan(incr_pqos):
+            # The pure re-execute policy also reports the incremental repair
+            # as Table 3's extension column; scheduled policies and the
+            # controller skip it to keep the epoch cost proportional to the
+            # action.
+            incr_pqos = _repair(ctx, carried.base)[1]
+    if action in ("incremental", "repair"):
+        if repaired is None:
+            repaired, incr_pqos = _repair(ctx, carried.base)
+        adopted = repaired
+    elif action == "none":
+        # Only the controller keeps the stale assignment, and its choice was
+        # deferred: the carried contacts must not alias the scratch buffer.
+        adopted = carried.assignment
+        if adopted is None:
+            adopted = clock("measure", _carry, ctx, carried.base, True, None)
+    elif action == "warm_start":
+        # Budget one move per client: heavy churn can push far more than the
+        # refiner's default 200 clients over the bound, and a tight cap would
+        # truncate the repair and skew the policy comparison.  The zone-move
+        # sweep joins in only when the *infrastructure* churned, the epochs
+        # whose hosting itself is wrong (evacuated zones, drifted
+        # capacities); it would be affordable on client-only epochs too, but
+        # running it there would change the records.
+        refine = partial(
+            warm_start_refine,
+            instance,
+            carried.assignment,
+            consider_zone_moves=ctx.drawn.server_churn is not None,
+            max_iterations=max(200, instance.num_clients),
+            loads=carried.loads,
         )
+        adopted = clock("solve", refine).assignment
+    elif action not in ("reexecute", "rebalance"):  # pragma: no cover
+        raise ValueError(f"unknown policy action {action!r}")
+    return _Action(action, adopted, reexec_pqos, reexec_util, incr_pqos, charge)
+
+
+def _measure_adopted(
+    ctx: _EpochContext, name: str, carried: _Carried, act: _Action
+) -> tuple[Assignment, float, float]:
+    """Phase 5: the adopted assignment, stashed for the next epoch, its pQoS and utilisation."""
+    adopted, instance, clock = act.assignment, ctx.new_instance, ctx.clock
+    if act.action in ("reexecute", "rebalance"):
+        pqos, util = act.reexec_pqos, act.reexec_util
+    else:
+        if act.action == "warm_start":
+            pqos = clock("measure", measured_pqos, adopted, instance)
+        else:
+            pqos = carried.after_pqos if act.action == "none" else act.incr_pqos
+        util = clock("measure", measured_utilization, adopted, instance)
+    # Re-label with the base algorithm name: repair suffixes like
+    # " (carried over)+ws" would otherwise compound every epoch.
+    adopted = adopted.with_algorithm(name)
+    # Guarantee the adopted assignment carries a stash into the next epoch
+    # (solvers that do not stash — the baselines — pay one full pass here so
+    # the next carried point stays O(churn)).
+    clock("measure", ensure_measures, adopted, instance)
+    return adopted, pqos, util
+
+
+def _charge_migration(ctx: _EpochContext, old: Assignment, adopted: Assignment) -> MigrationCharge:
+    """Bill the adopted assignment's zone moves against the pre-churn map."""
+    server_churn = ctx.drawn.server_churn
+    return charge_zone_moves(
+        ctx.migration_cost,
+        old.zone_to_server,
+        adopted.zone_to_server,
+        ctx.new_instance.zone_populations(),
+        server_old_to_new=None if server_churn is None else server_churn.old_to_new,
+    )
+
+
+def _bill_and_record(
+    ctx: _EpochContext, name: str, before: tuple, carried: _Carried, act: _Action, adopted: tuple
+) -> EpochRecord:
+    """Phase 6: bill the adopted assignment's zone moves and build the record.
+
+    ``before`` is the previous epoch's adopted (pQoS, utilisation) on the
+    unchanged instance — carried forward, not recomputed.
+    """
+    assignment, pqos, util = adopted
+    charge = act.charge
+    if charge is None:
+        charge = _charge_migration(ctx, carried.old, assignment)
+    admission = ctx.drawn.admission
+    return EpochRecord(
+        epoch=ctx.epoch,
+        algorithm=name,
+        pqos_before=before[0],
+        pqos_after=carried.after_pqos,
+        pqos_reexecuted=act.reexec_pqos,
+        pqos_incremental=act.incr_pqos,
+        utilization_before=before[1],
+        utilization_reexecuted=act.reexec_util,
+        num_clients_before=ctx.instance.num_clients,
+        num_clients_after=ctx.new_instance.num_clients,
+        policy=ctx.schedule.name,
+        pqos_adopted=pqos,
+        utilization_adopted=util,
+        num_servers_after=ctx.new_instance.num_servers,
+        zones_migrated=charge.zones_migrated,
+        clients_migrated=charge.clients_migrated,
+        migration_cost=charge.cost,
+        clients_degraded=0 if admission is None else admission.clients_degraded,
+        capacity_deficit=0.0 if admission is None else admission.capacity_deficit,
+        action=act.action,
+    )
 
 
 class EpochSession:
@@ -673,22 +745,18 @@ class EpochSession:
         #: Cumulative per-phase wall time (seconds) across all epochs run so
         #: far: ``churn_gen`` / ``advance`` / ``solve`` / ``measure``.  The
         #: ``simulate --profile`` flag prints this breakdown.
-        self.phase_seconds: Dict[str, float] = {
-            "churn_gen": 0.0,
-            "advance": 0.0,
-            "solve": 0.0,
-            "measure": 0.0,
-        }
+        self.phase_seconds: Dict[str, float] = dict.fromkeys(_PHASES, 0.0)
         #: Same breakdown for the most recent epoch only.
-        self.last_phase_seconds: Dict[str, float] = dict.fromkeys(self.phase_seconds, 0.0)
+        self.last_phase_seconds: Dict[str, float] = dict.fromkeys(_PHASES, 0.0)
         #: When True *and* ``tracemalloc`` is tracing, each epoch also records
         #: the tracemalloc **peak** bytes allocated per phase (transient
         #: allocations included, unlike a net before/after diff) into
         #: ``phase_alloc_bytes`` (cumulative) / ``last_phase_alloc_bytes``.
         #: The probe costs wall time, so keep it off for pure-throughput runs.
         self.alloc_profile: bool = False
-        self.phase_alloc_bytes: Dict[str, int] = dict.fromkeys(self.phase_seconds, 0)
-        self.last_phase_alloc_bytes: Dict[str, int] = dict.fromkeys(self.phase_seconds, 0)
+        self.phase_alloc_bytes: Dict[str, int] = dict.fromkeys(_PHASES, 0)
+        self.last_phase_alloc_bytes: Dict[str, int] = dict.fromkeys(_PHASES, 0)
+        self._tracing_allocs = False
         #: Precomputed zone-sampling state for churn generation — the world's
         #: topology / zone count / distribution spec never change within a
         #: session, so the per-epoch region bookkeeping is paid once.
@@ -703,20 +771,23 @@ class EpochSession:
         """True when every scheduled epoch has run."""
         return self.state.epoch >= self.num_epochs
 
-    def _external_capacity_delta(self, capacities: np.ndarray) -> ServerChurnResult:
-        """Wrap a per-server capacity vector as an identity fleet delta."""
-        servers = self.state.scenario.servers
-        capacities = np.asarray(capacities, dtype=np.float64)
-        if capacities.shape != (servers.num_servers,):
-            raise ValueError(
-                f"capacity_delta must have shape ({servers.num_servers},), "
-                f"got {capacities.shape}"
-            )
-        return ServerChurnResult(
-            servers=ServerSet(nodes=servers.nodes, capacities=capacities),
-            old_to_new=np.arange(servers.num_servers, dtype=np.int64),
-            new_server_indices=np.zeros(0, dtype=np.int64),
-        )
+    def _clocked(self, phase: str, fn: Callable, *args):
+        """Call ``fn(*args)`` and charge its wall time to this epoch's ``phase``.
+
+        The session's phase timer: no other engine code reads the clock or
+        tracemalloc.  While allocations are profiled, the tracemalloc peak
+        the call reaches above its starting size is charged too.
+        """
+        if self._tracing_allocs:
+            tracemalloc.reset_peak()
+            alloc_base = tracemalloc.get_traced_memory()[0]
+        start = time.perf_counter()
+        result = fn(*args)
+        self.last_phase_seconds[phase] += time.perf_counter() - start
+        if self._tracing_allocs:
+            peak = tracemalloc.get_traced_memory()[1]
+            self.last_phase_alloc_bytes[phase] += max(0, peak - alloc_base)
+        return result
 
     def run_epoch(self, capacity_delta: Optional[np.ndarray] = None) -> List[EpochRecord]:
         """Run the next epoch and return its records (one per algorithm).
@@ -726,135 +797,63 @@ class EpochSession:
         capacity_delta:
             Optional ``(num_servers,)`` replacement capacity vector applied
             to the fleet at the start of this epoch (a federation capacity
-            re-slice).  The fleet's nodes are unchanged — only capacities
-            move — so assignments carry over index-for-index and the repair
-            policies see the new capacities; any zone moves the repair then
-            makes are billed as usual.  Mutually exclusive with the
-            simulator's own ``server_churn_spec`` (a federated shard's fleet
-            is controlled by the arbiter, not by per-shard churn).
+            re-slice).  Only capacities move, so assignments carry over index
+            for index and any zone moves the repair then makes are billed as
+            usual.  Mutually exclusive with the simulator's own
+            ``server_churn_spec``: a federated shard's fleet is the arbiter's.
         """
         if self.done:
             raise ValueError(f"session already ran all {self.num_epochs} epochs")
-        sim = self.simulator
-        state = self.state
-        epoch = state.epoch
-        server_active = sim._server_churn_active
-        if capacity_delta is not None and server_active:
-            raise ValueError(
-                "an external capacity delta cannot be combined with the "
-                "simulator's own server_churn_spec"
-            )
-
-        allocs: Optional[Dict[str, int]] = None
-        if self.alloc_profile and tracemalloc.is_tracing():
-            allocs = {}
-            tracemalloc.reset_peak()
-            alloc_base = tracemalloc.get_traced_memory()[0]
-        phase_start = time.perf_counter()
-        runtime = self.scenario_runtime
-        plan = None
-        scenario_stats: Optional[AdmissionStats] = None
-        if runtime is not None:
-            # The timeline consumes any external capacity delta: the plan's
-            # fleet snapshot re-bases on it before gating, so a federation
-            # re-slice and a mid-outage epoch compose in one delta.
-            plan = runtime.plan_epoch(epoch, sim.churn_spec, capacity_delta=capacity_delta)
-            capacity_delta = None
-        # Epoch streams: churn, then server churn (only when the fleet
-        # churns, so static-fleet runs replay the RNG layout, and records, of
-        # the pre-elastic engine), then one re-execution stream per
-        # algorithm, each derived only if its action runs.
-        num_fixed = 2 if server_active else 1
-        streams = reserve_seeds(self._epoch_seeds[epoch], num_fixed + len(sim.algorithms))
-        reassign_seeds = streams[num_fixed:]
-        churn_spec = sim.churn_spec if plan is None else plan.churn_spec
-        batch = generate_churn(
-            state.scenario, churn_spec, seed=streams[0], zone_plan=self._zone_plan
-        )
-        if runtime is not None:
-            batch, scenario_stats = runtime.prepare_batch(
-                plan, batch, state.scenario.population
-            )
-        churn = apply_churn(state.scenario.population, batch, state.arena)
-        server_churn: Optional[ServerChurnResult] = None
-        if server_active:
-            server_batch = generate_server_churn(
-                state.scenario.servers,
-                sim.server_churn_spec,
-                num_nodes=state.scenario.topology.num_nodes,
-                seed=streams[1],
-            )
-            server_churn = apply_server_churn(state.scenario.servers, server_batch)
-        elif plan is not None:
-            server_churn = plan.server_churn
-        elif capacity_delta is not None:
-            server_churn = self._external_capacity_delta(capacity_delta)
-        timings: Dict[str, float] = {"churn_gen": time.perf_counter() - phase_start}
-        if allocs is not None:
-            allocs["churn_gen"] = max(0, tracemalloc.get_traced_memory()[1] - alloc_base)
-            tracemalloc.reset_peak()
-            alloc_base = tracemalloc.get_traced_memory()[0]
-        phase_start = time.perf_counter()
-        new_scenario, new_instance = sim._advance_world(state, churn, server_churn)
-        # Delay overlays (link degradation) produce a *separate* effective
-        # instance for this epoch's measurements and repairs; the clean
-        # instance keeps advancing through the delta pipeline, so overlays
-        # never disturb the `mirrors_arrays_of` aliasing invariant.
-        eff_instance = new_instance
-        if runtime is not None:
-            eff_instance = runtime.overlay_instance(plan, new_instance)
-        timings["advance"] = time.perf_counter() - phase_start
-        if allocs is not None:
-            allocs["advance"] = max(0, tracemalloc.get_traced_memory()[1] - alloc_base)
-        action = self.schedule.action_for_epoch(epoch)
-
-        records: List[EpochRecord] = []
-        next_assignments: Dict[str, Assignment] = {}
-        next_measures: Dict[str, tuple] = {}
-        for i, name in enumerate(sim.algorithms):
-            old_assignment = state.assignments[name]
-            record, adopted = sim._process_algorithm(
-                state,
-                epoch,
-                name,
-                old_assignment,
-                batch,
-                churn,
-                server_churn,
-                eff_instance,
-                self.schedule,
-                action,
-                lambda i=i: reassign_seeds[i],
-                timings=timings,
-                overlay_active=eff_instance is not new_instance,
-                allocs=allocs,
-            )
-            if scenario_stats is not None:
-                record = replace(
-                    record,
-                    clients_degraded=scenario_stats.clients_degraded,
-                    capacity_deficit=scenario_stats.capacity_deficit,
+        sim, state, clock = self.simulator, self.state, self._clocked
+        if capacity_delta is not None:
+            if sim._server_churn_active:
+                raise ValueError(
+                    "an external capacity delta cannot be combined with the "
+                    "simulator's own server_churn_spec"
                 )
-            next_assignments[name] = adopted
-            next_measures[name] = (record.pqos_adopted, record.utilization_adopted)
-            records.append(record)
+            capacity_delta = np.asarray(capacity_delta, dtype=np.float64)
+            if capacity_delta.shape != (state.scenario.num_servers,):
+                raise ValueError(
+                    f"capacity_delta must have shape ({state.scenario.num_servers},), "
+                    f"got {capacity_delta.shape}"
+                )
+        self.last_phase_seconds = dict.fromkeys(_PHASES, 0.0)
+        self.last_phase_alloc_bytes = dict.fromkeys(_PHASES, 0)
+        self._tracing_allocs = self.alloc_profile and tracemalloc.is_tracing()
 
-        self.last_phase_seconds = dict.fromkeys(self.phase_seconds, 0.0)
-        self.last_phase_seconds.update(timings)
-        for key, value in self.last_phase_seconds.items():
-            self.phase_seconds[key] += value
-        self.last_phase_alloc_bytes = dict.fromkeys(self.phase_alloc_bytes, 0)
-        if allocs is not None:
-            self.last_phase_alloc_bytes.update(allocs)
-            for key, value in self.last_phase_alloc_bytes.items():
-                self.phase_alloc_bytes[key] += value
+        drawn = clock("churn_gen", _generate_epoch_churn, self, capacity_delta)
+        new_scenario, new_instance, effective = clock("advance", _advance_epoch_world, self, drawn)
+        ctx = _EpochContext(
+            epoch=state.epoch,
+            drawn=drawn,
+            instance=state.instance,
+            new_instance=effective,
+            overlay_active=effective is not new_instance,
+            schedule=self.schedule,
+            migration_cost=sim.migration_cost,
+            arena=state.arena,
+            clock=clock,
+        )
+        action = self.schedule.action_for_epoch(state.epoch)
+        records, next_assignments, next_measures = [], {}, {}
+        for i, name in enumerate(sim.algorithms):
+            carried = _carry_over(ctx, state.assignments[name], action)
+            act = _apply_policy(ctx, name, carried, action, i)
+            adopted = _measure_adopted(ctx, name, carried, act)
+            records.append(_bill_and_record(ctx, name, state.measures[name], carried, act, adopted))
+            next_assignments[name] = adopted[0]
+            next_measures[name] = adopted[1:]
+
+        for phase in _PHASES:
+            self.phase_seconds[phase] += self.last_phase_seconds[phase]
+            self.phase_alloc_bytes[phase] += self.last_phase_alloc_bytes[phase]
 
         prev_scenario = state.scenario
         state.scenario = new_scenario
         state.instance = new_instance
         state.assignments = next_assignments
         state.measures = next_measures
-        state.epoch = epoch + 1
+        state.epoch += 1
 
         # Double-buffer hand-off: the previous epoch's derived arrays are now
         # unreachable from the advancing state, so their arena buffers return
@@ -871,7 +870,7 @@ class EpochSession:
                 arena.release_if_owned(prev_population.nodes)
             if prev_population.zones is not new_scenario.population.zones:
                 arena.release_if_owned(prev_population.zones)
-        arena.release_if_owned(churn.old_to_new)
+        arena.release_if_owned(drawn.churn.old_to_new)
         return records
 
     def run_batch(self, k: int) -> List[EpochRecord]:

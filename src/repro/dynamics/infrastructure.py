@@ -175,6 +175,13 @@ class ServerChurnResult:
             and bool((self.old_to_new == np.arange(self.old_to_new.size)).all())
         )
 
+    @classmethod
+    def capacity_only(cls, nodes: np.ndarray, capacities: np.ndarray) -> "ServerChurnResult":
+        """A fleet delta that only changes capacities: every server keeps its index."""
+        servers = ServerSet(nodes=nodes, capacities=capacities)
+        identity = np.arange(servers.num_servers, dtype=np.int64)
+        return cls(servers, identity, np.zeros(0, dtype=np.int64))
+
 
 def generate_server_churn(
     servers: ServerSet,

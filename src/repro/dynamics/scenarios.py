@@ -55,7 +55,6 @@ from repro.utils.rng import SeedLike, reserve_seeds
 from repro.world.bandwidth import STREAM_BPS
 from repro.world.clients import ClientPopulation
 from repro.world.distributions import sample_client_nodes
-from repro.world.servers import ServerSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.world.scenario import DVEScenario
@@ -592,12 +591,7 @@ class ScenarioRuntime:
             effective = base
         server_churn: Optional[ServerChurnResult] = None
         if capacity_delta is not None or not np.array_equal(effective, self._prev_caps):
-            num_servers = self._server_nodes.shape[0]
-            server_churn = ServerChurnResult(
-                servers=ServerSet(nodes=self._server_nodes, capacities=effective.copy()),
-                old_to_new=np.arange(num_servers, dtype=np.int64),
-                new_server_indices=np.zeros(0, dtype=np.int64),
-            )
+            server_churn = ServerChurnResult.capacity_only(self._server_nodes, effective.copy())
         self._prev_caps = np.array(effective, dtype=np.float64)
 
         spec = churn_spec
