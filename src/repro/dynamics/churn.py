@@ -94,19 +94,8 @@ def generate_churn(
     # Destination zones for the movers.
     move_zones = _sample_move_zones(scenario, move_indices, move_seed)
 
-    if zone_plan is not None:
-        # Hot-loop (arena) mode: the batch is valid by construction, so skip
-        # the ChurnBatch re-validation.  Field values are identical either way.
-        return ChurnBatch.trusted(
-            join_nodes, join_zones, leave_indices, move_indices, move_zones
-        )
-    return ChurnBatch(
-        join_nodes=join_nodes,
-        join_zones=join_zones,
-        leave_indices=leave_indices,
-        move_indices=move_indices,
-        move_zones=move_zones,
-    )
+    # The batch is valid by construction, so it skips ChurnBatch's validation.
+    return ChurnBatch.trusted(join_nodes, join_zones, leave_indices, move_indices, move_zones)
 
 
 def _sample_move_zones(

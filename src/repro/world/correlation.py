@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.utils.distinct import sorted_distinct
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_probability
 
@@ -66,29 +65,14 @@ class RegionZoneMap:
             raise ValueError("region_of_zone refers to unknown regions")
 
     @classmethod
-    def balanced(
-        cls, num_zones: int, regions: np.ndarray, seed: SeedLike = None
-    ) -> "RegionZoneMap":
-        """Create a balanced random partition of zones among regions.
-
-        Every region receives either ``floor(n/r)`` or ``ceil(n/r)`` zones.
-        """
-        regions = sorted_distinct(np.asarray(regions, dtype=np.int64))
-        if regions.size == 0:
-            raise ValueError("at least one region is required")
-        if num_zones < 1:
-            raise ValueError("num_zones must be >= 1")
-        deal = regions[np.arange(num_zones) % regions.size]
-        return cls.balanced_prepared(num_zones, regions, deal, seed=seed)
-
-    @classmethod
     def balanced_prepared(
         cls, num_zones: int, regions: np.ndarray, deal: np.ndarray, seed: SeedLike = None
     ) -> "RegionZoneMap":
-        """:meth:`balanced` with the region bookkeeping precomputed.
+        """A balanced random partition of zones among regions.
 
-        ``regions`` must already be sorted, duplicate-free int64 and ``deal``
-        must equal ``regions[np.arange(num_zones) % regions.size]`` — exactly
+        Every region receives either ``floor(n/r)`` or ``ceil(n/r)`` zones.
+        ``regions`` must be sorted, duplicate-free int64 and ``deal`` must
+        equal ``regions[np.arange(num_zones) % regions.size]`` — exactly
         what :class:`~repro.world.distributions.ZoneSamplingPlan` caches
         across churn epochs.  One ``permutation`` draw shuffles the zones,
         and scattering ``deal`` through it deals them to the regions
@@ -146,11 +130,11 @@ def correlated_zone_choice(
     plan_probs / plan_cdf:
         Optional precomputed normalised probabilities and sampling cdf of
         ``zone_weights`` (cached by
-        :class:`~repro.world.distributions.ZoneSamplingPlan`).  The cdf draw
-        replicates ``Generator.choice(..., p=probs)`` exactly — numpy's own
-        implementation is ``cdf.searchsorted(rng.random(size), "right")``
-        over the same cdf — so results and the RNG state afterwards are
-        bit-identical with or without the cache.
+        :class:`~repro.world.distributions.ZoneSamplingPlan`).  Uncorrelated
+        clients draw ``cdf.searchsorted(rng.random(n), "right")``, which is
+        numpy's own ``Generator.choice(..., p=probs)`` after its validation,
+        so the zones and the RNG state afterwards match that call bit for
+        bit, with or without the cache.
 
     Returns
     -------
@@ -182,10 +166,11 @@ def correlated_zone_choice(
     uncorrelated = ~correlated
     n_global = int(uncorrelated.sum())
     if n_global:
-        if plan_cdf is not None:
-            zones[uncorrelated] = plan_cdf.searchsorted(rng.random(n_global), side="right")
-        else:
-            zones[uncorrelated] = rng.choice(num_zones, size=n_global, p=probs)
+        cdf = plan_cdf
+        if cdf is None:
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+        zones[uncorrelated] = cdf.searchsorted(rng.random(n_global), side="right")
 
     # Correlated clients: draw from their region's preference group.  One
     # stable argsort groups them by region, members in ascending client

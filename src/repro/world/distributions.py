@@ -141,16 +141,15 @@ def sample_client_nodes(
 
 @dataclass(frozen=True, eq=False)
 class ZoneSamplingPlan:
-    """Cached population-independent state for :func:`sample_client_zones`.
+    """Population-independent state of :func:`sample_client_zones`.
 
     Churn generation redraws joiners' zones every epoch against the *same*
     topology, zone count and distribution spec; only the RNG state and the
-    joining clients change.  The plan precomputes everything the per-epoch
-    call used to derive from scratch — the sorted region universe, the
-    round-robin dealing vector behind :meth:`RegionZoneMap.balanced`, and the
-    all-ones uniform zone weights — and :func:`sample_client_zones` consumes
-    the exact same RNG draws with or without a plan, so the sampled zones are
-    bit-identical either way.
+    joining clients change.  The plan holds what does not: the sorted region
+    universe, the round-robin dealing vector of
+    :meth:`RegionZoneMap.balanced_prepared`, and for a uniform virtual world
+    the all-ones zone weights with their probabilities and sampling cdf.
+    A session builds it once; a one-off draw builds its own.
     """
 
     topology: Topology
@@ -165,6 +164,8 @@ class ZoneSamplingPlan:
     @classmethod
     def build(cls, topology: Topology, num_zones: int, spec: DistributionSpec):
         """Precompute the plan for one (topology, num_zones, spec) world."""
+        if num_zones < 1:
+            raise ValueError("num_zones must be >= 1")
         if topology.node_domain is not None:
             base = sorted_distinct(topology.node_domain)
         else:
@@ -209,23 +210,22 @@ def sample_client_zones(
     The geographic region of a client is the AS domain of its node (or node id
     itself when the topology carries no domain labels).
 
-    ``plan`` optionally supplies the precomputed population-independent state
+    ``plan`` supplies the precomputed population-independent state
     (:class:`ZoneSamplingPlan`) so hot churn loops skip the per-call region
-    bookkeeping; the RNG draw order is unchanged, so results are bit-identical
-    with or without a plan.
+    bookkeeping; without one, a plan is built for this call.
 
-    The seed splits into a weights, a region-map and a choice stream.  With a
-    plan, the uniform weights draw nothing, and at correlation 0 the region
-    map is never read (no client is correlated), so neither stream is built
-    and the map is not drawn; the other streams are the same either way.
+    The seed splits into a weights, a region-map and a choice stream.  The
+    uniform weights draw nothing, and at correlation 0 the region map is
+    never read (no client is correlated), so neither stream is built and the
+    map is not drawn.
     """
-    if plan is not None and (
-        plan.topology is not topology or plan.num_zones != num_zones or plan.spec != spec
-    ):
+    if plan is None:
+        plan = ZoneSamplingPlan.build(topology, num_zones, spec)
+    elif plan.topology is not topology or plan.num_zones != num_zones or plan.spec != spec:
         raise ValueError("ZoneSamplingPlan was built for a different world or spec")
     # Weights, region-map and choice streams, each derived only when used.
     streams = reserve_seeds(seed, 3)
-    if plan is not None and plan.uniform_weights is not None:
+    if plan.uniform_weights is not None:
         # Uniform virtual weights are a constant all-ones vector and consume
         # no randomness.
         weights = plan.uniform_weights
@@ -236,27 +236,17 @@ def sample_client_zones(
         regions = topology.node_domain[client_nodes]
     else:
         regions = client_nodes
-    if plan is not None:
-        region_map = None
-        if spec.correlation > 0.0:
-            region_map = RegionZoneMap.balanced_prepared(
-                num_zones, plan.all_regions, plan.deal, seed=streams[1]
-            )
-    else:
-        if topology.node_domain is not None:
-            all_regions = sorted_distinct(topology.node_domain)
-        else:
-            all_regions = np.arange(topology.num_nodes)
-        region_map = RegionZoneMap.balanced(num_zones, all_regions, seed=streams[1])
-    plan_probs = plan_cdf = None
-    if plan is not None and plan.uniform_probs is not None:
-        plan_probs, plan_cdf = plan.uniform_probs, plan.uniform_cdf
+    region_map = None
+    if spec.correlation > 0.0:
+        region_map = RegionZoneMap.balanced_prepared(
+            num_zones, plan.all_regions, plan.deal, seed=streams[1]
+        )
     return correlated_zone_choice(
         regions,
         weights,
         spec.correlation,
         region_map,
         seed=streams[2],
-        plan_probs=plan_probs,
-        plan_cdf=plan_cdf,
+        plan_probs=plan.uniform_probs,
+        plan_cdf=plan.uniform_cdf,
     )

@@ -149,6 +149,14 @@ class TestZoneSamplingPlan:
         )
         np.testing.assert_array_equal(planned, unplanned)
 
+    def test_plan_needs_a_zone(self):
+        scenario = _scenario()
+        spec = scenario.config.distribution_spec
+        with pytest.raises(ValueError, match="num_zones"):
+            ZoneSamplingPlan.build(scenario.topology, 0, spec)
+        with pytest.raises(ValueError, match="num_zones"):
+            sample_client_zones(scenario.topology, scenario.population.nodes[:5], 0, spec)
+
     def test_plan_for_wrong_world_rejected(self):
         scenario = _scenario()
         spec = scenario.config.distribution_spec
