@@ -1,11 +1,12 @@
 """Test-only oracle: the per-region correlated zone draw and the dealing loop.
 
-A frozen copy of the original ``repro.world.correlation`` sampling:
-``RegionZoneMap.balanced``'s round-robin dealing loop over a shuffled zone
-order, and ``correlated_zone_choice``'s per-region loop, one masked member
-lookup and one ``Generator.choice(pref, p=local)`` per region.  The library's
-grouped draw (one stable argsort, one cdf search per region) must return the
-same zones, byte for byte, and leave the generator in the same state;
+A frozen copy of the original ``repro.world.correlation`` sampling: the
+round-robin dealing loop over a shuffled zone order (now
+``RegionZoneMap.balanced_prepared``'s one scatter), and
+``correlated_zone_choice``'s per-region loop, one masked member lookup and
+one ``Generator.choice(pref, p=local)`` per region.  The library's grouped
+draw (one stable argsort, one cdf search per region) must return the same
+zones, byte for byte, and leave the generator in the same state;
 ``tests/test_world_correlation.py`` checks that.
 """
 
