@@ -7,8 +7,12 @@ driver's own formatter.  The seven replicated sweeps are ``table1``,
 ``5s-15z-200c-100cp``-sized worlds, one or two runs and seed 7.  The five
 engine studies are ``table3``, ``dynamics``, ``scenarios``, ``controller``
 and ``federation``; each runs on ``5s-15z-200c-100cp`` with seed 7, one or
-two runs and two to six epochs.  The ablation's ``runtime (ms)`` column is
-wall time, so :func:`render` blanks it.  ``tests/test_golden_experiments.py``
+two runs and two to six epochs.  The other entries pin each experiment's
+defaults: they render ``repro-dve experiment <id> --runs 1`` for all 14
+ids, ``repro-dve list``, and ``experiment runtime --runs 1 --workers 2``
+with its serial-only note.  The ablation's ``runtime (ms)`` column and the
+runtime table past its four label columns are wall time, so :func:`render`
+blanks them.  ``tests/test_golden_experiments.py``
 compares the live text against ``experiments.json``; any change to a sweep
 point, a seed stream, a cell format or a table layout shows up as a
 mismatch.
@@ -21,11 +25,15 @@ intended) from the repository root with::
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
 from pathlib import Path
 from typing import Callable, Dict
 
 import repro.baselines  # noqa: F401 - registers the baseline solvers
+from repro.cli import main as cli_main
 from repro.dynamics.churn import ChurnSpec
 from repro.experiments.ablation import format_ablation, run_ablation
 from repro.experiments.baselines_compare import (
@@ -55,15 +63,47 @@ CHURN = ChurnSpec(num_joins=20, num_leaves=20, num_moves=20)
 
 #: Header of the ablation column that holds wall time.
 RUNTIME_HEADER = "runtime (ms)"
+#: Header of the runtime table's first timed column (its first solver).
+FIRST_SOLVER_HEADER = "ranz-virc"
+#: The experiment ids, each pinned at its defaults through the CLI.
+EXPERIMENT_IDS = (
+    "table1",
+    "table3",
+    "table4",
+    "figure4",
+    "figure5",
+    "figure6",
+    "ablation",
+    "baselines",
+    "delay-bound",
+    "runtime",
+    "dynamics",
+    "scenarios",
+    "controller",
+    "federation",
+)
 
 
-def _blank_runtime_column(text: str) -> str:
-    """Cut the ``runtime (ms)`` column (the last one) from every table row."""
+def _blank_runtime_column(text: str, header: str = RUNTIME_HEADER) -> str:
+    """Cut every table row from the ``header`` column on (the timed columns are last)."""
     lines = text.splitlines()
-    header_index = next(i for i, line in enumerate(lines) if RUNTIME_HEADER in line)
-    start = lines[header_index].index(RUNTIME_HEADER)
+    header_index = next(i for i, line in enumerate(lines) if header in line)
+    start = lines[header_index].index(header)
     rows = [line[:start].rstrip() for line in lines[header_index + 2 :]]
     return "\n".join(lines[: header_index + 2] + rows)
+
+
+def _cli(*argv: str) -> str:
+    """What ``repro-dve <argv>`` prints, its timed cells blanked."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(list(argv)) == 0, argv
+    text = out.getvalue()
+    if argv[:2] == ("experiment", "ablation"):
+        return _blank_runtime_column(text)
+    if argv[:2] == ("experiment", "runtime"):
+        return _blank_runtime_column(text, FIRST_SOLVER_HEADER)
+    return text
 
 
 CASES: Dict[str, Callable[[], str]] = {
@@ -153,6 +193,15 @@ CASES: Dict[str, Callable[[], str]] = {
         )
     ),
 }
+
+#: The CLI entries: every experiment at its defaults, ``list``, and the
+#: runtime experiment's serial-only note.
+CLI_ARGVS = [
+    *(("experiment", experiment_id, "--runs", "1") for experiment_id in EXPERIMENT_IDS),
+    ("list",),
+    ("experiment", "runtime", "--runs", "1", "--workers", "2"),
+]
+CASES.update({" ".join(argv): functools.partial(_cli, *argv) for argv in CLI_ARGVS})
 
 
 def render(name: str) -> str:
