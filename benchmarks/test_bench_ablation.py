@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablation import format_ablation, run_ablation
+from repro.experiments.ablation import ABLATION, format_ablation
+from repro.experiments.config import ExperimentConfig, run
 
 from benchmarks.conftest import bench_runs
 
@@ -21,7 +22,7 @@ NUM_RUNS = bench_runs(3)
 
 def test_bench_ablation(benchmark, record):
     result = benchmark.pedantic(
-        lambda: run_ablation(num_runs=NUM_RUNS, seed=0),
+        lambda: run(ABLATION, ExperimentConfig(num_runs=NUM_RUNS, seed=0)),
         rounds=1,
         iterations=1,
     )

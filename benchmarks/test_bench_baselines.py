@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.baselines_compare import format_baseline_comparison, run_baseline_comparison
+from repro.experiments.baselines_compare import BASELINES, format_baseline_comparison
+from repro.experiments.config import ExperimentConfig, run
 
 from benchmarks.conftest import bench_runs
 
@@ -20,7 +21,7 @@ NUM_RUNS = bench_runs(3)
 
 def test_bench_baseline_comparison(benchmark, record):
     comparison = benchmark.pedantic(
-        lambda: run_baseline_comparison(num_runs=NUM_RUNS, seed=0),
+        lambda: run(BASELINES, ExperimentConfig(num_runs=NUM_RUNS, seed=0)),
         rounds=1,
         iterations=1,
     )

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.delay_bound import format_delay_bound, run_delay_bound
+from repro.experiments.config import ExperimentConfig, run
+from repro.experiments.delay_bound import DELAY_BOUND, format_delay_bound
 from repro.io.ascii_plot import line_chart
 
 from benchmarks.conftest import bench_runs
@@ -23,7 +24,7 @@ NUM_RUNS = bench_runs(3)
 
 def test_bench_delay_bound(benchmark, record):
     result = benchmark.pedantic(
-        lambda: run_delay_bound(num_runs=NUM_RUNS, seed=0),
+        lambda: run(DELAY_BOUND, ExperimentConfig(num_runs=NUM_RUNS, seed=0)),
         rounds=1,
         iterations=1,
     )

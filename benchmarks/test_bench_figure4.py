@@ -11,7 +11,8 @@ import pytest
 
 import numpy as np
 
-from repro.experiments.figure4 import format_figure4, run_figure4
+from repro.experiments.config import ExperimentConfig, run
+from repro.experiments.figure4 import FIGURE4, format_figure4
 from repro.io.ascii_plot import cdf_chart
 
 from benchmarks.conftest import bench_runs
@@ -23,7 +24,7 @@ NUM_RUNS = bench_runs(3)
 
 def test_bench_figure4(benchmark, record):
     result = benchmark.pedantic(
-        lambda: run_figure4(num_runs=NUM_RUNS, seed=0),
+        lambda: run(FIGURE4, ExperimentConfig(num_runs=NUM_RUNS, seed=0)),
         rounds=1,
         iterations=1,
     )

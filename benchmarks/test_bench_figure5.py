@@ -7,9 +7,12 @@ GreZ-GreC's resource utilisation falls as δ grows.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.figure5 import format_figure5, run_figure5
+from repro.experiments.config import ExperimentConfig, run
+from repro.experiments.figure5 import FIGURE5, format_figure5
 
 from benchmarks.conftest import bench_runs
 
@@ -21,7 +24,9 @@ CORRELATIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 def test_bench_figure5(benchmark, record):
     result = benchmark.pedantic(
-        lambda: run_figure5(correlations=CORRELATIONS, num_runs=NUM_RUNS, seed=0),
+        lambda: run(
+            replace(FIGURE5, sweep=CORRELATIONS), ExperimentConfig(num_runs=NUM_RUNS, seed=0)
+        ),
         rounds=1,
         iterations=1,
     )

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure6 import format_figure6, run_figure6
+from repro.experiments.config import ExperimentConfig, run
+from repro.experiments.figure6 import FIGURE6, format_figure6
 
 from benchmarks.conftest import bench_runs
 
@@ -21,7 +22,7 @@ NUM_RUNS = bench_runs(3)
 
 def test_bench_figure6(benchmark, record):
     result = benchmark.pedantic(
-        lambda: run_figure6(num_runs=NUM_RUNS, seed=0),
+        lambda: run(FIGURE6, ExperimentConfig(num_runs=NUM_RUNS, seed=0)),
         rounds=1,
         iterations=1,
     )

@@ -10,10 +10,17 @@ magnitude cheaper and scale to the large configurations) must hold.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.config import PAPER_SMALL_LABELS, PAPER_TABLE1_LABELS
-from repro.experiments.runtime import format_runtime, run_runtime
+from repro.experiments.config import (
+    PAPER_SMALL_LABELS,
+    PAPER_TABLE1_LABELS,
+    ExperimentConfig,
+    run,
+)
+from repro.experiments.runtime import RUNTIME, format_runtime
 
 from benchmarks.conftest import bench_runs
 
@@ -24,12 +31,9 @@ NUM_RUNS = bench_runs(2)
 
 def test_bench_runtime(benchmark, record):
     result = benchmark.pedantic(
-        lambda: run_runtime(
-            labels=PAPER_TABLE1_LABELS,
-            num_runs=NUM_RUNS,
-            seed=0,
-            optimal_labels=PAPER_SMALL_LABELS,
-            optimal_time_limit=120.0,
+        lambda: run(
+            replace(RUNTIME, exact_labels=PAPER_SMALL_LABELS),
+            ExperimentConfig(num_runs=NUM_RUNS, seed=0),
         ),
         rounds=1,
         iterations=1,

@@ -8,10 +8,13 @@ the two small configurations, averaged over many runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.paper_values import PAPER_TABLE1_PQOS
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.config import ExperimentConfig, run
+from repro.experiments.table1 import TABLE1, format_table1
 
 from benchmarks.conftest import bench_runs
 
@@ -22,7 +25,9 @@ NUM_RUNS = bench_runs(5)
 
 def test_bench_table1(benchmark, record):
     result = benchmark.pedantic(
-        lambda: run_table1(num_runs=NUM_RUNS, seed=0, share_topology=True),
+        lambda: run(
+            replace(TABLE1, share_topology=True), ExperimentConfig(num_runs=NUM_RUNS, seed=0)
+        ),
         rounds=1,
         iterations=1,
     )

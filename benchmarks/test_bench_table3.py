@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.table3 import format_table3, run_table3
+from repro.experiments.config import ExperimentConfig, run
+from repro.experiments.table3 import TABLE3, format_table3
 
 from benchmarks.conftest import bench_runs
 
@@ -20,7 +21,7 @@ NUM_RUNS = bench_runs(3)
 
 def test_bench_table3(benchmark, record):
     result = benchmark.pedantic(
-        lambda: run_table3(num_runs=NUM_RUNS, seed=0),
+        lambda: run(TABLE3, ExperimentConfig(num_runs=NUM_RUNS, seed=0)),
         rounds=1,
         iterations=1,
     )

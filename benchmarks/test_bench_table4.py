@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.table4 import format_table4, run_table4
+from repro.experiments.config import ExperimentConfig, run
+from repro.experiments.table4 import TABLE4, format_table4
 
 from benchmarks.conftest import bench_runs
 
@@ -22,7 +23,7 @@ NUM_RUNS = bench_runs(3)
 
 def test_bench_table4(benchmark, record):
     result = benchmark.pedantic(
-        lambda: run_table4(num_runs=NUM_RUNS, seed=0),
+        lambda: run(TABLE4, ExperimentConfig(num_runs=NUM_RUNS, seed=0)),
         rounds=1,
         iterations=1,
     )

@@ -7,7 +7,7 @@ runnable as ``python -m repro``.  Six sub-commands:
 * ``repro-dve solve`` — build one scenario and solve it with one or more
   algorithms, printing pQoS / utilisation / runtime per algorithm.
 * ``repro-dve experiment <id>`` — run a paper table / figure (or extension)
-  and print the formatted result, optionally dumping it to JSON/CSV.
+  through :func:`repro.experiments.config.run` and print the formatted result.
 * ``repro-dve simulate`` — longitudinal churn simulation: stream epoch
   records through a repair-policy schedule (optionally to CSV) and print a
   streaming summary.
@@ -59,6 +59,7 @@ from repro.experiments.config import (
     PAPER_DEFAULT_LABEL,
     apply_delay_backend,
     config_from_label,
+    run,
 )
 from repro.experiments.dynamics import (
     DEGRADED_COLUMNS,
@@ -74,7 +75,7 @@ from repro.experiments.federation import (
     format_federate_profile,
 )
 from repro.experiments.loadgen import format_loadgen, run_loadgen
-from repro.experiments.registry import EXPERIMENTS, experiment_ids, get_experiment, run_experiment
+from repro.experiments.registry import experiment_ids, get_experiment
 from repro.experiments.runner import StudyResult, replicate_records
 from repro.io.csvout import CsvAppender
 from repro.io.tables import format_kv, format_table
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # experiment ------------------------------------------------------------
     exp = sub.add_parser("experiment", help="run one of the paper's tables / figures")
-    exp.add_argument("experiment_id", choices=sorted(EXPERIMENTS), help="experiment id")
+    exp.add_argument("experiment_id", choices=experiment_ids(), help="experiment id")
     exp.add_argument("--runs", type=int, default=3, help="simulation runs to average over")
     _add_flags(exp, "--seed")
     exp.add_argument(
@@ -461,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_list() -> int:
     rows = [
         [spec.experiment_id, spec.paper_artifact, spec.description]
-        for spec in (EXPERIMENTS[i] for i in experiment_ids())
+        for spec in map(get_experiment, experiment_ids())
     ]
     print(format_table(["experiment", "paper artefact", "description"], rows, title="Experiments"))
     print()
@@ -802,8 +803,7 @@ def _cmd_experiment(args: argparse.Namespace, config: ExperimentConfig) -> int:
     spec = get_experiment(args.experiment_id)
     if args.workers is not None and not spec.supports_workers:
         print(f"note: experiment {spec.experiment_id!r} always runs serially; --workers ignored")
-    result = run_experiment(spec, config)
-    print(spec.format(result))
+    print(spec.format(run(spec, config)))
     return 0
 
 
@@ -828,13 +828,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if args.command == "list":
         return _cmd_list()
-    check, run = _COMMANDS[args.command]
+    check, execute = _COMMANDS[args.command]
     try:
         options = check(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(args, options)
+    return execute(args, options)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,4 @@
-"""Experiment harness: one driver per table / figure of the paper plus extensions.
+"""Experiment harness: one spec per table / figure of the paper plus extensions.
 
 * ``table1``  — Table 1 (pQoS / utilisation across configurations, incl. MILP).
 * ``figure4`` — Figure 4 (delay CDFs).
@@ -11,12 +11,18 @@
   longitudinal churn, incident recovery, rebalance triggers and cross-shard
   capacity arbiters.
 
+Each module defines its experiment as one
+:class:`~repro.experiments.config.ExperimentSpec` value (``table1.TABLE1``,
+...), and :data:`repro.experiments.registry.EXPERIMENTS` collects them by id.
+Any of them runs through one entry point,
+:func:`repro.experiments.config.run`, under an
+:class:`~repro.experiments.config.ExperimentConfig` (or through the CLI's
+``experiment`` command); shrink one with ``dataclasses.replace(spec, ...)``.
+
 Every replicated experiment fans its runs out through
 :func:`repro.experiments.runner.replicate`.  The static sweeps aggregate them
 with :func:`~repro.experiments.runner.run_sweep`.  Table 3 and the engine
 studies aggregate them into a :class:`~repro.experiments.runner.StudyResult`.
-Use :func:`repro.experiments.registry.get_experiment` (or the CLI) to run any
-of them by id.
 """
 
 from repro.experiments.config import (

@@ -24,15 +24,12 @@ which decomposes GreZ-GreC's advantage into its ingredients.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import repro.baselines  # noqa: F401 - registers the baseline solvers
-from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
-from repro.experiments.runner import SweepPoint, SweepResult, run_sweep
+from repro.experiments.config import ExperimentSpec
+from repro.experiments.runner import SweepResult, sweep_labels
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike
 
-__all__ = ["run_ablation", "format_ablation", "DEFAULT_ABLATION_VARIANTS"]
+__all__ = ["ABLATION", "format_ablation", "DEFAULT_ABLATION_VARIANTS"]
 
 #: Variants compared by the ablation, in report order.
 DEFAULT_ABLATION_VARIANTS = (
@@ -48,20 +45,6 @@ DEFAULT_ABLATION_VARIANTS = (
     "nearest-server",
     "load-balance",
 )
-
-
-def run_ablation(
-    label: str = PAPER_DEFAULT_LABEL,
-    variants: Optional[Sequence[str]] = None,
-    num_runs: int = 3,
-    seed: SeedLike = 0,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> SweepResult:
-    """Run the ablation comparison on one configuration (a one-point sweep)."""
-    point = SweepPoint(label, apply_delay_backend(config_from_label(label), delay_backend))
-    variants = variants or DEFAULT_ABLATION_VARIANTS
-    return run_sweep([point], variants, num_runs, seed, share_topology=True, workers=workers)
 
 
 def format_ablation(result: SweepResult) -> str:
@@ -81,3 +64,14 @@ def format_ablation(result: SweepResult) -> str:
         rows,
         title=f"Ablation (E7): design-choice decomposition on {result.label}",
     )
+
+
+#: The ablation: every variant on the default configuration.
+ABLATION = ExperimentSpec(
+    experiment_id="ablation",
+    paper_artifact="(extension)",
+    description="Design-choice ablation of the greedy heuristics",
+    execute=sweep_labels,
+    format=format_ablation,
+    algorithms=DEFAULT_ABLATION_VARIANTS,
+)

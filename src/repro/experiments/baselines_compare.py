@@ -8,34 +8,14 @@ selection (mirrored-architecture style), on every Table 1 configuration.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import repro.baselines  # noqa: F401 - registers the baseline solvers
-from repro.experiments.config import PAPER_TABLE1_LABELS, apply_delay_backend, config_from_label
-from repro.experiments.runner import SweepPoint, SweepResult, run_sweep
+from repro.experiments.config import PAPER_TABLE1_LABELS, ExperimentSpec
+from repro.experiments.runner import SweepResult, sweep_labels
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike
 
-__all__ = ["run_baseline_comparison", "format_baseline_comparison"]
+__all__ = ["BASELINES", "format_baseline_comparison"]
 
 DEFAULT_SOLVERS = ("grez-grec", "grez-virc", "nearest-server", "load-balance", "ranz-virc")
-
-
-def run_baseline_comparison(
-    labels: Sequence[str] = PAPER_TABLE1_LABELS,
-    solvers: Optional[Sequence[str]] = None,
-    num_runs: int = 3,
-    seed: SeedLike = 0,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> SweepResult:
-    """Compare the paper's algorithms against the related-work baselines per configuration."""
-    points = [
-        SweepPoint(label, apply_delay_backend(config_from_label(label), delay_backend))
-        for label in labels
-    ]
-    solvers = solvers or DEFAULT_SOLVERS
-    return run_sweep(points, solvers, num_runs, seed, share_topology=True, workers=workers)
 
 
 def format_baseline_comparison(comparison: SweepResult) -> str:
@@ -45,3 +25,15 @@ def format_baseline_comparison(comparison: SweepResult) -> str:
         comparison.panel("pqos"),
         title="Baseline comparison (E8): pQoS per configuration",
     )
+
+
+#: The baseline comparison on every Table 1 configuration.
+BASELINES = ExperimentSpec(
+    experiment_id="baselines",
+    paper_artifact="(extension)",
+    description="Comparison against related-work baselines across configurations",
+    execute=sweep_labels,
+    format=format_baseline_comparison,
+    labels=PAPER_TABLE1_LABELS,
+    algorithms=DEFAULT_SOLVERS,
+)

@@ -1,7 +1,7 @@
 """Experiment (extension) — rebalance-controller policies under elastic churn.
 
 The paper leaves the re-execution trigger to the operator (Section 3.4); this
-driver compares concrete :class:`~repro.dynamics.policies.RebalancePolicy`
+study compares concrete :class:`~repro.dynamics.policies.RebalancePolicy`
 triggers, each run as the churn engine's policy, over a sustained churn
 workload with optional infrastructure churn, and prices every decision with a
 :class:`~repro.dynamics.migration.MigrationCostModel` — so each policy is
@@ -9,14 +9,14 @@ scored on interactivity (mean / worst pQoS), operational effort (repairs and
 full rebalances) *and* disruption (clients migrated, migration bill).
 
 Replications are independent simulation runs (fresh topology, placements and
-churn streams), so the driver inherits the parallel replication engine via
-the shared ``workers`` knob.
+churn streams), so the study runs on the parallel replication engine under
+``ExperimentConfig.workers``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -25,15 +25,14 @@ from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.migration import MigrationCostModel
 from repro.dynamics.policies import RebalancePolicy
-from repro.experiments.config import PAPER_DEFAULT_LABEL, engine_study_config
+from repro.experiments.config import ExperimentConfig, ExperimentSpec, engine_study_config
 from repro.experiments.runner import StudyResult, replicate
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike
 from repro.world.scenario import DVEConfig, build_scenario
 
 __all__ = [
+    "CONTROLLER",
     "default_controller_policies",
-    "run_controller",
     "format_controller",
 ]
 
@@ -116,45 +115,34 @@ def _controller_run(
     return observations
 
 
-def run_controller(
-    label: str = PAPER_DEFAULT_LABEL,
-    policies: Optional[Dict[str, RebalancePolicy]] = None,
-    num_runs: int = 3,
-    seed: SeedLike = 0,
-    num_epochs: int = 6,
-    churn: ChurnSpec | None = None,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> StudyResult:
-    """Run the controller-policy comparison experiment with :data:`ALGORITHM`.
+def _run_controller(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
+    """Replicate the policy comparison with :data:`ALGORITHM`; one row per policy.
 
-    By default the churn is the paper's Table 3 batch.  On top of it come
-    :data:`SERVER_CHURN` (mild infrastructure churn) and
-    :data:`MIGRATION_COST` (a unit-cost migration model), so the budgeted
-    policy of :func:`default_controller_policies` has something to trade
-    against.  The result has one row per policy and one column per metric.
+    ``spec.sweep`` names policies of :func:`default_controller_policies`,
+    whose budgeted policy may bill 25 % of the world's population per epoch.
+    On top of ``spec.churn`` come :data:`SERVER_CHURN` (mild infrastructure
+    churn) and :data:`MIGRATION_COST` (a unit-cost migration model), so the
+    budgeted policy has something to trade against.
     """
-    churn = churn or ChurnSpec()
-    config = engine_study_config(label, delay_backend)
-    if policies is None:
-        # Budget the default ladder's capped policy at 25 % of the configured
-        # population migrating per epoch.
-        budget = 0.25 * config.num_clients * MIGRATION_COST.cost_per_client
-        policies = default_controller_policies(budget)
-
+    (world,) = worlds
+    world = engine_study_config(world)
+    ladder = default_controller_policies(0.25 * world.num_clients * MIGRATION_COST.cost_per_client)
     point = dict(
-        config=config, policies=tuple(policies.items()), churn=churn, num_epochs=num_epochs
+        config=world,
+        policies=tuple((name, ladder[name]) for name in spec.sweep),
+        churn=spec.churn,
+        num_epochs=spec.num_epochs,
     )
-    runs = replicate(_controller_run, [point], num_runs, seed, workers)
+    runs = replicate(_controller_run, [point], config.num_runs, config.seed, config.workers)
     return StudyResult.collect(
         runs,
-        label,
-        num_runs,
-        list(policies),
+        spec.labels[0],
+        config.num_runs,
+        list(spec.sweep),
         _METRICS,
         algorithm=ALGORITHM,
-        num_epochs=num_epochs,
-        churn=churn,
+        num_epochs=spec.num_epochs,
+        churn=spec.churn,
         server_churn=SERVER_CHURN,
         migration_cost=MIGRATION_COST,
     )
@@ -186,3 +174,17 @@ def format_controller(result: StudyResult) -> str:
         "migration cost",
     ]
     return format_table(headers, result.table(), title=title, float_format=".3f")
+
+
+#: The controller study: the default policy ladder over six Table 3 churn
+#: batches on the default configuration.
+CONTROLLER = ExperimentSpec(
+    experiment_id="controller",
+    paper_artifact="(extension)",
+    description="Rebalance-controller trigger policies under elastic churn with migration costs",
+    execute=_run_controller,
+    format=format_controller,
+    sweep=tuple(default_controller_policies()),
+    num_epochs=6,
+    churn=ChurnSpec(),
+)

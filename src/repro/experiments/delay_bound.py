@@ -10,39 +10,26 @@ is unnecessary (loose bounds).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
-from repro.experiments.paper_values import PAPER_ALGORITHM_ORDER
+from repro.experiments.config import ExperimentConfig, ExperimentSpec
 from repro.experiments.runner import SweepPoint, SweepResult, run_sweep
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike
 
-__all__ = ["run_delay_bound", "format_delay_bound", "DEFAULT_BOUNDS_MS"]
+__all__ = ["DELAY_BOUND", "format_delay_bound", "DEFAULT_BOUNDS_MS"]
 
 #: Default sweep: from very tight twitch games to RTS-grade tolerance.
 DEFAULT_BOUNDS_MS = (100.0, 150.0, 200.0, 250.0, 350.0, 500.0)
 
 
-def run_delay_bound(
-    label: str = PAPER_DEFAULT_LABEL,
-    bounds_ms: Sequence[float] = DEFAULT_BOUNDS_MS,
-    algorithms: Optional[Sequence[str]] = None,
-    num_runs: int = 3,
-    seed: SeedLike = 0,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> SweepResult:
-    """Sweep the interactivity bound D and evaluate every algorithm at each value.
+def _run_delay_bound(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
+    """One sweep point per bound D (ms) of ``spec.sweep``.
 
     The underlying scenarios are identical across bounds (same seed stream);
     only the bound used for decisions and evaluation changes, so the series are
     directly comparable point-for-point.
     """
-    config = apply_delay_backend(config_from_label(label), delay_backend)
-    points = [SweepPoint(float(bound), config, delay_bound_ms=float(bound)) for bound in bounds_ms]
-    algorithms = algorithms or PAPER_ALGORITHM_ORDER
-    return run_sweep(points, algorithms, num_runs, seed, share_topology=True, workers=workers)
+    (world,) = worlds
+    points = [SweepPoint(float(bound), world, delay_bound_ms=float(bound)) for bound in spec.sweep]
+    return run_sweep(points, spec.algorithms, config, spec.share_topology)
 
 
 def format_delay_bound(result: SweepResult) -> str:
@@ -70,3 +57,14 @@ def format_delay_bound(result: SweepResult) -> str:
             ),
         ]
     return "\n".join(parts)
+
+
+#: The delay-bound sweep on the default configuration.
+DELAY_BOUND = ExperimentSpec(
+    experiment_id="delay-bound",
+    paper_artifact="(extension)",
+    description="pQoS and utilisation as the interactivity bound D is swept (100-500 ms)",
+    execute=_run_delay_bound,
+    format=format_delay_bound,
+    sweep=DEFAULT_BOUNDS_MS,
+)

@@ -1,12 +1,12 @@
 """Experiment (extension) — longitudinal DVE dynamics under sustained churn.
 
-The paper's Table 3 measures a *single* churn batch; this driver runs many
+The paper's Table 3 measures a *single* churn batch; this study runs many
 churn epochs and tracks how each algorithm's interactivity evolves when the
 operator applies a repair policy every epoch (full re-execution, incremental
 contact repair, warm-started local search, or scheduled re-executions every
 k epochs).  Replications are independent simulation runs — fresh topology,
-placements and churn streams — so the driver inherits the parallel
-replication engine via the shared ``workers`` knob.
+placements and churn streams — so the study runs on the parallel
+replication engine under ``ExperimentConfig.workers``.
 
 It also holds ``repro-dve simulate``'s per-run simulator, the per-record
 summary cells it shares with ``federate`` and its table renderers.
@@ -14,22 +14,20 @@ summary cells it shares with ``federate`` and its table renderers.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Tuple
 
 import numpy as np
 
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import ChurnSimulator, EpochRecord, EpochSession
 from repro.dynamics.policies import make_policy
-from repro.experiments.config import PAPER_DEFAULT_LABEL, engine_study_config
-from repro.experiments.paper_values import PAPER_ALGORITHM_ORDER
+from repro.experiments.config import ExperimentConfig, ExperimentSpec, engine_study_config
 from repro.experiments.runner import StudyResult, replicate
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike
 from repro.world.scenario import DVEConfig, build_scenario
 
 __all__ = [
-    "run_dynamics",
+    "DYNAMICS",
     "format_dynamics",
     "build_simulator",
     "record_cells",
@@ -91,12 +89,9 @@ def _dynamics_run(
     churn: ChurnSpec,
     num_epochs: int,
     policy: str,
-    policy_period: int,
 ) -> Dict[tuple, float]:
     """One longitudinal run: the stale and adopted pQoS of every (epoch, algorithm)."""
-    engine = dict(
-        algorithms=list(algorithms), churn_spec=churn, policy=policy, policy_period=policy_period
-    )
+    engine = dict(algorithms=list(algorithms), churn_spec=churn, policy=policy)
     simulator = build_simulator(world_rng, engine_rng, config, engine)
     observations = {}
     for record in simulator.stream(num_epochs):
@@ -105,42 +100,33 @@ def _dynamics_run(
     return observations
 
 
-def run_dynamics(
-    label: str = PAPER_DEFAULT_LABEL,
-    algorithms: Optional[Sequence[str]] = None,
-    num_runs: int = 3,
-    seed: SeedLike = 0,
-    num_epochs: int = 5,
-    policy: str = "reexecute",
-    policy_period: int = 0,
-    churn: ChurnSpec | None = None,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> StudyResult:
-    """Run the longitudinal dynamics experiment.
+def _run_dynamics(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
+    """Replicate the longitudinal runs; one row per epoch.
 
     Every run builds a fresh scenario (new topology / placements), simulates
-    ``num_epochs`` churn epochs under the given repair policy on the paper's
+    ``spec.num_epochs`` churn epochs under ``spec.policy`` on the paper's
     fixed fleet with free migration, and the per-epoch pQoS values are
-    aggregated across runs: one row per epoch, a stale and an adopted column
-    per algorithm.
+    aggregated across runs: a stale and an adopted column per algorithm.
     """
-    algorithms = list(algorithms or PAPER_ALGORITHM_ORDER)
-    churn = churn or ChurnSpec()
+    (world,) = worlds
     point = dict(
-        config=engine_study_config(label, delay_backend),
-        algorithms=tuple(algorithms),
-        churn=churn,
-        num_epochs=num_epochs,
-        policy=policy,
-        policy_period=policy_period,
+        config=engine_study_config(world),
+        algorithms=spec.algorithms,
+        churn=spec.churn,
+        num_epochs=spec.num_epochs,
+        policy=spec.policy,
     )
-    runs = replicate(_dynamics_run, [point], num_runs, seed, workers)
-    columns = [(name, kind) for name in algorithms for kind in ("stale", "adopted")]
-    # Resolve the schedule name once so the result reports e.g. "every_5_epochs".
-    schedule = make_policy(policy, period=policy_period or None)
+    runs = replicate(_dynamics_run, [point], config.num_runs, config.seed, config.workers)
+    columns = [(name, kind) for name in spec.algorithms for kind in ("stale", "adopted")]
     return StudyResult.collect(
-        runs, label, num_runs, range(num_epochs), columns, policy=schedule.name, churn=churn
+        runs,
+        spec.labels[0],
+        config.num_runs,
+        range(spec.num_epochs),
+        columns,
+        # The resolved name, e.g. "every_5_epochs".
+        policy=make_policy(spec.policy).name,
+        churn=spec.churn,
     )
 
 
@@ -216,3 +202,17 @@ def format_simulate_profile(session: EpochSession) -> str:
         title=f"Phase breakdown over {epochs} epoch(s)",
         float_format=".4f",
     )
+
+
+#: The dynamics study: five Table 3 churn batches in a row on the default
+#: configuration, re-executing every epoch.
+DYNAMICS = ExperimentSpec(
+    experiment_id="dynamics",
+    paper_artifact="(extension)",
+    description="Longitudinal churn: per-epoch pQoS under a repair-policy schedule",
+    execute=_run_dynamics,
+    format=format_dynamics,
+    num_epochs=5,
+    churn=ChurnSpec(),
+    policy="reexecute",
+)

@@ -1,7 +1,7 @@
 """Experiment (extension) — cross-shard capacity arbitration in federated worlds.
 
 Several independent DVE shards share one topology and one server fleet
-(:mod:`repro.world.federation`); this driver compares capacity arbiters
+(:mod:`repro.world.federation`); this study compares capacity arbiters
 (:mod:`repro.core.arbitration`) on a *skewed* federation — shard client
 populations descend (the first shard is the largest), so a static equal split
 starves the big shard while demand-aware arbiters move capacity toward it.
@@ -17,7 +17,7 @@ Scores per arbiter:
   single-epoch bill (to check the per-epoch migration budget held).
 
 Replications are independent federations (fresh topology, placements and
-churn), parallelised over the shared ``workers`` knob.
+churn), parallelised under ``ExperimentConfig.workers``.
 
 It also holds ``repro-dve federate``'s per-run simulator and its table
 renderers.
@@ -26,7 +26,7 @@ renderers.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -39,15 +39,14 @@ from repro.dynamics.federation_engine import (
     FederationProfile,
 )
 from repro.dynamics.migration import MigrationCostModel
-from repro.experiments.config import PAPER_DEFAULT_LABEL, engine_study_config
+from repro.experiments.config import ExperimentConfig, ExperimentSpec, engine_study_config
 from repro.experiments.runner import StudyResult, replicate
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike
 from repro.world.federation import build_federation, split_client_counts
 from repro.world.scenario import DVEConfig
 
 __all__ = [
-    "run_federation",
+    "FEDERATION",
     "format_federation",
     "build_federated_simulator",
     "format_federate",
@@ -153,54 +152,44 @@ def _federation_run(
     return observations
 
 
-def run_federation(
-    label: str = PAPER_DEFAULT_LABEL,
-    num_shards: int = 3,
-    arbiters: Optional[Sequence[Union[str, CapacityArbiter]]] = None,
-    num_runs: int = 3,
-    seed: SeedLike = 0,
-    num_epochs: int = 5,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> StudyResult:
-    """Run the federated-arbitration experiment.
+def _run_federation(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
+    """Replicate the arbiter comparison; one row per arbiter of ``spec.sweep``.
 
-    The label's client population is split across ``num_shards`` shards with
-    descending weights ``N, N-1, …, 1``, per-shard churn runs at 10 % of each
-    shard's population, migrations cost one unit per client, and every
+    The label's client population is split across ``spec.num_shards`` shards
+    with descending weights ``N, N-1, …, 1``, per-shard churn runs at 10 % of
+    each shard's population, migrations cost one unit per client, and every
     scheduled re-execution is capped by a per-shard migration budget of 25 %
     of the shard-average population (so arbiters are compared under the same
-    disruption ceiling).  The result has one row per arbiter and one column
-    per metric.
-
-    ``workers`` parallelises *replications* over processes; the shards of
-    each federated epoch always step serially.
+    disruption ceiling).  ``config.workers`` parallelises *replications*
+    over processes; the shards of each federated epoch always step serially.
     """
+    num_shards = spec.num_shards
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
-    config = engine_study_config(label, delay_backend)
+    (world,) = worlds
+    world = engine_study_config(world)
     client_weights = tuple(float(num_shards - i) for i in range(num_shards))
-    counts = split_client_counts(config.num_clients, num_shards, weights=client_weights)
+    counts = split_client_counts(world.num_clients, num_shards, weights=client_weights)
     events = [max(1, round(_CHURN_FRACTION * count)) for count in counts]
     churn_specs = tuple(ChurnSpec(num_joins=n, num_leaves=n, num_moves=n) for n in events)
-    migration_budget = 0.25 * config.num_clients / num_shards
-    resolved = [make_arbiter(entry) for entry in (ARBITER_NAMES if arbiters is None else arbiters)]
+    migration_budget = 0.25 * world.num_clients / num_shards
+    resolved = [make_arbiter(entry) for entry in spec.sweep]
     point = dict(
-        config=config,
+        config=world,
         arbiters=tuple(resolved),
         client_weights=client_weights,
         churn_specs=churn_specs,
         migration_budget=migration_budget,
-        num_epochs=num_epochs,
+        num_epochs=spec.num_epochs,
     )
-    runs = replicate(_federation_run, [point], num_runs, seed, workers)
+    runs = replicate(_federation_run, [point], config.num_runs, config.seed, config.workers)
     return StudyResult.collect(
         runs,
-        label,
-        num_runs,
+        spec.labels[0],
+        config.num_runs,
         [arbiter.name for arbiter in resolved],
         _METRICS,
-        num_epochs=num_epochs,
+        num_epochs=spec.num_epochs,
         client_weights=client_weights,
         migration_budget=migration_budget,
     )
@@ -280,3 +269,17 @@ def format_federate_profile(profile: FederationProfile) -> str:
         ),
         float_format=".4f",
     )
+
+
+#: The federation study: every arbiter on the default configuration split
+#: over three shards, for five epochs.
+FEDERATION = ExperimentSpec(
+    experiment_id="federation",
+    paper_artifact="(extension)",
+    description="Cross-shard capacity arbiters on a federated multi-shard world",
+    execute=_run_federation,
+    format=format_federation,
+    sweep=ARBITER_NAMES,
+    num_epochs=5,
+    num_shards=3,
+)

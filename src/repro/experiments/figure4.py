@@ -11,16 +11,15 @@ clients *without* QoS closest to the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.experiments.config import apply_delay_backend, config_from_label
-from repro.experiments.paper_values import PAPER_ALGORITHM_ORDER
+from repro.experiments.config import ExperimentConfig, ExperimentSpec, run
 from repro.experiments.runner import run_replications
 from repro.io.tables import format_table
 from repro.metrics.cdf import FIGURE4_GRID_MS, EmpiricalCDF
 from repro.utils.rng import SeedLike
 
-__all__ = ["Figure4Result", "run_figure4", "format_figure4"]
+__all__ = ["FIGURE4", "Figure4Result", "run_figure4", "format_figure4"]
 
 #: Configuration used by the paper for Figure 4.
 FIGURE4_LABEL = "30s-160z-2000c-1000cp"
@@ -48,36 +47,31 @@ class Figure4Result:
         return list(self.cdfs)
 
 
-def run_figure4(
-    label: str = FIGURE4_LABEL,
-    algorithms: Optional[Sequence[str]] = None,
-    num_runs: int = 3,
-    seed: SeedLike = 0,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> Figure4Result:
-    """Run the Figure 4 experiment and return per-algorithm delay CDFs on
-    :data:`~repro.metrics.cdf.FIGURE4_GRID_MS`, every replication on one
-    shared topology."""
-    algorithms = list(algorithms or PAPER_ALGORITHM_ORDER)
-    config = apply_delay_backend(config_from_label(label), delay_backend)
+def _run_figure4(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> Figure4Result:
+    """Per-algorithm delay CDFs on :data:`~repro.metrics.cdf.FIGURE4_GRID_MS`."""
+    (world,) = worlds
     result = run_replications(
-        config,
-        algorithms,
-        num_runs=num_runs,
-        seed=seed,
+        world,
+        spec.algorithms,
+        num_runs=config.num_runs,
+        seed=config.seed,
         collect_delays=True,
         cdf_grid=FIGURE4_GRID_MS,
-        share_topology=True,
-        workers=workers,
+        share_topology=spec.share_topology,
+        workers=config.workers,
     )
     cdfs = {
         name: result.summaries[name].delay_cdf
-        for name in algorithms
+        for name in spec.algorithms
         if result.summaries[name].delay_cdf is not None
     }
-    pqos = {name: result.summaries[name].pqos.mean for name in algorithms}
-    return Figure4Result(label=label, cdfs=cdfs, pqos=pqos)
+    pqos = {name: result.summaries[name].pqos.mean for name in spec.algorithms}
+    return Figure4Result(label=spec.labels[0], cdfs=cdfs, pqos=pqos)
+
+
+def run_figure4(num_runs: int, seed: SeedLike = 0) -> Figure4Result:
+    """Run :data:`FIGURE4` serially: ``num_runs`` replications from ``seed``."""
+    return run(FIGURE4, ExperimentConfig(num_runs=num_runs, seed=seed))
 
 
 def format_figure4(result: Figure4Result) -> str:
@@ -91,3 +85,15 @@ def format_figure4(result: Figure4Result) -> str:
     )
     pqos_line = "pQoS: " + ", ".join(f"{a}={result.pqos[a]:.3f}" for a in algorithms)
     return table + "\n" + pqos_line
+
+
+#: Figure 4: the four paper algorithms on the largest configuration, every
+#: replication on one shared topology.
+FIGURE4 = ExperimentSpec(
+    experiment_id="figure4",
+    paper_artifact="Figure 4",
+    description="CDF of client-to-target-server delays on 30s-160z-2000c-1000cp",
+    execute=_run_figure4,
+    format=format_figure4,
+    labels=(FIGURE4_LABEL,),
+)

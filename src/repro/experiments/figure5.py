@@ -13,15 +13,11 @@ grows (fewer clients need forwarding when their zone's server is nearby).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
-from repro.experiments.paper_values import PAPER_ALGORITHM_ORDER
+from repro.experiments.config import ExperimentConfig, ExperimentSpec
 from repro.experiments.runner import SweepPoint, SweepResult, run_sweep
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike
 
-__all__ = ["run_figure5", "format_figure5"]
+__all__ = ["FIGURE5", "format_figure5"]
 
 #: Correlation values swept by the paper.
 DEFAULT_CORRELATIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -29,30 +25,17 @@ DEFAULT_CORRELATIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 FIGURE5_DELAY_BOUND_MS = 200.0
 
 
-def run_figure5(
-    label: str = PAPER_DEFAULT_LABEL,
-    correlations: Sequence[float] = DEFAULT_CORRELATIONS,
-    algorithms: Optional[Sequence[str]] = None,
-    num_runs: int = 3,
-    seed: SeedLike = 0,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> SweepResult:
-    """Run the correlation sweep of Figure 5: one point per correlation δ."""
+def _run_figure5(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
+    """One sweep point per correlation δ of ``spec.sweep``."""
+    (world,) = worlds
     points = [
         SweepPoint(
             float(delta),
-            apply_delay_backend(
-                config_from_label(
-                    label, correlation=float(delta), delay_bound_ms=FIGURE5_DELAY_BOUND_MS
-                ),
-                delay_backend,
-            ),
+            world.with_updates(correlation=float(delta), delay_bound_ms=FIGURE5_DELAY_BOUND_MS),
         )
-        for delta in correlations
+        for delta in spec.sweep
     ]
-    algorithms = algorithms or PAPER_ALGORITHM_ORDER
-    return run_sweep(points, algorithms, num_runs, seed, share_topology=True, workers=workers)
+    return run_sweep(points, spec.algorithms, config, spec.share_topology)
 
 
 def format_figure5(result: SweepResult) -> str:
@@ -72,3 +55,14 @@ def format_figure5(result: SweepResult) -> str:
         title="Figure 5(b): resource utilisation vs correlation",
     )
     return part_a + "\n\n" + part_b
+
+
+#: Figure 5: the correlation sweep on the default configuration.
+FIGURE5 = ExperimentSpec(
+    experiment_id="figure5",
+    paper_artifact="Figure 5",
+    description="pQoS and utilisation vs physical-virtual correlation (D = 200 ms)",
+    execute=_run_figure5,
+    format=format_figure5,
+    sweep=DEFAULT_CORRELATIONS,
+)

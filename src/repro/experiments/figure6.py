@@ -13,39 +13,29 @@ physical-world clustering alone has little effect on either metric.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
-from repro.experiments.paper_values import PAPER_ALGORITHM_ORDER
+from repro.experiments.config import ExperimentConfig, ExperimentSpec
 from repro.experiments.runner import SweepPoint, SweepResult, run_sweep
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike
 from repro.world.distributions import DISTRIBUTION_TYPES
 
-__all__ = ["run_figure6", "format_figure6"]
+__all__ = ["FIGURE6", "format_figure6"]
 
 
-def run_figure6(
-    label: str = PAPER_DEFAULT_LABEL,
-    types: Sequence[int] = (0, 1, 2, 3),
-    algorithms: Optional[Sequence[str]] = None,
-    num_runs: int = 3,
-    seed: SeedLike = 0,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> SweepResult:
-    """Run the distribution-type sweep of Figure 6: one point per Table 2 type."""
+def _run_figure6(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
+    """One sweep point per Table 2 distribution type of ``spec.sweep``."""
+    (world,) = worlds
     points = []
-    for dist_type in types:
+    for dist_type in spec.sweep:
         if dist_type not in DISTRIBUTION_TYPES:
             raise ValueError(f"unknown distribution type {dist_type}")
         physical, virtual = DISTRIBUTION_TYPES[dist_type]
-        config = config_from_label(
-            label, physical_distribution=physical, virtual_distribution=virtual
+        points.append(
+            SweepPoint(
+                int(dist_type),
+                world.with_updates(physical_distribution=physical, virtual_distribution=virtual),
+            )
         )
-        points.append(SweepPoint(int(dist_type), apply_delay_backend(config, delay_backend)))
-    algorithms = algorithms or PAPER_ALGORITHM_ORDER
-    return run_sweep(points, algorithms, num_runs, seed, share_topology=True, workers=workers)
+    return run_sweep(points, spec.algorithms, config, spec.share_topology)
 
 
 def format_figure6(result: SweepResult) -> str:
@@ -66,3 +56,14 @@ def format_figure6(result: SweepResult) -> str:
         title="Figure 6(b): resource utilisation vs distribution type",
     )
     return part_a + "\n\n" + part_b
+
+
+#: Figure 6: the four Table 2 distribution types on the default configuration.
+FIGURE6 = ExperimentSpec(
+    experiment_id="figure6",
+    paper_artifact="Figure 6",
+    description="pQoS and utilisation vs clustered client distributions (types 0-3)",
+    execute=_run_figure6,
+    format=format_figure6,
+    sweep=tuple(DISTRIBUTION_TYPES),
+)

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.core.problem import CAPInstance
 from repro.core.registry import ensure_registered, solve as registry_solve
+from repro.experiments.config import ExperimentConfig, ExperimentSpec
 from repro.measurement.estimators import DelayEstimator
 from repro.metrics.cdf import EmpiricalCDF, delay_cdf, merge_cdfs
 from repro.metrics.summary import AggregateStat, RunningStats, aggregate
@@ -62,6 +63,7 @@ __all__ = [
     "replicate_records",
     "run_replications",
     "run_sweep",
+    "sweep_labels",
 ]
 
 
@@ -442,15 +444,13 @@ class SweepResult:
 def run_sweep(
     points: Sequence[SweepPoint],
     algorithms: Sequence[str],
-    num_runs: int = 5,
-    seed: SeedLike = 0,
-    share_topology: bool = False,
-    workers: Optional[int] = None,
+    config: ExperimentConfig,
+    share_topology: bool,
 ) -> SweepResult:
     """Run :func:`run_replications` at every point of a sweep, in order.
 
-    Every point gets the same ``seed``; with an integer seed the points
-    replay the same run streams, so they differ only in what the point
+    Every point gets the same ``config.seed``; with an integer seed the
+    points replay the same run streams, so they differ only in what the point
     changes (configuration, delay bound, estimator or algorithm list).
     """
     algorithms = list(algorithms)
@@ -458,16 +458,32 @@ def run_sweep(
         point.key: run_replications(
             point.config,
             point.algorithms or algorithms,
-            num_runs=num_runs,
-            seed=seed,
+            num_runs=config.num_runs,
+            seed=config.seed,
             estimator=point.estimator,
             delay_bound_ms=point.delay_bound_ms,
             share_topology=share_topology,
-            workers=workers,
+            workers=config.workers,
         )
         for point in points
     }
     return SweepResult(algorithms=algorithms, results=results)
+
+
+def sweep_labels(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
+    """Run a spec's configurations as a sweep: one point per label, keyed by it.
+
+    The exact MILP joins the algorithms at the labels of ``spec.exact_labels``.
+    """
+    points = [
+        SweepPoint(
+            label,
+            world,
+            algorithms=(*spec.algorithms, "optimal") if label in spec.exact_labels else None,
+        )
+        for label, world in zip(spec.labels, worlds)
+    ]
+    return run_sweep(points, spec.algorithms, config, spec.share_topology)
 
 
 @dataclass(frozen=True)

@@ -13,22 +13,23 @@ implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.optimal import OptimalOptions, solve_cap_optimal
 from repro.core.problem import CAPInstance
 from repro.core.registry import solve as registry_solve
-from repro.experiments.config import PAPER_TABLE1_LABELS, apply_delay_backend, config_from_label
-from repro.experiments.paper_values import PAPER_ALGORITHM_ORDER
+from repro.experiments.config import PAPER_TABLE1_LABELS, ExperimentConfig, ExperimentSpec
 from repro.experiments.runner import replicate
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
 from repro.world.scenario import DVEConfig, build_scenario
 
-__all__ = ["RuntimeResult", "run_runtime", "format_runtime"]
+__all__ = ["RUNTIME", "RuntimeResult", "format_runtime"]
+
+#: Per-phase time limit (seconds) of the exact MILP where it runs.
+OPTIMAL_TIME_LIMIT_S = 120.0
 
 
 @dataclass(frozen=True)
@@ -74,53 +75,39 @@ def _runtime_run(
     return elapsed
 
 
-def run_runtime(
-    labels: Sequence[str] = PAPER_TABLE1_LABELS,
-    solvers: Optional[Sequence[str]] = None,
-    num_runs: int = 2,
-    seed: SeedLike = 0,
-    optimal_labels: Sequence[str] = (),
-    optimal_time_limit: float = 60.0,
-    delay_backend: Optional[str] = None,
-) -> RuntimeResult:
-    """Measure solver runtimes per configuration.
+def _run_runtime(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> RuntimeResult:
+    """Measure each solver's mean wall time on every configuration, serially.
 
-    The exact MILP is only run on ``optimal_labels`` (empty by default: the
+    The exact MILP runs on ``spec.exact_labels`` only (none by default: the
     large instances would dominate the experiment's own wall-clock time, just
-    as ``lp_solve`` did in the paper), with a per-phase time limit so a
-    pathological instance cannot hang the harness.  Runs always execute
-    serially: timings taken on a contended process pool would be meaningless.
+    as ``lp_solve`` did in the paper), with :data:`OPTIMAL_TIME_LIMIT_S` per
+    phase so a pathological instance cannot hang the harness.
     """
-    solvers = list(solvers or PAPER_ALGORITHM_ORDER)
-    all_solvers = list(solvers) + (["optimal"] if optimal_labels else [])
-    configs = [
-        apply_delay_backend(config_from_label(label), delay_backend)
-        for label in labels
-    ]
+    solvers = list(spec.algorithms)
     points = [
         dict(
-            config=config,
+            config=world,
             solvers=solvers,
-            optimal_time_limit=optimal_time_limit if label in optimal_labels else None,
+            optimal_time_limit=OPTIMAL_TIME_LIMIT_S if label in spec.exact_labels else None,
         )
-        for label, config in zip(labels, configs)
+        for label, world in zip(spec.labels, worlds)
     ]
-    runs = replicate(_runtime_run, points, num_runs, seed)
+    runs = replicate(_runtime_run, points, config.num_runs, config.seed)
 
     runtimes: Dict[str, Dict[str, float]] = {}
     sizes: Dict[str, Dict[str, int]] = {}
-    for label, config in zip(labels, configs):
-        per_run = [next(runs) for _ in range(num_runs)]
-        runtimes[label] = {s: sum(run[s] for run in per_run) / num_runs for s in per_run[0]}
+    for label, world in zip(spec.labels, worlds):
+        per_run = [next(runs) for _ in range(config.num_runs)]
+        runtimes[label] = {s: sum(run[s] for run in per_run) / config.num_runs for s in per_run[0]}
         sizes[label] = {
-            "servers": config.num_servers,
-            "zones": config.num_zones,
-            "clients": config.num_clients,
+            "servers": world.num_servers,
+            "zones": world.num_zones,
+            "clients": world.num_clients,
         }
 
     return RuntimeResult(
-        labels=list(labels),
-        solvers=all_solvers,
+        labels=list(spec.labels),
+        solvers=solvers + (["optimal"] if spec.exact_labels else []),
         runtimes=runtimes,
         problem_sizes=sizes,
     )
@@ -135,3 +122,17 @@ def format_runtime(result: RuntimeResult) -> str:
         title="Runtime (E9): mean solver execution time in seconds",
         float_format=".4f",
     )
+
+
+#: The runtime study: the paper's four algorithms on every Table 1
+#: configuration.  Wall-clock measurements on a contended pool would be
+#: meaningless, so it always executes serially.
+RUNTIME = ExperimentSpec(
+    experiment_id="runtime",
+    paper_artifact="(runtime discussion in Section 4.2)",
+    description="Solver execution times across configuration sizes",
+    execute=_run_runtime,
+    format=format_runtime,
+    labels=PAPER_TABLE1_LABELS,
+    supports_workers=False,
+)

@@ -12,21 +12,20 @@ shed, track and re-admit instead of crashing.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
 from repro.dynamics.degradation import AdmissionPolicy
 from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.scenarios import SCENARIO_LIBRARY
-from repro.experiments.config import PAPER_DEFAULT_LABEL, engine_study_config
+from repro.experiments.config import ExperimentConfig, ExperimentSpec, engine_study_config
 from repro.experiments.runner import StudyResult, replicate
 from repro.io.tables import format_table
 from repro.metrics.recovery import recovery_report
-from repro.utils.rng import SeedLike
 from repro.world.scenario import DVEConfig, build_scenario
 
-__all__ = ["run_scenarios", "format_scenarios"]
+__all__ = ["SCENARIOS", "format_scenarios"]
 
 #: Recovery metrics reported per (scenario, algorithm), in column order.
 RECOVERY_METRICS = (
@@ -72,36 +71,28 @@ def _scenario_run(
     return {((scenario, ALGORITHM), m): v for m, v in zip(RECOVERY_METRICS, values)}
 
 
-def run_scenarios(
-    label: str = PAPER_DEFAULT_LABEL,
-    scenarios: Optional[Sequence[str]] = None,
-    num_runs: int = 3,
-    seed: SeedLike = 0,
-    num_epochs: int = 16,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> StudyResult:
-    """Run the incident-scenario recovery experiment.
+def _run_scenarios(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
+    """Replicate every scenario of ``spec.sweep``; one row per (scenario, algorithm).
 
     Each (scenario, run) pair is an independent replication — fresh topology,
-    placements and the Table 3 churn stream — simulated for ``num_epochs``
-    epochs with the named disturbance timeline active and admission control
-    shedding excess clients to the degraded pool.  Recovery metrics are
-    computed per replication and aggregated across runs, one row per
-    (scenario, algorithm); ``recovered`` is a 0/1 indicator, so its mean is
-    the recovery rate.
+    placements and the Table 3 churn stream — simulated for
+    ``spec.num_epochs`` epochs with the named disturbance timeline active and
+    admission control shedding excess clients to the degraded pool.
+    ``recovered`` is a 0/1 indicator, so its mean is the recovery rate.
     """
-    scenarios = list(scenarios or sorted(SCENARIO_LIBRARY))
-    for name in scenarios:
+    for name in spec.sweep:
         if name not in SCENARIO_LIBRARY:
             raise ValueError(
                 f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIO_LIBRARY))}"
             )
-    config = engine_study_config(label, delay_backend)
-    points = [dict(config=config, scenario=name, num_epochs=num_epochs) for name in scenarios]
-    runs = replicate(_scenario_run, points, num_runs, seed, workers)
-    rows = [(name, ALGORITHM) for name in scenarios]
-    return StudyResult.collect(runs, label, num_runs, rows, RECOVERY_METRICS, num_epochs=num_epochs)
+    (world,) = worlds
+    world = engine_study_config(world)
+    points = [dict(config=world, scenario=name, num_epochs=spec.num_epochs) for name in spec.sweep]
+    runs = replicate(_scenario_run, points, config.num_runs, config.seed, config.workers)
+    rows = [(name, ALGORITHM) for name in spec.sweep]
+    return StudyResult.collect(
+        runs, spec.labels[0], config.num_runs, rows, RECOVERY_METRICS, num_epochs=spec.num_epochs
+    )
 
 
 def format_scenarios(result: StudyResult) -> str:
@@ -122,3 +113,16 @@ def format_scenarios(result: StudyResult) -> str:
         f"{result.num_runs} runs"
     )
     return format_table(headers, result.table(), title=title, float_format=".3f")
+
+
+#: The scenario study: every library scenario for 16 epochs on the default
+#: configuration.
+SCENARIOS = ExperimentSpec(
+    experiment_id="scenarios",
+    paper_artifact="(extension)",
+    description="Incident scenario library: recovery metrics under graceful degradation",
+    execute=_run_scenarios,
+    format=format_scenarios,
+    sweep=tuple(sorted(SCENARIO_LIBRARY)),
+    num_epochs=16,
+)

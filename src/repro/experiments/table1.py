@@ -9,65 +9,12 @@ configurations where it is tractable.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.experiments.config import (
-    PAPER_SMALL_LABELS,
-    PAPER_TABLE1_LABELS,
-    apply_delay_backend,
-    config_from_label,
-)
-from repro.experiments.paper_values import (
-    PAPER_ALGORITHM_ORDER,
-    PAPER_TABLE1_PQOS,
-    PAPER_TABLE1_UTILIZATION,
-)
-from repro.experiments.runner import SweepPoint, SweepResult, qos_cell, run_sweep
+from repro.experiments.config import PAPER_SMALL_LABELS, PAPER_TABLE1_LABELS, ExperimentSpec
+from repro.experiments.paper_values import PAPER_TABLE1_PQOS, PAPER_TABLE1_UTILIZATION
+from repro.experiments.runner import SweepResult, qos_cell, sweep_labels
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike
 
-__all__ = ["run_table1", "format_table1"]
-
-
-def run_table1(
-    labels: Sequence[str] = PAPER_TABLE1_LABELS,
-    algorithms: Optional[Sequence[str]] = None,
-    num_runs: int = 5,
-    seed: SeedLike = 0,
-    optimal_labels: Sequence[str] = PAPER_SMALL_LABELS,
-    share_topology: bool = False,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> SweepResult:
-    """Run the Table 1 experiment: one sweep point per configuration label.
-
-    Parameters
-    ----------
-    labels:
-        Configuration labels to evaluate (default: the paper's four).
-    algorithms:
-        Two-phase algorithms to compare (default: the paper's four).
-    num_runs:
-        Simulation runs per configuration (the paper uses 50).
-    optimal_labels:
-        Where to also run the exact MILP baseline; by default on the two small
-        configurations only, as in the paper (``()`` skips it everywhere).
-    share_topology:
-        Reuse one topology sample across runs of a configuration (faster).
-    workers:
-        Worker processes for the replication engine (see
-        :func:`~repro.experiments.runner.run_replications`).
-    """
-    algorithms = list(algorithms or PAPER_ALGORITHM_ORDER)
-    points = [
-        SweepPoint(
-            label,
-            apply_delay_backend(config_from_label(label), delay_backend),
-            algorithms=(*algorithms, "optimal") if label in optimal_labels else None,
-        )
-        for label in labels
-    ]
-    return run_sweep(points, algorithms, num_runs, seed, share_topology, workers)
+__all__ = ["TABLE1", "format_table1"]
 
 
 def format_table1(result: SweepResult) -> str:
@@ -102,3 +49,17 @@ def format_table1(result: SweepResult) -> str:
         )
     )
     return "\n".join(parts)
+
+
+#: Table 1: the paper's four configurations with the exact MILP on the two
+#: small ones (``lp_solve`` in the paper, HiGHS here), a fresh topology every run.
+TABLE1 = ExperimentSpec(
+    experiment_id="table1",
+    paper_artifact="Table 1",
+    description="pQoS and resource utilisation across the four DVE configurations",
+    execute=sweep_labels,
+    format=format_table1,
+    labels=PAPER_TABLE1_LABELS,
+    exact_labels=PAPER_SMALL_LABELS,
+    share_topology=False,
+)

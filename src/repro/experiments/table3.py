@@ -11,20 +11,19 @@ fourth column.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import ChurnSimulator
-from repro.experiments.config import PAPER_DEFAULT_LABEL, engine_study_config
-from repro.experiments.paper_values import PAPER_ALGORITHM_ORDER, PAPER_TABLE3_PQOS
+from repro.experiments.config import ExperimentConfig, ExperimentSpec, engine_study_config
+from repro.experiments.paper_values import PAPER_TABLE3_PQOS
 from repro.experiments.runner import StudyResult, replicate
 from repro.io.tables import format_table
-from repro.utils.rng import SeedLike
 from repro.world.scenario import DVEConfig, build_scenario
 
-__all__ = ["run_table3", "format_table3"]
+__all__ = ["TABLE3", "format_table3"]
 
 #: The measured columns: the record field behind each, in table order.
 _COLUMNS = {
@@ -56,29 +55,19 @@ def _table3_run(
     }
 
 
-def run_table3(
-    label: str = PAPER_DEFAULT_LABEL,
-    algorithms: Optional[Sequence[str]] = None,
-    num_runs: int = 3,
-    seed: SeedLike = 0,
-    churn: ChurnSpec | None = None,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> StudyResult:
-    """Run the dynamics experiment of Table 3.
+def _run_table3(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
+    """Replicate one churn batch per run; one row per algorithm.
 
     Every run builds a fresh scenario (new topology / placements), runs one
-    churn epoch for every algorithm, and records the three measurement points;
-    results are averaged over runs, one row per algorithm.
+    ``spec.churn`` epoch for every algorithm, and records the measurement
+    points; results are averaged over runs.
     """
-    algorithms = list(algorithms or PAPER_ALGORITHM_ORDER)
-    point = dict(
-        config=engine_study_config(label, delay_backend),
-        algorithms=tuple(algorithms),
-        churn=churn or ChurnSpec(),
+    (world,) = worlds
+    point = dict(config=engine_study_config(world), algorithms=spec.algorithms, churn=spec.churn)
+    runs = replicate(_table3_run, [point], config.num_runs, config.seed, config.workers)
+    return StudyResult.collect(
+        runs, spec.labels[0], config.num_runs, list(spec.algorithms), list(_COLUMNS)
     )
-    runs = replicate(_table3_run, [point], num_runs, seed, workers)
-    return StudyResult.collect(runs, label, num_runs, algorithms, list(_COLUMNS))
 
 
 def format_table3(result: StudyResult) -> str:
@@ -103,3 +92,15 @@ def format_table3(result: StudyResult) -> str:
         float_format=".2f",
     )
     return measured + "\n\n" + paper
+
+
+#: Table 3: the paper's 200/200/200 join-leave-move batch on the default
+#: configuration.
+TABLE3 = ExperimentSpec(
+    experiment_id="table3",
+    paper_artifact="Table 3",
+    description="pQoS before / after / re-executed around join-leave-move churn",
+    execute=_run_table3,
+    format=format_table3,
+    churn=ChurnSpec(),
+)

@@ -14,47 +14,31 @@ the delay-oblivious RanZ variants.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.experiments.config import PAPER_DEFAULT_LABEL, apply_delay_backend, config_from_label
-from repro.experiments.paper_values import (
-    PAPER_ALGORITHM_ORDER,
-    PAPER_TABLE4_PQOS,
-    PAPER_TABLE4_UTILIZATION,
-)
+from repro.experiments.config import ExperimentConfig, ExperimentSpec
+from repro.experiments.paper_values import PAPER_TABLE4_PQOS, PAPER_TABLE4_UTILIZATION
 from repro.experiments.runner import SweepPoint, SweepResult, qos_cell, run_sweep
 from repro.io.tables import format_table
 from repro.measurement.error import ErrorModel
 from repro.measurement.estimators import DelayEstimator
-from repro.utils.rng import SeedLike
 
-__all__ = ["run_table4", "format_table4"]
+__all__ = ["TABLE4", "format_table4"]
 
 #: The error factors studied by the paper (King, IDMaps).
 DEFAULT_ERROR_FACTORS = (1.2, 2.0)
 
 
-def run_table4(
-    label: str = PAPER_DEFAULT_LABEL,
-    error_factors: Sequence[float] = DEFAULT_ERROR_FACTORS,
-    algorithms: Optional[Sequence[str]] = None,
-    num_runs: int = 3,
-    seed: SeedLike = 0,
-    workers: Optional[int] = None,
-    delay_backend: Optional[str] = None,
-) -> SweepResult:
-    """Run the imperfect-input-data experiment of Table 4: one point per error factor."""
-    config = apply_delay_backend(config_from_label(label), delay_backend)
+def _run_table4(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
+    """One sweep point per error factor of ``spec.sweep``."""
+    (world,) = worlds
     points = [
         SweepPoint(
             float(factor),
-            config,
+            world,
             estimator=DelayEstimator(ErrorModel(float(factor), name=f"e={factor}")),
         )
-        for factor in error_factors
+        for factor in spec.sweep
     ]
-    algorithms = algorithms or PAPER_ALGORITHM_ORDER
-    return run_sweep(points, algorithms, num_runs, seed, share_topology=True, workers=workers)
+    return run_sweep(points, spec.algorithms, config, spec.share_topology)
 
 
 def format_table4(result: SweepResult) -> str:
@@ -82,3 +66,14 @@ def format_table4(result: SweepResult) -> str:
         title="Table 4 (paper): pQoS (R) with imperfect delay estimates",
     )
     return measured + "\n\n" + paper
+
+
+#: Table 4: the King and IDMaps error factors on the default configuration.
+TABLE4 = ExperimentSpec(
+    experiment_id="table4",
+    paper_artifact="Table 4",
+    description="pQoS and utilisation with delay-estimation error (King, IDMaps)",
+    execute=_run_table4,
+    format=format_table4,
+    sweep=DEFAULT_ERROR_FACTORS,
+)

@@ -1,7 +1,8 @@
 """Golden rendered text of the replicated experiments.
 
-Each entry runs one driver on a small input and renders it with the
-driver's own formatter.  The seven replicated sweeps are ``table1``,
+Each shrunk entry runs one experiment spec, shrunk with
+``dataclasses.replace``, through :func:`repro.experiments.config.run` and
+renders it with the spec's own formatter.  The seven replicated sweeps are ``table1``,
 ``table4``, ``figure5``, ``figure6``, ``delay-bound``, ``baselines`` and
 ``ablation``; every sweep has two points on
 ``5s-15z-200c-100cp``-sized worlds, one or two runs and seed 7.  The five
@@ -29,27 +30,26 @@ import contextlib
 import functools
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict
 
 import repro.baselines  # noqa: F401 - registers the baseline solvers
 from repro.cli import main as cli_main
 from repro.dynamics.churn import ChurnSpec
-from repro.experiments.ablation import format_ablation, run_ablation
-from repro.experiments.baselines_compare import (
-    format_baseline_comparison,
-    run_baseline_comparison,
-)
-from repro.experiments.controller import format_controller, run_controller
-from repro.experiments.delay_bound import format_delay_bound, run_delay_bound
-from repro.experiments.dynamics import format_dynamics, run_dynamics
-from repro.experiments.federation import format_federation, run_federation
-from repro.experiments.figure5 import format_figure5, run_figure5
-from repro.experiments.figure6 import format_figure6, run_figure6
-from repro.experiments.scenarios import format_scenarios, run_scenarios
-from repro.experiments.table1 import format_table1, run_table1
-from repro.experiments.table3 import format_table3, run_table3
-from repro.experiments.table4 import format_table4, run_table4
+from repro.experiments.ablation import ABLATION
+from repro.experiments.baselines_compare import BASELINES
+from repro.experiments.config import ExperimentConfig, ExperimentSpec, run
+from repro.experiments.controller import CONTROLLER
+from repro.experiments.delay_bound import DELAY_BOUND
+from repro.experiments.dynamics import DYNAMICS
+from repro.experiments.federation import FEDERATION
+from repro.experiments.figure5 import FIGURE5
+from repro.experiments.figure6 import FIGURE6
+from repro.experiments.scenarios import SCENARIOS
+from repro.experiments.table1 import TABLE1
+from repro.experiments.table3 import TABLE3
+from repro.experiments.table4 import TABLE4
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "experiments.json"
 
@@ -106,91 +106,63 @@ def _cli(*argv: str) -> str:
     return text
 
 
+def _render(spec: ExperimentSpec, num_runs: int, **shrink: object) -> str:
+    """``spec`` shrunk by ``shrink``, run with seed :data:`SEED` and rendered."""
+    spec = replace(spec, **shrink)
+    return spec.format(run(spec, ExperimentConfig(num_runs=num_runs, seed=SEED)))
+
+
 CASES: Dict[str, Callable[[], str]] = {
-    "table1": lambda: format_table1(
-        run_table1(
-            labels=(LABEL, SECOND_LABEL),
-            algorithms=ALGORITHMS,
-            num_runs=2,
-            seed=SEED,
-            optimal_labels=(LABEL,),
-        )
+    "table1": lambda: _render(
+        TABLE1, 2, labels=(LABEL, SECOND_LABEL), algorithms=ALGORITHMS, exact_labels=(LABEL,)
     ),
-    "table4": lambda: format_table4(
-        run_table4(
-            label=LABEL, error_factors=(1.2, 2.0), algorithms=ALGORITHMS, num_runs=2, seed=SEED
-        )
+    "table4": lambda: _render(TABLE4, 2, labels=(LABEL,), sweep=(1.2, 2.0), algorithms=ALGORITHMS),
+    "figure5": lambda: _render(
+        FIGURE5, 2, labels=(LABEL,), sweep=(0.0, 1.0), algorithms=ALGORITHMS
     ),
-    "figure5": lambda: format_figure5(
-        run_figure5(
-            label=LABEL, correlations=(0.0, 1.0), algorithms=ALGORITHMS, num_runs=2, seed=SEED
-        )
+    "figure6": lambda: _render(FIGURE6, 1, labels=(LABEL,), sweep=(0, 3), algorithms=ALGORITHMS),
+    "delay-bound": lambda: _render(
+        DELAY_BOUND,
+        2,
+        labels=(LABEL,),
+        sweep=(150.0, 300.0),
+        algorithms=("ranz-virc", "grez-virc", "grez-grec"),
     ),
-    "figure6": lambda: format_figure6(
-        run_figure6(label=LABEL, types=(0, 3), algorithms=ALGORITHMS, num_runs=1, seed=SEED)
-    ),
-    "delay-bound": lambda: format_delay_bound(
-        run_delay_bound(
-            label=LABEL,
-            bounds_ms=(150.0, 300.0),
-            algorithms=("ranz-virc", "grez-virc", "grez-grec"),
-            num_runs=2,
-            seed=SEED,
-        )
-    ),
-    "baselines": lambda: format_baseline_comparison(
-        run_baseline_comparison(
-            labels=(LABEL, SECOND_LABEL),
-            solvers=("grez-grec", "nearest-server", "load-balance"),
-            num_runs=1,
-            seed=SEED,
-        ),
+    "baselines": lambda: _render(
+        BASELINES,
+        1,
+        labels=(LABEL, SECOND_LABEL),
+        algorithms=("grez-grec", "nearest-server", "load-balance"),
     ),
     "ablation": lambda: _blank_runtime_column(
-        format_ablation(
-            run_ablation(
-                label=LABEL,
-                variants=("grez-grec", "grez-grec-dynamic", "load-balance"),
-                num_runs=2,
-                seed=SEED,
-            )
+        _render(
+            ABLATION,
+            2,
+            labels=(LABEL,),
+            algorithms=("grez-grec", "grez-grec-dynamic", "load-balance"),
         )
     ),
-    "table3": lambda: format_table3(
-        run_table3(label=LABEL, algorithms=ALGORITHMS, num_runs=2, seed=SEED, churn=CHURN)
+    "table3": lambda: _render(TABLE3, 2, labels=(LABEL,), algorithms=ALGORITHMS, churn=CHURN),
+    "dynamics": lambda: _render(
+        DYNAMICS,
+        2,
+        labels=(LABEL,),
+        algorithms=ALGORITHMS,
+        num_epochs=3,
+        policy="incremental",
+        churn=CHURN,
     ),
-    "dynamics": lambda: format_dynamics(
-        run_dynamics(
-            label=LABEL,
-            algorithms=ALGORITHMS,
-            num_runs=2,
-            seed=SEED,
-            num_epochs=3,
-            policy="incremental",
-            churn=CHURN,
-        )
+    "scenarios": lambda: _render(
+        SCENARIOS, 1, labels=(LABEL,), sweep=("flash-crowd", "regional-outage"), num_epochs=6
     ),
-    "scenarios": lambda: format_scenarios(
-        run_scenarios(
-            label=LABEL,
-            scenarios=("flash-crowd", "regional-outage"),
-            num_runs=1,
-            seed=SEED,
-            num_epochs=6,
-        )
-    ),
-    "controller": lambda: format_controller(
-        run_controller(label=LABEL, num_runs=2, seed=SEED, num_epochs=3, churn=CHURN)
-    ),
-    "federation": lambda: format_federation(
-        run_federation(
-            label=LABEL,
-            num_shards=2,
-            arbiters=("static", "proportional"),
-            num_runs=2,
-            seed=SEED,
-            num_epochs=2,
-        )
+    "controller": lambda: _render(CONTROLLER, 2, labels=(LABEL,), num_epochs=3, churn=CHURN),
+    "federation": lambda: _render(
+        FEDERATION,
+        2,
+        labels=(LABEL,),
+        num_shards=2,
+        sweep=("static", "proportional"),
+        num_epochs=2,
     ),
 }
 

@@ -91,32 +91,18 @@ class TestSolveCommand:
 
 class TestExperimentCommand:
     def test_runs_figure5_quickly(self, capsys, monkeypatch):
-        # Shrink the experiment through its own keyword interface by patching the
-        # registry entry's runner with smaller defaults.
+        # Shrink the experiment by patching the registry entry with a smaller spec.
+        import dataclasses
+
         from repro.experiments import registry as reg
 
-        spec = reg.get_experiment("figure5")
-
-        def tiny_run(num_runs=1, seed=0):
-            return spec.run(
-                label="5s-15z-200c-100cp",
-                correlations=[0.5],
-                algorithms=["grez-virc"],
-                num_runs=num_runs,
-                seed=seed,
-            )
-
-        monkeypatch.setitem(
-            reg.EXPERIMENTS,
-            "figure5",
-            reg.ExperimentSpec(
-                experiment_id="figure5",
-                paper_artifact=spec.paper_artifact,
-                description=spec.description,
-                run=tiny_run,
-                format=spec.format,
-            ),
+        spec = dataclasses.replace(
+            reg.get_experiment("figure5"),
+            labels=("5s-15z-200c-100cp",),
+            sweep=(0.5,),
+            algorithms=("grez-virc",),
         )
+        monkeypatch.setitem(reg.EXPERIMENTS, "figure5", spec)
         assert main(["experiment", "figure5", "--runs", "1", "--seed", "0"]) == 0
         assert "Figure 5" in capsys.readouterr().out
 
@@ -469,24 +455,22 @@ class TestFederateCommand:
 
         from repro.experiments import registry as reg
 
-        spec = reg.get_experiment("federation")
+        federation = reg.get_experiment("federation")
         received = {}
 
-        def tiny_run(num_runs=1, seed=0, workers=None):
-            received.update(num_runs=num_runs, seed=seed, workers=workers)
-            return spec.run(
-                label="4s-8z-80c-60cp",
-                num_shards=2,
-                num_epochs=2,
-                arbiters=["proportional"],
-                num_runs=num_runs,
-                seed=seed,
-                workers=workers,
-            )
+        def execute(spec, worlds, config):
+            received.update(num_runs=config.num_runs, seed=config.seed, workers=config.workers)
+            return federation.execute(spec, worlds, config)
 
-        monkeypatch.setitem(
-            reg.EXPERIMENTS, "federation", dataclasses.replace(spec, run=tiny_run)
+        tiny = dataclasses.replace(
+            federation,
+            execute=execute,
+            labels=("4s-8z-80c-60cp",),
+            num_shards=2,
+            num_epochs=2,
+            sweep=("proportional",),
         )
+        monkeypatch.setitem(reg.EXPERIMENTS, "federation", tiny)
         argv = ["experiment", "federation", "--runs", "2", "--seed", "4", "--workers", "2"]
         assert main(argv) == 0
         assert received == {"num_runs": 2, "seed": 4, "workers": 2}

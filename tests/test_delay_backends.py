@@ -28,7 +28,8 @@ from repro.core.registry import solve as registry_solve
 from repro.dynamics.churn import ChurnSpec
 from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.infrastructure import ServerChurnSpec
-from repro.experiments.config import ExperimentConfig, apply_delay_backend
+from repro.experiments.config import ExperimentConfig, apply_delay_backend, run
+from repro.experiments.figure5 import FIGURE5
 from repro.topology.delay_backends import (
     DEFAULT_SPARSE_TOP_K,
     DELAY_BACKENDS,
@@ -516,9 +517,13 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError):
             ExperimentConfig(delay_backend="nope")
 
-    def test_run_kwargs_include_backend_only_when_set(self):
-        assert "delay_backend" not in ExperimentConfig().run_kwargs()
-        assert ExperimentConfig(delay_backend="sparse").run_kwargs()["delay_backend"] == "sparse"
+    def test_run_applies_backend_to_every_point_only_when_set(self):
+        spec = dataclasses.replace(
+            FIGURE5, labels=("4s-12z-150c-80cp",), sweep=(0.0, 1.0), algorithms=("grez-virc",)
+        )
+        for backend, expected in ((None, "dense"), ("sparse", "sparse")):
+            result = run(spec, ExperimentConfig(num_runs=1, delay_backend=backend))
+            assert [r.config.delay_backend for r in result.results.values()] == [expected] * 2
 
     def test_apply_delay_backend(self, small_config):
         assert apply_delay_backend(small_config, None) is small_config

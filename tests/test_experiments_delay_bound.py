@@ -2,27 +2,32 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import repro.baselines  # noqa: F401
-from repro.experiments.delay_bound import (
-    DEFAULT_BOUNDS_MS,
-    format_delay_bound,
-    run_delay_bound,
-)
+from repro.experiments.config import ExperimentConfig, run
+from repro.experiments.delay_bound import DEFAULT_BOUNDS_MS, DELAY_BOUND, format_delay_bound
 
 SMALL_LABEL = "5s-15z-200c-100cp"
+
+
+def run_delay_bound(bounds_ms, algorithms, num_runs):
+    """The delay-bound sweep on :data:`SMALL_LABEL`, seed 0."""
+    spec = replace(
+        DELAY_BOUND, labels=(SMALL_LABEL,), sweep=tuple(bounds_ms), algorithms=algorithms
+    )
+    return run(spec, ExperimentConfig(num_runs=num_runs, seed=0))
 
 
 class TestRunDelayBound:
     @pytest.fixture(scope="class")
     def result(self):
         return run_delay_bound(
-            label=SMALL_LABEL,
             bounds_ms=[100.0, 250.0, 500.0],
-            algorithms=["ranz-virc", "grez-virc", "grez-grec"],
+            algorithms=("ranz-virc", "grez-virc", "grez-grec"),
             num_runs=2,
-            seed=0,
         )
 
     def test_structure(self, result):
@@ -53,24 +58,14 @@ class TestRunDelayBound:
             result.panel("latency")
 
     def test_gain_table_needs_both_algorithms(self):
-        partial = run_delay_bound(
-            label=SMALL_LABEL,
-            bounds_ms=[250.0],
-            algorithms=["grez-grec"],
-            num_runs=1,
-            seed=0,
-        )
+        partial = run_delay_bound(bounds_ms=[250.0], algorithms=("grez-grec",), num_runs=1)
         assert "Where the refined phase pays off" not in format_delay_bound(partial)
 
 
 class TestFormatting:
     def test_format_contains_both_panels(self):
         result = run_delay_bound(
-            label=SMALL_LABEL,
-            bounds_ms=[200.0, 400.0],
-            algorithms=["grez-virc", "grez-grec"],
-            num_runs=1,
-            seed=0,
+            bounds_ms=[200.0, 400.0], algorithms=("grez-virc", "grez-grec"), num_runs=1
         )
         text = format_delay_bound(result)
         assert "pQoS" in text
@@ -85,4 +80,5 @@ class TestFormatting:
         from repro.experiments.registry import get_experiment
 
         spec = get_experiment("delay-bound")
-        assert callable(spec.run) and callable(spec.format)
+        assert spec is DELAY_BOUND and spec.supports_workers
+        assert callable(spec.execute) and callable(spec.format)

@@ -1,44 +1,44 @@
-"""Tests for the per-table / per-figure experiment drivers (small, fast runs)."""
+"""Tests for the per-table / per-figure experiment specs (small, fast runs)."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.baselines  # noqa: F401
 from repro.dynamics.churn import ChurnSpec
-from repro.experiments.ablation import format_ablation, run_ablation
-from repro.experiments.baselines_compare import (
-    format_baseline_comparison,
-    run_baseline_comparison,
-)
-from repro.experiments.controller import run_controller
-from repro.experiments.dynamics import run_dynamics
-from repro.experiments.federation import run_federation
-from repro.experiments.figure4 import format_figure4, run_figure4
-from repro.experiments.figure5 import format_figure5, run_figure5
-from repro.experiments.figure6 import format_figure6, run_figure6
-from repro.experiments.runtime import format_runtime, run_runtime
-from repro.experiments.scenarios import run_scenarios
-from repro.experiments.table1 import format_table1, run_table1
-from repro.experiments.table3 import format_table3, run_table3
-from repro.experiments.table4 import format_table4, run_table4
+from repro.experiments.ablation import ABLATION, format_ablation
+from repro.experiments.baselines_compare import BASELINES, format_baseline_comparison
+from repro.experiments.config import ExperimentConfig, ExperimentSpec, run
+from repro.experiments.controller import CONTROLLER, format_controller
+from repro.experiments.dynamics import DYNAMICS, format_dynamics
+from repro.experiments.federation import FEDERATION, format_federation
+from repro.experiments.figure4 import FIGURE4, format_figure4, run_figure4
+from repro.experiments.figure5 import FIGURE5, format_figure5
+from repro.experiments.figure6 import FIGURE6, format_figure6
+from repro.experiments.runtime import RUNTIME, format_runtime
+from repro.experiments.scenarios import SCENARIOS
+from repro.experiments.table1 import TABLE1, format_table1
+from repro.experiments.table3 import TABLE3, format_table3
+from repro.experiments.table4 import TABLE4, format_table4
 
 SMALL_LABEL = "5s-15z-200c-100cp"
-ALGOS = ["ranz-virc", "grez-grec"]
+ALGOS = ("ranz-virc", "grez-grec")
+
+
+def _run(spec: ExperimentSpec, num_runs: int, seed=0, workers=None, **shrink):
+    """Run ``spec`` shrunk by ``shrink`` on :data:`SMALL_LABEL` (unless ``labels`` is given)."""
+    spec = replace(spec, **{"labels": (SMALL_LABEL,), **shrink})
+    return run(spec, ExperimentConfig(num_runs=num_runs, seed=seed, workers=workers))
 
 
 class TestTable1Driver:
     def test_small_run_structure(self):
-        result = run_table1(
-            labels=[SMALL_LABEL],
-            algorithms=ALGOS,
-            num_runs=2,
-            seed=0,
-            optimal_labels=[SMALL_LABEL],
-        )
+        result = _run(TABLE1, 2, algorithms=ALGOS, exact_labels=(SMALL_LABEL,))
         assert result.keys == [SMALL_LABEL]
-        assert result.algorithms == ALGOS
+        assert result.algorithms == list(ALGOS)
         summaries = result.results[SMALL_LABEL].summaries
         assert set(summaries) == {"ranz-virc", "grez-grec", "optimal"}
         # Headline ordering of the paper on this configuration.
@@ -46,9 +46,7 @@ class TestTable1Driver:
         assert summaries["optimal"].pqos.mean >= summaries["grez-grec"].pqos.mean - 0.02
 
     def test_rows_and_formatting(self):
-        result = run_table1(
-            labels=[SMALL_LABEL], algorithms=ALGOS, num_runs=1, seed=0, optimal_labels=()
-        )
+        result = _run(TABLE1, 1, algorithms=ALGOS, exact_labels=())
         assert result.cell(SMALL_LABEL, "optimal") == "-"
         text = format_table1(result)
         assert "Table 1 (measured)" in text
@@ -56,15 +54,13 @@ class TestTable1Driver:
         assert SMALL_LABEL in text
 
     def test_optimal_skipped_for_excluded_labels(self):
-        result = run_table1(
-            labels=[SMALL_LABEL], algorithms=ALGOS, num_runs=1, seed=0, optimal_labels=[]
-        )
+        result = _run(TABLE1, 1, algorithms=ALGOS, exact_labels=())
         assert "optimal" not in result.results[SMALL_LABEL].summaries
 
 
 class TestFigure4Driver:
     def test_cdfs_on_the_paper_grid(self):
-        result = run_figure4(label=SMALL_LABEL, algorithms=ALGOS, num_runs=1, seed=0)
+        result = _run(FIGURE4, 1, algorithms=ALGOS)
         assert set(result.cdfs) == set(ALGOS)
         for cdf in result.cdfs.values():
             np.testing.assert_allclose(cdf.grid, np.linspace(250, 500, 26))
@@ -75,18 +71,22 @@ class TestFigure4Driver:
         assert "Figure 4" in text and "pQoS" in text
 
     def test_better_algorithm_dominates_cdf(self):
-        result = run_figure4(label=SMALL_LABEL, num_runs=2, seed=0)
+        result = _run(FIGURE4, 2)
         grez = result.cdfs["grez-grec"]
         ranz = result.cdfs["ranz-virc"]
         # GreZ-GreC's delay CDF should dominate RanZ-VirC's at the delay bound.
         assert grez.at(250.0) >= ranz.at(250.0)
 
+    def test_run_figure4_is_the_spec_run_serially(self):
+        """The benchmark's entry point runs :data:`FIGURE4` at its defaults."""
+        seed = np.random.SeedSequence([5, 1])
+        direct = run(FIGURE4, ExperimentConfig(num_runs=1, seed=np.random.SeedSequence([5, 1])))
+        assert run_figure4(num_runs=1, seed=seed).pqos == direct.pqos
+
 
 class TestFigure5Driver:
     def test_correlation_sweep(self):
-        result = run_figure5(
-            label=SMALL_LABEL, correlations=[0.0, 1.0], algorithms=ALGOS, num_runs=2, seed=0
-        )
+        result = _run(FIGURE5, 2, sweep=(0.0, 1.0), algorithms=ALGOS)
         assert result.keys == [0.0, 1.0]
         series = result.pqos_series("grez-grec")
         assert len(series) == 2
@@ -101,9 +101,7 @@ class TestFigure5Driver:
 
 class TestFigure6Driver:
     def test_distribution_type_sweep(self):
-        result = run_figure6(
-            label=SMALL_LABEL, types=[0, 3], algorithms=ALGOS, num_runs=1, seed=0
-        )
+        result = _run(FIGURE6, 1, sweep=(0, 3), algorithms=ALGOS)
         assert result.keys == [0, 3]
         rows = result.panel("utilization")
         assert len(rows) == 2
@@ -114,19 +112,15 @@ class TestFigure6Driver:
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
-            run_figure6(label=SMALL_LABEL, types=[9], num_runs=1)
+            _run(FIGURE6, 1, sweep=(9,))
 
 
 class TestTable3Driver:
     def test_churn_experiment(self):
-        result = run_table3(
-            label=SMALL_LABEL,
-            algorithms=ALGOS,
-            num_runs=2,
-            seed=0,
-            churn=ChurnSpec(num_joins=40, num_leaves=40, num_moves=40),
+        result = _run(
+            TABLE3, 2, algorithms=ALGOS, churn=ChurnSpec(num_joins=40, num_leaves=40, num_moves=40)
         )
-        assert result.rows == ALGOS
+        assert result.rows == list(ALGOS)
         for name in ALGOS:
             assert 0.0 <= result.mean(name, "before") <= 1.0
             assert 0.0 <= result.mean(name, "after") <= 1.0
@@ -141,9 +135,7 @@ class TestTable3Driver:
 
 class TestTable4Driver:
     def test_error_factor_sweep(self):
-        result = run_table4(
-            label=SMALL_LABEL, error_factors=[1.2, 2.0], algorithms=ALGOS, num_runs=2, seed=0
-        )
+        result = _run(TABLE4, 2, sweep=(1.2, 2.0), algorithms=ALGOS)
         assert result.keys == [1.2, 2.0]
         for factor in (1.2, 2.0):
             summaries = result.results[factor].summaries
@@ -159,17 +151,13 @@ class TestTable4Driver:
 
 class TestExtensionDrivers:
     def test_ablation(self):
-        result = run_ablation(
-            label=SMALL_LABEL, variants=["grez-grec", "grez-grec-dynamic"], num_runs=1, seed=0
-        )
+        result = _run(ABLATION, 1, algorithms=("grez-grec", "grez-grec-dynamic"))
         assert result.keys == [SMALL_LABEL]
         assert list(result.results[SMALL_LABEL].summaries) == ["grez-grec", "grez-grec-dynamic"]
         assert "Ablation" in format_ablation(result)
 
     def test_baseline_comparison(self):
-        result = run_baseline_comparison(
-            labels=[SMALL_LABEL], solvers=["grez-grec", "load-balance"], num_runs=1, seed=0
-        )
+        result = _run(BASELINES, 1, algorithms=("grez-grec", "load-balance"))
         rows = result.panel("pqos")
         assert len(rows) == 1
         # grez-grec column >= load-balance column.
@@ -177,13 +165,8 @@ class TestExtensionDrivers:
         assert "Baseline comparison" in format_baseline_comparison(result)
 
     def test_runtime(self):
-        result = run_runtime(
-            labels=[SMALL_LABEL],
-            solvers=["grez-grec", "ranz-virc"],
-            num_runs=1,
-            seed=0,
-            optimal_labels=[SMALL_LABEL],
-            optimal_time_limit=30.0,
+        result = _run(
+            RUNTIME, 1, algorithms=("grez-grec", "ranz-virc"), exact_labels=(SMALL_LABEL,)
         )
         assert result.labels == [SMALL_LABEL]
         assert "optimal" in result.solvers
@@ -196,18 +179,15 @@ class TestExtensionDrivers:
 
 class TestDynamicsDriver:
     def test_small_run_structure(self):
-        from repro.experiments.dynamics import format_dynamics, run_dynamics
-
-        result = run_dynamics(
-            label=SMALL_LABEL,
+        result = _run(
+            DYNAMICS,
+            2,
             algorithms=ALGOS,
-            num_runs=2,
-            seed=0,
             num_epochs=3,
             policy="incremental",
             churn=ChurnSpec(10, 10, 10),
         )
-        assert [name for name, _ in result.columns[::2]] == ALGOS
+        assert [name for name, _ in result.columns[::2]] == list(ALGOS)
         assert result.rows == [0, 1, 2] and result.num_runs == 2
         assert result.setting["policy"] == "incremental"
         for name in ALGOS:
@@ -220,35 +200,26 @@ class TestDynamicsDriver:
         assert "Longitudinal dynamics" in text and SMALL_LABEL in text
 
     def test_workers_do_not_change_results(self):
-        from repro.experiments.dynamics import run_dynamics
-
-        kwargs = dict(
-            label=SMALL_LABEL,
-            algorithms=["grez-grec"],
-            num_runs=2,
-            seed=3,
+        shrink = dict(
+            algorithms=("grez-grec",),
             num_epochs=2,
             policy="warm_start",
             churn=ChurnSpec(10, 10, 10),
         )
-        serial = run_dynamics(**kwargs, workers=None)
-        parallel = run_dynamics(**kwargs, workers=2)
+        serial = _run(DYNAMICS, 2, seed=3, workers=None, **shrink)
+        parallel = _run(DYNAMICS, 2, seed=3, workers=2, **shrink)
         for epoch in range(2):
             for kind in ("adopted", "stale"):
                 key = (epoch, ("grez-grec", kind))
                 assert serial.stats[key].mean == parallel.stats[key].mean
 
     def test_every_k_policy_resolved_name(self):
-        from repro.experiments.dynamics import run_dynamics
-
-        result = run_dynamics(
-            label=SMALL_LABEL,
-            algorithms=["grez-virc"],
-            num_runs=1,
-            seed=0,
+        result = _run(
+            DYNAMICS,
+            1,
+            algorithms=("grez-virc",),
             num_epochs=2,
-            policy="every_k_epochs",
-            policy_period=2,
+            policy="every_2_epochs",
             churn=ChurnSpec(5, 5, 5),
         )
         assert result.setting["policy"] == "every_2_epochs"
@@ -256,95 +227,57 @@ class TestDynamicsDriver:
 
 class TestControllerDriver:
     def test_small_run_structure(self):
-        from repro.dynamics.policies import RebalancePolicy
-        from repro.experiments.controller import format_controller, run_controller
-
-        policies = {
-            "lazy": RebalancePolicy(target_pqos=0.5),
-            "eager": RebalancePolicy(target_pqos=0.99, repair_slack=0.0),
-        }
-        result = run_controller(
-            label=SMALL_LABEL,
-            policies=policies,
-            num_runs=2,
-            seed=0,
-            num_epochs=2,
-            churn=ChurnSpec(15, 15, 15),
-        )
-        assert result.rows == ["lazy", "eager"]
+        lazy, eager = "lazy (target 0.80)", "eager (target 0.99)"
+        result = _run(CONTROLLER, 2, sweep=(lazy, eager), num_epochs=2, churn=ChurnSpec(15, 15, 15))
+        assert result.rows == [lazy, eager]
         assert result.num_runs == 2 and result.setting["num_epochs"] == 2
         for name in result.rows:
             assert result.stats[(name, "mean_pqos")].count == 2
             assert 0.0 <= result.stats[(name, "mean_pqos")].mean <= 1.0
             assert result.stats[(name, "migration_cost")].mean >= 0.0
         # The eager policy re-executes more and migrates at least as much.
-        assert (
-            result.stats[("eager", "rebalances")].mean
-            >= result.stats[("lazy", "rebalances")].mean
-        )
+        assert result.stats[(eager, "rebalances")].mean >= result.stats[(lazy, "rebalances")].mean
         text = format_controller(result)
         assert "Rebalance controller" in text and SMALL_LABEL in text
         assert "migration cost" in text
 
     def test_default_policy_ladder_resolves_budget(self):
-        from repro.experiments.controller import run_controller
-
-        result = run_controller(
-            label=SMALL_LABEL,
-            num_runs=1,
-            seed=1,
-            num_epochs=2,
-            churn=ChurnSpec(10, 10, 10),
-        )
+        result = _run(CONTROLLER, 1, seed=1, num_epochs=2, churn=ChurnSpec(10, 10, 10))
         assert any("budgeted" in name for name in result.rows)
         assert result.setting["migration_cost"].cost_per_client == 1.0
         assert not result.setting["server_churn"].is_static
 
     def test_workers_do_not_change_results(self):
-        from repro.experiments.controller import run_controller
-
-        kwargs = dict(
-            label=SMALL_LABEL,
-            num_runs=2,
-            seed=4,
-            num_epochs=2,
-            churn=ChurnSpec(10, 10, 10),
-        )
-        serial = run_controller(**kwargs, workers=None)
-        parallel = run_controller(**kwargs, workers=2)
+        shrink = dict(num_epochs=2, churn=ChurnSpec(10, 10, 10))
+        serial = _run(CONTROLLER, 2, seed=4, workers=None, **shrink)
+        parallel = _run(CONTROLLER, 2, seed=4, workers=2, **shrink)
         for key, stat in serial.stats.items():
             assert stat.mean == parallel.stats[key].mean
 
     def test_every_policy_replays_the_same_churn_stream(self):
         """Two identically-configured policies must see identical runs."""
         from repro.dynamics.policies import RebalancePolicy
-        from repro.experiments.controller import run_controller
+        from repro.experiments.config import config_from_label, engine_study_config
+        from repro.experiments.controller import _controller_run
+        from repro.experiments.runner import replicate
 
         twin = dict(target_pqos=0.9, repair_slack=0.05)
-        result = run_controller(
-            label=SMALL_LABEL,
-            policies={"a": RebalancePolicy(**twin), "b": RebalancePolicy(**twin)},
-            num_runs=2,
-            seed=7,
-            num_epochs=3,
+        point = dict(
+            config=engine_study_config(config_from_label(SMALL_LABEL)),
+            policies=(("a", RebalancePolicy(**twin)), ("b", RebalancePolicy(**twin))),
             churn=ChurnSpec(15, 15, 15),
+            num_epochs=3,
         )
-        for metric in ("mean_pqos", "worst_pqos", "repairs", "rebalances", "migration_cost"):
-            assert result.stats[("a", metric)].mean == result.stats[("b", metric)].mean
+        for observations in replicate(_controller_run, [point], num_runs=2, seed=7):
+            for metric in ("mean_pqos", "worst_pqos", "repairs", "rebalances", "migration_cost"):
+                assert observations[("a", metric)] == observations[("b", metric)]
 
 
 class TestFederationDriver:
-    def test_small_run_structure(self):
-        from repro.experiments.federation import format_federation, run_federation
+    SHRINK = dict(num_shards=2, sweep=("static", "proportional"), num_epochs=2)
 
-        result = run_federation(
-            label=SMALL_LABEL,
-            num_shards=2,
-            arbiters=["static", "proportional"],
-            num_runs=2,
-            seed=0,
-            num_epochs=2,
-        )
+    def test_small_run_structure(self):
+        result = _run(FEDERATION, 2, **self.SHRINK)
         assert result.rows == ["static", "proportional"]
         assert result.num_runs == 2
         assert result.setting["client_weights"] == (2.0, 1.0)
@@ -364,18 +297,8 @@ class TestFederationDriver:
         assert "worst-shard pQoS" in text
 
     def test_workers_do_not_change_results(self):
-        from repro.experiments.federation import run_federation
-
-        kwargs = dict(
-            label=SMALL_LABEL,
-            num_shards=2,
-            arbiters=["static", "proportional"],
-            num_runs=2,
-            seed=3,
-            num_epochs=2,
-        )
-        serial = run_federation(**kwargs, workers=None)
-        parallel = run_federation(**kwargs, workers=2)
+        serial = _run(FEDERATION, 2, seed=3, workers=None, **self.SHRINK)
+        parallel = _run(FEDERATION, 2, seed=3, workers=2, **self.SHRINK)
         for key, stat in serial.stats.items():
             assert stat.mean == parallel.stats[key].mean
 
@@ -409,17 +332,9 @@ class TestFederationDriver:
 
 
 @pytest.mark.parametrize(
-    "run",
-    [
-        run_table3,
-        run_dynamics,
-        run_scenarios,
-        run_controller,
-        run_federation,
-    ],
-    ids=lambda run: run.__name__,
+    "spec", [TABLE3, DYNAMICS, SCENARIOS, CONTROLLER, FEDERATION], ids=lambda s: s.experiment_id
 )
-def test_zero_runs_rejected(run):
-    """No run means no measurement: every engine study refuses it up front."""
+def test_zero_runs_rejected(spec):
+    """No run means no measurement: an engine study cannot even be configured for it."""
     with pytest.raises(ValueError, match="num_runs"):
-        run(label=SMALL_LABEL, num_runs=0)
+        _run(spec, 0)

@@ -8,15 +8,19 @@ exempt).  The same holds for the dynamics experiment's per-run loop.
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-import pickle
-
 import repro.baselines  # noqa: F401
-from repro.experiments.config import ExperimentConfig
+from repro.experiments import runner
+from repro.experiments.config import ExperimentConfig, run
+from repro.experiments.figure6 import FIGURE6
 from repro.experiments.runner import ReplicatedResult, run_replications
-from repro.experiments.table3 import run_table3
+from repro.experiments.runtime import RUNTIME
+from repro.experiments.table3 import TABLE3
 from repro.measurement.error import IDMAPS
 from repro.measurement.estimators import DelayEstimator
 from repro.topology.brite import generate_topology
@@ -103,8 +107,9 @@ class TestParallelDeterminism:
             run_replications(config, ["grez-grec"], num_runs=2, seed=0, workers=-2)
 
     def test_table3_parallel_matches_serial(self):
-        serial = run_table3(label="5s-15z-200c-100cp", num_runs=2, seed=3)
-        parallel = run_table3(label="5s-15z-200c-100cp", num_runs=2, seed=3, workers=2)
+        spec = replace(TABLE3, labels=("5s-15z-200c-100cp",))
+        serial = run(spec, ExperimentConfig(num_runs=2, seed=3))
+        parallel = run(spec, ExperimentConfig(num_runs=2, seed=3, workers=2))
         for name in serial.rows:
             for column in ("before", "after", "re-executed", "incremental"):
                 assert serial.mean(name, column) == parallel.mean(name, column)
@@ -164,17 +169,38 @@ class TestZeroCopyDispatch:
 
 
 class TestExperimentConfig:
-    def test_run_kwargs_includes_workers_when_set(self):
-        cfg = ExperimentConfig(num_runs=5, seed=7, workers=4)
-        assert cfg.run_kwargs() == {"num_runs": 5, "seed": 7, "workers": 4}
+    """The entry point hands ``workers`` to the replication pool only when
+    it is set and the spec supports it."""
 
-    def test_run_kwargs_omits_unset_workers(self):
-        cfg = ExperimentConfig(num_runs=5, seed=7)
-        assert cfg.run_kwargs() == {"num_runs": 5, "seed": 7}
+    SMALL = dict(labels=("4s-12z-150c-80cp",), algorithms=("grez-virc",))
 
-    def test_run_kwargs_omits_unsupported_workers(self):
-        cfg = ExperimentConfig(num_runs=5, seed=7, workers=4)
-        assert cfg.run_kwargs(supports_workers=False) == {"num_runs": 5, "seed": 7}
+    @pytest.fixture
+    def pool_workers(self, monkeypatch):
+        """The ``workers`` of every replication fan-out, run serially in-process."""
+        seen = []
+        ordered_map = runner.ordered_map
+
+        def spy(fn, tasks, workers=None):
+            seen.append(workers)
+            return ordered_map(fn, tasks)
+
+        monkeypatch.setattr(runner, "ordered_map", spy)
+        return seen
+
+    def test_run_passes_workers_when_set(self, pool_workers):
+        spec = replace(FIGURE6, sweep=(0,), **self.SMALL)
+        run(spec, ExperimentConfig(num_runs=2, seed=7, workers=4))
+        assert pool_workers == [4]
+
+    def test_run_leaves_unset_workers_serial(self, pool_workers):
+        spec = replace(FIGURE6, sweep=(0, 3), **self.SMALL)
+        run(spec, ExperimentConfig(num_runs=2, seed=7))
+        assert pool_workers == [None, None]
+
+    def test_run_keeps_unsupported_workers_serial(self, pool_workers):
+        spec = replace(RUNTIME, **self.SMALL)
+        run(spec, ExperimentConfig(num_runs=2, seed=7, workers=4))
+        assert pool_workers == [None]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
-"""Tests for repro.experiments.registry — the experiment id → driver mapping."""
+"""Tests for repro.experiments.registry — the experiment id → spec mapping."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.experiments.config import ExperimentConfig, run
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, get_experiment
 
 
@@ -32,17 +35,15 @@ class TestExperimentRegistry:
         for spec in EXPERIMENTS.values():
             assert spec.description
             assert spec.paper_artifact
-            assert callable(spec.run)
+            assert callable(spec.execute)
             assert callable(spec.format)
 
     def test_spec_run_and_format_compose(self):
-        spec = get_experiment("figure5")
-        result = spec.run(
-            label="5s-15z-200c-100cp",
-            correlations=[0.5],
-            algorithms=["grez-virc"],
-            num_runs=1,
-            seed=0,
+        spec = replace(
+            get_experiment("figure5"),
+            labels=("5s-15z-200c-100cp",),
+            sweep=(0.5,),
+            algorithms=("grez-virc",),
         )
-        text = spec.format(result)
+        text = spec.format(run(spec, ExperimentConfig(num_runs=1, seed=0)))
         assert "Figure 5" in text

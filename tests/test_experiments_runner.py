@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro.baselines  # noqa: F401
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     StudyResult,
     SweepPoint,
@@ -169,7 +170,7 @@ class TestRunSweep:
                 "tight", config, delay_bound_ms=150.0, algorithms=("grez-grec", "ranz-virc")
             ),
         ]
-        sweep = run_sweep(points, ["grez-grec"], num_runs=2, seed=3)
+        sweep = run_sweep(points, ["grez-grec"], ExperimentConfig(num_runs=2, seed=3), False)
         assert sweep.keys == ["plain", "tight"]
         assert sweep.algorithms == ["grez-grec"]
         assert sweep.label == config.label
@@ -193,7 +194,8 @@ class TestRunSweep:
     def test_estimator_reaches_the_point(self):
         config = make_small_config(num_clients=60, num_zones=6)
         estimator = DelayEstimator(IDMAPS)
-        sweep = run_sweep([SweepPoint(2.0, config, estimator=estimator)], ["grez-grec"], num_runs=1)
+        point = SweepPoint(2.0, config, estimator=estimator)
+        sweep = run_sweep([point], ["grez-grec"], ExperimentConfig(num_runs=1), False)
         direct = run_replications(config, ["grez-grec"], num_runs=1, estimator=estimator)
         assert sweep.pqos_series("grez-grec") == [direct.pqos("grez-grec")]
 

@@ -40,8 +40,6 @@ KEEP_UNREACHED_METHODS = {
     "SpawnKeySeed.generate_state": "numpy's PCG64 seeds itself through it (ISeedSequence)",
 }
 
-_SHRINK = "tests shrink the experiment's runs through it"
-_GOLDEN = "the experiments golden corpus (tests/golden/experiments_corpus.py) sets it"
 _SMALL_WORLDS = "the solver golden corpus and tests/conftest.py's small worlds set it"
 
 #: Defaulted parameters and dataclass init fields (``function.param``,
@@ -61,52 +59,6 @@ KEEP_UNSET_OPTIONS = {
     "recovery_report.tolerance": "benchmarks/test_bench_scenarios.py reports recoveries at 0.1",
     "run_loadgen.alloc_epochs": "the throughput benchmark's allocation gate sets it",
     "run_replications.keep_observations": "the parallel bit-identity tests read the observations",
-    "run_ablation.label": _SHRINK,
-    "run_ablation.variants": _GOLDEN,
-    "run_baseline_comparison.labels": _SHRINK,
-    "run_baseline_comparison.solvers": _GOLDEN,
-    "run_controller.label": _SHRINK,
-    "run_controller.num_epochs": _SHRINK,
-    "run_controller.policies": "tests shrink the policy ladder through it",
-    "run_controller.churn": _GOLDEN,
-    "run_delay_bound.label": _SHRINK,
-    "run_delay_bound.algorithms": _SHRINK,
-    "run_delay_bound.bounds_ms": _GOLDEN,
-    "run_dynamics.label": _SHRINK,
-    "run_dynamics.algorithms": _SHRINK,
-    "run_dynamics.num_epochs": _SHRINK,
-    "run_dynamics.churn": _GOLDEN,
-    "run_dynamics.policy": _GOLDEN,
-    "run_dynamics.policy_period": "the period of policy='every_k_epochs'; a driver test names it",
-    "run_federation.label": _SHRINK,
-    "run_federation.num_epochs": _SHRINK,
-    "run_federation.arbiters": _GOLDEN,
-    "run_federation.num_shards": _GOLDEN,
-    "run_figure4.label": _SHRINK,
-    "run_figure4.algorithms": _SHRINK,
-    "run_figure5.label": _SHRINK,
-    "run_figure5.algorithms": _SHRINK,
-    "run_figure5.correlations": _GOLDEN,
-    "run_figure6.label": _SHRINK,
-    "run_figure6.algorithms": _SHRINK,
-    "run_figure6.types": _GOLDEN,
-    "run_runtime.labels": "benchmarks/test_bench_runtime.py times all four configurations",
-    "run_runtime.optimal_labels": "benchmarks/test_bench_runtime.py times the MILP through it",
-    "run_runtime.optimal_time_limit": "benchmarks/test_bench_runtime.py times the MILP through it",
-    "run_runtime.solvers": _SHRINK,
-    "run_scenarios.label": _SHRINK,
-    "run_scenarios.num_epochs": _SHRINK,
-    "run_scenarios.scenarios": _GOLDEN,
-    "run_table1.labels": _SHRINK,
-    "run_table1.algorithms": _SHRINK,
-    "run_table1.optimal_labels": _GOLDEN,
-    "run_table1.share_topology": "benchmarks/test_bench_table1.py times the shared-topology sweep",
-    "run_table3.label": _SHRINK,
-    "run_table3.algorithms": _SHRINK,
-    "run_table3.churn": _GOLDEN,
-    "run_table4.label": _SHRINK,
-    "run_table4.algorithms": _SHRINK,
-    "run_table4.error_factors": _GOLDEN,
 }
 
 
@@ -335,7 +287,6 @@ def _option_calls() -> Tuple[list, Dict[str, list]]:
       def's own callers' extra keywords, and a locally built dict by its
       constant keys; a dict of unknown origin sets every constant key the
       code ever puts in a dict (a false keep is cheaper than a false deletion);
-    * the registered experiment drivers get ``ExperimentConfig.run_kwargs``'s keys;
     * the scenario DSL's ``_EVENT_SPECS`` table sets the event fields it names.
     """
     trees = [
@@ -400,19 +351,6 @@ def _option_calls() -> Tuple[list, Dict[str, list]]:
             if alias.asname
         }
         visit(tree, aliases, None)
-
-    registry = ast.parse((REPO / "src/repro/experiments/registry.py").read_text())
-    drivers = {
-        node.args[3].attr
-        for node in ast.walk(registry)
-        if isinstance(node, ast.Call) and _callee(node.func, {}) == "ExperimentSpec"
-    }
-    config = ast.parse((REPO / "src/repro/experiments/config.py").read_text())
-    run_kwargs = next(
-        n for n in ast.walk(config) if isinstance(n, ast.FunctionDef) and n.name == "run_kwargs"
-    )
-    driver_keys = set().union(*(keys for keys, _merged in _local_dicts(run_kwargs).values()))
-    calls.extend((driver, 0, driver_keys) for driver in drivers)
 
     scenarios = ast.parse((REPO / "src/repro/dynamics/scenarios.py").read_text())
     event_specs = next(
@@ -589,13 +527,12 @@ class TestEveryOptionIsSet:
         assert all(isinstance(r, str) and r.strip() for r in KEEP_UNSET_OPTIONS.values())
 
     def test_forwarding_counts_as_setting(self):
-        """The forwarded settings count: ``run_kwargs`` into the drivers, the
-        registry's seed into solvers, the scenario DSL's keys into event
+        """The forwarded settings count: keywords bound by ``functools.partial``,
+        the registry's seed into solvers, the scenario DSL's keys into event
         fields, and ``**kwargs`` passed on to ``dataclasses.replace``."""
         set_options = _set_options()
         assert {
-            "run_table1.num_runs",
-            "run_figure5.delay_backend",
+            "reassign.seed",
             "solve_load_balance.seed",
             "OutageEvent.radius",
             "MaintenanceEvent.group_start",
