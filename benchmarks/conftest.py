@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables / figures (or one of the
-extension experiments in DESIGN.md), times it with pytest-benchmark and prints
+extension experiments), times it with pytest-benchmark and prints
 the formatted rows.  With ``REPRO_BENCH_UPDATE=1`` it also archives them under
 ``benchmarks/results/`` and rewrites its ``BENCH_*.json`` at the repository
 root; without the flag (the tier-1 run) the committed artifacts stay

@@ -115,7 +115,7 @@ def _controller_run(
     return observations
 
 
-def _run_controller(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
+def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
     """Replicate the policy comparison with :data:`ALGORITHM`; one row per policy.
 
     ``spec.sweep`` names policies of :func:`default_controller_policies`,
@@ -182,7 +182,7 @@ CONTROLLER = ExperimentSpec(
     experiment_id="controller",
     paper_artifact="(extension)",
     description="Rebalance-controller trigger policies under elastic churn with migration costs",
-    execute=_run_controller,
+    execute=_execute,
     format=format_controller,
     sweep=tuple(default_controller_policies()),
     num_epochs=6,

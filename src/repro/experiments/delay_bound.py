@@ -20,7 +20,7 @@ __all__ = ["DELAY_BOUND", "format_delay_bound", "DEFAULT_BOUNDS_MS"]
 DEFAULT_BOUNDS_MS = (100.0, 150.0, 200.0, 250.0, 350.0, 500.0)
 
 
-def _run_delay_bound(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
+def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
     """One sweep point per bound D (ms) of ``spec.sweep``.
 
     The underlying scenarios are identical across bounds (same seed stream);
@@ -64,7 +64,7 @@ DELAY_BOUND = ExperimentSpec(
     experiment_id="delay-bound",
     paper_artifact="(extension)",
     description="pQoS and utilisation as the interactivity bound D is swept (100-500 ms)",
-    execute=_run_delay_bound,
+    execute=_execute,
     format=format_delay_bound,
     sweep=DEFAULT_BOUNDS_MS,
 )

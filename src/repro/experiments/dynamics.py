@@ -100,7 +100,7 @@ def _dynamics_run(
     return observations
 
 
-def _run_dynamics(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
+def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
     """Replicate the longitudinal runs; one row per epoch.
 
     Every run builds a fresh scenario (new topology / placements), simulates
@@ -210,7 +210,7 @@ DYNAMICS = ExperimentSpec(
     experiment_id="dynamics",
     paper_artifact="(extension)",
     description="Longitudinal churn: per-epoch pQoS under a repair-policy schedule",
-    execute=_run_dynamics,
+    execute=_execute,
     format=format_dynamics,
     num_epochs=5,
     churn=ChurnSpec(),

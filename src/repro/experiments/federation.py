@@ -152,7 +152,7 @@ def _federation_run(
     return observations
 
 
-def _run_federation(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
+def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
     """Replicate the arbiter comparison; one row per arbiter of ``spec.sweep``.
 
     The label's client population is split across ``spec.num_shards`` shards
@@ -277,7 +277,7 @@ FEDERATION = ExperimentSpec(
     experiment_id="federation",
     paper_artifact="(extension)",
     description="Cross-shard capacity arbiters on a federated multi-shard world",
-    execute=_run_federation,
+    execute=_execute,
     format=format_federation,
     sweep=ARBITER_NAMES,
     num_epochs=5,

@@ -47,7 +47,7 @@ class Figure4Result:
         return list(self.cdfs)
 
 
-def _run_figure4(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> Figure4Result:
+def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> Figure4Result:
     """Per-algorithm delay CDFs on :data:`~repro.metrics.cdf.FIGURE4_GRID_MS`."""
     (world,) = worlds
     result = run_replications(
@@ -93,7 +93,7 @@ FIGURE4 = ExperimentSpec(
     experiment_id="figure4",
     paper_artifact="Figure 4",
     description="CDF of client-to-target-server delays on 30s-160z-2000c-1000cp",
-    execute=_run_figure4,
+    execute=_execute,
     format=format_figure4,
     labels=(FIGURE4_LABEL,),
 )

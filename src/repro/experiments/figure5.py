@@ -25,7 +25,7 @@ DEFAULT_CORRELATIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 FIGURE5_DELAY_BOUND_MS = 200.0
 
 
-def _run_figure5(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
+def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
     """One sweep point per correlation δ of ``spec.sweep``."""
     (world,) = worlds
     points = [
@@ -62,7 +62,7 @@ FIGURE5 = ExperimentSpec(
     experiment_id="figure5",
     paper_artifact="Figure 5",
     description="pQoS and utilisation vs physical-virtual correlation (D = 200 ms)",
-    execute=_run_figure5,
+    execute=_execute,
     format=format_figure5,
     sweep=DEFAULT_CORRELATIONS,
 )

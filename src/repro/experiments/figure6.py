@@ -21,7 +21,7 @@ from repro.world.distributions import DISTRIBUTION_TYPES
 __all__ = ["FIGURE6", "format_figure6"]
 
 
-def _run_figure6(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
+def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
     """One sweep point per Table 2 distribution type of ``spec.sweep``."""
     (world,) = worlds
     points = []
@@ -63,7 +63,7 @@ FIGURE6 = ExperimentSpec(
     experiment_id="figure6",
     paper_artifact="Figure 6",
     description="pQoS and utilisation vs clustered client distributions (types 0-3)",
-    execute=_run_figure6,
+    execute=_execute,
     format=format_figure6,
     sweep=tuple(DISTRIBUTION_TYPES),
 )

@@ -75,7 +75,7 @@ def _runtime_run(
     return elapsed
 
 
-def _run_runtime(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> RuntimeResult:
+def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> RuntimeResult:
     """Measure each solver's mean wall time on every configuration, serially.
 
     The exact MILP runs on ``spec.exact_labels`` only (none by default: the
@@ -131,7 +131,7 @@ RUNTIME = ExperimentSpec(
     experiment_id="runtime",
     paper_artifact="(runtime discussion in Section 4.2)",
     description="Solver execution times across configuration sizes",
-    execute=_run_runtime,
+    execute=_execute,
     format=format_runtime,
     labels=PAPER_TABLE1_LABELS,
     supports_workers=False,

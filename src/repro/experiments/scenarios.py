@@ -71,7 +71,7 @@ def _scenario_run(
     return {((scenario, ALGORITHM), m): v for m, v in zip(RECOVERY_METRICS, values)}
 
 
-def _run_scenarios(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
+def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
     """Replicate every scenario of ``spec.sweep``; one row per (scenario, algorithm).
 
     Each (scenario, run) pair is an independent replication — fresh topology,
@@ -121,7 +121,7 @@ SCENARIOS = ExperimentSpec(
     experiment_id="scenarios",
     paper_artifact="(extension)",
     description="Incident scenario library: recovery metrics under graceful degradation",
-    execute=_run_scenarios,
+    execute=_execute,
     format=format_scenarios,
     sweep=tuple(sorted(SCENARIO_LIBRARY)),
     num_epochs=16,

@@ -55,7 +55,7 @@ def _table3_run(
     }
 
 
-def _run_table3(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
+def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> StudyResult:
     """Replicate one churn batch per run; one row per algorithm.
 
     Every run builds a fresh scenario (new topology / placements), runs one
@@ -100,7 +100,7 @@ TABLE3 = ExperimentSpec(
     experiment_id="table3",
     paper_artifact="Table 3",
     description="pQoS before / after / re-executed around join-leave-move churn",
-    execute=_run_table3,
+    execute=_execute,
     format=format_table3,
     churn=ChurnSpec(),
 )

@@ -27,7 +27,7 @@ __all__ = ["TABLE4", "format_table4"]
 DEFAULT_ERROR_FACTORS = (1.2, 2.0)
 
 
-def _run_table4(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
+def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> SweepResult:
     """One sweep point per error factor of ``spec.sweep``."""
     (world,) = worlds
     points = [
@@ -73,7 +73,7 @@ TABLE4 = ExperimentSpec(
     experiment_id="table4",
     paper_artifact="Table 4",
     description="pQoS and utilisation with delay-estimation error (King, IDMaps)",
-    execute=_run_table4,
+    execute=_execute,
     format=format_table4,
     sweep=DEFAULT_ERROR_FACTORS,
 )

@@ -2,9 +2,9 @@
 
 Each shrunk entry runs one experiment spec, shrunk with
 ``dataclasses.replace``, through :func:`repro.experiments.config.run` and
-renders it with the spec's own formatter.  The seven replicated sweeps are ``table1``,
-``table4``, ``figure5``, ``figure6``, ``delay-bound``, ``baselines`` and
-``ablation``; every sweep has two points on
+renders it with the spec's own formatter.  The seven replicated sweeps are
+``table1``, ``table4``, ``figure5``, ``figure6``, ``delay-bound``,
+``baselines`` and ``ablation``; every sweep has two points on
 ``5s-15z-200c-100cp``-sized worlds, one or two runs and seed 7.  The five
 engine studies are ``table3``, ``dynamics``, ``scenarios``, ``controller``
 and ``federation``; each runs on ``5s-15z-200c-100cp`` with seed 7, one or
@@ -13,10 +13,9 @@ defaults: they render ``repro-dve experiment <id> --runs 1`` for all 14
 ids, ``repro-dve list``, and ``experiment runtime --runs 1 --workers 2``
 with its serial-only note.  The ablation's ``runtime (ms)`` column and the
 runtime table past its four label columns are wall time, so :func:`render`
-blanks them.  ``tests/test_golden_experiments.py``
-compares the live text against ``experiments.json``; any change to a sweep
-point, a seed stream, a cell format or a table layout shows up as a
-mismatch.
+blanks them.  ``tests/test_golden_experiments.py`` compares the live text
+against ``experiments.json``; any change to a sweep point, a default, a seed
+stream, a cell format or a table layout shows up as a mismatch.
 
 Regenerate ``experiments.json`` (only when a change of the output is
 intended) from the repository root with::
