@@ -76,7 +76,10 @@ def _runtime_run(
 
 
 def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> RuntimeResult:
-    """Measure each solver's mean wall time on every configuration, serially.
+    """Measure each solver's mean wall time on every configuration.
+
+    :data:`RUNTIME` does not support workers, so :func:`run` hands this a
+    serial ``config``.
 
     The exact MILP runs on ``spec.exact_labels`` only (none by default: the
     large instances would dominate the experiment's own wall-clock time, just
@@ -92,7 +95,7 @@ def _execute(spec: ExperimentSpec, worlds: tuple, config: ExperimentConfig) -> R
         )
         for label, world in zip(spec.labels, worlds)
     ]
-    runs = replicate(_runtime_run, points, config.num_runs, config.seed)
+    runs = replicate(_runtime_run, points, config.num_runs, config.seed, config.workers)
 
     runtimes: Dict[str, Dict[str, float]] = {}
     sizes: Dict[str, Dict[str, int]] = {}
