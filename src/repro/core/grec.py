@@ -109,7 +109,10 @@ def assign_contacts_greedy(
         delays = instance.delays_to(targets)
         helped = np.flatnonzero(delays > instance.delay_bound)  # the list L_E of the paper
 
-        contacts = targets.copy()
+        # Contacts start as the targets and are written over the gathered
+        # targets array itself: the forwarded clients' targets are read
+        # before their contacts are stored.
+        contacts = targets
         capacity_exceeded = zone_assignment.capacity_exceeded
 
         # Measurement-stash byproducts: the per-client delays under the final
@@ -152,6 +155,7 @@ def assign_contacts_greedy(
             # candidate list, which leaves the client on its target server too.
             placed = chosen >= 0
             moved = helped[placed]
+            moved_targets = targets[moved]
             contacts[moved] = chosen[placed]
             # A client "placed" on its own target server costs RC = 0, but the
             # greedy pass above charged 2*RT for it; correct the accounting by
@@ -161,8 +165,8 @@ def assign_contacts_greedy(
             if moved.size:
                 delays[moved] = instance.delay_pairs(
                     moved, chosen[placed]
-                ) + instance.server_server_delays[chosen[placed], targets[moved]]
-                forwarded = moved[chosen[placed] != targets[moved]]
+                ) + instance.server_server_delays[chosen[placed], moved_targets]
+                forwarded = moved[chosen[placed] != moved_targets]
                 if forwarded.size:
                     np.add.at(loads, contacts[forwarded], 2.0 * instance.client_demands[forwarded])
 

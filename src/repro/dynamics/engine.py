@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
 
@@ -423,6 +423,7 @@ class _EpochContext(NamedTuple):
     migration_cost: MigrationCostModel
     arena: EpochArena
     clock: Callable  # EpochSession._clocked
+    shard_id: int  # stamped on every record
 
 
 class _Carried(NamedTuple):
@@ -448,7 +449,7 @@ class _Action(NamedTuple):
 
 def _generate_epoch_churn(session: EpochSession, capacities: Optional[np.ndarray]) -> _EpochChurn:
     """Phase 1: plan the epoch, then draw and apply its client churn and fleet delta."""
-    sim, state, runtime = session.simulator, session.state, session.scenario_runtime
+    sim, state, runtime = session.settings, session.state, session.scenario_runtime
     scenario = state.scenario
     plan = admission = None
     if runtime is not None:
@@ -492,7 +493,7 @@ def _advance_epoch_world(
     keeps advancing through the delta pipeline, so overlays never disturb
     the ``mirrors_arrays_of`` aliasing invariant.
     """
-    sim, state, runtime = session.simulator, session.state, session.scenario_runtime
+    sim, state, runtime = session.settings, session.state, session.scenario_runtime
     new_scenario, new_instance = sim._advance_world(state, drawn.churn, drawn.server_churn)
     if runtime is None:
         return new_scenario, new_instance, new_instance
@@ -568,11 +569,18 @@ def _apply_policy(
         if incr_pqos < schedule.repair_floor:
             action = "rebalance"  # the repair missed the target: escalate
     if action in ("reexecute", "rebalance"):
+        budgeted = math.isfinite(schedule.migration_budget)
+        if action == "reexecute" and schedule.period == 0 and not budgeted:
+            # The pure re-execute policy also reports the incremental repair
+            # as Table 3's extension column.  Both results are functions of
+            # the epoch's instance alone, so the repair runs first and is
+            # gone before the re-execution allocates.
+            incr_pqos = _repair(ctx, carried.base)[1]
         seed = ctx.drawn.reassign_seeds[seed_index]
         adopted = clock("solve", partial(reassign, instance, name, seed=seed))
         reexec_pqos = clock("measure", measured_pqos, adopted, instance)
         reexec_util = clock("measure", measured_utilization, adopted, instance)
-        if math.isfinite(schedule.migration_budget):
+        if budgeted:
             # Migration-aware policy: a re-execution whose zone moves bill
             # above the budget is demoted — to the incremental repair, which
             # keeps the zone map (only forced evacuations remain), or for the
@@ -584,8 +592,8 @@ def _apply_policy(
                     repaired, incr_pqos = _repair(ctx, carried.base)
                 action = schedule.demoted_action(incr_pqos, carried.after_pqos)
         if action == "reexecute" and schedule.period == 0 and math.isnan(incr_pqos):
-            # The pure re-execute policy also reports the incremental repair
-            # as Table 3's extension column; scheduled policies and the
+            # A budgeted re-execution that stood reports the column too,
+            # repaired after the budget check; scheduled policies and the
             # controller skip it to keep the epoch cost proportional to the
             # action.
             incr_pqos = _repair(ctx, carried.base)[1]
@@ -669,17 +677,20 @@ def _bill_and_record(
     if charge is None:
         charge = _charge_migration(ctx, carried.old, assignment)
     admission = ctx.drawn.admission
+    # The required fields go positionally, in declaration order: epoch,
+    # algorithm, pQoS before / after / re-executed / incremental,
+    # utilisation before / re-executed, client counts before / after.
     return EpochRecord(
-        epoch=ctx.epoch,
-        algorithm=name,
-        pqos_before=before[0],
-        pqos_after=carried.after_pqos,
-        pqos_reexecuted=act.reexec_pqos,
-        pqos_incremental=act.incr_pqos,
-        utilization_before=before[1],
-        utilization_reexecuted=act.reexec_util,
-        num_clients_before=ctx.instance.num_clients,
-        num_clients_after=ctx.new_instance.num_clients,
+        ctx.epoch,
+        name,
+        before[0],
+        carried.after_pqos,
+        act.reexec_pqos,
+        act.incr_pqos,
+        before[1],
+        act.reexec_util,
+        ctx.instance.num_clients,
+        ctx.new_instance.num_clients,
         policy=ctx.schedule.name,
         pqos_adopted=pqos,
         utilization_adopted=util,
@@ -687,6 +698,7 @@ def _bill_and_record(
         zones_migrated=charge.zones_migrated,
         clients_migrated=charge.clients_migrated,
         migration_cost=charge.cost,
+        shard_id=ctx.shard_id,
         clients_degraded=0 if admission is None else admission.clients_degraded,
         capacity_deficit=0.0 if admission is None else admission.capacity_deficit,
         action=act.action,
@@ -720,7 +732,14 @@ class EpochSession:
     def __init__(self, simulator: ChurnSimulator, num_epochs: int):
         if num_epochs < 1:
             raise ValueError("num_epochs must be >= 1")
-        self.simulator = simulator
+        #: The simulator's settings without its initial world: once the first
+        #: epoch has advanced the state, nothing in the session reaches the
+        #: initial population, demands, instance or assignments, so they are
+        #: freed even while the session runs.
+        self.settings = replace(simulator, scenario=None)
+        #: The address stamped on every record (``EpochRecord.shard_id``);
+        #: a federated run sets each shard session's own.
+        self.shard_id = -1
         self.schedule = make_policy(
             simulator.policy,
             period=simulator.policy_period or None,
@@ -804,7 +823,7 @@ class EpochSession:
         """
         if self.done:
             raise ValueError(f"session already ran all {self.num_epochs} epochs")
-        sim, state, clock = self.simulator, self.state, self._clocked
+        sim, state, clock = self.settings, self.state, self._clocked
         if capacity_delta is not None:
             if sim._server_churn_active:
                 raise ValueError(
@@ -833,6 +852,7 @@ class EpochSession:
             migration_cost=sim.migration_cost,
             arena=state.arena,
             clock=clock,
+            shard_id=self.shard_id,
         )
         action = self.schedule.action_for_epoch(state.epoch)
         records, next_assignments, next_measures = [], {}, {}

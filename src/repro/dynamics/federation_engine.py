@@ -27,7 +27,7 @@ produces a delta, and the session step API replays the classic RNG layout.
 from __future__ import annotations
 
 import time
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
@@ -332,6 +332,8 @@ class FederatedSimulator:
             raise ValueError("num_epochs must be >= 1")
         arbiter = make_arbiter(self.arbiter)
         sessions = [sim.session(num_epochs) for sim in self._shard_simulators()]
+        for shard_id, session in enumerate(sessions):
+            session.shard_id = shard_id
         full_capacities = self.world.servers.capacities
         capacity_weights = [float(s.sum()) for s in self.world.slices]
         pending: Optional[np.ndarray] = None
@@ -344,10 +346,7 @@ class FederatedSimulator:
             for shard_id, session in enumerate(sessions):
                 delta = None if pending is None else pending[shard_id]
                 start = time.perf_counter()
-                records = [
-                    replace(record, shard_id=shard_id)
-                    for record in session.run_epoch(capacity_delta=delta)
-                ]
+                records = session.run_epoch(capacity_delta=delta)
                 profile.shard_wall_seconds[shard_id] += time.perf_counter() - start
                 per_shard.append(records)
                 yield from records

@@ -32,7 +32,7 @@ K candidate servers; which one is a stored fact of the matrix
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -196,7 +196,8 @@ class CompactDelayMatrix:
         ``(k,)`` topology node of each client.
     client_zones / zone_candidates / zone_anchors:
         Zone of each client, ``(num_zones, K)`` candidate server ids per
-        zone, and the zone anchor nodes the candidates were selected from.
+        zone (each row ascending), and the zone anchor nodes the candidates
+        were selected from.
         An unrestricted matrix's candidates are every server in id order
         (:meth:`unrestricted`) and it has no anchors (``None``).
     top_k:
@@ -222,10 +223,9 @@ class CompactDelayMatrix:
     top_k: Optional[int]
     fill_value: float = SPARSE_FILL_DELAY_MS
     _allowed_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _sorted_candidates_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    # Not an init field, so ``dataclasses.replace`` (with_node_server)
-    # starts the new matrix without a table, and with_clients clears it:
-    # only the churn-map path of with_clients moves one across.
+    # Not an init field, and every derived matrix (:meth:`_derived`) starts
+    # without a table: only the churn-map path of with_clients moves one
+    # across.
     _cost_table: Optional[_CostTable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -253,6 +253,10 @@ class CompactDelayMatrix:
         object.__setattr__(self, "zone_anchors", anchors)
         if anchors.shape != (self.zone_candidates.shape[0],):
             raise ValueError("zone_anchors must have one entry per zone")
+        # Candidate rows are sets: the table is stored once, ascending.
+        object.__setattr__(
+            self, "zone_candidates", _read_only(np.sort(self.zone_candidates, axis=1))
+        )
 
     def _check_clients(self, nodes: np.ndarray, zones: np.ndarray) -> None:
         # Rows are gathered with numpy indexing, which would wrap a negative
@@ -359,20 +363,15 @@ class CompactDelayMatrix:
     def sorted_candidates(self) -> np.ndarray:
         """The ``(num_zones, K)`` candidate sets, server ids ascending.
 
-        Candidate rows are sets — their stored order (near-first, then the
-        strided tail) carries no meaning — so a once-per-instance row sort
-        gives every consumer index-sorted lists without a per-query sort:
-        :meth:`candidate_rows` gathers from it, and GreZ hands it to the
-        placement engine as each zone's candidate table.  Read-only and
-        cached; an unrestricted matrix's table is already sorted.
+        Candidate rows are sets — the selection order (near-first, then the
+        strided tail) carries no meaning — so a restricted matrix stores
+        its table row-sorted at construction, and every consumer gets
+        index-sorted lists without a per-query sort: :meth:`candidate_rows`
+        gathers from it, and GreZ hands it to the placement engine as each
+        zone's candidate table.  Read-only; an unrestricted matrix's table
+        is already sorted.
         """
-        if self.is_unrestricted:
-            return self.zone_candidates
-        cached = self._sorted_candidates_cache
-        if cached is None:
-            cached = _read_only(np.sort(self.zone_candidates, axis=1))
-            object.__setattr__(self, "_sorted_candidates_cache", cached)
-        return cached
+        return self.zone_candidates
 
     def candidate_rows(self, clients: np.ndarray) -> np.ndarray:
         """Per-client exact delays to the client zone's candidate servers.
@@ -462,7 +461,11 @@ class CompactDelayMatrix:
             raise IndexError(f"server index out of range for {self.num_servers} servers")
         out = _take_cells(self.node_server, nodes, servers)
         allowed = _take_cells(self.candidate_mask(), zones, servers)
-        return np.where(allowed, out, self.fill_value)
+        if np.ndim(out) == 0:
+            return np.where(allowed, out, self.fill_value)
+        # Both gathers are fresh: mask the delays in place.
+        np.copyto(out, self.fill_value, where=np.logical_not(allowed, out=allowed))
+        return out
 
     def toarray(self) -> np.ndarray:
         """Materialise the full dense ``(k, m)`` matrix (small worlds only)."""
@@ -711,11 +714,7 @@ class CompactDelayMatrix:
         client_nodes = np.asarray(client_nodes, dtype=np.int64)
         client_zones = np.asarray(client_zones, dtype=np.int64)
         self._check_clients(client_nodes, client_zones)
-        # Every other field is this matrix's, already checked: copy them
-        # over rather than re-run the whole construction.
-        matrix = object.__new__(CompactDelayMatrix)
-        matrix.__dict__.update(self.__dict__, client_nodes=client_nodes, client_zones=client_zones)
-        object.__setattr__(matrix, "_cost_table", None)
+        matrix = self._derived(client_nodes=client_nodes, client_zones=client_zones)
         table = self._cost_table
         if self.is_unrestricted or old_to_new is None or changed is None:
             return matrix
@@ -797,9 +796,9 @@ class CompactDelayMatrix:
         Same fleet, clients and candidate sets — only the delay values
         change.  Scenario link-degradation overlays use this to scale the
         affected nodes' rows without touching the delay model or the
-        candidate geometry; the candidate caches are carried since the
-        candidate sets are unchanged, but not the cost table, whose counts
-        the new delays change.
+        candidate geometry; the candidate table and mask are shared since
+        the candidate sets are unchanged, but not the cost table, whose
+        counts the new delays change.
         """
         node_server = np.asarray(node_server, dtype=np.float64)
         if node_server.shape != self.node_server.shape:
@@ -807,7 +806,18 @@ class CompactDelayMatrix:
                 f"node_server must keep shape {self.node_server.shape}, "
                 f"got {node_server.shape}"
             )
-        return replace(self, node_server=_read_only(node_server))
+        return self._derived(node_server=_read_only(node_server))
+
+    def _derived(self, **fields) -> "CompactDelayMatrix":
+        """This matrix with ``fields`` substituted, and no cost table.
+
+        Every other field is this matrix's, already checked (and its
+        candidate table sorted): they are copied over rather than put
+        through the whole construction again.
+        """
+        matrix = object.__new__(CompactDelayMatrix)
+        matrix.__dict__.update(self.__dict__, _cost_table=None, **fields)
+        return matrix
 
 
 def node_server_table(delay_model: "DelayModel", server_nodes: np.ndarray) -> np.ndarray:

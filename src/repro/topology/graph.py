@@ -269,7 +269,7 @@ class Topology:
     # Delay computation
     # ------------------------------------------------------------------ #
     def _all_pairs(self) -> Tuple[np.ndarray, float]:
-        """The C-ordered all-pairs matrix and its largest entry.
+        """The all-pairs matrix, Fortran-ordered as built, and its largest entry.
 
         Entries are sums of positive weights or ``+inf``, never NaN, so the
         maximum alone detects a pair with no path.
@@ -280,7 +280,7 @@ class Topology:
             raise TopologyError(
                 f"topology '{self.name}' is disconnected; cannot compute all-pairs delays"
             )
-        return np.ascontiguousarray(dist), dmax
+        return dist, dmax
 
     def shortest_path_latencies(self) -> np.ndarray:
         """All-pairs one-way shortest-path latency matrix (milliseconds).
@@ -299,7 +299,7 @@ class Topology:
         Raises :class:`TopologyError` if the topology is disconnected, since a
         disconnected DVE substrate has no meaningful client-server delays.
         """
-        return self._all_pairs()[0]
+        return np.ascontiguousarray(self._all_pairs()[0])
 
     def round_trip_delays(self) -> np.ndarray:
         """All-pairs round-trip delay matrix in milliseconds, scaled to :data:`MAX_RTT_MS`.
@@ -309,12 +309,14 @@ class Topology:
         "the maximum round-trip delay between any two nodes is set to
         500 ms".  Doubling is exact, so the largest RTT is ``2 * dmax`` for
         the largest one-way latency ``dmax``.  A one-node topology stays 0.
+
+        The matrix is rescaled in place and keeps the Fortran order the
+        all-pairs pass builds, so it is the only ``nodes × nodes`` buffer
+        made; the node→server tables are sliced column-wise out of it.
         """
-        # Rebinding ``rtt`` frees each buffer once the next one is made, so
-        # at most two matrices are alive at a time.
         rtt, dmax = self._all_pairs()
-        rtt = 2.0 * rtt
+        rtt *= 2.0
         if dmax > 0:
-            rtt = rtt * (MAX_RTT_MS / (2.0 * dmax))
+            rtt *= MAX_RTT_MS / (2.0 * dmax)
         np.fill_diagonal(rtt, 0.0)
         return rtt

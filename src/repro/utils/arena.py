@@ -9,9 +9,10 @@ one epoch and then go back to the allocator (large blocks round-trip through
 turns those into reusable buffers with two complementary APIs:
 
 * :meth:`acquire` / :meth:`release` — checked-out buffers, pooled by dtype and
-  capacity.  A buffer acquired from the arena is *live* until released; the
-  arena never hands out memory overlapping a live buffer, so any interleaving
-  of acquires and releases is alias-free (property-tested).  This is the API
+  size class (:func:`_capacity_for`).  A buffer acquired from the arena is
+  *live* until released; the arena never hands out memory overlapping a live
+  buffer, so any interleaving of acquires and releases is alias-free
+  (property-tested).  This is the API
   for buffers with hand-off lifetimes, e.g. the dense delay matrix that one
   epoch produces and the next epoch consumes (double-buffering: the new
   epoch's matrix is acquired while the previous one is still live, and the
@@ -37,11 +38,15 @@ __all__ = ["EpochArena"]
 
 
 def _capacity_for(n: int) -> int:
-    """Pool bucket capacity: the next power of two >= ``n`` (min 16)."""
-    cap = 16
-    while cap < n:
-        cap <<= 1
-    return cap
+    """Pool bucket capacity: ``n`` rounded up to its size class (min 16).
+
+    A class is a multiple of ``2**max(4, n.bit_length() - 4)``: eight
+    classes per power of two, so a bucket's slack is under 16 slots or an
+    eighth of the request, where the next power of two can waste half.  The
+    power of two is a multiple of that step, so no class exceeds it.
+    """
+    step = 1 << max(4, n.bit_length() - 4)
+    return max(16, -(-n // step) * step)
 
 
 class EpochArena:
@@ -156,13 +161,13 @@ class EpochArena:
         """A read-only view of ``numpy.arange(n)``, cached across epochs.
 
         Index ramps (``old_to_new`` renumbering, survivor positions) are
-        rebuilt every epoch with identical contents; this keeps one growing
-        ramp instead.  The view is marked read-only, so a caller cannot
-        corrupt the shared values.
+        rebuilt every epoch with identical contents; this keeps one ramp,
+        grown to the request's size class, instead.  The view is marked
+        read-only, so a caller cannot corrupt the shared values.
         """
         n = int(n)
         if self._arange.shape[0] < n:
-            self._arange = np.arange(max(n, 2 * self._arange.shape[0], 16), dtype=np.int64)
+            self._arange = np.arange(_capacity_for(n), dtype=np.int64)
             self._arange.setflags(write=False)
             self.allocated_bytes += self._arange.nbytes
         return self._arange[:n]

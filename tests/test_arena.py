@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.arena import EpochArena
+from repro.utils.arena import EpochArena, _capacity_for
 
 # --------------------------------------------------------------------------- #
 # Direct semantics
@@ -85,6 +85,15 @@ def test_arange_is_cached_and_read_only():
     np.testing.assert_array_equal(long_ramp, np.arange(100))
 
 
+def test_arange_grows_to_the_request_class():
+    arena = EpochArena()
+    arena.arange(100)
+    ramp = arena.arange(101)
+    np.testing.assert_array_equal(ramp, np.arange(101))
+    # Not to twice the old length: the 100k rung's ramp would double.
+    assert ramp.base.shape == (_capacity_for(101),) == (112,)
+
+
 def test_stats_counters():
     arena = EpochArena()
     a = arena.acquire(10)
@@ -100,13 +109,45 @@ def test_stats_counters():
 
 
 # --------------------------------------------------------------------------- #
-# Property: no two live buffers ever alias, under any interleaving
+# Properties: size classes, bucket reuse, and no two live buffers ever alias
 # --------------------------------------------------------------------------- #
+
+
+@given(n=st.integers(min_value=1, max_value=2**40))
+def test_size_class_between_request_and_power_of_two(n):
+    """A class holds the request, wastes under 16 slots or an eighth of it,
+    and never exceeds the next power of two (the old bucket, min 16)."""
+    cap = _capacity_for(n)
+    assert n <= cap <= max(16, 1 << (n - 1).bit_length())
+    assert cap - n < max(16, n / 8)
+
+
+@settings(deadline=None)
+@given(
+    sizes=st.integers(min_value=1, max_value=300_000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=_capacity_for(n)))
+    ),
+    dtype=st.sampled_from(["f8", "i8", "?"]),
+)
+def test_requests_of_one_class_reuse_a_buffer(sizes, dtype):
+    """A released buffer serves the next request of its class, equal sizes included."""
+    first_size, size = sizes
+    arena = EpochArena()
+    first = arena.acquire(first_size, dtype=dtype)
+    arena.release(first)
+    allocated = arena.allocated_bytes
+    second = arena.acquire(first_size, dtype=dtype)
+    assert np.shares_memory(first, second)
+    arena.release(second)
+    if _capacity_for(size) == _capacity_for(first_size):
+        third = arena.acquire(size, dtype=dtype)
+        assert np.shares_memory(first, third)
+    assert arena.allocated_bytes == allocated
 
 _steps = st.lists(
     st.tuples(
         st.sampled_from(["acquire", "release"]),
-        st.integers(min_value=1, max_value=600),  # size (acquire) / pick (release)
+        st.integers(min_value=1, max_value=5000),  # size (acquire) / pick (release)
         st.sampled_from(["f8", "i8", "?"]),
     ),
     min_size=1,

@@ -6,7 +6,9 @@ streaming.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from repro.dynamics.events import ChurnBatch, apply_churn
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.policies import POLICY_ACTIONS, PolicySchedule, make_policy
 from repro.utils.arena import EpochArena
+from repro.world.scenario import build_scenario
+from tests.conftest import make_small_config
 
 #: The ≥3 churn mixes the acceptance criterion asks the equivalence property
 #: to cover: balanced, join-heavy (population grows) and leave-heavy
@@ -353,6 +357,40 @@ class TestSimulationState:
         second = SimulationState(scenario=small_scenario, instance=instance, assignments={})
         assert isinstance(first.arena, EpochArena)
         assert first.arena is not second.arena
+
+
+class TestSessionReleasesInitialWorld:
+    @pytest.mark.parametrize("timeline", [None, "regional-outage"])
+    def test_initial_world_freed_after_one_epoch(self, timeline):
+        """A session whose caller dropped the simulator frees the initial world.
+
+        After the first epoch nothing in the session reaches the initial
+        population, demands, instance or assignments: the session keeps the
+        simulator's settings, and the zone plan and the scenario runtime keep
+        only what they read at construction.
+        """
+        scenario = build_scenario(make_small_config(), seed=4)
+        simulator = ChurnSimulator(
+            scenario=scenario,
+            algorithms=["grez-grec", "ranz-virc"],
+            churn_spec=ChurnSpec(5, 5, 5),
+            seed=2,
+            scenario_timeline=timeline,
+        )
+        session = simulator.session(2)
+        state = session.state
+        initial = [
+            scenario.population.nodes,
+            scenario.population.zones,
+            scenario.client_demands,
+            state.instance,
+            *state.assignments.values(),
+        ]
+        refs = [weakref.ref(obj) for obj in initial]
+        del simulator, scenario, state, initial
+        session.run_epoch()
+        gc.collect()
+        assert [ref() is None for ref in refs] == [True] * len(refs)
 
 
 class TestChurnEdgeCases:
