@@ -383,6 +383,9 @@ class ChurnSimulator:
         next epoch.
         """
         session = self.session(num_epochs)
+        # The session keeps the settings, not the initial world; holding
+        # ``self`` in this frame would keep that world for the whole run.
+        del self
         while not session.done:
             yield from session.run_epoch()
 

@@ -45,7 +45,7 @@ from repro.experiments.config import ExperimentConfig, ExperimentSpec
 from repro.measurement.estimators import DelayEstimator
 from repro.metrics.cdf import EmpiricalCDF, delay_cdf, merge_cdfs
 from repro.metrics.summary import AggregateStat, RunningStats, aggregate
-from repro.utils.pool import ordered_map, resolve_workers
+from repro.utils.pool import ordered_map
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 from repro.utils.timing import Timer
 from repro.world.scenario import DVEConfig, DVEScenario, build_scenario
@@ -229,6 +229,7 @@ def replicate_records(
     if num_runs == 1:
         (simulator,) = replicate(build, [point], 1, seed)
         records = simulator.stream(num_epochs) if stream is None else stream(simulator)
+        del simulator  # the stream holds what it needs; the initial world can go
         for record in records:
             yield 0, record
         return
@@ -295,11 +296,10 @@ def run_replications(
     share_topology:
         Reuse a single topology sample (and its all-pairs delay matrix) across
         runs; placements and distributions still vary.  Cuts run time roughly
-        in half for quick exploratory sweeps.  With parallel workers the
-        all-pairs RTT matrix is additionally published to shared memory
-        before dispatch, so each task's pickled payload stays O(1) in the
-        matrix and workers neither recompute nor receive a private copy —
-        bit-identical to the plain pickling path.
+        in half for quick exploratory sweeps.  With parallel workers each
+        chunk of runs pickles the topology and a delay model whose matrix is
+        not computed yet, so a worker computes the matrix once per chunk;
+        the results are bit-identical to the serial path.
     keep_observations:
         Also return the raw per-run observations.
     workers:
@@ -327,16 +327,6 @@ def run_replications(
         shared_topology = generate_topology(config.topology, seed=as_generator(seed))
         shared_delay_model = DelayModel(shared_topology)
 
-    # Zero-copy dispatch: with parallel workers, materialise the shared RTT
-    # matrix once and publish it to shared memory so every task pickles an
-    # O(1) segment handle instead of recomputing (or shipping) the O(nodes²)
-    # matrix per task.  Serial runs share the model object in-process anyway.
-    use_shared_memory = (
-        shared_delay_model is not None and resolve_workers(workers, num_tasks=num_runs) > 1
-    )
-    if use_shared_memory:
-        shared_delay_model.share_rtt()
-
     point = dict(
         config=config,
         algorithms=tuple(algorithms),
@@ -347,13 +337,9 @@ def run_replications(
         delay_model=shared_delay_model,
     )
     per_algorithm: Dict[str, List[RunObservation]] = {name: [] for name in algorithms}
-    try:
-        for observations in replicate(_replication_run, [point], num_runs, run_seed, workers):
-            for name in algorithms:
-                per_algorithm[name].append(observations[name])
-    finally:
-        if use_shared_memory:
-            shared_delay_model.unshare_rtt()
+    for observations in replicate(_replication_run, [point], num_runs, run_seed, workers):
+        for name in algorithms:
+            per_algorithm[name].append(observations[name])
 
     summaries: Dict[str, AlgorithmSummary] = {}
     for name in algorithms:

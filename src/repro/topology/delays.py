@@ -28,7 +28,6 @@ from typing import Optional
 import numpy as np
 
 from repro.topology.graph import MAX_RTT_MS, Topology
-from repro.utils.shm import SharedArray
 
 __all__ = ["DelayModel", "MAX_RTT_MS", "SERVER_MESH_FACTOR"]
 
@@ -48,7 +47,6 @@ class DelayModel:
 
     topology: Topology
     _rtt: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _rtt_shared: Optional[SharedArray] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     @property
@@ -59,39 +57,6 @@ class DelayModel:
             cached = self.topology.round_trip_delays()
             self._rtt = cached
         return cached
-
-    # ------------------------------------------------------------------ #
-    # Zero-copy process dispatch.  share_rtt() publishes the RTT matrix to a
-    # POSIX shared-memory segment; while shared, pickling this model ships
-    # the O(1) segment handle instead of the O(nodes²) matrix, and workers
-    # rehydrate a read-only view of the same bits on unpickle.
-    def share_rtt(self) -> SharedArray:
-        """Publish the RTT matrix to shared memory (idempotent); return the handle."""
-        if self._rtt_shared is None:
-            self._rtt_shared = SharedArray(self.rtt)
-        return self._rtt_shared
-
-    def unshare_rtt(self) -> None:
-        """Release the shared segment (no-op when not shared).
-
-        Only call once every worker task that might attach has been drained;
-        processes that already attached keep valid mappings.
-        """
-        shared, self._rtt_shared = self._rtt_shared, None
-        if shared is not None:
-            shared.release()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        if state.get("_rtt_shared") is not None:
-            state["_rtt"] = None  # ship the O(1) handle, not the matrix
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        shared = self.__dict__.get("_rtt_shared")
-        if shared is not None and self.__dict__.get("_rtt") is None:
-            self.__dict__["_rtt"] = shared.as_array()
 
     @property
     def num_nodes(self) -> int:

@@ -97,15 +97,13 @@ def hierarchical_topology(
         for latency in as_level.latencies.tolist()
     ]
 
-    topology = Topology(
+    # Connected by construction: the AS-level BA graph is connected, each
+    # Waxman domain is, and every AS-level edge is realised.  The all-pairs
+    # pass raises TopologyError on a disconnected graph regardless.
+    return Topology(
         positions=positions.reshape(-1, 2),
         edges=np.concatenate([edges, np.array(cross_edges, dtype=np.int64).reshape(-1, 2)]),
         latencies=np.concatenate([latencies, np.array(cross_latencies, dtype=np.float64)]),
         node_domain=np.repeat(np.arange(params.num_as, dtype=np.int64), routers),
         name=name,
     )
-    if not topology.is_connected():
-        # The AS-level BA graph is always connected and every AS-level edge is
-        # realised, so this should never trigger; keep it as a hard guarantee.
-        raise RuntimeError("hierarchical topology generation produced a disconnected graph")
-    return topology

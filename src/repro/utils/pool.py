@@ -1,21 +1,13 @@
 """Process-parallel execution layer for independent replications.
 
 The replication engines in :mod:`repro.experiments` fan independent
-simulation runs out over worker processes through the executor abstraction
-defined here:
+simulation runs out over worker processes through one call:
 
 * :func:`resolve_workers` turns the user-facing ``workers`` knob (``None``,
   ``0`` = all cores, or an explicit count) into a concrete worker count,
   never exceeding the number of tasks;
-* :func:`default_chunksize` picks a ``chunksize`` for ``Executor.map`` that
-  balances scheduling overhead against load-balancing granularity;
-* :class:`Executor` wraps one process pool behind an ordered-map API,
-  creating the pool lazily and keeping it alive across calls;
-* :func:`shared_executor` hands out process-wide executors keyed by worker
-  count so an experiment run pays pool start-up once, not once per
-  ``ordered_map`` invocation;
-* :func:`ordered_map` maps serially in-process for one worker and dispatches
-  through the shared executors otherwise.
+* :func:`ordered_map` maps serially in-process for one worker and otherwise
+  pickles the tasks, in chunks, to a process pool kept per worker count.
 
 Worker failures never surface as bare remote tracebacks: every parallel task
 is index-wrapped, and a failure re-raises as :class:`WorkerTaskError` carrying
@@ -24,8 +16,8 @@ exception.
 
 The serial path never imports the parallel runtime: ``concurrent.futures``
 (and the ``multiprocessing`` machinery its process pool pulls in) loads on
-first parallel use, inside :meth:`Executor.ordered_map`, so serial runs do
-not pay for it.
+first parallel use, inside :func:`ordered_map`, so serial runs do not pay
+for it.
 
 Determinism is the caller's contract: each task must carry its own
 pre-spawned RNG state (see :func:`repro.utils.rng.spawn_generators`), so the
@@ -38,16 +30,15 @@ import atexit
 import os
 import threading
 from functools import partial
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Sequence, Tuple, TypeVar
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "available_cpus",
     "resolve_workers",
-    "default_chunksize",
     "WorkerTaskError",
-    "Executor",
-    "shared_executor",
-    "shutdown_shared_executors",
     "ordered_map",
 ]
 
@@ -89,18 +80,6 @@ def resolve_workers(workers: Optional[int], num_tasks: Optional[int] = None) -> 
     return max(1, resolved)
 
 
-def default_chunksize(num_tasks: int, workers: int) -> int:
-    """Chunk size for ``Executor.map``: ~4 chunks per worker, at least 1.
-
-    Small chunks keep the pool load-balanced when task durations vary (e.g.
-    the MILP baseline on an unlucky instance); one giant chunk per worker
-    would serialise the stragglers.
-    """
-    if num_tasks <= 0 or workers <= 0:
-        return 1
-    return max(1, num_tasks // (workers * 4))
-
-
 class WorkerTaskError(RuntimeError):
     """A parallel ``ordered_map`` task failed.
 
@@ -138,103 +117,30 @@ def _run_indexed(fn: Callable[[_T], _R], indexed_task: Tuple[int, _T]) -> _R:
         raise _TaskFailure(index, exc) from exc
 
 
-class Executor:
-    """An ordered map over a lazily created, reusable process pool.
-
-    Tasks, ``fn`` and results must pickle.  The underlying
-    :class:`ProcessPoolExecutor` is created on first parallel use and kept
-    alive until :meth:`shutdown`, so repeated ``ordered_map`` calls amortise
-    pool start-up.
-    """
-
-    def __init__(self, workers: Optional[int] = None):
-        self.workers = resolve_workers(workers)
-        self._pool: Optional[object] = None
-        self._lock = threading.Lock()
-
-    def _get_pool(self):
-        with self._lock:
-            if self._pool is None:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            return self._pool
-
-    def ordered_map(
-        self,
-        fn: Callable[[_T], _R],
-        tasks: Sequence[_T],
-    ) -> Iterator[_R]:
-        """Apply ``fn`` to every task, yielding results in task order.
-
-        Tasks go out in :func:`default_chunksize` chunks.  One worker (or a single task) uses a plain ``map`` with no wrapping,
-        so the serial path is byte-for-byte the code path the parallel path
-        executes inside each worker.  Parallel failures raise
-        :class:`WorkerTaskError` with the failing task index.
-        """
-        tasks = list(tasks)
-        if self.workers <= 1 or len(tasks) <= 1:
-            yield from map(fn, tasks)
-            return
-        from concurrent.futures.process import BrokenProcessPool
-
-        chunksize = default_chunksize(len(tasks), min(self.workers, len(tasks)))
-        pool = self._get_pool()
-        results = pool.map(partial(_run_indexed, fn), enumerate(tasks), chunksize=chunksize)
-        while True:
-            try:
-                result = next(results)
-            except StopIteration:
-                return
-            except _TaskFailure as failure:
-                raise WorkerTaskError(failure.index, failure.original) from failure.original
-            except BrokenProcessPool:
-                # A dead worker poisons the pool; drop it so the next call
-                # starts from a fresh one instead of failing forever.
-                self.shutdown()
-                raise
-            yield result
-
-    def shutdown(self) -> None:
-        """Tear down the underlying pool (a later call recreates it)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+_POOLS_LOCK = threading.Lock()
+#: One process pool per resolved worker count, created on first parallel use
+#: and kept for the life of the process, so an experiment run pays pool
+#: start-up once, not once per :func:`ordered_map` call.
+_POOLS: Dict[int, "ProcessPoolExecutor"] = {}
 
 
-_SHARED_LOCK = threading.Lock()
-_SHARED: Dict[int, Executor] = {}
+def _pool(workers: int) -> "ProcessPoolExecutor":
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = _POOLS[workers] = ProcessPoolExecutor(max_workers=workers)
+        return pool
 
 
-def shared_executor(workers: Optional[int] = None) -> Executor:
-    """Process-wide reusable executor for a resolved worker count.
-
-    The first request for a given count creates the :class:`Executor`; later
-    requests return the same instance, so one experiment run reuses one pool
-    across every ``ordered_map`` call instead of paying fork/spawn start-up
-    per invocation.  Pools are torn down at interpreter exit (or explicitly
-    via :func:`shutdown_shared_executors`).
-    """
-    resolved = resolve_workers(workers)
-    with _SHARED_LOCK:
-        executor = _SHARED.get(resolved)
-        if executor is None:
-            executor = Executor(resolved)
-            _SHARED[resolved] = executor
-        return executor
-
-
-def shutdown_shared_executors() -> None:
-    """Shut down every shared pool (used by tests and the atexit hook)."""
-    with _SHARED_LOCK:
-        executors = list(_SHARED.values())
-        _SHARED.clear()
-    for executor in executors:
-        executor.shutdown()
-
-
-atexit.register(shutdown_shared_executors)
+@atexit.register
+def _shutdown_pools() -> None:
+    with _POOLS_LOCK:
+        pools = list(_POOLS.values())
+        _POOLS.clear()
+    for pool in pools:
+        pool.shutdown(wait=True)
 
 
 def ordered_map(
@@ -244,16 +150,41 @@ def ordered_map(
 ) -> Iterator[_R]:
     """Apply ``fn`` to every task, yielding results in task order.
 
-    With one (resolved) worker this is a plain in-process ``map`` — no
-    pickling, no subprocesses.  With more workers the tasks are distributed
-    over the shared :class:`Executor`, whose pool persists across calls;
-    ``fn`` and each task must be picklable, and results stream back in order.
-    A task that raises inside a worker re-raises here as
-    :class:`WorkerTaskError` with the failing task index.
+    With one (resolved) worker, or a single task, this is a plain in-process
+    ``map``: no pickling, no subprocesses, and the same code each worker
+    runs.  With more workers the tasks go, pickled as they are, to the
+    process pool kept for that worker count, in chunks of about a quarter of
+    each worker's share: small chunks keep the pool balanced when task
+    durations vary (the MILP baseline on an unlucky instance), where one
+    chunk per worker would serialise the stragglers.  ``fn`` and each task
+    must pickle, and results stream back in order.  A task that raises
+    inside a worker re-raises here as :class:`WorkerTaskError` with the
+    failing task index; a dead worker raises ``BrokenProcessPool`` and drops
+    the pool, so the next call starts a fresh one.
     """
     tasks = list(tasks)
     resolved = resolve_workers(workers, num_tasks=len(tasks))
-    if resolved <= 1 or len(tasks) <= 1:
+    if resolved <= 1:
         yield from map(fn, tasks)
         return
-    yield from shared_executor(resolved).ordered_map(fn, tasks)
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = _pool(resolved)
+    chunksize = max(1, len(tasks) // (resolved * 4))
+    results = pool.map(partial(_run_indexed, fn), enumerate(tasks), chunksize=chunksize)
+    while True:
+        try:
+            result = next(results)
+        except StopIteration:
+            return
+        except _TaskFailure as failure:
+            raise WorkerTaskError(failure.index, failure.original) from failure.original
+        except BrokenProcessPool:
+            # A dead worker poisons the pool; drop it so the next call
+            # starts from a fresh one instead of failing forever.
+            with _POOLS_LOCK:
+                if _POOLS.get(resolved) is pool:
+                    del _POOLS[resolved]
+            pool.shutdown(wait=True)
+            raise
+        yield result

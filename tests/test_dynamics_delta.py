@@ -392,6 +392,35 @@ class TestSessionReleasesInitialWorld:
         gc.collect()
         assert [ref() is None for ref in refs] == [True] * len(refs)
 
+    @pytest.mark.parametrize("driver", ["stream", "replicate_records"])
+    def test_stream_frees_initial_world_after_one_epoch(self, driver):
+        """A record stream holds its session, not the simulator or its world."""
+        from repro.experiments.runner import replicate_records
+
+        refs = []
+
+        def build(world_rng, engine_rng):
+            scenario = build_scenario(make_small_config(), seed=world_rng)
+            population = scenario.population
+            refs.extend(
+                weakref.ref(obj)
+                for obj in (scenario, population.nodes, population.zones, scenario.client_demands)
+            )
+            return ChurnSimulator(
+                scenario=scenario,
+                algorithms=["grez-grec", "ranz-virc"],
+                churn_spec=ChurnSpec(5, 5, 5),
+                seed=engine_rng,
+            )
+
+        if driver == "stream":
+            records = build(4, 2).stream(2)
+        else:
+            records = (record for _, record in replicate_records(build, {}, 2, 1, seed=4))
+        next(records)
+        gc.collect()
+        assert [ref() is None for ref in refs] == [True] * len(refs)
+
 
 class TestChurnEdgeCases:
     """Satellite: incremental_reassign (and the pipeline) on degenerate batches."""

@@ -8,7 +8,6 @@ exempt).  The same holds for the dynamics experiment's per-run loop.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -23,8 +22,6 @@ from repro.experiments.runtime import RUNTIME
 from repro.experiments.table3 import TABLE3
 from repro.measurement.error import IDMAPS
 from repro.measurement.estimators import DelayEstimator
-from repro.topology.brite import generate_topology
-from repro.topology.delays import DelayModel
 from tests.conftest import make_small_config
 
 ALGORITHMS = ["ranz-virc", "grez-grec"]
@@ -115,57 +112,24 @@ class TestParallelDeterminism:
                 assert serial.mean(name, column) == parallel.mean(name, column)
 
 
-class TestZeroCopyDispatch:
-    """``share_topology`` + parallel workers ship the RTT matrix via shared
-    memory: per-task payloads are O(1) in the matrix and results stay
-    bit-identical to the plain pickling path."""
+class TestSharedTopologyDispatch:
+    """``share_topology`` with parallel workers pickles the shared topology
+    and its not-yet-computed delay model with each chunk of runs; results
+    stay bit-identical to the serial path."""
 
-    def test_shared_memory_path_bit_identical_to_serial(self):
+    def test_shared_topology_on_pool_bit_identical_to_serial(self):
         config = make_small_config(num_clients=50, num_zones=5)
         kwargs = dict(num_runs=4, seed=9, share_topology=True, keep_observations=True)
         serial = run_replications(config, ALGORITHMS, **kwargs)
         parallel = run_replications(config, ALGORITHMS, workers=3, **kwargs)
         _assert_identical_observations(serial, parallel)
 
-    def test_shared_memory_path_matches_unshared_topology_reuse(self):
-        # Serial share_topology reuses the model in-process (no shm); the shm
-        # dispatch path must agree with it bit-for-bit.
+    def test_shared_topology_matches_across_worker_counts(self):
         config = make_small_config(num_clients=40, num_zones=4)
         kwargs = dict(num_runs=3, seed=1, share_topology=True, keep_observations=True)
         a = run_replications(config, ["grez-grec"], workers=2, **kwargs)
         b = run_replications(config, ["grez-grec"], workers=3, **kwargs)
         _assert_identical_observations(a, b)
-
-    def test_task_payload_o1_in_delay_matrix(self):
-        config = make_small_config()
-        model = DelayModel(generate_topology(config.topology, seed=0))
-        rtt_bytes = model.rtt.nbytes  # materialise before measuring
-
-        def task_bytes():
-            point = dict(
-                config=config,
-                algorithms=("grez-grec",),
-                estimator=None,
-                delay_bound_ms=None,
-                collect_delays=False,
-                topology=model.topology,
-                delay_model=model,
-            )
-            return len(pickle.dumps(point))
-
-        plain = task_bytes()
-        model.share_rtt()
-        try:
-            shared = task_bytes()
-        finally:
-            model.unshare_rtt()
-
-        # Without shm the task ships the whole matrix; with shm it ships a
-        # named handle — the matrix contributes nothing to the payload.
-        assert plain - shared > 0.9 * rtt_bytes
-        assert shared < rtt_bytes / 4
-        # Releasing shared memory restores the plain pickling path.
-        assert task_bytes() == plain
 
 
 class TestExperimentConfig:

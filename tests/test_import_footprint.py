@@ -113,15 +113,12 @@ if not numpy_loads_ma:
 )
 
 #: Each deferred parallel path, compared with its serial result: a 2-process
-#: ``ordered_map`` and a pickle round trip of an RTT matrix published to
-#: shared memory.
+#: ``ordered_map`` and replications that pickle a shared topology to the
+#: pool.  Neither touches shared memory.
 PARALLEL = (
     IMPORTS
     + """
-import pickle
-
-import numpy as np
-
+from repro.experiments.runner import run_replications
 from repro.utils.pool import ordered_map
 
 def parallel_loaded():
@@ -136,15 +133,14 @@ tasks = list(range(-8, 8))
 assert list(ordered_map(abs, tasks, workers=2)) == list(map(abs, tasks))
 assert "concurrent.futures.process" in sys.modules
 
-model = build_scenario(config_from_label("4s-8z-80c-60cp"), seed=0).delay_model
-rtt = model.rtt.copy()
-model.share_rtt()
-try:
-    clone = pickle.loads(pickle.dumps(model))
-    assert np.array_equal(clone.rtt, rtt)
-finally:
-    model.unshare_rtt()
-assert "multiprocessing.shared_memory" in sys.modules
+kwargs = dict(num_runs=4, seed=0, share_topology=True, keep_observations=True)
+config = config_from_label("4s-8z-80c-60cp")
+serial = run_replications(config, ["grez-grec"], **kwargs)
+parallel = run_replications(config, ["grez-grec"], workers=2, **kwargs)
+assert [o.pqos for o in serial.observations["grez-grec"]] == [
+    o.pqos for o in parallel.observations["grez-grec"]
+]
+assert "multiprocessing.shared_memory" not in sys.modules
 """
 )
 

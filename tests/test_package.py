@@ -35,6 +35,7 @@ KEEP_UNREACHED_METHODS = {
     "ClientPopulation.subset": "the churn snapshot oracle keeps the survivors with it",
     "Topology.adjacency_matrix": "the shortest-path reference tests hand it to SciPy",
     "Topology.shortest_path_latencies": "the shortest-path reference tests check it against SciPy",
+    "Topology.is_connected": "the generator tests check connectivity with it, against SciPy",
     "ZoneAssignment.server_zone_loads": "the capacity-invariant tests check zone loads with it",
     "Assignment.is_capacity_feasible": "the README quickstart checks the assignment with it",
     "SpawnKeySeed.generate_state": "numpy's PCG64 seeds itself through it (ISeedSequence)",

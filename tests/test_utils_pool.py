@@ -1,5 +1,5 @@
-"""Tests for repro.utils.pool — worker resolution, the process executor layer
-and ordered mapping."""
+"""Tests for repro.utils.pool — worker resolution, ordered mapping and the
+process pool kept per worker count."""
 
 from __future__ import annotations
 
@@ -7,16 +7,8 @@ import os
 
 import pytest
 
-from repro.utils.pool import (
-    Executor,
-    WorkerTaskError,
-    available_cpus,
-    default_chunksize,
-    ordered_map,
-    resolve_workers,
-    shared_executor,
-    shutdown_shared_executors,
-)
+from repro.utils import pool as pool_module
+from repro.utils.pool import WorkerTaskError, available_cpus, ordered_map, resolve_workers
 
 
 def _square(x: int) -> int:
@@ -29,6 +21,14 @@ def _fail_on_three(x: int) -> int:
     if x == 3:
         raise ValueError("task three exploded")
     return x * x
+
+
+@pytest.fixture
+def pools():
+    """The module's pools by worker count, shut down after the test."""
+    pool_module._shutdown_pools()
+    yield pool_module._POOLS
+    pool_module._shutdown_pools()
 
 
 class TestResolveWorkers:
@@ -52,15 +52,6 @@ class TestResolveWorkers:
 
     def test_at_least_one(self):
         assert resolve_workers(0, num_tasks=0) == 1
-
-
-class TestDefaultChunksize:
-    def test_at_least_one(self):
-        assert default_chunksize(0, 4) == 1
-        assert default_chunksize(3, 4) == 1
-
-    def test_roughly_four_chunks_per_worker(self):
-        assert default_chunksize(64, 4) == 4
 
 
 class TestOrderedMap:
@@ -87,23 +78,18 @@ class TestOrderedMap:
         with pytest.raises(ValueError, match="task three exploded"):
             list(ordered_map(_fail_on_three, range(6)))
 
-    def test_multi_task_default_chunks_keep_order(self):
-        # 64 tasks over 2 workers go out in default chunks of 8 tasks each.
-        assert default_chunksize(64, 2) == 8
+    def test_multi_task_chunks_keep_order(self):
+        # 64 tasks over 2 workers go out in chunks of 8 tasks each.
         assert list(ordered_map(_square, range(64), workers=2)) == [x * x for x in range(64)]
 
     def test_accepts_any_iterable(self):
         tasks = (x for x in range(6))
         assert list(ordered_map(_square, tasks, workers=2)) == [x * x for x in range(6)]
 
-    def test_workers_capped_by_task_count(self):
-        try:
-            assert list(ordered_map(_square, range(2), workers=8)) == [0, 1]
-            # The two tasks were dispatched to a two-worker shared pool.
-            assert shared_executor(2)._pool is not None
-            assert shared_executor(8)._pool is None
-        finally:
-            shutdown_shared_executors()
+    def test_workers_capped_by_task_count(self, pools):
+        assert list(ordered_map(_square, range(2), workers=8)) == [0, 1]
+        # The two tasks were dispatched to a two-worker pool.
+        assert list(pools) == [2]
 
 
 class TestWorkerTaskError:
@@ -123,109 +109,55 @@ class TestWorkerTaskError:
         with pytest.raises(WorkerTaskError, match="task three exploded"):
             list(ordered_map(_fail_on_three, range(6), workers=2))
 
-    def test_task_failure_leaves_pool_usable(self):
+    def test_task_failure_leaves_pool_usable(self, pools):
         # Unlike a dead worker, a task exception does not poison the pool.
-        ex = Executor(workers=2)
-        try:
-            with pytest.raises(WorkerTaskError):
-                list(ex.ordered_map(_fail_on_three, range(6)))
-            pool = ex._pool
-            assert pool is not None
-            assert list(ex.ordered_map(_square, range(4))) == [0, 1, 4, 9]
-            assert ex._pool is pool
-        finally:
-            ex.shutdown()
+        with pytest.raises(WorkerTaskError):
+            list(ordered_map(_fail_on_three, range(6), workers=2))
+        pool = pools[2]
+        assert list(ordered_map(_square, range(4), workers=2)) == [0, 1, 4, 9]
+        assert pools[2] is pool
 
 
-class TestExecutor:
-    def test_one_worker_maps_in_process(self):
-        ex = Executor(workers=1)
-        assert list(ex.ordered_map(lambda x: x * 2, range(5))) == [x * 2 for x in range(5)]
-        assert ex._pool is None
-        ex.shutdown()  # no-op
+class TestPools:
+    def test_one_worker_starts_no_pool(self, pools):
+        assert list(ordered_map(_square, range(5), workers=1)) == [x * x for x in range(5)]
+        assert not pools
 
-    def test_workers_resolved_at_construction(self):
-        assert Executor().workers == 1
-        assert Executor(workers=0).workers == available_cpus()
-        assert Executor(workers=3).workers == 3
-        with pytest.raises(ValueError):
-            Executor(workers=-1)
+    def test_pool_created_on_first_parallel_result(self, pools):
+        results = ordered_map(_square, range(4), workers=2)
+        assert not pools  # a generator: nothing runs until iterated
+        assert list(results) == [0, 1, 4, 9]
+        assert list(pools) == [2]
 
-    def test_pool_created_on_first_parallel_result(self):
-        ex = Executor(workers=2)
-        try:
-            results = ex.ordered_map(_square, range(4))
-            assert ex._pool is None  # a generator: nothing runs until iterated
-            assert list(results) == [0, 1, 4, 9]
-            assert ex._pool is not None
-        finally:
-            ex.shutdown()
+    def test_pool_reused_per_worker_count(self, pools):
+        assert list(ordered_map(_square, range(4), workers=2)) == [0, 1, 4, 9]
+        pool = pools[2]
+        assert list(ordered_map(_square, range(4), workers=2)) == [0, 1, 4, 9]
+        assert pools[2] is pool  # reused, not recreated
+        assert list(ordered_map(_square, range(6), workers=3)) == [x * x for x in range(6)]
+        assert sorted(pools) == [2, 3] and pools[2] is pool
 
-    def test_shutdown_is_idempotent_and_pool_recreated(self):
-        ex = Executor(workers=2)
-        try:
-            assert list(ex.ordered_map(_square, range(4))) == [0, 1, 4, 9]
-            first = ex._pool
-            ex.shutdown()
-            ex.shutdown()
-            assert ex._pool is None
-            assert list(ex.ordered_map(_square, range(4))) == [0, 1, 4, 9]
-            assert ex._pool is not None and ex._pool is not first
-        finally:
-            ex.shutdown()
+    def test_pools_keyed_by_resolved_count(self, pools):
+        workers = min(available_cpus(), 4)
+        tasks = range(workers)
+        assert list(ordered_map(_square, tasks, workers=0)) == [x * x for x in tasks]
+        assert list(pools) == ([workers] if workers > 1 else [])
 
-    def test_pool_survives_across_calls(self):
-        ex = Executor(workers=2)
-        try:
-            assert list(ex.ordered_map(_square, range(4))) == [0, 1, 4, 9]
-            pool = ex._pool
-            assert pool is not None
-            assert list(ex.ordered_map(_square, range(4))) == [0, 1, 4, 9]
-            assert ex._pool is pool  # reused, not recreated
-        finally:
-            ex.shutdown()
-        assert ex._pool is None
+    def test_shutdown_resets_and_pool_recreated(self, pools):
+        assert list(ordered_map(_square, range(4), workers=2)) == [0, 1, 4, 9]
+        first = pools[2]
+        pool_module._shutdown_pools()
+        pool_module._shutdown_pools()
+        assert not pools
+        assert list(ordered_map(_square, range(4), workers=2)) == [0, 1, 4, 9]
+        assert pools[2] is not first
 
-    def test_dead_worker_raises_broken_pool_and_drops_it(self):
+    def test_dead_worker_raises_broken_pool_and_drops_it(self, pools):
         # The parallel runtime is imported on first use; the except clause
         # that catches a dead worker must see the name bound.
         from concurrent.futures.process import BrokenProcessPool
 
-        ex = Executor(workers=2)
-        try:
-            with pytest.raises(BrokenProcessPool):
-                list(ex.ordered_map(os._exit, [3, 3]))
-            assert ex._pool is None  # a fresh pool replaces the broken one
-            assert list(ex.ordered_map(_square, range(4))) == [0, 1, 4, 9]
-        finally:
-            ex.shutdown()
-
-    def test_shared_executor_reuse_by_key(self):
-        try:
-            a = shared_executor(2)
-            b = shared_executor(2)
-            c = shared_executor(3)
-            assert a is b
-            assert a is not c
-            # The pool behind a shared executor is reused across ordered maps.
-            assert list(ordered_map(_square, range(4), workers=2)) == [0, 1, 4, 9]
-            pool = a._pool
-            assert pool is not None
-            assert list(ordered_map(_square, range(4), workers=2)) == [0, 1, 4, 9]
-            assert a._pool is pool
-        finally:
-            shutdown_shared_executors()
-
-    def test_shared_executor_keyed_by_resolved_count(self):
-        try:
-            assert shared_executor(None) is shared_executor(1)
-            assert shared_executor(0) is shared_executor(available_cpus())
-            assert shared_executor(0).workers == available_cpus()
-        finally:
-            shutdown_shared_executors()
-
-    def test_shutdown_shared_executors_resets_registry(self):
-        first = shared_executor(2)
-        shutdown_shared_executors()
-        assert shared_executor(2) is not first
-        shutdown_shared_executors()
+        with pytest.raises(BrokenProcessPool):
+            list(ordered_map(os._exit, [3, 3], workers=2))
+        assert not pools  # a fresh pool replaces the broken one
+        assert list(ordered_map(_square, range(4), workers=2)) == [0, 1, 4, 9]
