@@ -8,6 +8,7 @@ exempt).  The same holds for the dynamics experiment's per-run loop.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -22,9 +23,33 @@ from repro.experiments.runtime import RUNTIME
 from repro.experiments.table3 import TABLE3
 from repro.measurement.error import IDMAPS
 from repro.measurement.estimators import DelayEstimator
+from repro.utils import pool as pool_module
 from tests.conftest import make_small_config
 
 ALGORITHMS = ["ranz-virc", "grez-grec"]
+
+
+class _PicklingPool:
+    """Stands in for a process pool: pickles the tasks as a pool would ship
+    them, records the payload, and maps an unpickled copy in-process."""
+
+    def __init__(self):
+        self.payloads = []
+
+    def map(self, fn, iterable, chunksize=1):
+        self.payloads.append(pickle.dumps(list(iterable)))
+        return map(fn, pickle.loads(self.payloads[-1]))
+
+    def shutdown(self, wait=True):
+        pass
+
+
+@pytest.fixture
+def pools():
+    """The replication pools by worker count, shut down after the test."""
+    pool_module._shutdown_pools()
+    yield pool_module._POOLS
+    pool_module._shutdown_pools()
 
 
 def _assert_identical_observations(a: ReplicatedResult, b: ReplicatedResult) -> None:
@@ -130,6 +155,26 @@ class TestSharedTopologyDispatch:
         a = run_replications(config, ["grez-grec"], workers=2, **kwargs)
         b = run_replications(config, ["grez-grec"], workers=3, **kwargs)
         _assert_identical_observations(a, b)
+
+    def test_tasks_ship_the_delay_model_before_its_matrix(self, pools):
+        pools[2] = shipping = _PicklingPool()
+        config = make_small_config(num_clients=40, num_zones=4)
+        kwargs = dict(num_runs=4, seed=5, share_topology=True, keep_observations=True)
+        parallel = run_replications(config, ["grez-grec"], workers=2, **kwargs)
+        (payload,) = shipping.payloads
+        tasks = pickle.loads(payload)
+        assert len(tasks) == 4
+        for _, (_, point, _) in tasks:
+            # The parent never computes the matrix; workers do, lazily.
+            assert point["delay_model"]._rtt is None
+            assert point["delay_model"].topology is point["topology"]
+        serial = run_replications(config, ["grez-grec"], **kwargs)
+        _assert_identical_observations(serial, parallel)
+
+    def test_single_shared_run_starts_no_pool(self, pools):
+        config = make_small_config(num_clients=40, num_zones=4)
+        run_replications(config, ["grez-grec"], num_runs=1, seed=0, share_topology=True, workers=2)
+        assert not pools
 
 
 class TestExperimentConfig:

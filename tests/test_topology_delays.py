@@ -102,3 +102,11 @@ class TestPickling:
         assert (clone._rtt is None) is not filled
         np.testing.assert_array_equal(clone.rtt, model.rtt)
         assert clone.rtt is clone.rtt  # the clone caches its own copy
+
+    def test_unfilled_model_pickle_ships_no_matrix(self, small_topology_module):
+        model = DelayModel(small_topology_module)
+        unfilled = len(pickle.dumps(model))
+        model.rtt  # fill the lazy cache
+        filled = len(pickle.dumps(model))
+        # Default pickling carries the cache when filled and nothing when not.
+        assert filled - unfilled >= model.rtt.nbytes

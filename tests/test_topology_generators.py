@@ -100,6 +100,17 @@ class TestHierarchical:
         np.testing.assert_array_equal(a.edges, b.edges)
         np.testing.assert_allclose(a.latencies, b.latencies)
 
+    def test_build_leaves_connectivity_to_the_all_pairs_pass(self, monkeypatch):
+        # Connected by construction: the build runs no connectivity check of
+        # its own, and the all-pairs pass (which raises on a disconnected
+        # graph) still finds every pair reachable.
+        def no_check(self):
+            raise AssertionError("the build re-checked connectivity")
+
+        monkeypatch.setattr(Topology, "is_connected", no_check)
+        topo = hierarchical_topology(HierarchicalParams(num_as=4, routers_per_as=5), seed=3)
+        assert np.isfinite(topo.shortest_path_latencies()).all()
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             HierarchicalParams(num_as=0)
